@@ -11,8 +11,8 @@
 
 type raw = { r_nodes : int array; r_tfs : int array }
 
-(* Lazily-fetched rows: a zero-copy segment (Index_io v3) decodes a
-   term's rows from mapped columns on first use instead of materializing
+(* Lazily-fetched rows: a zero-copy segment (Index_io v4) decodes a
+   term's rows from mapped postings on first use instead of materializing
    the whole postings file at open.  [pv_rows] must be safe to call from
    any domain (it is pure decoding of immutable mapped bytes) and may
    raise the segment's typed fault exception; the per-shape caches above
@@ -204,7 +204,7 @@ let term_count t =
 
 (* Fetch one term's rows.  The Arrays form shares the stored arrays (the
    callers never mutate them); the lazy form decodes fresh arrays from
-   the mapped columns each call — per-query cost is amortized by the
+   the mapped postings each call — per-query cost is amortized by the
    shape caches, and whole-dictionary sweeps pay streaming decode. *)
 let fetch_raw t id =
   match t.raws with

@@ -1,6 +1,6 @@
 (* Index persistence.
 
-   Two on-disk generations coexist:
+   Two on-disk generations are read:
 
    v2 ("XKIDX002") — a checksummed varint stream: magic | version varint
    | payload-length varint | payload CRC-32 varint | payload (node
@@ -8,23 +8,29 @@
    node ids and tf values).  Loading reads the whole file through a
    channel and materializes every posting.
 
-   v3 ("XKIDX003") — the zero-copy segment.  Fixed-width little-endian
-   columns, each region page-aligned, so the file can be mmapped and
-   served without decoding the postings at open:
+   v4 ("XKIDX004") — the compressed zero-copy segment.  Four parts back
+   to back, no padding, every byte under a CRC-32:
 
-     page 0   header (fixed 100 bytes, CRC-32 over itself, zero-padded)
-     terms    all term bytes concatenated in id order   [terms_crc]
-     nodes    u32 node id per posting row               [per-term rows_crc]
-     tfs      u32 term frequency per posting row        [per-term rows_crc]
-     dir      40 bytes per term: term_off u64, term_len u32, row_off u64,
-              row_count u32, cf u64, rows_crc u32, pad u32  [dir_crc]
+     header    fixed 72 bytes: magic, version u32, then u64 node count,
+               term count, total rows, terms/postings/directory lengths,
+               terms_crc u32, dir_crc u32, header_crc u32 (over itself)
+     terms     all term bytes concatenated in id order     [terms_crc]
+     postings  per term: node ids as delta varints (first id absolute),
+               then varint tfs only when cf <> df          [rows_crc]
+     dir       per term: varint term_len, df, cf - df, postings_len,
+               then rows_crc u32                            [dir_crc]
 
-   Opening a v3 segment maps the file, verifies the header, directory
-   and terms-region checksums, interns the dictionary from the directory
-   (statistics come from the directory, not from counting rows), and
-   hands {!Index.of_provider} a lazy row decoder: a term's rows are
-   decoded from the mapped columns on first use, with that term's
-   [rows_crc] verified once.  Open cost is O(dictionary), not
+   The directory's postings lengths tile the postings region exactly, so
+   the per-term rows_crcs cover it byte for byte.  cf = df means every
+   tf is 1 (a tf is at least 1), which is why most terms store no tf
+   column at all.
+
+   Opening a v4 segment maps the file, verifies the header, terms and
+   directory checksums, decodes the directory in one pass, interns the
+   dictionary from it (statistics come from the directory, not from
+   counting rows), and hands {!Index.of_provider} a lazy row decoder: a
+   term's rows are decoded from the mapped postings on first use, with
+   that term's rows_crc verified once.  Open cost is O(dictionary), not
    O(postings).
 
    The read path classifies failures (truncation vs. corruption vs.
@@ -37,16 +43,17 @@
    segment under the live name.
 
    Fault injection cannot mangle a mapped page, so whenever injection is
-   active for the process (or the path is marked corrupt) the v3 open
+   active for the process (or the path is marked corrupt) the v4 open
    switches to a string-backed reader fed through the same
    {!Xk_resilience.Fault_injection.mangle_read} hook as v2, and verifies
-   {e everything} eagerly — every term's rows_crc, every padding byte,
-   the exact file size — so a single flipped byte anywhere in the file
-   is detected on that read, exactly as the chaos drills expect. *)
+   and decodes every term eagerly, so a single flipped byte anywhere in
+   the file is detected on that read, exactly as the chaos drills
+   expect. *)
 
 let magic = "XKIDX002"
 let magic_v1 = "XKIDX001"
 let magic_v3 = "XKIDX003"
+let magic_v4 = "XKIDX004"
 let version = 2
 
 type error =
@@ -69,7 +76,7 @@ let load_error_message { error; attempts } =
 exception Format_error of string
 
 exception Segment_fault of string
-(* Raised by the lazy v3 row decoder (see the .mli). *)
+(* Raised by the lazy v4 row decoder (see the .mli). *)
 
 (* ------------------------------------------------------------------ *)
 (* v2 writer (varint stream)                                          *)
@@ -109,133 +116,80 @@ let save_v2 (idx : Index.t) path =
       output_string oc payload)
 
 (* ------------------------------------------------------------------ *)
-(* v3 writer (page-aligned columns)                                   *)
+(* v4 writer (compressed segment)                                     *)
 (* ------------------------------------------------------------------ *)
 
-let page_size = 4096
-let header_size = 100
-let dir_entry_size = 40
+let header_size = 72
 
-let align_up n = (n + page_size - 1) / page_size * page_size
+(* The region geometry follows from the header's three lengths: the
+   regions sit back to back behind the header. *)
+type layout = {
+  node_count : int;
+  term_count : int;
+  total_rows : int;
+  terms_off : int;
+  terms_len : int;
+  postings_off : int;
+  postings_len : int;
+  dir_off : int;
+  dir_len : int;
+  file_size : int;
+}
 
 let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
-let add_padding buf upto =
-  for _ = Buffer.length buf + 1 to upto do
-    Buffer.add_char buf '\000'
-  done
-
-(* The layout is fully determined by (term_count, total_rows, terms_len):
-   the reader recomputes it and rejects a header whose offsets disagree,
-   so offset tampering is structural corruption even past the CRC. *)
-type v3_layout = {
-  l3_node_count : int;
-  l3_term_count : int;
-  l3_total_rows : int;
-  l3_terms_off : int;
-  l3_terms_len : int;
-  l3_nodes_off : int;
-  l3_tfs_off : int;
-  l3_dir_off : int;
-  l3_dir_len : int;
-  l3_file_size : int;
-}
-
-let layout_of ~node_count ~term_count ~total_rows ~terms_len =
-  let terms_off = page_size in
-  let nodes_off = align_up (terms_off + terms_len) in
-  let tfs_off = align_up (nodes_off + (4 * total_rows)) in
-  let dir_off = align_up (tfs_off + (4 * total_rows)) in
-  let dir_len = dir_entry_size * term_count in
-  {
-    l3_node_count = node_count;
-    l3_term_count = term_count;
-    l3_total_rows = total_rows;
-    l3_terms_off = terms_off;
-    l3_terms_len = terms_len;
-    l3_nodes_off = nodes_off;
-    l3_tfs_off = tfs_off;
-    l3_dir_off = dir_off;
-    l3_dir_len = dir_len;
-    l3_file_size = align_up (dir_off + dir_len);
-  }
-
 let save (idx : Index.t) path =
-  let label = Index.label idx in
-  let dict = Index.dict idx in
-  let node_count = Xk_encoding.Labeling.node_count label in
   let term_count = Index.term_count idx in
+  let terms = Buffer.create 4096 in
+  let postings = Buffer.create 65536 in
+  let dir = Buffer.create (8 * term_count) in
+  let slice = Buffer.create 256 in
   let total_rows = ref 0 in
-  let terms_len = ref 0 in
-  for id = 0 to term_count - 1 do
-    total_rows := !total_rows + Index.df idx id;
-    terms_len := !terms_len + String.length (Index.term idx id)
-  done;
-  let lay =
-    layout_of ~node_count ~term_count ~total_rows:!total_rows
-      ~terms_len:!terms_len
-  in
-  let buf = Buffer.create lay.l3_file_size in
-  (* Header, with the two region CRCs patched in after the regions are
-     serialized: emit the regions into their own buffers first. *)
-  let terms_buf = Buffer.create (max 16 !terms_len) in
-  let nodes_buf = Buffer.create (max 16 (4 * !total_rows)) in
-  let tfs_buf = Buffer.create (max 16 (4 * !total_rows)) in
-  let dir_buf = Buffer.create (max 16 lay.l3_dir_len) in
-  let row_off = ref 0 in
-  let term_off = ref lay.l3_terms_off in
   for id = 0 to term_count - 1 do
     let term = Index.term idx id in
-    Buffer.add_string terms_buf term;
     let nodes, tfs = Index.raw_rows idx id in
-    let count = Array.length nodes in
-    let slice = Buffer.create (max 16 (8 * count)) in
-    Array.iter (fun n -> add_u32 slice n) nodes;
-    Array.iter (fun tf -> add_u32 slice tf) tfs;
-    let slice = Buffer.contents slice in
-    Buffer.add_substring nodes_buf slice 0 (4 * count);
-    Buffer.add_substring tfs_buf slice (4 * count) (4 * count);
-    let rows_crc = Xk_storage.Crc32.string slice in
-    add_u64 dir_buf !term_off;
-    add_u32 dir_buf (String.length term);
-    add_u64 dir_buf !row_off;
-    add_u32 dir_buf count;
-    add_u64 dir_buf (Xk_text.Dictionary.cf dict id);
-    add_u32 dir_buf rows_crc;
-    add_u32 dir_buf 0;
-    term_off := !term_off + String.length term;
-    row_off := !row_off + count
+    let df = Array.length nodes in
+    if Array.exists (fun tf -> tf < 1) tfs then
+      Xk_util.Err.invalidf "Index_io.save: term %S has a tf below 1" term;
+    let cf = Array.fold_left ( + ) 0 tfs in
+    Buffer.clear slice;
+    let prev = ref 0 in
+    Array.iter
+      (fun n ->
+        Xk_storage.Varint.write slice (n - !prev);
+        prev := n)
+      nodes;
+    if cf <> df then Array.iter (Xk_storage.Varint.write slice) tfs;
+    let rows = Buffer.contents slice in
+    Buffer.add_string terms term;
+    Buffer.add_string postings rows;
+    Xk_storage.Varint.write dir (String.length term);
+    Xk_storage.Varint.write dir df;
+    Xk_storage.Varint.write dir (cf - df);
+    Xk_storage.Varint.write dir (String.length rows);
+    add_u32 dir (Xk_storage.Crc32.string rows);
+    total_rows := !total_rows + df
   done;
-  let terms_region = Buffer.contents terms_buf in
-  let dir_region = Buffer.contents dir_buf in
-  Buffer.add_string buf magic_v3;
-  add_u32 buf 3;
-  add_u32 buf page_size;
-  add_u64 buf node_count;
-  add_u64 buf term_count;
-  add_u64 buf !total_rows;
-  add_u64 buf lay.l3_terms_off;
-  add_u64 buf lay.l3_terms_len;
-  add_u64 buf lay.l3_nodes_off;
-  add_u64 buf lay.l3_tfs_off;
-  add_u64 buf lay.l3_dir_off;
-  add_u64 buf lay.l3_dir_len;
-  add_u32 buf (Xk_storage.Crc32.string terms_region);
-  add_u32 buf (Xk_storage.Crc32.string dir_region);
-  add_u32 buf (Xk_storage.Crc32.sub (Buffer.contents buf) ~pos:0 ~len:96);
-  assert (Buffer.length buf = header_size);
-  add_padding buf lay.l3_terms_off;
-  Buffer.add_string buf terms_region;
-  add_padding buf lay.l3_nodes_off;
-  Buffer.add_buffer buf nodes_buf;
-  add_padding buf lay.l3_tfs_off;
-  Buffer.add_buffer buf tfs_buf;
-  add_padding buf lay.l3_dir_off;
-  Buffer.add_string buf dir_region;
-  add_padding buf lay.l3_file_size;
-  assert (Buffer.length buf = lay.l3_file_size);
-  Xk_storage.Durable.write_atomically path (fun oc -> Buffer.output_buffer oc buf)
+  let terms = Buffer.contents terms and dir = Buffer.contents dir in
+  let header = Buffer.create header_size in
+  Buffer.add_string header magic_v4;
+  add_u32 header 4;
+  add_u64 header (Xk_encoding.Labeling.node_count (Index.label idx));
+  add_u64 header term_count;
+  add_u64 header !total_rows;
+  add_u64 header (String.length terms);
+  add_u64 header (Buffer.length postings);
+  add_u64 header (String.length dir);
+  add_u32 header (Xk_storage.Crc32.string terms);
+  add_u32 header (Xk_storage.Crc32.string dir);
+  add_u32 header (Xk_storage.Crc32.string (Buffer.contents header));
+  assert (Buffer.length header = header_size);
+  Xk_storage.Durable.write_atomically path (fun oc ->
+      Buffer.output_buffer oc header;
+      output_string oc terms;
+      Buffer.output_buffer oc postings;
+      output_string oc dir)
 
 (* ------------------------------------------------------------------ *)
 (* v2 reader                                                          *)
@@ -286,11 +240,12 @@ let decode_payload ?damping ?cache_capacity ?stats
    truncation) that a torn read can cause just as well as real corruption
    - a re-read distinguishes the two, and the carried error is reported
    if every retry sees it again.  Only [`Fatal] skips retrying: it is
-   raised after the checksum verified, so the bytes are authentic. *)
+   raised after the checksum verified, or for a retired generation whose
+   magic is intact, so a re-read cannot change the outcome. *)
 (* Framing check shared by the loader and {!verify}: magic, version,
    declared payload length, payload CRC.  Returns the payload offset. *)
 let check_framing data :
-    (int, [> `Crc of string | `Suspect of error ]) result =
+    (int, [> `Crc of string | `Suspect of error | `Fatal of error ]) result =
   let mlen = String.length magic in
   if String.length data < mlen then
     Error (`Suspect (Truncated "shorter than the segment magic"))
@@ -300,6 +255,10 @@ let check_framing data :
       Error
         (`Suspect
           (Corrupted "legacy v1 segment without checksum; rebuild the index"))
+    else if m = magic_v3 then
+      Error
+        (`Fatal
+          (Corrupted "retired v3 segment format; rebuild the index"))
     else if m <> magic then Error (`Suspect (Corrupted "bad magic"))
     else
       match
@@ -330,17 +289,24 @@ let check_framing data :
             Error (`Crc "payload checksum mismatch")
           else Ok body
 
+(* Whole-file and magic-sized reads that close their channel on every
+   path. *)
+let with_in path f =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+
+let read_file path =
+  with_in path (fun ic -> really_input_string ic (in_channel_length ic))
+
+let read_magic path =
+  with_in path (fun ic ->
+      really_input_string ic (min (String.length magic) (in_channel_length ic)))
+
 let read_all path :
     (string, [> `Transient of string ]) result =
   match
     Xk_resilience.Fault_injection.before_io ~path;
-    let ic = open_in_bin path in
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    Xk_resilience.Fault_injection.mangle_read ~path data
+    Xk_resilience.Fault_injection.mangle_read ~path (read_file path)
   with
   | exception Xk_resilience.Fault_injection.Injected_io msg ->
       Error (`Transient msg)
@@ -348,13 +314,26 @@ let read_all path :
   | data -> Ok data
 
 (* ------------------------------------------------------------------ *)
-(* v3 reader                                                          *)
+(* v4 reader                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The zero-copy reader works over a mapped file; the fault-injection
-   reader works over a string fed through [mangle_read].  Everything
-   below is written against this small common interface. *)
+   reader works over a string fed through [mangle_read].  Every region is
+   read by copying it out, so the two differ only in where the copy comes
+   from, and each checksum runs over the same copy its fields are parsed
+   from: a page torn between checksum and parse cannot slip through. *)
 type reader = Map of Xk_storage.Mmap.t | Str of string
+
+let rd_size = function
+  | Map m -> Xk_storage.Mmap.size m
+  | Str s -> String.length s
+
+(* Callers check the range against the verified header first; the Mmap
+   accessor re-checks it and the closed flag. *)
+let rd_sub r ~pos ~len =
+  match r with
+  | Map m -> Xk_storage.Mmap.sub_string m ~pos ~len
+  | Str s -> String.sub s pos len
 
 (* Structured parse failure, classified like the v2 attempt errors:
    [`Crc] and truncation may be torn reads (retry), structural errors
@@ -367,47 +346,98 @@ let bad_crc msg = raise (Bad (`Crc msg))
 let bad_trunc msg = raise (Bad (`Suspect (Truncated msg)))
 let bad_struct msg = raise (Bad (`Fatal (Corrupted msg)))
 
-let rd_size = function
-  | Map m -> Xk_storage.Mmap.size m
-  | Str s -> String.length s
+let classify = function
+  | `Transient msg -> Io_failed msg
+  | `Crc msg -> Corrupted msg
+  | `Suspect e | `Fatal e -> e
 
-(* Bounds are checked by the callers against the verified header before
-   any raw access; the Mmap accessors re-check defensively. *)
-let rd_u32 r pos =
-  match r with
-  | Map m -> Xk_storage.Mmap.u32 m pos
-  | Str s -> Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
+(* LEB128 read from [s] at [!pos], bounded by the end of [s] and by the
+   host's 63-bit int.  A varint that runs past its slice or overflows
+   raises [Bad_varint], which each caller turns into structural
+   corruption with its own context: never an [Invalid_argument]. *)
+exception Bad_varint of string
 
-let rd_u64 r pos =
-  match r with
-  | Map m -> Xk_storage.Mmap.u64 m pos
-  | Str s ->
-      let v = String.get_int64_le s pos in
-      if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0
-      then bad_struct (Printf.sprintf "stored offset at %d exceeds host int" pos)
-      else Int64.to_int v
+let varint s pos =
+  let len = String.length s in
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  (* At most 9 bytes: [shift] reaches 56 on the ninth, which must end
+     the varint within 62 bits. *)
+  while !more do
+    if !pos >= len then raise (Bad_varint "varint runs past its slice");
+    let b = Char.code (String.unsafe_get s !pos) in
+    incr pos;
+    if !shift = 56 && b >= 0x40 then raise (Bad_varint "varint overflows");
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b land 0x80 <> 0
+  done;
+  !acc
 
-let rd_sub r ~pos ~len =
-  match r with
-  | Map m -> Xk_storage.Mmap.sub_string m ~pos ~len
-  | Str s -> String.sub s pos len
+let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
-let rd_crc r ~pos ~len =
-  match r with
-  | Map m -> Xk_storage.Mmap.crc32 m ~pos ~len
-  | Str s -> Xk_storage.Crc32.sub s ~pos ~len
+(* Parse and authenticate the fixed header; returns the geometry and the
+   header bytes, which carry the terms and directory checksums. *)
+let parse_header (r : reader) : layout * string =
+  let size = rd_size r in
+  if size < header_size then bad_trunc "shorter than the v4 header";
+  let h = rd_sub r ~pos:0 ~len:header_size in
+  if Xk_storage.Crc32.sub h ~pos:0 ~len:(header_size - 4) <> u32_at h 68 then
+    bad_crc "header checksum mismatch";
+  (* The header is authentic past this point: every further anomaly is
+     structural, not a torn read. *)
+  let v = u32_at h 8 in
+  if v <> 4 then bad_struct (Printf.sprintf "v4 magic but version %d" v);
+  let u64 pos =
+    let v = String.get_int64_le h pos in
+    if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0
+    then bad_struct (Printf.sprintf "header field at %d exceeds host int" pos)
+    else Int64.to_int v
+  in
+  let terms_len = u64 36 and postings_len = u64 44 and dir_len = u64 52 in
+  (* Each length is checked against the file before they are summed, so
+     the sum cannot overflow. *)
+  if terms_len > size || postings_len > size || dir_len > size then
+    bad_trunc (Printf.sprintf "a region is longer than the %d-byte file" size);
+  let lay =
+    {
+      node_count = u64 12;
+      term_count = u64 20;
+      total_rows = u64 28;
+      terms_off = header_size;
+      terms_len;
+      postings_off = header_size + terms_len;
+      postings_len;
+      dir_off = header_size + terms_len + postings_len;
+      dir_len;
+      file_size = header_size + terms_len + postings_len + dir_len;
+    }
+  in
+  if size < lay.file_size then
+    bad_trunc (Printf.sprintf "file has %d of %d bytes" size lay.file_size);
+  if size > lay.file_size then
+    bad_struct
+      (Printf.sprintf "%d trailing bytes after the directory"
+         (size - lay.file_size));
+  (* A directory entry takes at least 8 bytes and a posting row at least
+     one, which bounds every array the open allocates by the file. *)
+  if lay.term_count > dir_len / 8 then
+    bad_struct "term count exceeds what the directory can hold";
+  if lay.total_rows > postings_len then
+    bad_struct "row count exceeds what the postings can hold";
+  (lay, h)
 
-(* Decoded v3 directory plus the reader it indexes into: the persistent
+(* Decoded v4 directory plus the reader it indexes into: the persistent
    state behind the lazy row provider. *)
-type v3_segment = {
+type segment = {
   sg_path : string;
   sg_reader : reader;
-  sg_lay : v3_layout;
+  sg_lay : layout;
   sg_terms : string;  (* the CRC-verified terms region, copied out *)
-  sg_term_offs : int array;
+  sg_term_offs : int array;  (* into [sg_terms] *)
   sg_term_lens : int array;
-  sg_row_offs : int array;
-  sg_row_counts : int array;
+  sg_post_offs : int array;  (* file offsets *)
+  sg_post_lens : int array;
+  sg_dfs : int array;
   sg_cfs : int array;
   sg_rows_crcs : int array;
   (* One flag per term: has this term's rows_crc been verified?  Written
@@ -416,112 +446,65 @@ type v3_segment = {
   sg_verified : Bytes.t;
 }
 
-let parse_v3_header (r : reader) : v3_layout =
-  let size = rd_size r in
-  if size < header_size then bad_trunc "shorter than the v3 header";
-  if rd_crc r ~pos:0 ~len:96 <> rd_u32 r 96 then bad_crc "header checksum mismatch";
-  (* The header is authentic past this point: every further anomaly is
-     structural, not a torn read. *)
-  let v = rd_u32 r 8 in
-  if v <> 3 then bad_struct (Printf.sprintf "v3 magic but version %d" v);
-  let ps = rd_u32 r 12 in
-  if ps <> page_size then
-    bad_struct (Printf.sprintf "unsupported page size %d" ps);
-  let node_count = rd_u64 r 16 in
-  let term_count = rd_u64 r 24 in
-  let total_rows = rd_u64 r 32 in
-  let lay =
-    layout_of ~node_count ~term_count ~total_rows
-      ~terms_len:(rd_u64 r 48)
-  in
-  if
-    rd_u64 r 40 <> lay.l3_terms_off
-    || rd_u64 r 56 <> lay.l3_nodes_off
-    || rd_u64 r 64 <> lay.l3_tfs_off
-    || rd_u64 r 72 <> lay.l3_dir_off
-    || rd_u64 r 80 <> lay.l3_dir_len
-  then bad_struct "region offsets disagree with the counts";
-  if size < lay.l3_file_size then
-    bad_trunc
-      (Printf.sprintf "file has %d of %d bytes" size lay.l3_file_size);
-  if size > lay.l3_file_size then
-    bad_struct
-      (Printf.sprintf "%d trailing bytes after the last region"
-         (size - lay.l3_file_size));
-  lay
-
-let parse_v3_dir path (r : reader) (lay : v3_layout) : v3_segment =
-  (* The directory and terms regions are decoded from one contiguous
-     copy each: a bulk blit plus string primitives beats per-field
-     access through the mapping by an order of magnitude, and the CRC
-     runs over the same copy the fields are parsed from, so a page torn
-     between checksum and parse cannot slip through. *)
-  let dir = rd_sub r ~pos:lay.l3_dir_off ~len:lay.l3_dir_len in
-  if Xk_storage.Crc32.string dir <> rd_u32 r 92 then
+(* Decode the directory in one pass into per-term arrays.  The entries
+   must tile the terms region, the postings region and the row count
+   exactly: any overlap, gap or overhang is structural corruption. *)
+let parse_dir path (r : reader) ((lay, h) : layout * string) : segment =
+  let dir = rd_sub r ~pos:lay.dir_off ~len:lay.dir_len in
+  if Xk_storage.Crc32.string dir <> u32_at h 64 then
     bad_crc "directory checksum mismatch";
-  let terms = rd_sub r ~pos:lay.l3_terms_off ~len:lay.l3_terms_len in
-  if Xk_storage.Crc32.string terms <> rd_u32 r 88 then
+  let terms = rd_sub r ~pos:lay.terms_off ~len:lay.terms_len in
+  if Xk_storage.Crc32.string terms <> u32_at h 60 then
     bad_crc "terms-region checksum mismatch";
-  (* Manual byte assembly: the [String.get_int*_le] primitives box their
-     results without flambda, and five boxed reads per entry would put
-     the allocator on the open path's hot loop. *)
-  let byte s i = Char.code (String.unsafe_get s i) in
-  let du32 pos =
-    byte dir pos
-    lor (byte dir (pos + 1) lsl 8)
-    lor (byte dir (pos + 2) lsl 16)
-    lor (byte dir (pos + 3) lsl 24)
-  in
-  let du64 pos =
-    let hi = byte dir (pos + 7) in
-    (* The host int is 63-bit: high bits there cannot be a valid offset. *)
-    if hi land 0xC0 <> 0 then
-      bad_struct
-        (Printf.sprintf "stored offset at %d exceeds host int"
-           (lay.l3_dir_off + pos));
-    du32 pos
-    lor (byte dir (pos + 4) lsl 32)
-    lor (byte dir (pos + 5) lsl 40)
-    lor (byte dir (pos + 6) lsl 48)
-    lor (hi lsl 56)
-  in
-  let n = lay.l3_term_count in
+  let n = lay.term_count in
   let term_offs = Array.make n 0
   and term_lens = Array.make n 0
-  and row_offs = Array.make n 0
-  and row_counts = Array.make n 0
+  and post_offs = Array.make n 0
+  and post_lens = Array.make n 0
+  and dfs = Array.make n 0
   and cfs = Array.make n 0
   and rows_crcs = Array.make n 0 in
-  let next_term = ref lay.l3_terms_off in
-  let next_row = ref 0 in
-  for id = 0 to n - 1 do
-    let e = id * dir_entry_size in
-    let term_off = du64 e in
-    let term_len = du32 (e + 8) in
-    let row_off = du64 (e + 12) in
-    let row_count = du32 (e + 20) in
-    let cf = du64 (e + 24) in
-    let rows_crc = du32 (e + 32) in
-    if du32 (e + 36) <> 0 then
-      bad_struct (Printf.sprintf "directory entry %d: nonzero padding" id);
-    (* The entries must tile both the terms region and the row space
-       exactly: any overlap, gap or overhang is structural corruption. *)
-    if term_off <> !next_term then
-      bad_struct (Printf.sprintf "directory entry %d: term bytes misplaced" id);
-    if row_off <> !next_row then
-      bad_struct (Printf.sprintf "directory entry %d: rows misplaced" id);
-    next_term := term_off + term_len;
-    next_row := row_off + row_count;
-    term_offs.(id) <- term_off;
-    term_lens.(id) <- term_len;
-    row_offs.(id) <- row_off;
-    row_counts.(id) <- row_count;
-    cfs.(id) <- cf;
-    rows_crcs.(id) <- rows_crc
-  done;
-  if !next_term <> lay.l3_terms_off + lay.l3_terms_len then
+  let pos = ref 0 and entry = ref 0 in
+  let fail msg =
+    bad_struct (Printf.sprintf "directory entry %d: %s" !entry msg)
+  in
+  let next_term = ref 0 and next_post = ref lay.postings_off and rows = ref 0 in
+  (try
+     for id = 0 to n - 1 do
+       entry := id;
+       let term_len = varint dir pos in
+       let df = varint dir pos in
+       let extra = varint dir pos in
+       let post_len = varint dir pos in
+       if !pos + 4 > lay.dir_len then fail "cut short";
+       rows_crcs.(id) <- u32_at dir !pos;
+       pos := !pos + 4;
+       if term_len > lay.terms_len - !next_term then
+         fail "term bytes overhang the terms region";
+       if post_len > lay.dir_off - !next_post then
+         fail "postings overhang the postings region";
+       (* Each node id takes a byte at least, each stored tf another. *)
+       if df > post_len || (extra > 0 && df > post_len - df) then
+         fail "more rows than postings bytes";
+       if df = 0 && extra > 0 then fail "tfs without rows";
+       if extra > max_int - df then fail "cf overflows";
+       term_offs.(id) <- !next_term;
+       term_lens.(id) <- term_len;
+       post_offs.(id) <- !next_post;
+       post_lens.(id) <- post_len;
+       dfs.(id) <- df;
+       cfs.(id) <- df + extra;
+       next_term := !next_term + term_len;
+       next_post := !next_post + post_len;
+       rows := !rows + df
+     done
+   with Bad_varint msg -> fail msg);
+  if !pos <> lay.dir_len then bad_struct "trailing bytes in the directory";
+  if !next_term <> lay.terms_len then
     bad_struct "directory does not cover the terms region";
-  if !next_row <> lay.l3_total_rows then
+  if !next_post <> lay.dir_off then
+    bad_struct "directory does not cover the postings region";
+  if !rows <> lay.total_rows then
     bad_struct "directory does not cover the posting rows";
   {
     sg_path = path;
@@ -530,161 +513,116 @@ let parse_v3_dir path (r : reader) (lay : v3_layout) : v3_segment =
     sg_terms = terms;
     sg_term_offs = term_offs;
     sg_term_lens = term_lens;
-    sg_row_offs = row_offs;
-    sg_row_counts = row_counts;
+    sg_post_offs = post_offs;
+    sg_post_lens = post_lens;
+    sg_dfs = dfs;
     sg_cfs = cfs;
     sg_rows_crcs = rows_crcs;
     sg_verified = Bytes.make (max 1 n) '\000';
   }
 
-(* CRC over a term's nodes slice ++ tfs slice, incrementally, without
-   copying the mapped pages. *)
-let rows_crc_of sg id =
-  let count = sg.sg_row_counts.(id) in
-  let npos = sg.sg_lay.l3_nodes_off + (4 * sg.sg_row_offs.(id)) in
-  let tpos = sg.sg_lay.l3_tfs_off + (4 * sg.sg_row_offs.(id)) in
-  match sg.sg_reader with
-  | Map m ->
-      Xk_storage.Mmap.crc32_update
-        (Xk_storage.Mmap.crc32 m ~pos:npos ~len:(4 * count))
-        m ~pos:tpos ~len:(4 * count)
-  | Str s ->
-      Xk_storage.Crc32.update
-        (Xk_storage.Crc32.sub s ~pos:npos ~len:(4 * count))
-        s ~pos:tpos ~len:(4 * count)
-
-(* Verify one term's column slices, at most once per segment.  The flag
-   write is unsynchronized — a benign race (see [sg_verified]). *)
-let ensure_rows_verified sg id =
+(* Decode one term's rows from its postings slice, verifying the slice's
+   rows_crc at most once per segment (the flag write is unsynchronized —
+   a benign race, see [sg_verified]).  The slice must decode to exactly
+   df strictly increasing node ids below the node count, then, when
+   cf <> df, df tfs of at least 1 summing to cf, using every byte.
+   Raises [Bad]: [`Crc] on a checksum mismatch, [`Fatal] on malformed
+   content behind a verified checksum.  [keep:false] checks everything
+   but returns empty arrays, so a full verification allocates no rows. *)
+let decode_rows ?(keep = true) sg id =
+  let s =
+    rd_sub sg.sg_reader ~pos:sg.sg_post_offs.(id) ~len:sg.sg_post_lens.(id)
+  in
   if Bytes.unsafe_get sg.sg_verified id = '\000' then begin
-    if rows_crc_of sg id <> sg.sg_rows_crcs.(id) then
-      raise
-        (Segment_fault
-           (Printf.sprintf "%s: term %d column checksum mismatch" sg.sg_path id));
+    if Xk_storage.Crc32.string s <> sg.sg_rows_crcs.(id) then
+      bad_crc (Printf.sprintf "term %d postings checksum mismatch" id);
     Bytes.unsafe_set sg.sg_verified id '\001'
-  end
-
-(* Decode one term's rows from the columns.  Node ids are range-checked
-   against the header's node count: a value past it cannot index the
-   labeling and means the verified checksum was computed over corrupt
-   data at save time — surfaced as the same typed fault. *)
-let decode_rows sg id =
-  ensure_rows_verified sg id;
-  let count = sg.sg_row_counts.(id) in
-  let npos = sg.sg_lay.l3_nodes_off + (4 * sg.sg_row_offs.(id)) in
-  let tpos = sg.sg_lay.l3_tfs_off + (4 * sg.sg_row_offs.(id)) in
-  (* Each column slice is copied out in one blit and decoded from the
-     copy: one closed-map check per slice instead of one per row. *)
-  let nslice = rd_sub sg.sg_reader ~pos:npos ~len:(4 * count) in
-  let tslice = rd_sub sg.sg_reader ~pos:tpos ~len:(4 * count) in
-  let u32_of s i =
-    let b j = Char.code (String.unsafe_get s ((4 * i) + j)) in
-    b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-  in
-  let nodes =
-    Array.init count (fun i ->
-        let n = u32_of nslice i in
-        if n >= sg.sg_lay.l3_node_count then
-          raise
-            (Segment_fault
-               (Printf.sprintf "%s: term %d row %d: node id %d out of range"
-                  sg.sg_path id i n));
-        n)
-  in
-  let tfs = Array.init count (fun i -> u32_of tslice i) in
-  (nodes, tfs)
-
-(* Every padding byte between the regions must be zero: padding is not
-   covered by any region checksum, so the eager (fault-injection) path
-   sweeps it to guarantee that a single flipped byte anywhere in the
-   file is detected.  A nonzero pad may be a torn read, so it is
-   classified with the retryable checksum class. *)
-let check_padding (r : reader) (lay : v3_layout) =
-  let sweep ~from ~upto =
-    let pos = ref from in
-    while !pos < upto do
-      let len = min 4 (upto - !pos) in
-      let v =
-        if len = 4 then rd_u32 r !pos
-        else
-          let s = rd_sub r ~pos:!pos ~len in
-          String.fold_left (fun a c -> a lor Char.code c) 0 s
-      in
-      if v <> 0 then
-        bad_crc (Printf.sprintf "nonzero padding byte near offset %d" !pos);
-      pos := !pos + len
-    done
-  in
-  sweep ~from:header_size ~upto:lay.l3_terms_off;
-  sweep ~from:(lay.l3_terms_off + lay.l3_terms_len) ~upto:lay.l3_nodes_off;
-  sweep
-    ~from:(lay.l3_nodes_off + (4 * lay.l3_total_rows))
-    ~upto:lay.l3_tfs_off;
-  sweep ~from:(lay.l3_tfs_off + (4 * lay.l3_total_rows)) ~upto:lay.l3_dir_off;
-  sweep ~from:(lay.l3_dir_off + lay.l3_dir_len) ~upto:lay.l3_file_size
+  end;
+  let fail msg = bad_struct (Printf.sprintf "term %d postings: %s" id msg) in
+  let df = sg.sg_dfs.(id) and cf = sg.sg_cfs.(id) in
+  let last = sg.sg_lay.node_count - 1 in
+  let pos = ref 0 in
+  match
+    let nodes = Array.make (if keep then df else 0) 0 in
+    let prev = ref 0 in
+    for i = 0 to df - 1 do
+      let d = varint s pos in
+      if i > 0 && d = 0 then fail "node ids not increasing";
+      if d > last - !prev then fail "node id out of range";
+      prev := !prev + d;
+      if keep then nodes.(i) <- !prev
+    done;
+    let tfs =
+      if cf = df then Array.make (Array.length nodes) 1
+      else begin
+        let tfs = Array.make (Array.length nodes) 0 and sum = ref 0 in
+        for i = 0 to df - 1 do
+          let tf = varint s pos in
+          if tf < 1 then fail "tf below 1";
+          if tf > cf - !sum then fail "tfs exceed cf";
+          sum := !sum + tf;
+          if keep then tfs.(i) <- tf
+        done;
+        if !sum <> cf then fail "tfs do not sum to cf";
+        tfs
+      end
+    in
+    (nodes, tfs)
+  with
+  | exception Bad_varint msg -> fail msg
+  | rows -> if !pos <> String.length s then fail "trailing bytes" else rows
 
 (* Intern the dictionary in id order with the directory's statistics:
-   this — not row decoding — is the open-time cost of a v3 segment. *)
+   this — not row decoding — is the open-time cost of a v4 segment. *)
 let dict_of_segment sg =
-  let dict = Xk_text.Dictionary.create ~size:sg.sg_lay.l3_term_count () in
-  for id = 0 to sg.sg_lay.l3_term_count - 1 do
-    let term =
-      String.sub sg.sg_terms
-        (sg.sg_term_offs.(id) - sg.sg_lay.l3_terms_off)
-        sg.sg_term_lens.(id)
-    in
+  let dict = Xk_text.Dictionary.create ~size:sg.sg_lay.term_count () in
+  for id = 0 to sg.sg_lay.term_count - 1 do
+    let term = String.sub sg.sg_terms sg.sg_term_offs.(id) sg.sg_term_lens.(id) in
     let got = Xk_text.Dictionary.intern dict term in
     if got <> id then
       bad_struct (Printf.sprintf "duplicate term in directory (id %d)" id);
-    Xk_text.Dictionary.set_stats dict id ~df:sg.sg_row_counts.(id)
-      ~cf:sg.sg_cfs.(id)
+    Xk_text.Dictionary.set_stats dict id ~df:sg.sg_dfs.(id) ~cf:sg.sg_cfs.(id)
   done;
   dict
 
-let open_v3 ?damping ?cache_capacity ?stats ~verify_columns label path
+(* Full verification of a parsed segment: every term decodes. *)
+let decode_all sg =
+  for id = 0 to sg.sg_lay.term_count - 1 do
+    ignore (decode_rows ~keep:false sg id)
+  done
+
+let open_v4 ?damping ?cache_capacity ?stats ~verify_columns label path
     (r : reader) : Index.t =
-  let lay = parse_v3_header r in
-  if lay.l3_node_count <> Xk_encoding.Labeling.node_count label then
-    raise
-      (Bad
-         (`Fatal
-           (Corrupted
-              (Printf.sprintf "index built over %d nodes, document has %d"
-                 lay.l3_node_count
-                 (Xk_encoding.Labeling.node_count label)))));
-  let sg = parse_v3_dir path r lay in
-  (* The padding sweep always runs: padding is outside every region
-     checksum, and it touches at most one partial page per region
-     boundary, so it costs nothing next to the directory parse. *)
-  check_padding r lay;
-  if verify_columns then begin
-    for id = 0 to lay.l3_term_count - 1 do
-      if rows_crc_of sg id <> sg.sg_rows_crcs.(id) then
-        bad_crc (Printf.sprintf "term %d column checksum mismatch" id)
-      else Bytes.unsafe_set sg.sg_verified id '\001'
-    done
-  end;
+  let ((lay, _) as header) = parse_header r in
+  if lay.node_count <> Xk_encoding.Labeling.node_count label then
+    bad_struct
+      (Printf.sprintf "index built over %d nodes, document has %d"
+         lay.node_count
+         (Xk_encoding.Labeling.node_count label));
+  let sg = parse_dir path r header in
+  if verify_columns then decode_all sg;
   let dict = dict_of_segment sg in
+  let fault msg = raise (Segment_fault (Printf.sprintf "%s: %s" path msg)) in
   let provider : Index.provider =
     {
-      pv_terms = lay.l3_term_count;
-      pv_row_count = (fun id -> sg.sg_row_counts.(id));
+      pv_terms = lay.term_count;
+      pv_row_count = (fun id -> sg.sg_dfs.(id));
       pv_rows =
         (fun id ->
-          try decode_rows sg id
-          with Xk_storage.Mmap.Fault e ->
-            raise (Segment_fault (Xk_storage.Mmap.error_message e)));
+          try decode_rows sg id with
+          | Bad e -> fault (error_message (classify e))
+          | Xk_storage.Mmap.Fault e -> fault (Xk_storage.Mmap.error_message e));
     }
   in
   Index.of_provider ?damping ?cache_capacity ?stats ~dict label provider
 
-(* One v3 open attempt.  The mmap path is the production one; whenever
+(* One v4 open attempt.  The mmap path is the production one; whenever
    fault injection is active for the process (or this path is marked
    corrupt) the segment is instead read through the byte-level
    [mangle_read] hook into a string and verified eagerly and completely,
    because a mapped page cannot be mangled and lazy verification would
    let an injected flip go undetected until first touch. *)
-let attempt_v3 ?damping ?cache_capacity ?stats ~verify_columns label path :
+let attempt_v4 ?damping ?cache_capacity ?stats ~verify_columns label path :
     ( Index.t,
       [ `Transient of string
       | `Crc of string
@@ -702,7 +640,7 @@ let attempt_v3 ?damping ?cache_capacity ?stats ~verify_columns label path :
     | Error _ as e -> e
     | Ok data -> (
         match
-          open_v3 ?damping ?cache_capacity ?stats ~verify_columns:true label
+          open_v4 ?damping ?cache_capacity ?stats ~verify_columns:true label
             path (Str data)
         with
         | idx -> Ok idx
@@ -713,7 +651,7 @@ let attempt_v3 ?damping ?cache_capacity ?stats ~verify_columns label path :
         Error (`Fatal (Io_failed (Xk_storage.Mmap.error_message e)))
     | Ok m -> (
         match
-          open_v3 ?damping ?cache_capacity ?stats ~verify_columns label path
+          open_v4 ?damping ?cache_capacity ?stats ~verify_columns label path
             (Map m)
         with
         | idx -> Ok idx
@@ -726,19 +664,14 @@ let attempt_v3 ?damping ?cache_capacity ?stats ~verify_columns label path :
 (* ------------------------------------------------------------------ *)
 
 (* Sniff the magic to pick the generation.  Runs the [before_io] hook so
-   the transient-fault drills fire once per load attempt on the v3 path
+   the transient-fault drills fire once per load attempt on the v4 path
    too (the v2 path re-reads the whole file afterwards; its per-path
    attempt counter has already been consumed, so the retry arithmetic is
    unchanged). *)
 let sniff_magic path : (string, [> `Transient of string ]) result =
   match
     Xk_resilience.Fault_injection.before_io ~path;
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let n = min 8 (in_channel_length ic) in
-        really_input_string ic n)
+    read_magic path
   with
   | exception Xk_resilience.Fault_injection.Injected_io msg ->
       Error (`Transient msg)
@@ -752,8 +685,8 @@ let attempt ?damping ?cache_capacity ?stats ~verify_columns label path :
     result =
   match sniff_magic path with
   | Error _ as e -> e
-  | Ok m when m = magic_v3 ->
-      attempt_v3 ?damping ?cache_capacity ?stats ~verify_columns label path
+  | Ok m when m = magic_v4 ->
+      attempt_v4 ?damping ?cache_capacity ?stats ~verify_columns label path
   | Ok _ -> (
       match read_all path with
       | Error _ as e -> e
@@ -772,11 +705,6 @@ let retryable = function
   | `Transient _ | `Crc _ | `Suspect _ -> true
   | `Fatal _ -> false
 
-let classify = function
-  | `Transient msg -> Io_failed msg
-  | `Crc msg -> Corrupted msg
-  | `Suspect e | `Fatal e -> e
-
 let load_result ?damping ?cache_capacity ?stats ?(retries = 4)
     ?(backoff_ms = 1.0) ?(verify_columns = false) label path =
   match
@@ -787,12 +715,17 @@ let load_result ?damping ?cache_capacity ?stats ?(retries = 4)
   | Ok idx, _ -> Ok idx
   | Error e, attempts -> Error { error = classify e; attempts }
 
-(* Framing-only verification.  For a v2 segment this checks the header
-   and the payload checksum; for v3 it is a {e full} verification —
-   every region and column checksum plus the padding sweep — because
-   the lazy load path deliberately skips the column checks that the v2
-   load performs implicitly, and the replica writers that call [verify]
-   after each copy need equivalent coverage. *)
+let is_v4 data =
+  String.length data >= String.length magic_v4
+  && String.sub data 0 (String.length magic_v4) = magic_v4
+
+(* Verification without building an index.  For a v2 segment this checks
+   the header and the payload checksum; for v4 it is a {e full}
+   verification — every region checksum, every term's rows_crc and the
+   structure of every term's postings — because the lazy load path
+   deliberately defers the per-term checks that the v2 load performs
+   implicitly, and the replica writers that call [verify] after each
+   copy need equivalent coverage. *)
 let verify_attempt path :
     ( unit,
       [ `Transient of string | `Crc of string | `Suspect of error | `Fatal of error ]
@@ -801,17 +734,9 @@ let verify_attempt path :
   match read_all path with
   | Error _ as e -> e
   | Ok data ->
-      if String.length data >= 8 && String.sub data 0 8 = magic_v3 then
-        match
-          let r = Str data in
-          let lay = parse_v3_header r in
-          let sg = parse_v3_dir path r lay in
-          check_padding r lay;
-          for id = 0 to lay.l3_term_count - 1 do
-            if rows_crc_of sg id <> sg.sg_rows_crcs.(id) then
-              bad_crc (Printf.sprintf "term %d column checksum mismatch" id)
-          done
-        with
+      if is_v4 data then
+        let r = Str data in
+        match decode_all (parse_dir path r (parse_header r)) with
         | () -> Ok ()
         | exception Bad e -> Error e
       else
@@ -832,38 +757,27 @@ let load ?damping label path =
   | Ok idx -> idx
   | Error e -> raise (Format_error (load_error_message e))
 
-let file_size path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  close_in ic;
-  n
+(* Introspection for tests and benches: how big is a file, which
+   generation is it, and where do a v4 segment's regions live (so a
+   drill can corrupt a specific region with surgical precision). *)
+let file_size path = with_in path in_channel_length
 
-(* Introspection for tests and benches: which generation is a file, and
-   where do a v3 segment's regions live (so a drill can corrupt a
-   specific column with surgical precision). *)
 let format_version path =
-  let ic = open_in_bin path in
-  let m =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (min 8 (in_channel_length ic)))
-  in
-  if m = magic_v1 then Some 1
-  else if m = magic then Some 2
-  else if m = magic_v3 then Some 3
-  else None
+  match read_magic path with
+  | exception (Sys_error _ | End_of_file) -> None
+  | m ->
+      if m = magic_v1 then Some 1
+      else if m = magic then Some 2
+      else if m = magic_v3 then Some 3
+      else if m = magic_v4 then Some 4
+      else None
 
 let layout path =
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  if String.length data < 8 || String.sub data 0 8 <> magic_v3 then
-    Error (Corrupted "not a v3 segment")
-  else
-    match parse_v3_header (Str data) with
-    | lay -> Ok lay
-    | exception Bad e -> Error (classify e)
-
+  match read_file path with
+  | exception Sys_error msg -> Error (Io_failed msg)
+  | exception End_of_file -> Error (Io_failed (path ^ ": changed while read"))
+  | data when not (is_v4 data) -> Error (Corrupted "not a v4 segment")
+  | data -> (
+      match parse_header (Str data) with
+      | lay, _ -> Ok lay
+      | exception Bad e -> Error (classify e))

@@ -392,9 +392,9 @@ let index_io_rejects_mismatch () =
     Sys.remove path
   end
 
-(* v3 zero-copy generation: layout introspection, full verification, and
-   bit-identical parity against both the v2 channel loader and a fresh
-   in-memory build. *)
+(* v4 compressed zero-copy generation: layout introspection, full
+   verification, and bit-identical parity against both the v2 channel
+   loader and a fresh in-memory build. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -408,37 +408,43 @@ let write_file path data =
   output_string oc data;
   close_out oc
 
-let index_io_v3_roundtrip () =
+let index_io_v4_roundtrip () =
   let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
   let label = Xk_encoding.Labeling.label corpus.doc in
   let idx = Index.build label in
-  let path = tmpfile "xk_index_io_v3.seg" in
+  let path = tmpfile "xk_index_io_v4.seg" in
   Index_io.save idx path;
-  check Alcotest.(option int) "v3 magic" (Some 3) (Index_io.format_version path);
+  check Alcotest.(option int) "v4 magic" (Some 4) (Index_io.format_version path);
   (match Index_io.layout path with
-  | Error e -> Alcotest.failf "v3 layout unreadable: %s" (Index_io.error_message e)
+  | Error e -> Alcotest.failf "v4 layout unreadable: %s" (Index_io.error_message e)
   | Ok lay ->
       check Alcotest.int "layout node count"
         (Xk_encoding.Labeling.node_count label)
-        lay.Index_io.l3_node_count;
+        lay.Index_io.node_count;
       check Alcotest.int "layout term count" (Index.term_count idx)
-        lay.Index_io.l3_term_count;
-      List.iter
-        (fun (what, off) ->
-          if off mod Index_io.page_size <> 0 then
-            Alcotest.failf "%s region not page-aligned (offset %d)" what off)
-        [
-          ("terms", lay.Index_io.l3_terms_off);
-          ("nodes", lay.Index_io.l3_nodes_off);
-          ("tfs", lay.Index_io.l3_tfs_off);
-          ("dir", lay.Index_io.l3_dir_off);
-        ];
-      check Alcotest.int "exact file size" lay.Index_io.l3_file_size
+        lay.Index_io.term_count;
+      let rows = ref 0 in
+      for id = 0 to Index.term_count idx - 1 do
+        rows := !rows + Index.df idx id
+      done;
+      check Alcotest.int "layout row count" !rows lay.Index_io.total_rows;
+      (* The regions sit back to back behind the header: no padding. *)
+      check Alcotest.int "terms follow the header" 72 lay.Index_io.terms_off;
+      check Alcotest.int "postings follow the terms"
+        (lay.Index_io.terms_off + lay.Index_io.terms_len)
+        lay.Index_io.postings_off;
+      check Alcotest.int "directory follows the postings"
+        (lay.Index_io.postings_off + lay.Index_io.postings_len)
+        lay.Index_io.dir_off;
+      check Alcotest.int "file ends with the directory"
+        (lay.Index_io.dir_off + lay.Index_io.dir_len)
+        lay.Index_io.file_size;
+      check Alcotest.int "exact file size" lay.Index_io.file_size
         (Index_io.file_size path));
   (match Index_io.verify path with
   | Ok () -> ()
   | Error e ->
-      Alcotest.failf "full verify rejected a fresh v3 segment: %s"
+      Alcotest.failf "full verify rejected a fresh v4 segment: %s"
         (Index_io.load_error_message e));
   let idx2 = Index_io.load (Xk_encoding.Labeling.label corpus.doc) path in
   check Alcotest.int "term count" (Index.term_count idx) (Index.term_count idx2);
@@ -464,11 +470,11 @@ let index_io_v3_roundtrip () =
     corpus.correlated_queries;
   Sys.remove path
 
-let index_io_v3_rejects_mangled_header () =
+let index_io_v4_rejects_mangled_header () =
   let doc = Tutil.random_doc 11 in
   let label = Xk_encoding.Labeling.label doc in
   Index.build label |> fun idx ->
-  let path = tmpfile "xk_index_io_v3_mangle.seg" in
+  let path = tmpfile "xk_index_io_v4_mangle.seg" in
   Index_io.save idx path;
   let good = read_file path in
   let expect_error what =
@@ -489,7 +495,13 @@ let index_io_v3_rejects_mangled_header () =
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5a));
       write_file path (Bytes.to_string b);
       expect_error (Printf.sprintf "header byte %d flipped" pos))
-    [ 8 (* version *); 16 (* node count *); 40 (* terms offset *); 96 (* crc *) ];
+    [
+      8 (* version *);
+      12 (* node count *);
+      36 (* terms length *);
+      64 (* directory crc *);
+      68 (* header crc *);
+    ];
   (* Restored bytes load again — the mangles above were the only issue. *)
   write_file path good;
   (match Index_io.load_result label path with
@@ -499,68 +511,196 @@ let index_io_v3_rejects_mangled_header () =
         (Index_io.load_error_message e));
   Sys.remove path
 
-let v3_parity_prop =
+let v4_parity_prop =
   QCheck.Test.make ~count:15
-    ~name:"v3 mmap load is bit-identical to v2 channel load and fresh build"
+    ~name:"v4 mmap load is bit-identical to v2 channel load and fresh build"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Xk_datagen.Rng.create seed in
       let doc = Xk_datagen.Random_tree.generate rng in
       let label = Xk_encoding.Labeling.label doc in
       let fresh = Index.build label in
-      let p3 = tmpfile (Printf.sprintf "xk_v3_parity_%d.seg" seed) in
+      let p4 = tmpfile (Printf.sprintf "xk_v4_parity_%d.seg" seed) in
       let p2 = tmpfile (Printf.sprintf "xk_v2_parity_%d.seg" seed) in
-      Index_io.save fresh p3;
+      Index_io.save fresh p4;
       Index_io.save_v2 fresh p2;
       let ok =
         ref
-          (Index_io.format_version p3 = Some 3
+          (Index_io.format_version p4 = Some 4
           && Index_io.format_version p2 = Some 2)
       in
       (match
-         ( Index_io.load_result (Xk_encoding.Labeling.label doc) p3,
+         ( Index_io.load_result (Xk_encoding.Labeling.label doc) p4,
            Index_io.load_result (Xk_encoding.Labeling.label doc) p2 )
        with
-      | Ok v3, Ok v2 ->
+      | Ok v4, Ok v2 ->
           let n = Index.term_count fresh in
-          if Index.term_count v3 <> n || Index.term_count v2 <> n then
+          if Index.term_count v4 <> n || Index.term_count v2 <> n then
             ok := false;
           if !ok then
             for id = 0 to n - 1 do
               let term = Index.term fresh id in
-              match (Index.term_id v3 term, Index.term_id v2 term) with
-              | Some i3, Some i2 ->
+              match (Index.term_id v4 term, Index.term_id v2 term) with
+              | Some i4, Some i2 ->
                   if
-                    Index.raw_rows v3 i3 <> Index.raw_rows fresh id
+                    Index.raw_rows v4 i4 <> Index.raw_rows fresh id
                     || Index.raw_rows v2 i2 <> Index.raw_rows fresh id
                   then ok := false;
                   (* Exact float equality: the same (tf, df) integers must
                      feed the same scorer on every path. *)
                   if
-                    Index.local_scores v3 i3 <> Index.local_scores fresh id
+                    Index.local_scores v4 i4 <> Index.local_scores fresh id
                     || Index.local_scores v2 i2 <> Index.local_scores fresh id
                   then ok := false
               | _ -> ok := false
             done;
           if !ok then begin
             let ef = Xk_core.Engine.of_index fresh
-            and e3 = Xk_core.Engine.of_index v3
+            and e4 = Xk_core.Engine.of_index v4
             and ev2 = Xk_core.Engine.of_index v2 in
             for _ = 1 to 3 do
               let words = Tutil.random_query rng ~k:2 ~alphabet:6 in
               let hf = Tutil.sort_hits (Xk_core.Engine.query ef words)
-              and h3 = Tutil.sort_hits (Xk_core.Engine.query e3 words)
+              and h4 = Tutil.sort_hits (Xk_core.Engine.query e4 words)
               and h2 = Tutil.sort_hits (Xk_core.Engine.query ev2 words) in
-              if h3 <> hf || h2 <> hf then ok := false;
+              if h4 <> hf || h2 <> hf then ok := false;
               let tf = Xk_core.Engine.query_topk ef words ~k:3
-              and t3 = Xk_core.Engine.query_topk e3 words ~k:3 in
-              if t3 <> tf then ok := false
+              and t4 = Xk_core.Engine.query_topk e4 words ~k:3 in
+              if t4 <> tf then ok := false
             done
           end
       | _ -> ok := false);
-      Sys.remove p3;
+      Sys.remove p4;
       Sys.remove p2;
       !ok)
+
+(* Every decoder of a v4 segment is total: for every strict prefix, a
+   bit flip in each region and random garbage behind the magic, the lazy
+   open, the eager open and [verify] return [Ok] or a typed error, and a
+   lazily opened index faults only with [Segment_fault].  Since every
+   byte is under a CRC, every prefix and every flip must be an error at
+   [verify].  Both read paths are covered: the mmap path, and the string
+   path that fault injection switches on. *)
+let v4_never_raises_prop =
+  QCheck.Test.make ~count:10 ~name:"v4 decoders never raise on damaged bytes"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let label = Xk_encoding.Labeling.label (Tutil.random_doc seed) in
+      let path = tmpfile (Printf.sprintf "xk_v4_fuzz_%d.seg" seed) in
+      Index_io.save (Index.build label) path;
+      let good = read_file path in
+      let lay =
+        match Index_io.layout path with
+        | Ok lay -> lay
+        | Error e -> QCheck.Test.fail_reportf "layout: %s" (Index_io.error_message e)
+      in
+      let flip_in ~off ~len =
+        let b = Bytes.of_string good in
+        let pos = off + Random.State.int rng len in
+        Bytes.set b pos
+          (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl Random.State.int rng 8)));
+        Bytes.to_string b
+      in
+      let flips =
+        List.filter_map
+          (fun (off, len) -> if len > 0 then Some (flip_in ~off ~len) else None)
+          [
+            (0, lay.Index_io.terms_off);
+            (lay.Index_io.terms_off, lay.Index_io.terms_len);
+            (lay.Index_io.postings_off, lay.Index_io.postings_len);
+            (lay.Index_io.dir_off, lay.Index_io.dir_len);
+          ]
+      in
+      (* The same flips with every covering checksum recomputed, so the
+         damage gets past the CRCs and reaches the structural checks of
+         the header, directory and postings decoders. *)
+      let resealed =
+        let set_crc b at crc = Bytes.set_int32_le b at (Int32.of_int crc) in
+        let crc_of b ~pos ~len = Xk_storage.Crc32.sub (Bytes.to_string b) ~pos ~len in
+        let reseal ~region b pos =
+          (if region = `Postings then
+             (* Find the term whose postings hold [pos] and re-CRC it. *)
+             let dir = Xk_storage.Varint.cursor_at good lay.Index_io.dir_off in
+             let off = ref lay.Index_io.postings_off in
+             for _ = 1 to lay.Index_io.term_count do
+               for _ = 1 to 3 do
+                 ignore (Xk_storage.Varint.read dir)
+               done;
+               let len = Xk_storage.Varint.read dir in
+               if pos >= !off && pos < !off + len then
+                 set_crc b dir.pos (crc_of b ~pos:!off ~len);
+               dir.pos <- dir.pos + 4;
+               off := !off + len
+             done);
+          if region <> `Header then
+            set_crc b 64 (crc_of b ~pos:lay.Index_io.dir_off ~len:lay.Index_io.dir_len);
+          set_crc b 68 (crc_of b ~pos:0 ~len:68)
+        in
+        List.filter_map
+          (fun (region, off, len) ->
+            if len = 0 then None
+            else
+              let b = Bytes.of_string good in
+              let pos = off + Random.State.int rng len in
+              Bytes.set b pos (Char.chr (Random.State.int rng 256));
+              reseal ~region b pos;
+              Some (Bytes.to_string b))
+          [
+            (`Header, 8, 52);
+            (`Postings, lay.Index_io.postings_off, lay.Index_io.postings_len);
+            (`Dir, lay.Index_io.dir_off, lay.Index_io.dir_len);
+          ]
+      in
+      let garbage =
+        List.init 4 (fun _ ->
+            String.sub good 0 8
+            ^ String.init
+                (Random.State.int rng (2 * String.length good))
+                (fun _ -> Char.chr (Random.State.int rng 256)))
+      in
+      let prefixes = List.init (String.length good) (String.sub good 0) in
+      (* Run every decoder over [data]; [Some ok] says whether [verify]
+         accepted it, [None] that something raised. *)
+      let decoders data =
+        write_file path data;
+        match
+          (match Index_io.load_result ~retries:0 label path with
+          | Ok idx -> (
+              try
+                for id = 0 to Index.term_count idx - 1 do
+                  ignore (Index.raw_rows idx id)
+                done
+              with Index_io.Segment_fault _ -> ())
+          | Error _ -> ());
+          ignore (Index_io.load_result ~retries:0 ~verify_columns:true label path);
+          Index_io.verify ~retries:0 path
+        with
+        | v -> Some (Result.is_ok v)
+        | exception e ->
+            QCheck.Test.fail_reportf "%d-byte input raised %s" (String.length data)
+              (Printexc.to_string e)
+      in
+      let all_paths f =
+        let module FI = Xk_resilience.Fault_injection in
+        Fun.protect ~finally:FI.reset (fun () ->
+            (* An idle configuration keeps loads on the mmap path whatever
+               the environment asks for; any other one switches them to
+               the string path, and query failures leave file IO alone. *)
+            FI.configure FI.none;
+            f ()
+            &&
+            (FI.configure { FI.none with query_failures = 1 };
+             f ()))
+      in
+      let ok =
+        all_paths (fun () ->
+            List.for_all (fun d -> decoders d = Some false) (prefixes @ flips)
+            && List.for_all (fun d -> decoders d <> None) (resealed @ garbage)
+            && decoders good = Some true)
+      in
+      Sys.remove path;
+      ok)
 
 let suite =
   [
@@ -590,8 +730,9 @@ let suite =
         tc "save/load roundtrip" `Quick index_io_roundtrip;
         tc "rejects garbage" `Quick index_io_rejects_garbage;
         tc "rejects mismatched document" `Quick index_io_rejects_mismatch;
-        tc "v3 layout and roundtrip" `Quick index_io_v3_roundtrip;
-        tc "v3 rejects mangled header" `Quick index_io_v3_rejects_mangled_header;
-        QCheck_alcotest.to_alcotest v3_parity_prop;
+        tc "v4 layout and roundtrip" `Quick index_io_v4_roundtrip;
+        tc "v4 rejects mangled header" `Quick index_io_v4_rejects_mangled_header;
+        QCheck_alcotest.to_alcotest v4_parity_prop;
+        QCheck_alcotest.to_alcotest v4_never_raises_prop;
       ] );
   ]

@@ -352,11 +352,11 @@ let live_compact () =
       ok_exn "compact" (Live.compact t);
       check Alcotest.int "delta drained" 0 (Live.pending_ops t);
       check (Alcotest.list Alcotest.int) "one sealed gen" [ 1 ] (Live.sealed_gens t);
-      (* Sealed generations are written in the zero-copy v3 format, so a
+      (* Sealed generations are written in the zero-copy v4 format, so a
          reopen goes through the mmap path. *)
       check
         Alcotest.(option int)
-        "sealed segment is v3" (Some 3)
+        "sealed segment is v4" (Some 4)
         (Index_io.format_version (Filename.concat dir "seg-0001.idx"));
       check Alcotest.bool "content unchanged" true
         (Xk_xml.Xml_tree.equal before (Snapshot.document (Live.snapshot t)));

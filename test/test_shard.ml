@@ -413,10 +413,10 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* v3 open-path faults: a torn directory, a corrupted mapped column and
+(* v4 open-path faults: a torn directory, corrupted mapped postings and
    an injected map failure each surface as the right typed error, and a
    single damaged copy is invisible behind replica fallback. *)
-let shard_io_v3_faults () =
+let shard_io_v4_faults () =
   let doc = Tutil.random_doc 909 in
   let sharded = Xk_index.Sharding.partition ~shards:2 doc in
   let flip_at path pos =
@@ -446,11 +446,11 @@ let shard_io_v3_faults () =
             Alcotest.failf "replica_files: %s"
               (Xk_index.Shard_io.error_message e)
       in
-      check Alcotest.(option int) "shard segments are v3" (Some 3)
+      check Alcotest.(option int) "shard segments are v4" (Some 4)
         (Xk_index.Index_io.format_version files.(0).(0));
       (* Torn directory region: the flip defeats the directory checksum.
          One damaged copy falls back to the replica... *)
-      flip_at files.(0).(0) (layout_of files.(0).(0)).Xk_index.Index_io.l3_dir_off;
+      flip_at files.(0).(0) (layout_of files.(0).(0)).Xk_index.Index_io.dir_off;
       (match
          Xk_index.Shard_io.load_result ~retries:1 ~backoff_ms:0.1 doc path
        with
@@ -459,8 +459,9 @@ let shard_io_v3_faults () =
           Alcotest.failf "torn directory should fall back: %s"
             (Xk_index.Shard_io.error_message e));
       (* ...and with both copies torn the shard is typed corruption. *)
-      flip_at files.(0).(1)
-        ((layout_of files.(0).(1)).Xk_index.Index_io.l3_dir_off + 8);
+      (let lay1 = layout_of files.(0).(1) in
+       flip_at files.(0).(1)
+         (lay1.Xk_index.Index_io.dir_off + lay1.Xk_index.Index_io.dir_len - 1));
       (match
          Xk_index.Shard_io.load_result ~retries:1 ~backoff_ms:0.1 doc path
        with
@@ -476,25 +477,27 @@ let shard_io_v3_faults () =
           Alcotest.failf "torn directories: wrong error %s"
             (Xk_index.Shard_io.error_message e)
       | Ok _ -> Alcotest.fail "shard with two torn directories loaded");
-      (* Corrupted mapped column: the lazy open defers column checks, so
-         paranoid callers pass [verify_columns] and the damage is caught
-         at open time - behind fallback first, then as typed corruption
-         once the replica is damaged too. *)
+      (* Corrupted mapped postings: the lazy open defers the per-term
+         checks, so paranoid callers pass [verify_columns] and the damage
+         is caught at open time - behind fallback first, then as typed
+         corruption once the replica is damaged too. *)
       resave ();
       let lay0 = layout_of files.(0).(0) in
       check Alcotest.bool "shard carries rows" true
-        (lay0.Xk_index.Index_io.l3_total_rows > 0);
-      flip_at files.(0).(0) lay0.Xk_index.Index_io.l3_nodes_off;
+        (lay0.Xk_index.Index_io.total_rows > 0);
+      flip_at files.(0).(0) lay0.Xk_index.Index_io.postings_off;
       (match
          Xk_index.Shard_io.load_result ~verify_columns:true ~retries:1
            ~backoff_ms:0.1 doc path
        with
       | Ok _ -> ()
       | Error e ->
-          Alcotest.failf "corrupt column should fall back: %s"
+          Alcotest.failf "corrupt postings should fall back: %s"
             (Xk_index.Shard_io.error_message e));
-      flip_at files.(0).(1)
-        (layout_of files.(0).(1)).Xk_index.Index_io.l3_tfs_off;
+      (let lay1 = layout_of files.(0).(1) in
+       flip_at files.(0).(1)
+         (lay1.Xk_index.Index_io.postings_off
+        + lay1.Xk_index.Index_io.postings_len - 1));
       (match
          Xk_index.Shard_io.load_result ~verify_columns:true ~retries:1
            ~backoff_ms:0.1 doc path
@@ -508,19 +511,19 @@ let shard_io_v3_faults () =
             }) ->
           ()
       | Error e ->
-          Alcotest.failf "corrupt columns: wrong error %s"
+          Alcotest.failf "corrupt postings: wrong error %s"
             (Xk_index.Shard_io.error_message e)
-      | Ok _ -> Alcotest.fail "eager verify accepted corrupt columns");
+      | Ok _ -> Alcotest.fail "eager verify accepted corrupt postings");
       (* The same damage without [verify_columns] opens fine and trips
          the per-term checksum on first decode as a [Segment_fault] -
          the query-time form the executor's failover handles. *)
       let solo = Filename.concat dir "solo.seg" in
       let label = Xk_encoding.Labeling.label doc in
       Xk_index.Index_io.save (Xk_index.Index.build label) solo;
-      flip_at solo (layout_of solo).Xk_index.Index_io.l3_tfs_off;
+      flip_at solo (layout_of solo).Xk_index.Index_io.postings_off;
       (match Xk_index.Index_io.load_result ~retries:1 label solo with
       | Error e ->
-          Alcotest.failf "lazy open should defer column checks: %s"
+          Alcotest.failf "lazy open should defer postings checks: %s"
             (Xk_index.Index_io.load_error_message e)
       | Ok lazy_idx -> (
           match
@@ -528,7 +531,7 @@ let shard_io_v3_faults () =
               ignore (Xk_index.Index.raw_rows lazy_idx id)
             done
           with
-          | () -> Alcotest.fail "corrupt column decoded without a fault"
+          | () -> Alcotest.fail "corrupt postings decoded without a fault"
           | exception Xk_index.Index_io.Segment_fault _ -> ()));
       (* Injected map failure: the primary cannot be mapped at all; the
          loader classifies it as an IO failure without burning retries
@@ -836,7 +839,7 @@ let suite =
       [
         tc "manifest + segments round-trip" `Quick shard_io_roundtrip;
         tc "typed per-shard failures" `Quick shard_io_failures;
-        tc "v3 open-path faults" `Quick shard_io_v3_faults;
+        tc "v4 open-path faults" `Quick shard_io_v4_faults;
         tc "replica fallback and loss" `Quick shard_io_replicas;
         tc "committed v1/v2 manifest bytes" `Quick shard_io_legacy_fixtures;
       ] );

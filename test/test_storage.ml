@@ -255,7 +255,7 @@ let mmap_failures () =
 
 (* Literal bytes of an Index_io v2 segment as written by the previous
    release's writer, committed so the channel load path keeps accepting
-   historical segments byte-for-byte even now that [save] writes v3.
+   historical segments byte-for-byte even now that [save] writes v4.
    Generated from [v2_fixture_xml] with [Index.build] + the v2 writer. *)
 let v2_fixture_xml =
   "<bib><book year=\"2010\"><title>top k keyword search</title><author>chen</author></book><book><title>xml databases keyword</title></book></bib>"
@@ -263,13 +263,17 @@ let v2_fixture_xml =
 let v2_fixture_bytes =
   "\x58\x4b\x49\x44\x58\x30\x30\x32\x02\x44\xad\xd1\xce\x81\x05\x09\x07\x04\x32\x30\x31\x30\x01\x01\x01\x03\x74\x6f\x70\x01\x03\x01\x07\x6b\x65\x79\x77\x6f\x72\x64\x02\x03\x05\x01\x01\x06\x73\x65\x61\x72\x63\x68\x01\x03\x01\x04\x63\x68\x65\x6e\x01\x05\x01\x03\x78\x6d\x6c\x01\x08\x01\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x01\x08\x01"
 
-let v2_fixture_loads () =
+(* Load [bytes] as a segment over [v2_fixture_xml] and check it sniffs
+   as [version] and agrees row for row and score for score with a fresh
+   build. *)
+let fixture_loads ~version bytes =
   let doc = Xk_xml.Xml_parser.parse_string_exn v2_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
-  with_tmp_file v2_fixture_bytes (fun path ->
+  with_tmp_file bytes (fun path ->
       check
         Alcotest.(option int)
-        "sniffs as v2" (Some 2)
+        (Printf.sprintf "sniffs as v%d" version)
+        (Some version)
         (Xk_index.Index_io.format_version path);
       match Xk_index.Index_io.load_result label path with
       | Error e ->
@@ -296,27 +300,99 @@ let v2_fixture_loads () =
                   true (s1 = s2)
           done)
 
-let v2_writer_stable () =
-  (* [save_v2] must keep producing exactly the committed bytes: the
-     fixture pins the writer, not just the reader. *)
+(* The writer must keep producing exactly the committed bytes: the
+   fixture pins the writer, not just the reader. *)
+let writer_stable ~save bytes =
   let doc = Xk_xml.Xml_parser.parse_string_exn v2_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
   let idx = Xk_index.Index.build label in
-  let path = Filename.temp_file "xk_v2" ".seg" in
+  let path = Filename.temp_file "xk_fixture" ".seg" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Xk_index.Index_io.save_v2 idx path;
+      save idx path;
       let ic = open_in_bin path in
       let data =
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       in
-      check Alcotest.int "fixture length"
-        (String.length v2_fixture_bytes)
+      check Alcotest.int "fixture length" (String.length bytes)
         (String.length data);
-      check Alcotest.bool "bytes identical" true (data = v2_fixture_bytes))
+      check Alcotest.bool "bytes identical" true (data = bytes))
+
+let v2_fixture_loads () = fixture_loads ~version:2 v2_fixture_bytes
+
+let v2_writer_stable () =
+  writer_stable ~save:Xk_index.Index_io.save_v2 v2_fixture_bytes
+
+(* --- v4 segment fixture ---------------------------------------------- *)
+
+(* Literal bytes of the v4 segment [save] writes for [v2_fixture_xml]:
+   the 72-byte header (magic, version 4, 9 nodes, 7 terms, 8 rows, then
+   the 36/8/56-byte terms, postings and directory lengths and the three
+   CRCs), the term bytes, one or two node-id varints per term (no term
+   here repeats within a node, so no tf column) and the directory. *)
+let v4_fixture_bytes =
+  "\x58\x4b\x49\x44\x58\x30\x30\x34\x04\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x24\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x38\x00\x00\x00\x00\x00\x00\x00\x85\xf6\x9e\xd7\xaf\x72\x64\xdc\xfc\xbb\xcb\xd5\x32\x30\x31\x30\x74\x6f\x70\x6b\x65\x79\x77\x6f\x72\x64\x73\x65\x61\x72\x63\x68\x63\x68\x65\x6e\x78\x6d\x6c\x64\x61\x74\x61\x62\x61\x73\x65\x73\x01\x03\x03\x05\x03\x05\x08\x08\x04\x01\x00\x01\x1b\xdf\x05\xa5\x03\x01\x00\x01\x37\xbe\x0b\x4b\x07\x02\x00\x02\xb3\xb5\x9e\x1a\x06\x01\x00\x01\x37\xbe\x0b\x4b\x04\x01\x00\x01\x02\x1b\x68\xa2\x03\x01\x00\x01\xbf\x67\xd9\xdc\x09\x01\x00\x01\xbf\x67\xd9\xdc"
+
+let v4_fixture_loads () = fixture_loads ~version:4 v4_fixture_bytes
+
+let v4_writer_stable () =
+  writer_stable ~save:Xk_index.Index_io.save v4_fixture_bytes
+
+(* A segment of the retired v3 format is reported as non-retryable
+   corruption (rebuild the index) on the first attempt, by the loader
+   and by [verify] alike, while introspection still names it. *)
+let v3_segment_retired () =
+  let doc = Xk_xml.Xml_parser.parse_string_exn v2_fixture_xml in
+  let label = Xk_encoding.Labeling.label doc in
+  let module FI = Xk_resilience.Fault_injection in
+  (* Injected transient faults would add attempts of their own. *)
+  FI.configure FI.none;
+  Fun.protect ~finally:FI.reset @@ fun () ->
+  with_tmp_file ("XKIDX003" ^ String.make 92 '\000') (fun path ->
+      check Alcotest.(option int) "sniffs as v3" (Some 3)
+        (Xk_index.Index_io.format_version path);
+      (match Xk_index.Index_io.load_result ~backoff_ms:0. label path with
+      | Error { error = Corrupted _; attempts = 1 } -> ()
+      | Error e ->
+          Alcotest.failf "v3 load: wrong error %s"
+            (Xk_index.Index_io.load_error_message e)
+      | Ok _ -> Alcotest.fail "v3 segment loaded");
+      match Xk_index.Index_io.verify ~backoff_ms:0. path with
+      | Error { error = Corrupted _; attempts = 1 } -> ()
+      | Error e ->
+          Alcotest.failf "v3 verify: wrong error %s"
+            (Xk_index.Index_io.load_error_message e)
+      | Ok () -> Alcotest.fail "v3 segment verified")
+
+(* The introspection calls are total on missing and unreadable paths and
+   leave no channel open behind them. *)
+let introspection_total () =
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then
+      Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  let before = open_fds () in
+  let missing = "/nonexistent/xk/segment.seg" in
+  let dir = Filename.get_temp_dir_name () in
+  List.iter
+    (fun path ->
+      check Alcotest.(option int) ("no version for " ^ path) None
+        (Xk_index.Index_io.format_version path);
+      (match Xk_index.Index_io.layout path with
+      | Error (Io_failed _) -> ()
+      | Error e ->
+          Alcotest.failf "layout %s: wrong error %s" path
+            (Xk_index.Index_io.error_message e)
+      | Ok _ -> Alcotest.failf "layout of %s" path);
+      match Xk_index.Index_io.file_size path with
+      | exception Sys_error _ -> ()
+      | _ -> ())
+    [ missing; dir ];
+  check Alcotest.(option int) "no channel leaked" before (open_fds ())
 
 let suite =
   [
@@ -350,5 +426,12 @@ let suite =
       [
         tc "committed v2 segment loads" `Quick v2_fixture_loads;
         tc "v2 writer reproduces fixture bytes" `Quick v2_writer_stable;
+      ] );
+    ( "storage.v4-fixture",
+      [
+        tc "committed v4 segment loads" `Quick v4_fixture_loads;
+        tc "v4 writer reproduces fixture bytes" `Quick v4_writer_stable;
+        tc "retired v3 segment rejected once" `Quick v3_segment_retired;
+        tc "introspection is total" `Quick introspection_total;
       ] );
   ]
