@@ -1,5 +1,5 @@
 (* Parallel-serving throughput experiment: sweep the domain-pool size
-   over a generated DBLP workload against one shared engine and record
+   of a one-shard Shard_exec over a generated DBLP workload and record
    queries/sec per domain count in BENCH_parallel.json.
 
      dune exec bench/bench_parallel.exe                  # defaults
@@ -56,7 +56,7 @@ type totals = {
   mutable failed : int;
 }
 
-let run_sweep eng reqs ~runs ~sweep =
+let run_sweep eng sharding reqs ~runs ~sweep =
   let reference = Xk_core.Engine.query_batch eng reqs in
   let n = List.length reqs in
   let totals =
@@ -65,9 +65,9 @@ let run_sweep eng reqs ~runs ~sweep =
   let points =
     List.map
       (fun domains ->
-        let svc = Xk_exec.Query_service.create ~domains eng in
+        let sx = Xk_exec.Shard_exec.create ~domains sharding in
         (* One warmup run, then [runs] timed runs. *)
-        let first = Xk_exec.Query_service.exec_batch svc reqs in
+        let first = Xk_exec.Shard_exec.exec_batch sx reqs in
         let all_ok =
           List.for_all
             (function Xk_exec.Query_service.Ok _ -> true | _ -> false)
@@ -82,16 +82,16 @@ let run_sweep eng reqs ~runs ~sweep =
                domains);
         let t0 = now () in
         for _ = 1 to runs do
-          ignore (Xk_exec.Query_service.exec_batch svc reqs)
+          ignore (Xk_exec.Shard_exec.exec_batch sx reqs)
         done;
         let wall_s = (now () -. t0) /. float_of_int runs in
-        let st = Xk_exec.Query_service.stats svc in
+        let st = Xk_exec.Shard_exec.stats sx in
         totals.completed <- totals.completed + st.completed;
         totals.partials <- totals.partials + st.partials;
         totals.timeouts <- totals.timeouts + st.timeouts;
         totals.rejected <- totals.rejected + st.rejected;
         totals.failed <- totals.failed + st.failed;
-        Xk_exec.Query_service.shutdown svc;
+        Xk_exec.Shard_exec.shutdown sx;
         let qps = float_of_int n /. wall_s in
         Printf.printf "  domains=%d: %.3fs/batch, %.1f q/s\n%!" domains wall_s
           qps;
@@ -143,6 +143,7 @@ let run scale queries runs seed out =
   let label = Xk_encoding.Labeling.label corpus.doc in
   let idx = Xk_index.Index.build label in
   let eng = Xk_core.Engine.of_index idx in
+  let sharding = Xk_index.Sharding.partition ~shards:1 corpus.doc in
   let nodes = Xk_encoding.Labeling.node_count label in
   let terms = Xk_index.Index.term_count idx in
   Printf.printf "corpus: %d nodes, %d terms (%.1fs)\n%!" nodes terms (now () -. t0);
@@ -151,9 +152,9 @@ let run scale queries runs seed out =
     (List.length reqs);
   let cores = Domain.recommended_domain_count () in
   Printf.printf "host: %d recommended domain(s)\n%!" cores;
-  let points, totals = run_sweep eng reqs ~runs ~sweep:[ 1; 2; 4; 8 ] in
+  let points, totals = run_sweep eng sharding reqs ~runs ~sweep:[ 1; 2; 4; 8 ] in
   emit_json out ~scale ~queries ~runs ~cores ~nodes ~terms points totals
-    (Xk_index.Index.cache_stats idx)
+    (Xk_index.Sharding.cache_stats sharding)
 
 open Cmdliner
 
@@ -179,7 +180,7 @@ let out =
 let cmd =
   Cmd.v
     (Cmd.info "bench_parallel"
-       ~doc:"Throughput sweep of the parallel query service over domain counts.")
+       ~doc:"Throughput sweep of one-shard Shard_exec serving over domain counts.")
     Term.(const run $ scale $ queries $ runs $ seed $ out)
 
 let () = exit (Cmd.eval cmd)

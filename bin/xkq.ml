@@ -27,23 +27,23 @@ let load_engine ?index_file path =
     (Unix.gettimeofday () -. t0);
   eng
 
-(* Same entry point for sharded serving: partition in memory, or reload a
-   shard manifest written by `xkq index --shards`. *)
+(* The entry point of every query path: reload a shard manifest written
+   by `xkq index --shards`, wrap a plain `xkq index` segment as the only
+   shard, or partition in memory. *)
 let load_sharded ?index_file ~shards path =
   let t0 = Unix.gettimeofday () in
   let doc = Xk_xml.Xml_parser.parse_file_exn path in
-  let sharded =
+  let loaded =
     match index_file with
-    | Some p when Xk_index.Shard_io.is_manifest p -> (
-        match Xk_index.Shard_io.load_result doc p with
-        | Ok s -> s
-        | Error e -> failwith (Xk_index.Shard_io.error_message e))
-    | Some p ->
-        failwith
-          (Printf.sprintf
-             "%s is not a shard manifest (build one with `xkq index --shards`)"
-             p)
-    | None -> Xk_index.Sharding.partition ~shards doc
+    | Some p when Xk_index.Shard_io.is_manifest p ->
+        Xk_index.Shard_io.load_result doc p
+    | Some p -> Xk_index.Shard_io.load_segment doc p
+    | None -> Ok (Xk_index.Sharding.partition ~shards doc)
+  in
+  let sharded =
+    match loaded with
+    | Ok s -> s
+    | Error e -> failwith (Xk_index.Shard_io.error_message e)
   in
   Printf.eprintf "%s %s as %d shard(s) in %.2fs\n%!"
     (match index_file with None -> "indexed" | Some _ -> "loaded")
@@ -498,150 +498,140 @@ let topk_algo_conv =
       ("hybrid", Xk_core.Engine.Hybrid);
     ]
 
-let print_hits_with ~pp ~snip words explain hits limit =
+let print_hits sx words explain hits limit =
   List.iteri
     (fun i (h : Xk_baselines.Hit.t) ->
       if i < limit then begin
-        Fmt.pr "%2d. %a@." (i + 1) pp h;
+        Fmt.pr "%2d. %a@." (i + 1) (Xk_exec.Shard_exec.pp_hit sx) h;
         if explain then
           List.iter
             (fun (kw, text) -> Fmt.pr "      [%s] ...%s...@." kw text)
-            (snip words h)
+            (Xk_exec.Shard_exec.snippet sx words h)
       end)
     hits;
   let n = List.length hits in
   if n > limit then Fmt.pr "... and %d more results@." (n - limit)
-
-let print_hits eng =
-  print_hits_with ~pp:(Xk_core.Engine.pp_hit eng)
-    ~snip:(fun words h -> Xk_core.Engine.snippet eng words h)
 
 let request_of words semantics algo top topk_algo =
   match top with
   | Some k -> Xk_core.Engine.topk_request ~semantics ~algorithm:topk_algo ~k words
   | None -> Xk_core.Engine.complete_request ~semantics ~algorithm:algo words
 
+(* Options shared by `search` and `batch`. *)
+let path_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+
+let semantics_arg =
+  Arg.(
+    value
+    & opt semantics_conv Xk_core.Engine.Elca
+    & info [ "semantics" ] ~doc:"elca or slca.")
+
+let algo_arg =
+  Arg.(
+    value
+    & opt algo_conv Xk_core.Engine.Join_based
+    & info [ "algo" ]
+        ~doc:"Complete-mode algorithm: join, stack, indexed or oracle.")
+
+let top_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "top" ] ~doc:"Top-K mode with K results.")
+
+let topk_algo_arg =
+  Arg.(
+    value
+    & opt topk_algo_conv Xk_core.Engine.Topk_join
+    & info [ "topk-algo" ]
+        ~doc:"Top-K-mode algorithm: topk-join, complete, rdil or hybrid.")
+
+let index_arg =
+  Arg.(
+    value
+    & opt (some file) None
+    & info [ "index" ]
+        ~doc:
+          "Saved index: a shard manifest (`xkq index --shards`), or a plain \
+           segment (`xkq index`) served as one shard.")
+
+let shards_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "shards" ]
+        ~doc:
+          "Partition the corpus in memory into N index shards: every query \
+           fans out to one job per shard and a gather step merges the \
+           per-shard answers.  With $(b,--index) the saved partition is \
+           served instead.")
+
+let replicas_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "replicas" ]
+        ~doc:
+          "Serving replicas per shard: attempts fail over across replicas, \
+           and a query degrades instead of failing when every replica of a \
+           shard is down.")
+
+let remote_arg =
+  Arg.(
+    value & flag
+    & info [ "remote" ]
+        ~doc:
+          "Serve shards from the `xkq serve-shard` fleet recorded in the \
+           manifest's endpoints instead of in-process engines (needs \
+           $(b,--index) with a manifest).")
+
 let search path words semantics algo top topk_algo limit index_file explain
     shards replicas remote =
   if words = [] then failwith "no query keywords given";
-  if remote && shards = None then
-    failwith "--remote serves shards; add --shards N and --index MANIFEST";
-  match shards with
-  | None ->
-      let eng = load_engine ?index_file path in
-      let t0 = Unix.gettimeofday () in
-      let hits =
-        match top with
-        | Some k ->
-            Xk_core.Engine.query_topk ~semantics ~algorithm:topk_algo eng words
-              ~k
-        | None -> Xk_core.Engine.query ~semantics ~algorithm:algo eng words
-      in
-      let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-      Fmt.pr "%d result(s) in %.2f ms for {%s}@." (List.length hits) dt
-        (String.concat " " words);
-      print_hits eng words explain hits limit
-  | Some n ->
-      let sharded = load_sharded ?index_file ~shards:n path in
-      let endpoints =
-        if remote then Some (remote_endpoints ~index_file) else None
-      in
-      let sx = Xk_exec.Shard_exec.create ~replicas ?endpoints sharded in
-      let req = request_of words semantics algo top topk_algo in
-      let t0 = Unix.gettimeofday () in
-      let outcome = Xk_exec.Shard_exec.exec sx req in
-      let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-      let show label hits =
-        Fmt.pr "%s%d result(s) in %.2f ms for {%s} over %d shard(s)@." label
-          (List.length hits) dt
-          (String.concat " " words)
-          (Xk_exec.Shard_exec.shard_count sx);
-        print_hits_with
-          ~pp:(Xk_exec.Shard_exec.pp_hit sx)
-          ~snip:(fun words h -> Xk_exec.Shard_exec.snippet sx words h)
-          words explain hits limit
-      in
-      (match outcome with
-      | Xk_exec.Query_service.Ok hits -> show "" hits
-      | Xk_exec.Query_service.Partial hits -> show "partial: " hits
-      | Xk_exec.Query_service.Degraded d ->
-          show
-            (Printf.sprintf "degraded (%.0f%% coverage, missing shard(s) %s): "
-               (100. *. d.coverage)
-               (String.concat "," (List.map string_of_int d.missing_shards)))
-            d.hits
-      | Xk_exec.Query_service.Timeout -> Fmt.pr "timed out with no result@."
-      | Xk_exec.Query_service.Rejected -> Fmt.pr "rejected by admission control@."
-      | Xk_exec.Query_service.Failed f -> Fmt.pr "failed: %s@." f.message);
-      Xk_exec.Shard_exec.shutdown sx
+  let endpoints =
+    if remote then Some (remote_endpoints ~index_file) else None
+  in
+  let sharded = load_sharded ?index_file ~shards path in
+  let sx = Xk_exec.Shard_exec.create ~replicas ?endpoints sharded in
+  let req = request_of words semantics algo top topk_algo in
+  let t0 = Unix.gettimeofday () in
+  let outcome = Xk_exec.Shard_exec.exec sx req in
+  let dt = (Unix.gettimeofday () -. t0) *. 1000. in
+  let show label hits =
+    Fmt.pr "%s%d result(s) in %.2f ms for {%s} over %d shard(s)@." label
+      (List.length hits) dt
+      (String.concat " " words)
+      (Xk_exec.Shard_exec.shard_count sx);
+    print_hits sx words explain hits limit
+  in
+  (match outcome with
+  | Xk_exec.Query_service.Ok hits -> show "" hits
+  | Xk_exec.Query_service.Partial hits -> show "partial: " hits
+  | Xk_exec.Query_service.Degraded d ->
+      show
+        (Printf.sprintf "degraded (%.0f%% coverage, missing shard(s) %s): "
+           (100. *. d.coverage)
+           (String.concat "," (List.map string_of_int d.missing_shards)))
+        d.hits
+  | Xk_exec.Query_service.Timeout -> Fmt.pr "timed out with no result@."
+  | Xk_exec.Query_service.Rejected -> Fmt.pr "rejected by admission control@."
+  | Xk_exec.Query_service.Failed f -> Fmt.pr "failed: %s@." f.message);
+  Xk_exec.Shard_exec.shutdown sx
 
 let search_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let words = Arg.(value & pos_right 0 string [] & info [] ~docv:"KEYWORD") in
-  let semantics =
-    Arg.(
-      value
-      & opt semantics_conv Xk_core.Engine.Elca
-      & info [ "semantics" ] ~doc:"elca or slca.")
-  in
-  let algo =
-    Arg.(
-      value
-      & opt algo_conv Xk_core.Engine.Join_based
-      & info [ "algo" ] ~doc:"join, stack, indexed or oracle.")
-  in
-  let top =
-    Arg.(value & opt (some int) None & info [ "top" ] ~doc:"Top-K mode with K results.")
-  in
-  let topk_algo =
-    Arg.(
-      value
-      & opt topk_algo_conv Xk_core.Engine.Topk_join
-      & info [ "topk-algo" ] ~doc:"topk-join, complete, rdil or hybrid.")
-  in
   let limit =
     Arg.(value & opt int 20 & info [ "limit" ] ~doc:"Results to display.")
-  in
-  let index_file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "index" ] ~doc:"Saved index file (from `xkq index`).")
   in
   let explain =
     Arg.(
       value & flag
       & info [ "explain" ] ~doc:"Show per-keyword witness snippets.")
   in
-  let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ]
-          ~doc:
-            "Serve the query from N index shards with scatter/gather \
-             (with $(b,--index), the file must be a shard manifest).")
-  in
-  let replicas =
-    Arg.(
-      value & opt int 1
-      & info [ "replicas" ]
-          ~doc:"With $(b,--shards), serving replicas per shard.")
-  in
-  let remote =
-    Arg.(
-      value & flag
-      & info [ "remote" ]
-          ~doc:
-            "Serve shards from the `xkq serve-shard` fleet recorded in the \
-             manifest's endpoints instead of in-process engines (needs \
-             $(b,--shards) and $(b,--index)).")
-  in
   Cmd.v
     (Cmd.info "search" ~doc:"Run a keyword query against an XML file.")
     Term.(
-      const search $ path $ words $ semantics $ algo $ top $ topk_algo $ limit
-      $ index_file $ explain $ shards $ replicas $ remote)
+      const search $ path_arg $ words $ semantics_arg $ algo_arg $ top_arg
+      $ topk_algo_arg $ limit $ index_arg $ explain $ shards_arg
+      $ replicas_arg $ remote_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -704,7 +694,7 @@ let report_failures outcomes =
    legitimately degrades the rest.  At equal scores the single-index
    top-K heap's emission order is unspecified, so top-K requests compare
    score sequences (complete requests stay node-exact). *)
-let check_against ~what seq reqs outcomes =
+let check_against seq reqs outcomes =
   let same_hits (req : Xk_core.Engine.request) a b =
     List.length a = List.length b
     && List.for_all2
@@ -727,8 +717,8 @@ let check_against ~what seq reqs outcomes =
   in
   let same = all3 (reqs, seq, outcomes) in
   if same then
-    Printf.printf "check: %s results identical to sequential execution\n" what
-  else Printf.eprintf "check FAILED: %s results differ from sequential\n" what;
+    Printf.printf "check: results identical to sequential execution\n"
+  else Printf.eprintf "check FAILED: results differ from sequential\n";
   same
 
 (* Install a chaos schedule.  Disk-level corrupt targets are resolved
@@ -766,125 +756,80 @@ let install_chaos ~index_file spec =
 let batch path queries_file semantics algo top topk_algo domains repeat gen
     gen_k seed check index_file deadline_ms max_queue faults shards replicas
     hedge_ms chaos remote =
-  if remote && shards = None then
-    failwith "--remote serves shards; add --shards N and --index MANIFEST";
   (match faults with
   | None -> ()
   | Some spec -> (
       match Xk_resilience.Fault_injection.of_spec spec with
       | Ok config -> Xk_resilience.Fault_injection.configure config
       | Error msg -> failwith (Printf.sprintf "--faults: %s" msg)));
-  (match chaos with
-  | None -> ()
-  | Some spec ->
-      if shards = None then
-        failwith "--chaos addresses (shard, replica) targets; use --shards";
-      install_chaos ~index_file spec);
-  match shards with
-  | None ->
-      let eng = load_engine ?index_file path in
-      let queries =
-        match queries_file with
-        | Some qf -> read_queries qf
-        | None -> generate_queries eng gen gen_k seed
-      in
-      if queries = [] then failwith "empty workload";
-      let reqs =
-        List.map
-          (fun words -> request_of words semantics algo top topk_algo)
-          queries
-      in
-      let svc = Xk_exec.Query_service.create ~domains ?max_queue eng in
-      let n = List.length reqs in
-      let wall, last =
-        report_runs ~repeat ~n (fun () ->
-            Xk_exec.Query_service.exec_batch ?deadline_ms svc reqs)
-      in
-      let total = n * repeat in
-      Printf.printf
-        "batch done: %d queries (%d x %d) on %d domain(s) in %.3fs\n" total
-        repeat n domains wall;
-      report_throughput ~total wall;
-      let st = Xk_exec.Query_service.stats svc in
-      Printf.printf
-        "outcomes: %d ok, %d partial, %d timeout, %d rejected, %d failed\n"
-        st.completed st.partials st.timeouts st.rejected st.failed;
-      report_cache st.cache;
-      report_failures last;
-      let ok =
-        (not check)
-        || check_against ~what:"parallel"
-             (Xk_core.Engine.query_batch eng reqs)
-             reqs last
-      in
-      Xk_exec.Query_service.shutdown svc;
-      (* Exit code reflects hard failures only: timeouts and rejections are
-         service policy, not errors. *)
-      let hard_failures = List.exists Xk_exec.Query_service.is_failure last in
-      if (not ok) || hard_failures then exit 1
-  | Some shard_n ->
-      let sharded = load_sharded ?index_file ~shards:shard_n path in
-      (* The unsharded reference engine is only built when something needs
-         corpus-wide term statistics: workload generation or --check. *)
-      let ref_eng = lazy (load_engine path) in
-      let queries =
-        match queries_file with
-        | Some qf -> read_queries qf
-        | None -> generate_queries (Lazy.force ref_eng) gen gen_k seed
-      in
-      if queries = [] then failwith "empty workload";
-      let reqs =
-        List.map
-          (fun words -> request_of words semantics algo top topk_algo)
-          queries
-      in
-      let endpoints =
-        if remote then Some (remote_endpoints ~index_file) else None
-      in
-      let sx =
-        Xk_exec.Shard_exec.create ~domains ?max_queue ~replicas
-          ?hedge_delay_ms:hedge_ms ?endpoints sharded
-      in
-      let n = List.length reqs in
-      let wall, last =
-        report_runs ~repeat ~n (fun () ->
-            Xk_exec.Shard_exec.exec_batch ?deadline_ms sx reqs)
-      in
-      let total = n * repeat in
-      Printf.printf
-        "batch done: %d queries (%d x %d) over %d shard(s) x %d replica(s) on \
-         %d domain(s) in %.3fs\n"
-        total repeat n
-        (Xk_exec.Shard_exec.shard_count sx)
-        (Xk_exec.Shard_exec.replica_count sx)
-        (Xk_exec.Shard_exec.domains sx)
-        wall;
-      report_throughput ~total wall;
-      let st = Xk_exec.Shard_exec.stats sx in
-      Printf.printf
-        "outcomes: %d ok, %d partial, %d degraded, %d timeout, %d rejected, \
-         %d failed\n"
-        st.completed st.partials st.degraded st.timeouts st.rejected st.failed;
-      if st.failovers + st.hedges > 0 || st.degraded > 0 then
-        Printf.printf "resilience: %d failover(s), %d hedge(s) (%d won)\n"
-          st.failovers st.hedges st.hedge_wins;
-      report_cache st.cache;
-      report_failures last;
-      let ok =
-        (not check)
-        || check_against ~what:"sharded"
-             (Xk_core.Engine.query_batch (Lazy.force ref_eng) reqs)
-             reqs last
-      in
-      Xk_exec.Shard_exec.shutdown sx;
-      let hard_failures = List.exists Xk_exec.Query_service.is_failure last in
-      (* Exit classes: 1 = hard failure or failed --check; 2 = served, but
-         degraded (lost shards).  Timeouts/rejections remain policy. *)
-      if (not ok) || hard_failures then exit 1
-      else if st.degraded > 0 then exit 2
+  Option.iter (install_chaos ~index_file) chaos;
+  let endpoints =
+    if remote then Some (remote_endpoints ~index_file) else None
+  in
+  let sharded = load_sharded ?index_file ~shards path in
+  (* The reference engine answers workload generation (corpus-wide term
+     statistics) and --check.  One shard already indexes the whole
+     corpus; several are checked against a fresh unsharded build. *)
+  let ref_eng =
+    lazy
+      (if Xk_index.Sharding.count sharded = 1 then
+         Xk_core.Engine.of_index (Xk_index.Sharding.index sharded 0)
+       else load_engine path)
+  in
+  let queries =
+    match queries_file with
+    | Some qf -> read_queries qf
+    | None -> generate_queries (Lazy.force ref_eng) gen gen_k seed
+  in
+  if queries = [] then failwith "empty workload";
+  let reqs =
+    List.map
+      (fun words -> request_of words semantics algo top topk_algo)
+      queries
+  in
+  let sx =
+    Xk_exec.Shard_exec.create ~domains ?max_queue ~replicas
+      ?hedge_delay_ms:hedge_ms ?endpoints sharded
+  in
+  let n = List.length reqs in
+  let wall, last =
+    report_runs ~repeat ~n (fun () ->
+        Xk_exec.Shard_exec.exec_batch ?deadline_ms sx reqs)
+  in
+  let total = n * repeat in
+  Printf.printf
+    "batch done: %d queries (%d x %d) over %d shard(s) x %d replica(s) on %d \
+     domain(s) in %.3fs\n"
+    total repeat n
+    (Xk_exec.Shard_exec.shard_count sx)
+    (Xk_exec.Shard_exec.replica_count sx)
+    (Xk_exec.Shard_exec.domains sx)
+    wall;
+  report_throughput ~total wall;
+  let st = Xk_exec.Shard_exec.stats sx in
+  Printf.printf
+    "outcomes: %d ok, %d partial, %d degraded, %d timeout, %d rejected, %d \
+     failed\n"
+    st.completed st.partials st.degraded st.timeouts st.rejected st.failed;
+  if st.failovers + st.hedges > 0 || st.degraded > 0 then
+    Printf.printf "resilience: %d failover(s), %d hedge(s) (%d won)\n"
+      st.failovers st.hedges st.hedge_wins;
+  report_cache st.cache;
+  report_failures last;
+  let ok =
+    (not check)
+    || check_against
+         (Xk_core.Engine.query_batch (Lazy.force ref_eng) reqs)
+         reqs last
+  in
+  Xk_exec.Shard_exec.shutdown sx;
+  let hard_failures = List.exists Xk_exec.Query_service.is_failure last in
+  (* Exit classes: 1 = hard failure or failed --check; 2 = served, but
+     degraded (lost shards).  Timeouts/rejections remain policy. *)
+  if (not ok) || hard_failures then exit 1
+  else if st.degraded > 0 then exit 2
 
 let batch_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let queries_file =
     Arg.(
       value
@@ -894,28 +839,6 @@ let batch_cmd =
             "Query file: one query per line, keywords separated by spaces, \
              '#' starts a comment.  Omitted: a random workload is generated \
              (see $(b,--gen)).")
-  in
-  let semantics =
-    Arg.(
-      value
-      & opt semantics_conv Xk_core.Engine.Elca
-      & info [ "semantics" ] ~doc:"elca or slca.")
-  in
-  let algo =
-    Arg.(
-      value
-      & opt algo_conv Xk_core.Engine.Join_based
-      & info [ "algo" ] ~doc:"Complete-mode algorithm.")
-  in
-  let top =
-    Arg.(
-      value & opt (some int) None & info [ "top" ] ~doc:"Top-K mode with K results.")
-  in
-  let topk_algo =
-    Arg.(
-      value
-      & opt topk_algo_conv Xk_core.Engine.Topk_join
-      & info [ "topk-algo" ] ~doc:"Top-K-mode algorithm.")
   in
   let domains =
     Arg.(value & opt int 4 & info [ "domains" ] ~doc:"Worker domains.")
@@ -940,13 +863,7 @@ let batch_cmd =
     Arg.(
       value & flag
       & info [ "check" ]
-          ~doc:"Verify parallel results against sequential execution.")
-  in
-  let index_file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "index" ] ~doc:"Saved index file (from `xkq index`).")
+          ~doc:"Verify served results against sequential execution.")
   in
   let deadline_ms =
     Arg.(
@@ -975,26 +892,6 @@ let batch_cmd =
             "Fault-injection spec (comma-separated: io, corrupt, latency, \
              query), as in \\$(b,XK_FAULTS).")
   in
-  let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ]
-          ~doc:
-            "Serve the batch from N index shards: every query fans out to \
-             one job per shard and a gather step merges the per-shard \
-             answers (with $(b,--index), the file must be a shard \
-             manifest).")
-  in
-  let replicas =
-    Arg.(
-      value & opt int 1
-      & info [ "replicas" ]
-          ~doc:
-            "With $(b,--shards), serving replicas per shard: attempts fail \
-             over across replicas, and a query degrades (exit code 2) \
-             instead of failing when every replica of a shard is down.")
-  in
   let hedge_ms =
     Arg.(
       value
@@ -1016,17 +913,7 @@ let batch_cmd =
              TICK), slow@sSrR:TICK:MS (added latency), corrupt@sSrR \
              (replica segment corrupted on disk; needs $(b,--index)), \
              drop@sSrR:TICK (connections to that replica are refused; \
-             $(b,--remote) only).  S/R accept * as a wildcard.  Requires \
-             $(b,--shards).")
-  in
-  let remote =
-    Arg.(
-      value & flag
-      & info [ "remote" ]
-          ~doc:
-            "Serve shards from the `xkq serve-shard` fleet recorded in the \
-             manifest's endpoints instead of in-process engines (needs \
-             $(b,--shards) and $(b,--index)).")
+             $(b,--remote) only).  S/R accept * as a wildcard.")
   in
   Cmd.v
     (Cmd.info "batch"
@@ -1036,14 +923,14 @@ let batch_cmd =
            `S Manpage.s_exit_status;
            `P
              "0 on full service; 1 on hard failures or a failed --check; 2 \
-              when every query was served but some only degraded (lost \
-              shards under --replicas).";
+              when every query was served but some only degraded (a shard \
+              lost every replica, e.g. to an injected query fault).";
          ])
     Term.(
-      const batch $ path $ queries_file $ semantics $ algo $ top $ topk_algo
-      $ domains $ repeat $ gen $ gen_k $ seed $ check $ index_file
-      $ deadline_ms $ max_queue $ faults $ shards $ replicas $ hedge_ms
-      $ chaos $ remote)
+      const batch $ path_arg $ queries_file $ semantics_arg $ algo_arg
+      $ top_arg $ topk_algo_arg $ domains $ repeat $ gen $ gen_k $ seed $ check
+      $ index_arg $ deadline_ms $ max_queue $ faults $ shards_arg
+      $ replicas_arg $ hedge_ms $ chaos $ remote_arg)
 
 (* ------------------------------------------------------------------ *)
 

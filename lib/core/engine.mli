@@ -118,7 +118,7 @@ val run_request_outcome :
 
 val query_batch : t -> request list -> Xk_baselines.Hit.t list list
 (** Sequential batch evaluation, one result list per request in order —
-    the reference semantics that [Xk_exec.Query_service] must reproduce
+    the reference semantics that [Xk_exec.Shard_exec] must reproduce
     when it executes the same batch on a domain pool. *)
 
 val element_of_hit : t -> Xk_baselines.Hit.t -> Xk_xml.Xml_tree.element option

@@ -1,25 +1,11 @@
-(** Concurrent query serving: one shared {!Xk_core.Engine.t}, one
-    {!Domain_pool}, batches of heterogeneous requests executed in
-    parallel.
+(** The per-request result of query serving.
 
-    Sharing is safe because the engine's only mutable query-path state —
-    the index's per-term shape caches — sits behind sharded locks
-    ({!Xk_index.Shard_cache}); every [Ok] result is bit-identical to the
-    sequential {!Xk_core.Engine.query_batch} on the same batch.
-    [exec_batch] may itself be called concurrently from several client
-    domains: their requests interleave on the pool.
+    Every request {!Shard_exec} serves resolves to an {!outcome}:
+    exceptions become [Failed] (worker domains never die), deadlines
+    degrade anytime top-K requests to [Partial] prefixes, lost shards to
+    [Degraded], and admission control refuses excess requests as
+    [Rejected]. *)
 
-    Resilience: every request resolves to an {!outcome}.  Exceptions
-    raised by a request (including injected faults) are captured with
-    their backtrace and delivered as [Failed] — worker domains never die
-    and the service stays usable.  Deadlines degrade anytime top-K
-    requests to [Partial] prefixes; complete evaluations report
-    [Timeout].  With [max_queue] set, requests beyond the in-flight bound
-    are refused up front as [Rejected]. *)
-
-type t
-
-(** Per-request result of a batch execution. *)
 type outcome =
   | Ok of Xk_baselines.Hit.t list  (** ran to completion *)
   | Partial of Xk_baselines.Hit.t list
@@ -34,10 +20,11 @@ type outcome =
           shards' upper bounds are pinned to [+inf], so every reported
           hit is provably in the true top-K {e of the reachable data}
           and no full-corpus confirmation is claimed *)
-  | Timeout  (** deadline expired with no partial result available *)
+  | Timeout  (** deadline expired with no confirmed result available *)
   | Rejected  (** refused by admission control, never executed *)
   | Failed of { message : string; backtrace : string }
-      (** the request raised; the worker survived *)
+      (** the request raised outside replica serving; the worker
+          survived *)
 
 val hits : outcome -> Xk_baselines.Hit.t list
 (** The hits carried by [Ok]/[Partial]/[Degraded]; [[]] otherwise. *)
@@ -50,50 +37,3 @@ val is_failure : outcome -> bool
 val outcome_label : outcome -> string
 (** ["ok"], ["partial"], ["degraded"], ["timeout"], ["rejected"] or
     ["failed"]. *)
-
-val create : ?domains:int -> ?max_queue:int -> Xk_core.Engine.t -> t
-(** Spawn a service over the engine.  [domains] as in
-    {!Domain_pool.create}.  [max_queue] bounds the number of admitted
-    in-flight requests (queued + executing); absent means unbounded.
-    Raises [Invalid_argument] when [max_queue < 1]. *)
-
-val engine : t -> Xk_core.Engine.t
-val domains : t -> int
-
-val exec_batch :
-  ?deadline_ms:float ->
-  t ->
-  Xk_core.Engine.request list ->
-  outcome list
-(** Execute every request on the pool and return outcomes in request
-    order.  Blocks until the whole batch settles.  [deadline_ms] applies
-    per request, to each one that does not carry its own
-    [req_deadline_ms]; the clock starts at admission, so queueing time
-    counts against it. *)
-
-val exec_batch_hits :
-  ?deadline_ms:float ->
-  t ->
-  Xk_core.Engine.request list ->
-  Xk_baselines.Hit.t list list
-(** [exec_batch] projected through {!hits} — convenience for callers that
-    only care about successful results. *)
-
-type stats = {
-  domains : int;
-  batches : int;  (** [exec_batch] calls so far *)
-  queries : int;  (** individual requests received (admitted or not) *)
-  completed : int;  (** requests that finished [Ok] *)
-  partials : int;  (** requests degraded to [Partial] *)
-  timeouts : int;  (** requests that report [Timeout] *)
-  rejected : int;  (** requests refused by admission control *)
-  failed : int;  (** requests that raised ([Failed]) *)
-  max_queue : int option;  (** the admission bound, if any *)
-  cache : Xk_index.Shard_cache.stats;
-      (** hit/miss/eviction counters of the engine's shape caches *)
-}
-
-val stats : t -> stats
-
-val shutdown : t -> unit
-(** Shut the underlying pool down (finishing any in-flight batch). *)

@@ -28,7 +28,9 @@
    shard server (Xk_rpc endpoint).  Both run the same Shard_run job —
    the server re-executes it under a budget rebuilt from the request
    frame — so routing, hedging, failover and gathering are transport
-   blind, and remote answers are bit-identical to local ones. *)
+   blind, and remote answers are bit-identical to local ones.  The one
+   exception is an in-process executor with a single shard: there is
+   nothing to merge, so its job is the plain engine run. *)
 
 type shard_result = Shard_run.result = {
   sr_summary : Xk_index.Sharding.root_summary option;
@@ -38,6 +40,9 @@ type shard_result = Shard_run.result = {
 
 type shard_status =
   | Served of shard_result
+  | Whole of Xk_core.Engine.run_outcome
+      (* the only shard, run in process: the engine's own answer, root
+         included and already in global numbering *)
   | Unreachable of { attempts : int }
       (* every replica of the shard failed; [attempts] were made *)
 
@@ -74,7 +79,7 @@ type t = {
   sharding : Xk_index.Sharding.t;
   reps : replica array array; (* [shard].(replica) *)
   pres : Xk_core.Engine.t Lazy.t array; (* presentation engine per shard *)
-  pool : Domain_pool.t;
+  pool : Xk_util.Domain_pool.t;
   max_queue : int option;
   hedge_delay_ms : float option;
   rpc_timeout_ms : float;
@@ -143,7 +148,7 @@ let create ?domains ?max_queue ?(replicas = 1) ?breaker
     pres =
       Array.init shards (fun s ->
           lazy (Xk_core.Engine.of_index (Xk_index.Sharding.index sharding s)));
-    pool = Domain_pool.create ?domains ();
+    pool = Xk_util.Domain_pool.create ?domains ();
     max_queue;
     hedge_delay_ms;
     rpc_timeout_ms;
@@ -176,7 +181,7 @@ let remote t =
          match r.rep_transport with Endpoint _ -> true | Engine _ -> false))
     t.reps
 
-let domains t = Domain_pool.size t.pool
+let domains t = Xk_util.Domain_pool.size t.pool
 
 let replica_health t ~shard ~replica =
   Xk_resilience.Health.snapshot t.reps.(shard).(replica).rep_health
@@ -224,7 +229,12 @@ let remote_attempt t ~host ~port ~shard ~ri ~budget
 (* One attempt on one replica: chaos and fault hooks first, then the
    engine run (in-process or over the wire); health and breaker record
    the outcome either way.  A budget-bounded run that merely times out
-   still {e served} — only an exception is a replica failure. *)
+   still {e served} — only an exception is a replica failure.
+
+   The only shard of an in-process executor holds the whole corpus, so
+   the engine's answer already is the gathered one: it runs the engine
+   directly, skipping the root summary, the K+1 slot and the root
+   re-derivation that exist to merge several shards. *)
 let attempt_replica t ~shard ~ri ~budget ~words req =
   let rep = t.reps.(shard).(ri) in
   let start = t.clock () in
@@ -232,10 +242,13 @@ let attempt_replica t ~shard ~ri ~budget ~words req =
     Xk_resilience.Chaos.on_attempt ~shard ~replica:ri;
     Xk_resilience.Fault_injection.on_query ();
     match rep.rep_transport with
+    | Engine engine when Array.length t.reps = 1 ->
+        Whole (Xk_core.Engine.run_request_outcome ~budget engine req)
     | Engine engine ->
-        Shard_run.run ~sharding:t.sharding ~engine ~shard ~budget ~words req
+        Served
+          (Shard_run.run ~sharding:t.sharding ~engine ~shard ~budget ~words req)
     | Endpoint { host; port } ->
-        remote_attempt t ~host ~port ~shard ~ri ~budget req
+        Served (remote_attempt t ~host ~port ~shard ~ri ~budget req)
   with
   | r ->
       Xk_resilience.Health.record rep.rep_health ~ok:true
@@ -278,7 +291,7 @@ let serve_shard t ~shard ~make_budget ~words req =
   let hedged_attempt ri ~delay_ms alt =
     let o =
       Xk_resilience.Hedge.run ~clock:t.clock ~make_budget
-        ~spawn:(Domain_pool.submit t.pool)
+        ~spawn:(Xk_util.Domain_pool.submit t.pool)
         ~delay_ms
         ~primary:(fun b -> attempt ri b)
         ~hedge:(fun b -> attempt alt b)
@@ -300,7 +313,7 @@ let serve_shard t ~shard ~make_budget ~words req =
               hedged_attempt ri ~delay_ms alt
           | _ -> attempt ri (make_budget ())
         with
-        | r -> Served r
+        | status -> status
         | exception _ -> failover (attempts + 1) rest)
   in
   failover 0 (route t shard)
@@ -417,9 +430,16 @@ let gather t (req : Xk_core.Engine.request) nw
                     }))
          None
   in
-  match failure with
-  | Some f -> f
-  | None -> (
+  match (failure, statuses) with
+  | Some f, _ -> f
+  | None, [| Ok (Whole out) |] -> (
+      (* The engine's own answer, hits passed through in its order; an
+         empty confirmed prefix is a timeout, as for N shards. *)
+      match out with
+      | Done hs -> Query_service.Ok hs
+      | Partial (_ :: _ as hs) -> Query_service.Partial hs
+      | Partial [] | Timed_out -> Query_service.Timeout)
+  | None, _ -> (
       let statuses =
         Array.map
           (function
@@ -432,12 +452,16 @@ let gather t (req : Xk_core.Engine.request) nw
       let missing =
         Array.to_list statuses
         |> List.mapi (fun shard s ->
-               match s with Unreachable _ -> Some shard | Served _ -> None)
+               match s with
+               | Unreachable _ -> Some shard
+               | Served _ | Whole _ -> None)
         |> List.filter_map Fun.id
       in
       let results =
         Array.to_list statuses
-        |> List.filter_map (function Served r -> Some r | Unreachable _ -> None)
+        |> List.filter_map (function
+             | Served r -> Some r
+             | Unreachable _ | Whole _ -> None)
         |> Array.of_list
       in
       if missing <> [] then gather_degraded t req ~missing results
@@ -523,7 +547,7 @@ let submit t ?deadline_ms ?budget_for (req : Xk_core.Engine.request) =
               let deadline_abs = t.clock () +. d in
               fun () ->
                 Xk_resilience.Budget.create
-                  ~deadline_ms:(Float.max 0. (deadline_abs -. t.clock ()))
+                  ~deadline_ms:(deadline_abs -. t.clock ())
                   ()
           | None, None -> fun () -> Xk_resilience.Budget.unlimited)
     in
@@ -531,7 +555,7 @@ let submit t ?deadline_ms ?budget_for (req : Xk_core.Engine.request) =
     let futures =
       Array.init (Array.length t.reps) (fun shard ->
           let make_budget = budget_thunk shard in
-          Domain_pool.async t.pool (fun () ->
+          Xk_util.Domain_pool.async t.pool (fun () ->
               Fun.protect
                 ~finally:(fun () ->
                   if Atomic.fetch_and_add remaining (-1) = 1 then
@@ -539,7 +563,7 @@ let submit t ?deadline_ms ?budget_for (req : Xk_core.Engine.request) =
                 (fun () -> serve_shard t ~shard ~make_budget ~words req)))
     in
     fun () ->
-      let statuses = Array.map Domain_pool.await futures in
+      let statuses = Array.map Xk_util.Domain_pool.await futures in
       let outcome = gather t req nw statuses in
       (match outcome with
       | Query_service.Ok _ -> Atomic.incr t.completed
@@ -582,7 +606,7 @@ let stats t =
     cache = Xk_index.Sharding.cache_stats t.sharding;
   }
 
-let shutdown t = Domain_pool.shutdown t.pool
+let shutdown t = Xk_util.Domain_pool.shutdown t.pool
 
 (* --- Presentation ----------------------------------------------------- *)
 

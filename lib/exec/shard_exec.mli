@@ -2,7 +2,7 @@
     replicas with failover, circuit breakers, hedging, and graceful
     coverage degradation.
 
-    Each request fans out to one job per shard on a {!Domain_pool};
+    Each request fans out to one job per shard on a {!Xk_util.Domain_pool};
     every shard runs the ordinary budget-aware engine over its
     self-contained index, and a gather step merges the per-shard results
     into exactly the unsharded engine's answer:
@@ -21,6 +21,13 @@
       confirmed; [K] confirmations yield [Ok] even with stragglers, otherwise
       the confirmed prefix degrades to [Partial] exactly like the single-index
       anytime engine.
+
+    With one shard served in process there is nothing to merge: the job
+    runs {!Xk_core.Engine.run_request_outcome} on the whole corpus and
+    its hits pass through in the engine's order, so the answer is the
+    sequential {!Xk_core.Engine.query_batch} one, same hits, same order.
+    An anytime request whose confirmed prefix is empty reports
+    [Timeout], as it does over N shards.
 
     {2 Replicated serving}
 
@@ -43,8 +50,7 @@
     fraction.  The global root hit is dropped in degraded answers (its
     exact score needs every shard's summary).  [Failed] remains only
     for errors outside replica serving.  Admission control bounds
-    in-flight {e requests} (not shard jobs), mirroring
-    {!Query_service}.
+    in-flight {e requests} (not shard jobs).
 
     {2 Transports}
 
@@ -76,7 +82,7 @@ val create :
   Xk_index.Sharding.t ->
   t
 (** Wrap a sharded index: [replicas] (default 1) engines per shard, one
-    shared pool.  [domains] as in {!Domain_pool.create}; [max_queue]
+    shared pool.  [domains] as in {!Xk_util.Domain_pool.create}; [max_queue]
     bounds admitted in-flight requests; [breaker] configures every
     replica's circuit breaker; [clock] (ms, injectable for tests) feeds
     breakers, health latency, and deadline anchoring; [hedge_delay_ms]
@@ -129,7 +135,8 @@ val exec_batch :
   Query_service.outcome list
 (** Fan every request of the batch out before the first gather, so shard
     jobs of different requests pipeline across the pool.  Outcomes in
-    request order. *)
+    request order.  Several client domains may call it concurrently:
+    their shard jobs interleave on the one pool. *)
 
 type stats = {
   shards : int;

@@ -312,6 +312,15 @@ let load_result ?damping ?cache_capacity ?retries ?backoff_ms ?verify_columns
         Sharding.build_with ~shards:m.m_shards ~assignment:m.m_assignment ~make
           doc
 
+let load_segment (doc : Xk_xml.Xml_tree.document) path =
+  let make ~shard label ~stats =
+    Index_io.load_result ~stats label path
+    |> Result.map_error (fun e -> Shard { shard; failures = [ (path, e) ] })
+  in
+  Sharding.build_with
+    ~assignment:(Array.make (List.length doc.root.children) 0)
+    ~make doc
+
 let replica_files path =
   match load_manifest path with
   | Error _ as e -> e

@@ -70,6 +70,12 @@ val load_result :
     decode its postings eagerly at open ({!Index_io.load_result}), so a
     damaged replica is rejected — and fallen over — at load time. *)
 
+val load_segment :
+  Xk_xml.Xml_tree.document -> string -> (Sharding.t, error) result
+(** Wrap a plain {!Index_io} segment of [doc] (as [xkq index] writes
+    without [--shards]) as a one-shard index, so every serving path can
+    take a sharded index.  A failed load is [Shard {shard = 0; _}]. *)
+
 val replica_files : string -> (string array array, error) result
 (** The full replica paths recorded in the manifest at [path], indexed
     [shard][replica].  Chaos drivers use this to map (shard, replica)

@@ -1,8 +1,10 @@
-(* The concurrent serving layer: domain pool primitives, batch-vs-
-   sequential equivalence (same hits, same order, across semantics and
-   modes) and a multi-client hammer against one shared engine. *)
+(* The serving layer: domain pool primitives, and one-shard Shard_exec
+   batches against the sequential engine (same hits, same order, across
+   semantics and modes), including a plain saved segment loaded as the
+   only shard, plus a multi-client hammer against one shared index. *)
 
 open Xk_exec
+module Domain_pool = Xk_util.Domain_pool
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -84,30 +86,68 @@ let mixed_requests rng ~queries ~alphabet =
         ])
     (List.init queries (fun i -> i))
 
-let batch_equivalence () =
-  let eng = Tutil.random_engine 1234 in
-  let rng = Xk_datagen.Rng.create 7 in
-  let reqs = mixed_requests rng ~queries:10 ~alphabet:40 in
-  let expected = Xk_core.Engine.query_batch eng reqs in
-  let svc = Query_service.create ~domains:4 eng in
-  let outcomes = Query_service.exec_batch svc reqs in
-  let st = Query_service.stats svc in
-  Query_service.shutdown svc;
+(* Serve [reqs] through a one-shard executor and demand the sequential
+   answer of [expected], outcome by outcome. *)
+let check_one_shard msg ~expected sharding reqs =
+  let sx = Shard_exec.create ~domains:4 sharding in
+  let outcomes = Shard_exec.exec_batch sx reqs in
+  let st = Shard_exec.stats sx in
+  Shard_exec.shutdown sx;
   List.iter
     (fun o ->
       match o with
       | Query_service.Ok _ -> ()
-      | o -> Alcotest.failf "unexpected outcome %s" (Query_service.outcome_label o))
+      | o ->
+          Alcotest.failf "%s: unexpected outcome %s" msg
+            (Query_service.outcome_label o))
     outcomes;
-  check_batches "parallel vs sequential" expected
-    (List.map Query_service.hits outcomes);
-  check Alcotest.int "one batch counted" 1 st.batches;
-  check Alcotest.int "queries counted" (List.length reqs) st.queries;
-  check Alcotest.int "all completed" (List.length reqs) st.completed;
-  check Alcotest.int "four domains" 4 st.domains
+  check_batches msg expected (List.map Query_service.hits outcomes);
+  check Alcotest.int (msg ^ ": one batch counted") 1 st.batches;
+  check Alcotest.int (msg ^ ": queries counted") (List.length reqs) st.queries;
+  check Alcotest.int (msg ^ ": all completed") (List.length reqs) st.completed;
+  check Alcotest.int (msg ^ ": four domains") 4 st.domains
+
+let batch_equivalence () =
+  let doc = Tutil.random_doc 1234 in
+  let eng = Xk_core.Engine.create doc in
+  let rng = Xk_datagen.Rng.create 7 in
+  let reqs = mixed_requests rng ~queries:10 ~alphabet:40 in
+  let expected = Xk_core.Engine.query_batch eng reqs in
+  check_one_shard "partitioned in memory" ~expected
+    (Xk_index.Sharding.partition ~shards:1 doc)
+    reqs;
+  (* A plain saved segment, wrapped as the only shard. *)
+  let path = Filename.temp_file "xk_exec" ".idx" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Xk_index.Index_io.save (Xk_core.Engine.index eng) path;
+      match Xk_index.Shard_io.load_segment doc path with
+      | Error e ->
+          Alcotest.failf "load_segment: %s"
+            (Xk_index.Shard_io.error_message e)
+      | Ok sharding -> check_one_shard "plain segment" ~expected sharding reqs);
+  (* Corpora whose K-th and (K+1)-th hits tie on score: the engine's own
+     choice among the tied hits must come through unchanged. *)
+  List.iter
+    (fun (seed, k, q) ->
+      let doc = Tutil.random_doc seed in
+      let reqs =
+        Xk_core.Engine.
+          [
+            topk_request ~semantics:Elca ~k q;
+            topk_request ~semantics:Slca ~k q;
+          ]
+      in
+      check_one_shard
+        (Printf.sprintf "ties in corpus %d" seed)
+        ~expected:(Xk_core.Engine.query_batch (Xk_core.Engine.create doc) reqs)
+        (Xk_index.Sharding.partition ~shards:1 doc)
+        reqs)
+    [ (159, 3, [ "kw1"; "kw2" ]); (248, 1, [ "kw1"; "kw3" ]) ]
 
 let batch_empty_and_unknown () =
-  let eng = Tutil.random_engine 55 in
+  let doc = Tutil.random_doc 55 in
   let reqs =
     Xk_core.Engine.
       [
@@ -115,14 +155,24 @@ let batch_empty_and_unknown () =
         topk_request ~k:4 [ "also"; "absent" ];
       ]
   in
-  let svc = Query_service.create ~domains:2 eng in
-  let out = Query_service.exec_batch_hits svc reqs in
-  let empty = Query_service.exec_batch svc [] in
-  Query_service.shutdown svc;
+  let sx =
+    Shard_exec.create ~domains:2 (Xk_index.Sharding.partition ~shards:1 doc)
+  in
+  let out = Shard_exec.exec_batch sx reqs in
+  let empty = Shard_exec.exec_batch sx [] in
+  Shard_exec.shutdown sx;
   check Alcotest.int "empty batch" 0 (List.length empty);
-  List.iter (fun hits -> check Alcotest.int "no hits" 0 (List.length hits)) out
+  List.iter
+    (fun o ->
+      match o with
+      | Query_service.Ok hits ->
+          check Alcotest.int "no hits" 0 (List.length hits)
+      | o ->
+          Alcotest.failf "unexpected outcome %s"
+            (Query_service.outcome_label o))
+    out
 
-(* --- Hammer: many concurrent clients, one engine ------------------- *)
+(* --- Hammer: many concurrent clients, one shared index -------------- *)
 
 let hammer () =
   (* Fresh engine over a term-rich corpus, with a deliberately tiny cache
@@ -139,9 +189,8 @@ let hammer () =
         }
       43
   in
-  let idx =
-    Xk_index.Index.build ~cache_capacity:4 (Xk_encoding.Labeling.label doc)
-  in
+  let sharding = Xk_index.Sharding.partition ~cache_capacity:4 ~shards:1 doc in
+  let idx = Xk_index.Sharding.index sharding 0 in
   let eng = Xk_core.Engine.of_index idx in
   (* Queries over terms that actually occur, so every request
      materializes shapes and the tiny cache is forced to evict. *)
@@ -161,20 +210,22 @@ let hammer () =
       (List.init (take - 1) (fun i -> i))
   in
   let expected = Xk_core.Engine.query_batch eng reqs in
-  let svc = Query_service.create ~domains:4 eng in
+  let sx = Shard_exec.create ~domains:4 sharding in
   let clients = 4 and rounds = 5 in
   let workers =
     Array.init clients (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to rounds do
-              let got = Query_service.exec_batch_hits svc reqs in
+              let got =
+                List.map Query_service.hits (Shard_exec.exec_batch sx reqs)
+              in
               if not (List.for_all2 hits_equal expected got) then
                 failwith "hammer: results diverged from sequential"
             done))
   in
   Array.iter Domain.join workers;
-  let st = Query_service.stats svc in
-  Query_service.shutdown svc;
+  let st = Shard_exec.stats sx in
+  Shard_exec.shutdown sx;
   check Alcotest.int "batches counted" (clients * rounds) st.batches;
   check Alcotest.int "queries counted"
     (clients * rounds * List.length reqs)

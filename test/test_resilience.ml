@@ -304,6 +304,17 @@ let garbage_classified () =
 
 (* --- Service outcomes under faults, deadlines and overload ---------- *)
 
+module Query_service = Xk_exec.Query_service
+module Shard_exec = Xk_exec.Shard_exec
+
+(* A one-shard executor over a random corpus, and the engine whose terms
+   the sample requests draw on. *)
+let one_shard ?max_queue seed =
+  let doc = Tutil.random_doc seed in
+  let sharding = Xk_index.Sharding.partition ~shards:1 doc in
+  ( Shard_exec.create ~domains:2 ?max_queue sharding,
+    Xk_core.Engine.of_index (Xk_index.Sharding.index sharding 0) )
+
 let sample_requests eng n =
   let idx = Xk_core.Engine.index eng in
   let ids = Xk_index.Index.terms_by_df idx in
@@ -311,50 +322,50 @@ let sample_requests eng n =
   List.init n (fun i ->
       Xk_core.Engine.topk_request ~k:5 [ word i; word (i + 1) ])
 
+let expect_ok what outcomes =
+  List.iter
+    (function
+      | Query_service.Ok _ -> ()
+      | o -> Alcotest.failf "%s: %s" what (Query_service.outcome_label o))
+    outcomes
+
+(* An injected query fault fails the replica attempt; with one replica
+   the shard is lost, so the request degrades (never a hard failure). *)
 let service_failures_captured () =
   Fun.protect ~finally:Fault_injection.reset (fun () ->
-      let eng = Tutil.random_engine 31 in
+      let sx, eng = one_shard 31 in
       Fault_injection.configure { Fault_injection.none with query_failures = 2 };
-      let svc = Xk_exec.Query_service.create ~domains:2 eng in
       let reqs = sample_requests eng 6 in
-      let outcomes = Xk_exec.Query_service.exec_batch svc reqs in
-      let failed =
-        List.filter Xk_exec.Query_service.is_failure outcomes |> List.length
-      in
-      check Alcotest.int "exactly the injected failures" 2 failed;
+      let outcomes = Shard_exec.exec_batch sx reqs in
+      check Alcotest.int "no hard failures" 0
+        (List.filter Query_service.is_failure outcomes |> List.length);
       List.iter
         (fun o ->
           match o with
-          | Xk_exec.Query_service.Failed f ->
-              check Alcotest.bool "message captured" true
-                (String.length f.message > 0)
-          | Xk_exec.Query_service.Ok _ -> ()
+          | Query_service.Degraded { hits; missing_shards; coverage } ->
+              check Alcotest.(list int) "the only shard is missing" [ 0 ]
+                missing_shards;
+              check Alcotest.int "nothing confirmed" 0 (List.length hits);
+              check (Alcotest.float 0.) "no coverage" 0. coverage
+          | Query_service.Ok _ -> ()
           | o ->
               Alcotest.failf "unexpected outcome %s"
-                (Xk_exec.Query_service.outcome_label o))
+                (Query_service.outcome_label o))
         outcomes;
       (* All worker domains survived: a clean batch fully succeeds. *)
       Fault_injection.configure Fault_injection.none;
-      let clean = Xk_exec.Query_service.exec_batch svc reqs in
-      List.iter
-        (fun o ->
-          match o with
-          | Xk_exec.Query_service.Ok _ -> ()
-          | o ->
-              Alcotest.failf "after failures: %s"
-                (Xk_exec.Query_service.outcome_label o))
-        clean;
-      let st = Xk_exec.Query_service.stats svc in
-      Xk_exec.Query_service.shutdown svc;
-      check Alcotest.int "failed counter" 2 st.failed;
+      expect_ok "after failures" (Shard_exec.exec_batch sx reqs);
+      let st = Shard_exec.stats sx in
+      Shard_exec.shutdown sx;
+      check Alcotest.int "exactly the injected failures degrade" 2 st.degraded;
+      check Alcotest.int "failed counter" 0 st.failed;
       check Alcotest.int "completed counter" (2 * List.length reqs - 2)
         st.completed)
 
 let service_deadlines () =
   Fun.protect ~finally:Fault_injection.reset (fun () ->
       Fault_injection.configure Fault_injection.none;
-      let eng = Tutil.random_engine 62 in
-      let svc = Xk_exec.Query_service.create ~domains:2 eng in
+      let sx, eng = one_shard 62 in
       let topk = sample_requests eng 4 in
       let complete =
         List.map
@@ -362,72 +373,50 @@ let service_deadlines () =
             { r with req_mode = Xk_core.Engine.Complete Join_based })
           topk
       in
-      (* An already-expired deadline: anytime requests degrade to Partial,
-         complete requests time out; nothing fails. *)
-      let out =
-        Xk_exec.Query_service.exec_batch ~deadline_ms:(-1.) svc
-          (topk @ complete)
-      in
+      (* An already-expired deadline: nothing is confirmed, so anytime
+         and complete requests alike time out; nothing fails. *)
+      let out = Shard_exec.exec_batch ~deadline_ms:(-1.) sx (topk @ complete) in
       List.iteri
         (fun i o ->
-          match (o, i < List.length topk) with
-          | Xk_exec.Query_service.Partial _, true -> ()
-          | Xk_exec.Query_service.Timeout, false -> ()
-          | o, _ ->
-              Alcotest.failf "request %d: unexpected %s" i
-                (Xk_exec.Query_service.outcome_label o))
-        out;
-      let st = Xk_exec.Query_service.stats svc in
-      check Alcotest.int "partials counted" (List.length topk) st.partials;
-      check Alcotest.int "timeouts counted" (List.length complete) st.timeouts;
-      (* Without a deadline the same batch fully completes. *)
-      let clean = Xk_exec.Query_service.exec_batch svc (topk @ complete) in
-      List.iter
-        (fun o ->
           match o with
-          | Xk_exec.Query_service.Ok _ -> ()
+          | Query_service.Timeout -> ()
           | o ->
-              Alcotest.failf "clean run: %s"
-                (Xk_exec.Query_service.outcome_label o))
-        clean;
-      Xk_exec.Query_service.shutdown svc)
+              Alcotest.failf "request %d: unexpected %s" i
+                (Query_service.outcome_label o))
+        out;
+      let st = Shard_exec.stats sx in
+      check Alcotest.int "timeouts counted"
+        (List.length topk + List.length complete)
+        st.timeouts;
+      (* Without a deadline the same batch fully completes. *)
+      expect_ok "clean run" (Shard_exec.exec_batch sx (topk @ complete));
+      Shard_exec.shutdown sx)
 
 let overload_rejects () =
   Fun.protect ~finally:Fault_injection.reset (fun () ->
-      let eng = Tutil.random_engine 93 in
+      let sx, eng = one_shard ~max_queue:2 93 in
       (* Slow queries + a tiny admission bound + a burst: the submission
          loop runs in microseconds while every admitted job sleeps, so
          exactly [max_queue] requests are admitted. *)
       Fault_injection.configure
         { Fault_injection.none with query_latency_ms = 50. };
-      let svc = Xk_exec.Query_service.create ~domains:2 ~max_queue:2 eng in
       let reqs = sample_requests eng 12 in
-      let outcomes = Xk_exec.Query_service.exec_batch svc reqs in
+      let outcomes = Shard_exec.exec_batch sx reqs in
       let count p = List.length (List.filter p outcomes) in
       let rejected =
-        count (function Xk_exec.Query_service.Rejected -> true | _ -> false)
+        count (function Query_service.Rejected -> true | _ -> false)
       in
-      let ok =
-        count (function Xk_exec.Query_service.Ok _ -> true | _ -> false)
-      in
+      let ok = count (function Query_service.Ok _ -> true | _ -> false) in
       check Alcotest.bool "overload rejects" true (rejected >= 8);
       check Alcotest.int "admitted requests succeed" (12 - rejected) ok;
-      check Alcotest.int "no hard failures" 0
-        (count Xk_exec.Query_service.is_failure);
+      check Alcotest.int "no hard failures" 0 (count Query_service.is_failure);
       (* The service remains fully usable after the overload burst (the
          clean batch stays within the admission bound). *)
       Fault_injection.configure Fault_injection.none;
-      let clean = Xk_exec.Query_service.exec_batch svc (sample_requests eng 2) in
-      List.iter
-        (fun o ->
-          match o with
-          | Xk_exec.Query_service.Ok _ -> ()
-          | o ->
-              Alcotest.failf "after overload: %s"
-                (Xk_exec.Query_service.outcome_label o))
-        clean;
-      let st = Xk_exec.Query_service.stats svc in
-      Xk_exec.Query_service.shutdown svc;
+      expect_ok "after overload"
+        (Shard_exec.exec_batch sx (sample_requests eng 2));
+      let st = Shard_exec.stats sx in
+      Shard_exec.shutdown sx;
       check Alcotest.int "rejected counter" rejected st.rejected;
       check Alcotest.bool "max_queue recorded" true (st.max_queue = Some 2))
 
