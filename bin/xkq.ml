@@ -30,13 +30,13 @@ let load_engine ?index_file path =
 (* The entry point of every query path: reload a shard manifest written
    by `xkq index --shards`, wrap a plain `xkq index` segment as the only
    shard, or partition in memory. *)
-let load_sharded ?index_file ~shards path =
+let load_sharded ?index_file ?verify_columns ~shards path =
   let t0 = Unix.gettimeofday () in
   let doc = Xk_xml.Xml_parser.parse_file_exn path in
   let loaded =
     match index_file with
     | Some p when Xk_index.Shard_io.is_manifest p ->
-        Xk_index.Shard_io.load_result doc p
+        Xk_index.Shard_io.load_result ?verify_columns doc p
     | Some p -> Xk_index.Shard_io.load_segment doc p
     | None -> Ok (Xk_index.Sharding.partition ~shards doc)
   in
@@ -237,7 +237,7 @@ let install_mutation_chaos spec =
                item);
   match Xk_resilience.Chaos.of_spec spec with
   | Error msg -> live_fail "--chaos: %s" msg
-  | Ok schedule -> Xk_resilience.Chaos.install schedule
+  | Ok spec -> Xk_resilience.Chaos.install spec.events
 
 (* A mutation operand is an XML file if one exists at that path,
    otherwise inline XML.  Either way the document root becomes the
@@ -721,15 +721,18 @@ let check_against seq reqs outcomes =
   else Printf.eprintf "check FAILED: results differ from sequential\n";
   same
 
-(* Install a chaos schedule.  Disk-level corrupt targets are resolved
-   against the shard manifest's replica files and registered as
-   persistently corrupted, so the subsequent load exercises replica
-   fallback; kill/slow events then drive the serving layer. *)
+(* Install a chaos spec: its fault classes (when it names any) replace
+   the environment's, and its schedule is installed.  Disk-level corrupt
+   targets are resolved against the shard manifest's replica files and
+   marked corrupt, so the subsequent load exercises replica fallback;
+   kill/slow events then drive the serving layer. *)
 let install_chaos ~index_file spec =
   match Xk_resilience.Chaos.of_spec spec with
   | Error msg -> failwith (Printf.sprintf "--chaos: %s" msg)
-  | Ok schedule -> (
-      Xk_resilience.Chaos.install schedule;
+  | Ok { faults; events } -> (
+      if faults <> Xk_resilience.Chaos.no_faults then
+        Xk_resilience.Chaos.configure faults;
+      Xk_resilience.Chaos.install events;
       match Xk_resilience.Chaos.corrupt_targets () with
       | [] -> ()
       | _ -> (
@@ -749,24 +752,24 @@ let install_chaos ~index_file spec =
                           if
                             Xk_resilience.Chaos.corrupt_matches ~shard:s
                               ~replica:r
-                          then Xk_resilience.Fault_injection.mark_corrupt ~path:file)
+                          then Xk_resilience.Chaos.mark_corrupt ~path:file)
                         reps)
                     files)))
 
 let batch path queries_file semantics algo top topk_algo domains repeat gen
-    gen_k seed check index_file deadline_ms max_queue faults shards replicas
+    gen_k seed check index_file deadline_ms max_queue shards replicas
     hedge_ms chaos remote =
-  (match faults with
-  | None -> ()
-  | Some spec -> (
-      match Xk_resilience.Fault_injection.of_spec spec with
-      | Ok config -> Xk_resilience.Fault_injection.configure config
-      | Error msg -> failwith (Printf.sprintf "--faults: %s" msg)));
   Option.iter (install_chaos ~index_file) chaos;
   let endpoints =
     if remote then Some (remote_endpoints ~index_file) else None
   in
-  let sharded = load_sharded ?index_file ~shards path in
+  (* In-process replicas share the one copy per shard the loader picks.
+     A corrupt@ drill therefore verifies every column at load, where the
+     loader can still fall back to a clean copy: a lazy open would meet
+     the damage at the first query of the damaged term, with no clean
+     copy loaded to fail over to. *)
+  let verify_columns = Xk_resilience.Chaos.corrupt_targets () <> [] in
+  let sharded = load_sharded ?index_file ~verify_columns ~shards path in
   (* The reference engine answers workload generation (corpus-wide term
      statistics) and --check.  One shard already indexes the whole
      corpus; several are checked against a fresh unsharded build. *)
@@ -883,15 +886,6 @@ let batch_cmd =
             "Admission bound: maximum in-flight requests; excess requests \
              are rejected without executing.")
   in
-  let faults =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "faults" ]
-          ~doc:
-            "Fault-injection spec (comma-separated: io, corrupt, latency, \
-             query), as in \\$(b,XK_FAULTS).")
-  in
   let hedge_ms =
     Arg.(
       value
@@ -908,10 +902,12 @@ let batch_cmd =
       & opt (some string) None
       & info [ "chaos" ]
           ~doc:
-            "Deterministic chaos schedule, comma-separated events: \
-             kill@sSrR:TICK (replica R of shard S is down from attempt \
-             TICK), slow@sSrR:TICK:MS (added latency), corrupt@sSrR \
-             (replica segment corrupted on disk; needs $(b,--index)), \
+            "Deterministic fault spec, comma-separated: the fault classes \
+             of $(b,XK_FAULTS) (io, corrupt, latency, query), which \
+             replace the environment's, and the events kill@sSrR:TICK \
+             (replica R of shard S is down from attempt TICK), \
+             slow@sSrR:TICK:MS (added latency), corrupt@sSrR (replica \
+             segment corrupted on disk; needs $(b,--index)), \
              drop@sSrR:TICK (connections to that replica are refused; \
              $(b,--remote) only).  S/R accept * as a wildcard.")
   in
@@ -929,7 +925,7 @@ let batch_cmd =
     Term.(
       const batch $ path_arg $ queries_file $ semantics_arg $ algo_arg
       $ top_arg $ topk_algo_arg $ domains $ repeat $ gen $ gen_k $ seed $ check
-      $ index_arg $ deadline_ms $ max_queue $ faults $ shards_arg
+      $ index_arg $ deadline_ms $ max_queue $ shards_arg
       $ replicas_arg $ hedge_ms $ chaos $ remote_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -226,7 +226,7 @@ let remote_attempt t ~host ~port ~shard ~ri ~budget
     sr_bound = s.s_bound;
   }
 
-(* One attempt on one replica: chaos and fault hooks first, then the
+(* One attempt on one replica: the chaos hook first, then the
    engine run (in-process or over the wire); health and breaker record
    the outcome either way.  A budget-bounded run that merely times out
    still {e served} — only an exception is a replica failure.
@@ -240,7 +240,6 @@ let attempt_replica t ~shard ~ri ~budget ~words req =
   let start = t.clock () in
   match
     Xk_resilience.Chaos.on_attempt ~shard ~replica:ri;
-    Xk_resilience.Fault_injection.on_query ();
     match rep.rep_transport with
     | Engine engine when Array.length t.reps = 1 ->
         Whole (Xk_core.Engine.run_request_outcome ~budget engine req)

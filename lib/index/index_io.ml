@@ -5,8 +5,8 @@
    v2 ("XKIDX002") — a checksummed varint stream: magic | version varint
    | payload-length varint | payload CRC-32 varint | payload (node
    count, term count, then per term the bytes, row count, delta-coded
-   node ids and tf values).  Loading reads the whole file through a
-   channel and materializes every posting.
+   node ids and tf values).  Loading copies the whole file out of its
+   map and materializes every posting.
 
    v4 ("XKIDX004") — the compressed zero-copy segment.  Four parts back
    to back, no padding, every byte under a CRC-32:
@@ -33,22 +33,20 @@
    that term's rows_crc verified once.  Open cost is O(dictionary), not
    O(postings).
 
-   The read path classifies failures (truncation vs. corruption vs.
-   transient IO) and retries the transient class — OS errors, injected
-   faults, and checksum mismatches, which a re-read distinguishes from
-   media corruption (a torn read heals, a corrupt file does not).
-   Structural errors found after a covering checksum verified are fatal:
-   the bytes are authentic, retrying cannot help.  Saving goes through a
-   temp file + rename, so a crashed writer never leaves a half-written
-   segment under the live name.
+   Every read attempt maps the file once ({!Xk_storage.Mmap.map}) and
+   reads the magic from the map; a v2 segment is copied out of that same
+   map and decoded from the copy.  The map is also where storage faults
+   are injected, so fault drills exercise exactly this reader.
 
-   Fault injection cannot mangle a mapped page, so whenever injection is
-   active for the process (or the path is marked corrupt) the v4 open
-   switches to a string-backed reader fed through the same
-   {!Xk_resilience.Fault_injection.mangle_read} hook as v2, and verifies
-   and decodes every term eagerly, so a single flipped byte anywhere in
-   the file is detected on that read, exactly as the chaos drills
-   expect. *)
+   The read path classifies failures (truncation vs. corruption vs.
+   transient IO) and retries the transient class — injected IO faults,
+   and checksum mismatches, which a re-read distinguishes from media
+   corruption (a torn read heals, a corrupt file does not).  Structural
+   errors found after a covering checksum verified are fatal: the bytes
+   are authentic, retrying cannot help.  So is a file that cannot be
+   mapped at all.  Saving goes through a temp file + rename, so a
+   crashed writer never leaves a half-written segment under the live
+   name. *)
 
 let magic = "XKIDX002"
 let magic_v1 = "XKIDX001"
@@ -234,14 +232,18 @@ let decode_payload ?damping ?cache_capacity ?stats
    with Invalid_argument _ -> raise (Decode "payload structure cut short"));
   Index.of_raw ?damping ?cache_capacity ?stats label (List.rev !entries)
 
-(* One read attempt, with fault-injection hooks and typed classification.
-   [`Transient], [`Crc] and [`Suspect] are the retryable classes:
-   [`Suspect] carries a header-level anomaly (bad magic, version,
-   truncation) that a torn read can cause just as well as real corruption
-   - a re-read distinguishes the two, and the carried error is reported
-   if every retry sees it again.  Only [`Fatal] skips retrying: it is
-   raised after the checksum verified, or for a retired generation whose
-   magic is intact, so a re-read cannot change the outcome. *)
+(* The outcome classes of one read attempt.  [`Transient], [`Crc] and
+   [`Suspect] are the retryable classes: [`Suspect] carries a
+   header-level anomaly (bad magic, version, truncation) that a torn read
+   can cause just as well as real corruption - a re-read distinguishes
+   the two, and the carried error is reported if every retry sees it
+   again.  Only [`Fatal] skips retrying: it is raised after the checksum
+   verified, for a file that cannot be mapped, or for a retired
+   generation whose magic is intact, so a re-read cannot change the
+   outcome. *)
+type attempt_error =
+  [ `Transient of string | `Crc of string | `Suspect of error | `Fatal of error ]
+
 (* Framing check shared by the loader and {!verify}: magic, version,
    declared payload length, payload CRC.  Returns the payload offset. *)
 let check_framing data :
@@ -289,58 +291,27 @@ let check_framing data :
             Error (`Crc "payload checksum mismatch")
           else Ok body
 
-(* Whole-file and magic-sized reads that close their channel on every
-   path. *)
+(* Magic-sized reads for introspection, closing their channel on every
+   path.  They bypass the map, and with it the fault hooks. *)
 let with_in path f =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
 
-let read_file path =
-  with_in path (fun ic -> really_input_string ic (in_channel_length ic))
-
-let read_magic path =
-  with_in path (fun ic ->
-      really_input_string ic (min (String.length magic) (in_channel_length ic)))
-
-let read_all path :
-    (string, [> `Transient of string ]) result =
-  match
-    Xk_resilience.Fault_injection.before_io ~path;
-    Xk_resilience.Fault_injection.mangle_read ~path (read_file path)
-  with
-  | exception Xk_resilience.Fault_injection.Injected_io msg ->
-      Error (`Transient msg)
-  | exception Sys_error msg -> Error (`Transient msg)
-  | data -> Ok data
+let read_prefix ic n = really_input_string ic (min n (in_channel_length ic))
 
 (* ------------------------------------------------------------------ *)
 (* v4 reader                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The zero-copy reader works over a mapped file; the fault-injection
-   reader works over a string fed through [mangle_read].  Every region is
-   read by copying it out, so the two differ only in where the copy comes
-   from, and each checksum runs over the same copy its fields are parsed
-   from: a page torn between checksum and parse cannot slip through. *)
-type reader = Map of Xk_storage.Mmap.t | Str of string
-
-let rd_size = function
-  | Map m -> Xk_storage.Mmap.size m
-  | Str s -> String.length s
-
-(* Callers check the range against the verified header first; the Mmap
-   accessor re-checks it and the closed flag. *)
-let rd_sub r ~pos ~len =
-  match r with
-  | Map m -> Xk_storage.Mmap.sub_string m ~pos ~len
-  | Str s -> String.sub s pos len
+(* Every region is read by copying it out of the map, and each checksum
+   runs over the same copy its fields are parsed from: a page torn
+   between checksum and parse cannot slip through. *)
 
 (* Structured parse failure, classified like the v2 attempt errors:
    [`Crc] and truncation may be torn reads (retry), structural errors
    behind a verified checksum are fatal.  Declared over the full attempt
    error type so a caught payload needs no variant coercion. *)
-exception Bad of
-    [ `Transient of string | `Crc of string | `Suspect of error | `Fatal of error ]
+exception Bad of attempt_error
 
 let bad_crc msg = raise (Bad (`Crc msg))
 let bad_trunc msg = raise (Bad (`Suspect (Truncated msg)))
@@ -375,12 +346,11 @@ let varint s pos =
 
 let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
-(* Parse and authenticate the fixed header; returns the geometry and the
-   header bytes, which carry the terms and directory checksums. *)
-let parse_header (r : reader) : layout * string =
-  let size = rd_size r in
+(* Parse and authenticate the fixed header from [h], the first bytes of
+   a [size]-byte file; returns the geometry and the header bytes, which
+   carry the terms and directory checksums. *)
+let parse_header ~size h : layout * string =
   if size < header_size then bad_trunc "shorter than the v4 header";
-  let h = rd_sub r ~pos:0 ~len:header_size in
   if Xk_storage.Crc32.sub h ~pos:0 ~len:(header_size - 4) <> u32_at h 68 then
     bad_crc "header checksum mismatch";
   (* The header is authentic past this point: every further anomaly is
@@ -426,11 +396,15 @@ let parse_header (r : reader) : layout * string =
     bad_struct "row count exceeds what the postings can hold";
   (lay, h)
 
-(* Decoded v4 directory plus the reader it indexes into: the persistent
+let map_header m =
+  let size = Xk_storage.Mmap.size m in
+  parse_header ~size (Xk_storage.Mmap.sub_string m ~pos:0 ~len:(min size header_size))
+
+(* Decoded v4 directory plus the map it indexes into: the persistent
    state behind the lazy row provider. *)
 type segment = {
   sg_path : string;
-  sg_reader : reader;
+  sg_map : Xk_storage.Mmap.t;
   sg_lay : layout;
   sg_terms : string;  (* the CRC-verified terms region, copied out *)
   sg_term_offs : int array;  (* into [sg_terms] *)
@@ -449,11 +423,11 @@ type segment = {
 (* Decode the directory in one pass into per-term arrays.  The entries
    must tile the terms region, the postings region and the row count
    exactly: any overlap, gap or overhang is structural corruption. *)
-let parse_dir path (r : reader) ((lay, h) : layout * string) : segment =
-  let dir = rd_sub r ~pos:lay.dir_off ~len:lay.dir_len in
+let parse_dir path m ((lay, h) : layout * string) : segment =
+  let dir = Xk_storage.Mmap.sub_string m ~pos:lay.dir_off ~len:lay.dir_len in
   if Xk_storage.Crc32.string dir <> u32_at h 64 then
     bad_crc "directory checksum mismatch";
-  let terms = rd_sub r ~pos:lay.terms_off ~len:lay.terms_len in
+  let terms = Xk_storage.Mmap.sub_string m ~pos:lay.terms_off ~len:lay.terms_len in
   if Xk_storage.Crc32.string terms <> u32_at h 60 then
     bad_crc "terms-region checksum mismatch";
   let n = lay.term_count in
@@ -508,7 +482,7 @@ let parse_dir path (r : reader) ((lay, h) : layout * string) : segment =
     bad_struct "directory does not cover the posting rows";
   {
     sg_path = path;
-    sg_reader = r;
+    sg_map = m;
     sg_lay = lay;
     sg_terms = terms;
     sg_term_offs = term_offs;
@@ -531,7 +505,8 @@ let parse_dir path (r : reader) ((lay, h) : layout * string) : segment =
    but returns empty arrays, so a full verification allocates no rows. *)
 let decode_rows ?(keep = true) sg id =
   let s =
-    rd_sub sg.sg_reader ~pos:sg.sg_post_offs.(id) ~len:sg.sg_post_lens.(id)
+    Xk_storage.Mmap.sub_string sg.sg_map ~pos:sg.sg_post_offs.(id)
+      ~len:sg.sg_post_lens.(id)
   in
   if Bytes.unsafe_get sg.sg_verified id = '\000' then begin
     if Xk_storage.Crc32.string s <> sg.sg_rows_crcs.(id) then
@@ -591,15 +566,15 @@ let decode_all sg =
     ignore (decode_rows ~keep:false sg id)
   done
 
-let open_v4 ?damping ?cache_capacity ?stats ~verify_columns label path
-    (r : reader) : Index.t =
-  let ((lay, _) as header) = parse_header r in
+let open_v4 ?damping ?cache_capacity ?stats ~verify_columns label path m :
+    Index.t =
+  let ((lay, _) as header) = map_header m in
   if lay.node_count <> Xk_encoding.Labeling.node_count label then
     bad_struct
       (Printf.sprintf "index built over %d nodes, document has %d"
          lay.node_count
          (Xk_encoding.Labeling.node_count label));
-  let sg = parse_dir path r header in
+  let sg = parse_dir path m header in
   if verify_columns then decode_all sg;
   let dict = dict_of_segment sg in
   let fault msg = raise (Segment_fault (Printf.sprintf "%s: %s" path msg)) in
@@ -616,108 +591,68 @@ let open_v4 ?damping ?cache_capacity ?stats ~verify_columns label path
   in
   Index.of_provider ?damping ?cache_capacity ?stats ~dict label provider
 
-(* One v4 open attempt.  The mmap path is the production one; whenever
-   fault injection is active for the process (or this path is marked
-   corrupt) the segment is instead read through the byte-level
-   [mangle_read] hook into a string and verified eagerly and completely,
-   because a mapped page cannot be mangled and lazy verification would
-   let an injected flip go undetected until first touch. *)
-let attempt_v4 ?damping ?cache_capacity ?stats ~verify_columns label path :
-    ( Index.t,
-      [ `Transient of string
-      | `Crc of string
-      | `Suspect of error
-      | `Fatal of error ] )
-    result =
-  let module FI = Xk_resilience.Fault_injection in
-  if FI.unmappable ~path then
-    Error
-      (`Fatal
-        (Io_failed
-           (Printf.sprintf "injected map failure for %s" path)))
-  else if FI.enabled () || FI.marked_corrupt ~path then
-    match read_all path with
-    | Error _ as e -> e
-    | Ok data -> (
-        match
-          open_v4 ?damping ?cache_capacity ?stats ~verify_columns:true label
-            path (Str data)
-        with
-        | idx -> Ok idx
-        | exception Bad e -> Error e)
-  else
-    match Xk_storage.Mmap.map path with
-    | Error e ->
-        Error (`Fatal (Io_failed (Xk_storage.Mmap.error_message e)))
-    | Ok m -> (
-        match
-          open_v4 ?damping ?cache_capacity ?stats ~verify_columns label path
-            (Map m)
-        with
-        | idx -> Ok idx
-        | exception Bad e ->
-            Xk_storage.Mmap.close m;
-            Error e)
-
 (* ------------------------------------------------------------------ *)
-(* Dispatch, retry policy, public API                                 *)
+(* Attempts, retry policy, public API                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Sniff the magic to pick the generation.  Runs the [before_io] hook so
-   the transient-fault drills fire once per load attempt on the v4 path
-   too (the v2 path re-reads the whole file afterwards; its per-path
-   attempt counter has already been consumed, so the retry arithmetic is
-   unchanged). *)
-let sniff_magic path : (string, [> `Transient of string ]) result =
-  match
-    Xk_resilience.Fault_injection.before_io ~path;
-    read_magic path
-  with
-  | exception Xk_resilience.Fault_injection.Injected_io msg ->
-      Error (`Transient msg)
-  | exception Sys_error msg -> Error (`Transient msg)
-  | m -> Ok m
+(* One attempt maps the file once and runs [f] over the map.  mmap
+   cannot map zero bytes, so an empty file is classified here, as the
+   truncation it is. *)
+let with_map path f : (_, attempt_error) result =
+  match Xk_storage.Mmap.map path with
+  | Error (Xk_storage.Mmap.Transient msg) -> Error (`Transient msg)
+  | Error e -> (
+      match Unix.stat path with
+      | { Unix.st_size = 0; _ } -> Error (`Suspect (Truncated "empty file"))
+      | _ | (exception Unix.Unix_error _) ->
+          Error (`Fatal (Io_failed (Xk_storage.Mmap.error_message e))))
+  | Ok m -> (
+      match f m with
+      | r -> r
+      | exception Bad e ->
+          Xk_storage.Mmap.close m;
+          Error e)
 
-let attempt ?damping ?cache_capacity ?stats ~verify_columns label path :
-    ( Index.t,
-      [ `Transient of string | `Crc of string | `Suspect of error | `Fatal of error ]
-    )
-    result =
-  match sniff_magic path with
-  | Error _ as e -> e
-  | Ok m when m = magic_v4 ->
-      attempt_v4 ?damping ?cache_capacity ?stats ~verify_columns label path
-  | Ok _ -> (
-      match read_all path with
-      | Error _ as e -> e
-      | Ok data -> (
-          match check_framing data with
-          | Error _ as e -> e
-          | Ok body -> (
-              match
-                decode_payload ?damping ?cache_capacity ?stats label data
-                  ~pos:body
-              with
-              | idx -> Ok idx
-              | exception Decode msg -> Error (`Fatal (Corrupted msg)))))
+let is_v4 data =
+  String.length data >= String.length magic_v4
+  && String.sub data 0 (String.length magic_v4) = magic_v4
+
+let map_is_v4 m =
+  is_v4
+    (Xk_storage.Mmap.sub_string m ~pos:0
+       ~len:(min (String.length magic_v4) (Xk_storage.Mmap.size m)))
+
+let map_contents m = Xk_storage.Mmap.sub_string m ~pos:0 ~len:(Xk_storage.Mmap.size m)
+let read_mapped path = with_map path (fun m -> Ok (map_contents m))
+
+let attempt ?damping ?cache_capacity ?stats ~verify_columns label path =
+  with_map path (fun m ->
+      if map_is_v4 m then
+        Ok (open_v4 ?damping ?cache_capacity ?stats ~verify_columns label path m)
+      else
+        let data = map_contents m in
+        Result.bind (check_framing data) (fun body ->
+            match
+              decode_payload ?damping ?cache_capacity ?stats label data ~pos:body
+            with
+            | idx -> Ok idx
+            | exception Decode msg -> Error (`Fatal (Corrupted msg))))
 
 let retryable = function
   | `Transient _ | `Crc _ | `Suspect _ -> true
   | `Fatal _ -> false
 
-let load_result ?damping ?cache_capacity ?stats ?(retries = 4)
-    ?(backoff_ms = 1.0) ?(verify_columns = false) label path =
+let retrying ?(retries = 4) ?(backoff_ms = 1.0) attempt =
   match
-    Xk_resilience.Retry.with_backoff_info ~retries ~backoff_ms ~retryable
-      (fun () ->
-        attempt ?damping ?cache_capacity ?stats ~verify_columns label path)
+    Xk_resilience.Retry.with_backoff_info ~retries ~backoff_ms ~retryable attempt
   with
-  | Ok idx, _ -> Ok idx
+  | Ok v, _ -> Ok v
   | Error e, attempts -> Error { error = classify e; attempts }
 
-let is_v4 data =
-  String.length data >= String.length magic_v4
-  && String.sub data 0 (String.length magic_v4) = magic_v4
+let load_result ?damping ?cache_capacity ?stats ?retries ?backoff_ms
+    ?(verify_columns = false) label path =
+  retrying ?retries ?backoff_ms (fun () ->
+      attempt ?damping ?cache_capacity ?stats ~verify_columns label path)
 
 (* Verification without building an index.  For a v2 segment this checks
    the header and the payload checksum; for v4 it is a {e full}
@@ -726,31 +661,13 @@ let is_v4 data =
    deliberately defers the per-term checks that the v2 load performs
    implicitly, and the replica writers that call [verify] after each
    copy need equivalent coverage. *)
-let verify_attempt path :
-    ( unit,
-      [ `Transient of string | `Crc of string | `Suspect of error | `Fatal of error ]
-    )
-    result =
-  match read_all path with
-  | Error _ as e -> e
-  | Ok data ->
-      if is_v4 data then
-        let r = Str data in
-        match decode_all (parse_dir path r (parse_header r)) with
-        | () -> Ok ()
-        | exception Bad e -> Error e
-      else
-        match check_framing data with
-        | Error _ as e -> e
-        | Ok _body -> Ok ()
+let verify_attempt path =
+  with_map path (fun m ->
+      if map_is_v4 m then Ok (decode_all (parse_dir path m (map_header m)))
+      else Result.map ignore (check_framing (map_contents m)))
 
-let verify ?(retries = 4) ?(backoff_ms = 1.0) path =
-  match
-    Xk_resilience.Retry.with_backoff_info ~retries ~backoff_ms ~retryable
-      (fun () -> verify_attempt path)
-  with
-  | Ok (), _ -> Ok ()
-  | Error e, attempts -> Error { error = classify e; attempts }
+let verify ?retries ?backoff_ms path =
+  retrying ?retries ?backoff_ms (fun () -> verify_attempt path)
 
 let load ?damping label path =
   match load_result ?damping label path with
@@ -763,7 +680,7 @@ let load ?damping label path =
 let file_size path = with_in path in_channel_length
 
 let format_version path =
-  match read_magic path with
+  match with_in path (fun ic -> read_prefix ic (String.length magic)) with
   | exception (Sys_error _ | End_of_file) -> None
   | m ->
       if m = magic_v1 then Some 1
@@ -773,11 +690,14 @@ let format_version path =
       else None
 
 let layout path =
-  match read_file path with
+  match
+    with_in path (fun ic ->
+        (in_channel_length ic, read_prefix ic header_size))
+  with
   | exception Sys_error msg -> Error (Io_failed msg)
   | exception End_of_file -> Error (Io_failed (path ^ ": changed while read"))
-  | data when not (is_v4 data) -> Error (Corrupted "not a v4 segment")
-  | data -> (
-      match parse_header (Str data) with
+  | _, h when not (is_v4 h) -> Error (Corrupted "not a v4 segment")
+  | size, h -> (
+      match parse_header ~size h with
       | lay, _ -> Ok lay
       | exception Bad e -> Error (classify e))

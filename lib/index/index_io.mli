@@ -21,23 +21,25 @@
     both feed the same (tf, df) integers to the same scorer.
 
     {!save} writes v4; {!load_result} dispatches on the magic, so v2
-    segments keep loading through the channel path and {!save_v2} keeps
+    segments keep loading (copied out of the map) and {!save_v2} keeps
     the writer for them.  A retired v3 ("XKIDX003") segment, like a v1
     one, is rejected as {!Corrupted} with a message asking for a
     rebuild.
 
+    Every read attempt maps the file once and reads the magic from the
+    map; a v2 segment is copied out of that same map.  Storage faults
+    are injected in {!Xk_storage.Mmap.map}, so fault drills exercise
+    this production reader, lazy open included.
+
     Reads classify their failures — {!Truncated} (the file ends before
     the declared layout), {!Corrupted} (bad magic, version, checksum or
-    structure), {!Io_failed} (the transient class: OS errors, injected
-    faults, and map failures) — and the transient class, plus checksum
-    mismatches and header anomalies (either can be a torn read, which a
-    re-read heals), is retried with exponential backoff before an error
-    is reported.  Structural anomalies behind a verified checksum are
-    fatal and skip the retries.  {!Xk_resilience.Fault_injection} hooks
-    into the read path; when injection is active a v4 segment is read
-    through the byte-mangling hook into process memory and every term is
-    verified and decoded eagerly, so injected corruption anywhere in the
-    file is detected at open. *)
+    structure), {!Io_failed} (an injected transient IO failure, or a
+    file that cannot be mapped) — and the transient class, plus
+    checksum mismatches and header anomalies (either can be a torn
+    read, which a re-read heals), is retried with exponential backoff
+    before an error is reported.  Structural anomalies behind a
+    verified checksum, and map failures, are fatal and skip the
+    retries. *)
 
 type error =
   | Truncated of string  (** file shorter than the declared layout *)
@@ -45,8 +47,9 @@ type error =
       (** bad magic/version, persistent checksum mismatch, malformed
           structure, or a document/node-count mismatch *)
   | Io_failed of string
-      (** transient IO failures that survived every retry, or a failed
-          (or injected) memory-map of a v4 segment *)
+      (** injected transient IO failures that survived every retry, or
+          a file that cannot be mapped (missing, unreadable, marked
+          unmappable) *)
 
 type load_error = { error : error; attempts : int }
 (** A load failure plus the number of read attempts the shared
@@ -55,6 +58,25 @@ type load_error = { error : error; attempts : int }
     permanent failure. *)
 
 val error_message : error -> string
+
+type attempt_error =
+  [ `Transient of string | `Crc of string | `Suspect of error | `Fatal of error ]
+(** The outcome classes of one read attempt, before the retry policy:
+    every class but [`Fatal] is retried. *)
+
+val read_mapped : string -> (string, attempt_error) result
+(** One read attempt of a whole file through {!Xk_storage.Mmap.map},
+    classified like a segment read: the shard-manifest reader's byte
+    source. *)
+
+val retrying :
+  ?retries:int ->
+  ?backoff_ms:float ->
+  (unit -> ('a, attempt_error) result) ->
+  ('a, load_error) result
+(** Run read attempts under the segment retry policy of {!load_result}:
+    every class but [`Fatal] is retried, up to [retries] (default 4)
+    times with exponential backoff from [backoff_ms] (default 1.0). *)
 
 val load_error_message : load_error -> string
 

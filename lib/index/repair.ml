@@ -63,7 +63,7 @@ let read_file file =
    media is being replaced), publish atomically, then verify the healed
    copy end to end before claiming success. *)
 let heal_copy ?retries ?backoff_ms ~write target =
-  Xk_resilience.Fault_injection.heal ~path:target;
+  Xk_resilience.Chaos.heal ~path:target;
   match write target with
   | exception exn -> Error (Printexc.to_string exn)
   | () -> (

@@ -176,30 +176,14 @@ let decode_manifest data ~pos ~with_endpoints =
     }
   with Invalid_argument _ -> raise (Decode "payload structure cut short")
 
-(* One manifest read attempt; same failure classes and fault-injection
-   hooks as the segment reader in [Index_io]: header-level anomalies are
-   [`Suspect] (a torn read heals on re-read, real corruption repeats). *)
-let attempt_manifest path :
-    ( manifest,
-      [ `Transient of string
-      | `Crc of string
-      | `Suspect of Index_io.error
-      | `Fatal of Index_io.error ] )
-    result =
-  match
-    Xk_resilience.Fault_injection.before_io ~path;
-    let ic = open_in_bin path in
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    Xk_resilience.Fault_injection.mangle_read ~path data
-  with
-  | exception Xk_resilience.Fault_injection.Injected_io msg ->
-      Error (`Transient msg)
-  | exception Sys_error msg -> Error (`Transient msg)
-  | data -> (
+(* One manifest read attempt, through the same mapped read and failure
+   classes as the segment reader in [Index_io]: header-level anomalies
+   are [`Suspect] (a torn read heals on re-read, real corruption
+   repeats). *)
+let attempt_manifest path : (manifest, Index_io.attempt_error) result =
+  match Index_io.read_mapped path with
+  | Error e -> Error e
+  | Ok data -> (
       let mlen = String.length magic in
       if String.length data < mlen then
         Error (`Suspect (Index_io.Truncated "shorter than the manifest magic"))
@@ -253,23 +237,10 @@ let attempt_manifest path :
                 | exception Decode msg ->
                     Error (`Fatal (Index_io.Corrupted msg))))
 
-let load_manifest ?(retries = 4) ?(backoff_ms = 1.0) path =
-  match
-    Xk_resilience.Retry.with_backoff_info ~retries ~backoff_ms
-      ~retryable:(function
-        | `Transient _ | `Crc _ | `Suspect _ -> true
-        | `Fatal _ -> false)
-      (fun () -> attempt_manifest path)
-  with
-  | Ok m, _ -> Ok m
-  | Error e, attempts ->
-      let error =
-        match e with
-        | `Transient msg -> Index_io.Io_failed msg
-        | `Crc msg -> Index_io.Corrupted msg
-        | `Suspect e | `Fatal e -> e
-      in
-      Error (Manifest { error; attempts })
+let load_manifest ?retries ?backoff_ms path =
+  Index_io.retrying ?retries ?backoff_ms (fun () -> attempt_manifest path)
+  |> Result.map_error (fun ({ error; attempts } : Index_io.load_error) ->
+         Manifest { error; attempts })
 
 let load_result ?damping ?cache_capacity ?retries ?backoff_ms ?verify_columns
     (doc : Xk_xml.Xml_tree.document) path =

@@ -113,7 +113,7 @@ val replica_status :
     present copy runs full {!Index_io.verify} (header, directory, terms,
     and per-term row CRCs) with the usual retry envelope.  This is the
     repair-planning view: [Xk_index.Repair] and the scrubber classify
-    from it, and a {!Fault_injection.mark_corrupt}/heal cycle round-trips
+    from it, and a {!Xk_resilience.Chaos.mark_corrupt}/heal cycle round-trips
     through it ([Copy_damaged] while marked, [Copy_clean] after the mark
     is healed and the copy rewritten). *)
 

@@ -1,174 +1,4 @@
-exception Injected_io of string
-exception Injected_failure of string
+type config = Chaos.faults
 
-type config = {
-  io_failures : int;
-  corrupt_reads : int;
-  io_latency_ms : float;
-  query_failures : int;
-  query_latency_ms : float;
-}
-
-let none =
-  {
-    io_failures = 0;
-    corrupt_reads = 0;
-    io_latency_ms = 0.;
-    query_failures = 0;
-    query_latency_ms = 0.;
-  }
-
-let of_spec ?(latency_ms = 2.0) ?(count = 1) spec =
-  let parts =
-    String.split_on_char ',' spec
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
-  let rec go acc = function
-    | [] -> Ok acc
-    | "io" :: rest -> go { acc with io_failures = count } rest
-    | "corrupt" :: rest -> go { acc with corrupt_reads = count } rest
-    | "latency" :: rest ->
-        go { acc with io_latency_ms = latency_ms; query_latency_ms = latency_ms } rest
-    | "query" :: rest -> go { acc with query_failures = count } rest
-    | other :: _ ->
-        Error
-          (Printf.sprintf "unknown fault class %S (io|corrupt|latency|query)"
-             other)
-  in
-  go none parts
-
-(* The environment configuration is computed once at module init (before
-   any domain is spawned), so reading it later is race-free. *)
-let env_config =
-  match Sys.getenv_opt "XK_FAULTS" with
-  | None | Some "" -> none
-  | Some spec -> (
-      let latency_ms =
-        Option.bind (Sys.getenv_opt "XK_FAULT_LATENCY_MS") float_of_string_opt
-      in
-      let count =
-        Option.bind (Sys.getenv_opt "XK_FAULT_COUNT") int_of_string_opt
-      in
-      match of_spec ?latency_ms ?count spec with
-      | Ok c -> c
-      | Error msg ->
-          Printf.eprintf "warning: XK_FAULTS ignored: %s\n%!" msg;
-          none)
-
-(* All mutable state sits behind one [Sync.Protected] value: fault
-   injection is never on a genuine hot path, and no code path can reach
-   the override or the counters without holding its lock. *)
-type state = {
-  mutable override : config option;
-  io_attempts : (string, int) Hashtbl.t;
-  read_attempts : (string, int) Hashtbl.t;
-  corrupt_paths : (string, unit) Hashtbl.t;
-  unmappable_paths : (string, unit) Hashtbl.t;
-  mutable queries_seen : int;
-}
-
-let state =
-  Xk_util.Sync.Protected.create
-    {
-      override = None;
-      io_attempts = Hashtbl.create 8;
-      read_attempts = Hashtbl.create 8;
-      corrupt_paths = Hashtbl.create 8;
-      unmappable_paths = Hashtbl.create 8;
-      queries_seen = 0;
-    }
-
-let with_state f = Xk_util.Sync.Protected.with_ state f
-
-let clear_counters st =
-  Hashtbl.reset st.io_attempts;
-  Hashtbl.reset st.read_attempts;
-  Hashtbl.reset st.corrupt_paths;
-  Hashtbl.reset st.unmappable_paths;
-  st.queries_seen <- 0
-
-let configure c =
-  with_state (fun st ->
-      st.override <- Some c;
-      clear_counters st)
-
-let reset () =
-  with_state (fun st ->
-      st.override <- None;
-      clear_counters st)
-
-let active () =
-  with_state (fun st ->
-      match st.override with Some c -> c | None -> env_config)
-
-let enabled () = active () <> none
-
-let bump tbl key =
-  let n = Option.value (Hashtbl.find_opt tbl key) ~default:0 in
-  Hashtbl.replace tbl key (n + 1);
-  n
-
-let before_io ~path =
-  let c = active () in
-  if c <> none then begin
-    if c.io_latency_ms > 0. then Unix.sleepf (c.io_latency_ms /. 1000.);
-    let attempt = with_state (fun st -> bump st.io_attempts path) in
-    if attempt < c.io_failures then
-      raise
-        (Injected_io
-           (Printf.sprintf "injected transient IO error (attempt %d) reading %s"
-              (attempt + 1) path))
-  end
-
-let mark_corrupt ~path =
-  with_state (fun st -> Hashtbl.replace st.corrupt_paths path ())
-
-let marked_corrupt ~path =
-  with_state (fun st -> Hashtbl.mem st.corrupt_paths path)
-
-let heal ~path =
-  with_state (fun st ->
-      Hashtbl.remove st.corrupt_paths path;
-      Hashtbl.remove st.unmappable_paths path;
-      Hashtbl.remove st.io_attempts path;
-      Hashtbl.remove st.read_attempts path)
-
-let mark_unmappable ~path =
-  with_state (fun st -> Hashtbl.replace st.unmappable_paths path ())
-
-let unmappable ~path =
-  with_state (fun st -> Hashtbl.mem st.unmappable_paths path)
-
-let flip_byte data =
-  let b = Bytes.of_string data in
-  let pos = Bytes.length b / 2 in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x42));
-  Bytes.unsafe_to_string b
-
-let mangle_read ~path data =
-  if String.length data = 0 then data
-  else begin
-    let marked = with_state (fun st -> Hashtbl.mem st.corrupt_paths path) in
-    if marked then flip_byte data
-    else
-      let c = active () in
-      if c.corrupt_reads = 0 then data
-      else begin
-        let read = with_state (fun st -> bump st.read_attempts path) in
-        if read >= c.corrupt_reads then data else flip_byte data
-      end
-  end
-
-let on_query () =
-  let c = active () in
-  if c <> none then begin
-    if c.query_latency_ms > 0. then Unix.sleepf (c.query_latency_ms /. 1000.);
-    let n =
-      with_state (fun st ->
-          st.queries_seen <- st.queries_seen + 1;
-          st.queries_seen)
-    in
-    if n <= c.query_failures then
-      raise (Injected_failure (Printf.sprintf "injected query failure #%d" n))
-  end
+let none = Chaos.no_faults
+let configure = Chaos.configure

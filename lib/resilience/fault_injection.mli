@@ -1,85 +1,11 @@
-(** Deterministic fault injection for resilience tests and drills.
+(** The former name of {!Chaos}'s fault classes, kept for the benchmark
+    suite, which pins its runs to no faults through it.  New code uses
+    {!Chaos} directly. *)
 
-    Faults are configured either programmatically ({!configure}) or from
-    the environment ([XK_FAULTS=io,corrupt,latency,query], with
-    [XK_FAULT_COUNT] and [XK_FAULT_LATENCY_MS] tuning the counts and
-    delays).  Injection is deterministic, not probabilistic: the first
-    [io_failures] read attempts per path raise a transient IO error, the
-    next [corrupt_reads] reads per path return the bytes with one bit
-    range flipped (a torn read that a checksummed reader detects and
-    re-reads), and the first [query_failures] query executions raise.
-    That makes a full test suite runnable with faults enabled: resilient
-    paths (retry, checksum re-read) recover and still succeed, while the
-    fault machinery is exercised on every call. *)
-
-exception Injected_io of string
-(** A simulated transient IO error (the retryable class). *)
-
-exception Injected_failure of string
-(** A simulated in-flight query failure. *)
-
-type config = {
-  io_failures : int;      (** first N read attempts per path raise *)
-  corrupt_reads : int;    (** next N reads per path are byte-flipped *)
-  io_latency_ms : float;  (** sleep before every read *)
-  query_failures : int;   (** first N query executions raise *)
-  query_latency_ms : float;  (** sleep before every query execution *)
-}
+type config = Chaos.faults
 
 val none : config
-
-val of_spec :
-  ?latency_ms:float -> ?count:int -> string -> (config, string) result
-(** Parse a comma-separated fault list: [io], [corrupt], [latency],
-    [query].  [count] (default 1) sets the failure counts, [latency_ms]
-    (default 2.0) the delays of the [latency] class. *)
+(** {!Chaos.no_faults}. *)
 
 val configure : config -> unit
-(** Install a configuration (overriding the environment) and reset all
-    per-path/per-process counters. *)
-
-val reset : unit -> unit
-(** Drop the programmatic configuration (back to the environment) and
-    reset all counters. *)
-
-val active : unit -> config
-val enabled : unit -> bool
-
-(** {1 Hooks} - called by the instrumented layers. *)
-
-val before_io : path:string -> unit
-(** Storage read hook: sleeps [io_latency_ms], then raises {!Injected_io}
-    for the first [io_failures] attempts on [path]. *)
-
-val mangle_read : path:string -> string -> string
-(** Storage read hook: flips one byte of the data for the first
-    [corrupt_reads] reads of [path], and on {e every} read of a path
-    registered via {!mark_corrupt} (persistent corruption — a damaged
-    replica segment stays damaged, independent of the config). *)
-
-val mark_corrupt : path:string -> unit
-(** Register persistent corruption for [path]: all subsequent reads are
-    byte-flipped even when no fault config is active.  [Chaos] drivers
-    use this to take out specific replica segments.  Cleared by
-    {!configure} / {!reset}. *)
-
-val marked_corrupt : path:string -> bool
-
-val heal : path:string -> unit
-(** Clear the persistent {!mark_corrupt} / {!mark_unmappable} marks and
-    the per-path fault counters for [path] — the repair counterpart of
-    {!mark_corrupt}: once [Xk_index.Repair] rewrites a copy, the
-    simulated media is new and must read clean again.  Other paths'
-    marks are untouched. *)
-
-val mark_unmappable : path:string -> unit
-(** Register a map failure for [path]: the zero-copy segment loader
-    refuses to mmap it (as if the kernel had rejected the mapping) and
-    reports its typed map error, exercising the channel/replica fallback.
-    Cleared by {!configure} / {!reset}. *)
-
-val unmappable : path:string -> bool
-
-val on_query : unit -> unit
-(** Query-execution hook: sleeps [query_latency_ms], then raises
-    {!Injected_failure} for the first [query_failures] executions. *)
+(** {!Chaos.configure}. *)

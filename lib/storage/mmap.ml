@@ -5,10 +5,17 @@
    holding a retired segment gets a typed Fault, never a read of memory
    the segment no longer vouches for.  The closed flag is an Atomic:
    close may race with readers on other domains, and the worst outcome
-   of that race is one last well-bounded read of still-mapped pages. *)
+   of that race is one last well-bounded read of still-mapped pages.
+
+   [map] is also where storage faults fire: it consults
+   [Xk_resilience.Chaos.on_map] once per call.  A torn or damaged map
+   flips one byte in this handle's private copy-on-write pages, so the
+   file and every other map of it stay clean, and a clean map pays
+   nothing per access. *)
 
 type error =
   | Map_failed of string
+  | Transient of string
   | Bounds of { what : string; pos : int; len : int; size : int }
   | Closed of string
 
@@ -23,12 +30,13 @@ type t = {
 
 let error_message = function
   | Map_failed msg -> "map failed: " ^ msg
+  | Transient msg -> "transient read failure: " ^ msg
   | Bounds { what; pos; len; size } ->
       Printf.sprintf "mapped read out of bounds: %s of %d bytes at %d in a %d-byte map"
         what len pos size
   | Closed path -> Printf.sprintf "mapped segment %s used after close" path
 
-let map path =
+let map_file path =
   match
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
     Fun.protect
@@ -52,6 +60,31 @@ let map path =
   | exception Unix.Unix_error (e, fn, _) ->
       Error (Map_failed (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message e)))
   | exception Sys_error msg -> Error (Map_failed msg)
+
+(* The mapping is private, so the write lands in this handle's pages. *)
+let flip t pos =
+  Bigarray.Array1.set t.ba pos
+    (Char.chr (Char.code (Bigarray.Array1.get t.ba pos) lxor 0x42))
+
+(* A torn map flips the first byte behind an 8-byte magic: inside the
+   v4 header checksum and the version field of every other framed
+   format, so every open notices and re-maps. *)
+let torn_byte = 8
+
+let map path =
+  match map_file path with
+  | Error _ as e -> e
+  | Ok t -> (
+      match Xk_resilience.Chaos.on_map ~path with
+      | None -> Ok t
+      | Some (Map_io msg) -> Error (Transient msg)
+      | Some Map_refused -> Error (Map_failed (path ^ ": injected map failure"))
+      | Some Map_torn ->
+          flip t (min torn_byte (t.m_size - 1));
+          Ok t
+      | Some Map_damaged ->
+          flip t (t.m_size / 2);
+          Ok t)
 
 let size t = t.m_size
 let path t = t.m_path

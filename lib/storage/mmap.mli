@@ -21,7 +21,9 @@ type t
 type error =
   | Map_failed of string
       (** open/fstat/mmap failed (missing file, permissions, resource
-          limits, an injected map fault) *)
+          limits, an unmappable mark) *)
+  | Transient of string
+      (** an injected transient IO failure: a retry may succeed *)
   | Bounds of { what : string; pos : int; len : int; size : int }
       (** an access of [len] bytes at [pos] falls outside the [size]-byte
           map, or a stored 64-bit offset does not fit the host int *)
@@ -36,8 +38,14 @@ val error_message : error -> string
 
 val map : string -> (t, error) result
 (** Map a whole file read-only ([MAP_PRIVATE]).  An empty file is a
-    [Map_failed] (mmap of zero bytes is undefined); the caller's framing
-    check rejects it as truncated long before this matters. *)
+    [Map_failed] (mmap of zero bytes is undefined).
+
+    This is where storage faults fire ({!Xk_resilience.Chaos.on_map},
+    once per call, after the file mapped): an injected IO failure is
+    [Transient], an unmappable mark [Map_failed]; a torn map has byte 8
+    flipped (inside every format's checked header) and a path marked
+    corrupt its middle byte, both in this handle's private pages only —
+    the file and other maps of it stay clean. *)
 
 val size : t -> int
 val path : t -> string

@@ -28,12 +28,18 @@ let target ?shard ?replica () = { Chaos.t_shard = shard; t_replica = replica }
 let spec_parsing () =
   (match Chaos.of_spec "kill@s1r0:3,slow@s*r1:2:5.5,corrupt@s0r*" with
   | Ok
-      [
-        Kill { target = { t_shard = Some 1; t_replica = Some 0 }; from_tick = 3 };
-        Slow { target = { t_shard = None; t_replica = Some 1 }; from_tick = 2; ms };
-        Corrupt { target = { t_shard = Some 0; t_replica = None } };
-      ] ->
-      check (Alcotest.float 1e-9) "slow ms" 5.5 ms
+      {
+        events =
+          [
+            Kill { target = { t_shard = Some 1; t_replica = Some 0 }; from_tick = 3 };
+            Slow { target = { t_shard = None; t_replica = Some 1 }; from_tick = 2; ms };
+            Corrupt { target = { t_shard = Some 0; t_replica = None } };
+          ];
+        faults;
+      } ->
+      check (Alcotest.float 1e-9) "slow ms" 5.5 ms;
+      check Alcotest.bool "events name no fault class" true
+        (faults = Chaos.no_faults)
   | Ok _ -> Alcotest.fail "spec parsed into the wrong events"
   | Error e -> Alcotest.failf "spec rejected: %s" e);
   List.iter

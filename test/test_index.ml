@@ -579,8 +579,8 @@ let v4_parity_prop =
    open, the eager open and [verify] return [Ok] or a typed error, and a
    lazily opened index faults only with [Segment_fault].  Since every
    byte is under a CRC, every prefix and every flip must be an error at
-   [verify].  Both read paths are covered: the mmap path, and the string
-   path that fault injection switches on. *)
+   [verify].  The same holds for intact bytes under a corruption mark,
+   which damages the map the decoders read. *)
 let v4_never_raises_prop =
   QCheck.Test.make ~count:10 ~name:"v4 decoders never raise on damaged bytes"
     QCheck.(int_bound 1_000_000)
@@ -681,23 +681,18 @@ let v4_never_raises_prop =
             QCheck.Test.fail_reportf "%d-byte input raised %s" (String.length data)
               (Printexc.to_string e)
       in
-      let all_paths f =
-        let module FI = Xk_resilience.Fault_injection in
-        Fun.protect ~finally:FI.reset (fun () ->
-            (* An idle configuration keeps loads on the mmap path whatever
-               the environment asks for; any other one switches them to
-               the string path, and query failures leave file IO alone. *)
-            FI.configure FI.none;
-            f ()
-            &&
-            (FI.configure { FI.none with query_failures = 1 };
-             f ()))
-      in
       let ok =
-        all_paths (fun () ->
+        let module Chaos = Xk_resilience.Chaos in
+        Fun.protect ~finally:Chaos.reset (fun () ->
+            (* Fault-free maps, so each input is decoded as written. *)
+            Chaos.configure Chaos.no_faults;
             List.for_all (fun d -> decoders d = Some false) (prefixes @ flips)
             && List.for_all (fun d -> decoders d <> None) (resealed @ garbage)
-            && decoders good = Some true)
+            && decoders good = Some true
+            &&
+            (* A copy marked corrupt reads damaged beneath the map. *)
+            (Chaos.mark_corrupt ~path;
+             decoders good = Some false))
       in
       Sys.remove path;
       ok)

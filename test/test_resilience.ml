@@ -191,7 +191,7 @@ let with_saved_index f =
   Xk_index.Index_io.save idx path;
   Fun.protect
     ~finally:(fun () ->
-      Fault_injection.reset ();
+      Chaos.reset ();
       try Sys.remove path with Sys_error _ -> ())
     (fun () -> f idx label path)
 
@@ -203,7 +203,7 @@ let load_ok label path =
 
 let io_transients_heal () =
   with_saved_index (fun idx label path ->
-      Fault_injection.configure { Fault_injection.none with io_failures = 2 };
+      Chaos.configure { Chaos.no_faults with io_failures = 2 };
       let reloaded = load_ok label path in
       check Alcotest.int "terms survive retries"
         (Xk_index.Index.term_count idx)
@@ -211,7 +211,7 @@ let io_transients_heal () =
 
 let io_transients_exhaust () =
   with_saved_index (fun _ label path ->
-      Fault_injection.configure { Fault_injection.none with io_failures = 10 };
+      Chaos.configure { Chaos.no_faults with io_failures = 10 };
       match Xk_index.Index_io.load_result ~retries:2 ~backoff_ms:0. label path with
       | Error { error = Io_failed _; attempts = 3 } -> ()
       | Error e ->
@@ -219,10 +219,23 @@ let io_transients_exhaust () =
             (Xk_index.Index_io.load_error_message e)
       | Ok _ -> Alcotest.fail "10 injected failures survived 2 retries")
 
+(* Healing a path clears its marks, not the transient classes it has
+   already spent: a rewritten copy must not fail its verify again. *)
+let heal_keeps_spent_faults () =
+  with_saved_index (fun _ label path ->
+      Chaos.configure { Chaos.no_faults with io_failures = 1 };
+      ignore (load_ok label path);
+      Chaos.heal ~path;
+      match Xk_index.Index_io.load_result ~retries:0 label path with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "heal re-armed a spent fault: %s"
+            (Xk_index.Index_io.load_error_message e))
+
 let torn_reads_heal () =
   with_saved_index (fun idx label path ->
       (* Byte-flipped reads fail the checksum; the re-read is clean. *)
-      Fault_injection.configure { Fault_injection.none with corrupt_reads = 2 };
+      Chaos.configure { Chaos.no_faults with corrupt_reads = 2 };
       let reloaded = load_ok label path in
       check Alcotest.int "terms survive torn reads"
         (Xk_index.Index.term_count idx)
@@ -230,7 +243,7 @@ let torn_reads_heal () =
 
 let persistent_corruption () =
   with_saved_index (fun _ label path ->
-      Fault_injection.configure Fault_injection.none;
+      Chaos.configure Chaos.no_faults;
       (* Flip a byte of the payload on disk: every re-read sees it. *)
       let data =
         let ic = open_in_bin path in
@@ -253,7 +266,7 @@ let persistent_corruption () =
 
 let truncation_detected () =
   with_saved_index (fun _ label path ->
-      Fault_injection.configure Fault_injection.none;
+      Chaos.configure Chaos.no_faults;
       let full = Xk_index.Index_io.file_size path in
       List.iter
         (fun keep ->
@@ -278,11 +291,11 @@ let truncation_detected () =
                   Alcotest.failf "keep=%d: wrong class: %s" keep
                     (Xk_index.Index_io.load_error_message e)
               | Ok _ -> Alcotest.failf "keep=%d: truncated segment loaded" keep))
-        [ 4; 9; full / 2; full - 1 ])
+        [ 0; 4; 9; full / 2; full - 1 ])
 
 let garbage_classified () =
   with_saved_index (fun _ label path ->
-      Fault_injection.configure Fault_injection.none;
+      Chaos.configure Chaos.no_faults;
       let write s =
         let oc = open_out_bin path in
         output_string oc s;
@@ -298,9 +311,17 @@ let garbage_classified () =
           check Alcotest.bool "legacy message" true (String.length msg > 0)
       | _ -> Alcotest.fail "v1 segment not classified as corrupted");
       (* The legacy raising wrapper still raises on errors. *)
-      match Xk_index.Index_io.load label path with
+      (match Xk_index.Index_io.load label path with
       | exception Xk_index.Index_io.Format_error _ -> ()
-      | _ -> Alcotest.fail "legacy load did not raise")
+      | _ -> Alcotest.fail "legacy load did not raise");
+      (* A missing file cannot be mapped: IO failure, no retries. *)
+      Sys.remove path;
+      match Xk_index.Index_io.load_result ~backoff_ms:0. label path with
+      | Error { error = Io_failed _; attempts = 1 } -> ()
+      | Error e ->
+          Alcotest.failf "missing file: wrong class: %s"
+            (Xk_index.Index_io.load_error_message e)
+      | Ok _ -> Alcotest.fail "missing segment loaded")
 
 (* --- Service outcomes under faults, deadlines and overload ---------- *)
 
@@ -332,9 +353,9 @@ let expect_ok what outcomes =
 (* An injected query fault fails the replica attempt; with one replica
    the shard is lost, so the request degrades (never a hard failure). *)
 let service_failures_captured () =
-  Fun.protect ~finally:Fault_injection.reset (fun () ->
+  Fun.protect ~finally:Chaos.reset (fun () ->
       let sx, eng = one_shard 31 in
-      Fault_injection.configure { Fault_injection.none with query_failures = 2 };
+      Chaos.configure { Chaos.no_faults with query_failures = 2 };
       let reqs = sample_requests eng 6 in
       let outcomes = Shard_exec.exec_batch sx reqs in
       check Alcotest.int "no hard failures" 0
@@ -353,7 +374,7 @@ let service_failures_captured () =
                 (Query_service.outcome_label o))
         outcomes;
       (* All worker domains survived: a clean batch fully succeeds. *)
-      Fault_injection.configure Fault_injection.none;
+      Chaos.configure Chaos.no_faults;
       expect_ok "after failures" (Shard_exec.exec_batch sx reqs);
       let st = Shard_exec.stats sx in
       Shard_exec.shutdown sx;
@@ -363,8 +384,8 @@ let service_failures_captured () =
         st.completed)
 
 let service_deadlines () =
-  Fun.protect ~finally:Fault_injection.reset (fun () ->
-      Fault_injection.configure Fault_injection.none;
+  Fun.protect ~finally:Chaos.reset (fun () ->
+      Chaos.configure Chaos.no_faults;
       let sx, eng = one_shard 62 in
       let topk = sample_requests eng 4 in
       let complete =
@@ -393,13 +414,13 @@ let service_deadlines () =
       Shard_exec.shutdown sx)
 
 let overload_rejects () =
-  Fun.protect ~finally:Fault_injection.reset (fun () ->
+  Fun.protect ~finally:Chaos.reset (fun () ->
       let sx, eng = one_shard ~max_queue:2 93 in
       (* Slow queries + a tiny admission bound + a burst: the submission
          loop runs in microseconds while every admitted job sleeps, so
          exactly [max_queue] requests are admitted. *)
-      Fault_injection.configure
-        { Fault_injection.none with query_latency_ms = 50. };
+      Chaos.configure
+        { Chaos.no_faults with query_latency_ms = 50. };
       let reqs = sample_requests eng 12 in
       let outcomes = Shard_exec.exec_batch sx reqs in
       let count p = List.length (List.filter p outcomes) in
@@ -412,7 +433,7 @@ let overload_rejects () =
       check Alcotest.int "no hard failures" 0 (count Query_service.is_failure);
       (* The service remains fully usable after the overload burst (the
          clean batch stays within the admission bound). *)
-      Fault_injection.configure Fault_injection.none;
+      Chaos.configure Chaos.no_faults;
       expect_ok "after overload"
         (Shard_exec.exec_batch sx (sample_requests eng 2));
       let st = Shard_exec.stats sx in
@@ -421,14 +442,21 @@ let overload_rejects () =
       check Alcotest.bool "max_queue recorded" true (st.max_queue = Some 2))
 
 let fault_spec_parsing () =
-  (match Fault_injection.of_spec "io,corrupt,latency,query" with
-  | Ok c ->
+  (match Chaos.of_spec "io,corrupt,latency,query" with
+  | Ok { faults = c; events } ->
       check Alcotest.bool "io" true (c.io_failures > 0);
       check Alcotest.bool "corrupt" true (c.corrupt_reads > 0);
       check Alcotest.bool "latency" true (c.io_latency_ms > 0.);
-      check Alcotest.bool "query" true (c.query_failures > 0)
+      check Alcotest.bool "query" true (c.query_failures > 0);
+      check Alcotest.int "classes are not events" 0 (List.length events)
   | Error msg -> Alcotest.failf "spec rejected: %s" msg);
-  match Fault_injection.of_spec "io,bogus" with
+  (* Classes and events mix in one spec. *)
+  (match Chaos.of_spec "query,kill@s0r1:2" with
+  | Ok { faults; events = [ Chaos.Kill { from_tick = 2; _ } ] } ->
+      check Alcotest.int "query class" 1 faults.query_failures
+  | Ok _ -> Alcotest.fail "mixed spec parsed wrong"
+  | Error msg -> Alcotest.failf "mixed spec rejected: %s" msg);
+  match Chaos.of_spec "io,bogus" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus fault class accepted"
 
@@ -794,6 +822,7 @@ let suite =
       [
         tc "transient IO heals via retry" `Quick io_transients_heal;
         tc "transient IO exhausts retries" `Quick io_transients_exhaust;
+        tc "heal keeps spent transient faults" `Quick heal_keeps_spent_faults;
         tc "torn reads heal via checksum" `Quick torn_reads_heal;
         tc "persistent corruption detected" `Quick persistent_corruption;
         tc "truncation detected" `Quick truncation_detected;

@@ -521,30 +521,34 @@ let shard_io_v4_faults () =
       let label = Xk_encoding.Labeling.label doc in
       Xk_index.Index_io.save (Xk_index.Index.build label) solo;
       flip_at solo (layout_of solo).Xk_index.Index_io.postings_off;
-      (match Xk_index.Index_io.load_result ~retries:1 label solo with
-      | Error e ->
-          Alcotest.failf "lazy open should defer postings checks: %s"
-            (Xk_index.Index_io.load_error_message e)
-      | Ok lazy_idx -> (
-          match
-            for id = 0 to Xk_index.Index.term_count lazy_idx - 1 do
-              ignore (Xk_index.Index.raw_rows lazy_idx id)
-            done
-          with
-          | () -> Alcotest.fail "corrupt postings decoded without a fault"
-          | exception Xk_index.Index_io.Segment_fault _ -> ()));
+      (* Pinned fault-free: environment faults would spend both of the
+         two attempts on this fresh file before the open is reached. *)
+      Xk_resilience.Chaos.configure Xk_resilience.Chaos.no_faults;
+      Fun.protect ~finally:Xk_resilience.Chaos.reset (fun () ->
+          match Xk_index.Index_io.load_result ~retries:1 label solo with
+          | Error e ->
+              Alcotest.failf "lazy open should defer postings checks: %s"
+                (Xk_index.Index_io.load_error_message e)
+          | Ok lazy_idx -> (
+              match
+                for id = 0 to Xk_index.Index.term_count lazy_idx - 1 do
+                  ignore (Xk_index.Index.raw_rows lazy_idx id)
+                done
+              with
+              | () -> Alcotest.fail "corrupt postings decoded without a fault"
+              | exception Xk_index.Index_io.Segment_fault _ -> ()));
       (* Injected map failure: the primary cannot be mapped at all; the
          loader classifies it as an IO failure without burning retries
          and serves from the replica. *)
       resave ();
-      Fun.protect ~finally:Xk_resilience.Fault_injection.reset (fun () ->
-          Xk_resilience.Fault_injection.mark_unmappable ~path:files.(1).(0);
+      Fun.protect ~finally:Xk_resilience.Chaos.reset (fun () ->
+          Xk_resilience.Chaos.mark_unmappable ~path:files.(1).(0);
           (match Xk_index.Shard_io.load_result doc path with
           | Ok _ -> ()
           | Error e ->
               Alcotest.failf "map failure should fall back: %s"
                 (Xk_index.Shard_io.error_message e));
-          Xk_resilience.Fault_injection.mark_unmappable ~path:files.(1).(1);
+          Xk_resilience.Chaos.mark_unmappable ~path:files.(1).(1);
           match Xk_index.Shard_io.load_result doc path with
           | Error
               (Xk_index.Shard_io.Shard
@@ -642,9 +646,9 @@ let shard_io_replicas () =
          failover time: persistent read corruption on one replica path
          defeats the post-save verification no matter the retries. *)
       let path2 = Filename.concat dir "damaged.shards" in
-      Xk_resilience.Fault_injection.mark_corrupt
+      Xk_resilience.Chaos.mark_corrupt
         ~path:(Xk_index.Shard_io.replica_path path2 ~shard:0 ~replica:1);
-      Fun.protect ~finally:Xk_resilience.Fault_injection.reset (fun () ->
+      Fun.protect ~finally:Xk_resilience.Chaos.reset (fun () ->
           match Xk_index.Shard_io.save ~replicas:2 sharded path2 with
           | () -> Alcotest.fail "save verified a damaged replica"
           | exception Xk_index.Shard_io.Verify_failed msg ->

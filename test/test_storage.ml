@@ -186,59 +186,109 @@ let with_tmp_file data f =
       close_out oc;
       f path)
 
+module Chaos = Xk_resilience.Chaos
+
+(* Storage faults fire inside [Mmap.map], so the cases that read exact
+   bytes pin the fault state to none, whatever the environment asks. *)
+let fault_free f =
+  Chaos.configure Chaos.no_faults;
+  Fun.protect ~finally:Chaos.reset f
+
+let map_ok path =
+  match Mmap.map path with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "map: %s" (Mmap.error_message e)
+
+let with_map data f =
+  with_tmp_file data (fun path -> fault_free (fun () -> f (map_ok path)))
+
 let mmap_accessors () =
   let data = "\x01\x02\x03\x04\x05\x06\x07\x08hello" in
   with_tmp_file data (fun path ->
-      match Mmap.map path with
-      | Error e -> Alcotest.failf "map: %s" (Mmap.error_message e)
-      | Ok m ->
-          check Alcotest.int "size" (String.length data) (Mmap.size m);
-          check Alcotest.string "path" path (Mmap.path m);
-          check Alcotest.int "u8" 1 (Mmap.u8 m 0);
-          check Alcotest.int "u8 at" 8 (Mmap.u8 m 7);
-          check Alcotest.int "u32" 0x04030201 (Mmap.u32 m 0);
-          check Alcotest.int "u32 shifted" 0x05040302 (Mmap.u32 m 1);
-          check Alcotest.int "u64" 0x0807060504030201 (Mmap.u64 m 0);
-          check Alcotest.string "sub_string" "hello"
-            (Mmap.sub_string m ~pos:8 ~len:5);
-          check Alcotest.int "crc over window"
-            (Crc32.sub data ~pos:8 ~len:5)
-            (Mmap.crc32 m ~pos:8 ~len:5);
-          check Alcotest.int "incremental crc" (Crc32.string data)
-            (Mmap.crc32_update (Mmap.crc32 m ~pos:0 ~len:4) m ~pos:4
-               ~len:(String.length data - 4)))
+      fault_free @@ fun () ->
+      let m = map_ok path in
+      check Alcotest.int "size" (String.length data) (Mmap.size m);
+      check Alcotest.string "path" path (Mmap.path m);
+      check Alcotest.int "u8" 1 (Mmap.u8 m 0);
+      check Alcotest.int "u8 at" 8 (Mmap.u8 m 7);
+      check Alcotest.int "u32" 0x04030201 (Mmap.u32 m 0);
+      check Alcotest.int "u32 shifted" 0x05040302 (Mmap.u32 m 1);
+      check Alcotest.int "u64" 0x0807060504030201 (Mmap.u64 m 0);
+      check Alcotest.string "sub_string" "hello" (Mmap.sub_string m ~pos:8 ~len:5);
+      check Alcotest.int "crc over window"
+        (Crc32.sub data ~pos:8 ~len:5)
+        (Mmap.crc32 m ~pos:8 ~len:5);
+      check Alcotest.int "incremental crc" (Crc32.string data)
+        (Mmap.crc32_update (Mmap.crc32 m ~pos:0 ~len:4) m ~pos:4
+           ~len:(String.length data - 4)))
 
 let mmap_bounds_and_close () =
-  let data = String.init 16 Char.chr in
-  with_tmp_file data (fun path ->
-      match Mmap.map path with
-      | Error e -> Alcotest.failf "map: %s" (Mmap.error_message e)
-      | Ok m ->
-          (match Mmap.u32 m 14 with
-          | _ -> Alcotest.fail "out-of-bounds u32 not rejected"
-          | exception Mmap.Fault (Mmap.Bounds _) -> ());
-          (match Mmap.sub_string m ~pos:(-1) ~len:2 with
-          | _ -> Alcotest.fail "negative pos not rejected"
-          | exception Mmap.Fault (Mmap.Bounds _) -> ());
-          check Alcotest.bool "open before close" false (Mmap.is_closed m);
-          Mmap.close m;
-          Mmap.close m (* idempotent *);
-          check Alcotest.bool "closed" true (Mmap.is_closed m);
-          match Mmap.u8 m 0 with
-          | _ -> Alcotest.fail "closed handle still readable"
-          | exception Mmap.Fault (Mmap.Closed _) -> ())
+  with_map (String.init 16 Char.chr) (fun m ->
+      (match Mmap.u32 m 14 with
+      | _ -> Alcotest.fail "out-of-bounds u32 not rejected"
+      | exception Mmap.Fault (Mmap.Bounds _) -> ());
+      (match Mmap.sub_string m ~pos:(-1) ~len:2 with
+      | _ -> Alcotest.fail "negative pos not rejected"
+      | exception Mmap.Fault (Mmap.Bounds _) -> ());
+      check Alcotest.bool "open before close" false (Mmap.is_closed m);
+      Mmap.close m;
+      Mmap.close m (* idempotent *);
+      check Alcotest.bool "closed" true (Mmap.is_closed m);
+      match Mmap.u8 m 0 with
+      | _ -> Alcotest.fail "closed handle still readable"
+      | exception Mmap.Fault (Mmap.Closed _) -> ())
 
 let mmap_u64_overflow () =
   (* A stored 64-bit value whose top bits exceed the host's 63-bit int
      cannot be a valid offset and must fault, not wrap. *)
-  let data = "\x00\x00\x00\x00\x00\x00\x00\xff" in
+  with_map "\x00\x00\x00\x00\x00\x00\x00\xff" (fun m ->
+      match Mmap.u64 m 0 with
+      | v -> Alcotest.failf "overflowing u64 decoded to %d" v
+      | exception Mmap.Fault (Mmap.Bounds _) -> ())
+
+(* The fault seam: every injected storage fault lands in one map's
+   private pages, never in the file or in any other map. *)
+let mmap_fault_seam () =
+  let data = String.init 64 (fun i -> Char.chr (i * 37 land 0xff)) in
+  let bytes m = Mmap.sub_string m ~pos:0 ~len:(Mmap.size m) in
+  let diffs m =
+    let b = bytes m in
+    List.filter (fun i -> b.[i] <> data.[i]) (List.init (String.length data) Fun.id)
+  in
   with_tmp_file data (fun path ->
+      let on_disk () = Crc32.string (In_channel.with_open_bin path In_channel.input_all) in
+      let disk_crc = Crc32.string data in
+      fault_free @@ fun () ->
+      (* A marked map reads its middle byte flipped; the file does not. *)
+      Chaos.mark_corrupt ~path;
+      let marked = map_ok path in
+      check Alcotest.(list int) "marked map flips the middle byte" [ 32 ] (diffs marked);
+      check Alcotest.int "on-disk crc unchanged" disk_crc (on_disk ());
+      (* After heal a fresh map is clean; the damaged one stays damaged. *)
+      Chaos.heal ~path;
+      check Alcotest.string "healed map is clean" data (bytes (map_ok path));
+      check Alcotest.(list int) "the marked handle keeps its pages" [ 32 ] (diffs marked);
+      (* A torn map flips a header byte in that handle only. *)
+      Chaos.configure { Chaos.no_faults with corrupt_reads = 1 };
+      let torn = map_ok path in
+      let next = map_ok path in
+      check Alcotest.(list int) "torn map flips byte 8" [ 8 ] (diffs torn);
+      check Alcotest.string "the next map is clean" data (bytes next);
+      check Alcotest.(list int) "the torn flip stays in its handle" [ 8 ] (diffs torn);
+      check Alcotest.int "on-disk crc still unchanged" disk_crc (on_disk ());
+      (* A transient failure is its own error class; the retry maps. *)
+      Chaos.configure { Chaos.no_faults with io_failures = 1 };
+      (match Mmap.map path with
+      | Error (Mmap.Transient _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Mmap.error_message e)
+      | Ok _ -> Alcotest.fail "injected IO failure mapped");
+      check Alcotest.string "the retry maps clean" data (bytes (map_ok path));
+      (* An unmappable mark refuses the map. *)
+      Chaos.mark_unmappable ~path;
       match Mmap.map path with
-      | Error e -> Alcotest.failf "map: %s" (Mmap.error_message e)
-      | Ok m -> (
-          match Mmap.u64 m 0 with
-          | v -> Alcotest.failf "overflowing u64 decoded to %d" v
-          | exception Mmap.Fault (Mmap.Bounds _) -> ()))
+      | Error (Mmap.Map_failed _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Mmap.error_message e)
+      | Ok _ -> Alcotest.fail "unmappable path mapped")
 
 let mmap_failures () =
   (match Mmap.map "/nonexistent/xk/segment.seg" with
@@ -347,10 +397,10 @@ let v4_writer_stable () =
 let v3_segment_retired () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v2_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
-  let module FI = Xk_resilience.Fault_injection in
+  let module Chaos = Xk_resilience.Chaos in
   (* Injected transient faults would add attempts of their own. *)
-  FI.configure FI.none;
-  Fun.protect ~finally:FI.reset @@ fun () ->
+  Chaos.configure Chaos.no_faults;
+  Fun.protect ~finally:Chaos.reset @@ fun () ->
   with_tmp_file ("XKIDX003" ^ String.make 92 '\000') (fun path ->
       check Alcotest.(option int) "sniffs as v3" (Some 3)
         (Xk_index.Index_io.format_version path);
@@ -421,6 +471,7 @@ let suite =
         tc "bounds and close faults" `Quick mmap_bounds_and_close;
         tc "u64 overflow rejected" `Quick mmap_u64_overflow;
         tc "map failures are values" `Quick mmap_failures;
+        tc "fault seam" `Quick mmap_fault_seam;
       ] );
     ( "storage.v2-fixture",
       [
