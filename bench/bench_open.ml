@@ -1,5 +1,5 @@
 (* Segment open-latency experiment: the v2 channel loader (read and
-   decode the whole varint stream eagerly) against the v4 zero-copy
+   decode the whole varint stream eagerly) against the v5 zero-copy
    loader (mmap, verify the header/terms/directory, defer every term's
    postings decode to first access).  For each corpus scale the harness saves
    the same index in both formats and measures
@@ -119,28 +119,28 @@ let sweep_point ~opens ~seed scale =
   Printf.printf "scale %g: %d nodes, %d terms, %d rows (built in %.1fs)\n%!"
     scale nodes terms rows (now () -. t0);
   let p2 = tmp (Printf.sprintf "%g.v2.seg" scale) in
-  let p4 = tmp (Printf.sprintf "%g.v4.seg" scale) in
+  let p5 = tmp (Printf.sprintf "%g.v5.seg" scale) in
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ p2; p4 ])
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ p2; p5 ])
     (fun () ->
       Xk_index.Index_io.save_v2 idx p2;
-      Xk_index.Index_io.save idx p4;
+      Xk_index.Index_io.save idx p5;
       assert (Xk_index.Index_io.format_version p2 = Some 2);
-      assert (Xk_index.Index_io.format_version p4 = Some 4);
+      assert (Xk_index.Index_io.format_version p5 = Some 5);
       let rng = Xk_datagen.Rng.create seed in
       let high = Xk_workload.Workload.max_df idx in
       let low = max 2 (high / 20) in
       let queries =
         Xk_workload.Workload.random_queries rng idx ~k:2 ~high ~low ~n:5
       in
-      verify_parity ~fresh:idx ~chan:(load label p2) ~map:(load label p4)
+      verify_parity ~fresh:idx ~chan:(load label p2) ~map:(load label p5)
         queries;
       Printf.printf "  parity verified on %d probe queries\n%!"
         (List.length queries);
       let words = List.hd queries in
       let chan = measure_fmt ~label ~path:p2 ~words ~opens in
-      let map = measure_fmt ~label ~path:p4 ~words ~opens in
+      let map = measure_fmt ~label ~path:p5 ~words ~opens in
       let cold_speedup = chan.cold_ms /. map.cold_ms in
       Printf.printf
         "  channel: %5.1f MB, cold %8.2f ms, warm %8.2f ms, first query %6.2f \
@@ -157,7 +157,7 @@ let emit_json out ~opens ~required points =
   let oc = open_out out in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"experiment\": \"segment open latency: channel (v2) vs mmap (v4)\",\n";
+  p "  \"experiment\": \"segment open latency: channel (v2) vs mmap (v5)\",\n";
   p "  \"opens_per_warm_mean\": %d,\n" opens;
   p "  \"required_cold_speedup\": %.1f,\n" required;
   p
@@ -193,7 +193,7 @@ let emit_json out ~opens ~required points =
   Printf.printf "wrote %s\n" out
 
 let run scales opens seed required check_only out =
-  header "Segment open latency: channel (v2) vs zero-copy mmap (v4)";
+  header "Segment open latency: channel (v2) vs zero-copy mmap (v5)";
   let scales = List.sort compare scales in
   let points = List.map (sweep_point ~opens ~seed) scales in
   if check_only then begin

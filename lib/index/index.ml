@@ -11,7 +11,7 @@
 
 type raw = { r_nodes : int array; r_tfs : int array }
 
-(* Lazily-fetched rows: a zero-copy segment (Index_io v4) decodes a
+(* Lazily-fetched rows: a zero-copy segment (Index_io v5) decodes a
    term's rows from mapped postings on first use instead of materializing
    the whole postings file at open.  [pv_rows] must be safe to call from
    any domain (it is pure decoding of immutable mapped bytes) and may

@@ -52,7 +52,7 @@ type provider = {
           domain (pure decoding of immutable bytes); may raise the
           segment's typed fault exception on lazily-detected corruption. *)
 }
-(** Lazily-fetched rows: a zero-copy segment ({!Index_io} v4) decodes a
+(** Lazily-fetched rows: a zero-copy segment ({!Index_io} v5) decodes a
     term's rows from mapped postings on first use instead of materializing
     every posting at open. *)
 
@@ -65,7 +65,7 @@ val of_provider :
   provider ->
   t
 (** Wrap a lazy rows source.  [dict] must already be interned in term-id
-    order with per-term statistics set (the v4 loader reads them from the
+    order with per-term statistics set (the v5 loader reads them from the
     segment directory); raises [Invalid_argument] if its size differs
     from [pv_terms]. *)
 

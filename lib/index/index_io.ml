@@ -8,7 +8,7 @@
    node ids and tf values).  Loading copies the whole file out of its
    map and materializes every posting.
 
-   v4 ("XKIDX004") — the compressed zero-copy segment.  Four parts back
+   v5 ("XKIDX005") — the compressed zero-copy segment.  Four parts back
    to back, no padding, every byte under a CRC-32:
 
      header    fixed 72 bytes: magic, version u32, then u64 node count,
@@ -16,22 +16,26 @@
                terms_crc u32, dir_crc u32, header_crc u32 (over itself)
      terms     all term bytes concatenated in id order     [terms_crc]
      postings  per term: node ids as delta varints (first id absolute),
-               then varint tfs only when cf <> df          [rows_crc]
-     dir       per term: varint term_len, df, cf - df, postings_len,
-               then rows_crc u32                            [dir_crc]
+               then, only when cf <> df, the tf exceptions: a varint
+               count, then per row whose tf is above 1 a varint pair
+               (position gap, tf - 2), the first position absolute
+                                                      [its block's CRC]
+     dir       one u32 CRC per block of 64 consecutive term ids, over
+               the block's postings back to back; then per term varint
+               term_len, df, cf - df, postings_len           [dir_crc]
 
    The directory's postings lengths tile the postings region exactly, so
-   the per-term rows_crcs cover it byte for byte.  cf = df means every
-   tf is 1 (a tf is at least 1), which is why most terms store no tf
-   column at all.
+   the block CRCs cover it byte for byte.  cf = df means every tf is 1
+   (a tf is at least 1), which is why most terms store no tf section at
+   all, and the rows that are not listed as exceptions have tf 1.
 
-   Opening a v4 segment maps the file, verifies the header, terms and
+   Opening a v5 segment maps the file, verifies the header, terms and
    directory checksums, decodes the directory in one pass, interns the
    dictionary from it (statistics come from the directory, not from
    counting rows), and hands {!Index.of_provider} a lazy row decoder: a
-   term's rows are decoded from the mapped postings on first use, with
-   that term's rows_crc verified once.  Open cost is O(dictionary), not
-   O(postings).
+   term's rows are decoded from the mapped postings on first use, and
+   the first decode of any term of a block verifies that block's CRC
+   once.  Open cost is O(dictionary), not O(postings).
 
    Every read attempt maps the file once ({!Xk_storage.Mmap.map}) and
    reads the magic from the map; a v2 segment is copied out of that same
@@ -44,14 +48,15 @@
    corruption (a torn read heals, a corrupt file does not).  Structural
    errors found after a covering checksum verified are fatal: the bytes
    are authentic, retrying cannot help.  So is a file that cannot be
-   mapped at all.  Saving goes through a temp file + rename, so a
-   crashed writer never leaves a half-written segment under the live
-   name. *)
+   mapped at all, and a retired generation (v3, v4) whose magic is
+   intact.  Saving goes through a temp file + rename, so a crashed
+   writer never leaves a half-written segment under the live name. *)
 
 let magic = "XKIDX002"
 let magic_v1 = "XKIDX001"
 let magic_v3 = "XKIDX003"
 let magic_v4 = "XKIDX004"
+let magic_v5 = "XKIDX005"
 let version = 2
 
 type error =
@@ -74,7 +79,7 @@ let load_error_message { error; attempts } =
 exception Format_error of string
 
 exception Segment_fault of string
-(* Raised by the lazy v4 row decoder (see the .mli). *)
+(* Raised by the lazy v5 row decoder (see the .mli). *)
 
 (* ------------------------------------------------------------------ *)
 (* v2 writer (varint stream)                                          *)
@@ -114,10 +119,13 @@ let save_v2 (idx : Index.t) path =
       output_string oc payload)
 
 (* ------------------------------------------------------------------ *)
-(* v4 writer (compressed segment)                                     *)
+(* v5 writer (compressed segment)                                     *)
 (* ------------------------------------------------------------------ *)
 
 let header_size = 72
+
+(* Terms per postings checksum block. *)
+let block_terms = 64
 
 (* The region geometry follows from the header's three lengths: the
    regions sit back to back behind the header. *)
@@ -137,13 +145,29 @@ type layout = {
 let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
+(* The tf section of a term whose cf differs from its df: the count of
+   rows with tf above 1, then (position gap, tf - 2) per such row, the
+   first position absolute. *)
+let write_tf_exceptions buf tfs =
+  Xk_storage.Varint.write buf
+    (Array.fold_left (fun n tf -> if tf > 1 then n + 1 else n) 0 tfs);
+  let prev = ref 0 in
+  Array.iteri
+    (fun i tf ->
+      if tf > 1 then begin
+        Xk_storage.Varint.write buf (i - !prev);
+        Xk_storage.Varint.write buf (tf - 2);
+        prev := i
+      end)
+    tfs
+
 let save (idx : Index.t) path =
   let term_count = Index.term_count idx in
   let terms = Buffer.create 4096 in
   let postings = Buffer.create 65536 in
-  let dir = Buffer.create (8 * term_count) in
-  let slice = Buffer.create 256 in
-  let total_rows = ref 0 in
+  let crcs = Buffer.create (4 * (term_count / block_terms + 1)) in
+  let entries = Buffer.create (6 * term_count) in
+  let block_start = ref 0 and total_rows = ref 0 in
   for id = 0 to term_count - 1 do
     let term = Index.term idx id in
     let nodes, tfs = Index.raw_rows idx id in
@@ -151,28 +175,32 @@ let save (idx : Index.t) path =
     if Array.exists (fun tf -> tf < 1) tfs then
       Xk_util.Err.invalidf "Index_io.save: term %S has a tf below 1" term;
     let cf = Array.fold_left ( + ) 0 tfs in
-    Buffer.clear slice;
+    let start = Buffer.length postings in
     let prev = ref 0 in
     Array.iter
       (fun n ->
-        Xk_storage.Varint.write slice (n - !prev);
+        Xk_storage.Varint.write postings (n - !prev);
         prev := n)
       nodes;
-    if cf <> df then Array.iter (Xk_storage.Varint.write slice) tfs;
-    let rows = Buffer.contents slice in
+    if cf <> df then write_tf_exceptions postings tfs;
     Buffer.add_string terms term;
-    Buffer.add_string postings rows;
-    Xk_storage.Varint.write dir (String.length term);
-    Xk_storage.Varint.write dir df;
-    Xk_storage.Varint.write dir (cf - df);
-    Xk_storage.Varint.write dir (String.length rows);
-    add_u32 dir (Xk_storage.Crc32.string rows);
-    total_rows := !total_rows + df
+    Xk_storage.Varint.write entries (String.length term);
+    Xk_storage.Varint.write entries df;
+    Xk_storage.Varint.write entries (cf - df);
+    Xk_storage.Varint.write entries (Buffer.length postings - start);
+    total_rows := !total_rows + df;
+    if (id + 1) mod block_terms = 0 || id = term_count - 1 then begin
+      add_u32 crcs
+        (Xk_storage.Crc32.string
+           (Buffer.sub postings !block_start (Buffer.length postings - !block_start)));
+      block_start := Buffer.length postings
+    end
   done;
-  let terms = Buffer.contents terms and dir = Buffer.contents dir in
+  let terms = Buffer.contents terms
+  and dir = Buffer.contents crcs ^ Buffer.contents entries in
   let header = Buffer.create header_size in
-  Buffer.add_string header magic_v4;
-  add_u32 header 4;
+  Buffer.add_string header magic_v5;
+  add_u32 header 5;
   add_u64 header (Xk_encoding.Labeling.node_count (Index.label idx));
   add_u64 header term_count;
   add_u64 header !total_rows;
@@ -257,10 +285,12 @@ let check_framing data :
       Error
         (`Suspect
           (Corrupted "legacy v1 segment without checksum; rebuild the index"))
-    else if m = magic_v3 then
+    else if m = magic_v3 || m = magic_v4 then
       Error
         (`Fatal
-          (Corrupted "retired v3 segment format; rebuild the index"))
+          (Corrupted
+             (Printf.sprintf "retired v%c segment format; rebuild the index"
+                m.[mlen - 1])))
     else if m <> magic then Error (`Suspect (Corrupted "bad magic"))
     else
       match
@@ -300,7 +330,7 @@ let with_in path f =
 let read_prefix ic n = really_input_string ic (min n (in_channel_length ic))
 
 (* ------------------------------------------------------------------ *)
-(* v4 reader                                                          *)
+(* v5 reader                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Every region is read by copying it out of the map, and each checksum
@@ -322,19 +352,19 @@ let classify = function
   | `Crc msg -> Corrupted msg
   | `Suspect e | `Fatal e -> e
 
-(* LEB128 read from [s] at [!pos], bounded by the end of [s] and by the
-   host's 63-bit int.  A varint that runs past its slice or overflows
-   raises [Bad_varint], which each caller turns into structural
-   corruption with its own context: never an [Invalid_argument]. *)
+(* LEB128 read from [s] at [!pos], bounded by [stop] (the end of the
+   slice being decoded) and by the host's 63-bit int.  A varint that
+   runs past its slice or overflows raises [Bad_varint], which each
+   caller turns into structural corruption with its own context: never
+   an [Invalid_argument]. *)
 exception Bad_varint of string
 
-let varint s pos =
-  let len = String.length s in
+let varint_to stop s pos =
   let acc = ref 0 and shift = ref 0 and more = ref true in
   (* At most 9 bytes: [shift] reaches 56 on the ninth, which must end
      the varint within 62 bits. *)
   while !more do
-    if !pos >= len then raise (Bad_varint "varint runs past its slice");
+    if !pos >= stop then raise (Bad_varint "varint runs past its slice");
     let b = Char.code (String.unsafe_get s !pos) in
     incr pos;
     if !shift = 56 && b >= 0x40 then raise (Bad_varint "varint overflows");
@@ -344,19 +374,21 @@ let varint s pos =
   done;
   !acc
 
+let varint s pos = varint_to (String.length s) s pos
+
 let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
 (* Parse and authenticate the fixed header from [h], the first bytes of
    a [size]-byte file; returns the geometry and the header bytes, which
    carry the terms and directory checksums. *)
 let parse_header ~size h : layout * string =
-  if size < header_size then bad_trunc "shorter than the v4 header";
+  if size < header_size then bad_trunc "shorter than the v5 header";
   if Xk_storage.Crc32.sub h ~pos:0 ~len:(header_size - 4) <> u32_at h 68 then
     bad_crc "header checksum mismatch";
   (* The header is authentic past this point: every further anomaly is
      structural, not a torn read. *)
   let v = u32_at h 8 in
-  if v <> 4 then bad_struct (Printf.sprintf "v4 magic but version %d" v);
+  if v <> 5 then bad_struct (Printf.sprintf "v5 magic but version %d" v);
   let u64 pos =
     let v = String.get_int64_le h pos in
     if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0
@@ -388,9 +420,9 @@ let parse_header ~size h : layout * string =
     bad_struct
       (Printf.sprintf "%d trailing bytes after the directory"
          (size - lay.file_size));
-  (* A directory entry takes at least 8 bytes and a posting row at least
+  (* A directory entry takes at least 4 bytes and a posting row at least
      one, which bounds every array the open allocates by the file. *)
-  if lay.term_count > dir_len / 8 then
+  if lay.term_count > dir_len / 4 then
     bad_struct "term count exceeds what the directory can hold";
   if lay.total_rows > postings_len then
     bad_struct "row count exceeds what the postings can hold";
@@ -400,7 +432,7 @@ let map_header m =
   let size = Xk_storage.Mmap.size m in
   parse_header ~size (Xk_storage.Mmap.sub_string m ~pos:0 ~len:(min size header_size))
 
-(* Decoded v4 directory plus the map it indexes into: the persistent
+(* Decoded v5 directory plus the map it indexes into: the persistent
    state behind the lazy row provider. *)
 type segment = {
   sg_path : string;
@@ -413,12 +445,14 @@ type segment = {
   sg_post_lens : int array;
   sg_dfs : int array;
   sg_cfs : int array;
-  sg_rows_crcs : int array;
-  (* One flag per term: has this term's rows_crc been verified?  Written
-     without synchronization — a benign race: two domains may both verify
-     the same slice, and a stale read only causes a redundant check. *)
+  sg_block_crcs : int array;  (* one per [block_terms] term ids *)
+  (* One flag per block: has its CRC been verified?  Written without
+     synchronization — a benign race: two domains may both verify the
+     same block, and a stale read only causes a redundant check. *)
   sg_verified : Bytes.t;
 }
+
+let blocks n = (n + block_terms - 1) / block_terms
 
 (* Decode the directory in one pass into per-term arrays.  The entries
    must tile the terms region, the postings region and the row count
@@ -431,14 +465,17 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
   if Xk_storage.Crc32.string terms <> u32_at h 60 then
     bad_crc "terms-region checksum mismatch";
   let n = lay.term_count in
+  (* The header bounds [n] by a quarter of the directory, which keeps
+     the block CRCs inside it. *)
+  let nblocks = blocks n in
+  let block_crcs = Array.init nblocks (fun b -> u32_at dir (4 * b)) in
   let term_offs = Array.make n 0
   and term_lens = Array.make n 0
   and post_offs = Array.make n 0
   and post_lens = Array.make n 0
   and dfs = Array.make n 0
-  and cfs = Array.make n 0
-  and rows_crcs = Array.make n 0 in
-  let pos = ref 0 and entry = ref 0 in
+  and cfs = Array.make n 0 in
+  let pos = ref (4 * nblocks) and entry = ref 0 in
   let fail msg =
     bad_struct (Printf.sprintf "directory entry %d: %s" !entry msg)
   in
@@ -450,15 +487,13 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
        let df = varint dir pos in
        let extra = varint dir pos in
        let post_len = varint dir pos in
-       if !pos + 4 > lay.dir_len then fail "cut short";
-       rows_crcs.(id) <- u32_at dir !pos;
-       pos := !pos + 4;
        if term_len > lay.terms_len - !next_term then
          fail "term bytes overhang the terms region";
        if post_len > lay.dir_off - !next_post then
          fail "postings overhang the postings region";
-       (* Each node id takes a byte at least, each stored tf another. *)
-       if df > post_len || (extra > 0 && df > post_len - df) then
+       (* Each node id takes a byte at least; a tf section at least three
+          (the count and one exception pair). *)
+       if df > post_len || (extra > 0 && post_len - df < 3) then
          fail "more rows than postings bytes";
        if df = 0 && extra > 0 then fail "tfs without rows";
        if extra > max_int - df then fail "cf overflows";
@@ -491,64 +526,87 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
     sg_post_lens = post_lens;
     sg_dfs = dfs;
     sg_cfs = cfs;
-    sg_rows_crcs = rows_crcs;
-    sg_verified = Bytes.make (max 1 n) '\000';
+    sg_block_crcs = block_crcs;
+    sg_verified = Bytes.make (max 1 nblocks) '\000';
   }
 
-(* Decode one term's rows from its postings slice, verifying the slice's
-   rows_crc at most once per segment (the flag write is unsynchronized —
-   a benign race, see [sg_verified]).  The slice must decode to exactly
-   df strictly increasing node ids below the node count, then, when
-   cf <> df, df tfs of at least 1 summing to cf, using every byte.
-   Raises [Bad]: [`Crc] on a checksum mismatch, [`Fatal] on malformed
-   content behind a verified checksum.  [keep:false] checks everything
-   but returns empty arrays, so a full verification allocates no rows. *)
-let decode_rows ?(keep = true) sg id =
-  let s =
-    Xk_storage.Mmap.sub_string sg.sg_map ~pos:sg.sg_post_offs.(id)
-      ~len:sg.sg_post_lens.(id)
-  in
-  if Bytes.unsafe_get sg.sg_verified id = '\000' then begin
-    if Xk_storage.Crc32.string s <> sg.sg_rows_crcs.(id) then
-      bad_crc (Printf.sprintf "term %d postings checksum mismatch" id);
-    Bytes.unsafe_set sg.sg_verified id '\001'
-  end;
+(* Copy block [b]'s postings out of the map, check them against the
+   block's CRC and mark the block verified.  Returns the copy and its
+   file offset, so the caller decodes from the bytes it checked. *)
+let verified_block sg b =
+  let first = b * block_terms in
+  let last = min sg.sg_lay.term_count (first + block_terms) - 1 in
+  let off = sg.sg_post_offs.(first) in
+  let len = sg.sg_post_offs.(last) + sg.sg_post_lens.(last) - off in
+  let s = Xk_storage.Mmap.sub_string sg.sg_map ~pos:off ~len in
+  if Xk_storage.Crc32.string s <> sg.sg_block_crcs.(b) then
+    bad_crc (Printf.sprintf "block %d postings checksum mismatch" b);
+  Bytes.unsafe_set sg.sg_verified b '\001';
+  (s, off)
+
+(* Decode term [id]'s rows from [s], whose byte 0 sits at file offset
+   [base].  The slice must decode to exactly df strictly increasing node
+   ids below the node count, then, when cf <> df, a tf exception list:
+   a count of at least 1, and that many (position gap, tf - 2) pairs
+   with strictly increasing positions below df and df + sum (tf - 1) =
+   cf, using every byte.  Raises [Bad] [`Fatal] on malformed content.
+   [keep:false] checks everything but returns empty arrays, so a full
+   verification allocates no rows. *)
+let decode_slice ~keep sg id s ~base =
   let fail msg = bad_struct (Printf.sprintf "term %d postings: %s" id msg) in
   let df = sg.sg_dfs.(id) and cf = sg.sg_cfs.(id) in
   let last = sg.sg_lay.node_count - 1 in
-  let pos = ref 0 in
+  let pos = ref (sg.sg_post_offs.(id) - base) in
+  let stop = !pos + sg.sg_post_lens.(id) in
   match
     let nodes = Array.make (if keep then df else 0) 0 in
     let prev = ref 0 in
     for i = 0 to df - 1 do
-      let d = varint s pos in
+      let d = varint_to stop s pos in
       if i > 0 && d = 0 then fail "node ids not increasing";
       if d > last - !prev then fail "node id out of range";
       prev := !prev + d;
       if keep then nodes.(i) <- !prev
     done;
-    let tfs =
-      if cf = df then Array.make (Array.length nodes) 1
-      else begin
-        let tfs = Array.make (Array.length nodes) 0 and sum = ref 0 in
-        for i = 0 to df - 1 do
-          let tf = varint s pos in
-          if tf < 1 then fail "tf below 1";
-          if tf > cf - !sum then fail "tfs exceed cf";
-          sum := !sum + tf;
-          if keep then tfs.(i) <- tf
-        done;
-        if !sum <> cf then fail "tfs do not sum to cf";
-        tfs
-      end
-    in
+    let tfs = Array.make (Array.length nodes) 1 in
+    if cf <> df then begin
+      let count = varint_to stop s pos in
+      if count < 1 || count > df then fail "bad tf exception count";
+      let at = ref 0 and extra = ref (cf - df) in
+      for i = 0 to count - 1 do
+        let gap = varint_to stop s pos in
+        if i > 0 && gap = 0 then fail "tf exceptions not increasing";
+        if gap > df - 1 - !at then fail "tf exception past the rows";
+        at := !at + gap;
+        let tf2 = varint_to stop s pos in
+        if tf2 >= !extra then fail "tfs exceed cf";
+        extra := !extra - tf2 - 1;
+        if keep then tfs.(!at) <- tf2 + 2
+      done;
+      if !extra <> 0 then fail "tfs do not sum to cf"
+    end;
     (nodes, tfs)
   with
   | exception Bad_varint msg -> fail msg
-  | rows -> if !pos <> String.length s then fail "trailing bytes" else rows
+  | rows -> if !pos <> stop then fail "trailing bytes" else rows
+
+(* Decode one term's rows, verifying its block's CRC first if no decode
+   has yet (the flag write is unsynchronized — a benign race, see
+   [sg_verified]).  Raises [Bad]: [`Crc] on a checksum mismatch,
+   [`Fatal] on malformed content behind a verified checksum. *)
+let decode_rows sg id =
+  let b = id / block_terms in
+  if Bytes.unsafe_get sg.sg_verified b = '\000' then
+    let s, base = verified_block sg b in
+    decode_slice ~keep:true sg id s ~base
+  else
+    let base = sg.sg_post_offs.(id) in
+    decode_slice ~keep:true sg id
+      (Xk_storage.Mmap.sub_string sg.sg_map ~pos:base ~len:sg.sg_post_lens.(id))
+      ~base
 
 (* Intern the dictionary in id order with the directory's statistics:
-   this — not row decoding — is the open-time cost of a v4 segment. *)
+   this — not row decoding — is the open-time cost of a v5 segment. *)
 let dict_of_segment sg =
   let dict = Xk_text.Dictionary.create ~size:sg.sg_lay.term_count () in
   for id = 0 to sg.sg_lay.term_count - 1 do
@@ -560,13 +618,17 @@ let dict_of_segment sg =
   done;
   dict
 
-(* Full verification of a parsed segment: every term decodes. *)
+(* Full verification of a parsed segment: every block's CRC holds and
+   every term decodes from the checked copy. *)
 let decode_all sg =
-  for id = 0 to sg.sg_lay.term_count - 1 do
-    ignore (decode_rows ~keep:false sg id)
+  for b = 0 to blocks sg.sg_lay.term_count - 1 do
+    let s, base = verified_block sg b in
+    for id = b * block_terms to min sg.sg_lay.term_count ((b + 1) * block_terms) - 1 do
+      ignore (decode_slice ~keep:false sg id s ~base)
+    done
   done
 
-let open_v4 ?damping ?cache_capacity ?stats ~verify_columns label path m :
+let open_v5 ?damping ?cache_capacity ?stats ~verify_columns label path m :
     Index.t =
   let ((lay, _) as header) = map_header m in
   if lay.node_count <> Xk_encoding.Labeling.node_count label then
@@ -613,22 +675,22 @@ let with_map path f : (_, attempt_error) result =
           Xk_storage.Mmap.close m;
           Error e)
 
-let is_v4 data =
-  String.length data >= String.length magic_v4
-  && String.sub data 0 (String.length magic_v4) = magic_v4
+let is_v5 data =
+  String.length data >= String.length magic_v5
+  && String.sub data 0 (String.length magic_v5) = magic_v5
 
-let map_is_v4 m =
-  is_v4
+let map_is_v5 m =
+  is_v5
     (Xk_storage.Mmap.sub_string m ~pos:0
-       ~len:(min (String.length magic_v4) (Xk_storage.Mmap.size m)))
+       ~len:(min (String.length magic_v5) (Xk_storage.Mmap.size m)))
 
 let map_contents m = Xk_storage.Mmap.sub_string m ~pos:0 ~len:(Xk_storage.Mmap.size m)
 let read_mapped path = with_map path (fun m -> Ok (map_contents m))
 
 let attempt ?damping ?cache_capacity ?stats ~verify_columns label path =
   with_map path (fun m ->
-      if map_is_v4 m then
-        Ok (open_v4 ?damping ?cache_capacity ?stats ~verify_columns label path m)
+      if map_is_v5 m then
+        Ok (open_v5 ?damping ?cache_capacity ?stats ~verify_columns label path m)
       else
         let data = map_contents m in
         Result.bind (check_framing data) (fun body ->
@@ -655,15 +717,15 @@ let load_result ?damping ?cache_capacity ?stats ?retries ?backoff_ms
       attempt ?damping ?cache_capacity ?stats ~verify_columns label path)
 
 (* Verification without building an index.  For a v2 segment this checks
-   the header and the payload checksum; for v4 it is a {e full}
-   verification — every region checksum, every term's rows_crc and the
+   the header and the payload checksum; for v5 it is a {e full}
+   verification — every region checksum, every block CRC and the
    structure of every term's postings — because the lazy load path
    deliberately defers the per-term checks that the v2 load performs
    implicitly, and the replica writers that call [verify] after each
    copy need equivalent coverage. *)
 let verify_attempt path =
   with_map path (fun m ->
-      if map_is_v4 m then Ok (decode_all (parse_dir path m (map_header m)))
+      if map_is_v5 m then Ok (decode_all (parse_dir path m (map_header m)))
       else Result.map ignore (check_framing (map_contents m)))
 
 let verify ?retries ?backoff_ms path =
@@ -675,7 +737,7 @@ let load ?damping label path =
   | Error e -> raise (Format_error (load_error_message e))
 
 (* Introspection for tests and benches: how big is a file, which
-   generation is it, and where do a v4 segment's regions live (so a
+   generation is it, and where do a v5 segment's regions live (so a
    drill can corrupt a specific region with surgical precision). *)
 let file_size path = with_in path in_channel_length
 
@@ -687,6 +749,7 @@ let format_version path =
       else if m = magic then Some 2
       else if m = magic_v3 then Some 3
       else if m = magic_v4 then Some 4
+      else if m = magic_v5 then Some 5
       else None
 
 let layout path =
@@ -696,7 +759,7 @@ let layout path =
   with
   | exception Sys_error msg -> Error (Io_failed msg)
   | exception End_of_file -> Error (Io_failed (path ^ ": changed while read"))
-  | _, h when not (is_v4 h) -> Error (Corrupted "not a v4 segment")
+  | _, h when not (is_v5 h) -> Error (Corrupted "not a v5 segment")
   | size, h -> (
       match parse_header ~size h with
       | lay, _ -> Ok lay

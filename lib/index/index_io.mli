@@ -5,26 +5,29 @@
     postings.  Loading reads the whole file and materializes every
     posting list.
 
-    {b v4} ("XKIDX004") is the compressed zero-copy segment: a fixed
+    {b v5} ("XKIDX005") is the compressed zero-copy segment: a fixed
     72-byte header with its own CRC-32, the concatenated term bytes, the
-    postings (per term, node ids as delta varints, then varint term
-    frequencies only when the term's cf differs from its df) and a
-    varint directory (term length, df, cf - df, postings length and a
-    u32 CRC-32 of the term's postings), back to back with no padding,
-    so every byte is under a checksum.  Loading memory-maps the file
+    postings (per term, node ids as delta varints, then only when the
+    term's cf differs from its df a sparse tf section: a varint count
+    and a (position gap, tf - 2) varint pair per row whose tf is above
+    1) and a directory (one u32 CRC-32 per block of 64 consecutive term
+    ids, over that block's postings, then per term varint term length,
+    df, cf - df and postings length), back to back with no padding, so
+    every byte is under a checksum.  Loading memory-maps the file
     ({!Xk_storage.Mmap}), verifies the header, terms and directory
     checksums, interns the dictionary from the directory (statistics
     included — no posting is touched), and decodes a term's rows lazily
-    from the mapped postings on first access, verifying that term's
-    checksum once.  Open cost is O(dictionary); the kernel pages
-    postings in on demand.  Scores are bit-identical to the v2 path:
-    both feed the same (tf, df) integers to the same scorer.
+    from the mapped postings on first access; the first decode of any
+    term of a block verifies that block's checksum once.  Open cost is
+    O(dictionary); the kernel pages postings in on demand.  Scores are
+    bit-identical to the v2 path: both feed the same (tf, df) integers
+    to the same scorer.
 
-    {!save} writes v4; {!load_result} dispatches on the magic, so v2
+    {!save} writes v5; {!load_result} dispatches on the magic, so v2
     segments keep loading (copied out of the map) and {!save_v2} keeps
-    the writer for them.  A retired v3 ("XKIDX003") segment, like a v1
-    one, is rejected as {!Corrupted} with a message asking for a
-    rebuild.
+    the writer for them.  A retired v3 ("XKIDX003") or v4 ("XKIDX004")
+    segment, like a v1 one, is rejected as {!Corrupted} with a message
+    asking for a rebuild.
 
     Every read attempt maps the file once and reads the magic from the
     map; a v2 segment is copied out of that same map.  Storage faults
@@ -84,18 +87,19 @@ exception Format_error of string
 (** Raised by the legacy {!load} wrapper, with {!error_message} applied. *)
 
 exception Segment_fault of string
-(** Raised by the {e lazy} v4 row decoder: a term's postings checksum
-    fails on first access, its postings do not decode (a varint runs
-    past the slice, node ids are not strictly increasing or reach the
-    node count, tfs are below 1 or do not sum to cf), or the mapping was
-    closed under the reader.  Eager-open failures never use
+(** Raised by the {e lazy} v5 row decoder: the checksum of a term's
+    block fails (every term of that block faults, every other term
+    still decodes), its postings do not decode (a varint runs past the
+    slice, node ids are not strictly increasing or reach the node count,
+    tf exception positions are not strictly increasing below df, or the
+    tfs do not sum to cf), or the mapping was closed under the reader.  Eager-open failures never use
     this — they are returned as {!load_error} values.  Raised at query
     time, it propagates out of list materialization; the replicated
     executor's failover-on-raise treats it like any other replica
     failure. *)
 
 val save : Index.t -> string -> unit
-(** Write a v4 segment durably and atomically: temp file, fsync,
+(** Write a v5 segment durably and atomically: temp file, fsync,
     rename, directory fsync ({!Xk_storage.Durable}).  Raises
     [Invalid_argument] if a term frequency is below 1. *)
 
@@ -118,17 +122,17 @@ val load_result :
     (default 4) times with exponential backoff starting at [backoff_ms]
     (default 1.0).  Never raises on bad input.  [stats] overrides the
     ranking statistics as in {!Index.of_raw} (sharded segments, see
-    {!Shard_io}).  [verify_columns] (default false) makes a v4 open
+    {!Shard_io}).  [verify_columns] (default false) makes a v5 open
     verify and decode every term's postings eagerly instead of lazily —
     the paranoid mode for replica-fallback paths that must reject a
     damaged segment at open time rather than at first query. *)
 
 val verify : ?retries:int -> ?backoff_ms:float -> string -> (unit, load_error) result
 (** Check a segment without building an index.  v2: framing + payload
-    CRC.  v4: {e full} verification — header, terms and directory
-    checksums, the exact file size, and every term's postings checksum
-    and structure — since the lazy load path deliberately defers the
-    per-term checks.  Same retry policy as {!load_result}.  Replica writers run
+    CRC.  v5: {e full} verification — header, terms and directory
+    checksums, the exact file size, every block checksum and every
+    term's postings structure — since the lazy load path deliberately
+    defers the postings checks.  Same retry policy as {!load_result}.  Replica writers run
     this after each copy so a damaged replica is caught at save time,
     not at failover time. *)
 
@@ -144,7 +148,7 @@ val file_size : string -> int
 
 val format_version : string -> int option
 (** Generation of the segment at a path, from its magic: [Some 1], [2],
-    [3] (retired, no longer loadable) or [4], or [None] for an
+    [3] or [4] (retired, no longer loadable) or [5], or [None] for an
     unrecognized, missing or unreadable file. *)
 
 type layout = {
@@ -159,10 +163,10 @@ type layout = {
   dir_len : int;
   file_size : int;  (** header + the three region lengths *)
 }
-(** Region geometry of a v4 segment: the header, then the terms,
+(** Region geometry of a v5 segment: the header, then the terms,
     postings and directory regions back to back.  Exposed so a fault
     drill can corrupt one specific region. *)
 
 val layout : string -> (layout, error) result
-(** Parse and verify a v4 header, returning its geometry; [Io_failed]
+(** Parse and verify a v5 header, returning its geometry; [Io_failed]
     if the file cannot be read. *)

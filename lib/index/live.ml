@@ -231,6 +231,34 @@ let build_snapshot ?damping ~dir ~root_tag ~root_attrs ~lsn ~sealed ~delta () =
   Snapshot.build ?damping ~root_tag ~root_attrs ~lsn
     (delta_group :: List.map seg_group sealed)
 
+(* Write generation [gen]'s index from its documents and verify it
+   back: the one path that creates a sealed [.idx], shared by compaction
+   and the re-seal at open.  [Index_io.save] replaces the file by a
+   durable atomic rename. *)
+let seal_index ?damping ~dir ~root_tag gen docs =
+  let sub =
+    { Xk_xml.Xml_tree.root = Xk_xml.Xml_tree.element root_tag (List.map snd docs) }
+  in
+  Index_io.save (Index.build ?damping (Xk_encoding.Labeling.label sub)) (idx_path dir gen);
+  match Index_io.verify (idx_path dir gen) with
+  | Ok () -> Ok ()
+  | Error le ->
+      Error (Io ("segment verify failed after write: " ^ Index_io.load_error_message le))
+
+(* A sealed [.idx] that fails verification (damaged, missing, or of a
+   retired format) is rebuilt from its [.docs] once, at open, instead of
+   costing every published snapshot a rebuild until compaction drops its
+   generation.  Best effort: the [.idx] is a cache, so a store whose
+   directory cannot be written still opens, and its snapshots rebuild
+   the index in memory as before. *)
+let reseal_damaged ?damping ~dir ~root_tag sealed =
+  List.iter
+    (fun seg ->
+      if Result.is_error (Index_io.verify (idx_path dir seg.seg_gen)) then
+        try ignore (seal_index ?damping ~dir ~root_tag seg.seg_gen seg.seg_docs)
+        with Sys_error _ | Unix.Unix_error _ -> ())
+    sealed
+
 (* Construction and recovery *)
 
 let create ?(fsync = true) ?auto_compact ?damping ~root_tag ?(root_attrs = [])
@@ -364,6 +392,7 @@ let open_ ?(fsync = true) ?auto_compact ?damping dir =
       (Delta.empty, -1) records
   in
   gc_orphans dir ~gens:m.m_gens;
+  reseal_damaged ?damping ~dir ~root_tag:m.m_root_tag sealed;
   let lsn = max m.m_durable_lsn (Wal.lsn wal) in
   let next_doc = max m.m_next_doc (max_insert + 1) in
   let snapshot =
@@ -447,24 +476,9 @@ let compact_steps t st ~clean ~dirty ~delta =
         (docs_path t.l_dir next_gen)
         (encode_docs merged);
       Chaos.crash_point "compact-docs";
-      let sub =
-        {
-          Xk_xml.Xml_tree.root =
-            Xk_xml.Xml_tree.element t.l_root_tag (List.map snd merged);
-        }
-      in
-      let idx =
-        Index.build ?damping:t.l_damping (Xk_encoding.Labeling.label sub)
-      in
-      Index_io.save idx (idx_path t.l_dir next_gen);
       let* () =
-        match Index_io.verify (idx_path t.l_dir next_gen) with
-        | Ok () -> Ok ()
-        | Error le ->
-            Error
-              (Io
-                 ("segment verify failed after write: "
-                 ^ Index_io.load_error_message le))
+        seal_index ?damping:t.l_damping ~dir:t.l_dir ~root_tag:t.l_root_tag
+          next_gen merged
       in
       Chaos.crash_point "compact-seg";
       Ok (Some { seg_gen = next_gen; seg_docs = merged })

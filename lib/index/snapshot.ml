@@ -8,6 +8,7 @@ type t = {
   sn_doc : Xk_xml.Xml_tree.document;
   sn_doc_ids : int array;
   sn_sharding : Sharding.t;
+  sn_rebuilt : int;
 }
 
 let build ?damping ~root_tag ~root_attrs ~lsn groups =
@@ -36,6 +37,7 @@ let build ?damping ~root_tag ~root_attrs ~lsn groups =
   let doc =
     { Xk_xml.Xml_tree.root = Xk_xml.Xml_tree.element ~attrs:root_attrs root_tag children }
   in
+  let rebuilt = Atomic.make 0 in
   let make ~shard labeling ~stats =
     let built () = Index.build ?damping ~stats labeling in
     match groups.(shard).g_index with
@@ -46,13 +48,20 @@ let build ?damping ~root_tag ~root_attrs ~lsn groups =
         | Error (_ : Index_io.load_error) ->
             (* a damaged saved segment costs a rebuild, not a failed
                snapshot: the subtrees are the source of truth *)
+            Atomic.incr rebuilt;
             Ok (built ()))
   in
   match
     Sharding.build_with ~shards:(Array.length groups) ~assignment ~make doc
   with
   | Ok sharding ->
-      { sn_lsn = lsn; sn_doc = doc; sn_doc_ids = doc_ids; sn_sharding = sharding }
+      {
+        sn_lsn = lsn;
+        sn_doc = doc;
+        sn_doc_ids = doc_ids;
+        sn_sharding = sharding;
+        sn_rebuilt = Atomic.get rebuilt;
+      }
   | Error () -> Xk_util.Err.unreachable "Snapshot.build: make never fails"
 
 let lsn t = t.sn_lsn
@@ -60,3 +69,4 @@ let document t = t.sn_doc
 let doc_ids t = t.sn_doc_ids
 let doc_count t = Array.length t.sn_doc_ids
 let sharding t = t.sn_sharding
+let rebuilt t = t.sn_rebuilt

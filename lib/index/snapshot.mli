@@ -55,3 +55,7 @@ val doc_ids : t -> int array
 val doc_count : t -> int
 val sharding : t -> Sharding.t
 (** Query through [Xk_exec.Shard_exec.create] over this. *)
+
+val rebuilt : t -> int
+(** Saved segments that failed to load and were rebuilt from their
+    subtrees while this snapshot was built. *)

@@ -9,9 +9,9 @@
     report is then marked incomplete), and after every [slice] files the
     scrubber sleeps [throttle_ms] so a background pass never starves the
     serving IO path.  The verifier itself is injected — callers in the
-    index layer pass [Index_io.verify], which re-validates the full v4
-    segment (header, terms, directory, and every term's postings CRC
-    and structure) through the same decoders queries use. *)
+    index layer pass [Index_io.verify], which re-validates the full v5
+    segment (header, terms, directory, every block's postings CRC and
+    every term's structure) through the same decoders queries use. *)
 
 type status =
   | Clean  (** the copy verified end to end *)

@@ -53,7 +53,7 @@ let cf t id = t.cfs.(id)
 let bump_df t id = t.dfs.(id) <- t.dfs.(id) + 1
 let bump_cf t id n = t.cfs.(id) <- t.cfs.(id) + n
 
-(* Bulk form for loaders that know the statistics up front (the v4
+(* Bulk form for loaders that know the statistics up front (the v5
    segment directory): O(1) instead of one bump per posting row. *)
 let set_stats t id ~df ~cf =
   t.dfs.(id) <- df;

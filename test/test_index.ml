@@ -392,9 +392,11 @@ let index_io_rejects_mismatch () =
     Sys.remove path
   end
 
-(* v4 compressed zero-copy generation: layout introspection, full
-   verification, and bit-identical parity against both the v2 channel
-   loader and a fresh in-memory build. *)
+(* The compressed zero-copy segment [save] writes (v5; the tests below
+   kept the "v4" label of the format's first compressed release in their
+   names): layout introspection, full verification, and bit-identical
+   parity against both the v2 channel loader and a fresh in-memory
+   build. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -408,15 +410,15 @@ let write_file path data =
   output_string oc data;
   close_out oc
 
-let index_io_v4_roundtrip () =
+let index_io_v5_roundtrip () =
   let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
   let label = Xk_encoding.Labeling.label corpus.doc in
   let idx = Index.build label in
-  let path = tmpfile "xk_index_io_v4.seg" in
+  let path = tmpfile "xk_index_io_v5.seg" in
   Index_io.save idx path;
-  check Alcotest.(option int) "v4 magic" (Some 4) (Index_io.format_version path);
+  check Alcotest.(option int) "v5 magic" (Some 5) (Index_io.format_version path);
   (match Index_io.layout path with
-  | Error e -> Alcotest.failf "v4 layout unreadable: %s" (Index_io.error_message e)
+  | Error e -> Alcotest.failf "v5 layout unreadable: %s" (Index_io.error_message e)
   | Ok lay ->
       check Alcotest.int "layout node count"
         (Xk_encoding.Labeling.node_count label)
@@ -444,7 +446,7 @@ let index_io_v4_roundtrip () =
   (match Index_io.verify path with
   | Ok () -> ()
   | Error e ->
-      Alcotest.failf "full verify rejected a fresh v4 segment: %s"
+      Alcotest.failf "full verify rejected a fresh v5 segment: %s"
         (Index_io.load_error_message e));
   let idx2 = Index_io.load (Xk_encoding.Labeling.label corpus.doc) path in
   check Alcotest.int "term count" (Index.term_count idx) (Index.term_count idx2);
@@ -470,11 +472,11 @@ let index_io_v4_roundtrip () =
     corpus.correlated_queries;
   Sys.remove path
 
-let index_io_v4_rejects_mangled_header () =
+let index_io_v5_rejects_mangled_header () =
   let doc = Tutil.random_doc 11 in
   let label = Xk_encoding.Labeling.label doc in
   Index.build label |> fun idx ->
-  let path = tmpfile "xk_index_io_v4_mangle.seg" in
+  let path = tmpfile "xk_index_io_v5_mangle.seg" in
   Index_io.save idx path;
   let good = read_file path in
   let expect_error what =
@@ -511,7 +513,49 @@ let index_io_v4_rejects_mangled_header () =
         (Index_io.load_error_message e));
   Sys.remove path
 
-let v4_parity_prop =
+(* A v5 segment's directory, parsed independently of [Index_io]: the
+   file offset of each block's CRC and, per term, its postings offset,
+   postings length, df and cf - df. *)
+type seg_dir = {
+  sd_crc_at : int -> int;
+  sd_terms : (int * int * int * int) array;
+}
+
+let block_terms = 64
+
+let segment_dir data (lay : Index_io.layout) =
+  let n = lay.Index_io.term_count in
+  let nblocks = (n + block_terms - 1) / block_terms in
+  let c = Xk_storage.Varint.cursor_at data (lay.Index_io.dir_off + (4 * nblocks)) in
+  let off = ref lay.Index_io.postings_off in
+  let read () = Xk_storage.Varint.read c in
+  let sd_terms =
+    Array.init n (fun _ ->
+        ignore (read ());
+        let df = read () in
+        let extra = read () in
+        let len = read () in
+        let t = (!off, len, df, extra) in
+        off := !off + len;
+        t)
+  in
+  { sd_crc_at = (fun b -> lay.Index_io.dir_off + (4 * b)); sd_terms }
+
+(* The block whose postings hold file offset [pos], and a block's span. *)
+let block_of sd pos =
+  let id = ref 0 in
+  Array.iteri
+    (fun i (off, len, _, _) -> if pos >= off && pos < off + len then id := i)
+    sd.sd_terms;
+  !id / block_terms
+
+let block_span sd b =
+  let first = b * block_terms in
+  let last = min (Array.length sd.sd_terms) (first + block_terms) - 1 in
+  let off, _, _, _ = sd.sd_terms.(first) and loff, llen, _, _ = sd.sd_terms.(last) in
+  (off, loff + llen - off)
+
+let v5_parity_prop =
   QCheck.Test.make ~count:15
     ~name:"v4 mmap load is bit-identical to v2 channel load and fresh build"
     QCheck.(int_bound 1_000_000)
@@ -520,74 +564,74 @@ let v4_parity_prop =
       let doc = Xk_datagen.Random_tree.generate rng in
       let label = Xk_encoding.Labeling.label doc in
       let fresh = Index.build label in
-      let p4 = tmpfile (Printf.sprintf "xk_v4_parity_%d.seg" seed) in
+      let p5 = tmpfile (Printf.sprintf "xk_v5_parity_%d.seg" seed) in
       let p2 = tmpfile (Printf.sprintf "xk_v2_parity_%d.seg" seed) in
-      Index_io.save fresh p4;
+      Index_io.save fresh p5;
       Index_io.save_v2 fresh p2;
       let ok =
         ref
-          (Index_io.format_version p4 = Some 4
+          (Index_io.format_version p5 = Some 5
           && Index_io.format_version p2 = Some 2)
       in
       (match
-         ( Index_io.load_result (Xk_encoding.Labeling.label doc) p4,
+         ( Index_io.load_result (Xk_encoding.Labeling.label doc) p5,
            Index_io.load_result (Xk_encoding.Labeling.label doc) p2 )
        with
-      | Ok v4, Ok v2 ->
+      | Ok v5, Ok v2 ->
           let n = Index.term_count fresh in
-          if Index.term_count v4 <> n || Index.term_count v2 <> n then
+          if Index.term_count v5 <> n || Index.term_count v2 <> n then
             ok := false;
           if !ok then
             for id = 0 to n - 1 do
               let term = Index.term fresh id in
-              match (Index.term_id v4 term, Index.term_id v2 term) with
-              | Some i4, Some i2 ->
+              match (Index.term_id v5 term, Index.term_id v2 term) with
+              | Some i5, Some i2 ->
                   if
-                    Index.raw_rows v4 i4 <> Index.raw_rows fresh id
+                    Index.raw_rows v5 i5 <> Index.raw_rows fresh id
                     || Index.raw_rows v2 i2 <> Index.raw_rows fresh id
                   then ok := false;
                   (* Exact float equality: the same (tf, df) integers must
                      feed the same scorer on every path. *)
                   if
-                    Index.local_scores v4 i4 <> Index.local_scores fresh id
+                    Index.local_scores v5 i5 <> Index.local_scores fresh id
                     || Index.local_scores v2 i2 <> Index.local_scores fresh id
                   then ok := false
               | _ -> ok := false
             done;
           if !ok then begin
             let ef = Xk_core.Engine.of_index fresh
-            and e4 = Xk_core.Engine.of_index v4
+            and e5 = Xk_core.Engine.of_index v5
             and ev2 = Xk_core.Engine.of_index v2 in
             for _ = 1 to 3 do
               let words = Tutil.random_query rng ~k:2 ~alphabet:6 in
               let hf = Tutil.sort_hits (Xk_core.Engine.query ef words)
-              and h4 = Tutil.sort_hits (Xk_core.Engine.query e4 words)
+              and h5 = Tutil.sort_hits (Xk_core.Engine.query e5 words)
               and h2 = Tutil.sort_hits (Xk_core.Engine.query ev2 words) in
-              if h4 <> hf || h2 <> hf then ok := false;
+              if h5 <> hf || h2 <> hf then ok := false;
               let tf = Xk_core.Engine.query_topk ef words ~k:3
-              and t4 = Xk_core.Engine.query_topk e4 words ~k:3 in
-              if t4 <> tf then ok := false
+              and t5 = Xk_core.Engine.query_topk e5 words ~k:3 in
+              if t5 <> tf then ok := false
             done
           end
       | _ -> ok := false);
-      Sys.remove p4;
+      Sys.remove p5;
       Sys.remove p2;
       !ok)
 
-(* Every decoder of a v4 segment is total: for every strict prefix, a
+(* Every decoder of a v5 segment is total: for every strict prefix, a
    bit flip in each region and random garbage behind the magic, the lazy
    open, the eager open and [verify] return [Ok] or a typed error, and a
    lazily opened index faults only with [Segment_fault].  Since every
    byte is under a CRC, every prefix and every flip must be an error at
    [verify].  The same holds for intact bytes under a corruption mark,
    which damages the map the decoders read. *)
-let v4_never_raises_prop =
+let v5_never_raises_prop =
   QCheck.Test.make ~count:10 ~name:"v4 decoders never raise on damaged bytes"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let label = Xk_encoding.Labeling.label (Tutil.random_doc seed) in
-      let path = tmpfile (Printf.sprintf "xk_v4_fuzz_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v5_fuzz_%d.seg" seed) in
       Index_io.save (Index.build label) path;
       let good = read_file path in
       let lay =
@@ -614,25 +658,29 @@ let v4_never_raises_prop =
       in
       (* The same flips with every covering checksum recomputed, so the
          damage gets past the CRCs and reaches the structural checks of
-         the header, directory and postings decoders. *)
+         the header, directory and postings decoders.  One flip lands in
+         a tf exception list when the segment has one. *)
+      let sd = segment_dir good lay in
+      let tf_section =
+        List.filter_map
+          (fun (off, len, df, extra) ->
+            if extra = 0 then None
+            else
+              let c = Xk_storage.Varint.cursor_at good off in
+              for _ = 1 to df do
+                ignore (Xk_storage.Varint.read c)
+              done;
+              Some (c.pos, off + len - c.pos))
+          (Array.to_list sd.sd_terms)
+      in
       let resealed =
         let set_crc b at crc = Bytes.set_int32_le b at (Int32.of_int crc) in
         let crc_of b ~pos ~len = Xk_storage.Crc32.sub (Bytes.to_string b) ~pos ~len in
         let reseal ~region b pos =
           (if region = `Postings then
-             (* Find the term whose postings hold [pos] and re-CRC it. *)
-             let dir = Xk_storage.Varint.cursor_at good lay.Index_io.dir_off in
-             let off = ref lay.Index_io.postings_off in
-             for _ = 1 to lay.Index_io.term_count do
-               for _ = 1 to 3 do
-                 ignore (Xk_storage.Varint.read dir)
-               done;
-               let len = Xk_storage.Varint.read dir in
-               if pos >= !off && pos < !off + len then
-                 set_crc b dir.pos (crc_of b ~pos:!off ~len);
-               dir.pos <- dir.pos + 4;
-               off := !off + len
-             done);
+             let blk = block_of sd pos in
+             let pos, len = block_span sd blk in
+             set_crc b (sd.sd_crc_at blk) (crc_of b ~pos ~len));
           if region <> `Header then
             set_crc b 64 (crc_of b ~pos:lay.Index_io.dir_off ~len:lay.Index_io.dir_len);
           set_crc b 68 (crc_of b ~pos:0 ~len:68)
@@ -646,11 +694,17 @@ let v4_never_raises_prop =
               Bytes.set b pos (Char.chr (Random.State.int rng 256));
               reseal ~region b pos;
               Some (Bytes.to_string b))
-          [
-            (`Header, 8, 52);
-            (`Postings, lay.Index_io.postings_off, lay.Index_io.postings_len);
-            (`Dir, lay.Index_io.dir_off, lay.Index_io.dir_len);
-          ]
+          ([
+             (`Header, 8, 52);
+             (`Postings, lay.Index_io.postings_off, lay.Index_io.postings_len);
+             (`Dir, lay.Index_io.dir_off, lay.Index_io.dir_len);
+           ]
+          @
+          match tf_section with
+          | [] -> []
+          | l ->
+              let off, len = List.nth l (Random.State.int rng (List.length l)) in
+              [ (`Postings, off, len) ])
       in
       let garbage =
         List.init 4 (fun _ ->
@@ -697,6 +751,120 @@ let v4_never_raises_prop =
       Sys.remove path;
       ok)
 
+(* Segments over hand-made postings: [of_raw] accepts any rows, so the
+   properties below reach tf shapes and term counts the generators
+   rarely produce.  The flat document supplies the node ids. *)
+let flat_label nodes =
+  Xk_encoding.Labeling.label
+    {
+      Xk_xml.Xml_tree.root =
+        Xk_xml.Xml_tree.element "r"
+          (List.init (nodes - 1) (fun _ -> Xk_xml.Xml_tree.elem "a" []));
+    }
+
+let random_nodes rng ~nodes ~df =
+  let ids = Array.init nodes Fun.id in
+  for i = nodes - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- t
+  done;
+  let picked = Array.sub ids 0 df in
+  Array.sort compare picked;
+  picked
+
+let save_raw label entries path =
+  let idx = Index.of_raw label entries in
+  Index_io.save idx path;
+  idx
+
+let load_no_faults ?verify_columns label path =
+  let module Chaos = Xk_resilience.Chaos in
+  Chaos.configure Chaos.no_faults;
+  Fun.protect ~finally:Chaos.reset (fun () ->
+      match Index_io.load_result ~retries:0 ?verify_columns label path with
+      | Ok idx -> idx
+      | Error e -> QCheck.Test.fail_reportf "load: %s" (Index_io.load_error_message e))
+
+(* The tf exception lists round-trip any tf array: all ones (no tf
+   section), all above 1, df = 1, and tfs far past a byte. *)
+let tf_exceptions_roundtrip_prop =
+  let shapes = [| `Ones; `Above_one; `Single; `Mixed; `Large |] in
+  QCheck.Test.make ~count:40 ~name:"v5 tf exception lists round-trip any tf array"
+    QCheck.(pair (int_bound 1_000_000) (int_bound (Array.length shapes - 1)))
+    (fun (seed, shape) ->
+      let rng = Random.State.make [| seed |] in
+      let nodes = 300 in
+      let label = flat_label nodes in
+      let entry i =
+        let shape = if i = 0 then shapes.(shape) else `Mixed in
+        let df = if shape = `Single then 1 else 1 + Random.State.int rng 200 in
+        let tf () =
+          match shape with
+          | `Ones -> 1
+          | `Above_one -> 2 + Random.State.int rng 300
+          | `Single | `Mixed -> if Random.State.bool rng then 1 else 2 + Random.State.int rng 3
+          | `Large -> if Random.State.int rng 3 = 0 then 1 + Random.State.full_int rng (1 lsl 40) else 1
+        in
+        (Printf.sprintf "t%d" i, random_nodes rng ~nodes ~df, Array.init df (fun _ -> tf ()))
+      in
+      let entries = List.init 3 entry in
+      let path = tmpfile (Printf.sprintf "xk_v5_tfs_%d.seg" seed) in
+      Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+          let idx = save_raw label entries path in
+          let lazy_idx = load_no_faults label path
+          and eager = load_no_faults ~verify_columns:true label path in
+          Result.is_ok (Index_io.verify path)
+          && List.for_all
+               (fun id ->
+                 Index.raw_rows lazy_idx id = Index.raw_rows idx id
+                 && Index.raw_rows eager id = Index.raw_rows idx id)
+               [ 0; 1; 2 ]))
+
+(* A flipped postings byte in block [b] makes every term of [b] raise
+   [Segment_fault] on every decode, and every other term still decodes
+   exactly: one CRC per block, checked before any of its rows is
+   decoded. *)
+let block_fault_prop =
+  QCheck.Test.make ~count:20
+    ~name:"v5 postings flip faults exactly the terms of its block"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nodes = 100 in
+      let label = flat_label nodes in
+      let n = (2 * block_terms) + 1 + Random.State.int rng (2 * block_terms) in
+      let entries =
+        List.init n (fun i ->
+            let df = 1 + Random.State.int rng 6 in
+            ( Printf.sprintf "t%d" i,
+              random_nodes rng ~nodes ~df,
+              Array.init df (fun _ -> if Random.State.int rng 4 = 0 then 3 else 1) ))
+      in
+      let path = tmpfile (Printf.sprintf "xk_v5_block_%d.seg" seed) in
+      Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+          let idx = save_raw label entries path in
+          let good = read_file path in
+          let lay =
+            match Index_io.layout path with
+            | Ok lay -> lay
+            | Error e -> QCheck.Test.fail_reportf "layout: %s" (Index_io.error_message e)
+          in
+          let pos = lay.Index_io.postings_off + Random.State.int rng lay.Index_io.postings_len in
+          let b = Bytes.of_string good in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 + Random.State.int rng 255)));
+          write_file path (Bytes.to_string b);
+          let damaged = block_of (segment_dir good lay) pos in
+          let loaded = load_no_faults label path in
+          (* Twice over, so a block stays faulty after its first fault. *)
+          List.for_all
+            (fun id ->
+              match Index.raw_rows loaded id with
+              | rows -> id / block_terms <> damaged && rows = Index.raw_rows idx id
+              | exception Index_io.Segment_fault _ -> id / block_terms = damaged)
+            (List.init n Fun.id @ List.init n Fun.id)))
+
 let suite =
   [
     ( "index",
@@ -725,9 +893,11 @@ let suite =
         tc "save/load roundtrip" `Quick index_io_roundtrip;
         tc "rejects garbage" `Quick index_io_rejects_garbage;
         tc "rejects mismatched document" `Quick index_io_rejects_mismatch;
-        tc "v4 layout and roundtrip" `Quick index_io_v4_roundtrip;
-        tc "v4 rejects mangled header" `Quick index_io_v4_rejects_mangled_header;
-        QCheck_alcotest.to_alcotest v4_parity_prop;
-        QCheck_alcotest.to_alcotest v4_never_raises_prop;
+        tc "v4 layout and roundtrip" `Quick index_io_v5_roundtrip;
+        tc "v4 rejects mangled header" `Quick index_io_v5_rejects_mangled_header;
+        QCheck_alcotest.to_alcotest v5_parity_prop;
+        QCheck_alcotest.to_alcotest v5_never_raises_prop;
+        QCheck_alcotest.to_alcotest tf_exceptions_roundtrip_prop;
+        QCheck_alcotest.to_alcotest block_fault_prop;
       ] );
   ]

@@ -352,11 +352,11 @@ let live_compact () =
       ok_exn "compact" (Live.compact t);
       check Alcotest.int "delta drained" 0 (Live.pending_ops t);
       check (Alcotest.list Alcotest.int) "one sealed gen" [ 1 ] (Live.sealed_gens t);
-      (* Sealed generations are written in the zero-copy v4 format, so a
+      (* Sealed generations are written in the zero-copy v5 format, so a
          reopen goes through the mmap path. *)
       check
         Alcotest.(option int)
-        "sealed segment is v4" (Some 4)
+        "sealed segment is v5" (Some 5)
         (Index_io.format_version (Filename.concat dir "seg-0001.idx"));
       check Alcotest.bool "content unchanged" true
         (Xk_xml.Xml_tree.equal before (Snapshot.document (Live.snapshot t)));
@@ -383,6 +383,47 @@ let live_compact () =
         (Array.to_list (Snapshot.doc_ids (Live.snapshot t)));
       check_parity "after reopen of compacted" (Live.snapshot t);
       Live.close t)
+
+(* A sealed [.idx] that fails verification is re-sealed once, at open,
+   from its [.docs]: the file is a valid v5 segment again and every
+   later snapshot loads it instead of rebuilding it. *)
+let live_reseal_damaged_index () =
+  List.iter
+    (fun damage ->
+      with_tmpdir (fun dir ->
+          let pool = subtree_pool 48 in
+          let t = ok_exn "create" (Live.create ~fsync:false ~root_tag:"lib" dir) in
+          let _ =
+            ok_exn "seed"
+              (Live.mutate t
+                 [ Live.Add (nth_subtree pool 0); Add (nth_subtree pool 1); Add (nth_subtree pool 2) ])
+          in
+          ok_exn "compact" (Live.compact t);
+          Live.close t;
+          let idx = Filename.concat dir "seg-0001.idx" in
+          let data = In_channel.with_open_bin idx In_channel.input_all in
+          Out_channel.with_open_bin idx (fun oc -> output_string oc (damage data));
+          check Alcotest.bool "damaged segment fails verify" true
+            (Result.is_error (Index_io.verify ~backoff_ms:0. idx));
+          let t = ok_exn "reopen" (Live.open_ ~fsync:false dir) in
+          check Alcotest.(option int) "resealed as v5" (Some 5) (Index_io.format_version idx);
+          check Alcotest.bool "resealed segment verifies" true
+            (Result.is_ok (Index_io.verify idx));
+          check Alcotest.int "reopened snapshot loads it" 0 (Snapshot.rebuilt (Live.snapshot t));
+          let _ = ok_exn "add" (Live.mutate t [ Live.Add (nth_subtree pool 3) ]) in
+          check Alcotest.int "later snapshot loads it" 0 (Snapshot.rebuilt (Live.snapshot t));
+          check_parity "after reseal" (Live.snapshot t);
+          Live.close t))
+    [
+      (* a flipped byte mid-file *)
+      (fun data ->
+        let b = Bytes.of_string data in
+        let mid = Bytes.length b / 2 in
+        Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x5a));
+        Bytes.to_string b);
+      (* a segment of the retired v4 format *)
+      (fun data -> "XKIDX004" ^ String.sub data 8 (String.length data - 8));
+    ]
 
 let live_auto_compact () =
   with_tmpdir (fun dir ->
@@ -675,6 +716,7 @@ let suite =
         tc "reopen recovers WAL" `Quick live_reopen;
         tc "create refuses existing store" `Quick live_create_refuses_existing;
         tc "compaction" `Quick live_compact;
+        tc "damaged sealed segment resealed at open" `Quick live_reseal_damaged_index;
         tc "auto-compaction" `Quick live_auto_compact;
       ] );
     ( "live.snapshot",

@@ -413,10 +413,10 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* v4 open-path faults: a torn directory, corrupted mapped postings and
+(* Open-path faults of the v5 segment: a torn directory, corrupted mapped postings and
    an injected map failure each surface as the right typed error, and a
    single damaged copy is invisible behind replica fallback. *)
-let shard_io_v4_faults () =
+let shard_io_v5_faults () =
   let doc = Tutil.random_doc 909 in
   let sharded = Xk_index.Sharding.partition ~shards:2 doc in
   let flip_at path pos =
@@ -446,7 +446,7 @@ let shard_io_v4_faults () =
             Alcotest.failf "replica_files: %s"
               (Xk_index.Shard_io.error_message e)
       in
-      check Alcotest.(option int) "shard segments are v4" (Some 4)
+      check Alcotest.(option int) "shard segments are v5" (Some 5)
         (Xk_index.Index_io.format_version files.(0).(0));
       (* Torn directory region: the flip defeats the directory checksum.
          One damaged copy falls back to the replica... *)
@@ -515,7 +515,7 @@ let shard_io_v4_faults () =
             (Xk_index.Shard_io.error_message e)
       | Ok _ -> Alcotest.fail "eager verify accepted corrupt postings");
       (* The same damage without [verify_columns] opens fine and trips
-         the per-term checksum on first decode as a [Segment_fault] -
+         its block's checksum on first decode as a [Segment_fault] -
          the query-time form the executor's failover handles. *)
       let solo = Filename.concat dir "solo.seg" in
       let label = Xk_encoding.Labeling.label doc in
@@ -843,7 +843,7 @@ let suite =
       [
         tc "manifest + segments round-trip" `Quick shard_io_roundtrip;
         tc "typed per-shard failures" `Quick shard_io_failures;
-        tc "v4 open-path faults" `Quick shard_io_v4_faults;
+        tc "v4 open-path faults" `Quick shard_io_v5_faults;
         tc "replica fallback and loss" `Quick shard_io_replicas;
         tc "committed v1/v2 manifest bytes" `Quick shard_io_legacy_fixtures;
       ] );

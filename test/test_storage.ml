@@ -305,7 +305,7 @@ let mmap_failures () =
 
 (* Literal bytes of an Index_io v2 segment as written by the previous
    release's writer, committed so the channel load path keeps accepting
-   historical segments byte-for-byte even now that [save] writes v4.
+   historical segments byte-for-byte even now that [save] writes v5.
    Generated from [v2_fixture_xml] with [Index.build] + the v2 writer. *)
 let v2_fixture_xml =
   "<bib><book year=\"2010\"><title>top k keyword search</title><author>chen</author></book><book><title>xml databases keyword</title></book></bib>"
@@ -313,11 +313,10 @@ let v2_fixture_xml =
 let v2_fixture_bytes =
   "\x58\x4b\x49\x44\x58\x30\x30\x32\x02\x44\xad\xd1\xce\x81\x05\x09\x07\x04\x32\x30\x31\x30\x01\x01\x01\x03\x74\x6f\x70\x01\x03\x01\x07\x6b\x65\x79\x77\x6f\x72\x64\x02\x03\x05\x01\x01\x06\x73\x65\x61\x72\x63\x68\x01\x03\x01\x04\x63\x68\x65\x6e\x01\x05\x01\x03\x78\x6d\x6c\x01\x08\x01\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x01\x08\x01"
 
-(* Load [bytes] as a segment over [v2_fixture_xml] and check it sniffs
-   as [version] and agrees row for row and score for score with a fresh
-   build. *)
-let fixture_loads ~version bytes =
-  let doc = Xk_xml.Xml_parser.parse_string_exn v2_fixture_xml in
+(* Load [bytes] as a segment over [xml] and check it sniffs as [version]
+   and agrees row for row and score for score with a fresh build. *)
+let fixture_loads ?(xml = v2_fixture_xml) ~version bytes =
+  let doc = Xk_xml.Xml_parser.parse_string_exn xml in
   let label = Xk_encoding.Labeling.label doc in
   with_tmp_file bytes (fun path ->
       check
@@ -352,8 +351,8 @@ let fixture_loads ~version bytes =
 
 (* The writer must keep producing exactly the committed bytes: the
    fixture pins the writer, not just the reader. *)
-let writer_stable ~save bytes =
-  let doc = Xk_xml.Xml_parser.parse_string_exn v2_fixture_xml in
+let writer_stable ?(xml = v2_fixture_xml) ~save bytes =
+  let doc = Xk_xml.Xml_parser.parse_string_exn xml in
   let label = Xk_encoding.Labeling.label doc in
   let idx = Xk_index.Index.build label in
   let path = Filename.temp_file "xk_fixture" ".seg" in
@@ -376,46 +375,73 @@ let v2_fixture_loads () = fixture_loads ~version:2 v2_fixture_bytes
 let v2_writer_stable () =
   writer_stable ~save:Xk_index.Index_io.save_v2 v2_fixture_bytes
 
-(* --- v4 segment fixture ---------------------------------------------- *)
+(* --- retired segment generations ------------------------------------ *)
 
-(* Literal bytes of the v4 segment [save] writes for [v2_fixture_xml]:
-   the 72-byte header (magic, version 4, 9 nodes, 7 terms, 8 rows, then
-   the 36/8/56-byte terms, postings and directory lengths and the three
-   CRCs), the term bytes, one or two node-id varints per term (no term
-   here repeats within a node, so no tf column) and the directory. *)
+(* Literal bytes of the v4 segment the previous release's [save] wrote
+   for [v2_fixture_xml]: the 72-byte header (magic, version 4, 9 nodes,
+   7 terms, 8 rows, then the 36/8/56-byte terms, postings and directory
+   lengths and the three CRCs), the term bytes, one or two node-id
+   varints per term and the directory with a u32 CRC per term. *)
 let v4_fixture_bytes =
   "\x58\x4b\x49\x44\x58\x30\x30\x34\x04\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x24\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x38\x00\x00\x00\x00\x00\x00\x00\x85\xf6\x9e\xd7\xaf\x72\x64\xdc\xfc\xbb\xcb\xd5\x32\x30\x31\x30\x74\x6f\x70\x6b\x65\x79\x77\x6f\x72\x64\x73\x65\x61\x72\x63\x68\x63\x68\x65\x6e\x78\x6d\x6c\x64\x61\x74\x61\x62\x61\x73\x65\x73\x01\x03\x03\x05\x03\x05\x08\x08\x04\x01\x00\x01\x1b\xdf\x05\xa5\x03\x01\x00\x01\x37\xbe\x0b\x4b\x07\x02\x00\x02\xb3\xb5\x9e\x1a\x06\x01\x00\x01\x37\xbe\x0b\x4b\x04\x01\x00\x01\x02\x1b\x68\xa2\x03\x01\x00\x01\xbf\x67\xd9\xdc\x09\x01\x00\x01\xbf\x67\xd9\xdc"
 
-let v4_fixture_loads () = fixture_loads ~version:4 v4_fixture_bytes
-
-let v4_writer_stable () =
-  writer_stable ~save:Xk_index.Index_io.save v4_fixture_bytes
-
-(* A segment of the retired v3 format is reported as non-retryable
+(* A segment of a retired format is reported as non-retryable
    corruption (rebuild the index) on the first attempt, by the loader
    and by [verify] alike, while introspection still names it. *)
-let v3_segment_retired () =
+let segment_retired ~version bytes =
   let doc = Xk_xml.Xml_parser.parse_string_exn v2_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
   let module Chaos = Xk_resilience.Chaos in
   (* Injected transient faults would add attempts of their own. *)
   Chaos.configure Chaos.no_faults;
   Fun.protect ~finally:Chaos.reset @@ fun () ->
-  with_tmp_file ("XKIDX003" ^ String.make 92 '\000') (fun path ->
-      check Alcotest.(option int) "sniffs as v3" (Some 3)
+  with_tmp_file bytes (fun path ->
+      let retired = Printf.sprintf "retired v%d segment format; rebuild the index" version in
+      check Alcotest.(option int) (Printf.sprintf "sniffs as v%d" version) (Some version)
         (Xk_index.Index_io.format_version path);
       (match Xk_index.Index_io.load_result ~backoff_ms:0. label path with
-      | Error { error = Corrupted _; attempts = 1 } -> ()
+      | Error { error = Corrupted msg; attempts = 1 } ->
+          check Alcotest.string "load message" retired msg
       | Error e ->
-          Alcotest.failf "v3 load: wrong error %s"
+          Alcotest.failf "v%d load: wrong error %s" version
             (Xk_index.Index_io.load_error_message e)
-      | Ok _ -> Alcotest.fail "v3 segment loaded");
+      | Ok _ -> Alcotest.failf "v%d segment loaded" version);
       match Xk_index.Index_io.verify ~backoff_ms:0. path with
-      | Error { error = Corrupted _; attempts = 1 } -> ()
+      | Error { error = Corrupted msg; attempts = 1 } ->
+          check Alcotest.string "verify message" retired msg
       | Error e ->
-          Alcotest.failf "v3 verify: wrong error %s"
+          Alcotest.failf "v%d verify: wrong error %s" version
             (Xk_index.Index_io.load_error_message e)
-      | Ok () -> Alcotest.fail "v3 segment verified")
+      | Ok () -> Alcotest.failf "v%d segment verified" version)
+
+let v3_segment_retired () =
+  segment_retired ~version:3 ("XKIDX003" ^ String.make 92 '\000')
+
+let v4_segment_retired () = segment_retired ~version:4 v4_fixture_bytes
+
+(* --- v5 segment fixture ---------------------------------------------- *)
+
+(* A corpus with repeated words, so the fixture pins the tf exception
+   lists: "keyword" occurs twice in the first title, "xml" three times
+   in the second. *)
+let v5_fixture_xml =
+  "<bib><book year=\"2010\"><title>top k keyword search keyword</title><author>chen</author></book><book><title>xml databases keyword xml xml</title></book></bib>"
+
+(* Literal bytes of the v5 segment [save] writes for [v5_fixture_xml]:
+   the 72-byte header (magic, version 5, 9 nodes, 7 terms, 8 rows, then
+   the 36/14/32-byte terms, postings and directory lengths and the three
+   CRCs), the term bytes, the postings (node-id varints; "keyword" adds
+   the exception list 01 00 00 - one row, position 0, tf 2 - and "xml"
+   01 00 01 - position 0, tf 3) and the directory: one block CRC, then
+   per term its length, df, cf - df and postings length. *)
+let v5_fixture_bytes =
+  "\x58\x4b\x49\x44\x58\x30\x30\x35\x05\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x24\x00\x00\x00\x00\x00\x00\x00\x0e\x00\x00\x00\x00\x00\x00\x00\x20\x00\x00\x00\x00\x00\x00\x00\x85\xf6\x9e\xd7\x31\x7f\x1a\x7e\xb5\x18\xff\x9b\x32\x30\x31\x30\x74\x6f\x70\x6b\x65\x79\x77\x6f\x72\x64\x73\x65\x61\x72\x63\x68\x63\x68\x65\x6e\x78\x6d\x6c\x64\x61\x74\x61\x62\x61\x73\x65\x73\x01\x03\x03\x05\x01\x00\x00\x03\x05\x08\x01\x00\x01\x08\x0a\xff\x5c\xe6\x04\x01\x00\x01\x03\x01\x00\x01\x07\x02\x01\x05\x06\x01\x00\x01\x04\x01\x00\x01\x03\x01\x02\x04\x09\x01\x00\x01"
+
+let v5_fixture_loads () =
+  fixture_loads ~xml:v5_fixture_xml ~version:5 v5_fixture_bytes
+
+let v5_writer_stable () =
+  writer_stable ~xml:v5_fixture_xml ~save:Xk_index.Index_io.save v5_fixture_bytes
 
 (* The introspection calls are total on missing and unreadable paths and
    leave no channel open behind them. *)
@@ -480,9 +506,13 @@ let suite =
       ] );
     ( "storage.v4-fixture",
       [
-        tc "committed v4 segment loads" `Quick v4_fixture_loads;
-        tc "v4 writer reproduces fixture bytes" `Quick v4_writer_stable;
+        tc "committed v4 segment rejected once" `Quick v4_segment_retired;
         tc "retired v3 segment rejected once" `Quick v3_segment_retired;
         tc "introspection is total" `Quick introspection_total;
+      ] );
+    ( "storage.v5-fixture",
+      [
+        tc "committed v5 segment loads" `Quick v5_fixture_loads;
+        tc "v5 writer reproduces fixture bytes" `Quick v5_writer_stable;
       ] );
   ]
