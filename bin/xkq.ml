@@ -10,26 +10,10 @@
 
 open Cmdliner
 
-(* Index the document, or re-attach a saved index to skip tokenization. *)
-let load_engine ?index_file path =
-  let t0 = Unix.gettimeofday () in
-  let eng =
-    match index_file with
-    | None -> Xk_core.Engine.of_file path
-    | Some idx_path ->
-        let doc = Xk_xml.Xml_parser.parse_file_exn path in
-        let label = Xk_encoding.Labeling.label doc in
-        Xk_core.Engine.of_index (Xk_index.Index_io.load label idx_path)
-  in
-  Printf.eprintf "%s %s in %.2fs\n%!"
-    (match index_file with None -> "indexed" | Some _ -> "loaded")
-    path
-    (Unix.gettimeofday () -. t0);
-  eng
-
-(* The entry point of every query path: reload a shard manifest written
-   by `xkq index --shards`, wrap a plain `xkq index` segment as the only
-   shard, or partition in memory. *)
+(* The one loader of every command: reload a shard manifest written by
+   `xkq index --shards`, wrap a plain `xkq index` segment as the only
+   shard, or partition in memory (`~shards:1` indexes the whole corpus
+   as one shard). *)
 let load_sharded ?index_file ?verify_columns ~shards path =
   let t0 = Unix.gettimeofday () in
   let doc = Xk_xml.Xml_parser.parse_file_exn path in
@@ -105,8 +89,8 @@ let index_doc path out shards replicas rpc_host rpc_base_port =
     if rpc_base_port <> None then
       Error "--rpc-base-port needs --shards (endpoints live in the manifest)"
     else begin
-      let eng = load_engine path in
-      Xk_index.Index_io.save (Xk_core.Engine.index eng) out;
+      let sharded = load_sharded ~shards:1 path in
+      Xk_index.Index_io.save (Xk_index.Sharding.index sharded 0) out;
       Printf.printf "wrote %s (%.2f MB)\n" out
         (float_of_int (Xk_index.Index_io.file_size out) /. 1048576.);
       Ok ()
@@ -772,12 +756,14 @@ let batch path queries_file semantics algo top topk_algo domains repeat gen
   let sharded = load_sharded ?index_file ~verify_columns ~shards path in
   (* The reference engine answers workload generation (corpus-wide term
      statistics) and --check.  One shard already indexes the whole
-     corpus; several are checked against a fresh unsharded build. *)
+     corpus; several are checked against a fresh one-shard build. *)
   let ref_eng =
     lazy
-      (if Xk_index.Sharding.count sharded = 1 then
-         Xk_core.Engine.of_index (Xk_index.Sharding.index sharded 0)
-       else load_engine path)
+      (let whole =
+         if Xk_index.Sharding.count sharded = 1 then sharded
+         else load_sharded ~shards:1 path
+       in
+       Xk_core.Engine.of_index (Xk_index.Sharding.index whole 0))
   in
   let queries =
     match queries_file with
@@ -931,9 +917,8 @@ let batch_cmd =
 (* ------------------------------------------------------------------ *)
 
 let stats path =
-  let eng = load_engine path in
-  let idx = Xk_core.Engine.index eng in
-  let label = Xk_core.Engine.label eng in
+  let idx = Xk_index.Sharding.index (load_sharded ~shards:1 path) 0 in
+  let label = Xk_index.Index.label idx in
   Printf.printf "nodes:  %d\n" (Xk_encoding.Labeling.node_count label);
   Printf.printf "height: %d\n" (Xk_encoding.Labeling.height label);
   Printf.printf "terms:  %d\n" (Xk_index.Index.term_count idx);
@@ -958,8 +943,7 @@ let stats_cmd =
 (* ------------------------------------------------------------------ *)
 
 let terms path near count =
-  let eng = load_engine path in
-  let idx = Xk_core.Engine.index eng in
+  let idx = Xk_index.Sharding.index (load_sharded ~shards:1 path) 0 in
   let ids = Xk_index.Index.terms_by_df idx in
   let shown = ref 0 in
   Array.iter

@@ -1,14 +1,18 @@
-(* Top-K star join (Section IV-B), in its relational form: k relations of
-   (id, score) tuples, each sorted by descending score, star-joined on id
-   with the aggregate score Sum.
+(* Top-K star join (Section IV-B): k score-sorted lists star-joined on a
+   key with the aggregate score Sum.  This is the only implementation of
+   the operator: [topk] runs it over relations of (id, score) tuples, and
+   Topk_keyword runs it once per column of a keyword query, sharing one
+   [run] (K, the blocked heap and the results emitted so far) across the
+   columns.
 
    Two thresholds over the unseen results are implemented:
 
-   - [Classic]: the HRJN bound of [21], max_i (s^i + sum_{j<>i} s_m^j),
-     using the per-relation maximum scores s_m;
+   - [Classic]: the HRJN bound of [21], max_i (s^i + sum_{j<>i} c^j),
+     using per-list ceilings c (a relation's top score, or a keyword
+     list's best damped score at the column);
    - [Tight]: the paper's bound, max_P (ms(G_P) + sum_{j notin P} s^j),
      grouping the partially joined tuples in the hash bucket by the set P
-     of relations already seen.
+     of lists already seen.
 
    The per-group maxima ms(G_P) are maintained monotonically (they are not
    decreased when a tuple leaves its group), which keeps them upper bounds
@@ -29,107 +33,113 @@ type stats = {
 
 let new_stats () = { pulled = 0; emitted = 0; bucket_peak = 0 }
 
-type entry = { slots : float array; mutable mask : int; mutable filled : int }
+let dead = min_int
 
 let relation ~keys ~scores =
   let n = Array.length keys in
   if Array.length scores <> n then Xk_util.Err.invalid "Star_join.relation";
-  for i = 1 to n - 1 do
-    if scores.(i) > scores.(i - 1) then
-      Xk_util.Err.invalid "Star_join.relation: scores must be descending"
+  for i = 0 to n - 1 do
+    if not (scores.(i) > neg_infinity) then
+      Xk_util.Err.invalid
+        "Star_join.relation: scores must be above neg_infinity";
+    if i > 0 && scores.(i) > scores.(i - 1) then
+      Xk_util.Err.invalid "Star_join.relation: scores must be descending";
+    if keys.(i) = dead then
+      Xk_util.Err.invalid "Star_join.relation: min_int is not a key"
   done;
   { keys; scores }
 
-let topk ?stats ?(threshold = Tight)
-    ?(budget = Xk_resilience.Budget.unlimited) (rels : relation array)
-    ~k:want : result list =
+type 'a run = {
+  want : int;
+  stats : stats;
+  blocked : 'a Xk_util.Heap.t; (* generated, not yet above the threshold *)
+  mutable out : 'a list; (* emitted, best last *)
+  mutable emitted : int;
+}
+
+let run ?stats ~k () =
   let stats = match stats with Some s -> s | None -> new_stats () in
-  let k = Array.length rels in
-  if k = 0 then Xk_util.Err.invalid "Star_join.topk: no relations";
-  let cursors = Array.make k 0 in
-  let next_score i =
-    if cursors.(i) >= Array.length rels.(i).scores then neg_infinity
-    else rels.(i).scores.(cursors.(i))
-  in
-  let top_score i =
-    if Array.length rels.(i).scores = 0 then neg_infinity
-    else rels.(i).scores.(0)
-  in
+  { want = k; stats; blocked = Xk_util.Heap.create (); out = []; emitted = 0 }
+
+let complete r = r.emitted >= r.want
+
+let emit r x =
+  r.out <- x :: r.out;
+  r.emitted <- r.emitted + 1;
+  r.stats.emitted <- r.stats.emitted + 1
+
+type entry = { slots : float array; mutable mask : int; mutable filled : int }
+
+let join r ~threshold ~budget ~below ~accept ~ceilings ~next ~pull ~make =
+  let k = Array.length ceilings in
+  let alive i = next.(i) > neg_infinity in
+  let rec any_alive i = i < k && (alive i || any_alive (i + 1)) in
   let bucket : (int, entry) Hashtbl.t = Hashtbl.create 256 in
+  (* Keys already generated: a keyword list can hold a key more than
+     once, and a key must not be generated twice. *)
+  let completed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   (* Monotone per-subset maxima of partial sums, indexed by bitmask P. *)
   let group_max = Array.make (1 lsl k) neg_infinity in
-  let blocked : result Xk_util.Heap.t = Xk_util.Heap.create () in
-  let out = ref [] and emitted = ref 0 in
-  let compute_threshold () =
+  let unseen () =
     match threshold with
     | Classic ->
         let best = ref neg_infinity in
         for i = 0 to k - 1 do
-          if next_score i > neg_infinity then begin
-            let t = ref (next_score i) in
+          if alive i then begin
+            let t = ref next.(i) in
             for j = 0 to k - 1 do
-              if j <> i then t := !t +. top_score j
+              if j <> i then t := !t +. ceilings.(j)
             done;
             if !t > !best then best := !t
           end
         done;
         !best
     | Tight ->
-        (* Case 1: ids unseen everywhere. *)
+        (* Case 1: keys unseen everywhere. *)
         let case1 = ref 0. in
         for j = 0 to k - 1 do
-          case1 := !case1 +. next_score j
+          case1 := !case1 +. next.(j)
         done;
-        (* Case 2: partially seen ids, grouped by subset. *)
+        (* Case 2: partially seen keys, grouped by subset. *)
         let best = ref !case1 in
         for p = 1 to (1 lsl k) - 2 do
           if group_max.(p) > neg_infinity then begin
             let t = ref group_max.(p) in
             for j = 0 to k - 1 do
-              if p land (1 lsl j) = 0 then t := !t +. next_score j
+              if p land (1 lsl j) = 0 then t := !t +. next.(j)
             done;
             if !t > !best then best := !t
           end
         done;
         !best
   in
-  let flush () =
-    let rec go () =
-      if !emitted < want then
-        match Xk_util.Heap.peek blocked with
-        | Some (total, r) when total >= compute_threshold () ->
-            ignore (Xk_util.Heap.pop blocked);
-            out := r :: !out;
-            incr emitted;
-            stats.emitted <- stats.emitted + 1;
-            go ()
-        | Some _ | None -> ()
-    in
-    go ()
-  in
-  let exhausted () =
-    let all = ref true in
-    for i = 0 to k - 1 do
-      if cursors.(i) < Array.length rels.(i).keys then all := false
-    done;
-    !all
+  let rec flush () =
+    if r.emitted < r.want then
+      match Xk_util.Heap.peek r.blocked with
+      | Some (total, x) when total >= Float.max (unseen ()) below ->
+          ignore (Xk_util.Heap.pop r.blocked);
+          emit r x;
+          flush ()
+      | Some _ | None -> ()
   in
   let rr = ref 0 in
   (* Anytime loop: when the budget trips, stop pulling - everything
      emitted so far beat the unseen-results bound and remains a valid
      top-|out| prefix. *)
-  while !emitted < want && not (exhausted ()) && Xk_resilience.Budget.alive budget
+  while
+    r.emitted < r.want
+    && any_alive 0
+    && Xk_resilience.Budget.alive budget
   do
-    (* Relation choice (Section IV-B): round-robin until K results exist,
-       then the relation with the highest next score. *)
-    let generated = !emitted + Xk_util.Heap.size blocked in
+    (* List choice (Section IV-B): round-robin until K results exist,
+       then the list with the highest next score. *)
     let i =
-      if generated < want then begin
+      if r.emitted + Xk_util.Heap.size r.blocked < r.want then begin
         let tries = ref 0 and found = ref (-1) in
         while !found < 0 && !tries < k do
           let c = !rr mod k in
           rr := !rr + 1;
-          if cursors.(c) < Array.length rels.(c).keys then found := c;
+          if alive c then found := c;
           incr tries
         done;
         !found
@@ -137,60 +147,83 @@ let topk ?stats ?(threshold = Tight)
       else begin
         let best = ref (-1) in
         for j = 0 to k - 1 do
-          if
-            cursors.(j) < Array.length rels.(j).keys
-            && (!best < 0 || next_score j > next_score !best)
-          then best := j
+          if alive j && (!best < 0 || next.(j) > next.(!best)) then best := j
         done;
         !best
       end
     in
     assert (i >= 0);
-    let pos = cursors.(i) in
-    cursors.(i) <- pos + 1;
-    stats.pulled <- stats.pulled + 1;
-    let key = rels.(i).keys.(pos) and s = rels.(i).scores.(pos) in
-    let e =
-      match Hashtbl.find_opt bucket key with
-      | Some e -> e
-      | None ->
-          let e =
-            { slots = Array.make k neg_infinity; mask = 0; filled = 0 }
-          in
-          Hashtbl.add bucket key e;
-          stats.bucket_peak <- max stats.bucket_peak (Hashtbl.length bucket);
-          e
-    in
-    if e.slots.(i) = neg_infinity then begin
-      e.slots.(i) <- s;
-      e.mask <- e.mask lor (1 lsl i);
-      e.filled <- e.filled + 1;
-      if e.filled = k then begin
-        let total = Array.fold_left ( +. ) 0. e.slots in
-        Hashtbl.remove bucket key;
-        Xk_util.Heap.push blocked total { key; total }
-      end
-      else begin
-        let partial = ref 0. in
-        Array.iter (fun v -> if v > neg_infinity then partial := !partial +. v) e.slots;
-        if !partial > group_max.(e.mask) then group_max.(e.mask) <- !partial
+    let s = next.(i) in
+    let key = pull i in
+    r.stats.pulled <- r.stats.pulled + 1;
+    if key <> dead && not (Hashtbl.mem completed key) then begin
+      let e =
+        match Hashtbl.find_opt bucket key with
+        | Some e -> e
+        | None ->
+            let e =
+              { slots = Array.make k neg_infinity; mask = 0; filled = 0 }
+            in
+            Hashtbl.add bucket key e;
+            r.stats.bucket_peak <-
+              max r.stats.bucket_peak (Hashtbl.length bucket);
+            e
+      in
+      if e.slots.(i) = neg_infinity then begin
+        e.slots.(i) <- s;
+        e.mask <- e.mask lor (1 lsl i);
+        e.filled <- e.filled + 1;
+        if e.filled = k then begin
+          let total = Array.fold_left ( +. ) 0. e.slots in
+          Hashtbl.remove bucket key;
+          Hashtbl.add completed key ();
+          if accept key then Xk_util.Heap.push r.blocked total (make key total)
+        end
+        else begin
+          let partial = ref 0. in
+          Array.iter
+            (fun v -> if v > neg_infinity then partial := !partial +. v)
+            e.slots;
+          if !partial > group_max.(e.mask) then group_max.(e.mask) <- !partial
+        end
       end
     end;
     flush ()
-  done;
-  (* Inputs exhausted: everything joinable has joined; drain the heap -
-     unless the budget tripped, in which case blocked results were never
-     confirmed against the threshold and must not be emitted. *)
+  done
+
+let finish ~budget r =
+  (* Every list exhausted: everything joinable has joined; drain the heap
+     - unless the budget tripped, in which case blocked results were
+     never confirmed against the threshold and must not be emitted. *)
   while
-    !emitted < want
-    && not (Xk_util.Heap.is_empty blocked)
+    r.emitted < r.want
+    && not (Xk_util.Heap.is_empty r.blocked)
     && not (Xk_resilience.Budget.exhausted budget)
   do
-    match Xk_util.Heap.pop blocked with
-    | Some (_, r) ->
-        out := r :: !out;
-        incr emitted;
-        stats.emitted <- stats.emitted + 1
-    | None -> ()
+    match Xk_util.Heap.pop r.blocked with Some (_, x) -> emit r x | None -> ()
   done;
-  List.rev !out
+  List.rev r.out
+
+let topk ?stats ?(threshold = Tight)
+    ?(budget = Xk_resilience.Budget.unlimited) (rels : relation array)
+    ~k:want : result list =
+  let k = Array.length rels in
+  if k = 0 then Xk_util.Err.invalid "Star_join.topk: no relations";
+  let r = run ?stats ~k:want () in
+  let score i pos =
+    if pos < Array.length rels.(i).scores then rels.(i).scores.(pos)
+    else neg_infinity
+  in
+  let cursors = Array.make k 0 in
+  let next = Array.init k (fun i -> score i 0) in
+  let pull i =
+    let pos = cursors.(i) in
+    cursors.(i) <- pos + 1;
+    next.(i) <- score i (pos + 1);
+    rels.(i).keys.(pos)
+  in
+  join r ~threshold ~budget ~below:neg_infinity
+    ~accept:(fun _ -> true)
+    ~ceilings:(Array.copy next) ~next ~pull
+    ~make:(fun key total -> { key; total });
+  finish ~budget r

@@ -6,14 +6,13 @@
    factor is a common constant, so the local-score order is the damped
    order at every level).
 
-   Columns are processed bottom-up, each through the top-K star join of
-   Section IV-B: pulled entries land in a hash bucket keyed by the JDewey
-   number, a value whose k slots fill becomes a generated result, and
-   generated results are emitted as soon as their score reaches the
-   threshold of all unseen results - the star-join bound within the
-   current column combined with the static per-column ceilings of the
-   shallower columns (including the paper's column-skip rule, which the
-   precomputed ceilings implement implicitly).
+   Columns are processed bottom-up, each through one Star_join.join
+   (Section IV-B) keyed by the JDewey number, all of them sharing one
+   Star_join.run: generated results are emitted as soon as their score
+   reaches the threshold of all unseen results - the star-join bound
+   within the current column combined with the static per-column ceilings
+   of the shallower columns (including the paper's column-skip rule,
+   which the precomputed ceilings implement implicitly).
 
    Semantic pruning: cursors skip rows erased at deeper levels; when a
    column drains without the K results being found, a merge join over the
@@ -22,7 +21,7 @@
    - because the K results were emitted - never pays for that scan, which
    is exactly where the top-K algorithm wins. *)
 
-type threshold = Classic | Tight
+type threshold = Star_join.threshold = Classic | Tight
 
 type stats = {
   mutable pulled : int;
@@ -44,8 +43,6 @@ type cursor = {
   dfactor : float; (* d(group_len - level) *)
   mutable pos : int;
 }
-
-type entry = { slots : float array; mutable mask : int; mutable filled : int }
 
 let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
     ?(budget = Xk_resilience.Budget.unlimited)
@@ -76,8 +73,7 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
       up_prefix.(level) <- Float.max up_prefix.(level - 1) up.(level)
     done;
     let erased = Array.init k (fun _ -> Erased.create ()) in
-    let blocked : hit Xk_util.Heap.t = Xk_util.Heap.create () in
-    let out = ref [] and emitted = ref 0 in
+    let run = Star_join.run ~k:want () in
     let finished = ref false in
     let level = ref lmin in
     (* Anytime execution: the budget is polled at column entry and on
@@ -161,172 +157,58 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
       for i = 0 to k - 1 do
         refresh i
       done;
-      let list_next i = cscore.(i) in
-      let bucket : (int, entry) Hashtbl.t = Hashtbl.create 256 in
-      (* Values already generated this column: a value can recur in a
-         cursor stream (several occurrences per list), and must not be
-         generated twice. *)
-      let completed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-      let group_max = Array.make (1 lsl k) neg_infinity in
-      let column_threshold () =
-        match threshold with
-        | Classic ->
-            (* HRJN-style: one advancing cursor, static maxima elsewhere. *)
-            let best = ref neg_infinity in
-            for i = 0 to k - 1 do
-              let s = list_next i in
-              if s > neg_infinity then begin
-                let t = ref s in
-                for j = 0 to k - 1 do
-                  if j <> i then
-                    t := !t +. Xk_index.Score_list.max_damped slists.(j) ~level:l
-                done;
-                if !t > !best then best := !t
-              end
-            done;
-            !best
-        | Tight ->
-            let case1 = ref 0. in
-            for j = 0 to k - 1 do
-              case1 := !case1 +. list_next j
-            done;
-            let best = ref !case1 in
-            for p = 1 to (1 lsl k) - 2 do
-              if group_max.(p) > neg_infinity then begin
-                let t = ref group_max.(p) in
-                for j = 0 to k - 1 do
-                  if p land (1 lsl j) = 0 then t := !t +. list_next j
-                done;
-                if !t > !best then best := !t
-              end
-            done;
-            !best
-      in
-      let below_bound =
-        if l > 1 then Float.min up_prefix.(l - 1) dyn_below else neg_infinity
-      in
-      let global_threshold () = Float.max (column_threshold ()) below_bound in
-      let flush () =
-        let rec go () =
-          if !emitted < want then
-            match Xk_util.Heap.peek blocked with
-            | Some (score, h) when score >= global_threshold () ->
-                ignore (Xk_util.Heap.pop blocked);
-                out := h :: !out;
-                incr emitted;
-                go ()
-            | Some _ | None -> ()
-        in
-        go ()
-      in
-      let column_exhausted () = Array.for_all (fun b -> b < 0) cbest in
-      let rr = ref 0 in
-      while
-        !emitted < want
-        && not (column_exhausted ())
-        && Xk_resilience.Budget.alive budget
-      do
-        (* List choice (Section IV-B): round-robin until K results are
-           generated, then the list with the highest next score. *)
-        let generated = !emitted + Xk_util.Heap.size blocked in
-        let i =
-          if generated < want then begin
-            let found = ref (-1) and tries = ref 0 in
-            while !found < 0 && !tries < k do
-              let c = !rr mod k in
-              rr := !rr + 1;
-              if cbest.(c) >= 0 then found := c;
-              incr tries
-            done;
-            !found
-          end
-          else begin
-            let best = ref (-1) and bs = ref neg_infinity in
-            for j = 0 to k - 1 do
-              if cbest.(j) >= 0 && cscore.(j) > !bs then begin
-                best := j;
-                bs := cscore.(j)
-              end
-            done;
-            !best
-          end
-        in
-        assert (i >= 0);
+      let pull i =
         let c = cursors.(i).(cbest.(i)) in
         let row = c.rows.(c.pos) in
         c.pos <- c.pos + 1;
         refresh i;
         stats.pulled <- stats.pulled + 1;
-        if Erased.is_dead erased.(i) row then
-          stats.dead_skipped <- stats.dead_skipped + 1
-        else begin
-          let value = (Xk_index.Jlist.seq jls.(i) row).(l - 1) in
-          let s = Xk_index.Jlist.score jls.(i) row *. c.dfactor in
-          if Hashtbl.mem completed value then ()
-          else begin
-          let e =
-            match Hashtbl.find_opt bucket value with
-            | Some e -> e
-            | None ->
-                let e =
-                  { slots = Array.make k neg_infinity; mask = 0; filled = 0 }
-                in
-                Hashtbl.add bucket value e;
-                e
-          in
-          if e.slots.(i) = neg_infinity then begin
-            e.slots.(i) <- s;
-            e.mask <- e.mask lor (1 lsl i);
-            e.filled <- e.filled + 1;
-            if e.filled = k then begin
-              let total = Array.fold_left ( +. ) 0. e.slots in
-              Hashtbl.remove bucket value;
-              Hashtbl.add completed value ();
-              (* SLCA (Section III-F): the value is disqualified if any of
-                 its runs contains a row erased by a deeper match - that
-                 row witnesses a descendant containing all keywords. *)
-              let accept =
-                match semantics with
-                | Elca -> true
-                | Slca ->
-                    let clean = ref true in
-                    Array.iteri
-                      (fun j jl ->
-                        match
-                          Xk_index.Column.find
-                            (Xk_index.Jlist.column jl ~level:l)
-                            value
-                        with
-                        | Some r ->
-                            if
-                              Erased.covered erased.(j) ~lo:r.start_row
-                                ~hi:(r.start_row + r.count)
-                              > 0
-                            then clean := false
-                        | None -> clean := false)
-                      jls;
-                    !clean
-              in
-              if accept then begin
-                stats.generated <- stats.generated + 1;
-                Xk_util.Heap.push blocked total
-                  { level = l; value; score = total }
-              end
-            end
-            else begin
-              let partial = ref 0. in
-              Array.iter
-                (fun v -> if v > neg_infinity then partial := !partial +. v)
-                e.slots;
-              if !partial > group_max.(e.mask) then
-                group_max.(e.mask) <- !partial
-            end
-          end
-          end
-        end;
-        flush ()
-      done;
-      if !emitted >= want then begin
+        if Erased.is_dead erased.(i) row then begin
+          stats.dead_skipped <- stats.dead_skipped + 1;
+          Star_join.dead
+        end
+        else (Xk_index.Jlist.seq jls.(i) row).(l - 1)
+      in
+      (* SLCA (Section III-F): a value is disqualified if any of its runs
+         contains a row erased by a deeper match - that row witnesses a
+         descendant containing all keywords. *)
+      let accept value =
+        let ok =
+          match semantics with
+          | Elca -> true
+          | Slca ->
+              let clean = ref true in
+              Array.iteri
+                (fun j jl ->
+                  match
+                    Xk_index.Column.find (Xk_index.Jlist.column jl ~level:l)
+                      value
+                  with
+                  | Some r ->
+                      if
+                        Erased.covered erased.(j) ~lo:r.start_row
+                          ~hi:(r.start_row + r.count)
+                        > 0
+                      then clean := false
+                  | None -> clean := false)
+                jls;
+              !clean
+        in
+        if ok then stats.generated <- stats.generated + 1;
+        ok
+      in
+      Star_join.join run ~threshold ~budget
+        ~below:
+          (if l > 1 then Float.min up_prefix.(l - 1) dyn_below
+           else neg_infinity)
+        ~accept
+        ~ceilings:
+          (Array.map (fun sl -> Xk_index.Score_list.max_damped sl ~level:l)
+             slists)
+        ~next:cscore
+        ~pull
+        ~make:(fun value score -> { level = l; value; score });
+      if Star_join.complete run then begin
         stats.early_exit_level <- l;
         finished := true
       end
@@ -353,19 +235,6 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
             level := l - 1
       end
     done;
-    (* All columns processed: no unseen results remain - but a tripped
-       budget means blocked results were never confirmed, so they stay
-       unemitted and the prefix property is preserved. *)
-    while
-      !emitted < want
-      && not (Xk_util.Heap.is_empty blocked)
-      && not (Xk_resilience.Budget.exhausted budget)
-    do
-      match Xk_util.Heap.pop blocked with
-      | Some (_, h) ->
-          out := h :: !out;
-          incr emitted
-      | None -> ()
-    done;
-    List.rev !out
+    (* All columns processed: no unseen results remain. *)
+    Star_join.finish ~budget run
   end

@@ -3,7 +3,7 @@
     ceilings (static, plus a dynamic alive-rows refinement), and the
     range-checked exclusion applied per drained column. *)
 
-type threshold = Classic | Tight
+type threshold = Star_join.threshold = Classic | Tight
 
 type semantics = Join_query.semantics = Elca | Slca
 

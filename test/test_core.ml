@@ -424,6 +424,36 @@ let topk_vs_complete ?(semantics = Engine.Elca) threshold name =
       Tutil.check_topk name ~k:want full topk;
       true)
 
+(* A1 on the production path: the pull order never depends on the
+   threshold (round-robin, then best next score) and Tight <= Classic in
+   every state, so the tight bound can only stop a column sooner. *)
+let topk_tight_never_reads_more =
+  QCheck.Test.make ~count:300 ~name:"tight never pulls more than classic"
+    QCheck.(triple (int_bound 1_000_000) (int_range 2 4) bool)
+    (fun (seed, k, slca) ->
+      let eng = Tutil.random_engine seed in
+      let rng = Xk_datagen.Rng.create (seed + 13) in
+      let q = Tutil.random_query rng ~k ~alphabet:4 in
+      let want = 1 + Xk_datagen.Rng.int rng 6 in
+      let semantics = if slca then Topk_keyword.Slca else Topk_keyword.Elca in
+      let idx = Engine.index eng in
+      match List.filter_map (Xk_index.Index.term_id idx) q with
+      | ids when List.length ids < List.length q -> true
+      | ids ->
+          let slists =
+            Array.of_list
+              (List.map (Xk_index.Index.score_list idx)
+                 (List.sort_uniq Int.compare ids))
+          in
+          let pulls threshold =
+            let stats = Topk_keyword.new_stats () in
+            ignore
+              (Topk_keyword.topk ~stats ~threshold ~semantics slists
+                 (Xk_index.Index.damping idx) ~k:want);
+            stats.pulled
+          in
+          pulls Topk_keyword.Tight <= pulls Topk_keyword.Classic)
+
 let hybrid_matches_topk =
   QCheck.Test.make ~count:200 ~name:"hybrid top-K matches oracle top-K"
     QCheck.(int_bound 1_000_000)
@@ -504,5 +534,6 @@ let suite =
           (topk_vs_complete ~semantics:Engine.Slca Topk_keyword.Tight
              "SLCA top-K join = oracle SLCA top-K");
         QCheck_alcotest.to_alcotest hybrid_matches_topk;
+        QCheck_alcotest.to_alcotest topk_tight_never_reads_more;
       ] );
   ]

@@ -165,75 +165,6 @@ let prop_doc_order_is_jdewey_order =
       done;
       !ok)
 
-(* Jspace: gapped insertion and renumbering. *)
-
-let jspace_of ?gap s =
-  Jspace.of_labeling (Labeling.label ?gap (Xk_xml.Xml_parser.parse_string_exn s))
-
-let jspace_snapshot () =
-  let sp = jspace_of ~gap:4 "<r><a><b/></a><a/></r>" in
-  check Alcotest.int "height" 3 (Jspace.height sp);
-  check Alcotest.(array int) "level2 jnums" [| 4; 8 |] (Jspace.jnums_at sp ~depth:2);
-  check Alcotest.(array int) "level2 parents" [| 4; 4 |] (Jspace.parents_at sp ~depth:2);
-  check Alcotest.bool "invariants" true (Jspace.check_invariants sp)
-
-let jspace_insert_with_gap () =
-  let sp = jspace_of ~gap:4 "<r><a/><a/></r>" in
-  (* New child of the first <a> (depth 2, jnum 4): the window between the
-     existing depth-3 numbers is empty of nodes, so allocation succeeds. *)
-  (match Jspace.insert_child sp ~parent_depth:2 ~parent_jnum:4 with
-  | Jspace.Inserted j -> check Alcotest.bool "fresh number" true (j >= 1)
-  | Jspace.Gap_exhausted -> Alcotest.fail "expected headroom");
-  check Alcotest.bool "invariants" true (Jspace.check_invariants sp)
-
-let jspace_gap_exhaustion () =
-  let sp = jspace_of ~gap:4 "<r><a/><a><b/></a></r>" in
-  (* Keep appending children to the FIRST <a>: the second <a>'s child pins
-     the window on the right, so a gap of 4 cannot take unbounded
-     inserts. *)
-  let inserted = ref 0 in
-  (try
-     for _ = 1 to 100 do
-       match Jspace.insert_child sp ~parent_depth:2 ~parent_jnum:4 with
-       | Jspace.Inserted _ -> incr inserted
-       | Jspace.Gap_exhausted -> raise Exit
-     done;
-     Alcotest.fail "gap never exhausted"
-   with Exit -> ());
-  check Alcotest.bool "some inserts before exhaustion" true (!inserted >= 1);
-  check Alcotest.bool "invariants kept" true (Jspace.check_invariants sp);
-  (* Renumber the saturated level and retry. *)
-  Jspace.renumber_level sp ~depth:3;
-  check Alcotest.bool "invariants after renumber" true (Jspace.check_invariants sp);
-  (match Jspace.insert_child sp ~parent_depth:2 ~parent_jnum:4 with
-  | Jspace.Inserted _ -> ()
-  | Jspace.Gap_exhausted -> Alcotest.fail "renumbering must restore headroom")
-
-let jspace_random_prop =
-  QCheck.Test.make ~count:150 ~name:"jspace invariants under random inserts"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let rng = Xk_datagen.Rng.create seed in
-      let doc = Xk_datagen.Random_tree.generate rng in
-      let lab = Labeling.label ~gap:8 doc in
-      let sp = Jspace.of_labeling lab in
-      let ok = ref true in
-      for _ = 1 to 60 do
-        (* Pick a random live parent. *)
-        let depth = 1 + Xk_datagen.Rng.int rng (Jspace.height sp) in
-        let jn = Jspace.jnums_at sp ~depth in
-        if Array.length jn > 0 then begin
-          let parent_jnum = jn.(Xk_datagen.Rng.int rng (Array.length jn)) in
-          match Jspace.insert_child sp ~parent_depth:depth ~parent_jnum with
-          | Jspace.Inserted _ -> ()
-          | Jspace.Gap_exhausted ->
-              if depth + 1 <= Jspace.height sp then
-                Jspace.renumber_level sp ~depth:(depth + 1)
-        end;
-        if not (Jspace.check_invariants sp) then ok := false
-      done;
-      !ok)
-
 let suite =
   [
     ( "encoding",
@@ -250,12 +181,5 @@ let suite =
         QCheck_alcotest.to_alcotest prop_3_1;
         QCheck_alcotest.to_alcotest prop_lca_agree;
         QCheck_alcotest.to_alcotest prop_doc_order_is_jdewey_order;
-      ] );
-    ( "encoding.jspace",
-      [
-        tc "snapshot" `Quick jspace_snapshot;
-        tc "insert with gap" `Quick jspace_insert_with_gap;
-        tc "gap exhaustion and renumbering" `Quick jspace_gap_exhaustion;
-        QCheck_alcotest.to_alcotest jspace_random_prop;
       ] );
   ]

@@ -392,11 +392,9 @@ let index_io_rejects_mismatch () =
     Sys.remove path
   end
 
-(* The compressed zero-copy segment [save] writes (v5; the tests below
-   kept the "v4" label of the format's first compressed release in their
-   names): layout introspection, full verification, and bit-identical
-   parity against both the v2 channel loader and a fresh in-memory
-   build. *)
+(* The compressed zero-copy segment [save] writes (v5): layout
+   introspection, full verification, and bit-identical parity against
+   both the v2 channel loader and a fresh in-memory build. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -557,7 +555,7 @@ let block_span sd b =
 
 let v5_parity_prop =
   QCheck.Test.make ~count:15
-    ~name:"v4 mmap load is bit-identical to v2 channel load and fresh build"
+    ~name:"mmap load is bit-identical to v2 channel load and fresh build"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Xk_datagen.Rng.create seed in
@@ -626,7 +624,7 @@ let v5_parity_prop =
    [verify].  The same holds for intact bytes under a corruption mark,
    which damages the map the decoders read. *)
 let v5_never_raises_prop =
-  QCheck.Test.make ~count:10 ~name:"v4 decoders never raise on damaged bytes"
+  QCheck.Test.make ~count:10 ~name:"segment decoders never raise on damaged bytes"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
@@ -893,8 +891,8 @@ let suite =
         tc "save/load roundtrip" `Quick index_io_roundtrip;
         tc "rejects garbage" `Quick index_io_rejects_garbage;
         tc "rejects mismatched document" `Quick index_io_rejects_mismatch;
-        tc "v4 layout and roundtrip" `Quick index_io_v5_roundtrip;
-        tc "v4 rejects mangled header" `Quick index_io_v5_rejects_mangled_header;
+        tc "segment layout and roundtrip" `Quick index_io_v5_roundtrip;
+        tc "segment rejects mangled header" `Quick index_io_v5_rejects_mangled_header;
         QCheck_alcotest.to_alcotest v5_parity_prop;
         QCheck_alcotest.to_alcotest v5_never_raises_prop;
         QCheck_alcotest.to_alcotest tf_exceptions_roundtrip_prop;

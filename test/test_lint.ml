@@ -1,8 +1,9 @@
 (* xklint: fixture snippets per syntactic rule (known-good and
    known-bad), multi-file fixture projects for the whole-program
    analyses (budget reachability, lock-held sets, lock order, mmap
-   escapes), the allow mechanisms (config entries, [@xklint.allow]
-   attributes, file scoping) and the baseline round trip. *)
+   escapes, test-only modules), the allow mechanisms (config entries,
+   [@xklint.allow] attributes, file scoping) and the baseline round
+   trip. *)
 
 open Xklint_lib
 
@@ -552,6 +553,24 @@ let mmap_returns () =
         \  Hashtbl.replace t.tbl id (Xk_storage.Reader.width t.r 0)\n" );
     ]
 
+(* --- test-only-module -------------------------------------------------- *)
+
+let test_only_module () =
+  let used = ("lib/core/used.ml", "let f x = Spare.g x\n") in
+  let spare = ("lib/core/spare.ml", "let g x = x + 1\n") in
+  let lonely = ("lib/core/lonely.ml", "let h x = Lonely.h x\n") in
+  let main = ("bin/main.ml", "let () = print_int (Xk_core.Used.f 1)\n") in
+  check_rules_all "a module nothing else names" [ "test-only-module" ]
+    [ used; spare; lonely; main ];
+  check_rules_all "a type or constructor path counts" []
+    [ used; spare; lonely; ("tools/t.ml", "type t = Lonely.t\n\nlet x = Used.A\n") ];
+  check_rules_all "test files are not callers" [ "test-only-module" ]
+    [ used; spare; main; ("test/test_x.ml", "let _ = Lonely.h\n"); lonely ];
+  check_rules_all "lib alone: no executable roots, no verdict" []
+    [ used; spare; lonely ];
+  check_rules_all ~config:"allow test-only-module lib/core/lonely.ml"
+    "config allow" [] [ used; spare; lonely; main ]
+
 (* --- engine: determinism, SARIF, graph ------------------------------- *)
 
 let finding_order () =
@@ -716,6 +735,7 @@ let suite =
         tc "sink arguments" `Quick mmap_sinks;
         tc "returned views" `Quick mmap_returns;
       ] );
+    ( "lint.units", [ tc "test-only-module" `Quick test_only_module ] );
     ( "lint.engine",
       [
         tc "deterministic finding order" `Quick finding_order;

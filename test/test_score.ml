@@ -1,4 +1,4 @@
-(* Damping, local scorer and aggregation. *)
+(* Damping and the local scorer. *)
 
 open Xk_score
 
@@ -42,23 +42,6 @@ let scorer_bounded () =
         Alcotest.failf "score %f out of (0,1] for tf=%d df=%d" g tf df)
     [ (1, 1); (1, 1_000); (1_000, 1); (50, 42); (100_000, 1) ]
 
-let agg_sum_max () =
-  check approx "sum" 0.6 (Agg.combine Agg.Sum [| 0.1; 0.2; 0.3 |]);
-  check approx "max" 0.3 (Agg.combine Agg.Max [| 0.1; 0.2; 0.3 |]);
-  check approx "weighted" 0.8
-    (Agg.combine (Agg.Weighted [| 2.0; 1.0 |]) [| 0.3; 0.2 |])
-
-let agg_monotone_prop =
-  QCheck.Test.make ~count:500 ~name:"aggregation monotonicity"
-    QCheck.(list_of_size (Gen.int_range 1 6) (pair pos_float pos_float))
-    (fun pairs ->
-      let a = Array.of_list (List.map (fun (x, y) -> Float.min x y) pairs) in
-      let b = Array.of_list (List.map (fun (x, y) -> Float.max x y) pairs) in
-      let w = Array.make (Array.length a) 1.5 in
-      Agg.is_monotone_sample Agg.Sum a b
-      && Agg.is_monotone_sample Agg.Max a b
-      && Agg.is_monotone_sample (Agg.Weighted w) a b)
-
 let suite =
   [
     ( "score",
@@ -68,7 +51,5 @@ let suite =
         tc "scorer monotone in tf" `Quick scorer_monotone_tf;
         tc "scorer antitone in df" `Quick scorer_antitone_df;
         tc "scorer bounded" `Quick scorer_bounded;
-        tc "aggregation sum/max/weighted" `Quick agg_sum_max;
-        QCheck_alcotest.to_alcotest agg_monotone_prop;
       ] );
   ]

@@ -843,7 +843,7 @@ let suite =
       [
         tc "manifest + segments round-trip" `Quick shard_io_roundtrip;
         tc "typed per-shard failures" `Quick shard_io_failures;
-        tc "v4 open-path faults" `Quick shard_io_v5_faults;
+        tc "segment open-path faults" `Quick shard_io_v5_faults;
         tc "replica fallback and loss" `Quick shard_io_replicas;
         tc "committed v1/v2 manifest bytes" `Quick shard_io_legacy_fixtures;
       ] );

@@ -1,7 +1,8 @@
 (* Parse + lint, whole-program: every [.ml] is parsed once, the
    syntactic rules (Lint_rules) run per file, then the cross-module
    call graph is built over all of them (Lint_callgraph) and the
-   interprocedural analyses run over the graph (Lint_dataflow).
+   interprocedural analyses run over the graph (Lint_dataflow); last,
+   every lib/ module must have a caller elsewhere (Lint_units).
    [.mli] files carry no loops, locks or state and are skipped. *)
 
 type result = {
@@ -38,12 +39,13 @@ let lint_sources config sources =
   in
   let graph = Lint_callgraph.build parsed in
   let interprocedural = Lint_dataflow.run config graph in
+  let units = Lint_units.run config parsed in
   {
     files = List.length sources;
     graph;
     findings =
       List.sort_uniq Lint_finding.compare
-        (errors @ syntactic @ interprocedural);
+        (errors @ syntactic @ interprocedural @ units);
   }
 
 (* Single-source convenience (the test fixtures): the file is its own
