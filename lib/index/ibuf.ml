@@ -15,4 +15,3 @@ let push b x =
 
 let length b = b.len
 let get b i = b.data.(i)
-let contents b = Array.sub b.data 0 b.len

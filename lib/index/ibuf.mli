@@ -6,4 +6,3 @@ val create : ?capacity:int -> unit -> t
 val push : t -> int -> unit
 val length : t -> int
 val get : t -> int -> int
-val contents : t -> int array

@@ -47,18 +47,6 @@ type t = {
   scache : Score_list.t Shard_cache.t;
 }
 
-(* Text a node "directly contains": its own character data for text nodes,
-   its attribute values for elements. *)
-let direct_text (x : Xk_xml.Xml_tree.node) =
-  match x with
-  | Xk_xml.Xml_tree.Text s -> s
-  | Xk_xml.Xml_tree.Element e ->
-      (match e.attrs with
-      | [] -> ""
-      | attrs ->
-          String.concat " "
-            (List.map (fun (a : Xk_xml.Xml_tree.attribute) -> a.attr_value) attrs))
-
 let make_caches capacity =
   if capacity < 1 then Xk_util.Err.invalid "Index: cache_capacity < 1";
   ( Shard_cache.create ~capacity (),
@@ -76,57 +64,77 @@ let scorer_for ?stats label =
 let df_override_of stats =
   Option.map (fun s -> s.so_df) stats
 
+(* One pass over the nodes.  A node's term frequencies are tallied in two
+   arrays indexed by term id, [last_node] (the node that last saw the
+   term) and [tf], and the node's distinct ids drive the posting pushes
+   into one flat buffer of (term, node, tf) rows in node order.  A
+   counting pass by term id then cuts the buffer into per-term arrays, so
+   each term's rows stay in node order; ids are interned in first-seen
+   order. *)
 let build ?(damping = Xk_score.Damping.default)
     ?(cache_capacity = default_cache_capacity) ?stats
     (label : Xk_encoding.Labeling.t) =
   let dict = Xk_text.Dictionary.create () in
-  let nodes_bufs : Ibuf.t array ref = ref (Array.make 1024 (Ibuf.create ())) in
-  let tfs_bufs : Ibuf.t array ref = ref (Array.make 1024 (Ibuf.create ())) in
-  let buf_count = ref 0 in
+  let last_node = ref [||] and tf = ref [||] in
   let ensure id =
-    let cap = Array.length !nodes_bufs in
+    let cap = Array.length !last_node in
     if id >= cap then begin
-      let nb = Array.make (max (2 * cap) (id + 1)) (Ibuf.create ()) in
-      let tb = Array.make (max (2 * cap) (id + 1)) (Ibuf.create ()) in
-      Array.blit !nodes_bufs 0 nb 0 cap;
-      Array.blit !tfs_bufs 0 tb 0 cap;
-      nodes_bufs := nb;
-      tfs_bufs := tb
-    end;
-    while !buf_count <= id do
-      !nodes_bufs.(!buf_count) <- Ibuf.create ();
-      !tfs_bufs.(!buf_count) <- Ibuf.create ();
-      incr buf_count
-    done
+      let grown a x =
+        let b = Array.make (max 1024 (max (2 * cap) (id + 1))) x in
+        Array.blit a 0 b 0 cap;
+        b
+      in
+      last_node := grown !last_node (-1);
+      tf := grown !tf 0
+    end
   in
-  let tally : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let seen = ref [] in
+  let tally i w =
+    let id = Xk_text.Dictionary.intern dict w in
+    ensure id;
+    if !last_node.(id) = i then !tf.(id) <- !tf.(id) + 1
+    else begin
+      !last_node.(id) <- i;
+      !tf.(id) <- 1;
+      seen := id :: !seen
+    end
+  in
+  let row_terms = Ibuf.create ~capacity:4096 ()
+  and row_nodes = Ibuf.create ~capacity:4096 ()
+  and row_tfs = Ibuf.create ~capacity:4096 () in
   let n = Xk_encoding.Labeling.node_count label in
   for i = 0 to n - 1 do
-    let text = direct_text (Xk_encoding.Labeling.xml_node label i) in
-    if String.length text > 0 then begin
-      Hashtbl.reset tally;
-      Xk_text.Tokenizer.iter_indexed text (fun w ->
-          let id = Xk_text.Dictionary.intern dict w in
-          let tf = try Hashtbl.find tally id with Not_found -> 0 in
-          Hashtbl.replace tally id (tf + 1));
-      Hashtbl.iter
-        (fun id tf ->
-          ensure id;
-          Ibuf.push !nodes_bufs.(id) i;
-          Ibuf.push !tfs_bufs.(id) tf;
-          Xk_text.Dictionary.bump_df dict id;
-          Xk_text.Dictionary.bump_cf dict id tf)
-        tally
-    end
+    (match Xk_encoding.Labeling.xml_node label i with
+    | Xk_xml.Xml_tree.Text s -> Xk_text.Tokenizer.iter_indexed s (tally i)
+    | Xk_xml.Xml_tree.Element e ->
+        List.iter
+          (fun (a : Xk_xml.Xml_tree.attribute) ->
+            Xk_text.Tokenizer.iter_indexed a.attr_value (tally i))
+          e.attrs);
+    List.iter
+      (fun id ->
+        let tf = !tf.(id) in
+        Ibuf.push row_terms id;
+        Ibuf.push row_nodes i;
+        Ibuf.push row_tfs tf;
+        Xk_text.Dictionary.bump_df dict id;
+        Xk_text.Dictionary.bump_cf dict id tf)
+      !seen;
+    seen := []
   done;
-  let terms = Xk_text.Dictionary.size dict in
   let raws =
-    Array.init terms (fun id ->
-        if id < !buf_count then
-          { r_nodes = Ibuf.contents !nodes_bufs.(id);
-            r_tfs = Ibuf.contents !tfs_bufs.(id) }
-        else { r_nodes = [||]; r_tfs = [||] })
+    Array.init (Xk_text.Dictionary.size dict) (fun id ->
+        let df = Xk_text.Dictionary.df dict id in
+        { r_nodes = Array.make df 0; r_tfs = Array.make df 0 })
   in
+  let fill = Array.make (Array.length raws) 0 in
+  for r = 0 to Ibuf.length row_terms - 1 do
+    let id = Ibuf.get row_terms r in
+    let k = fill.(id) in
+    raws.(id).r_nodes.(k) <- Ibuf.get row_nodes r;
+    raws.(id).r_tfs.(k) <- Ibuf.get row_tfs r;
+    fill.(id) <- k + 1
+  done;
   let jcache, pcache, scache = make_caches cache_capacity in
   {
     label;
@@ -152,10 +160,8 @@ let of_raw ?(damping = Xk_score.Damping.default)
         if Array.length nodes <> Array.length tfs then
           Xk_util.Err.invalid "Index.of_raw: row length mismatch";
         let id = Xk_text.Dictionary.intern dict term in
-        for _ = 1 to Array.length nodes do
-          Xk_text.Dictionary.bump_df dict id
-        done;
-        Xk_text.Dictionary.bump_cf dict id (Array.fold_left ( + ) 0 tfs);
+        Xk_text.Dictionary.set_stats dict id ~df:(Array.length nodes)
+          ~cf:(Array.fold_left ( + ) 0 tfs);
         { r_nodes = nodes; r_tfs = tfs })
       entries
   in

@@ -2,8 +2,8 @@
 
    A token is a maximal run of letters, digits or bytes >= 0x80 (so UTF-8
    multi-byte characters stay inside words), lowercased over ASCII.  Tokens
-   shorter than [min_len] and pure numbers longer than [max_num_len] are
-   dropped to keep the dictionary within reason. *)
+   shorter than [min_len] or longer than [max_len] bytes are dropped to
+   keep the dictionary within reason. *)
 
 let default_min_len = 2
 let default_max_len = 40
@@ -14,23 +14,33 @@ let is_word_byte c =
   || (c >= '0' && c <= '9')
   || Char.code c >= 0x80
 
-let lower c = if c >= 'A' && c <= 'Z' then Char.chr (Char.code c + 32) else c
+let is_upper c = c >= 'A' && c <= 'Z'
 
-(* Feed every token of [s] to [f].  No list allocation: the hot path of
-   index construction goes through here once per text node. *)
+(* First word byte of [s] at or after [i], or [String.length s]. *)
+let rec skip s i = if i < String.length s && not (is_word_byte s.[i]) then skip s (i + 1) else i
+
+(* End of the word starting at [i]. *)
+let rec word_end s i = if i < String.length s && is_word_byte s.[i] then word_end s (i + 1) else i
+
+let rec has_upper s i stop = i < stop && (is_upper s.[i] || has_upper s (i + 1) stop)
+
+(* Feed every token of [s] to [f].  Each token's span is found in place
+   and taken with one [String.sub], lowercased only when it holds an
+   ASCII capital: the hot path of index construction goes through here
+   once per text node. *)
 let iter ?(min_len = default_min_len) ?(max_len = default_max_len) s f =
-  let n = String.length s in
-  let buf = Buffer.create 16 in
-  let flush () =
-    let len = Buffer.length buf in
-    if len >= min_len && len <= max_len then f (Buffer.contents buf);
-    Buffer.clear buf
+  let rec go start =
+    if start < String.length s then begin
+      let stop = word_end s start in
+      let len = stop - start in
+      if len >= min_len && len <= max_len then begin
+        let t = String.sub s start len in
+        f (if has_upper s start stop then String.lowercase_ascii t else t)
+      end;
+      go (skip s stop)
+    end
   in
-  for i = 0 to n - 1 do
-    let c = s.[i] in
-    if is_word_byte c then Buffer.add_char buf (lower c) else flush ()
-  done;
-  flush ()
+  go (skip s 0)
 
 let tokens ?min_len ?max_len s =
   let acc = ref [] in
@@ -52,7 +62,9 @@ let stopword_set : (string, unit) Hashtbl.t =
   List.iter (fun w -> Hashtbl.replace h w ()) stopwords;
   h
 
-let is_stopword w = Hashtbl.mem stopword_set w
+let max_stopword_len = List.fold_left (fun m w -> max m (String.length w)) 0 stopwords
+
+let is_stopword w = String.length w <= max_stopword_len && Hashtbl.mem stopword_set w
 
 let iter_indexed ?min_len ?max_len s f =
   iter ?min_len ?max_len s (fun t -> if not (is_stopword t) then f t)

@@ -4,7 +4,13 @@
    five predefined entities and numeric character references.
 
    The input is treated as a byte string; bytes >= 0x80 flow through
-   untouched, so UTF-8 documents work without a decoding pass. *)
+   untouched, so UTF-8 documents work without a decoding pass.
+
+   Character data is scanned in runs up to the next delimiter and never
+   copied a byte at a time: a text node or attribute value that is one
+   run of the source is taken with a single [String.sub], and only data
+   assembled from several pieces (entities, CDATA, runs split by a
+   comment) goes through the shared buffer. *)
 
 type error = { line : int; col : int; message : string }
 
@@ -17,6 +23,11 @@ type state = {
   src : string;
   mutable pos : int;
   keep_ws : bool;
+  buf : Buffer.t;  (** character data of several pieces *)
+  mutable run_start : int;
+  mutable run_stop : int;
+      (** a run of the source not yet copied into [buf]; empty when
+          [run_start = run_stop] *)
 }
 
 let position st =
@@ -46,9 +57,71 @@ let peek2 st =
 
 let advance st = st.pos <- st.pos + 1
 
-let looking_at st s =
+(* Does [s] occur in [src] at [i]?  Compared in place. *)
+let occurs_at src i s =
   let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
+  let rec go k = k = n || (src.[i + k] = s.[k] && go (k + 1)) in
+  i + n <= String.length src && go 0
+
+let looking_at st s = occurs_at st.src st.pos s
+
+(* Start of the first [delim] at or after the cursor, or the end of the
+   input. *)
+let find st delim =
+  let src = st.src and n = String.length st.src in
+  let rec go i =
+    match String.index_from_opt src i delim.[0] with
+    | None -> n
+    | Some j -> if occurs_at src j delim then j else go (j + 1)
+  in
+  go st.pos
+
+(* End of the run at [i]: the first byte at or after [i] that is [a], [b]
+   or [c], or the end of [src]. *)
+let rec run_end src i a b c =
+  if i >= String.length src then i
+  else
+    let x = src.[i] in
+    if x = a || x = b || x = c then i else run_end src (i + 1) a b c
+
+(* Move the pending run into the buffer. *)
+let spill st =
+  if st.run_stop > st.run_start then begin
+    Buffer.add_substring st.buf st.src st.run_start (st.run_stop - st.run_start);
+    st.run_start <- 0;
+    st.run_stop <- 0
+  end
+
+(* Gather the source bytes [start, stop) as character data. *)
+let add_run st start stop =
+  if stop > start then
+    if Buffer.length st.buf = 0 && st.run_stop = st.run_start then begin
+      st.run_start <- start;
+      st.run_stop <- stop
+    end
+    else begin
+      spill st;
+      Buffer.add_substring st.buf st.src start (stop - start)
+    end
+
+let gathered st = Buffer.length st.buf > 0 || st.run_stop > st.run_start
+
+let clear st =
+  Buffer.clear st.buf;
+  st.run_start <- 0;
+  st.run_stop <- 0
+
+(* The character data gathered so far, which is then cleared. *)
+let take st =
+  let s =
+    if Buffer.length st.buf = 0 then String.sub st.src st.run_start (st.run_stop - st.run_start)
+    else begin
+      spill st;
+      Buffer.contents st.buf
+    end
+  in
+  clear st;
+  s
 
 let expect st s =
   if looking_at st s then st.pos <- st.pos + String.length s
@@ -70,16 +143,24 @@ let is_name_start c =
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
-let parse_name st =
+(* Skip a name; returns where it started. *)
+let skip_name st =
   if not (is_name_start (peek st)) then fail st "expected a name";
   let start = st.pos in
   while (not (eof st)) && is_name_char (peek st) do
     advance st
   done;
+  start
+
+let parse_name st =
+  let start = skip_name st in
   String.sub st.src start (st.pos - start)
 
-(* Resolve one entity/char reference; cursor sits just past '&'. *)
-let parse_reference st buf =
+(* Resolve one entity/char reference into the gathered character data;
+   cursor sits just past '&'. *)
+let parse_reference st =
+  spill st;
+  let buf = st.buf in
   if peek st = '#' then begin
     advance st;
     let hex = peek st = 'x' in
@@ -123,49 +204,33 @@ let parse_attr_value st =
   let quote = peek st in
   if quote <> '"' && quote <> '\'' then fail st "expected quoted attribute value";
   advance st;
-  let buf = Buffer.create 16 in
   let rec go () =
+    let stop = run_end st.src st.pos quote '&' '<' in
+    add_run st st.pos stop;
+    st.pos <- stop;
     if eof st then fail st "unterminated attribute value";
     let c = peek st in
     if c = quote then advance st
     else if c = '&' then begin
       advance st;
-      parse_reference st buf;
+      parse_reference st;
       go ()
     end
-    else if c = '<' then fail st "'<' in attribute value"
-    else begin
-      Buffer.add_char buf c;
-      advance st;
-      go ()
-    end
+    else fail st "'<' in attribute value"
   in
   go ();
-  Buffer.contents buf
+  take st
 
-let skip_comment st =
-  expect st "<!--";
-  let rec go () =
-    if eof st then fail st "unterminated comment"
-    else if looking_at st "-->" then st.pos <- st.pos + 3
-    else begin
-      advance st;
-      go ()
-    end
-  in
-  go ()
+(* Move past the terminator [delim] of a construct opened by [opening]. *)
+let skip_past st ~opening delim what =
+  expect st opening;
+  let stop = find st delim in
+  st.pos <- stop;
+  if eof st then fail st "unterminated %s" what;
+  st.pos <- stop + String.length delim
 
-let skip_pi st =
-  expect st "<?";
-  let rec go () =
-    if eof st then fail st "unterminated processing instruction"
-    else if looking_at st "?>" then st.pos <- st.pos + 2
-    else begin
-      advance st;
-      go ()
-    end
-  in
-  go ()
+let skip_comment st = skip_past st ~opening:"<!--" "-->" "comment"
+let skip_pi st = skip_past st ~opening:"<?" "?>" "processing instruction"
 
 let skip_doctype st =
   expect st "<!DOCTYPE";
@@ -192,23 +257,17 @@ let skip_doctype st =
   in
   go 0 false
 
-let parse_cdata st buf =
-  expect st "<![CDATA[";
-  let rec go () =
-    if eof st then fail st "unterminated CDATA section"
-    else if looking_at st "]]>" then st.pos <- st.pos + 3
-    else begin
-      Buffer.add_char buf (peek st);
-      advance st;
-      go ()
-    end
-  in
-  go ()
+let parse_cdata st =
+  let start = st.pos + String.length "<![CDATA[" in
+  skip_past st ~opening:"<![CDATA[" "]]>" "CDATA section";
+  add_run st start (st.pos - String.length "]]>")
 
-let is_blank s =
-  let n = String.length s in
-  let rec go i = i >= n || (is_ws s.[i] && go (i + 1)) in
-  go 0
+(* Is the gathered character data all whitespace?  Tested in place, so
+   blank text between elements is never copied. *)
+let gathered_blank st =
+  let rec run i = i >= st.run_stop || (is_ws st.src.[i] && run (i + 1)) in
+  let rec buf i = i >= Buffer.length st.buf || (is_ws (Buffer.nth st.buf i) && buf (i + 1)) in
+  run st.run_start && buf 0
 
 let parse_attributes st =
   let rec go acc =
@@ -244,27 +303,27 @@ let rec parse_element st =
 (* Children of [tag] up to and including its end tag. *)
 and parse_content st tag =
   let out = ref [] in
-  let textbuf = Buffer.create 64 in
   let flush_text () =
-    if Buffer.length textbuf > 0 then begin
-      let s = Buffer.contents textbuf in
-      Buffer.clear textbuf;
-      if st.keep_ws || not (is_blank s) then out := Xml_tree.Text s :: !out
-    end
+    if gathered st then
+      if st.keep_ws || not (gathered_blank st) then out := Xml_tree.Text (take st) :: !out
+      else clear st
   in
   let rec go () =
     if eof st then fail st "unterminated element <%s>" tag
     else if looking_at st "</" then begin
       flush_text ();
       st.pos <- st.pos + 2;
-      let close = parse_name st in
+      let start = skip_name st in
+      let stop = st.pos in
       skip_ws st;
       expect st ">";
-      if not (String.equal close tag) then
-        fail st "mismatched end tag </%s>, expected </%s>" close tag
+      if not (stop - start = String.length tag && occurs_at st.src start tag) then
+        fail st "mismatched end tag </%s>, expected </%s>"
+          (String.sub st.src start (stop - start))
+          tag
     end
     else if looking_at st "<![CDATA[" then begin
-      parse_cdata st textbuf;
+      parse_cdata st;
       go ()
     end
     else if looking_at st "<!--" then begin
@@ -284,12 +343,13 @@ and parse_content st tag =
     end
     else if peek st = '&' then begin
       advance st;
-      parse_reference st textbuf;
+      parse_reference st;
       go ()
     end
     else begin
-      Buffer.add_char textbuf (peek st);
-      advance st;
+      let stop = run_end st.src st.pos '<' '&' '&' in
+      add_run st st.pos stop;
+      st.pos <- stop;
       go ()
     end
   in
@@ -317,7 +377,9 @@ let parse_prolog st =
   go ()
 
 let parse_string_exn ?(keep_ws = false) src =
-  let st = { src; pos = 0; keep_ws } in
+  let st =
+    { src; pos = 0; keep_ws; buf = Buffer.create 64; run_start = 0; run_stop = 0 }
+  in
   parse_prolog st;
   skip_ws st;
   if not (peek st = '<' && is_name_start (peek2 st)) then

@@ -863,6 +863,51 @@ let block_fault_prop =
               | exception Index_io.Segment_fault _ -> id / block_terms = damaged)
             (List.init n Fun.id @ List.init n Fun.id)))
 
+(* Ingest is pinned bit for bit: a printed corpus parsed, tokenized,
+   indexed and saved as one segment must hash to the digest the
+   byte-at-a-time parser, buffered tokenizer and hashtable tally wrote,
+   and its dictionary must keep first-seen id order.  A build that
+   reorders term ids or postings fails here. *)
+let pinned_segment ~name doc =
+  let xml = Xk_xml.Xml_print.to_string doc in
+  let sharded = Sharding.partition ~shards:1 (Xk_xml.Xml_parser.parse_string_exn xml) in
+  let path = tmpfile (Printf.sprintf "xk_pinned_%s.manifest" name) in
+  let seg = Shard_io.segment_path path ~shard:0 in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ path; seg ])
+    (fun () ->
+      Shard_io.save sharded path;
+      let dict = Index.dict (Sharding.index sharded 0) in
+      (Digest.to_hex (Digest.file seg), List.init (Xk_text.Dictionary.size dict) (Xk_text.Dictionary.term dict)))
+
+let segment_bytes_pinned () =
+  let dblp =
+    Xk_datagen.Dblp_gen.generate { (Xk_datagen.Dblp_gen.scaled 0.05) with seed = 2010 }
+  in
+  let xmark =
+    Xk_datagen.Xmark_gen.generate { (Xk_datagen.Xmark_gen.scaled 0.05) with seed = 2010 }
+  in
+  let dblp_digest, dblp_terms = pinned_segment ~name:"dblp" dblp.doc in
+  let xmark_digest, xmark_terms = pinned_segment ~name:"xmark" xmark.doc in
+  check Alcotest.string "dblp segment digest" "efd4cc53882002b3dc73387af4a1d446" dblp_digest;
+  check Alcotest.string "xmark segment digest" "b81d6529ebaac947d17d9c867a20380d" xmark_digest;
+  check
+    Alcotest.(list string)
+    "dblp first 50 terms"
+    [
+      "conf0"; "mustafo"; "cecegu"; "cebaba"; "cebace"; "ceguxo"; "cequipla";
+      "cevedi"; "cececle"; "cepesu"; "1998"; "dibagru"; "cecece"; "cebaje";
+      "celosu"; "cekina"; "upa3"; "upb2"; "cebadi"; "cebafo"; "cebave";
+      "cebabra"; "41"; "507"; "digupe"; "cebalo"; "diplaro"; "cejecle";
+      "suplawi"; "cegumu"; "cejequi"; "cebatre"; "gusugru"; "upb3"; "hatrefo";
+      "cebaxo"; "49"; "524"; "cepece"; "cebawi"; "clehadri"; "cegubra";
+      "cebata"; "cebaha"; "cejeflo"; "ceceba"; "295"; "517"; "vewisno";
+      "cecexo";
+    ]
+    (List.filteri (fun i _ -> i < 50) dblp_terms);
+  check Alcotest.string "xmark dictionary digest" "238965f2efc86b42cc428cec52cd062d"
+    (Digest.to_hex (Digest.string (String.concat " " xmark_terms)))
+
 let suite =
   [
     ( "index",
@@ -893,6 +938,7 @@ let suite =
         tc "rejects mismatched document" `Quick index_io_rejects_mismatch;
         tc "segment layout and roundtrip" `Quick index_io_v5_roundtrip;
         tc "segment rejects mangled header" `Quick index_io_v5_rejects_mangled_header;
+        tc "segment bytes pinned" `Quick segment_bytes_pinned;
         QCheck_alcotest.to_alcotest v5_parity_prop;
         QCheck_alcotest.to_alcotest v5_never_raises_prop;
         QCheck_alcotest.to_alcotest tf_exceptions_roundtrip_prop;

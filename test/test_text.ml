@@ -77,6 +77,47 @@ let vocab_distinct () =
     | _ -> Alcotest.failf "word %s not tokenizer-stable" w
   done
 
+(* The tokenizer's specification, written plainly: split on every byte
+   that is not an ASCII letter or digit or >= 0x80, lowercase ASCII, keep
+   tokens of 2 to 40 bytes. *)
+let reference_tokens s =
+  let word c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+    || Char.code c >= 0x80
+  in
+  String.map (fun c -> if word c then c else ' ') s
+  |> String.split_on_char ' '
+  |> List.filter (fun t -> String.length t >= 2 && String.length t <= 40)
+  |> List.map String.lowercase_ascii
+
+(* Random byte strings built from runs of capitals, lowercase letters,
+   digits, high bytes, mixed word bytes and separators, some runs longer
+   than the 40-byte cap. *)
+let token_soup =
+  let open QCheck.Gen in
+  let run_of cls =
+    map
+      (fun l -> String.concat "" (List.map (String.make 1) l))
+      (list_size (oneof [ int_range 0 6; int_range 38 43; int_range 0 60 ]) cls)
+  in
+  let classes =
+    [
+      char_range 'A' 'Z';
+      char_range 'a' 'z';
+      char_range '0' '9';
+      map Char.chr (int_range 0x80 0xff);
+      oneof [ char_range 'A' 'Z'; char_range 'a' 'z'; char_range '0' '9' ];
+      map Char.chr (int_range 0 0xff);
+      oneofl [ ' '; '-'; '.'; '\n'; '@'; '['; '`'; '{'; '/'; ':'; '\000' ];
+    ]
+  in
+  map (String.concat "") (list_size (int_range 0 12) (oneof (List.map run_of classes)))
+
+let tokens_match_reference_prop =
+  QCheck.Test.make ~count:1000 ~name:"tokens = reference tokenizer"
+    (QCheck.make ~print:(Printf.sprintf "%S") token_soup)
+    (fun s -> Tokenizer.tokens s = reference_tokens s)
+
 let suite =
   [
     ( "text",
@@ -91,5 +132,6 @@ let suite =
         tc "dictionary basics" `Quick dictionary_basics;
         tc "dictionary growth" `Quick dictionary_growth;
         tc "vocab words distinct and indexable" `Quick vocab_distinct;
+        QCheck_alcotest.to_alcotest tokens_match_reference_prop;
       ] );
   ]

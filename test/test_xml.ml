@@ -102,6 +102,99 @@ let roundtrip_prop =
       let d2 = Xml_parser.parse_string_exn ~keep_ws:true (Xml_print.to_string d) in
       Xml_tree.equal d d2)
 
+(* A printed random tree dressed in every construct the parser scans in
+   runs: attributes in both quote styles with entities, character
+   references, CDATA sections, comments and processing instructions. *)
+let decorated_doc seed =
+  let rng = Random.State.make [| seed |] in
+  let d = Tutil.random_doc seed in
+  let buf = Buffer.create 512 in
+  let extra () =
+    match Random.State.int rng 6 with
+    | 0 -> Buffer.add_string buf "<!-- a -- comment\n -->"
+    | 1 -> Buffer.add_string buf "<?pi some ? data?>"
+    | 2 -> Buffer.add_string buf "<![CDATA[x <y> & ]] z]]>"
+    | 3 -> Buffer.add_string buf " &amp;&lt;&#65;&#x42;&quot; "
+    | _ -> ()
+  in
+  let rec node = function
+    | Xml_tree.Text s ->
+        Buffer.add_string buf s;
+        extra ()
+    | Xml_tree.Element e ->
+        Buffer.add_char buf '<';
+        Buffer.add_string buf e.tag;
+        if Random.State.bool rng then Buffer.add_string buf {| a="v &amp; w"|};
+        if Random.State.bool rng then Buffer.add_string buf {| b='&#x43;it&apos;s'|};
+        Buffer.add_char buf '>';
+        extra ();
+        List.iter node e.children;
+        Buffer.add_string buf ("</" ^ e.tag ^ ">")
+  in
+  Buffer.add_string buf "<?xml version=\"1.0\"?>\n<!-- head -->\n";
+  node (Xml_tree.Element d.root);
+  Buffer.contents buf
+
+let total s =
+  match Xml_parser.parse_string s with
+  | Ok _ | Error _ -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) s
+
+(* Property: the parser is total on every strict prefix, every single-byte
+   flip and random garbage derived from decorated documents. *)
+let parse_total_prop =
+  QCheck.Test.make ~count:60 ~name:"parse_string never raises"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let src = decorated_doc seed in
+      let n = String.length src in
+      (match Xml_parser.parse_string src with
+      | Ok _ -> ()
+      | Error e -> QCheck.Test.fail_reportf "decorated doc rejected: %s" e.message);
+      let rng = Random.State.make [| seed; 1 |] in
+      let flip i =
+        let b = Bytes.of_string src in
+        Bytes.set b i (Char.chr (Random.State.int rng 256));
+        Bytes.to_string b
+      in
+      let garbage () =
+        String.init (Random.State.int rng 64) (fun _ ->
+            if Random.State.bool rng then Char.chr (Random.State.int rng 256)
+            else "<>&;\"'/=![]-?#x".[Random.State.int rng 15])
+      in
+      List.for_all total (List.init n (fun i -> String.sub src 0 i))
+      && List.for_all total (List.init n flip)
+      && List.for_all total
+           (List.init 20 (fun _ ->
+                let cut = Random.State.int rng (n + 1) in
+                String.sub src 0 cut ^ garbage ()
+                ^ String.sub src cut (n - cut))))
+
+(* Error positions inside long runs: the line and column of each error, as
+   the byte-at-a-time parser reported them. *)
+let error_positions_in_runs () =
+  let long = String.concat "\n" (List.init 5 (fun _ -> String.make 70 'w')) in
+  let at src line col message =
+    match Xml_parser.parse_string src with
+    | Ok _ -> Alcotest.failf "expected an error for %S" src
+    | Error e ->
+        check Alcotest.(triple int int string) "line, column, message"
+          (line, col, message) (e.line, e.col, e.message)
+  in
+  at ("<a>" ^ long ^ " & x</a>") 5 73 "expected a name";
+  at ("<a>" ^ long ^ " < x</a>") 5 72 "malformed markup";
+  at ("<a>" ^ long) 5 71 "unterminated element <a>";
+  at ("<a>" ^ long ^ "&#x;</a>") 5 74 "empty character reference";
+  at ("<a x=\"" ^ long ^ "<\"/>") 5 71 "'<' in attribute value";
+  at ("<a x='" ^ long) 5 71 "unterminated attribute value";
+  at ("<a><![CDATA[" ^ long) 5 71 "unterminated CDATA section";
+  at ("<a><!--" ^ long) 5 71 "unterminated comment";
+  at ("<a><!--" ^ long ^ "-- >") 5 75 "unterminated comment";
+  at ("<a><?pi " ^ long ^ "? >") 5 74 "unterminated processing instruction";
+  at ("<a>" ^ long ^ "&bogus;</a>") 5 78 "unknown entity &bogus;";
+  at ("<a x=\"" ^ long ^ "&lt;" ^ long ^ "'/>") 9 74 "unterminated attribute value"
+
 let fold_order () =
   let d = parse "<a><b>x</b><c><d/></c></a>" in
   let tags = ref [] in
@@ -138,8 +231,10 @@ let suite =
         tc "error: bad entity" `Quick (fails "<a>&unknown;</a>");
         tc "error: empty input" `Quick (fails "");
         tc "error positions" `Quick error_positions;
+        tc "error positions inside runs" `Quick error_positions_in_runs;
         tc "roundtrip" `Quick roundtrip;
         tc "fold order" `Quick fold_order;
         QCheck_alcotest.to_alcotest roundtrip_prop;
+        QCheck_alcotest.to_alcotest parse_total_prop;
       ] );
   ]
