@@ -78,8 +78,10 @@ let join r ~threshold ~budget ~below ~accept ~ceilings ~next ~pull ~make =
   (* Keys already generated: a keyword list can hold a key more than
      once, and a key must not be generated twice. *)
   let completed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Monotone per-subset maxima of partial sums, indexed by bitmask P. *)
+  (* Monotone per-subset maxima of partial sums, indexed by bitmask P,
+     with the slots of the entry that set each maximum. *)
   let group_max = Array.make (1 lsl k) neg_infinity in
+  let group_slots = Array.make (1 lsl k) [||] in
   let unseen () =
     match threshold with
     | Classic ->
@@ -104,9 +106,13 @@ let join r ~threshold ~budget ~below ~accept ~ceilings ~next ~pull ~make =
         let best = ref !case1 in
         for p = 1 to (1 lsl k) - 2 do
           if group_max.(p) > neg_infinity then begin
-            let t = ref group_max.(p) in
+            (* ms(G_P) + sum_{j notin P} s^j, summed in list order like
+               a completed total, so that an entry's own stale group
+               term rounds to at most its total: next.(j) <= slot j. *)
+            let slots = group_slots.(p) in
+            let t = ref 0. in
             for j = 0 to k - 1 do
-              if p land (1 lsl j) = 0 then t := !t +. next.(j)
+              t := !t +. if p land (1 lsl j) = 0 then next.(j) else slots.(j)
             done;
             if !t > !best then best := !t
           end
@@ -184,7 +190,10 @@ let join r ~threshold ~budget ~below ~accept ~ceilings ~next ~pull ~make =
           Array.iter
             (fun v -> if v > neg_infinity then partial := !partial +. v)
             e.slots;
-          if !partial > group_max.(e.mask) then group_max.(e.mask) <- !partial
+          if !partial > group_max.(e.mask) then begin
+            group_max.(e.mask) <- !partial;
+            group_slots.(e.mask) <- Array.copy e.slots
+          end
         end
       end
     end;

@@ -9,147 +9,127 @@
    Numbering per depth in document order satisfies JDewey requirement 2: if
    v1 and v2 sit at the same depth and v1's number exceeds v2's, v1 comes
    after v2 in document order, hence so do all its children, hence their
-   (document-ordered) numbers are greater. *)
+   (document-ordered) numbers are greater.
 
-type info = {
-  depth : int;  (* 1-based; root = 1 *)
-  jnum : int;   (* JDewey number at [depth] *)
-  sib : int;    (* 1-based sibling rank (Dewey component) *)
-  parent : int; (* index of parent in [nodes]; -1 for the root *)
-  xml : Xk_xml.Xml_tree.node;
-}
-
-type level = {
-  jnums : int array; (* sorted ascending by construction *)
-  idxs : int array;  (* node index for each entry of [jnums] *)
-}
+   Per-node facts live in parallel int arrays indexed by node (struct of
+   arrays), so labeling allocates a fixed handful of arrays rather than a
+   record per node.  The k-th node (from 0) of a depth has JDewey number
+   (k + 1) * gap, so the per-depth directory stores only node indexes and
+   [find] is a division. *)
 
 type t = {
-  doc : Xk_xml.Xml_tree.document;
-  nodes : info array;
-  levels : level array; (* levels.(d-1) indexes depth d *)
+  depths : int array;  (* 1-based; root = 1 *)
+  jnums : int array;   (* JDewey number at the node's depth *)
+  sibs : int array;    (* 1-based sibling rank (Dewey component) *)
+  parents : int array; (* parent's node index; -1 for the root *)
+  xml : Xk_xml.Xml_tree.node array;
+  levels : int array array; (* levels.(d-1): node indexes of depth d in order *)
   gap : int;
 }
 
-type buf = { mutable data : int array; mutable len : int }
-
-let buf_create () = { data = Array.make 16 0; len = 0 }
-
-let buf_push b x =
-  if b.len = Array.length b.data then begin
-    let data = Array.make (2 * b.len) 0 in
-    Array.blit b.data 0 data 0 b.len;
-    b.data <- data
-  end;
-  b.data.(b.len) <- x;
-  b.len <- b.len + 1
-
-let buf_contents b = Array.sub b.data 0 b.len
+(* Node count and height in one walk, to size the arrays. *)
+let measure (doc : Xk_xml.Xml_tree.document) =
+  let count = ref 0 and height = ref 0 in
+  let rec go depth (x : Xk_xml.Xml_tree.node) =
+    incr count;
+    if depth > !height then height := depth;
+    match x with
+    | Text _ -> ()
+    | Element e -> List.iter (go (depth + 1)) e.children
+  in
+  go 1 (Element doc.root);
+  (!count, !height)
 
 let label ?(gap = 1) (doc : Xk_xml.Xml_tree.document) =
   if gap < 1 then Xk_util.Err.invalid "Labeling.label: gap must be >= 1";
-  let n = Xk_xml.Xml_tree.node_count doc in
-  let height = Xk_xml.Xml_tree.depth doc in
-  let nodes =
-    Array.make n
-      { depth = 0; jnum = 0; sib = 0; parent = -1; xml = Xk_xml.Xml_tree.Text "" }
-  in
+  let n, height = measure doc in
+  let depths = Array.make n 0 and jnums = Array.make n 0 in
+  let sibs = Array.make n 0 and parents = Array.make n (-1) in
+  let root = Xk_xml.Xml_tree.Element doc.root in
+  let xml = Array.make n root in
   let counters = Array.make height 0 in
-  let lev_jnums = Array.init height (fun _ -> buf_create ()) in
-  let lev_idxs = Array.init height (fun _ -> buf_create ()) in
   let next = ref 0 in
   let rec go depth parent sib (x : Xk_xml.Xml_tree.node) =
     let idx = !next in
     next := idx + 1;
-    counters.(depth - 1) <- counters.(depth - 1) + 1;
-    let jnum = counters.(depth - 1) * gap in
-    nodes.(idx) <- { depth; jnum; sib; parent; xml = x };
-    buf_push lev_jnums.(depth - 1) jnum;
-    buf_push lev_idxs.(depth - 1) idx;
+    let c = counters.(depth - 1) + 1 in
+    counters.(depth - 1) <- c;
+    depths.(idx) <- depth;
+    jnums.(idx) <- c * gap;
+    sibs.(idx) <- sib;
+    parents.(idx) <- parent;
+    xml.(idx) <- x;
     match x with
     | Text _ -> ()
-    | Element e ->
-        List.iteri (fun i c -> go (depth + 1) idx (i + 1) c) e.children
+    | Element e -> children (depth + 1) idx 1 e.children
+  and children depth parent sib = function
+    | [] -> ()
+    | c :: rest ->
+        go depth parent sib c;
+        children depth parent (sib + 1) rest
   in
-  go 1 (-1) 1 (Element doc.root);
-  let levels =
-    Array.init height (fun d ->
-        { jnums = buf_contents lev_jnums.(d); idxs = buf_contents lev_idxs.(d) })
-  in
-  { doc; nodes; levels; gap }
+  go 1 (-1) 1 root;
+  let levels = Array.map (fun w -> Array.make w 0) counters in
+  let fill = Array.make height 0 in
+  for i = 0 to n - 1 do
+    let d = depths.(i) - 1 in
+    levels.(d).(fill.(d)) <- i;
+    fill.(d) <- fill.(d) + 1
+  done;
+  { depths; jnums; sibs; parents; xml; levels; gap }
 
-let node_count t = Array.length t.nodes
+let node_count t = Array.length t.depths
 let height t = Array.length t.levels
 let gap t = t.gap
-let info t i = t.nodes.(i)
-let depth t i = t.nodes.(i).depth
-let jnum t i = t.nodes.(i).jnum
-let parent t i = t.nodes.(i).parent
-let xml_node t i = t.nodes.(i).xml
+let depth t i = t.depths.(i)
+let jnum t i = t.jnums.(i)
+let parent t i = t.parents.(i)
+let xml_node t i = t.xml.(i)
 
-let jdewey_seq t i : Jdewey.t =
-  let d = t.nodes.(i).depth in
-  let s = Array.make d 0 in
+(* The root-to-node sequence of one per-node column. *)
+let path t col i =
+  let s = Array.make t.depths.(i) 0 in
   let rec up i =
-    let n = t.nodes.(i) in
-    s.(n.depth - 1) <- n.jnum;
-    if n.parent >= 0 then up n.parent
+    s.(t.depths.(i) - 1) <- col.(i);
+    let p = t.parents.(i) in
+    if p >= 0 then up p
   in
   up i;
   s
 
-let dewey t i : Dewey.t =
-  let d = t.nodes.(i).depth in
-  let s = Array.make d 0 in
-  let rec up i =
-    let n = t.nodes.(i) in
-    s.(n.depth - 1) <- n.sib;
-    if n.parent >= 0 then up n.parent
-  in
-  up i;
-  s
+let jdewey_seq t i : Jdewey.t = path t t.jnums i
+let dewey t i : Dewey.t = path t t.sibs i
 
-(* Node lookup from a (depth, jdewey-number) pair: binary search in the
-   per-depth directory (sorted by construction). *)
+(* Node lookup from a (depth, jdewey-number) pair: the numbers of a depth
+   are gap, 2 * gap, ..., so the directory slot is a division away. *)
 let find t ~depth ~jnum =
-  if depth < 1 || depth > Array.length t.levels then None
-  else begin
+  if depth < 1 || depth > Array.length t.levels || jnum < 1 || jnum mod t.gap <> 0
+  then None
+  else
     let lev = t.levels.(depth - 1) in
-    let lo = ref 0 and hi = ref (Array.length lev.jnums - 1) in
-    let found = ref None in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let v = lev.jnums.(mid) in
-      if v = jnum then begin
-        found := Some lev.idxs.(mid);
-        lo := !hi + 1
-      end
-      else if v < jnum then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !found
-  end
+    let k = (jnum / t.gap) - 1 in
+    if k < Array.length lev then Some lev.(k) else None
 
 (* The element to present for a result node: the node itself when it is an
    element, otherwise (text node) its parent element. *)
 let rec element_of t i =
-  match t.nodes.(i).xml with
+  match t.xml.(i) with
   | Xk_xml.Xml_tree.Element e -> Some e
   | Xk_xml.Xml_tree.Text _ ->
-      let p = t.nodes.(i).parent in
+      let p = t.parents.(i) in
       if p < 0 then None else element_of t p
 
 let level_width t ~depth =
   if depth < 1 || depth > Array.length t.levels then 0
-  else Array.length t.levels.(depth - 1).jnums
+  else Array.length t.levels.(depth - 1)
 
 (* [ancestor_at t i ~depth] is the node index of [i]'s ancestor at [depth]
    (or [i] itself when depths match). *)
 let ancestor_at t i ~depth =
   let rec up i =
-    let n = t.nodes.(i) in
-    if n.depth = depth then Some i
-    else if n.depth < depth || n.parent < 0 then None
-    else up n.parent
+    let d = t.depths.(i) in
+    if d = depth then Some i
+    else if d < depth || t.parents.(i) < 0 then None
+    else up t.parents.(i)
   in
   up i

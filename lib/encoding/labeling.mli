@@ -4,14 +4,6 @@
     JDewey numbering is per depth, in document order, optionally multiplied
     by a [gap] to reserve space for insertions (paper Section III-A). *)
 
-type info = {
-  depth : int;  (** 1-based depth; root = 1 *)
-  jnum : int;   (** JDewey number at [depth] *)
-  sib : int;    (** 1-based sibling rank (the node's Dewey component) *)
-  parent : int; (** node index of the parent; -1 for the root *)
-  xml : Xk_xml.Xml_tree.node;
-}
-
 type t
 
 val label : ?gap:int -> Xk_xml.Xml_tree.document -> t
@@ -23,7 +15,6 @@ val node_count : t -> int
 val height : t -> int
 val gap : t -> int
 
-val info : t -> int -> info
 val depth : t -> int -> int
 val jnum : t -> int -> int
 val parent : t -> int -> int

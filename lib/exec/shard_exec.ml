@@ -79,7 +79,8 @@ type t = {
   sharding : Xk_index.Sharding.t;
   reps : replica array array; (* [shard].(replica) *)
   pres : Xk_core.Engine.t Lazy.t array; (* presentation engine per shard *)
-  pool : Xk_util.Domain_pool.t;
+  pool : Xk_util.Domain_pool.t option; (* None: jobs run on the caller *)
+  workers : int;
   max_queue : int option;
   hedge_delay_ms : float option;
   rpc_timeout_ms : float;
@@ -112,6 +113,9 @@ let create ?domains ?max_queue ?(replicas = 1) ?breaker
       Xk_util.Err.invalid "Shard_exec.create: hedge_delay_ms < 0"
   | _ -> ());
   let shards = Xk_index.Sharding.count sharding in
+  let workers =
+    match domains with Some d -> d | None -> Xk_util.Domain_pool.default_size ()
+  in
   (* With endpoints, the fleet shape comes from the manifest: one remote
      replica per recorded (host, port), uniform across shards. *)
   let replicas, transport_for =
@@ -148,7 +152,16 @@ let create ?domains ?max_queue ?(replicas = 1) ?breaker
     pres =
       Array.init shards (fun s ->
           lazy (Xk_core.Engine.of_index (Xk_index.Sharding.index sharding s)));
-    pool = Xk_util.Domain_pool.create ?domains ();
+    (* One worker and no hedging: the caller would only block while the
+       worker runs its jobs one at a time, so it runs them itself and no
+       domain is spawned (the RPC server does the same for one worker).
+       An idle extra domain is not free under OCaml 5: every major
+       collection waits on it, and when it catches up decides how much
+       garbage a serving loop piles up first. *)
+    pool =
+      (if workers = 1 && hedge_delay_ms = None then None
+       else Some (Xk_util.Domain_pool.create ~domains:workers ()));
+    workers;
     max_queue;
     hedge_delay_ms;
     rpc_timeout_ms;
@@ -181,7 +194,7 @@ let remote t =
          match r.rep_transport with Endpoint _ -> true | Engine _ -> false))
     t.reps
 
-let domains t = Xk_util.Domain_pool.size t.pool
+let domains t = t.workers
 
 let replica_health t ~shard ~replica =
   Xk_resilience.Health.snapshot t.reps.(shard).(replica).rep_health
@@ -290,7 +303,10 @@ let serve_shard t ~shard ~make_budget ~words req =
   let hedged_attempt ri ~delay_ms alt =
     let o =
       Xk_resilience.Hedge.run ~clock:t.clock ~make_budget
-        ~spawn:(Xk_util.Domain_pool.submit t.pool)
+        ~spawn:(fun job ->
+          match t.pool with
+          | Some pool -> Xk_util.Domain_pool.submit pool job
+          | None -> job () (* unreachable: hedging always has a pool *))
         ~delay_ms
         ~primary:(fun b -> attempt ri b)
         ~hedge:(fun b -> attempt alt b)
@@ -551,18 +567,31 @@ let submit t ?deadline_ms ?budget_for (req : Xk_core.Engine.request) =
           | None, None -> fun () -> Xk_resilience.Budget.unlimited)
     in
     let remaining = Atomic.make (Array.length t.reps) in
-    let futures =
-      Array.init (Array.length t.reps) (fun shard ->
-          let make_budget = budget_thunk shard in
-          Xk_util.Domain_pool.async t.pool (fun () ->
-              Fun.protect
-                ~finally:(fun () ->
-                  if Atomic.fetch_and_add remaining (-1) = 1 then
-                    Atomic.decr t.in_flight)
-                (fun () -> serve_shard t ~shard ~make_budget ~words req)))
+    let job shard () =
+      Fun.protect
+        ~finally:(fun () ->
+          if Atomic.fetch_and_add remaining (-1) = 1 then Atomic.decr t.in_flight)
+        (fun () -> serve_shard t ~shard ~make_budget:(budget_thunk shard) ~words req)
+    in
+    let statuses =
+      match t.pool with
+      | Some pool ->
+          let futures =
+            Array.init (Array.length t.reps) (fun shard ->
+                Xk_util.Domain_pool.async pool (job shard))
+          in
+          fun () -> Array.map Xk_util.Domain_pool.await futures
+      | None ->
+          let done_ =
+            Array.init (Array.length t.reps) (fun shard ->
+                match job shard () with
+                | v -> Ok v
+                | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+          in
+          fun () -> done_
     in
     fun () ->
-      let statuses = Array.map Xk_util.Domain_pool.await futures in
+      let statuses = statuses () in
       let outcome = gather t req nw statuses in
       (match outcome with
       | Query_service.Ok _ -> Atomic.incr t.completed
@@ -605,7 +634,7 @@ let stats t =
     cache = Xk_index.Sharding.cache_stats t.sharding;
   }
 
-let shutdown t = Xk_util.Domain_pool.shutdown t.pool
+let shutdown t = Option.iter Xk_util.Domain_pool.shutdown t.pool
 
 (* --- Presentation ----------------------------------------------------- *)
 

@@ -82,7 +82,10 @@ val create :
   Xk_index.Sharding.t ->
   t
 (** Wrap a sharded index: [replicas] (default 1) engines per shard, one
-    shared pool.  [domains] as in {!Xk_util.Domain_pool.create}; [max_queue]
+    shared pool of [domains] workers (default
+    {!Xk_util.Domain_pool.default_size}).  With one worker and no hedging
+    no domain is spawned: shard jobs run on the calling domain, which
+    would otherwise only wait for them.  [max_queue]
     bounds admitted in-flight requests; [breaker] configures every
     replica's circuit breaker; [clock] (ms, injectable for tests) feeds
     breakers, health latency, and deadline anchoring; [hedge_delay_ms]
@@ -95,8 +98,8 @@ val create :
     length, overriding [replicas].  [rpc_timeout_ms] (default 5000)
     bounds unbudgeted remote attempts so a wedged server fails over
     rather than hanging a shard job.  Raises [Invalid_argument] on
-    [max_queue < 1], [replicas < 1], a negative hedge delay, or a
-    mis-shaped endpoint grid. *)
+    [domains < 1], [max_queue < 1], [replicas < 1], a negative hedge
+    delay, or a mis-shaped endpoint grid. *)
 
 val sharding : t -> Xk_index.Sharding.t
 val engine : t -> int -> Xk_core.Engine.t
@@ -136,7 +139,8 @@ val exec_batch :
 (** Fan every request of the batch out before the first gather, so shard
     jobs of different requests pipeline across the pool.  Outcomes in
     request order.  Several client domains may call it concurrently:
-    their shard jobs interleave on the one pool. *)
+    their shard jobs interleave on the one pool (without a pool, each
+    caller runs its own). *)
 
 type stats = {
   shards : int;

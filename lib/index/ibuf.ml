@@ -1,17 +1,26 @@
-(* Growable int arrays used while accumulating postings. *)
+(* Growable int arrays used while accumulating postings.  Values live in
+   fixed chunks of [chunk] ints, so growing allocates one chunk and never
+   copies what was pushed before. *)
 
-type t = { mutable data : int array; mutable len : int }
+let chunk_bits = 12
+let chunk = 1 lsl chunk_bits
 
-let create ?(capacity = 8) () = { data = Array.make (max 1 capacity) 0; len = 0 }
+type t = { mutable chunks : int array array; mutable len : int }
+
+let create () = { chunks = [||]; len = 0 }
 
 let push b x =
-  if b.len = Array.length b.data then begin
-    let data = Array.make (2 * b.len) 0 in
-    Array.blit b.data 0 data 0 b.len;
-    b.data <- data
+  let c = b.len lsr chunk_bits and k = b.len land (chunk - 1) in
+  if k = 0 then begin
+    if c = Array.length b.chunks then begin
+      let chunks = Array.make (max 8 (2 * c)) [||] in
+      Array.blit b.chunks 0 chunks 0 c;
+      b.chunks <- chunks
+    end;
+    b.chunks.(c) <- Array.make chunk 0
   end;
-  b.data.(b.len) <- x;
+  b.chunks.(c).(k) <- x;
   b.len <- b.len + 1
 
 let length b = b.len
-let get b i = b.data.(i)
+let get b i = b.chunks.(i lsr chunk_bits).(i land (chunk - 1))

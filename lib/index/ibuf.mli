@@ -2,7 +2,7 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
 val push : t -> int -> unit
 val length : t -> int
 val get : t -> int -> int

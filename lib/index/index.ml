@@ -70,7 +70,7 @@ let df_override_of stats =
    into one flat buffer of (term, node, tf) rows in node order.  A
    counting pass by term id then cuts the buffer into per-term arrays, so
    each term's rows stay in node order; ids are interned in first-seen
-   order. *)
+   order, straight from the tokens' source spans. *)
 let build ?(damping = Xk_score.Damping.default)
     ?(cache_capacity = default_cache_capacity) ?stats
     (label : Xk_encoding.Labeling.t) =
@@ -89,8 +89,8 @@ let build ?(damping = Xk_score.Damping.default)
     end
   in
   let seen = ref [] in
-  let tally i w =
-    let id = Xk_text.Dictionary.intern dict w in
+  let tally i s pos len =
+    let id = Xk_text.Dictionary.intern_folded dict s ~pos ~len in
     ensure id;
     if !last_node.(id) = i then !tf.(id) <- !tf.(id) + 1
     else begin
@@ -99,17 +99,15 @@ let build ?(damping = Xk_score.Damping.default)
       seen := id :: !seen
     end
   in
-  let row_terms = Ibuf.create ~capacity:4096 ()
-  and row_nodes = Ibuf.create ~capacity:4096 ()
-  and row_tfs = Ibuf.create ~capacity:4096 () in
+  let row_terms = Ibuf.create () and row_nodes = Ibuf.create () and row_tfs = Ibuf.create () in
   let n = Xk_encoding.Labeling.node_count label in
   for i = 0 to n - 1 do
     (match Xk_encoding.Labeling.xml_node label i with
-    | Xk_xml.Xml_tree.Text s -> Xk_text.Tokenizer.iter_indexed s (tally i)
+    | Xk_xml.Xml_tree.Text s -> Xk_text.Tokenizer.spans ~skip_stopwords:true s (tally i)
     | Xk_xml.Xml_tree.Element e ->
         List.iter
           (fun (a : Xk_xml.Xml_tree.attribute) ->
-            Xk_text.Tokenizer.iter_indexed a.attr_value (tally i))
+            Xk_text.Tokenizer.spans ~skip_stopwords:true a.attr_value (tally i))
           e.attrs);
     List.iter
       (fun id ->
@@ -219,7 +217,7 @@ let fetch_raw t id =
       let nodes, tfs = pv.pv_rows id in
       { r_nodes = nodes; r_tfs = tfs }
 
-let term_id t w = Xk_text.Dictionary.find t.dict (String.lowercase_ascii w)
+let term_id t w = Xk_text.Dictionary.find_folded t.dict w ~pos:0 ~len:(String.length w)
 let term t id = Xk_text.Dictionary.term t.dict id
 
 let df t id =

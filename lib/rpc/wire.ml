@@ -86,9 +86,19 @@ let get_option get c what =
   | 1 -> Some (get c)
   | b -> bad "bad %s tag %d" what b
 
-let get_list get c = List.init (get_int c) (fun _ -> get c)
+(* An element count, checked against the bytes left before anything is
+   allocated from it: each element takes at least [width] bytes, so a
+   corrupted count is [Bad] rather than a huge allocation. *)
+let get_count c ~width what =
+  let n = get_int c in
+  if n < 0 || n > (String.length c.data - c.pos) / width then
+    bad "%s count %d exceeds the payload" what n;
+  n
 
-let get_float_array c = Array.init (get_int c) (fun _ -> get_float c)
+let get_list get c = List.init (get_count c ~width:1 "list") (fun _ -> get c)
+
+let get_float_array c =
+  Array.init (get_count c ~width:8 "float array") (fun _ -> get_float c)
 
 (* --- domain types ----------------------------------------------------- *)
 

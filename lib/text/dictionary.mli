@@ -9,9 +9,23 @@ val create : ?size:int -> unit -> t
     avoiding every rehash and growth copy during bulk interning. *)
 
 val intern : t -> string -> int
-(** Id of a term, allocating a fresh id on first sight. *)
+(** Id of a term, allocating a fresh id on first sight.  Ids are dense
+    and in first-seen order; bytes are compared exactly (no folding), as
+    segment loaders need. *)
 
 val find : t -> string -> int option
+(** Id of a term, comparing bytes exactly. *)
+
+val intern_folded : t -> string -> pos:int -> len:int -> int
+(** [intern_folded t s ~pos ~len] interns the ASCII-lowercased bytes
+    [s.[pos .. pos + len - 1]], hashing and comparing them in place: a
+    term string is allocated only on first sight.  It finds exactly the
+    id that [intern t (String.lowercase_ascii (String.sub s pos len))]
+    would.  Raises [Invalid_argument] when the span is not inside [s]. *)
+
+val find_folded : t -> string -> pos:int -> len:int -> int option
+(** Lookup counterpart of {!intern_folded}. *)
+
 val term : t -> int -> string
 val size : t -> int
 

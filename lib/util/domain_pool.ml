@@ -40,13 +40,15 @@ let worker pool () =
   in
   loop ()
 
+let default_size () = max 1 (Domain.recommended_domain_count () - 1)
+
 let create ?domains () =
   let n =
     match domains with
     | Some d ->
         if d < 1 then Err.invalid "Domain_pool.create: domains < 1";
         d
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
+    | None -> default_size ()
   in
   let pool =
     {

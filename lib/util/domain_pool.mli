@@ -8,11 +8,13 @@
 
 type t
 
+val default_size : unit -> int
+(** [Domain.recommended_domain_count () - 1], at least 1: one core is left
+    to the submitting domain. *)
+
 val create : ?domains:int -> unit -> t
-(** Spawn the worker domains.  [domains] defaults to
-    [Domain.recommended_domain_count () - 1] (at least 1, leaving one
-    core to the submitting domain).  Raises [Invalid_argument] when
-    [domains < 1]. *)
+(** Spawn the worker domains.  [domains] defaults to {!default_size}.
+    Raises [Invalid_argument] when [domains < 1]. *)
 
 val size : t -> int
 (** Number of worker domains. *)

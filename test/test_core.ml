@@ -427,32 +427,42 @@ let topk_vs_complete ?(semantics = Engine.Elca) threshold name =
 (* A1 on the production path: the pull order never depends on the
    threshold (round-robin, then best next score) and Tight <= Classic in
    every state, so the tight bound can only stop a column sooner. *)
+let tight_pulls_le_classic (seed, k, slca) =
+  let eng = Tutil.random_engine seed in
+  let rng = Xk_datagen.Rng.create (seed + 13) in
+  let q = Tutil.random_query rng ~k ~alphabet:4 in
+  let want = 1 + Xk_datagen.Rng.int rng 6 in
+  let semantics = if slca then Topk_keyword.Slca else Topk_keyword.Elca in
+  let idx = Engine.index eng in
+  match List.filter_map (Xk_index.Index.term_id idx) q with
+  | ids when List.length ids < List.length q -> true
+  | ids ->
+      let slists =
+        Array.of_list
+          (List.map (Xk_index.Index.score_list idx)
+             (List.sort_uniq Int.compare ids))
+      in
+      let pulls threshold =
+        let stats = Topk_keyword.new_stats () in
+        ignore
+          (Topk_keyword.topk ~stats ~threshold ~semantics slists
+             (Xk_index.Index.damping idx) ~k:want);
+        stats.pulled
+      in
+      pulls Topk_keyword.Tight <= pulls Topk_keyword.Classic
+
 let topk_tight_never_reads_more =
   QCheck.Test.make ~count:300 ~name:"tight never pulls more than classic"
     QCheck.(triple (int_bound 1_000_000) (int_range 2 4) bool)
-    (fun (seed, k, slca) ->
-      let eng = Tutil.random_engine seed in
-      let rng = Xk_datagen.Rng.create (seed + 13) in
-      let q = Tutil.random_query rng ~k ~alphabet:4 in
-      let want = 1 + Xk_datagen.Rng.int rng 6 in
-      let semantics = if slca then Topk_keyword.Slca else Topk_keyword.Elca in
-      let idx = Engine.index eng in
-      match List.filter_map (Xk_index.Index.term_id idx) q with
-      | ids when List.length ids < List.length q -> true
-      | ids ->
-          let slists =
-            Array.of_list
-              (List.map (Xk_index.Index.score_list idx)
-                 (List.sort_uniq Int.compare ids))
-          in
-          let pulls threshold =
-            let stats = Topk_keyword.new_stats () in
-            ignore
-              (Topk_keyword.topk ~stats ~threshold ~semantics slists
-                 (Xk_index.Index.damping idx) ~k:want);
-            stats.pulled
-          in
-          pulls Topk_keyword.Tight <= pulls Topk_keyword.Classic)
+    tight_pulls_le_classic
+
+(* A counterexample the property once found (ELCA, 3 keywords, K = 1): a
+   completed key's stale group term summed its slots in another order
+   than its total and stayed one ulp above it, blocking the result until
+   every list drained (9 tight pulls against 6 classic). *)
+let tight_stale_group_term () =
+  check Alcotest.bool "tight <= classic on tree 576782" true
+    (tight_pulls_le_classic (576782, 3, false))
 
 let hybrid_matches_topk =
   QCheck.Test.make ~count:200 ~name:"hybrid top-K matches oracle top-K"
@@ -535,5 +545,7 @@ let suite =
              "SLCA top-K join = oracle SLCA top-K");
         QCheck_alcotest.to_alcotest hybrid_matches_topk;
         QCheck_alcotest.to_alcotest topk_tight_never_reads_more;
+        tc "tight: a stale group term never blocks its own key" `Quick
+          tight_stale_group_term;
       ] );
   ]

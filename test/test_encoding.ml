@@ -165,6 +165,44 @@ let prop_doc_order_is_jdewey_order =
       done;
       !ok)
 
+(* The struct-of-arrays labeling answers every accessor exactly as the
+   record-per-node reference does, on random trees and with a gap. *)
+let prop_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"labeling = record-based reference"
+    QCheck.(pair (int_bound 1_000_000) (oneofl [ 1; 2; 7 ]))
+    (fun (seed, gap) ->
+      let doc = Tutil.random_doc seed in
+      let lab = Labeling.label ~gap doc and r = Tutil.Ref_labeling.label ~gap doc in
+      let module R = Tutil.Ref_labeling in
+      let n = R.node_count r and h = R.height r in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      if Labeling.node_count lab <> n || Labeling.height lab <> h then
+        fail "size %d/%d vs %d/%d" (Labeling.node_count lab) (Labeling.height lab) n h;
+      for i = 0 to n - 1 do
+        if Labeling.depth lab i <> R.depth r i || Labeling.jnum lab i <> R.jnum r i
+           || Labeling.parent lab i <> R.parent r i
+        then fail "node %d: depth/jnum/parent differ" i;
+        if Labeling.jdewey_seq lab i <> R.jdewey_seq r i then fail "node %d: jdewey" i;
+        if Labeling.dewey lab i <> R.dewey r i then fail "node %d: dewey" i;
+        if not (Option.equal ( == ) (Labeling.element_of lab i) (R.element_of r i)) then
+          fail "node %d: element_of" i;
+        for depth = 0 to h + 1 do
+          if Labeling.ancestor_at lab i ~depth <> R.ancestor_at r i ~depth then
+            fail "node %d: ancestor_at %d" i depth
+        done
+      done;
+      for depth = 0 to h + 1 do
+        if Labeling.level_width lab ~depth <> R.level_width r ~depth then
+          fail "level_width %d" depth;
+        (* Every assigned number, the free numbers a gap leaves, and
+           numbers beyond either end of the level. *)
+        for jnum = -1 to ((R.level_width r ~depth + 1) * gap) + 1 do
+          if Labeling.find lab ~depth ~jnum <> R.find r ~depth ~jnum then
+            fail "find depth %d jnum %d" depth jnum
+        done
+      done;
+      true)
+
 let suite =
   [
     ( "encoding",
@@ -181,5 +219,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_3_1;
         QCheck_alcotest.to_alcotest prop_lca_agree;
         QCheck_alcotest.to_alcotest prop_doc_order_is_jdewey_order;
+        QCheck_alcotest.to_alcotest prop_matches_reference;
       ] );
   ]

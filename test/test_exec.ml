@@ -172,6 +172,41 @@ let batch_empty_and_unknown () =
             (Query_service.outcome_label o))
     out
 
+(* --- Caller-run executor ------------------------------------------ *)
+
+(* One worker and no hedging: no domain is spawned and shard jobs run on
+   the calling domain.  Answers must match a pooled executor's over the
+   same shards, also for client domains calling concurrently. *)
+let caller_run () =
+  let doc = Tutil.random_doc 1234 in
+  let rng = Xk_datagen.Rng.create 11 in
+  let reqs = mixed_requests rng ~queries:6 ~alphabet:40 in
+  let serve sx = List.map Query_service.hits (Shard_exec.exec_batch sx reqs) in
+  List.iter
+    (fun shards ->
+      let sharding = Xk_index.Sharding.partition ~shards doc in
+      let with_exec domains f =
+        let sx = Shard_exec.create ~domains sharding in
+        Fun.protect ~finally:(fun () -> Shard_exec.shutdown sx) (fun () -> f sx)
+      in
+      let pooled = with_exec 2 serve in
+      with_exec 1 (fun sx ->
+          let msg = Printf.sprintf "%d shard(s)" shards in
+          check_batches msg pooled (serve sx);
+          let clients =
+            Array.init 2 (fun _ -> Domain.spawn (fun () -> serve sx))
+          in
+          Array.iter (fun c -> check_batches (msg ^ ", concurrent") pooled (Domain.join c)) clients;
+          let st = Shard_exec.stats sx in
+          check Alcotest.int (msg ^ ": one domain") 1 st.domains;
+          check Alcotest.int (msg ^ ": all completed") (3 * List.length reqs) st.completed))
+    [ 1; 2 ];
+  match Shard_exec.create ~domains:0 (Xk_index.Sharding.partition ~shards:1 doc) with
+  | exception Invalid_argument _ -> ()
+  | sx ->
+      Shard_exec.shutdown sx;
+      Alcotest.fail "domains:0 accepted"
+
 (* --- Hammer: many concurrent clients, one shared index -------------- *)
 
 let hammer () =
@@ -246,6 +281,7 @@ let suite =
       [
         tc "batch equals sequential" `Quick batch_equivalence;
         tc "empty and unknown keywords" `Quick batch_empty_and_unknown;
+        tc "one worker runs on the caller" `Quick caller_run;
         tc "concurrent clients hammer" `Slow hammer;
       ] );
   ]

@@ -239,6 +239,18 @@ let wire_mutations_typed =
              Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl bit));
              Bytes.to_string b)))
 
+(* A bit-flipped reply (from the mutation property above) whose first
+   float array count turned into a huge varint: decoding once allocated
+   from that count and escaped with [Out_of_memory]. *)
+let wire_huge_count () =
+  let payload =
+    "\000\001\011?\237\132\"Q\246\2001@\003\212\251Nn\240*@\002\239\255e\228\141\162\007@\007\132\246\203\141R?@\005\178\249q<q\184?\240\130\025-\031\208v@\005%\177J\203\006z?\236y\199\225*\220\221?\240\203\161*\192\2520?\235\236j\178\143\130\236\001\001\004\012@\0299\156\145\155\182.\007@ 9\234\189'\175\234\002@#g\229\"\217S\197\002@\023\165p\224\\\n\179\127\240\000\000\000\000\000\000"
+  in
+  match Wire.decode_reply payload with
+  | Error (Frame.Malformed _) -> ()
+  | Ok _ -> Alcotest.fail "mutated reply decoded"
+  | Error e -> Alcotest.failf "unexpected error class: %s" (Frame.error_message e)
+
 (* --- Budget propagation ----------------------------------------------- *)
 
 let budget_remaining () =
@@ -625,12 +637,26 @@ let half_open_hammer () =
        with Client.Rpc_failed e ->
          Alcotest.failf "server did not survive the hammer: %s"
            (Client.error_message e));
-      match (baseline, open_fd_count ()) with
-      | Some before, Some after ->
-          if after > before then
-            Alcotest.failf "descriptor leak: %d open fds before, %d after"
-              before after
-      | _ -> ())
+      (* The server closes the ping's connection after replying, possibly
+         after [ping] has returned: give the count a deadline to settle,
+         so only a descriptor that stays open fails. *)
+      match baseline with
+      | None -> ()
+      | Some before ->
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          let rec settle () =
+            match open_fd_count () with
+            | Some after when after > before ->
+                if Unix.gettimeofday () > deadline then
+                  Alcotest.failf "descriptor leak: %d open fds before, %d after"
+                    before after
+                else begin
+                  Unix.sleepf 0.01;
+                  settle ()
+                end
+            | _ -> ()
+          in
+          settle ())
 
 (* Two clients against [run ~workers:2]: the first parks its handler —
    and with it a whole pool worker — until the second client has been
@@ -737,6 +763,7 @@ let suite =
         QCheck_alcotest.to_alcotest wire_query_roundtrip;
         QCheck_alcotest.to_alcotest wire_reply_roundtrip;
         QCheck_alcotest.to_alcotest wire_mutations_typed;
+        tc "huge count in a mutated reply is Malformed" `Quick wire_huge_count;
       ] );
     ("rpc.budget", [ tc "remaining_ms / ticks_left" `Quick budget_remaining ]);
     ( "rpc.server",

@@ -118,6 +118,96 @@ let tokens_match_reference_prop =
     (QCheck.make ~print:(Printf.sprintf "%S") token_soup)
     (fun s -> Tokenizer.tokens s = reference_tokens s)
 
+(* The dictionary against a [Hashtbl] model: whole-string interning is
+   exact (an uppercase term is its own entry), span interning folds ASCII
+   case in place, and ids are dense in first-seen order across both. *)
+type dict_op =
+  | Intern of string
+  | Find of string
+  | Intern_span of string * string * string (* prefix, token, suffix *)
+  | Find_span of string * string * string
+
+let dict_ops =
+  let open QCheck.Gen in
+  let word =
+    map
+      (fun l -> String.concat "" (List.map (String.make 1) l))
+      (list_size (int_range 0 5) (oneofl [ 'a'; 'b'; 'A'; 'B'; 'z'; 'Z'; '9'; '-'; '\xc3' ]))
+  in
+  let span = triple word word word in
+  list_size (int_range 1 400)
+    (frequency
+       [
+         (3, map (fun w -> Intern w) word);
+         (1, map (fun w -> Find w) word);
+         (4, map (fun (p, w, q) -> Intern_span (p, w, q)) span);
+         (2, map (fun (p, w, q) -> Find_span (p, w, q)) span);
+       ])
+
+let dictionary_vs_model =
+  let print = function
+    | Intern w -> Printf.sprintf "intern %S" w
+    | Find w -> Printf.sprintf "find %S" w
+    | Intern_span (p, w, q) -> Printf.sprintf "intern_folded %S|%S|%S" p w q
+    | Find_span (p, w, q) -> Printf.sprintf "find_folded %S|%S|%S" p w q
+  in
+  QCheck.Test.make ~count:300 ~name:"dictionary = Hashtbl model"
+    (QCheck.make ~print:(QCheck.Print.list print) dict_ops)
+    (fun ops ->
+      let d = Dictionary.create ~size:16 () in
+      let model = Hashtbl.create 16 and order = ref [] in
+      let model_intern w =
+        match Hashtbl.find_opt model w with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length model in
+            Hashtbl.add model w id;
+            order := w :: !order;
+            id
+      in
+      let expect what got want =
+        if got <> want then QCheck.Test.fail_reportf "%s: got %s, want %s" what got want
+      in
+      let id = string_of_int and opt = Option.fold ~none:"none" ~some:string_of_int in
+      List.iter
+        (fun op ->
+          match op with
+          | Intern w -> expect (print op) (id (Dictionary.intern d w)) (id (model_intern w))
+          | Find w -> expect (print op) (opt (Dictionary.find d w)) (opt (Hashtbl.find_opt model w))
+          | Intern_span (p, w, q) ->
+              let got =
+                Dictionary.intern_folded d (p ^ w ^ q) ~pos:(String.length p)
+                  ~len:(String.length w)
+              in
+              expect (print op) (id got) (id (model_intern (String.lowercase_ascii w)))
+          | Find_span (p, w, q) ->
+              let got =
+                Dictionary.find_folded d (p ^ w ^ q) ~pos:(String.length p)
+                  ~len:(String.length w)
+              in
+              expect (print op) (opt got)
+                (opt (Hashtbl.find_opt model (String.lowercase_ascii w))))
+        ops;
+      let terms = List.rev !order in
+      expect "size" (id (Dictionary.size d)) (id (List.length terms));
+      List.iteri (fun i w -> expect "term" (Dictionary.term d i) w) terms;
+      true)
+
+(* Exact interning keeps an uppercase term apart from its folded form. *)
+let dictionary_case () =
+  let d = Dictionary.create () in
+  let upper = Dictionary.intern d "XML" in
+  let s = "<XML>" in
+  let folded = Dictionary.intern_folded d s ~pos:1 ~len:3 in
+  check Alcotest.bool "distinct ids" true (upper <> folded);
+  check Alcotest.string "folded term" "xml" (Dictionary.term d folded);
+  check Alcotest.(option int) "exact find" (Some upper) (Dictionary.find d "XML");
+  check Alcotest.(option int) "folded find" (Some folded)
+    (Dictionary.find_folded d "xMl" ~pos:0 ~len:3);
+  Alcotest.check_raises "span outside its string"
+    (Invalid_argument "Dictionary: span outside its string") (fun () ->
+      ignore (Dictionary.intern_folded d s ~pos:3 ~len:3))
+
 let suite =
   [
     ( "text",
@@ -131,6 +221,8 @@ let suite =
         tc "stopwords" `Quick stopwords;
         tc "dictionary basics" `Quick dictionary_basics;
         tc "dictionary growth" `Quick dictionary_growth;
+        tc "dictionary case" `Quick dictionary_case;
+        QCheck_alcotest.to_alcotest dictionary_vs_model;
         tc "vocab words distinct and indexable" `Quick vocab_distinct;
         QCheck_alcotest.to_alcotest tokens_match_reference_prop;
       ] );

@@ -70,3 +70,66 @@ let check_topk msg ~k (full : Xk_baselines.Hit.t list)
               h.score f.score
       | None -> Alcotest.failf "%s: node %d is not a result at all" msg h.node)
     topk
+
+(* The record-per-node labeling that [Xk_encoding.Labeling] replaced, kept
+   as the specification its struct-of-arrays form must match: one DFS in
+   document order, per-depth counters times [gap] for JDewey, sibling
+   ranks for Dewey, and a per-depth directory searched by JDewey number. *)
+module Ref_labeling = struct
+  type info = {
+    depth : int;
+    jnum : int;
+    sib : int;
+    parent : int;
+    xml : Xk_xml.Xml_tree.node;
+  }
+
+  type t = { nodes : info array; levels : (int * int) list array }
+
+  let label ?(gap = 1) (doc : Xk_xml.Xml_tree.document) =
+    let acc = ref [] and counters = Hashtbl.create 16 and next = ref 0 in
+    let rec go depth parent sib (x : Xk_xml.Xml_tree.node) =
+      let idx = !next in
+      incr next;
+      let c = 1 + Option.value ~default:0 (Hashtbl.find_opt counters depth) in
+      Hashtbl.replace counters depth c;
+      acc := { depth; jnum = c * gap; sib; parent; xml = x } :: !acc;
+      match x with
+      | Text _ -> ()
+      | Element e -> List.iteri (fun i c -> go (depth + 1) idx (i + 1) c) e.children
+    in
+    go 1 (-1) 1 (Element doc.root);
+    let nodes = Array.of_list (List.rev !acc) in
+    let levels = Array.make (Hashtbl.length counters) [] in
+    for i = Array.length nodes - 1 downto 0 do
+      let n = nodes.(i) in
+      levels.(n.depth - 1) <- (n.jnum, i) :: levels.(n.depth - 1)
+    done;
+    { nodes; levels }
+
+  let node_count t = Array.length t.nodes
+  let height t = Array.length t.levels
+  let depth t i = t.nodes.(i).depth
+  let jnum t i = t.nodes.(i).jnum
+  let parent t i = t.nodes.(i).parent
+
+  let rec chain t i = if i < 0 then [] else i :: chain t t.nodes.(i).parent
+
+  let jdewey_seq t i = Array.of_list (List.rev_map (jnum t) (chain t i))
+  let dewey t i = Array.of_list (List.rev_map (fun i -> t.nodes.(i).sib) (chain t i))
+
+  let find t ~depth ~jnum =
+    if depth < 1 || depth > height t then None
+    else List.assoc_opt jnum t.levels.(depth - 1)
+
+  let ancestor_at t i ~depth = List.find_opt (fun a -> t.nodes.(a).depth = depth) (chain t i)
+
+  let level_width t ~depth =
+    if depth < 1 || depth > height t then 0 else List.length t.levels.(depth - 1)
+
+  let element_of t i =
+    List.find_map
+      (fun a ->
+        match t.nodes.(a).xml with Xk_xml.Xml_tree.Element e -> Some e | Text _ -> None)
+      (chain t i)
+end
