@@ -2,11 +2,12 @@
 
    Two on-disk generations are read:
 
-   v2 ("XKIDX002") — a checksummed varint stream: magic | version varint
-   | payload-length varint | payload CRC-32 varint | payload (node
-   count, term count, then per term the bytes, row count, delta-coded
-   node ids and tf values).  Loading copies the whole file out of its
-   map and materializes every posting.
+   v2 ("XKIDX002") — a checksummed varint stream in the shared
+   Xk_storage.Framed container: magic | version varint | payload-length
+   varint | payload CRC-32 varint | payload (node count, term count,
+   then per term the bytes, row count, delta-coded node ids and tf
+   values).  Loading copies the whole file out of its map and
+   materializes every posting.
 
    v5 ("XKIDX005") — the compressed zero-copy segment.  Four parts back
    to back, no padding, every byte under a CRC-32:
@@ -40,7 +41,8 @@
    Every read attempt maps the file once ({!Xk_storage.Mmap.map}) and
    reads the magic from the map; a v2 segment is copied out of that same
    map and decoded from the copy.  The map is also where storage faults
-   are injected, so fault drills exercise exactly this reader.
+   are injected, so fault drills exercise exactly this reader.  Every
+   other durable file is read through [read_mapped] and [retrying] too.
 
    The read path classifies failures (truncation vs. corruption vs.
    transient IO) and retries the transient class — injected IO faults,
@@ -108,15 +110,8 @@ let encode_payload (idx : Index.t) =
   Buffer.contents buf
 
 let save_v2 (idx : Index.t) path =
-  let payload = encode_payload idx in
-  let header = Buffer.create 32 in
-  Buffer.add_string header magic;
-  Xk_storage.Varint.write header version;
-  Xk_storage.Varint.write header (String.length payload);
-  Xk_storage.Varint.write header (Xk_storage.Crc32.string payload);
-  Xk_storage.Durable.write_atomically path (fun oc ->
-      Buffer.output_buffer oc header;
-      output_string oc payload)
+  Xk_storage.Durable.write_string_atomically path
+    (Xk_storage.Framed.file ~magic ~version (encode_payload idx))
 
 (* ------------------------------------------------------------------ *)
 (* v5 writer (compressed segment)                                     *)
@@ -223,42 +218,52 @@ let save (idx : Index.t) path =
 
 (* Payload decoding.  The CRC has already been verified when this runs, so
    structural errors indicate a logic-level mismatch and are classified as
-   corruption (with the node-count check carrying its own message). *)
+   corruption (with the node-count check carrying its own message).  A
+   count is checked against the bytes left before anything is built for
+   it: each term and each row takes at least two. *)
 
 exception Decode of string
 
 let decode_payload ?damping ?cache_capacity ?stats
     (label : Xk_encoding.Labeling.t) data ~pos : Index.t =
   let c = Xk_storage.Varint.cursor_at data pos in
-  let nodes_expected = Xk_storage.Varint.read c in
+  let read () =
+    try Xk_storage.Varint.read c
+    with Invalid_argument _ -> raise (Decode "payload structure cut short")
+  in
+  let nodes_expected = read () in
   if nodes_expected <> Xk_encoding.Labeling.node_count label then
     raise
       (Decode
          (Printf.sprintf "index built over %d nodes, document has %d"
             nodes_expected
             (Xk_encoding.Labeling.node_count label)));
-  let terms = Xk_storage.Varint.read c in
-  let entries = ref [] in
-  (try
-     for _ = 1 to terms do
-       let tlen = Xk_storage.Varint.read c in
-       if c.pos + tlen > String.length data then raise (Decode "term cut short");
-       let term = String.sub data c.pos tlen in
-       c.pos <- c.pos + tlen;
-       let rows = Xk_storage.Varint.read c in
-       if rows < 0 then raise (Decode "negative row count");
-       let nodes = Array.make rows 0 in
-       let prev = ref 0 in
-       for r = 0 to rows - 1 do
-         prev := !prev + Xk_storage.Varint.read c;
-         if !prev >= nodes_expected then raise (Decode "node id out of range");
-         nodes.(r) <- !prev
-       done;
-       let tfs = Array.init rows (fun _ -> Xk_storage.Varint.read c) in
-       entries := (term, nodes, tfs) :: !entries
-     done
-   with Invalid_argument _ -> raise (Decode "payload structure cut short"));
-  Index.of_raw ?damping ?cache_capacity ?stats label (List.rev !entries)
+  let terms = read () in
+  if terms < 0 || terms > String.length data - c.pos then
+    raise (Decode "term count exceeds the payload");
+  let entries =
+    List.init terms (fun _ ->
+        let tlen = read () in
+        if tlen < 0 || tlen > String.length data - c.pos then
+          raise (Decode "term cut short");
+        let term = String.sub data c.pos tlen in
+        c.pos <- c.pos + tlen;
+        let rows = read () in
+        if rows < 0 || rows > (String.length data - c.pos) / 2 then
+          raise (Decode "row count exceeds the payload");
+        let prev = ref 0 in
+        let nodes =
+          Array.init rows (fun _ ->
+              let d = read () in
+              if d < 0 then raise (Decode "node ids not increasing");
+              prev := !prev + d;
+              if !prev >= nodes_expected then
+                raise (Decode "node id out of range");
+              !prev)
+        in
+        (term, nodes, Array.init rows (fun _ -> read ())))
+  in
+  Index.of_raw ?damping ?cache_capacity ?stats label entries
 
 (* The outcome classes of one read attempt.  [`Transient], [`Crc] and
    [`Suspect] are the retryable classes: [`Suspect] carries a
@@ -272,62 +277,32 @@ let decode_payload ?damping ?cache_capacity ?stats
 type attempt_error =
   [ `Transient of string | `Crc of string | `Suspect of error | `Fatal of error ]
 
-(* Framing check shared by the loader and {!verify}: magic, version,
-   declared payload length, payload CRC.  Returns the payload offset. *)
-let check_framing data :
-    (int, [> `Crc of string | `Suspect of error | `Fatal of error ]) result =
-  let mlen = String.length magic in
-  if String.length data < mlen then
-    Error (`Suspect (Truncated "shorter than the segment magic"))
-  else
-    let m = String.sub data 0 mlen in
-    if m = magic_v1 then
+(* A framing verdict as a read-attempt outcome.  Every anomaly before
+   the checksum can be a torn read, so all of them are retried. *)
+let of_framed (e : Xk_storage.Framed.error) : attempt_error =
+  let msg = Xk_storage.Framed.error_message e in
+  match e with
+  | Crc_mismatch _ -> `Crc msg
+  | Short_input | Header_cut | Short_payload _ -> `Suspect (Truncated msg)
+  | Bad_magic _ | Bad_version _ | Bad_varint | Trailing _ ->
+      `Suspect (Corrupted msg)
+
+(* The v2 framing, shared by the loader and {!verify}.  Returns the
+   payload offset. *)
+let check_v2 data =
+  match Xk_storage.Framed.check ~magic ~version data with
+  | Ok span -> Ok span.pos
+  | Error (Bad_magic m) when m = magic_v1 ->
       Error
         (`Suspect
           (Corrupted "legacy v1 segment without checksum; rebuild the index"))
-    else if m = magic_v3 || m = magic_v4 then
+  | Error (Bad_magic m) when m = magic_v3 || m = magic_v4 ->
       Error
         (`Fatal
           (Corrupted
              (Printf.sprintf "retired v%c segment format; rebuild the index"
-                m.[mlen - 1])))
-    else if m <> magic then Error (`Suspect (Corrupted "bad magic"))
-    else
-      match
-        let c = Xk_storage.Varint.cursor_at data mlen in
-        let v = Xk_storage.Varint.read c in
-        let plen = Xk_storage.Varint.read c in
-        let crc = Xk_storage.Varint.read c in
-        (v, plen, crc, c.pos)
-      with
-      | exception Invalid_argument _ ->
-          Error (`Suspect (Truncated "header cut short"))
-      | v, _, _, _ when v <> version ->
-          Error (`Suspect (Corrupted (Printf.sprintf "unsupported version %d" v)))
-      | _, plen, crc, body ->
-          let avail = String.length data - body in
-          if avail < plen then
-            Error
-              (`Suspect
-                (Truncated
-                   (Printf.sprintf "payload has %d of %d bytes" avail plen)))
-          else if avail > plen then
-            Error
-              (`Suspect
-                (Corrupted
-                   (Printf.sprintf "%d trailing bytes after the payload"
-                      (avail - plen))))
-          else if Xk_storage.Crc32.sub data ~pos:body ~len:plen <> crc then
-            Error (`Crc "payload checksum mismatch")
-          else Ok body
-
-(* Magic-sized reads for introspection, closing their channel on every
-   path.  They bypass the map, and with it the fault hooks. *)
-let with_in path f =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
-
-let read_prefix ic n = really_input_string ic (min n (in_channel_length ic))
+                m.[String.length m - 1])))
+  | Error e -> Error (of_framed e)
 
 (* ------------------------------------------------------------------ *)
 (* v5 reader                                                          *)
@@ -675,17 +650,19 @@ let with_map path f : (_, attempt_error) result =
           Xk_storage.Mmap.close m;
           Error e)
 
-let is_v5 data =
-  String.length data >= String.length magic_v5
-  && String.sub data 0 (String.length magic_v5) = magic_v5
-
 let map_is_v5 m =
-  is_v5
-    (Xk_storage.Mmap.sub_string m ~pos:0
-       ~len:(min (String.length magic_v5) (Xk_storage.Mmap.size m)))
+  let n = String.length magic_v5 in
+  Xk_storage.Mmap.size m >= n && Xk_storage.Mmap.sub_string m ~pos:0 ~len:n = magic_v5
 
 let map_contents m = Xk_storage.Mmap.sub_string m ~pos:0 ~len:(Xk_storage.Mmap.size m)
-let read_mapped path = with_map path (fun m -> Ok (map_contents m))
+
+(* The map is closed once copied: a caller may truncate the file next. *)
+let read_mapped ?len path =
+  with_map path (fun m ->
+      let len = min (Xk_storage.Mmap.size m) (Option.value len ~default:max_int) in
+      let data = Xk_storage.Mmap.sub_string m ~pos:0 ~len in
+      Xk_storage.Mmap.close m;
+      Ok data)
 
 let attempt ?damping ?cache_capacity ?stats ~verify_columns label path =
   with_map path (fun m ->
@@ -693,7 +670,7 @@ let attempt ?damping ?cache_capacity ?stats ~verify_columns label path =
         Ok (open_v5 ?damping ?cache_capacity ?stats ~verify_columns label path m)
       else
         let data = map_contents m in
-        Result.bind (check_framing data) (fun body ->
+        Result.bind (check_v2 data) (fun body ->
             match
               decode_payload ?damping ?cache_capacity ?stats label data ~pos:body
             with
@@ -723,13 +700,19 @@ let load_result ?damping ?cache_capacity ?stats ?retries ?backoff_ms
    deliberately defers the per-term checks that the v2 load performs
    implicitly, and the replica writers that call [verify] after each
    copy need equivalent coverage. *)
-let verify_attempt path =
-  with_map path (fun m ->
-      if map_is_v5 m then Ok (decode_all (parse_dir path m (map_header m)))
-      else Result.map ignore (check_framing (map_contents m)))
+let verified path m =
+  if map_is_v5 m then Ok (decode_all (parse_dir path m (map_header m)))
+  else Result.map ignore (check_v2 (map_contents m))
 
 let verify ?retries ?backoff_ms path =
-  retrying ?retries ?backoff_ms (fun () -> verify_attempt path)
+  retrying ?retries ?backoff_ms (fun () -> with_map path (verified path))
+
+(* The bytes are copied out of the very map that verified, so a torn
+   read cannot slip in between the check and the copy. *)
+let read_verified ?retries ?backoff_ms path =
+  retrying ?retries ?backoff_ms (fun () ->
+      with_map path (fun m ->
+          Result.map (fun () -> map_contents m) (verified path m)))
 
 let load ?damping label path =
   match load_result ?damping label path with
@@ -739,28 +722,29 @@ let load ?damping label path =
 (* Introspection for tests and benches: how big is a file, which
    generation is it, and where do a v5 segment's regions live (so a
    drill can corrupt a specific region with surgical precision). *)
-let file_size path = with_in path in_channel_length
+let file_size path =
+  try (Unix.stat path).Unix.st_size
+  with Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+
+let magics = [ magic_v1; magic; magic_v3; magic_v4; magic_v5 ]
+
+(* A torn map of a file no longer than its magic tears the magic itself,
+   so an unknown magic is re-read before it is believed. *)
+let read_magic ~known path =
+  retrying (fun () ->
+      Result.bind (read_mapped ~len:(String.length magic) path) (fun m ->
+          if List.mem m known then Ok m
+          else Error (`Suspect (Corrupted "unknown magic"))))
+  |> Result.to_option
 
 let format_version path =
-  match with_in path (fun ic -> read_prefix ic (String.length magic)) with
-  | exception (Sys_error _ | End_of_file) -> None
-  | m ->
-      if m = magic_v1 then Some 1
-      else if m = magic then Some 2
-      else if m = magic_v3 then Some 3
-      else if m = magic_v4 then Some 4
-      else if m = magic_v5 then Some 5
-      else None
+  Option.bind (read_magic ~known:magics path) (fun m ->
+      List.find_index (String.equal m) magics |> Option.map succ)
 
 let layout path =
-  match
-    with_in path (fun ic ->
-        (in_channel_length ic, read_prefix ic header_size))
-  with
-  | exception Sys_error msg -> Error (Io_failed msg)
-  | exception End_of_file -> Error (Io_failed (path ^ ": changed while read"))
-  | _, h when not (is_v5 h) -> Error (Corrupted "not a v5 segment")
-  | size, h -> (
-      match parse_header ~size h with
-      | lay, _ -> Ok lay
-      | exception Bad e -> Error (classify e))
+  retrying (fun () ->
+      with_map path (fun m ->
+          if map_is_v5 m then Ok (fst (map_header m))
+          else Error (`Fatal (Corrupted "not a v5 segment"))))
+  |> Result.map_error (fun (e : load_error) -> e.error)

@@ -32,7 +32,9 @@
     Every read attempt maps the file once and reads the magic from the
     map; a v2 segment is copied out of that same map.  Storage faults
     are injected in {!Xk_storage.Mmap.map}, so fault drills exercise
-    this production reader, lazy open included.
+    this production reader, lazy open included.  {!read_mapped} and
+    {!retrying} are the read path of every other durable file too, and
+    the v2 container is the shared {!Xk_storage.Framed} one.
 
     Reads classify their failures — {!Truncated} (the file ends before
     the declared layout), {!Corrupted} (bad magic, version, checksum or
@@ -67,10 +69,24 @@ type attempt_error =
 (** The outcome classes of one read attempt, before the retry policy:
     every class but [`Fatal] is retried. *)
 
-val read_mapped : string -> (string, attempt_error) result
-(** One read attempt of a whole file through {!Xk_storage.Mmap.map},
-    classified like a segment read: the shard-manifest reader's byte
-    source. *)
+val read_mapped : ?len:int -> string -> (string, attempt_error) result
+(** One read attempt through {!Xk_storage.Mmap.map}, classified like
+    a segment read: a copy of the file (or of its first [len] bytes)
+    from a map closed before this returns, so the caller may truncate
+    the file.  Every durable file but a segment is read this way. *)
+
+val of_framed : Xk_storage.Framed.error -> attempt_error
+(** A {!Xk_storage.Framed} verdict as a read-attempt outcome: [`Crc]
+    for a checksum mismatch, [`Suspect] for the rest, so every one is
+    re-read before it is reported. *)
+
+val magics : string list
+(** The segment magics, v1 to v5 in order. *)
+
+val read_magic : known:string list -> string -> string option
+(** The file's magic if it is one of [known], read through
+    {!read_mapped} under {!retrying}.  An unknown magic is re-read (a
+    torn map of a file no longer than its magic tears the magic). *)
 
 val retrying :
   ?retries:int ->
@@ -136,15 +152,20 @@ val verify : ?retries:int -> ?backoff_ms:float -> string -> (unit, load_error) r
     this after each copy so a damaged replica is caught at save time,
     not at failover time. *)
 
+val read_verified :
+  ?retries:int -> ?backoff_ms:float -> string -> (string, load_error) result
+(** {!verify}, returning the bytes of the map that passed it, so a torn
+    read never reaches a byte-for-byte replica copy. *)
+
 val load : ?damping:Xk_score.Damping.t -> Xk_encoding.Labeling.t -> string -> Index.t
 (** {!load_result}, raising {!Format_error} on any error (legacy API). *)
 
-(** {1 Introspection} — for tests, drills and benches.  None of these
-    leaks a channel. *)
+(** {1 Introspection} — for tests, drills and benches.  The reads map
+    the file and retry like a load. *)
 
 val file_size : string -> int
 (** Size of the file in bytes; raises [Sys_error] if it cannot be
-    opened. *)
+    stat'ed. *)
 
 val format_version : string -> int option
 (** Generation of the segment at a path, from its magic: [Some 1], [2],

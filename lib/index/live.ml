@@ -14,7 +14,7 @@
      [Busy] instead of queueing behind an fsync). *)
 
 module Varint = Xk_storage.Varint
-module Crc32 = Xk_storage.Crc32
+module Framed = Xk_storage.Framed
 module Durable = Xk_storage.Durable
 module Chaos = Xk_resilience.Chaos
 
@@ -84,60 +84,54 @@ let wal_path dir = Filename.concat dir "wal.log"
 let docs_path dir gen = Filename.concat dir (Printf.sprintf "seg-%04d.docs" gen)
 let idx_path dir gen = Filename.concat dir (Printf.sprintf "seg-%04d.idx" gen)
 
-(* CRC-framed whole files (manifest, sealed documents).  Same outer
-   layout as the WAL and index segments: magic, varint version, varint
-   payload length, varint CRC-32, payload. *)
+(* Whole files (manifest, sealed documents) in the Xk_storage.Framed
+   container, read through Index_io's mapped read and retry policy.  A
+   payload that does not decode behind a verified checksum is fatal. *)
 
 let manifest_magic = "XKLIV001"
 let docs_magic = "XKDOC001"
 let frame_version = 1
 
-let write_framed ~fsync ~magic path payload =
-  let buf = Buffer.create (String.length payload + 24) in
-  Buffer.add_string buf magic;
-  Varint.write buf frame_version;
-  Varint.write buf (String.length payload);
-  Varint.write buf (Crc32.string payload);
-  Buffer.add_string buf payload;
-  Durable.write_string_atomically ~fsync path (Buffer.contents buf)
+let save_framed ~fsync ~magic path payload =
+  Durable.write_string_atomically ~fsync path
+    (Framed.file ~magic ~version:frame_version payload)
 
-let read_framed ~magic path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error m -> Error (Io m)
-  | data -> (
-      let name = Filename.basename path in
-      let mlen = String.length magic in
-      if String.length data < mlen || String.sub data 0 mlen <> magic then
-        Error (Corrupt (name ^ ": bad magic"))
-      else
-        let cur = Varint.cursor_at data mlen in
-        match (Varint.read_opt cur, Varint.read_opt cur, Varint.read_opt cur) with
-        | Some v, _, _ when v <> frame_version ->
-            Error (Corrupt (Printf.sprintf "%s: unsupported version %d" name v))
-        | Some _, Some plen, Some crc ->
-            if cur.Varint.pos + plen <> String.length data then
-              Error (Corrupt (name ^ ": bad payload length"))
-            else if Crc32.sub data ~pos:cur.Varint.pos ~len:plen <> crc then
-              Error (Corrupt (name ^ ": checksum mismatch"))
-            else Ok (String.sub data cur.Varint.pos plen)
-        | _ -> Error (Corrupt (name ^ ": truncated header")))
+let load_framed ~magic ~decode path =
+  let name = Filename.basename path in
+  Index_io.retrying (fun () ->
+      Result.bind (Index_io.read_mapped path) (fun data ->
+          match Framed.check ~magic ~version:frame_version data with
+          | Error e -> Error (Index_io.of_framed e)
+          | Ok { pos; len } ->
+              Result.map_error
+                (fun m -> `Fatal (Index_io.Corrupted m))
+                (decode (String.sub data pos len))))
+  |> Result.map_error (function
+       | { Index_io.error = Io_failed m; _ } -> Io m
+       | { error = Truncated m | Corrupted m; _ } -> Corrupt (name ^ ": " ^ m))
 
 (* Payload codecs.  Decoders parse bytes whose CRC already checked out,
    so a short read here is structural damage, not a torn write; the
-   local exception keeps them readable and is converted to [Corrupt]
-   at the single entry point of each decoder. *)
+   local exception keeps them readable and is converted to an error at
+   the single entry point of each decoder.  A count is checked against
+   the bytes left before anything is built for it. *)
 
 exception Bad of string
 
 let rd cur =
   match Varint.read_opt cur with
-  | Some v -> v
+  | Some v when v >= 0 -> v
+  | Some _ -> raise (Bad "negative varint")
   | None -> raise (Bad "truncated payload")
 
-let rd_string cur =
+let count cur =
   let n = rd cur in
-  if n < 0 || cur.Varint.pos + n > String.length cur.Varint.data then
-    raise (Bad "truncated payload");
+  if n > String.length cur.Varint.data - cur.Varint.pos then
+    raise (Bad "count exceeds the payload");
+  n
+
+let rd_string cur =
+  let n = count cur in
   let s = String.sub cur.Varint.data cur.Varint.pos n in
   cur.Varint.pos <- cur.Varint.pos + n;
   s
@@ -173,7 +167,7 @@ let decode_manifest payload =
   match
     let cur = Varint.cursor payload in
     let m_root_tag = rd_string cur in
-    let nattrs = rd cur in
+    let nattrs = count cur in
     let m_root_attrs =
       List.init nattrs (fun _ ->
           let attr_name = rd_string cur in
@@ -182,12 +176,12 @@ let decode_manifest payload =
     in
     let m_next_doc = rd cur in
     let m_durable_lsn = rd cur in
-    let ngens = rd cur in
+    let ngens = count cur in
     let m_gens = List.init ngens (fun _ -> rd cur) in
     { m_root_tag; m_root_attrs; m_next_doc; m_durable_lsn; m_gens }
   with
   | m -> Ok m
-  | exception Bad msg -> Error (Corrupt ("manifest: " ^ msg))
+  | exception Bad msg -> Error msg
 
 let encode_docs docs =
   let buf = Buffer.create 4096 in
@@ -202,7 +196,7 @@ let encode_docs docs =
 let decode_docs payload =
   match
     let cur = Varint.cursor payload in
-    let n = rd cur in
+    let n = count cur in
     List.init n (fun _ ->
         let id = rd cur in
         match Wal.decode_subtree cur with
@@ -210,7 +204,7 @@ let decode_docs payload =
         | Error m -> raise (Bad m))
   with
   | docs -> Ok (List.sort (fun (a, _) (b, _) -> Int.compare a b) docs)
-  | exception Bad msg -> Error (Corrupt ("documents: " ^ msg))
+  | exception Bad msg -> Error msg
 
 (* Snapshot assembly: shard 0 is the delta, one shard per sealed
    generation after it.  A generation none of whose documents the delta
@@ -261,58 +255,6 @@ let reseal_damaged ?damping ~dir ~root_tag sealed =
 
 (* Construction and recovery *)
 
-let create ?(fsync = true) ?auto_compact ?damping ~root_tag ?(root_attrs = [])
-    dir =
-  match
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  with
-  | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
-  | () -> (
-      if Sys.file_exists (manifest_path dir) then
-        Error (Io (dir ^ ": already a live store"))
-      else
-        match
-          write_framed ~fsync ~magic:manifest_magic (manifest_path dir)
-            (encode_manifest
-               {
-                 m_root_tag = root_tag;
-                 m_root_attrs = root_attrs;
-                 m_next_doc = 0;
-                 m_durable_lsn = 0;
-                 m_gens = [];
-               })
-        with
-        | exception Sys_error m -> Error (Io m)
-        | () ->
-            Result.bind
-              (Result.map_error of_wal_error
-                 (Wal.create ~fsync ~base_lsn:0 (wal_path dir)))
-              (fun wal ->
-                let snapshot =
-                  build_snapshot ?damping ~dir ~root_tag ~root_attrs ~lsn:0
-                    ~sealed:[] ~delta:Delta.empty ()
-                in
-                Ok
-                  {
-                    l_dir = dir;
-                    l_fsync = fsync;
-                    l_auto = auto_compact;
-                    l_damping = damping;
-                    l_root_tag = root_tag;
-                    l_root_attrs = root_attrs;
-                    l_writer = Atomic.make false;
-                    l_wal = wal;
-                    l_state =
-                      Atomic.make
-                        {
-                          st_lsn = 0;
-                          st_next_doc = 0;
-                          st_sealed = [];
-                          st_delta = Delta.empty;
-                          st_snapshot = snapshot;
-                        };
-                  }))
-
 (* seg-<gen>.docs / seg-<gen>.idx basename -> generation *)
 let seg_file_gen name =
   let parse suffix =
@@ -351,34 +293,30 @@ let gc_orphans dir ~gens =
 let ( let* ) = Result.bind
 
 let open_ ?(fsync = true) ?auto_compact ?damping dir =
-  let* payload = read_framed ~magic:manifest_magic (manifest_path dir) in
-  let* m = decode_manifest payload in
+  let* m =
+    load_framed ~magic:manifest_magic ~decode:decode_manifest (manifest_path dir)
+  in
   let* sealed =
     List.fold_left
       (fun acc gen ->
         let* segs = acc in
-        let* payload = read_framed ~magic:docs_magic (docs_path dir gen) in
-        let* docs = decode_docs payload in
+        let* docs =
+          load_framed ~magic:docs_magic ~decode:decode_docs (docs_path dir gen)
+        in
         Ok ({ seg_gen = gen; seg_docs = docs } :: segs))
       (Ok []) m.m_gens
   in
   let sealed = List.rev sealed in
   let wal_file = wal_path dir in
   let* wal, records =
-    let missing =
-      (not (Sys.file_exists wal_file))
-      ||
-      match Unix.stat wal_file with
-      | { st_size = 0; _ } -> true
-      | _ -> false
-      | exception Unix.Unix_error _ -> false
-    in
-    if missing then
-      Result.map_error of_wal_error
-        (Result.map
-           (fun w -> (w, []))
-           (Wal.create ~fsync ~base_lsn:m.m_durable_lsn wal_file))
-    else Result.map_error of_wal_error (Wal.open_existing ~fsync wal_file)
+    Result.map_error of_wal_error
+      (match Unix.stat wal_file with
+      | { st_size = 0; _ } | (exception Unix.Unix_error (ENOENT, _, _)) ->
+          (* a missing or empty log: nothing to replay *)
+          Result.map
+            (fun w -> (w, []))
+            (Wal.create ~fsync ~base_lsn:m.m_durable_lsn wal_file)
+      | _ | (exception Unix.Unix_error _) -> Wal.open_existing ~fsync wal_file)
   in
   let delta, max_insert =
     List.fold_left
@@ -419,6 +357,33 @@ let open_ ?(fsync = true) ?auto_compact ?damping dir =
             st_snapshot = snapshot;
           };
     }
+
+(* A fresh store is an empty manifest and log, opened like any other. *)
+let create ?(fsync = true) ?auto_compact ?damping ~root_tag ?(root_attrs = [])
+    dir =
+  match
+    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+    if Sys.file_exists (manifest_path dir) then
+      Error (Io (dir ^ ": already a live store"))
+    else begin
+      save_framed ~fsync ~magic:manifest_magic (manifest_path dir)
+        (encode_manifest
+           {
+             m_root_tag = root_tag;
+             m_root_attrs = root_attrs;
+             m_next_doc = 0;
+             m_durable_lsn = 0;
+             m_gens = [];
+           });
+      Result.map Wal.close
+        (Result.map_error of_wal_error
+           (Wal.create ~fsync ~base_lsn:0 (wal_path dir)))
+    end
+  with
+  | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
+  | exception Sys_error m -> Error (Io m)
+  | Error _ as e -> e
+  | Ok () -> open_ ~fsync ?auto_compact ?damping dir
 
 let close t = Wal.close t.l_wal
 
@@ -472,7 +437,7 @@ let compact_steps t st ~clean ~dirty ~delta =
   let* new_seg =
     if merged = [] then Ok None
     else begin
-      write_framed ~fsync:t.l_fsync ~magic:docs_magic
+      save_framed ~fsync:t.l_fsync ~magic:docs_magic
         (docs_path t.l_dir next_gen)
         (encode_docs merged);
       Chaos.crash_point "compact-docs";
@@ -489,7 +454,7 @@ let compact_steps t st ~clean ~dirty ~delta =
     List.map (fun s -> s.seg_gen) clean
     @ match new_seg with Some s -> [ s.seg_gen ] | None -> []
   in
-  write_framed ~fsync:t.l_fsync ~magic:manifest_magic (manifest_path t.l_dir)
+  save_framed ~fsync:t.l_fsync ~magic:manifest_magic (manifest_path t.l_dir)
     (encode_manifest
        {
          m_root_tag = t.l_root_tag;
@@ -499,19 +464,12 @@ let compact_steps t st ~clean ~dirty ~delta =
          m_gens = gens';
        });
   Chaos.crash_point "compact-rotate";
-  (* Rotate the WAL through a temp file and a rename, so there is no
-     instant at which [wal.log] exists with a half-written header. *)
+  (* [Wal.create] replaces the log atomically: there is no instant at
+     which [wal.log] exists with a half-written header. *)
   Wal.close t.l_wal;
-  let wal_file = wal_path t.l_dir in
-  let* w0 =
+  let* w =
     Result.map_error of_wal_error
-      (Wal.create ~fsync:t.l_fsync ~base_lsn:st.st_lsn (wal_file ^ ".tmp"))
-  in
-  Wal.close w0;
-  Sys.rename (wal_file ^ ".tmp") wal_file;
-  if t.l_fsync then Durable.fsync_dir t.l_dir;
-  let* w, _ =
-    Result.map_error of_wal_error (Wal.open_existing ~fsync:t.l_fsync wal_file)
+      (Wal.create ~fsync:t.l_fsync ~base_lsn:st.st_lsn (wal_path t.l_dir))
   in
   t.l_wal <- w;
   Chaos.crash_point "compact-done";

@@ -53,12 +53,6 @@ let scrub ?budget ?slice ?throttle_ms ?sleep ?retries ?backoff_ms path =
            ~verify:(verify_to_result ?retries ?backoff_ms)
            files)
 
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Rewrite [target]: clear any injected-fault marks first (the simulated
    media is being replaced), publish atomically, then verify the healed
    copy end to end before claiming success. *)
@@ -93,18 +87,25 @@ let repair ?rebuild ?retries ?backoff_ms (report : Xk_resilience.Scrub.report)
           Repaired { copy; source }
       | Error reason -> Unrepairable { copy; reason }
     in
-    let sources =
+    (* The first source whose map verifies now, not at scrub time: the
+       bytes written are the ones that passed. *)
+    let source =
       Option.value (Hashtbl.find_opt clean e.e_shard) ~default:[]
-      |> List.filter (fun src -> src <> e.e_file)
+      |> List.find_map (fun src ->
+             if src = e.e_file then None
+             else
+               Index_io.read_verified ?retries ?backoff_ms src
+               |> Result.to_option
+               |> Option.map (fun bytes -> (src, bytes)))
     in
-    match sources with
-    | src :: _ ->
+    match source with
+    | Some (src, bytes) ->
         heal_copy ?retries ?backoff_ms
           ~write:(fun target ->
-            Xk_storage.Durable.write_string_atomically target (read_file src))
+            Xk_storage.Durable.write_string_atomically target bytes)
           e.e_file
         |> finish (From_replica src)
-    | [] -> (
+    | None -> (
         match rebuild with
         | None ->
             Unrepairable { copy; reason = "no clean replica to copy from" }

@@ -61,7 +61,8 @@ val repair :
   summary
 (** Heal every non-clean entry of the report, in manifest order.  Each
     target is rewritten from a clean copy of its shard (a copy healed
-    earlier in the same pass counts), else rebuilt via [rebuild ~shard]
+    earlier in the same pass counts) whose bytes verify again as they
+    are read ({!Index_io.read_verified}), else rebuilt via [rebuild ~shard]
     when provided, else reported {!Unrepairable}.  Injected-fault marks
     on a target are cleared before the rewrite (the simulated media is
     replaced), and every heal is verified post-write. *)

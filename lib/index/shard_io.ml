@@ -1,8 +1,9 @@
 (* Sharded-index persistence: a small checksummed manifest that records
    the partition, next to N Index_io segment replicas per shard.
 
-   Manifest layout (version 3):  magic "XKSHM003" | version varint |
-   payload-length varint | payload CRC-32 varint | payload.  The payload
+   Manifest layout (version 3), the Xk_storage.Framed container:
+   magic "XKSHM003" | version varint | payload-length varint | payload
+   CRC-32 varint | payload.  The payload
    is the shard count, the subtree count, the assignment array, then per
    shard a replica count followed by, per replica, the segment basename
    and an optional serving endpoint (presence flag, then host bytes and
@@ -49,9 +50,6 @@ let replica_path path ~shard ~replica =
   if replica = 0 then segment_path path ~shard
   else Printf.sprintf "%s.%03d.r%d.seg" path shard replica
 
-let write_atomically path (write : out_channel -> unit) =
-  Xk_storage.Durable.write_atomically path write
-
 exception Verify_failed of string
 
 let save ?(replicas = 1) ?endpoints t path =
@@ -87,15 +85,8 @@ let save ?(replicas = 1) ?endpoints t path =
           Xk_storage.Varint.write payload port
     done
   done;
-  let payload = Buffer.contents payload in
-  write_atomically path (fun oc ->
-      let header = Buffer.create 32 in
-      Buffer.add_string header magic;
-      Xk_storage.Varint.write header version;
-      Xk_storage.Varint.write header (String.length payload);
-      Xk_storage.Varint.write header (Xk_storage.Crc32.string payload);
-      Buffer.output_buffer oc header;
-      output_string oc payload);
+  Xk_storage.Durable.write_string_atomically path
+    (Xk_storage.Framed.file ~magic ~version (Buffer.contents payload));
   (* Each replica is written and verified independently: a write that
      slips through [Index_io.save]'s atomic rename but lands damaged
      must surface now, not at failover time. *)
@@ -124,118 +115,81 @@ type manifest = {
       (* same shape as [m_files]; v2 manifests decode to all-[None] *)
 }
 
+(* Every count and length is checked against the bytes left before
+   anything is allocated for it: each entry it counts takes a byte. *)
 let decode_manifest data ~pos ~with_endpoints =
   let c = Xk_storage.Varint.cursor_at data pos in
+  let count what =
+    let n = Xk_storage.Varint.read c in
+    if n < 0 || n > String.length data - c.pos then
+      raise (Decode (what ^ " runs past the payload"));
+    n
+  in
   let read_str what =
-    let len = Xk_storage.Varint.read c in
-    if len < 0 || c.pos + len > String.length data then
-      raise (Decode (what ^ " cut short"));
+    let len = count what in
     let s = String.sub data c.pos len in
     c.pos <- c.pos + len;
     s
   in
+  let replica _ =
+    let file = read_str "segment name" in
+    let endpoint =
+      if not with_endpoints then None
+      else
+        match Xk_storage.Varint.read c with
+        | 0 -> None
+        | 1 ->
+            let host = read_str "endpoint host" in
+            let port = Xk_storage.Varint.read c in
+            if port < 0 || port > 0xFFFF then raise (Decode "endpoint port out of range");
+            Some (host, port)
+        | _ -> raise (Decode "bad endpoint flag")
+    in
+    (file, endpoint)
+  in
   try
-    let shards = Xk_storage.Varint.read c in
+    let shards = count "shard count" in
     if shards < 1 then raise (Decode "no shards");
-    let subtrees = Xk_storage.Varint.read c in
     let assignment =
-      Array.init subtrees (fun _ ->
+      Array.init (count "subtree count") (fun _ ->
           let s = Xk_storage.Varint.read c in
-          if s >= shards then raise (Decode "assignment names a missing shard");
+          if s < 0 || s >= shards then raise (Decode "assignment names a missing shard");
           s)
     in
-    let endpoints = ref [] in
-    let files =
+    let rows =
       Array.init shards (fun _ ->
-          let replicas = Xk_storage.Varint.read c in
+          let replicas = count "replica count" in
           if replicas < 1 then raise (Decode "shard with no replicas");
-          let row_eps = Array.make replicas None in
-          let row =
-            Array.init replicas (fun r ->
-                let f = read_str "segment name" in
-                if with_endpoints then begin
-                  match Xk_storage.Varint.read c with
-                  | 0 -> ()
-                  | 1 ->
-                      let host = read_str "endpoint host" in
-                      let port = Xk_storage.Varint.read c in
-                      if port > 0xFFFF then raise (Decode "endpoint port > 65535");
-                      row_eps.(r) <- Some (host, port)
-                  | _ -> raise (Decode "bad endpoint flag")
-                end;
-                f)
-          in
-          endpoints := row_eps :: !endpoints;
-          row)
+          Array.init replicas replica)
     in
     {
       m_shards = shards;
       m_assignment = assignment;
-      m_files = files;
-      m_endpoints = Array.of_list (List.rev !endpoints);
+      m_files = Array.map (Array.map fst) rows;
+      m_endpoints = Array.map (Array.map snd) rows;
     }
   with Invalid_argument _ -> raise (Decode "payload structure cut short")
 
 (* One manifest read attempt, through the same mapped read and failure
-   classes as the segment reader in [Index_io]: header-level anomalies
-   are [`Suspect] (a torn read heals on re-read, real corruption
-   repeats). *)
+   classes as the segment reader in [Index_io]: framing anomalies are
+   retried (a torn read heals on re-read, real corruption repeats). *)
 let attempt_manifest path : (manifest, Index_io.attempt_error) result =
-  match Index_io.read_mapped path with
-  | Error e -> Error e
-  | Ok data -> (
-      let mlen = String.length magic in
-      if String.length data < mlen then
-        Error (`Suspect (Index_io.Truncated "shorter than the manifest magic"))
-      else if String.sub data 0 mlen = magic_v1 then
-        Error
-          (`Suspect
-            (Index_io.Corrupted
-               "legacy v1 manifest without replica lists; rebuild the index"))
-      else
-        (* v2 manifests (no endpoints) stay loadable; the magic decides
-           which payload layout and version number to expect. *)
-        let file_magic = String.sub data 0 mlen in
-        let expected_version, with_endpoints =
-          if file_magic = magic_v2 then (version_v2, false) else (version, true)
-        in
-        if file_magic <> magic && file_magic <> magic_v2 then
-          Error (`Suspect (Index_io.Corrupted "bad manifest magic"))
-        else
-          match
-            let c = Xk_storage.Varint.cursor_at data mlen in
-            let v = Xk_storage.Varint.read c in
-            let plen = Xk_storage.Varint.read c in
-            let crc = Xk_storage.Varint.read c in
-            (v, plen, crc, c.pos)
-          with
-          | exception Invalid_argument _ ->
-              Error (`Suspect (Index_io.Truncated "header cut short"))
-          | v, _, _, _ when v <> expected_version ->
-              Error
-                (`Suspect
-                  (Index_io.Corrupted
-                     (Printf.sprintf "unsupported manifest version %d" v)))
-          | _, plen, crc, body -> (
-              let avail = String.length data - body in
-              if avail < plen then
-                Error
-                  (`Suspect
-                    (Index_io.Truncated
-                       (Printf.sprintf "payload has %d of %d bytes" avail plen)))
-              else if avail > plen then
-                Error
-                  (`Suspect
-                    (Index_io.Corrupted
-                       (Printf.sprintf "%d trailing bytes after the payload"
-                          (avail - plen))))
-              else if Xk_storage.Crc32.sub data ~pos:body ~len:plen <> crc then
-                Error (`Crc "manifest checksum mismatch")
-              else
-                match decode_manifest data ~pos:body ~with_endpoints with
-                | m -> Ok m
-                | exception Decode msg ->
-                    Error (`Fatal (Index_io.Corrupted msg))))
+  Result.bind (Index_io.read_mapped path) (fun data ->
+      (* v2 manifests (no endpoints) stay loadable; the magic decides
+         which payload layout and version number to expect. *)
+      let v2 = String.starts_with ~prefix:magic_v2 data in
+      let magic, version = if v2 then (magic_v2, version_v2) else (magic, version) in
+      match Xk_storage.Framed.check ~magic ~version data with
+      | Error (Bad_magic m) when m = magic_v1 ->
+          Error
+            (`Suspect
+              (Index_io.Corrupted
+                 "legacy v1 manifest without replica lists; rebuild the index"))
+      | Error e -> Error (Index_io.of_framed e)
+      | Ok body -> (
+          match decode_manifest data ~pos:body.pos ~with_endpoints:(not v2) with
+          | m -> Ok m
+          | exception Decode msg -> Error (`Fatal (Index_io.Corrupted msg))))
 
 let load_manifest ?retries ?backoff_ms path =
   Index_io.retrying ?retries ?backoff_ms (fun () -> attempt_manifest path)
@@ -293,21 +247,15 @@ let load_segment (doc : Xk_xml.Xml_tree.document) path =
     ~make doc
 
 let replica_files path =
-  match load_manifest path with
-  | Error _ as e -> e
-  | Ok m ->
-      let dir = Filename.dirname path in
-      Ok (Array.map (Array.map (Filename.concat dir)) m.m_files)
+  let dir = Filename.dirname path in
+  Result.map
+    (fun m -> Array.map (Array.map (Filename.concat dir)) m.m_files)
+    (load_manifest path)
 
-let endpoints path =
-  match load_manifest path with
-  | Error _ as e -> e
-  | Ok m -> Ok m.m_endpoints
+let endpoints path = Result.map (fun m -> m.m_endpoints) (load_manifest path)
 
 let partition_spec path =
-  match load_manifest path with
-  | Error _ as e -> e
-  | Ok m -> Ok (m.m_shards, m.m_assignment)
+  Result.map (fun m -> (m.m_shards, m.m_assignment)) (load_manifest path)
 
 type copy_status =
   | Copy_clean
@@ -334,11 +282,7 @@ let replica_status ?retries ?backoff_ms path =
            files)
 
 let is_manifest path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (String.length magic))
-  with
-  | m -> m = magic || m = magic_v2 || m = magic_v1
-  | exception (Sys_error _ | End_of_file) -> false
+  let manifests = [ magic; magic_v2; magic_v1 ] in
+  match Index_io.read_magic ~known:(manifests @ Index_io.magics) path with
+  | Some m -> List.mem m manifests
+  | None -> false

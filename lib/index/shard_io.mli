@@ -120,4 +120,6 @@ val replica_status :
 val is_manifest : string -> bool
 (** Whether the file starts with a shard-manifest magic (current v3,
     v2, or legacy v1; used by the CLI to sniff sharded vs. plain
-    segments).  False on unreadable files. *)
+    segments).  The magic is read through the map with the load's
+    retries ({!Index_io.read_magic}), so a transient fault cannot send
+    a manifest to the segment loader.  False on unreadable files. *)

@@ -1,18 +1,19 @@
-(* Append-only write-ahead log.  Framing keeps records self-delimiting
-   ([varint len | varint crc | payload]) so recovery can walk the file
-   without trusting anything but the bytes themselves: a record that
-   ends past EOF, or whose trailing checksum fails, is a torn tail from
-   a crash mid-append and is truncated away; a checksum failure with
-   intact records after it cannot come from a crash and is reported as
-   corruption instead.
+(* Append-only write-ahead log.  Records are Xk_storage.Framed frames
+   ([varint len | varint crc | payload]), self-delimiting, so recovery
+   can walk the file without trusting anything but the bytes
+   themselves: a record cut short, or a final record whose checksum
+   fails, is a torn tail from a crash mid-append and is truncated away;
+   a checksum failure with intact records after it, or a length no
+   crash can leave, is reported as corruption instead.
 
-   All byte-level reads go through bounds-checked helpers rather than
-   the raw [Varint] cursor: recovery parses files that are torn by
-   construction, and a decoder that raises on short input would turn
-   the expected case into an exception. *)
+   Recovery reads the log through Index_io's mapped read and retry
+   policy, where storage faults are injected, and closes the map before
+   it truncates.  Every byte-level read is total: recovery parses files
+   that are torn by construction, and a decoder that raises on short
+   input would turn the expected case into an exception. *)
 
 module Varint = Xk_storage.Varint
-module Crc32 = Xk_storage.Crc32
+module Framed = Xk_storage.Framed
 module Chaos = Xk_resilience.Chaos
 
 let magic = "XKWAL001"
@@ -38,10 +39,16 @@ type t = {
   mutable w_lsn : int;
 }
 
-let read_varint_opt = Varint.read_opt
+let ( let* ) = Result.bind
+
+let varint cur =
+  match Varint.read_opt cur with
+  | Some v when v >= 0 -> Ok v
+  | Some _ -> Error "negative varint"
+  | None -> Error "short read"
 
 let take (cur : Varint.cursor) n =
-  if n < 0 || cur.pos + n > String.length cur.data then Error "short read"
+  if n > String.length cur.data - cur.pos then Error "short read"
   else begin
     let s = String.sub cur.data cur.pos n in
     cur.pos <- cur.pos + n;
@@ -63,26 +70,16 @@ let encode_subtree buf (node : Xk_xml.Xml_tree.node) =
       Buffer.add_string buf s
 
 let decode_subtree cur =
-  match take cur 1 with
-  | Error _ as e -> e
-  | Ok flag -> (
-      match read_varint_opt cur with
-      | None -> Error "short read"
-      | Some len -> (
-          match take cur len with
-          | Error _ as e -> e
-          | Ok bytes -> (
-              match flag.[0] with
-              | '\000' -> (
-                  match Xk_xml.Xml_parser.parse_string ~keep_ws:true bytes with
-                  | Ok doc -> Ok (Xk_xml.Xml_tree.Element doc.root)
-                  | Error e ->
-                      Error
-                        (Printf.sprintf "bad subtree XML: %s" e.message))
-              | '\001' -> Ok (Xk_xml.Xml_tree.Text bytes)
-              | c ->
-                  Error
-                    (Printf.sprintf "bad subtree flag 0x%02x" (Char.code c)))))
+  let* flag = take cur 1 in
+  let* len = varint cur in
+  let* bytes = take cur len in
+  match flag.[0] with
+  | '\000' -> (
+      match Xk_xml.Xml_parser.parse_string ~keep_ws:true bytes with
+      | Ok doc -> Ok (Xk_xml.Xml_tree.Element doc.root)
+      | Error e -> Error (Printf.sprintf "bad subtree XML: %s" e.message))
+  | '\001' -> Ok (Xk_xml.Xml_tree.Text bytes)
+  | c -> Error (Printf.sprintf "bad subtree flag 0x%02x" (Char.code c))
 
 let encode_op op =
   let buf = Buffer.create 64 in
@@ -98,19 +95,14 @@ let encode_op op =
 
 let decode_op payload =
   let cur = Varint.cursor payload in
-  match take cur 1 with
-  | Error _ as e -> e
-  | Ok tag -> (
-      match read_varint_opt cur with
-      | None -> Error "short read"
-      | Some doc_id -> (
-          match tag.[0] with
-          | '\001' ->
-              Result.map
-                (fun subtree -> Insert { doc_id; subtree })
-                (decode_subtree cur)
-          | '\002' -> Ok (Delete { doc_id })
-          | c -> Error (Printf.sprintf "bad op tag 0x%02x" (Char.code c))))
+  let* tag = take cur 1 in
+  let* doc_id = varint cur in
+  match tag.[0] with
+  | '\001' ->
+      let* subtree = decode_subtree cur in
+      Ok (Insert { doc_id; subtree })
+  | '\002' -> Ok (Delete { doc_id })
+  | c -> Error (Printf.sprintf "bad op tag 0x%02x" (Char.code c))
 
 let header_bytes ~base_lsn =
   let buf = Buffer.create 16 in
@@ -122,120 +114,86 @@ let header_bytes ~base_lsn =
 let open_append path =
   open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
 
+let handle ~fsync ~base_lsn ~lsn path =
+  {
+    w_path = path;
+    w_fsync = fsync;
+    w_base = base_lsn;
+    w_oc = Some (open_append path);
+    w_lsn = lsn;
+  }
+
+(* A durable atomic write: no instant shows [path] with a half-written
+   header. *)
 let create ?(fsync = true) ~base_lsn path =
   match
-    let oc = open_out_bin path in
-    output_string oc (header_bytes ~base_lsn);
-    flush oc;
-    if fsync then Xk_storage.Durable.fsync_out_channel oc;
-    close_out oc;
-    if fsync then Xk_storage.Durable.fsync_dir (Filename.dirname path)
+    Xk_storage.Durable.write_string_atomically ~fsync path
+      (header_bytes ~base_lsn);
+    handle ~fsync ~base_lsn ~lsn:base_lsn path
   with
-  | () ->
-      Ok
-        {
-          w_path = path;
-          w_fsync = fsync;
-          w_base = base_lsn;
-          w_oc = Some (open_append path);
-          w_lsn = base_lsn;
-        }
+  | t -> Ok t
   | exception Sys_error m -> Error (Io m)
 
-(* Walk the records after the header.  Returns the surviving payloads
-   and the offset of the first byte past the last intact record; a torn
-   tail shows up as [keep < String.length data]. *)
-let scan_records data ~from =
-  let len = String.length data in
-  let cur = Varint.cursor_at data from in
-  let rec go acc keep =
-    if cur.Varint.pos >= len then Ok (List.rev acc, keep)
-    else
-      match read_varint_opt cur with
-      | None -> Ok (List.rev acc, keep) (* torn mid-length *)
-      | Some plen -> (
-          match read_varint_opt cur with
-          | None -> Ok (List.rev acc, keep) (* torn mid-crc *)
-          | Some crc ->
-              if cur.pos + plen > len then Ok (List.rev acc, keep)
-                (* declared length past EOF: torn payload *)
-              else if Crc32.sub data ~pos:cur.pos ~len:plen <> crc then
-                if cur.pos + plen >= len then Ok (List.rev acc, keep)
-                  (* final record, bad bytes: torn *)
-                else
-                  Error
-                    (Printf.sprintf
-                       "record checksum mismatch at offset %d (not the \
-                        final record)"
-                       keep)
-              else begin
-                let payload = String.sub data cur.pos plen in
-                cur.pos <- cur.pos + plen;
-                go (payload :: acc) cur.pos
-              end)
+(* One recovery read attempt: the header, then every record.  Returns
+   the base LSN, the decoded records, the offset past the last intact
+   record and the file size; a torn tail shows up as [keep < size]. *)
+let recover path =
+  let* data = Index_io.read_mapped path in
+  let size = String.length data in
+  let corrupt msg = Error (`Suspect (Index_io.Corrupted msg)) in
+  let* pos =
+    Result.map_error Index_io.of_framed (Framed.header ~magic ~version data)
   in
-  go [] from
+  let cur = Varint.cursor_at data pos in
+  match varint cur with
+  | Error m -> corrupt ("header: " ^ m)
+  | Ok base ->
+      let rec go acc lsn pos =
+        let torn () = Ok (base, List.rev acc, pos, size) in
+        if pos = size then torn ()
+        else
+          match Framed.read_record data ~pos with
+          | Ok { pos = p; len } -> (
+              match decode_op (String.sub data p len) with
+              | Ok op -> go ({ lsn = lsn + 1; op } :: acc) (lsn + 1) (p + len)
+              | Error m ->
+                  (* valid checksum, undecodable bytes: not crash damage *)
+                  Error (`Fatal (Index_io.Corrupted ("bad record: " ^ m))))
+          | Error (Header_cut | Short_payload _) -> torn ()
+          | Error (Crc_mismatch s) when s.pos + s.len = size -> torn ()
+          | Error (Crc_mismatch _) ->
+              Error
+                (`Crc
+                  (Printf.sprintf
+                     "record checksum mismatch at offset %d (not the final \
+                      record)"
+                     pos))
+          | Error e ->
+              corrupt
+                (Printf.sprintf "record at offset %d: %s" pos
+                   (Framed.error_message e))
+      in
+      go [] base cur.pos
 
 let open_existing ?(fsync = true) path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error m -> Error (Io m)
-  | data -> (
-      let hlen = String.length magic in
-      if String.length data < hlen || String.sub data 0 hlen <> magic then
-        Error (Corrupted "bad magic")
-      else
-        let cur = Varint.cursor_at data hlen in
-        match (read_varint_opt cur, read_varint_opt cur) with
-        | Some v, _ when v <> version ->
-            Error (Corrupted (Printf.sprintf "unsupported version %d" v))
-        | Some _, Some base_lsn -> (
-            match scan_records data ~from:cur.pos with
-            | Error m -> Error (Corrupted m)
-            | Ok (payloads, keep) -> (
-                let decoded =
-                  List.fold_left
-                    (fun acc payload ->
-                      Result.bind acc (fun (records, lsn) ->
-                          match decode_op payload with
-                          | Ok op ->
-                              Ok ({ lsn = lsn + 1; op } :: records, lsn + 1)
-                          | Error m ->
-                              (* valid checksum, undecodable bytes: not
-                                 crash damage *)
-                              Error (Corrupted ("bad record: " ^ m))))
-                    (Ok ([], base_lsn))
-                    payloads
-                in
-                match decoded with
-                | Error _ as e -> e
-                | Ok (rev_records, last_lsn) -> (
-                    match
-                      if keep < String.length data then begin
-                        (* heal the torn tail in place *)
-                        Unix.truncate path keep;
-                        if fsync then begin
-                          Xk_storage.Durable.fsync_file path;
-                          Xk_storage.Durable.fsync_dir
-                            (Filename.dirname path)
-                        end
-                      end
-                    with
-                    | exception Unix.Unix_error (e, _, _) ->
-                        Error (Io (Unix.error_message e))
-                    | () -> (
-                        match open_append path with
-                        | exception Sys_error m -> Error (Io m)
-                        | oc ->
-                            Ok
-                              ( {
-                                  w_path = path;
-                                  w_fsync = fsync;
-                                  w_base = base_lsn;
-                                  w_oc = Some oc;
-                                  w_lsn = last_lsn;
-                                },
-                                List.rev rev_records )))))
-        | _ -> Error (Corrupted "truncated header"))
+  match Index_io.retrying (fun () -> recover path) with
+  | Error { error = Io_failed m; _ } -> Error (Io m)
+  | Error { error = Truncated m | Corrupted m; _ } -> Error (Corrupted m)
+  | Ok (base_lsn, records, keep, size) -> (
+      match
+        if keep < size then begin
+          (* heal the torn tail in place; the map is closed already *)
+          Unix.truncate path keep;
+          if fsync then begin
+            Xk_storage.Durable.fsync_file path;
+            Xk_storage.Durable.fsync_dir (Filename.dirname path)
+          end
+        end;
+        handle ~fsync ~base_lsn ~lsn:(base_lsn + List.length records) path
+      with
+      | t -> Ok (t, records)
+      | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
+      | exception Sys_error m -> Error (Io m))
 
 let writer t =
   match t.w_oc with
@@ -244,12 +202,7 @@ let writer t =
 
 let append t op =
   Result.bind (writer t) (fun oc ->
-      let payload = encode_op op in
-      let frame = Buffer.create (String.length payload + 10) in
-      Varint.write frame (String.length payload);
-      Varint.write frame (Crc32.string payload);
-      Buffer.add_string frame payload;
-      let data = Buffer.contents frame in
+      let data = Framed.record (encode_op op) in
       match
         if Chaos.crash_armed "wal-append" then begin
           (* a torn write: half the frame reaches the file, then the

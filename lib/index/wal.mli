@@ -4,9 +4,12 @@
     a format version and the {e base LSN} — the log sequence number the
     durable (compacted) state already covers, so replay after a crash
     applies only records the segments have not absorbed.  Each record is
-    framed as [varint length | varint crc32 | payload] and fsynced
-    before the mutation is acknowledged, which makes every acknowledged
-    operation recoverable.
+    an {!Xk_storage.Framed} frame ([varint length | varint crc32 |
+    payload]), fsynced before the mutation is acknowledged, which makes
+    every acknowledged operation recoverable.  Recovery reads the log
+    through {!Index_io.read_mapped} under {!Index_io.retrying}, where
+    storage faults are injected, so a torn read is re-read rather than
+    mistaken for a torn tail.
 
     A crash mid-append leaves a {e torn} final record: the declared
     length runs past the end of the file, or the checksum of the bytes
@@ -16,7 +19,8 @@
     to acknowledge.  Damage {e before} the tail is different: an
     earlier record can only fail its CRC through bit rot, not through a
     crash, so it is reported as {!Corrupted} rather than silently
-    dropped.
+    dropped; so is a record length that is negative or longer than 9
+    bytes, which no prefix of a valid frame holds.
 
     The writer cooperates with {!Xk_resilience.Chaos} crash drills: an
     armed [crash@wal-append] makes {!append} write only a prefix of the
@@ -33,9 +37,10 @@ type record = { lsn : int; op : op }
 
 type error =
   | Corrupted of string
-      (** bad magic, version, or a checksum failure before the final
-          record — damage replay must not paper over *)
-  | Io of string  (** the OS refused an open/read/write *)
+      (** bad magic, version, a malformed record length, or a checksum
+          failure before the final record — damage replay must not
+          paper over *)
+  | Io of string  (** the OS refused an open/map/write *)
 
 val error_message : error -> string
 
@@ -45,7 +50,8 @@ type t
     writer token. *)
 
 val create : ?fsync:bool -> base_lsn:int -> string -> (t, error) result
-(** Create (or truncate) the log at a path, writing a fresh header.
+(** Create (or replace) the log at a path with a fresh header, by a
+    durable atomic write ({!Xk_storage.Durable.write_string_atomically}).
     [fsync:false] skips every sync (tests only). *)
 
 val open_existing :

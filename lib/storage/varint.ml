@@ -39,11 +39,12 @@ let read_signed c =
   if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
 
 (* Total variant for parsers of possibly-torn input (WAL recovery):
-   short input is an expected outcome there, not a programming error. *)
+   short input is an expected outcome there, not a programming error.
+   A value runs over at most 9 bytes (63 bits): a tenth is never read. *)
 let read_opt c =
   let len = String.length c.data in
   let rec go shift acc pos =
-    if pos >= len then None
+    if pos >= len || shift > 56 then None
     else
       let b = Char.code c.data.[pos] in
       let acc = acc lor ((b land 0x7f) lsl shift) in

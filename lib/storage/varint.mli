@@ -15,9 +15,10 @@ val read : cursor -> int
 val read_signed : cursor -> int
 
 val read_opt : cursor -> int option
-(** Like {!read} but [None] when the data ends mid-value, leaving the
-    cursor untouched — for parsers of possibly-torn input (crash
-    recovery), where short reads are expected rather than bugs. *)
+(** Like {!read} but [None] when the data ends mid-value or the value
+    runs past 9 bytes, leaving the cursor untouched — for parsers of
+    possibly-torn input (crash recovery), where short reads are
+    expected rather than bugs. *)
 
 val size : int -> int
 (** Encoded byte length of an unsigned value. *)

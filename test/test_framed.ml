@@ -1,0 +1,523 @@
+(* The shared frame codec ([Xk_storage.Framed]): its verdicts, the
+   fixed inputs that once raised, one never-raise property over every
+   framed decoder, and fault drills for the durable reads that go
+   through the mapped read path ([Index_io.read_mapped]), where [Chaos]
+   injects storage faults. *)
+
+module Framed = Xk_storage.Framed
+module Varint = Xk_storage.Varint
+module Chaos = Xk_resilience.Chaos
+module Wal = Xk_index.Wal
+module Live = Xk_index.Live
+module Index_io = Xk_index.Index_io
+module Shard_io = Xk_index.Shard_io
+module Repair = Xk_index.Repair
+module Tree = Xk_xml.Xml_tree
+
+let check = Alcotest.check
+let tc = Alcotest.test_case
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_tmpdir f =
+  let dir = Filename.temp_file "xk_framed" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+let varint n =
+  let b = Buffer.create 10 in
+  Varint.write b n;
+  Buffer.contents b
+
+let str s = varint (String.length s) ^ s
+
+(* Run [f] under these fault classes, then restore the environment's. *)
+let with_faults faults f =
+  Fun.protect ~finally:Chaos.reset (fun () ->
+      Chaos.configure faults;
+      f ())
+
+let drill_faults = { Chaos.no_faults with io_failures = 1; corrupt_reads = 1 }
+
+(* --- Codec ------------------------------------------------------------ *)
+
+let verdict =
+  Alcotest.testable
+    (fun ppf (r : (Framed.span, Framed.error) result) ->
+      match r with
+      | Ok { pos; len } -> Format.fprintf ppf "Ok {pos=%d; len=%d}" pos len
+      | Error e -> Format.pp_print_string ppf (Framed.error_message e))
+    ( = )
+
+let codec_verdicts () =
+  let magic = "XKTEST01" and version = 3 in
+  let file = Framed.file ~magic ~version "payload" in
+  let body = String.length file - 7 in
+  let verdict_of data = Framed.check ~magic ~version data in
+  check verdict "round trip" (Ok { pos = body; len = 7 }) (verdict_of file);
+  check verdict "short input" (Error Short_input) (verdict_of "XKTE");
+  check verdict "bad magic" (Error (Bad_magic "XKTEST02"))
+    (verdict_of (Framed.file ~magic:"XKTEST02" ~version "payload"));
+  check verdict "bad version" (Error (Bad_version 4))
+    (verdict_of (Framed.file ~magic ~version:4 "payload"));
+  check verdict "header cut short" (Error Header_cut) (verdict_of magic);
+  check verdict "short payload"
+    (Error (Short_payload { have = 6; want = 7 }))
+    (verdict_of (String.sub file 0 (String.length file - 1)));
+  check verdict "trailing bytes" (Error (Trailing 1)) (verdict_of (file ^ "x"));
+  let flipped = Bytes.of_string file in
+  Bytes.set flipped body 'P';
+  check verdict "checksum mismatch"
+    (Error (Crc_mismatch { pos = body; len = 7 }))
+    (verdict_of (Bytes.to_string flipped));
+  (* Record streams: frames back to back, each checked on its own. *)
+  let stream = Framed.record "abc" ^ Framed.record "" ^ Framed.record "de" in
+  let rec payloads pos =
+    if pos = String.length stream then []
+    else
+      match Framed.read_record stream ~pos with
+      | Ok { pos; len } -> String.sub stream pos len :: payloads (pos + len)
+      | Error e -> Alcotest.failf "record at %d: %s" pos (Framed.error_message e)
+  in
+  check Alcotest.(list string) "records" [ "abc"; ""; "de" ] (payloads 0);
+  (* A length no crash-torn prefix can hold: negative, or a tenth byte. *)
+  let negative = String.make 8 '\xff' ^ "\x7f\x00xyz" in
+  check verdict "negative length" (Error Bad_varint)
+    (Framed.read_record negative ~pos:0);
+  check verdict "ten-byte length" (Error Bad_varint)
+    (Framed.read_record (String.make 9 '\x80' ^ "\x01\x00") ~pos:0);
+  check verdict "torn length" (Error Header_cut)
+    (Framed.read_record (String.make 8 '\x80') ~pos:0);
+  check Alcotest.(option int) "read_opt stops at nine bytes" None
+    (Varint.read_opt (Varint.cursor (String.make 9 '\x80' ^ "\x01")))
+
+(* --- Fixed inputs that once raised ------------------------------------ *)
+
+(* A WAL record length of eight 0xFF bytes and one 0x7F decodes to -1. *)
+let wal_negative_length =
+  "XKWAL001" ^ varint 1 ^ varint 0 ^ String.make 8 '\xff' ^ "\x7f" ^ varint 0
+  ^ "xyz"
+
+(* CRC-valid manifest and v2 segment payloads with a 2^40 count. *)
+let huge = 1 lsl 40
+
+let manifest_huge_count =
+  Framed.file ~magic:"XKSHM003" ~version:3 (varint 1 ^ varint huge ^ varint 0)
+
+let v2_huge_rows =
+  Framed.file ~magic:"XKIDX002" ~version:2
+    (varint 2 ^ varint 1 ^ str "a" ^ varint huge ^ varint 0)
+
+let two_node_doc = { Tree.root = Tree.element "r" [ Tree.elem "a" [] ] }
+
+let fixed_wal_negative_length () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "wal.log" in
+      write_file path wal_negative_length;
+      (match Wal.open_existing ~fsync:false path with
+      | Error (Wal.Corrupted _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Wal.error_message e)
+      | Ok _ -> Alcotest.fail "a negative record length was accepted");
+      check Alcotest.string "not truncated as a torn tail" wal_negative_length
+        (read_file path);
+      (* The same log behind a live store. *)
+      let store = Filename.concat dir "store" in
+      (match Live.create ~fsync:false ~root_tag:"lib" store with
+      | Ok st -> Live.close st
+      | Error e -> Alcotest.failf "create: %s" (Live.error_message e));
+      write_file (Filename.concat store "wal.log") wal_negative_length;
+      match Live.open_ ~fsync:false store with
+      | Error (Live.Corrupt _) -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Live.error_message e)
+      | Ok _ -> Alcotest.fail "live store opened over a corrupt log")
+
+let fatal_corruption what = function
+  | Error (Shard_io.Manifest { error = Corrupted _; attempts = 1 }) -> ()
+  | Error e -> Alcotest.failf "%s: wrong error %s" what (Shard_io.error_message e)
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+
+(* Fault-free maps: one attempt shows the error is fatal, not retried. *)
+let fixed_manifest_huge_count () =
+  with_faults Chaos.no_faults @@ fun () ->
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "huge.shards" in
+      write_file path manifest_huge_count;
+      fatal_corruption "replica_files" (Shard_io.replica_files path);
+      fatal_corruption "endpoints" (Shard_io.endpoints path);
+      fatal_corruption "partition_spec" (Shard_io.partition_spec path);
+      fatal_corruption "load_result" (Shard_io.load_result two_node_doc path))
+
+let fixed_v2_huge_rows () =
+  with_faults Chaos.no_faults @@ fun () ->
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "huge.seg" in
+      write_file path v2_huge_rows;
+      let label = Xk_encoding.Labeling.label two_node_doc in
+      check Alcotest.int "two nodes" 2 (Xk_encoding.Labeling.node_count label);
+      match Index_io.load_result label path with
+      | Error { error = Corrupted _; attempts = 1 } -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Index_io.load_error_message e)
+      | Ok _ -> Alcotest.fail "a 2^40-row term was accepted")
+
+(* --- Never raise ------------------------------------------------------ *)
+
+let small_doc =
+  {
+    Tree.root =
+      Tree.element "lib"
+        [
+          Tree.elem "book" [ Tree.text "xml keyword search" ];
+          Tree.elem "book" [ Tree.text "top k ranking" ];
+          Tree.elem "book" [ Tree.text "xml ranking" ];
+        ];
+  }
+
+let live_ok what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what (Live.error_message e)
+
+(* A live store with one sealed generation and two unsealed records,
+   kept tiny: a decoder that rejects an input re-reads it first, so
+   every rejected prefix costs the retry backoff.  Returns its files by
+   name. *)
+let live_fixture dir =
+  let st = live_ok "create" (Live.create ~fsync:false ~root_tag:"l" dir) in
+  let book words = Tree.elem "b" [ Tree.text words ] in
+  ignore (live_ok "add" (Live.mutate st [ Live.Add (book "x") ]));
+  live_ok "compact" (Live.compact st);
+  ignore
+    (live_ok "mutate" (Live.mutate st [ Live.Add (book "y"); Live.Remove 0 ]));
+  Live.close st;
+  Array.to_list (Sys.readdir dir)
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+let restore dir files =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  List.iter (fun (f, data) -> write_file (Filename.concat dir f) data) files
+
+(* One decoder under fuzz: the file it reads, its intact bytes, a way to
+   re-frame a mutated payload with a valid CRC, and the run itself. *)
+type target = {
+  name : string;
+  good : string;
+  reframe : (string -> string) -> string;
+  extra : string list; (* fixed cases, e.g. the inputs that once raised *)
+  run : string -> unit; (* write the input, decode it; may only raise a bug *)
+}
+
+let whole_file ~magic ~version good mutate =
+  match Framed.check ~magic ~version good with
+  | Ok { pos; len } -> Framed.file ~magic ~version (mutate (String.sub good pos len))
+  | Error e -> Alcotest.failf "fixture %s: %s" magic (Framed.error_message e)
+
+(* A WAL: header, then records; one record's payload is mutated. *)
+let wal_reframe rng good mutate =
+  match Framed.header ~magic:"XKWAL001" ~version:1 good with
+  | Error e -> Alcotest.failf "fixture wal: %s" (Framed.error_message e)
+  | Ok pos ->
+      let c = Varint.cursor_at good pos in
+      ignore (Varint.read c);
+      let rec records pos =
+        if pos = String.length good then []
+        else
+          match Framed.read_record good ~pos with
+          | Ok s -> String.sub good s.pos s.len :: records (s.pos + s.len)
+          | Error e -> Alcotest.failf "fixture wal: %s" (Framed.error_message e)
+      in
+      let rs = records c.pos in
+      let k = Random.State.int rng (List.length rs) in
+      String.sub good 0 c.pos
+      ^ String.concat ""
+          (List.mapi (fun i r -> Framed.record (if i = k then mutate r else r)) rs)
+
+let mutate rng payload =
+  let n = String.length payload in
+  match Random.State.int rng 4 with
+  | 0 when n > 0 -> String.sub payload 0 (Random.State.int rng n)
+  | 1 -> payload ^ String.make 1 (Char.chr (Random.State.int rng 256))
+  | _ when n > 0 ->
+      let b = Bytes.of_string payload in
+      Bytes.set b (Random.State.int rng n) (Char.chr (Random.State.int rng 256));
+      Bytes.to_string b
+  | _ -> "\x00"
+
+(* Random damage: bit flips, garbage behind the magic, payload mutations
+   re-framed with a valid CRC (so the payload decoders are reached), and
+   the target's fixed cases. *)
+let random_inputs rng t =
+  let n = String.length t.good in
+  let flip () =
+    let b = Bytes.of_string t.good in
+    let i = Random.State.int rng n in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Random.State.int rng 8)));
+    Bytes.to_string b
+  in
+  let garbage () =
+    String.sub t.good 0 (min 8 n)
+    ^ String.init (Random.State.int rng 48) (fun _ ->
+          Char.chr (Random.State.int rng 256))
+  in
+  List.init 8 (fun _ -> flip ())
+  @ List.init 4 (fun _ -> garbage ())
+  @ List.init 8 (fun _ -> t.reframe (mutate rng))
+  @ t.extra
+
+let targets rng dir =
+  let live = Filename.concat dir "live" in
+  Sys.mkdir live 0o700;
+  let files = live_fixture live in
+  let live_target name ~magic =
+    {
+      name;
+      good = List.assoc name files;
+      reframe = whole_file ~magic ~version:1 (List.assoc name files);
+      extra = [];
+      run =
+        (fun data ->
+          restore live files;
+          write_file (Filename.concat live name) data;
+          match Live.open_ ~fsync:false live with
+          | Ok st -> Live.close st
+          | Error _ -> ());
+    }
+  in
+  let wal = Filename.concat dir "wal.log" in
+  let shards = Filename.concat dir "c.shards" in
+  let sharded = Xk_index.Sharding.partition ~shards:2 small_doc in
+  Shard_io.save ~endpoints:[| [| ("localhost", 7001) |]; [| ("h", 2) |] |] sharded
+    shards;
+  let manifest name data =
+    let path = Filename.concat dir name in
+    write_file path data;
+    path
+  in
+  let v2_payload =
+    let a = Xk_index.Sharding.assignment sharded in
+    varint 2 ^ varint (Array.length a)
+    ^ String.concat "" (Array.to_list (Array.map varint a))
+    ^ varint 1 ^ str "c.shards.000.seg" ^ varint 1 ^ str "c.shards.001.seg"
+  in
+  let shard_target name ~magic ~version good =
+    let path = manifest name good in
+    {
+      name;
+      good;
+      reframe = whole_file ~magic ~version good;
+      extra = (if version = 3 then [ manifest_huge_count ] else []);
+      run =
+        (fun data ->
+          write_file path data;
+          ignore (Shard_io.load_result ~retries:0 small_doc path));
+    }
+  in
+  let seg = Filename.concat dir "v2.seg" in
+  let label = Xk_encoding.Labeling.label small_doc in
+  Index_io.save_v2 (Xk_index.Index.build label) seg;
+  let two_label = Xk_encoding.Labeling.label two_node_doc in
+  [
+    {
+      name = "wal.log";
+      good = List.assoc "wal.log" files;
+      reframe = wal_reframe rng (List.assoc "wal.log" files);
+      extra = [ wal_negative_length ];
+      run =
+        (fun data ->
+          write_file wal data;
+          match Wal.open_existing ~fsync:false wal with
+          | Ok (w, _) -> Wal.close w
+          | Error _ -> ());
+    };
+    live_target "live.manifest" ~magic:"XKLIV001";
+    live_target "seg-0001.docs" ~magic:"XKDOC001";
+    shard_target "v3.shards" ~magic:"XKSHM003" ~version:3 (read_file shards);
+    shard_target "v2.shards" ~magic:"XKSHM002" ~version:2
+      (Framed.file ~magic:"XKSHM002" ~version:2 v2_payload);
+    shard_target "v1.shards" ~magic:"XKSHM001" ~version:1
+      (Framed.file ~magic:"XKSHM001" ~version:1 v2_payload);
+    {
+      name = "v2.seg";
+      good = read_file seg;
+      reframe = whole_file ~magic:"XKIDX002" ~version:2 (read_file seg);
+      extra = [ v2_huge_rows ];
+      run =
+        (fun data ->
+          write_file seg data;
+          ignore (Index_io.load_result ~retries:0 label seg);
+          ignore (Index_io.load_result ~retries:0 two_label seg);
+          ignore (Index_io.verify ~retries:0 seg));
+    };
+  ]
+
+(* Every framed decoder is total: each input decodes to a value or a
+   typed error.  A decoder that rejects an input re-reads it first, so
+   the deterministic inputs (every strict prefix) run once, and the
+   random ones under the property. *)
+let never_raise ~fail rng inputs =
+  with_tmpdir (fun dir ->
+      with_faults Chaos.no_faults (fun () ->
+          List.for_all
+            (fun t ->
+              List.for_all
+                (fun data ->
+                  match t.run data with
+                  | () -> true
+                  | exception e ->
+                      fail
+                        (Printf.sprintf "%s: %d-byte input raised %s" t.name
+                           (String.length data) (Printexc.to_string e)))
+                (inputs t))
+            (targets rng dir)))
+
+let prefixes_never_raise () =
+  check Alcotest.bool "every strict prefix decodes or errs" true
+    (never_raise ~fail:Alcotest.fail (Random.State.make [| 2010 |]) (fun t ->
+         List.init (String.length t.good) (String.sub t.good 0)))
+
+let never_raises_prop =
+  QCheck.Test.make ~count:2 ~name:"framed decoders never raise on damage"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      never_raise
+        ~fail:(QCheck.Test.fail_reportf "%s")
+        rng (random_inputs rng))
+
+(* --- Drills: the reads that moved onto the mapped path ---------------- *)
+
+(* A torn or failed map of the log is re-read, never mistaken for a torn
+   tail: every unsealed record survives and the file is untouched. *)
+let drill_wal_reopen () =
+  with_tmpdir (fun dir ->
+      let n = 5 in
+      let st = live_ok "create" (Live.create ~fsync:false ~root_tag:"lib" dir) in
+      for i = 1 to n do
+        ignore
+          (live_ok "add"
+             (Live.mutate st
+                [ Live.Add (Tree.elem "book" [ Tree.text (Printf.sprintf "w%d" i) ]) ]))
+      done;
+      Live.close st;
+      let wal = Filename.concat dir "wal.log" in
+      let before = read_file wal in
+      with_faults drill_faults (fun () ->
+          let st = live_ok "reopen" (Live.open_ ~fsync:false dir) in
+          check Alcotest.int "every unsealed record replayed" n (Live.lsn st);
+          check Alcotest.int "every document live" n (Live.doc_count st);
+          Live.close st;
+          check Alcotest.string "wal.log byte-identical" before (read_file wal);
+          (* The log is read through the map: an unmappable one fails. *)
+          Chaos.mark_unmappable ~path:wal;
+          match Live.open_ ~fsync:false dir with
+          | Error (Live.Io _) -> ()
+          | Error e -> Alcotest.failf "wrong error: %s" (Live.error_message e)
+          | Ok _ -> Alcotest.fail "opened over an unmappable log"))
+
+let drill_live_manifest () =
+  with_tmpdir (fun dir ->
+      ignore (live_fixture dir);
+      with_faults drill_faults (fun () ->
+          let expect_corrupt file =
+            Chaos.mark_corrupt ~path:(Filename.concat dir file);
+            (match Live.open_ ~fsync:false dir with
+            | Error (Live.Corrupt _) -> ()
+            | Error e -> Alcotest.failf "%s: wrong error %s" file (Live.error_message e)
+            | Ok _ -> Alcotest.failf "%s: damaged read accepted" file);
+            Chaos.heal ~path:(Filename.concat dir file)
+          in
+          expect_corrupt "live.manifest";
+          expect_corrupt "seg-0001.docs";
+          Live.close (live_ok "healed reopen" (Live.open_ ~fsync:false dir))))
+
+let drill_repair_source () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "c.shards" in
+      Shard_io.save ~replicas:2 (Xk_index.Sharding.partition ~shards:2 small_doc) path;
+      let files =
+        match Shard_io.replica_files path with
+        | Ok f -> f
+        | Error e -> Alcotest.failf "replica_files: %s" (Shard_io.error_message e)
+      in
+      let src = files.(0).(0) and target = files.(0).(1) in
+      let damage () =
+        let b = Bytes.of_string (read_file target) in
+        let i = Bytes.length b / 2 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
+        write_file target (Bytes.to_string b)
+      in
+      let scrub () =
+        match Repair.scrub path with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "scrub: %s" (Shard_io.error_message e)
+      in
+      damage ();
+      let report = scrub () in
+      (* Fresh fault counters: the source's next maps fail, then tear. *)
+      with_faults drill_faults (fun () ->
+          match (Repair.repair report).outcomes with
+          | [ Repair.Repaired { source = From_replica s; _ } ] ->
+              check Alcotest.string "copied from the clean replica" src s;
+              check Alcotest.string "healed bytes are the source's"
+                (read_file src) (read_file target);
+              check Alcotest.bool "healed copy verifies clean" true
+                (Result.is_ok (Index_io.verify target))
+          | os ->
+              Alcotest.failf "outcomes: %s"
+                (String.concat "; " (List.map Repair.outcome_line os)));
+      (* A source whose maps read damaged since the scrub is never
+         copied, even though its file is intact. *)
+      damage ();
+      let report = scrub () in
+      let damaged = read_file target in
+      with_faults drill_faults (fun () ->
+          Chaos.mark_corrupt ~path:src;
+          match (Repair.repair report).outcomes with
+          | [ Repair.Unrepairable _ ] ->
+              check Alcotest.string "target left alone" damaged (read_file target)
+          | os ->
+              Alcotest.failf "outcomes: %s"
+                (String.concat "; " (List.map Repair.outcome_line os))))
+
+let drill_manifest_sniff () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "c.shards" in
+      Shard_io.save (Xk_index.Sharding.partition ~shards:2 small_doc) path;
+      with_faults drill_faults (fun () ->
+          check Alcotest.bool "a failed map is retried" true
+            (Shard_io.is_manifest path);
+          (match Shard_io.load_result small_doc path with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "load: %s" (Shard_io.error_message e));
+          Chaos.mark_unmappable ~path;
+          check Alcotest.bool "the sniff reads through the map" false
+            (Shard_io.is_manifest path)))
+
+let suite =
+  [
+    ( "framed",
+      [
+        tc "codec verdicts" `Quick codec_verdicts;
+        tc "negative WAL record length" `Quick fixed_wal_negative_length;
+        tc "manifest count past the payload" `Quick fixed_manifest_huge_count;
+        tc "v2 row count past the payload" `Quick fixed_v2_huge_rows;
+        tc "every strict prefix never raises" `Quick prefixes_never_raise;
+        QCheck_alcotest.to_alcotest never_raises_prop;
+      ] );
+    ( "framed.drills",
+      [
+        tc "WAL reopen under torn maps" `Quick drill_wal_reopen;
+        tc "damaged live manifest and docs" `Quick drill_live_manifest;
+        tc "repair copies only verified bytes" `Quick drill_repair_source;
+        tc "manifest sniff under a transient fault" `Quick drill_manifest_sniff;
+      ] );
+  ]

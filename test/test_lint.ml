@@ -160,6 +160,30 @@ let durability_sync () =
     ~config:"allow durability-sync lib/index/fixture.ml save" "config allow" []
     bad
 
+(* --- mapped-read ------------------------------------------------------ *)
+
+let mapped_read () =
+  let bad =
+    "let read path =\n\
+    \  let ic = open_in_bin path in\n\
+    \  really_input_string ic (in_channel_length ic)\n"
+  in
+  check_rules ~file:"lib/index/fixture.ml" "channel read in lib/index"
+    [ "mapped-read"; "mapped-read" ] bad;
+  check_rules ~file:"lib/storage/fixture.ml" "storage layer covered too"
+    [ "mapped-read"; "mapped-read" ] bad;
+  check_rules ~file:"lib/index/fixture.ml" "In_channel functions"
+    [ "mapped-read"; "mapped-read" ]
+    "let read path = In_channel.with_open_bin path In_channel.input_all\n";
+  check_rules ~file:"lib/index/fixture.ml" "a mapped read is fine" []
+    "let read path = Index_io.read_mapped path\n";
+  check_rules ~file:"lib/index/fixture.ml" "names that only start alike" []
+    "let open_index path = open_out_bin path\n";
+  check_rules ~file:"lib/xml/fixture.ml" "outside the persistence layers" []
+    bad;
+  check_rules ~file:"lib/index/jstore.ml"
+    ~config:"allow mapped-read lib/index/jstore.ml" "config allow" [] bad
+
 (* --- no-blocking-in-callback ----------------------------------------- *)
 
 let no_blocking_in_callback () =
@@ -712,6 +736,7 @@ let suite =
         tc "rpc-budget" `Quick rpc_budget;
         tc "typed-error" `Quick typed_error;
         tc "durability-sync" `Quick durability_sync;
+        tc "mapped-read" `Quick mapped_read;
         tc "no-blocking-in-callback" `Quick no_blocking_in_callback;
         tc "parse error" `Quick parse_error;
       ] );

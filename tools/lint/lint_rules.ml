@@ -27,6 +27,12 @@
      against concurrent readers but not against power loss; route the
      artifact through [Xk_storage.Durable.write_atomically] or fsync
      the file and its directory explicitly.
+   - [mapped-read]: in the persistence layers ([lib/index],
+     [lib/storage]) no durable file is read through a channel
+     ([open_in*], [In_channel.*], [really_input*]): every read maps the
+     file ([Index_io.read_mapped] or the segment loader), the one place
+     [Chaos] injects storage faults, so fault drills exercise the bytes
+     production reads.
    - [no-blocking-in-callback]: an [~on_*] lambda handed to a
      [Circuit_breaker], [Health] or [Supervisor] call must not perform
      blocking IO ([Unix.*], channel IO, RPC client calls): those
@@ -51,6 +57,7 @@ let rule_state = "shared-state"
 let rule_error = "typed-error"
 let rule_sync = "durability-sync"
 let rule_callback = "no-blocking-in-callback"
+let rule_read = "mapped-read"
 
 type ctx = {
   file : string;
@@ -63,7 +70,7 @@ type ctx = {
   check_rpc : bool; (* handle* bindings must thread a Budget *)
   check_state : bool;
   check_lib : bool; (* bare-lock + typed-error *)
-  check_sync : bool; (* write-then-rename must fsync *)
+  check_sync : bool; (* write-then-rename must fsync; reads are mapped *)
 }
 
 let in_dir dir file = Lint_util.contains_substring ~sub:("/" ^ dir ^ "/") ("/" ^ file)
@@ -127,6 +134,11 @@ let mentions_write =
 let mentions_sync =
   Lint_ast.mentions_path (fun p ->
       List.exists (fun m -> Lint_util.contains_substring ~sub:m p) sync_markers)
+
+let channel_read path =
+  List.mem path [ "open_in"; "open_in_bin"; "open_in_gen" ]
+  || String.starts_with ~prefix:"In_channel." path
+  || String.starts_with ~prefix:"really_input" path
 
 (* Mutable-state scan for one top-level right-hand side.  Stops at
    lambdas (per-call state) and at sanctioned wrappers. *)
@@ -307,6 +319,13 @@ class linter ctx =
               (Printf.sprintf
                  "'%s' outside Xk_util.Sync; wrap the critical section in \
                   Sync.with_lock so a raise cannot leak the lock (in '%s')"
+                 path (enclosing_fn ctx))
+          else if ctx.check_sync && channel_read path then
+            report ctx ~loc:e.pexp_loc ~rule:rule_read ~name:path
+              (Printf.sprintf
+                 "'%s' reads a durable file through a channel, beneath the \
+                  storage fault hooks; read it through Index_io.read_mapped \
+                  (in '%s')"
                  path (enclosing_fn ctx))
           else
             match partial_msg path with
