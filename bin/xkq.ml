@@ -10,24 +10,158 @@
 
 open Cmdliner
 
+(* ------------------------------------------------------------------ *)
+
+(* The exit table.  Every command body returns a [status] or raises, and
+   [run] is the one place either becomes a process status.  Declared in
+   precedence order, so [max] of two statuses is the one to report. *)
+type status =
+  | Served  (** 0: everything served *)
+  | Incomplete  (** 2: served, but degraded or with damage left *)
+  | Failed  (** 1: an error *)
+
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"everything was served (partial, timed-out and rejected \
+                   requests are service policy).";
+      info 1 ~doc:"an error: bad input, an unreadable index or manifest, a \
+                   failed request or a failed $(b,--check).";
+      info 2 ~doc:"served but incomplete: a degraded answer, or $(b,heal) \
+                   left damage or an unfinished scrub.";
+      info 3 ~doc:"a $(b,crash@) drill fired.";
+      info cli_error ~doc:"the command line did not parse.";
+      info internal_error ~doc:"an uncaught exception: a bug.";
+    ]
+
+(* An expected failure: [run] prints the message and exits 1. *)
+exception Fail of string
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt
+
+(* [Supervisor] reports a failed heal pass with [Printexc.to_string]. *)
+let () = Printexc.register_printer (function Fail m -> Some m | _ -> None)
+
+let run body =
+  match body () with
+  | Served -> 0
+  | Failed -> 1
+  | Incomplete -> 2
+  | exception (Fail msg | Sys_error msg) ->
+      prerr_endline ("xkq: " ^ msg);
+      1
+  | exception Xk_resilience.Chaos.Crashed step ->
+      (* The drill's contract: die without cleanup, like a power cut. *)
+      Printf.eprintf "crash drill fired at durability step %s\n%!" step;
+      3
+
+(* One command: the exit table on its man page, its body (whose last
+   argument is [()]) run through [run]. *)
+let cmd ?man name ~doc body =
+  Cmd.v (Cmd.info name ~doc ?man ~exits) Term.(const run $ body)
+
+let of_shard_io = function
+  | Ok v -> v
+  | Error e -> fail "%s" (Xk_index.Shard_io.error_message e)
+
+let of_live what = function
+  | Ok v -> v
+  | Error e -> fail "%s: %s" what (Xk_index.Live.error_message e)
+
+(* ------------------------------------------------------------------ *)
+
+(* Arguments more than one command takes. *)
+
+(* Counts the libraries reject below 1 (shards, replicas, domains, queue
+   bound, K, workers, ...) are refused by the command-line parser. *)
+let positive =
+  Arg.conv' ~docv:"N"
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (Printf.sprintf "%S is not a positive integer" s)),
+      Format.pp_print_int )
+
+let path_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+
+let manifest_arg =
+  Arg.(
+    required
+    & opt (some file) None
+    & info [ "index" ] ~doc:"Shard manifest (from `xkq index --shards`).")
+
+let chaos_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "chaos" ] ~docv:"SPEC"
+        ~doc:
+          (Printf.sprintf
+             "Deterministic fault spec, comma-separated: the fault classes \
+              of $(b,XK_FAULTS) (io, corrupt, latency, query), which replace \
+              the environment's, and the events kill@sSrR:TICK (replica R of \
+              shard S is down from attempt TICK), slow@sSrR:TICK:MS (added \
+              latency), corrupt@sSrR (replica segment corrupted on disk; \
+              needs $(b,--index)), drop@sSrR:TICK (connections to that \
+              replica are refused; $(b,--remote) only) and crash@STEP (the \
+              process dies, exit 3, the first time the named durability \
+              step of a live store runs; steps: %s).  S/R accept * as a \
+              wildcard.  `serve-shard` applies the schedule server-side: an \
+              armed kill@ closes connections without a reply."
+             (String.concat ", " Xk_index.Live.crash_steps)))
+
+let shards_arg =
+  Arg.(
+    value & opt positive 1
+    & info [ "shards" ]
+        ~doc:
+          "Partition the corpus into N index shards.  `index` saves a shard \
+           manifest plus one segment per shard, with a per-shard size \
+           breakdown.  `search` and `batch` fan every query out to one job \
+           per shard and merge the per-shard answers in a gather step; with \
+           $(b,--index) they serve the saved partition instead.")
+
+let replicas_arg =
+  Arg.(
+    value & opt positive 1
+    & info [ "replicas" ]
+        ~doc:
+          "Replicas per shard.  `index --shards` writes N independently \
+           verified segment copies and loaders fall back across them on \
+           corruption or IO failure; `search` and `batch` fail attempts \
+           over across replicas, and a query degrades instead of failing \
+           when every replica of a shard is down.")
+
+let workers_arg =
+  Arg.(
+    value & opt positive 1
+    & info [ "workers" ]
+        ~doc:
+          "Connection-serving domains per shard server.  1 (default) serves \
+           connections inline on the accept loop; more lets several clients \
+           drain replies concurrently from one zero-copy segment.")
+
+(* ------------------------------------------------------------------ *)
+
+let parse_corpus path =
+  match Xk_xml.Xml_parser.parse_file path with
+  | Ok doc -> doc
+  | Error e ->
+      fail "%s: %s" path (Format.asprintf "%a" Xk_xml.Xml_parser.pp_error e)
+
 (* The one loader of every command: reload a shard manifest written by
    `xkq index --shards`, wrap a plain `xkq index` segment as the only
    shard, or partition in memory (`~shards:1` indexes the whole corpus
    as one shard). *)
 let load_sharded ?index_file ?verify_columns ~shards path =
   let t0 = Unix.gettimeofday () in
-  let doc = Xk_xml.Xml_parser.parse_file_exn path in
-  let loaded =
+  let doc = parse_corpus path in
+  let sharded =
     match index_file with
     | Some p when Xk_index.Shard_io.is_manifest p ->
-        Xk_index.Shard_io.load_result ?verify_columns doc p
-    | Some p -> Xk_index.Shard_io.load_segment doc p
-    | None -> Ok (Xk_index.Sharding.partition ~shards doc)
-  in
-  let sharded =
-    match loaded with
-    | Ok s -> s
-    | Error e -> failwith (Xk_index.Shard_io.error_message e)
+        of_shard_io (Xk_index.Shard_io.load_result ?verify_columns doc p)
+    | Some p -> of_shard_io (Xk_index.Shard_io.load_segment doc p)
+    | None -> Xk_index.Sharding.partition ~shards doc
   in
   Printf.eprintf "%s %s as %d shard(s) in %.2fs\n%!"
     (match index_file with None -> "indexed" | Some _ -> "loaded")
@@ -38,66 +172,146 @@ let load_sharded ?index_file ?verify_columns ~shards path =
 
 (* The endpoint grid for --remote: every replica of the manifest must
    carry a recorded (host, port). *)
-let remote_endpoints ~index_file =
+let remote_endpoints index_file =
   match index_file with
-  | None -> failwith "--remote needs --index MANIFEST (with recorded endpoints)"
-  | Some p -> (
-      match Xk_index.Shard_io.endpoints p with
-      | Error e -> failwith (Xk_index.Shard_io.error_message e)
-      | Ok eps ->
-          Array.map
-            (Array.map (function
-              | Some hp -> hp
-              | None ->
-                  failwith
-                    "--remote: the manifest has replicas without endpoints \
-                     (rebuild with `xkq index --shards --rpc-base-port`)"))
-            eps)
+  | None -> fail "--remote needs --index MANIFEST (with recorded endpoints)"
+  | Some p ->
+      Array.map
+        (Array.map (function
+          | Some hp -> hp
+          | None ->
+              fail
+                "--remote: the manifest has replicas without endpoints \
+                 (rebuild with `xkq index --shards --rpc-base-port`)"))
+        (of_shard_io (Xk_index.Shard_io.endpoints p))
+
+(* Install a --chaos spec: its fault classes (when it names any) replace
+   the environment's, and its schedule is installed.  Crash steps are
+   checked against the live store's published crash surface before
+   anything is armed.  Disk-level corrupt targets are resolved against
+   the shard manifest's replica files and marked corrupt, so the
+   subsequent load exercises replica fallback; kill/slow events then
+   drive the serving layer. *)
+let install_chaos ?index_file spec =
+  let ({ faults; events } : Xk_resilience.Chaos.spec) =
+    match Xk_resilience.Chaos.of_spec spec with
+    | Ok spec -> spec
+    | Error msg -> fail "--chaos: %s" msg
+  in
+  List.iter
+    (function
+      | Xk_resilience.Chaos.Crash { step }
+        when not (List.mem step Xk_index.Live.crash_steps) ->
+          fail "--chaos: unknown crash step %S (steps: %s)" step
+            (String.concat ", " Xk_index.Live.crash_steps)
+      | _ -> ())
+    events;
+  if faults <> Xk_resilience.Chaos.no_faults then
+    Xk_resilience.Chaos.configure faults;
+  Xk_resilience.Chaos.install events;
+  if Xk_resilience.Chaos.corrupt_targets () <> [] then
+    let p =
+      match index_file with
+      | Some p -> p
+      | None ->
+          fail
+            "--chaos corrupt@ targets need --index MANIFEST (the segments to \
+             corrupt live on disk)"
+    in
+    Array.iteri
+      (fun s reps ->
+        Array.iteri
+          (fun r file ->
+            if Xk_resilience.Chaos.corrupt_matches ~shard:s ~replica:r then
+              Xk_resilience.Chaos.mark_corrupt ~path:file)
+          reps)
+      (of_shard_io (Xk_index.Shard_io.replica_files p))
+
+(* A request's class: a failed request is an error and a degraded one is
+   served incomplete; partial, timed-out and rejected requests are
+   service policy. *)
+let outcome_status = function
+  | Xk_exec.Query_service.Failed _ -> Failed
+  | Xk_exec.Query_service.Degraded _ -> Incomplete
+  | Xk_exec.Query_service.(Ok _ | Partial _ | Timeout | Rejected) -> Served
+
+let outcomes_status outcomes =
+  List.fold_left (fun st o -> max st (outcome_status o)) Served outcomes
+
+(* --check: served answers against sequential execution of the same
+   requests on a reference engine.  Only completed requests are
+   comparable; every other outcome is classed by [outcome_status].  At
+   equal scores the single-index top-K heap's emission order is
+   unspecified, so top-K requests compare score sequences (complete
+   requests stay node-exact). *)
+let check_against engine reqs outcomes =
+  let same (req : Xk_core.Engine.request) expected = function
+    | Xk_exec.Query_service.Ok hits ->
+        List.equal
+          (fun (x : Xk_baselines.Hit.t) (y : Xk_baselines.Hit.t) ->
+            x.score = y.score
+            &&
+            match req.req_mode with
+            | Xk_core.Engine.Topk _ -> true
+            | Xk_core.Engine.Complete _ -> x.node = y.node)
+          expected hits
+    | _ -> true
+  in
+  let expected = Xk_core.Engine.query_batch engine reqs in
+  if List.for_all2 (fun req (e, o) -> same req e o) reqs
+       (List.combine expected outcomes)
+  then begin
+    Printf.printf "check: results identical to sequential execution\n";
+    Served
+  end
+  else begin
+    Printf.eprintf "check FAILED: results differ from sequential\n";
+    Failed
+  end
 
 (* ------------------------------------------------------------------ *)
 
-let generate dataset scale out =
+let generate dataset scale out () =
   let doc =
     match dataset with
-    | "dblp" -> (Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled scale)).doc
-    | "xmark" -> (Xk_datagen.Xmark_gen.generate (Xk_datagen.Xmark_gen.scaled scale)).doc
-    | other -> failwith (Printf.sprintf "unknown dataset %S (dblp|xmark)" other)
+    | `Dblp -> (Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled scale)).doc
+    | `Xmark -> (Xk_datagen.Xmark_gen.generate (Xk_datagen.Xmark_gen.scaled scale)).doc
   in
   Xk_xml.Xml_print.to_file out doc;
-  Printf.printf "wrote %s (%d nodes)\n" out (Xk_xml.Xml_tree.node_count doc)
+  Printf.printf "wrote %s (%d nodes)\n" out (Xk_xml.Xml_tree.node_count doc);
+  Served
 
 let generate_cmd =
   let dataset =
-    Arg.(value & opt string "dblp" & info [ "dataset" ] ~doc:"dblp or xmark.")
+    Arg.(
+      value
+      & opt (enum [ ("dblp", `Dblp); ("xmark", `Xmark) ]) `Dblp
+      & info [ "dataset" ] ~doc:"dblp or xmark.")
   in
   let scale = Arg.(value & opt float 0.2 & info [ "scale" ] ~doc:"Size factor.") in
   let out =
     Arg.(value & opt string "corpus.xml" & info [ "out" ] ~doc:"Output file.")
   in
-  Cmd.v
-    (Cmd.info "generate" ~doc:"Generate a synthetic corpus.")
+  cmd "generate" ~doc:"Generate a synthetic corpus."
     Term.(const generate $ dataset $ scale $ out)
 
 (* ------------------------------------------------------------------ *)
 
-let index_doc path out shards replicas rpc_host rpc_base_port =
+let index_doc path out shards replicas rpc_host rpc_base_port () =
   let out_dir = Filename.dirname out in
   if not (Sys.file_exists out_dir && Sys.is_directory out_dir) then
-    Error
-      (Printf.sprintf "index: output directory %s does not exist" out_dir)
-  else if shards <= 1 then begin
-    if rpc_base_port <> None then
-      Error "--rpc-base-port needs --shards (endpoints live in the manifest)"
-    else begin
-      let sharded = load_sharded ~shards:1 path in
-      Xk_index.Index_io.save (Xk_index.Sharding.index sharded 0) out;
-      Printf.printf "wrote %s (%.2f MB)\n" out
-        (float_of_int (Xk_index.Index_io.file_size out) /. 1048576.);
-      Ok ()
-    end
+    fail "index: output directory %s does not exist" out_dir;
+  if shards = 1 && rpc_base_port <> None then
+    fail "--rpc-base-port needs --shards (endpoints live in the manifest)";
+  if shards = 1 && replicas > 1 then
+    fail "--replicas needs --shards (replica copies live in the manifest)";
+  let sharded = load_sharded ~shards path in
+  if shards = 1 then begin
+    Xk_index.Index_io.save (Xk_index.Sharding.index sharded 0) out;
+    Printf.printf "wrote %s (%.2f MB)\n" out
+      (float_of_int (Xk_index.Index_io.file_size out) /. 1048576.)
   end
   else begin
-    let sharded = load_sharded ~shards path in
     (* Endpoint layout mirrors the fleet bring-up loop: shard s replica
        r serves on base + s*replicas + r. *)
     let endpoints =
@@ -134,31 +348,13 @@ let index_doc path out shards replicas rpc_host rpc_base_port =
       (Xk_index.Sharding.size_reports sharded);
     Printf.printf "total on disk: %.2f MB (manifest + %d segment file(s))\n"
       (mb !total)
-      (Xk_index.Sharding.count sharded * replicas);
-    Ok ()
-  end
+      (Xk_index.Sharding.count sharded * replicas)
+  end;
+  Served
 
 let index_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let out =
     Arg.(value & opt string "corpus.idx" & info [ "out" ] ~doc:"Index file.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Partition the index into N shards and save a shard manifest \
-             plus one segment per shard, with a per-shard size breakdown.")
-  in
-  let replicas =
-    Arg.(
-      value & opt int 1
-      & info [ "replicas" ]
-          ~doc:
-            "With $(b,--shards), write N independently verified segment \
-             copies per shard; loaders fall back across copies on \
-             corruption or IO failure.")
   in
   let rpc_host =
     Arg.(
@@ -178,50 +374,17 @@ let index_cmd =
              `xkq batch --remote` dials these; `xkq serve-shard` binds \
              them.")
   in
-  Cmd.v
-    (Cmd.info "index" ~doc:"Build and save an index for an XML file.")
+  cmd "index" ~doc:"Build and save an index for an XML file."
     Term.(
-      term_result'
-        (const index_doc $ path $ out $ shards $ replicas $ rpc_host
-        $ rpc_base_port))
+      const index_doc $ path_arg $ out $ shards_arg $ replicas_arg $ rpc_host
+      $ rpc_base_port)
 
 (* ------------------------------------------------------------------ *)
 
 (* Live mutation: `xkq mutate` and `xkq compact` drive an on-disk
-   {!Xk_index.Live} store.  Exit classes extend the batch convention:
-   0 ok, 1 hard failure, 2 parity-check failure, 3 a --chaos crash
-   drill fired at a durability step — the code the CI crash matrix
-   asserts on before reopening the directory to prove recovery. *)
-
-let live_fail fmt =
-  Printf.ksprintf
-    (fun m ->
-      prerr_endline ("xkq: " ^ m);
-      exit 1)
-    fmt
-
-(* Only crash@ drills make sense against a store directory (kill/slow/
-   corrupt address the serving layer); validate step names against the
-   store's published crash surface before arming anything. *)
-let install_mutation_chaos spec =
-  String.split_on_char ',' spec
-  |> List.map String.trim
-  |> List.filter (fun s -> s <> "")
-  |> List.iter (fun item ->
-         match String.index_opt item '@' with
-         | Some i when String.sub item 0 i = "crash" ->
-             let step = String.sub item (i + 1) (String.length item - i - 1) in
-             if not (List.mem step Xk_index.Live.crash_steps) then
-               live_fail "--chaos: unknown crash step %S (steps: %s)" step
-                 (String.concat ", " Xk_index.Live.crash_steps)
-         | _ ->
-             live_fail
-               "--chaos: %S is not a crash drill (mutation takes \
-                crash@<step>; kill/slow/corrupt address `xkq batch`)"
-               item);
-  match Xk_resilience.Chaos.of_spec spec with
-  | Error msg -> live_fail "--chaos: %s" msg
-  | Ok spec -> Xk_resilience.Chaos.install spec.events
+   {!Xk_index.Live} store.  A --chaos crash drill that fires at a
+   durability step exits 3: the code the CI crash matrix asserts on
+   before reopening the directory to prove recovery. *)
 
 (* A mutation operand is an XML file if one exists at that path,
    otherwise inline XML.  Either way the document root becomes the
@@ -235,64 +398,23 @@ let live_subtree src =
   match parsed with
   | Ok (doc : Xk_xml.Xml_tree.document) -> Xk_xml.Xml_tree.Element doc.root
   | Error e ->
-      live_fail "cannot parse %S: %s" src
+      fail "cannot parse %S: %s" src
         (Format.asprintf "%a" Xk_xml.Xml_parser.pp_error e)
 
-let live_open ~init ~fsync ~auto_compact dir =
-  let opened =
-    match init with
-    | Some root_tag ->
-        Xk_index.Live.create ~fsync ?auto_compact ~root_tag dir
-    | None -> Xk_index.Live.open_ ~fsync ?auto_compact dir
-  in
-  match opened with
-  | Ok t -> t
-  | Error e -> live_fail "%s: %s" dir (Xk_index.Live.error_message e)
+let live_replace spec =
+  match String.index_opt spec '=' with
+  | Some i -> (
+      let id = String.sub spec 0 i in
+      let src = String.sub spec (i + 1) (String.length spec - i - 1) in
+      match int_of_string_opt id with
+      | Some id -> Xk_index.Live.Replace (id, live_subtree src)
+      | None -> fail "--replace: %S is not a document id" id)
+  | None -> fail "--replace wants ID=FILE-OR-XML, got %S" spec
 
-(* Post-mutation parity: every --check query answered through the
-   snapshot's shards must score identically to a from-scratch engine
-   over the snapshot's own document. *)
-let live_check snap queries =
-  let engine = Xk_core.Engine.create (Xk_index.Snapshot.document snap) in
-  let sx =
-    Xk_exec.Shard_exec.create ~domains:2 (Xk_index.Snapshot.sharding snap)
-  in
-  Fun.protect
-    ~finally:(fun () -> Xk_exec.Shard_exec.shutdown sx)
-    (fun () ->
-      List.for_all
-        (fun words ->
-          let expected = Xk_core.Engine.query_topk engine words ~k:10 in
-          let scores hs =
-            List.map (fun (h : Xk_baselines.Hit.t) -> h.score) hs
-          in
-          match
-            Xk_exec.Shard_exec.exec sx (Xk_core.Engine.topk_request ~k:10 words)
-          with
-          | Xk_exec.Query_service.Ok hits when scores hits = scores expected ->
-              Printf.printf "check: {%s} matches a from-scratch engine (%d hit(s))\n"
-                (String.concat " " words) (List.length hits);
-              true
-          | Xk_exec.Query_service.Ok _ ->
-              Printf.eprintf
-                "check FAILED: {%s} sharded scores differ from engine\n%!"
-                (String.concat " " words);
-              false
-          | _ ->
-              Printf.eprintf "check FAILED: {%s} did not complete\n%!"
-                (String.concat " " words);
-              false)
-        queries)
-
-let live_queries checks =
-  List.map
-    (fun q ->
-      match
-        String.split_on_char ' ' q |> List.filter (fun w -> w <> "")
-      with
-      | [] -> live_fail "--check: empty query"
-      | words -> words)
-    checks
+let live_check_request q =
+  match String.split_on_char ' ' q |> List.filter (fun w -> w <> "") with
+  | [] -> fail "--check: empty query"
+  | words -> Xk_core.Engine.topk_request ~k:10 words
 
 let live_status t =
   Printf.printf "store %s: %d document(s), lsn %d, %d pending op(s), gens [%s]\n"
@@ -303,69 +425,53 @@ let live_status t =
     (String.concat "; " (List.map string_of_int (Xk_index.Live.sealed_gens t)))
 
 let mutate dir init adds replaces removes do_compact auto_compact no_fsync
-    chaos checks =
-  Option.iter install_mutation_chaos chaos;
-  let t = live_open ~init ~fsync:(not no_fsync) ~auto_compact dir in
+    chaos checks () =
+  Option.iter install_chaos chaos;
+  (* Everything the call can reject is parsed before the first durable
+     step, so a refused call leaves the store as it was. *)
   let ops =
     List.map (fun src -> Xk_index.Live.Add (live_subtree src)) adds
-    @ List.map
-        (fun spec ->
-          match String.index_opt spec '=' with
-          | Some i -> (
-              let id = String.sub spec 0 i in
-              let src =
-                String.sub spec (i + 1) (String.length spec - i - 1)
-              in
-              match int_of_string_opt id with
-              | Some id -> Xk_index.Live.Replace (id, live_subtree src)
-              | None -> live_fail "--replace: %S is not a document id" id)
-          | None -> live_fail "--replace wants ID=FILE-OR-XML, got %S" spec)
-        replaces
+    @ List.map live_replace replaces
     @ List.map (fun id -> Xk_index.Live.Remove id) removes
   in
-  (try
-     (if ops <> [] then
-        match Xk_index.Live.mutate t ops with
-        | Ok ids ->
-            Printf.printf "applied %d operation(s), ids [%s]\n"
-              (List.length ops)
-              (String.concat "; " (List.map string_of_int ids))
-        | Error e -> live_fail "mutate: %s" (Xk_index.Live.error_message e));
-     if do_compact then
-       match Xk_index.Live.compact t with
-       | Ok () -> ()
-       | Error e -> live_fail "compact: %s" (Xk_index.Live.error_message e)
-   with Xk_resilience.Chaos.Crashed step ->
-     (* The drill's contract: die without cleanup, like a power cut. *)
-     Printf.eprintf "crash drill fired at durability step %s\n%!" step;
-     exit 3);
+  let reqs = List.map live_check_request checks in
+  let fsync = not no_fsync in
+  let t =
+    of_live dir
+      (match init with
+      | Some root_tag ->
+          Xk_index.Live.create ~fsync ?auto_compact ~root_tag dir
+      | None -> Xk_index.Live.open_ ~fsync ?auto_compact dir)
+  in
+  if ops <> [] then begin
+    let ids = of_live "mutate" (Xk_index.Live.mutate t ops) in
+    Printf.printf "applied %d operation(s), ids [%s]\n" (List.length ops)
+      (String.concat "; " (List.map string_of_int ids))
+  end;
+  if do_compact then of_live "compact" (Xk_index.Live.compact t);
   live_status t;
-  let ok =
-    match checks with
-    | [] -> true
-    | qs -> live_check (Xk_index.Live.snapshot t) (live_queries qs)
+  (* Post-mutation parity: the snapshot's shards against a from-scratch
+     engine over the snapshot's own document. *)
+  let status =
+    if reqs = [] then Served
+    else begin
+      let snap = Xk_index.Live.snapshot t in
+      let sx =
+        Xk_exec.Shard_exec.create ~domains:2 (Xk_index.Snapshot.sharding snap)
+      in
+      let outcomes =
+        Fun.protect
+          ~finally:(fun () -> Xk_exec.Shard_exec.shutdown sx)
+          (fun () -> Xk_exec.Shard_exec.exec_batch sx reqs)
+      in
+      max (outcomes_status outcomes)
+        (check_against
+           (Xk_core.Engine.create (Xk_index.Snapshot.document snap))
+           reqs outcomes)
+    end
   in
   Xk_index.Live.close t;
-  if not ok then exit 2
-
-let compact_store dir no_fsync chaos checks =
-  Option.iter install_mutation_chaos chaos;
-  let t = live_open ~init:None ~fsync:(not no_fsync) ~auto_compact:None dir in
-  (try
-     match Xk_index.Live.compact t with
-     | Ok () -> ()
-     | Error e -> live_fail "compact: %s" (Xk_index.Live.error_message e)
-   with Xk_resilience.Chaos.Crashed step ->
-     Printf.eprintf "crash drill fired at durability step %s\n%!" step;
-     exit 3);
-  live_status t;
-  let ok =
-    match checks with
-    | [] -> true
-    | qs -> live_check (Xk_index.Live.snapshot t) (live_queries qs)
-  in
-  Xk_index.Live.close t;
-  if not ok then exit 2
+  status
 
 let live_dir_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR")
@@ -377,17 +483,6 @@ let live_no_fsync =
         ~doc:"Skip fsync on every durability step (tests only; forfeits \
               crash safety).")
 
-let live_chaos =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chaos" ] ~docv:"SPEC"
-        ~doc:
-          (Printf.sprintf
-             "Crash drill: $(b,crash@STEP) kills the process (exit 3) the \
-              first time the named durability step runs.  Steps: %s."
-             (String.concat ", " Xk_index.Live.crash_steps)))
-
 let live_checks =
   Arg.(
     value & opt_all string []
@@ -395,7 +490,7 @@ let live_checks =
         ~doc:
           "After the batch, run this space-separated keyword query through \
            the snapshot's shards and require scores identical to a \
-           from-scratch engine (exit 2 on mismatch).  Repeatable.")
+           from-scratch engine (exit 1 on mismatch).  Repeatable.")
 
 let mutate_cmd =
   let init =
@@ -439,25 +534,25 @@ let mutate_cmd =
       & info [ "auto-compact" ] ~docv:"N"
           ~doc:"Compact automatically once the delta touches N documents.")
   in
-  Cmd.v
-    (Cmd.info "mutate"
-       ~doc:
-         "Apply a batch of insert/replace/remove operations to a live store \
-          (WAL-first, crash-safe).  Adds apply before replaces, replaces \
-          before removes.")
+  cmd "mutate"
+    ~doc:
+      "Apply a batch of insert/replace/remove operations to a live store \
+       (WAL-first, crash-safe).  Adds apply before replaces, replaces before \
+       removes."
     Term.(
       const mutate $ live_dir_arg $ init $ adds $ replaces $ removes
-      $ do_compact $ auto_compact $ live_no_fsync $ live_chaos $ live_checks)
+      $ do_compact $ auto_compact $ live_no_fsync $ chaos_arg $ live_checks)
 
+(* `xkq compact` is `xkq mutate DIR --compact` with no operations. *)
 let compact_cmd =
-  Cmd.v
-    (Cmd.info "compact"
-       ~doc:
-         "Fold a live store's delta and dirty generations into a sealed \
-          segment and reset its WAL.")
+  cmd "compact"
+    ~doc:
+      "Fold a live store's delta and dirty generations into a sealed \
+       segment and reset its WAL."
     Term.(
-      const compact_store $ live_dir_arg $ live_no_fsync $ live_chaos
-      $ live_checks)
+      const (fun dir no_fsync chaos checks ->
+          mutate dir None [] [] [] true None no_fsync chaos checks)
+      $ live_dir_arg $ live_no_fsync $ chaos_arg $ live_checks)
 
 (* ------------------------------------------------------------------ *)
 
@@ -502,8 +597,6 @@ let request_of words semantics algo top topk_algo =
   | None -> Xk_core.Engine.complete_request ~semantics ~algorithm:algo words
 
 (* Options shared by `search` and `batch`. *)
-let path_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
-
 let semantics_arg =
   Arg.(
     value
@@ -520,7 +613,7 @@ let algo_arg =
 let top_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive) None
     & info [ "top" ] ~doc:"Top-K mode with K results.")
 
 let topk_algo_arg =
@@ -539,25 +632,6 @@ let index_arg =
           "Saved index: a shard manifest (`xkq index --shards`), or a plain \
            segment (`xkq index`) served as one shard.")
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ]
-        ~doc:
-          "Partition the corpus in memory into N index shards: every query \
-           fans out to one job per shard and a gather step merges the \
-           per-shard answers.  With $(b,--index) the saved partition is \
-           served instead.")
-
-let replicas_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "replicas" ]
-        ~doc:
-          "Serving replicas per shard: attempts fail over across replicas, \
-           and a query degrades instead of failing when every replica of a \
-           shard is down.")
-
 let remote_arg =
   Arg.(
     value & flag
@@ -568,11 +642,9 @@ let remote_arg =
            $(b,--index) with a manifest).")
 
 let search path words semantics algo top topk_algo limit index_file explain
-    shards replicas remote =
-  if words = [] then failwith "no query keywords given";
-  let endpoints =
-    if remote then Some (remote_endpoints ~index_file) else None
-  in
+    shards replicas remote () =
+  if words = [] then fail "no query keywords given";
+  let endpoints = if remote then Some (remote_endpoints index_file) else None in
   let sharded = load_sharded ?index_file ~shards path in
   let sx = Xk_exec.Shard_exec.create ~replicas ?endpoints sharded in
   let req = request_of words semantics algo top topk_algo in
@@ -598,7 +670,8 @@ let search path words semantics algo top topk_algo limit index_file explain
   | Xk_exec.Query_service.Timeout -> Fmt.pr "timed out with no result@."
   | Xk_exec.Query_service.Rejected -> Fmt.pr "rejected by admission control@."
   | Xk_exec.Query_service.Failed f -> Fmt.pr "failed: %s@." f.message);
-  Xk_exec.Shard_exec.shutdown sx
+  Xk_exec.Shard_exec.shutdown sx;
+  outcome_status outcome
 
 let search_cmd =
   let words = Arg.(value & pos_right 0 string [] & info [] ~docv:"KEYWORD") in
@@ -610,8 +683,7 @@ let search_cmd =
       value & flag
       & info [ "explain" ] ~doc:"Show per-keyword witness snippets.")
   in
-  Cmd.v
-    (Cmd.info "search" ~doc:"Run a keyword query against an XML file.")
+  cmd "search" ~doc:"Run a keyword query against an XML file."
     Term.(
       const search $ path_arg $ words $ semantics_arg $ algo_arg $ top_arg
       $ topk_algo_arg $ limit $ index_arg $ explain $ shards_arg
@@ -643,18 +715,21 @@ let generate_queries eng n k seed =
   let low = max 2 (high / 20) in
   Xk_workload.Workload.random_queries rng idx ~k ~high ~low ~n
 
+(* Every run's outcomes count towards the status; the last run's are
+   returned for the failure report and --check. *)
 let report_runs ~repeat ~n run_once =
   let t0 = Unix.gettimeofday () in
-  let last = ref [] in
+  let last = ref [] and status = ref Served in
   for run = 1 to repeat do
     let r0 = Unix.gettimeofday () in
     last := run_once ();
+    status := max !status (outcomes_status !last);
     let dt = Unix.gettimeofday () -. r0 in
     Printf.printf "run %d/%d: %d queries in %.3fs (%.1f q/s)\n%!" run repeat n
       dt
       (float_of_int n /. dt)
   done;
-  (Unix.gettimeofday () -. t0, !last)
+  (Unix.gettimeofday () -. t0, !last, !status)
 
 let report_throughput ~total wall =
   Printf.printf "throughput: %.1f q/s, mean latency %.3f ms/query\n"
@@ -674,79 +749,12 @@ let report_failures outcomes =
       | _ -> ())
     outcomes
 
-(* Only completed requests are comparable; deadline/admission policy
-   legitimately degrades the rest.  At equal scores the single-index
-   top-K heap's emission order is unspecified, so top-K requests compare
-   score sequences (complete requests stay node-exact). *)
-let check_against seq reqs outcomes =
-  let same_hits (req : Xk_core.Engine.request) a b =
-    List.length a = List.length b
-    && List.for_all2
-         (fun (x : Xk_baselines.Hit.t) (y : Xk_baselines.Hit.t) ->
-           x.score = y.score
-           &&
-           match req.req_mode with
-           | Xk_core.Engine.Topk _ -> true
-           | Xk_core.Engine.Complete _ -> x.node = y.node)
-         a b
-  in
-  let rec all3 = function
-    | [], [], [] -> true
-    | r :: rs, a :: sq, o :: os ->
-        (match o with
-        | Xk_exec.Query_service.Ok b -> same_hits r a b
-        | _ -> true)
-        && all3 (rs, sq, os)
-    | _ -> false
-  in
-  let same = all3 (reqs, seq, outcomes) in
-  if same then
-    Printf.printf "check: results identical to sequential execution\n"
-  else Printf.eprintf "check FAILED: results differ from sequential\n";
-  same
-
-(* Install a chaos spec: its fault classes (when it names any) replace
-   the environment's, and its schedule is installed.  Disk-level corrupt
-   targets are resolved against the shard manifest's replica files and
-   marked corrupt, so the subsequent load exercises replica fallback;
-   kill/slow events then drive the serving layer. *)
-let install_chaos ~index_file spec =
-  match Xk_resilience.Chaos.of_spec spec with
-  | Error msg -> failwith (Printf.sprintf "--chaos: %s" msg)
-  | Ok { faults; events } -> (
-      if faults <> Xk_resilience.Chaos.no_faults then
-        Xk_resilience.Chaos.configure faults;
-      Xk_resilience.Chaos.install events;
-      match Xk_resilience.Chaos.corrupt_targets () with
-      | [] -> ()
-      | _ -> (
-          match index_file with
-          | None ->
-              failwith
-                "--chaos corrupt@ targets need --index MANIFEST (the segments \
-                 to corrupt live on disk)"
-          | Some p -> (
-              match Xk_index.Shard_io.replica_files p with
-              | Error e -> failwith (Xk_index.Shard_io.error_message e)
-              | Ok files ->
-                  Array.iteri
-                    (fun s reps ->
-                      Array.iteri
-                        (fun r file ->
-                          if
-                            Xk_resilience.Chaos.corrupt_matches ~shard:s
-                              ~replica:r
-                          then Xk_resilience.Chaos.mark_corrupt ~path:file)
-                        reps)
-                    files)))
-
 let batch path queries_file semantics algo top topk_algo domains repeat gen
     gen_k seed check index_file deadline_ms max_queue shards replicas
-    hedge_ms chaos remote =
-  Option.iter (install_chaos ~index_file) chaos;
-  let endpoints =
-    if remote then Some (remote_endpoints ~index_file) else None
-  in
+    hedge_ms chaos remote () =
+  Option.iter (install_chaos ?index_file) chaos;
+  if Option.value hedge_ms ~default:0. < 0. then fail "--hedge-ms is negative";
+  let endpoints = if remote then Some (remote_endpoints index_file) else None in
   (* In-process replicas share the one copy per shard the loader picks.
      A corrupt@ drill therefore verifies every column at load, where the
      loader can still fall back to a clean copy: a lazy open would meet
@@ -770,7 +778,7 @@ let batch path queries_file semantics algo top topk_algo domains repeat gen
     | Some qf -> read_queries qf
     | None -> generate_queries (Lazy.force ref_eng) gen gen_k seed
   in
-  if queries = [] then failwith "empty workload";
+  if queries = [] then fail "empty workload";
   let reqs =
     List.map
       (fun words -> request_of words semantics algo top topk_algo)
@@ -781,7 +789,7 @@ let batch path queries_file semantics algo top topk_algo domains repeat gen
       ?hedge_delay_ms:hedge_ms ?endpoints sharded
   in
   let n = List.length reqs in
-  let wall, last =
+  let wall, last, served =
     report_runs ~repeat ~n (fun () ->
         Xk_exec.Shard_exec.exec_batch ?deadline_ms sx reqs)
   in
@@ -805,18 +813,11 @@ let batch path queries_file semantics algo top topk_algo domains repeat gen
       st.failovers st.hedges st.hedge_wins;
   report_cache st.cache;
   report_failures last;
-  let ok =
-    (not check)
-    || check_against
-         (Xk_core.Engine.query_batch (Lazy.force ref_eng) reqs)
-         reqs last
+  let checked =
+    if check then check_against (Lazy.force ref_eng) reqs last else Served
   in
   Xk_exec.Shard_exec.shutdown sx;
-  let hard_failures = List.exists Xk_exec.Query_service.is_failure last in
-  (* Exit classes: 1 = hard failure or failed --check; 2 = served, but
-     degraded (lost shards).  Timeouts/rejections remain policy. *)
-  if (not ok) || hard_failures then exit 1
-  else if st.degraded > 0 then exit 2
+  max served checked
 
 let batch_cmd =
   let queries_file =
@@ -830,7 +831,7 @@ let batch_cmd =
              (see $(b,--gen)).")
   in
   let domains =
-    Arg.(value & opt int 4 & info [ "domains" ] ~doc:"Worker domains.")
+    Arg.(value & opt positive 4 & info [ "domains" ] ~doc:"Worker domains.")
   in
   let repeat =
     Arg.(value & opt int 1 & info [ "repeat" ] ~doc:"Repetitions of the batch.")
@@ -842,7 +843,7 @@ let batch_cmd =
   in
   let gen_k =
     Arg.(
-      value & opt int 2
+      value & opt positive 2
       & info [ "gen-k" ] ~doc:"Keywords per generated query.")
   in
   let seed =
@@ -866,7 +867,7 @@ let batch_cmd =
   let max_queue =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "max-queue" ]
           ~doc:
             "Admission bound: maximum in-flight requests; excess requests \
@@ -882,41 +883,16 @@ let batch_cmd =
              has been out for this many milliseconds (needs --replicas >= \
              2).")
   in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ]
-          ~doc:
-            "Deterministic fault spec, comma-separated: the fault classes \
-             of $(b,XK_FAULTS) (io, corrupt, latency, query), which \
-             replace the environment's, and the events kill@sSrR:TICK \
-             (replica R of shard S is down from attempt TICK), \
-             slow@sSrR:TICK:MS (added latency), corrupt@sSrR (replica \
-             segment corrupted on disk; needs $(b,--index)), \
-             drop@sSrR:TICK (connections to that replica are refused; \
-             $(b,--remote) only).  S/R accept * as a wildcard.")
-  in
-  Cmd.v
-    (Cmd.info "batch"
-       ~doc:"Execute a query workload in parallel on a domain pool."
-       ~man:
-         [
-           `S Manpage.s_exit_status;
-           `P
-             "0 on full service; 1 on hard failures or a failed --check; 2 \
-              when every query was served but some only degraded (a shard \
-              lost every replica, e.g. to an injected query fault).";
-         ])
+  cmd "batch" ~doc:"Execute a query workload in parallel on a domain pool."
     Term.(
       const batch $ path_arg $ queries_file $ semantics_arg $ algo_arg
       $ top_arg $ topk_algo_arg $ domains $ repeat $ gen $ gen_k $ seed $ check
       $ index_arg $ deadline_ms $ max_queue $ shards_arg
-      $ replicas_arg $ hedge_ms $ chaos $ remote_arg)
+      $ replicas_arg $ hedge_ms $ chaos_arg $ remote_arg)
 
 (* ------------------------------------------------------------------ *)
 
-let stats path =
+let stats path () =
   let idx = Xk_index.Sharding.index (load_sharded ~shards:1 path) 0 in
   let label = Xk_index.Index.label idx in
   Printf.printf "nodes:  %d\n" (Xk_encoding.Labeling.node_count label);
@@ -932,17 +908,16 @@ let stats path =
   Printf.printf "  topk-join   IL %.2f + sparse %.2f\n"
     (mb r.topk_join.inverted_lists) (mb r.topk_join.auxiliary);
   Printf.printf "  RDIL        IL %.2f + B-trees %.2f\n"
-    (mb r.rdil.inverted_lists) (mb r.rdil.auxiliary)
+    (mb r.rdil.inverted_lists) (mb r.rdil.auxiliary);
+  Served
 
 let stats_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  Cmd.v
-    (Cmd.info "stats" ~doc:"Corpus statistics and index sizes.")
-    Term.(const stats $ path)
+  cmd "stats" ~doc:"Corpus statistics and index sizes."
+    Term.(const stats $ path_arg)
 
 (* ------------------------------------------------------------------ *)
 
-let terms path near count =
+let terms path near count () =
   let idx = Xk_index.Sharding.index (load_sharded ~shards:1 path) 0 in
   let ids = Xk_index.Index.terms_by_df idx in
   let shown = ref 0 in
@@ -954,17 +929,16 @@ let terms path near count =
         Printf.printf "%8d  %s\n" df (Xk_index.Index.term idx id)
       end)
     ids;
-  if !shown = 0 then Printf.printf "no terms with frequency near %d\n" near
+  if !shown = 0 then Printf.printf "no terms with frequency near %d\n" near;
+  Served
 
 let terms_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let near =
     Arg.(value & opt int 100 & info [ "near" ] ~doc:"Target document frequency.")
   in
   let count = Arg.(value & opt int 20 & info [ "count" ] ~doc:"Terms to list.") in
-  Cmd.v
-    (Cmd.info "terms" ~doc:"List terms near a document frequency.")
-    Term.(const terms $ path $ near $ count)
+  cmd "terms" ~doc:"List terms near a document frequency."
+    Term.(const terms $ path_arg $ near $ count)
 
 (* ------------------------------------------------------------------ *)
 
@@ -972,16 +946,17 @@ let terms_cmd =
    shard scoring needs corpus-global statistics, so every shard's
    dictionary must be present), then answer this one shard's queries
    over the frame protocol until killed. *)
-let serve_shard path index_file shard replica port host workers chaos =
-  (match chaos with
-  | None -> ()
-  | Some spec -> install_chaos ~index_file:(Some index_file) spec);
+let serve_shard path index_file shard replica port host workers chaos () =
+  Option.iter (install_chaos ~index_file) chaos;
   let sharded = load_sharded ~index_file ~shards:1 path in
+  if shard < 0 || shard >= Xk_index.Sharding.count sharded then
+    fail "--shard %d: the manifest has shards 0..%d" shard
+      (Xk_index.Sharding.count sharded - 1);
   let server =
     Xk_exec.Shard_server.create ~sharding:sharded ~shard ~replica
   in
   match Xk_exec.Shard_server.serve ~host ~port server with
-  | Error msg -> failwith (Printf.sprintf "serve-shard: %s" msg)
+  | Error msg -> fail "serve-shard: %s" msg
   | Ok listener ->
       (* Ephemeral ports (--port 0) are announced so a harness can
          collect the bound address before sending traffic. *)
@@ -989,17 +964,10 @@ let serve_shard path index_file shard replica port host workers chaos =
         (Xk_rpc.Server.host listener)
         (Xk_rpc.Server.port listener);
       Xk_rpc.Server.run ~workers listener
-        ~handler:(Xk_exec.Shard_server.dispatch server)
+        ~handler:(Xk_exec.Shard_server.dispatch server);
+      Served
 
 let serve_shard_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let index_file =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "index" ]
-          ~doc:"Shard manifest (from `xkq index --shards`).")
-  in
   let shard =
     Arg.(
       required
@@ -1024,41 +992,21 @@ let serve_shard_cmd =
       & opt string "127.0.0.1"
       & info [ "host" ] ~doc:"Address to bind.")
   in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ]
-          ~doc:
-            "Connection-serving domains.  1 (default) serves connections \
-             inline on the accept loop; more lets several clients drain \
-             replies concurrently from one zero-copy segment.")
-  in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ]
-          ~doc:
-            "Chaos schedule applied server-side (same syntax as `xkq \
-             batch --chaos`); an armed kill@ closes connections without a \
-             reply.")
-  in
-  Cmd.v
-    (Cmd.info "serve-shard"
-       ~doc:"Serve one index shard over the binary RPC protocol."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Loads the shard manifest and answers per-shard query frames \
-              for one (shard, replica) identity until the process is \
-              killed.  A fleet of these — one per replica recorded in the \
-              manifest's endpoints — backs `xkq batch --remote` and `xkq \
-              search --remote`.";
-         ])
+  cmd "serve-shard"
+    ~doc:"Serve one index shard over the binary RPC protocol."
+    ~man:
+      [
+        `S Manpage.s_description;
+        `P
+          "Loads the shard manifest and answers per-shard query frames for \
+           one (shard, replica) identity until the process is killed.  A \
+           fleet of these — one per replica recorded in the manifest's \
+           endpoints — backs `xkq batch --remote` and `xkq search \
+           --remote`.";
+      ]
     Term.(
-      const serve_shard $ path $ index_file $ shard $ replica $ port $ host
-      $ workers $ chaos)
+      const serve_shard $ path_arg $ manifest_arg $ shard $ replica $ port
+      $ host $ workers_arg $ chaos_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1071,53 +1019,47 @@ let rebuild_source ~index_file corpus =
     (fun path ->
       let sharded =
         lazy
-          (match Xk_index.Shard_io.partition_spec index_file with
-          | Error e -> failwith (Xk_index.Shard_io.error_message e)
-          | Ok (shards, assignment) ->
-              let doc = Xk_xml.Xml_parser.parse_file_exn path in
-              Xk_index.Sharding.partition ~assignment ~shards doc)
+          (let shards, assignment =
+             of_shard_io (Xk_index.Shard_io.partition_spec index_file)
+           in
+           Xk_index.Sharding.partition ~assignment ~shards (parse_corpus path))
       in
       fun ~shard -> Some (Xk_index.Sharding.index (Lazy.force sharded) shard))
     corpus
 
-let heal corpus index_file do_repair slice throttle_ms budget_ms =
+let heal corpus index_file do_repair slice throttle_ms budget_ms () =
   let budget =
     Option.map
       (fun ms -> Xk_resilience.Budget.create ~deadline_ms:ms ())
       budget_ms
   in
-  match Xk_index.Repair.scrub ?budget ~slice ~throttle_ms index_file with
-  | Error e ->
-      Printf.eprintf "heal: %s\n" (Xk_index.Shard_io.error_message e);
-      exit 1
-  | Ok report ->
-      List.iter
-        (fun (e : Xk_resilience.Scrub.entry) ->
-          match e.e_status with
-          | Xk_resilience.Scrub.Clean -> ()
-          | Xk_resilience.Scrub.Missing ->
-              Printf.printf "s%dr%d %s: missing\n" e.e_shard e.e_replica
-                e.e_file
-          | Xk_resilience.Scrub.Damaged msg ->
-              Printf.printf "s%dr%d %s: damaged (%s)\n" e.e_shard e.e_replica
-                e.e_file msg)
-        report.entries;
-      print_endline (Xk_resilience.Scrub.summary_line report);
-      if not do_repair then begin
-        if not (Xk_resilience.Scrub.healthy report) then exit 2
-      end
-      else begin
-        let summary =
-          Xk_index.Repair.repair
-            ?rebuild:(rebuild_source ~index_file corpus)
-            report
-        in
-        List.iter
-          (fun o -> print_endline (Xk_index.Repair.outcome_line o))
-          summary.outcomes;
-        print_endline (Xk_index.Repair.summary_line summary);
-        if summary.unrepairable > 0 || not report.complete then exit 2
-      end
+  let report =
+    of_shard_io (Xk_index.Repair.scrub ?budget ~slice ~throttle_ms index_file)
+  in
+  List.iter
+    (fun (e : Xk_resilience.Scrub.entry) ->
+      match e.e_status with
+      | Xk_resilience.Scrub.Clean -> ()
+      | Xk_resilience.Scrub.Missing ->
+          Printf.printf "s%dr%d %s: missing\n" e.e_shard e.e_replica e.e_file
+      | Xk_resilience.Scrub.Damaged msg ->
+          Printf.printf "s%dr%d %s: damaged (%s)\n" e.e_shard e.e_replica
+            e.e_file msg)
+    report.entries;
+  print_endline (Xk_resilience.Scrub.summary_line report);
+  if not do_repair then
+    if Xk_resilience.Scrub.healthy report then Served else Incomplete
+  else begin
+    let summary =
+      Xk_index.Repair.repair ?rebuild:(rebuild_source ~index_file corpus) report
+    in
+    List.iter
+      (fun o -> print_endline (Xk_index.Repair.outcome_line o))
+      summary.outcomes;
+    print_endline (Xk_index.Repair.summary_line summary);
+    if summary.unrepairable > 0 || not report.complete then Incomplete
+    else Served
+  end
 
 let heal_cmd =
   let corpus =
@@ -1130,12 +1072,6 @@ let heal_cmd =
              are rebuilt from it (re-partitioned with the manifest's \
              recorded assignment).")
   in
-  let index_file =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "index" ] ~doc:"Shard manifest (from `xkq index --shards`).")
-  in
   let do_repair =
     Arg.(
       value & flag
@@ -1144,7 +1080,7 @@ let heal_cmd =
   in
   let slice =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "slice" ] ~doc:"Files verified per scrub slice.")
   in
   let throttle_ms =
@@ -1159,30 +1095,26 @@ let heal_cmd =
       & info [ "budget-ms" ]
           ~doc:"Wall budget for the scrub pass (incomplete pass exits 2).")
   in
-  Cmd.v
-    (Cmd.info "heal"
-       ~doc:"Scrub a shard manifest's replicas and repair damaged copies."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Re-validates every replica segment recorded in the manifest \
-              through the full v5 verification path and classifies each \
-              copy clean, damaged, or missing.  With $(b,--repair), damaged \
-              and missing copies are rewritten from a surviving clean \
-              replica (atomic write + post-write verify) or rebuilt from \
-              the corpus.  Exit class: 0 all clean (or all healed), 1 \
-              manifest error, 2 damage remains.";
-         ])
+  cmd "heal" ~doc:"Scrub a shard manifest's replicas and repair damaged copies."
+    ~man:
+      [
+        `S Manpage.s_description;
+        `P
+          "Re-validates every replica segment recorded in the manifest \
+           through the full v5 verification path and classifies each copy \
+           clean, damaged, or missing.  With $(b,--repair), damaged and \
+           missing copies are rewritten from a surviving clean replica \
+           (atomic write + post-write verify) or rebuilt from the corpus.";
+      ]
     Term.(
-      const heal $ corpus $ index_file $ do_repair $ slice $ throttle_ms
+      const heal $ corpus $ manifest_arg $ do_repair $ slice $ throttle_ms
       $ budget_ms)
 
 (* ------------------------------------------------------------------ *)
 
 let supervise corpus index_file interval_ms backoff_ms backoff_cap_ms flap_cap
-    grace_ms heal_every cycles state_dir seed workers =
-  let eps = remote_endpoints ~index_file:(Some index_file) in
+    grace_ms heal_every cycles state_dir seed workers () =
+  let eps = remote_endpoints (Some index_file) in
   let specs =
     Array.to_list
       (Array.concat
@@ -1248,21 +1180,21 @@ let supervise corpus index_file interval_ms backoff_ms backoff_cap_ms flap_cap
     | exception _ -> false
   in
   let heal () =
-    match Xk_index.Repair.scrub ~throttle_ms:1.0 index_file with
-    | Error e -> failwith (Xk_index.Shard_io.error_message e)
-    | Ok report ->
-        let summary =
-          Xk_index.Repair.repair
-            ?rebuild:(rebuild_source ~index_file (Some corpus))
-            report
-        in
-        {
-          Xk_exec.Supervisor.h_clean = report.clean;
-          h_damaged = report.damaged;
-          h_missing = report.missing;
-          h_repaired = summary.repaired;
-          h_unrepairable = summary.unrepairable;
-        }
+    let report =
+      of_shard_io (Xk_index.Repair.scrub ~throttle_ms:1.0 index_file)
+    in
+    let summary =
+      Xk_index.Repair.repair
+        ?rebuild:(rebuild_source ~index_file (Some corpus))
+        report
+    in
+    {
+      Xk_exec.Supervisor.h_clean = report.clean;
+      h_damaged = report.damaged;
+      h_missing = report.missing;
+      h_repaired = summary.repaired;
+      h_unrepairable = summary.unrepairable;
+    }
   in
   let log_event ev =
     let stamp = Unix.gettimeofday () in
@@ -1313,21 +1245,10 @@ let supervise corpus index_file interval_ms backoff_ms backoff_cap_ms flap_cap
     sup;
   Xk_exec.Supervisor.shutdown sup;
   Printf.printf "supervisor stopped: %s\n%!"
-    (Xk_exec.Supervisor.status_line sup)
+    (Xk_exec.Supervisor.status_line sup);
+  Served
 
 let supervise_cmd =
-  let corpus =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
-  in
-  let index_file =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "index" ]
-          ~doc:
-            "Shard manifest with recorded endpoints (from `xkq index \
-             --shards --rpc-base-port`).")
-  in
   let interval_ms =
     Arg.(
       value & opt float 500.
@@ -1381,42 +1302,38 @@ let supervise_cmd =
       & opt (some int) None
       & info [ "seed" ] ~doc:"Deterministic restart-jitter seed.")
   in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~doc:"Connection-serving domains per server.")
-  in
-  Cmd.v
-    (Cmd.info "supervise"
-       ~doc:"Keep a serve-shard fleet running, healing data and processes."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Spawns one serve-shard process per (shard, replica) endpoint \
-              recorded in the manifest and supervises the fleet: dead or \
-              unresponsive servers are restarted with decorrelated-jitter \
-              backoff, persistent crashers are quarantined after \
-              $(b,--flap-cap) consecutive failures, and every \
-              $(b,--heal-every) cycles the replica files are scrubbed and \
-              damaged copies repaired from surviving replicas (or rebuilt \
-              from the corpus).  One fleet status line is printed per \
-              cycle.  SIGTERM/SIGINT stop the loop and kill the children.";
-         ])
+  cmd "supervise"
+    ~doc:"Keep a serve-shard fleet running, healing data and processes."
+    ~man:
+      [
+        `S Manpage.s_description;
+        `P
+          "Spawns one serve-shard process per (shard, replica) endpoint \
+           recorded in the manifest (built with `xkq index --shards \
+           --rpc-base-port`) and supervises the fleet: dead or unresponsive \
+           servers are restarted with decorrelated-jitter backoff, \
+           persistent crashers are quarantined after $(b,--flap-cap) \
+           consecutive failures, and every $(b,--heal-every) cycles the \
+           replica files are scrubbed and damaged copies repaired from \
+           surviving replicas (or rebuilt from the corpus).  One fleet \
+           status line is printed per cycle.  SIGTERM/SIGINT stop the loop \
+           and kill the children.";
+      ]
     Term.(
-      const supervise $ corpus $ index_file $ interval_ms $ backoff_ms
+      const supervise $ path_arg $ manifest_arg $ interval_ms $ backoff_ms
       $ backoff_cap_ms $ flap_cap $ grace_ms $ heal_every $ cycles
-      $ state_dir $ seed $ workers)
+      $ state_dir $ seed $ workers_arg)
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let info =
-    Cmd.info "xkq" ~version:"1.0.0"
+    Cmd.info "xkq" ~version:"1.0.0" ~exits
       ~doc:"Top-K keyword search in XML databases (ICDE 2010 reproduction)."
   in
-  exit
-    (Cmd.eval ~term_err:1
+  (* The one exit of xkq: [run] chose the status. *)
+  (exit [@xklint.allow process-exit])
+    (Cmd.eval'
        (Cmd.group info
           [
             generate_cmd;

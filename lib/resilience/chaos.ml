@@ -194,10 +194,10 @@ let env_faults =
       | Ok { faults; events = [] } -> faults
       | Ok _ ->
           prerr_endline "XK_FAULTS: fault classes only (io|corrupt|latency|query)";
-          exit 2
+          exit 1
       | Error msg ->
           prerr_endline ("XK_FAULTS: " ^ msg);
-          exit 2)
+          exit 1)
 
 let active_faults st = Option.value st.override ~default:env_faults
 

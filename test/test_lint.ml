@@ -184,6 +184,28 @@ let mapped_read () =
   check_rules ~file:"lib/index/jstore.ml"
     ~config:"allow mapped-read lib/index/jstore.ml" "config allow" [] bad
 
+(* --- process-exit ----------------------------------------------------- *)
+
+let process_exit () =
+  let bad = "let die msg =\n  prerr_endline msg;\n  exit 2\n" in
+  check_rules ~file:"lib/resilience/fixture.ml" "exit in a library"
+    [ "process-exit" ] bad;
+  check_rules ~file:"bin/fixture.ml" "a second exit in an executable"
+    [ "process-exit"; "process-exit" ]
+    "let check ok = if not ok then exit 2\n\nlet () = exit (main ())\n";
+  check_rules ~file:"lib/util/fixture.ml" "Stdlib and Unix spellings"
+    [ "process-exit"; "process-exit" ]
+    "let f () = Stdlib.exit 1\n\nlet g () = Unix._exit 1\n";
+  check_rules ~file:"bin/fixture.ml" "the one allowed mapping" []
+    "let () = (exit [@xklint.allow process-exit]) (main ())\n";
+  check_rules ~file:"lib/util/fixture.ml" "at_exit is not an exit" []
+    "let () = at_exit flush_all\n";
+  check_rules ~file:"tools/fixture.ml" "tools are not covered" [] bad;
+  check_rules ~file:"bench/fixture.ml" "outside lib and bin" [] bad;
+  check_rules ~file:"lib/resilience/chaos.ml"
+    ~config:"allow process-exit lib/resilience/chaos.ml exit" "config allow"
+    [] bad
+
 (* --- no-blocking-in-callback ----------------------------------------- *)
 
 let no_blocking_in_callback () =
@@ -737,6 +759,7 @@ let suite =
         tc "typed-error" `Quick typed_error;
         tc "durability-sync" `Quick durability_sync;
         tc "mapped-read" `Quick mapped_read;
+        tc "process-exit" `Quick process_exit;
         tc "no-blocking-in-callback" `Quick no_blocking_in_callback;
         tc "parse error" `Quick parse_error;
       ] );

@@ -6,4 +6,4 @@ let () =
    @ Test_edge.suite @ Test_jstore.suite @ Test_workload.suite
    @ Test_exec.suite @ Test_resilience.suite @ Test_shard.suite
    @ Test_chaos.suite @ Test_rpc.suite @ Test_live.suite @ Test_heal.suite
-   @ Test_framed.suite @ Test_lint.suite)
+   @ Test_framed.suite @ Test_lint.suite @ Test_cli.suite)

@@ -40,6 +40,11 @@
      triggered them, so a blocking callback stalls the very machinery
      that is trying to shed or heal load.  Checked in [lib/], [bin/]
      and [tools/].
+   - [process-exit]: no [exit] in [lib/] or [bin/].  A library reports
+     failure as a typed value or exception, and xkq chooses its status in
+     one place (its exit table), whose one [exit] carries an
+     [[@xklint.allow process-exit]]: a second call would be a second
+     mapping from outcomes to codes.
 
    [budget-loop], [blocking-io-under-lock], [lock-order] and
    [mmap-lifetime] are whole-program rules, checked interprocedurally
@@ -58,6 +63,7 @@ let rule_error = "typed-error"
 let rule_sync = "durability-sync"
 let rule_callback = "no-blocking-in-callback"
 let rule_read = "mapped-read"
+let rule_exit = "process-exit"
 
 type ctx = {
   file : string;
@@ -71,6 +77,7 @@ type ctx = {
   check_state : bool;
   check_lib : bool; (* bare-lock + typed-error *)
   check_sync : bool; (* write-then-rename must fsync; reads are mapped *)
+  check_exit : bool; (* no exit outside the one allowed mapping *)
 }
 
 let in_dir dir file = Lint_util.contains_substring ~sub:("/" ^ dir ^ "/") ("/" ^ file)
@@ -90,6 +97,7 @@ let make_ctx config ~file =
       || in_dir "lib/resilience" file;
     check_lib = in_dir "lib" file || in_dir "bin" file || in_dir "tools" file;
     check_sync = in_dir "lib/index" file || in_dir "lib/storage" file;
+    check_exit = in_dir "lib" file || in_dir "bin" file;
   }
 
 let waived ctx rule =
@@ -176,6 +184,7 @@ let scan_toplevel_state ~on_hit =
   end
 
 let locked_idents = [ "Mutex.lock"; "Mutex.unlock"; "Mutex.try_lock" ]
+let exit_idents = [ "exit"; "Unix._exit" ]
 
 (* Modules whose [~on_*] callbacks run inline on the serving or
    supervision path; blocking inside one stalls the resilience
@@ -319,6 +328,13 @@ class linter ctx =
               (Printf.sprintf
                  "'%s' outside Xk_util.Sync; wrap the critical section in \
                   Sync.with_lock so a raise cannot leak the lock (in '%s')"
+                 path (enclosing_fn ctx))
+          else if ctx.check_exit && List.mem path exit_idents then
+            report ctx ~loc:e.pexp_loc ~rule:rule_exit ~name:path
+              (Printf.sprintf
+                 "'%s' ends the process (in '%s'); return a typed error or \
+                  status and let the executable's one exit mapping choose \
+                  the code"
                  path (enclosing_fn ctx))
           else if ctx.check_sync && channel_read path then
             report ctx ~loc:e.pexp_loc ~rule:rule_read ~name:path
