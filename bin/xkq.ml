@@ -1132,52 +1132,18 @@ let supervise corpus index_file interval_ms backoff_ms backoff_cap_ms flap_cap
                    replicas)
                eps)))
   in
-  if not (Sys.file_exists state_dir) then Unix.mkdir state_dir 0o755;
   let label = Xk_exec.Supervisor.spec_label in
-  let state_file spec ext = Filename.concat state_dir (label spec ^ ext) in
   let exe = Sys.executable_name in
-  let spawn (spec : Xk_exec.Supervisor.spec) =
-    try
-      let log =
-        Unix.openfile
-          (state_file spec ".log")
-          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-          0o644
-      in
-      let args =
-        [|
-          exe; "serve-shard"; corpus;
-          "--index"; index_file;
-          "--shard"; string_of_int spec.sv_shard;
-          "--replica"; string_of_int spec.sv_replica;
-          "--host"; spec.sv_host;
-          "--port"; string_of_int spec.sv_port;
-          "--workers"; string_of_int workers;
-        |]
-      in
-      let pid = Unix.create_process exe args Unix.stdin log log in
-      Unix.close log;
-      Out_channel.with_open_text (state_file spec ".pid") (fun oc ->
-          Printf.fprintf oc "%d\n" pid);
-      Ok pid
-    with exn -> Error (Printexc.to_string exn)
-  in
-  let alive pid =
-    (* Children are reaped here: WNOHANG returns 0 while the process
-       runs and collects the zombie the cycle after a kill or crash. *)
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ -> true
-    | _ -> false
-    | exception Unix.Unix_error _ -> false
-  in
-  let kill pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> () in
-  let ping (spec : Xk_exec.Supervisor.spec) =
-    match
-      Xk_rpc.Client.ping ~timeout_ms:1000. ~host:spec.sv_host
-        ~port:spec.sv_port ()
-    with
-    | () -> true
-    | exception _ -> false
+  let argv (spec : Xk_exec.Supervisor.spec) =
+    [|
+      exe; "serve-shard"; corpus;
+      "--index"; index_file;
+      "--shard"; string_of_int spec.sv_shard;
+      "--replica"; string_of_int spec.sv_replica;
+      "--host"; spec.sv_host;
+      "--port"; string_of_int spec.sv_port;
+      "--workers"; string_of_int workers;
+    |]
   in
   let heal () =
     let report =
@@ -1230,7 +1196,7 @@ let supervise corpus index_file interval_ms backoff_ms backoff_cap_ms flap_cap
   in
   let sup =
     Xk_exec.Supervisor.create ~config ?seed ~on_event:log_event ~heal
-      ~procs:{ spawn; alive; kill; ping }
+      ~procs:(Xk_exec.Supervisor.processes ~argv ~state_dir)
       specs
   in
   let stop_on_signal _ = Xk_exec.Supervisor.stop sup in

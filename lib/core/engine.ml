@@ -18,13 +18,13 @@ type topk_algorithm =
   | Rdil_baseline       (* RDIL [5] *)
   | Hybrid              (* Section V-D cardinality-routed choice *)
 
-let create ?damping (doc : Xk_xml.Xml_tree.document) =
+let create (doc : Xk_xml.Xml_tree.document) =
   let label = Xk_encoding.Labeling.label doc in
-  { index = Xk_index.Index.build ?damping label }
+  { index = Xk_index.Index.build label }
 
 let of_index index = { index }
-let of_string ?damping s = create ?damping (Xk_xml.Xml_parser.parse_string_exn s)
-let of_file ?damping path = create ?damping (Xk_xml.Xml_parser.parse_file_exn path)
+let of_string s = create (Xk_xml.Xml_parser.parse_string_exn s)
+let of_file path = create (Xk_xml.Xml_parser.parse_file_exn path)
 
 let index t = t.index
 let label t = Xk_index.Index.label t.index

@@ -18,14 +18,14 @@ type topk_algorithm =
   | Rdil_baseline       (** RDIL (ELCA only; SLCA falls back to complete) *)
   | Hybrid              (** Section V-D cardinality-routed choice *)
 
-val create : ?damping:Xk_score.Damping.t -> Xk_xml.Xml_tree.document -> t
+val create : Xk_xml.Xml_tree.document -> t
 (** Parse nothing - label and index an in-memory document. *)
 
-val of_string : ?damping:Xk_score.Damping.t -> string -> t
+val of_string : string -> t
 (** Parse, label and index an XML string.  Raises {!Xk_xml.Xml_parser.Error}
     on malformed input. *)
 
-val of_file : ?damping:Xk_score.Damping.t -> string -> t
+val of_file : string -> t
 
 val of_index : Xk_index.Index.t -> t
 (** Wrap a prebuilt (e.g. reloaded) index. *)

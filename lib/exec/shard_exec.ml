@@ -83,7 +83,6 @@ type t = {
   workers : int;
   max_queue : int option;
   hedge_delay_ms : float option;
-  rpc_timeout_ms : float;
   clock : unit -> float;
   in_flight : int Atomic.t;
   batches : int Atomic.t;
@@ -101,9 +100,12 @@ type t = {
 
 let default_clock () = Unix.gettimeofday () *. 1000.0
 
+(* Bounds unbudgeted remote attempts, so a wedged server fails over
+   rather than hanging a shard job. *)
+let rpc_timeout_ms = 5000.
+
 let create ?domains ?max_queue ?(replicas = 1) ?breaker
-    ?(clock = default_clock) ?hedge_delay_ms ?endpoints
-    ?(rpc_timeout_ms = 5000.) sharding =
+    ?(clock = default_clock) ?hedge_delay_ms ?endpoints sharding =
   (match max_queue with
   | Some m when m < 1 -> Xk_util.Err.invalid "Shard_exec.create: max_queue < 1"
   | _ -> ());
@@ -164,7 +166,6 @@ let create ?domains ?max_queue ?(replicas = 1) ?breaker
     workers;
     max_queue;
     hedge_delay_ms;
-    rpc_timeout_ms;
     clock;
     in_flight = Atomic.make 0;
     batches = Atomic.make 0;
@@ -219,7 +220,7 @@ let admit t =
    attempt hooks, the remaining budget travels in the request frame, and
    any transport or protocol failure surfaces as [Client.Rpc_failed] —
    which the failover loop treats like any other replica exception. *)
-let remote_attempt t ~host ~port ~shard ~ri ~budget
+let remote_attempt ~host ~port ~shard ~ri ~budget
     (req : Xk_core.Engine.request) =
   Xk_resilience.Chaos.on_connect ~shard ~replica:ri;
   let q : Xk_rpc.Wire.query =
@@ -232,7 +233,7 @@ let remote_attempt t ~host ~port ~shard ~ri ~budget
       q_ticks = Xk_resilience.Budget.ticks_left budget;
     }
   in
-  let s = Xk_rpc.Client.query ~timeout_ms:t.rpc_timeout_ms ~host ~port q in
+  let s = Xk_rpc.Client.query ~timeout_ms:rpc_timeout_ms ~host ~port q in
   {
     sr_summary = s.Xk_rpc.Wire.s_summary;
     sr_outcome = s.s_outcome;
@@ -260,7 +261,7 @@ let attempt_replica t ~shard ~ri ~budget ~words req =
         Served
           (Shard_run.run ~sharding:t.sharding ~engine ~shard ~budget ~words req)
     | Endpoint { host; port } ->
-        Served (remote_attempt t ~host ~port ~shard ~ri ~budget req)
+        Served (remote_attempt ~host ~port ~shard ~ri ~budget req)
   with
   | r ->
       Xk_resilience.Health.record rep.rep_health ~ok:true
@@ -385,46 +386,6 @@ let coverage_of t missing =
     in
     float_of_int reachable /. float_of_int total
 
-(* Gather with lost shards: the full-corpus confirmation bound is +inf
-   (a missing shard could hold arbitrarily good hits), so the outcome
-   can never be [Ok] — instead the confirmed prefix is recomputed
-   against the {e reachable} shards' bounds only, which is exactly the
-   top-K guarantee restricted to the reachable data.  The root hit is
-   dropped: its exact global score needs every shard's summary. *)
-let gather_degraded t (req : Xk_core.Engine.request) ~missing results :
-    Query_service.outcome =
-  let deep =
-    Array.to_list results
-    |> List.concat_map (fun r ->
-           match r.sr_outcome with Done hs | Partial hs -> hs | Timed_out -> [])
-  in
-  let merged = List.sort Xk_baselines.Hit.compare_score_desc deep in
-  let all_done =
-    Array.for_all
-      (fun r -> match r.sr_outcome with Done _ -> true | _ -> false)
-      results
-  in
-  let coverage = coverage_of t missing in
-  let finish hits =
-    Query_service.Degraded { hits; missing_shards = missing; coverage }
-  in
-  match req.req_mode with
-  | Complete _ -> if all_done then finish merged else Query_service.Timeout
-  | Topk (_, k) ->
-      if all_done then finish (Xk_baselines.Hit.top_k k merged)
-      else if not (is_anytime req) then Query_service.Timeout
-      else begin
-        let bound =
-          Array.fold_left (fun u r -> Float.max u r.sr_bound) neg_infinity
-            results
-        in
-        let confirmed =
-          List.filteri (fun i _ -> i < k) merged
-          |> List.filter (fun (h : Xk_baselines.Hit.t) -> h.score > bound)
-        in
-        if confirmed <> [] then finish confirmed else Query_service.Timeout
-      end
-
 let gather t (req : Xk_core.Engine.request) nw
     (statuses : (shard_status, exn * Printexc.raw_backtrace) result array) :
     Query_service.outcome =
@@ -479,63 +440,66 @@ let gather t (req : Xk_core.Engine.request) nw
              | Unreachable _ | Whole _ -> None)
         |> Array.of_list
       in
-      if missing <> [] then gather_degraded t req ~missing results
-      else
-        let summaries =
-          if Array.for_all (fun r -> r.sr_summary <> None) results then
-            Some
-              (Array.map
-                 (fun r ->
-                   match r.sr_summary with
-                   | Some s -> s
-                   | None ->
-                       Xk_util.Err.unreachable
-                         "Shard_exec.gather: summary checked by for_all above")
-                 results)
-          else None
-        in
-        let root =
-          match summaries with Some ss -> root_hit req ss nw | None -> None
-        in
-        let deep =
-          Array.to_list results
-          |> List.concat_map (fun r ->
-                 match r.sr_outcome with
-                 | Done hs | Partial hs -> hs
-                 | Timed_out -> [])
-        in
-        let merged =
-          List.sort Xk_baselines.Hit.compare_score_desc
-            (match root with Some h -> h :: deep | None -> deep)
-        in
-        let all_done =
-          Array.for_all
-            (fun r -> match r.sr_outcome with Done _ -> true | _ -> false)
-            results
-        in
-        match req.req_mode with
-        | Complete _ ->
-            (* A complete result set has no meaningful prefix. *)
-            if all_done then Query_service.Ok merged else Query_service.Timeout
-        | Topk (_, k) ->
-            if all_done then Query_service.Ok (Xk_baselines.Hit.top_k k merged)
-            else if not (is_anytime req) then Query_service.Timeout
-            else begin
-              (* Confirm merged candidates strictly above every live bound:
-                 a straggler could still produce a hit scoring exactly a live
-                 bound, and the (score, node) tiebreak could place it first. *)
-              let bound =
-                Array.fold_left (fun u r -> Float.max u r.sr_bound) neg_infinity
-                  results
-              in
-              let confirmed =
-                List.filteri (fun i _ -> i < k) merged
-                |> List.filter (fun (h : Xk_baselines.Hit.t) -> h.score > bound)
-              in
-              if List.length confirmed = k then Query_service.Ok confirmed
-              else if confirmed <> [] then Query_service.Partial confirmed
-              else Query_service.Timeout
-            end)
+      (* With lost shards the outcome is [Degraded], never [Ok]: the
+         confirmed prefix is taken against the {e reachable} shards'
+         bounds only, which is exactly the top-K guarantee restricted to
+         the reachable data, and the root hit is dropped, since its
+         exact global score needs every shard's summary. *)
+      let finish ~complete hits =
+        if missing <> [] then
+          Query_service.Degraded
+            { hits; missing_shards = missing; coverage = coverage_of t missing }
+        else if complete then Query_service.Ok hits
+        else Query_service.Partial hits
+      in
+      let summaries =
+        Array.to_list results |> List.filter_map (fun r -> r.sr_summary)
+      in
+      let root =
+        if missing = [] && List.length summaries = Array.length results then
+          root_hit req (Array.of_list summaries) nw
+        else None
+      in
+      let deep =
+        Array.to_list results
+        |> List.concat_map (fun r ->
+               match r.sr_outcome with
+               | Done hs | Partial hs -> hs
+               | Timed_out -> [])
+      in
+      let merged =
+        List.sort Xk_baselines.Hit.compare_score_desc
+          (match root with Some h -> h :: deep | None -> deep)
+      in
+      let all_done =
+        Array.for_all
+          (fun r -> match r.sr_outcome with Done _ -> true | _ -> false)
+          results
+      in
+      match req.req_mode with
+      | Complete _ ->
+          (* A complete result set has no meaningful prefix. *)
+          if all_done then finish ~complete:true merged
+          else Query_service.Timeout
+      | Topk (_, k) ->
+          if all_done then
+            finish ~complete:true (Xk_baselines.Hit.top_k k merged)
+          else if not (is_anytime req) then Query_service.Timeout
+          else begin
+            (* Confirm merged candidates strictly above every live bound:
+               a straggler could still produce a hit scoring exactly a live
+               bound, and the (score, node) tiebreak could place it first. *)
+            let bound =
+              Array.fold_left (fun u r -> Float.max u r.sr_bound) neg_infinity
+                results
+            in
+            let confirmed =
+              List.filteri (fun i _ -> i < k) merged
+              |> List.filter (fun (h : Xk_baselines.Hit.t) -> h.score > bound)
+            in
+            if confirmed = [] then Query_service.Timeout
+            else finish ~complete:(List.length confirmed = k) confirmed
+          end)
 
 (* --- Dispatch --------------------------------------------------------- *)
 

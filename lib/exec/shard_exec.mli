@@ -78,7 +78,6 @@ val create :
   ?clock:(unit -> float) ->
   ?hedge_delay_ms:float ->
   ?endpoints:(string * int) array array ->
-  ?rpc_timeout_ms:float ->
   Xk_index.Sharding.t ->
   t
 (** Wrap a sharded index: [replicas] (default 1) engines per shard, one
@@ -95,9 +94,9 @@ val create :
     [endpoints] switches every replica to the remote transport: slot
     [(s, r)] dials [endpoints.(s).(r)] instead of running an in-process
     engine, and the replica count comes from the grid's (uniform) row
-    length, overriding [replicas].  [rpc_timeout_ms] (default 5000)
-    bounds unbudgeted remote attempts so a wedged server fails over
-    rather than hanging a shard job.  Raises [Invalid_argument] on
+    length, overriding [replicas].  Unbudgeted remote attempts time out
+    after 5 s, so a wedged server fails over rather than hanging a shard
+    job.  Raises [Invalid_argument] on
     [domains < 1], [max_queue < 1], [replicas < 1], a negative hedge
     delay, or a mis-shaped endpoint grid. *)
 

@@ -14,8 +14,8 @@
    The process table is injected as a record of closures (spawn / alive
    / kill / ping), as is the clock: unit tests drive whole
    kill-then-restart and flap drills with a fake table and a stepped
-   clock, while the CLI binds Unix.create_process / waitpid / kill and
-   the RPC ping.  An optional heal closure runs every heal_every cycles
+   clock, while [processes] binds Unix.create_process / waitpid / kill
+   and the RPC ping.  An optional heal closure runs every heal_every cycles
    — the CLI wires it to Repair.scrub + Repair.repair over the fleet's
    manifest, closing the scrub/repair loop on the supervisor cadence. *)
 
@@ -29,6 +29,45 @@ type procs = {
   kill : int -> unit;
   ping : spec -> bool;
 }
+
+let processes ~argv ~state_dir =
+  if not (Sys.file_exists state_dir) then Unix.mkdir state_dir 0o755;
+  let state_file spec ext = Filename.concat state_dir (spec_label spec ^ ext) in
+  let spawn spec =
+    try
+      let log =
+        Unix.openfile (state_file spec ".log")
+          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
+          0o644
+      in
+      let args = argv spec in
+      let pid =
+        Fun.protect ~finally:(fun () -> Unix.close log) (fun () ->
+            Unix.create_process args.(0) args Unix.stdin log log)
+      in
+      Out_channel.with_open_text (state_file spec ".pid") (fun oc ->
+          Printf.fprintf oc "%d\n" pid);
+      Ok pid
+    with exn -> Error (Printexc.to_string exn)
+  in
+  let alive pid =
+    (* Children are reaped here: WNOHANG returns 0 while the process
+       runs and collects the zombie the cycle after a kill or crash. *)
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> true
+    | _ -> false
+    | exception Unix.Unix_error _ -> false
+  in
+  let kill pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> () in
+  let ping spec =
+    match
+      Xk_rpc.Client.ping ~timeout_ms:1000. ~host:spec.sv_host
+        ~port:spec.sv_port ()
+    with
+    | () -> true
+    | exception _ -> false
+  in
+  { spawn; alive; kill; ping }
 
 type config = {
   backoff_base_ms : float;

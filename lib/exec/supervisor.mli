@@ -16,8 +16,8 @@
 
     The process table ({!procs}) and clock are injected: tests drive
     whole kill-then-restart and flap drills with a fake table and a
-    stepped clock; the CLI ([xkq supervise]) binds
-    [Unix.create_process] / [waitpid] / [kill] and the RPC ping.  The
+    stepped clock; {!processes}, which the CLI ([xkq supervise]) uses,
+    binds [Unix.create_process] / [waitpid] / [kill] and the RPC ping.  The
     optional heal closure (wired to [Xk_index.Repair] by the CLI) runs
     every [heal_every] cycles, closing the scrub/repair loop on the
     supervision cadence. *)
@@ -41,6 +41,14 @@ type procs = {
   kill : int -> unit;
   ping : spec -> bool;
 }
+
+val processes : argv:(spec -> string array) -> state_dir:string -> procs
+(** The real process table.  [spawn] runs [argv spec] (its first element
+    is the executable) with stdout and stderr appended to
+    [<state_dir>/<label>.log] and writes the pid to [<label>.pid];
+    [alive] reaps with [waitpid WNOHANG], so a dead child is collected
+    when it is first seen dead; [kill] sends SIGKILL; [ping] is an RPC
+    ping with a 1 s timeout.  Creates [state_dir] if it is missing. *)
 
 type config = {
   backoff_base_ms : float;  (** restart backoff floor *)

@@ -40,7 +40,6 @@ type t = {
   dict : Xk_text.Dictionary.t;
   raws : rows_src;
   scorer : Xk_score.Scorer.t;
-  damping : Xk_score.Damping.t;
   df_override : (string -> int) option;
   jcache : Jlist.t Shard_cache.t;
   pcache : Posting.t Shard_cache.t;
@@ -71,8 +70,7 @@ let df_override_of stats =
    counting pass by term id then cuts the buffer into per-term arrays, so
    each term's rows stay in node order; ids are interned in first-seen
    order, straight from the tokens' source spans. *)
-let build ?(damping = Xk_score.Damping.default)
-    ?(cache_capacity = default_cache_capacity) ?stats
+let build ?(cache_capacity = default_cache_capacity) ?stats
     (label : Xk_encoding.Labeling.t) =
   let dict = Xk_text.Dictionary.create () in
   let last_node = ref [||] and tf = ref [||] in
@@ -139,7 +137,6 @@ let build ?(damping = Xk_score.Damping.default)
     dict;
     raws = Arrays raws;
     scorer = scorer_for ?stats label;
-    damping;
     df_override = df_override_of stats;
     jcache;
     pcache;
@@ -147,8 +144,7 @@ let build ?(damping = Xk_score.Damping.default)
   }
 
 (* Reassemble an index from persisted raw postings (see Index_io). *)
-let of_raw ?(damping = Xk_score.Damping.default)
-    ?(cache_capacity = default_cache_capacity) ?stats
+let of_raw ?(cache_capacity = default_cache_capacity) ?stats
     (label : Xk_encoding.Labeling.t)
     (entries : (string * int array * int array) list) =
   let dict = Xk_text.Dictionary.create () in
@@ -169,7 +165,6 @@ let of_raw ?(damping = Xk_score.Damping.default)
     dict;
     raws = Arrays (Array.of_list raws);
     scorer = scorer_for ?stats label;
-    damping;
     df_override = df_override_of stats;
     jcache;
     pcache;
@@ -180,8 +175,7 @@ let of_raw ?(damping = Xk_score.Damping.default)
    dictionary already interned in term-id order with its statistics set
    from the segment directory: that is what makes open cost proportional
    to the dictionary, not to the postings. *)
-let of_provider ?(damping = Xk_score.Damping.default)
-    ?(cache_capacity = default_cache_capacity) ?stats ~dict
+let of_provider ?(cache_capacity = default_cache_capacity) ?stats ~dict
     (label : Xk_encoding.Labeling.t) (pv : provider) =
   if Xk_text.Dictionary.size dict <> pv.pv_terms then
     Xk_util.Err.invalid "Index.of_provider: dictionary/provider size mismatch";
@@ -191,7 +185,6 @@ let of_provider ?(damping = Xk_score.Damping.default)
     dict;
     raws = Lazy_rows pv;
     scorer = scorer_for ?stats label;
-    damping;
     df_override = df_override_of stats;
     jcache;
     pcache;
@@ -200,7 +193,7 @@ let of_provider ?(damping = Xk_score.Damping.default)
 
 let label t = t.label
 let dict t = t.dict
-let damping t = t.damping
+let damping _ = Xk_score.Damping.default
 let scorer t = t.scorer
 
 let term_count t =
@@ -260,7 +253,7 @@ let posting t id =
    (no cyclic lock order across the three caches). *)
 let score_list t id =
   Shard_cache.find_or_add t.scache id ~compute:(fun id ->
-      Score_list.make (jlist t id) t.damping)
+      Score_list.make (jlist t id) Xk_score.Damping.default)
 
 let cache_stats t =
   Shard_cache.(

@@ -23,7 +23,6 @@ type stats_override = {
     to the unsharded index and per-shard top-K results merge exactly. *)
 
 val build :
-  ?damping:Xk_score.Damping.t ->
   ?cache_capacity:int ->
   ?stats:stats_override ->
   Xk_encoding.Labeling.t ->
@@ -35,7 +34,6 @@ val build :
     statistics derived from this tree alone (sharded indices). *)
 
 val of_raw :
-  ?damping:Xk_score.Damping.t ->
   ?cache_capacity:int ->
   ?stats:stats_override ->
   Xk_encoding.Labeling.t ->
@@ -57,7 +55,6 @@ type provider = {
     every posting at open. *)
 
 val of_provider :
-  ?damping:Xk_score.Damping.t ->
   ?cache_capacity:int ->
   ?stats:stats_override ->
   dict:Xk_text.Dictionary.t ->
@@ -72,6 +69,8 @@ val of_provider :
 val label : t -> Xk_encoding.Labeling.t
 val dict : t -> Xk_text.Dictionary.t
 val damping : t -> Xk_score.Damping.t
+(** The depth damping of every score: {!Xk_score.Damping.default}. *)
+
 val scorer : t -> Xk_score.Scorer.t
 
 val term_count : t -> int

@@ -216,54 +216,35 @@ let save (idx : Index.t) path =
 (* v2 reader                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Payload decoding.  The CRC has already been verified when this runs, so
-   structural errors indicate a logic-level mismatch and are classified as
-   corruption (with the node-count check carrying its own message).  A
-   count is checked against the bytes left before anything is built for
-   it: each term and each row takes at least two. *)
-
-exception Decode of string
-
-let decode_payload ?damping ?cache_capacity ?stats
-    (label : Xk_encoding.Labeling.t) data ~pos : Index.t =
-  let c = Xk_storage.Varint.cursor_at data pos in
-  let read () =
-    try Xk_storage.Varint.read c
-    with Invalid_argument _ -> raise (Decode "payload structure cut short")
-  in
-  let nodes_expected = read () in
-  if nodes_expected <> Xk_encoding.Labeling.node_count label then
-    raise
-      (Decode
-         (Printf.sprintf "index built over %d nodes, document has %d"
-            nodes_expected
-            (Xk_encoding.Labeling.node_count label)));
-  let terms = read () in
-  if terms < 0 || terms > String.length data - c.pos then
-    raise (Decode "term count exceeds the payload");
+(* Payload decoding.  The CRC has already been verified when this runs,
+   so structural errors indicate a logic-level mismatch and are
+   classified as corruption.  A count is checked against the bytes left
+   before anything is built for it: each row takes at least two bytes.
+   Node ids increase and stay below the node count the payload was
+   built over, and a tf is at least 1, as [save] writes it. *)
+let decode_payload c =
+  let nodes = Xk_storage.Varint.read c in
   let entries =
-    List.init terms (fun _ ->
-        let tlen = read () in
-        if tlen < 0 || tlen > String.length data - c.pos then
-          raise (Decode "term cut short");
-        let term = String.sub data c.pos tlen in
-        c.pos <- c.pos + tlen;
-        let rows = read () in
-        if rows < 0 || rows > (String.length data - c.pos) / 2 then
-          raise (Decode "row count exceeds the payload");
+    List.init (Xk_storage.Varint.count c ~width:1) (fun _ ->
+        let term = Xk_storage.Varint.string c in
+        let rows = Xk_storage.Varint.count c ~width:2 in
         let prev = ref 0 in
-        let nodes =
+        let ids =
           Array.init rows (fun _ ->
-              let d = read () in
-              if d < 0 then raise (Decode "node ids not increasing");
-              prev := !prev + d;
-              if !prev >= nodes_expected then
-                raise (Decode "node id out of range");
+              prev := !prev + Xk_storage.Varint.read c;
+              if !prev >= nodes then
+                Xk_storage.Varint.malformed "node id out of range";
               !prev)
         in
-        (term, nodes, Array.init rows (fun _ -> read ())))
+        let tfs =
+          Array.init rows (fun _ ->
+              let tf = Xk_storage.Varint.read c in
+              if tf < 1 then Xk_storage.Varint.malformed "tf %d below 1" tf;
+              tf)
+        in
+        (term, ids, tfs))
   in
-  Index.of_raw ?damping ?cache_capacity ?stats label entries
+  (nodes, entries)
 
 (* The outcome classes of one read attempt.  [`Transient], [`Crc] and
    [`Suspect] are the retryable classes: [`Suspect] carries a
@@ -287,11 +268,14 @@ let of_framed (e : Xk_storage.Framed.error) : attempt_error =
   | Bad_magic _ | Bad_version _ | Bad_varint | Trailing _ ->
       `Suspect (Corrupted msg)
 
-(* The v2 framing, shared by the loader and {!verify}.  Returns the
-   payload offset. *)
+(* The v2 framing and payload, shared by the loader and {!verify}:
+   the node count and the rows. *)
 let check_v2 data =
   match Xk_storage.Framed.check ~magic ~version data with
-  | Ok span -> Ok span.pos
+  | Ok { pos; len } ->
+      Xk_storage.Varint.(
+        decode ~whole:false decode_payload (slice data ~pos ~stop:(pos + len)))
+      |> Result.map_error (fun msg -> `Fatal (Corrupted msg))
   | Error (Bad_magic m) when m = magic_v1 ->
       Error
         (`Suspect
@@ -326,30 +310,6 @@ let classify = function
   | `Transient msg -> Io_failed msg
   | `Crc msg -> Corrupted msg
   | `Suspect e | `Fatal e -> e
-
-(* LEB128 read from [s] at [!pos], bounded by [stop] (the end of the
-   slice being decoded) and by the host's 63-bit int.  A varint that
-   runs past its slice or overflows raises [Bad_varint], which each
-   caller turns into structural corruption with its own context: never
-   an [Invalid_argument]. *)
-exception Bad_varint of string
-
-let varint_to stop s pos =
-  let acc = ref 0 and shift = ref 0 and more = ref true in
-  (* At most 9 bytes: [shift] reaches 56 on the ninth, which must end
-     the varint within 62 bits. *)
-  while !more do
-    if !pos >= stop then raise (Bad_varint "varint runs past its slice");
-    let b = Char.code (String.unsafe_get s !pos) in
-    incr pos;
-    if !shift = 56 && b >= 0x40 then raise (Bad_varint "varint overflows");
-    acc := !acc lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    more := b land 0x80 <> 0
-  done;
-  !acc
-
-let varint s pos = varint_to (String.length s) s pos
 
 let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
@@ -450,7 +410,7 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
   and post_lens = Array.make n 0
   and dfs = Array.make n 0
   and cfs = Array.make n 0 in
-  let pos = ref (4 * nblocks) and entry = ref 0 in
+  let c = Xk_storage.Varint.cursor_at dir (4 * nblocks) and entry = ref 0 in
   let fail msg =
     bad_struct (Printf.sprintf "directory entry %d: %s" !entry msg)
   in
@@ -458,10 +418,10 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
   (try
      for id = 0 to n - 1 do
        entry := id;
-       let term_len = varint dir pos in
-       let df = varint dir pos in
-       let extra = varint dir pos in
-       let post_len = varint dir pos in
+       let term_len = Xk_storage.Varint.read c in
+       let df = Xk_storage.Varint.read c in
+       let extra = Xk_storage.Varint.read c in
+       let post_len = Xk_storage.Varint.read c in
        if term_len > lay.terms_len - !next_term then
          fail "term bytes overhang the terms region";
        if post_len > lay.dir_off - !next_post then
@@ -482,8 +442,8 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
        next_post := !next_post + post_len;
        rows := !rows + df
      done
-   with Bad_varint msg -> fail msg);
-  if !pos <> lay.dir_len then bad_struct "trailing bytes in the directory";
+   with Xk_storage.Varint.Malformed msg -> fail msg);
+  if c.pos <> lay.dir_len then bad_struct "trailing bytes in the directory";
   if !next_term <> lay.terms_len then
     bad_struct "directory does not cover the terms region";
   if !next_post <> lay.dir_off then
@@ -531,13 +491,13 @@ let decode_slice ~keep sg id s ~base =
   let fail msg = bad_struct (Printf.sprintf "term %d postings: %s" id msg) in
   let df = sg.sg_dfs.(id) and cf = sg.sg_cfs.(id) in
   let last = sg.sg_lay.node_count - 1 in
-  let pos = ref (sg.sg_post_offs.(id) - base) in
-  let stop = !pos + sg.sg_post_lens.(id) in
+  let pos = sg.sg_post_offs.(id) - base in
+  let c = Xk_storage.Varint.slice s ~pos ~stop:(pos + sg.sg_post_lens.(id)) in
   match
     let nodes = Array.make (if keep then df else 0) 0 in
     let prev = ref 0 in
     for i = 0 to df - 1 do
-      let d = varint_to stop s pos in
+      let d = Xk_storage.Varint.read c in
       if i > 0 && d = 0 then fail "node ids not increasing";
       if d > last - !prev then fail "node id out of range";
       prev := !prev + d;
@@ -545,15 +505,15 @@ let decode_slice ~keep sg id s ~base =
     done;
     let tfs = Array.make (Array.length nodes) 1 in
     if cf <> df then begin
-      let count = varint_to stop s pos in
+      let count = Xk_storage.Varint.read c in
       if count < 1 || count > df then fail "bad tf exception count";
       let at = ref 0 and extra = ref (cf - df) in
       for i = 0 to count - 1 do
-        let gap = varint_to stop s pos in
+        let gap = Xk_storage.Varint.read c in
         if i > 0 && gap = 0 then fail "tf exceptions not increasing";
         if gap > df - 1 - !at then fail "tf exception past the rows";
         at := !at + gap;
-        let tf2 = varint_to stop s pos in
+        let tf2 = Xk_storage.Varint.read c in
         if tf2 >= !extra then fail "tfs exceed cf";
         extra := !extra - tf2 - 1;
         if keep then tfs.(!at) <- tf2 + 2
@@ -562,8 +522,8 @@ let decode_slice ~keep sg id s ~base =
     end;
     (nodes, tfs)
   with
-  | exception Bad_varint msg -> fail msg
-  | rows -> if !pos <> stop then fail "trailing bytes" else rows
+  | exception Xk_storage.Varint.Malformed msg -> fail msg
+  | rows -> if c.pos <> c.stop then fail "trailing bytes" else rows
 
 (* Decode one term's rows, verifying its block's CRC first if no decode
    has yet (the flag write is unsynchronized — a benign race, see
@@ -603,7 +563,7 @@ let decode_all sg =
     done
   done
 
-let open_v5 ?damping ?cache_capacity ?stats ~verify_columns label path m :
+let open_v5 ?cache_capacity ?stats ~verify_columns label path m :
     Index.t =
   let ((lay, _) as header) = map_header m in
   if lay.node_count <> Xk_encoding.Labeling.node_count label then
@@ -626,7 +586,7 @@ let open_v5 ?damping ?cache_capacity ?stats ~verify_columns label path m :
           | Xk_storage.Mmap.Fault e -> fault (Xk_storage.Mmap.error_message e));
     }
   in
-  Index.of_provider ?damping ?cache_capacity ?stats ~dict label provider
+  Index.of_provider ?cache_capacity ?stats ~dict label provider
 
 (* ------------------------------------------------------------------ *)
 (* Attempts, retry policy, public API                                 *)
@@ -664,18 +624,20 @@ let read_mapped ?len path =
       Xk_storage.Mmap.close m;
       Ok data)
 
-let attempt ?damping ?cache_capacity ?stats ~verify_columns label path =
+let attempt ?cache_capacity ?stats ~verify_columns label path =
   with_map path (fun m ->
       if map_is_v5 m then
-        Ok (open_v5 ?damping ?cache_capacity ?stats ~verify_columns label path m)
+        Ok (open_v5 ?cache_capacity ?stats ~verify_columns label path m)
       else
-        let data = map_contents m in
-        Result.bind (check_v2 data) (fun body ->
-            match
-              decode_payload ?damping ?cache_capacity ?stats label data ~pos:body
-            with
-            | idx -> Ok idx
-            | exception Decode msg -> Error (`Fatal (Corrupted msg))))
+        Result.bind (check_v2 (map_contents m)) (fun (nodes, entries) ->
+            let have = Xk_encoding.Labeling.node_count label in
+            if nodes <> have then
+              Error
+                (`Fatal
+                  (Corrupted
+                     (Printf.sprintf "index built over %d nodes, document has %d"
+                        nodes have)))
+            else Ok (Index.of_raw ?cache_capacity ?stats label entries)))
 
 let retryable = function
   | `Transient _ | `Crc _ | `Suspect _ -> true
@@ -688,18 +650,18 @@ let retrying ?(retries = 4) ?(backoff_ms = 1.0) attempt =
   | Ok v, _ -> Ok v
   | Error e, attempts -> Error { error = classify e; attempts }
 
-let load_result ?damping ?cache_capacity ?stats ?retries ?backoff_ms
+let load_result ?cache_capacity ?stats ?retries ?backoff_ms
     ?(verify_columns = false) label path =
   retrying ?retries ?backoff_ms (fun () ->
-      attempt ?damping ?cache_capacity ?stats ~verify_columns label path)
+      attempt ?cache_capacity ?stats ~verify_columns label path)
 
 (* Verification without building an index.  For a v2 segment this checks
-   the header and the payload checksum; for v5 it is a {e full}
-   verification — every region checksum, every block CRC and the
-   structure of every term's postings — because the lazy load path
-   deliberately defers the per-term checks that the v2 load performs
-   implicitly, and the replica writers that call [verify] after each
-   copy need equivalent coverage. *)
+   the header and the payload checksum and decodes the payload, as a
+   load does; for v5 it is a {e full} verification — every region
+   checksum, every block CRC and the structure of every term's postings
+   — because the lazy load path deliberately defers the per-term checks,
+   and the replica writers that call [verify] after each copy need
+   equivalent coverage. *)
 let verified path m =
   if map_is_v5 m then Ok (decode_all (parse_dir path m (map_header m)))
   else Result.map ignore (check_v2 (map_contents m))
@@ -714,8 +676,8 @@ let read_verified ?retries ?backoff_ms path =
       with_map path (fun m ->
           Result.map (fun () -> map_contents m) (verified path m)))
 
-let load ?damping label path =
-  match load_result ?damping label path with
+let load label path =
+  match load_result label path with
   | Ok idx -> idx
   | Error e -> raise (Format_error (load_error_message e))
 

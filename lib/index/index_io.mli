@@ -124,7 +124,6 @@ val save_v2 : Index.t -> string -> unit
     the loader benches). *)
 
 val load_result :
-  ?damping:Xk_score.Damping.t ->
   ?cache_capacity:int ->
   ?stats:Index.stats_override ->
   ?retries:int ->
@@ -144,20 +143,20 @@ val load_result :
     damaged segment at open time rather than at first query. *)
 
 val verify : ?retries:int -> ?backoff_ms:float -> string -> (unit, load_error) result
-(** Check a segment without building an index.  v2: framing + payload
-    CRC.  v5: {e full} verification — header, terms and directory
-    checksums, the exact file size, every block checksum and every
-    term's postings structure — since the lazy load path deliberately
-    defers the postings checks.  Same retry policy as {!load_result}.  Replica writers run
-    this after each copy so a damaged replica is caught at save time,
-    not at failover time. *)
+(** Check a segment without building an index.  v2: framing, payload
+    CRC and the payload's structure.  v5: {e full} verification —
+    header, terms and directory checksums, the exact file size, every
+    block checksum and every term's postings structure — since the lazy
+    load path deliberately defers the postings checks.  Same retry
+    policy as {!load_result}.  Replica writers run this after each copy
+    so a damaged replica is caught at save time, not at failover time. *)
 
 val read_verified :
   ?retries:int -> ?backoff_ms:float -> string -> (string, load_error) result
 (** {!verify}, returning the bytes of the map that passed it, so a torn
     read never reaches a byte-for-byte replica copy. *)
 
-val load : ?damping:Xk_score.Damping.t -> Xk_encoding.Labeling.t -> string -> Index.t
+val load : Xk_encoding.Labeling.t -> string -> Index.t
 (** {!load_result}, raising {!Format_error} on any error (legacy API). *)
 
 (** {1 Introspection} — for tests, drills and benches.  The reads map

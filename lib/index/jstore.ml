@@ -118,7 +118,7 @@ let open_file path =
         let tlen = Xk_storage.Varint.read c in
         if c.pos + tlen > len then raise (Format_error "truncated term");
         let term = String.sub data c.pos tlen in
-        c.pos <- c.pos + tlen;
+        Xk_storage.Varint.skip c tlen;
         let rows = Xk_storage.Varint.read c in
         let max_len = Xk_storage.Varint.read c in
         let payload_off = Xk_storage.Varint.read c in
@@ -171,7 +171,7 @@ let decode_payload t (e : entry) =
   let scores =
     Array.init rows (fun _ ->
         let v = String.get_int64_le t.data c.pos in
-        c.pos <- c.pos + 8;
+        Xk_storage.Varint.skip c 8;
         Int64.float_of_bits v)
   in
   (nodes, row_lens, scores)

@@ -50,7 +50,6 @@ type t = {
   l_dir : string;
   l_fsync : bool;
   l_auto : int option;
-  l_damping : Xk_score.Damping.t option;
   l_root_tag : string;
   l_root_attrs : Xk_xml.Xml_tree.attribute list;
   l_writer : bool Atomic.t;
@@ -105,36 +104,13 @@ let load_framed ~magic ~decode path =
           | Ok { pos; len } ->
               Result.map_error
                 (fun m -> `Fatal (Index_io.Corrupted m))
-                (decode (String.sub data pos len))))
+                (decode (Varint.slice data ~pos ~stop:(pos + len)))))
   |> Result.map_error (function
        | { Index_io.error = Io_failed m; _ } -> Io m
        | { error = Truncated m | Corrupted m; _ } -> Corrupt (name ^ ": " ^ m))
 
 (* Payload codecs.  Decoders parse bytes whose CRC already checked out,
-   so a short read here is structural damage, not a torn write; the
-   local exception keeps them readable and is converted to an error at
-   the single entry point of each decoder.  A count is checked against
-   the bytes left before anything is built for it. *)
-
-exception Bad of string
-
-let rd cur =
-  match Varint.read_opt cur with
-  | Some v when v >= 0 -> v
-  | Some _ -> raise (Bad "negative varint")
-  | None -> raise (Bad "truncated payload")
-
-let count cur =
-  let n = rd cur in
-  if n > String.length cur.Varint.data - cur.Varint.pos then
-    raise (Bad "count exceeds the payload");
-  n
-
-let rd_string cur =
-  let n = count cur in
-  let s = String.sub cur.Varint.data cur.Varint.pos n in
-  cur.Varint.pos <- cur.Varint.pos + n;
-  s
+   so a short read here is structural damage, not a torn write. *)
 
 type manifest = {
   m_root_tag : string;
@@ -163,25 +139,21 @@ let encode_manifest m =
   List.iter (Varint.write buf) m.m_gens;
   Buffer.contents buf
 
-let decode_manifest payload =
-  match
-    let cur = Varint.cursor payload in
-    let m_root_tag = rd_string cur in
-    let nattrs = count cur in
-    let m_root_attrs =
-      List.init nattrs (fun _ ->
-          let attr_name = rd_string cur in
-          let attr_value = rd_string cur in
-          { Xk_xml.Xml_tree.attr_name; attr_value })
-    in
-    let m_next_doc = rd cur in
-    let m_durable_lsn = rd cur in
-    let ngens = count cur in
-    let m_gens = List.init ngens (fun _ -> rd cur) in
-    { m_root_tag; m_root_attrs; m_next_doc; m_durable_lsn; m_gens }
-  with
-  | m -> Ok m
-  | exception Bad msg -> Error msg
+let decode_manifest =
+  Varint.decode ~whole:false (fun cur ->
+      let m_root_tag = Varint.string cur in
+      let m_root_attrs =
+        List.init (Varint.count cur ~width:1) (fun _ ->
+            let attr_name = Varint.string cur in
+            let attr_value = Varint.string cur in
+            { Xk_xml.Xml_tree.attr_name; attr_value })
+      in
+      let m_next_doc = Varint.read cur in
+      let m_durable_lsn = Varint.read cur in
+      let m_gens =
+        List.init (Varint.count cur ~width:1) (fun _ -> Varint.read cur)
+      in
+      { m_root_tag; m_root_attrs; m_next_doc; m_durable_lsn; m_gens })
 
 let encode_docs docs =
   let buf = Buffer.create 4096 in
@@ -193,24 +165,20 @@ let encode_docs docs =
     docs;
   Buffer.contents buf
 
-let decode_docs payload =
-  match
-    let cur = Varint.cursor payload in
-    let n = count cur in
-    List.init n (fun _ ->
-        let id = rd cur in
-        match Wal.decode_subtree cur with
-        | Ok subtree -> (id, subtree)
-        | Error m -> raise (Bad m))
-  with
-  | docs -> Ok (List.sort (fun (a, _) (b, _) -> Int.compare a b) docs)
-  | exception Bad msg -> Error msg
+let decode_docs =
+  Varint.decode ~whole:false (fun cur ->
+      List.init (Varint.count cur ~width:1) (fun _ ->
+          let id = Varint.read cur in
+          match Wal.decode_subtree cur with
+          | Ok subtree -> (id, subtree)
+          | Error m -> raise (Varint.Malformed m))
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
 
 (* Snapshot assembly: shard 0 is the delta, one shard per sealed
    generation after it.  A generation none of whose documents the delta
    touches is clean and may serve its saved index. *)
 
-let build_snapshot ?damping ~dir ~root_tag ~root_attrs ~lsn ~sealed ~delta () =
+let build_snapshot ~dir ~root_tag ~root_attrs ~lsn ~sealed ~delta () =
   let delta_group = { Snapshot.g_docs = Delta.upserts delta; g_index = None } in
   let seg_group seg =
     let surviving =
@@ -222,18 +190,18 @@ let build_snapshot ?damping ~dir ~root_tag ~root_attrs ~lsn ~sealed ~delta () =
       g_index = (if dirty then None else Some (idx_path dir seg.seg_gen));
     }
   in
-  Snapshot.build ?damping ~root_tag ~root_attrs ~lsn
+  Snapshot.build ~root_tag ~root_attrs ~lsn
     (delta_group :: List.map seg_group sealed)
 
 (* Write generation [gen]'s index from its documents and verify it
    back: the one path that creates a sealed [.idx], shared by compaction
    and the re-seal at open.  [Index_io.save] replaces the file by a
    durable atomic rename. *)
-let seal_index ?damping ~dir ~root_tag gen docs =
+let seal_index ~dir ~root_tag gen docs =
   let sub =
     { Xk_xml.Xml_tree.root = Xk_xml.Xml_tree.element root_tag (List.map snd docs) }
   in
-  Index_io.save (Index.build ?damping (Xk_encoding.Labeling.label sub)) (idx_path dir gen);
+  Index_io.save (Index.build (Xk_encoding.Labeling.label sub)) (idx_path dir gen);
   match Index_io.verify (idx_path dir gen) with
   | Ok () -> Ok ()
   | Error le ->
@@ -245,11 +213,11 @@ let seal_index ?damping ~dir ~root_tag gen docs =
    generation.  Best effort: the [.idx] is a cache, so a store whose
    directory cannot be written still opens, and its snapshots rebuild
    the index in memory as before. *)
-let reseal_damaged ?damping ~dir ~root_tag sealed =
+let reseal_damaged ~dir ~root_tag sealed =
   List.iter
     (fun seg ->
       if Result.is_error (Index_io.verify (idx_path dir seg.seg_gen)) then
-        try ignore (seal_index ?damping ~dir ~root_tag seg.seg_gen seg.seg_docs)
+        try ignore (seal_index ~dir ~root_tag seg.seg_gen seg.seg_docs)
         with Sys_error _ | Unix.Unix_error _ -> ())
     sealed
 
@@ -292,7 +260,7 @@ let gc_orphans dir ~gens =
 
 let ( let* ) = Result.bind
 
-let open_ ?(fsync = true) ?auto_compact ?damping dir =
+let open_ ?(fsync = true) ?auto_compact dir =
   let* m =
     load_framed ~magic:manifest_magic ~decode:decode_manifest (manifest_path dir)
   in
@@ -330,11 +298,11 @@ let open_ ?(fsync = true) ?auto_compact ?damping dir =
       (Delta.empty, -1) records
   in
   gc_orphans dir ~gens:m.m_gens;
-  reseal_damaged ?damping ~dir ~root_tag:m.m_root_tag sealed;
+  reseal_damaged ~dir ~root_tag:m.m_root_tag sealed;
   let lsn = max m.m_durable_lsn (Wal.lsn wal) in
   let next_doc = max m.m_next_doc (max_insert + 1) in
   let snapshot =
-    build_snapshot ?damping ~dir ~root_tag:m.m_root_tag
+    build_snapshot ~dir ~root_tag:m.m_root_tag
       ~root_attrs:m.m_root_attrs ~lsn ~sealed ~delta ()
   in
   Ok
@@ -342,7 +310,6 @@ let open_ ?(fsync = true) ?auto_compact ?damping dir =
       l_dir = dir;
       l_fsync = fsync;
       l_auto = auto_compact;
-      l_damping = damping;
       l_root_tag = m.m_root_tag;
       l_root_attrs = m.m_root_attrs;
       l_writer = Atomic.make false;
@@ -359,7 +326,7 @@ let open_ ?(fsync = true) ?auto_compact ?damping dir =
     }
 
 (* A fresh store is an empty manifest and log, opened like any other. *)
-let create ?(fsync = true) ?auto_compact ?damping ~root_tag ?(root_attrs = [])
+let create ?(fsync = true) ?auto_compact ~root_tag ?(root_attrs = [])
     dir =
   match
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -383,7 +350,7 @@ let create ?(fsync = true) ?auto_compact ?damping ~root_tag ?(root_attrs = [])
   | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
   | exception Sys_error m -> Error (Io m)
   | Error _ as e -> e
-  | Ok () -> open_ ~fsync ?auto_compact ?damping dir
+  | Ok () -> open_ ~fsync ?auto_compact dir
 
 let close t = Wal.close t.l_wal
 
@@ -442,7 +409,7 @@ let compact_steps t st ~clean ~dirty ~delta =
         (encode_docs merged);
       Chaos.crash_point "compact-docs";
       let* () =
-        seal_index ?damping:t.l_damping ~dir:t.l_dir ~root_tag:t.l_root_tag
+        seal_index ~dir:t.l_dir ~root_tag:t.l_root_tag
           next_gen merged
       in
       Chaos.crash_point "compact-seg";
@@ -587,7 +554,7 @@ let mutate t muts =
           in
           let lsn = Wal.lsn t.l_wal in
           let snapshot =
-            build_snapshot ?damping:t.l_damping ~dir:t.l_dir
+            build_snapshot ~dir:t.l_dir
               ~root_tag:t.l_root_tag ~root_attrs:t.l_root_attrs ~lsn
               ~sealed:st.st_sealed ~delta ()
           in

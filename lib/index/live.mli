@@ -58,7 +58,6 @@ type mutation =
 val create :
   ?fsync:bool ->
   ?auto_compact:int ->
-  ?damping:Xk_score.Damping.t ->
   root_tag:string ->
   ?root_attrs:Xk_xml.Xml_tree.attribute list ->
   string ->
@@ -71,7 +70,6 @@ val create :
 val open_ :
   ?fsync:bool ->
   ?auto_compact:int ->
-  ?damping:Xk_score.Damping.t ->
   string ->
   (t, error) result
 (** Open an existing store, running recovery: load the manifest and

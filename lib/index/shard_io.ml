@@ -105,8 +105,6 @@ let save ?(replicas = 1) ?endpoints t path =
     done
   done
 
-exception Decode of string
-
 type manifest = {
   m_shards : int;
   m_assignment : int array;
@@ -117,58 +115,44 @@ type manifest = {
 
 (* Every count and length is checked against the bytes left before
    anything is allocated for it: each entry it counts takes a byte. *)
-let decode_manifest data ~pos ~with_endpoints =
-  let c = Xk_storage.Varint.cursor_at data pos in
-  let count what =
-    let n = Xk_storage.Varint.read c in
-    if n < 0 || n > String.length data - c.pos then
-      raise (Decode (what ^ " runs past the payload"));
-    n
-  in
-  let read_str what =
-    let len = count what in
-    let s = String.sub data c.pos len in
-    c.pos <- c.pos + len;
-    s
-  in
+let decode_manifest ~with_endpoints c =
+  let fail = Xk_storage.Varint.malformed in
   let replica _ =
-    let file = read_str "segment name" in
+    let file = Xk_storage.Varint.string c in
     let endpoint =
       if not with_endpoints then None
       else
         match Xk_storage.Varint.read c with
         | 0 -> None
         | 1 ->
-            let host = read_str "endpoint host" in
+            let host = Xk_storage.Varint.string c in
             let port = Xk_storage.Varint.read c in
-            if port < 0 || port > 0xFFFF then raise (Decode "endpoint port out of range");
+            if port > 0xFFFF then fail "endpoint port out of range";
             Some (host, port)
-        | _ -> raise (Decode "bad endpoint flag")
+        | _ -> fail "bad endpoint flag"
     in
     (file, endpoint)
   in
-  try
-    let shards = count "shard count" in
-    if shards < 1 then raise (Decode "no shards");
-    let assignment =
-      Array.init (count "subtree count") (fun _ ->
-          let s = Xk_storage.Varint.read c in
-          if s < 0 || s >= shards then raise (Decode "assignment names a missing shard");
-          s)
-    in
-    let rows =
-      Array.init shards (fun _ ->
-          let replicas = count "replica count" in
-          if replicas < 1 then raise (Decode "shard with no replicas");
-          Array.init replicas replica)
-    in
-    {
-      m_shards = shards;
-      m_assignment = assignment;
-      m_files = Array.map (Array.map fst) rows;
-      m_endpoints = Array.map (Array.map snd) rows;
-    }
-  with Invalid_argument _ -> raise (Decode "payload structure cut short")
+  let shards = Xk_storage.Varint.count c ~width:1 in
+  if shards < 1 then fail "no shards";
+  let assignment =
+    Array.init (Xk_storage.Varint.count c ~width:1) (fun _ ->
+        let s = Xk_storage.Varint.read c in
+        if s >= shards then fail "assignment names a missing shard";
+        s)
+  in
+  let rows =
+    Array.init shards (fun _ ->
+        let replicas = Xk_storage.Varint.count c ~width:1 in
+        if replicas < 1 then fail "shard with no replicas";
+        Array.init replicas replica)
+  in
+  {
+    m_shards = shards;
+    m_assignment = assignment;
+    m_files = Array.map (Array.map fst) rows;
+    m_endpoints = Array.map (Array.map snd) rows;
+  }
 
 (* One manifest read attempt, through the same mapped read and failure
    classes as the segment reader in [Index_io]: framing anomalies are
@@ -186,17 +170,19 @@ let attempt_manifest path : (manifest, Index_io.attempt_error) result =
               (Index_io.Corrupted
                  "legacy v1 manifest without replica lists; rebuild the index"))
       | Error e -> Error (Index_io.of_framed e)
-      | Ok body -> (
-          match decode_manifest data ~pos:body.pos ~with_endpoints:(not v2) with
-          | m -> Ok m
-          | exception Decode msg -> Error (`Fatal (Index_io.Corrupted msg))))
+      | Ok { pos; len } ->
+          Xk_storage.Varint.(
+            decode ~whole:false
+              (decode_manifest ~with_endpoints:(not v2))
+              (slice data ~pos ~stop:(pos + len)))
+          |> Result.map_error (fun msg -> `Fatal (Index_io.Corrupted msg)))
 
 let load_manifest ?retries ?backoff_ms path =
   Index_io.retrying ?retries ?backoff_ms (fun () -> attempt_manifest path)
   |> Result.map_error (fun ({ error; attempts } : Index_io.load_error) ->
          Manifest { error; attempts })
 
-let load_result ?damping ?cache_capacity ?retries ?backoff_ms ?verify_columns
+let load_result ?cache_capacity ?retries ?backoff_ms ?verify_columns
     (doc : Xk_xml.Xml_tree.document) path =
   match load_manifest ?retries ?backoff_ms path with
   | Error _ as e -> e
@@ -226,7 +212,7 @@ let load_result ?damping ?cache_capacity ?retries ?backoff_ms ?verify_columns
             | file :: rest -> (
                 let full = Filename.concat dir file in
                 match
-                  Index_io.load_result ?damping ?cache_capacity ~stats
+                  Index_io.load_result ?cache_capacity ~stats
                     ?retries ?backoff_ms ?verify_columns label full
                 with
                 | Ok idx -> Ok idx

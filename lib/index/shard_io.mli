@@ -54,7 +54,6 @@ val save :
     a written copy does not read back clean. *)
 
 val load_result :
-  ?damping:Xk_score.Damping.t ->
   ?cache_capacity:int ->
   ?retries:int ->
   ?backoff_ms:float ->

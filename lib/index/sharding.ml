@@ -176,7 +176,7 @@ let build_with ?shards ~(assignment : int array) ~make
               segments;
         }
 
-let partition ?damping ?cache_capacity ?(strategy = Round_robin) ?assignment
+let partition ?cache_capacity ?(strategy = Round_robin) ?assignment
     ~shards (doc : Xk_xml.Xml_tree.document) =
   if shards < 1 then Xk_util.Err.invalid "Sharding.partition: shards < 1";
   let n_children = List.length doc.root.children in
@@ -188,7 +188,7 @@ let partition ?damping ?cache_capacity ?(strategy = Round_robin) ?assignment
     | None -> assign strategy ~shards doc
   in
   let make ~shard:_ label ~stats =
-    Ok (Index.build ?damping ?cache_capacity ~stats label)
+    Ok (Index.build ?cache_capacity ~stats label)
   in
   match build_with ~shards ~assignment ~make doc with
   | Error (_ : unit) ->

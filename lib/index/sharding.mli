@@ -27,7 +27,6 @@ val assign : strategy -> shards:int -> Xk_xml.Xml_tree.document -> int array
 (** The assignment (top-level child index -> shard) a strategy induces. *)
 
 val partition :
-  ?damping:Xk_score.Damping.t ->
   ?cache_capacity:int ->
   ?strategy:strategy ->
   ?assignment:int array ->
@@ -37,7 +36,7 @@ val partition :
 (** Build a sharded index in memory.  [assignment] overrides [strategy]
     (default [Round_robin]); its length must equal the number of
     top-level subtrees and its values must be in [\[0, shards)].
-    [damping]/[cache_capacity] as in {!Index.build}, applied per shard.
+    [cache_capacity] as in {!Index.build}, applied per shard.
     Raises [Invalid_argument] on [shards < 1] or a malformed
     assignment. *)
 

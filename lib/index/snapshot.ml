@@ -11,7 +11,7 @@ type t = {
   sn_rebuilt : int;
 }
 
-let build ?damping ~root_tag ~root_attrs ~lsn groups =
+let build ~root_tag ~root_attrs ~lsn groups =
   if groups = [] then Xk_util.Err.invalid "Snapshot.build: no groups";
   let groups = Array.of_list groups in
   let tagged =
@@ -39,11 +39,11 @@ let build ?damping ~root_tag ~root_attrs ~lsn groups =
   in
   let rebuilt = Atomic.make 0 in
   let make ~shard labeling ~stats =
-    let built () = Index.build ?damping ~stats labeling in
+    let built () = Index.build ~stats labeling in
     match groups.(shard).g_index with
     | None -> Ok (built ())
     | Some path -> (
-        match Index_io.load_result ?damping ~stats labeling path with
+        match Index_io.load_result ~stats labeling path with
         | Ok idx -> Ok idx
         | Error (_ : Index_io.load_error) ->
             (* a damaged saved segment costs a rebuild, not a failed

@@ -28,7 +28,6 @@ type group = {
 type t
 
 val build :
-  ?damping:Xk_score.Damping.t ->
   root_tag:string ->
   root_attrs:Xk_xml.Xml_tree.attribute list ->
   lsn:int ->

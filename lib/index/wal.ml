@@ -41,20 +41,6 @@ type t = {
 
 let ( let* ) = Result.bind
 
-let varint cur =
-  match Varint.read_opt cur with
-  | Some v when v >= 0 -> Ok v
-  | Some _ -> Error "negative varint"
-  | None -> Error "short read"
-
-let take (cur : Varint.cursor) n =
-  if n > String.length cur.data - cur.pos then Error "short read"
-  else begin
-    let s = String.sub cur.data cur.pos n in
-    cur.pos <- cur.pos + n;
-    Ok s
-  end
-
 (* Subtree codec, shared with the sealed-segment document files. *)
 
 let encode_subtree buf (node : Xk_xml.Xml_tree.node) =
@@ -69,17 +55,18 @@ let encode_subtree buf (node : Xk_xml.Xml_tree.node) =
       Varint.write buf (String.length s);
       Buffer.add_string buf s
 
-let decode_subtree cur =
-  let* flag = take cur 1 in
-  let* len = varint cur in
-  let* bytes = take cur len in
+let subtree cur =
+  let flag = Varint.take cur 1 in
+  let bytes = Varint.string cur in
   match flag.[0] with
   | '\000' -> (
       match Xk_xml.Xml_parser.parse_string ~keep_ws:true bytes with
-      | Ok doc -> Ok (Xk_xml.Xml_tree.Element doc.root)
-      | Error e -> Error (Printf.sprintf "bad subtree XML: %s" e.message))
-  | '\001' -> Ok (Xk_xml.Xml_tree.Text bytes)
-  | c -> Error (Printf.sprintf "bad subtree flag 0x%02x" (Char.code c))
+      | Ok doc -> Xk_xml.Xml_tree.Element doc.root
+      | Error e -> Varint.malformed "bad subtree XML: %s" e.message)
+  | '\001' -> Xk_xml.Xml_tree.Text bytes
+  | c -> Varint.malformed "bad subtree flag 0x%02x" (Char.code c)
+
+let decode_subtree cur = Varint.decode ~whole:false subtree cur
 
 let encode_op op =
   let buf = Buffer.create 64 in
@@ -94,15 +81,15 @@ let encode_op op =
   Buffer.contents buf
 
 let decode_op payload =
-  let cur = Varint.cursor payload in
-  let* tag = take cur 1 in
-  let* doc_id = varint cur in
-  match tag.[0] with
-  | '\001' ->
-      let* subtree = decode_subtree cur in
-      Ok (Insert { doc_id; subtree })
-  | '\002' -> Ok (Delete { doc_id })
-  | c -> Error (Printf.sprintf "bad op tag 0x%02x" (Char.code c))
+  Varint.decode ~whole:false
+    (fun cur ->
+      let tag = Varint.take cur 1 in
+      let doc_id = Varint.read cur in
+      match tag.[0] with
+      | '\001' -> Insert { doc_id; subtree = subtree cur }
+      | '\002' -> Delete { doc_id }
+      | c -> Varint.malformed "bad op tag 0x%02x" (Char.code c))
+    (Varint.cursor payload)
 
 let header_bytes ~base_lsn =
   let buf = Buffer.create 16 in
@@ -145,9 +132,9 @@ let recover path =
     Result.map_error Index_io.of_framed (Framed.header ~magic ~version data)
   in
   let cur = Varint.cursor_at data pos in
-  match varint cur with
-  | Error m -> corrupt ("header: " ^ m)
-  | Ok base ->
+  match Varint.read cur with
+  | exception Varint.Malformed m -> corrupt ("header: " ^ m)
+  | base ->
       let rec go acc lsn pos =
         let torn () = Ok (base, List.rev acc, pos, size) in
         if pos = size then torn ()

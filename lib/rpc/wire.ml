@@ -1,6 +1,8 @@
-(* Payload codecs for the shard RPC.  Encoders build on the storage
-   varint; decoders run over a cursor and convert any truncation or bad
-   tag into [Frame.Malformed] — no exception escapes on foreign bytes. *)
+(* Payload codecs for the shard RPC.  Both sides build on the storage
+   varint: decoders read through its cursor, and any truncation or bad
+   tag becomes [Frame.Malformed] — no exception escapes on foreign bytes. *)
+
+module Varint = Xk_storage.Varint
 
 type query = {
   q_shard : int;
@@ -19,13 +21,9 @@ type served = {
 
 type reply = Served of served | Refused of string
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
 (* --- primitive writers ------------------------------------------------ *)
 
-let put_int buf n = Xk_storage.Varint.write buf n
+let put_int buf n = Varint.write buf n
 
 let put_string buf s =
   put_int buf (String.length s);
@@ -54,51 +52,32 @@ let put_float_array buf a =
 
 (* --- primitive readers ------------------------------------------------ *)
 
-let get_int c = Xk_storage.Varint.read c
-
-let take (c : Xk_storage.Varint.cursor) n what =
-  if n < 0 || c.pos + n > String.length c.data then bad "truncated %s" what;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_string c =
-  let n = get_int c in
-  take c n "string"
-
 let get_float c =
-  let s = take c 8 "float" in
+  let s = Varint.take c 8 in
   Int64.float_of_bits (String.get_int64_be s 0)
 
 let get_byte c =
-  let s = take c 1 "byte" in
+  let s = Varint.take c 1 in
   Char.code s.[0]
 
 let get_bool c what =
   match get_byte c with
   | 0 -> false
   | 1 -> true
-  | b -> bad "bad %s flag %d" what b
+  | b -> Varint.malformed "bad %s flag %d" what b
 
 let get_option get c what =
   match get_byte c with
   | 0 -> None
   | 1 -> Some (get c)
-  | b -> bad "bad %s tag %d" what b
+  | b -> Varint.malformed "bad %s tag %d" what b
 
-(* An element count, checked against the bytes left before anything is
-   allocated from it: each element takes at least [width] bytes, so a
-   corrupted count is [Bad] rather than a huge allocation. *)
-let get_count c ~width what =
-  let n = get_int c in
-  if n < 0 || n > (String.length c.data - c.pos) / width then
-    bad "%s count %d exceeds the payload" what n;
-  n
-
-let get_list get c = List.init (get_count c ~width:1 "list") (fun _ -> get c)
+(* Counts are checked against the bytes left before anything is
+   allocated: each element takes at least [width] bytes. *)
+let get_list get c = List.init (Varint.count c ~width:1) (fun _ -> get c)
 
 let get_float_array c =
-  Array.init (get_count c ~width:8 "float array") (fun _ -> get_float c)
+  Array.init (Varint.count c ~width:8) (fun _ -> get_float c)
 
 (* --- domain types ----------------------------------------------------- *)
 
@@ -109,7 +88,7 @@ let semantics_byte : Xk_core.Engine.semantics -> int = function
 let semantics_of_byte = function
   | 0 -> Xk_core.Engine.Elca
   | 1 -> Xk_core.Engine.Slca
-  | b -> bad "bad semantics %d" b
+  | b -> Varint.malformed "bad semantics %d" b
 
 let algorithm_byte : Xk_core.Engine.algorithm -> int = function
   | Join_based -> 0
@@ -122,7 +101,7 @@ let algorithm_of_byte : int -> Xk_core.Engine.algorithm = function
   | 1 -> Stack_based
   | 2 -> Index_based
   | 3 -> Oracle
-  | b -> bad "bad algorithm %d" b
+  | b -> Varint.malformed "bad algorithm %d" b
 
 let topk_byte : Xk_core.Engine.topk_algorithm -> int = function
   | Topk_join -> 0
@@ -135,7 +114,7 @@ let topk_of_byte : int -> Xk_core.Engine.topk_algorithm = function
   | 1 -> Complete_then_sort
   | 2 -> Rdil_baseline
   | 3 -> Hybrid
-  | b -> bad "bad top-K algorithm %d" b
+  | b -> Varint.malformed "bad top-K algorithm %d" b
 
 let put_mode buf : Xk_core.Engine.mode -> unit = function
   | Complete a ->
@@ -151,15 +130,15 @@ let get_mode c : Xk_core.Engine.mode =
   | 0 -> Complete (algorithm_of_byte (get_byte c))
   | 1 ->
       let a = topk_of_byte (get_byte c) in
-      Topk (a, get_int c)
-  | b -> bad "bad mode tag %d" b
+      Topk (a, Varint.read c)
+  | b -> Varint.malformed "bad mode tag %d" b
 
 let put_hit buf (h : Xk_baselines.Hit.t) =
   put_int buf h.node;
   put_float buf h.score
 
 let get_hit c : Xk_baselines.Hit.t =
-  let node = get_int c in
+  let node = Varint.read c in
   { node; score = get_float c }
 
 let put_outcome buf : Xk_core.Engine.run_outcome -> unit = function
@@ -176,7 +155,7 @@ let get_outcome c : Xk_core.Engine.run_outcome =
   | 0 -> Done (get_list get_hit c)
   | 1 -> Partial (get_list get_hit c)
   | 2 -> Timed_out
-  | b -> bad "bad outcome tag %d" b
+  | b -> Varint.malformed "bad outcome tag %d" b
 
 let put_summary buf (s : Xk_index.Sharding.root_summary) =
   put_float_array buf s.rs_best_all;
@@ -216,26 +195,17 @@ let encode_reply r =
 (* Run a decoder over the whole payload; truncation, bad tags and
    trailing bytes all land in [Frame.Malformed]. *)
 let decoding what get s =
-  let c = Xk_storage.Varint.cursor s in
-  match get c with
-  | v ->
-      if Xk_storage.Varint.at_end c then Ok v
-      else
-        Error
-          (Frame.Malformed
-             (Printf.sprintf "%s: %d trailing payload bytes" what
-                (String.length s - c.pos)))
-  | exception Bad msg -> Error (Frame.Malformed (what ^ ": " ^ msg))
-  | exception Invalid_argument msg -> Error (Frame.Malformed (what ^ ": " ^ msg))
+  Varint.decode ~whole:true get (Varint.cursor s)
+  |> Result.map_error (fun msg -> Frame.Malformed (what ^ ": " ^ msg))
 
 let decode_query s =
   decoding "query" (fun c ->
-      let q_shard = get_int c in
-      let q_words = get_list get_string c in
+      let q_shard = Varint.read c in
+      let q_words = get_list Varint.string c in
       let q_semantics = semantics_of_byte (get_byte c) in
       let q_mode = get_mode c in
       let q_deadline_ms = get_option get_float c "deadline" in
-      let q_ticks = get_option get_int c "ticks" in
+      let q_ticks = get_option Varint.read c "ticks" in
       { q_shard; q_words; q_semantics; q_mode; q_deadline_ms; q_ticks })
     s
 
@@ -246,6 +216,6 @@ let decode_reply s =
           let s_summary = get_option get_summary c "summary" in
           let s_outcome = get_outcome c in
           Served { s_summary; s_outcome; s_bound = get_float c }
-      | 1 -> Refused (get_string c)
-      | b -> bad "bad reply tag %d" b)
+      | 1 -> Refused (Varint.string c)
+      | b -> Varint.malformed "bad reply tag %d" b)
     s

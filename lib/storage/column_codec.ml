@@ -85,7 +85,7 @@ let decode (c : Varint.cursor) : run array =
     | 'R' -> Rle
     | ch -> Xk_util.Err.invalidf "Column_codec.decode: bad tag %C" ch
   in
-  c.pos <- c.pos + 1;
+  Varint.skip c 1;
   let n = Varint.read c in
   let runs = Array.make n { value = 0; count = 0 } in
   let i = ref 0 in

@@ -41,14 +41,14 @@ let file ~magic ~version payload =
 let ( let* ) = Result.bind
 
 (* A header varint.  A crash can cut one short, but no prefix of a
-   valid frame holds a negative value or a tenth byte. *)
+   valid frame holds a negative value or a tenth byte; both need nine
+   bytes, which a cut varint does not have. *)
 let field (c : Varint.cursor) =
-  let start = c.pos in
-  match Varint.read_opt c with
-  | Some v when v >= 0 -> Ok v
-  | Some _ -> Error Bad_varint
-  | None when String.length c.data - start >= 9 -> Error Bad_varint
-  | None -> Error Header_cut
+  let left = c.stop - c.pos in
+  match Varint.read c with
+  | v -> Ok v
+  | exception Varint.Malformed _ ->
+      Error (if left >= 9 then Bad_varint else Header_cut)
 
 let frame ~whole (c : Varint.cursor) =
   let* len = field c in

@@ -1,8 +1,10 @@
 (* The shared frame codec ([Xk_storage.Framed]): its verdicts, the
-   fixed inputs that once raised, one never-raise property over every
-   framed decoder, and fault drills for the durable reads that go
-   through the mapped read path ([Index_io.read_mapped]), where [Chaos]
-   injects storage faults. *)
+   fixed inputs that once raised or decoded to a value no encoder
+   writes, one never-raise property over every framed decoder (the
+   durable files, the v5 segment and the RPC frames with their [Wire]
+   payloads), and fault drills for the durable reads that go through
+   the mapped read path ([Index_io.read_mapped]), where [Chaos] injects
+   storage faults. *)
 
 module Framed = Xk_storage.Framed
 module Varint = Xk_storage.Varint
@@ -12,6 +14,9 @@ module Live = Xk_index.Live
 module Index_io = Xk_index.Index_io
 module Shard_io = Xk_index.Shard_io
 module Repair = Xk_index.Repair
+module Frame = Xk_rpc.Frame
+module Wire = Xk_rpc.Wire
+module Engine = Xk_core.Engine
 module Tree = Xk_xml.Xml_tree
 
 let check = Alcotest.check
@@ -99,8 +104,9 @@ let codec_verdicts () =
     (Framed.read_record (String.make 9 '\x80' ^ "\x01\x00") ~pos:0);
   check verdict "torn length" (Error Header_cut)
     (Framed.read_record (String.make 8 '\x80') ~pos:0);
-  check Alcotest.(option int) "read_opt stops at nine bytes" None
-    (Varint.read_opt (Varint.cursor (String.make 9 '\x80' ^ "\x01")))
+  Alcotest.check_raises "read stops at nine bytes"
+    (Varint.Malformed "varint overflows") (fun () ->
+      ignore (Varint.read (Varint.cursor (String.make 9 '\x80' ^ "\x01"))))
 
 (* --- Fixed inputs that once raised ------------------------------------ *)
 
@@ -119,7 +125,35 @@ let v2_huge_rows =
   Framed.file ~magic:"XKIDX002" ~version:2
     (varint 2 ^ varint 1 ^ str "a" ^ varint huge ^ varint 0)
 
+(* A CRC-valid v2 segment whose every tf is 0: [save] refuses to write
+   one, and a query on its term once raised in the scorer. *)
+let v2_zero_tf =
+  Framed.file ~magic:"XKIDX002" ~version:2
+    (varint 2 ^ varint 1 ^ str "a" ^ varint 2 ^ varint 0 ^ varint 1 ^ varint 0
+   ^ varint 0)
+
 let two_node_doc = { Tree.root = Tree.element "r" [ Tree.elem "a" [] ] }
+
+(* Query payloads with a varint no encoder writes: a 12-byte shard
+   number, and a 9-byte tick budget with bit 62 set.  Both once decoded
+   to -1. *)
+let query =
+  {
+    Wire.q_shard = 0;
+    q_words = [ "xml" ];
+    q_semantics = Engine.Elca;
+    q_mode = Engine.Topk (Topk_join, 10);
+    q_deadline_ms = None;
+    q_ticks = None;
+  }
+
+let query_long_shard =
+  let q = Wire.encode_query query in
+  String.make 11 '\xff' ^ "\x7f" ^ String.sub q 1 (String.length q - 1)
+
+let query_negative_ticks =
+  let q = Wire.encode_query query in
+  String.sub q 0 (String.length q - 1) ^ "\x01" ^ String.make 8 '\xff' ^ "\x7f"
 
 let fixed_wal_negative_length () =
   with_tmpdir (fun dir ->
@@ -169,6 +203,34 @@ let fixed_v2_huge_rows () =
       | Error { error = Corrupted _; attempts = 1 } -> ()
       | Error e -> Alcotest.failf "wrong error: %s" (Index_io.load_error_message e)
       | Ok _ -> Alcotest.fail "a 2^40-row term was accepted")
+
+let fixed_v2_zero_tf () =
+  with_faults Chaos.no_faults @@ fun () ->
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "zero.seg" in
+      write_file path v2_zero_tf;
+      let label = Xk_encoding.Labeling.label two_node_doc in
+      (match Index_io.load_result label path with
+      | Error { error = Corrupted _; attempts = 1 } -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Index_io.load_error_message e)
+      | Ok _ -> Alcotest.fail "a zero tf was accepted");
+      match Index_io.verify path with
+      | Error { error = Corrupted _; attempts = 1 } -> ()
+      | Error e ->
+          Alcotest.failf "verify: wrong error %s" (Index_io.load_error_message e)
+      | Ok () -> Alcotest.fail "verify accepted a zero tf")
+
+let fixed_query_varints () =
+  let malformed what data =
+    match Wire.decode_query data with
+    | Error (Frame.Malformed _) -> ()
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Frame.error_message e)
+    | Ok q ->
+        Alcotest.failf "%s: decoded (shard %d, ticks %s)" what q.q_shard
+          (Option.fold ~none:"none" ~some:string_of_int q.q_ticks)
+  in
+  malformed "12-byte shard" query_long_shard;
+  malformed "9-byte negative ticks" query_negative_ticks
 
 (* --- Never raise ------------------------------------------------------ *)
 
@@ -273,6 +335,72 @@ let random_inputs rng t =
   @ List.init 8 (fun _ -> t.reframe (mutate rng))
   @ t.extra
 
+(* A v5 segment with one postings block: a mutated postings region or
+   directory tail is re-sealed by recomputing the block CRC, the region
+   lengths, the directory CRC and the header CRC, so the damage reaches
+   the structural checks behind them. *)
+let v5_reseal rng good mutate =
+  let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF in
+  let u64 pos = Int64.to_int (String.get_int64_le good pos) in
+  let terms_len = u64 36 and postings_len = u64 44 and dir_len = u64 52 in
+  if u64 20 > 64 then Alcotest.fail "fixture v5: more than one block";
+  let region off len = String.sub good off len in
+  let terms = region 72 terms_len in
+  let postings = region (72 + terms_len) postings_len in
+  let dir = region (72 + terms_len + postings_len) dir_len in
+  let postings, entries =
+    let entries = String.sub dir 4 (dir_len - 4) in
+    if Random.State.bool rng then (mutate postings, entries)
+    else (postings, mutate entries)
+  in
+  let le32 n =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 (Int32.of_int n);
+    Bytes.to_string b
+  in
+  let dir = le32 (Xk_storage.Crc32.string postings) ^ entries in
+  let h = Bytes.of_string (String.sub good 0 72) in
+  Bytes.set_int64_le h 44 (Int64.of_int (String.length postings));
+  Bytes.set_int64_le h 52 (Int64.of_int (String.length dir));
+  Bytes.set_int32_le h 60 (Int32.of_int (u32 good 60));
+  Bytes.set_int32_le h 64 (Int32.of_int (Xk_storage.Crc32.string dir));
+  Bytes.set_int32_le h 68
+    (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
+  Bytes.to_string h ^ terms ^ postings ^ dir
+
+(* A segment that loads must also verify, and answer a query on each of
+   its terms: a value the decoders let through must be one the engine
+   can serve. *)
+let serve_segment label path =
+  match Index_io.load_result ~retries:0 ~verify_columns:true label path with
+  | Error _ -> ()
+  | Ok idx ->
+      (match Index_io.verify ~retries:0 path with
+      | Ok () -> ()
+      | Error e ->
+          failwith ("loads but fails verify: " ^ Index_io.load_error_message e));
+      let e = Engine.of_index idx in
+      for id = 0 to Xk_index.Index.term_count idx - 1 do
+        let words = [ Xk_index.Index.term idx id ] in
+        ignore (Engine.query e words);
+        ignore (Engine.query_topk e words ~k:3)
+      done
+
+(* An RPC frame around a [Wire] payload: the frame decoder, then the
+   payload decoder on what it accepts. *)
+let rpc_target name kind payload ~decode ~extra =
+  {
+    name;
+    good = Frame.encode kind payload;
+    reframe = (fun mutate -> Frame.encode kind (mutate payload));
+    extra = List.map (Frame.encode kind) extra;
+    run =
+      (fun data ->
+        match Frame.decode data with
+        | Ok (_, p) -> decode p
+        | Error _ -> ());
+  }
+
 let targets rng dir =
   let live = Filename.concat dir "live" in
   Sys.mkdir live 0o700;
@@ -322,9 +450,26 @@ let targets rng dir =
     }
   in
   let seg = Filename.concat dir "v2.seg" in
+  let seg5 = Filename.concat dir "v5.seg" in
   let label = Xk_encoding.Labeling.label small_doc in
   Index_io.save_v2 (Xk_index.Index.build label) seg;
+  Index_io.save (Xk_index.Index.build label) seg5;
   let two_label = Xk_encoding.Labeling.label two_node_doc in
+  let reply =
+    Wire.Served
+      {
+        s_summary =
+          Some
+            {
+              rs_best_all = [| 1.5; infinity |];
+              rs_best_free = [| 0.5 |];
+              rs_full_subtree = true;
+            };
+        s_outcome =
+          Done [ { node = 3; score = 2.5 }; { node = 7; score = 1.0 } ];
+        s_bound = neg_infinity;
+      }
+  in
   [
     {
       name = "wal.log";
@@ -349,14 +494,37 @@ let targets rng dir =
       name = "v2.seg";
       good = read_file seg;
       reframe = whole_file ~magic:"XKIDX002" ~version:2 (read_file seg);
-      extra = [ v2_huge_rows ];
+      extra = [ v2_huge_rows; v2_zero_tf ];
       run =
         (fun data ->
           write_file seg data;
-          ignore (Index_io.load_result ~retries:0 label seg);
-          ignore (Index_io.load_result ~retries:0 two_label seg);
+          serve_segment label seg;
+          serve_segment two_label seg;
           ignore (Index_io.verify ~retries:0 seg));
     };
+    {
+      name = "v5.seg";
+      good = read_file seg5;
+      reframe = v5_reseal rng (read_file seg5);
+      extra = [];
+      run =
+        (fun data ->
+          write_file seg5 data;
+          (match Index_io.load_result ~retries:0 label seg5 with
+          | Ok idx -> (
+              try
+                for id = 0 to Xk_index.Index.term_count idx - 1 do
+                  ignore (Xk_index.Index.raw_rows idx id)
+                done
+              with Index_io.Segment_fault _ -> ())
+          | Error _ -> ());
+          serve_segment label seg5);
+    };
+    rpc_target "query frame" Frame.Query (Wire.encode_query query)
+      ~extra:[ query_long_shard; query_negative_ticks ]
+      ~decode:(fun p -> ignore (Wire.decode_query p));
+    rpc_target "reply frame" Frame.Reply (Wire.encode_reply reply) ~extra:[]
+      ~decode:(fun p -> ignore (Wire.decode_reply p));
   ]
 
 (* Every framed decoder is total: each input decodes to a value or a
@@ -510,6 +678,8 @@ let suite =
         tc "negative WAL record length" `Quick fixed_wal_negative_length;
         tc "manifest count past the payload" `Quick fixed_manifest_huge_count;
         tc "v2 row count past the payload" `Quick fixed_v2_huge_rows;
+        tc "v2 zero tf" `Quick fixed_v2_zero_tf;
+        tc "query varints no encoder writes" `Quick fixed_query_varints;
         tc "every strict prefix never raises" `Quick prefixes_never_raise;
         QCheck_alcotest.to_alcotest never_raises_prop;
       ] );

@@ -756,6 +756,33 @@ let supervisor_heal_cadence () =
                    (Hashtbl.find_opt f.pids (Supervisor.spec_label spec)))))
          (Supervisor.states sup2))
 
+(* The real process table: a spawned child is alive until killed, and
+   the liveness check that sees it dead also reaps it. *)
+let supervisor_real_processes () =
+  with_tmpdir (fun dir ->
+      let state_dir = Filename.concat dir "state" in
+      let procs = Supervisor.processes ~argv:(fun _ -> [| "sleep"; "30" |]) ~state_dir in
+      let spec =
+        { Supervisor.sv_shard = 0; sv_replica = 1; sv_host = "127.0.0.1"; sv_port = 1 }
+      in
+      match procs.spawn spec with
+      | Error m -> Alcotest.failf "spawn: %s" m
+      | Ok pid ->
+          check Alcotest.bool "alive" true (procs.alive pid);
+          check Alcotest.string "pid file" (Printf.sprintf "%d\n" pid)
+            (In_channel.with_open_bin (Filename.concat state_dir "s0r1.pid")
+               In_channel.input_all);
+          check Alcotest.bool "nothing answers the ping" false (procs.ping spec);
+          procs.kill pid;
+          let rec dead n =
+            (not (procs.alive pid)) || (n > 0 && (Unix.sleepf 0.01; dead (n - 1)))
+          in
+          check Alcotest.bool "seen dead after the kill" true (dead 500);
+          check Alcotest.bool "and reaped" true
+            (match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+            | _ -> false))
+
 let suite =
   [
     ( "heal.scrub",
@@ -789,5 +816,6 @@ let suite =
         tc "spawn failures and start grace" `Quick
           supervisor_spawn_failure_and_grace;
         tc "heal cadence, run and shutdown" `Quick supervisor_heal_cadence;
+        tc "real process table" `Quick supervisor_real_processes;
       ] );
   ]

@@ -117,7 +117,22 @@ let typed_error () =
   check_rules ~file:"tools/lint/fixture.ml" "failwith in tools"
     [ "typed-error" ] "let f () = failwith \"boom\"\n";
   check_rules ~file:"bin/fixture.ml" "bare lock in bin" [ "bare-lock" ]
-    "let f m = Mutex.lock m\n"
+    "let f m = Mutex.lock m\n";
+  (* an Invalid_argument handler in lib/, in a try or a match *)
+  check_rules ~file:"lib/text/fixture.ml" "Invalid_argument handlers"
+    [ "typed-error"; "typed-error"; "typed-error" ]
+    "let f s = try String.sub s 0 1 with Invalid_argument _ -> \"\"\n\
+     let g s = match String.sub s 0 1 with x -> x | exception Invalid_argument _ -> \"\"\n\
+     let h s = try String.sub s 0 1 with Not_found | Stdlib.Invalid_argument _ -> \"\"\n";
+  check_rules ~file:"lib/text/fixture.ml" "other handlers are fine" []
+    "let f s = try int_of_string s with Failure _ -> 0\n\
+     let g x = match x with Some v -> v | None -> 0\n";
+  check_rules ~file:"bin/fixture.ml" "handlers outside lib/" []
+    "let f s = try String.sub s 0 1 with Invalid_argument _ -> \"\"\n";
+  check_rules ~file:"lib/rpc/fixture.ml"
+    ~config:"allow typed-error lib/rpc/fixture.ml Invalid_argument"
+    "config allow for a handler" []
+    "let f s = try String.sub s 0 1 with Invalid_argument _ -> \"\"\n"
 
 (* --- durability-sync ------------------------------------------------- *)
 

@@ -141,6 +141,11 @@ let arb_mode =
             small_nat);
     ]
 
+(* Non-negative ints over the whole range, so the codec sees every
+   varint length up to the 9-byte maximum. *)
+let arb_nat =
+  QCheck.(oneof [ small_nat; map (fun n -> n land max_int) int; always max_int ])
+
 let arb_query =
   QCheck.map
     (fun ((shard, words), (mode, (dl, ticks))) ->
@@ -154,8 +159,8 @@ let arb_query =
       })
     QCheck.(
       pair
-        (pair small_nat (small_list (string_of_size (Gen.int_bound 12))))
-        (pair arb_mode (pair (option float) (option small_nat))))
+        (pair arb_nat (small_list (string_of_size (Gen.int_bound 12))))
+        (pair arb_mode (pair (option float) (option arb_nat))))
 
 (* Bounds are routinely +/- infinity (Done / missing shards), so the
    generator must cover them and the codec must keep them exact. *)

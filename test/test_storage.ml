@@ -13,13 +13,6 @@ let varint_roundtrip () =
   List.iter (fun v -> check Alcotest.int "value" v (Varint.read c)) values;
   check Alcotest.bool "at end" true (Varint.at_end c)
 
-let varint_signed () =
-  let values = [ 0; -1; 1; -64; 64; -1_000_000; 1_000_000 ] in
-  let buf = Buffer.create 64 in
-  List.iter (Varint.write_signed buf) values;
-  let c = Varint.cursor (Buffer.contents buf) in
-  List.iter (fun v -> check Alcotest.int "signed" v (Varint.read_signed c)) values
-
 let varint_negative () =
   let buf = Buffer.create 4 in
   Alcotest.check_raises "negative rejected"
@@ -36,8 +29,38 @@ let truncated () =
   let s = Buffer.contents buf in
   let c = Varint.cursor (String.sub s 0 (String.length s - 1)) in
   Alcotest.check_raises "truncated"
-    (Invalid_argument "Varint.read: truncated input") (fun () ->
+    (Varint.Malformed "varint runs past its slice") (fun () ->
+      ignore (Varint.read c));
+  (* A slice's stop bounds every read, though the data goes on. *)
+  let c = Varint.slice s ~pos:0 ~stop:(String.length s - 1) in
+  Alcotest.check_raises "past the stop"
+    (Varint.Malformed "varint runs past its slice") (fun () ->
       ignore (Varint.read c))
+
+(* The one reader's bounds: at most 9 bytes, never negative, and counts
+   and lengths within the bytes left; [decode] turns only [Malformed]
+   into an error. *)
+let reader_bounds () =
+  let read s = Varint.decode ~whole:true Varint.read (Varint.cursor s) in
+  let result = Alcotest.(result int string) in
+  check result "nine bytes" (Ok max_int) (read (String.make 8 '\xff' ^ "\x3f"));
+  check result "ten bytes" (Error "varint overflows")
+    (read (String.make 9 '\x80' ^ "\x01"));
+  check result "bit 62 set" (Error "varint overflows")
+    (read (String.make 8 '\xff' ^ "\x7f"));
+  check result "trailing" (Error "1 trailing payload bytes") (read "\x01\x00");
+  check result "leading part" (Ok 1)
+    (Varint.decode ~whole:false Varint.read (Varint.cursor "\x01\x00"));
+  let str = Varint.decode ~whole:true Varint.string in
+  check Alcotest.(result string string) "string" (Ok "ab") (str (Varint.cursor "\x02ab"));
+  check Alcotest.(result string string) "string past the payload"
+    (Error "3 bytes wanted, 2 left") (str (Varint.cursor "\x03ab"));
+  let count width s = Varint.decode ~whole:false (Varint.count ~width) (Varint.cursor s) in
+  check result "count fits" (Ok 2) (count 2 "\x02abcd");
+  check result "count exceeds" (Error "count 3 exceeds the payload") (count 2 "\x03abcde");
+  Alcotest.check_raises "decode passes other exceptions"
+    (Invalid_argument "bug") (fun () ->
+      ignore (Varint.decode ~whole:false (fun _ -> invalid_arg "bug") (Varint.cursor "")))
 
 let runs_of_list l =
   Array.of_list (List.map (fun (v, c) -> { Column_codec.value = v; count = c }) l)
@@ -475,10 +498,10 @@ let suite =
     ( "storage",
       [
         tc "varint roundtrip" `Quick varint_roundtrip;
-        tc "varint signed" `Quick varint_signed;
         tc "varint negative rejected" `Quick varint_negative;
         tc "varint size" `Quick varint_size;
         tc "varint truncated input" `Quick truncated;
+        tc "varint reader bounds" `Quick reader_bounds;
         tc "column codec roundtrips" `Quick column_roundtrip_cases;
         tc "column scheme choice" `Quick column_scheme_choice;
         tc "rle compresses duplicates" `Quick column_rle_compresses;

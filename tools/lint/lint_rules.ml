@@ -20,7 +20,9 @@
    - [typed-error]: no [failwith]/[invalid_arg] (use [Xk_util.Err]), no
      bare [assert false] (use [Err.unreachable] with context), no
      partial stdlib calls ([List.hd]/[List.tl]/[Option.get]) and no
-     [Array.unsafe_*] in [lib/], [bin/] and [tools/].
+     [Array.unsafe_*] in [lib/], [bin/] and [tools/]; and no handler of
+     [Invalid_argument] in [lib/]: it reports a bug, and a decoder
+     reports damage as a typed error, not by catching a bounds check.
    - [durability-sync]: in the persistence layers ([lib/index],
      [lib/storage]) a function that both writes and renames must have
      an fsync in its subtree - a bare write-then-rename is atomic
@@ -78,6 +80,7 @@ type ctx = {
   check_lib : bool; (* bare-lock + typed-error *)
   check_sync : bool; (* write-then-rename must fsync; reads are mapped *)
   check_exit : bool; (* no exit outside the one allowed mapping *)
+  check_handlers : bool; (* no Invalid_argument handler *)
 }
 
 let in_dir dir file = Lint_util.contains_substring ~sub:("/" ^ dir ^ "/") ("/" ^ file)
@@ -98,6 +101,7 @@ let make_ctx config ~file =
     check_lib = in_dir "lib" file || in_dir "bin" file || in_dir "tools" file;
     check_sync = in_dir "lib/index" file || in_dir "lib/storage" file;
     check_exit = in_dir "lib" file || in_dir "bin" file;
+    check_handlers = in_dir "lib" file;
   }
 
 let waived ctx rule =
@@ -212,6 +216,23 @@ let partial_msg = function
   | "invalid_arg" ->
       Some "'invalid_arg' bypasses Xk_util.Err; use Err.invalid/invalidf"
   | _ -> None
+
+(* Does a handler pattern catch [Invalid_argument]?  [exception]
+   patterns of a [match] count, as do or-patterns and aliases. *)
+let rec catches_invalid_arg p =
+  match p.ppat_desc with
+  | Ppat_construct ({ txt; _ }, _) ->
+      Lint_ast.strip_stdlib (Lint_ast.ident_path txt) = "Invalid_argument"
+  | Ppat_or (a, b) -> catches_invalid_arg a || catches_invalid_arg b
+  | Ppat_alias (p, _) | Ppat_constraint (p, _) | Ppat_exception p ->
+      catches_invalid_arg p
+  | _ -> false
+
+let rec exception_case p =
+  match p.ppat_desc with
+  | Ppat_exception p -> catches_invalid_arg p
+  | Ppat_or (a, b) -> exception_case a || exception_case b
+  | _ -> false
 
 class linter ctx =
   object (self)
@@ -348,6 +369,22 @@ class linter ctx =
             | Some msg ->
                 report ctx ~loc:e.pexp_loc ~rule:rule_error ~name:path msg
             | None -> ())
+      | (Pexp_try (_, cases) | Pexp_match (_, cases)) when ctx.check_handlers ->
+          let is_try = match e.pexp_desc with Pexp_try _ -> true | _ -> false in
+          List.iter
+            (fun c ->
+              if
+                (is_try && catches_invalid_arg c.pc_lhs)
+                || exception_case c.pc_lhs
+              then
+                report ctx ~loc:c.pc_lhs.ppat_loc ~rule:rule_error
+                  ~name:"Invalid_argument"
+                  (Printf.sprintf
+                     "handler of Invalid_argument (in '%s'); it reports a \
+                      bug, so check the input and return or raise a typed \
+                      error instead"
+                     (enclosing_fn ctx)))
+            cases
       | Pexp_assert
           { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ }
         when ctx.check_lib ->
