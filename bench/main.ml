@@ -585,11 +585,8 @@ let micro cfg =
             Xk_util.Heap.push h (float_of_int ((i * 7919) mod 1000)) i
           done;
           let acc = ref 0 in
-          let continue = ref true in
-          while !continue do
-            match Xk_util.Heap.pop h with
-            | Some (_, v) -> acc := !acc + v
-            | None -> continue := false
+          while not (Xk_util.Heap.is_empty h) do
+            acc := !acc + Xk_util.Heap.pop_value h
           done;
           !acc)
     in

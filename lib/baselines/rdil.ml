@@ -47,7 +47,7 @@ let topk ?stats ?(budget = Xk_resilience.Budget.unlimited)
     else Xk_index.Posting.score posts.(i) orders.(i).(cursors.(i))
   in
   let processed : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let blocked : int Xk_util.Heap.t = Xk_util.Heap.create () in
+  let blocked : Hit.t Xk_util.Heap.t = Xk_util.Heap.create () in
   let out = ref [] and emitted = ref 0 in
   let bump_stat f = match stats with Some s -> f s | None -> () in
   let threshold () =
@@ -57,18 +57,16 @@ let topk ?stats ?(budget = Xk_resilience.Budget.unlimited)
     done;
     !t (* neg_infinity once any list is exhausted: all results generated *)
   in
-  let flush () =
-    let rec go () =
-      if !emitted < want then
-        match Xk_util.Heap.peek blocked with
-        | Some (score, node) when score >= threshold () ->
-            ignore (Xk_util.Heap.pop blocked);
-            out := { Hit.node; score } :: !out;
-            incr emitted;
-            go ()
-        | Some _ | None -> ()
-    in
-    go ()
+  let rec flush () =
+    if
+      !emitted < want
+      && (not (Xk_util.Heap.is_empty blocked))
+      && Xk_util.Heap.top_at_least blocked (threshold ())
+    then begin
+      out := Xk_util.Heap.pop_value blocked :: !out;
+      incr emitted;
+      flush ()
+    end
   in
   let exhausted () = Array.for_all2 (fun c o -> c >= Array.length o) cursors orders in
   while !emitted < want && not (exhausted ()) do
@@ -104,7 +102,7 @@ let topk ?stats ?(budget = Xk_resilience.Budget.unlimited)
                   Xk_util.Err.unreachable
                     "Rdil.topk: posting node has no ancestor at its depth"
             in
-            Xk_util.Heap.push blocked score node
+            Xk_util.Heap.push blocked score { Hit.node; score }
       end
     end;
     flush ()

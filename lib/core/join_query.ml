@@ -16,24 +16,11 @@ type semantics = Elca | Slca
 
 type hit = { level : int; value : int; score : float }
 
-let max_alive_damped (jl : Xk_index.Jlist.t) damping (erased : Erased.t)
-    (run : Xk_index.Column.run) ~level =
+(* Best damped local score among the rows [lo, hi) of a list -
+   [neg_infinity] for an empty range. *)
+let max_damped (jl : Xk_index.Jlist.t) damping ~lo ~hi ~level =
   let best = ref neg_infinity in
-  Erased.iter_alive erased ~lo:run.start_row ~hi:(run.start_row + run.count)
-    (fun lo hi ->
-      for r = lo to hi - 1 do
-        let v =
-          Xk_index.Jlist.score jl r
-          *. Xk_score.Damping.apply damping (Xk_index.Jlist.row_len jl r - level)
-        in
-        if v > !best then best := v
-      done);
-  !best
-
-let max_damped (jl : Xk_index.Jlist.t) damping (run : Xk_index.Column.run)
-    ~level =
-  let best = ref neg_infinity in
-  for r = run.start_row to run.start_row + run.count - 1 do
+  for r = lo to hi - 1 do
     let v =
       Xk_index.Jlist.score jl r
       *. Xk_score.Damping.apply damping (Xk_index.Jlist.row_len jl r - level)
@@ -41,6 +28,30 @@ let max_damped (jl : Xk_index.Jlist.t) damping (run : Xk_index.Column.run)
     if v > !best then best := v
   done;
   !best
+
+(* The same over the rows that survive [erased] - [neg_infinity] when none
+   do (the |Ak| > |B2|+|B3| range check). *)
+let max_alive_damped jl damping erased ~lo ~hi ~level =
+  let best = ref neg_infinity in
+  Erased.iter_alive erased ~lo ~hi (fun lo hi ->
+      best := Float.max !best (max_damped jl damping ~lo ~hi ~level));
+  !best
+
+(* The exclusion of Section III-E: erase every match's full runs from
+   every list, one sorted batch per list (matches ascend, so their runs'
+   rows do too). *)
+let exclude (cols : Xk_index.Column.t array) (ms : Level_join.matches)
+    (erased : Erased.t array) =
+  Array.iteri
+    (fun i col ->
+      let batch = ref [] in
+      for m = ms.count - 1 downto 0 do
+        let r = ms.runs.(i).(m) in
+        let lo = Xk_index.Column.start col r in
+        batch := (lo, lo + Xk_index.Column.count col r) :: !batch
+      done;
+      Erased.add_batch erased.(i) !batch)
+    cols
 
 let run ?(plan = Level_join.Dynamic) ?join_stats
     ?(budget = Xk_resilience.Budget.unlimited)
@@ -57,59 +68,51 @@ let run ?(plan = Level_join.Dynamic) ?join_stats
     let out = ref [] in
     for level = lmin downto 1 do
       let cols = Array.map (fun jl -> Xk_index.Jlist.column jl ~level) lists in
-      let matches = Level_join.join ?stats:join_stats ~budget ~plan cols in
+      let ms = Level_join.join ?stats:join_stats ~budget ~plan cols in
+      (* Run [m]'s rows in list [i], as a half-open range. *)
+      let lo i m = Xk_index.Column.start cols.(i) ms.runs.(i).(m) in
+      let hi i m = lo i m + Xk_index.Column.count cols.(i) ms.runs.(i).(m) in
       (* Exclusions of this level are applied in one batch once the level's
-         join finishes (Section III-E); matches at one level never share
+         checks finish (Section III-E); matches at one level never share
          rows, so checks within the level only depend on deeper levels. *)
-      let kills = Array.make k [] in
-      List.iter
-        (fun (m : Level_join.match_) ->
-          Xk_resilience.Budget.check budget;
-          (match semantics with
-          | Elca ->
-              (* Range check: every list needs an alive row in N's run. *)
-              let score = ref 0. and ok = ref true in
+      for m = 0 to ms.count - 1 do
+        Xk_resilience.Budget.check budget;
+        match semantics with
+        | Elca ->
+            (* Range check: every list needs an alive row in N's run. *)
+            let score = ref 0. and ok = ref true in
+            for i = 0 to k - 1 do
+              if !ok then begin
+                let best =
+                  max_alive_damped lists.(i) damping erased.(i) ~lo:(lo i m)
+                    ~hi:(hi i m) ~level
+                in
+                if best = neg_infinity then ok := false
+                else score := !score +. best
+              end
+            done;
+            if !ok then
+              out := { level; value = ms.values.(m); score = !score } :: !out
+        | Slca ->
+            (* N is an SLCA iff no strict descendant matched, i.e. no run
+               of N contains a previously erased row. *)
+            let clean = ref true in
+            for i = 0 to k - 1 do
+              if Erased.covered erased.(i) ~lo:(lo i m) ~hi:(hi i m) > 0 then
+                clean := false
+            done;
+            if !clean then begin
+              let score = ref 0. in
               for i = 0 to k - 1 do
-                if !ok then begin
-                  let best =
-                    max_alive_damped lists.(i) damping erased.(i) m.runs.(i)
-                      ~level
-                  in
-                  if best = neg_infinity then ok := false
-                  else score := !score +. best
-                end
+                score :=
+                  !score
+                  +. max_damped lists.(i) damping ~lo:(lo i m) ~hi:(hi i m)
+                       ~level
               done;
-              if !ok then
-                out := { level; value = m.value; score = !score } :: !out
-          | Slca ->
-              (* N is an SLCA iff no strict descendant matched, i.e. no run
-                 of N contains a previously erased row. *)
-              let clean = ref true in
-              for i = 0 to k - 1 do
-                let r = m.runs.(i) in
-                if
-                  Erased.covered erased.(i) ~lo:r.start_row
-                    ~hi:(r.start_row + r.count)
-                  > 0
-                then clean := false
-              done;
-              if !clean then begin
-                let score = ref 0. in
-                for i = 0 to k - 1 do
-                  score :=
-                    !score +. max_damped lists.(i) damping m.runs.(i) ~level
-                done;
-                out := { level; value = m.value; score = !score } :: !out
-              end);
-          (* Exclusion: erase N's full runs from every list. *)
-          for i = 0 to k - 1 do
-            let r = m.runs.(i) in
-            kills.(i) <- (r.start_row, r.start_row + r.count) :: kills.(i)
-          done)
-        matches;
-      for i = 0 to k - 1 do
-        Erased.add_batch erased.(i) (List.rev kills.(i))
-      done
+              out := { level; value = ms.values.(m); score = !score } :: !out
+            end
+      done;
+      exclude cols ms erased
     done;
     List.rev !out
   end

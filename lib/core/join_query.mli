@@ -10,15 +10,11 @@ type hit = {
   score : float;
 }
 
-val max_alive_damped :
-  Xk_index.Jlist.t ->
-  Xk_score.Damping.t ->
-  Erased.t ->
-  Xk_index.Column.run ->
-  level:int ->
-  float
-(** Best damped local score among the un-erased rows of a run -
-    [neg_infinity] when none survive (the |Ak| > |B2|+|B3| range check). *)
+val exclude :
+  Xk_index.Column.t array -> Level_join.matches -> Erased.t array -> unit
+(** [exclude cols ms erased] erases every match's full run from every
+    list: [erased.(i)] belongs to the list of column [cols.(i)] (the
+    exclusion of Section III-E, one batch per list). *)
 
 val run :
   ?plan:Level_join.plan ->

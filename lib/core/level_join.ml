@@ -5,7 +5,11 @@
    the largest column; each subsequent join picks the merge join or the
    index join from the sizes of the current intermediate result and the
    next column - the dynamic optimization of Section III-C.  [Force_merge]
-   and [Force_index] exist for the ablation benches. *)
+   and [Force_index] exist for the ablation benches.
+
+   The intermediate result is held column-wise like the columns: the
+   surviving values plus, per column joined so far, the run index of each
+   value, compacted in place as each step filters it. *)
 
 type plan = Dynamic | Force_merge | Force_index
 
@@ -13,10 +17,7 @@ type plan = Dynamic | Force_merge | Force_index
    column before the index join pays for its logarithmic probes. *)
 let index_join_ratio = 16
 
-type match_ = {
-  value : int;
-  runs : Xk_index.Column.run array; (* aligned with the input column order *)
-}
+type matches = { count : int; values : int array; runs : int array array }
 
 type stats = {
   mutable merge_joins : int;
@@ -27,40 +28,8 @@ type stats = {
 
 let new_stats () = { merge_joins = 0; index_joins = 0; probes = 0; scanned = 0 }
 
-(* Values (with their runs) surviving a two-way merge between the current
-   intermediate and a column.  The budget is polled once per intermediate
-   value - granular enough to stop a long scan within milliseconds. *)
-let merge_step budget stats inter (col : Xk_index.Column.t) =
-  stats.merge_joins <- stats.merge_joins + 1;
-  let runs = Xk_index.Column.runs col in
-  let n = Array.length runs in
-  let out = ref [] in
-  let j = ref 0 in
-  List.iter
-    (fun (value, acc) ->
-      Xk_resilience.Budget.check budget;
-      while !j < n && runs.(!j).Xk_index.Column.value < value do
-        incr j;
-        stats.scanned <- stats.scanned + 1
-      done;
-      if !j < n && runs.(!j).Xk_index.Column.value = value then
-        out := (value, runs.(!j) :: acc) :: !out)
-    inter;
-  List.rev !out
-
-let index_step budget stats inter (col : Xk_index.Column.t) =
-  stats.index_joins <- stats.index_joins + 1;
-  List.filter_map
-    (fun (value, acc) ->
-      Xk_resilience.Budget.check budget;
-      stats.probes <- stats.probes + 1;
-      match Xk_index.Column.find col value with
-      | Some r -> Some (value, r :: acc)
-      | None -> None)
-    inter
-
 let join ?stats ?(budget = Xk_resilience.Budget.unlimited) ~plan
-    (cols : Xk_index.Column.t array) : match_ list =
+    (cols : Xk_index.Column.t array) : matches =
   let stats = match stats with Some s -> s | None -> new_stats () in
   let k = Array.length cols in
   if k = 0 then Xk_util.Err.invalid "Level_join.join: no columns";
@@ -71,44 +40,61 @@ let join ?stats ?(budget = Xk_resilience.Budget.unlimited) ~plan
       Int.compare (Xk_index.Column.num_runs cols.(a))
         (Xk_index.Column.num_runs cols.(b)))
     order;
-  if Xk_index.Column.is_empty cols.(order.(0)) then []
+  let runs = Array.make k [||] in
+  let first = cols.(order.(0)) in
+  if Xk_index.Column.is_empty first then { count = 0; values = [||]; runs }
   else begin
-    let first = order.(0) in
-    let inter =
-      ref
-        (Array.to_list
-           (Array.map
-              (fun r -> (r.Xk_index.Column.value, [ r ]))
-              (Xk_index.Column.runs cols.(first))))
-    in
+    let len = ref (Xk_index.Column.num_runs first) in
+    let values = Array.init !len (Xk_index.Column.value first) in
+    runs.(order.(0)) <- Array.init !len Fun.id;
     for oi = 1 to k - 1 do
       let col = cols.(order.(oi)) in
-      let inter_size = List.length !inter in
+      let here = Array.make !len 0 in
+      runs.(order.(oi)) <- here;
+      (* Intermediate value [m] survives with run [r] of [col]: move it
+         down to the next kept slot.  The budget is polled once per
+         intermediate value - granular enough to stop a long scan within
+         milliseconds. *)
+      let kept = ref 0 in
+      let keep m r =
+        values.(!kept) <- values.(m);
+        for oj = 0 to oi - 1 do
+          let a = runs.(order.(oj)) in
+          a.(!kept) <- a.(m)
+        done;
+        here.(!kept) <- r;
+        incr kept
+      in
       let use_index =
         match plan with
         | Force_merge -> false
         | Force_index -> true
-        | Dynamic ->
-            inter_size * index_join_ratio < Xk_index.Column.num_runs col
+        | Dynamic -> !len * index_join_ratio < Xk_index.Column.num_runs col
       in
-      inter :=
-        if use_index then index_step budget stats !inter col
-        else merge_step budget stats !inter col
+      if use_index then begin
+        stats.index_joins <- stats.index_joins + 1;
+        for m = 0 to !len - 1 do
+          Xk_resilience.Budget.check budget;
+          stats.probes <- stats.probes + 1;
+          let r = Xk_index.Column.find col values.(m) in
+          if r >= 0 then keep m r
+        done
+      end
+      else begin
+        stats.merge_joins <- stats.merge_joins + 1;
+        let n = Xk_index.Column.num_runs col in
+        let j = ref 0 in
+        for m = 0 to !len - 1 do
+          Xk_resilience.Budget.check budget;
+          let value = values.(m) in
+          while !j < n && Xk_index.Column.value col !j < value do
+            incr j;
+            stats.scanned <- stats.scanned + 1
+          done;
+          if !j < n && Xk_index.Column.value col !j = value then keep m !j
+        done
+      end;
+      len := !kept
     done;
-    (* Re-align each match's runs with the original column order.  The
-       accumulators were consed in processing order, so they are reversed
-       relative to [order]. *)
-    List.map
-      (fun (value, acc) ->
-        let runs =
-          Array.make k
-            { Xk_index.Column.value = 0; start_row = 0; count = 0 }
-        in
-        List.iteri
-          (fun pos r ->
-            (* [acc] is reversed: position 0 is the last processed list. *)
-            runs.(order.(k - 1 - pos)) <- r)
-          acc;
-        { value; runs })
-      !inter
+    { count = !len; values; runs }
   end

@@ -7,11 +7,13 @@ type plan =
   | Force_merge  (** ablation: always merge join *)
   | Force_index  (** ablation: always index join *)
 
-type match_ = {
-  value : int;  (** the matched JDewey number *)
-  runs : Xk_index.Column.run array;
-      (** the value's run in every input column, in input order *)
+type matches = {
+  count : int;  (** number of matches; only the first [count] slots count *)
+  values : int array;  (** [values.(m)]: the [m]-th matched JDewey number *)
+  runs : int array array;
+      (** [runs.(i).(m)]: the index of match [m]'s run in input column [i] *)
 }
+(** The matches, column-wise, in ascending value order. *)
 
 type stats = {
   mutable merge_joins : int;
@@ -27,7 +29,7 @@ val join :
   ?budget:Xk_resilience.Budget.t ->
   plan:plan ->
   Xk_index.Column.t array ->
-  match_ list
+  matches
 (** Values present in every column, ascending, with set semantics (runs
     already group duplicate numbers).  The budget is polled once per
     intermediate value; raises {!Xk_resilience.Budget.Expired} when it

@@ -119,14 +119,16 @@ let join r ~threshold ~budget ~below ~accept ~ceilings ~next ~pull ~make =
         done;
         !best
   in
+  (* The emptiness test spares computing the bound for an empty heap. *)
   let rec flush () =
-    if r.emitted < r.want then
-      match Xk_util.Heap.peek r.blocked with
-      | Some (total, x) when total >= Float.max (unseen ()) below ->
-          ignore (Xk_util.Heap.pop r.blocked);
-          emit r x;
-          flush ()
-      | Some _ | None -> ()
+    if
+      r.emitted < r.want
+      && (not (Xk_util.Heap.is_empty r.blocked))
+      && Xk_util.Heap.top_at_least r.blocked (Float.max (unseen ()) below)
+    then begin
+      emit r (Xk_util.Heap.pop_value r.blocked);
+      flush ()
+    end
   in
   let rr = ref 0 in
   (* Anytime loop: when the budget trips, stop pulling - everything
@@ -209,7 +211,7 @@ let finish ~budget r =
     && not (Xk_util.Heap.is_empty r.blocked)
     && not (Xk_resilience.Budget.exhausted budget)
   do
-    match Xk_util.Heap.pop r.blocked with Some (_, x) -> emit r x | None -> ()
+    emit r (Xk_util.Heap.pop_value r.blocked)
   done;
   List.rev r.out
 

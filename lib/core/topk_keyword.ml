@@ -180,17 +180,16 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
               let clean = ref true in
               Array.iteri
                 (fun j jl ->
-                  match
-                    Xk_index.Column.find (Xk_index.Jlist.column jl ~level:l)
-                      value
-                  with
-                  | Some r ->
-                      if
-                        Erased.covered erased.(j) ~lo:r.start_row
-                          ~hi:(r.start_row + r.count)
-                        > 0
-                      then clean := false
-                  | None -> clean := false)
+                  let c = Xk_index.Jlist.column jl ~level:l in
+                  let r = Xk_index.Column.find c value in
+                  if r < 0 then clean := false
+                  else
+                    let lo = Xk_index.Column.start c r in
+                    if
+                      Erased.covered erased.(j) ~lo
+                        ~hi:(lo + Xk_index.Column.count c r)
+                      > 0
+                    then clean := false)
                 jls;
               !clean
         in
@@ -220,18 +219,8 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
         let cols = Array.map (fun jl -> Xk_index.Jlist.column jl ~level:l) jls in
         match Level_join.join ~budget ~plan:Level_join.Force_merge cols with
         | exception Xk_resilience.Budget.Expired -> ()
-        | matches ->
-            let kills = Array.make k [] in
-            List.iter
-              (fun (m : Level_join.match_) ->
-                for i = 0 to k - 1 do
-                  let r = m.runs.(i) in
-                  kills.(i) <- (r.start_row, r.start_row + r.count) :: kills.(i)
-                done)
-              matches;
-            for i = 0 to k - 1 do
-              Erased.add_batch erased.(i) (List.rev kills.(i))
-            done;
+        | ms ->
+            Join_query.exclude cols ms erased;
             level := l - 1
       end
     done;

@@ -4,93 +4,110 @@
    Rows holding the same number at level l are contiguous in the list — a
    consequence of Property 3.1 proved in the paper and re-checked as a
    qcheck property in the test suite — so the column is exactly a sorted
-   array of runs (value, start_row, count) over consecutive row indices.
-   This is simultaneously the in-memory working form of the paper's second
-   compression scheme and the unit of its range checking. *)
+   sequence of runs (value, start_row, count) over consecutive row
+   indices: the paper's (v, r, c) triples, which are both the in-memory
+   working form of its second compression scheme and the unit of its
+   range checking.
 
-type run = { value : int; start_row : int; count : int }
+   The runs are stored as three parallel int arrays, one slot per run, so
+   a column is four heap blocks whatever its length (about three words
+   per run) and readers address a run by its index. *)
 
-type t = { runs : run array; entries : int }
+type t = {
+  values : int array; (* strictly increasing *)
+  starts : int array; (* first row of each run *)
+  counts : int array; (* rows in each run, >= 1 *)
+  entries : int; (* sum of counts *)
+}
 
-let runs t = t.runs
-let num_runs t = Array.length t.runs
+let num_runs t = Array.length t.values
 let entries t = t.entries
-let is_empty t = Array.length t.runs = 0
+let is_empty t = Array.length t.values = 0
+let value t i = t.values.(i)
+let start t i = t.starts.(i)
+let count t i = t.counts.(i)
 
-(* Build the level-[l] column (1-based) from document-ordered sequences. *)
+(* Build the level-[l] column (1-based) from document-ordered sequences:
+   one pass counts the runs, a second fills the arrays. *)
 let build (seqs : Xk_encoding.Jdewey.t array) ~level =
   if level < 1 then Xk_util.Err.invalid "Column.build: level must be >= 1";
-  let acc = ref [] in
-  let n_runs = ref 0 in
-  let cur_value = ref (-1) and cur_start = ref (-1) and cur_count = ref 0 in
-  let flush () =
-    if !cur_count > 0 then begin
-      acc := { value = !cur_value; start_row = !cur_start; count = !cur_count } :: !acc;
-      incr n_runs
-    end
-  in
-  let total = ref 0 in
+  let n_runs = ref 0 and entries = ref 0 in
+  let cur_value = ref (-1) and next_row = ref (-1) in
   Array.iteri
     (fun r (s : Xk_encoding.Jdewey.t) ->
       if Array.length s >= level then begin
         let v = s.(level - 1) in
-        incr total;
-        if v = !cur_value && !cur_start + !cur_count = r then
-          incr cur_count
-        else begin
+        incr entries;
+        if not (v = !cur_value && r = !next_row) then begin
           (* Runs must be strictly increasing and internally contiguous;
              both follow from Property 3.1 for document-ordered input. *)
           assert (v > !cur_value);
-          flush ();
-          cur_value := v;
-          cur_start := r;
-          cur_count := 1
+          incr n_runs;
+          cur_value := v
+        end;
+        next_row := r + 1
+      end)
+    seqs;
+  let values = Array.make !n_runs 0
+  and starts = Array.make !n_runs 0
+  and counts = Array.make !n_runs 0 in
+  let i = ref (-1) in
+  Array.iteri
+    (fun r (s : Xk_encoding.Jdewey.t) ->
+      if Array.length s >= level then begin
+        let v = s.(level - 1) in
+        if !i >= 0 && v = values.(!i) && r = starts.(!i) + counts.(!i) then
+          counts.(!i) <- counts.(!i) + 1
+        else begin
+          incr i;
+          values.(!i) <- v;
+          starts.(!i) <- r;
+          counts.(!i) <- 1
         end
       end)
     seqs;
-  flush ();
-  { runs = Array.of_list (List.rev !acc); entries = !total }
+  { values; starts; counts; entries = !entries }
 
-(* Reassemble a column from complete runs (store decoding path). *)
-let of_runs (runs : run array) =
-  let entries = Array.fold_left (fun a r -> a + r.count) 0 runs in
-  { runs; entries }
+let of_arrays ~values ~starts ~counts =
+  let n = Array.length values in
+  if Array.length starts <> n || Array.length counts <> n then
+    Xk_util.Err.invalid "Column.of_arrays: length mismatch";
+  { values; starts; counts; entries = Array.fold_left ( + ) 0 counts }
 
-(* Binary search for the run holding [value]. *)
+(* Binary search for the run holding [value]; -1 if none. *)
 let find t value =
-  let runs = t.runs in
-  let lo = ref 0 and hi = ref (Array.length runs - 1) in
-  let res = ref None in
+  let values = t.values in
+  let lo = ref 0 and hi = ref (Array.length values - 1) in
+  let res = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let r = runs.(mid) in
-    if r.value = value then begin
-      res := Some r;
+    let v = values.(mid) in
+    if v = value then begin
+      res := mid;
       lo := !hi + 1
     end
-    else if r.value < value then lo := mid + 1
+    else if v < value then lo := mid + 1
     else hi := mid - 1
   done;
   !res
 
-(* Index of the first run with value >= [value] (Array.length runs if none):
-   the resume point for merge scans. *)
+(* Index of the first run with value >= [value] (num_runs if none): the
+   resume point for merge scans. *)
 let lower_bound t value =
-  let runs = t.runs in
-  let lo = ref 0 and hi = ref (Array.length runs) in
+  let values = t.values in
+  let lo = ref 0 and hi = ref (Array.length values) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if runs.(mid).value < value then lo := mid + 1 else hi := mid
+    if values.(mid) < value then lo := mid + 1 else hi := mid
   done;
   !lo
 
 let max_value t =
-  let n = Array.length t.runs in
-  if n = 0 then None else Some t.runs.(n - 1).value
+  let n = Array.length t.values in
+  if n = 0 then None else Some t.values.(n - 1)
 
 let to_codec_runs t : Xk_storage.Column_codec.run array =
-  Array.map
-    (fun r -> { Xk_storage.Column_codec.value = r.value; count = r.count })
-    t.runs
+  Array.init (num_runs t) (fun i ->
+      { Xk_storage.Column_codec.value = t.values.(i); count = t.counts.(i) })
 
 let encoded_size t = Xk_storage.Column_codec.encoded_size (to_codec_runs t)

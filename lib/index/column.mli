@@ -1,8 +1,8 @@
 (** One column (tree level) of a JDewey inverted list, stored as sorted
-    runs of equal numbers over contiguous row indices — the paper's second
-    compression scheme and the unit of range checking. *)
-
-type run = { value : int; start_row : int; count : int }
+    runs of equal numbers over contiguous row indices — the paper's
+    (v, r, c) triples, its second compression scheme and the unit of range
+    checking.  Runs are addressed by index [0 .. num_runs - 1], in
+    ascending value order. *)
 
 type t
 
@@ -10,10 +10,11 @@ val build : Xk_encoding.Jdewey.t array -> level:int -> t
 (** Column [level] (1-based) of document-ordered sequences; rows with
     shorter sequences do not appear. *)
 
-val of_runs : run array -> t
-(** Reassemble from complete runs (the store's decoding path). *)
+val of_arrays : values:int array -> starts:int array -> counts:int array -> t
+(** Reassemble from complete runs (the store's decoding path): run [i] is
+    [(values.(i), starts.(i), counts.(i))].  The column takes the arrays
+    over; raises [Invalid_argument] if their lengths differ. *)
 
-val runs : t -> run array
 val num_runs : t -> int
 
 val entries : t -> int
@@ -21,8 +22,18 @@ val entries : t -> int
 
 val is_empty : t -> bool
 
-val find : t -> int -> run option
-(** Run holding a JDewey number, by binary search. *)
+val value : t -> int -> int
+(** The JDewey number of run [i]. *)
+
+val start : t -> int -> int
+(** The first row of run [i]. *)
+
+val count : t -> int -> int
+(** The number of rows in run [i]. *)
+
+val find : t -> int -> int
+(** Index of the run holding a JDewey number, by binary search; [-1] if
+    the column does not hold it. *)
 
 val lower_bound : t -> int -> int
 (** Index of the first run with value >= the argument. *)

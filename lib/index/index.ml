@@ -239,18 +239,21 @@ let jlist t id =
       let scores = scores_of_raw t id r in
       Jlist.make ~seqs ~nodes:r.r_nodes ~scores)
 
+(* The posting and score-list shapes are built from the term's jlist, so
+   they share its node and score arrays instead of decoding the rows and
+   recomputing the scores again.  Their compute steps take the jcache
+   shard lock from inside the pcache or scache shard lock.  Safe, because
+   jlist's compute locks neither (no cyclic lock order across the three
+   caches). *)
 let posting t id =
   Shard_cache.find_or_add t.pcache id ~compute:(fun id ->
-      let r = fetch_raw t id in
+      let jl = jlist t id in
+      let nodes = Jlist.nodes jl in
       let deweys =
-        Array.map (fun n -> Xk_encoding.Labeling.dewey t.label n) r.r_nodes
+        Array.map (fun n -> Xk_encoding.Labeling.dewey t.label n) nodes
       in
-      let scores = scores_of_raw t id r in
-      Posting.make ~deweys ~nodes:r.r_nodes ~scores)
+      Posting.make ~deweys ~nodes ~scores:(Jlist.scores jl))
 
-(* Note: the compute step takes the jcache shard lock from inside the
-   scache shard lock.  Safe, because jlist's compute never locks scache
-   (no cyclic lock order across the three caches). *)
 let score_list t id =
   Shard_cache.find_or_add t.scache id ~compute:(fun id ->
       Score_list.make (jlist t id) Xk_score.Damping.default)

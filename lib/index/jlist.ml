@@ -25,6 +25,8 @@ let seq t r = (Lazy.force t.seqs).(r)
 let node t r = t.nodes.(r)
 let score t r = t.scores.(r)
 let row_len t r = t.row_lens.(r)
+let nodes t = t.nodes
+let scores t = t.scores
 
 let column t ~level =
   if level < 1 || level > t.max_len then
@@ -75,12 +77,12 @@ let make_lazy ~nodes ~scores ~row_lens ~max_len ~loader =
           (let seqs = Array.init n (fun r -> Array.make row_lens.(r) 0) in
            for level = 1 to max_len do
              let c = column t ~level in
-             Array.iter
-               (fun (run : Column.run) ->
-                 for r = run.start_row to run.start_row + run.count - 1 do
-                   seqs.(r).(level - 1) <- run.value
-                 done)
-               (Column.runs c)
+             for i = 0 to Column.num_runs c - 1 do
+               let start = Column.start c i in
+               for r = start to start + Column.count c i - 1 do
+                 seqs.(r).(level - 1) <- Column.value c i
+               done
+             done
            done;
            seqs);
       nodes;

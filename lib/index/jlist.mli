@@ -32,6 +32,11 @@ val node : t -> int -> int
 val score : t -> int -> float
 val row_len : t -> int -> int
 
+val nodes : t -> int array
+val scores : t -> float array
+(** The list's own per-row arrays, shared so that other list shapes of
+    the same term can reuse them: callers must not mutate them. *)
+
 val column : t -> level:int -> Column.t
 
 val encoded_size : t -> int

@@ -193,7 +193,7 @@ let decode_column t (e : entry) (row_lens : int array) ~level =
   done;
   let covered = Array.of_list !covered in
   let pos = ref 0 in
-  let runs =
+  let starts =
     Array.map
       (fun (r : Xk_storage.Column_codec.run) ->
         let start_row = covered.(!pos) in
@@ -202,10 +202,13 @@ let decode_column t (e : entry) (row_lens : int array) ~level =
         if covered.(!pos + r.count - 1) <> start_row + r.count - 1 then
           raise (Format_error "non-contiguous run");
         pos := !pos + r.count;
-        { Column.value = r.value; start_row; count = r.count })
+        start_row)
       raw
   in
-  Column.of_runs runs
+  Column.of_arrays
+    ~values:(Array.map (fun (r : Xk_storage.Column_codec.run) -> r.value) raw)
+    ~starts
+    ~counts:(Array.map (fun (r : Xk_storage.Column_codec.run) -> r.count) raw)
 
 let jlist t id : Jlist.t =
   match Hashtbl.find_opt t.cache id with

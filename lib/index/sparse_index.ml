@@ -14,13 +14,12 @@ let default_stride = 64
 
 let build ?(stride = default_stride) (c : Column.t) =
   if stride < 1 then Xk_util.Err.invalid "Sparse_index.build";
-  let runs = Column.runs c in
-  let n = Array.length runs in
+  let n = Column.num_runs c in
   let count = (n + stride - 1) / stride in
   let values = Array.make count 0 in
   let positions = Array.make count 0 in
   for i = 0 to count - 1 do
-    values.(i) <- runs.(i * stride).value;
+    values.(i) <- Column.value c (i * stride);
     positions.(i) <- i * stride
   done;
   { stride; values; positions }

@@ -39,33 +39,39 @@ let push h key v =
     i := (!i - 1) / 2
   done
 
-let peek h = if h.len = 0 then None else Some (h.keys.(0), h.vals.(0))
+(* Neither query below returns a float, an option or a tuple: the top-K
+   operators ask them after every sorted access, and a float returned
+   across a module boundary is boxed whenever the call is not inlined. *)
+let top_at_least h bound = h.len > 0 && h.keys.(0) >= bound
 
-let pop h =
-  if h.len = 0 then None
-  else begin
-    let top = (h.keys.(0), h.vals.(0)) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.keys.(0) <- h.keys.(h.len);
-      h.vals.(0) <- h.vals.(h.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < h.len && h.keys.(l) > h.keys.(!m) then m := l;
-        if r < h.len && h.keys.(r) > h.keys.(!m) then m := r;
-        if !m = !i then continue := false
-        else begin
-          swap h !i !m;
-          i := !m
-        end
-      done
-    end;
-    Some top
-  end
+let pop_value h =
+  if h.len = 0 then Err.invalid "Heap.pop_value: empty heap";
+  let top = h.vals.(0) in
+  h.len <- h.len - 1;
+  if h.len > 0 then begin
+    h.keys.(0) <- h.keys.(h.len);
+    h.vals.(0) <- h.vals.(h.len);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let m = ref !i in
+      if l < h.len && h.keys.(l) > h.keys.(!m) then m := l;
+      if r < h.len && h.keys.(r) > h.keys.(!m) then m := r;
+      if !m = !i then continue := false
+      else begin
+        swap h !i !m;
+        i := !m
+      end
+    done
+  end;
+  top
 
 let drain h =
-  let rec go acc = match pop h with None -> List.rev acc | Some x -> go (x :: acc) in
+  let rec go acc =
+    if h.len = 0 then List.rev acc
+    else
+      let key = h.keys.(0) in
+      go ((key, pop_value h) :: acc)
+  in
   go []

@@ -6,8 +6,14 @@ val create : unit -> 'a t
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> float -> 'a -> unit
-val peek : 'a t -> (float * 'a) option
-val pop : 'a t -> (float * 'a) option
+
+val top_at_least : 'a t -> float -> bool
+(** [top_at_least h bound]: the heap is non-empty and its highest priority
+    is [>= bound].  Allocates nothing. *)
+
+val pop_value : 'a t -> 'a
+(** Remove the highest-priority element and return its value; allocates
+    nothing.  Raises [Invalid_argument] on an empty heap. *)
 
 val drain : 'a t -> (float * 'a) list
 (** Pop everything, highest priority first. *)

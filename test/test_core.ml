@@ -146,9 +146,7 @@ let column_of_values values =
   Xk_index.Column.build (Array.map (fun v -> [| v |]) values) ~level:1
 
 let naive_intersection (cols : Xk_index.Column.t array) =
-  let values c =
-    Array.to_list (Array.map (fun (r : Xk_index.Column.run) -> r.value) (Xk_index.Column.runs c))
-  in
+  let values c = List.map (fun (v, _, _) -> v) (Tutil.column_runs c) in
   match Array.to_list cols with
   | [] -> []
   | first :: rest ->
@@ -170,9 +168,8 @@ let level_join_matches_naive plan () =
                  !v)))
     in
     let expected = naive_intersection cols in
-    let got =
-      List.map (fun (m : Level_join.match_) -> m.value) (Level_join.join ~plan cols)
-    in
+    let ms = Level_join.join ~plan cols in
+    let got = List.init ms.count (fun m -> ms.values.(m)) in
     check Alcotest.(list int) "match values" expected (List.sort Int.compare got)
   done
 
@@ -184,19 +181,99 @@ let level_join_runs_aligned () =
     |]
   in
   let ms = Level_join.join ~plan:Level_join.Dynamic cols in
-  List.iter
-    (fun (m : Level_join.match_) ->
-      Array.iteri
-        (fun i (r : Xk_index.Column.run) ->
-          (* The run in slot i must come from column i and hold the value. *)
-          check Alcotest.int "run value" m.value r.value;
-          match Xk_index.Column.find cols.(i) m.value with
-          | Some r' -> check Alcotest.int "run start" r'.start_row r.start_row
-          | None -> Alcotest.fail "value missing from column")
-        m.runs)
-    ms;
+  for m = 0 to ms.count - 1 do
+    Array.iteri
+      (fun i col ->
+        (* The run in slot i must come from column i and hold the value. *)
+        let r = ms.runs.(i).(m) in
+        check Alcotest.int "run value" ms.values.(m) (Xk_index.Column.value col r);
+        check Alcotest.int "run found" (Xk_index.Column.find col ms.values.(m)) r)
+      cols
+  done;
   check Alcotest.(list int) "values" [ 3; 5; 7 ]
-    (List.sort Int.compare (List.map (fun (m : Level_join.match_) -> m.value) ms))
+    (List.init ms.count (fun m -> ms.values.(m)))
+
+(* Nested-loop reference: each run of column 0 whose value some run of
+   every other column holds, with the run index in each column. *)
+let nested_loop_join (cols : Xk_index.Column.t array) =
+  let module C = Xk_index.Column in
+  let k = Array.length cols in
+  List.filter_map
+    (fun r0 ->
+      let v = C.value cols.(0) r0 in
+      let idx =
+        Array.init k (fun i ->
+            if i = 0 then r0
+            else
+              List.fold_left
+                (fun acc r -> if C.value cols.(i) r = v then r else acc)
+                (-1)
+                (List.init (C.num_runs cols.(i)) Fun.id))
+      in
+      if Array.for_all (fun r -> r >= 0) idx then Some (v, Array.to_list idx)
+      else None)
+    (List.init (C.num_runs cols.(0)) Fun.id)
+
+let join_as_list (ms : Level_join.matches) k =
+  List.init ms.count (fun m ->
+      (ms.values.(m), List.init k (fun i -> ms.runs.(i).(m))))
+
+let all_plans = [ Level_join.Dynamic; Level_join.Force_merge; Level_join.Force_index ]
+
+let check_against_nested_loop cols =
+  let expected = nested_loop_join cols in
+  List.iter
+    (fun plan ->
+      let got = join_as_list (Level_join.join ~plan cols) (Array.length cols) in
+      if got <> expected then
+        QCheck.Test.fail_reportf "%d matches, nested loop finds %d"
+          (List.length got) (List.length expected))
+    all_plans
+
+(* Columns of the JDewey lists of random keywords on random trees, at
+   every level the keywords share. *)
+let level_join_nested_loop_prop =
+  QCheck.Test.make ~count:200
+    ~name:"level join = nested loop (random trees, every plan)"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 4))
+    (fun (seed, k) ->
+      let doc = Xk_datagen.Random_tree.generate (Xk_datagen.Rng.create seed) in
+      let idx = Xk_index.Index.build (Xk_encoding.Labeling.label doc) in
+      let rng = Xk_datagen.Rng.create (seed + 5) in
+      let terms = Xk_index.Index.term_count idx in
+      let k = min k terms in
+      let jls =
+        Array.map (Xk_index.Index.jlist idx)
+          (Xk_datagen.Rng.sample rng ~n:terms ~k)
+      in
+      let lmin =
+        Array.fold_left (fun m jl -> min m (Xk_index.Jlist.max_len jl)) max_int jls
+      in
+      for level = 1 to if k = 0 then 0 else lmin do
+        check_against_nested_loop
+          (Array.map (fun jl -> Xk_index.Jlist.column jl ~level) jls)
+      done;
+      true)
+
+(* Columns of very different sizes, so that the dynamic plan mixes index
+   and merge steps. *)
+let level_join_skewed_prop =
+  QCheck.Test.make ~count:200
+    ~name:"level join = nested loop (skewed columns, every plan)"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 4))
+    (fun (seed, k) ->
+      let rng = Xk_datagen.Rng.create seed in
+      let cols =
+        Array.init k (fun _ ->
+            let n = if Xk_datagen.Rng.bool rng then 600 else 8 in
+            let v = ref 0 in
+            column_of_values
+              (Array.init (Xk_datagen.Rng.int rng n) (fun _ ->
+                   v := !v + 1 + Xk_datagen.Rng.int rng 3;
+                   !v)))
+      in
+      check_against_nested_loop cols;
+      true)
 
 let level_join_stats () =
   let small = column_of_values (Array.init 3 (fun i -> (i * 100) + 1)) in
@@ -512,6 +589,8 @@ let suite =
         tc "index vs naive" `Quick (level_join_matches_naive Level_join.Force_index);
         tc "runs aligned" `Quick level_join_runs_aligned;
         tc "plan statistics" `Quick level_join_stats;
+        QCheck_alcotest.to_alcotest level_join_nested_loop_prop;
+        QCheck_alcotest.to_alcotest level_join_skewed_prop;
       ] );
     ( "core.join_query",
       [

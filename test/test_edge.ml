@@ -47,7 +47,7 @@ let empty_column () =
   let c = Xk_index.Column.build [||] ~level:1 in
   check Alcotest.bool "empty" true (Xk_index.Column.is_empty c);
   check Alcotest.(option int) "max" None (Xk_index.Column.max_value c);
-  check Alcotest.bool "find" true (Xk_index.Column.find c 5 = None);
+  check Alcotest.int "find" (-1) (Xk_index.Column.find c 5);
   check Alcotest.int "lower bound" 0 (Xk_index.Column.lower_bound c 5)
 
 let scorer_extremes () =
@@ -229,15 +229,20 @@ let level_join_empty_column () =
   let full = Xk_index.Column.build [| [| 1 |]; [| 2 |] |] ~level:1 in
   let empty = Xk_index.Column.build [||] ~level:1 in
   check Alcotest.int "no matches" 0
-    (List.length (Level_join.join ~plan:Level_join.Dynamic [| full; empty |]))
+    (Level_join.join ~plan:Level_join.Dynamic [| full; empty |]).count
 
-(* Column.of_runs must mirror build. *)
-let column_of_runs_roundtrip () =
+(* Column.of_arrays must mirror build. *)
+let column_of_arrays_roundtrip () =
   let seqs = Array.map (fun v -> [| v |]) [| 1; 1; 3; 7; 7; 7 |] in
   let built = Xk_index.Column.build seqs ~level:1 in
-  let rebuilt = Xk_index.Column.of_runs (Xk_index.Column.runs built) in
-  check Alcotest.bool "same runs" true
-    (Xk_index.Column.runs built = Xk_index.Column.runs rebuilt);
+  let runs = Tutil.column_runs built in
+  let rebuilt =
+    Xk_index.Column.of_arrays
+      ~values:(Array.of_list (List.map (fun (v, _, _) -> v) runs))
+      ~starts:(Array.of_list (List.map (fun (_, s, _) -> s) runs))
+      ~counts:(Array.of_list (List.map (fun (_, _, c) -> c) runs))
+  in
+  check Alcotest.bool "same runs" true (runs = Tutil.column_runs rebuilt);
   check Alcotest.int "entries" (Xk_index.Column.entries built)
     (Xk_index.Column.entries rebuilt)
 
@@ -265,7 +270,7 @@ let suite =
         tc "element summary truncates" `Quick element_summary_truncates;
         tc "element_of maps text to parent" `Quick element_of_text_node;
         tc "level join with empty column" `Quick level_join_empty_column;
-        tc "column of_runs roundtrip" `Quick column_of_runs_roundtrip;
+        tc "column of_arrays roundtrip" `Quick column_of_arrays_roundtrip;
         QCheck_alcotest.to_alcotest slca_topk_prop;
         QCheck_alcotest.to_alcotest tokenizer_prop;
       ] );

@@ -116,8 +116,10 @@ let heap_basics () =
   List.iter (fun (k, v) -> Xk_util.Heap.push h k v)
     [ (1.0, "a"); (3.0, "c"); (2.0, "b"); (5.0, "e"); (4.0, "d") ];
   check Alcotest.int "size" 5 (Xk_util.Heap.size h);
-  check Alcotest.(option (pair (float 0.) string)) "peek" (Some (5.0, "e"))
-    (Xk_util.Heap.peek h);
+  check Alcotest.bool "top at least 5" true (Xk_util.Heap.top_at_least h 5.0);
+  check Alcotest.bool "top below 5.5" false (Xk_util.Heap.top_at_least h 5.5);
+  check Alcotest.string "pop" "e" (Xk_util.Heap.pop_value h);
+  Xk_util.Heap.push h 5.0 "e";
   let order = List.map snd (Xk_util.Heap.drain h) in
   check Alcotest.(list string) "drain order" [ "e"; "d"; "c"; "b"; "a" ] order
 
@@ -129,6 +131,29 @@ let heap_random =
       List.iter (fun f -> Xk_util.Heap.push h f ()) floats;
       let drained = List.map fst (Xk_util.Heap.drain h) in
       drained = List.sort (fun a b -> Float.compare b a) floats)
+
+(* The per-access heap queries of the top-K operators allocate nothing:
+   no option, tuple or boxed float per call. *)
+let heap_queries_allocate_nothing () =
+  let h = Xk_util.Heap.create () in
+  for i = 0 to 999 do
+    Xk_util.Heap.push h (float_of_int ((i * 7919) mod 1000)) i
+  done;
+  let hits = ref 0 and sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    if Xk_util.Heap.top_at_least h 500.0 then incr hits;
+    sum := !sum + Xk_util.Heap.pop_value h
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "heap drained" 0 (Xk_util.Heap.size h);
+  check Alcotest.int "values" (999 * 1000 / 2) !sum;
+  check Alcotest.int "tops at least 500" 500 !hits;
+  if words > 100. then
+    Alcotest.failf "2000 heap queries allocated %.0f minor words" words;
+  Alcotest.check_raises "empty pop"
+    (Invalid_argument "Heap.pop_value: empty heap") (fun () ->
+      ignore (Xk_util.Heap.pop_value h))
 
 (* End-to-end integration on a realistic corpus: every algorithm, both
    semantics, every planted query. *)
@@ -182,6 +207,7 @@ let suite =
         tc "explain witnesses" `Quick explain_witnesses;
         tc "snippet contains keyword" `Quick snippet_contains_keyword;
         tc "heap basics" `Quick heap_basics;
+        tc "heap queries allocate nothing" `Quick heap_queries_allocate_nothing;
         tc "DBLP integration, all algorithms" `Slow dblp_integration;
         QCheck_alcotest.to_alcotest heap_random;
       ] );

@@ -15,12 +15,11 @@ let column_runs () =
   check Alcotest.int "level1 entries" 5 (Column.entries c1);
   let c2 = Column.build seqs ~level:2 in
   check Alcotest.int "level2 runs" 3 (Column.num_runs c2);
-  (match Column.find c2 2 with
-  | Some r ->
-      check Alcotest.int "run start" 2 r.start_row;
-      check Alcotest.int "run count" 2 r.count
-  | None -> Alcotest.fail "find 2");
-  check Alcotest.bool "missing value" true (Column.find c2 4 = None);
+  let r = Column.find c2 2 in
+  check Alcotest.int "run index" 1 r;
+  check Alcotest.int "run start" 2 (Column.start c2 r);
+  check Alcotest.int "run count" 2 (Column.count c2 r);
+  check Alcotest.int "missing value" (-1) (Column.find c2 4);
   let c3 = Column.build seqs ~level:3 in
   check Alcotest.int "level3 skips short rows" 2 (Column.entries c3);
   check Alcotest.(option int) "max value" (Some 9) (Column.max_value c3)
@@ -51,23 +50,106 @@ let run_contiguity_prop =
         let jl = Index.jlist idx id in
         for level = 1 to Jlist.max_len jl do
           let c = Jlist.column jl ~level in
-          let runs = Column.runs c in
-          Array.iteri
-            (fun i (r : Column.run) ->
-              if i > 0 then begin
-                let p = runs.(i - 1) in
-                if r.value <= p.value then ok := false
-              end;
-              (* Every row in the run really has this value at the level. *)
-              for row = r.start_row to r.start_row + r.count - 1 do
-                let s = Jlist.seq jl row in
-                if Array.length s < level || s.(level - 1) <> r.value then
-                  ok := false
-              done)
-            runs
+          for i = 0 to Column.num_runs c - 1 do
+            let value = Column.value c i in
+            if i > 0 && value <= Column.value c (i - 1) then ok := false;
+            (* Every row in the run really has this value at the level. *)
+            let start = Column.start c i in
+            for row = start to start + Column.count c i - 1 do
+              let s = Jlist.seq jl row in
+              if Array.length s < level || s.(level - 1) <> value then
+                ok := false
+            done
+          done
         done
       done;
       !ok)
+
+(* The reference a column must match: run-length encode the level-[level]
+   numbers of the rows long enough to hold one, starting a new run at a
+   value change or a skipped row. *)
+let naive_runs seqs ~level =
+  let runs = ref [] in
+  Array.iteri
+    (fun r (s : Xk_encoding.Jdewey.t) ->
+      if Array.length s >= level then
+        let v = s.(level - 1) in
+        match !runs with
+        | (pv, ps, pc) :: rest when pv = v && ps + pc = r ->
+            runs := (pv, ps, pc + 1) :: rest
+        | _ -> runs := (v, r, 1) :: !runs)
+    seqs;
+  List.rev !runs
+
+let column_matches_reference_prop =
+  QCheck.Test.make ~count:200
+    ~name:"column = run-length reference (random trees)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let doc = Xk_datagen.Random_tree.generate (Xk_datagen.Rng.create seed) in
+      let idx = Index.build (Xk_encoding.Labeling.label doc) in
+      for id = 0 to Index.term_count idx - 1 do
+        let jl = Index.jlist idx id in
+        let seqs = Array.init (Jlist.length jl) (Jlist.seq jl) in
+        for level = 1 to Jlist.max_len jl do
+          let c = Jlist.column jl ~level in
+          let runs = naive_runs seqs ~level in
+          let fail what =
+            QCheck.Test.fail_reportf "term %s, level %d: %s differs"
+              (Index.term idx id) level what
+          in
+          if Tutil.column_runs c <> runs then fail "runs";
+          if Column.num_runs c <> List.length runs then fail "num_runs";
+          if Column.entries c <> List.fold_left (fun a (_, _, n) -> a + n) 0 runs
+          then fail "entries";
+          let values = List.map (fun (v, _, _) -> v) runs in
+          if Column.max_value c <> List.nth_opt (List.rev values) 0 then
+            fail "max_value";
+          (* Every number from below the first value to past the last. *)
+          for probe = -1 to List.fold_left max 0 values + 1 do
+            let below = List.length (List.filter (fun v -> v < probe) values) in
+            let expect_find = if List.mem probe values then below else -1 in
+            if Column.find c probe <> expect_find then fail "find";
+            if Column.lower_bound c probe <> below then fail "lower_bound"
+          done
+        done
+      done;
+      true)
+
+(* Deterministic memory gate on the cached columns: every term of a fixed
+   DBLP corpus warmed, then the words reachable from its columns of at
+   least 16 runs.  Three int arrays cost 3 words per run plus 8 words per
+   column (four headers, four fields), so at most 3.5 words per run at 16
+   runs; one boxed record per run would cost 5. *)
+let column_words_per_run () =
+  let corpus =
+    Xk_datagen.Dblp_gen.generate
+      { (Xk_datagen.Dblp_gen.scaled 0.05) with seed = 2010 }
+  in
+  let idx = Index.build (Xk_encoding.Labeling.label corpus.doc) in
+  let ids = List.init (Index.term_count idx) Fun.id in
+  Index.warm idx ids;
+  let cols = ref [] and runs = ref 0 in
+  List.iter
+    (fun id ->
+      let jl = Index.jlist idx id in
+      for level = 1 to Jlist.max_len jl do
+        let c = Jlist.column jl ~level in
+        if Column.num_runs c >= 16 then begin
+          cols := c :: !cols;
+          runs := !runs + Column.num_runs c
+        end
+      done)
+    ids;
+  let cols = Array.of_list !cols in
+  (* Not vacuous: the corpus has hundreds of such columns. *)
+  check Alcotest.bool "enough runs measured" true
+    (Array.length cols >= 400 && !runs >= 20_000);
+  let words = Obj.reachable_words (Obj.repr cols) - (Array.length cols + 1) in
+  let per_run = float_of_int words /. float_of_int !runs in
+  if per_run > 3.5 then
+    Alcotest.failf "columns take %.3f words per run (%d words, %d runs)" per_run
+      words !runs
 
 let small_index () =
   let doc =
@@ -173,14 +255,12 @@ let sparse_index_probe () =
   let seqs = seqs_of (List.init 1000 (fun i -> [ (2 * i) + 1 ])) in
   let c = Column.build seqs ~level:1 in
   let sp = Sparse_index.build ~stride:32 c in
-  let runs = Column.runs c in
   let num_runs = Column.num_runs c in
-  Array.iteri
-    (fun i (r : Column.run) ->
-      let lo, hi = Sparse_index.probe sp ~num_runs r.value in
-      check Alcotest.bool "window contains run" true (lo <= i && i < hi);
-      check Alcotest.bool "window narrow" true (hi - lo <= 32))
-    runs;
+  for i = 0 to num_runs - 1 do
+    let lo, hi = Sparse_index.probe sp ~num_runs (Column.value c i) in
+    check Alcotest.bool "window contains run" true (lo <= i && i < hi);
+    check Alcotest.bool "window narrow" true (hi - lo <= 32)
+  done;
   check Alcotest.bool "size accounted" true (Sparse_index.encoded_size sp > 0)
 
 let jlist_encoded_size () =
@@ -922,7 +1002,9 @@ let suite =
         tc "sparse index probe" `Quick sparse_index_probe;
         tc "jlist encoded size" `Quick jlist_encoded_size;
         tc "index sizes report" `Slow sizes_report;
+        tc "column words per run" `Quick column_words_per_run;
         QCheck_alcotest.to_alcotest run_contiguity_prop;
+        QCheck_alcotest.to_alcotest column_matches_reference_prop;
       ] );
     ( "index.cache",
       [

@@ -28,8 +28,8 @@ let columns_roundtrip () =
         check Alcotest.int "rows" (Jlist.length mem) (Jlist.length disk);
         check Alcotest.int "max_len" (Jlist.max_len mem) (Jlist.max_len disk);
         for level = 1 to Jlist.max_len mem do
-          let rm = Column.runs (Jlist.column mem ~level) in
-          let rd = Column.runs (Jlist.column disk ~level) in
+          let rm = Tutil.column_runs (Jlist.column mem ~level) in
+          let rd = Tutil.column_runs (Jlist.column disk ~level) in
           if rm <> rd then
             Alcotest.failf "column %d of %s differs" level (Index.term idx id)
         done;

@@ -12,6 +12,11 @@ let random_query rng ~k ~alphabet =
   let ks = Xk_datagen.Rng.sample rng ~n:alphabet ~k in
   Array.to_list (Array.map Xk_datagen.Random_tree.keyword ks)
 
+(* A column's runs as (value, start row, count) triples, in run order. *)
+let column_runs (c : Xk_index.Column.t) =
+  List.init (Xk_index.Column.num_runs c) (fun i ->
+      (Xk_index.Column.value c i, Xk_index.Column.start c i, Xk_index.Column.count c i))
+
 let sort_hits (hits : Xk_baselines.Hit.t list) =
   List.sort Xk_baselines.Hit.compare_node hits
 
