@@ -375,7 +375,10 @@ let with_writer t f =
 
 let rm path = try Sys.remove path with Sys_error _ -> ()
 
-let compact_steps t st ~clean ~dirty ~delta =
+(* The durable steps of one compaction: the next generation's documents
+   and index segment, the manifest, the WAL rotation, then the unlink
+   pass.  Returns the sealed list after it. *)
+let compact_steps t ~lsn ~next_doc ~clean ~dirty ~delta =
   Chaos.crash_point "compact-begin";
   let merged =
     List.sort
@@ -389,7 +392,7 @@ let compact_steps t st ~clean ~dirty ~delta =
           dirty)
   in
   let next_gen =
-    1 + List.fold_left (fun m s -> max m s.seg_gen) 0 st.st_sealed
+    1 + List.fold_left (fun m s -> max m s.seg_gen) 0 (clean @ dirty)
   in
   if Chaos.crash_armed "compact-docs-torn" && merged <> [] then begin
     (* a torn temp write: half the docs file lands, then the process
@@ -402,7 +405,7 @@ let compact_steps t st ~clean ~dirty ~delta =
     Chaos.crash_point "compact-docs-torn"
   end;
   let* new_seg =
-    if merged = [] then Ok None
+    if merged = [] then Ok []
     else begin
       save_framed ~fsync:t.l_fsync ~magic:docs_magic
         (docs_path t.l_dir next_gen)
@@ -413,22 +416,19 @@ let compact_steps t st ~clean ~dirty ~delta =
           next_gen merged
       in
       Chaos.crash_point "compact-seg";
-      Ok (Some { seg_gen = next_gen; seg_docs = merged })
+      Ok [ { seg_gen = next_gen; seg_docs = merged } ]
     end
   in
+  let sealed' = clean @ new_seg in
   Chaos.crash_point "compact-manifest";
-  let gens' =
-    List.map (fun s -> s.seg_gen) clean
-    @ match new_seg with Some s -> [ s.seg_gen ] | None -> []
-  in
   save_framed ~fsync:t.l_fsync ~magic:manifest_magic (manifest_path t.l_dir)
     (encode_manifest
        {
          m_root_tag = t.l_root_tag;
          m_root_attrs = t.l_root_attrs;
-         m_next_doc = st.st_next_doc;
-         m_durable_lsn = st.st_lsn;
-         m_gens = gens';
+         m_next_doc = next_doc;
+         m_durable_lsn = lsn;
+         m_gens = List.map (fun s -> s.seg_gen) sealed';
        });
   Chaos.crash_point "compact-rotate";
   (* [Wal.create] replaces the log atomically: there is no instant at
@@ -436,7 +436,7 @@ let compact_steps t st ~clean ~dirty ~delta =
   Wal.close t.l_wal;
   let* w =
     Result.map_error of_wal_error
-      (Wal.create ~fsync:t.l_fsync ~base_lsn:st.st_lsn (wal_path t.l_dir))
+      (Wal.create ~fsync:t.l_fsync ~base_lsn:lsn (wal_path t.l_dir))
   in
   t.l_wal <- w;
   Chaos.crash_point "compact-done";
@@ -445,49 +445,52 @@ let compact_steps t st ~clean ~dirty ~delta =
       rm (docs_path t.l_dir s.seg_gen);
       rm (idx_path t.l_dir s.seg_gen))
     dirty;
-  (* Readers are untouched: the published snapshot already serves this
-     content, only the storage layout behind future snapshots moved. *)
-  Atomic.set t.l_state
-    {
-      st with
-      st_sealed = (clean @ match new_seg with Some s -> [ s ] | None -> []);
-      st_delta = Delta.empty;
-    };
-  Ok ()
+  Ok sealed'
 
-let compact_locked t =
-  let st = Atomic.get t.l_state in
-  let delta = st.st_delta in
+(* Compact the state [lsn], [next_doc], [sealed] and [delta], which the
+   caller may not have published yet.  [None] when nothing changed since
+   the last compaction.  Publishes nothing: the caller picks the
+   snapshot that serves the result. *)
+let compact_state t ~lsn ~next_doc ~sealed ~delta =
   let dirty, clean =
     List.partition
       (fun seg -> List.exists (fun (id, _) -> Delta.touches delta id) seg.seg_docs)
-      st.st_sealed
+      sealed
   in
-  if Delta.is_empty delta && dirty = [] && Wal.base_lsn t.l_wal = st.st_lsn
-  then Ok ()
+  if Delta.is_empty delta && dirty = [] && Wal.base_lsn t.l_wal = lsn then
+    Ok None
   else
-    match compact_steps t st ~clean ~dirty ~delta with
+    match compact_steps t ~lsn ~next_doc ~clean ~dirty ~delta with
     | exception Sys_error m -> Error (Io m)
     | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
-    | r -> r
+    | r -> Result.map Option.some r
 
-let compact t = with_writer t (fun () -> compact_locked t)
+let compact t =
+  with_writer t (fun () ->
+      let st = Atomic.get t.l_state in
+      let* sealed =
+        compact_state t ~lsn:st.st_lsn ~next_doc:st.st_next_doc
+          ~sealed:st.st_sealed ~delta:st.st_delta
+      in
+      (* Readers are untouched: the published snapshot already serves
+         this content, only the storage layout behind future snapshots
+         moved. *)
+      Option.iter
+        (fun sealed ->
+          Atomic.set t.l_state
+            { st with st_sealed = sealed; st_delta = Delta.empty })
+        sealed;
+      Ok ())
 
 (* Mutation *)
 
-(* Round-trip a subtree through the WAL codec before anything touches
-   disk: the delta then holds exactly what recovery would reconstruct,
-   so the in-memory store and a post-crash reopen cannot diverge, and a
-   subtree the codec cannot carry is rejected up front. *)
+(* Round-trip every operation through the WAL codec before anything
+   touches disk: the delta then holds exactly what recovery would
+   reconstruct, so the in-memory store and a post-crash reopen cannot
+   diverge, a subtree the codec cannot carry is rejected up front, and
+   the bytes that were round-tripped are the ones the WAL writes. *)
 let canonical_op op =
-  match op with
-  | Wal.Delete _ -> Ok op
-  | Wal.Insert { doc_id; subtree } -> (
-      let buf = Buffer.create 256 in
-      Wal.encode_subtree buf subtree;
-      match Wal.decode_subtree (Varint.cursor (Buffer.contents buf)) with
-      | Ok subtree -> Ok (Wal.Insert { doc_id; subtree })
-      | Error m -> Error (Unstorable m))
+  Result.map_error (fun m -> Unstorable m) (Wal.canonical op)
 
 let plan_batch st muts =
   let live = Hashtbl.create 64 in
@@ -502,79 +505,81 @@ let plan_batch st muts =
   List.iter
     (fun (id, _) -> Hashtbl.replace live id ())
     (Delta.upserts st.st_delta);
-  let* ops_rev, ids_rev, next =
+  let* entries_rev, ids_rev, _next =
     List.fold_left
       (fun acc mut ->
-        let* ops, ids, next = acc in
+        let* entries, ids, next = acc in
         match mut with
         | Add subtree ->
-            let* op = canonical_op (Wal.Insert { doc_id = next; subtree }) in
+            let* e = canonical_op (Wal.Insert { doc_id = next; subtree }) in
             Hashtbl.replace live next ();
-            Ok (op :: ops, next :: ids, next + 1)
+            Ok (e :: entries, next :: ids, next + 1)
         | Replace (id, subtree) ->
             if not (Hashtbl.mem live id) then Error (Unknown_doc id)
             else
-              let* op = canonical_op (Wal.Insert { doc_id = id; subtree }) in
-              Ok (op :: ops, id :: ids, next)
+              let* e = canonical_op (Wal.Insert { doc_id = id; subtree }) in
+              Ok (e :: entries, id :: ids, next)
         | Remove id ->
             if not (Hashtbl.mem live id) then Error (Unknown_doc id)
             else begin
               Hashtbl.remove live id;
-              Ok (Wal.Delete { doc_id = id } :: ops, id :: ids, next)
+              let* e = canonical_op (Wal.Delete { doc_id = id }) in
+              Ok (e :: entries, id :: ids, next)
             end)
       (Ok ([], [], st.st_next_doc))
       muts
   in
-  Ok (List.rev ops_rev, List.rev ids_rev, next)
+  Ok (List.rev entries_rev, List.rev ids_rev)
 
 let mutate t muts =
   with_writer t (fun () ->
       let st = Atomic.get t.l_state in
-      let* ops, ids, _next = plan_batch st muts in
-      (* Append everything we can; a failed append keeps the durable
-         prefix applied so memory and disk agree. *)
-      let rec append_all acc = function
-        | [] -> (List.rev acc, None)
-        | op :: rest -> (
-            match Wal.append t.l_wal op with
-            | Ok _ -> append_all (op :: acc) rest
-            | Error e -> (List.rev acc, Some (of_wal_error e)))
+      let* entries, ids = plan_batch st muts in
+      (* One durable write for the whole batch; a failed write keeps the
+         durable prefix applied so memory and disk agree. *)
+      let landed, failure =
+        match Wal.append_batch t.l_wal entries with
+        | Ok _ -> (entries, None)
+        | Error (n, e) ->
+            (List.filteri (fun i _ -> i < n) entries, Some (of_wal_error e))
       in
-      let applied, failure = append_all [] ops in
-      let publish () =
-        if applied <> [] then begin
-          let delta = List.fold_left Delta.apply st.st_delta applied in
-          let next_doc =
-            List.fold_left
-              (fun n op ->
-                match op with
-                | Wal.Insert { doc_id; _ } -> max n (doc_id + 1)
-                | Wal.Delete _ -> n)
-              st.st_next_doc applied
-          in
-          let lsn = Wal.lsn t.l_wal in
-          let snapshot =
-            build_snapshot ~dir:t.l_dir
-              ~root_tag:t.l_root_tag ~root_attrs:t.l_root_attrs ~lsn
-              ~sealed:st.st_sealed ~delta ()
-          in
-          Atomic.set t.l_state
-            {
-              st_lsn = lsn;
-              st_next_doc = next_doc;
-              st_sealed = st.st_sealed;
-              st_delta = delta;
-              st_snapshot = snapshot;
-            }
-        end
+      let ops = List.map Wal.entry_op landed in
+      let delta = List.fold_left Delta.apply st.st_delta ops in
+      let next_doc =
+        List.fold_left
+          (fun n op ->
+            match op with
+            | Wal.Insert { doc_id; _ } -> max n (doc_id + 1)
+            | Wal.Delete _ -> n)
+          st.st_next_doc ops
       in
-      publish ();
-      match failure with
-      | Some e -> Error e
-      | None -> (
-          match t.l_auto with
-          | Some threshold
-            when Delta.ops (Atomic.get t.l_state).st_delta >= threshold ->
-              let* () = compact_locked t in
-              Ok ids
-          | _ -> Ok ids))
+      let lsn = Wal.lsn t.l_wal in
+      let publish ~sealed ~delta =
+        Atomic.set t.l_state
+          {
+            st_lsn = lsn;
+            st_next_doc = next_doc;
+            st_sealed = sealed;
+            st_delta = delta;
+            st_snapshot =
+              build_snapshot ~dir:t.l_dir ~root_tag:t.l_root_tag
+                ~root_attrs:t.l_root_attrs ~lsn ~sealed ~delta ();
+          }
+      in
+      (* An auto-compaction runs on the batch's state before anything is
+         published, so the one snapshot this batch publishes loads the
+         segment just sealed and verified instead of indexing the delta
+         in memory first. *)
+      let compacted =
+        match (failure, t.l_auto) with
+        | None, Some threshold when Delta.ops delta >= threshold ->
+            compact_state t ~lsn ~next_doc ~sealed:st.st_sealed ~delta
+        | _ -> Ok None
+      in
+      (match compacted with
+      | Ok (Some sealed) -> publish ~sealed ~delta:Delta.empty
+      | Ok None | Error _ ->
+          if ops <> [] then publish ~sealed:st.st_sealed ~delta);
+      match (failure, compacted) with
+      | Some e, _ | None, Error e -> Error e
+      | None, Ok _ -> Ok ids)

@@ -12,12 +12,15 @@
     - [wal.log] — the {!Wal} of every mutation since the last
       compaction.
 
-    Mutations go WAL-first: each operation is framed, appended and
-    fsynced before it is applied to the in-memory {!Delta}, then the
-    batch publishes one fresh {!Snapshot} with a single atomic pointer
-    swap.  Readers pin whatever snapshot is current and keep it for the
-    whole query — concurrent mutation and compaction never move data
-    under them.  A single writer token (compare-and-swap, no lock held
+    Mutations go WAL-first: a batch's operations are framed and
+    appended, then fsynced once (group commit), before any of them is
+    applied to the in-memory {!Delta}; then the batch publishes one
+    fresh {!Snapshot} with a single atomic pointer swap.  A batch that
+    reaches [auto_compact] compacts first, on the batch's own state, and
+    the snapshot it publishes loads the generation just sealed rather
+    than indexing the delta in memory.  Readers pin whatever snapshot
+    is current and keep it for the whole query — concurrent mutation
+    and compaction never move data under them.  A single writer token (compare-and-swap, no lock held
     across IO) serializes mutators; a second concurrent mutator gets
     {!error.Busy} instead of blocking.
 
@@ -93,11 +96,15 @@ val dir : t -> string
 
 val mutate : t -> mutation list -> (int list, error) result
 (** Apply one batch: validate every operation (so a bad batch fails
-    before its first WAL write), append and fsync each record, then
-    publish a single snapshot covering the whole batch.  Returns the
-    document id each operation touched, in batch order.  On an IO
-    error mid-batch the already-durable prefix is still applied and
-    published — disk and memory never disagree. *)
+    before its first WAL write), append every record and fsync the log
+    once, then publish a single snapshot covering the whole batch.
+    When the delta reaches [auto_compact], compaction runs before that
+    publish and the snapshot serves the new sealed generation from its
+    segment; if compaction fails, the uncompacted state is published
+    and the compaction error returned.  Returns the document id each
+    operation touched, in batch order.  On an IO error mid-batch the
+    records already written are synced, applied and published — disk
+    and memory never disagree. *)
 
 val compact : t -> (unit, error) result
 (** Fold the delta and dirty generations into a new sealed generation

@@ -47,7 +47,7 @@ let encode_subtree buf (node : Xk_xml.Xml_tree.node) =
   match node with
   | Element e ->
       Buffer.add_char buf '\000';
-      let xml = Xk_xml.Xml_print.to_string { Xk_xml.Xml_tree.root = e } in
+      let xml = Xk_xml.Xml_print.element_to_string e in
       Varint.write buf (String.length xml);
       Buffer.add_string buf xml
   | Text s ->
@@ -90,6 +90,17 @@ let decode_op payload =
       | '\002' -> Delete { doc_id }
       | c -> Varint.malformed "bad op tag 0x%02x" (Char.code c))
     (Varint.cursor payload)
+
+(* An operation together with its record payload, so a batch encodes
+   each subtree once: the payload that was round-tripped is the payload
+   that is written. *)
+type entry = { e_op : op; e_payload : string }
+
+let canonical op =
+  let payload = encode_op op in
+  Result.map (fun op -> { e_op = op; e_payload = payload }) (decode_op payload)
+
+let entry_op e = e.e_op
 
 let header_bytes ~base_lsn =
   let buf = Buffer.create 16 in
@@ -182,33 +193,49 @@ let open_existing ?(fsync = true) path =
       | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
       | exception Sys_error m -> Error (Io m))
 
-let writer t =
+(* Group commit: every frame of the batch is written and flushed in
+   turn, then one fsync covers them all.  A write that fails stops the
+   batch; the frames before it have landed whole, so they are synced
+   and count as appended. *)
+let append_batch t entries =
   match t.w_oc with
-  | Some oc -> Ok oc
-  | None -> Error (Io "log is closed")
-
-let append t op =
-  Result.bind (writer t) (fun oc ->
-      let data = Framed.record (encode_op op) in
-      match
-        if Chaos.crash_armed "wal-append" then begin
-          (* a torn write: half the frame reaches the file, then the
-             process dies.  No cleanup — recovery must heal this. *)
+  | None -> Error (0, Io "log is closed")
+  | Some oc ->
+      let last = List.length entries - 1 in
+      let written = ref 0 in
+      let write i e =
+        let data = Framed.record e.e_payload in
+        if i = last && Chaos.crash_armed "wal-append" then begin
+          (* a torn write: half the batch's last frame reaches the file,
+             then the process dies.  No cleanup — recovery must heal
+             this. *)
           output_string oc (String.sub data 0 (String.length data / 2));
           flush oc;
           Chaos.crash_point "wal-append"
         end;
         output_string oc data;
         flush oc;
+        incr written
+      in
+      let failure =
+        match List.iteri write entries with
+        | () -> None
+        | exception Sys_error m -> Some (Io m)
+      in
+      if !written > 0 then begin
         Chaos.crash_point "wal-pre-fsync";
         if t.w_fsync then
           Xk_storage.Durable.fsync_fd (Unix.descr_of_out_channel oc);
-        Chaos.crash_point "wal-post-fsync"
-      with
-      | () ->
-          t.w_lsn <- t.w_lsn + 1;
-          Ok t.w_lsn
-      | exception Sys_error m -> Error (Io m))
+        Chaos.crash_point "wal-post-fsync";
+        t.w_lsn <- t.w_lsn + !written
+      end;
+      match failure with
+      | None -> Ok t.w_lsn
+      | Some e -> Error (!written, e)
+
+let append t op =
+  Result.map_error snd
+    (append_batch t [ { e_op = op; e_payload = encode_op op } ])
 
 let base_lsn t = t.w_base
 let lsn t = t.w_lsn

@@ -5,8 +5,9 @@
     durable (compacted) state already covers, so replay after a crash
     applies only records the segments have not absorbed.  Each record is
     an {!Xk_storage.Framed} frame ([varint length | varint crc32 |
-    payload]), fsynced before the mutation is acknowledged, which makes
-    every acknowledged operation recoverable.  Recovery reads the log
+    payload]).  A batch of records is written, then fsynced once before
+    any of them is acknowledged (group commit), which makes every
+    acknowledged operation recoverable.  Recovery reads the log
     through {!Index_io.read_mapped} under {!Index_io.retrying}, where
     storage faults are injected, so a torn read is re-read rather than
     mistaken for a torn tail.
@@ -23,9 +24,9 @@
     bytes, which no prefix of a valid frame holds.
 
     The writer cooperates with {!Xk_resilience.Chaos} crash drills: an
-    armed [crash@wal-append] makes {!append} write only a prefix of the
-    record before dying, simulating the torn write that recovery must
-    heal. *)
+    armed [crash@wal-append] makes {!append_batch} write the batch's
+    records whole except the last, and only a prefix of that one,
+    before dying — the torn write that recovery must heal. *)
 
 type op =
   | Insert of { doc_id : int; subtree : Xk_xml.Xml_tree.node }
@@ -62,10 +63,29 @@ val open_existing :
     append order.  Records at or below the base LSN have already been
     compacted into segments; the caller skips them during replay. *)
 
+type entry
+(** An operation with its encoded record payload. *)
+
+val canonical : op -> (entry, string) result
+(** Encode an operation and decode it back.  {!entry_op} of the result
+    is exactly what recovery reconstructs from the record, and
+    {!append_batch} writes the same bytes, so each subtree is encoded
+    once.  [Error] when the subtree does not survive the codec. *)
+
+val entry_op : entry -> op
+
+val append_batch : t -> entry list -> (int, int * error) result
+(** Group commit: frame and write every record of the batch in order,
+    then fsync once; returns the LSN of the last record.  The batch is
+    durable when [append_batch] returns.  [Error (n, e)]: writing record
+    [n + 1] failed, the [n] records before it were written and synced
+    (the LSN advanced by [n]) and the rest were not written.  An empty
+    batch writes and syncs nothing.  Fires the [wal-append] (torn last
+    record), [wal-pre-fsync] and [wal-post-fsync] crash points, once per
+    batch. *)
+
 val append : t -> op -> (int, error) result
-(** Frame, write and fsync one record; returns its LSN.  The record is
-    durable when [append] returns.  Fires the [wal-append] (torn
-    write), [wal-pre-fsync] and [wal-post-fsync] crash points. *)
+(** {!append_batch} of one record; returns its LSN. *)
 
 val base_lsn : t -> int
 val lsn : t -> int
@@ -78,8 +98,10 @@ val close : t -> unit
 (** {1 Subtree codec}
 
     Shared with the sealed-segment document files: a flag byte (0 =
-    element, serialized XML; 1 = raw text) then a length-prefixed byte
-    string. *)
+    element, serialized XML with no XML declaration; 1 = raw text) then
+    a length-prefixed byte string.  The decoder also accepts an element
+    that carries the declaration, as older logs and document files
+    store it. *)
 
 val encode_subtree : Buffer.t -> Xk_xml.Xml_tree.node -> unit
 

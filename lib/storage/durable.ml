@@ -5,7 +5,12 @@
    without directory sync) are swallowed — durability hardening must
    not turn a completed write into an error. *)
 
-let fsync_fd fd = try Unix.fsync fd with Unix.Unix_error _ -> ()
+let issued = Atomic.make 0
+let fsyncs () = Atomic.get issued
+
+let fsync_fd fd =
+  Atomic.incr issued;
+  try Unix.fsync fd with Unix.Unix_error _ -> ()
 
 let fsync_out_channel oc =
   flush oc;

@@ -16,6 +16,10 @@ val fsync_fd : Unix.file_descr -> unit
     refuse to sync certain descriptors; a refusal must not turn a
     successful write into an error). *)
 
+val fsyncs : unit -> int
+(** The fsyncs {!fsync_fd} has issued in this process so far, refused
+    ones included; every sync in this module goes through it. *)
+
 val fsync_out_channel : out_channel -> unit
 (** Flush the channel, then {!fsync_fd} its descriptor. *)
 

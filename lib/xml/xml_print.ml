@@ -79,6 +79,11 @@ let to_string ?indent d =
   to_buffer ?indent buf d;
   Buffer.contents buf
 
+let element_to_string e =
+  let buf = Buffer.create 256 in
+  add_element ~indent:false ~level:0 buf e;
+  Buffer.contents buf
+
 let to_file ?indent path d =
   let oc = open_out_bin path in
   let buf = Buffer.create (1 lsl 16) in

@@ -7,6 +7,10 @@ val to_string : ?indent:bool -> Xml_tree.document -> string
     nodes are placed one per line (this changes whitespace inside mixed
     content; use the default for round-trip fidelity). *)
 
+val element_to_string : Xml_tree.element -> string
+(** One element and its subtree, without the XML declaration, in the
+    round-trip form of {!to_string}. *)
+
 val to_file : ?indent:bool -> string -> Xml_tree.document -> unit
 
 val pp_element_summary :

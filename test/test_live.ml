@@ -172,6 +172,51 @@ let wal_bad_magic () =
       | Error (Wal.Corrupted _) -> ()
       | _ -> Alcotest.fail "bad magic accepted")
 
+(* A log written before subtrees dropped their XML declaration: header
+   (base LSN 0), an insert of [<a x="kw3">kw0<c/></a>] whose payload
+   carries the 39-byte [<?xml ...?>] line, a text insert and a delete. *)
+let prolog_wal =
+  "XKWAL001\x01\x00A\xe4\xf3\xfd\xcb\x04\x01\x00\x00=<?xml version=\"1.0\" \
+   encoding=\"UTF-8\"?>\n\
+   <a x=\"kw3\">kw0<c/></a>\x0b\xd6\xb2\xee\xbd\x01\x01\x01\x01\x07kw1 \
+   kw2\x02\xfd\xe0\xbd\x9f\x07\x02\x00"
+
+let wal_reads_prolog_records () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "wal.log" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc prolog_wal);
+      let w, records = wal_ok "open" (Wal.open_existing ~fsync:false path) in
+      Wal.close w;
+      let expected =
+        [
+          Wal.Insert
+            {
+              doc_id = 0;
+              subtree =
+                Xk_xml.Xml_tree.elem "a"
+                  ~attrs:[ Xk_xml.Xml_tree.attr "x" "kw3" ]
+                  [ Xk_xml.Xml_tree.text "kw0"; Xk_xml.Xml_tree.elem "c" [] ];
+            };
+          Wal.Insert { doc_id = 1; subtree = Xk_xml.Xml_tree.Text "kw1 kw2" };
+          Wal.Delete { doc_id = 0 };
+        ]
+      in
+      check Alcotest.int "records" 3 (List.length records);
+      List.iter2
+        (fun op (r : Wal.record) ->
+          if not (op_equal op r.op) then
+            Alcotest.failf "record %d does not decode as written" r.lsn)
+        expected records;
+      check Alcotest.int "nothing healed away" (String.length prolog_wal)
+        (file_size path);
+      (* what this codec writes for the same subtree has no declaration *)
+      let buf = Buffer.create 64 in
+      (match List.hd expected with
+      | Wal.Insert { subtree; _ } -> Wal.encode_subtree buf subtree
+      | Wal.Delete _ -> ());
+      check Alcotest.string "encoded subtree" "\000\022<a x=\"kw3\">kw0<c/></a>"
+        (Buffer.contents buf))
+
 (* --- Delta semantics -------------------------------------------------- *)
 
 let sub = Xk_xml.Xml_tree.elem "d" [ Xk_xml.Xml_tree.text "kw0" ]
@@ -439,6 +484,91 @@ let live_auto_compact () =
       check Alcotest.bool "sealed" true (Live.sealed_gens t <> []);
       Live.close t)
 
+(* Group commit: a batch of any size costs the WAL one fsync (nothing
+   else in a batch below the auto-compaction threshold syncs). *)
+let live_group_commit_fsync () =
+  List.iter
+    (fun n ->
+      with_tmpdir (fun dir ->
+          let pool = subtree_pool 50 in
+          let t = ok_exn "create" (Live.create ~root_tag:"lib" dir) in
+          let before = Xk_storage.Durable.fsyncs () in
+          let _ =
+            ok_exn "batch"
+              (Live.mutate t (List.init n (fun i -> Live.Add (nth_subtree pool i))))
+          in
+          check Alcotest.int
+            (Printf.sprintf "fsyncs of a %d-op batch" n)
+            1
+            (Xk_storage.Durable.fsyncs () - before);
+          check Alcotest.int "lsn" n (Live.lsn t);
+          Live.close t))
+    [ 2; 3; 8 ]
+
+(* A batch that reaches the threshold compacts before it publishes: the
+   one snapshot it publishes serves the new generation from its saved
+   segment (an empty delta shard plus one shard per generation), with
+   answers identical to a from-scratch engine. *)
+let live_compact_before_publish () =
+  with_tmpdir (fun dir ->
+      let pool = subtree_pool 51 in
+      let t =
+        ok_exn "create"
+          (Live.create ~fsync:false ~auto_compact:3 ~root_tag:"lib" dir)
+      in
+      let _ =
+        ok_exn "batch"
+          (Live.mutate t (List.init 4 (fun i -> Live.Add (nth_subtree pool i))))
+      in
+      check Alcotest.int "compacted" 0 (Live.pending_ops t);
+      check (Alcotest.list Alcotest.int) "one sealed gen" [ 1 ] (Live.sealed_gens t);
+      let snap = Live.snapshot t in
+      check Alcotest.int "delta shard plus the sealed one" 2
+        (Sharding.count (Snapshot.sharding snap));
+      check Alcotest.int "no rebuild" 0 (Snapshot.rebuilt snap);
+      check Alcotest.int "lsn" 4 (Snapshot.lsn snap);
+      check_parity "published from the sealed segment" snap;
+      (* a batch that dirties the generation folds it into the next *)
+      let _ =
+        ok_exn "edit"
+          (Live.mutate t
+             [ Live.Replace (1, nth_subtree pool 5); Remove 2; Add (nth_subtree pool 6) ])
+      in
+      check (Alcotest.list Alcotest.int) "rewritten gen" [ 2 ] (Live.sealed_gens t);
+      check Alcotest.int "shards" 2 (Sharding.count (Snapshot.sharding (Live.snapshot t)));
+      check_parity "after the dirty generation is folded" (Live.snapshot t);
+      Live.close t)
+
+(* A compaction that fails inside [mutate] leaves the batch published
+   from the uncompacted state and returns the compaction's error. *)
+let live_failed_auto_compact () =
+  with_tmpdir (fun dir ->
+      let pool = subtree_pool 52 in
+      let t =
+        ok_exn "create"
+          (Live.create ~fsync:false ~auto_compact:2 ~root_tag:"lib" dir)
+      in
+      (* a directory where the new generation's temp file must go *)
+      let blocker = Filename.concat dir "seg-0001.docs.tmp" in
+      Sys.mkdir blocker 0o700;
+      Fun.protect
+        ~finally:(fun () -> Sys.rmdir blocker)
+        (fun () ->
+          match
+            Live.mutate t [ Live.Add (nth_subtree pool 0); Add (nth_subtree pool 1) ]
+          with
+          | Error (Live.Io _) -> ()
+          | Ok _ -> Alcotest.fail "compaction into a blocked path succeeded"
+          | Error e -> Alcotest.failf "unexpected error: %s" (Live.error_message e));
+      check Alcotest.int "batch published" 2 (Live.doc_count t);
+      check Alcotest.int "lsn" 2 (Live.lsn t);
+      check Alcotest.int "delta kept" 2 (Live.pending_ops t);
+      check (Alcotest.list Alcotest.int) "nothing sealed" [] (Live.sealed_gens t);
+      check_parity "uncompacted state" (Live.snapshot t);
+      ok_exn "compact once unblocked" (Live.compact t);
+      check (Alcotest.list Alcotest.int) "sealed" [ 1 ] (Live.sealed_gens t);
+      Live.close t)
+
 (* --- Snapshot isolation ----------------------------------------------- *)
 
 let snapshot_isolation () =
@@ -652,6 +782,45 @@ let drill_steps () =
           run_drill ~dir ~pool ~seed_muts ~drill_muts ~step))
     Live.crash_steps
 
+(* Group commit decides which prefix a WAL crash leaves: the batch's
+   records are written whole, except that [wal-append] tears the last,
+   and one fsync follows them.  So a crash either side of the fsync
+   recovers the whole 3-op batch, and a torn write drops only its last
+   operation. *)
+let group_commit_crashes () =
+  let pool = subtree_pool 53 in
+  let seed_muts = [ Live.Add (nth_subtree pool 0); Add (nth_subtree pool 1) ] in
+  let batch =
+    [ Live.Add (nth_subtree pool 2); Replace (0, nth_subtree pool 3); Remove 1 ]
+  in
+  let state_after k =
+    List.fold_left model_apply (List.fold_left model_apply ([], 0) seed_muts)
+      (List.filteri (fun i _ -> i < k) batch)
+  in
+  List.iter
+    (fun (step, kept) ->
+      with_tmpdir (fun dir ->
+          let t = ok_exn "create" (Live.create ~fsync:false ~root_tag:"lib" dir) in
+          let _ = ok_exn "seed" (Live.mutate t seed_muts) in
+          Chaos.install [ Chaos.Crash { step } ];
+          Fun.protect ~finally:Chaos.clear (fun () ->
+              match Live.mutate t batch with
+              | exception Chaos.Crashed s -> check Alcotest.string "crash step" step s
+              | Ok _ | Error _ -> Alcotest.failf "crash@%s did not fire" step);
+          Live.close t;
+          let t = ok_exn "recover" (Live.open_ ~fsync:false dir) in
+          check Alcotest.int
+            (Printf.sprintf "crash@%s: recovered lsn" step)
+            (List.length seed_muts + kept) (Live.lsn t);
+          let docs, _ = state_after kept in
+          check Alcotest.bool
+            (Printf.sprintf "crash@%s: recovered content" step)
+            true
+            (Xk_xml.Xml_tree.equal (model_doc docs) (Snapshot.document (Live.snapshot t)));
+          check_parity (Printf.sprintf "crash@%s recovery" step) (Live.snapshot t);
+          Live.close t))
+    [ ("wal-append", 2); ("wal-pre-fsync", 3); ("wal-post-fsync", 3) ]
+
 (* Randomized: any batch, any crash point, same invariant. *)
 let crash_recovery_prop =
   QCheck.Test.make ~count:30 ~name:"recovery at any crash point is consistent"
@@ -707,6 +876,8 @@ let suite =
         tc "truncated payload is healed" `Quick wal_truncated_payload;
         tc "mid-file corruption is reported" `Quick wal_midfile_corruption;
         tc "bad magic is reported" `Quick wal_bad_magic;
+        tc "records with an XML declaration decode" `Quick
+          wal_reads_prolog_records;
       ] );
     ("live.delta", [ tc "upsert/delete algebra" `Quick delta_semantics ]);
     ( "live.store",
@@ -718,6 +889,11 @@ let suite =
         tc "compaction" `Quick live_compact;
         tc "damaged sealed segment resealed at open" `Quick live_reseal_damaged_index;
         tc "auto-compaction" `Quick live_auto_compact;
+        tc "one WAL fsync per batch" `Quick live_group_commit_fsync;
+        tc "auto-compaction publishes the sealed segment" `Quick
+          live_compact_before_publish;
+        tc "failed auto-compaction publishes the batch" `Quick
+          live_failed_auto_compact;
       ] );
     ( "live.snapshot",
       [
@@ -728,6 +904,7 @@ let suite =
     ( "live.crash",
       [
         tc "drill every crash step" `Slow drill_steps;
+        tc "group commit crash prefixes" `Quick group_commit_crashes;
         QCheck_alcotest.to_alcotest crash_recovery_prop;
       ] );
   ]
