@@ -37,7 +37,11 @@ let () =
   (* 3. Reload through both paths. *)
   let reloaded =
     time "reload raw postings" (fun () ->
-        Xk_index.Index_io.load (Xk_encoding.Labeling.label doc) idx_path)
+        match
+          Xk_index.Index_io.load_result (Xk_encoding.Labeling.label doc) idx_path
+        with
+        | Ok idx -> idx
+        | Error e -> failwith (Xk_index.Index_io.load_error_message e))
   in
   let store = time "open column store" (fun () -> Xk_index.Jstore.open_file col_path) in
 

@@ -2,11 +2,6 @@
     all-containing-ancestor candidates and scan-with-skip ELCA
     verification. *)
 
-val closest_depth :
-  Xk_index.Posting.t array -> int -> Xk_encoding.Dewey.t -> int
-(** Deepest depth at which an ancestor of the node contains an occurrence
-    from list [i]. *)
-
 val cand_depth : Xk_index.Posting.t array -> int -> Xk_encoding.Dewey.t -> int
 (** Depth of the node's deepest all-containing ancestor; the node itself
     belongs to the list at the given index. *)

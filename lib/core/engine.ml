@@ -24,7 +24,6 @@ let create (doc : Xk_xml.Xml_tree.document) =
 
 let of_index index = { index }
 let of_string s = create (Xk_xml.Xml_parser.parse_string_exn s)
-let of_file path = create (Xk_xml.Xml_parser.parse_file_exn path)
 
 let index t = t.index
 let label t = Xk_index.Index.label t.index
@@ -143,15 +142,13 @@ type request = {
   req_deadline_ms : float option;
 }
 
-let complete_request ?(semantics = Elca) ?(algorithm = Join_based) ?deadline_ms
-    words =
+let complete_request ?(semantics = Elca) ?(algorithm = Join_based) words =
   { req_words = words; req_semantics = semantics;
-    req_mode = Complete algorithm; req_deadline_ms = deadline_ms }
+    req_mode = Complete algorithm; req_deadline_ms = None }
 
-let topk_request ?(semantics = Elca) ?(algorithm = Topk_join) ?deadline_ms ~k
-    words =
+let topk_request ?(semantics = Elca) ?(algorithm = Topk_join) ~k words =
   { req_words = words; req_semantics = semantics;
-    req_mode = Topk (algorithm, k); req_deadline_ms = deadline_ms }
+    req_mode = Topk (algorithm, k); req_deadline_ms = None }
 
 let run_request t (r : request) =
   match r.req_mode with

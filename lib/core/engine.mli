@@ -25,8 +25,6 @@ val of_string : string -> t
 (** Parse, label and index an XML string.  Raises {!Xk_xml.Xml_parser.Error}
     on malformed input. *)
 
-val of_file : string -> t
-
 val of_index : Xk_index.Index.t -> t
 (** Wrap a prebuilt (e.g. reloaded) index. *)
 
@@ -82,7 +80,6 @@ type request = {
 val complete_request :
   ?semantics:semantics ->
   ?algorithm:algorithm ->
-  ?deadline_ms:float ->
   string list ->
   request
 (** Defaults: ELCA, join-based, no deadline. *)
@@ -90,7 +87,6 @@ val complete_request :
 val topk_request :
   ?semantics:semantics ->
   ?algorithm:topk_algorithm ->
-  ?deadline_ms:float ->
   k:int ->
   string list ->
   request

@@ -10,8 +10,6 @@ val estimate_results :
     per-level distinct counts and level widths (textbook equi-join
     cardinality). *)
 
-val default_margin : float
-
 val choose :
   ?margin:float ->
   Xk_index.Jlist.t array ->

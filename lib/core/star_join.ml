@@ -215,8 +215,7 @@ let finish ~budget r =
   done;
   List.rev r.out
 
-let topk ?stats ?(threshold = Tight)
-    ?(budget = Xk_resilience.Budget.unlimited) (rels : relation array)
+let topk ?stats ?(threshold = Tight) (rels : relation array)
     ~k:want : result list =
   let k = Array.length rels in
   if k = 0 then Xk_util.Err.invalid "Star_join.topk: no relations";
@@ -233,6 +232,7 @@ let topk ?stats ?(threshold = Tight)
     next.(i) <- score i (pos + 1);
     rels.(i).keys.(pos)
   in
+  let budget = Xk_resilience.Budget.unlimited in
   join r ~threshold ~budget ~below:neg_infinity
     ~accept:(fun _ -> true)
     ~ceilings:(Array.copy next) ~next ~pull

@@ -26,16 +26,12 @@ val relation : keys:int array -> scores:float array -> relation
 val topk :
   ?stats:stats ->
   ?threshold:threshold ->
-  ?budget:Xk_resilience.Budget.t ->
   relation array ->
   k:int ->
   result list
 (** The K best star-join results (sum aggregate), best first.  Emits a
-    result as soon as its total reaches the unseen-results bound.
-
-    Anytime: if the budget expires mid-run the pull loop stops and the
-    results emitted so far - a valid prefix of the full top-K - are
-    returned; check [Budget.exhausted] to distinguish a partial return. *)
+    result as soon as its total reaches the unseen-results bound.  The
+    reference the tests hold {!join}'s callers to; it runs unbudgeted. *)
 
 (** {2 The join, one set of lists at a time} *)
 

@@ -567,9 +567,9 @@ let submit t ?deadline_ms ?budget_for (req : Xk_core.Engine.request) =
       outcome
   end
 
-let exec ?deadline_ms ?budget_for t req =
+let exec ?budget_for t req =
   Atomic.incr t.batches;
-  (submit t ?deadline_ms ?budget_for req) ()
+  (submit t ?budget_for req) ()
 
 let exec_batch ?deadline_ms t reqs =
   Atomic.incr t.batches;
@@ -610,9 +610,9 @@ let element_of_hit t h =
   let shard, local = locate t h in
   Xk_core.Engine.element_of_hit (engine t shard) local
 
-let snippet ?width t words h =
+let snippet t words h =
   let shard, local = locate t h in
-  Xk_core.Engine.snippet ?width (engine t shard) words local
+  Xk_core.Engine.snippet (engine t shard) words local
 
 let pp_hit t fmt h =
   let shard, local = locate t h in

@@ -118,13 +118,12 @@ val replica_health : t -> shard:int -> replica:int -> Xk_resilience.Health.snaps
 val breaker_state : t -> shard:int -> replica:int -> Xk_resilience.Circuit_breaker.state
 
 val exec :
-  ?deadline_ms:float ->
   ?budget_for:(int -> Xk_resilience.Budget.t) ->
   t ->
   Xk_core.Engine.request ->
   Query_service.outcome
-(** Run one request over every shard and gather.  [deadline_ms] applies
-    when the request carries none; the deadline is anchored at admission
+(** Run one request over every shard and gather.  The request's
+    deadline, if it carries one, is anchored at admission
     and shared by all of a shard's replica attempts (queueing and failed
     attempts consume it).  [budget_for] overrides the budget per shard
     index and is re-invoked for {e each} replica attempt — deterministic
@@ -176,7 +175,6 @@ val locate : t -> Xk_baselines.Hit.t -> int * Xk_baselines.Hit.t
 val element_of_hit : t -> Xk_baselines.Hit.t -> Xk_xml.Xml_tree.element option
 
 val snippet :
-  ?width:int ->
   t ->
   string list ->
   Xk_baselines.Hit.t ->

@@ -60,10 +60,6 @@ type config = {
   heal_every : int;  (** run the heal closure every N cycles; 0 never *)
 }
 
-val default_config : config
-(** base 200 ms, cap 5 s, flap cap 5, start grace 30 s, heal every
-    cycle. *)
-
 type replica_state =
   | Starting
   | Up of { pid : int; confirmed : bool }
@@ -98,7 +94,9 @@ val create :
   spec list ->
   t
 (** A supervisor over the given replicas (all [Starting]; nothing runs
-    until the first {!cycle}).  [clock] is milliseconds (defaults to
+    until the first {!cycle}).  [config] defaults to a 200 ms backoff
+    base, a 5 s cap, a flap cap of 5, a 30 s start grace and a heal
+    every cycle.  [clock] is milliseconds (defaults to
     wall time); [seed] makes the restart jitter deterministic.
     [on_event] observes every lifecycle event — it runs on the
     supervision loop and must stay non-blocking (enforced by the

@@ -22,6 +22,5 @@ let apply t (op : Wal.op) =
 let ops t = Imap.cardinal t.d_upserts + Iset.cardinal t.d_deletes
 let upserts t = Imap.bindings t.d_upserts
 let deletes t = Iset.elements t.d_deletes
-let upsert t id = Imap.find_opt id t.d_upserts
 let is_deleted t id = Iset.mem id t.d_deletes
 let touches t id = Imap.mem id t.d_upserts || Iset.mem id t.d_deletes

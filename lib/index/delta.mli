@@ -27,7 +27,6 @@ val deletes : t -> int list
 (** Pending deletes in ascending document-id order (ids whose latest
     operation is [Delete]). *)
 
-val upsert : t -> int -> Xk_xml.Xml_tree.node option
 val is_deleted : t -> int -> bool
 
 val touches : t -> int -> bool

@@ -9,21 +9,25 @@
    else in [t] is immutable after construction (the dictionary is only
    written during build/of_raw). *)
 
-type raw = { r_nodes : int array; r_tfs : int array }
-
-(* Lazily-fetched rows: a zero-copy segment (Index_io v5) decodes a
+(* The one row source.  A zero-copy segment (Index_io v5) decodes a
    term's rows from mapped postings on first use instead of materializing
-   the whole postings file at open.  [pv_rows] must be safe to call from
-   any domain (it is pure decoding of immutable mapped bytes) and may
-   raise the segment's typed fault exception; the per-shape caches above
-   it make repeated query access cheap. *)
+   the whole postings file at open; [build] and [of_raw] hand over the
+   arrays they hold (callers never mutate rows).  [pv_rows] must be safe
+   to call from any domain and may raise the segment's typed fault
+   exception; the per-shape caches above it make repeated query access
+   cheap. *)
 type provider = {
   pv_terms : int;
   pv_row_count : int -> int;
   pv_rows : int -> int array * int array;
 }
 
-type rows_src = Arrays of raw array | Lazy_rows of provider
+let of_arrays nodes tfs =
+  {
+    pv_terms = Array.length nodes;
+    pv_row_count = (fun id -> Array.length nodes.(id));
+    pv_rows = (fun id -> (nodes.(id), tfs.(id)));
+  }
 
 let default_cache_capacity = 8192
 
@@ -38,7 +42,7 @@ type stats_override = { so_total_nodes : int; so_df : string -> int }
 type t = {
   label : Xk_encoding.Labeling.t;
   dict : Xk_text.Dictionary.t;
-  raws : rows_src;
+  rows : provider;
   scorer : Xk_score.Scorer.t;
   df_override : (string -> int) option;
   jcache : Jlist.t Shard_cache.t;
@@ -60,8 +64,18 @@ let scorer_for ?stats label =
   in
   Xk_score.Scorer.make ~total_nodes
 
-let df_override_of stats =
-  Option.map (fun s -> s.so_df) stats
+let make ?(cache_capacity = default_cache_capacity) ?stats ~dict label rows =
+  let jcache, pcache, scache = make_caches cache_capacity in
+  {
+    label;
+    dict;
+    rows;
+    scorer = scorer_for ?stats label;
+    df_override = Option.map (fun s -> s.so_df) stats;
+    jcache;
+    pcache;
+    scache;
+  }
 
 (* One pass over the nodes.  A node's term frequencies are tallied in two
    arrays indexed by term id, [last_node] (the node that last saw the
@@ -70,8 +84,7 @@ let df_override_of stats =
    counting pass by term id then cuts the buffer into per-term arrays, so
    each term's rows stay in node order; ids are interned in first-seen
    order, straight from the tokens' source spans. *)
-let build ?(cache_capacity = default_cache_capacity) ?stats
-    (label : Xk_encoding.Labeling.t) =
+let build ?cache_capacity ?stats (label : Xk_encoding.Labeling.t) =
   let dict = Xk_text.Dictionary.create () in
   let last_node = ref [||] and tf = ref [||] in
   let ensure id =
@@ -101,11 +114,11 @@ let build ?(cache_capacity = default_cache_capacity) ?stats
   let n = Xk_encoding.Labeling.node_count label in
   for i = 0 to n - 1 do
     (match Xk_encoding.Labeling.xml_node label i with
-    | Xk_xml.Xml_tree.Text s -> Xk_text.Tokenizer.spans ~skip_stopwords:true s (tally i)
+    | Xk_xml.Xml_tree.Text s -> Xk_text.Tokenizer.spans s (tally i)
     | Xk_xml.Xml_tree.Element e ->
         List.iter
           (fun (a : Xk_xml.Xml_tree.attribute) ->
-            Xk_text.Tokenizer.spans ~skip_stopwords:true a.attr_value (tally i))
+            Xk_text.Tokenizer.spans a.attr_value (tally i))
           e.attrs);
     List.iter
       (fun id ->
@@ -118,126 +131,83 @@ let build ?(cache_capacity = default_cache_capacity) ?stats
       !seen;
     seen := []
   done;
-  let raws =
-    Array.init (Xk_text.Dictionary.size dict) (fun id ->
-        let df = Xk_text.Dictionary.df dict id in
-        { r_nodes = Array.make df 0; r_tfs = Array.make df 0 })
+  let terms = Xk_text.Dictionary.size dict in
+  let nodes =
+    Array.init terms (fun id -> Array.make (Xk_text.Dictionary.df dict id) 0)
   in
-  let fill = Array.make (Array.length raws) 0 in
+  let tfs = Array.map (fun a -> Array.make (Array.length a) 0) nodes in
+  let fill = Array.make terms 0 in
   for r = 0 to Ibuf.length row_terms - 1 do
     let id = Ibuf.get row_terms r in
     let k = fill.(id) in
-    raws.(id).r_nodes.(k) <- Ibuf.get row_nodes r;
-    raws.(id).r_tfs.(k) <- Ibuf.get row_tfs r;
+    nodes.(id).(k) <- Ibuf.get row_nodes r;
+    tfs.(id).(k) <- Ibuf.get row_tfs r;
     fill.(id) <- k + 1
   done;
-  let jcache, pcache, scache = make_caches cache_capacity in
-  {
-    label;
-    dict;
-    raws = Arrays raws;
-    scorer = scorer_for ?stats label;
-    df_override = df_override_of stats;
-    jcache;
-    pcache;
-    scache;
-  }
+  make ?cache_capacity ?stats ~dict label (of_arrays nodes tfs)
 
 (* Reassemble an index from persisted raw postings (see Index_io). *)
-let of_raw ?(cache_capacity = default_cache_capacity) ?stats
-    (label : Xk_encoding.Labeling.t)
+let of_raw ?stats (label : Xk_encoding.Labeling.t)
     (entries : (string * int array * int array) list) =
   let dict = Xk_text.Dictionary.create () in
-  let raws =
-    List.map
-      (fun (term, nodes, tfs) ->
-        if Array.length nodes <> Array.length tfs then
-          Xk_util.Err.invalid "Index.of_raw: row length mismatch";
-        let id = Xk_text.Dictionary.intern dict term in
-        Xk_text.Dictionary.set_stats dict id ~df:(Array.length nodes)
-          ~cf:(Array.fold_left ( + ) 0 tfs);
-        { r_nodes = nodes; r_tfs = tfs })
-      entries
-  in
-  let jcache, pcache, scache = make_caches cache_capacity in
-  {
-    label;
-    dict;
-    raws = Arrays (Array.of_list raws);
-    scorer = scorer_for ?stats label;
-    df_override = df_override_of stats;
-    jcache;
-    pcache;
-    scache;
-  }
+  List.iter
+    (fun (term, nodes, tfs) ->
+      if Array.length nodes <> Array.length tfs then
+        Xk_util.Err.invalid "Index.of_raw: row length mismatch";
+      let id = Xk_text.Dictionary.intern dict term in
+      Xk_text.Dictionary.set_stats dict id ~df:(Array.length nodes)
+        ~cf:(Array.fold_left ( + ) 0 tfs))
+    entries;
+  let entries = Array.of_list entries in
+  make ?stats ~dict label
+    (of_arrays
+       (Array.map (fun (_, nodes, _) -> nodes) entries)
+       (Array.map (fun (_, _, tfs) -> tfs) entries))
 
 (* Wrap a lazy rows source (a mapped segment).  The caller supplies the
    dictionary already interned in term-id order with its statistics set
    from the segment directory: that is what makes open cost proportional
    to the dictionary, not to the postings. *)
-let of_provider ?(cache_capacity = default_cache_capacity) ?stats ~dict
-    (label : Xk_encoding.Labeling.t) (pv : provider) =
+let of_provider ?stats ~dict (label : Xk_encoding.Labeling.t) (pv : provider) =
   if Xk_text.Dictionary.size dict <> pv.pv_terms then
     Xk_util.Err.invalid "Index.of_provider: dictionary/provider size mismatch";
-  let jcache, pcache, scache = make_caches cache_capacity in
-  {
-    label;
-    dict;
-    raws = Lazy_rows pv;
-    scorer = scorer_for ?stats label;
-    df_override = df_override_of stats;
-    jcache;
-    pcache;
-    scache;
-  }
+  make ?stats ~dict label pv
 
 let label t = t.label
 let dict t = t.dict
 let damping _ = Xk_score.Damping.default
-let scorer t = t.scorer
+let term_count t = t.rows.pv_terms
 
-let term_count t =
-  match t.raws with Arrays a -> Array.length a | Lazy_rows pv -> pv.pv_terms
-
-(* Fetch one term's rows.  The Arrays form shares the stored arrays (the
-   callers never mutate them); the lazy form decodes fresh arrays from
-   the mapped postings each call — per-query cost is amortized by the
-   shape caches, and whole-dictionary sweeps pay streaming decode. *)
-let fetch_raw t id =
-  match t.raws with
-  | Arrays a -> a.(id)
-  | Lazy_rows pv ->
-      let nodes, tfs = pv.pv_rows id in
-      { r_nodes = nodes; r_tfs = tfs }
+(* One term's (nodes, tfs) rows.  A mapped segment decodes fresh arrays
+   each call — per-query cost is amortized by the shape caches, and
+   whole-dictionary sweeps pay streaming decode. *)
+let raw_rows t id = t.rows.pv_rows id
 
 let term_id t w = Xk_text.Dictionary.find_folded t.dict w ~pos:0 ~len:(String.length w)
 let term t id = Xk_text.Dictionary.term t.dict id
 
-let df t id =
-  match t.raws with
-  | Arrays a -> Array.length a.(id).r_nodes
-  | Lazy_rows pv -> pv.pv_row_count id
+let df t id = t.rows.pv_row_count id
 
 (* Local scores of a term's rows.  [df] is the term's corpus-wide
    document frequency: the row count here, unless the index is one shard
    of a partitioned corpus, in which case the override supplies the sum
    over all shards. *)
-let scores_of_raw t id (r : raw) =
+let scores_of_raw t id (nodes, tfs) =
   let df =
     match t.df_override with
-    | None -> Array.length r.r_nodes
+    | None -> Array.length nodes
     | Some df -> df (Xk_text.Dictionary.term t.dict id)
   in
-  Array.map (fun tf -> Xk_score.Scorer.local_score t.scorer ~tf ~df) r.r_tfs
+  Array.map (fun tf -> Xk_score.Scorer.local_score t.scorer ~tf ~df) tfs
 
 let jlist t id =
   Shard_cache.find_or_add t.jcache id ~compute:(fun id ->
-      let r = fetch_raw t id in
+      let ((nodes, _) as r) = raw_rows t id in
       let seqs =
-        Array.map (fun n -> Xk_encoding.Labeling.jdewey_seq t.label n) r.r_nodes
+        Array.map (fun n -> Xk_encoding.Labeling.jdewey_seq t.label n) nodes
       in
       let scores = scores_of_raw t id r in
-      Jlist.make ~seqs ~nodes:r.r_nodes ~scores)
+      Jlist.make ~seqs ~nodes ~scores)
 
 (* The posting and score-list shapes are built from the term's jlist, so
    they share its node and score arrays instead of decoding the rows and
@@ -280,13 +250,7 @@ let term_ids_exn t words =
       | None -> Xk_util.Err.invalidf "unknown keyword %S" w)
     words
 
-(* Uncached access for whole-dictionary sweeps (index-size accounting),
-   which must not blow up the per-term caches. *)
-let raw_rows t id =
-  let r = fetch_raw t id in
-  (r.r_nodes, r.r_tfs)
-
-let local_scores t id = scores_of_raw t id (fetch_raw t id)
+let local_scores t id = scores_of_raw t id (raw_rows t id)
 
 (* Terms sorted by descending document frequency, for workload selection. *)
 let terms_by_df t =

@@ -34,13 +34,14 @@ val build :
     statistics derived from this tree alone (sharded indices). *)
 
 val of_raw :
-  ?cache_capacity:int ->
   ?stats:stats_override ->
   Xk_encoding.Labeling.t ->
   (string * int array * int array) list ->
   t
 (** Reassemble an index from persisted (term, nodes, tfs) postings; used by
-    {!Index_io.load}.  Term ids are assigned in list order. *)
+    the v2 loader ({!Index_io.load_result}).  Term ids are assigned in
+    list order.  The arrays become the rows of a {!provider}, as
+    {!build}'s do: every index reads its rows through one. *)
 
 type provider = {
   pv_terms : int;  (** number of terms; ids are [0 .. pv_terms - 1] *)
@@ -50,12 +51,12 @@ type provider = {
           domain (pure decoding of immutable bytes); may raise the
           segment's typed fault exception on lazily-detected corruption. *)
 }
-(** Lazily-fetched rows: a zero-copy segment ({!Index_io} v5) decodes a
-    term's rows from mapped postings on first use instead of materializing
-    every posting at open. *)
+(** The one row source of every index.  A zero-copy segment
+    ({!Index_io} v5) decodes a term's rows from mapped postings on first
+    use instead of materializing every posting at open; {!build} and
+    {!of_raw} hand over the arrays they hold. *)
 
 val of_provider :
-  ?cache_capacity:int ->
   ?stats:stats_override ->
   dict:Xk_text.Dictionary.t ->
   Xk_encoding.Labeling.t ->
@@ -70,8 +71,6 @@ val label : t -> Xk_encoding.Labeling.t
 val dict : t -> Xk_text.Dictionary.t
 val damping : t -> Xk_score.Damping.t
 (** The depth damping of every score: {!Xk_score.Damping.default}. *)
-
-val scorer : t -> Xk_score.Scorer.t
 
 val term_count : t -> int
 
@@ -96,7 +95,9 @@ val cache_stats : t -> Shard_cache.stats
     caches (so [capacity] is three times the per-shape bound). *)
 
 val raw_rows : t -> int -> int array * int array
-(** Uncached (nodes, tfs) rows of a term, for whole-dictionary sweeps. *)
+(** Uncached (nodes, tfs) rows of a term, for whole-dictionary sweeps.
+    Do not mutate them: an in-memory index hands out the arrays it
+    holds. *)
 
 val local_scores : t -> int -> float array
 

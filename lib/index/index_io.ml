@@ -78,8 +78,6 @@ let load_error_message { error; attempts } =
     Printf.sprintf "%s (after %d attempts)" (error_message error) attempts
   else error_message error
 
-exception Format_error of string
-
 exception Segment_fault of string
 (* Raised by the lazy v5 row decoder (see the .mli). *)
 
@@ -220,18 +218,28 @@ let save (idx : Index.t) path =
    so structural errors indicate a logic-level mismatch and are
    classified as corruption.  A count is checked against the bytes left
    before anything is built for it: each row takes at least two bytes.
-   Node ids increase and stay below the node count the payload was
-   built over, and a tf is at least 1, as [save] writes it. *)
+   Every term is listed once, node ids strictly increase and stay below
+   the node count the payload was built over, and a tf is at least 1,
+   as [save_v2] writes them; the v5 reader holds its segments to the
+   same rules. *)
 let decode_payload c =
   let nodes = Xk_storage.Varint.read c in
+  let terms = Xk_storage.Varint.count c ~width:1 in
+  let seen = Hashtbl.create terms in
   let entries =
-    List.init (Xk_storage.Varint.count c ~width:1) (fun _ ->
+    List.init terms (fun _ ->
         let term = Xk_storage.Varint.string c in
+        if Hashtbl.mem seen term then
+          Xk_storage.Varint.malformed "duplicate term %S" term;
+        Hashtbl.add seen term ();
         let rows = Xk_storage.Varint.count c ~width:2 in
         let prev = ref 0 in
         let ids =
-          Array.init rows (fun _ ->
-              prev := !prev + Xk_storage.Varint.read c;
+          Array.init rows (fun i ->
+              let gap = Xk_storage.Varint.read c in
+              if i > 0 && gap = 0 then
+                Xk_storage.Varint.malformed "node ids not increasing";
+              prev := !prev + gap;
               if !prev >= nodes then
                 Xk_storage.Varint.malformed "node id out of range";
               !prev)
@@ -563,7 +571,7 @@ let decode_all sg =
     done
   done
 
-let open_v5 ?cache_capacity ?stats ~verify_columns label path m :
+let open_v5 ?stats ~verify_columns label path m :
     Index.t =
   let ((lay, _) as header) = map_header m in
   if lay.node_count <> Xk_encoding.Labeling.node_count label then
@@ -586,7 +594,7 @@ let open_v5 ?cache_capacity ?stats ~verify_columns label path m :
           | Xk_storage.Mmap.Fault e -> fault (Xk_storage.Mmap.error_message e));
     }
   in
-  Index.of_provider ?cache_capacity ?stats ~dict label provider
+  Index.of_provider ?stats ~dict label provider
 
 (* ------------------------------------------------------------------ *)
 (* Attempts, retry policy, public API                                 *)
@@ -624,10 +632,10 @@ let read_mapped ?len path =
       Xk_storage.Mmap.close m;
       Ok data)
 
-let attempt ?cache_capacity ?stats ~verify_columns label path =
+let attempt ?stats ~verify_columns label path =
   with_map path (fun m ->
       if map_is_v5 m then
-        Ok (open_v5 ?cache_capacity ?stats ~verify_columns label path m)
+        Ok (open_v5 ?stats ~verify_columns label path m)
       else
         Result.bind (check_v2 (map_contents m)) (fun (nodes, entries) ->
             let have = Xk_encoding.Labeling.node_count label in
@@ -637,7 +645,7 @@ let attempt ?cache_capacity ?stats ~verify_columns label path =
                   (Corrupted
                      (Printf.sprintf "index built over %d nodes, document has %d"
                         nodes have)))
-            else Ok (Index.of_raw ?cache_capacity ?stats label entries)))
+            else Ok (Index.of_raw ?stats label entries)))
 
 let retryable = function
   | `Transient _ | `Crc _ | `Suspect _ -> true
@@ -650,10 +658,10 @@ let retrying ?(retries = 4) ?(backoff_ms = 1.0) attempt =
   | Ok v, _ -> Ok v
   | Error e, attempts -> Error { error = classify e; attempts }
 
-let load_result ?cache_capacity ?stats ?retries ?backoff_ms
+let load_result ?stats ?retries ?backoff_ms
     ?(verify_columns = false) label path =
   retrying ?retries ?backoff_ms (fun () ->
-      attempt ?cache_capacity ?stats ~verify_columns label path)
+      attempt ?stats ~verify_columns label path)
 
 (* Verification without building an index.  For a v2 segment this checks
    the header and the payload checksum and decodes the payload, as a
@@ -675,11 +683,6 @@ let read_verified ?retries ?backoff_ms path =
   retrying ?retries ?backoff_ms (fun () ->
       with_map path (fun m ->
           Result.map (fun () -> map_contents m) (verified path m)))
-
-let load label path =
-  match load_result label path with
-  | Ok idx -> idx
-  | Error e -> raise (Format_error (load_error_message e))
 
 (* Introspection for tests and benches: how big is a file, which
    generation is it, and where do a v5 segment's regions live (so a

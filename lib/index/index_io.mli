@@ -99,9 +99,6 @@ val retrying :
 
 val load_error_message : load_error -> string
 
-exception Format_error of string
-(** Raised by the legacy {!load} wrapper, with {!error_message} applied. *)
-
 exception Segment_fault of string
 (** Raised by the {e lazy} v5 row decoder: the checksum of a term's
     block fails (every term of that block faults, every other term
@@ -124,7 +121,6 @@ val save_v2 : Index.t -> string -> unit
     the loader benches). *)
 
 val load_result :
-  ?cache_capacity:int ->
   ?stats:Index.stats_override ->
   ?retries:int ->
   ?backoff_ms:float ->
@@ -155,9 +151,6 @@ val read_verified :
   ?retries:int -> ?backoff_ms:float -> string -> (string, load_error) result
 (** {!verify}, returning the bytes of the map that passed it, so a torn
     read never reaches a byte-for-byte replica copy. *)
-
-val load : Xk_encoding.Labeling.t -> string -> Index.t
-(** {!load_result}, raising {!Format_error} on any error (legacy API). *)
 
 (** {1 Introspection} — for tests, drills and benches.  The reads map
     the file and retry like a load. *)

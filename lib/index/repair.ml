@@ -44,12 +44,12 @@ let verify_to_result ?retries ?backoff_ms file =
   | Ok () -> Ok ()
   | Error e -> Error (Index_io.load_error_message e)
 
-let scrub ?budget ?slice ?throttle_ms ?sleep ?retries ?backoff_ms path =
+let scrub ?budget ?slice ?throttle_ms ?retries ?backoff_ms path =
   match Shard_io.replica_files path with
   | Error _ as e -> e
   | Ok files ->
       Ok
-        (Xk_resilience.Scrub.run ?budget ?slice ?throttle_ms ?sleep
+        (Xk_resilience.Scrub.run ?budget ?slice ?throttle_ms
            ~verify:(verify_to_result ?retries ?backoff_ms)
            files)
 

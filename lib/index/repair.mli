@@ -35,14 +35,12 @@ type outcome =
 
 type summary = { outcomes : outcome list; repaired : int; unrepairable : int }
 
-val outcome_copy : outcome -> copy
 val outcome_line : outcome -> string
 
 val scrub :
   ?budget:Xk_resilience.Budget.t ->
   ?slice:int ->
   ?throttle_ms:float ->
-  ?sleep:(float -> unit) ->
   ?retries:int ->
   ?backoff_ms:float ->
   string ->

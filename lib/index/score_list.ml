@@ -16,37 +16,43 @@ type t = {
 }
 
 let make (jl : Jlist.t) (damping : Xk_score.Damping.t) =
-  let n = Jlist.length jl in
-  let by_len = Hashtbl.create 16 in
+  let n = Jlist.length jl and height = Jlist.max_len jl in
+  let scores = Jlist.scores jl in
+  (* A counting pass by sequence length sizes every group; a second one
+     fills each group in ascending row order. *)
+  let count = Array.make (height + 1) 0 in
   for r = 0 to n - 1 do
     let len = Jlist.row_len jl r in
-    let rows = try Hashtbl.find by_len len with Not_found -> [] in
-    Hashtbl.replace by_len len (r :: rows)
+    count.(len) <- count.(len) + 1
   done;
-  let groups =
-    Hashtbl.fold
-      (fun len rows acc ->
-        let rows = Array.of_list rows in
-        Array.sort
-          (fun a b ->
-            let c = Float.compare (Jlist.score jl b) (Jlist.score jl a) in
-            if c <> 0 then c else Int.compare a b)
-          rows;
-        { len; rows } :: acc)
-      by_len []
+  let rows = Array.map (fun c -> Array.make c 0) count in
+  let fill = Array.make (height + 1) 0 in
+  for r = 0 to n - 1 do
+    let len = Jlist.row_len jl r in
+    rows.(len).(fill.(len)) <- r;
+    fill.(len) <- fill.(len) + 1
+  done;
+  let by_score a b =
+    let c = Float.compare scores.(b) scores.(a) in
+    if c <> 0 then c else Int.compare a b
   in
-  let groups = Array.of_list groups in
-  Array.sort (fun a b -> Int.compare a.len b.len) groups;
-  let height = Jlist.max_len jl in
+  let groups = ref [] in
+  for len = height downto 0 do
+    if count.(len) > 0 then begin
+      Array.sort by_score rows.(len);
+      groups := { len; rows = rows.(len) } :: !groups
+    end
+  done;
+  let groups = Array.of_list !groups in
   let max_damped =
     Array.init height (fun i ->
         let level = i + 1 in
         Array.fold_left
           (fun acc g ->
-            if g.len >= level && Array.length g.rows > 0 then
-              let top = Jlist.score jl g.rows.(0) in
+            if g.len >= level then
               Float.max acc
-                (top *. Xk_score.Damping.apply damping (g.len - level))
+                (scores.(g.rows.(0))
+                *. Xk_score.Damping.apply damping (g.len - level))
             else acc)
           neg_infinity groups)
   in
@@ -58,8 +64,6 @@ let groups t = t.groups
 let max_damped t ~level =
   if level < 1 || level > Array.length t.max_damped then neg_infinity
   else t.max_damped.(level - 1)
-
-let has_len t len = Array.exists (fun g -> g.len = len) t.groups
 
 (* Serialized size in the score-ordered layout: per group, sequences are
    stored in score order, so columns lose their sortedness and store raw

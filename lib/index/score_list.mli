@@ -18,7 +18,5 @@ val max_damped : t -> level:int -> float
     [neg_infinity] when the level is empty.  Implements the cross-column
     upper bounds (including the paper's column-skip rule). *)
 
-val has_len : t -> int -> bool
-
 val encoded_size : t -> int
 (** On-disk bytes in the score-ordered layout (Table I, "Top-K Join"). *)

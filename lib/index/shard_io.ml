@@ -182,7 +182,7 @@ let load_manifest ?retries ?backoff_ms path =
   |> Result.map_error (fun ({ error; attempts } : Index_io.load_error) ->
          Manifest { error; attempts })
 
-let load_result ?cache_capacity ?retries ?backoff_ms ?verify_columns
+let load_result ?retries ?backoff_ms ?verify_columns
     (doc : Xk_xml.Xml_tree.document) path =
   match load_manifest ?retries ?backoff_ms path with
   | Error _ as e -> e
@@ -212,7 +212,7 @@ let load_result ?cache_capacity ?retries ?backoff_ms ?verify_columns
             | file :: rest -> (
                 let full = Filename.concat dir file in
                 match
-                  Index_io.load_result ?cache_capacity ~stats
+                  Index_io.load_result ~stats
                     ?retries ?backoff_ms ?verify_columns label full
                 with
                 | Ok idx -> Ok idx
@@ -242,30 +242,6 @@ let endpoints path = Result.map (fun m -> m.m_endpoints) (load_manifest path)
 
 let partition_spec path =
   Result.map (fun m -> (m.m_shards, m.m_assignment)) (load_manifest path)
-
-type copy_status =
-  | Copy_clean
-  | Copy_damaged of Index_io.load_error
-  | Copy_missing
-
-let copy_status_label = function
-  | Copy_clean -> "clean"
-  | Copy_damaged _ -> "damaged"
-  | Copy_missing -> "missing"
-
-let replica_status ?retries ?backoff_ms path =
-  match replica_files path with
-  | Error _ as e -> e
-  | Ok files ->
-      Ok
-        (Array.map
-           (Array.map (fun file ->
-                if not (Sys.file_exists file) then (file, Copy_missing)
-                else
-                  match Index_io.verify ?retries ?backoff_ms file with
-                  | Ok () -> (file, Copy_clean)
-                  | Error e -> (file, Copy_damaged e)))
-           files)
 
 let is_manifest path =
   let manifests = [ magic; magic_v2; magic_v1 ] in

@@ -16,7 +16,11 @@
     Failures are typed per layer: a bad manifest is {!Manifest}, a lost
     shard is {!Shard} and carries every replica's failure with its
     attempt count.  Both layers run the same retry/fault-injection
-    machinery as {!Index_io}. *)
+    machinery as {!Index_io}.
+
+    This module does not classify copies: [Xk_index.Repair.scrub] does,
+    running {!Index_io.verify} over {!replica_files} through the
+    scrubber ([Xk_resilience.Scrub.run]). *)
 
 type error =
   | Manifest of { error : Index_io.error; attempts : int }
@@ -54,7 +58,6 @@ val save :
     a written copy does not read back clean. *)
 
 val load_result :
-  ?cache_capacity:int ->
   ?retries:int ->
   ?backoff_ms:float ->
   ?verify_columns:bool ->
@@ -90,31 +93,6 @@ val partition_spec : string -> (int * int array, error) result
     manifest at [path] — what a repair rebuild needs to re-partition the
     corpus exactly as the stored shards were ({!Sharding.partition}
     [~assignment]). *)
-
-(** Typed per-copy state, as reported by {!replica_status}: what a
-    repair planner needs to know about each copy without attempting a
-    full load. *)
-type copy_status =
-  | Copy_clean  (** the copy passes full {!Index_io.verify} *)
-  | Copy_damaged of Index_io.load_error
-      (** present but failed verification, with its attempt count *)
-  | Copy_missing  (** the file is gone *)
-
-val copy_status_label : copy_status -> string
-
-val replica_status :
-  ?retries:int ->
-  ?backoff_ms:float ->
-  string ->
-  ((string * copy_status) array array, error) result
-(** The verification state of every copy recorded in the manifest at
-    [path], indexed [shard][replica], without building any index: each
-    present copy runs full {!Index_io.verify} (header, directory, terms,
-    and per-term row CRCs) with the usual retry envelope.  This is the
-    repair-planning view: [Xk_index.Repair] and the scrubber classify
-    from it, and a {!Xk_resilience.Chaos.mark_corrupt}/heal cycle round-trips
-    through it ([Copy_damaged] while marked, [Copy_clean] after the mark
-    is healed and the copy rewritten). *)
 
 val is_manifest : string -> bool
 (** Whether the file starts with a shard-manifest magic (current v3,

@@ -8,8 +8,6 @@
    contained text must be indexed exactly once or document frequencies
    (and root witnesses) would double-count. *)
 
-type strategy = Round_robin | Hash
-
 type shard = { sh_index : Index.t; sh_to_global : int array }
 
 (* One entry per top-level subtree, in document order: where its nodes
@@ -34,18 +32,6 @@ let subtree_size (n : Xk_xml.Xml_tree.node) =
     | Xk_xml.Xml_tree.Element e -> List.fold_left go (acc + 1) e.children
   in
   go 0 n
-
-let child_tag = function
-  | Xk_xml.Xml_tree.Element e -> e.tag
-  | Xk_xml.Xml_tree.Text _ -> "#text"
-
-let assign strategy ~shards (doc : Xk_xml.Xml_tree.document) =
-  if shards < 1 then Xk_util.Err.invalid "Sharding.assign: shards < 1";
-  let children = Array.of_list doc.root.children in
-  match strategy with
-  | Round_robin -> Array.init (Array.length children) (fun i -> i mod shards)
-  | Hash ->
-      Array.mapi (fun i c -> Hashtbl.hash (i, child_tag c) mod shards) children
 
 let validate_assignment ~shards ~children (a : int array) =
   if Array.length a <> children then
@@ -176,8 +162,8 @@ let build_with ?shards ~(assignment : int array) ~make
               segments;
         }
 
-let partition ?cache_capacity ?(strategy = Round_robin) ?assignment
-    ~shards (doc : Xk_xml.Xml_tree.document) =
+let partition ?cache_capacity ?assignment ~shards
+    (doc : Xk_xml.Xml_tree.document) =
   if shards < 1 then Xk_util.Err.invalid "Sharding.partition: shards < 1";
   let n_children = List.length doc.root.children in
   let assignment =
@@ -185,7 +171,7 @@ let partition ?cache_capacity ?(strategy = Round_robin) ?assignment
     | Some a ->
         validate_assignment ~shards ~children:n_children a;
         Array.copy a
-    | None -> assign strategy ~shards doc
+    | None -> Array.init n_children (fun i -> i mod shards)
   in
   let make ~shard:_ label ~stats =
     Ok (Index.build ?cache_capacity ~stats label)
@@ -199,7 +185,6 @@ let count t = Array.length t.shards
 let index t s = t.shards.(s).sh_index
 let assignment t = Array.copy t.assignment
 let total_nodes t = t.total_nodes
-let subtree_count t = Array.length t.assignment
 
 let to_global t ~shard local = t.shards.(shard).sh_to_global.(local)
 

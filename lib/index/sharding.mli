@@ -17,24 +17,17 @@
     which a gather step reconstructs the root's ELCA/SLCA membership and
     exact score (see [Xk_exec.Shard_exec]). *)
 
-type strategy =
-  | Round_robin  (** subtree [i] goes to shard [i mod n] *)
-  | Hash  (** deterministic hash of subtree position and root tag *)
-
 type t
-
-val assign : strategy -> shards:int -> Xk_xml.Xml_tree.document -> int array
-(** The assignment (top-level child index -> shard) a strategy induces. *)
 
 val partition :
   ?cache_capacity:int ->
-  ?strategy:strategy ->
   ?assignment:int array ->
   shards:int ->
   Xk_xml.Xml_tree.document ->
   t
-(** Build a sharded index in memory.  [assignment] overrides [strategy]
-    (default [Round_robin]); its length must equal the number of
+(** Build a sharded index in memory.  Top-level subtree [i] goes to
+    shard [i mod shards] unless [assignment] (top-level child index ->
+    shard) says otherwise; its length must equal the number of
     top-level subtrees and its values must be in [\[0, shards)].
     [cache_capacity] as in {!Index.build}, applied per shard.
     Raises [Invalid_argument] on [shards < 1] or a malformed
@@ -66,8 +59,6 @@ val assignment : t -> int array
 
 val total_nodes : t -> int
 (** Node count of the whole corpus (= every shard's scorer norm). *)
-
-val subtree_count : t -> int
 
 val to_global : t -> shard:int -> int -> int
 (** Map a shard-local node index to the unsharded document's node index

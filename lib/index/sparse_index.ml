@@ -10,10 +10,9 @@ type t = {
   positions : int array; (* run index of each sample *)
 }
 
-let default_stride = 64
+let stride = 64
 
-let build ?(stride = default_stride) (c : Column.t) =
-  if stride < 1 then Xk_util.Err.invalid "Sparse_index.build";
+let build (c : Column.t) =
   let n = Column.num_runs c in
   let count = (n + stride - 1) / stride in
   let values = Array.make count 0 in

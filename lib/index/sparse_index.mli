@@ -1,11 +1,9 @@
-(** Sparse index over a column: every n-th run value, probed to narrow a
-    binary search to one stride. *)
+(** Sparse index over a column: every 64th run value, probed to narrow a
+    binary search to one stride of 64 runs. *)
 
 type t
 
-val default_stride : int
-
-val build : ?stride:int -> Column.t -> t
+val build : Column.t -> t
 
 val probe : t -> num_runs:int -> int -> int * int
 (** [probe t ~num_runs v] is a run-index window [\[lo, hi)] that contains

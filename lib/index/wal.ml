@@ -239,7 +239,6 @@ let append t op =
 
 let base_lsn t = t.w_base
 let lsn t = t.w_lsn
-let path t = t.w_path
 
 let close t =
   match t.w_oc with

@@ -92,7 +92,6 @@ val lsn : t -> int
 (** LSN of the last record written or recovered (= [base_lsn] when the
     log is empty). *)
 
-val path : t -> string
 val close : t -> unit
 
 (** {1 Subtree codec}

@@ -26,16 +26,14 @@ type stats = {
   rejected : int;  (** requests refused while Open / probe-saturated *)
 }
 
-val default_config : config
-(** threshold 5, cooldown 1000 ms, 1 probe. *)
-
 val create :
   ?config:config ->
   ?clock:(unit -> float) ->
   ?on_transition:(state -> state -> unit) ->
   unit ->
   t
-(** [clock] defaults to wall time in ms.  Raises [Invalid_argument] on
+(** [config] defaults to a threshold of 5, a 1000 ms cooldown and 1
+    probe; [clock] defaults to wall time in ms.  Raises [Invalid_argument] on
     a non-positive threshold or probe count.  [on_transition from to_]
     fires once per state change (trip, probe admission, close), {e after}
     the breaker's lock is released — it must stay non-blocking (no IO,

@@ -22,10 +22,11 @@ type snapshot = {
   mean_latency_ms : float;
 }
 
-let create ?(window = 32) () =
-  if window < 1 then Xk_util.Err.invalid "Health.create: window < 1";
+let window_size = 32
+
+let create () =
   Xk_util.Sync.Protected.create
-    { window = Array.make window None; next = 0; seen = 0 }
+    { window = Array.make window_size None; next = 0; seen = 0 }
 
 let record t ~ok ~latency_ms =
   Xk_util.Sync.Protected.with_ t (fun st ->

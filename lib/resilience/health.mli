@@ -1,4 +1,4 @@
-(** Rolling per-replica health: the last [window] request outcomes and
+(** Rolling per-replica health: the last 32 request outcomes and
     latencies, folded into a success rate and mean latency that the
     replica router uses to rank candidates.
 
@@ -17,9 +17,8 @@ type snapshot = {
   mean_latency_ms : float;  (** mean over the live window; 0.0 when empty *)
 }
 
-val create : ?window:int -> unit -> t
-(** A fresh, empty window (default size 32).  Raises [Invalid_argument]
-    on [window < 1]. *)
+val create : unit -> t
+(** A fresh, empty window of 32 observations. *)
 
 val record : t -> ok:bool -> latency_ms:float -> unit
 (** Append one observation, evicting the oldest once the window is

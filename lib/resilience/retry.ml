@@ -28,31 +28,14 @@ module Jitter = struct
     Float.min cap_ms (base +. ((hi -. base) *. uniform t))
 end
 
-let with_backoff_info ?(retries = 4) ?(backoff_ms = 1.0) ?max_backoff_ms ?jitter
+let with_backoff_info ?(retries = 4) ?(backoff_ms = 1.0)
     ?(sleep = default_sleep) ~retryable f =
-  let cap = Option.value max_backoff_ms ~default:infinity in
-  let next_delay prev =
-    match jitter with
-    | Some j -> Jitter.next j ~base_ms:backoff_ms ~cap_ms:cap ~prev_ms:prev
-    | None -> Float.min cap (prev *. 2.)
-  in
-  let first_delay =
-    match jitter with
-    | Some j -> Jitter.next j ~base_ms:backoff_ms ~cap_ms:cap ~prev_ms:backoff_ms
-    | None -> Float.min cap backoff_ms
-  in
   let rec go attempt delay =
     match f () with
     | Ok _ as ok -> (ok, attempt + 1)
     | Error e when attempt < retries && retryable e ->
         sleep delay;
-        go (attempt + 1) (next_delay delay)
+        go (attempt + 1) (delay *. 2.)
     | Error _ as err -> (err, attempt + 1)
   in
-  go 0 first_delay
-
-let with_backoff ?retries ?backoff_ms ?max_backoff_ms ?jitter ?sleep ~retryable f
-    =
-  fst
-    (with_backoff_info ?retries ?backoff_ms ?max_backoff_ms ?jitter ?sleep
-       ~retryable f)
+  go 0 backoff_ms

@@ -6,8 +6,8 @@
     including the [`Suspect] header re-read class — so attempt budgets
     are uniform and the attempt count can be surfaced in typed errors. *)
 
-(** Decorrelated-jitter delay source, shared by {!with_backoff} and the
-    fleet supervisor's restart backoff: each delay is drawn uniformly
+(** Decorrelated-jitter delay source for the fleet supervisor's restart
+    backoff: each delay is drawn uniformly
     from [[base, max base (3 * prev)]] and clamped to a cap, so a cohort
     of replicas that failed together does not reconnect (or restart) in
     lockstep and thundering-herd the recovering host.  The generator is
@@ -24,35 +24,20 @@ module Jitter : sig
       clamped to [cap_ms]. *)
 end
 
-val with_backoff :
-  ?retries:int ->
-  ?backoff_ms:float ->
-  ?max_backoff_ms:float ->
-  ?jitter:Jitter.t ->
-  ?sleep:(float -> unit) ->
-  retryable:('e -> bool) ->
-  (unit -> ('a, 'e) result) ->
-  ('a, 'e) result
-(** Run the thunk, retrying up to [retries] (default 4) extra times while
-    it returns a [retryable] error, sleeping [backoff_ms] (default 1.0)
-    before the first retry and doubling after each, clamped to
-    [max_backoff_ms] (default unbounded).  With [jitter], every delay
-    (including the first) is drawn from the decorrelated-jitter
-    distribution instead of the deterministic doubling.  The last error
-    is returned when retries run out; non-retryable errors return
-    immediately.  [sleep] overrides the delay action (milliseconds) —
-    tests inject a recorder so backoff growth is observable without
-    sleeping. *)
-
 val with_backoff_info :
   ?retries:int ->
   ?backoff_ms:float ->
-  ?max_backoff_ms:float ->
-  ?jitter:Jitter.t ->
   ?sleep:(float -> unit) ->
   retryable:('e -> bool) ->
   (unit -> ('a, 'e) result) ->
   ('a, 'e) result * int
-(** {!with_backoff} plus the number of attempts actually made (>= 1):
-    callers that report typed errors attach it so an exhausted retry
-    budget is distinguishable from a first-try permanent failure. *)
+(** Run the thunk, retrying up to [retries] (default 4) extra times while
+    it returns a [retryable] error, sleeping [backoff_ms] (default 1.0)
+    before the first retry and doubling after each.  The last error is
+    returned when retries run out; non-retryable errors return
+    immediately.  The second component is the number of attempts
+    actually made (>= 1): callers that report typed errors attach it so
+    an exhausted retry budget is distinguishable from a first-try
+    permanent failure.  [sleep] overrides the delay action
+    (milliseconds) — tests inject a recorder so backoff growth is
+    observable without sleeping. *)

@@ -28,11 +28,6 @@ type report = {
   complete : bool;
 }
 
-let status_label = function
-  | Clean -> "clean"
-  | Damaged _ -> "damaged"
-  | Missing -> "missing"
-
 let healthy r = r.complete && r.damaged = 0 && r.missing = 0
 let needs_repair r = List.filter (fun e -> e.e_status <> Clean) r.entries
 
@@ -92,6 +87,3 @@ let run ?(budget = Budget.unlimited) ?(slice = 4) ?(throttle_ms = 0.)
     missing = !missing;
     complete = !complete;
   }
-
-let spawn ?budget ?slice ?throttle_ms ?sleep ~verify files =
-  Domain.spawn (fun () -> run ?budget ?slice ?throttle_ms ?sleep ~verify files)

@@ -34,8 +34,6 @@ type report = {
   complete : bool;  (** [false] when the budget expired mid-pass *)
 }
 
-val status_label : status -> string
-
 val healthy : report -> bool
 (** A complete pass that found every copy clean. *)
 
@@ -58,16 +56,3 @@ val run :
     (default 0); [budget] (default unlimited) is polled before every
     file and an expiry ends the pass early with [complete = false].
     [sleep] overrides the throttle action (milliseconds) for tests. *)
-
-val spawn :
-  ?budget:Budget.t ->
-  ?slice:int ->
-  ?throttle_ms:float ->
-  ?sleep:(float -> unit) ->
-  verify:(string -> (unit, string) result) ->
-  string array array ->
-  report Domain.t
-(** {!run} on a fresh background domain; join the handle for the
-    report.  Serving threads keep the main domain — combined with the
-    slice throttle this keeps scrubbing strictly lower priority than
-    query traffic. *)

@@ -20,9 +20,6 @@ val error_message : error -> string
 
 exception Rpc_failed of error
 
-val default_timeout_ms : float
-(** Receive/send timeout when the request carries no deadline (5000). *)
-
 val query :
   ?timeout_ms:float -> host:string -> port:int -> Wire.query -> Wire.served
 (** Run one per-shard query against a shard server.  The socket timeout

@@ -117,7 +117,7 @@ let read_exactly fd buf n ~eof_error =
   in
   go 0
 
-let read_fd ?(limit = default_limit) fd =
+let read_fd fd =
   let header = Bytes.create header_size in
   match read_exactly fd header header_size ~eof_error:Closed with
   | Error _ as e -> e
@@ -130,14 +130,15 @@ let read_fd ?(limit = default_limit) fd =
         Error (Bad_version (String.get_uint8 h 2))
       else
         let plen = u32_be h 4 in
-        if plen > limit then Error (Oversized { length = plen; limit })
+        if plen > default_limit then
+          Error (Oversized { length = plen; limit = default_limit })
         else
           let payload = Bytes.create plen in
           match
             read_exactly fd payload plen ~eof_error:(Io "EOF inside a frame")
           with
           | Error _ as e -> e
-          | Ok () -> check_frame ~limit (h ^ Bytes.to_string payload))
+          | Ok () -> check_frame (h ^ Bytes.to_string payload))
 
 let write_fd fd k payload =
   let b = Bytes.of_string (encode k payload) in

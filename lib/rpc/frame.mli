@@ -17,8 +17,8 @@
     The checksum covers every other byte of the frame, so any single-bit
     corruption — in the header fields or the payload — surfaces as a
     typed {!error}; nothing in this module ever lets an exception escape
-    on malformed input.  Payloads above [limit] (default
-    {!default_limit}) are refused before any allocation proportional to
+    on malformed input.  Payloads above [limit] (default 16 MiB) are
+    refused before any allocation proportional to
     the claimed length. *)
 
 type kind = Ping | Pong | Query | Reply
@@ -40,14 +40,10 @@ type error =
 val error_message : error -> string
 
 val version : int
-val header_size : int
-
-val default_limit : int
-(** Default maximum payload length (16 MiB). *)
 
 val encode : kind -> string -> string
 (** A complete frame for the payload.  Raises [Invalid_argument] only on
-    a payload longer than {!default_limit} — a caller bug, not input. *)
+    a payload longer than 16 MiB — a caller bug, not input. *)
 
 val decode : ?limit:int -> string -> (kind * string, error) result
 (** Decode exactly one frame spanning the whole string; never raises.
@@ -58,7 +54,7 @@ val write_fd : Unix.file_descr -> kind -> string -> (unit, error) result
 (** Write one frame, looping over partial writes.  [EPIPE]/reset map to
     [Io]; a send timeout maps to [Timeout]. *)
 
-val read_fd : ?limit:int -> Unix.file_descr -> (kind * string, error) result
-(** Read exactly one frame.  EOF before the first header byte is
-    [Closed]; EOF inside a frame is [Io]; a receive timeout
-    ([SO_RCVTIMEO]) is [Timeout].  Never raises. *)
+val read_fd : Unix.file_descr -> (kind * string, error) result
+(** Read exactly one frame of at most 16 MiB of payload.  EOF before
+    the first header byte is [Closed]; EOF inside a frame is [Io]; a
+    receive timeout ([SO_RCVTIMEO]) is [Timeout].  Never raises. *)

@@ -1,8 +1,6 @@
 (** Storage model of the BerkeleyDB B-tree layouts used by the paper's
     competitors, for Table I's index-size accounting. *)
 
-val page_size : int
-
 val dewey_bytes : Xk_encoding.Dewey.t -> int
 
 val composite_btree_size : (string * Xk_encoding.Dewey.t array) list -> int

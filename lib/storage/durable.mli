@@ -20,9 +20,6 @@ val fsyncs : unit -> int
 (** The fsyncs {!fsync_fd} has issued in this process so far, refused
     ones included; every sync in this module goes through it. *)
 
-val fsync_out_channel : out_channel -> unit
-(** Flush the channel, then {!fsync_fd} its descriptor. *)
-
 val fsync_dir : string -> unit
 (** Open a directory read-only and fsync it, so a rename inside it
     survives a crash.  Errors are swallowed: directory fsync is

@@ -8,4 +8,3 @@ let () =
 let invalid msg = raise (Invalid_argument msg)
 let invalidf fmt = Printf.ksprintf invalid fmt
 let unreachable msg = raise (Unreachable msg)
-let unreachablef fmt = Printf.ksprintf unreachable fmt

@@ -9,7 +9,7 @@
       through {!invalid}/{!invalidf}, keeping the conventional exception
       while funnelling every raise through one audited choke point;
     - statically unreachable branches raise {!Unreachable} through
-      {!unreachable}/{!unreachablef} with a ["Module.fn: why"] message,
+      {!unreachable} with a ["Module.fn: why"] message,
       so an impossible case that does fire identifies itself instead of
       producing an anonymous [Assert_failure]. *)
 
@@ -27,6 +27,3 @@ val unreachable : string -> 'a
 (** [unreachable msg] raises [Unreachable msg].  By convention [msg]
     starts with ["Module.function: "] and states the invariant that was
     violated. *)
-
-val unreachablef : ('a, unit, string, 'b) format4 -> 'a
-(** [unreachablef fmt ...] is {!unreachable} with a formatted message. *)

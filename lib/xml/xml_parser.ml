@@ -412,7 +412,7 @@ let parse_file ?keep_ws path =
   close_in ic;
   parse_string ?keep_ws s
 
-let parse_file_exn ?keep_ws path =
-  match parse_file ?keep_ws path with
+let parse_file_exn path =
+  match parse_file path with
   | Ok d -> d
   | Error e -> raise (Error e)

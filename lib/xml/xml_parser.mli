@@ -21,4 +21,4 @@ val parse_string_exn : ?keep_ws:bool -> string -> Xml_tree.document
 
 val parse_file : ?keep_ws:bool -> string -> (Xml_tree.document, error) result
 
-val parse_file_exn : ?keep_ws:bool -> string -> Xml_tree.document
+val parse_file_exn : string -> Xml_tree.document

@@ -31,63 +31,43 @@ let add_attrs buf attrs =
       Buffer.add_char buf '"')
     attrs
 
-let rec add_node ~indent ~level buf (n : Xml_tree.node) =
+let rec add_node buf (n : Xml_tree.node) =
   match n with
-  | Text s ->
-      if indent then pad buf level;
-      escape_text buf s;
-      if indent then Buffer.add_char buf '\n'
-  | Element e -> add_element ~indent ~level buf e
+  | Text s -> escape_text buf s
+  | Element e -> add_element buf e
 
-and pad buf level =
-  for _ = 1 to 2 * level do
-    Buffer.add_char buf ' '
-  done
-
-and add_element ~indent ~level buf (e : Xml_tree.element) =
-  if indent then pad buf level;
+and add_element buf (e : Xml_tree.element) =
   Buffer.add_char buf '<';
   Buffer.add_string buf e.tag;
   add_attrs buf e.attrs;
   match e.children with
-  | [] ->
-      Buffer.add_string buf "/>";
-      if indent then Buffer.add_char buf '\n'
-  | [ Text s ] when not indent ->
+  | [] -> Buffer.add_string buf "/>"
+  | children ->
       Buffer.add_char buf '>';
-      escape_text buf s;
+      List.iter (add_node buf) children;
       Buffer.add_string buf "</";
       Buffer.add_string buf e.tag;
       Buffer.add_char buf '>'
-  | children ->
-      Buffer.add_char buf '>';
-      if indent then Buffer.add_char buf '\n';
-      List.iter (add_node ~indent ~level:(level + 1) buf) children;
-      if indent then pad buf level;
-      Buffer.add_string buf "</";
-      Buffer.add_string buf e.tag;
-      Buffer.add_char buf '>';
-      if indent then Buffer.add_char buf '\n'
 
-let to_buffer ?(indent = false) buf (d : Xml_tree.document) =
+let to_buffer buf (d : Xml_tree.document) =
   Buffer.add_string buf "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
   Buffer.add_char buf '\n';
-  add_element ~indent ~level:0 buf d.root
+  add_element buf d.root
 
-let to_string ?indent d =
+let to_string d =
   let buf = Buffer.create 4096 in
-  to_buffer ?indent buf d;
+  to_buffer buf d;
   Buffer.contents buf
 
 let element_to_string e =
   let buf = Buffer.create 256 in
-  add_element ~indent:false ~level:0 buf e;
+  add_element buf e;
   Buffer.contents buf
 
-let to_file ?indent path d =
+let to_file path d =
   let oc = open_out_bin path in
   let buf = Buffer.create (1 lsl 16) in
-  to_buffer ?indent buf d;
+  to_buffer buf d;
   Buffer.output_buffer oc buf;
   close_out oc
 

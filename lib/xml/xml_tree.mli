@@ -35,10 +35,6 @@ val node_count : document -> int
 val depth : document -> int
 (** Height of the tree counting the root as depth 1. *)
 
-val fold_nodes : ('a -> int -> node -> 'a) -> 'a -> document -> 'a
-(** Document-order fold over all nodes; the callback receives the 1-based
-    depth of each node. *)
-
 val iter_nodes : (int -> node -> unit) -> document -> unit
 
 val text_content : element -> string

@@ -138,15 +138,19 @@ let tokenizer_prop =
   QCheck.Test.make ~count:500 ~name:"tokens are lowercase, bounded, non-stopword"
     QCheck.(string_of_size (Gen.int_range 0 200))
     (fun s ->
+      let word c =
+        (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+        || Char.code c >= 0x80
+      in
       let ok = ref true in
-      Xk_text.Tokenizer.iter_indexed s (fun t ->
-          let n = String.length t in
-          if n < Xk_text.Tokenizer.default_min_len then ok := false;
-          if n > Xk_text.Tokenizer.default_max_len then ok := false;
-          if Xk_text.Tokenizer.is_stopword t then ok := false;
-          String.iter
-            (fun c -> if c >= 'A' && c <= 'Z' then ok := false)
-            t);
+      (* each span is a maximal word run of 2 to 40 bytes *)
+      Xk_text.Tokenizer.spans s (fun s pos len ->
+          if len < 2 || len > 40 then ok := false;
+          if pos > 0 && word s.[pos - 1] then ok := false;
+          if pos + len < String.length s && word s.[pos + len] then ok := false;
+          String.iter (fun c -> if not (word c) then ok := false) (String.sub s pos len));
+      (* and, lowercased as the index interns it, never a stopword *)
+      List.iter (fun t -> if List.mem t Tutil.stopwords then ok := false) (Tutil.tokens s);
       !ok)
 
 (* -------- naive LCA edge -------- *)

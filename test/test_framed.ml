@@ -134,6 +134,25 @@ let v2_zero_tf =
 
 let two_node_doc = { Tree.root = Tree.element "r" [ Tree.elem "a" [] ] }
 
+(* Two CRC-valid v2 payloads over [xml_doc]'s five nodes that no
+   encoder writes: the term "xml" listed twice (rows at nodes 2 and 4),
+   and one "xml" list whose node-id gaps are 2, 0, 0.  Both once loaded:
+   the first as two term ids with one dictionary entry, the second with
+   node 2 counted three times toward df. *)
+let xml_doc =
+  Xk_xml.Xml_parser.parse_string_exn "<r><a>xml keyword</a><b>xml search</b></r>"
+
+let v2_duplicate_term =
+  Framed.file ~magic:"XKIDX002" ~version:2
+    (varint 5 ^ varint 2
+    ^ str "xml" ^ varint 1 ^ varint 2 ^ varint 1
+    ^ str "xml" ^ varint 1 ^ varint 4 ^ varint 1)
+
+let v2_zero_gap =
+  Framed.file ~magic:"XKIDX002" ~version:2
+    (varint 5 ^ varint 1 ^ str "xml" ^ varint 3 ^ varint 2 ^ varint 0 ^ varint 0
+   ^ varint 1 ^ varint 1 ^ varint 1)
+
 (* Query payloads with a varint no encoder writes: a 12-byte shard
    number, and a 9-byte tick budget with bit 62 set.  Both once decoded
    to -1. *)
@@ -219,6 +238,27 @@ let fixed_v2_zero_tf () =
       | Error e ->
           Alcotest.failf "verify: wrong error %s" (Index_io.load_error_message e)
       | Ok () -> Alcotest.fail "verify accepted a zero tf")
+
+(* A CRC-valid v2 segment [save_v2] could not have written is fatal
+   corruption for both the loader and the verifier. *)
+let rejects_v2 what data () =
+  with_faults Chaos.no_faults @@ fun () ->
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "bad.seg" in
+      write_file path data;
+      let label = Xk_encoding.Labeling.label xml_doc in
+      check Alcotest.int "five nodes" 5 (Xk_encoding.Labeling.node_count label);
+      (match Index_io.load_result label path with
+      | Error { error = Corrupted _; attempts = 1 } -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Index_io.load_error_message e)
+      | Ok idx ->
+          Alcotest.failf "%s was accepted (%d terms)" what
+            (Xk_index.Index.term_count idx));
+      match Index_io.verify path with
+      | Error { error = Corrupted _; attempts = 1 } -> ()
+      | Error e ->
+          Alcotest.failf "verify: wrong error %s" (Index_io.load_error_message e)
+      | Ok () -> Alcotest.failf "verify accepted %s" what)
 
 let fixed_query_varints () =
   let malformed what data =
@@ -494,7 +534,7 @@ let targets rng dir =
       name = "v2.seg";
       good = read_file seg;
       reframe = whole_file ~magic:"XKIDX002" ~version:2 (read_file seg);
-      extra = [ v2_huge_rows; v2_zero_tf ];
+      extra = [ v2_huge_rows; v2_zero_tf; v2_duplicate_term; v2_zero_gap ];
       run =
         (fun data ->
           write_file seg data;
@@ -679,6 +719,9 @@ let suite =
         tc "manifest count past the payload" `Quick fixed_manifest_huge_count;
         tc "v2 row count past the payload" `Quick fixed_v2_huge_rows;
         tc "v2 zero tf" `Quick fixed_v2_zero_tf;
+        tc "v2 duplicate term" `Quick (rejects_v2 "a duplicate term" v2_duplicate_term);
+        tc "v2 node ids not increasing" `Quick
+          (rejects_v2 "a zero node-id gap" v2_zero_gap);
         tc "query varints no encoder writes" `Quick fixed_query_varints;
         tc "every strict prefix never raises" `Quick prefixes_never_raise;
         QCheck_alcotest.to_alcotest never_raises_prop;

@@ -76,13 +76,7 @@ let scrub_classification () =
           | _ -> Alcotest.fail "expected Damaged");
           check Alcotest.string "missing entry" (file "gone.seg") m.Scrub.e_file;
           check Alcotest.int "missing shard" 1 m.Scrub.e_shard
-      | l -> Alcotest.failf "needs_repair returned %d entries" (List.length l));
-      (* the background-domain wrapper returns the same report *)
-      let r' = Domain.join (Scrub.spawn ~verify files) in
-      check Alcotest.int "spawned pass scans the same" r.Scrub.scanned
-        r'.Scrub.scanned;
-      check Alcotest.bool "spawned pass healthy agrees" (Scrub.healthy r)
-        (Scrub.healthy r'))
+      | l -> Alcotest.failf "needs_repair returned %d entries" (List.length l)))
 
 let scrub_budget_and_throttle () =
   with_tmpdir (fun dir ->
@@ -120,7 +114,7 @@ let scrub_budget_and_throttle () =
       | _ -> Alcotest.fail "slice 0 accepted"
       | exception Invalid_argument _ -> ())
 
-(* --- Shard_io.replica_status ----------------------------------------- *)
+(* --- Repair.scrub over a real manifest ------------------------------- *)
 
 let saved_manifest ~seed ~shards ~replicas dir =
   let doc = Tutil.random_doc seed in
@@ -129,14 +123,28 @@ let saved_manifest ~seed ~shards ~replicas dir =
   Xk_index.Shard_io.save ~replicas sharded path;
   (doc, sharded, path)
 
+let copy_state = function
+  | Scrub.Clean -> "clean"
+  | Damaged _ -> "damaged"
+  | Missing -> "missing"
+
+(* The [shard][replica] grid of labels from one scrub pass. *)
 let status_grid path =
-  match Shard_io.replica_status ~retries:1 ~backoff_ms:0.01 path with
-  | Ok grid -> Array.map (Array.map snd) grid
-  | Error e -> Alcotest.failf "replica_status: %s" (Shard_io.error_message e)
+  match Repair.scrub ~retries:1 ~backoff_ms:0.01 path with
+  | Error e -> Alcotest.failf "scrub: %s" (Shard_io.error_message e)
+  | Ok r ->
+      let shards =
+        1 + List.fold_left (fun m e -> max m e.Scrub.e_shard) 0 r.Scrub.entries
+      in
+      let grid = Array.make shards [||] in
+      List.iter
+        (fun e ->
+          grid.(e.Scrub.e_shard) <-
+            Array.append grid.(e.Scrub.e_shard) [| copy_state e.Scrub.e_status |])
+        r.Scrub.entries;
+      grid
 
-let labels grid = Array.map (Array.map Shard_io.copy_status_label) grid
-
-let replica_status_roundtrip () =
+let scrub_copy_states () =
   with_tmpdir (fun dir ->
       let _doc, _sharded, path =
         saved_manifest ~seed:91 ~shards:2 ~replicas:2 dir
@@ -146,41 +154,26 @@ let replica_status_roundtrip () =
         | Ok f -> f
         | Error e -> Alcotest.failf "replica_files: %s" (Shard_io.error_message e)
       in
-      check
-        Alcotest.(array (array string))
-        "all copies clean"
+      let grid = Alcotest.(array (array string)) in
+      check grid "all copies clean"
         [| [| "clean"; "clean" |]; [| "clean"; "clean" |] |]
-        (labels (status_grid path));
+        (status_grid path);
       (* physical damage is typed per copy *)
       flip_mid_byte files.(0).(1);
       Sys.remove files.(1).(0);
-      (match status_grid path with
-      | [| [| Shard_io.Copy_clean; Copy_damaged _ |];
-           [| Copy_missing; Copy_clean |] |] ->
-          ()
-      | grid ->
-          Alcotest.failf "unexpected grid %s"
-            (String.concat ";"
-               (Array.to_list
-                  (Array.map
-                     (fun row -> String.concat "," (Array.to_list row))
-                     (labels grid)))));
-      (* an injected corruption mark round-trips through the accessor:
+      check grid "damage and loss per copy"
+        [| [| "clean"; "damaged" |]; [| "missing"; "clean" |] |]
+        (status_grid path);
+      (* an injected corruption mark round-trips through the scrub:
          damaged while marked, clean again once healed (the bytes on
          disk never changed) *)
       Fun.protect ~finally:Chaos.reset (fun () ->
           Chaos.mark_corrupt ~path:files.(1).(1);
-          (match (status_grid path).(1).(1) with
-          | Shard_io.Copy_damaged _ -> ()
-          | s ->
-              Alcotest.failf "marked copy reads %s"
-                (Shard_io.copy_status_label s));
+          check Alcotest.string "marked copy" "damaged"
+            (status_grid path).(1).(1);
           Chaos.heal ~path:files.(1).(1);
-          match (status_grid path).(1).(1) with
-          | Shard_io.Copy_clean -> ()
-          | s ->
-              Alcotest.failf "healed copy reads %s"
-                (Shard_io.copy_status_label s)))
+          check Alcotest.string "healed copy" "clean"
+            (status_grid path).(1).(1)))
 
 (* --- Repair ----------------------------------------------------------- *)
 
@@ -262,7 +255,7 @@ let repair_from_replica () =
         Alcotest.(array (array string))
         "post-heal status grid clean"
         [| [| "clean"; "clean" |]; [| "clean"; "clean" |] |]
-        (labels (status_grid path));
+        (status_grid path);
       (* healed replicas answer bit-identically to the pre-damage fleet *)
       check Alcotest.bool "post-heal parity" true
         (hits_identical baseline (serving_hits doc path words)))
@@ -793,7 +786,7 @@ let suite =
     ( "heal.replica-status",
       [
         tc "typed per-copy state and fault-mark round-trip" `Quick
-          replica_status_roundtrip;
+          scrub_copy_states;
       ] );
     ( "heal.repair",
       [

@@ -251,15 +251,74 @@ let score_list_max_damped () =
     done
   done
 
+(* [Score_list.make] against the grouping written plainly: the distinct
+   row lengths in ascending order, each group's rows by descending score
+   then ascending row, and per level the best damped score of any row
+   that reaches it.  Groups, row order and ceilings must match exactly. *)
+let naive_score_list jl damping =
+  let rows = List.init (Jlist.length jl) Fun.id in
+  let lens = List.sort_uniq Int.compare (List.map (Jlist.row_len jl) rows) in
+  let groups =
+    List.map
+      (fun len ->
+        ( len,
+          List.filter (fun r -> Jlist.row_len jl r = len) rows
+          |> List.sort (fun a b ->
+                 let c = Float.compare (Jlist.score jl b) (Jlist.score jl a) in
+                 if c <> 0 then c else Int.compare a b) ))
+      lens
+  in
+  let ceilings =
+    List.init (Jlist.max_len jl) (fun i ->
+        let level = i + 1 in
+        List.fold_left
+          (fun acc r ->
+            let len = Jlist.row_len jl r in
+            if len >= level then
+              Float.max acc
+                (Jlist.score jl r *. Xk_score.Damping.apply damping (len - level))
+            else acc)
+          neg_infinity rows)
+  in
+  (groups, ceilings)
+
+let score_list_reference_prop =
+  QCheck.Test.make ~count:100 ~name:"score list = naive grouping"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let idx = Index.build (Xk_encoding.Labeling.label (Tutil.random_doc seed)) in
+      let damping = Index.damping idx in
+      for id = 0 to Index.term_count idx - 1 do
+        let jl = Index.jlist idx id in
+        let sl = Score_list.make jl damping in
+        let groups, ceilings = naive_score_list jl damping in
+        let got =
+          Array.to_list
+            (Array.map
+               (fun (g : Score_list.group) -> (g.len, Array.to_list g.rows))
+               (Score_list.groups sl))
+        in
+        if got <> groups then
+          QCheck.Test.fail_reportf "term %s: groups differ" (Index.term idx id);
+        List.iteri
+          (fun i c ->
+            let m = Score_list.max_damped sl ~level:(i + 1) in
+            if Int64.bits_of_float m <> Int64.bits_of_float c then
+              QCheck.Test.fail_reportf "term %s level %d: ceiling %h, want %h"
+                (Index.term idx id) (i + 1) m c)
+          ceilings
+      done;
+      true)
+
 let sparse_index_probe () =
   let seqs = seqs_of (List.init 1000 (fun i -> [ (2 * i) + 1 ])) in
   let c = Column.build seqs ~level:1 in
-  let sp = Sparse_index.build ~stride:32 c in
+  let sp = Sparse_index.build c in
   let num_runs = Column.num_runs c in
   for i = 0 to num_runs - 1 do
     let lo, hi = Sparse_index.probe sp ~num_runs (Column.value c i) in
     check Alcotest.bool "window contains run" true (lo <= i && i < hi);
-    check Alcotest.bool "window narrow" true (hi - lo <= 32)
+    check Alcotest.bool "window narrow" true (hi - lo <= 64)
   done;
   check Alcotest.bool "size accounted" true (Sparse_index.encoded_size sp > 0)
 
@@ -427,7 +486,7 @@ let index_io_roundtrip () =
   Index_io.save idx path;
   check Alcotest.bool "file written" true (Index_io.file_size path > 0);
   let label2 = Xk_encoding.Labeling.label corpus.doc in
-  let idx2 = Index_io.load label2 path in
+  let idx2 = Tutil.load_index label2 path in
   check Alcotest.int "term count" (Index.term_count idx) (Index.term_count idx2);
   (* Same dfs and same rows for every term. *)
   for id = 0 to Index.term_count idx - 1 do
@@ -453,8 +512,8 @@ let index_io_rejects_garbage () =
   close_out oc;
   let corpus = Xk_datagen.Random_tree.generate (Xk_datagen.Rng.create 3) in
   let label = Xk_encoding.Labeling.label corpus in
-  (match Index_io.load label path with
-  | exception Index_io.Format_error _ -> ()
+  (match Index_io.load_result label path with
+  | Error { error = Index_io.Corrupted _; _ } -> ()
   | _ -> Alcotest.fail "garbage accepted");
   Sys.remove path
 
@@ -466,8 +525,8 @@ let index_io_rejects_mismatch () =
   then begin
     let path = tmpfile "xk_index_io_mismatch.idx" in
     Index_io.save (Index.build l1) path;
-    (match Index_io.load l2 path with
-    | exception Index_io.Format_error _ -> ()
+    (match Index_io.load_result l2 path with
+    | Error { error = Index_io.Corrupted _; _ } -> ()
     | _ -> Alcotest.fail "mismatched document accepted");
     Sys.remove path
   end
@@ -526,7 +585,7 @@ let index_io_v5_roundtrip () =
   | Error e ->
       Alcotest.failf "full verify rejected a fresh v5 segment: %s"
         (Index_io.load_error_message e));
-  let idx2 = Index_io.load (Xk_encoding.Labeling.label corpus.doc) path in
+  let idx2 = Tutil.load_index (Xk_encoding.Labeling.label corpus.doc) path in
   check Alcotest.int "term count" (Index.term_count idx) (Index.term_count idx2);
   for id = 0 to Index.term_count idx - 1 do
     let term = Index.term idx id in
@@ -999,6 +1058,7 @@ let suite =
         tc "posting probes" `Quick posting_probes;
         tc "score list groups" `Quick score_list_groups;
         tc "score list ceilings" `Quick score_list_max_damped;
+        QCheck_alcotest.to_alcotest score_list_reference_prop;
         tc "sparse index probe" `Quick sparse_index_probe;
         tc "jlist encoded size" `Quick jlist_encoded_size;
         tc "index sizes report" `Slow sizes_report;

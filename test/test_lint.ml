@@ -1,7 +1,7 @@
 (* xklint: fixture snippets per syntactic rule (known-good and
    known-bad), multi-file fixture projects for the whole-program
    analyses (budget reachability, lock-held sets, lock order, mmap
-   escapes, test-only modules), the allow mechanisms (config entries,
+   escapes, test-only modules and options), the allow mechanisms (config entries,
    [@xklint.allow] attributes, file scoping) and the baseline round
    trip. *)
 
@@ -614,6 +614,28 @@ let mmap_returns () =
         \  Hashtbl.replace t.tbl id (Xk_storage.Reader.width t.r 0)\n" );
     ]
 
+(* --- test-only-option -------------------------------------------------- *)
+
+(* An interface declares two options; the executable sets one, and a
+   test sets the other, which does not count. *)
+let test_only_option () =
+  let mli = ("lib/core/knob.mli", "val run : ?fast:bool -> ?seed:int -> int -> int\n") in
+  let ml =
+    ("lib/core/knob.ml", "let run ?(fast = false) ?(seed = 0) x = if fast then x + seed else x\n")
+  in
+  let main = ("bin/main.ml", "let () = print_int (Xk_core.Knob.run ~fast:true 1)\n") in
+  let test = ("test/test_knob.ml", "let _ = Xk_core.Knob.run ~seed:3 1\n") in
+  let fs = lint_all [ mli; ml; main; test ] in
+  check slist "?seed flagged, ?fast passed" [ "test-only-option" ] (rules fs);
+  check Alcotest.bool "the finding names ?seed" true
+    (List.for_all
+       (fun (f : Lint_finding.t) ->
+         f.file = "lib/core/knob.mli"
+         && Lint_util.contains_substring ~sub:"?seed of Knob.run" f.msg)
+       fs);
+  check_rules_all ~config:"allow test-only-option lib/core/knob.mli run?seed"
+    "config allow" [] [ mli; ml; main; test ]
+
 (* --- test-only-module -------------------------------------------------- *)
 
 let test_only_module () =
@@ -775,6 +797,7 @@ let suite =
         tc "durability-sync" `Quick durability_sync;
         tc "mapped-read" `Quick mapped_read;
         tc "process-exit" `Quick process_exit;
+        tc "test-only-option" `Quick test_only_option;
         tc "no-blocking-in-callback" `Quick no_blocking_in_callback;
         tc "parse error" `Quick parse_error;
       ] );

@@ -41,10 +41,10 @@ let same_topk ~(full : Xk_baselines.Hit.t list) (a : Xk_baselines.Hit.t list)
 
 (* One engine/sharding pair per trial keeps the property honest: nothing
    is shared between the sharded and unsharded sides but the document. *)
-let with_sharded ?assignment ?strategy ~shards seed f =
+let with_sharded ?assignment ~shards seed f =
   let doc = Tutil.random_doc seed in
   let engine = Xk_core.Engine.create doc in
-  let sharded = Xk_index.Sharding.partition ?assignment ?strategy ~shards doc in
+  let sharded = Xk_index.Sharding.partition ?assignment ~shards doc in
   let sx = Shard_exec.create ~domains:2 sharded in
   Fun.protect ~finally:(fun () -> Shard_exec.shutdown sx) (fun () ->
       f doc engine sx)
@@ -95,13 +95,21 @@ let parity_prop =
     QCheck.(triple (int_bound 1_000_000) small_nat small_nat)
     (fun (seed, shards_raw, strat) ->
       let shards = 1 + (shards_raw mod 8) in
-      let strategy =
-        match strat mod 3 with
-        | 0 -> None
-        | 1 -> Some Xk_index.Sharding.Round_robin
-        | _ -> Some Xk_index.Sharding.Hash
+      (* the default round-robin layout, or a hash of each subtree's
+         position and tag *)
+      let assignment =
+        if strat mod 3 < 2 then None
+        else
+          let doc = Tutil.random_doc seed in
+          Some
+            (Array.of_list
+               (List.mapi
+                  (fun i (c : Xk_xml.Xml_tree.node) ->
+                    let tag = match c with Element e -> e.tag | Text _ -> "#text" in
+                    Hashtbl.hash (i, tag) mod shards)
+                  doc.root.children))
       in
-      with_sharded ?strategy ~shards seed (fun _doc engine sx ->
+      with_sharded ?assignment ~shards seed (fun _doc engine sx ->
           let rng = Xk_datagen.Rng.create (seed + 7919) in
           List.for_all
             (fun words ->
@@ -121,7 +129,7 @@ let parity_prop =
               Tutil.random_query rng ~k:1 ~alphabet:26;
             ]))
 
-(* Explicit random assignments (not just the built-in strategies), and the
+(* Explicit random assignments (not just the round-robin default), and the
    batch path. *)
 let parity_assignment_prop =
   QCheck.Test.make ~count:60

@@ -10,35 +10,34 @@ let basic_tokens () =
     Alcotest.(list string)
     "tokens"
     [ "top"; "keyword"; "search"; "xml" ]
-    (Tokenizer.tokens "Top-K keyword search (XML)!")
+    (Tutil.tokens "Top-K keyword search (XML)!")
 
 let min_length () =
-  check Alcotest.(list string) "short dropped" [ "ab" ] (Tokenizer.tokens "a ab x")
+  check Alcotest.(list string) "short dropped" [ "ab" ] (Tutil.tokens "a ab x")
 
 let numbers_kept () =
-  check Alcotest.(list string) "numbers" [ "2004"; "vldb" ] (Tokenizer.tokens "2004 VLDB")
+  check Alcotest.(list string) "numbers" [ "2004"; "vldb" ] (Tutil.tokens "2004 VLDB")
 
 let lowercasing () =
-  check Alcotest.(list string) "lower" [ "icde" ] (Tokenizer.tokens "ICDE")
+  check Alcotest.(list string) "lower" [ "icde" ] (Tutil.tokens "ICDE")
 
 let unicode_words () =
   check
     Alcotest.(list string)
     "utf8 words stay whole"
     [ "caf\xc3\xa9" ]
-    (Tokenizer.tokens "caf\xc3\xa9")
+    (Tutil.tokens "caf\xc3\xa9")
 
 let max_length () =
   let long = String.make 50 'a' in
-  check Alcotest.(list string) "too long dropped" [] (Tokenizer.tokens long)
+  check Alcotest.(list string) "too long dropped" [] (Tutil.tokens long)
 
 let stopwords () =
-  check Alcotest.bool "the" true (Tokenizer.is_stopword "the");
-  check Alcotest.bool "xml" false (Tokenizer.is_stopword "xml");
-  let out = ref [] in
-  Tokenizer.iter_indexed "the quick fox" (fun t -> out := t :: !out);
+  check Alcotest.(list string) "the" [] (Tutil.tokens "the");
+  check Alcotest.(list string) "THE folds to a stopword" [] (Tutil.tokens "THE");
+  check Alcotest.(list string) "xml" [ "xml" ] (Tutil.tokens "xml");
   check Alcotest.(list string) "indexed skips stopwords" [ "quick"; "fox" ]
-    (List.rev !out)
+    (Tutil.tokens "the quick fox")
 
 let dictionary_basics () =
   let d = Dictionary.create () in
@@ -72,14 +71,14 @@ let vocab_distinct () =
     if Hashtbl.mem seen w then Alcotest.failf "duplicate word %s at rank %d" w r;
     Hashtbl.add seen w ();
     (* Words must survive tokenization unchanged (indexable). *)
-    match Tokenizer.tokens w with
+    match Tutil.tokens w with
     | [ t ] when String.equal t w -> ()
     | _ -> Alcotest.failf "word %s not tokenizer-stable" w
   done
 
 (* The tokenizer's specification, written plainly: split on every byte
    that is not an ASCII letter or digit or >= 0x80, lowercase ASCII, keep
-   tokens of 2 to 40 bytes. *)
+   tokens of 2 to 40 bytes that are not stopwords. *)
 let reference_tokens s =
   let word c =
     (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
@@ -89,6 +88,7 @@ let reference_tokens s =
   |> String.split_on_char ' '
   |> List.filter (fun t -> String.length t >= 2 && String.length t <= 40)
   |> List.map String.lowercase_ascii
+  |> List.filter (fun t -> not (List.mem t Tutil.stopwords))
 
 (* Random byte strings built from runs of capitals, lowercase letters,
    digits, high bytes, mixed word bytes and separators, some runs longer
@@ -116,7 +116,7 @@ let token_soup =
 let tokens_match_reference_prop =
   QCheck.Test.make ~count:1000 ~name:"tokens = reference tokenizer"
     (QCheck.make ~print:(Printf.sprintf "%S") token_soup)
-    (fun s -> Tokenizer.tokens s = reference_tokens s)
+    (fun s -> Tutil.tokens s = reference_tokens s)
 
 (* The dictionary against a [Hashtbl] model: whole-string interning is
    exact (an uppercase term is its own entry), span interning folds ASCII

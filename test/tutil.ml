@@ -17,6 +17,31 @@ let column_runs (c : Xk_index.Column.t) =
   List.init (Xk_index.Column.num_runs c) (fun i ->
       (Xk_index.Column.value c i, Xk_index.Column.start c i, Xk_index.Column.count c i))
 
+(* The tokens [Tokenizer.spans] indexes in [s], lowercased as the index
+   interns them. *)
+let tokens s =
+  let acc = ref [] in
+  Xk_text.Tokenizer.spans s (fun s pos len ->
+      acc := String.lowercase_ascii (String.sub s pos len) :: !acc);
+  List.rev !acc
+
+(* The stopwords the tokenizer leaves out, written out as its
+   specification. *)
+let stopwords =
+  [
+    "a"; "an"; "and"; "are"; "as"; "at"; "be"; "but"; "by"; "for"; "if";
+    "in"; "into"; "is"; "it"; "no"; "not"; "of"; "on"; "or"; "such"; "that";
+    "the"; "their"; "then"; "there"; "these"; "they"; "this"; "to"; "was";
+    "will"; "with";
+  ]
+
+(* [Index_io.load_result] for a segment the test expects to load. *)
+let load_index label path =
+  match Xk_index.Index_io.load_result label path with
+  | Ok idx -> idx
+  | Error e ->
+      Alcotest.failf "load %s: %s" path (Xk_index.Index_io.load_error_message e)
+
 let sort_hits (hits : Xk_baselines.Hit.t list) =
   List.sort Xk_baselines.Hit.compare_node hits
 

@@ -7,7 +7,8 @@
    with [/] - is a directory component prefix of it.  [name] depends on
    the rule: the enclosing (or defined) function for [budget-loop], the
    bound variable for [shared-state], the offending identifier for
-   [bare-lock]/[typed-error]; omitted or [*] matches anything.  [#]
+   [bare-lock]/[typed-error], the module for [test-only-module] and
+   [val?label] for [test-only-option]; omitted or [*] matches anything.  [#]
    starts a comment. *)
 
 type entry = { rule : string; path : string; name : string option }

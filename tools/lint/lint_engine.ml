@@ -2,8 +2,10 @@
    syntactic rules (Lint_rules) run per file, then the cross-module
    call graph is built over all of them (Lint_callgraph) and the
    interprocedural analyses run over the graph (Lint_dataflow); last,
-   every lib/ module must have a caller elsewhere (Lint_units).
-   [.mli] files carry no loops, locks or state and are skipped. *)
+   every lib/ module must have a caller elsewhere (Lint_units), and
+   every optional parameter a lib/ [.mli] declares a caller that sets
+   it (Lint_options).  [.mli] files carry no loops, locks or state, so
+   that last pass is the only one that reads them. *)
 
 type result = {
   files : int;
@@ -11,41 +13,51 @@ type result = {
   findings : Lint_finding.t list;
 }
 
-let parse ~file src =
+let parse_with parse ~file src =
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf file;
-  match Ppxlib.Parse.implementation lexbuf with
-  | str -> Ok str
+  match parse lexbuf with
+  | ast -> Ok ast
   | exception e ->
       Error
         (Lint_finding.v ~file ~line:1 ~rule:"parse-error"
            (Printf.sprintf "file does not parse: %s" (Printexc.to_string e)))
 
-(* [sources] are (path, contents) pairs - real files or in-memory
-   fixtures; the whole-program passes see them as one project. *)
-let lint_sources config sources =
+(* Parse each source with [parse]; the ASTs in order, and a finding per
+   source that does not parse. *)
+let parse_all parse sources =
   let parsed, errors =
     List.fold_left
       (fun (parsed, errors) (file, src) ->
         let file = Lint_util.normalize_path file in
-        match parse ~file src with
-        | Ok str -> ((file, str) :: parsed, errors)
+        match parse_with parse ~file src with
+        | Ok ast -> ((file, ast) :: parsed, errors)
         | Error f -> (parsed, f :: errors))
       ([], []) sources
   in
-  let parsed = List.rev parsed in
+  (List.rev parsed, errors)
+
+(* [sources] are (path, contents) pairs - real files or in-memory
+   fixtures; the whole-program passes see them as one project. *)
+let lint_sources config sources =
+  let mlis, mls =
+    List.partition (fun (file, _) -> Filename.check_suffix file ".mli") sources
+  in
+  let parsed, errors = parse_all Ppxlib.Parse.implementation mls in
+  let interfaces, mli_errors = parse_all Ppxlib.Parse.interface mlis in
   let syntactic =
     List.concat_map (fun (file, str) -> Lint_rules.run config ~file str) parsed
   in
   let graph = Lint_callgraph.build parsed in
   let interprocedural = Lint_dataflow.run config graph in
   let units = Lint_units.run config parsed in
+  let options = Lint_options.run config ~interfaces parsed in
   {
     files = List.length sources;
     graph;
     findings =
       List.sort_uniq Lint_finding.compare
-        (errors @ syntactic @ interprocedural @ units);
+        (errors @ mli_errors @ syntactic @ interprocedural @ units @ options);
   }
 
 (* Single-source convenience (the test fixtures): the file is its own
@@ -63,7 +75,8 @@ let rec collect_ml acc path =
            if skip_dir name then acc
            else collect_ml acc (Filename.concat path name))
          acc
-  else if Filename.check_suffix path ".ml" then path :: acc
+  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
+  then path :: acc
   else acc
 
 let lint_paths config paths =
