@@ -1,46 +1,45 @@
-(* Segment open-latency experiment: the v2 channel loader (read and
-   decode the whole varint stream eagerly) against the v5 zero-copy
-   loader (mmap, verify the header/terms/directory, defer every term's
-   postings decode to first access).  For each corpus scale the harness saves
-   the same index in both formats and measures
+(* Segment open-latency experiment: the eager open of a v5 segment
+   ([Index_io.load_result ~verify_columns:true]: verify every block CRC
+   and decode every term's postings at open, as the replica-fallback
+   drill load of [xkq batch --chaos corrupt@...] does) against the lazy
+   zero-copy open (mmap, verify the header/terms/directory, defer every
+   term's postings decode to first access).  For each corpus scale the
+   harness saves the index once and measures, for both opens of that
+   same file,
 
-     cold open        - the first [Index_io.load_result] of the file in
-                        this process
+     cold open        - the first [Index_io.load_result] of the file
+                        after the parity gate, from a collected heap
      warm open        - the mean of repeated reopens
      first query      - one top-10 query on a freshly opened segment,
-                        which on the mmap path pays the lazy decode of
+                        which on the lazy path pays the decode of
                         exactly the queried terms
 
    and records them in BENCH_open.json.  Every point is parity-gated
-   first: the three engines (fresh build, channel reload, mmap reload)
-   must return bit-identical hits for the probe queries.
+   first: the three engines (fresh build, eager open, lazy open) must
+   return bit-identical hits for the probe queries.
 
      dune exec bench/bench_open.exe                     # defaults
      dune exec bench/bench_open.exe -- --scales 0.2,1.0 --opens 10
      dune exec bench/bench_open.exe -- --check          # parity + floor gate
 
-   The OS page cache stays warm throughout (both files were just
-   written), so the measured gap is decode work only - a lower bound on
-   the true cold gap, where the channel loader must additionally fault
-   in every byte it decodes while the mmap loader faults in pages on
+   The OS page cache stays warm throughout (the file was just written),
+   so the measured gap is decode and verification work only - a lower
+   bound on the true cold gap, where the eager open must additionally
+   fault in every postings page while the lazy open faults in pages on
    first access. *)
 
 open Bench_util
 
-type fmt_point = {
-  bytes : int;
-  cold_ms : float;
-  warm_ms : float;
-  first_query_ms : float;
-}
+type open_point = { cold_ms : float; warm_ms : float; first_query_ms : float }
 
 type point = {
   scale : float;
   nodes : int;
   terms : int;
   rows : int;
-  chan : fmt_point;
-  map : fmt_point;
+  bytes : int;
+  eager : open_point;
+  lazy_ : open_point;
   cold_speedup : float;
 }
 
@@ -48,8 +47,8 @@ let tmp name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "xk_bench_open_%d_%s" (Unix.getpid ()) name)
 
-let load label path =
-  match Xk_index.Index_io.load_result label path with
+let load ~eager label path =
+  match Xk_index.Index_io.load_result ~verify_columns:eager label path with
   | Ok idx -> idx
   | Error e ->
       failwith
@@ -65,12 +64,12 @@ let same_hits a b =
 
 (* Bit-identical results across all three load paths, for every probe
    query, in both complete and top-K modes. *)
-let verify_parity ~fresh ~chan ~map queries =
+let verify_parity ~fresh ~eager ~lazy_ queries =
   let engines =
     [
       ("fresh", Xk_core.Engine.of_index fresh);
-      ("channel", Xk_core.Engine.of_index chan);
-      ("mmap", Xk_core.Engine.of_index map);
+      ("eager", Xk_core.Engine.of_index eager);
+      ("lazy", Xk_core.Engine.of_index lazy_);
     ]
   in
   let reference = List.assoc "fresh" engines in
@@ -90,17 +89,20 @@ let verify_parity ~fresh ~chan ~map queries =
         engines)
     queries
 
-let measure_fmt ~label ~path ~words ~opens =
-  let bytes = Xk_index.Index_io.file_size path in
+(* Each cold open starts from a collected heap: otherwise the second
+   open measured pays the major-GC debt of the first one's garbage, and
+   the ratio measures allocation order instead of open work. *)
+let measure ~eager ~label ~path ~words ~opens =
+  Gc.full_major ();
   let t0 = now () in
-  let first = load label path in
+  let first = load ~eager label path in
   let cold_ms = (now () -. t0) *. 1000. in
   let tq = now () in
   let eng = Xk_core.Engine.of_index first in
   ignore (Xk_core.Engine.query_topk eng words ~k:10);
   let first_query_ms = (now () -. tq) *. 1000. in
-  let warm_ms = time_ms ~runs:opens (fun () -> load label path) in
-  { bytes; cold_ms; warm_ms; first_query_ms }
+  let warm_ms = time_ms ~runs:opens (fun () -> load ~eager label path) in
+  { cold_ms; warm_ms; first_query_ms }
 
 let sweep_point ~opens ~seed scale =
   let t0 = now () in
@@ -118,69 +120,68 @@ let sweep_point ~opens ~seed scale =
   in
   Printf.printf "scale %g: %d nodes, %d terms, %d rows (built in %.1fs)\n%!"
     scale nodes terms rows (now () -. t0);
-  let p2 = tmp (Printf.sprintf "%g.v2.seg" scale) in
-  let p5 = tmp (Printf.sprintf "%g.v5.seg" scale) in
+  let path = tmp (Printf.sprintf "%g.seg" scale) in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ p2; p5 ])
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Xk_index.Index_io.save_v2 idx p2;
-      Xk_index.Index_io.save idx p5;
-      assert (Xk_index.Index_io.format_version p2 = Some 2);
-      assert (Xk_index.Index_io.format_version p5 = Some 5);
+      Xk_index.Index_io.save idx path;
       let rng = Xk_datagen.Rng.create seed in
       let high = Xk_workload.Workload.max_df idx in
       let low = max 2 (high / 20) in
       let queries =
         Xk_workload.Workload.random_queries rng idx ~k:2 ~high ~low ~n:5
       in
-      verify_parity ~fresh:idx ~chan:(load label p2) ~map:(load label p5)
+      verify_parity ~fresh:idx
+        ~eager:(load ~eager:true label path)
+        ~lazy_:(load ~eager:false label path)
         queries;
       Printf.printf "  parity verified on %d probe queries\n%!"
         (List.length queries);
       let words = List.hd queries in
-      let chan = measure_fmt ~label ~path:p2 ~words ~opens in
-      let map = measure_fmt ~label ~path:p5 ~words ~opens in
-      let cold_speedup = chan.cold_ms /. map.cold_ms in
+      let eager = measure ~eager:true ~label ~path ~words ~opens in
+      let lazy_ = measure ~eager:false ~label ~path ~words ~opens in
+      let cold_speedup = eager.cold_ms /. lazy_.cold_ms in
+      let bytes = Xk_index.Index_io.file_size path in
       Printf.printf
-        "  channel: %5.1f MB, cold %8.2f ms, warm %8.2f ms, first query %6.2f \
-         ms\n\
-        \  mmap:    %5.1f MB, cold %8.2f ms, warm %8.2f ms, first query %6.2f \
-         ms\n\
+        "  segment: %5.1f MB\n\
+        \  eager: cold %8.2f ms, warm %8.2f ms, first query %6.2f ms\n\
+        \  lazy:  cold %8.2f ms, warm %8.2f ms, first query %6.2f ms\n\
         \  cold-open speedup: %.1fx\n\
          %!"
-        (mb chan.bytes) chan.cold_ms chan.warm_ms chan.first_query_ms
-        (mb map.bytes) map.cold_ms map.warm_ms map.first_query_ms cold_speedup;
-      { scale; nodes; terms; rows; chan; map; cold_speedup })
+        (mb bytes) eager.cold_ms eager.warm_ms eager.first_query_ms
+        lazy_.cold_ms lazy_.warm_ms lazy_.first_query_ms cold_speedup;
+      { scale; nodes; terms; rows; bytes; eager; lazy_; cold_speedup })
 
 let emit_json out ~opens ~required points =
   let oc = open_out out in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"experiment\": \"segment open latency: channel (v2) vs mmap (v5)\",\n";
+  p
+    "  \"experiment\": \"segment open latency: eager (verify_columns) vs \
+     lazy (zero-copy)\",\n";
   p "  \"opens_per_warm_mean\": %d,\n" opens;
   p "  \"required_cold_speedup\": %.1f,\n" required;
   p
-    "  \"note\": \"page cache warm for both formats (files just written), so \
-     the gap measures decode work only - a lower bound on the true cold gap; \
-     parity is verified before timing: all three load paths return \
-     bit-identical hits\",\n";
+    "  \"note\": \"both opens read the same v5 segment with the page cache \
+     warm (file just written), so the gap measures decode and verification \
+     work only - a lower bound on the true cold gap; parity is verified \
+     before timing: all three load paths return bit-identical hits\",\n";
   p "  \"sweep\": [\n";
   List.iteri
     (fun i pt ->
-      let fmt name (f : fmt_point) last =
+      let fmt name (f : open_point) last =
         p
-          "     \"%s\": {\"bytes\": %d, \"cold_open_ms\": %.3f, \
-           \"warm_open_ms\": %.3f, \"first_query_ms\": %.3f}%s\n"
-          name f.bytes f.cold_ms f.warm_ms f.first_query_ms
+          "     \"%s\": {\"cold_open_ms\": %.3f, \"warm_open_ms\": %.3f, \
+           \"first_query_ms\": %.3f}%s\n"
+          name f.cold_ms f.warm_ms f.first_query_ms
           (if last then "" else ",")
       in
       p
         "    {\"scale\": %g, \"nodes\": %d, \"terms\": %d, \"rows\": %d, \
-         \"cold_speedup\": %.2f,\n"
-        pt.scale pt.nodes pt.terms pt.rows pt.cold_speedup;
-      fmt "channel" pt.chan false;
-      fmt "mmap" pt.map true;
+         \"bytes\": %d, \"cold_speedup\": %.2f,\n"
+        pt.scale pt.nodes pt.terms pt.rows pt.bytes pt.cold_speedup;
+      fmt "eager" pt.eager false;
+      fmt "lazy" pt.lazy_ true;
       p "    }%s\n" (if i = List.length points - 1 then "" else ","))
     points;
   p "  ],\n";
@@ -193,7 +194,7 @@ let emit_json out ~opens ~required points =
   Printf.printf "wrote %s\n" out
 
 let run scales opens seed required check_only out =
-  header "Segment open latency: channel (v2) vs zero-copy mmap (v5)";
+  header "Segment open latency: eager (verify_columns) vs lazy zero-copy open";
   let scales = List.sort compare scales in
   let points = List.map (sweep_point ~opens ~seed) scales in
   if check_only then begin
@@ -210,7 +211,7 @@ let run scales opens seed required check_only out =
         if pt.cold_speedup < floor then
           failwith
             (Printf.sprintf
-               "scale %g: mmap cold open only %.1fx faster than channel \
+               "scale %g: lazy cold open only %.1fx faster than eager \
                 (floor %.1fx)"
                pt.scale pt.cold_speedup floor))
       points;
@@ -265,7 +266,7 @@ let out =
 let cmd =
   Cmd.v
     (Cmd.info "bench_open"
-       ~doc:"Cold/warm segment-open latency, channel loader vs mmap loader.")
+       ~doc:"Cold/warm segment-open latency, eager open vs lazy open.")
     Term.(const run $ scales $ opens $ seed $ required $ check_only $ out)
 
 let () = exit (Cmd.eval cmd)

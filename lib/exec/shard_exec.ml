@@ -197,9 +197,6 @@ let remote t =
 
 let domains t = t.workers
 
-let replica_health t ~shard ~replica =
-  Xk_resilience.Health.snapshot t.reps.(shard).(replica).rep_health
-
 let breaker_state t ~shard ~replica =
   Xk_resilience.Circuit_breaker.state t.reps.(shard).(replica).rep_breaker
 

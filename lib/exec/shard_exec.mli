@@ -114,7 +114,6 @@ val replica_count : t -> int
 
 val domains : t -> int
 
-val replica_health : t -> shard:int -> replica:int -> Xk_resilience.Health.snapshot
 val breaker_state : t -> shard:int -> replica:int -> Xk_resilience.Circuit_breaker.state
 
 val exec :

@@ -7,12 +7,12 @@
    The three shape caches are sharded, bounded LRU caches (Shard_cache),
    so one index can be shared by concurrent query domains: everything
    else in [t] is immutable after construction (the dictionary is only
-   written during build/of_raw). *)
+   written during build). *)
 
 (* The one row source.  A zero-copy segment (Index_io v5) decodes a
    term's rows from mapped postings on first use instead of materializing
-   the whole postings file at open; [build] and [of_raw] hand over the
-   arrays they hold (callers never mutate rows).  [pv_rows] must be safe
+   the whole postings file at open; [build] hands over the arrays it
+   holds (callers never mutate rows).  [pv_rows] must be safe
    to call from any domain and may raise the segment's typed fault
    exception; the per-shape caches above it make repeated query access
    cheap. *)
@@ -145,24 +145,6 @@ let build ?cache_capacity ?stats (label : Xk_encoding.Labeling.t) =
     fill.(id) <- k + 1
   done;
   make ?cache_capacity ?stats ~dict label (of_arrays nodes tfs)
-
-(* Reassemble an index from persisted raw postings (see Index_io). *)
-let of_raw ?stats (label : Xk_encoding.Labeling.t)
-    (entries : (string * int array * int array) list) =
-  let dict = Xk_text.Dictionary.create () in
-  List.iter
-    (fun (term, nodes, tfs) ->
-      if Array.length nodes <> Array.length tfs then
-        Xk_util.Err.invalid "Index.of_raw: row length mismatch";
-      let id = Xk_text.Dictionary.intern dict term in
-      Xk_text.Dictionary.set_stats dict id ~df:(Array.length nodes)
-        ~cf:(Array.fold_left ( + ) 0 tfs))
-    entries;
-  let entries = Array.of_list entries in
-  make ?stats ~dict label
-    (of_arrays
-       (Array.map (fun (_, nodes, _) -> nodes) entries)
-       (Array.map (fun (_, _, tfs) -> tfs) entries))
 
 (* Wrap a lazy rows source (a mapped segment).  The caller supplies the
    dictionary already interned in term-id order with its statistics set

@@ -33,16 +33,6 @@ val build :
     term is evicted when a cache is full.  [stats] overrides the ranking
     statistics derived from this tree alone (sharded indices). *)
 
-val of_raw :
-  ?stats:stats_override ->
-  Xk_encoding.Labeling.t ->
-  (string * int array * int array) list ->
-  t
-(** Reassemble an index from persisted (term, nodes, tfs) postings; used by
-    the v2 loader ({!Index_io.load_result}).  Term ids are assigned in
-    list order.  The arrays become the rows of a {!provider}, as
-    {!build}'s do: every index reads its rows through one. *)
-
 type provider = {
   pv_terms : int;  (** number of terms; ids are [0 .. pv_terms - 1] *)
   pv_row_count : int -> int;  (** posting-list length of a term, O(1) *)
@@ -53,8 +43,8 @@ type provider = {
 }
 (** The one row source of every index.  A zero-copy segment
     ({!Index_io} v5) decodes a term's rows from mapped postings on first
-    use instead of materializing every posting at open; {!build} and
-    {!of_raw} hand over the arrays they hold. *)
+    use instead of materializing every posting at open; {!build} hands
+    over the arrays it holds. *)
 
 val of_provider :
   ?stats:stats_override ->

@@ -1,16 +1,6 @@
-(* Index persistence.
-
-   Two on-disk generations are read:
-
-   v2 ("XKIDX002") — a checksummed varint stream in the shared
-   Xk_storage.Framed container: magic | version varint | payload-length
-   varint | payload CRC-32 varint | payload (node count, term count,
-   then per term the bytes, row count, delta-coded node ids and tf
-   values).  Loading copies the whole file out of its map and
-   materializes every posting.
-
-   v5 ("XKIDX005") — the compressed zero-copy segment.  Four parts back
-   to back, no padding, every byte under a CRC-32:
+(* Index persistence: the v5 ("XKIDX005") compressed zero-copy segment,
+   the one loadable generation.  Four parts back to back, no padding,
+   every byte under a CRC-32:
 
      header    fixed 72 bytes: magic, version u32, then u64 node count,
                term count, total rows, terms/postings/directory lengths,
@@ -30,7 +20,7 @@
    (a tf is at least 1), which is why most terms store no tf section at
    all, and the rows that are not listed as exceptions have tf 1.
 
-   Opening a v5 segment maps the file, verifies the header, terms and
+   Opening a segment maps the file, verifies the header, terms and
    directory checksums, decodes the directory in one pass, interns the
    dictionary from it (statistics come from the directory, not from
    counting rows), and hands {!Index.of_provider} a lazy row decoder: a
@@ -39,10 +29,17 @@
    once.  Open cost is O(dictionary), not O(postings).
 
    Every read attempt maps the file once ({!Xk_storage.Mmap.map}) and
-   reads the magic from the map; a v2 segment is copied out of that same
-   map and decoded from the copy.  The map is also where storage faults
+   reads the magic from the map.  The map is also where storage faults
    are injected, so fault drills exercise exactly this reader.  Every
    other durable file is read through [read_mapped] and [retrying] too.
+
+   Every earlier generation of both index file kinds is retired: the
+   v1-v4 segments and the v1-v2 shard manifests ({!Shard_io}).  One rule
+   ([retired], [refuse_retired]) refuses a file whose magic names one, on
+   the first attempt, with a rebuild hint; every reader of a segment
+   recovers by rebuilding it (the live store re-seals it at open,
+   [Snapshot.build] rebuilds it, [xkq heal --repair] rebuilds it from the
+   corpus).
 
    The read path classifies failures (truncation vs. corruption vs.
    transient IO) and retries the transient class — injected IO faults,
@@ -50,16 +47,22 @@
    corruption (a torn read heals, a corrupt file does not).  Structural
    errors found after a covering checksum verified are fatal: the bytes
    are authentic, retrying cannot help.  So is a file that cannot be
-   mapped at all, and a retired generation (v3, v4) whose magic is
-   intact.  Saving goes through a temp file + rename, so a crashed
-   writer never leaves a half-written segment under the live name. *)
+   mapped at all, and a retired generation whose magic is intact.
+   Saving goes through a temp file + rename, so a crashed writer never
+   leaves a half-written segment under the live name. *)
 
-let magic = "XKIDX002"
-let magic_v1 = "XKIDX001"
-let magic_v3 = "XKIDX003"
-let magic_v4 = "XKIDX004"
-let magic_v5 = "XKIDX005"
-let version = 2
+let magic = "XKIDX005"
+
+(* The retired generations of both index file kinds, by magic. *)
+let retired =
+  [
+    ("XKIDX001", "v1 segment");
+    ("XKIDX002", "v2 segment");
+    ("XKIDX003", "v3 segment");
+    ("XKIDX004", "v4 segment");
+    ("XKSHM001", "v1 manifest");
+    ("XKSHM002", "v2 manifest");
+  ]
 
 type error =
   | Truncated of string
@@ -80,36 +83,6 @@ let load_error_message { error; attempts } =
 
 exception Segment_fault of string
 (* Raised by the lazy v5 row decoder (see the .mli). *)
-
-(* ------------------------------------------------------------------ *)
-(* v2 writer (varint stream)                                          *)
-(* ------------------------------------------------------------------ *)
-
-let encode_payload (idx : Index.t) =
-  let buf = Buffer.create (1 lsl 20) in
-  let label = Index.label idx in
-  Xk_storage.Varint.write buf (Xk_encoding.Labeling.node_count label);
-  let terms = Index.term_count idx in
-  Xk_storage.Varint.write buf terms;
-  for id = 0 to terms - 1 do
-    let term = Index.term idx id in
-    Xk_storage.Varint.write buf (String.length term);
-    Buffer.add_string buf term;
-    let nodes, tfs = Index.raw_rows idx id in
-    Xk_storage.Varint.write buf (Array.length nodes);
-    let prev = ref 0 in
-    Array.iter
-      (fun n ->
-        Xk_storage.Varint.write buf (n - !prev);
-        prev := n)
-      nodes;
-    Array.iter (fun tf -> Xk_storage.Varint.write buf tf) tfs
-  done;
-  Buffer.contents buf
-
-let save_v2 (idx : Index.t) path =
-  Xk_storage.Durable.write_string_atomically path
-    (Xk_storage.Framed.file ~magic ~version (encode_payload idx))
 
 (* ------------------------------------------------------------------ *)
 (* v5 writer (compressed segment)                                     *)
@@ -192,7 +165,7 @@ let save (idx : Index.t) path =
   let terms = Buffer.contents terms
   and dir = Buffer.contents crcs ^ Buffer.contents entries in
   let header = Buffer.create header_size in
-  Buffer.add_string header magic_v5;
+  Buffer.add_string header magic;
   add_u32 header 5;
   add_u64 header (Xk_encoding.Labeling.node_count (Index.label idx));
   add_u64 header term_count;
@@ -209,50 +182,6 @@ let save (idx : Index.t) path =
       output_string oc terms;
       Buffer.output_buffer oc postings;
       output_string oc dir)
-
-(* ------------------------------------------------------------------ *)
-(* v2 reader                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Payload decoding.  The CRC has already been verified when this runs,
-   so structural errors indicate a logic-level mismatch and are
-   classified as corruption.  A count is checked against the bytes left
-   before anything is built for it: each row takes at least two bytes.
-   Every term is listed once, node ids strictly increase and stay below
-   the node count the payload was built over, and a tf is at least 1,
-   as [save_v2] writes them; the v5 reader holds its segments to the
-   same rules. *)
-let decode_payload c =
-  let nodes = Xk_storage.Varint.read c in
-  let terms = Xk_storage.Varint.count c ~width:1 in
-  let seen = Hashtbl.create terms in
-  let entries =
-    List.init terms (fun _ ->
-        let term = Xk_storage.Varint.string c in
-        if Hashtbl.mem seen term then
-          Xk_storage.Varint.malformed "duplicate term %S" term;
-        Hashtbl.add seen term ();
-        let rows = Xk_storage.Varint.count c ~width:2 in
-        let prev = ref 0 in
-        let ids =
-          Array.init rows (fun i ->
-              let gap = Xk_storage.Varint.read c in
-              if i > 0 && gap = 0 then
-                Xk_storage.Varint.malformed "node ids not increasing";
-              prev := !prev + gap;
-              if !prev >= nodes then
-                Xk_storage.Varint.malformed "node id out of range";
-              !prev)
-        in
-        let tfs =
-          Array.init rows (fun _ ->
-              let tf = Xk_storage.Varint.read c in
-              if tf < 1 then Xk_storage.Varint.malformed "tf %d below 1" tf;
-              tf)
-        in
-        (term, ids, tfs))
-  in
-  (nodes, entries)
 
 (* The outcome classes of one read attempt.  [`Transient], [`Crc] and
    [`Suspect] are the retryable classes: [`Suspect] carries a
@@ -276,25 +205,18 @@ let of_framed (e : Xk_storage.Framed.error) : attempt_error =
   | Bad_magic _ | Bad_version _ | Bad_varint | Trailing _ ->
       `Suspect (Corrupted msg)
 
-(* The v2 framing and payload, shared by the loader and {!verify}:
-   the node count and the rows. *)
-let check_v2 data =
-  match Xk_storage.Framed.check ~magic ~version data with
-  | Ok { pos; len } ->
-      Xk_storage.Varint.(
-        decode ~whole:false decode_payload (slice data ~pos ~stop:(pos + len)))
-      |> Result.map_error (fun msg -> `Fatal (Corrupted msg))
-  | Error (Bad_magic m) when m = magic_v1 ->
-      Error
-        (`Suspect
-          (Corrupted "legacy v1 segment without checksum; rebuild the index"))
-  | Error (Bad_magic m) when m = magic_v3 || m = magic_v4 ->
+(* The retired-magic rule: a file whose magic names a retired generation
+   is refused on the first attempt, since its bytes are intact and a
+   re-read cannot make it loadable; only a rebuild can. *)
+let refuse_retired data =
+  let n = min (String.length data) (String.length magic) in
+  match List.assoc_opt (String.sub data 0 n) retired with
+  | Some what ->
       Error
         (`Fatal
           (Corrupted
-             (Printf.sprintf "retired v%c segment format; rebuild the index"
-                m.[String.length m - 1])))
-  | Error e -> Error (of_framed e)
+             (Printf.sprintf "retired %s format; rebuild the index" what)))
+  | None -> Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* v5 reader                                                          *)
@@ -304,7 +226,7 @@ let check_v2 data =
    runs over the same copy its fields are parsed from: a page torn
    between checksum and parse cannot slip through. *)
 
-(* Structured parse failure, classified like the v2 attempt errors:
+(* Structured parse failure, classified like every attempt error:
    [`Crc] and truncation may be torn reads (retry), structural errors
    behind a verified checksum are fatal.  Declared over the full attempt
    error type so a caught payload needs no variant coercion. *)
@@ -618,9 +540,20 @@ let with_map path f : (_, attempt_error) result =
           Xk_storage.Mmap.close m;
           Error e)
 
-let map_is_v5 m =
-  let n = String.length magic_v5 in
-  Xk_storage.Mmap.size m >= n && Xk_storage.Mmap.sub_string m ~pos:0 ~len:n = magic_v5
+(* The magic decides: a segment opens, a retired generation is refused,
+   and anything else may be a torn read, so it is retried like any
+   framing anomaly before the file is believed to be foreign. *)
+let check_magic m =
+  let n = String.length magic in
+  let head =
+    Xk_storage.Mmap.sub_string m ~pos:0 ~len:(min n (Xk_storage.Mmap.size m))
+  in
+  if head = magic then Ok ()
+  else
+    Result.bind (refuse_retired head) (fun () ->
+        Error
+          (of_framed
+             (if String.length head < n then Short_input else Bad_magic head)))
 
 let map_contents m = Xk_storage.Mmap.sub_string m ~pos:0 ~len:(Xk_storage.Mmap.size m)
 
@@ -634,18 +567,9 @@ let read_mapped ?len path =
 
 let attempt ?stats ~verify_columns label path =
   with_map path (fun m ->
-      if map_is_v5 m then
-        Ok (open_v5 ?stats ~verify_columns label path m)
-      else
-        Result.bind (check_v2 (map_contents m)) (fun (nodes, entries) ->
-            let have = Xk_encoding.Labeling.node_count label in
-            if nodes <> have then
-              Error
-                (`Fatal
-                  (Corrupted
-                     (Printf.sprintf "index built over %d nodes, document has %d"
-                        nodes have)))
-            else Ok (Index.of_raw ?stats label entries)))
+      Result.map
+        (fun () -> open_v5 ?stats ~verify_columns label path m)
+        (check_magic m))
 
 let retryable = function
   | `Transient _ | `Crc _ | `Suspect _ -> true
@@ -663,16 +587,15 @@ let load_result ?stats ?retries ?backoff_ms
   retrying ?retries ?backoff_ms (fun () ->
       attempt ?stats ~verify_columns label path)
 
-(* Verification without building an index.  For a v2 segment this checks
-   the header and the payload checksum and decodes the payload, as a
-   load does; for v5 it is a {e full} verification — every region
-   checksum, every block CRC and the structure of every term's postings
-   — because the lazy load path deliberately defers the per-term checks,
-   and the replica writers that call [verify] after each copy need
-   equivalent coverage. *)
+(* Verification without building an index, and a {e full} one — every
+   region checksum, every block CRC and the structure of every term's
+   postings — because the lazy load path deliberately defers the
+   per-term checks, and the replica writers that call [verify] after
+   each copy need equivalent coverage. *)
 let verified path m =
-  if map_is_v5 m then Ok (decode_all (parse_dir path m (map_header m)))
-  else Result.map ignore (check_v2 (map_contents m))
+  Result.map
+    (fun () -> decode_all (parse_dir path m (map_header m)))
+    (check_magic m)
 
 let verify ?retries ?backoff_ms path =
   retrying ?retries ?backoff_ms (fun () -> with_map path (verified path))
@@ -685,14 +608,16 @@ let read_verified ?retries ?backoff_ms path =
           Result.map (fun () -> map_contents m) (verified path m)))
 
 (* Introspection for tests and benches: how big is a file, which
-   generation is it, and where do a v5 segment's regions live (so a
+   generation is it, and where do a segment's regions live (so a
    drill can corrupt a specific region with surgical precision). *)
 let file_size path =
   try (Unix.stat path).Unix.st_size
   with Unix.Unix_error (e, _, _) ->
     raise (Sys_error (path ^ ": " ^ Unix.error_message e))
 
-let magics = [ magic_v1; magic; magic_v3; magic_v4; magic_v5 ]
+let magics =
+  List.filter (String.starts_with ~prefix:"XKIDX") (List.map fst retired)
+  @ [ magic ]
 
 (* A torn map of a file no longer than its magic tears the magic itself,
    so an unknown magic is re-read before it is believed. *)
@@ -710,6 +635,5 @@ let format_version path =
 let layout path =
   retrying (fun () ->
       with_map path (fun m ->
-          if map_is_v5 m then Ok (fst (map_header m))
-          else Error (`Fatal (Corrupted "not a v5 segment"))))
+          Result.map (fun () -> fst (map_header m)) (check_magic m)))
   |> Result.map_error (fun (e : load_error) -> e.error)

@@ -1,50 +1,43 @@
-(** Fault-tolerant index persistence, in two on-disk generations.
+(** Fault-tolerant index persistence: the v5 ("XKIDX005") compressed
+    zero-copy segment, the one loadable generation.
 
-    {b v2} ("XKIDX002") is a checksummed varint stream: magic/version
-    header, CRC-32 payload checksum, then dictionary + delta-coded
-    postings.  Loading reads the whole file and materializes every
-    posting list.
+    A segment is a fixed 72-byte header with its own CRC-32, the
+    concatenated term bytes, the postings (per term, node ids as delta
+    varints, then only when the term's cf differs from its df a sparse
+    tf section: a varint count and a (position gap, tf - 2) varint pair
+    per row whose tf is above 1) and a directory (one u32 CRC-32 per
+    block of 64 consecutive term ids, over that block's postings, then
+    per term varint term length, df, cf - df and postings length), back
+    to back with no padding, so every byte is under a checksum.  Loading
+    memory-maps the file ({!Xk_storage.Mmap}), verifies the header,
+    terms and directory checksums, interns the dictionary from the
+    directory (statistics included — no posting is touched), and decodes
+    a term's rows lazily from the mapped postings on first access; the
+    first decode of any term of a block verifies that block's checksum
+    once.  Open cost is O(dictionary); the kernel pages postings in on
+    demand.  Scores are bit-identical to a fresh {!Index.build}: both
+    feed the same (tf, df) integers to the same scorer.
 
-    {b v5} ("XKIDX005") is the compressed zero-copy segment: a fixed
-    72-byte header with its own CRC-32, the concatenated term bytes, the
-    postings (per term, node ids as delta varints, then only when the
-    term's cf differs from its df a sparse tf section: a varint count
-    and a (position gap, tf - 2) varint pair per row whose tf is above
-    1) and a directory (one u32 CRC-32 per block of 64 consecutive term
-    ids, over that block's postings, then per term varint term length,
-    df, cf - df and postings length), back to back with no padding, so
-    every byte is under a checksum.  Loading memory-maps the file
-    ({!Xk_storage.Mmap}), verifies the header, terms and directory
-    checksums, interns the dictionary from the directory (statistics
-    included — no posting is touched), and decodes a term's rows lazily
-    from the mapped postings on first access; the first decode of any
-    term of a block verifies that block's checksum once.  Open cost is
-    O(dictionary); the kernel pages postings in on demand.  Scores are
-    bit-identical to the v2 path: both feed the same (tf, df) integers
-    to the same scorer.
-
-    {!save} writes v5; {!load_result} dispatches on the magic, so v2
-    segments keep loading (copied out of the map) and {!save_v2} keeps
-    the writer for them.  A retired v3 ("XKIDX003") or v4 ("XKIDX004")
-    segment, like a v1 one, is rejected as {!Corrupted} with a message
-    asking for a rebuild.
+    Every earlier generation is retired: a v1–v4 segment, like a v1–v2
+    shard manifest ({!Shard_io}), is refused by one rule
+    ({!refuse_retired}) as {!Corrupted} with a message asking for a
+    rebuild, on the first attempt.
 
     Every read attempt maps the file once and reads the magic from the
-    map; a v2 segment is copied out of that same map.  Storage faults
-    are injected in {!Xk_storage.Mmap.map}, so fault drills exercise
-    this production reader, lazy open included.  {!read_mapped} and
-    {!retrying} are the read path of every other durable file too, and
-    the v2 container is the shared {!Xk_storage.Framed} one.
+    map.  Storage faults are injected in {!Xk_storage.Mmap.map}, so
+    fault drills exercise this production reader, lazy open included.
+    {!read_mapped} and {!retrying} are the read path of every other
+    durable file too.
 
     Reads classify their failures — {!Truncated} (the file ends before
     the declared layout), {!Corrupted} (bad magic, version, checksum or
-    structure), {!Io_failed} (an injected transient IO failure, or a
-    file that cannot be mapped) — and the transient class, plus
-    checksum mismatches and header anomalies (either can be a torn
-    read, which a re-read heals), is retried with exponential backoff
-    before an error is reported.  Structural anomalies behind a
-    verified checksum, and map failures, are fatal and skip the
-    retries. *)
+    structure, or a retired generation), {!Io_failed} (an injected
+    transient IO failure, or a file that cannot be mapped) — and the
+    transient class, plus checksum mismatches and header anomalies
+    (either can be a torn read, which a re-read heals), is retried with
+    exponential backoff before an error is reported.  Structural
+    anomalies behind a verified checksum, a retired magic, and map
+    failures are fatal and skip the retries. *)
 
 type error =
   | Truncated of string  (** file shorter than the declared layout *)
@@ -79,6 +72,16 @@ val of_framed : Xk_storage.Framed.error -> attempt_error
 (** A {!Xk_storage.Framed} verdict as a read-attempt outcome: [`Crc]
     for a checksum mismatch, [`Suspect] for the rest, so every one is
     re-read before it is reported. *)
+
+val retired : (string * string) list
+(** The retired generations of both index file kinds: each magic with
+    the generation it names (["v2 segment"], ["v1 manifest"], ...). *)
+
+val refuse_retired : string -> (unit, attempt_error) result
+(** The retired-magic rule, over a file's leading bytes: [`Fatal
+    (Corrupted "retired <generation> format; rebuild the index")] when
+    they start with a {!retired} magic, [Ok ()] otherwise.  The bytes
+    of such a file are intact, so a re-read cannot change the outcome. *)
 
 val magics : string list
 (** The segment magics, v1 to v5 in order. *)
@@ -116,10 +119,6 @@ val save : Index.t -> string -> unit
     rename, directory fsync ({!Xk_storage.Durable}).  Raises
     [Invalid_argument] if a term frequency is below 1. *)
 
-val save_v2 : Index.t -> string -> unit
-(** Write the v2 varint-stream format (for compatibility fixtures and
-    the loader benches). *)
-
 val load_result :
   ?stats:Index.stats_override ->
   ?retries:int ->
@@ -128,19 +127,18 @@ val load_result :
   Xk_encoding.Labeling.t ->
   string ->
   (Index.t, load_error) result
-(** Load a segment of either generation (dispatch on the magic),
-    retrying transient IO errors and checksum mismatches up to [retries]
-    (default 4) times with exponential backoff starting at [backoff_ms]
-    (default 1.0).  Never raises on bad input.  [stats] overrides the
-    ranking statistics as in {!Index.of_raw} (sharded segments, see
-    {!Shard_io}).  [verify_columns] (default false) makes a v5 open
-    verify and decode every term's postings eagerly instead of lazily —
+(** Load a segment, retrying transient IO errors and checksum mismatches
+    up to [retries] (default 4) times with exponential backoff starting
+    at [backoff_ms] (default 1.0).  Never raises on bad input.  [stats]
+    overrides the ranking statistics as in {!Index.of_provider} (sharded
+    segments, see {!Shard_io}).  [verify_columns] (default false) makes
+    the open verify and decode every term's postings eagerly instead of
+    lazily —
     the paranoid mode for replica-fallback paths that must reject a
     damaged segment at open time rather than at first query. *)
 
 val verify : ?retries:int -> ?backoff_ms:float -> string -> (unit, load_error) result
-(** Check a segment without building an index.  v2: framing, payload
-    CRC and the payload's structure.  v5: {e full} verification —
+(** Check a segment without building an index, and {e fully} —
     header, terms and directory checksums, the exact file size, every
     block checksum and every term's postings structure — since the lazy
     load path deliberately defers the postings checks.  Same retry
@@ -160,8 +158,8 @@ val file_size : string -> int
     stat'ed. *)
 
 val format_version : string -> int option
-(** Generation of the segment at a path, from its magic: [Some 1], [2],
-    [3] or [4] (retired, no longer loadable) or [5], or [None] for an
+(** Generation of the segment at a path, from its magic: [Some 1] to
+    [4] (retired, no longer loadable) or [5], or [None] for an
     unrecognized, missing or unreadable file. *)
 
 type layout = {

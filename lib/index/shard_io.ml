@@ -7,10 +7,11 @@
    is the shard count, the subtree count, the assignment array, then per
    shard a replica count followed by, per replica, the segment basename
    and an optional serving endpoint (presence flag, then host bytes and
-   a port varint).  Version 2 manifests (no endpoints) still load; v1
-   (no replica lists at all) is refused with a rebuild hint.  Node data
-   lives only in the per-shard segments; reloading re-derives the
-   sub-documents from the corpus and the stored assignment, so a
+   a port varint).  The retired v1 (no replica lists) and v2 (no
+   endpoints) manifests are refused with a rebuild hint, by the
+   retired-magic rule the segments share ([Index_io.refuse_retired]).
+   Node data lives only in the per-shard segments; reloading re-derives
+   the sub-documents from the corpus and the stored assignment, so a
    manifest stays valid for exactly the document it was built from
    (per-shard node-count checks enforce that).
 
@@ -20,10 +21,14 @@
    error then carries each replica's failure and attempt count. *)
 
 let magic = "XKSHM003"
-let magic_v2 = "XKSHM002"
-let magic_v1 = "XKSHM001"
 let version = 3
-let version_v2 = 2
+
+(* The manifest magics, the retired ones included: a retired manifest is
+   still sniffed as a manifest, so loading it reports the rebuild hint. *)
+let magics =
+  magic
+  :: List.filter (String.starts_with ~prefix:"XKSHM")
+       (List.map fst Index_io.retired)
 
 type error =
   | Manifest of { error : Index_io.error; attempts : int }
@@ -109,27 +114,24 @@ type manifest = {
   m_shards : int;
   m_assignment : int array;
   m_files : string array array; (* per shard, replica basenames in order *)
-  m_endpoints : (string * int) option array array;
-      (* same shape as [m_files]; v2 manifests decode to all-[None] *)
+  m_endpoints : (string * int) option array array; (* same shape as [m_files] *)
 }
 
 (* Every count and length is checked against the bytes left before
    anything is allocated for it: each entry it counts takes a byte. *)
-let decode_manifest ~with_endpoints c =
+let decode_manifest c =
   let fail = Xk_storage.Varint.malformed in
   let replica _ =
     let file = Xk_storage.Varint.string c in
     let endpoint =
-      if not with_endpoints then None
-      else
-        match Xk_storage.Varint.read c with
-        | 0 -> None
-        | 1 ->
-            let host = Xk_storage.Varint.string c in
-            let port = Xk_storage.Varint.read c in
-            if port > 0xFFFF then fail "endpoint port out of range";
-            Some (host, port)
-        | _ -> fail "bad endpoint flag"
+      match Xk_storage.Varint.read c with
+      | 0 -> None
+      | 1 ->
+          let host = Xk_storage.Varint.string c in
+          let port = Xk_storage.Varint.read c in
+          if port > 0xFFFF then fail "endpoint port out of range";
+          Some (host, port)
+      | _ -> fail "bad endpoint flag"
     in
     (file, endpoint)
   in
@@ -159,23 +161,14 @@ let decode_manifest ~with_endpoints c =
    retried (a torn read heals on re-read, real corruption repeats). *)
 let attempt_manifest path : (manifest, Index_io.attempt_error) result =
   Result.bind (Index_io.read_mapped path) (fun data ->
-      (* v2 manifests (no endpoints) stay loadable; the magic decides
-         which payload layout and version number to expect. *)
-      let v2 = String.starts_with ~prefix:magic_v2 data in
-      let magic, version = if v2 then (magic_v2, version_v2) else (magic, version) in
-      match Xk_storage.Framed.check ~magic ~version data with
-      | Error (Bad_magic m) when m = magic_v1 ->
-          Error
-            (`Suspect
-              (Index_io.Corrupted
-                 "legacy v1 manifest without replica lists; rebuild the index"))
-      | Error e -> Error (Index_io.of_framed e)
-      | Ok { pos; len } ->
-          Xk_storage.Varint.(
-            decode ~whole:false
-              (decode_manifest ~with_endpoints:(not v2))
-              (slice data ~pos ~stop:(pos + len)))
-          |> Result.map_error (fun msg -> `Fatal (Index_io.Corrupted msg)))
+      Result.bind (Index_io.refuse_retired data) (fun () ->
+          match Xk_storage.Framed.check ~magic ~version data with
+          | Error e -> Error (Index_io.of_framed e)
+          | Ok { pos; len } ->
+              Xk_storage.Varint.(
+                decode ~whole:false decode_manifest
+                  (slice data ~pos ~stop:(pos + len)))
+              |> Result.map_error (fun msg -> `Fatal (Index_io.Corrupted msg))))
 
 let load_manifest ?retries ?backoff_ms path =
   Index_io.retrying ?retries ?backoff_ms (fun () -> attempt_manifest path)
@@ -244,7 +237,6 @@ let partition_spec path =
   Result.map (fun m -> (m.m_shards, m.m_assignment)) (load_manifest path)
 
 let is_manifest path =
-  let manifests = [ magic; magic_v2; magic_v1 ] in
-  match Index_io.read_magic ~known:(manifests @ Index_io.magics) path with
-  | Some m -> List.mem m manifests
+  match Index_io.read_magic ~known:(magics @ Index_io.magics) path with
+  | Some m -> List.mem m magics
   | None -> false

@@ -85,8 +85,7 @@ val replica_files : string -> (string array array, error) result
 
 val endpoints : string -> ((string * int) option array array, error) result
 (** The serving endpoints recorded in the manifest at [path], indexed
-    [shard][replica]; [None] per replica with no endpoint (and for every
-    replica of a v2 manifest). *)
+    [shard][replica]; [None] per replica with no endpoint. *)
 
 val partition_spec : string -> (int * int array, error) result
 (** The shard count and subtree-to-shard assignment recorded in the
@@ -95,8 +94,9 @@ val partition_spec : string -> (int * int array, error) result
     [~assignment]). *)
 
 val is_manifest : string -> bool
-(** Whether the file starts with a shard-manifest magic (current v3,
-    v2, or legacy v1; used by the CLI to sniff sharded vs. plain
-    segments).  The magic is read through the map with the load's
-    retries ({!Index_io.read_magic}), so a transient fault cannot send
-    a manifest to the segment loader.  False on unreadable files. *)
+(** Whether the file starts with a shard-manifest magic (the current
+    v3, or a retired v1 or v2, which loading refuses with a rebuild
+    hint; used by the CLI to sniff sharded vs. plain segments).  The
+    magic is read through the map with the load's retries
+    ({!Index_io.read_magic}), so a transient fault cannot send a
+    manifest to the segment loader.  False on unreadable files. *)

@@ -51,6 +51,16 @@ let kind_of_byte = function
   | 3 -> Some Reply
   | _ -> None
 
+(* The frame checksum over its pieces: header bytes [0, 8) of [head],
+   the checksum field as four zero bytes, then [len] payload bytes of
+   [body] from [pos].  Neither side copies a frame to zero the field. *)
+let zero_crc = String.make 4 '\000'
+
+let checksum ~head body ~pos ~len =
+  let crc = Xk_storage.Crc32.update 0 head ~pos:0 ~len:crc_offset in
+  let crc = Xk_storage.Crc32.update crc zero_crc ~pos:0 ~len:4 in
+  Xk_storage.Crc32.update crc body ~pos ~len
+
 let encode k payload =
   let n = String.length payload in
   if n > default_limit then
@@ -60,17 +70,18 @@ let encode k payload =
   Bytes.set_uint8 b 2 version;
   Bytes.set_uint8 b 3 (kind_byte k);
   Bytes.set_int32_be b 4 (Int32.of_int n);
-  Bytes.set_int32_be b crc_offset 0l;
-  Bytes.blit_string payload 0 b header_size n;
-  let crc = Xk_storage.Crc32.string (Bytes.to_string b) in
+  let head = Bytes.sub_string b 0 crc_offset in
+  let crc = checksum ~head payload ~pos:0 ~len:n in
   Bytes.set_int32_be b crc_offset (Int32.of_int crc);
-  Bytes.to_string b
+  Bytes.blit_string payload 0 b header_size n;
+  Bytes.unsafe_to_string b
 
 let u32_be s pos =
   Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF
 
 (* Validate one frame held entirely in [s]; shared by the pure decoder
-   and the stream reader (which hands in header ^ payload). *)
+   and the stream reader (which reads header and payload into one
+   buffer). *)
 let check_frame ?(limit = default_limit) s =
   let len = String.length s in
   if len < header_size then
@@ -90,9 +101,7 @@ let check_frame ?(limit = default_limit) s =
           Error (Trailing (len - header_size - plen))
         else
           let stored = u32_be s crc_offset in
-          let zeroed = Bytes.of_string s in
-          Bytes.set_int32_be zeroed crc_offset 0l;
-          let actual = Xk_storage.Crc32.string (Bytes.to_string zeroed) in
+          let actual = checksum ~head:s s ~pos:header_size ~len:plen in
           if stored <> actual then
             Error (Crc_mismatch { expected = stored; actual })
           else Ok (kind, String.sub s header_size plen)
@@ -101,30 +110,31 @@ let decode ?limit s = check_frame ?limit s
 
 (* --- Stream IO -------------------------------------------------------- *)
 
-(* Loop [Unix.read] until [n] bytes arrived.  [eof_error] distinguishes
-   "clean close before any byte" from "stream died mid-frame". *)
-let read_exactly fd buf n ~eof_error =
-  let rec go off =
-    if off >= n then Ok ()
+(* Loop [Unix.read] until [buf] holds [n] bytes from [off].  [eof_error]
+   distinguishes "clean close before any byte" from "stream died
+   mid-frame". *)
+let read_exactly fd buf ~off n ~eof_error =
+  let rec go pos =
+    if pos >= off + n then Ok ()
     else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> Error (if off = 0 then eof_error else Io "EOF inside a frame")
-      | r -> go (off + r)
+      match Unix.read fd buf pos (off + n - pos) with
+      | 0 -> Error (if pos = off then eof_error else Io "EOF inside a frame")
+      | r -> go (pos + r)
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
           Error Timeout
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
+      | exception Unix.Unix_error (EINTR, _, _) -> go pos
       | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
   in
-  go 0
+  go off
 
 let read_fd fd =
   let header = Bytes.create header_size in
-  match read_exactly fd header header_size ~eof_error:Closed with
+  match read_exactly fd header ~off:0 header_size ~eof_error:Closed with
   | Error _ as e -> e
   | Ok () -> (
       (* Pre-check the fixed fields so an oversized or foreign header is
          refused before the payload allocation. *)
-      let h = Bytes.to_string header in
+      let h = Bytes.unsafe_to_string header in
       if String.sub h 0 2 <> magic then Error (Bad_magic (String.sub h 0 2))
       else if String.get_uint8 h 2 <> version then
         Error (Bad_version (String.get_uint8 h 2))
@@ -133,20 +143,22 @@ let read_fd fd =
         if plen > default_limit then
           Error (Oversized { length = plen; limit = default_limit })
         else
-          let payload = Bytes.create plen in
+          let frame = Bytes.create (header_size + plen) in
+          Bytes.blit header 0 frame 0 header_size;
           match
-            read_exactly fd payload plen ~eof_error:(Io "EOF inside a frame")
+            read_exactly fd frame ~off:header_size plen
+              ~eof_error:(Io "EOF inside a frame")
           with
           | Error _ as e -> e
-          | Ok () -> check_frame (h ^ Bytes.to_string payload))
+          | Ok () -> check_frame (Bytes.unsafe_to_string frame))
 
 let write_fd fd k payload =
-  let b = Bytes.of_string (encode k payload) in
-  let n = Bytes.length b in
+  let s = encode k payload in
+  let n = String.length s in
   let rec go off =
     if off >= n then Ok ()
     else
-      match Unix.write fd b off (n - off) with
+      match Unix.write_substring fd s off (n - off) with
       | r -> go (off + r)
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
           Error Timeout

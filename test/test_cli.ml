@@ -95,6 +95,12 @@ let exit_table () =
       expect dir ~want:1 "1: no keywords" [ "search"; corpus ];
       expect dir ~want:1 "1: unreadable --index"
         [ "search"; corpus; "xml"; "--index"; write dir "g.idx" "garbage" ];
+      expect dir ~want:1 ~says:"retired v2 segment format; rebuild the index"
+        "1: retired v2 --index"
+        [
+          "search"; corpus; "xml"; "--index";
+          write dir "v2.idx" Test_storage.v2_fixture_bytes;
+        ];
       expect dir ~want:1 ~says:"XK_FAULTS" ~env:[ "XK_FAULTS=bogus" ]
         "1: malformed XK_FAULTS" [ "terms"; corpus ];
       expect dir ~want:2 ~says:"degraded" ~env:[ "XK_FAULTS=query" ]

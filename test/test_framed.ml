@@ -115,7 +115,9 @@ let wal_negative_length =
   "XKWAL001" ^ varint 1 ^ varint 0 ^ String.make 8 '\xff' ^ "\x7f" ^ varint 0
   ^ "xyz"
 
-(* CRC-valid manifest and v2 segment payloads with a 2^40 count. *)
+(* CRC-valid manifest and v2 segment payloads with a 2^40 count.  The v2
+   inputs here and below once raised or loaded; the v2 format is retired
+   now, so each is refused by its magic before its payload is read. *)
 let huge = 1 lsl 40
 
 let manifest_huge_count =
@@ -125,8 +127,8 @@ let v2_huge_rows =
   Framed.file ~magic:"XKIDX002" ~version:2
     (varint 2 ^ varint 1 ^ str "a" ^ varint huge ^ varint 0)
 
-(* A CRC-valid v2 segment whose every tf is 0: [save] refuses to write
-   one, and a query on its term once raised in the scorer. *)
+(* A CRC-valid v2 segment whose every tf is 0: a query on its term once
+   raised in the scorer. *)
 let v2_zero_tf =
   Framed.file ~magic:"XKIDX002" ~version:2
     (varint 2 ^ varint 1 ^ str "a" ^ varint 2 ^ varint 0 ^ varint 1 ^ varint 0
@@ -134,14 +136,11 @@ let v2_zero_tf =
 
 let two_node_doc = { Tree.root = Tree.element "r" [ Tree.elem "a" [] ] }
 
-(* Two CRC-valid v2 payloads over [xml_doc]'s five nodes that no
-   encoder writes: the term "xml" listed twice (rows at nodes 2 and 4),
-   and one "xml" list whose node-id gaps are 2, 0, 0.  Both once loaded:
-   the first as two term ids with one dictionary entry, the second with
-   node 2 counted three times toward df. *)
-let xml_doc =
-  Xk_xml.Xml_parser.parse_string_exn "<r><a>xml keyword</a><b>xml search</b></r>"
-
+(* Two CRC-valid v2 payloads over a five-node document that no encoder
+   writes: the term "xml" listed twice (rows at nodes 2 and 4), and one
+   "xml" list whose node-id gaps are 2, 0, 0.  Both once loaded: the
+   first as two term ids with one dictionary entry, the second with node
+   2 counted three times toward df. *)
 let v2_duplicate_term =
   Framed.file ~magic:"XKIDX002" ~version:2
     (varint 5 ^ varint 2
@@ -211,54 +210,9 @@ let fixed_manifest_huge_count () =
       fatal_corruption "partition_spec" (Shard_io.partition_spec path);
       fatal_corruption "load_result" (Shard_io.load_result two_node_doc path))
 
-let fixed_v2_huge_rows () =
-  with_faults Chaos.no_faults @@ fun () ->
-  with_tmpdir (fun dir ->
-      let path = Filename.concat dir "huge.seg" in
-      write_file path v2_huge_rows;
-      let label = Xk_encoding.Labeling.label two_node_doc in
-      check Alcotest.int "two nodes" 2 (Xk_encoding.Labeling.node_count label);
-      match Index_io.load_result label path with
-      | Error { error = Corrupted _; attempts = 1 } -> ()
-      | Error e -> Alcotest.failf "wrong error: %s" (Index_io.load_error_message e)
-      | Ok _ -> Alcotest.fail "a 2^40-row term was accepted")
-
-let fixed_v2_zero_tf () =
-  with_faults Chaos.no_faults @@ fun () ->
-  with_tmpdir (fun dir ->
-      let path = Filename.concat dir "zero.seg" in
-      write_file path v2_zero_tf;
-      let label = Xk_encoding.Labeling.label two_node_doc in
-      (match Index_io.load_result label path with
-      | Error { error = Corrupted _; attempts = 1 } -> ()
-      | Error e -> Alcotest.failf "wrong error: %s" (Index_io.load_error_message e)
-      | Ok _ -> Alcotest.fail "a zero tf was accepted");
-      match Index_io.verify path with
-      | Error { error = Corrupted _; attempts = 1 } -> ()
-      | Error e ->
-          Alcotest.failf "verify: wrong error %s" (Index_io.load_error_message e)
-      | Ok () -> Alcotest.fail "verify accepted a zero tf")
-
-(* A CRC-valid v2 segment [save_v2] could not have written is fatal
-   corruption for both the loader and the verifier. *)
-let rejects_v2 what data () =
-  with_faults Chaos.no_faults @@ fun () ->
-  with_tmpdir (fun dir ->
-      let path = Filename.concat dir "bad.seg" in
-      write_file path data;
-      let label = Xk_encoding.Labeling.label xml_doc in
-      check Alcotest.int "five nodes" 5 (Xk_encoding.Labeling.node_count label);
-      (match Index_io.load_result label path with
-      | Error { error = Corrupted _; attempts = 1 } -> ()
-      | Error e -> Alcotest.failf "wrong error: %s" (Index_io.load_error_message e)
-      | Ok idx ->
-          Alcotest.failf "%s was accepted (%d terms)" what
-            (Xk_index.Index.term_count idx));
-      match Index_io.verify path with
-      | Error { error = Corrupted _; attempts = 1 } -> ()
-      | Error e ->
-          Alcotest.failf "verify: wrong error %s" (Index_io.load_error_message e)
-      | Ok () -> Alcotest.failf "verify accepted %s" what)
+(* Refused as retired on the first attempt, by the loader and the
+   verifier, whatever the payload. *)
+let rejects_v2 data () = Test_storage.segment_retired ~version:2 data
 
 let fixed_query_varints () =
   let malformed what data =
@@ -465,36 +419,17 @@ let targets rng dir =
   let sharded = Xk_index.Sharding.partition ~shards:2 small_doc in
   Shard_io.save ~endpoints:[| [| ("localhost", 7001) |]; [| ("h", 2) |] |] sharded
     shards;
-  let manifest name data =
-    let path = Filename.concat dir name in
-    write_file path data;
-    path
-  in
-  let v2_payload =
+  (* The retired v1 and v2 manifest layouts: no endpoints, and v1 no
+     replica lists either, but only the magic is read. *)
+  let retired_payload =
     let a = Xk_index.Sharding.assignment sharded in
     varint 2 ^ varint (Array.length a)
     ^ String.concat "" (Array.to_list (Array.map varint a))
     ^ varint 1 ^ str "c.shards.000.seg" ^ varint 1 ^ str "c.shards.001.seg"
   in
-  let shard_target name ~magic ~version good =
-    let path = manifest name good in
-    {
-      name;
-      good;
-      reframe = whole_file ~magic ~version good;
-      extra = (if version = 3 then [ manifest_huge_count ] else []);
-      run =
-        (fun data ->
-          write_file path data;
-          ignore (Shard_io.load_result ~retries:0 small_doc path));
-    }
-  in
-  let seg = Filename.concat dir "v2.seg" in
   let seg5 = Filename.concat dir "v5.seg" in
   let label = Xk_encoding.Labeling.label small_doc in
-  Index_io.save_v2 (Xk_index.Index.build label) seg;
   Index_io.save (Xk_index.Index.build label) seg5;
-  let two_label = Xk_encoding.Labeling.label two_node_doc in
   let reply =
     Wire.Served
       {
@@ -525,28 +460,26 @@ let targets rng dir =
     };
     live_target "live.manifest" ~magic:"XKLIV001";
     live_target "seg-0001.docs" ~magic:"XKDOC001";
-    shard_target "v3.shards" ~magic:"XKSHM003" ~version:3 (read_file shards);
-    shard_target "v2.shards" ~magic:"XKSHM002" ~version:2
-      (Framed.file ~magic:"XKSHM002" ~version:2 v2_payload);
-    shard_target "v1.shards" ~magic:"XKSHM001" ~version:1
-      (Framed.file ~magic:"XKSHM001" ~version:1 v2_payload);
     {
-      name = "v2.seg";
-      good = read_file seg;
-      reframe = whole_file ~magic:"XKIDX002" ~version:2 (read_file seg);
-      extra = [ v2_huge_rows; v2_zero_tf; v2_duplicate_term; v2_zero_gap ];
+      name = "v3.shards";
+      good = read_file shards;
+      reframe = whole_file ~magic:"XKSHM003" ~version:3 (read_file shards);
+      extra =
+        [
+          manifest_huge_count;
+          Framed.file ~magic:"XKSHM002" ~version:2 retired_payload;
+          Framed.file ~magic:"XKSHM001" ~version:1 retired_payload;
+        ];
       run =
         (fun data ->
-          write_file seg data;
-          serve_segment label seg;
-          serve_segment two_label seg;
-          ignore (Index_io.verify ~retries:0 seg));
+          write_file shards data;
+          ignore (Shard_io.load_result ~retries:0 small_doc shards));
     };
     {
       name = "v5.seg";
       good = read_file seg5;
       reframe = v5_reseal rng (read_file seg5);
-      extra = [];
+      extra = [ v2_huge_rows; v2_zero_tf; v2_duplicate_term; v2_zero_gap ];
       run =
         (fun data ->
           write_file seg5 data;
@@ -717,11 +650,10 @@ let suite =
         tc "codec verdicts" `Quick codec_verdicts;
         tc "negative WAL record length" `Quick fixed_wal_negative_length;
         tc "manifest count past the payload" `Quick fixed_manifest_huge_count;
-        tc "v2 row count past the payload" `Quick fixed_v2_huge_rows;
-        tc "v2 zero tf" `Quick fixed_v2_zero_tf;
-        tc "v2 duplicate term" `Quick (rejects_v2 "a duplicate term" v2_duplicate_term);
-        tc "v2 node ids not increasing" `Quick
-          (rejects_v2 "a zero node-id gap" v2_zero_gap);
+        tc "v2 row count past the payload" `Quick (rejects_v2 v2_huge_rows);
+        tc "v2 zero tf" `Quick (rejects_v2 v2_zero_tf);
+        tc "v2 duplicate term" `Quick (rejects_v2 v2_duplicate_term);
+        tc "v2 node ids not increasing" `Quick (rejects_v2 v2_zero_gap);
         tc "query varints no encoder writes" `Quick fixed_query_varints;
         tc "every strict prefix never raises" `Quick prefixes_never_raise;
         QCheck_alcotest.to_alcotest never_raises_prop;

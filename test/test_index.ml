@@ -532,8 +532,8 @@ let index_io_rejects_mismatch () =
   end
 
 (* The compressed zero-copy segment [save] writes (v5): layout
-   introspection, full verification, and bit-identical parity against
-   both the v2 channel loader and a fresh in-memory build. *)
+   introspection, full verification, and bit-identical parity of the
+   lazy open against the eager open and a fresh in-memory build. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -694,7 +694,7 @@ let block_span sd b =
 
 let v5_parity_prop =
   QCheck.Test.make ~count:15
-    ~name:"mmap load is bit-identical to v2 channel load and fresh build"
+    ~name:"mmap load is bit-identical to the eager open and a fresh build"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Xk_datagen.Rng.create seed in
@@ -702,57 +702,50 @@ let v5_parity_prop =
       let label = Xk_encoding.Labeling.label doc in
       let fresh = Index.build label in
       let p5 = tmpfile (Printf.sprintf "xk_v5_parity_%d.seg" seed) in
-      let p2 = tmpfile (Printf.sprintf "xk_v2_parity_%d.seg" seed) in
       Index_io.save fresh p5;
-      Index_io.save_v2 fresh p2;
-      let ok =
-        ref
-          (Index_io.format_version p5 = Some 5
-          && Index_io.format_version p2 = Some 2)
+      let ok = ref (Index_io.format_version p5 = Some 5) in
+      let load verify_columns =
+        Index_io.load_result ~verify_columns (Xk_encoding.Labeling.label doc) p5
       in
-      (match
-         ( Index_io.load_result (Xk_encoding.Labeling.label doc) p5,
-           Index_io.load_result (Xk_encoding.Labeling.label doc) p2 )
-       with
-      | Ok v5, Ok v2 ->
+      (match (load false, load true) with
+      | Ok lazy_idx, Ok eager ->
           let n = Index.term_count fresh in
-          if Index.term_count v5 <> n || Index.term_count v2 <> n then
+          if Index.term_count lazy_idx <> n || Index.term_count eager <> n then
             ok := false;
           if !ok then
             for id = 0 to n - 1 do
               let term = Index.term fresh id in
-              match (Index.term_id v5 term, Index.term_id v2 term) with
-              | Some i5, Some i2 ->
+              match (Index.term_id lazy_idx term, Index.term_id eager term) with
+              | Some il, Some ie ->
                   if
-                    Index.raw_rows v5 i5 <> Index.raw_rows fresh id
-                    || Index.raw_rows v2 i2 <> Index.raw_rows fresh id
+                    Index.raw_rows lazy_idx il <> Index.raw_rows fresh id
+                    || Index.raw_rows eager ie <> Index.raw_rows fresh id
                   then ok := false;
                   (* Exact float equality: the same (tf, df) integers must
                      feed the same scorer on every path. *)
                   if
-                    Index.local_scores v5 i5 <> Index.local_scores fresh id
-                    || Index.local_scores v2 i2 <> Index.local_scores fresh id
+                    Index.local_scores lazy_idx il <> Index.local_scores fresh id
+                    || Index.local_scores eager ie <> Index.local_scores fresh id
                   then ok := false
               | _ -> ok := false
             done;
           if !ok then begin
             let ef = Xk_core.Engine.of_index fresh
-            and e5 = Xk_core.Engine.of_index v5
-            and ev2 = Xk_core.Engine.of_index v2 in
+            and el = Xk_core.Engine.of_index lazy_idx
+            and ee = Xk_core.Engine.of_index eager in
             for _ = 1 to 3 do
               let words = Tutil.random_query rng ~k:2 ~alphabet:6 in
               let hf = Tutil.sort_hits (Xk_core.Engine.query ef words)
-              and h5 = Tutil.sort_hits (Xk_core.Engine.query e5 words)
-              and h2 = Tutil.sort_hits (Xk_core.Engine.query ev2 words) in
-              if h5 <> hf || h2 <> hf then ok := false;
+              and hl = Tutil.sort_hits (Xk_core.Engine.query el words)
+              and he = Tutil.sort_hits (Xk_core.Engine.query ee words) in
+              if hl <> hf || he <> hf then ok := false;
               let tf = Xk_core.Engine.query_topk ef words ~k:3
-              and t5 = Xk_core.Engine.query_topk e5 words ~k:3 in
-              if t5 <> tf then ok := false
+              and tl = Xk_core.Engine.query_topk el words ~k:3 in
+              if tl <> tf then ok := false
             done
           end
       | _ -> ok := false);
       Sys.remove p5;
-      Sys.remove p2;
       !ok)
 
 (* Every decoder of a v5 segment is total: for every strict prefix, a
@@ -888,9 +881,9 @@ let v5_never_raises_prop =
       Sys.remove path;
       ok)
 
-(* Segments over hand-made postings: [of_raw] accepts any rows, so the
-   properties below reach tf shapes and term counts the generators
-   rarely produce.  The flat document supplies the node ids. *)
+(* Segments over hand-made postings: [Index.of_provider] accepts any
+   rows, so the properties below reach tf shapes and term counts the
+   generators rarely produce.  The flat document supplies the node ids. *)
 let flat_label nodes =
   Xk_encoding.Labeling.label
     {
@@ -912,7 +905,22 @@ let random_nodes rng ~nodes ~df =
   picked
 
 let save_raw label entries path =
-  let idx = Index.of_raw label entries in
+  let dict = Xk_text.Dictionary.create () in
+  List.iter
+    (fun (term, nodes, tfs) ->
+      let id = Xk_text.Dictionary.intern dict term in
+      Xk_text.Dictionary.set_stats dict id ~df:(Array.length nodes)
+        ~cf:(Array.fold_left ( + ) 0 tfs))
+    entries;
+  let rows = Array.of_list (List.map (fun (_, nodes, tfs) -> (nodes, tfs)) entries) in
+  let idx =
+    Index.of_provider ~dict label
+      {
+        pv_terms = Array.length rows;
+        pv_row_count = (fun id -> Array.length (fst rows.(id)));
+        pv_rows = (fun id -> rows.(id));
+      }
+  in
   Index_io.save idx path;
   idx
 

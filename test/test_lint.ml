@@ -636,6 +636,40 @@ let test_only_option () =
   check_rules_all ~config:"allow test-only-option lib/core/knob.mli run?seed"
     "config allow" [] [ mli; ml; main; test ]
 
+(* A forwarded option ([let partition ?cache_capacity x = Index.build
+   ?cache_capacity x]) is set only where the forwarder's is, through any
+   chain of forwards; an allow entry for the forwarder does not set it. *)
+let forwarded_option () =
+  let index =
+    [
+      ("lib/index/index.mli", "val build : ?cache_capacity:int -> int -> int\n");
+      ("lib/index/index.ml", "let build ?(cache_capacity = 8) x = x + cache_capacity\n");
+      ("lib/index/sharding.mli", "val partition : ?cache_capacity:int -> int -> int\n");
+      ( "lib/index/sharding.ml",
+        "let partition ?cache_capacity x =\n\
+        \  let make y = Index.build ?cache_capacity y in\n\
+        \  make x\n" );
+      ("lib/exec/svc.mli", "val create : ?cache_capacity:int -> int -> int\n");
+      ("lib/exec/svc.ml", "let create ?cache_capacity x = Sharding.partition ?cache_capacity x\n");
+    ]
+  in
+  let main call = ("bin/main.ml", Printf.sprintf "let () = print_int (%s)\n" call) in
+  check_rules_all "an unset forwarder sets nothing"
+    [ "test-only-option"; "test-only-option"; "test-only-option" ]
+    (main "Xk_exec.Svc.create 1" :: index);
+  check_rules_all "a set forwarder sets the whole chain" []
+    (main "Xk_exec.Svc.create ~cache_capacity:2 1" :: index);
+  check_rules_all "a set middle link sets what it forwards to"
+    [ "test-only-option" ]
+    (main "Xk_exec.Svc.create 1 + Xk_index.Sharding.partition ~cache_capacity:2 1"
+    :: index);
+  check_rules_all
+    ~config:
+      "allow test-only-option lib/exec/svc.mli create?cache_capacity\n\
+       allow test-only-option lib/index/sharding.mli partition?cache_capacity"
+    "an allowed forwarder is still unset" [ "test-only-option" ]
+    (main "Xk_exec.Svc.create 1" :: index)
+
 (* --- test-only-module -------------------------------------------------- *)
 
 let test_only_module () =
@@ -732,6 +766,32 @@ let config_parse () =
   | Ok _ -> Alcotest.fail "malformed config accepted"
   | Error _ -> ()
 
+(* Each entry counts the findings it suppressed; the ones that
+   suppressed none are what a whole-program run reports as stale. *)
+let config_unused () =
+  let cfg =
+    config_of_string
+      "# seams\n\
+       allow test-only-option lib/core/knob.mli run?seed\n\
+       allow test-only-option lib/core/knob.mli run?fast\n\
+       allow typed-error lib/core/gone.ml\n"
+  in
+  let sources =
+    [
+      ("lib/core/knob.mli", "val run : ?fast:bool -> ?seed:int -> int -> int\n");
+      ("lib/core/knob.ml", "let run ?(fast = false) ?(seed = 0) x = if fast then x + seed else x\n");
+      ("bin/main.ml", "let () = print_int (Xk_core.Knob.run ~fast:true 1)\n");
+    ]
+  in
+  check slist "the used entry suppresses its finding" []
+    (rules (Lint_engine.lint_sources cfg sources).findings);
+  check slist "entries that suppressed nothing"
+    [
+      "line 3: allow test-only-option lib/core/knob.mli run?fast";
+      "line 4: allow typed-error lib/core/gone.ml";
+    ]
+    (List.map Lint_config.entry_to_string (Lint_config.unused cfg))
+
 (* --- baseline -------------------------------------------------------- *)
 
 let findings_of src = lint ~file:"lib/text/fixture.ml" src
@@ -798,6 +858,7 @@ let suite =
         tc "mapped-read" `Quick mapped_read;
         tc "process-exit" `Quick process_exit;
         tc "test-only-option" `Quick test_only_option;
+        tc "test-only-option through forwards" `Quick forwarded_option;
         tc "no-blocking-in-callback" `Quick no_blocking_in_callback;
         tc "parse error" `Quick parse_error;
       ] );
@@ -829,7 +890,10 @@ let suite =
         tc "call graph" `Quick call_graph;
       ] );
     ( "lint.config",
-      [ tc "parse + matching" `Quick config_parse ] );
+      [
+        tc "parse + matching" `Quick config_parse;
+        tc "unused entries" `Quick config_unused;
+      ] );
     ( "lint.baseline",
       [
         tc "round trip" `Quick baseline_roundtrip;

@@ -466,7 +466,8 @@ let live_reseal_damaged_index () =
         let mid = Bytes.length b / 2 in
         Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x5a));
         Bytes.to_string b);
-      (* a segment of the retired v4 format *)
+      (* segments of the retired v2 and v4 formats *)
+      (fun data -> "XKIDX002" ^ String.sub data 8 (String.length data - 8));
       (fun data -> "XKIDX004" ^ String.sub data 8 (String.length data - 8));
     ]
 

@@ -307,9 +307,10 @@ let garbage_classified () =
       | _ -> Alcotest.fail "garbage not classified as corrupted");
       write "XKIDX001legacy-body";
       (match Xk_index.Index_io.load_result ~backoff_ms:0. label path with
-      | Error { error = Corrupted msg; _ } ->
-          check Alcotest.bool "legacy message" true (String.length msg > 0)
-      | _ -> Alcotest.fail "v1 segment not classified as corrupted");
+      | Error { error = Corrupted msg; attempts = 1 } ->
+          check Alcotest.string "retired message"
+            "retired v1 segment format; rebuild the index" msg
+      | _ -> Alcotest.fail "v1 segment not refused once as corrupted");
       (* A missing file cannot be mapped: IO failure, no retries. *)
       Sys.remove path;
       match Xk_index.Index_io.load_result ~backoff_ms:0. label path with

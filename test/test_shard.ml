@@ -662,39 +662,37 @@ let shard_io_replicas () =
           | exception Xk_index.Shard_io.Verify_failed msg ->
               check Alcotest.bool "verify error names the replica" true
                 (contains msg ".r1.seg"));
-      (* A legacy v1 manifest is typed corruption telling the operator
-         to rebuild, not a crash. *)
+      (* A bare retired v1 magic is typed corruption telling the
+         operator to rebuild, not a crash. *)
       let legacy = Filename.concat dir "legacy.shards" in
       let oc = open_out_bin legacy in
       output_string oc "XKSHM001";
       close_out oc;
-      check Alcotest.bool "legacy magic still sniffs as manifest" true
+      check Alcotest.bool "retired magic still sniffs as manifest" true
         (Xk_index.Shard_io.is_manifest legacy);
       match Xk_index.Shard_io.load_result doc legacy with
       | Error (Xk_index.Shard_io.Manifest { error = Corrupted msg; _ }) ->
-          check Alcotest.bool "legacy error says to rebuild" true
-            (contains msg "legacy")
+          check Alcotest.bool "retired error says to rebuild" true
+            (contains msg "rebuild")
       | Error e ->
-          Alcotest.failf "legacy manifest: wrong error %s"
+          Alcotest.failf "retired manifest: wrong error %s"
             (Xk_index.Shard_io.error_message e)
-      | Ok _ -> Alcotest.fail "legacy manifest loaded")
+      | Ok _ -> Alcotest.fail "retired manifest loaded")
 
-(* --- Legacy manifest fixtures ----------------------------------------- *)
+(* --- Retired manifest fixtures ------------------------------------------ *)
 
-(* The "v1 is refused, v2 still loads" claims pinned by committed bytes,
-   not by round-trips through today's writer.
+(* The refusal of the retired manifest generations, pinned by committed
+   bytes, not by round-trips through today's writer.
 
    [v2_manifest_bytes] is a version-2 manifest (no endpoint records):
    magic "XKSHM002" | version 2 | payload length 53 | payload CRC |
    payload = 2 shards, 3 subtrees, assignment [0; 1; 0], then one
-   replica per shard with basenames fixture.shards.00{0,1}.seg.  If the
-   decoder's v2 layout ever drifts, this literal stops loading. *)
+   replica per shard with basenames fixture.shards.00{0,1}.seg. *)
 let v2_manifest_bytes =
   "XKSHM002\x025\x9c\xa0\x88\xb9\x0a\x02\x03\x00\x01\x00\x01\x16fixture.shards.000.seg\x01\x16fixture.shards.001.seg"
 
 (* A version-1 manifest: bare magic, then the pre-replica payload shape
-   (assignment only).  Only the magic matters — v1 is typed corruption
-   with a rebuild hint no matter the rest. *)
+   (assignment only). *)
 let v1_manifest_bytes = "XKSHM001\x01\x05\x2a\x02\x03\x00\x01\x00"
 
 let write_file path data =
@@ -713,41 +711,37 @@ let fixture_doc =
         ];
   }
 
+(* Each retired manifest still sniffs as a manifest and is refused on
+   the first attempt with the rebuild hint, though the segments it names
+   are intact. *)
 let shard_io_legacy_fixtures () =
+  Xk_resilience.Chaos.configure Xk_resilience.Chaos.no_faults;
+  Fun.protect ~finally:Xk_resilience.Chaos.reset @@ fun () ->
   with_tmpdir (fun dir ->
       let path = Filename.concat dir "fixture.shards" in
-      (* Segments come from today's writer — the fixture pins the
-         manifest layout; segment framing has its own tests. *)
       let sharded =
         Xk_index.Sharding.partition ~shards:2 ~assignment:[| 0; 1; 0 |]
           fixture_doc
       in
       Xk_index.Shard_io.save sharded path;
-      write_file path v2_manifest_bytes;
-      check Alcotest.bool "v2 sniffs as manifest" true
-        (Xk_index.Shard_io.is_manifest path);
-      (match Xk_index.Shard_io.load_result fixture_doc path with
-      | Ok loaded ->
-          check Alcotest.int "v2 shard count" 2
-            (Xk_index.Sharding.count loaded);
-          check
-            (Alcotest.array Alcotest.int)
-            "v2 assignment" [| 0; 1; 0 |]
-            (Xk_index.Sharding.assignment loaded)
-      | Error e ->
-          Alcotest.failf "committed v2 bytes no longer load: %s"
-            (Xk_index.Shard_io.error_message e));
-      write_file path v1_manifest_bytes;
-      check Alcotest.bool "v1 still sniffs as manifest" true
-        (Xk_index.Shard_io.is_manifest path);
-      match Xk_index.Shard_io.load_result fixture_doc path with
-      | Error (Xk_index.Shard_io.Manifest { error = Corrupted msg; _ }) ->
-          check Alcotest.bool "v1 error says to rebuild" true
-            (contains msg "legacy" && contains msg "rebuild")
-      | Error e ->
-          Alcotest.failf "committed v1 bytes: wrong error %s"
-            (Xk_index.Shard_io.error_message e)
-      | Ok _ -> Alcotest.fail "committed v1 bytes loaded")
+      List.iter
+        (fun (version, bytes) ->
+          write_file path bytes;
+          check Alcotest.bool
+            (Printf.sprintf "v%d sniffs as manifest" version)
+            true
+            (Xk_index.Shard_io.is_manifest path);
+          match Xk_index.Shard_io.load_result ~backoff_ms:0. fixture_doc path with
+          | Error (Xk_index.Shard_io.Manifest { error = Corrupted msg; attempts = 1 }) ->
+              check Alcotest.string
+                (Printf.sprintf "v%d refused with the rebuild hint" version)
+                (Printf.sprintf "retired v%d manifest format; rebuild the index" version)
+                msg
+          | Error e ->
+              Alcotest.failf "committed v%d bytes: wrong error %s" version
+                (Xk_index.Shard_io.error_message e)
+          | Ok _ -> Alcotest.failf "committed v%d bytes loaded" version)
+        [ (1, v1_manifest_bytes); (2, v2_manifest_bytes) ])
 
 (* --- Aggregated stats ------------------------------------------------- *)
 

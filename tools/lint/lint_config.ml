@@ -9,9 +9,20 @@
    bound variable for [shared-state], the offending identifier for
    [bare-lock]/[typed-error], the module for [test-only-module] and
    [val?label] for [test-only-option]; omitted or [*] matches anything.  [#]
-   starts a comment. *)
+   starts a comment.
 
-type entry = { rule : string; path : string; name : string option }
+   Each entry counts the findings it suppressed, so a run over the whole
+   program can report the entries that suppressed none ({!unused}): the
+   code they were written for is gone, and so should they be. *)
+
+type entry = {
+  rule : string;
+  path : string;
+  name : string option;
+  line : int;
+  mutable hits : int;
+}
+
 type t = { allows : entry list }
 
 let empty = { allows = [] }
@@ -32,12 +43,13 @@ let of_string src =
            |> List.filter (fun s -> s <> "")
          with
          | [] -> ()
-         | [ "allow"; rule; path ] ->
-             entries := { rule; path; name = None } :: !entries
-         | [ "allow"; rule; path; "*" ] ->
-             entries := { rule; path; name = None } :: !entries
+         | [ "allow"; rule; path ] | [ "allow"; rule; path; "*" ] ->
+             entries :=
+               { rule; path; name = None; line = i + 1; hits = 0 } :: !entries
          | [ "allow"; rule; path; name ] ->
-             entries := { rule; path; name = Some name } :: !entries
+             entries :=
+               { rule; path; name = Some name; line = i + 1; hits = 0 }
+               :: !entries
          | _ ->
              errors :=
                Printf.sprintf "line %d: expected 'allow <rule> <path> [name]'"
@@ -64,10 +76,24 @@ let path_matches ~pattern file =
      && (String.starts_with ~prefix:pattern file
         || Lint_util.contains_substring ~sub:("/" ^ pattern) file))
 
+(* Every matching entry counts the hit, so an entry shadowed by a
+   broader one is not mistaken for an unused one. *)
 let allowed t ~rule ~file ~name =
-  List.exists
-    (fun e ->
-      (e.rule = rule || e.rule = "*")
-      && path_matches ~pattern:e.path file
-      && match e.name with None -> true | Some n -> name = Some n)
-    t.allows
+  List.fold_left
+    (fun found e ->
+      if
+        (e.rule = rule || e.rule = "*")
+        && path_matches ~pattern:e.path file
+        && match e.name with None -> true | Some n -> name = Some n
+      then begin
+        e.hits <- e.hits + 1;
+        true
+      end
+      else found)
+    false t.allows
+
+let unused t = List.filter (fun e -> e.hits = 0) t.allows
+
+let entry_to_string e =
+  Printf.sprintf "line %d: allow %s %s%s" e.line e.rule e.path
+    (match e.name with None -> "" | Some n -> " " ^ n)

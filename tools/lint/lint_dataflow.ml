@@ -300,7 +300,9 @@ let budget_findings config g =
                 Hashtbl.mem reach d.d_id && serving_scope d.d_file)
               members
           in
-          let waived =
+          (* Consulted only for a cycle that would be reported, so an
+             allow entry counts only the findings it suppresses. *)
+          let waived () =
             List.exists
               (fun (d : G.def) ->
                 d.d_budget_waived
@@ -310,7 +312,7 @@ let budget_findings config g =
           in
           match reachable with
           | [] -> None
-          | _ when polls || waived -> None
+          | _ when polls || waived () -> None
           | rep :: _ ->
               let names =
                 List.map (fun (d : G.def) -> d.d_name) members

@@ -9,8 +9,11 @@
    Matching is by name.  An application passes [l] to [M.v] when its
    function is a path ending in [v] whose module component, if it has
    one, is [M] (the interface's module, or the nested module the [val]
-   sits in).  Like [test-only-module], the pass runs only when the
-   linted set includes [bin/] or [tools/]. *)
+   sits in).  An application that forwards an enclosing function's own
+   option ([let f ?l x = M.v ?l x]) sets [M.v]'s [l] only when [f]'s [l]
+   is set, which the pass resolves to a fixpoint.  Like
+   [test-only-module], the pass runs only when the linted set includes
+   [bin/] or [tools/]. *)
 
 open Ppxlib
 
@@ -50,9 +53,35 @@ let declared ~file (sg : signature) =
   items (Lint_units.module_name file) sg;
   List.rev !acc
 
+(* The [?l] parameters without a default of a binding's function, as
+   (variable, label) pairs: the ones it can forward as [?l:x]. *)
+let rec optional_params e =
+  match e.pexp_desc with
+  | Pexp_function (params, _, body) -> (
+      List.filter_map
+        (function
+          | {
+              pparam_desc =
+                Pparam_val
+                  (Optional l, None, { ppat_desc = Ppat_var { txt; _ }; _ });
+              _;
+            } ->
+              Some (txt, l)
+          | _ -> None)
+        params
+      @
+      match body with
+      | Pfunction_body b -> optional_params b
+      | Pfunction_cases _ -> [])
+  | Pexp_newtype (_, b) | Pexp_constraint (b, _) -> optional_params b
+  | _ -> []
+
 (* Every (module component or "", function name, label) an application
-   in the file passes by label. *)
-let passed tbl str =
+   in [file] passes by label goes into [set], except an application
+   [?l:x] whose [x] is an optional parameter of an enclosing binding: it
+   goes into [forwards], keyed by the application and carrying that
+   binding's own (module, function, label). *)
+let passed ~file set forwards str =
   let rec comps acc = function
     | Lident s -> s :: acc
     | Ldot (p, s) -> comps (s :: acc) p
@@ -61,6 +90,28 @@ let passed tbl str =
   (object
      inherit Ast_traverse.iter as super
 
+     val mutable modules = [ Lint_units.module_name file ]
+
+     (* Innermost first: (module, function, [(variable, label)]). *)
+     val mutable scopes = []
+
+     method! module_binding mb =
+       let saved = modules in
+       Option.iter (fun m -> modules <- m :: modules) mb.pmb_name.txt;
+       super#module_binding mb;
+       modules <- saved
+
+     method! value_binding vb =
+       match
+         (Lint_ast.binding_name vb, optional_params vb.pvb_expr, modules)
+       with
+       | Some f, (_ :: _ as params), m :: _ ->
+           let saved = scopes in
+           scopes <- (m, f, params) :: scopes;
+           super#value_binding vb;
+           scopes <- saved
+       | _ -> super#value_binding vb
+
      method! expression e =
        (match e.pexp_desc with
        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
@@ -68,11 +119,23 @@ let passed tbl str =
            | f :: rest ->
                let m = match rest with m :: _ -> m | [] -> "" in
                List.iter
-                 (fun (lbl, _) ->
-                   match lbl with
-                   | Labelled l | Optional l ->
-                       Hashtbl.replace tbl (m, f, l) ()
-                   | Nolabel -> ())
+                 (fun (lbl, (arg : expression)) ->
+                   match (lbl, arg.pexp_desc) with
+                   | Optional l, Pexp_ident { txt = Lident x; _ } -> (
+                       match
+                         List.find_map
+                           (fun (om, of_, params) ->
+                             Option.map
+                               (fun ol -> (om, of_, ol))
+                               (List.assoc_opt x params))
+                           scopes
+                       with
+                       | Some owner ->
+                           forwards := ((m, f, l), owner) :: !forwards
+                       | None -> Hashtbl.replace set (m, f, l) ())
+                   | (Labelled l | Optional l), _ ->
+                       Hashtbl.replace set (m, f, l) ()
+                   | Nolabel, _ -> ())
                  args
            | [] -> ())
        | _ -> ());
@@ -80,15 +143,34 @@ let passed tbl str =
   end)
     #structure str
 
+let is_set set (m, v, l) =
+  Hashtbl.mem set (m, v, l) || Hashtbl.mem set ("", v, l)
+
+(* A forwarded option is set once its forwarder's is; forwarders chain,
+   so this runs until no forward adds a label. *)
+let rec close set forwards =
+  let grew =
+    List.fold_left
+      (fun grew (callee, owner) ->
+        if (not (Hashtbl.mem set callee)) && is_set set owner then begin
+          Hashtbl.replace set callee ();
+          true
+        end
+        else grew)
+      false forwards
+  in
+  if grew then close set forwards
+
 let run config ~interfaces parsed =
   if not (List.exists (fun (f, _) -> in_dir "bin" f || in_dir "tools" f) parsed)
   then []
   else begin
-    let tbl = Hashtbl.create 1024 in
+    let set = Hashtbl.create 1024 and forwards = ref [] in
     List.iter
       (fun (file, str) ->
-        if Lint_dataflow.serving_scope file then passed tbl str)
+        if Lint_dataflow.serving_scope file then passed ~file set forwards str)
       parsed;
+    close set !forwards;
     List.concat_map
       (fun (file, sg) ->
         if not (in_dir "lib" file) then []
@@ -97,8 +179,7 @@ let run config ~interfaces parsed =
             (fun (m, v, l, line) ->
               let name = v ^ "?" ^ l in
               if
-                Hashtbl.mem tbl (m, v, l)
-                || Hashtbl.mem tbl ("", v, l)
+                is_set set (m, v, l)
                 || Lint_config.allowed config ~rule ~file ~name:(Some name)
               then None
               else

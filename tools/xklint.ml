@@ -9,7 +9,10 @@
    allowlist) or [xklint.baseline] (grandfathered findings) are printed
    as [file:line severity rule message] (with their interprocedural
    trace indented below) and make the exit status non-zero, which is
-   how the CI lint job gates regressions. *)
+   how the CI lint job gates regressions.  A run over the whole program
+   also reports every [xklint.config] entry that suppressed no finding
+   and fails on it the same way: when code is deleted, its allow entries
+   go with it. *)
 
 open Xklint_lib
 
@@ -138,7 +141,30 @@ let () =
       (Lint_callgraph.n_edges graph)
       (String.concat " " rules) elapsed
   end;
+  (* An entry's finding can only be missed over a partial program, so
+     unused entries are judged only when every root is linted. *)
+  let whole_program =
+    List.for_all
+      (fun root ->
+        List.exists
+          (fun p ->
+            let p = Lint_util.normalize_path p in
+            p = root || p = root ^ "/")
+          paths)
+      [ "lib"; "bin"; "tools" ]
+  in
+  let unused = if whole_program then Lint_config.unused config else [] in
+  List.iter
+    (fun e ->
+      Printf.eprintf
+        "xklint: stale allow entry in %s (suppresses no finding; delete \
+         it): %s\n"
+        !config_file (Lint_config.entry_to_string e))
+    unused;
   Printf.printf
-    "xklint: %d file(s), %d finding(s): %d new, %d baselined, %d stale\n" files
-    (List.length findings) (List.length fresh) baselined (List.length stale);
-  exit (if fresh = [] then 0 else 1)
+    "xklint: %d file(s), %d finding(s): %d new, %d baselined, %d stale; %d \
+     unused allow entr%s\n"
+    files (List.length findings) (List.length fresh) baselined
+    (List.length stale) (List.length unused)
+    (if List.length unused = 1 then "y" else "ies");
+  exit (if fresh = [] && unused = [] then 0 else 1)
