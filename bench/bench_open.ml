@@ -9,6 +9,8 @@
 
      cold open        - the first [Index_io.load_result] of the file
                         after the parity gate, from a collected heap
+     open words       - the OCaml heap words that cold open allocates,
+                        a count that does not vary from run to run
      warm open        - the mean of repeated reopens
      first query      - one top-10 query on a freshly opened segment,
                         which on the lazy path pays the decode of
@@ -20,7 +22,7 @@
 
      dune exec bench/bench_open.exe                     # defaults
      dune exec bench/bench_open.exe -- --scales 0.2,1.0 --opens 10
-     dune exec bench/bench_open.exe -- --check          # parity + floor gate
+     dune exec bench/bench_open.exe -- --check          # parity + floor gates
 
    The OS page cache stays warm throughout (the file was just written),
    so the measured gap is decode and verification work only - a lower
@@ -30,7 +32,12 @@
 
 open Bench_util
 
-type open_point = { cold_ms : float; warm_ms : float; first_query_ms : float }
+type open_point = {
+  cold_ms : float;
+  cold_words : float;
+  warm_ms : float;
+  first_query_ms : float;
+}
 
 type point = {
   scale : float;
@@ -41,6 +48,7 @@ type point = {
   eager : open_point;
   lazy_ : open_point;
   cold_speedup : float;
+  word_ratio : float; (* eager cold-open words / lazy cold-open words *)
 }
 
 let tmp name =
@@ -94,15 +102,19 @@ let verify_parity ~fresh ~eager ~lazy_ queries =
    the ratio measures allocation order instead of open work. *)
 let measure ~eager ~label ~path ~words ~opens =
   Gc.full_major ();
+  let a0 = Gc.allocated_bytes () in
   let t0 = now () in
   let first = load ~eager label path in
   let cold_ms = (now () -. t0) *. 1000. in
+  let cold_words =
+    (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)
+  in
   let tq = now () in
   let eng = Xk_core.Engine.of_index first in
   ignore (Xk_core.Engine.query_topk eng words ~k:10);
   let first_query_ms = (now () -. tq) *. 1000. in
   let warm_ms = time_ms ~runs:opens (fun () -> load ~eager label path) in
-  { cold_ms; warm_ms; first_query_ms }
+  { cold_ms; cold_words; warm_ms; first_query_ms }
 
 let sweep_point ~opens ~seed scale =
   let t0 = now () in
@@ -141,16 +153,18 @@ let sweep_point ~opens ~seed scale =
       let eager = measure ~eager:true ~label ~path ~words ~opens in
       let lazy_ = measure ~eager:false ~label ~path ~words ~opens in
       let cold_speedup = eager.cold_ms /. lazy_.cold_ms in
+      let word_ratio = eager.cold_words /. lazy_.cold_words in
       let bytes = Xk_index.Index_io.file_size path in
       Printf.printf
         "  segment: %5.1f MB\n\
-        \  eager: cold %8.2f ms, warm %8.2f ms, first query %6.2f ms\n\
-        \  lazy:  cold %8.2f ms, warm %8.2f ms, first query %6.2f ms\n\
-        \  cold-open speedup: %.1fx\n\
+        \  eager: cold %8.2f ms (%.0f words), warm %8.2f ms, first query %6.2f ms\n\
+        \  lazy:  cold %8.2f ms (%.0f words), warm %8.2f ms, first query %6.2f ms\n\
+        \  cold-open speedup: %.1fx, eager/lazy open words: %.2fx\n\
          %!"
-        (mb bytes) eager.cold_ms eager.warm_ms eager.first_query_ms
-        lazy_.cold_ms lazy_.warm_ms lazy_.first_query_ms cold_speedup;
-      { scale; nodes; terms; rows; bytes; eager; lazy_; cold_speedup })
+        (mb bytes) eager.cold_ms eager.cold_words eager.warm_ms
+        eager.first_query_ms lazy_.cold_ms lazy_.cold_words lazy_.warm_ms
+        lazy_.first_query_ms cold_speedup word_ratio;
+      { scale; nodes; terms; rows; bytes; eager; lazy_; cold_speedup; word_ratio })
 
 let emit_json out ~opens ~required points =
   let oc = open_out out in
@@ -206,6 +220,12 @@ let run scales opens seed required check_only out =
        a single GC pause can halve a millisecond-scale ratio, and the
        cold open is by nature a one-shot measurement. *)
     let floor = 1.5 in
+    (* The words a cold open allocates are a counter, not a clock: they
+       come out the same on every run, so this floor cannot flake.  Both
+       opens build the whole dictionary; the eager one also decodes every
+       term's postings, so it allocates 1.10x (scale 0.05) to 1.9x
+       (scale 1) the lazy open's words. *)
+    let word_floor = 1.05 in
     List.iter
       (fun pt ->
         if pt.cold_speedup < floor then
@@ -213,10 +233,18 @@ let run scales opens seed required check_only out =
             (Printf.sprintf
                "scale %g: lazy cold open only %.1fx faster than eager \
                 (floor %.1fx)"
-               pt.scale pt.cold_speedup floor))
+               pt.scale pt.cold_speedup floor);
+        if pt.word_ratio < word_floor then
+          failwith
+            (Printf.sprintf
+               "scale %g: eager cold open allocates only %.2fx the lazy \
+                open's words (floor %.2fx)"
+               pt.scale pt.word_ratio word_floor))
       points;
-    Printf.printf "parity and cold-open floor (%.1fx) verified for scales %s\n"
-      floor
+    Printf.printf
+      "parity, cold-open floor (%.1fx) and open-words floor (%.2fx) \
+       verified for scales %s\n"
+      floor word_floor
       (String.concat "," (List.map (fun p -> string_of_float p.scale) points))
   end
   else emit_json out ~opens ~required points
@@ -254,8 +282,9 @@ let check_only =
     value & flag
     & info [ "check" ]
         ~doc:
-          "Verify load-path parity and a conservative cold-open floor for \
-           every scale, then exit without writing JSON.")
+          "Verify load-path parity, a conservative cold-open floor and a \
+           floor on the ratio of words the two opens allocate for every \
+           scale, then exit without writing JSON.")
 
 let out =
   Arg.(

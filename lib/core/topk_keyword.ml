@@ -40,6 +40,8 @@ type semantics = Join_query.semantics = Elca | Slca
 
 type cursor = {
   rows : int array;
+  numbers : int array; (* the group's level-major JDewey numbers *)
+  base : int; (* offset of this level's slice in [numbers] *)
   dfactor : float; (* d(group_len - level) *)
   mutable pos : int;
 }
@@ -128,6 +130,8 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
                  (fun (g : Xk_index.Score_list.group) ->
                    {
                      rows = g.rows;
+                     numbers = g.numbers;
+                     base = (l - 1) * Array.length g.rows;
                      dfactor = Xk_score.Damping.apply damping (g.len - l);
                      pos = 0;
                    })
@@ -167,7 +171,7 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
           stats.dead_skipped <- stats.dead_skipped + 1;
           Star_join.dead
         end
-        else (Xk_index.Jlist.seq jls.(i) row).(l - 1)
+        else c.numbers.(c.base + c.pos - 1)
       in
       (* SLCA (Section III-F): a value is disqualified if any of its runs
          contains a row erased by a deeper match - that row witnesses a

@@ -100,6 +100,63 @@ let path t col i =
 let jdewey_seq t i : Jdewey.t = path t t.jnums i
 let dewey t i : Dewey.t = path t t.sibs i
 
+(* Record node [i]'s ancestors in [prev] up to the first one the previous
+   row (open down to depth [top]) shares; return that depth, 0 if none. *)
+let rec climb t prev ~top i =
+  let d = t.depths.(i) in
+  if d <= top && prev.(d - 1) = i then d
+  else begin
+    prev.(d - 1) <- i;
+    let p = t.parents.(i) in
+    if p >= 0 then climb t prev ~top p else 0
+  end
+
+(* The per-level JDewey columns of document-ordered rows, as runs of one
+   number over consecutive rows.  Consecutive rows share their ancestors
+   down to some depth, so a row climbs from its node only until it meets
+   the previous row's ancestor at the same depth ([prev], trusted only
+   down to the previous row's depth [top]).  The levels below that depth
+   open new runs and the levels above it extend the previous row's.  A
+   counting pass sizes the arrays and a second pass fills them, so no
+   per-row sequence is built. *)
+let jdewey_columns t nodes =
+  let height = Array.length t.levels in
+  let prev = Array.make height (-1) in
+  let runs = Array.make height 0 in
+  let top = ref 0 and last = ref (-1) and max_len = ref 0 in
+  Array.iter
+    (fun i ->
+      if i < !last then
+        Xk_util.Err.invalid "Labeling.jdewey_columns: rows out of document order";
+      last := i;
+      let d = t.depths.(i) in
+      for l = climb t prev ~top:!top i to d - 1 do
+        runs.(l) <- runs.(l) + 1
+      done;
+      top := d;
+      max_len := max !max_len d)
+    nodes;
+  let values = Array.init !max_len (fun l -> Array.make runs.(l) 0) in
+  let starts = Array.init !max_len (fun l -> Array.make runs.(l) 0) in
+  let counts = Array.init !max_len (fun l -> Array.make runs.(l) 0) in
+  let fill = Array.make !max_len 0 in
+  top := 0;
+  Array.iteri
+    (fun r i ->
+      let shared = climb t prev ~top:!top i in
+      for l = 0 to t.depths.(i) - 1 do
+        if l >= shared then begin
+          values.(l).(fill.(l)) <- t.jnums.(prev.(l));
+          starts.(l).(fill.(l)) <- r;
+          fill.(l) <- fill.(l) + 1
+        end;
+        let k = fill.(l) - 1 in
+        counts.(l).(k) <- counts.(l).(k) + 1
+      done;
+      top := t.depths.(i))
+    nodes;
+  Array.init !max_len (fun l -> (values.(l), starts.(l), counts.(l)))
+
 (* Node lookup from a (depth, jdewey-number) pair: the numbers of a depth
    are gap, 2 * gap, ..., so the directory slot is a division away. *)
 let find t ~depth ~jnum =

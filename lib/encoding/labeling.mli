@@ -2,7 +2,9 @@
     node (elements and text nodes) of a document in document order.
 
     JDewey numbering is per depth, in document order, optionally multiplied
-    by a [gap] to reserve space for insertions (paper Section III-A). *)
+    by a [gap] to reserve space for insertions (paper Section III-A).  The
+    index builds every list's JDewey columns here ({!jdewey_columns}),
+    straight from the per-node arrays. *)
 
 type t
 
@@ -22,6 +24,16 @@ val xml_node : t -> int -> Xk_xml.Xml_tree.node
 
 val jdewey_seq : t -> int -> Jdewey.t
 (** JDewey sequence (root..node) of a node index. *)
+
+val jdewey_columns : t -> int array -> (int array * int array * int array) array
+(** The JDewey columns of a list of node indexes in document order
+    (duplicates allowed), built from the labeling's arrays without a
+    per-row sequence.  Entry [l - 1] is the level-l column as parallel run
+    arrays [(values, starts, counts)]: run [k] holds the number
+    [values.(k)] over rows [starts.(k) .. starts.(k) + counts.(k) - 1].
+    Values strictly increase, and rows shallower than [l] are absent.
+    There is one entry per level down to the deepest row.  Raises
+    [Invalid_argument] if the nodes are not in document order. *)
 
 val dewey : t -> int -> Dewey.t
 (** Dewey id of a node index. *)

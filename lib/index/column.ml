@@ -27,47 +27,6 @@ let value t i = t.values.(i)
 let start t i = t.starts.(i)
 let count t i = t.counts.(i)
 
-(* Build the level-[l] column (1-based) from document-ordered sequences:
-   one pass counts the runs, a second fills the arrays. *)
-let build (seqs : Xk_encoding.Jdewey.t array) ~level =
-  if level < 1 then Xk_util.Err.invalid "Column.build: level must be >= 1";
-  let n_runs = ref 0 and entries = ref 0 in
-  let cur_value = ref (-1) and next_row = ref (-1) in
-  Array.iteri
-    (fun r (s : Xk_encoding.Jdewey.t) ->
-      if Array.length s >= level then begin
-        let v = s.(level - 1) in
-        incr entries;
-        if not (v = !cur_value && r = !next_row) then begin
-          (* Runs must be strictly increasing and internally contiguous;
-             both follow from Property 3.1 for document-ordered input. *)
-          assert (v > !cur_value);
-          incr n_runs;
-          cur_value := v
-        end;
-        next_row := r + 1
-      end)
-    seqs;
-  let values = Array.make !n_runs 0
-  and starts = Array.make !n_runs 0
-  and counts = Array.make !n_runs 0 in
-  let i = ref (-1) in
-  Array.iteri
-    (fun r (s : Xk_encoding.Jdewey.t) ->
-      if Array.length s >= level then begin
-        let v = s.(level - 1) in
-        if !i >= 0 && v = values.(!i) && r = starts.(!i) + counts.(!i) then
-          counts.(!i) <- counts.(!i) + 1
-        else begin
-          incr i;
-          values.(!i) <- v;
-          starts.(!i) <- r;
-          counts.(!i) <- 1
-        end
-      end)
-    seqs;
-  { values; starts; counts; entries = !entries }
-
 let of_arrays ~values ~starts ~counts =
   let n = Array.length values in
   if Array.length starts <> n || Array.length counts <> n then

@@ -6,14 +6,12 @@
 
 type t
 
-val build : Xk_encoding.Jdewey.t array -> level:int -> t
-(** Column [level] (1-based) of document-ordered sequences; rows with
-    shorter sequences do not appear. *)
-
 val of_arrays : values:int array -> starts:int array -> counts:int array -> t
-(** Reassemble from complete runs (the store's decoding path): run [i] is
-    [(values.(i), starts.(i), counts.(i))].  The column takes the arrays
-    over; raises [Invalid_argument] if their lengths differ. *)
+(** A column from complete runs: run [i] is
+    [(values.(i), starts.(i), counts.(i))], as
+    [Xk_encoding.Labeling.jdewey_columns] builds them and the column store
+    decodes them.  The column takes the arrays over; raises
+    [Invalid_argument] if their lengths differ. *)
 
 val num_runs : t -> int
 

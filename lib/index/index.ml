@@ -185,11 +185,7 @@ let scores_of_raw t id (nodes, tfs) =
 let jlist t id =
   Shard_cache.find_or_add t.jcache id ~compute:(fun id ->
       let ((nodes, _) as r) = raw_rows t id in
-      let seqs =
-        Array.map (fun n -> Xk_encoding.Labeling.jdewey_seq t.label n) nodes
-      in
-      let scores = scores_of_raw t id r in
-      Jlist.make ~seqs ~nodes ~scores)
+      Jlist.make t.label ~nodes ~scores:(scores_of_raw t id r))
 
 (* The posting and score-list shapes are built from the term's jlist, so
    they share its node and score arrays instead of decoding the rows and

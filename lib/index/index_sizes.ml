@@ -80,13 +80,10 @@ let report (idx : Index.t) =
       let label = Index.label idx in
       let r_nodes, _tfs = Index.raw_rows idx id in
       let scores = Index.local_scores idx id in
-      let seqs =
-        Array.map (fun n -> Xk_encoding.Labeling.jdewey_seq label n) r_nodes
-      in
       let deweys =
         Array.map (fun n -> Xk_encoding.Labeling.dewey label n) r_nodes
       in
-      let jl = Jlist.make ~seqs ~nodes:r_nodes ~scores in
+      let jl = Jlist.make label ~nodes:r_nodes ~scores in
       join_il := !join_il + Jlist.encoded_size jl;
       join_sparse := !join_sparse + sparse_size_of_jlist jl;
       let p = Posting.make ~deweys ~nodes:r_nodes ~scores in

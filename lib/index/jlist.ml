@@ -1,19 +1,18 @@
 (* The JDewey inverted list of one keyword: document-ordered rows (one per
-   node directly containing the keyword) with their JDewey sequences and
-   local scores, plus the per-level columns the join-based algorithms scan.
+   node directly containing the keyword) with their local scores, plus the
+   per-level columns the join-based algorithms scan.  The columns are the
+   list's only copy of its JDewey numbers.
 
-   Columns may be materialized eagerly (from in-memory sequences) or
-   decoded on demand from a column store ({!Jstore}): the join algorithms
-   only touch the columns of the levels they visit, which is the paper's
-   "the algorithm does not read the whole JDewey sequences from the disk
-   at once" I/O argument.  The sequences themselves are only forced by
-   consumers that need per-row values (the top-K cursors). *)
+   Columns are either built at once from the labeling
+   ([Labeling.jdewey_columns]) or decoded on demand from a column store
+   ({!Jstore}): the join algorithms only touch the columns of the levels
+   they visit, which is the paper's "the algorithm does not read the whole
+   JDewey sequences from the disk at once" I/O argument. *)
 
 type t = {
-  seqs : Xk_encoding.Jdewey.t array Lazy.t; (* ascending in JDewey order *)
-  nodes : int array;                        (* node index per row *)
-  scores : float array;                     (* local score g per row *)
-  row_lens : int array;                     (* sequence length per row *)
+  nodes : int array;    (* node index per row, ascending *)
+  scores : float array; (* local score g per row *)
+  row_lens : int array; (* sequence length (node depth) per row *)
   max_len : int;
   columns : Column.t option array; (* columns.(l-1) is level l *)
   loader : (int -> Column.t) option; (* decode level on miss *)
@@ -21,7 +20,6 @@ type t = {
 
 let length t = Array.length t.nodes
 let max_len t = t.max_len
-let seq t r = (Lazy.force t.seqs).(r)
 let node t r = t.nodes.(r)
 let score t r = t.scores.(r)
 let row_len t r = t.row_lens.(r)
@@ -43,57 +41,36 @@ let column t ~level =
           t.columns.(level - 1) <- Some c;
           c)
 
-let make ~seqs ~nodes ~scores =
-  let n = Array.length seqs in
-  if Array.length nodes <> n || Array.length scores <> n then
+let make label ~nodes ~scores =
+  if Array.length scores <> Array.length nodes then
     Xk_util.Err.invalid "Jlist.make: length mismatch";
-  let max_len = Array.fold_left (fun m s -> max m (Array.length s)) 0 seqs in
   let columns =
-    Array.init max_len (fun i ->
-        Some (Column.build seqs ~level:(i + 1)))
+    Array.map
+      (fun (values, starts, counts) ->
+        Some (Column.of_arrays ~values ~starts ~counts))
+      (Xk_encoding.Labeling.jdewey_columns label nodes)
   in
   {
-    seqs = Lazy.from_val seqs;
     nodes;
     scores;
-    row_lens = Array.map Array.length seqs;
-    max_len;
+    row_lens = Array.map (Xk_encoding.Labeling.depth label) nodes;
+    max_len = Array.length columns;
     columns;
     loader = None;
   }
 
-(* A store-backed list: columns decode on first touch; sequences (needed
-   only by per-row consumers such as the top-K cursors) reconstruct from
-   all columns when forced. *)
 let make_lazy ~nodes ~scores ~row_lens ~max_len ~loader =
   let n = Array.length nodes in
   if Array.length scores <> n || Array.length row_lens <> n then
     Xk_util.Err.invalid "Jlist.make_lazy: length mismatch";
-  let columns = Array.make max_len None in
-  let rec t =
-    {
-      seqs =
-        lazy
-          (let seqs = Array.init n (fun r -> Array.make row_lens.(r) 0) in
-           for level = 1 to max_len do
-             let c = column t ~level in
-             for i = 0 to Column.num_runs c - 1 do
-               let start = Column.start c i in
-               for r = start to start + Column.count c i - 1 do
-                 seqs.(r).(level - 1) <- Column.value c i
-               done
-             done
-           done;
-           seqs);
-      nodes;
-      scores;
-      row_lens;
-      max_len;
-      columns;
-      loader = Some loader;
-    }
-  in
-  t
+  {
+    nodes;
+    scores;
+    row_lens;
+    max_len;
+    columns = Array.make max_len None;
+    loader = Some loader;
+  }
 
 (* Serialized size of the list in the join-based layout: every column
    through the column codec, plus per-row node payloads (node ids as

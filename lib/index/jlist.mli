@@ -1,14 +1,15 @@
-(** The JDewey inverted list of one keyword: document-ordered rows with
-    JDewey sequences and local scores, plus per-level columns. *)
+(** The JDewey inverted list of one keyword: document-ordered rows
+    (node, local score, sequence length) and per-level columns, which are
+    the list's only copy of its JDewey numbers (paper Fig. 2(a)). *)
 
 type t
 
 val make :
-  seqs:Xk_encoding.Jdewey.t array ->
-  nodes:int array ->
-  scores:float array ->
-  t
-(** Rows must already be in JDewey (= document) order. *)
+  Xk_encoding.Labeling.t -> nodes:int array -> scores:float array -> t
+(** The list of the given node indexes, with every column built at once
+    by [Xk_encoding.Labeling.jdewey_columns].  Raises [Invalid_argument]
+    if the nodes are not in document order or [scores] differs in
+    length. *)
 
 val make_lazy :
   nodes:int array ->
@@ -18,8 +19,7 @@ val make_lazy :
   loader:(int -> Column.t) ->
   t
 (** A store-backed list: [loader level] decodes a column on first touch
-    (the paper's column-at-a-time disk reads); sequences reconstruct from
-    all columns if a per-row consumer forces them. *)
+    (the paper's column-at-a-time disk reads). *)
 
 val length : t -> int
 (** Number of rows (occurrences). *)
@@ -27,7 +27,6 @@ val length : t -> int
 val max_len : t -> int
 (** Longest sequence length = deepest populated level. *)
 
-val seq : t -> int -> Xk_encoding.Jdewey.t
 val node : t -> int -> int
 val score : t -> int -> float
 val row_len : t -> int -> int

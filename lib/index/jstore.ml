@@ -66,11 +66,9 @@ let write (idx : Index.t) path =
     let term = Index.term idx id in
     let nodes, _tfs = Index.raw_rows idx id in
     let scores = Index.local_scores idx id in
-    let seqs =
-      Array.map (fun n -> Xk_encoding.Labeling.jdewey_seq label n) nodes
-    in
-    let row_lens = Array.map Array.length seqs in
-    let max_len = Array.fold_left max 0 row_lens in
+    let jl = Jlist.make label ~nodes ~scores in
+    let row_lens = Array.init (Array.length nodes) (Jlist.row_len jl) in
+    let max_len = Jlist.max_len jl in
     Xk_storage.Varint.write dir (String.length term);
     Buffer.add_string dir term;
     Xk_storage.Varint.write dir (Array.length nodes);
@@ -80,7 +78,7 @@ let write (idx : Index.t) path =
     Xk_storage.Varint.write dir payload_off;
     Xk_storage.Varint.write dir (Buffer.length data - payload_off);
     for level = 1 to max_len do
-      let col = Column.build seqs ~level in
+      let col = Jlist.column jl ~level in
       let off = Buffer.length data in
       let (_ : Xk_storage.Column_codec.scheme) =
         Xk_storage.Column_codec.encode data (Column.to_codec_runs col)

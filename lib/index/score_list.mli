@@ -2,11 +2,20 @@
     (paper Section IV-C, Figure 7): rows grouped by sequence length,
     descending local score within a group. *)
 
-type group = { len : int; rows : int array (** descending local score *) }
+type group = {
+  len : int;
+  rows : int array;  (** descending local score *)
+  numbers : int array;
+      (** the rows' JDewey numbers, level-major:
+          [numbers.((l - 1) * Array.length rows + i)] is the level-l number
+          of [rows.(i)] *)
+}
 
 type t
 
 val make : Jlist.t -> Xk_score.Damping.t -> t
+(** The list's groups, each with its numbers copied from the list's
+    columns (all of them, for a store-backed list). *)
 
 val jlist : t -> Jlist.t
 

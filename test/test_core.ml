@@ -143,7 +143,7 @@ let erased_prop =
 (* Level join                                                          *)
 
 let column_of_values values =
-  Xk_index.Column.build (Array.map (fun v -> [| v |]) values) ~level:1
+  Tutil.column_of_seqs (Array.map (fun v -> [| v |]) values) ~level:1
 
 let naive_intersection (cols : Xk_index.Column.t array) =
   let values c = List.map (fun (v, _, _) -> v) (Tutil.column_runs c) in
@@ -553,6 +553,40 @@ let hybrid_matches_topk =
       Tutil.check_topk "hybrid" ~k:5 full actual;
       true)
 
+(* Counters, not clocks: a fixed Section V query mix (one keyword near the
+   highest df, the rest near [low]) through the top-K join on a fixed DBLP
+   corpus.  The sorted-access count and the answers are pinned exactly,
+   so a change of list layout that alters either shows here; the answers
+   are pinned as the digest of their "node:score" list, scores to nine
+   decimals. *)
+let topk_pull_count_pinned () =
+  let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
+  let eng = Engine.create corpus.doc in
+  let idx = Engine.index eng in
+  let rng = Xk_datagen.Rng.create 2010 in
+  let high = Xk_workload.Workload.max_df idx in
+  let queries =
+    List.concat_map
+      (fun (k, low) ->
+        Xk_workload.Workload.random_queries rng idx ~k ~high ~low ~n:5)
+      [ (2, 10); (2, 100); (3, 10); (3, 100); (5, 10); (5, 100) ]
+  in
+  let stats = Topk_keyword.new_stats () in
+  let answers =
+    List.concat_map
+      (fun q ->
+        List.map
+          (fun (h : Xk_baselines.Hit.t) ->
+            Printf.sprintf "%d:%.9f" h.node h.score)
+          (Engine.query_topk ~algorithm:Engine.Topk_join ~stats eng q ~k:10))
+      queries
+  in
+  check Alcotest.int "queries" 30 (List.length queries);
+  check Alcotest.int "sorted accesses" 100_864 stats.pulled;
+  check Alcotest.int "answers" 172 (List.length answers);
+  check Alcotest.string "answers digest" "d54c7960cf7588b3f6e0ce5176995921"
+    (Digest.to_hex (Digest.string (String.concat ";" answers)))
+
 let topk_stats_early_exit () =
   (* Correlated keywords at a deep level: the top-K join must not visit
      every column. *)
@@ -626,5 +660,7 @@ let suite =
         QCheck_alcotest.to_alcotest topk_tight_never_reads_more;
         tc "tight: a stale group term never blocks its own key" `Quick
           tight_stale_group_term;
+        tc "pull count and answers pinned (DBLP 0.05)" `Quick
+          topk_pull_count_pinned;
       ] );
   ]

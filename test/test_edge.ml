@@ -32,9 +32,14 @@ let single_node_document () =
 (* -------- index structures -------- *)
 
 let jlist_length_mismatch () =
-  match Xk_index.Jlist.make ~seqs:[| [| 1 |] |] ~nodes:[| 1; 2 |] ~scores:[| 1. |] with
+  let lab = Engine.label (Engine.of_string "<r><a/><b/></r>") in
+  (match Xk_index.Jlist.make lab ~nodes:[| 1; 2 |] ~scores:[| 1. |] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mismatch accepted"
+  | _ -> Alcotest.fail "mismatch accepted");
+  (* Rows out of document order would break the run layout. *)
+  match Xk_index.Jlist.make lab ~nodes:[| 2; 1 |] ~scores:[| 1.; 1. |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unordered rows accepted"
 
 let posting_length_mismatch () =
   match
@@ -44,7 +49,7 @@ let posting_length_mismatch () =
   | _ -> Alcotest.fail "mismatch accepted"
 
 let empty_column () =
-  let c = Xk_index.Column.build [||] ~level:1 in
+  let c = Xk_index.Column.of_arrays ~values:[||] ~starts:[||] ~counts:[||] in
   check Alcotest.bool "empty" true (Xk_index.Column.is_empty c);
   check Alcotest.(option int) "max" None (Xk_index.Column.max_value c);
   check Alcotest.int "find" (-1) (Xk_index.Column.find c 5);
@@ -230,25 +235,27 @@ let element_of_text_node () =
 
 (* level_join over an empty column short-circuits. *)
 let level_join_empty_column () =
-  let full = Xk_index.Column.build [| [| 1 |]; [| 2 |] |] ~level:1 in
-  let empty = Xk_index.Column.build [||] ~level:1 in
+  let full = Tutil.column_of_seqs [| [| 1 |]; [| 2 |] |] ~level:1 in
+  let empty = Tutil.column_of_seqs [||] ~level:1 in
   check Alcotest.int "no matches" 0
     (Level_join.join ~plan:Level_join.Dynamic [| full; empty |]).count
 
-(* Column.of_arrays must mirror build. *)
+(* Column.of_arrays keeps the runs it is given and counts their rows. *)
 let column_of_arrays_roundtrip () =
-  let seqs = Array.map (fun v -> [| v |]) [| 1; 1; 3; 7; 7; 7 |] in
-  let built = Xk_index.Column.build seqs ~level:1 in
-  let runs = Tutil.column_runs built in
-  let rebuilt =
+  let runs = [ (1, 0, 2); (3, 2, 1); (7, 3, 3) ] in
+  let c =
     Xk_index.Column.of_arrays
       ~values:(Array.of_list (List.map (fun (v, _, _) -> v) runs))
       ~starts:(Array.of_list (List.map (fun (_, s, _) -> s) runs))
       ~counts:(Array.of_list (List.map (fun (_, _, c) -> c) runs))
   in
-  check Alcotest.bool "same runs" true (runs = Tutil.column_runs rebuilt);
-  check Alcotest.int "entries" (Xk_index.Column.entries built)
-    (Xk_index.Column.entries rebuilt)
+  check Alcotest.bool "same runs" true (runs = Tutil.column_runs c);
+  check Alcotest.int "entries" 6 (Xk_index.Column.entries c);
+  match
+    Xk_index.Column.of_arrays ~values:[| 1 |] ~starts:[||] ~counts:[| 1 |]
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "mismatched run arrays accepted"
 
 let suite =
   [

@@ -10,33 +10,86 @@ let seqs_of l = Array.of_list (List.map Array.of_list l)
 
 let column_runs () =
   let seqs = seqs_of [ [ 1; 1 ]; [ 1; 1; 3 ]; [ 1; 2 ]; [ 1; 2 ]; [ 1; 5; 9 ] ] in
-  let c1 = Column.build seqs ~level:1 in
+  let c1 = Tutil.column_of_seqs seqs ~level:1 in
   check Alcotest.int "level1 one run" 1 (Column.num_runs c1);
   check Alcotest.int "level1 entries" 5 (Column.entries c1);
-  let c2 = Column.build seqs ~level:2 in
+  let c2 = Tutil.column_of_seqs seqs ~level:2 in
   check Alcotest.int "level2 runs" 3 (Column.num_runs c2);
   let r = Column.find c2 2 in
   check Alcotest.int "run index" 1 r;
   check Alcotest.int "run start" 2 (Column.start c2 r);
   check Alcotest.int "run count" 2 (Column.count c2 r);
   check Alcotest.int "missing value" (-1) (Column.find c2 4);
-  let c3 = Column.build seqs ~level:3 in
+  let c3 = Tutil.column_of_seqs seqs ~level:3 in
   check Alcotest.int "level3 skips short rows" 2 (Column.entries c3);
   check Alcotest.(option int) "max value" (Some 9) (Column.max_value c3)
 
 let column_lower_bound () =
   let seqs = seqs_of [ [ 2 ]; [ 4 ]; [ 7 ] ] in
-  let c = Column.build seqs ~level:1 in
+  let c = Tutil.column_of_seqs seqs ~level:1 in
   check Alcotest.int "lb 1" 0 (Column.lower_bound c 1);
   check Alcotest.int "lb 4" 1 (Column.lower_bound c 4);
   check Alcotest.int "lb 5" 2 (Column.lower_bound c 5);
   check Alcotest.int "lb 99" 3 (Column.lower_bound c 99)
 
+(* The JDewey sequence of each of a term's raw rows, straight from the
+   labeling: the reference the list shapes are checked against,
+   independent of how the index built them. *)
+let row_seqs lab idx id =
+  Array.map (Xk_encoding.Labeling.jdewey_seq lab) (fst (Index.raw_rows idx id))
+
+(* The score list's numbers and both shapes' Table I sizes against the
+   row sequences: a group's level-major numbers are its rows' sequences,
+   the join layout is the column codec over the reference runs plus the
+   node varints, and the top-K layout is every number as a varint plus a
+   4-byte score and the node per row, plus an 8-byte header per group. *)
+let shapes_match_sequences lab idx id =
+  let jl = Index.jlist idx id and sl = Index.score_list idx id in
+  let seqs = row_seqs lab idx id in
+  if Array.length seqs <> Jlist.length jl then
+    QCheck.Test.fail_reportf "term %s: row count differs" (Index.term idx id);
+  let fail what =
+    QCheck.Test.fail_reportf "term %s: %s differs" (Index.term idx id) what
+  in
+  let varint = Xk_storage.Varint.size in
+  Array.iter
+    (fun (g : Score_list.group) ->
+      let m = Array.length g.rows in
+      if Array.length g.numbers <> g.len * m then fail "group numbers length";
+      Array.iteri
+        (fun i r ->
+          for l = 1 to g.len do
+            if g.numbers.(((l - 1) * m) + i) <> seqs.(r).(l - 1) then
+              fail "group numbers"
+          done)
+        g.rows)
+    (Score_list.groups sl);
+  let node_bytes = Array.fold_left (fun a n -> a + varint n) 0 (Jlist.nodes jl) in
+  let column_bytes =
+    List.fold_left ( + ) 0
+      (List.init (Jlist.max_len jl) (fun i ->
+           Xk_storage.Column_codec.encoded_size
+             (Array.of_list
+                (List.map
+                   (fun (value, _, count) ->
+                     { Xk_storage.Column_codec.value; count })
+                   (Tutil.naive_runs seqs ~level:(i + 1))))))
+  in
+  if Jlist.encoded_size jl <> column_bytes + node_bytes then
+    fail "Jlist.encoded_size";
+  let topk_bytes =
+    Array.fold_left
+      (fun a s -> a + Array.fold_left (fun a v -> a + varint v) 4 s)
+      0 seqs
+    + node_bytes
+    + (8 * Array.length (Score_list.groups sl))
+  in
+  if Score_list.encoded_size sl <> topk_bytes then fail "Score_list.encoded_size"
+
 (* The run-contiguity property behind the range checking: in a labeled
-   random tree, every column built from a term's rows must consist of runs
-   over consecutive row indexes with strictly increasing values (this is
-   asserted inside Column.build; here we rebuild columns for many random
-   corpora to exercise it). *)
+   random tree, every column of a term's list consists of runs over
+   consecutive row indexes with strictly increasing values, each row of a
+   run holding the run's value in its labeling sequence. *)
 let run_contiguity_prop =
   QCheck.Test.make ~count:200 ~name:"column runs contiguous on random trees"
     QCheck.(int_bound 1_000_000)
@@ -48,6 +101,7 @@ let run_contiguity_prop =
       let ok = ref true in
       for id = 0 to Index.term_count idx - 1 do
         let jl = Index.jlist idx id in
+        let seqs = row_seqs lab idx id in
         for level = 1 to Jlist.max_len jl do
           let c = Jlist.column jl ~level in
           for i = 0 to Column.num_runs c - 1 do
@@ -56,30 +110,15 @@ let run_contiguity_prop =
             (* Every row in the run really has this value at the level. *)
             let start = Column.start c i in
             for row = start to start + Column.count c i - 1 do
-              let s = Jlist.seq jl row in
+              let s = seqs.(row) in
               if Array.length s < level || s.(level - 1) <> value then
                 ok := false
             done
           done
-        done
+        done;
+        shapes_match_sequences lab idx id
       done;
       !ok)
-
-(* The reference a column must match: run-length encode the level-[level]
-   numbers of the rows long enough to hold one, starting a new run at a
-   value change or a skipped row. *)
-let naive_runs seqs ~level =
-  let runs = ref [] in
-  Array.iteri
-    (fun r (s : Xk_encoding.Jdewey.t) ->
-      if Array.length s >= level then
-        let v = s.(level - 1) in
-        match !runs with
-        | (pv, ps, pc) :: rest when pv = v && ps + pc = r ->
-            runs := (pv, ps, pc + 1) :: rest
-        | _ -> runs := (v, r, 1) :: !runs)
-    seqs;
-  List.rev !runs
 
 let column_matches_reference_prop =
   QCheck.Test.make ~count:200
@@ -87,13 +126,15 @@ let column_matches_reference_prop =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let doc = Xk_datagen.Random_tree.generate (Xk_datagen.Rng.create seed) in
-      let idx = Index.build (Xk_encoding.Labeling.label doc) in
+      let lab = Xk_encoding.Labeling.label doc in
+      let idx = Index.build lab in
       for id = 0 to Index.term_count idx - 1 do
         let jl = Index.jlist idx id in
-        let seqs = Array.init (Jlist.length jl) (Jlist.seq jl) in
+        let seqs = row_seqs lab idx id in
+        shapes_match_sequences lab idx id;
         for level = 1 to Jlist.max_len jl do
           let c = Jlist.column jl ~level in
-          let runs = naive_runs seqs ~level in
+          let runs = Tutil.naive_runs seqs ~level in
           let fail what =
             QCheck.Test.fail_reportf "term %s, level %d: %s differs"
               (Index.term idx id) level what
@@ -116,11 +157,14 @@ let column_matches_reference_prop =
       done;
       true)
 
-(* Deterministic memory gate on the cached columns: every term of a fixed
-   DBLP corpus warmed, then the words reachable from its columns of at
-   least 16 runs.  Three int arrays cost 3 words per run plus 8 words per
-   column (four headers, four fields), so at most 3.5 words per run at 16
-   runs; one boxed record per run would cost 5. *)
+(* Deterministic memory gate on the cached list shapes: every term of a
+   fixed DBLP corpus warmed.  First the words reachable from its columns
+   of at least 16 runs.  Three int arrays cost 3 words per run plus 8
+   words per column (four headers, four fields), so at most 3.5 words per
+   run at 16 runs; one boxed record per run would cost 5.  Then the words
+   per row over the whole vocabulary, tail included: the JDewey lists
+   alone read 34.24 (42.92 while each row also kept its own boxed
+   sequence), and with the score lists 46.08 (47.99). *)
 let column_words_per_run () =
   let corpus =
     Xk_datagen.Dblp_gen.generate
@@ -149,7 +193,25 @@ let column_words_per_run () =
   let per_run = float_of_int words /. float_of_int !runs in
   if per_run > 3.5 then
     Alcotest.failf "columns take %.3f words per run (%d words, %d runs)" per_run
-      words !runs
+      words !runs;
+  let jls = Array.of_list (List.map (Index.jlist idx) ids) in
+  let sls = Array.of_list (List.map (Index.score_list idx) ids) in
+  (* The vocabulary fits the shape cache, so each score list holds the
+     very JDewey list measured beside it. *)
+  check Alcotest.bool "no list built twice" true
+    (Array.for_all2 (fun sl jl -> Score_list.jlist sl == jl) sls jls);
+  let rows = Array.fold_left (fun a jl -> a + Jlist.length jl) 0 jls in
+  let per_row shapes bound what =
+    let words =
+      Obj.reachable_words (Obj.repr shapes) - (Array.length shapes + 1)
+    in
+    let w = float_of_int words /. float_of_int rows in
+    if w > bound then
+      Alcotest.failf "%s take %.3f words per row (%d words, %d rows)" what w
+        words rows
+  in
+  per_row jls 36.0 "JDewey lists";
+  per_row sls 47.0 "JDewey and score lists"
 
 let small_index () =
   let doc =
@@ -312,7 +374,7 @@ let score_list_reference_prop =
 
 let sparse_index_probe () =
   let seqs = seqs_of (List.init 1000 (fun i -> [ (2 * i) + 1 ])) in
-  let c = Column.build seqs ~level:1 in
+  let c = Tutil.column_of_seqs seqs ~level:1 in
   let sp = Sparse_index.build c in
   let num_runs = Column.num_runs c in
   for i = 0 to num_runs - 1 do
@@ -413,7 +475,13 @@ let jlist_agrees jc jh =
     if
       Jlist.node jc r <> Jlist.node jh r
       || Jlist.score jc r <> Jlist.score jh r
-      || Jlist.seq jc r <> Jlist.seq jh r
+      || Jlist.row_len jc r <> Jlist.row_len jh r
+    then ok := false
+  done;
+  for level = 1 to Jlist.max_len jc do
+    if
+      Tutil.column_runs (Jlist.column jc ~level)
+      <> Tutil.column_runs (Jlist.column jh ~level)
     then ok := false
   done;
   !ok

@@ -36,9 +36,7 @@ let columns_roundtrip () =
         for r = 0 to Jlist.length mem - 1 do
           check Alcotest.int "node" (Jlist.node mem r) (Jlist.node disk r);
           check (Alcotest.float 0.) "score" (Jlist.score mem r) (Jlist.score disk r);
-          check Alcotest.int "row len" (Jlist.row_len mem r) (Jlist.row_len disk r);
-          (* Forcing sequences reconstructs them from the columns. *)
-          check Alcotest.(array int) "seq" (Jlist.seq mem r) (Jlist.seq disk r)
+          check Alcotest.int "row len" (Jlist.row_len mem r) (Jlist.row_len disk r)
         done
       done)
 
@@ -82,7 +80,7 @@ let store_backed_queries_prop =
               && same (run mem_lists Xk_core.Join_query.Slca)
                    (run disk_lists Xk_core.Join_query.Slca)
             in
-            (* Top-K through store-backed score lists (forces sequences). *)
+            (* Top-K through store-backed score lists. *)
             let slists lists =
               Array.map (fun jl -> Score_list.make jl damping) lists
             in

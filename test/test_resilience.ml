@@ -533,51 +533,69 @@ let jitter_bounds () =
 
 (* --- Replica health -------------------------------------------------- *)
 
+(* [Health.score] is success rate + 0.001 / (1 + mean latency) over the
+   last 32 observations; every expected value below is exact in binary
+   floating point, so the scores are compared for equality. *)
+let health_window_size = 32
+
+let expected_score ~success_rate ~mean_latency_ms =
+  success_rate +. (0.001 /. (1.0 +. mean_latency_ms))
+
 let health_window () =
+  let w = health_window_size in
   let h = Health.create () in
-  let s0 = Health.snapshot h in
-  let w = s0.Health.window_size in
-  check (Alcotest.float 0.) "fresh window is fully healthy" 1.0
-    s0.Health.success_rate;
+  check (Alcotest.float 0.) "fresh window is fully healthy"
+    (expected_score ~success_rate:1.0 ~mean_latency_ms:0.0)
+    (Health.score h);
   for i = 1 to w do
     if i <= w / 2 then Health.record h ~ok:false ~latency_ms:10.
     else Health.record h ~ok:true ~latency_ms:(if i mod 2 = 0 then 2. else 4.)
   done;
-  let s = Health.snapshot h in
-  check Alcotest.int "successes" (w / 2) s.Health.successes;
-  check Alcotest.int "failures" (w / 2) s.Health.failures;
-  check (Alcotest.float 1e-9) "success rate" 0.5 s.Health.success_rate;
-  check (Alcotest.float 1e-9) "mean latency" 6.5 s.Health.mean_latency_ms;
-  (* the window rolls: half a window of successes evicts the failures *)
+  (* 16 failures at 10 ms, 16 successes at 2 or 4 ms: 208 / 32 ms. *)
+  check (Alcotest.float 0.) "half the window failed"
+    (0.5 +. (0.001 /. 7.5))
+    (Health.score h);
+  (* the window rolls: half a window of successes evicts the failures,
+     leaving 48 + 32 ms over 32 successes *)
   for _ = 1 to w / 2 do
     Health.record h ~ok:true ~latency_ms:2.
   done;
-  let s = Health.snapshot h in
-  check (Alcotest.float 1e-9) "window rolled" 1.0 s.Health.success_rate;
-  check Alcotest.int "observations keep counting" (w + (w / 2))
-    s.Health.observations
+  check (Alcotest.float 0.) "window rolled"
+    (expected_score ~success_rate:1.0 ~mean_latency_ms:2.5)
+    (Health.score h)
 
 let health_score_orders () =
-  let window = (Health.snapshot (Health.create ())).Health.window_size in
   let filled ~ok ~latency_ms =
     let h = Health.create () in
-    for _ = 1 to window do
+    for _ = 1 to health_window_size do
       Health.record h ~ok ~latency_ms
     done;
     h
   in
   let good = filled ~ok:true ~latency_ms:1. in
   let bad = filled ~ok:false ~latency_ms:1. in
+  check (Alcotest.float 0.) "all successes"
+    (expected_score ~success_rate:1.0 ~mean_latency_ms:1.)
+    (Health.score good);
+  check (Alcotest.float 0.) "all failures"
+    (expected_score ~success_rate:0.0 ~mean_latency_ms:1.)
+    (Health.score bad);
   check Alcotest.bool "healthy outranks failing" true
     (Health.score good > Health.score bad);
   let slow = filled ~ok:true ~latency_ms:500. in
+  check (Alcotest.float 0.) "slow successes"
+    (expected_score ~success_rate:1.0 ~mean_latency_ms:500.)
+    (Health.score slow);
   check Alcotest.bool "latency breaks success-rate ties" true
     (Health.score good > Health.score slow);
   (* ...but can never outweigh a real success-rate difference *)
   let flaky_fast = Health.create () in
-  for i = 1 to window do
-    Health.record flaky_fast ~ok:(i > 1) ~latency_ms:0.01
+  for i = 1 to health_window_size do
+    Health.record flaky_fast ~ok:(i > 1) ~latency_ms:0.
   done;
+  check (Alcotest.float 0.) "one failure, no latency"
+    (expected_score ~success_rate:(31. /. 32.) ~mean_latency_ms:0.)
+    (Health.score flaky_fast);
   check Alcotest.bool "success rate dominates latency" true
     (Health.score slow > Health.score flaky_fast)
 

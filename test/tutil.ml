@@ -17,6 +17,31 @@ let column_runs (c : Xk_index.Column.t) =
   List.init (Xk_index.Column.num_runs c) (fun i ->
       (Xk_index.Column.value c i, Xk_index.Column.start c i, Xk_index.Column.count c i))
 
+(* The reference a column must match: run-length encode the level-[level]
+   numbers of the rows long enough to hold one, starting a new run at a
+   value change or a skipped row. *)
+let naive_runs (seqs : Xk_encoding.Jdewey.t array) ~level =
+  let runs = ref [] in
+  Array.iteri
+    (fun r (s : Xk_encoding.Jdewey.t) ->
+      if Array.length s >= level then
+        let v = s.(level - 1) in
+        match !runs with
+        | (pv, ps, pc) :: rest when pv = v && ps + pc = r ->
+            runs := (pv, ps, pc + 1) :: rest
+        | _ -> runs := (v, r, 1) :: !runs)
+    seqs;
+  List.rev !runs
+
+(* The level-[level] column of literal sequences, through the reference
+   runs. *)
+let column_of_seqs seqs ~level =
+  let runs = Array.of_list (naive_runs seqs ~level) in
+  Xk_index.Column.of_arrays
+    ~values:(Array.map (fun (v, _, _) -> v) runs)
+    ~starts:(Array.map (fun (_, s, _) -> s) runs)
+    ~counts:(Array.map (fun (_, _, c) -> c) runs)
+
 (* The tokens [Tokenizer.spans] indexes in [s], lowercased as the index
    interns them. *)
 let tokens s =
