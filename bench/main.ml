@@ -5,6 +5,7 @@
      dune exec bench/main.exe                 # everything, default scale
      dune exec bench/main.exe -- --quick      # reduced query counts
      dune exec bench/main.exe -- --only fig9 --scale 2.0
+     dune exec bench/main.exe -- --only ingest   # live ingest steps
 
    Absolute times differ from the paper's 2007-era testbed; the shapes
    (who wins, by what factor, where the crossovers fall) are the point.
@@ -636,6 +637,140 @@ let micro cfg =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Live ingest: the steps of one set-up batch                          *)
+
+(* The public steps a live store runs to take in and seal one batch of
+   160 documents, timed one at a time on the [live_rw] corpus of
+   [bench/suite] (DBLP generator at scale 1, 240 conferences of one year,
+   seed 2010, printed and parsed back; the first 160 top-level
+   subtrees).  The last row is the whole batch as [live_rw]'s set-up runs
+   it: a fresh store (fsync on, auto-compaction at 32) takes the 160
+   additions in one [Live.mutate], then [Live.compact]. *)
+let ingest cfg =
+  if wants cfg "ingest" then begin
+    header "Live ingest: one 160-document batch, step by step";
+    let module Live = Xk_index.Live in
+    let module Wal = Xk_index.Wal in
+    let corpus =
+      Xk_datagen.Dblp_gen.generate
+        {
+          (Xk_datagen.Dblp_gen.scaled 1.0) with
+          seed = 2010;
+          conferences = 240;
+          years_per_conf = 1;
+        }
+    in
+    let doc =
+      Xk_xml.Xml_parser.parse_string_exn (Xk_xml.Xml_print.to_string corpus.doc)
+    in
+    let root_tag = doc.root.tag and root_attrs = doc.root.attrs in
+    let subtrees = List.filteri (fun i _ -> i < 160) doc.root.children in
+    let ops = List.mapi (fun doc_id subtree -> Wal.Insert { doc_id; subtree }) subtrees in
+    let dir = Filename.temp_file "xk_ingest" "" in
+    Sys.remove dir;
+    Unix.mkdir dir 0o700;
+    let path name = Filename.concat dir name in
+    let rec rm_rf p =
+      if Sys.is_directory p then begin
+        Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+        Sys.rmdir p
+      end
+      else Sys.remove p
+    in
+    let reps = 5 * cfg.runs in
+    (* step name -> samples, steps in the order they first ran *)
+    let samples = Hashtbl.create 16 and steps = ref [] in
+    let timed name f =
+      let t0 = now () in
+      let v = f () in
+      let ms = (now () -. t0) *. 1000. in
+      (match Hashtbl.find_opt samples name with
+      | Some l -> Hashtbl.replace samples name (ms :: l)
+      | None ->
+          steps := name :: !steps;
+          Hashtbl.replace samples name [ ms ]);
+      v
+    in
+    for rep = 1 to reps do
+      ignore
+        (timed "print" (fun () ->
+             List.map
+               (function
+                 | Xk_xml.Xml_tree.Element e -> Xk_xml.Xml_print.element_to_string e
+                 | Text s -> s)
+               subtrees));
+      let entries =
+        timed "canonical" (fun () ->
+            List.map
+              (fun op ->
+                match Wal.canonical op with Ok e -> e | Error m -> failwith m)
+              ops)
+      in
+      let wal =
+        match Wal.create ~fsync:true ~base_lsn:0 (path "wal.log") with
+        | Ok w -> w
+        | Error e -> failwith (Wal.error_message e)
+      in
+      (match timed "WAL append (one fsync)" (fun () -> Wal.append_batch wal entries) with
+      | Ok _ -> Wal.close wal
+      | Error (_, e) -> failwith (Wal.error_message e));
+      let docs =
+        List.filter_map (function Wal.Put d -> Some d | Wal.Drop _ -> None) entries
+      in
+      let payload =
+        timed ".docs encode" (fun () -> Wal.encode_docs docs)
+      in
+      (* framed with the live store's [.docs] magic *)
+      timed ".docs atomic write (fsync)" (fun () ->
+          Xk_storage.Durable.write_string_atomically ~fsync:true (path "seg.docs")
+            (Xk_storage.Framed.file ~magic:"XKDOC001" ~version:1 payload));
+      let label =
+        timed "label" (fun () ->
+            Xk_encoding.Labeling.label
+              { root = Xk_xml.Xml_tree.element root_tag subtrees })
+      in
+      let idx = timed "Index.build" (fun () -> Xk_index.Index.build label) in
+      timed "save" (fun () -> Xk_index.Index_io.save idx (path "seg.idx"));
+      (match timed "verify" (fun () -> Xk_index.Index_io.verify (path "seg.idx")) with
+      | Ok () -> ()
+      | Error e -> failwith (Xk_index.Index_io.load_error_message e));
+      ignore
+        (timed "Snapshot.build" (fun () ->
+             Xk_index.Snapshot.build ~root_tag ~root_attrs ~lsn:160
+               [
+                 { g_docs = []; g_index = None };
+                 { g_docs = docs; g_index = Some (path "seg.idx") };
+               ]));
+      let store = path (Printf.sprintf "store-%d" rep) in
+      timed "whole batch (mutate + compact)" (fun () ->
+          let live_ok = function
+            | Ok v -> v
+            | Error e -> failwith (Live.error_message e)
+          in
+          let t =
+            live_ok (Live.create ~fsync:true ~auto_compact:32 ~root_tag ~root_attrs store)
+          in
+          ignore (live_ok (Live.mutate t (List.map (fun s -> Live.Add s) subtrees)));
+          live_ok (Live.compact t);
+          Live.close t);
+      rm_rf store
+    done;
+    rm_rf dir;
+    let quartiles xs =
+      let a = Array.of_list xs in
+      Array.sort compare a;
+      let at q = a.(int_of_float (q *. float_of_int (Array.length a - 1) +. 0.5)) in
+      (at 0.5, at 0.25, at 0.75)
+    in
+    Printf.printf "%d repetitions; ms, median [q1, q3]\n" reps;
+    List.iter
+      (fun name ->
+        let med, q1, q3 = quartiles (Hashtbl.find samples name) in
+        Printf.printf "%-32s %8.2f [%.2f, %.2f]\n" name med q1 q3)
+      (List.rev !steps)
+  end
+
+(* ------------------------------------------------------------------ *)
 
 let run cfg =
   Printf.printf
@@ -661,6 +796,7 @@ let run cfg =
     disk cfg dblp
   end;
   micro cfg;
+  ingest cfg;
   Printf.printf "\ndone.\n"
 
 (* ------------------------------------------------------------------ *)
@@ -692,7 +828,8 @@ let only =
     value & opt_all string []
     & info [ "only" ]
         ~doc:
-          "Run a subset: table1, motivation, fig9, fig10, ablations, disk, micro (repeatable).")
+          "Run a subset: table1, motivation, fig9, fig10, ablations, disk, micro, \
+           ingest (repeatable).")
 
 let term =
   let make scale queries runs seed quick only =

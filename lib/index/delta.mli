@@ -2,9 +2,10 @@
     since the last compaction, as a persistent (immutable) value.
 
     A delta is a pair of maps — pending upserts (document id to its
-    current subtree) and pending deletes.  Applying [Insert] records an
-    upsert and cancels any pending delete of the same id; applying
-    [Delete] records a delete and drops any pending upsert.  Because
+    current document, with the record bytes that carry it) and pending
+    deletes.  Applying [Put] records an upsert and cancels any pending
+    delete of the same id; applying [Drop] records a delete and drops
+    any pending upsert.  Because
     values are immutable, a published snapshot keeps whatever delta it
     was built from no matter how many operations land afterwards —
     that is the snapshot-isolation half of the live store. *)
@@ -14,13 +15,13 @@ type t
 val empty : t
 val is_empty : t -> bool
 
-val apply : t -> Wal.op -> t
+val apply : t -> Wal.entry -> t
 
 val ops : t -> int
 (** Number of document ids the delta currently touches (upserts plus
     deletes); the live store's auto-compaction threshold watches it. *)
 
-val upserts : t -> (int * Xk_xml.Xml_tree.node) list
+val upserts : t -> Wal.doc list
 (** Pending upserts in ascending document-id order. *)
 
 val deletes : t -> int list

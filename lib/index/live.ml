@@ -36,7 +36,7 @@ let of_wal_error = function
   | Wal.Corrupted m -> Corrupt m
   | Wal.Io m -> Io m
 
-type seg = { seg_gen : int; seg_docs : (int * Xk_xml.Xml_tree.node) list }
+type seg = { seg_gen : int; seg_docs : Wal.doc list }
 
 type state = {
   st_lsn : int;
@@ -155,24 +155,8 @@ let decode_manifest =
       in
       { m_root_tag; m_root_attrs; m_next_doc; m_durable_lsn; m_gens })
 
-let encode_docs docs =
-  let buf = Buffer.create 4096 in
-  Varint.write buf (List.length docs);
-  List.iter
-    (fun (id, subtree) ->
-      Varint.write buf id;
-      Wal.encode_subtree buf subtree)
-    docs;
-  Buffer.contents buf
-
-let decode_docs =
-  Varint.decode ~whole:false (fun cur ->
-      List.init (Varint.count cur ~width:1) (fun _ ->
-          let id = Varint.read cur in
-          match Wal.decode_subtree cur with
-          | Ok subtree -> (id, subtree)
-          | Error m -> raise (Varint.Malformed m))
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+let by_id (a : Wal.doc) (b : Wal.doc) = Int.compare a.doc_id b.doc_id
+let decode_docs cur = Result.map (List.sort by_id) (Wal.decode_docs cur)
 
 (* Snapshot assembly: shard 0 is the delta, one shard per sealed
    generation after it.  A generation none of whose documents the delta
@@ -182,7 +166,9 @@ let build_snapshot ~dir ~root_tag ~root_attrs ~lsn ~sealed ~delta () =
   let delta_group = { Snapshot.g_docs = Delta.upserts delta; g_index = None } in
   let seg_group seg =
     let surviving =
-      List.filter (fun (id, _) -> not (Delta.touches delta id)) seg.seg_docs
+      List.filter
+        (fun (d : Wal.doc) -> not (Delta.touches delta d.doc_id))
+        seg.seg_docs
     in
     let dirty = List.compare_lengths surviving seg.seg_docs <> 0 in
     {
@@ -199,7 +185,11 @@ let build_snapshot ~dir ~root_tag ~root_attrs ~lsn ~sealed ~delta () =
    durable atomic rename. *)
 let seal_index ~dir ~root_tag gen docs =
   let sub =
-    { Xk_xml.Xml_tree.root = Xk_xml.Xml_tree.element root_tag (List.map snd docs) }
+    {
+      Xk_xml.Xml_tree.root =
+        Xk_xml.Xml_tree.element root_tag
+          (List.map (fun (d : Wal.doc) -> d.subtree) docs);
+    }
   in
   Index_io.save (Index.build (Xk_encoding.Labeling.label sub)) (idx_path dir gen);
   match Index_io.verify (idx_path dir gen) with
@@ -291,10 +281,10 @@ let open_ ?(fsync = true) ?auto_compact dir =
       (fun (delta, mx) (r : Wal.record) ->
         if r.lsn <= m.m_durable_lsn then (delta, mx)
         else
-          ( Delta.apply delta r.op,
-            match r.op with
-            | Wal.Insert { doc_id; _ } -> max mx doc_id
-            | Wal.Delete _ -> mx ))
+          ( Delta.apply delta r.entry,
+            match r.entry with
+            | Put d -> max mx d.doc_id
+            | Drop _ -> mx ))
       (Delta.empty, -1) records
   in
   gc_orphans dir ~gens:m.m_gens;
@@ -381,13 +371,12 @@ let rm path = try Sys.remove path with Sys_error _ -> ()
 let compact_steps t ~lsn ~next_doc ~clean ~dirty ~delta =
   Chaos.crash_point "compact-begin";
   let merged =
-    List.sort
-      (fun (a, _) (b, _) -> Int.compare a b)
+    List.sort by_id
       (Delta.upserts delta
       @ List.concat_map
           (fun seg ->
             List.filter
-              (fun (id, _) -> not (Delta.touches delta id))
+              (fun (d : Wal.doc) -> not (Delta.touches delta d.doc_id))
               seg.seg_docs)
           dirty)
   in
@@ -397,7 +386,7 @@ let compact_steps t ~lsn ~next_doc ~clean ~dirty ~delta =
   if Chaos.crash_armed "compact-docs-torn" && merged <> [] then begin
     (* a torn temp write: half the docs file lands, then the process
        dies before the rename.  Recovery's orphan GC must remove it. *)
-    let payload = encode_docs merged in
+    let payload = Wal.encode_docs merged in
     let oc = open_out_bin (docs_path t.l_dir next_gen ^ ".tmp") in
     output_string oc (String.sub payload 0 (String.length payload / 2));
     flush oc;
@@ -409,7 +398,7 @@ let compact_steps t ~lsn ~next_doc ~clean ~dirty ~delta =
     else begin
       save_framed ~fsync:t.l_fsync ~magic:docs_magic
         (docs_path t.l_dir next_gen)
-        (encode_docs merged);
+        (Wal.encode_docs merged);
       Chaos.crash_point "compact-docs";
       let* () =
         seal_index ~dir:t.l_dir ~root_tag:t.l_root_tag
@@ -454,7 +443,8 @@ let compact_steps t ~lsn ~next_doc ~clean ~dirty ~delta =
 let compact_state t ~lsn ~next_doc ~sealed ~delta =
   let dirty, clean =
     List.partition
-      (fun seg -> List.exists (fun (id, _) -> Delta.touches delta id) seg.seg_docs)
+      (fun seg ->
+        List.exists (fun (d : Wal.doc) -> Delta.touches delta d.doc_id) seg.seg_docs)
       sealed
   in
   if Delta.is_empty delta && dirty = [] && Wal.base_lsn t.l_wal = lsn then
@@ -484,11 +474,12 @@ let compact t =
 
 (* Mutation *)
 
-(* Round-trip every operation through the WAL codec before anything
-   touches disk: the delta then holds exactly what recovery would
-   reconstruct, so the in-memory store and a post-crash reopen cannot
-   diverge, a subtree the codec cannot carry is rejected up front, and
-   the bytes that were round-tripped are the ones the WAL writes. *)
+(* Encode every operation through the WAL codec before anything touches
+   disk ([Wal.canonical]): the delta then holds exactly what recovery
+   would reconstruct, so the in-memory store and a post-crash reopen
+   cannot diverge, a subtree the codec cannot carry is rejected up
+   front, and the bytes encoded here are the ones the WAL and, at
+   compaction, the [.docs] file write. *)
 let canonical_op op =
   Result.map_error (fun m -> Unstorable m) (Wal.canonical op)
 
@@ -497,13 +488,13 @@ let plan_batch st muts =
   List.iter
     (fun seg ->
       List.iter
-        (fun (id, _) ->
-          if not (Delta.is_deleted st.st_delta id) then
-            Hashtbl.replace live id ())
+        (fun (d : Wal.doc) ->
+          if not (Delta.is_deleted st.st_delta d.doc_id) then
+            Hashtbl.replace live d.doc_id ())
         seg.seg_docs)
     st.st_sealed;
   List.iter
-    (fun (id, _) -> Hashtbl.replace live id ())
+    (fun (d : Wal.doc) -> Hashtbl.replace live d.doc_id ())
     (Delta.upserts st.st_delta);
   let* entries_rev, ids_rev, _next =
     List.fold_left
@@ -543,15 +534,12 @@ let mutate t muts =
         | Error (n, e) ->
             (List.filteri (fun i _ -> i < n) entries, Some (of_wal_error e))
       in
-      let ops = List.map Wal.entry_op landed in
-      let delta = List.fold_left Delta.apply st.st_delta ops in
+      let delta = List.fold_left Delta.apply st.st_delta landed in
       let next_doc =
         List.fold_left
-          (fun n op ->
-            match op with
-            | Wal.Insert { doc_id; _ } -> max n (doc_id + 1)
-            | Wal.Delete _ -> n)
-          st.st_next_doc ops
+          (fun n (e : Wal.entry) ->
+            match e with Put d -> max n (d.doc_id + 1) | Drop _ -> n)
+          st.st_next_doc landed
       in
       let lsn = Wal.lsn t.l_wal in
       let publish ~sealed ~delta =
@@ -579,7 +567,7 @@ let mutate t muts =
       (match compacted with
       | Ok (Some sealed) -> publish ~sealed ~delta:Delta.empty
       | Ok None | Error _ ->
-          if ops <> [] then publish ~sealed:st.st_sealed ~delta);
+          if landed <> [] then publish ~sealed:st.st_sealed ~delta);
       match (failure, compacted) with
       | Some e, _ | None, Error e -> Error e
       | None, Ok _ -> Ok ids)

@@ -6,13 +6,19 @@
       the durable LSN and the sealed generation list (CRC-framed,
       replaced atomically);
     - [seg-<gen>.docs] — a sealed generation's documents (id plus
-      serialized subtree, CRC-framed), the source of truth;
+      serialized subtree, CRC-framed), the source of truth.  Each entry
+      is the document's WAL insert payload without its op byte: every
+      document the store holds keeps those bytes ({!Wal.doc}), from
+      the batch that added it, the record that replayed it or its
+      slice of the [.docs] file it was loaded from, so compaction
+      concatenates them and prints no subtree;
     - [seg-<gen>.idx] — the generation's saved {!Index_io} segment, a
       tokenization cache rebuilt from the [.docs] file if damaged;
     - [wal.log] — the {!Wal} of every mutation since the last
       compaction.
 
-    Mutations go WAL-first: a batch's operations are framed and
+    Mutations go WAL-first: a batch's operations are encoded once
+    ({!Wal.canonical}), framed and
     appended, then fsynced once (group commit), before any of them is
     applied to the in-memory {!Delta}; then the batch publishes one
     fresh {!Snapshot} with a single atomic pointer swap.  A batch that

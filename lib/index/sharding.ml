@@ -64,20 +64,23 @@ let build_with ?shards ~(assignment : int array) ~make
     global_starts.(j) <- global_starts.(j - 1) + sizes.(j - 1)
   done;
   let total_nodes = 1 + Array.fold_left ( + ) 0 sizes in
-  (* Corpus-global document frequencies: the table is filled after every
-     shard index exists, which is sound because shards only consult
-     [so_df] when a list shape is first materialized. *)
-  let global_df : (string, int) Hashtbl.t = Hashtbl.create 4096 in
-  let stats =
-    {
-      Index.so_total_nodes = total_nodes;
-      so_df =
-        (fun term ->
-          match Hashtbl.find_opt global_df term with
-          | Some df -> df
-          | None -> 1);
-    }
+  (* Corpus-global document frequency: the sum of the shards' local
+     dfs, which is exact because shard node sets are disjoint.  The sum
+     reads the shards' dictionaries when a list shape is first
+     materialized, by which time [built] holds every shard index. *)
+  let built = ref [||] in
+  let global_df term =
+    let df =
+      Array.fold_left
+        (fun acc sh ->
+          match Index.term_id sh.sh_index term with
+          | Some id -> acc + Index.df sh.sh_index id
+          | None -> acc)
+        0 !built
+    in
+    if df > 0 then df else 1
   in
+  let stats = { Index.so_total_nodes = total_nodes; so_df = global_df } in
   let segments = Array.make n_children None in
   let exception Stop of int in
   (* 'e is smuggled through a mutable cell so the exception stays
@@ -130,26 +133,11 @@ let build_with ?shards ~(assignment : int array) ~make
       | Some e -> Error e
       | None ->
           Xk_util.Err.unreachable "Sharding.build_with: Stop without error")
-  | built ->
-      (* Fill the global df table now that every shard's dictionary
-         exists; shard node sets are disjoint, so local dfs sum. *)
-      Array.iter
-        (fun sh ->
-          let idx = sh.sh_index in
-          for id = 0 to Index.term_count idx - 1 do
-            let df = Index.df idx id in
-            if df > 0 then begin
-              let term = Index.term idx id in
-              let prev =
-                Option.value (Hashtbl.find_opt global_df term) ~default:0
-              in
-              Hashtbl.replace global_df term (prev + df)
-            end
-          done)
-        built;
+  | shards ->
+      built := shards;
       Ok
         {
-          shards = built;
+          shards;
           assignment;
           total_nodes;
           segments =

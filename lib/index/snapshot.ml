@@ -1,5 +1,5 @@
 type group = {
-  g_docs : (int * Xk_xml.Xml_tree.node) list;
+  g_docs : Wal.doc list;
   g_index : string option;
 }
 
@@ -17,7 +17,8 @@ let build ~root_tag ~root_attrs ~lsn groups =
   let tagged =
     List.concat
       (List.mapi
-         (fun g grp -> List.map (fun (id, node) -> (id, g, node)) grp.g_docs)
+         (fun g grp ->
+           List.map (fun (d : Wal.doc) -> (d.doc_id, g, d.subtree)) grp.g_docs)
          (Array.to_list groups))
   in
   let sorted =

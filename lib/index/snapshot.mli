@@ -18,8 +18,9 @@
     from it while the writer publishes successors. *)
 
 type group = {
-  g_docs : (int * Xk_xml.Xml_tree.node) list;
-      (** (document id, top-level subtree), ascending by id *)
+  g_docs : Wal.doc list;
+      (** the group's documents (id and top-level subtree), ascending
+          by id *)
   g_index : string option;
       (** saved {!Index_io} segment built over exactly these documents
           (attr-free root), or [None] to tokenize from scratch *)

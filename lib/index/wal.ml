@@ -23,7 +23,9 @@ type op =
   | Insert of { doc_id : int; subtree : Xk_xml.Xml_tree.node }
   | Delete of { doc_id : int }
 
-type record = { lsn : int; op : op }
+type doc = { doc_id : int; subtree : Xk_xml.Xml_tree.node; payload : string }
+type entry = Put of doc | Drop of { doc_id : int; payload : string }
+type record = { lsn : int; entry : entry }
 
 type error = Corrupted of string | Io of string
 
@@ -41,19 +43,27 @@ type t = {
 
 let ( let* ) = Result.bind
 
-(* Subtree codec, shared with the sealed-segment document files. *)
+(* Subtree codec, shared with the sealed-segment document files.  The
+   length is counted before the subtree is printed, so the bytes go
+   straight into the caller's buffer. *)
 
-let encode_subtree buf (node : Xk_xml.Xml_tree.node) =
+let subtree_length (node : Xk_xml.Xml_tree.node) =
+  match node with
+  | Element e -> Xk_xml.Xml_print.element_length e
+  | Text s -> String.length s
+
+let add_subtree buf (node : Xk_xml.Xml_tree.node) len =
   match node with
   | Element e ->
       Buffer.add_char buf '\000';
-      let xml = Xk_xml.Xml_print.element_to_string e in
-      Varint.write buf (String.length xml);
-      Buffer.add_string buf xml
+      Varint.write buf len;
+      Xk_xml.Xml_print.add_element buf e
   | Text s ->
       Buffer.add_char buf '\001';
-      Varint.write buf (String.length s);
+      Varint.write buf len;
       Buffer.add_string buf s
+
+let encode_subtree buf node = add_subtree buf node (subtree_length node)
 
 let subtree cur =
   let flag = Varint.take cur 1 in
@@ -66,19 +76,22 @@ let subtree cur =
   | '\001' -> Xk_xml.Xml_tree.Text bytes
   | c -> Varint.malformed "bad subtree flag 0x%02x" (Char.code c)
 
-let decode_subtree cur = Varint.decode ~whole:false subtree cur
-
 let encode_op op =
-  let buf = Buffer.create 64 in
-  (match op with
+  match op with
   | Insert { doc_id; subtree } ->
+      let len = subtree_length subtree in
+      let buf =
+        Buffer.create (2 + Varint.size doc_id + Varint.size len + len)
+      in
       Buffer.add_char buf '\001';
       Varint.write buf doc_id;
-      encode_subtree buf subtree
+      add_subtree buf subtree len;
+      Buffer.contents buf
   | Delete { doc_id } ->
+      let buf = Buffer.create (1 + Varint.size doc_id) in
       Buffer.add_char buf '\002';
-      Varint.write buf doc_id);
-  Buffer.contents buf
+      Varint.write buf doc_id;
+      Buffer.contents buf
 
 let decode_op payload =
   Varint.decode ~whole:false
@@ -91,16 +104,54 @@ let decode_op payload =
       | c -> Varint.malformed "bad op tag 0x%02x" (Char.code c))
     (Varint.cursor payload)
 
-(* An operation together with its record payload, so a batch encodes
-   each subtree once: the payload that was round-tripped is the payload
-   that is written. *)
-type entry = { e_op : op; e_payload : string }
+let entry_of op payload =
+  match op with
+  | Insert { doc_id; subtree } -> Put { doc_id; subtree; payload }
+  | Delete { doc_id } -> Drop { doc_id; payload }
 
+let payload = function Put { payload; _ } | Drop { payload; _ } -> payload
+
+(* The payload is printed once.  A subtree that [reads_back] decodes
+   from it as itself, so the op is kept as it is.  Any other subtree
+   takes the round trip, and its record carries the encoding of the tree
+   it reads back as, which is what a [.docs] entry and a replayed record
+   hold for it. *)
 let canonical op =
-  let payload = encode_op op in
-  Result.map (fun op -> { e_op = op; e_payload = payload }) (decode_op payload)
+  let bytes = encode_op op in
+  match op with
+  | Insert { subtree = Element e; _ } when not (Xk_xml.Xml_parser.reads_back e) ->
+      Result.map (fun op -> entry_of op (encode_op op)) (decode_op bytes)
+  | Insert _ | Delete _ -> Ok (entry_of op bytes)
 
-let entry_op e = e.e_op
+(* A [.docs] payload: the count, then per document its insert record's
+   payload without the tag byte, so a sealed generation's file is
+   concatenated from the bytes its records already hold. *)
+let encode_docs docs =
+  let n = List.length docs in
+  let size =
+    List.fold_left (fun acc d -> acc + String.length d.payload - 1) (Varint.size n) docs
+  in
+  let buf = Buffer.create size in
+  Varint.write buf n;
+  List.iter
+    (fun d -> Buffer.add_substring buf d.payload 1 (String.length d.payload - 1))
+    docs;
+  Buffer.contents buf
+
+(* Each document's payload is rebuilt from its entry's bytes. *)
+let read_doc (cur : Varint.cursor) =
+  let start = cur.pos in
+  let doc_id = Varint.read cur in
+  let subtree = subtree cur in
+  let n = cur.pos - start in
+  let b = Bytes.create (n + 1) in
+  Bytes.set b 0 '\001';
+  Bytes.blit_string cur.data start b 1 n;
+  { doc_id; subtree; payload = Bytes.unsafe_to_string b }
+
+let decode_docs =
+  Varint.decode ~whole:false (fun cur ->
+      List.init (Varint.count cur ~width:1) (fun _ -> read_doc cur))
 
 let header_bytes ~base_lsn =
   let buf = Buffer.create 16 in
@@ -152,8 +203,11 @@ let recover path =
         else
           match Framed.read_record data ~pos with
           | Ok { pos = p; len } -> (
-              match decode_op (String.sub data p len) with
-              | Ok op -> go ({ lsn = lsn + 1; op } :: acc) (lsn + 1) (p + len)
+              let payload = String.sub data p len in
+              match decode_op payload with
+              | Ok op ->
+                  let entry = entry_of op payload in
+                  go ({ lsn = lsn + 1; entry } :: acc) (lsn + 1) (p + len)
               | Error m ->
                   (* valid checksum, undecodable bytes: not crash damage *)
                   Error (`Fatal (Index_io.Corrupted ("bad record: " ^ m))))
@@ -204,7 +258,7 @@ let append_batch t entries =
       let last = List.length entries - 1 in
       let written = ref 0 in
       let write i e =
-        let data = Framed.record e.e_payload in
+        let data = Framed.record (payload e) in
         if i = last && Chaos.crash_armed "wal-append" then begin
           (* a torn write: half the batch's last frame reaches the file,
              then the process dies.  No cleanup — recovery must heal
@@ -235,7 +289,7 @@ let append_batch t entries =
 
 let append t op =
   Result.map_error snd
-    (append_batch t [ { e_op = op; e_payload = encode_op op } ])
+    (append_batch t [ entry_of op (encode_op op) ])
 
 let base_lsn t = t.w_base
 let lsn t = t.w_lsn

@@ -34,7 +34,26 @@ type op =
           [subtree] *)
   | Delete of { doc_id : int }
 
-type record = { lsn : int; op : op }
+type doc = private {
+  doc_id : int;
+  subtree : Xk_xml.Xml_tree.node;
+  payload : string;
+      (** the [Insert] record's payload: the tag byte, the varint id,
+          then the {!encode_subtree} bytes of [subtree] *)
+}
+(** A live document with the bytes of the record that carries it.  The
+    live store keeps these bytes with every document it holds, so its
+    [.docs] files are written from them ({!add_doc}) and no subtree is
+    printed twice. *)
+
+type entry = private
+  | Put of doc  (** an [Insert] *)
+  | Drop of { doc_id : int; payload : string }  (** a [Delete] *)
+(** An operation with its encoded record payload. *)
+
+type record = { lsn : int; entry : entry }
+(** A recovered record: the entry decoded from it, whose payload is the
+    record's own bytes. *)
 
 type error =
   | Corrupted of string
@@ -63,16 +82,14 @@ val open_existing :
     append order.  Records at or below the base LSN have already been
     compacted into segments; the caller skips them during replay. *)
 
-type entry
-(** An operation with its encoded record payload. *)
-
 val canonical : op -> (entry, string) result
-(** Encode an operation and decode it back.  {!entry_op} of the result
-    is exactly what recovery reconstructs from the record, and
-    {!append_batch} writes the same bytes, so each subtree is encoded
-    once.  [Error] when the subtree does not survive the codec. *)
-
-val entry_op : entry -> op
+(** Encode an operation once, as the entry {!append_batch} writes and
+    recovery reconstructs.  An [Insert] whose element subtree passes
+    {!Xk_xml.Xml_parser.reads_back} keeps its subtree; any other element
+    takes the round trip through the codec, and the entry holds the tree
+    it reads back as, with that tree's encoding.  Either way [payload]
+    is the encoding of the entry's own subtree.  [Error] when the
+    subtree does not survive the codec. *)
 
 val append_batch : t -> entry list -> (int, int * error) result
 (** Group commit: frame and write every record of the batch in order,
@@ -100,9 +117,21 @@ val close : t -> unit
     element, serialized XML with no XML declaration; 1 = raw text) then
     a length-prefixed byte string.  The decoder also accepts an element
     that carries the declaration, as older logs and document files
-    store it. *)
+    store it; a document replayed or loaded from such bytes keeps them,
+    declaration included, in the next [.docs] file it is written to. *)
 
 val encode_subtree : Buffer.t -> Xk_xml.Xml_tree.node -> unit
 
-val decode_subtree :
-  Xk_storage.Varint.cursor -> (Xk_xml.Xml_tree.node, string) result
+(** {1 Document files}
+
+    A sealed generation's [.docs] payload is a varint count, then per
+    document a varint id and the subtree codec's bytes: each entry is an
+    [Insert] record's payload without its tag byte. *)
+
+val encode_docs : doc list -> string
+(** The [.docs] payload of these documents, in list order, copied from
+    their payloads: nothing is printed. *)
+
+val decode_docs : Xk_storage.Varint.cursor -> (doc list, string) result
+(** The documents of a [.docs] payload, in file order; each payload is
+    rebuilt from its entry's bytes. *)

@@ -29,24 +29,28 @@ let terms_in_df_range (idx : Xk_index.Index.t) ~lo ~hi =
   Array.of_list (List.rev !out)
 
 (* A random term with df within a factor-2 window of [near]; the window
-   widens until it is inhabited, degenerating to "any indexable term" for
-   absurd targets.  Fails only on a corpus with no usable terms at all. *)
-let pick_near rng (idx : Xk_index.Index.t) ~near =
+   widens while every term in it is already [drawn] (an empty window
+   included), degenerating to "any indexable term" for absurd targets.
+   The draw is uniform over the whole window, drawn terms included, so a
+   caller that needs a fresh term draws again.  Fails only when no
+   usable term is left to draw. *)
+let pick_near ~drawn rng (idx : Xk_index.Index.t) ~near =
   (* No document frequency can exceed the corpus node count; a window of
      [1, df_ceiling] is "everything". *)
   let df_ceiling =
     Xk_encoding.Labeling.node_count (Xk_index.Index.label idx) + 1
   in
+  let fresh id = not (List.mem (Xk_index.Index.term idx id) drawn) in
   let rec go spread =
     let lo = max 1 (near / spread) in
     let hi =
       if near >= df_ceiling / spread then df_ceiling else near * spread
     in
     let pool = terms_in_df_range idx ~lo ~hi in
-    if Array.length pool > 0 then
+    if Array.exists fresh pool then
       Xk_index.Index.term idx pool.(Xk_datagen.Rng.int rng (Array.length pool))
     else if lo = 1 && hi = df_ceiling then
-      Xk_util.Err.invalid "Workload.pick_near: empty corpus"
+      Xk_util.Err.invalid "Workload.pick_near: no term left to draw"
     else go (spread * 8)
   in
   go 2
@@ -69,7 +73,7 @@ let random_queries rng (idx : Xk_index.Index.t) ~k ~high ~low ~n : query list =
       let rec distinct acc need near =
         if need = 0 then acc
         else begin
-          let w = pick_near rng idx ~near in
+          let w = pick_near ~drawn:acc rng idx ~near in
           if List.mem w acc then distinct acc need near
           else distinct (w :: acc) (need - 1) near
         end
@@ -82,7 +86,7 @@ let equal_freq_queries rng (idx : Xk_index.Index.t) ~k ~freq ~n : query list =
       let rec distinct acc need =
         if need = 0 then acc
         else begin
-          let w = pick_near rng idx ~near:freq in
+          let w = pick_near ~drawn:acc rng idx ~near:freq in
           if List.mem w acc then distinct acc need
           else distinct (w :: acc) (need - 1)
         end

@@ -57,24 +57,24 @@ let peek2 st =
 
 let advance st = st.pos <- st.pos + 1
 
-(* Does [s] occur in [src] at [i]?  Compared in place. *)
-let occurs_at src i s =
-  let n = String.length s in
-  let rec go k = k = n || (src.[i + k] = s.[k] && go (k + 1)) in
-  i + n <= String.length src && go 0
+(* Does [s] occur in [src] at [i]?  Compared in place.  The probes here
+   and in [find] and [gathered_blank] are top-level functions, so a call
+   allocates no closure. *)
+let rec matches_from src i s k =
+  k = String.length s || (src.[i + k] = s.[k] && matches_from src i s (k + 1))
+
+let occurs_at src i s = i + String.length s <= String.length src && matches_from src i s 0
 
 let looking_at st s = occurs_at st.src st.pos s
 
 (* Start of the first [delim] at or after the cursor, or the end of the
    input. *)
-let find st delim =
-  let src = st.src and n = String.length st.src in
-  let rec go i =
-    match String.index_from_opt src i delim.[0] with
-    | None -> n
-    | Some j -> if occurs_at src j delim then j else go (j + 1)
-  in
-  go st.pos
+let rec find_from src i delim =
+  if i + String.length delim > String.length src then String.length src
+  else if matches_from src i delim 0 then i
+  else find_from src (i + 1) delim
+
+let find st delim = find_from st.src st.pos delim
 
 (* End of the run at [i]: the first byte at or after [i] that is [a], [b]
    or [c], or the end of [src]. *)
@@ -264,10 +264,12 @@ let parse_cdata st =
 
 (* Is the gathered character data all whitespace?  Tested in place, so
    blank text between elements is never copied. *)
-let gathered_blank st =
-  let rec run i = i >= st.run_stop || (is_ws st.src.[i] && run (i + 1)) in
-  let rec buf i = i >= Buffer.length st.buf || (is_ws (Buffer.nth st.buf i) && buf (i + 1)) in
-  run st.run_start && buf 0
+let rec blank_run src i stop = i >= stop || (is_ws src.[i] && blank_run src (i + 1) stop)
+
+let rec blank_buf buf i =
+  i >= Buffer.length buf || (is_ws (Buffer.nth buf i) && blank_buf buf (i + 1))
+
+let gathered_blank st = blank_run st.src st.run_start st.run_stop && blank_buf st.buf 0
 
 let parse_attributes st =
   let rec go acc =
@@ -399,6 +401,28 @@ let parse_string_exn ?(keep_ws = false) src =
   in
   trailer ();
   { Xml_tree.root }
+
+(* Does [print e] parse back to [e] itself under [keep_ws:true]?  The
+   printer escapes every byte the parser treats as markup in text and
+   attribute values, so only three things can change in the round trip:
+   a tag or attribute name the parser reads differently (it stops at the
+   first non-name byte and skips the whitespace after it), an empty text
+   node (it prints nothing) and two adjacent text nodes (they read back
+   as one).  Every tree the parser produces has none of them. *)
+let rec name_chars s i = i = String.length s || (is_name_char s.[i] && name_chars s (i + 1))
+let is_name s = s <> "" && is_name_start s.[0] && name_chars s 1
+
+let rec reads_back (e : Xml_tree.element) =
+  is_name e.tag
+  && List.for_all (fun (a : Xml_tree.attribute) -> is_name a.attr_name) e.attrs
+  && children_read_back ~after_text:false e.children
+
+and children_read_back ~after_text = function
+  | [] -> true
+  | Xml_tree.Text s :: rest ->
+      s <> "" && (not after_text) && children_read_back ~after_text:true rest
+  | Xml_tree.Element e :: rest ->
+      reads_back e && children_read_back ~after_text:false rest
 
 let parse_string ?keep_ws src =
   match parse_string_exn ?keep_ws src with

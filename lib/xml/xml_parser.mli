@@ -19,6 +19,15 @@ val parse_string :
 val parse_string_exn : ?keep_ws:bool -> string -> Xml_tree.document
 (** Like {!parse_string} but raises {!Error}. *)
 
+val reads_back : Xml_tree.element -> bool
+(** [reads_back e] is a sound check that
+    [parse_string ~keep_ws:true (Xml_print.element_to_string e)] returns
+    [e] itself: every tag and attribute name is an XML name as this
+    parser reads one, no text child is empty and no two text children
+    are adjacent.  Every tree the parser produces passes.  A tree that
+    fails may still read back to something else (a tag ["ab\n"] reads
+    back as ["ab"]). *)
+
 val parse_file : ?keep_ws:bool -> string -> (Xml_tree.document, error) result
 
 val parse_file_exn : string -> Xml_tree.document

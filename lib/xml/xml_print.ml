@@ -1,25 +1,36 @@
 (* Serializer for the document model.  Used by the data generators to emit
-   corpora and by the round-trip tests. *)
+   corpora, by the WAL's subtree codec and by the round-trip tests. *)
 
-let escape_text buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | c -> Buffer.add_char buf c)
-    s
+(* Text escapes [<], [>] and [&]; an attribute value, quoted with ["],
+   escapes [<], [&] and ["].  [*_special s i] is the first byte at or
+   after [i] that needs an entity (or the end of [s]), so escaping scans
+   in a tight loop and copies the runs between escaped bytes whole. *)
+let rec text_special s i =
+  if i = String.length s then i
+  else match s.[i] with '<' | '>' | '&' -> i | _ -> text_special s (i + 1)
 
-let escape_attr buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s
+let rec attr_special s i =
+  if i = String.length s then i
+  else match s.[i] with '<' | '&' | '"' -> i | _ -> attr_special s (i + 1)
+
+let entity = function
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | '&' -> "&amp;"
+  | _ -> "&quot;"
+
+let rec escape_from special buf s i =
+  let j = special s i in
+  Buffer.add_substring buf s i (j - i);
+  if j < String.length s then begin
+    Buffer.add_string buf (entity s.[j]);
+    escape_from special buf s (j + 1)
+  end
+
+let rec escaped_length special s i acc =
+  let j = special s i in
+  if j = String.length s then acc + (j - i)
+  else escaped_length special s (j + 1) (acc + (j - i) + String.length (entity s.[j]))
 
 let add_attrs buf attrs =
   List.iter
@@ -27,13 +38,13 @@ let add_attrs buf attrs =
       Buffer.add_char buf ' ';
       Buffer.add_string buf a.attr_name;
       Buffer.add_string buf "=\"";
-      escape_attr buf a.attr_value;
+      escape_from attr_special buf a.attr_value 0;
       Buffer.add_char buf '"')
     attrs
 
 let rec add_node buf (n : Xml_tree.node) =
   match n with
-  | Text s -> escape_text buf s
+  | Text s -> escape_from text_special buf s 0
   | Element e -> add_element buf e
 
 and add_element buf (e : Xml_tree.element) =
@@ -48,6 +59,27 @@ and add_element buf (e : Xml_tree.element) =
       Buffer.add_string buf "</";
       Buffer.add_string buf e.tag;
       Buffer.add_char buf '>'
+
+(* The byte length [add_element] prints, without printing. *)
+let rec node_length acc (n : Xml_tree.node) =
+  match n with
+  | Text s -> escaped_length text_special s 0 acc
+  | Element e -> element_length_from acc e
+
+and element_length_from acc (e : Xml_tree.element) =
+  let tag = String.length e.tag in
+  let acc =
+    List.fold_left
+      (fun acc (a : Xml_tree.attribute) ->
+        escaped_length attr_special a.attr_value 0
+          (acc + String.length a.attr_name + 4))
+      (acc + 1 + tag) e.attrs
+  in
+  match e.children with
+  | [] -> acc + 2
+  | children -> List.fold_left node_length (acc + 1) children + 3 + tag
+
+let element_length e = element_length_from 0 e
 
 let to_buffer buf (d : Xml_tree.document) =
   Buffer.add_string buf "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";

@@ -8,6 +8,12 @@ val element_to_string : Xml_tree.element -> string
 (** One element and its subtree, without the XML declaration, in the
     round-trip form of {!to_string}. *)
 
+val add_element : Buffer.t -> Xml_tree.element -> unit
+(** Append {!element_to_string}'s bytes to a buffer. *)
+
+val element_length : Xml_tree.element -> int
+(** The byte length of {!element_to_string}, counted without printing. *)
+
 val to_file : string -> Xml_tree.document -> unit
 
 val pp_element_summary :

@@ -47,14 +47,19 @@ let subtree_pool seed =
 
 let nth_subtree pool i = List.nth pool (i mod List.length pool)
 
-(* Round-trip a subtree through the WAL codec: what the store itself
-   holds after a mutation, hence what recovery reconstructs. *)
-let canon node =
-  let buf = Buffer.create 256 in
-  Wal.encode_subtree buf node;
-  match Wal.decode_subtree (Xk_storage.Varint.cursor (Buffer.contents buf)) with
-  | Ok n -> n
-  | Error m -> Alcotest.failf "subtree does not round-trip: %s" m
+(* Round-trip a subtree the way the WAL codec does (print, then parse
+   keeping whitespace): what the store itself holds after a mutation,
+   hence what recovery reconstructs. *)
+let canon (node : Xk_xml.Xml_tree.node) =
+  match node with
+  | Text _ -> node
+  | Element e -> (
+      match
+        Xk_xml.Xml_parser.parse_string ~keep_ws:true
+          (Xk_xml.Xml_print.element_to_string e)
+      with
+      | Ok d -> Element d.root
+      | Error err -> Alcotest.failf "subtree does not round-trip: %s" err.message)
 
 (* --- WAL framing ------------------------------------------------------ *)
 
@@ -88,6 +93,15 @@ let op_equal a b =
            { root = Xk_xml.Xml_tree.element "r" [ sy ] }
   | _ -> false
 
+let op_of_entry : Wal.entry -> Wal.op = function
+  | Put d -> Insert { doc_id = d.doc_id; subtree = d.subtree }
+  | Drop d -> Delete { doc_id = d.doc_id }
+
+let entry_of_op op =
+  match Wal.canonical op with
+  | Ok e -> e
+  | Error m -> Alcotest.failf "operation does not encode: %s" m
+
 let wal_roundtrip () =
   with_tmpdir (fun dir ->
       let path = Filename.concat dir "wal.log" in
@@ -103,7 +117,7 @@ let wal_roundtrip () =
       List.iteri
         (fun i (r : Wal.record) ->
           check Alcotest.int "lsn sequence" (8 + i) r.lsn;
-          if not (op_equal (List.nth wal_ops i) r.op) then
+          if not (op_equal (List.nth wal_ops i) (op_of_entry r.entry)) then
             Alcotest.failf "record %d does not round-trip" i)
         records;
       Wal.close w)
@@ -204,7 +218,7 @@ let wal_reads_prolog_records () =
       check Alcotest.int "records" 3 (List.length records);
       List.iter2
         (fun op (r : Wal.record) ->
-          if not (op_equal op r.op) then
+          if not (op_equal op (op_of_entry r.entry)) then
             Alcotest.failf "record %d does not decode as written" r.lsn)
         expected records;
       check Alcotest.int "nothing healed away" (String.length prolog_wal)
@@ -217,32 +231,68 @@ let wal_reads_prolog_records () =
       check Alcotest.string "encoded subtree" "\000\022<a x=\"kw3\">kw0<c/></a>"
         (Buffer.contents buf))
 
+(* [Wal.canonical] keeps a subtree that reads back and encodes it once;
+   any other subtree normalizes exactly as the codec round trip does,
+   and its record carries the normalized tree's encoding. *)
+let wal_canonical_paths () =
+  let payload_of op =
+    match entry_of_op op with
+    | Put d -> d.payload
+    | Drop d -> d.payload
+  in
+  let encoded node =
+    let buf = Buffer.create 64 in
+    Wal.encode_subtree buf node;
+    "\001\005" ^ Buffer.contents buf
+  in
+  let good = Xk_xml.Xml_tree.elem "a" ~attrs:[ Xk_xml.Xml_tree.attr "k" "<&\"" ]
+      [ Xk_xml.Xml_tree.text "x & y" ] in
+  (match entry_of_op (Wal.Insert { doc_id = 5; subtree = good }) with
+  | Put d ->
+      check Alcotest.bool "subtree kept as it is" true (d.subtree == good);
+      check Alcotest.string "payload" (encoded good) d.payload
+  | Drop _ -> Alcotest.fail "insert became a delete");
+  let odd =
+    Xk_xml.Xml_tree.elem "ab\n" [ Xk_xml.Xml_tree.text "x"; Xk_xml.Xml_tree.text "y" ]
+  in
+  let normal = Xk_xml.Xml_tree.elem "ab" [ Xk_xml.Xml_tree.text "xy" ] in
+  let e = entry_of_op (Wal.Insert { doc_id = 5; subtree = odd }) in
+  check Alcotest.bool "normalized as the round trip does" true
+    (op_equal (Wal.Insert { doc_id = 5; subtree = canon odd }) (op_of_entry e));
+  check Alcotest.bool "to tag ab with one text" true
+    (op_equal (Wal.Insert { doc_id = 5; subtree = normal }) (op_of_entry e));
+  check Alcotest.string "payload encodes the normalized tree" (encoded normal)
+    (payload_of (Wal.Insert { doc_id = 5; subtree = odd }));
+  check Alcotest.string "delete payload" "\002\005" (payload_of (Wal.Delete { doc_id = 5 }))
+
 (* --- Delta semantics -------------------------------------------------- *)
 
 let sub = Xk_xml.Xml_tree.elem "d" [ Xk_xml.Xml_tree.text "kw0" ]
 
+let upsert_ids d = List.map (fun (u : Wal.doc) -> u.doc_id) (Delta.upserts d)
+
 let delta_semantics () =
   let d = Delta.empty in
   check Alcotest.bool "empty" true (Delta.is_empty d);
-  let d = Delta.apply d (Wal.Insert { doc_id = 3; subtree = sub }) in
-  let d = Delta.apply d (Wal.Insert { doc_id = 1; subtree = sub }) in
+  let d = Delta.apply d (entry_of_op (Wal.Insert { doc_id = 3; subtree = sub })) in
+  let d = Delta.apply d (entry_of_op (Wal.Insert { doc_id = 1; subtree = sub })) in
   check (Alcotest.list Alcotest.int) "upserts ascending" [ 1; 3 ]
-    (List.map fst (Delta.upserts d));
+    (upsert_ids d);
   check Alcotest.int "ops" 2 (Delta.ops d);
   (* delete cancels the pending upsert *)
-  let d = Delta.apply d (Wal.Delete { doc_id = 3 }) in
+  let d = Delta.apply d (entry_of_op (Wal.Delete { doc_id = 3 })) in
   check (Alcotest.list Alcotest.int) "upsert dropped" [ 1 ]
-    (List.map fst (Delta.upserts d));
+    (upsert_ids d);
   check (Alcotest.list Alcotest.int) "delete recorded" [ 3 ] (Delta.deletes d);
   check Alcotest.bool "is_deleted" true (Delta.is_deleted d 3);
   check Alcotest.bool "touches delete" true (Delta.touches d 3);
   check Alcotest.bool "touches upsert" true (Delta.touches d 1);
   check Alcotest.bool "touches other" false (Delta.touches d 2);
   (* re-insert cancels the pending delete *)
-  let d = Delta.apply d (Wal.Insert { doc_id = 3; subtree = sub }) in
+  let d = Delta.apply d (entry_of_op (Wal.Insert { doc_id = 3; subtree = sub })) in
   check (Alcotest.list Alcotest.int) "undeleted" [] (Delta.deletes d);
   check (Alcotest.list Alcotest.int) "re-upserted" [ 1; 3 ]
-    (List.map fst (Delta.upserts d))
+    (upsert_ids d)
 
 (* --- Query helpers ---------------------------------------------------- *)
 
@@ -868,6 +918,94 @@ let crash_recovery_prop =
           run_drill ~dir ~pool ~seed_muts ~drill_muts ~step);
       true)
 
+(* --- Store bytes ------------------------------------------------------ *)
+
+(* Every file of a store built from a fixed mutation history, pinned by
+   MD5: the WAL records, the [.docs] entries, the saved segments and the
+   manifests must not move when the encoding path changes.  The history
+   covers adds, a replace and removes, compactions of a clean and of a
+   dirty generation, and a reopen that replays WAL records and reloads
+   the [.docs] before the last compaction, which rewrites documents of
+   all three origins: a batch, a replayed record and a loaded [.docs]. *)
+let pinned_subtrees =
+  let open Xk_xml.Xml_tree in
+  [|
+    elem "book"
+      ~attrs:[ attr "id" "b1"; attr "note" "a<b & \"c\" > 'd'" ]
+      [ elem "title" [ text "xml keyword search" ]; elem "year" [ text "2010" ] ];
+    elem "article"
+      [ text "mixed "; elem "em" [ text "top-k" ]; text " content & <escapes>\n\t" ];
+    Text "a bare text document <&>";
+    elem "empty" [];
+    elem "book"
+      [ elem "title" [ text "join based elca" ]; elem "author" [ text "chen" ] ];
+    elem "inproceedings" ~attrs:[ attr "key" "conf/icde/x10" ]
+      [ elem "title" [ text "top-k keyword search in xml databases" ];
+        elem "author" [ text "chen papakonstantinou" ] ];
+    elem "note" [ text "caf\xc3\xa9 na\xc3\xafve r\xc3\xa9sum\xc3\xa9" ];
+    elem "www" [ elem "url" [ text "http://example.org/?a=1&b=2" ] ];
+  |]
+
+let store_digests dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f -> (f, Digest.to_hex (Digest.file (Filename.concat dir f))))
+
+let pinned_store_history dir =
+  let sub = pinned_subtrees in
+  let t =
+    ok_exn "create"
+      (Live.create ~fsync:false ~root_tag:"library"
+         ~root_attrs:[ Xk_xml.Xml_tree.attr "name" "pinned" ]
+         dir)
+  in
+  let _ =
+    ok_exn "adds"
+      (Live.mutate t (List.map (fun i -> Live.Add sub.(i)) [ 0; 1; 2; 3; 4 ]))
+  in
+  ok_exn "compact clean" (Live.compact t);
+  let _ = ok_exn "more adds" (Live.mutate t [ Live.Add sub.(5); Add sub.(6) ]) in
+  ok_exn "compact next" (Live.compact t);
+  let _ =
+    ok_exn "edits" (Live.mutate t [ Live.Replace (1, sub.(7)); Remove 3; Add sub.(2) ])
+  in
+  let mid = store_digests dir in
+  Live.close t;
+  let t = ok_exn "reopen" (Live.open_ ~fsync:false dir) in
+  let _ = ok_exn "remove sealed" (Live.mutate t [ Live.Remove 0 ]) in
+  ok_exn "compact after reopen" (Live.compact t);
+  let _ = ok_exn "tail" (Live.mutate t [ Live.Add sub.(4) ]) in
+  Live.close t;
+  (mid, store_digests dir)
+
+(* Measured on the store code that printed every subtree for the WAL
+   and again for each [.docs] file. *)
+let pinned_mid =
+  [
+    ("live.manifest", "7197f2fe0b013a43bd35bf19b2914890");
+    ("seg-0001.docs", "8d12f6f73db440974acc1da8e05486b0");
+    ("seg-0001.idx", "faf549724d64b16e3a7ecacf2f8eb540");
+    ("seg-0002.docs", "127af2783a4d956a54298c7bbf298b4d");
+    ("seg-0002.idx", "d9c7c91234cb66e0bdddb7098c53b3c4");
+    ("wal.log", "3608eaca66fc8f14e489d73803b79f37");
+  ]
+
+let pinned_final =
+  [
+    ("live.manifest", "a46f4b26561f6d515174134b59fb1cf6");
+    ("seg-0002.docs", "127af2783a4d956a54298c7bbf298b4d");
+    ("seg-0002.idx", "d9c7c91234cb66e0bdddb7098c53b3c4");
+    ("seg-0003.docs", "b7fa40361d196809c4c475ba41cd4b64");
+    ("seg-0003.idx", "c59656c7d68983ac316a057aa20a7e7b");
+    ("wal.log", "9e3be06bdecc632f2b1a3c94644f0e83");
+  ]
+
+let store_bytes_pinned () =
+  with_tmpdir (fun dir ->
+      let mid, final = pinned_store_history dir in
+      let digests = Alcotest.(list (pair string string)) in
+      check digests "files before the reopen" pinned_mid mid;
+      check digests "files at the end" pinned_final final)
+
 let suite =
   [
     ( "live.wal",
@@ -879,6 +1017,7 @@ let suite =
         tc "bad magic is reported" `Quick wal_bad_magic;
         tc "records with an XML declaration decode" `Quick
           wal_reads_prolog_records;
+        tc "canonical keeps or normalizes" `Quick wal_canonical_paths;
       ] );
     ("live.delta", [ tc "upsert/delete algebra" `Quick delta_semantics ]);
     ( "live.store",
@@ -895,6 +1034,7 @@ let suite =
           live_compact_before_publish;
         tc "failed auto-compaction publishes the batch" `Quick
           live_failed_auto_compact;
+        tc "store bytes pinned" `Quick store_bytes_pinned;
       ] );
     ( "live.snapshot",
       [

@@ -13,7 +13,7 @@ let pick_near_widens () =
      rather than fail, as long as the corpus has any term at all. *)
   let idx = Xk_core.Engine.index (Lazy.force small_engine) in
   let rng = Xk_datagen.Rng.create 5 in
-  let w = Xk_workload.Workload.pick_near rng idx ~near:123_456_789 in
+  let w = Xk_workload.Workload.pick_near ~drawn:[] rng idx ~near:123_456_789 in
   check Alcotest.bool "found something" true (String.length w > 0)
 
 let terms_in_range_sorted () =
@@ -41,6 +41,32 @@ let queries_deterministic () =
   in
   check Alcotest.bool "same seed, same workload" true (mk () = mk ())
 
+(* The probe mix (workload seed 7, 20 queries per (k, low), high = max
+   df) on a corpus whose df windows near 1000 hold fewer terms than a
+   5-keyword query needs: the draw must widen past them, not spin. *)
+let probe_mix_returns () =
+  let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
+  let idx = Xk_core.Engine.index (Xk_core.Engine.create corpus.doc) in
+  let rng = Xk_datagen.Rng.create 7 in
+  let high = Xk_workload.Workload.max_df idx in
+  List.iter
+    (fun (k, low) ->
+      let qs = Xk_workload.Workload.random_queries rng idx ~k ~high ~low ~n:20 in
+      check Alcotest.int "query count" 20 (List.length qs);
+      List.iter
+        (fun q ->
+          check Alcotest.int "k distinct words" k
+            (List.length (List.sort_uniq String.compare q)))
+        qs)
+    [ (2, 10); (2, 100); (2, 1000); (3, 10); (3, 100); (3, 1000);
+      (5, 10); (5, 100); (5, 1000) ];
+  let qs = Xk_workload.Workload.equal_freq_queries rng idx ~k:5 ~freq:1000 ~n:20 in
+  List.iter
+    (fun q ->
+      check Alcotest.int "equal-frequency words distinct" 5
+        (List.length (List.sort_uniq String.compare q)))
+    qs
+
 let max_df_excludes_controls () =
   let idx = Xk_core.Engine.index (Lazy.force small_engine) in
   let high = Xk_workload.Workload.max_df idx in
@@ -66,5 +92,6 @@ let suite =
         tc "terms_in_df_range" `Quick terms_in_range_sorted;
         tc "deterministic workloads" `Quick queries_deterministic;
         tc "max_df excludes control terms" `Quick max_df_excludes_controls;
+        tc "probe mix returns (DBLP 0.05)" `Quick probe_mix_returns;
       ] );
   ]

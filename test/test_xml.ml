@@ -195,6 +195,117 @@ let error_positions_in_runs () =
   at ("<a>" ^ long ^ "&bogus;</a>") 5 78 "unknown entity &bogus;";
   at ("<a x=\"" ^ long ^ "&lt;" ^ long ^ "'/>") 9 74 "unterminated attribute value"
 
+(* Trees with adversarial names and text: names mostly well formed but
+   sometimes empty, starting with a digit, or carrying whitespace,
+   markup bytes or NUL; text over whitespace, the escaped bytes, quotes,
+   NUL and UTF-8, sometimes empty, and siblings that are sometimes two
+   adjacent texts. *)
+let adversarial_tree =
+  let open QCheck.Gen in
+  let pick s = map (fun i -> s.[i]) (int_bound (String.length s - 1)) in
+  let name_start = pick "abcxyzABZ_:\xc3\xe9" in
+  let name_char = pick "abz09-._:\xa9" in
+  let bad = pick " \n\t<>=/\"'&\000?!" in
+  let good_name = map2 (fun c rest -> String.make 1 c ^ rest) name_start (string_size ~gen:name_char (int_bound 4)) in
+  let name =
+    frequency
+      [
+        (12, good_name);
+        (1, return "");
+        (1, map2 (fun d n -> String.make 1 d ^ n) (pick "0-.") good_name);
+        (1, map2 (fun n c -> n ^ String.make 1 c) good_name bad);
+      ]
+  in
+  let text =
+    frequency
+      [
+        (8, string_size ~gen:(pick " \t\r\n<&>\"';\000ab\xc3\xa9") (int_range 1 8));
+        (1, return "");
+      ]
+  in
+  let attr = map2 Xml_tree.attr name text in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         let child =
+           if depth = 0 then map Xml_tree.text text
+           else
+             frequency
+               [ (2, map Xml_tree.text text); (3, map (fun e -> Xml_tree.Element e) (self (depth - 1))) ]
+         in
+         map3
+           (fun tag attrs children -> Xml_tree.element ~attrs tag children)
+           name
+           (list_size (int_bound 2) attr)
+           (list_size (int_bound 4) child))
+
+let print_element e = Xml_print.element_to_string e
+
+(* Property: [reads_back] is sound (the round trip returns the tree
+   itself), every tree the parser produces passes it, and
+   [element_length] counts exactly the printed bytes. *)
+let reads_back_prop =
+  QCheck.Test.make ~count:1000 ~name:"reads_back is sound"
+    (QCheck.make ~print:print_element adversarial_tree)
+    (fun e ->
+      let printed = Xml_print.element_to_string e in
+      if Xml_print.element_length e <> String.length printed then
+        QCheck.Test.fail_reportf "element_length %d, printed %d bytes"
+          (Xml_print.element_length e) (String.length printed);
+      let back = Xml_parser.parse_string ~keep_ws:true printed in
+      (match back with
+      | Ok d when not (Xml_parser.reads_back d.root) ->
+          QCheck.Test.fail_reportf "a parsed tree fails reads_back"
+      | Ok _ | Error _ -> ());
+      (not (Xml_parser.reads_back e))
+      ||
+      match back with
+      | Ok d -> Xml_tree.equal d { root = e }
+      | Error err ->
+          QCheck.Test.fail_reportf "passes reads_back, parse fails: %s" err.message)
+
+(* The generator must exercise both sides of the check. *)
+let reads_back_both_sides () =
+  let rand = Random.State.make [| 2010 |] in
+  let trees = List.init 400 (fun _ -> adversarial_tree rand) in
+  let pass = List.length (List.filter Xml_parser.reads_back trees) in
+  check Alcotest.bool "some trees read back" true (pass > 40);
+  check Alcotest.bool "some do not" true (pass < 360)
+
+(* Trees that do not read back: the quirks a structural normalizer
+   would have to copy. *)
+let reads_back_fixed () =
+  let open Xml_tree in
+  let odd = element "ab\n" [ text "x"; text "y" ] in
+  check Alcotest.bool "tag with a newline" false (Xml_parser.reads_back odd);
+  check Alcotest.string "printed" "<ab\n>xy</ab\n>" (Xml_print.element_to_string odd);
+  let d = Xml_parser.parse_string_exn ~keep_ws:true (Xml_print.element_to_string odd) in
+  check Alcotest.bool "reads back as tag ab with one text" true
+    (Xml_tree.equal d { root = element "ab" [ text "xy" ] });
+  check Alcotest.bool "empty text" false (Xml_parser.reads_back (element "a" [ text "" ]));
+  check Alcotest.bool "adjacent texts" false
+    (Xml_parser.reads_back (element "a" [ text "x"; text "y" ]));
+  check Alcotest.bool "empty attribute name" false
+    (Xml_parser.reads_back (element ~attrs:[ attr "" "v" ] "a" []));
+  check Alcotest.bool "texts split by an element" true
+    (Xml_parser.reads_back
+       (element ~attrs:[ attr "k" "<&\"\n" ] "a" [ text " "; elem "b" []; text "\000<>" ]))
+
+(* Minor-heap words one parse allocates per source byte, on the printed
+   DBLP corpus at scale 0.05.  The tree itself needs about one word per
+   byte; scanning must not add a closure or an option per probe (the
+   scanner that did allocated 3.98 words per byte here, this one 1.26). *)
+let parse_minor_words () =
+  let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
+  let src = Xml_print.to_string corpus.doc in
+  let before = Gc.minor_words () in
+  let parsed = Xml_parser.parse_string src in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "parses" true (Result.is_ok parsed);
+  let per_byte = words /. float_of_int (String.length src) in
+  if per_byte > 1.5 then
+    Alcotest.failf "%.0f minor words for %d bytes: %.2f words per byte > 1.5" words
+      (String.length src) per_byte
+
 let fold_order () =
   let d = parse "<a><b>x</b><c><d/></c></a>" in
   let tags = ref [] in
@@ -234,6 +345,10 @@ let suite =
         tc "error positions inside runs" `Quick error_positions_in_runs;
         tc "roundtrip" `Quick roundtrip;
         tc "fold order" `Quick fold_order;
+        tc "parse minor words per byte" `Quick parse_minor_words;
+        tc "reads_back fixed cases" `Quick reads_back_fixed;
+        tc "reads_back generator covers both sides" `Quick reads_back_both_sides;
+        QCheck_alcotest.to_alcotest reads_back_prop;
         QCheck_alcotest.to_alcotest roundtrip_prop;
         QCheck_alcotest.to_alcotest parse_total_prop;
       ] );
