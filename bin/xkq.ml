@@ -88,7 +88,7 @@ let manifest_arg =
   Arg.(
     required
     & opt (some file) None
-    & info [ "index" ] ~doc:"Shard manifest (from `xkq index --shards`).")
+    & info [ "index" ] ~doc:"Shard manifest (from `xkq index`).")
 
 let chaos_arg =
   Arg.(
@@ -116,17 +116,18 @@ let shards_arg =
     & info [ "shards" ]
         ~doc:
           "Partition the corpus into N index shards.  `index` saves a shard \
-           manifest plus one segment per shard, with a per-shard size \
-           breakdown.  `search` and `batch` fan every query out to one job \
-           per shard and merge the per-shard answers in a gather step; with \
-           $(b,--index) they serve the saved partition instead.")
+           manifest plus one segment per shard (one shard by default), with \
+           a per-shard size breakdown.  `search` and `batch` fan every query \
+           out to one job per shard and merge the per-shard answers in a \
+           gather step; with $(b,--index) they serve the saved partition \
+           instead.")
 
 let replicas_arg =
   Arg.(
     value & opt positive 1
     & info [ "replicas" ]
         ~doc:
-          "Replicas per shard.  `index --shards` writes N independently \
+          "Replicas per shard.  `index` writes N independently \
            verified segment copies and loaders fall back across them on \
            corruption or IO failure; `search` and `batch` fail attempts \
            over across replicas, and a query degrades instead of failing \
@@ -149,18 +150,16 @@ let parse_corpus path =
   | Error e ->
       fail "%s: %s" path (Format.asprintf "%a" Xk_xml.Xml_parser.pp_error e)
 
-(* The one loader of every command: reload a shard manifest written by
-   `xkq index --shards`, wrap a plain `xkq index` segment as the only
-   shard, or partition in memory (`~shards:1` indexes the whole corpus
-   as one shard). *)
+(* The one loader of every command: reload the shard manifest written by
+   `xkq index`, or partition in memory (`~shards:1` indexes the whole
+   corpus as one shard). *)
 let load_sharded ?index_file ?verify_columns ~shards path =
   let t0 = Unix.gettimeofday () in
   let doc = parse_corpus path in
   let sharded =
     match index_file with
-    | Some p when Xk_index.Shard_io.is_manifest p ->
+    | Some p ->
         of_shard_io (Xk_index.Shard_io.load_result ?verify_columns doc p)
-    | Some p -> of_shard_io (Xk_index.Shard_io.load_segment doc p)
     | None -> Xk_index.Sharding.partition ~shards doc
   in
   Printf.eprintf "%s %s as %d shard(s) in %.2fs\n%!"
@@ -182,7 +181,7 @@ let remote_endpoints index_file =
           | None ->
               fail
                 "--remote: the manifest has replicas without endpoints \
-                 (rebuild with `xkq index --shards --rpc-base-port`)"))
+                 (rebuild with `xkq index --rpc-base-port`)"))
         (of_shard_io (Xk_index.Shard_io.endpoints p))
 
 (* Install a --chaos spec: its fault classes (when it names any) replace
@@ -301,55 +300,44 @@ let index_doc path out shards replicas rpc_host rpc_base_port () =
   let out_dir = Filename.dirname out in
   if not (Sys.file_exists out_dir && Sys.is_directory out_dir) then
     fail "index: output directory %s does not exist" out_dir;
-  if shards = 1 && rpc_base_port <> None then
-    fail "--rpc-base-port needs --shards (endpoints live in the manifest)";
-  if shards = 1 && replicas > 1 then
-    fail "--replicas needs --shards (replica copies live in the manifest)";
   let sharded = load_sharded ~shards path in
-  if shards = 1 then begin
-    Xk_index.Index_io.save (Xk_index.Sharding.index sharded 0) out;
-    Printf.printf "wrote %s (%.2f MB)\n" out
-      (float_of_int (Xk_index.Index_io.file_size out) /. 1048576.)
-  end
-  else begin
-    (* Endpoint layout mirrors the fleet bring-up loop: shard s replica
-       r serves on base + s*replicas + r. *)
-    let endpoints =
-      Option.map
-        (fun base ->
-          Array.init (Xk_index.Sharding.count sharded) (fun s ->
-              Array.init replicas (fun r ->
-                  (rpc_host, base + (s * replicas) + r))))
-        rpc_base_port
-    in
-    Xk_index.Shard_io.save ~replicas ?endpoints sharded out;
-    let mb b = float_of_int b /. 1048576. in
-    let total = ref (Xk_index.Index_io.file_size out) in
-    Printf.printf "wrote %s (manifest, %d shards x %d replica(s))\n" out
-      (Xk_index.Sharding.count sharded)
-      replicas;
-    Array.iteri
-      (fun s (r : Xk_index.Index_sizes.report) ->
-        let seg = Xk_index.Shard_io.segment_path out ~shard:s in
-        let bytes = Xk_index.Index_io.file_size seg in
-        for rep = 0 to replicas - 1 do
-          total :=
-            !total
-            + Xk_index.Index_io.file_size
-                (Xk_index.Shard_io.replica_path out ~shard:s ~replica:rep)
-        done;
-        let idx = Xk_index.Sharding.index sharded s in
-        Printf.printf
-          "  shard %3d: %-24s %7.2f MB, %8d nodes, %7d terms, IL %.2f MB\n" s
-          (Filename.basename seg) (mb bytes)
-          (Xk_encoding.Labeling.node_count (Xk_index.Index.label idx))
-          (Xk_index.Index.term_count idx)
-          (mb r.join_based.inverted_lists))
-      (Xk_index.Sharding.size_reports sharded);
-    Printf.printf "total on disk: %.2f MB (manifest + %d segment file(s))\n"
-      (mb !total)
-      (Xk_index.Sharding.count sharded * replicas)
-  end;
+  (* Endpoint layout mirrors the fleet bring-up loop: shard s replica r
+     serves on base + s*replicas + r. *)
+  let endpoints =
+    Option.map
+      (fun base ->
+        Array.init (Xk_index.Sharding.count sharded) (fun s ->
+            Array.init replicas (fun r ->
+                (rpc_host, base + (s * replicas) + r))))
+      rpc_base_port
+  in
+  Xk_index.Shard_io.save ~replicas ?endpoints sharded out;
+  let mb b = float_of_int b /. 1048576. in
+  let total = ref (Xk_index.Index_io.file_size out) in
+  Printf.printf "wrote %s (manifest, %d shards x %d replica(s))\n" out
+    (Xk_index.Sharding.count sharded)
+    replicas;
+  Array.iteri
+    (fun s (r : Xk_index.Index_sizes.report) ->
+      let seg = Xk_index.Shard_io.segment_path out ~shard:s in
+      let bytes = Xk_index.Index_io.file_size seg in
+      for rep = 0 to replicas - 1 do
+        total :=
+          !total
+          + Xk_index.Index_io.file_size
+              (Xk_index.Shard_io.replica_path out ~shard:s ~replica:rep)
+      done;
+      let idx = Xk_index.Sharding.index sharded s in
+      Printf.printf
+        "  shard %3d: %-24s %7.2f MB, %8d nodes, %7d terms, IL %.2f MB\n" s
+        (Filename.basename seg) (mb bytes)
+        (Xk_encoding.Labeling.node_count (Xk_index.Index.label idx))
+        (Xk_index.Index.term_count idx)
+        (mb r.join_based.inverted_lists))
+    (Xk_index.Sharding.size_reports sharded);
+  Printf.printf "total on disk: %.2f MB (manifest + %d segment file(s))\n"
+    (mb !total)
+    (Xk_index.Sharding.count sharded * replicas);
   Served
 
 let index_cmd =
@@ -374,7 +362,10 @@ let index_cmd =
              `xkq batch --remote` dials these; `xkq serve-shard` binds \
              them.")
   in
-  cmd "index" ~doc:"Build and save an index for an XML file."
+  cmd "index"
+    ~doc:
+      "Build and save an index for an XML file: a shard manifest and one \
+       segment per shard replica."
     Term.(
       const index_doc $ path_arg $ out $ shards_arg $ replicas_arg $ rpc_host
       $ rpc_base_port)
@@ -629,8 +620,7 @@ let index_arg =
     & opt (some file) None
     & info [ "index" ]
         ~doc:
-          "Saved index: a shard manifest (`xkq index --shards`), or a plain \
-           segment (`xkq index`) served as one shard.")
+          "Saved index: the shard manifest written by `xkq index`.")
 
 let remote_arg =
   Arg.(
@@ -639,7 +629,7 @@ let remote_arg =
         ~doc:
           "Serve shards from the `xkq serve-shard` fleet recorded in the \
            manifest's endpoints instead of in-process engines (needs \
-           $(b,--index) with a manifest).")
+           $(b,--index)).")
 
 let search path words semantics algo top topk_algo limit index_file explain
     shards replicas remote () =
@@ -1275,7 +1265,7 @@ let supervise_cmd =
         `S Manpage.s_description;
         `P
           "Spawns one serve-shard process per (shard, replica) endpoint \
-           recorded in the manifest (built with `xkq index --shards \
+           recorded in the manifest (built with `xkq index \
            --rpc-base-port`) and supervises the fleet: dead or unresponsive \
            servers are restarted with decorrelated-jitter backoff, \
            persistent crashers are quarantined after $(b,--flap-cap) \

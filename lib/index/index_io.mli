@@ -83,13 +83,8 @@ val refuse_retired : string -> (unit, attempt_error) result
     they start with a {!retired} magic, [Ok ()] otherwise.  The bytes
     of such a file are intact, so a re-read cannot change the outcome. *)
 
-val magics : string list
-(** The segment magics, v1 to v5 in order. *)
-
-val read_magic : known:string list -> string -> string option
-(** The file's magic if it is one of [known], read through
-    {!read_mapped} under {!retrying}.  An unknown magic is re-read (a
-    torn map of a file no longer than its magic tears the magic). *)
+val magic : string
+(** The magic of the one loadable segment generation (v5). *)
 
 val retrying :
   ?retries:int ->

@@ -9,7 +9,8 @@
    and an optional serving endpoint (presence flag, then host bytes and
    a port varint).  The retired v1 (no replica lists) and v2 (no
    endpoints) manifests are refused with a rebuild hint, by the
-   retired-magic rule the segments share ([Index_io.refuse_retired]).
+   retired-magic rule the segments share ([Index_io.refuse_retired]), and
+   so is a bare v5 segment where the manifest belongs.
    Node data lives only in the per-shard segments; reloading re-derives
    the sub-documents from the corpus and the stored assignment, so a
    manifest stays valid for exactly the document it was built from
@@ -22,13 +23,6 @@
 
 let magic = "XKSHM003"
 let version = 3
-
-(* The manifest magics, the retired ones included: a retired manifest is
-   still sniffed as a manifest, so loading it reports the rebuild hint. *)
-let magics =
-  magic
-  :: List.filter (String.starts_with ~prefix:"XKSHM")
-       (List.map fst Index_io.retired)
 
 type error =
   | Manifest of { error : Index_io.error; attempts : int }
@@ -158,17 +152,28 @@ let decode_manifest c =
 
 (* One manifest read attempt, through the same mapped read and failure
    classes as the segment reader in [Index_io]: framing anomalies are
-   retried (a torn read heals on re-read, real corruption repeats). *)
+   retried (a torn read heals on re-read, real corruption repeats).  A
+   retired manifest or segment, and a bare segment where the manifest
+   belongs, are intact files a re-read cannot make loadable, so they are
+   refused on the first attempt with the rebuild hint. *)
 let attempt_manifest path : (manifest, Index_io.attempt_error) result =
   Result.bind (Index_io.read_mapped path) (fun data ->
       Result.bind (Index_io.refuse_retired data) (fun () ->
-          match Xk_storage.Framed.check ~magic ~version data with
-          | Error e -> Error (Index_io.of_framed e)
-          | Ok { pos; len } ->
-              Xk_storage.Varint.(
-                decode ~whole:false decode_manifest
-                  (slice data ~pos ~stop:(pos + len)))
-              |> Result.map_error (fun msg -> `Fatal (Index_io.Corrupted msg))))
+          if String.starts_with ~prefix:Index_io.magic data then
+            Error
+              (`Fatal
+                 (Index_io.Corrupted
+                    "a bare v5 segment, not a shard manifest; rebuild the \
+                     index"))
+          else
+            match Xk_storage.Framed.check ~magic ~version data with
+            | Error e -> Error (Index_io.of_framed e)
+            | Ok { pos; len } ->
+                Xk_storage.Varint.(
+                  decode ~whole:false decode_manifest
+                    (slice data ~pos ~stop:(pos + len)))
+                |> Result.map_error (fun msg ->
+                       `Fatal (Index_io.Corrupted msg))))
 
 let load_manifest ?retries ?backoff_ms path =
   Index_io.retrying ?retries ?backoff_ms (fun () -> attempt_manifest path)
@@ -195,35 +200,31 @@ let load_result ?retries ?backoff_ms ?verify_columns
              })
       else
         let dir = Filename.dirname path in
+        let exception Lost of error in
         let make ~shard label ~stats =
           (* Replica fallback: try each copy in manifest order, succeed
              on the first clean load, and report every failure when the
              whole shard is lost. *)
           let rec try_replicas failures = function
             | [] ->
-                Error (Shard { shard; failures = List.rev failures })
+                raise (Lost (Shard { shard; failures = List.rev failures }))
             | file :: rest -> (
                 let full = Filename.concat dir file in
                 match
                   Index_io.load_result ~stats
                     ?retries ?backoff_ms ?verify_columns label full
                 with
-                | Ok idx -> Ok idx
+                | Ok idx -> idx
                 | Error e -> try_replicas ((full, e) :: failures) rest)
           in
           try_replicas [] (Array.to_list m.m_files.(shard))
         in
-        Sharding.build_with ~shards:m.m_shards ~assignment:m.m_assignment ~make
-          doc
-
-let load_segment (doc : Xk_xml.Xml_tree.document) path =
-  let make ~shard label ~stats =
-    Index_io.load_result ~stats label path
-    |> Result.map_error (fun e -> Shard { shard; failures = [ (path, e) ] })
-  in
-  Sharding.build_with
-    ~assignment:(Array.make (List.length doc.root.children) 0)
-    ~make doc
+        match
+          Sharding.build_with ~shards:m.m_shards ~assignment:m.m_assignment
+            ~make doc
+        with
+        | sharding -> Ok sharding
+        | exception Lost e -> Error e
 
 let replica_files path =
   let dir = Filename.dirname path in
@@ -235,8 +236,3 @@ let endpoints path = Result.map (fun m -> m.m_endpoints) (load_manifest path)
 
 let partition_spec path =
   Result.map (fun m -> (m.m_shards, m.m_assignment)) (load_manifest path)
-
-let is_manifest path =
-  match Index_io.read_magic ~known:(magics @ Index_io.magics) path with
-  | Some m -> List.mem m magics
-  | None -> false

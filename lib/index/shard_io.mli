@@ -72,12 +72,6 @@ val load_result :
     decode its postings eagerly at open ({!Index_io.load_result}), so a
     damaged replica is rejected — and fallen over — at load time. *)
 
-val load_segment :
-  Xk_xml.Xml_tree.document -> string -> (Sharding.t, error) result
-(** Wrap a plain {!Index_io} segment of [doc] (as [xkq index] writes
-    without [--shards]) as a one-shard index, so every serving path can
-    take a sharded index.  A failed load is [Shard {shard = 0; _}]. *)
-
 val replica_files : string -> (string array array, error) result
 (** The full replica paths recorded in the manifest at [path], indexed
     [shard][replica].  Chaos drivers use this to map (shard, replica)
@@ -92,11 +86,3 @@ val partition_spec : string -> (int * int array, error) result
     manifest at [path] — what a repair rebuild needs to re-partition the
     corpus exactly as the stored shards were ({!Sharding.partition}
     [~assignment]). *)
-
-val is_manifest : string -> bool
-(** Whether the file starts with a shard-manifest magic (the current
-    v3, or a retired v1 or v2, which loading refuses with a rebuild
-    hint; used by the CLI to sniff sharded vs. plain segments).  The
-    magic is read through the map with the load's retries
-    ({!Index_io.read_magic}), so a transient fault cannot send a
-    manifest to the segment loader.  False on unreadable files. *)

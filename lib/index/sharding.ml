@@ -45,8 +45,8 @@ let validate_assignment ~shards ~children (a : int array) =
 
 let build_with ?shards ~(assignment : int array) ~make
     (doc : Xk_xml.Xml_tree.document) =
-  let children = Array.of_list doc.root.children in
-  let n_children = Array.length children in
+  let sizes = Array.of_list (List.map subtree_size doc.root.children) in
+  let n_children = Array.length sizes in
   let shards =
     (* At least as many shards as the assignment names; the caller may ask
        for trailing empty shards (they index a bare root). *)
@@ -58,12 +58,25 @@ let build_with ?shards ~(assignment : int array) ~make
         max n named
   in
   validate_assignment ~shards ~children:n_children assignment;
-  let sizes = Array.map subtree_size children in
-  let global_starts = Array.make n_children 1 in
-  for j = 1 to n_children - 1 do
-    global_starts.(j) <- global_starts.(j - 1) + sizes.(j - 1)
-  done;
   let total_nodes = 1 + Array.fold_left ( + ) 0 sizes in
+  (* Subtrees are numbered in document order, globally over all of them
+     and locally over each shard's own, after the root (node 0). *)
+  let next_global = ref 1 and next_local = Array.make shards 1 in
+  let segments =
+    Array.init n_children (fun j ->
+        let s = assignment.(j) in
+        let seg =
+          {
+            seg_global_start = !next_global;
+            seg_size = sizes.(j);
+            seg_shard = s;
+            seg_local_start = next_local.(s);
+          }
+        in
+        next_global := !next_global + sizes.(j);
+        next_local.(s) <- next_local.(s) + sizes.(j);
+        seg)
+  in
   (* Corpus-global document frequency: the sum of the shards' local
      dfs, which is exact because shard node sets are disjoint.  The sum
      reads the shards' dictionaries when a list shape is first
@@ -81,74 +94,30 @@ let build_with ?shards ~(assignment : int array) ~make
     if df > 0 then df else 1
   in
   let stats = { Index.so_total_nodes = total_nodes; so_df = global_df } in
-  let segments = Array.make n_children None in
-  let exception Stop of int in
-  (* 'e is smuggled through a mutable cell so the exception stays
-     monomorphic. *)
-  let error = ref None in
   let build_shard s =
-    let local_start = ref 1 in
-    let assigned = ref [] in
-    for j = 0 to n_children - 1 do
-      if assignment.(j) = s then begin
-        segments.(j) <-
-          Some
-            {
-              seg_global_start = global_starts.(j);
-              seg_size = sizes.(j);
-              seg_shard = s;
-              seg_local_start = !local_start;
-            };
-        local_start := !local_start + sizes.(j);
-        assigned := children.(j) :: !assigned
-      end
-    done;
     let sub_root =
       {
         Xk_xml.Xml_tree.tag = doc.root.tag;
         attrs = (if s = 0 then doc.root.attrs else []);
-        children = List.rev !assigned;
+        children =
+          List.filteri (fun j _ -> assignment.(j) = s) doc.root.children;
       }
     in
     let label = Xk_encoding.Labeling.label { Xk_xml.Xml_tree.root = sub_root } in
-    match make ~shard:s label ~stats with
-    | Error e ->
-        error := Some e;
-        raise (Stop s)
-    | Ok idx ->
-        let to_global = Array.make (Xk_encoding.Labeling.node_count label) 0 in
-        for j = 0 to n_children - 1 do
-          match segments.(j) with
-          | Some seg when seg.seg_shard = s ->
-              for i = 0 to seg.seg_size - 1 do
-                to_global.(seg.seg_local_start + i) <- seg.seg_global_start + i
-              done
-          | _ -> ()
-        done;
-        { sh_index = idx; sh_to_global = to_global }
+    let idx = make ~shard:s label ~stats in
+    let to_global = Array.make (Xk_encoding.Labeling.node_count label) 0 in
+    Array.iter
+      (fun seg ->
+        if seg.seg_shard = s then
+          for i = 0 to seg.seg_size - 1 do
+            to_global.(seg.seg_local_start + i) <- seg.seg_global_start + i
+          done)
+      segments;
+    { sh_index = idx; sh_to_global = to_global }
   in
-  match Array.init shards build_shard with
-  | exception Stop _ -> (
-      match !error with
-      | Some e -> Error e
-      | None ->
-          Xk_util.Err.unreachable "Sharding.build_with: Stop without error")
-  | shards ->
-      built := shards;
-      Ok
-        {
-          shards;
-          assignment;
-          total_nodes;
-          segments =
-            Array.map
-              (function
-                | Some seg -> seg
-                | None ->
-                    Xk_util.Err.unreachable
-                      "Sharding.build_with: segment left unfilled")
-              segments;
-        }
+  let shards = Array.init shards build_shard in
+  built := shards;
+  { shards; assignment; total_nodes; segments }
 
 let partition ?cache_capacity ?assignment ~shards
     (doc : Xk_xml.Xml_tree.document) =
@@ -161,13 +130,8 @@ let partition ?cache_capacity ?assignment ~shards
         Array.copy a
     | None -> Array.init n_children (fun i -> i mod shards)
   in
-  let make ~shard:_ label ~stats =
-    Ok (Index.build ?cache_capacity ~stats label)
-  in
-  match build_with ~shards ~assignment ~make doc with
-  | Error (_ : unit) ->
-      Xk_util.Err.unreachable "Sharding.partition: infallible make failed"
-  | Ok t -> t
+  build_with ~shards ~assignment doc ~make:(fun ~shard:_ label ~stats ->
+      Index.build ?cache_capacity ~stats label)
 
 let count t = Array.length t.shards
 let index t s = t.shards.(s).sh_index
@@ -211,67 +175,74 @@ type root_summary = {
 (* The join algorithms reach the root having erased exactly the rows that
    sit inside a subtree containing every query keyword (matches are
    upward-closed below the root, so any erased row's own top-level
-   subtree is keyword-complete).  One pass over the keyword lists
-   therefore reconstructs the root's evidence: group occurrences by
-   top-level subtree, find the keyword-complete subtrees, and take
-   per-keyword maxima of the root-damped contributions over all rows
-   ([rs_best_all]) and over the un-erased rows ([rs_best_free]). *)
+   subtree is keyword-complete).  A list's level-2 column already groups
+   its rows by top-level subtree: one run per subtree that holds the
+   keyword, valued by the subtree's JDewey number, and no entry for the
+   root's own rows.  So the keyword-complete subtrees are the values
+   every keyword's level-2 column holds, and one pass over each list
+   takes the per-keyword maxima of the root-damped contributions over
+   all rows ([rs_best_all]) and over the rows outside the complete
+   subtrees' runs ([rs_best_free]). *)
+let no_runs = Column.of_arrays ~values:[||] ~starts:[||] ~counts:[||]
+
+let top_level jl =
+  if Jlist.max_len jl >= 2 then Jlist.column jl ~level:2 else no_runs
+
 let root_summary ?(budget = Xk_resilience.Budget.unlimited) t ~shard words =
   let idx = index t shard in
-  let lab = Index.label idx in
   let damping = Index.damping idx in
-  let nw = List.length words in
-  let ids = Array.of_list (List.map (Index.term_id idx) words) in
+  let lists =
+    Array.of_list
+      (List.map
+         (fun w ->
+           Option.map
+             (fun id ->
+               let jl = Index.jlist idx id in
+               (jl, top_level jl))
+             (Index.term_id idx w))
+         words)
+  in
+  let nw = Array.length lists in
   let best_all = Array.make nw neg_infinity in
   let best_free = Array.make nw neg_infinity in
-  let coverage : (int, bool array) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i id ->
-      match id with
-      | None -> ()
-      | Some id ->
-          let jl = Index.jlist idx id in
-          for r = 0 to Jlist.length jl - 1 do
-            Xk_resilience.Budget.check budget;
-            match Xk_encoding.Labeling.ancestor_at lab (Jlist.node jl r) ~depth:2 with
-            | None -> () (* an occurrence at the root itself *)
-            | Some top ->
-                let mask =
-                  match Hashtbl.find_opt coverage top with
-                  | Some m -> m
-                  | None ->
-                      let m = Array.make nw false in
-                      Hashtbl.add coverage top m;
-                      m
-                in
-                mask.(i) <- true
-          done)
-    ids;
-  let complete mask = Array.for_all Fun.id mask in
-  let full_subtree =
-    nw > 0 && Hashtbl.fold (fun _ m acc -> acc || complete m) coverage false
+  (* No subtree is complete when a keyword is absent from the shard. *)
+  let complete =
+    match List.filter_map (Option.map snd) (Array.to_list lists) with
+    | first :: rest when List.length rest = nw - 1 ->
+        List.filter
+          (fun v -> List.for_all (fun col -> Column.find col v >= 0) rest)
+          (List.init (Column.num_runs first) (Column.value first))
+    | _ -> []
   in
   Array.iteri
-    (fun i id ->
-      match id with
+    (fun i -> function
       | None -> ()
-      | Some id ->
-          let jl = Index.jlist idx id in
-          for r = 0 to Jlist.length jl - 1 do
-            Xk_resilience.Budget.check budget;
-            let damped =
-              Jlist.score jl r
-              *. Xk_score.Damping.apply damping (Jlist.row_len jl r - 1)
-            in
-            if damped > best_all.(i) then best_all.(i) <- damped;
-            let free =
-              match
-                Xk_encoding.Labeling.ancestor_at lab (Jlist.node jl r) ~depth:2
-              with
-              | None -> true
-              | Some top -> not (complete (Hashtbl.find coverage top))
-            in
-            if free && damped > best_free.(i) then best_free.(i) <- damped
-          done)
-    ids;
-  { rs_best_all = best_all; rs_best_free = best_free; rs_full_subtree = full_subtree }
+      | Some (jl, col) ->
+          let inside = Array.make (Column.num_runs col) false in
+          List.iter (fun v -> inside.(Column.find col v) <- true) complete;
+          let scan lo hi ~free =
+            for r = lo to hi - 1 do
+              Xk_resilience.Budget.check budget;
+              let damped =
+                Jlist.score jl r
+                *. Xk_score.Damping.apply damping (Jlist.row_len jl r - 1)
+              in
+              if damped > best_all.(i) then best_all.(i) <- damped;
+              if free && damped > best_free.(i) then best_free.(i) <- damped
+            done
+          in
+          (* Rows outside every run are the root's own: always free. *)
+          let row = ref 0 in
+          for k = 0 to Column.num_runs col - 1 do
+            let start = Column.start col k in
+            scan !row start ~free:true;
+            row := start + Column.count col k;
+            scan start !row ~free:(not inside.(k))
+          done;
+          scan !row (Jlist.length jl) ~free:true)
+    lists;
+  {
+    rs_best_all = best_all;
+    rs_best_free = best_free;
+    rs_full_subtree = complete <> [];
+  }

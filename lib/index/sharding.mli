@@ -40,16 +40,16 @@ val build_with :
     (shard:int ->
     Xk_encoding.Labeling.t ->
     stats:Index.stats_override ->
-    (Index.t, 'e) result) ->
+    Index.t) ->
   Xk_xml.Xml_tree.document ->
-  (t, 'e) result
+  t
 (** Generalized constructor: [make] produces each shard's index from its
     sub-document labeling and the corpus-global statistics override
     (built fresh or loaded from a segment — see {!Shard_io}).  [shards]
     may exceed what the assignment names (trailing shards index a bare
-    root).  Stops at the first error.  The [stats] handed to [make]
-    resolve document frequencies lazily, so they are valid only once
-    [build_with] returns. *)
+    root).  An exception from [make] stops the build and propagates.
+    The [stats] handed to [make] resolve document frequencies lazily, so
+    they are valid only once [build_with] returns. *)
 
 val count : t -> int
 (** Number of shards (some may hold no subtrees). *)
@@ -96,6 +96,8 @@ type root_summary = {
 
 val root_summary :
   ?budget:Xk_resilience.Budget.t -> t -> shard:int -> string list -> root_summary
-(** One pass over the shard's inverted lists of the given keywords
-    (matching is case-insensitive, as in the engine).  Polls [budget] and
+(** Computed from the level-2 columns of the shard's cached JDewey lists
+    of the given keywords (their runs group each list's rows by
+    top-level subtree) and one pass over each list's rows; matching is
+    case-insensitive, as in the engine.  Polls [budget] once per row and
     raises [Xk_resilience.Budget.Expired] on expiry. *)

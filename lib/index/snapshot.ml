@@ -42,28 +42,26 @@ let build ~root_tag ~root_attrs ~lsn groups =
   let make ~shard labeling ~stats =
     let built () = Index.build ~stats labeling in
     match groups.(shard).g_index with
-    | None -> Ok (built ())
+    | None -> built ()
     | Some path -> (
         match Index_io.load_result ~stats labeling path with
-        | Ok idx -> Ok idx
+        | Ok idx -> idx
         | Error (_ : Index_io.load_error) ->
             (* a damaged saved segment costs a rebuild, not a failed
                snapshot: the subtrees are the source of truth *)
             Atomic.incr rebuilt;
-            Ok (built ()))
+            built ())
   in
-  match
+  let sharding =
     Sharding.build_with ~shards:(Array.length groups) ~assignment ~make doc
-  with
-  | Ok sharding ->
-      {
-        sn_lsn = lsn;
-        sn_doc = doc;
-        sn_doc_ids = doc_ids;
-        sn_sharding = sharding;
-        sn_rebuilt = Atomic.get rebuilt;
-      }
-  | Error () -> Xk_util.Err.unreachable "Snapshot.build: make never fails"
+  in
+  {
+    sn_lsn = lsn;
+    sn_doc = doc;
+    sn_doc_ids = doc_ids;
+    sn_sharding = sharding;
+    sn_rebuilt = Atomic.get rebuilt;
+  }
 
 let lsn t = t.sn_lsn
 let document t = t.sn_doc

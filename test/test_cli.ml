@@ -133,10 +133,23 @@ let user_errors () =
         [ "search"; corpus; "xml"; "--shards"; "0" ];
       expect dir ~want:124 "--replicas 0"
         [ "index"; corpus; "--out"; idx; "--shards"; "2"; "--replicas"; "0" ];
-      expect dir ~want:1 ~says:"--replicas needs --shards"
+      (* Every index is a manifest, so a one-shard index carries
+         replicas like any other. *)
+      expect dir ~want:0 ~says:"1 shards x 3 replica(s)"
         "--replicas without --shards"
         [ "index"; corpus; "--out"; idx; "--replicas"; "3" ];
-      check Alcotest.bool "no segment written" false (Sys.file_exists idx);
+      check Alcotest.bool "third replica written" true
+        (Sys.file_exists
+           (Xk_index.Shard_io.replica_path idx ~shard:0 ~replica:2));
+      (* A bare segment where the manifest belongs is refused on the
+         first read: a retried one would end "(after 5 attempts)". *)
+      expect dir ~want:1
+        ~says:"a bare v5 segment, not a shard manifest; rebuild the index\n"
+        "1: bare segment as --index"
+        [
+          "search"; corpus; "xml"; "--index";
+          Xk_index.Shard_io.segment_path idx ~shard:0;
+        ];
       expect dir ~want:124 "--slice 0"
         [ "heal"; "--index"; corpus; "--slice"; "0" ];
       expect dir ~want:1 "negative --hedge-ms"

@@ -116,17 +116,21 @@ let batch_equivalence () =
   check_one_shard "partitioned in memory" ~expected
     (Xk_index.Sharding.partition ~shards:1 doc)
     reqs;
-  (* A plain saved segment, wrapped as the only shard. *)
+  (* A saved one-shard manifest, loaded back. *)
   let path = Filename.temp_file "xk_exec" ".idx" in
+  let seg = Xk_index.Shard_io.segment_path path ~shard:0 in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; seg ])
     (fun () ->
-      Xk_index.Index_io.save (Xk_core.Engine.index eng) path;
-      match Xk_index.Shard_io.load_segment doc path with
+      Xk_index.Shard_io.save (Xk_index.Sharding.partition ~shards:1 doc) path;
+      match Xk_index.Shard_io.load_result doc path with
       | Error e ->
-          Alcotest.failf "load_segment: %s"
-            (Xk_index.Shard_io.error_message e)
-      | Ok sharding -> check_one_shard "plain segment" ~expected sharding reqs);
+          Alcotest.failf "load_result: %s" (Xk_index.Shard_io.error_message e)
+      | Ok sharding ->
+          check_one_shard "one-shard manifest" ~expected sharding reqs);
   (* Corpora whose K-th and (K+1)-th hits tie on score: the engine's own
      choice among the tied hits must come through unchanged. *)
   List.iter

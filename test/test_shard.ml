@@ -224,6 +224,85 @@ let partial_prefix_prop =
 
 (* --- Node numbering -------------------------------------------------- *)
 
+(* [Sharding.root_summary] reads each list's level-2 column; the
+   reference groups rows through [ancestor_at] and a table.  Both must
+   agree to the bit on every shard, including keywords absent from a
+   shard or from the corpus, a keyword that occurs only on the root
+   (a root attribute, which shard 0 alone indexes), a case-folded word
+   and a repeated word.  A zero-tick budget must expire as soon as a
+   keyword has a row in the shard: remote budget propagation relies on
+   that poll. *)
+let root_summary_prop =
+  QCheck.Test.make ~count:150
+    ~name:"root_summary = ancestor_at reference (exact)"
+    QCheck.(triple (int_bound 1_000_000) small_nat bool)
+    (fun (seed, shards_raw, root_attr) ->
+      let shards = 1 + (shards_raw mod 4) in
+      let doc = Tutil.random_doc seed in
+      let doc =
+        if root_attr then
+          {
+            Xk_xml.Xml_tree.root =
+              {
+                doc.root with
+                attrs = [ Xk_xml.Xml_tree.attr "a" "kwroot kw1" ];
+              };
+          }
+        else doc
+      in
+      let sharded = Xk_index.Sharding.partition ~shards doc in
+      let rng = Xk_datagen.Rng.create (seed + 31) in
+      let queries =
+        [
+          [];
+          Tutil.random_query rng ~k:1 ~alphabet:6;
+          Tutil.random_query rng ~k:2 ~alphabet:6;
+          Tutil.random_query rng ~k:3 ~alphabet:6;
+          [ "kwroot" ];
+          [ "kwroot"; "kw1" ];
+          [ "KW0"; "kw2"; "kw0" ];
+          [ "kw1"; "kw1" ];
+          [ "kw0"; "kw1"; "kw2"; "kw3" ];
+        ]
+      in
+      let bits a = Array.map Int64.bits_of_float a in
+      let same (a : Xk_index.Sharding.root_summary)
+          (b : Xk_index.Sharding.root_summary) =
+        bits a.rs_best_all = bits b.rs_best_all
+        && bits a.rs_best_free = bits b.rs_best_free
+        && a.rs_full_subtree = b.rs_full_subtree
+      in
+      List.for_all
+        (fun shard ->
+          let idx = Xk_index.Sharding.index sharded shard in
+          List.for_all
+            (fun words ->
+              let name =
+                Printf.sprintf "shard %d [%s]" shard (String.concat " " words)
+              in
+              (same
+                 (Xk_index.Sharding.root_summary sharded ~shard words)
+                 (Tutil.root_summary_reference sharded ~shard words)
+              || QCheck.Test.fail_reportf "%s: summaries differ" name)
+              &&
+              let has_rows =
+                List.exists
+                  (fun w -> Xk_index.Index.term_id idx w <> None)
+                  words
+              in
+              match
+                Xk_index.Sharding.root_summary
+                  ~budget:(Xk_resilience.Budget.create ~ticks:0 ())
+                  sharded ~shard words
+              with
+              | exception Xk_resilience.Budget.Expired -> has_rows
+              | (_ : Xk_index.Sharding.root_summary) ->
+                  (not has_rows)
+                  || QCheck.Test.fail_reportf
+                       "%s: a zero-tick budget did not expire" name)
+            queries)
+        (List.init shards Fun.id))
+
 let mapping_roundtrip () =
   List.iter
     (fun (seed, shards) ->
@@ -333,11 +412,6 @@ let shard_io_roundtrip () =
   with_tmpdir (fun dir ->
       let path = Filename.concat dir "corpus.shards" in
       Xk_index.Shard_io.save sharded path;
-      check Alcotest.bool "manifest sniffs as manifest" true
-        (Xk_index.Shard_io.is_manifest path);
-      check Alcotest.bool "segment does not sniff as manifest" false
-        (Xk_index.Shard_io.is_manifest
-           (Xk_index.Shard_io.segment_path path ~shard:0));
       let reloaded =
         match Xk_index.Shard_io.load_result doc path with
         | Ok s -> s
@@ -407,8 +481,6 @@ let shard_io_failures () =
       let oc = open_out_bin path in
       output_string oc "not a manifest at all";
       close_out oc;
-      check Alcotest.bool "garbage is not a manifest" false
-        (Xk_index.Shard_io.is_manifest path);
       match Xk_index.Shard_io.load_result doc path with
       | Error (Xk_index.Shard_io.Manifest { error = Corrupted _; _ }) -> ()
       | Error e ->
@@ -668,8 +740,6 @@ let shard_io_replicas () =
       let oc = open_out_bin legacy in
       output_string oc "XKSHM001";
       close_out oc;
-      check Alcotest.bool "retired magic still sniffs as manifest" true
-        (Xk_index.Shard_io.is_manifest legacy);
       match Xk_index.Shard_io.load_result doc legacy with
       | Error (Xk_index.Shard_io.Manifest { error = Corrupted msg; _ }) ->
           check Alcotest.bool "retired error says to rebuild" true
@@ -711,9 +781,8 @@ let fixture_doc =
         ];
   }
 
-(* Each retired manifest still sniffs as a manifest and is refused on
-   the first attempt with the rebuild hint, though the segments it names
-   are intact. *)
+(* Each retired manifest is refused on the first attempt with the
+   rebuild hint, though the segments it names are intact. *)
 let shard_io_legacy_fixtures () =
   Xk_resilience.Chaos.configure Xk_resilience.Chaos.no_faults;
   Fun.protect ~finally:Xk_resilience.Chaos.reset @@ fun () ->
@@ -727,10 +796,6 @@ let shard_io_legacy_fixtures () =
       List.iter
         (fun (version, bytes) ->
           write_file path bytes;
-          check Alcotest.bool
-            (Printf.sprintf "v%d sniffs as manifest" version)
-            true
-            (Xk_index.Shard_io.is_manifest path);
           match Xk_index.Shard_io.load_result ~backoff_ms:0. fixture_doc path with
           | Error (Xk_index.Shard_io.Manifest { error = Corrupted msg; attempts = 1 }) ->
               check Alcotest.string
@@ -840,6 +905,7 @@ let suite =
         tc "root edge cases" `Quick root_edge_cases;
         tc "aggregated stats" `Quick cache_aggregate;
         tc "admission control" `Quick admission;
+        QCheck_alcotest.to_alcotest root_summary_prop;
       ] );
     ( "shard.io",
       [

@@ -188,3 +188,73 @@ module Ref_labeling = struct
         match t.nodes.(a).xml with Xk_xml.Xml_tree.Element e -> Some e | Text _ -> None)
       (chain t i)
 end
+
+(* The reference [Xk_index.Sharding.root_summary] must match, bit for
+   bit: group every keyword's rows by top-level subtree through
+   [Labeling.ancestor_at] and a table of per-keyword coverage masks, then
+   take the per-keyword maxima of the root-damped contributions over all
+   rows and over the rows outside keyword-complete subtrees. *)
+let root_summary_reference sharding ~shard words :
+    Xk_index.Sharding.root_summary =
+  let idx = Xk_index.Sharding.index sharding shard in
+  let lab = Xk_index.Index.label idx in
+  let damping = Xk_index.Index.damping idx in
+  let nw = List.length words in
+  let ids = Array.of_list (List.map (Xk_index.Index.term_id idx) words) in
+  let best_all = Array.make nw neg_infinity in
+  let best_free = Array.make nw neg_infinity in
+  let coverage : (int, bool array) Hashtbl.t = Hashtbl.create 64 in
+  let top jl r =
+    Xk_encoding.Labeling.ancestor_at lab (Xk_index.Jlist.node jl r) ~depth:2
+  in
+  Array.iteri
+    (fun i id ->
+      Option.iter
+        (fun id ->
+          let jl = Xk_index.Index.jlist idx id in
+          for r = 0 to Xk_index.Jlist.length jl - 1 do
+            Option.iter
+              (fun top ->
+                let mask =
+                  match Hashtbl.find_opt coverage top with
+                  | Some m -> m
+                  | None ->
+                      let m = Array.make nw false in
+                      Hashtbl.add coverage top m;
+                      m
+                in
+                mask.(i) <- true)
+              (top jl r)
+          done)
+        id)
+    ids;
+  let complete mask = Array.for_all Fun.id mask in
+  let full_subtree =
+    nw > 0 && Hashtbl.fold (fun _ m acc -> acc || complete m) coverage false
+  in
+  Array.iteri
+    (fun i id ->
+      Option.iter
+        (fun id ->
+          let jl = Xk_index.Index.jlist idx id in
+          for r = 0 to Xk_index.Jlist.length jl - 1 do
+            let damped =
+              Xk_index.Jlist.score jl r
+              *. Xk_score.Damping.apply damping
+                   (Xk_index.Jlist.row_len jl r - 1)
+            in
+            if damped > best_all.(i) then best_all.(i) <- damped;
+            let free =
+              match top jl r with
+              | None -> true
+              | Some top -> not (complete (Hashtbl.find coverage top))
+            in
+            if free && damped > best_free.(i) then best_free.(i) <- damped
+          done)
+        id)
+    ids;
+  {
+    rs_best_all = best_all;
+    rs_best_free = best_free;
+    rs_full_subtree = full_subtree;
+  }
