@@ -9,22 +9,28 @@
    else in [t] is immutable after construction (the dictionary is only
    written during build). *)
 
-(* The one row source.  A zero-copy segment (Index_io v5) decodes a
-   term's rows from mapped postings on first use instead of materializing
-   the whole postings file at open; [build] hands over the arrays it
-   holds (callers never mutate rows).  [pv_rows] must be safe
-   to call from any domain and may raise the segment's typed fault
-   exception; the per-shape caches above it make repeated query access
-   cheap. *)
+(* The one term and row source.  A zero-copy segment (Index_io v6)
+   looks a term up in its mapped, front-coded term region and decodes a
+   term's rows from mapped postings on first use, instead of building a
+   dictionary or materializing the postings at open; [build] hands over
+   the dictionary and arrays it holds (callers never mutate rows).  Every
+   function must be safe to call from any domain; [pv_rows] may raise the
+   segment's typed fault exception, and the per-shape caches above it
+   make repeated query access cheap. *)
 type provider = {
   pv_terms : int;
+  pv_term : int -> string;
+  pv_find : string -> int option;
   pv_row_count : int -> int;
   pv_rows : int -> int array * int array;
 }
 
-let of_arrays nodes tfs =
+let of_arrays dict nodes tfs =
   {
     pv_terms = Array.length nodes;
+    pv_term = Xk_text.Dictionary.term dict;
+    pv_find =
+      (fun w -> Xk_text.Dictionary.find_folded dict w ~pos:0 ~len:(String.length w));
     pv_row_count = (fun id -> Array.length nodes.(id));
     pv_rows = (fun id -> (nodes.(id), tfs.(id)));
   }
@@ -41,7 +47,6 @@ type stats_override = { so_total_nodes : int; so_df : string -> int }
 
 type t = {
   label : Xk_encoding.Labeling.t;
-  dict : Xk_text.Dictionary.t;
   rows : provider;
   scorer : Xk_score.Scorer.t;
   df_override : (string -> int) option;
@@ -64,11 +69,10 @@ let scorer_for ?stats label =
   in
   Xk_score.Scorer.make ~total_nodes
 
-let make ?(cache_capacity = default_cache_capacity) ?stats ~dict label rows =
+let make ?(cache_capacity = default_cache_capacity) ?stats label rows =
   let jcache, pcache, scache = make_caches cache_capacity in
   {
     label;
-    dict;
     rows;
     scorer = scorer_for ?stats label;
     df_override = Option.map (fun s -> s.so_df) stats;
@@ -126,8 +130,7 @@ let build ?cache_capacity ?stats (label : Xk_encoding.Labeling.t) =
         Ibuf.push row_terms id;
         Ibuf.push row_nodes i;
         Ibuf.push row_tfs tf;
-        Xk_text.Dictionary.bump_df dict id;
-        Xk_text.Dictionary.bump_cf dict id tf)
+        Xk_text.Dictionary.bump_df dict id)
       !seen;
     seen := []
   done;
@@ -144,19 +147,13 @@ let build ?cache_capacity ?stats (label : Xk_encoding.Labeling.t) =
     tfs.(id).(k) <- Ibuf.get row_tfs r;
     fill.(id) <- k + 1
   done;
-  make ?cache_capacity ?stats ~dict label (of_arrays nodes tfs)
+  make ?cache_capacity ?stats label (of_arrays dict nodes tfs)
 
-(* Wrap a lazy rows source (a mapped segment).  The caller supplies the
-   dictionary already interned in term-id order with its statistics set
-   from the segment directory: that is what makes open cost proportional
-   to the dictionary, not to the postings. *)
-let of_provider ?stats ~dict (label : Xk_encoding.Labeling.t) (pv : provider) =
-  if Xk_text.Dictionary.size dict <> pv.pv_terms then
-    Xk_util.Err.invalid "Index.of_provider: dictionary/provider size mismatch";
-  make ?stats ~dict label pv
+(* Wrap a lazy term and rows source (a mapped segment), which builds no
+   dictionary and decodes no posting up front. *)
+let of_provider ?stats label (pv : provider) = make ?stats label pv
 
 let label t = t.label
-let dict t = t.dict
 let damping _ = Xk_score.Damping.default
 let term_count t = t.rows.pv_terms
 
@@ -165,8 +162,8 @@ let term_count t = t.rows.pv_terms
    whole-dictionary sweeps pay streaming decode. *)
 let raw_rows t id = t.rows.pv_rows id
 
-let term_id t w = Xk_text.Dictionary.find_folded t.dict w ~pos:0 ~len:(String.length w)
-let term t id = Xk_text.Dictionary.term t.dict id
+let term_id t w = t.rows.pv_find w
+let term t id = t.rows.pv_term id
 
 let df t id = t.rows.pv_row_count id
 
@@ -178,7 +175,7 @@ let scores_of_raw t id (nodes, tfs) =
   let df =
     match t.df_override with
     | None -> Array.length nodes
-    | Some df -> df (Xk_text.Dictionary.term t.dict id)
+    | Some df -> df (term t id)
   in
   Array.map (fun tf -> Xk_score.Scorer.local_score t.scorer ~tf ~df) tfs
 

@@ -1,4 +1,4 @@
-(** The corpus index: dictionary plus raw postings, with the
+(** The corpus index: terms plus raw postings, with the
     algorithm-specific list shapes (Dewey postings, JDewey column lists,
     score-ordered lists) materialized per term on demand and cached.
 
@@ -35,30 +35,27 @@ val build :
 
 type provider = {
   pv_terms : int;  (** number of terms; ids are [0 .. pv_terms - 1] *)
+  pv_term : int -> string;  (** the term of an id *)
+  pv_find : string -> int option;
+      (** the id of a word, ASCII case folded; [None] when absent *)
   pv_row_count : int -> int;  (** posting-list length of a term, O(1) *)
   pv_rows : int -> int array * int array;
       (** decode a term's (nodes, tfs) rows.  Must be callable from any
           domain (pure decoding of immutable bytes); may raise the
           segment's typed fault exception on lazily-detected corruption. *)
 }
-(** The one row source of every index.  A zero-copy segment
-    ({!Index_io} v5) decodes a term's rows from mapped postings on first
-    use instead of materializing every posting at open; {!build} hands
-    over the arrays it holds. *)
+(** The one term and row source of every index.  {!build} wraps the
+    dictionary and arrays it holds, with term ids in first-seen order.  A
+    zero-copy segment ({!Index_io} v6) numbers its terms in byte order,
+    looks a word up in its mapped front-coded term region and decodes a
+    term's rows from mapped postings on first use, so its open builds no
+    dictionary and materializes no posting.  Every function must be
+    callable from any domain. *)
 
-val of_provider :
-  ?stats:stats_override ->
-  dict:Xk_text.Dictionary.t ->
-  Xk_encoding.Labeling.t ->
-  provider ->
-  t
-(** Wrap a lazy rows source.  [dict] must already be interned in term-id
-    order with per-term statistics set (the v5 loader reads them from the
-    segment directory); raises [Invalid_argument] if its size differs
-    from [pv_terms]. *)
+val of_provider : ?stats:stats_override -> Xk_encoding.Labeling.t -> provider -> t
+(** Wrap a lazy term and rows source. *)
 
 val label : t -> Xk_encoding.Labeling.t
-val dict : t -> Xk_text.Dictionary.t
 val damping : t -> Xk_score.Damping.t
 (** The depth damping of every score: {!Xk_score.Damping.default}. *)
 
@@ -95,4 +92,6 @@ val term_ids_exn : t -> string list -> int list
 (** Ids for query words; raises [Invalid_argument] on unknown keywords. *)
 
 val terms_by_df : t -> int array
-(** All term ids, most frequent first. *)
+(** All term ids, most frequent first; ties keep id order, so they
+    follow first sight in a fresh {!build} and byte order in an opened
+    segment. *)

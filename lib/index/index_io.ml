@@ -1,11 +1,15 @@
-(* Index persistence: the v5 ("XKIDX005") compressed zero-copy segment,
+(* Index persistence: the v6 ("XKIDX006") compressed zero-copy segment,
    the one loadable generation.  Four parts back to back, no padding,
    every byte under a CRC-32:
 
      header    fixed 72 bytes: magic, version u32, then u64 node count,
                term count, total rows, terms/postings/directory lengths,
                terms_crc u32, dir_crc u32, header_crc u32 (over itself)
-     terms     all term bytes concatenated in id order     [terms_crc]
+     terms     the terms in byte order, front-coded in blocks of 16: a
+               block's first entry (its restart) is varint length and
+               bytes, every other entry varint shared-prefix length,
+               varint suffix length and the suffix; then one u32 per
+               block, the offset of its restart entry    [terms_crc]
      postings  per term: node ids as delta varints (first id absolute),
                then, only when cf <> df, the tf exceptions: a varint
                count, then per row whose tf is above 1 a varint pair
@@ -13,20 +17,24 @@
                                                       [its block's CRC]
      dir       one u32 CRC per block of 64 consecutive term ids, over
                the block's postings back to back; then per term varint
-               term_len, df, cf - df, postings_len           [dir_crc]
+               df, cf - df, postings_len                     [dir_crc]
 
-   The directory's postings lengths tile the postings region exactly, so
-   the block CRCs cover it byte for byte.  cf = df means every tf is 1
-   (a tf is at least 1), which is why most terms store no tf section at
-   all, and the rows that are not listed as exceptions have tf 1.
+   A term's id is its rank in byte order.  Every shared prefix is the
+   longest one, so an entry's first suffix byte is where it passes its
+   predecessor: the open checks strict byte order entry by entry, and a
+   lookup binary-searches the restarts and scans one block.  The
+   directory's postings lengths tile the postings region exactly, so the
+   block CRCs cover it byte for byte.  cf = df means every tf is 1 (a tf
+   is at least 1), which is why most terms store no tf section at all,
+   and the rows that are not listed as exceptions have tf 1.
 
    Opening a segment maps the file, verifies the header, terms and
-   directory checksums, decodes the directory in one pass, interns the
-   dictionary from it (statistics come from the directory, not from
-   counting rows), and hands {!Index.of_provider} a lazy row decoder: a
-   term's rows are decoded from the mapped postings on first use, and
-   the first decode of any term of a block verifies that block's CRC
-   once.  Open cost is O(dictionary), not O(postings).
+   directory checksums, checks the term region's structure and order in
+   one pass, decodes the directory in one pass (statistics come from the
+   directory, not from counting rows), and hands {!Index.of_provider} the
+   term region and a lazy row decoder: a term's rows are decoded from
+   the mapped postings on first use, and the first decode of any term of
+   a block verifies that block's CRC once.  No dictionary is built.
 
    Every read attempt maps the file once ({!Xk_storage.Mmap.map}) and
    reads the magic from the map.  The map is also where storage faults
@@ -34,7 +42,7 @@
    other durable file is read through [read_mapped] and [retrying] too.
 
    Every earlier generation of both index file kinds is retired: the
-   v1-v4 segments and the v1-v2 shard manifests ({!Shard_io}).  One rule
+   v1-v5 segments and the v1-v2 shard manifests ({!Shard_io}).  One rule
    ([retired], [refuse_retired]) refuses a file whose magic names one, on
    the first attempt, with a rebuild hint; every reader of a segment
    recovers by rebuilding it (the live store re-seals it at open,
@@ -42,7 +50,7 @@
    corpus).
 
    The read path classifies failures (truncation vs. corruption vs.
-   transient IO) and retries the transient class — injected IO faults,
+   transient IO) and retries the transient class - injected IO faults,
    and checksum mismatches, which a re-read distinguishes from media
    corruption (a torn read heals, a corrupt file does not).  Structural
    errors found after a covering checksum verified are fatal: the bytes
@@ -51,7 +59,8 @@
    Saving goes through a temp file + rename, so a crashed writer never
    leaves a half-written segment under the live name. *)
 
-let magic = "XKIDX005"
+let magic = "XKIDX006"
+let version = 6
 
 (* The retired generations of both index file kinds, by magic. *)
 let retired =
@@ -60,6 +69,7 @@ let retired =
     ("XKIDX002", "v2 segment");
     ("XKIDX003", "v3 segment");
     ("XKIDX004", "v4 segment");
+    ("XKIDX005", "v5 segment");
     ("XKSHM001", "v1 manifest");
     ("XKSHM002", "v2 manifest");
   ]
@@ -71,27 +81,34 @@ type error =
 
 type load_error = { error : error; attempts : int }
 
-let error_message = function
-  | Truncated msg -> "truncated segment: " ^ msg
-  | Corrupted msg -> "corrupted segment: " ^ msg
+let error_message ?(kind = "segment") = function
+  | Truncated msg -> Printf.sprintf "truncated %s: %s" kind msg
+  | Corrupted msg -> Printf.sprintf "corrupted %s: %s" kind msg
   | Io_failed msg -> "io error: " ^ msg
 
-let load_error_message { error; attempts } =
+let load_error_message ?kind { error; attempts } =
   if attempts > 1 then
-    Printf.sprintf "%s (after %d attempts)" (error_message error) attempts
-  else error_message error
+    Printf.sprintf "%s (after %d attempts)" (error_message ?kind error) attempts
+  else error_message ?kind error
 
 exception Segment_fault of string
-(* Raised by the lazy v5 row decoder (see the .mli). *)
+(* Raised by the lazy v6 row decoder (see the .mli). *)
 
 (* ------------------------------------------------------------------ *)
-(* v5 writer (compressed segment)                                     *)
+(* v6 writer (compressed segment)                                     *)
 (* ------------------------------------------------------------------ *)
 
 let header_size = 72
 
 (* Terms per postings checksum block. *)
 let block_terms = 64
+
+(* Terms per front-coding block of the term region: each block starts
+   with a whole term, its restart. *)
+let restart_terms = 16
+
+let restarts n = (n + restart_terms - 1) / restart_terms
+let blocks n = (n + block_terms - 1) / block_terms
 
 (* The region geometry follows from the header's three lengths: the
    regions sit back to back behind the header. *)
@@ -127,16 +144,51 @@ let write_tf_exceptions buf tfs =
       end)
     tfs
 
+(* Length of the longest common prefix of [a] and [b]. *)
+let common_prefix a b =
+  let n = min (String.length a) (String.length b) in
+  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
+  go 0
+
+(* The term region of terms already in strict byte order: the
+   front-coded entries, then the restart table. *)
+let write_terms sorted =
+  let entries = Buffer.create 4096 in
+  let table = Buffer.create (4 * restarts (Array.length sorted)) in
+  Array.iteri
+    (fun k term ->
+      if k mod restart_terms = 0 then begin
+        add_u32 table (Buffer.length entries);
+        Xk_storage.Varint.write entries (String.length term);
+        Buffer.add_string entries term
+      end
+      else begin
+        let shared = common_prefix sorted.(k - 1) term in
+        Xk_storage.Varint.write entries shared;
+        Xk_storage.Varint.write entries (String.length term - shared);
+        Buffer.add_substring entries term shared (String.length term - shared)
+      end)
+    sorted;
+  Buffer.add_buffer entries table;
+  Buffer.contents entries
+
 let save (idx : Index.t) path =
   let term_count = Index.term_count idx in
-  let terms = Buffer.create 4096 in
+  let by_id = Array.init term_count (Index.term idx) in
+  let order = Array.init term_count Fun.id in
+  Array.stable_sort (fun a b -> String.compare by_id.(a) by_id.(b)) order;
+  let sorted = Array.map (Array.get by_id) order in
+  for k = 1 to term_count - 1 do
+    if String.equal sorted.(k - 1) sorted.(k) then
+      Xk_util.Err.invalidf "Index_io.save: duplicate term %S" sorted.(k)
+  done;
   let postings = Buffer.create 65536 in
   let crcs = Buffer.create (4 * (term_count / block_terms + 1)) in
-  let entries = Buffer.create (6 * term_count) in
+  let entries = Buffer.create (4 * term_count) in
   let block_start = ref 0 and total_rows = ref 0 in
   for id = 0 to term_count - 1 do
-    let term = Index.term idx id in
-    let nodes, tfs = Index.raw_rows idx id in
+    let term = sorted.(id) in
+    let nodes, tfs = Index.raw_rows idx order.(id) in
     let df = Array.length nodes in
     if Array.exists (fun tf -> tf < 1) tfs then
       Xk_util.Err.invalidf "Index_io.save: term %S has a tf below 1" term;
@@ -149,8 +201,6 @@ let save (idx : Index.t) path =
         prev := n)
       nodes;
     if cf <> df then write_tf_exceptions postings tfs;
-    Buffer.add_string terms term;
-    Xk_storage.Varint.write entries (String.length term);
     Xk_storage.Varint.write entries df;
     Xk_storage.Varint.write entries (cf - df);
     Xk_storage.Varint.write entries (Buffer.length postings - start);
@@ -162,11 +212,11 @@ let save (idx : Index.t) path =
       block_start := Buffer.length postings
     end
   done;
-  let terms = Buffer.contents terms
+  let terms = write_terms sorted
   and dir = Buffer.contents crcs ^ Buffer.contents entries in
   let header = Buffer.create header_size in
   Buffer.add_string header magic;
-  add_u32 header 5;
+  add_u32 header version;
   add_u64 header (Xk_encoding.Labeling.node_count (Index.label idx));
   add_u64 header term_count;
   add_u64 header !total_rows;
@@ -219,7 +269,7 @@ let refuse_retired data =
   | None -> Ok ()
 
 (* ------------------------------------------------------------------ *)
-(* v5 reader                                                          *)
+(* v6 reader                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Every region is read by copying it out of the map, and each checksum
@@ -247,13 +297,14 @@ let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
    a [size]-byte file; returns the geometry and the header bytes, which
    carry the terms and directory checksums. *)
 let parse_header ~size h : layout * string =
-  if size < header_size then bad_trunc "shorter than the v5 header";
+  if size < header_size then bad_trunc "shorter than the v6 header";
   if Xk_storage.Crc32.sub h ~pos:0 ~len:(header_size - 4) <> u32_at h 68 then
     bad_crc "header checksum mismatch";
   (* The header is authentic past this point: every further anomaly is
      structural, not a torn read. *)
   let v = u32_at h 8 in
-  if v <> 5 then bad_struct (Printf.sprintf "v5 magic but version %d" v);
+  if v <> version then
+    bad_struct (Printf.sprintf "v%d magic but version %d" version v);
   let u64 pos =
     let v = String.get_int64_le h pos in
     if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0
@@ -285,10 +336,13 @@ let parse_header ~size h : layout * string =
     bad_struct
       (Printf.sprintf "%d trailing bytes after the directory"
          (size - lay.file_size));
-  (* A directory entry takes at least 4 bytes and a posting row at least
-     one, which bounds every array the open allocates by the file. *)
-  if lay.term_count > dir_len / 4 then
-    bad_struct "term count exceeds what the directory can hold";
+  (* A directory entry takes at least 3 bytes, each block of them a
+     4-byte CRC, and a posting row at least one byte, which bounds every
+     array the open allocates by the file. *)
+  if
+    lay.term_count > dir_len / 3
+    || (3 * lay.term_count) + (4 * blocks lay.term_count) > dir_len
+  then bad_struct "term count exceeds what the directory can hold";
   if lay.total_rows > postings_len then
     bad_struct "row count exceeds what the postings can hold";
   (lay, h)
@@ -297,15 +351,15 @@ let map_header m =
   let size = Xk_storage.Mmap.size m in
   parse_header ~size (Xk_storage.Mmap.sub_string m ~pos:0 ~len:(min size header_size))
 
-(* Decoded v5 directory plus the map it indexes into: the persistent
-   state behind the lazy row provider. *)
+(* The checked v6 term region and decoded directory, plus the map the
+   postings are read from: the persistent state behind the lazy term and
+   row provider. *)
 type segment = {
   sg_path : string;
   sg_map : Xk_storage.Mmap.t;
   sg_lay : layout;
-  sg_terms : string;  (* the CRC-verified terms region, copied out *)
-  sg_term_offs : int array;  (* into [sg_terms] *)
-  sg_term_lens : int array;
+  sg_terms : string;  (* the checked term region, copied out *)
+  sg_table : int;  (* offset of the restart table in [sg_terms] *)
   sg_post_offs : int array;  (* file offsets *)
   sg_post_lens : int array;
   sg_dfs : int array;
@@ -317,11 +371,71 @@ type segment = {
   sg_verified : Bytes.t;
 }
 
-let blocks n = (n + block_terms - 1) / block_terms
+(* Check the term region of [n] terms in one pass: the restart table
+   fits and names exactly the offset of each block's first entry, every
+   entry lies inside the entries, every shared prefix is at most the
+   previous term and every term sorts strictly after it, and the entries
+   end where the table starts.  Returns the table's offset.  The
+   previous term lives in one scratch buffer, grown to the longest term;
+   nothing is allocated per term. *)
+let check_terms terms n =
+  let fail msg = bad_struct ("term region: " ^ msg) in
+  let table = String.length terms - (4 * restarts n) in
+  if table < 0 then fail "restart table longer than the region";
+  let c = Xk_storage.Varint.slice terms ~pos:0 ~stop:table in
+  let prev = ref (Bytes.create 64) and prev_len = ref 0 in
+  let keep ~at ~pos ~len =
+    if at + len > Bytes.length !prev then begin
+      let grown = Bytes.create (2 * (at + len)) in
+      Bytes.blit !prev 0 grown 0 at;
+      prev := grown
+    end;
+    Bytes.blit_string terms pos !prev at len;
+    prev_len := at + len
+  in
+  (try
+     for id = 0 to n - 1 do
+       if id mod restart_terms = 0 then begin
+         if u32_at terms (table + (4 * (id / restart_terms))) <> c.pos then
+           fail (Printf.sprintf "restart %d disagrees with the entries" (id / restart_terms));
+         let len = Xk_storage.Varint.read c in
+         let pos = c.pos in
+         Xk_storage.Varint.skip c len;
+         (* Strictly after the previous term: greater at the first
+            difference, or longer with it as a prefix. *)
+         if id > 0 then begin
+           let m = min len !prev_len in
+           let rec diff i =
+             if i = m then Int.compare len !prev_len
+             else
+               let d = Char.compare terms.[pos + i] (Bytes.get !prev i) in
+               if d <> 0 then d else diff (i + 1)
+           in
+           if diff 0 <= 0 then fail (Printf.sprintf "term %d out of byte order" id)
+         end;
+         keep ~at:0 ~pos ~len
+       end
+       else begin
+         let shared = Xk_storage.Varint.read c in
+         let len = Xk_storage.Varint.read c in
+         let pos = c.pos in
+         Xk_storage.Varint.skip c len;
+         if shared > !prev_len then
+           fail (Printf.sprintf "term %d shares more than the previous term" id);
+         (* The shared prefix is the longest one, so the first suffix
+            byte is where the term passes the previous one. *)
+         if len = 0 || (shared < !prev_len && terms.[pos] <= Bytes.get !prev shared)
+         then fail (Printf.sprintf "term %d out of byte order" id);
+         keep ~at:shared ~pos ~len
+       end
+     done
+   with Xk_storage.Varint.Malformed msg -> fail msg);
+  if c.pos <> table then fail "entries do not end at the restart table";
+  table
 
 (* Decode the directory in one pass into per-term arrays.  The entries
-   must tile the terms region, the postings region and the row count
-   exactly: any overlap, gap or overhang is structural corruption. *)
+   must tile the postings region and the row count exactly: any overlap,
+   gap or overhang is structural corruption. *)
 let parse_dir path m ((lay, h) : layout * string) : segment =
   let dir = Xk_storage.Mmap.sub_string m ~pos:lay.dir_off ~len:lay.dir_len in
   if Xk_storage.Crc32.string dir <> u32_at h 64 then
@@ -330,13 +444,11 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
   if Xk_storage.Crc32.string terms <> u32_at h 60 then
     bad_crc "terms-region checksum mismatch";
   let n = lay.term_count in
-  (* The header bounds [n] by a quarter of the directory, which keeps
-     the block CRCs inside it. *)
+  let table = check_terms terms n in
+  (* The header keeps the block CRCs inside the directory. *)
   let nblocks = blocks n in
   let block_crcs = Array.init nblocks (fun b -> u32_at dir (4 * b)) in
-  let term_offs = Array.make n 0
-  and term_lens = Array.make n 0
-  and post_offs = Array.make n 0
+  let post_offs = Array.make n 0
   and post_lens = Array.make n 0
   and dfs = Array.make n 0
   and cfs = Array.make n 0 in
@@ -344,16 +456,13 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
   let fail msg =
     bad_struct (Printf.sprintf "directory entry %d: %s" !entry msg)
   in
-  let next_term = ref 0 and next_post = ref lay.postings_off and rows = ref 0 in
+  let next_post = ref lay.postings_off and rows = ref 0 in
   (try
      for id = 0 to n - 1 do
        entry := id;
-       let term_len = Xk_storage.Varint.read c in
        let df = Xk_storage.Varint.read c in
        let extra = Xk_storage.Varint.read c in
        let post_len = Xk_storage.Varint.read c in
-       if term_len > lay.terms_len - !next_term then
-         fail "term bytes overhang the terms region";
        if post_len > lay.dir_off - !next_post then
          fail "postings overhang the postings region";
        (* Each node id takes a byte at least; a tf section at least three
@@ -362,20 +471,15 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
          fail "more rows than postings bytes";
        if df = 0 && extra > 0 then fail "tfs without rows";
        if extra > max_int - df then fail "cf overflows";
-       term_offs.(id) <- !next_term;
-       term_lens.(id) <- term_len;
        post_offs.(id) <- !next_post;
        post_lens.(id) <- post_len;
        dfs.(id) <- df;
        cfs.(id) <- df + extra;
-       next_term := !next_term + term_len;
        next_post := !next_post + post_len;
        rows := !rows + df
      done
    with Xk_storage.Varint.Malformed msg -> fail msg);
   if c.pos <> lay.dir_len then bad_struct "trailing bytes in the directory";
-  if !next_term <> lay.terms_len then
-    bad_struct "directory does not cover the terms region";
   if !next_post <> lay.dir_off then
     bad_struct "directory does not cover the postings region";
   if !rows <> lay.total_rows then
@@ -385,8 +489,7 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
     sg_map = m;
     sg_lay = lay;
     sg_terms = terms;
-    sg_term_offs = term_offs;
-    sg_term_lens = term_lens;
+    sg_table = table;
     sg_post_offs = post_offs;
     sg_post_lens = post_lens;
     sg_dfs = dfs;
@@ -394,6 +497,93 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
     sg_block_crcs = block_crcs;
     sg_verified = Bytes.make (max 1 nblocks) '\000';
   }
+
+(* The restart entry of front-coding block [r]: a cursor just past its
+   bytes, their offset and their length. *)
+let restart sg r =
+  let c =
+    Xk_storage.Varint.cursor_at sg.sg_terms (u32_at sg.sg_terms (sg.sg_table + (4 * r)))
+  in
+  let len = Xk_storage.Varint.read c in
+  let pos = c.pos in
+  Xk_storage.Varint.skip c len;
+  (c, pos, len)
+
+(* The term of id [id]: its block's restart, then the block's entries up
+   to [id], each keeping its shared prefix of the one before. *)
+let term_of sg id =
+  let r = id / restart_terms in
+  let c, pos, len = restart sg r in
+  let b = Buffer.create (2 * len) in
+  Buffer.add_substring b sg.sg_terms pos len;
+  for _ = (r * restart_terms) + 1 to id do
+    let shared = Xk_storage.Varint.read c in
+    let len = Xk_storage.Varint.read c in
+    Buffer.truncate b shared;
+    Buffer.add_substring b sg.sg_terms c.pos len;
+    Xk_storage.Varint.skip c len
+  done;
+  Buffer.contents b
+
+(* Length of the common prefix of [w] from [from] and the [len] bytes of
+   the term region at [pos]. *)
+let common sg w ~from ~pos ~len =
+  let n = min (String.length w - from) len in
+  let rec go i =
+    if i < n && w.[from + i] = sg.sg_terms.[pos + i] then go (i + 1) else i
+  in
+  go 0
+
+(* The id of word [w], ASCII case folded: binary search for the last
+   block whose restart is at most [w], then one scan of that block.  The
+   scan carries [m], the prefix [w] shares with the entry before, which
+   sorts before [w]: an entry sharing more of that entry also sorts
+   before [w], one sharing less sorts after it, and only one sharing
+   exactly [m] bytes is compared, from byte [m] on. *)
+let find_term sg w =
+  let w = String.lowercase_ascii w in
+  let n = sg.sg_lay.term_count in
+  (* [w] against the restart of block [r]: their common prefix, and
+     whether [w] sorts before, at or after it. *)
+  let against r =
+    let _, pos, len = restart sg r in
+    let k = common sg w ~from:0 ~pos ~len in
+    let order =
+      if k < len && k < String.length w then Char.compare w.[k] sg.sg_terms.[pos + k]
+      else Int.compare (String.length w) len
+    in
+    (k, order)
+  in
+  let rec search lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if snd (against mid) >= 0 then search mid hi else search lo mid
+  in
+  if n = 0 || snd (against 0) < 0 then None
+  else
+    let r = search 0 (restarts n) in
+    let c, _, _ = restart sg r in
+    let last = min n ((r + 1) * restart_terms) - 1 in
+    let rec scan id m =
+      if id > last then None
+      else
+        let shared = Xk_storage.Varint.read c in
+        let len = Xk_storage.Varint.read c in
+        let pos = c.pos in
+        Xk_storage.Varint.skip c len;
+        if shared > m then scan (id + 1) m
+        else if shared < m then None
+        else
+          let k = common sg w ~from:m ~pos ~len in
+          if k = len && m + k = String.length w then Some id
+          else if k < len && (m + k = String.length w || w.[m + k] < sg.sg_terms.[pos + k])
+          then None
+          else scan (id + 1) (m + k)
+    in
+    match against r with
+    | _, 0 -> Some (r * restart_terms)
+    | m, _ -> scan ((r * restart_terms) + 1) m
 
 (* Copy block [b]'s postings out of the map, check them against the
    block's CRC and mark the block verified.  Returns the copy and its
@@ -470,19 +660,6 @@ let decode_rows sg id =
       (Xk_storage.Mmap.sub_string sg.sg_map ~pos:base ~len:sg.sg_post_lens.(id))
       ~base
 
-(* Intern the dictionary in id order with the directory's statistics:
-   this — not row decoding — is the open-time cost of a v5 segment. *)
-let dict_of_segment sg =
-  let dict = Xk_text.Dictionary.create ~size:sg.sg_lay.term_count () in
-  for id = 0 to sg.sg_lay.term_count - 1 do
-    let term = String.sub sg.sg_terms sg.sg_term_offs.(id) sg.sg_term_lens.(id) in
-    let got = Xk_text.Dictionary.intern dict term in
-    if got <> id then
-      bad_struct (Printf.sprintf "duplicate term in directory (id %d)" id);
-    Xk_text.Dictionary.set_stats dict id ~df:sg.sg_dfs.(id) ~cf:sg.sg_cfs.(id)
-  done;
-  dict
-
 (* Full verification of a parsed segment: every block's CRC holds and
    every term decodes from the checked copy. *)
 let decode_all sg =
@@ -493,8 +670,7 @@ let decode_all sg =
     done
   done
 
-let open_v5 ?stats ~verify_columns label path m :
-    Index.t =
+let open_v6 ?stats ~verify_columns label path m : Index.t =
   let ((lay, _) as header) = map_header m in
   if lay.node_count <> Xk_encoding.Labeling.node_count label then
     bad_struct
@@ -503,11 +679,12 @@ let open_v5 ?stats ~verify_columns label path m :
          (Xk_encoding.Labeling.node_count label));
   let sg = parse_dir path m header in
   if verify_columns then decode_all sg;
-  let dict = dict_of_segment sg in
   let fault msg = raise (Segment_fault (Printf.sprintf "%s: %s" path msg)) in
   let provider : Index.provider =
     {
       pv_terms = lay.term_count;
+      pv_term = term_of sg;
+      pv_find = find_term sg;
       pv_row_count = (fun id -> sg.sg_dfs.(id));
       pv_rows =
         (fun id ->
@@ -516,7 +693,7 @@ let open_v5 ?stats ~verify_columns label path m :
           | Xk_storage.Mmap.Fault e -> fault (Xk_storage.Mmap.error_message e));
     }
   in
-  Index.of_provider ?stats ~dict label provider
+  Index.of_provider ?stats label provider
 
 (* ------------------------------------------------------------------ *)
 (* Attempts, retry policy, public API                                 *)
@@ -558,17 +735,16 @@ let check_magic m =
 let map_contents m = Xk_storage.Mmap.sub_string m ~pos:0 ~len:(Xk_storage.Mmap.size m)
 
 (* The map is closed once copied: a caller may truncate the file next. *)
-let read_mapped ?len path =
+let read_mapped path =
   with_map path (fun m ->
-      let len = min (Xk_storage.Mmap.size m) (Option.value len ~default:max_int) in
-      let data = Xk_storage.Mmap.sub_string m ~pos:0 ~len in
+      let data = map_contents m in
       Xk_storage.Mmap.close m;
       Ok data)
 
 let attempt ?stats ~verify_columns label path =
   with_map path (fun m ->
       Result.map
-        (fun () -> open_v5 ?stats ~verify_columns label path m)
+        (fun () -> open_v6 ?stats ~verify_columns label path m)
         (check_magic m))
 
 let retryable = function
@@ -607,30 +783,13 @@ let read_verified ?retries ?backoff_ms path =
       with_map path (fun m ->
           Result.map (fun () -> map_contents m) (verified path m)))
 
-(* Introspection for tests and benches: how big is a file, which
-   generation is it, and where do a segment's regions live (so a
-   drill can corrupt a specific region with surgical precision). *)
+(* Introspection for tests and benches: how big is a file, and where do
+   a segment's regions live (so a drill can corrupt a specific region
+   with surgical precision). *)
 let file_size path =
   try (Unix.stat path).Unix.st_size
   with Unix.Unix_error (e, _, _) ->
     raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-
-let magics =
-  List.filter (String.starts_with ~prefix:"XKIDX") (List.map fst retired)
-  @ [ magic ]
-
-(* A torn map of a file no longer than its magic tears the magic itself,
-   so an unknown magic is re-read before it is believed. *)
-let read_magic ~known path =
-  retrying (fun () ->
-      Result.bind (read_mapped ~len:(String.length magic) path) (fun m ->
-          if List.mem m known then Ok m
-          else Error (`Suspect (Corrupted "unknown magic"))))
-  |> Result.to_option
-
-let format_version path =
-  Option.bind (read_magic ~known:magics path) (fun m ->
-      List.find_index (String.equal m) magics |> Option.map succ)
 
 let layout path =
   retrying (fun () ->

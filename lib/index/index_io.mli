@@ -1,24 +1,30 @@
-(** Fault-tolerant index persistence: the v5 ("XKIDX005") compressed
+(** Fault-tolerant index persistence: the v6 ("XKIDX006") compressed
     zero-copy segment, the one loadable generation.
 
-    A segment is a fixed 72-byte header with its own CRC-32, the
-    concatenated term bytes, the postings (per term, node ids as delta
-    varints, then only when the term's cf differs from its df a sparse
-    tf section: a varint count and a (position gap, tf - 2) varint pair
-    per row whose tf is above 1) and a directory (one u32 CRC-32 per
-    block of 64 consecutive term ids, over that block's postings, then
-    per term varint term length, df, cf - df and postings length), back
-    to back with no padding, so every byte is under a checksum.  Loading
-    memory-maps the file ({!Xk_storage.Mmap}), verifies the header,
-    terms and directory checksums, interns the dictionary from the
-    directory (statistics included — no posting is touched), and decodes
-    a term's rows lazily from the mapped postings on first access; the
+    A segment is a fixed 72-byte header with its own CRC-32, the term
+    region (the terms in byte order, front-coded in blocks of 16 - a
+    block's first term whole, every other as its shared-prefix length
+    with the term before and the rest - then a table of each block's
+    offset), the postings (per term, node ids as delta varints, then
+    only when the term's cf differs from its df a sparse tf section: a
+    varint count and a (position gap, tf - 2) varint pair per row whose
+    tf is above 1) and a directory (one u32 CRC-32 per block of 64
+    consecutive term ids, over that block's postings, then per term
+    varint df, cf - df and postings length), back to back with no
+    padding, so every byte is under a checksum.  A term's id is its rank
+    in byte order.  Loading memory-maps the file ({!Xk_storage.Mmap}),
+    verifies the header, terms and directory checksums, checks the term
+    region's structure and strict byte order in one pass, decodes the
+    directory (statistics included - no posting is touched) and hands
+    {!Index.of_provider} the term region, where a lookup binary-searches
+    the block heads and scans one block, and a lazy row decoder; the
     first decode of any term of a block verifies that block's checksum
-    once.  Open cost is O(dictionary); the kernel pages postings in on
-    demand.  Scores are bit-identical to a fresh {!Index.build}: both
-    feed the same (tf, df) integers to the same scorer.
+    once.  No dictionary is built: open cost is one pass over the terms
+    and the directory, and the kernel pages postings in on demand.
+    Scores are bit-identical to a fresh {!Index.build}: both feed the
+    same (tf, df) integers to the same scorer.
 
-    Every earlier generation is retired: a v1–v4 segment, like a v1–v2
+    Every earlier generation is retired: a v1-v5 segment, like a v1-v2
     shard manifest ({!Shard_io}), is refused by one rule
     ({!refuse_retired}) as {!Corrupted} with a message asking for a
     rebuild, on the first attempt.
@@ -29,10 +35,10 @@
     {!read_mapped} and {!retrying} are the read path of every other
     durable file too.
 
-    Reads classify their failures — {!Truncated} (the file ends before
+    Reads classify their failures - {!Truncated} (the file ends before
     the declared layout), {!Corrupted} (bad magic, version, checksum or
     structure, or a retired generation), {!Io_failed} (an injected
-    transient IO failure, or a file that cannot be mapped) — and the
+    transient IO failure, or a file that cannot be mapped) - and the
     transient class, plus checksum mismatches and header anomalies
     (either can be a torn read, which a re-read heals), is retried with
     exponential backoff before an error is reported.  Structural
@@ -55,17 +61,19 @@ type load_error = { error : error; attempts : int }
     exhausted retry budget is distinguishable from a first-try
     permanent failure. *)
 
-val error_message : error -> string
+val error_message : ?kind:string -> error -> string
+(** The error, naming the file by [kind] (default ["segment"]):
+    ["corrupted manifest: ..."] for a shard manifest. *)
 
 type attempt_error =
   [ `Transient of string | `Crc of string | `Suspect of error | `Fatal of error ]
 (** The outcome classes of one read attempt, before the retry policy:
     every class but [`Fatal] is retried. *)
 
-val read_mapped : ?len:int -> string -> (string, attempt_error) result
+val read_mapped : string -> (string, attempt_error) result
 (** One read attempt through {!Xk_storage.Mmap.map}, classified like
-    a segment read: a copy of the file (or of its first [len] bytes)
-    from a map closed before this returns, so the caller may truncate
+    a segment read: a copy of the file from a map closed before this
+    returns, so the caller may truncate
     the file.  Every durable file but a segment is read this way. *)
 
 val of_framed : Xk_storage.Framed.error -> attempt_error
@@ -84,7 +92,7 @@ val refuse_retired : string -> (unit, attempt_error) result
     of such a file are intact, so a re-read cannot change the outcome. *)
 
 val magic : string
-(** The magic of the one loadable segment generation (v5). *)
+(** The magic of the one loadable segment generation (v6). *)
 
 val retrying :
   ?retries:int ->
@@ -95,10 +103,11 @@ val retrying :
     every class but [`Fatal] is retried, up to [retries] (default 4)
     times with exponential backoff from [backoff_ms] (default 1.0). *)
 
-val load_error_message : load_error -> string
+val load_error_message : ?kind:string -> load_error -> string
+(** {!error_message}, with the attempt count when there was a retry. *)
 
 exception Segment_fault of string
-(** Raised by the {e lazy} v5 row decoder: the checksum of a term's
+(** Raised by the {e lazy} v6 row decoder: the checksum of a term's
     block fails (every term of that block faults, every other term
     still decodes), its postings do not decode (a varint runs past the
     slice, node ids are not strictly increasing or reach the node count,
@@ -110,9 +119,12 @@ exception Segment_fault of string
     failure. *)
 
 val save : Index.t -> string -> unit
-(** Write a v5 segment durably and atomically: temp file, fsync,
-    rename, directory fsync ({!Xk_storage.Durable}).  Raises
-    [Invalid_argument] if a term frequency is below 1. *)
+(** Write a v6 segment durably and atomically: temp file, fsync,
+    rename, directory fsync ({!Xk_storage.Durable}).  The terms are
+    written in byte order, so an opened segment's term ids are their
+    ranks in that order, whatever ids [idx] gave them.  Raises
+    [Invalid_argument] if a term frequency is below 1 or a term occurs
+    twice. *)
 
 val load_result :
   ?stats:Index.stats_override ->
@@ -134,9 +146,10 @@ val load_result :
 
 val verify : ?retries:int -> ?backoff_ms:float -> string -> (unit, load_error) result
 (** Check a segment without building an index, and {e fully} —
-    header, terms and directory checksums, the exact file size, every
-    block checksum and every term's postings structure — since the lazy
-    load path deliberately defers the postings checks.  Same retry
+    header, terms and directory checksums, the exact file size, the term
+    region's structure and order, every block checksum and every term's
+    postings structure — since the lazy load path deliberately defers
+    the postings checks.  Same retry
     policy as {!load_result}.  Replica writers run this after each copy
     so a damaged replica is caught at save time, not at failover time. *)
 
@@ -152,11 +165,6 @@ val file_size : string -> int
 (** Size of the file in bytes; raises [Sys_error] if it cannot be
     stat'ed. *)
 
-val format_version : string -> int option
-(** Generation of the segment at a path, from its magic: [Some 1] to
-    [4] (retired, no longer loadable) or [5], or [None] for an
-    unrecognized, missing or unreadable file. *)
-
 type layout = {
   node_count : int;
   term_count : int;
@@ -169,10 +177,10 @@ type layout = {
   dir_len : int;
   file_size : int;  (** header + the three region lengths *)
 }
-(** Region geometry of a v5 segment: the header, then the terms,
+(** Region geometry of a v6 segment: the header, then the terms,
     postings and directory regions back to back.  Exposed so a fault
     drill can corrupt one specific region. *)
 
 val layout : string -> (layout, error) result
-(** Parse and verify a v5 header, returning its geometry; [Io_failed]
+(** Parse and verify a v6 header, returning its geometry; [Io_failed]
     if the file cannot be read. *)

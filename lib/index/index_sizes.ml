@@ -65,7 +65,9 @@ let sparse_size_of_jlist jl =
   !total
 
 let report (idx : Index.t) =
-  let dict_bytes = Xk_text.Dictionary.approx_bytes (Index.dict idx) in
+  (* The dictionary's footprint: per term its bytes, a length byte and
+     the two frequencies. *)
+  let dict_bytes = ref 0 in
   let join_il = ref 0
   and join_sparse = ref 0
   and stack_il = ref 0
@@ -73,6 +75,7 @@ let report (idx : Index.t) =
   let postings_for_btree = ref [] in
   let terms = Index.term_count idx in
   for id = 0 to terms - 1 do
+    dict_bytes := !dict_bytes + String.length (Index.term idx id) + 1 + 8;
     if Index.df idx id > 0 then begin
       (* Build the shapes without going through the per-term caches: this
          pass runs over the whole dictionary, so lists are discarded
@@ -97,10 +100,10 @@ let report (idx : Index.t) =
   let rdil_btrees = Xk_storage.Btree_sim.per_list_btree_size !postings_for_btree in
   {
     join_based =
-      { inverted_lists = !join_il + dict_bytes; auxiliary = !join_sparse };
-    stack_based = { inverted_lists = !stack_il + dict_bytes; auxiliary = 0 };
+      { inverted_lists = !join_il + !dict_bytes; auxiliary = !join_sparse };
+    stack_based = { inverted_lists = !stack_il + !dict_bytes; auxiliary = 0 };
     index_based = { inverted_lists = btree; auxiliary = 0 };
     topk_join =
-      { inverted_lists = !topk_il + dict_bytes; auxiliary = !join_sparse };
-    rdil = { inverted_lists = !stack_il + dict_bytes; auxiliary = rdil_btrees };
+      { inverted_lists = !topk_il + !dict_bytes; auxiliary = !join_sparse };
+    rdil = { inverted_lists = !stack_il + !dict_bytes; auxiliary = rdil_btrees };
   }

@@ -1,6 +1,6 @@
 (* Term dictionary: interns term strings to dense integer ids and tracks
-   collection statistics (document frequency = number of nodes directly
-   containing the term; collection frequency = total occurrences).
+   each term's document frequency (the number of nodes directly
+   containing it).
 
    The id table is open addressing with linear probing, kept at most half
    full.  Each slot is two ints of [slots], the key's hash and its id + 1
@@ -14,7 +14,6 @@ type t = {
   mutable slots : int array; (* 2 * capacity: hash, id + 1 *)
   mutable terms : string array;
   mutable dfs : int array;
-  mutable cfs : int array;
   mutable len : int;
 }
 
@@ -22,15 +21,14 @@ let pow2_at_least n =
   let rec go c = if c >= n then c else go (2 * c) in
   go 16
 
-(* [size] presizes the table and arrays: a segment loader knows the
-   exact term count and skips every rehash and growth copy. *)
+(* [size] presizes the table and arrays: a caller that knows the exact
+   term count skips every rehash and growth copy. *)
 let create ?(size = 1024) () =
   let size = max 16 size in
   {
     slots = Array.make (2 * pow2_at_least (2 * size)) 0;
     terms = Array.make size "";
     dfs = Array.make size 0;
-    cfs = Array.make size 0;
     len = 0;
   }
 
@@ -77,7 +75,6 @@ let grow t =
   in
   t.terms <- extend t.terms "";
   t.dfs <- extend t.dfs 0;
-  t.cfs <- extend t.cfs 0;
   let old = t.slots in
   let slots = Array.make (2 * Array.length old) 0 in
   let mask = Array.length slots - 1 in
@@ -127,26 +124,9 @@ let find_folded t s ~pos ~len = find_at ~fold:true t s pos len
 let term t id = t.terms.(id)
 let size t = t.len
 let df t id = t.dfs.(id)
-let cf t id = t.cfs.(id)
 let bump_df t id = t.dfs.(id) <- t.dfs.(id) + 1
-let bump_cf t id n = t.cfs.(id) <- t.cfs.(id) + n
-
-(* Bulk form for loaders that know the statistics up front (the v5
-   segment directory): O(1) instead of one bump per posting row. *)
-let set_stats t id ~df ~cf =
-  t.dfs.(id) <- df;
-  t.cfs.(id) <- cf
 
 let iter t f =
   for id = 0 to t.len - 1 do
     f id t.terms.(id)
   done
-
-(* Serialized footprint of the dictionary itself (term bytes + statistics),
-   counted into every index flavour's size in Table I. *)
-let approx_bytes t =
-  let b = ref 0 in
-  for id = 0 to t.len - 1 do
-    b := !b + String.length t.terms.(id) + 1 + 8
-  done;
-  !b

@@ -1,17 +1,15 @@
 (** Term dictionary: interns terms to dense ids and tracks per-term document
-    frequency (nodes directly containing the term) and collection frequency
-    (total occurrences). *)
+    frequency (nodes directly containing the term). *)
 
 type t
 
 val create : ?size:int -> unit -> t
-(** [size] presizes the table for a known term count (segment loaders),
-    avoiding every rehash and growth copy during bulk interning. *)
+(** [size] presizes the table for a known term count (a fixed word
+    list), avoiding every rehash and growth copy during bulk interning. *)
 
 val intern : t -> string -> int
 (** Id of a term, allocating a fresh id on first sight.  Ids are dense
-    and in first-seen order; bytes are compared exactly (no folding), as
-    segment loaders need. *)
+    and in first-seen order; bytes are compared exactly (no folding). *)
 
 val find : t -> string -> int option
 (** Id of a term, comparing bytes exactly. *)
@@ -30,16 +28,7 @@ val term : t -> int -> string
 val size : t -> int
 
 val df : t -> int -> int
-val cf : t -> int -> int
 val bump_df : t -> int -> unit
-val bump_cf : t -> int -> int -> unit
-
-val set_stats : t -> int -> df:int -> cf:int -> unit
-(** Set both frequencies of a term at once; used by segment loaders that
-    read the statistics from a directory instead of counting rows. *)
 
 val iter : t -> (int -> string -> unit) -> unit
 
-val approx_bytes : t -> int
-(** Serialized footprint (term bytes + statistics), used by the index-size
-    accounting. *)

@@ -142,9 +142,12 @@ let user_errors () =
         (Sys.file_exists
            (Xk_index.Shard_io.replica_path idx ~shard:0 ~replica:2));
       (* A bare segment where the manifest belongs is refused on the
-         first read: a retried one would end "(after 5 attempts)". *)
+         first read (a retried one would end "(after 5 attempts)"), as a
+         corrupted manifest, not a corrupted segment. *)
       expect dir ~want:1
-        ~says:"a bare v5 segment, not a shard manifest; rebuild the index\n"
+        ~says:
+          "xkq: corrupted manifest: a bare v6 segment, not a shard \
+           manifest; rebuild the index\n"
         "1: bare segment as --index"
         [
           "search"; corpus; "xml"; "--index";

@@ -1,7 +1,7 @@
 (* The shared frame codec ([Xk_storage.Framed]): its verdicts, the
    fixed inputs that once raised or decoded to a value no encoder
    writes, one never-raise property over every framed decoder (the
-   durable files, the v5 segment and the RPC frames with their [Wire]
+   durable files, the v6 segment and the RPC frames with their [Wire]
    payloads), and fault drills for the durable reads that go through
    the mapped read path ([Index_io.read_mapped]), where [Chaos] injects
    storage faults. *)
@@ -226,6 +226,115 @@ let fixed_query_varints () =
   malformed "12-byte shard" query_long_shard;
   malformed "9-byte negative ticks" query_negative_ticks
 
+(* --- Damaged v6 term regions ------------------------------------------ *)
+
+(* Twenty words sharing prefixes: two front-coding blocks of the term
+   region ("kw0", "kw1", "kw10" .. "kw19", "kw2" .. "kw9"). *)
+let terms_doc =
+  {
+    Tree.root =
+      Tree.element "lib"
+        (List.init 20 (fun i -> Tree.elem "w" [ Tree.text (Printf.sprintf "kw%d" i) ]));
+  }
+
+let terms_doc_words =
+  List.sort compare (List.init 20 (Printf.sprintf "kw%d"))
+
+(* A term region written out as the format specifies it: per block of
+   16 a restart (length, bytes), every other term as (longest shared
+   prefix with the term before, suffix), then each block's offset.
+   [entry] may rewrite the bytes of one entry, [table] the offsets. *)
+let term_region ?(entry = fun _ e -> e) ?(table = Fun.id) terms =
+  let b = Buffer.create 256 and offs = ref [] in
+  List.iteri
+    (fun k t ->
+      let e =
+        if k mod 16 = 0 then begin
+          offs := Buffer.length b :: !offs;
+          str t
+        end
+        else
+          let prev = List.nth terms (k - 1) in
+          let shared = ref 0 in
+          while
+            !shared < min (String.length prev) (String.length t)
+            && prev.[!shared] = t.[!shared]
+          do
+            incr shared
+          done;
+          varint !shared ^ str (String.sub t !shared (String.length t - !shared))
+      in
+      Buffer.add_string b (entry k e))
+    terms;
+  List.iter (fun off -> Buffer.add_int32_le b (Int32.of_int off)) (table (List.rev !offs));
+  Buffer.contents b
+
+(* [good] with its term region replaced by [terms] (and its term count
+   by [term_count]), every covering checksum recomputed. *)
+let with_term_region ?term_count good terms =
+  let terms_len = Int64.to_int (String.get_int64_le good 36) in
+  let h = Bytes.of_string (String.sub good 0 72) in
+  Option.iter (fun n -> Bytes.set_int64_le h 20 (Int64.of_int n)) term_count;
+  Bytes.set_int64_le h 36 (Int64.of_int (String.length terms));
+  Bytes.set_int32_le h 60 (Int32.of_int (Xk_storage.Crc32.string terms));
+  Bytes.set_int32_le h 68
+    (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
+  Bytes.to_string h ^ terms
+  ^ String.sub good (72 + terms_len) (String.length good - 72 - terms_len)
+
+(* Term regions behind valid checksums that no writer produces, each
+   named by the check it must fail. *)
+let damaged_term_regions good =
+  let w = terms_doc_words in
+  let swap i j = List.mapi (fun k t -> if k = i then List.nth w j else if k = j then List.nth w i else t) w in
+  let dup i = List.mapi (fun k t -> if k = i then List.nth w (i - 1) else t) w in
+  [
+    ( "shared prefix longer than the previous term",
+      with_term_region good
+        (term_region w ~entry:(fun k e ->
+             if k = 1 then varint (String.length (List.nth w 0) + 1) ^ str "x" else e)) );
+    ("unsorted terms", with_term_region good (term_region (swap 3 4)));
+    ("duplicate term", with_term_region good (term_region (dup 5)));
+    ("duplicate restart term", with_term_region good (term_region (dup 16)));
+    ( "entry past the region",
+      with_term_region good
+        (term_region w ~entry:(fun k e -> if k = 19 then varint 0 ^ varint 100 ^ "x" else e)) );
+    ( "restart table off its entry",
+      with_term_region good (term_region w ~table:(List.map (fun o -> if o > 0 then o + 1 else o))) );
+    ("restart table shorter than the term count", with_term_region ~term_count:15 good (term_region w));
+    ("restart table longer than the term count", with_term_region ~term_count:17 good (term_region w));
+  ]
+
+let v6_terms_segment dir =
+  let path = Filename.concat dir "terms.seg" in
+  Index_io.save (Xk_index.Index.build (Xk_encoding.Labeling.label terms_doc)) path;
+  path
+
+(* Each damaged region is refused as corruption of the term region on
+   the first attempt, by the loader and the verifier alike; the
+   undamaged region, re-encoded, still loads. *)
+let damaged_term_regions_corrupted () =
+  with_faults Chaos.no_faults @@ fun () ->
+  with_tmpdir (fun dir ->
+      let path = v6_terms_segment dir in
+      let good = read_file path in
+      let label = Xk_encoding.Labeling.label terms_doc in
+      check Alcotest.bool "the spec encoder writes the writer's bytes" true
+        (with_term_region good (term_region terms_doc_words) = good);
+      List.iter
+        (fun (what, data) ->
+          write_file path data;
+          let is_term_corruption = function
+            | Error { Index_io.error = Corrupted msg; attempts = 1 } ->
+                String.starts_with ~prefix:"term region: " msg
+            | Error _ | Ok _ -> false
+          in
+          check Alcotest.bool (what ^ ": load") true
+            (is_term_corruption (Result.map ignore (Index_io.load_result ~retries:0 label path)));
+          check Alcotest.bool (what ^ ": verify") true
+            (is_term_corruption (Index_io.verify ~retries:0 path)))
+        (damaged_term_regions good))
+
 (* --- Never raise ------------------------------------------------------ *)
 
 let small_doc =
@@ -329,23 +438,25 @@ let random_inputs rng t =
   @ List.init 8 (fun _ -> t.reframe (mutate rng))
   @ t.extra
 
-(* A v5 segment with one postings block: a mutated postings region or
-   directory tail is re-sealed by recomputing the block CRC, the region
-   lengths, the directory CRC and the header CRC, so the damage reaches
-   the structural checks behind them. *)
-let v5_reseal rng good mutate =
-  let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF in
+(* A v6 segment with one postings block: a mutated term region,
+   postings region or directory tail is re-sealed by recomputing the
+   block CRC, the region lengths, the terms and directory CRCs and the
+   header CRC, so the damage reaches the structural checks behind
+   them. *)
+let v6_reseal rng good mutate =
   let u64 pos = Int64.to_int (String.get_int64_le good pos) in
   let terms_len = u64 36 and postings_len = u64 44 and dir_len = u64 52 in
-  if u64 20 > 64 then Alcotest.fail "fixture v5: more than one block";
+  if u64 20 > 64 then Alcotest.fail "fixture v6: more than one block";
   let region off len = String.sub good off len in
   let terms = region 72 terms_len in
   let postings = region (72 + terms_len) postings_len in
   let dir = region (72 + terms_len + postings_len) dir_len in
-  let postings, entries =
+  let terms, postings, entries =
     let entries = String.sub dir 4 (dir_len - 4) in
-    if Random.State.bool rng then (mutate postings, entries)
-    else (postings, mutate entries)
+    match Random.State.int rng 3 with
+    | 0 -> (mutate terms, postings, entries)
+    | 1 -> (terms, mutate postings, entries)
+    | _ -> (terms, postings, mutate entries)
   in
   let le32 n =
     let b = Bytes.create 4 in
@@ -354,9 +465,10 @@ let v5_reseal rng good mutate =
   in
   let dir = le32 (Xk_storage.Crc32.string postings) ^ entries in
   let h = Bytes.of_string (String.sub good 0 72) in
+  Bytes.set_int64_le h 36 (Int64.of_int (String.length terms));
   Bytes.set_int64_le h 44 (Int64.of_int (String.length postings));
   Bytes.set_int64_le h 52 (Int64.of_int (String.length dir));
-  Bytes.set_int32_le h 60 (Int32.of_int (u32 good 60));
+  Bytes.set_int32_le h 60 (Int32.of_int (Xk_storage.Crc32.string terms));
   Bytes.set_int32_le h 64 (Int32.of_int (Xk_storage.Crc32.string dir));
   Bytes.set_int32_le h 68
     (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
@@ -427,9 +539,8 @@ let targets rng dir =
     ^ String.concat "" (Array.to_list (Array.map varint a))
     ^ varint 1 ^ str "c.shards.000.seg" ^ varint 1 ^ str "c.shards.001.seg"
   in
-  let seg5 = Filename.concat dir "v5.seg" in
-  let label = Xk_encoding.Labeling.label small_doc in
-  Index_io.save (Xk_index.Index.build label) seg5;
+  let seg6 = v6_terms_segment dir in
+  let label = Xk_encoding.Labeling.label terms_doc in
   let reply =
     Wire.Served
       {
@@ -476,14 +587,16 @@ let targets rng dir =
           ignore (Shard_io.load_result ~retries:0 small_doc shards));
     };
     {
-      name = "v5.seg";
-      good = read_file seg5;
-      reframe = v5_reseal rng (read_file seg5);
-      extra = [ v2_huge_rows; v2_zero_tf; v2_duplicate_term; v2_zero_gap ];
+      name = "v6.seg";
+      good = read_file seg6;
+      reframe = v6_reseal rng (read_file seg6);
+      extra =
+        [ v2_huge_rows; v2_zero_tf; v2_duplicate_term; v2_zero_gap ]
+        @ List.map snd (damaged_term_regions (read_file seg6));
       run =
         (fun data ->
-          write_file seg5 data;
-          (match Index_io.load_result ~retries:0 label seg5 with
+          write_file seg6 data;
+          (match Index_io.load_result ~retries:0 label seg6 with
           | Ok idx -> (
               try
                 for id = 0 to Xk_index.Index.term_count idx - 1 do
@@ -491,7 +604,7 @@ let targets rng dir =
                 done
               with Index_io.Segment_fault _ -> ())
           | Error _ -> ());
-          serve_segment label seg5);
+          serve_segment label seg6);
     };
     rpc_target "query frame" Frame.Query (Wire.encode_query query)
       ~extra:[ query_long_shard; query_negative_ticks ]
@@ -657,6 +770,7 @@ let suite =
         tc "v2 duplicate term" `Quick (rejects_v2 v2_duplicate_term);
         tc "v2 node ids not increasing" `Quick (rejects_v2 v2_zero_gap);
         tc "query varints no encoder writes" `Quick fixed_query_varints;
+        tc "v6 damaged term regions are corruption" `Quick damaged_term_regions_corrupted;
         tc "every strict prefix never raises" `Quick prefixes_never_raise;
         QCheck_alcotest.to_alcotest never_raises_prop;
       ] );

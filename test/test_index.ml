@@ -599,7 +599,7 @@ let index_io_rejects_mismatch () =
     Sys.remove path
   end
 
-(* The compressed zero-copy segment [save] writes (v5): layout
+(* The compressed zero-copy segment [save] writes (v6): layout
    introspection, full verification, and bit-identical parity of the
    lazy open against the eager open and a fresh in-memory build. *)
 
@@ -615,15 +615,15 @@ let write_file path data =
   output_string oc data;
   close_out oc
 
-let index_io_v5_roundtrip () =
+let index_io_v6_roundtrip () =
   let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
   let label = Xk_encoding.Labeling.label corpus.doc in
   let idx = Index.build label in
-  let path = tmpfile "xk_index_io_v5.seg" in
+  let path = tmpfile "xk_index_io_v6.seg" in
   Index_io.save idx path;
-  check Alcotest.(option int) "v5 magic" (Some 5) (Index_io.format_version path);
+  check Alcotest.(option string) "v6 magic" (Some Index_io.magic) (Tutil.magic_of path);
   (match Index_io.layout path with
-  | Error e -> Alcotest.failf "v5 layout unreadable: %s" (Index_io.error_message e)
+  | Error e -> Alcotest.failf "v6 layout unreadable: %s" (Index_io.error_message e)
   | Ok lay ->
       check Alcotest.int "layout node count"
         (Xk_encoding.Labeling.node_count label)
@@ -651,7 +651,7 @@ let index_io_v5_roundtrip () =
   (match Index_io.verify path with
   | Ok () -> ()
   | Error e ->
-      Alcotest.failf "full verify rejected a fresh v5 segment: %s"
+      Alcotest.failf "full verify rejected a fresh v6 segment: %s"
         (Index_io.load_error_message e));
   let idx2 = Tutil.load_index (Xk_encoding.Labeling.label corpus.doc) path in
   check Alcotest.int "term count" (Index.term_count idx) (Index.term_count idx2);
@@ -677,11 +677,11 @@ let index_io_v5_roundtrip () =
     corpus.correlated_queries;
   Sys.remove path
 
-let index_io_v5_rejects_mangled_header () =
+let index_io_v6_rejects_mangled_header () =
   let doc = Tutil.random_doc 11 in
   let label = Xk_encoding.Labeling.label doc in
   Index.build label |> fun idx ->
-  let path = tmpfile "xk_index_io_v5_mangle.seg" in
+  let path = tmpfile "xk_index_io_v6_mangle.seg" in
   Index_io.save idx path;
   let good = read_file path in
   let expect_error what =
@@ -718,7 +718,7 @@ let index_io_v5_rejects_mangled_header () =
         (Index_io.load_error_message e));
   Sys.remove path
 
-(* A v5 segment's directory, parsed independently of [Index_io]: the
+(* A v6 segment's directory, parsed independently of [Index_io]: the
    file offset of each block's CRC and, per term, its postings offset,
    postings length, df and cf - df. *)
 type seg_dir = {
@@ -736,7 +736,6 @@ let segment_dir data (lay : Index_io.layout) =
   let read () = Xk_storage.Varint.read c in
   let sd_terms =
     Array.init n (fun _ ->
-        ignore (read ());
         let df = read () in
         let extra = read () in
         let len = read () in
@@ -760,7 +759,7 @@ let block_span sd b =
   let off, _, _, _ = sd.sd_terms.(first) and loff, llen, _, _ = sd.sd_terms.(last) in
   (off, loff + llen - off)
 
-let v5_parity_prop =
+let v6_parity_prop =
   QCheck.Test.make ~count:15
     ~name:"mmap load is bit-identical to the eager open and a fresh build"
     QCheck.(int_bound 1_000_000)
@@ -769,11 +768,11 @@ let v5_parity_prop =
       let doc = Xk_datagen.Random_tree.generate rng in
       let label = Xk_encoding.Labeling.label doc in
       let fresh = Index.build label in
-      let p5 = tmpfile (Printf.sprintf "xk_v5_parity_%d.seg" seed) in
-      Index_io.save fresh p5;
-      let ok = ref (Index_io.format_version p5 = Some 5) in
+      let p6 = tmpfile (Printf.sprintf "xk_v6_parity_%d.seg" seed) in
+      Index_io.save fresh p6;
+      let ok = ref (Tutil.magic_of p6 = Some Index_io.magic) in
       let load verify_columns =
-        Index_io.load_result ~verify_columns (Xk_encoding.Labeling.label doc) p5
+        Index_io.load_result ~verify_columns (Xk_encoding.Labeling.label doc) p6
       in
       (match (load false, load true) with
       | Ok lazy_idx, Ok eager ->
@@ -813,23 +812,23 @@ let v5_parity_prop =
             done
           end
       | _ -> ok := false);
-      Sys.remove p5;
+      Sys.remove p6;
       !ok)
 
-(* Every decoder of a v5 segment is total: for every strict prefix, a
+(* Every decoder of a v6 segment is total: for every strict prefix, a
    bit flip in each region and random garbage behind the magic, the lazy
    open, the eager open and [verify] return [Ok] or a typed error, and a
    lazily opened index faults only with [Segment_fault].  Since every
    byte is under a CRC, every prefix and every flip must be an error at
    [verify].  The same holds for intact bytes under a corruption mark,
    which damages the map the decoders read. *)
-let v5_never_raises_prop =
+let v6_never_raises_prop =
   QCheck.Test.make ~count:10 ~name:"segment decoders never raise on damaged bytes"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let label = Xk_encoding.Labeling.label (Tutil.random_doc seed) in
-      let path = tmpfile (Printf.sprintf "xk_v5_fuzz_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v6_fuzz_%d.seg" seed) in
       Index_io.save (Index.build label) path;
       let good = read_file path in
       let lay =
@@ -856,7 +855,7 @@ let v5_never_raises_prop =
       in
       (* The same flips with every covering checksum recomputed, so the
          damage gets past the CRCs and reaches the structural checks of
-         the header, directory and postings decoders.  One flip lands in
+         the header, term region, directory and postings decoders.  One flip lands in
          a tf exception list when the segment has one. *)
       let sd = segment_dir good lay in
       let tf_section =
@@ -875,11 +874,13 @@ let v5_never_raises_prop =
         let set_crc b at crc = Bytes.set_int32_le b at (Int32.of_int crc) in
         let crc_of b ~pos ~len = Xk_storage.Crc32.sub (Bytes.to_string b) ~pos ~len in
         let reseal ~region b pos =
+          if region = `Terms then
+            set_crc b 60 (crc_of b ~pos:lay.Index_io.terms_off ~len:lay.Index_io.terms_len);
           (if region = `Postings then
              let blk = block_of sd pos in
              let pos, len = block_span sd blk in
              set_crc b (sd.sd_crc_at blk) (crc_of b ~pos ~len));
-          if region <> `Header then
+          if region = `Postings || region = `Dir then
             set_crc b 64 (crc_of b ~pos:lay.Index_io.dir_off ~len:lay.Index_io.dir_len);
           set_crc b 68 (crc_of b ~pos:0 ~len:68)
         in
@@ -894,6 +895,7 @@ let v5_never_raises_prop =
               Some (Bytes.to_string b))
           ([
              (`Header, 8, 52);
+             (`Terms, lay.Index_io.terms_off, lay.Index_io.terms_len);
              (`Postings, lay.Index_io.postings_off, lay.Index_io.postings_len);
              (`Dir, lay.Index_io.dir_off, lay.Index_io.dir_len);
            ]
@@ -973,18 +975,14 @@ let random_nodes rng ~nodes ~df =
   picked
 
 let save_raw label entries path =
-  let dict = Xk_text.Dictionary.create () in
-  List.iter
-    (fun (term, nodes, tfs) ->
-      let id = Xk_text.Dictionary.intern dict term in
-      Xk_text.Dictionary.set_stats dict id ~df:(Array.length nodes)
-        ~cf:(Array.fold_left ( + ) 0 tfs))
-    entries;
+  let terms = Array.of_list (List.map (fun (term, _, _) -> term) entries) in
   let rows = Array.of_list (List.map (fun (_, nodes, tfs) -> (nodes, tfs)) entries) in
   let idx =
-    Index.of_provider ~dict label
+    Index.of_provider label
       {
         pv_terms = Array.length rows;
+        pv_term = Array.get terms;
+        pv_find = (fun w -> Array.find_index (String.equal w) terms);
         pv_row_count = (fun id -> Array.length (fst rows.(id)));
         pv_rows = (fun id -> rows.(id));
       }
@@ -1023,7 +1021,7 @@ let tf_exceptions_roundtrip_prop =
         (Printf.sprintf "t%d" i, random_nodes rng ~nodes ~df, Array.init df (fun _ -> tf ()))
       in
       let entries = List.init 3 entry in
-      let path = tmpfile (Printf.sprintf "xk_v5_tfs_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v6_tfs_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
           let idx = save_raw label entries path in
           let lazy_idx = load_no_faults label path
@@ -1051,11 +1049,12 @@ let block_fault_prop =
       let entries =
         List.init n (fun i ->
             let df = 1 + Random.State.int rng 6 in
-            ( Printf.sprintf "t%d" i,
+            (* Zero-padded, so byte order keeps the ids. *)
+            ( Printf.sprintf "t%04d" i,
               random_nodes rng ~nodes ~df,
               Array.init df (fun _ -> if Random.State.int rng 4 = 0 then 3 else 1) ))
       in
-      let path = tmpfile (Printf.sprintf "xk_v5_block_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v6_block_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
           let idx = save_raw label entries path in
           let good = read_file path in
@@ -1078,11 +1077,112 @@ let block_fault_prop =
               | exception Index_io.Segment_fault _ -> id / block_terms = damaged)
             (List.init n Fun.id @ List.init n Fun.id)))
 
+(* The front-coded term region is a size gate: on [Dblp_gen.scaled 0.05]
+   (seed 2010) it may not grow past the bytes per term it measured when
+   it was introduced, 4.788 (14,480 bytes for 3,024 terms).  The v5 term
+   bytes plus their length varints took 7.137. *)
+let term_region_bytes_gate () =
+  let corpus =
+    Xk_datagen.Dblp_gen.generate { (Xk_datagen.Dblp_gen.scaled 0.05) with seed = 2010 }
+  in
+  let path = tmpfile "xk_term_region_gate.seg" in
+  Index_io.save (Index.build (Xk_encoding.Labeling.label corpus.doc)) path;
+  let lay =
+    match Index_io.layout path with
+    | Ok lay -> lay
+    | Error e -> Alcotest.failf "layout: %s" (Index_io.error_message e)
+  in
+  Sys.remove path;
+  let per_term =
+    float_of_int lay.Index_io.terms_len /. float_of_int lay.Index_io.term_count
+  in
+  if per_term > 4.79 then
+    Alcotest.failf "term region takes %.3f bytes per term, gate 4.79" per_term
+
+(* Every term of an opened segment round-trips through [term_id] and
+   [term], in any case, with the fresh build's rows, and a word the
+   fresh build lacks is absent from the segment too: one before the
+   first term, one after the last, one between each pair of neighbours,
+   each term's prefixes, and their upper-case forms.  The fresh build's
+   dictionary is the model.  Half the cases index a random tree over up
+   to 60 keywords ("kw0" .. "kw59", so blocks share prefixes), half a
+   random vocabulary of up to 200 words with a one-row posting each. *)
+let term_lookup_prop =
+  QCheck.Test.make ~count:30
+    ~name:"v6 terms round-trip through term_id and term, absent words stay absent"
+    QCheck.(pair bool (int_bound 1_000_000))
+    (fun (tree, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let path = tmpfile (Printf.sprintf "xk_v6_terms_%d.seg" seed) in
+      Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+          let label, fresh =
+            if tree then begin
+              let config =
+                { Xk_datagen.Random_tree.default with keywords = 1 + Random.State.int rng 60 }
+              in
+              let label =
+                Xk_encoding.Labeling.label
+                  (Xk_datagen.Random_tree.generate ~config (Xk_datagen.Rng.create seed))
+              in
+              let fresh = Index.build label in
+              Index_io.save fresh path;
+              (label, fresh)
+            end
+            else begin
+              let word () =
+                String.init (1 + Random.State.int rng 6) (fun _ ->
+                    Char.chr (Char.code 'a' + Random.State.int rng 4))
+              in
+              let words =
+                List.sort_uniq compare (List.init (Random.State.int rng 200) (fun _ -> word ()))
+              in
+              let label = flat_label 8 in
+              let entries =
+                List.map (fun w -> (w, [| Random.State.int rng 8 |], [| 1 |])) words
+              in
+              (label, save_raw label entries path)
+            end
+          in
+          let loaded = load_no_faults label path in
+          let n = Index.term_count fresh in
+          let terms = List.sort compare (List.init n (Index.term fresh)) in
+          let present =
+            List.for_all
+              (fun w ->
+                let id = Index.term_id fresh w in
+                List.for_all
+                  (fun w' ->
+                    match Index.term_id loaded w' with
+                    | Some lid ->
+                        Index.term loaded lid = w
+                        && Index.df loaded lid = Index.df fresh (Option.get id)
+                        && Index.raw_rows loaded lid = Index.raw_rows fresh (Option.get id)
+                    | None -> false)
+                  [ w; String.uppercase_ascii w ])
+              terms
+          in
+          let absent =
+            ("" :: "\000" :: "\255\255"
+            :: List.concat_map
+                 (fun w -> List.init (String.length w) (String.sub w 0) @ [ w ^ "\000"; w ^ "a\000" ])
+                 terms)
+            |> List.filter (fun w -> Index.term_id fresh w = None)
+          in
+          Index.term_count loaded = n
+          && present
+          && List.for_all
+               (fun w ->
+                 Index.term_id loaded w = None
+                 && Index.term_id loaded (String.uppercase_ascii w) = None)
+               absent))
+
 (* Ingest is pinned bit for bit: a printed corpus parsed, tokenized,
-   indexed and saved as one segment must hash to the digest the
-   byte-at-a-time parser, buffered tokenizer and hashtable tally wrote,
-   and its dictionary must keep first-seen id order.  A build that
-   reorders term ids or postings fails here. *)
+   indexed and saved as one segment must hash to the digest the v6
+   writer wrote for the index of the byte-at-a-time parser, buffered
+   tokenizer and hashtable tally, and the fresh build's term ids must
+   keep first-seen order (the segment itself is in byte order).  A build
+   that changes a term's postings, or reorders its term ids, fails
+   here. *)
 let pinned_segment ~name doc =
   let xml = Xk_xml.Xml_print.to_string doc in
   let sharded = Sharding.partition ~shards:1 (Xk_xml.Xml_parser.parse_string_exn xml) in
@@ -1092,8 +1192,8 @@ let pinned_segment ~name doc =
     ~finally:(fun () -> List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ path; seg ])
     (fun () ->
       Shard_io.save sharded path;
-      let dict = Index.dict (Sharding.index sharded 0) in
-      (Digest.to_hex (Digest.file seg), List.init (Xk_text.Dictionary.size dict) (Xk_text.Dictionary.term dict)))
+      let idx = Sharding.index sharded 0 in
+      (Digest.to_hex (Digest.file seg), List.init (Index.term_count idx) (Index.term idx)))
 
 let segment_bytes_pinned () =
   let dblp =
@@ -1104,8 +1204,8 @@ let segment_bytes_pinned () =
   in
   let dblp_digest, dblp_terms = pinned_segment ~name:"dblp" dblp.doc in
   let xmark_digest, xmark_terms = pinned_segment ~name:"xmark" xmark.doc in
-  check Alcotest.string "dblp segment digest" "efd4cc53882002b3dc73387af4a1d446" dblp_digest;
-  check Alcotest.string "xmark segment digest" "b81d6529ebaac947d17d9c867a20380d" xmark_digest;
+  check Alcotest.string "dblp segment digest" "258a6e6821d3d86bd5d5bc062e71ea50" dblp_digest;
+  check Alcotest.string "xmark segment digest" "a737188538018ac6331da0066c6f4aeb" xmark_digest;
   check
     Alcotest.(list string)
     "dblp first 50 terms"
@@ -1154,12 +1254,14 @@ let suite =
         tc "save/load roundtrip" `Quick index_io_roundtrip;
         tc "rejects garbage" `Quick index_io_rejects_garbage;
         tc "rejects mismatched document" `Quick index_io_rejects_mismatch;
-        tc "segment layout and roundtrip" `Quick index_io_v5_roundtrip;
-        tc "segment rejects mangled header" `Quick index_io_v5_rejects_mangled_header;
+        tc "segment layout and roundtrip" `Quick index_io_v6_roundtrip;
+        tc "segment rejects mangled header" `Quick index_io_v6_rejects_mangled_header;
         tc "segment bytes pinned" `Quick segment_bytes_pinned;
-        QCheck_alcotest.to_alcotest v5_parity_prop;
-        QCheck_alcotest.to_alcotest v5_never_raises_prop;
+        tc "term region bytes per term gate" `Quick term_region_bytes_gate;
+        QCheck_alcotest.to_alcotest v6_parity_prop;
+        QCheck_alcotest.to_alcotest v6_never_raises_prop;
         QCheck_alcotest.to_alcotest tf_exceptions_roundtrip_prop;
         QCheck_alcotest.to_alcotest block_fault_prop;
+        QCheck_alcotest.to_alcotest term_lookup_prop;
       ] );
   ]

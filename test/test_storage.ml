@@ -358,8 +358,11 @@ let segment_retired ~version bytes =
   Fun.protect ~finally:Chaos.reset @@ fun () ->
   with_tmp_file bytes (fun path ->
       let retired = Printf.sprintf "retired v%d segment format; rebuild the index" version in
-      check Alcotest.(option int) (Printf.sprintf "sniffs as v%d" version) (Some version)
-        (Xk_index.Index_io.format_version path);
+      check Alcotest.(option string)
+        (Printf.sprintf "magic names v%d" version)
+        (Some (Printf.sprintf "v%d segment" version))
+        (Option.bind (Tutil.magic_of path) (fun m ->
+             List.assoc_opt m Xk_index.Index_io.retired));
       (match Xk_index.Index_io.load_result ~backoff_ms:0. label path with
       | Error { error = Corrupted msg; attempts = 1 } ->
           check Alcotest.string "load message" retired msg
@@ -382,32 +385,49 @@ let v3_segment_retired () =
 
 let v4_segment_retired () = segment_retired ~version:4 v4_fixture_bytes
 
-(* --- v5 segment fixture ---------------------------------------------- *)
+(* --- v5 segment fixture (retired) ------------------------------------ *)
 
-(* A corpus with repeated words, so the fixture pins the tf exception
+(* A corpus with repeated words, so the fixtures pin the tf exception
    lists: "keyword" occurs twice in the first title, "xml" three times
    in the second. *)
 let v5_fixture_xml =
   "<bib><book year=\"2010\"><title>top k keyword search keyword</title><author>chen</author></book><book><title>xml databases keyword xml xml</title></book></bib>"
 
-(* Literal bytes of the v5 segment [save] writes for [v5_fixture_xml]:
-   the 72-byte header (magic, version 5, 9 nodes, 7 terms, 8 rows, then
-   the 36/14/32-byte terms, postings and directory lengths and the three
-   CRCs), the term bytes, the postings (node-id varints; "keyword" adds
-   the exception list 01 00 00 - one row, position 0, tf 2 - and "xml"
-   01 00 01 - position 0, tf 3) and the directory: one block CRC, then
-   per term its length, df, cf - df and postings length. *)
+(* Literal bytes of the v5 segment the previous release's [save] wrote
+   for [v5_fixture_xml]: the 72-byte header (magic, version 5, 9 nodes,
+   7 terms, 8 rows, then the 36/14/32-byte terms, postings and
+   directory lengths and the three CRCs), the term bytes in first-seen
+   order, the postings and the directory: one block CRC, then per term
+   its length, df, cf - df and postings length. *)
 let v5_fixture_bytes =
   "\x58\x4b\x49\x44\x58\x30\x30\x35\x05\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x24\x00\x00\x00\x00\x00\x00\x00\x0e\x00\x00\x00\x00\x00\x00\x00\x20\x00\x00\x00\x00\x00\x00\x00\x85\xf6\x9e\xd7\x31\x7f\x1a\x7e\xb5\x18\xff\x9b\x32\x30\x31\x30\x74\x6f\x70\x6b\x65\x79\x77\x6f\x72\x64\x73\x65\x61\x72\x63\x68\x63\x68\x65\x6e\x78\x6d\x6c\x64\x61\x74\x61\x62\x61\x73\x65\x73\x01\x03\x03\x05\x01\x00\x00\x03\x05\x08\x01\x00\x01\x08\x0a\xff\x5c\xe6\x04\x01\x00\x01\x03\x01\x00\x01\x07\x02\x01\x05\x06\x01\x00\x01\x04\x01\x00\x01\x03\x01\x02\x04\x09\x01\x00\x01"
 
-(* The committed bytes sniff as v5 and load to an index that agrees row
-   for row and score for score with a fresh build. *)
-let v5_fixture_loads () =
+let v5_segment_retired () = segment_retired ~version:5 v5_fixture_bytes
+
+(* --- v6 segment fixture ---------------------------------------------- *)
+
+(* Literal bytes of the v6 segment [save] writes for [v5_fixture_xml]:
+   the 72-byte header (magic, version 6, 9 nodes, 7 terms, 8 rows, then
+   the 53/14/25-byte terms, postings and directory lengths and the
+   three CRCs); the term region: the seven terms in byte order ("2010", "chen",
+   "databases", "keyword", "search", "top", "xml"), one front-coding
+   block whose restart is 04 "2010" and whose other entries share no
+   prefix (00, suffix length, suffix), then the one-entry restart table
+   (offset 0); the postings in that order ("keyword" adds the exception
+   list 01 00 00 - one row, position 0, tf 2 - and "xml" 01 00 01 -
+   position 0, tf 3); and the directory: one block CRC, then per term
+   its df, cf - df and postings length. *)
+let v6_fixture_bytes =
+  "\x58\x4b\x49\x44\x58\x30\x30\x36\x06\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x35\x00\x00\x00\x00\x00\x00\x00\x0e\x00\x00\x00\x00\x00\x00\x00\x19\x00\x00\x00\x00\x00\x00\x00\x0d\xcd\xf5\x07\xe4\x75\xf8\x8c\x7e\x5b\xd7\xbb\x04\x32\x30\x31\x30\x00\x04\x63\x68\x65\x6e\x00\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x00\x07\x6b\x65\x79\x77\x6f\x72\x64\x00\x06\x73\x65\x61\x72\x63\x68\x00\x03\x74\x6f\x70\x00\x03\x78\x6d\x6c\x00\x00\x00\x00\x01\x05\x08\x03\x05\x01\x00\x00\x03\x03\x08\x01\x00\x01\x6a\x9e\x62\x4d\x01\x00\x01\x01\x00\x01\x01\x00\x01\x02\x01\x05\x01\x00\x01\x01\x00\x01\x01\x02\x04"
+
+(* The committed bytes carry the v6 magic and load to an index that
+   agrees row for row and score for score with a fresh build. *)
+let v6_fixture_loads () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v5_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
-  with_tmp_file v5_fixture_bytes (fun path ->
-      check Alcotest.(option int) "sniffs as v5" (Some 5)
-        (Xk_index.Index_io.format_version path);
+  with_tmp_file v6_fixture_bytes (fun path ->
+      check Alcotest.(option string) "v6 magic" (Some Xk_index.Index_io.magic)
+        (Tutil.magic_of path);
       match Xk_index.Index_io.load_result label path with
       | Error e ->
           Alcotest.failf "fixture load: %s"
@@ -431,11 +451,19 @@ let v5_fixture_loads () =
                 check Alcotest.bool
                   ("scores of " ^ w ^ " bit-identical")
                   true (s1 = s2)
-          done)
+          done;
+          check Alcotest.(list string) "ids in byte order"
+            [ "2010"; "chen"; "databases"; "keyword"; "search"; "top"; "xml" ]
+            (List.init (Xk_index.Index.term_count idx) (Xk_index.Index.term idx)))
+
+(* Bytes as the escapes a fixture is written in, so a mismatch shows
+   the bytes the writer produced. *)
+let hex s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "\\x%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
 
 (* The writer must keep producing exactly the committed bytes: the
    fixture pins the writer, not just the reader. *)
-let v5_writer_stable () =
+let v6_writer_stable () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v5_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
   let idx = Xk_index.Index.build label in
@@ -444,15 +472,8 @@ let v5_writer_stable () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Xk_index.Index_io.save idx path;
-      let ic = open_in_bin path in
-      let data =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      check Alcotest.int "fixture length" (String.length v5_fixture_bytes)
-        (String.length data);
-      check Alcotest.bool "bytes identical" true (data = v5_fixture_bytes))
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      check Alcotest.string "bytes identical" (hex v6_fixture_bytes) (hex data))
 
 (* The introspection calls are total on missing and unreadable paths and
    leave no channel open behind them. *)
@@ -467,8 +488,7 @@ let introspection_total () =
   let dir = Filename.get_temp_dir_name () in
   List.iter
     (fun path ->
-      check Alcotest.(option int) ("no version for " ^ path) None
-        (Xk_index.Index_io.format_version path);
+      check Alcotest.(option string) ("no magic for " ^ path) None (Tutil.magic_of path);
       (match Xk_index.Index_io.layout path with
       | Error (Io_failed _) -> ()
       | Error e ->
@@ -519,8 +539,10 @@ let suite =
         tc "introspection is total" `Quick introspection_total;
       ] );
     ( "storage.v5-fixture",
+      [ tc "committed v5 segment rejected once" `Quick v5_segment_retired ] );
+    ( "storage.v6-fixture",
       [
-        tc "committed v5 segment loads" `Quick v5_fixture_loads;
-        tc "v5 writer reproduces fixture bytes" `Quick v5_writer_stable;
+        tc "committed v6 segment loads" `Quick v6_fixture_loads;
+        tc "v6 writer reproduces fixture bytes" `Quick v6_writer_stable;
       ] );
   ]

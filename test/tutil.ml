@@ -60,6 +60,14 @@ let stopwords =
     "will"; "with";
   ]
 
+(* The first 8 bytes of a file, where every index file kind keeps its
+   magic ([Index_io.magic], a [Index_io.retired] one, a manifest's);
+   [None] for a missing, unreadable or shorter file. *)
+let magic_of path =
+  match In_channel.with_open_bin path (fun ic -> really_input_string ic 8) with
+  | m -> Some m
+  | exception (Sys_error _ | End_of_file) -> None
+
 (* [Index_io.load_result] for a segment the test expects to load. *)
 let load_index label path =
   match Xk_index.Index_io.load_result label path with
