@@ -17,11 +17,9 @@ type t = {
   values : int array; (* strictly increasing *)
   starts : int array; (* first row of each run *)
   counts : int array; (* rows in each run, >= 1 *)
-  entries : int; (* sum of counts *)
 }
 
 let num_runs t = Array.length t.values
-let entries t = t.entries
 let is_empty t = Array.length t.values = 0
 let value t i = t.values.(i)
 let start t i = t.starts.(i)
@@ -31,7 +29,7 @@ let of_arrays ~values ~starts ~counts =
   let n = Array.length values in
   if Array.length starts <> n || Array.length counts <> n then
     Xk_util.Err.invalid "Column.of_arrays: length mismatch";
-  { values; starts; counts; entries = Array.fold_left ( + ) 0 counts }
+  { values; starts; counts }
 
 (* Binary search for the run holding [value]; -1 if none. *)
 let find t value =
@@ -50,23 +48,7 @@ let find t value =
   done;
   !res
 
-(* Index of the first run with value >= [value] (num_runs if none): the
-   resume point for merge scans. *)
-let lower_bound t value =
-  let values = t.values in
-  let lo = ref 0 and hi = ref (Array.length values) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if values.(mid) < value then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let max_value t =
-  let n = Array.length t.values in
-  if n = 0 then None else Some t.values.(n - 1)
-
-let to_codec_runs t : Xk_storage.Column_codec.run array =
-  Array.init (num_runs t) (fun i ->
-      { Xk_storage.Column_codec.value = t.values.(i); count = t.counts.(i) })
-
-let encoded_size t = Xk_storage.Column_codec.encoded_size (to_codec_runs t)
+let encoded_size t =
+  Xk_storage.Column_codec.encoded_size
+    (Array.init (num_runs t) (fun i ->
+         { Xk_storage.Column_codec.value = t.values.(i); count = t.counts.(i) }))

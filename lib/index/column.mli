@@ -9,14 +9,10 @@ type t
 val of_arrays : values:int array -> starts:int array -> counts:int array -> t
 (** A column from complete runs: run [i] is
     [(values.(i), starts.(i), counts.(i))], as
-    [Xk_encoding.Labeling.jdewey_columns] builds them and the column store
-    decodes them.  The column takes the arrays over; raises
-    [Invalid_argument] if their lengths differ. *)
+    [Xk_encoding.Labeling.jdewey_columns] builds them.  The column takes
+    the arrays over; raises [Invalid_argument] if their lengths differ. *)
 
 val num_runs : t -> int
-
-val entries : t -> int
-(** Total rows covered (sum of run counts). *)
 
 val is_empty : t -> bool
 
@@ -33,10 +29,5 @@ val find : t -> int -> int
 (** Index of the run holding a JDewey number, by binary search; [-1] if
     the column does not hold it. *)
 
-val lower_bound : t -> int -> int
-(** Index of the first run with value >= the argument. *)
-
-val max_value : t -> int option
-
-val to_codec_runs : t -> Xk_storage.Column_codec.run array
 val encoded_size : t -> int
+(** Bytes of the column through [Xk_storage.Column_codec]. *)

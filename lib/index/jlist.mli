@@ -11,16 +11,6 @@ val make :
     if the nodes are not in document order or [scores] differs in
     length. *)
 
-val make_lazy :
-  nodes:int array ->
-  scores:float array ->
-  row_lens:int array ->
-  max_len:int ->
-  loader:(int -> Column.t) ->
-  t
-(** A store-backed list: [loader level] decodes a column on first touch
-    (the paper's column-at-a-time disk reads). *)
-
 val length : t -> int
 (** Number of rows (occurrences). *)
 
@@ -37,6 +27,8 @@ val scores : t -> float array
     the same term can reuse them: callers must not mutate them. *)
 
 val column : t -> level:int -> Column.t
+(** The column of one level, [1 .. max_len].  Raises [Invalid_argument]
+    outside that range. *)
 
 val encoded_size : t -> int
 (** On-disk bytes in the join-based column layout (Table I accounting). *)

@@ -125,8 +125,3 @@ let term t id = t.terms.(id)
 let size t = t.len
 let df t id = t.dfs.(id)
 let bump_df t id = t.dfs.(id) <- t.dfs.(id) + 1
-
-let iter t f =
-  for id = 0 to t.len - 1 do
-    f id t.terms.(id)
-  done

@@ -30,5 +30,3 @@ val size : t -> int
 val df : t -> int -> int
 val bump_df : t -> int -> unit
 
-val iter : t -> (int -> string -> unit) -> unit
-

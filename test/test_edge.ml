@@ -51,9 +51,7 @@ let posting_length_mismatch () =
 let empty_column () =
   let c = Xk_index.Column.of_arrays ~values:[||] ~starts:[||] ~counts:[||] in
   check Alcotest.bool "empty" true (Xk_index.Column.is_empty c);
-  check Alcotest.(option int) "max" None (Xk_index.Column.max_value c);
-  check Alcotest.int "find" (-1) (Xk_index.Column.find c 5);
-  check Alcotest.int "lower bound" 0 (Xk_index.Column.lower_bound c 5)
+  check Alcotest.int "find" (-1) (Xk_index.Column.find c 5)
 
 let scorer_extremes () =
   let s = Xk_score.Scorer.make ~total_nodes:100 in
@@ -240,7 +238,7 @@ let level_join_empty_column () =
   check Alcotest.int "no matches" 0
     (Level_join.join ~plan:Level_join.Dynamic [| full; empty |]).count
 
-(* Column.of_arrays keeps the runs it is given and counts their rows. *)
+(* Column.of_arrays keeps the runs it is given. *)
 let column_of_arrays_roundtrip () =
   let runs = [ (1, 0, 2); (3, 2, 1); (7, 3, 3) ] in
   let c =
@@ -250,7 +248,6 @@ let column_of_arrays_roundtrip () =
       ~counts:(Array.of_list (List.map (fun (_, _, c) -> c) runs))
   in
   check Alcotest.bool "same runs" true (runs = Tutil.column_runs c);
-  check Alcotest.int "entries" 6 (Xk_index.Column.entries c);
   match
     Xk_index.Column.of_arrays ~values:[| 1 |] ~starts:[||] ~counts:[| 1 |]
   with

@@ -8,11 +8,15 @@ let tc = Alcotest.test_case
 
 let seqs_of l = Array.of_list (List.map Array.of_list l)
 
+(* Rows a column covers: the sum of its run counts. *)
+let column_rows c =
+  List.fold_left (fun a (_, _, n) -> a + n) 0 (Tutil.column_runs c)
+
 let column_runs () =
   let seqs = seqs_of [ [ 1; 1 ]; [ 1; 1; 3 ]; [ 1; 2 ]; [ 1; 2 ]; [ 1; 5; 9 ] ] in
   let c1 = Tutil.column_of_seqs seqs ~level:1 in
   check Alcotest.int "level1 one run" 1 (Column.num_runs c1);
-  check Alcotest.int "level1 entries" 5 (Column.entries c1);
+  check Alcotest.int "level1 rows" 5 (column_rows c1);
   let c2 = Tutil.column_of_seqs seqs ~level:2 in
   check Alcotest.int "level2 runs" 3 (Column.num_runs c2);
   let r = Column.find c2 2 in
@@ -21,16 +25,20 @@ let column_runs () =
   check Alcotest.int "run count" 2 (Column.count c2 r);
   check Alcotest.int "missing value" (-1) (Column.find c2 4);
   let c3 = Tutil.column_of_seqs seqs ~level:3 in
-  check Alcotest.int "level3 skips short rows" 2 (Column.entries c3);
-  check Alcotest.(option int) "max value" (Some 9) (Column.max_value c3)
+  check Alcotest.int "level3 skips short rows" 2 (column_rows c3);
+  check Alcotest.int "max value" 9 (Column.value c3 (Column.num_runs c3 - 1))
 
+(* The binary search over run values at and between the run boundaries:
+   below the first run, on each run, in a gap and past the last run. *)
 let column_lower_bound () =
   let seqs = seqs_of [ [ 2 ]; [ 4 ]; [ 7 ] ] in
   let c = Tutil.column_of_seqs seqs ~level:1 in
-  check Alcotest.int "lb 1" 0 (Column.lower_bound c 1);
-  check Alcotest.int "lb 4" 1 (Column.lower_bound c 4);
-  check Alcotest.int "lb 5" 2 (Column.lower_bound c 5);
-  check Alcotest.int "lb 99" 3 (Column.lower_bound c 99)
+  check Alcotest.int "below the first run" (-1) (Column.find c 1);
+  check Alcotest.int "first run" 0 (Column.find c 2);
+  check Alcotest.int "middle run" 1 (Column.find c 4);
+  check Alcotest.int "gap" (-1) (Column.find c 5);
+  check Alcotest.int "last run" 2 (Column.find c 7);
+  check Alcotest.int "past the last run" (-1) (Column.find c 99)
 
 (* The JDewey sequence of each of a term's raw rows, straight from the
    labeling: the reference the list shapes are checked against,
@@ -141,17 +149,12 @@ let column_matches_reference_prop =
           in
           if Tutil.column_runs c <> runs then fail "runs";
           if Column.num_runs c <> List.length runs then fail "num_runs";
-          if Column.entries c <> List.fold_left (fun a (_, _, n) -> a + n) 0 runs
-          then fail "entries";
           let values = List.map (fun (v, _, _) -> v) runs in
-          if Column.max_value c <> List.nth_opt (List.rev values) 0 then
-            fail "max_value";
           (* Every number from below the first value to past the last. *)
           for probe = -1 to List.fold_left max 0 values + 1 do
             let below = List.length (List.filter (fun v -> v < probe) values) in
             let expect_find = if List.mem probe values then below else -1 in
-            if Column.find c probe <> expect_find then fail "find";
-            if Column.lower_bound c probe <> below then fail "lower_bound"
+            if Column.find c probe <> expect_find then fail "find"
           done
         done
       done;
@@ -159,12 +162,11 @@ let column_matches_reference_prop =
 
 (* Deterministic memory gate on the cached list shapes: every term of a
    fixed DBLP corpus warmed.  First the words reachable from its columns
-   of at least 16 runs.  Three int arrays cost 3 words per run plus 8
-   words per column (four headers, four fields), so at most 3.5 words per
+   of at least 16 runs.  Three int arrays cost 3 words per run plus 7
+   words per column (four headers, three fields), so at most 3.5 words per
    run at 16 runs; one boxed record per run would cost 5.  Then the words
    per row over the whole vocabulary, tail included: the JDewey lists
-   alone read 34.24 (42.92 while each row also kept its own boxed
-   sequence), and with the score lists 46.08 (47.99). *)
+   alone read 29.56, and with the score lists 41.41. *)
 let column_words_per_run () =
   let corpus =
     Xk_datagen.Dblp_gen.generate
@@ -210,8 +212,8 @@ let column_words_per_run () =
       Alcotest.failf "%s take %.3f words per row (%d words, %d rows)" what w
         words rows
   in
-  per_row jls 36.0 "JDewey lists";
-  per_row sls 47.0 "JDewey and score lists"
+  per_row jls 30.0 "JDewey lists";
+  per_row sls 41.5 "JDewey and score lists"
 
 let small_index () =
   let doc =

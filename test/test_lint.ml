@@ -196,8 +196,8 @@ let mapped_read () =
     "let open_index path = open_out_bin path\n";
   check_rules ~file:"lib/xml/fixture.ml" "outside the persistence layers" []
     bad;
-  check_rules ~file:"lib/index/jstore.ml"
-    ~config:"allow mapped-read lib/index/jstore.ml" "config allow" [] bad
+  check_rules ~file:"lib/index/fixture.ml"
+    ~config:"allow mapped-read lib/index/fixture.ml" "config allow" [] bad
 
 (* --- process-exit ----------------------------------------------------- *)
 
