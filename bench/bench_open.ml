@@ -1,4 +1,4 @@
-(* Segment open-latency experiment: the eager open of a v6 segment
+(* Segment open-latency experiment: the eager open of a v7 segment
    ([Index_io.load_result ~verify_columns:true]: verify every block CRC
    and decode every term's postings at open, as the replica-fallback
    drill load of [xkq batch --chaos corrupt@...] does) against the lazy
@@ -46,7 +46,11 @@ type point = {
   terms : int;
   rows : int;
   bytes : int;
-  terms_bytes : int; (* the front-coded term region *)
+  (* The three regions: front-coded terms, Rice-coded postings and the
+     directory. *)
+  terms_bytes : int;
+  postings_bytes : int;
+  dir_bytes : int;
   eager : open_point;
   lazy_ : open_point;
   cold_speedup : float;
@@ -157,21 +161,37 @@ let sweep_point ~opens ~seed scale =
       let cold_speedup = eager.cold_ms /. lazy_.cold_ms in
       let word_ratio = eager.cold_words /. lazy_.cold_words in
       let bytes = Xk_index.Index_io.file_size path in
-      let terms_bytes =
+      let lay =
         match Xk_index.Index_io.layout path with
-        | Ok lay -> lay.Xk_index.Index_io.terms_len
+        | Ok lay -> lay
         | Error e -> failwith (Xk_index.Index_io.error_message e)
       in
+      let terms_bytes = lay.Xk_index.Index_io.terms_len
+      and postings_bytes = lay.Xk_index.Index_io.postings_len
+      and dir_bytes = lay.Xk_index.Index_io.dir_len in
       Printf.printf
-        "  segment: %5.1f MB (term region %d bytes)\n\
+        "  segment: %5.1f MB (terms %d, postings %d, directory %d bytes)\n\
         \  eager: cold %8.2f ms (%.0f words), warm %8.2f ms, first query %6.2f ms\n\
         \  lazy:  cold %8.2f ms (%.0f words), warm %8.2f ms, first query %6.2f ms\n\
         \  cold-open speedup: %.1fx, eager/lazy open words: %.2fx\n\
          %!"
-        (mb bytes) terms_bytes eager.cold_ms eager.cold_words eager.warm_ms
+        (mb bytes) terms_bytes postings_bytes dir_bytes eager.cold_ms eager.cold_words eager.warm_ms
         eager.first_query_ms lazy_.cold_ms lazy_.cold_words lazy_.warm_ms
         lazy_.first_query_ms cold_speedup word_ratio;
-      { scale; nodes; terms; rows; bytes; terms_bytes; eager; lazy_; cold_speedup; word_ratio })
+      {
+        scale;
+        nodes;
+        terms;
+        rows;
+        bytes;
+        terms_bytes;
+        postings_bytes;
+        dir_bytes;
+        eager;
+        lazy_;
+        cold_speedup;
+        word_ratio;
+      })
 
 let emit_json out ~opens ~required points =
   let oc = open_out out in
@@ -183,7 +203,7 @@ let emit_json out ~opens ~required points =
   p "  \"opens_per_warm_mean\": %d,\n" opens;
   p "  \"required_cold_speedup\": %.1f,\n" required;
   p
-    "  \"note\": \"both opens read the same v6 segment with the page cache \
+    "  \"note\": \"both opens read the same v7 segment with the page cache \
      warm (file just written), so the gap measures decode and verification \
      work only - a lower bound on the true cold gap; parity is verified \
      before timing: all three load paths return bit-identical hits\",\n";
@@ -199,8 +219,10 @@ let emit_json out ~opens ~required points =
       in
       p
         "    {\"scale\": %g, \"nodes\": %d, \"terms\": %d, \"rows\": %d, \
-         \"bytes\": %d, \"terms_bytes\": %d, \"cold_speedup\": %.2f,\n"
-        pt.scale pt.nodes pt.terms pt.rows pt.bytes pt.terms_bytes pt.cold_speedup;
+         \"bytes\": %d, \"terms_bytes\": %d, \"postings_bytes\": %d, \
+         \"dir_bytes\": %d, \"cold_speedup\": %.2f,\n"
+        pt.scale pt.nodes pt.terms pt.rows pt.bytes pt.terms_bytes pt.postings_bytes
+        pt.dir_bytes pt.cold_speedup;
       fmt "eager" pt.eager false;
       fmt "lazy" pt.lazy_ true;
       p "    }%s\n" (if i = List.length points - 1 then "" else ","))
@@ -230,11 +252,11 @@ let run scales opens seed required check_only out =
     (* The words a cold open allocates are a counter, not a clock: they
        come out the same on every run, so this floor cannot flake.  Both
        opens copy the term region and decode the directory, and neither
-       builds a dictionary; the eager one also copies and decodes every
-       term's postings, so it allocates 1.42x (scale 0.2), 1.45x (scale
-       0.3, 83,966 words against 57,755) and 1.73x (scale 1) the lazy
-       open's words on every run.  Below scale 0.2 the ratio falls under
-       the floor (1.33x at scale 0.05). *)
+       builds a dictionary or a per-term offset; the eager one also
+       copies and walks every postings block, so it allocates 1.51x
+       (scale 0.2), 1.55x (scale 0.3, 48,166 words against 31,077) and
+       1.83x (scale 1) the lazy open's words on every run.  Below scale
+       0.1 the ratio falls under the floor (1.37x at scale 0.05). *)
     let word_floor = 1.4 in
     List.iter
       (fun pt ->

@@ -75,6 +75,15 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
       up_prefix.(level) <- Float.max up_prefix.(level - 1) up.(level)
     done;
     let erased = Array.init k (fun _ -> Erased.create ()) in
+    (* The hot loops below read each list's score array and this
+       request's damping table directly: a float returned across a module
+       boundary is boxed, once per row or pull. *)
+    let scores = Array.map Xk_index.Jlist.scores jls in
+    let dtab =
+      Array.init
+        (Array.fold_left (fun m jl -> max m (Xk_index.Jlist.max_len jl)) 0 jls + 1)
+        (Xk_score.Damping.apply damping)
+    in
     let run = Star_join.run ~k:want () in
     let finished = ref false in
     let level = ref lmin in
@@ -98,22 +107,21 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
         else begin
           let total = ref 0. in
           let any_empty = ref false in
-          Array.iteri
-            (fun i jl ->
-              let best = ref neg_infinity in
-              Erased.iter_alive erased.(i) ~lo:0 ~hi:(Xk_index.Jlist.length jl)
-                (fun lo hi ->
-                  for r = lo to hi - 1 do
-                    let len = Xk_index.Jlist.row_len jl r in
-                    let v =
-                      Xk_index.Jlist.score jl r
-                      *. Xk_score.Damping.apply damping (max 0 (len - l + 1))
-                    in
-                    if v > !best then best := v
-                  done);
-              if !best = neg_infinity then any_empty := true
-              else total := !total +. !best)
-            jls;
+          (* One list's best damped score, in a float array so the
+             closure below stores it unboxed. *)
+          let best = [| neg_infinity |] in
+          for i = 0 to k - 1 do
+            let jl = jls.(i) and sc = scores.(i) in
+            best.(0) <- neg_infinity;
+            Erased.iter_alive erased.(i) ~lo:0 ~hi:(Xk_index.Jlist.length jl)
+              (fun lo hi ->
+                for r = lo to hi - 1 do
+                  let v = sc.(r) *. dtab.(max 0 (Xk_index.Jlist.row_len jl r - l + 1)) in
+                  if v > best.(0) then best.(0) <- v
+                done);
+            if best.(0) = neg_infinity then any_empty := true
+            else total := !total +. best.(0)
+          done;
           if !any_empty then neg_infinity else !total
         end
       in
@@ -132,7 +140,7 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
                      rows = g.rows;
                      numbers = g.numbers;
                      base = (l - 1) * Array.length g.rows;
-                     dfactor = Xk_score.Damping.apply damping (g.len - l);
+                     dfactor = dtab.(g.len - l);
                      pos = 0;
                    })
                  gs))
@@ -144,17 +152,18 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
       let cbest = Array.make k (-1) in
       let cscore = Array.make k neg_infinity in
       let refresh i =
+        let cs = cursors.(i) and sc = scores.(i) in
         let best = ref (-1) and bs = ref neg_infinity in
-        Array.iteri
-          (fun ci c ->
-            if c.pos < Array.length c.rows then begin
-              let s = Xk_index.Jlist.score jls.(i) c.rows.(c.pos) *. c.dfactor in
-              if s > !bs then begin
-                bs := s;
-                best := ci
-              end
-            end)
-          cursors.(i);
+        for ci = 0 to Array.length cs - 1 do
+          let c = cs.(ci) in
+          if c.pos < Array.length c.rows then begin
+            let s = sc.(c.rows.(c.pos)) *. c.dfactor in
+            if s > !bs then begin
+              bs := s;
+              best := ci
+            end
+          end
+        done;
         cbest.(i) <- !best;
         cscore.(i) <- !bs
       in

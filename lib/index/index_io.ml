@@ -1,30 +1,38 @@
-(* Index persistence: the v6 ("XKIDX006") compressed zero-copy segment,
+(* Index persistence: the v7 ("XKIDX007") compressed zero-copy segment,
    the one loadable generation.  Four parts back to back, no padding,
    every byte under a CRC-32:
 
      header    fixed 72 bytes: magic, version u32, then u64 node count,
                term count, total rows, terms/postings/directory lengths,
                terms_crc u32, dir_crc u32, header_crc u32 (over itself)
-     terms     the terms in byte order, front-coded in blocks of 16: a
-               block's first entry (its restart) is varint length and
-               bytes, every other entry varint shared-prefix length,
-               varint suffix length and the suffix; then one u32 per
-               block, the offset of its restart entry    [terms_crc]
-     postings  per term: node ids as delta varints (first id absolute),
-               then, only when cf <> df, the tf exceptions: a varint
-               count, then per row whose tf is above 1 a varint pair
-               (position gap, tf - 2), the first position absolute
+     terms     the terms in byte order, front-coded in blocks of 16:
+               every entry is one byte [shared lsl 4 lor suffix_len],
+               a nibble of 15 meaning "15 plus a varint that follows",
+               then the suffix; a block's first entry (its restart)
+               shares nothing.  Then one u32 per block, the offset of
+               its restart entry                          [terms_crc]
+     postings  per term: the node-id gaps (id - previous id - 1, the
+               first id itself) Rice-coded with the term's k, least
+               significant bit first, each as q = gap lsr k zero bits,
+               a one bit, and the gap's k low bits; zero bits to the
+               next byte; then, only when cf <> df, the tf exceptions:
+               a varint count, then per row whose tf is above 1 a varint
+               pair (position gap, tf - 2), the first position absolute
                                                       [its block's CRC]
-     dir       one u32 CRC per block of 64 consecutive term ids, over
-               the block's postings back to back; then per term varint
-               df, cf - df, postings_len                     [dir_crc]
+     dir       per block of 64 consecutive term ids a u32 CRC over the
+               block's postings and a u32 byte length of them; then per
+               term one varint [df lsl 1 lor has_tfs], followed by a
+               varint cf - df only when has_tfs is set    [dir_crc]
 
    A term's id is its rank in byte order.  Every shared prefix is the
    longest one, so an entry's first suffix byte is where it passes its
    predecessor: the open checks strict byte order entry by entry, and a
-   lookup binary-searches the restarts and scans one block.  The
-   directory's postings lengths tile the postings region exactly, so the
-   block CRCs cover it byte for byte.  cf = df means every tf is 1 (a tf
+   lookup binary-searches the restarts and scans one block.  A term's
+   Rice parameter follows from its df and the node count ([rice_k]), so
+   no byte stores it.  The block lengths tile the postings region
+   exactly, so the block CRCs cover it byte for byte; a term's offset
+   inside its block is found by decoding the terms before it, which the
+   first read of a block does once.  cf = df means every tf is 1 (a tf
    is at least 1), which is why most terms store no tf section at all,
    and the rows that are not listed as exceptions have tf 1.
 
@@ -33,8 +41,11 @@
    one pass, decodes the directory in one pass (statistics come from the
    directory, not from counting rows), and hands {!Index.of_provider} the
    term region and a lazy row decoder: a term's rows are decoded from
-   the mapped postings on first use, and the first decode of any term of
-   a block verifies that block's CRC once.  No dictionary is built.
+   the mapped postings on first use.  The first decode of any term of a
+   block verifies that block's CRC and decodes the block's terms in the
+   same pass, which yields their offsets; those are published through
+   the block's [Atomic], so later decodes of the block read one term's
+   bytes.  No dictionary and no per-term offset is built at open.
 
    Every read attempt maps the file once ({!Xk_storage.Mmap.map}) and
    reads the magic from the map.  The map is also where storage faults
@@ -42,7 +53,7 @@
    other durable file is read through [read_mapped] and [retrying] too.
 
    Every earlier generation of both index file kinds is retired: the
-   v1-v5 segments and the v1-v2 shard manifests ({!Shard_io}).  One rule
+   v1-v6 segments and the v1-v2 shard manifests ({!Shard_io}).  One rule
    ([retired], [refuse_retired]) refuses a file whose magic names one, on
    the first attempt, with a rebuild hint; every reader of a segment
    recovers by rebuilding it (the live store re-seals it at open,
@@ -59,8 +70,8 @@
    Saving goes through a temp file + rename, so a crashed writer never
    leaves a half-written segment under the live name. *)
 
-let magic = "XKIDX006"
-let version = 6
+let magic = "XKIDX007"
+let version = 7
 
 (* The retired generations of both index file kinds, by magic. *)
 let retired =
@@ -70,6 +81,7 @@ let retired =
     ("XKIDX003", "v3 segment");
     ("XKIDX004", "v4 segment");
     ("XKIDX005", "v5 segment");
+    ("XKIDX006", "v6 segment");
     ("XKSHM001", "v1 manifest");
     ("XKSHM002", "v2 manifest");
   ]
@@ -92,15 +104,15 @@ let load_error_message ?kind { error; attempts } =
   else error_message ?kind error
 
 exception Segment_fault of string
-(* Raised by the lazy v6 row decoder (see the .mli). *)
+(* Raised by the lazy v7 row decoder (see the .mli). *)
 
 (* ------------------------------------------------------------------ *)
-(* v6 writer (compressed segment)                                     *)
+(* v7 writer (compressed segment)                                     *)
 (* ------------------------------------------------------------------ *)
 
 let header_size = 72
 
-(* Terms per postings checksum block. *)
+(* Terms per postings block: one CRC and one byte length each. *)
 let block_terms = 64
 
 (* Terms per front-coding block of the term region: each block starts
@@ -109,6 +121,14 @@ let restart_terms = 16
 
 let restarts n = (n + restart_terms - 1) / restart_terms
 let blocks n = (n + block_terms - 1) / block_terms
+
+(* The Rice parameter of a term with [df] rows among [node_count] nodes:
+   the largest k with df * 2^k <= node_count, so 2^k is at most the
+   mean gap between its node ids plus one.  Integers only, so writer and
+   reader agree on every host. *)
+let rice_k ~node_count df =
+  let rec go k = if node_count lsr (k + 1) >= df then go (k + 1) else k in
+  if df = 0 then 0 else go 0
 
 (* The region geometry follows from the header's three lengths: the
    regions sit back to back behind the header. *)
@@ -127,6 +147,45 @@ type layout = {
 
 let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+
+(* A bit writer, least significant bit first: [acc] holds the [n] < 8
+   bits not yet flushed to [buf]. *)
+type bit_writer = { buf : Buffer.t; mutable acc : int; mutable n : int }
+
+(* Append the [bits] <= 48 low bits of [v]. *)
+let put w v bits =
+  w.acc <- w.acc lor (v lsl w.n);
+  w.n <- w.n + bits;
+  while w.n >= 8 do
+    Buffer.add_char w.buf (Char.unsafe_chr (w.acc land 0xff));
+    w.acc <- w.acc lsr 8;
+    w.n <- w.n - 8
+  done
+
+(* The node ids of one term, Rice-coded with parameter [k] and padded
+   with zero bits to a byte.  A k above 48 is written as 24 low bits,
+   then the rest. *)
+let write_rice buf ~k nodes =
+  let w = { buf; acc = 0; n = 0 } in
+  let prev = ref (-1) in
+  Array.iter
+    (fun id ->
+      let gap = id - !prev - 1 in
+      prev := id;
+      let q = ref (gap lsr k) in
+      while !q > 0 do
+        let m = min !q 48 in
+        put w 0 m;
+        q := !q - m
+      done;
+      put w 1 1;
+      if k > 48 then begin
+        put w (gap land 0xFFFFFF) 24;
+        put w ((gap lsr 24) land ((1 lsl (k - 24)) - 1)) (k - 24)
+      end
+      else put w (gap land ((1 lsl k) - 1)) k)
+    nodes;
+  if w.n > 0 then put w 0 (8 - w.n)
 
 (* The tf section of a term whose cf differs from its df: the count of
    rows with tf above 1, then (position gap, tf - 2) per such row, the
@@ -150,6 +209,15 @@ let common_prefix a b =
   let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
   go 0
 
+(* One front-coded entry: the nibble byte, the varint tail of a field
+   that does not fit its nibble, and the suffix. *)
+let add_entry buf ~shared term =
+  let len = String.length term - shared in
+  Buffer.add_char buf (Char.chr ((min shared 15 lsl 4) lor min len 15));
+  if shared >= 15 then Xk_storage.Varint.write buf (shared - 15);
+  if len >= 15 then Xk_storage.Varint.write buf (len - 15);
+  Buffer.add_substring buf term shared len
+
 (* The term region of terms already in strict byte order: the
    front-coded entries, then the restart table. *)
 let write_terms sorted =
@@ -159,20 +227,15 @@ let write_terms sorted =
     (fun k term ->
       if k mod restart_terms = 0 then begin
         add_u32 table (Buffer.length entries);
-        Xk_storage.Varint.write entries (String.length term);
-        Buffer.add_string entries term
+        add_entry entries ~shared:0 term
       end
-      else begin
-        let shared = common_prefix sorted.(k - 1) term in
-        Xk_storage.Varint.write entries shared;
-        Xk_storage.Varint.write entries (String.length term - shared);
-        Buffer.add_substring entries term shared (String.length term - shared)
-      end)
+      else add_entry entries ~shared:(common_prefix sorted.(k - 1) term) term)
     sorted;
   Buffer.add_buffer entries table;
   Buffer.contents entries
 
 let save (idx : Index.t) path =
+  let node_count = Xk_encoding.Labeling.node_count (Index.label idx) in
   let term_count = Index.term_count idx in
   let by_id = Array.init term_count (Index.term idx) in
   let order = Array.init term_count Fun.id in
@@ -183,8 +246,8 @@ let save (idx : Index.t) path =
       Xk_util.Err.invalidf "Index_io.save: duplicate term %S" sorted.(k)
   done;
   let postings = Buffer.create 65536 in
-  let crcs = Buffer.create (4 * (term_count / block_terms + 1)) in
-  let entries = Buffer.create (4 * term_count) in
+  let table = Buffer.create (8 * blocks term_count) in
+  let entries = Buffer.create (2 * term_count) in
   let block_start = ref 0 and total_rows = ref 0 in
   for id = 0 to term_count - 1 do
     let term = sorted.(id) in
@@ -192,32 +255,32 @@ let save (idx : Index.t) path =
     let df = Array.length nodes in
     if Array.exists (fun tf -> tf < 1) tfs then
       Xk_util.Err.invalidf "Index_io.save: term %S has a tf below 1" term;
-    let cf = Array.fold_left ( + ) 0 tfs in
-    let start = Buffer.length postings in
-    let prev = ref 0 in
-    Array.iter
-      (fun n ->
-        Xk_storage.Varint.write postings (n - !prev);
-        prev := n)
+    Array.iteri
+      (fun i n ->
+        if n >= node_count || (i > 0 && n <= nodes.(i - 1)) || n < 0 then
+          Xk_util.Err.invalidf
+            "Index_io.save: term %S has node ids not increasing below the node count"
+            term)
       nodes;
+    let cf = Array.fold_left ( + ) 0 tfs in
+    write_rice postings ~k:(rice_k ~node_count df) nodes;
     if cf <> df then write_tf_exceptions postings tfs;
-    Xk_storage.Varint.write entries df;
-    Xk_storage.Varint.write entries (cf - df);
-    Xk_storage.Varint.write entries (Buffer.length postings - start);
+    Xk_storage.Varint.write entries ((df lsl 1) lor if cf <> df then 1 else 0);
+    if cf <> df then Xk_storage.Varint.write entries (cf - df);
     total_rows := !total_rows + df;
     if (id + 1) mod block_terms = 0 || id = term_count - 1 then begin
-      add_u32 crcs
-        (Xk_storage.Crc32.string
-           (Buffer.sub postings !block_start (Buffer.length postings - !block_start)));
+      let len = Buffer.length postings - !block_start in
+      add_u32 table (Xk_storage.Crc32.string (Buffer.sub postings !block_start len));
+      add_u32 table len;
       block_start := Buffer.length postings
     end
   done;
   let terms = write_terms sorted
-  and dir = Buffer.contents crcs ^ Buffer.contents entries in
+  and dir = Buffer.contents table ^ Buffer.contents entries in
   let header = Buffer.create header_size in
   Buffer.add_string header magic;
   add_u32 header version;
-  add_u64 header (Xk_encoding.Labeling.node_count (Index.label idx));
+  add_u64 header node_count;
   add_u64 header term_count;
   add_u64 header !total_rows;
   add_u64 header (String.length terms);
@@ -269,7 +332,7 @@ let refuse_retired data =
   | None -> Ok ()
 
 (* ------------------------------------------------------------------ *)
-(* v6 reader                                                          *)
+(* v7 reader                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Every region is read by copying it out of the map, and each checksum
@@ -297,7 +360,7 @@ let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
    a [size]-byte file; returns the geometry and the header bytes, which
    carry the terms and directory checksums. *)
 let parse_header ~size h : layout * string =
-  if size < header_size then bad_trunc "shorter than the v6 header";
+  if size < header_size then bad_trunc "shorter than the v7 header";
   if Xk_storage.Crc32.sub h ~pos:0 ~len:(header_size - 4) <> u32_at h 68 then
     bad_crc "header checksum mismatch";
   (* The header is authentic past this point: every further anomaly is
@@ -336,14 +399,13 @@ let parse_header ~size h : layout * string =
     bad_struct
       (Printf.sprintf "%d trailing bytes after the directory"
          (size - lay.file_size));
-  (* A directory entry takes at least 3 bytes, each block of them a
-     4-byte CRC, and a posting row at least one byte, which bounds every
-     array the open allocates by the file. *)
-  if
-    lay.term_count > dir_len / 3
-    || (3 * lay.term_count) + (4 * blocks lay.term_count) > dir_len
+  (* A directory entry takes a byte at least and each block 8 bytes of
+     CRC and length, which bounds the per-term and per-block arrays the
+     open allocates by the file.  A Rice-coded row takes one bit at
+     least, which bounds the rows by the postings' bits. *)
+  if lay.term_count > dir_len || lay.term_count + (8 * blocks lay.term_count) > dir_len
   then bad_struct "term count exceeds what the directory can hold";
-  if lay.total_rows > postings_len then
+  if lay.total_rows / 8 > postings_len then
     bad_struct "row count exceeds what the postings can hold";
   (lay, h)
 
@@ -351,7 +413,7 @@ let map_header m =
   let size = Xk_storage.Mmap.size m in
   parse_header ~size (Xk_storage.Mmap.sub_string m ~pos:0 ~len:(min size header_size))
 
-(* The checked v6 term region and decoded directory, plus the map the
+(* The checked v7 term region and decoded directory, plus the map the
    postings are read from: the persistent state behind the lazy term and
    row provider. *)
 type segment = {
@@ -360,24 +422,39 @@ type segment = {
   sg_lay : layout;
   sg_terms : string;  (* the checked term region, copied out *)
   sg_table : int;  (* offset of the restart table in [sg_terms] *)
-  sg_post_offs : int array;  (* file offsets *)
-  sg_post_lens : int array;
   sg_dfs : int array;
   sg_cfs : int array;
   sg_block_crcs : int array;  (* one per [block_terms] term ids *)
-  (* One flag per block: has its CRC been verified?  Written without
-     synchronization — a benign race: two domains may both verify the
-     same block, and a stale read only causes a redundant check. *)
-  sg_verified : Bytes.t;
+  sg_block_offs : int array;  (* file offset of each block, then the region end *)
+  (* Per block, empty until its CRC has been verified, then the file
+     offset of each of its terms and the block's end.  Two domains may
+     both verify a block; each publishes equal offsets. *)
+  sg_offsets : int array Atomic.t array;
 }
 
+(* One front-coded entry of the term region at [c]: the nibble byte and
+   the varint tail of a field that does not fit its nibble.  [head]
+   returns the byte, [field] a field from its nibble. *)
+let head (c : Xk_storage.Varint.cursor) =
+  if Xk_storage.Varint.at_end c then Xk_storage.Varint.malformed "entry runs past the region";
+  let b = Char.code c.data.[c.pos] in
+  Xk_storage.Varint.skip c 1;
+  b
+
+let field c nibble =
+  if nibble < 15 then nibble
+  else
+    let v = Xk_storage.Varint.read c in
+    if v > max_int - 15 then Xk_storage.Varint.malformed "entry field overflows";
+    15 + v
+
 (* Check the term region of [n] terms in one pass: the restart table
-   fits and names exactly the offset of each block's first entry, every
-   entry lies inside the entries, every shared prefix is at most the
-   previous term and every term sorts strictly after it, and the entries
-   end where the table starts.  Returns the table's offset.  The
-   previous term lives in one scratch buffer, grown to the longest term;
-   nothing is allocated per term. *)
+   fits and names exactly the offset of each block's first entry, which
+   shares nothing, every entry lies inside the entries, every shared
+   prefix is at most the previous term and every term sorts strictly
+   after it, and the entries end where the table starts.  Returns the
+   table's offset.  The previous term lives in one scratch buffer, grown
+   to the longest term; nothing is allocated per term. *)
 let check_terms terms n =
   let fail msg = bad_struct ("term region: " ^ msg) in
   let table = String.length terms - (4 * restarts n) in
@@ -395,12 +472,18 @@ let check_terms terms n =
   in
   (try
      for id = 0 to n - 1 do
+       let start = c.pos in
+       let h = head c in
+       let shared = field c (h lsr 4) in
+       let len = field c (h land 15) in
+       let pos = c.pos in
+       Xk_storage.Varint.skip c len;
+       if shared > !prev_len then
+         fail (Printf.sprintf "term %d shares more than the previous term" id);
        if id mod restart_terms = 0 then begin
-         if u32_at terms (table + (4 * (id / restart_terms))) <> c.pos then
+         if u32_at terms (table + (4 * (id / restart_terms))) <> start then
            fail (Printf.sprintf "restart %d disagrees with the entries" (id / restart_terms));
-         let len = Xk_storage.Varint.read c in
-         let pos = c.pos in
-         Xk_storage.Varint.skip c len;
+         if shared > 0 then fail (Printf.sprintf "restart %d shares a prefix" (id / restart_terms));
          (* Strictly after the previous term: greater at the first
             difference, or longer with it as a prefix. *)
          if id > 0 then begin
@@ -412,30 +495,23 @@ let check_terms terms n =
                if d <> 0 then d else diff (i + 1)
            in
            if diff 0 <= 0 then fail (Printf.sprintf "term %d out of byte order" id)
-         end;
-         keep ~at:0 ~pos ~len
+         end
        end
-       else begin
-         let shared = Xk_storage.Varint.read c in
-         let len = Xk_storage.Varint.read c in
-         let pos = c.pos in
-         Xk_storage.Varint.skip c len;
-         if shared > !prev_len then
-           fail (Printf.sprintf "term %d shares more than the previous term" id);
-         (* The shared prefix is the longest one, so the first suffix
-            byte is where the term passes the previous one. *)
-         if len = 0 || (shared < !prev_len && terms.[pos] <= Bytes.get !prev shared)
-         then fail (Printf.sprintf "term %d out of byte order" id);
-         keep ~at:shared ~pos ~len
-       end
+       (* The shared prefix is the longest one, so the first suffix byte
+          is where the term passes the previous one. *)
+       else if len = 0 || (shared < !prev_len && terms.[pos] <= Bytes.get !prev shared)
+       then fail (Printf.sprintf "term %d out of byte order" id);
+       keep ~at:shared ~pos ~len
      done
    with Xk_storage.Varint.Malformed msg -> fail msg);
   if c.pos <> table then fail "entries do not end at the restart table";
   table
 
-(* Decode the directory in one pass into per-term arrays.  The entries
-   must tile the postings region and the row count exactly: any overlap,
-   gap or overhang is structural corruption. *)
+(* Decode the directory in one pass: the block table, then per term its
+   df and cf.  The block lengths must tile the postings region, the dfs
+   sum to the row count, and each block's rows and tf sections fit its
+   bits (a row takes one bit at least, a tf section three bytes): any
+   overlap, gap or overhang is structural corruption. *)
 let parse_dir path m ((lay, h) : layout * string) : segment =
   let dir = Xk_storage.Mmap.sub_string m ~pos:lay.dir_off ~len:lay.dir_len in
   if Xk_storage.Crc32.string dir <> u32_at h 64 then
@@ -445,43 +521,46 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
     bad_crc "terms-region checksum mismatch";
   let n = lay.term_count in
   let table = check_terms terms n in
-  (* The header keeps the block CRCs inside the directory. *)
   let nblocks = blocks n in
-  let block_crcs = Array.init nblocks (fun b -> u32_at dir (4 * b)) in
-  let post_offs = Array.make n 0
-  and post_lens = Array.make n 0
-  and dfs = Array.make n 0
-  and cfs = Array.make n 0 in
-  let c = Xk_storage.Varint.cursor_at dir (4 * nblocks) and entry = ref 0 in
+  let block_crcs = Array.init nblocks (fun b -> u32_at dir (8 * b)) in
+  let block_offs = Array.make (nblocks + 1) lay.postings_off in
+  for b = 0 to nblocks - 1 do
+    let len = u32_at dir ((8 * b) + 4) in
+    if len > lay.dir_off - block_offs.(b) then
+      bad_struct (Printf.sprintf "block %d overhangs the postings region" b);
+    block_offs.(b + 1) <- block_offs.(b) + len
+  done;
+  if block_offs.(nblocks) <> lay.dir_off then
+    bad_struct "blocks do not cover the postings region";
+  let dfs = Array.make n 0 and cfs = Array.make n 0 in
+  let c = Xk_storage.Varint.cursor_at dir (8 * nblocks) and entry = ref 0 in
   let fail msg =
     bad_struct (Printf.sprintf "directory entry %d: %s" !entry msg)
   in
-  let next_post = ref lay.postings_off and rows = ref 0 in
+  let rows = ref 0 and bits = ref 0 in
   (try
      for id = 0 to n - 1 do
        entry := id;
-       let df = Xk_storage.Varint.read c in
-       let extra = Xk_storage.Varint.read c in
-       let post_len = Xk_storage.Varint.read c in
-       if post_len > lay.dir_off - !next_post then
-         fail "postings overhang the postings region";
-       (* Each node id takes a byte at least; a tf section at least three
-          (the count and one exception pair). *)
-       if df > post_len || (extra > 0 && post_len - df < 3) then
-         fail "more rows than postings bytes";
+       if id mod block_terms = 0 then begin
+         let b = id / block_terms in
+         bits := 8 * (block_offs.(b + 1) - block_offs.(b))
+       end;
+       let v = Xk_storage.Varint.read c in
+       let df = v lsr 1 in
+       let extra = if v land 1 = 1 then Xk_storage.Varint.read c else 0 in
+       if v land 1 = 1 && extra = 0 then fail "tfs flagged but cf = df";
        if df = 0 && extra > 0 then fail "tfs without rows";
        if extra > max_int - df then fail "cf overflows";
-       post_offs.(id) <- !next_post;
-       post_lens.(id) <- post_len;
+       if df > lay.node_count then fail "more rows than nodes";
+       let need = if extra > 0 then 24 else 0 in
+       if df > !bits - need then fail "more rows than postings bits";
+       bits := !bits - df - need;
        dfs.(id) <- df;
        cfs.(id) <- df + extra;
-       next_post := !next_post + post_len;
        rows := !rows + df
      done
    with Xk_storage.Varint.Malformed msg -> fail msg);
   if c.pos <> lay.dir_len then bad_struct "trailing bytes in the directory";
-  if !next_post <> lay.dir_off then
-    bad_struct "directory does not cover the postings region";
   if !rows <> lay.total_rows then
     bad_struct "directory does not cover the posting rows";
   {
@@ -490,12 +569,11 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
     sg_lay = lay;
     sg_terms = terms;
     sg_table = table;
-    sg_post_offs = post_offs;
-    sg_post_lens = post_lens;
     sg_dfs = dfs;
     sg_cfs = cfs;
     sg_block_crcs = block_crcs;
-    sg_verified = Bytes.make (max 1 nblocks) '\000';
+    sg_block_offs = block_offs;
+    sg_offsets = Array.init nblocks (fun _ -> Atomic.make [||]);
   }
 
 (* The restart entry of front-coding block [r]: a cursor just past its
@@ -504,7 +582,7 @@ let restart sg r =
   let c =
     Xk_storage.Varint.cursor_at sg.sg_terms (u32_at sg.sg_terms (sg.sg_table + (4 * r)))
   in
-  let len = Xk_storage.Varint.read c in
+  let len = field c (head c land 15) in
   let pos = c.pos in
   Xk_storage.Varint.skip c len;
   (c, pos, len)
@@ -517,8 +595,9 @@ let term_of sg id =
   let b = Buffer.create (2 * len) in
   Buffer.add_substring b sg.sg_terms pos len;
   for _ = (r * restart_terms) + 1 to id do
-    let shared = Xk_storage.Varint.read c in
-    let len = Xk_storage.Varint.read c in
+    let h = head c in
+    let shared = field c (h lsr 4) in
+    let len = field c (h land 15) in
     Buffer.truncate b shared;
     Buffer.add_substring b sg.sg_terms c.pos len;
     Xk_storage.Varint.skip c len
@@ -568,8 +647,9 @@ let find_term sg w =
     let rec scan id m =
       if id > last then None
       else
-        let shared = Xk_storage.Varint.read c in
-        let len = Xk_storage.Varint.read c in
+        let h = head c in
+        let shared = field c (h lsr 4) in
+        let len = field c (h land 15) in
         let pos = c.pos in
         Xk_storage.Varint.skip c len;
         if shared > m then scan (id + 1) m
@@ -585,92 +665,175 @@ let find_term sg w =
     | _, 0 -> Some (r * restart_terms)
     | m, _ -> scan ((r * restart_terms) + 1) m
 
-(* Copy block [b]'s postings out of the map, check them against the
-   block's CRC and mark the block verified.  Returns the copy and its
-   file offset, so the caller decodes from the bytes it checked. *)
-let verified_block sg b =
-  let first = b * block_terms in
-  let last = min sg.sg_lay.term_count (first + block_terms) - 1 in
-  let off = sg.sg_post_offs.(first) in
-  let len = sg.sg_post_offs.(last) + sg.sg_post_lens.(last) - off in
-  let s = Xk_storage.Mmap.sub_string sg.sg_map ~pos:off ~len in
-  if Xk_storage.Crc32.string s <> sg.sg_block_crcs.(b) then
-    bad_crc (Printf.sprintf "block %d postings checksum mismatch" b);
-  Bytes.unsafe_set sg.sg_verified b '\001';
-  (s, off)
+(* A bit reader over [s] up to byte [stop], least significant bit
+   first: [next] is the next byte to load, and [acc] holds the [avail]
+   bits loaded but not consumed, and no bit above them. *)
+type bit_reader = {
+  s : string;
+  stop : int;
+  mutable next : int;
+  mutable acc : int;
+  mutable avail : int;
+}
 
-(* Decode term [id]'s rows from [s], whose byte 0 sits at file offset
-   [base].  The slice must decode to exactly df strictly increasing node
-   ids below the node count, then, when cf <> df, a tf exception list:
-   a count of at least 1, and that many (position gap, tf - 2) pairs
-   with strictly increasing positions below df and df + sum (tf - 1) =
-   cf, using every byte.  Raises [Bad] [`Fatal] on malformed content.
-   [keep:false] checks everything but returns empty arrays, so a full
-   verification allocates no rows. *)
-let decode_slice ~keep sg id s ~base =
-  let fail msg = bad_struct (Printf.sprintf "term %d postings: %s" id msg) in
+let reader s = { s; stop = String.length s; next = 0; acc = 0; avail = 0 }
+
+(* Top [acc] up to more than 48 bits, or to the last byte. *)
+let refill r =
+  while r.avail <= 48 && r.next < r.stop do
+    r.acc <- r.acc lor (Char.code (String.unsafe_get r.s r.next) lsl r.avail);
+    r.avail <- r.avail + 8;
+    r.next <- r.next + 1
+  done
+
+(* The trailing zero bits of each nonzero byte. *)
+let trailing_zeros =
+  String.init 256 (fun b ->
+      let rec go i = if b = 0 || (b lsr i) land 1 = 1 then i else go (i + 1) in
+      Char.chr (go 0))
+
+(* A Rice quotient: the zero bits before the next one bit, [q] counted
+   so far. *)
+let rec unary r q =
+  if r.acc = 0 then begin
+    let q = q + r.avail in
+    r.avail <- 0;
+    if r.next >= r.stop then Xk_storage.Varint.malformed "unary run past the term's end";
+    refill r;
+    unary r q
+  end
+  else begin
+    let a = ref r.acc and z = ref 0 in
+    while !a land 0xff = 0 do
+      a := !a lsr 8;
+      z := !z + 8
+    done;
+    let z = !z + Char.code (String.unsafe_get trailing_zeros (!a land 0xff)) in
+    r.acc <- r.acc lsr (z + 1);
+    r.avail <- r.avail - z - 1;
+    q + z
+  end
+
+(* The next [k] <= 48 bits. *)
+let take r k =
+  if r.avail < k then refill r;
+  if r.avail < k then Xk_storage.Varint.malformed "Rice code runs past the term's end";
+  let v = r.acc land ((1 lsl k) - 1) in
+  r.acc <- r.acc lsr k;
+  r.avail <- r.avail - k;
+  v
+
+let term_fault id msg = bad_struct (Printf.sprintf "term %d postings: %s" id msg)
+let no_rows = ([||], [||])
+
+(* Decode term [id]'s rows from [r], starting at byte [r.next] and
+   leaving [r.next] where the term ends.  The bytes must hold exactly df
+   Rice-coded node ids, strictly increasing below the node count, then
+   zero pad bits to a byte, then, when cf <> df, a tf exception list: a
+   count of at least 1, and that many (position gap, tf - 2) pairs with
+   strictly increasing positions below df and df + sum (tf - 1) = cf.
+   Raises [Bad] [`Fatal] on malformed content.  [keep:false] checks
+   everything but allocates no rows, so a block walk allocates nothing
+   per term. *)
+let decode_term ~keep sg id r =
   let df = sg.sg_dfs.(id) and cf = sg.sg_cfs.(id) in
   let last = sg.sg_lay.node_count - 1 in
-  let pos = sg.sg_post_offs.(id) - base in
-  let c = Xk_storage.Varint.slice s ~pos ~stop:(pos + sg.sg_post_lens.(id)) in
+  let k = rice_k ~node_count:sg.sg_lay.node_count df in
+  r.acc <- 0;
+  r.avail <- 0;
   match
-    let nodes = Array.make (if keep then df else 0) 0 in
-    let prev = ref 0 in
+    let nodes = if keep then Array.make df 0 else [||] in
+    let prev = ref (-1) in
     for i = 0 to df - 1 do
-      let d = Xk_storage.Varint.read c in
-      if i > 0 && d = 0 then fail "node ids not increasing";
-      if d > last - !prev then fail "node id out of range";
-      prev := !prev + d;
+      let q = unary r 0 in
+      let room = last - !prev - 1 in
+      if room < 0 || q > room lsr k then term_fault id "node id out of range";
+      let low =
+        if k <= 48 then take r k
+        else
+          let lo = take r 24 in
+          lo lor (take r (k - 24) lsl 24)
+      in
+      let gap = (q lsl k) lor low in
+      if gap > room then term_fault id "node id out of range";
+      prev := !prev + gap + 1;
       if keep then nodes.(i) <- !prev
     done;
-    let tfs = Array.make (Array.length nodes) 1 in
+    if r.acc land ((1 lsl (r.avail land 7)) - 1) <> 0 then term_fault id "nonzero pad bits";
+    r.next <- r.next - (r.avail lsr 3);
+    let tfs = if keep then Array.make df 1 else [||] in
     if cf <> df then begin
+      let c = Xk_storage.Varint.slice r.s ~pos:r.next ~stop:r.stop in
       let count = Xk_storage.Varint.read c in
-      if count < 1 || count > df then fail "bad tf exception count";
+      if count < 1 || count > df then term_fault id "bad tf exception count";
       let at = ref 0 and extra = ref (cf - df) in
       for i = 0 to count - 1 do
         let gap = Xk_storage.Varint.read c in
-        if i > 0 && gap = 0 then fail "tf exceptions not increasing";
-        if gap > df - 1 - !at then fail "tf exception past the rows";
+        if i > 0 && gap = 0 then term_fault id "tf exceptions not increasing";
+        if gap > df - 1 - !at then term_fault id "tf exception past the rows";
         at := !at + gap;
         let tf2 = Xk_storage.Varint.read c in
-        if tf2 >= !extra then fail "tfs exceed cf";
+        if tf2 >= !extra then term_fault id "tfs exceed cf";
         extra := !extra - tf2 - 1;
         if keep then tfs.(!at) <- tf2 + 2
       done;
-      if !extra <> 0 then fail "tfs do not sum to cf"
+      if !extra <> 0 then term_fault id "tfs do not sum to cf";
+      r.next <- c.pos
     end;
-    (nodes, tfs)
+    if keep then (nodes, tfs) else no_rows
   with
-  | exception Xk_storage.Varint.Malformed msg -> fail msg
-  | rows -> if c.pos <> c.stop then fail "trailing bytes" else rows
+  | exception Xk_storage.Varint.Malformed msg -> term_fault id msg
+  | rows -> rows
 
-(* Decode one term's rows, verifying its block's CRC first if no decode
-   has yet (the flag write is unsynchronized — a benign race, see
-   [sg_verified]).  Raises [Bad]: [`Crc] on a checksum mismatch,
-   [`Fatal] on malformed content behind a verified checksum. *)
+(* Copy block [b]'s postings out of the map, check them against the
+   block's CRC, and walk its terms in the same pass: each must decode,
+   and together they must end at the block's length.  Publishes the
+   term offsets the walk finds, and returns the rows of term [want] (if
+   it is in the block), which the walk keeps. *)
+let verified_block ?(want = -1) sg b =
+  let off = sg.sg_block_offs.(b) in
+  let len = sg.sg_block_offs.(b + 1) - off in
+  let s = Xk_storage.Mmap.sub_string sg.sg_map ~pos:off ~len in
+  if Xk_storage.Crc32.string s <> sg.sg_block_crcs.(b) then
+    bad_crc (Printf.sprintf "block %d postings checksum mismatch" b);
+  let first = b * block_terms in
+  let count = min sg.sg_lay.term_count (first + block_terms) - first in
+  let offs = Array.make (count + 1) (off + len) in
+  let r = reader s and rows = ref no_rows in
+  for i = 0 to count - 1 do
+    offs.(i) <- off + r.next;
+    let id = first + i in
+    let rs = decode_term ~keep:(id = want) sg id r in
+    if id = want then rows := rs
+  done;
+  if r.next <> len then
+    bad_struct (Printf.sprintf "block %d length disagrees with its terms" b);
+  Atomic.set sg.sg_offsets.(b) offs;
+  !rows
+
+(* Decode one term's rows: in the walk that verifies its block, if no
+   decode has yet, else from exactly its own bytes.  Raises [Bad]:
+   [`Crc] on a checksum mismatch, [`Fatal] on malformed content behind a
+   verified checksum. *)
 let decode_rows sg id =
-  let b = id / block_terms in
-  if Bytes.unsafe_get sg.sg_verified b = '\000' then
-    let s, base = verified_block sg b in
-    decode_slice ~keep:true sg id s ~base
+  let b = id / block_terms and i = id mod block_terms in
+  let offs = Atomic.get sg.sg_offsets.(b) in
+  if Array.length offs = 0 then verified_block ~want:id sg b
   else
-    let base = sg.sg_post_offs.(id) in
-    decode_slice ~keep:true sg id
-      (Xk_storage.Mmap.sub_string sg.sg_map ~pos:base ~len:sg.sg_post_lens.(id))
-      ~base
+    let len = offs.(i + 1) - offs.(i) in
+    let r = reader (Xk_storage.Mmap.sub_string sg.sg_map ~pos:offs.(i) ~len) in
+    let rows = decode_term ~keep:true sg id r in
+    if r.next <> len then term_fault id "trailing bytes";
+    rows
 
 (* Full verification of a parsed segment: every block's CRC holds and
    every term decodes from the checked copy. *)
 let decode_all sg =
   for b = 0 to blocks sg.sg_lay.term_count - 1 do
-    let s, base = verified_block sg b in
-    for id = b * block_terms to min sg.sg_lay.term_count ((b + 1) * block_terms) - 1 do
-      ignore (decode_slice ~keep:false sg id s ~base)
-    done
+    ignore (verified_block sg b)
   done
 
-let open_v6 ?stats ~verify_columns label path m : Index.t =
+let open_v7 ?stats ~verify_columns label path m : Index.t =
   let ((lay, _) as header) = map_header m in
   if lay.node_count <> Xk_encoding.Labeling.node_count label then
     bad_struct
@@ -744,7 +907,7 @@ let read_mapped path =
 let attempt ?stats ~verify_columns label path =
   with_map path (fun m ->
       Result.map
-        (fun () -> open_v6 ?stats ~verify_columns label path m)
+        (fun () -> open_v7 ?stats ~verify_columns label path m)
         (check_magic m))
 
 let retryable = function

@@ -1,7 +1,7 @@
 (* The shared frame codec ([Xk_storage.Framed]): its verdicts, the
    fixed inputs that once raised or decoded to a value no encoder
    writes, one never-raise property over every framed decoder (the
-   durable files, the v6 segment and the RPC frames with their [Wire]
+   durable files, the v7 segment and the RPC frames with their [Wire]
    payloads), and fault drills for the durable reads that go through
    the mapped read path ([Index_io.read_mapped]), where [Chaos] injects
    storage faults. *)
@@ -226,7 +226,7 @@ let fixed_query_varints () =
   malformed "12-byte shard" query_long_shard;
   malformed "9-byte negative ticks" query_negative_ticks
 
-(* --- Damaged v6 term regions ------------------------------------------ *)
+(* --- Damaged v7 term regions ------------------------------------------ *)
 
 (* Twenty words sharing prefixes: two front-coding blocks of the term
    region ("kw0", "kw1", "kw10" .. "kw19", "kw2" .. "kw9"). *)
@@ -240,18 +240,27 @@ let terms_doc =
 let terms_doc_words =
   List.sort compare (List.init 20 (Printf.sprintf "kw%d"))
 
-(* A term region written out as the format specifies it: per block of
-   16 a restart (length, bytes), every other term as (longest shared
-   prefix with the term before, suffix), then each block's offset.
+(* A term region written out as the format specifies it: every term as
+   one byte (shared prefix length lsl 4 lor suffix length, a nibble of
+   15 followed by a varint of the rest) and its suffix, the shared
+   prefix the longest one with the term before, or none for a block's
+   first term (its restart, one per 16); then each block's offset.
    [entry] may rewrite the bytes of one entry, [table] the offsets. *)
+let spec_entry ~shared suffix =
+  let len = String.length suffix in
+  String.make 1 (Char.chr ((min shared 15 lsl 4) lor min len 15))
+  ^ (if shared >= 15 then varint (shared - 15) else "")
+  ^ (if len >= 15 then varint (len - 15) else "")
+  ^ suffix
+
 let term_region ?(entry = fun _ e -> e) ?(table = Fun.id) terms =
   let b = Buffer.create 256 and offs = ref [] in
   List.iteri
     (fun k t ->
-      let e =
+      let shared =
         if k mod 16 = 0 then begin
           offs := Buffer.length b :: !offs;
-          str t
+          0
         end
         else
           let prev = List.nth terms (k - 1) in
@@ -262,9 +271,10 @@ let term_region ?(entry = fun _ e -> e) ?(table = Fun.id) terms =
           do
             incr shared
           done;
-          varint !shared ^ str (String.sub t !shared (String.length t - !shared))
+          !shared
       in
-      Buffer.add_string b (entry k e))
+      Buffer.add_string b
+        (entry k (spec_entry ~shared (String.sub t shared (String.length t - shared)))))
     terms;
   List.iter (fun off -> Buffer.add_int32_le b (Int32.of_int off)) (table (List.rev !offs));
   Buffer.contents b
@@ -289,23 +299,26 @@ let damaged_term_regions good =
   let swap i j = List.mapi (fun k t -> if k = i then List.nth w j else if k = j then List.nth w i else t) w in
   let dup i = List.mapi (fun k t -> if k = i then List.nth w (i - 1) else t) w in
   [
-    ( "shared prefix longer than the previous term",
+    ( "one-byte entry sharing more than the previous term",
       with_term_region good
         (term_region w ~entry:(fun k e ->
-             if k = 1 then varint (String.length (List.nth w 0) + 1) ^ str "x" else e)) );
+             if k = 1 then spec_entry ~shared:(String.length (List.nth w 0) + 1) "x" else e)) );
+    ( "restart sharing a prefix",
+      with_term_region good
+        (term_region w ~entry:(fun k e -> if k = 16 then spec_entry ~shared:1 "w17" else e)) );
     ("unsorted terms", with_term_region good (term_region (swap 3 4)));
     ("duplicate term", with_term_region good (term_region (dup 5)));
     ("duplicate restart term", with_term_region good (term_region (dup 16)));
     ( "entry past the region",
       with_term_region good
-        (term_region w ~entry:(fun k e -> if k = 19 then varint 0 ^ varint 100 ^ "x" else e)) );
+        (term_region w ~entry:(fun k e -> if k = 19 then "\x0f" ^ varint 85 ^ "x" else e)) );
     ( "restart table off its entry",
       with_term_region good (term_region w ~table:(List.map (fun o -> if o > 0 then o + 1 else o))) );
     ("restart table shorter than the term count", with_term_region ~term_count:15 good (term_region w));
     ("restart table longer than the term count", with_term_region ~term_count:17 good (term_region w));
   ]
 
-let v6_terms_segment dir =
+let v7_terms_segment dir =
   let path = Filename.concat dir "terms.seg" in
   Index_io.save (Xk_index.Index.build (Xk_encoding.Labeling.label terms_doc)) path;
   path
@@ -316,7 +329,7 @@ let v6_terms_segment dir =
 let damaged_term_regions_corrupted () =
   with_faults Chaos.no_faults @@ fun () ->
   with_tmpdir (fun dir ->
-      let path = v6_terms_segment dir in
+      let path = v7_terms_segment dir in
       let good = read_file path in
       let label = Xk_encoding.Labeling.label terms_doc in
       check Alcotest.bool "the spec encoder writes the writer's bytes" true
@@ -438,21 +451,21 @@ let random_inputs rng t =
   @ List.init 8 (fun _ -> t.reframe (mutate rng))
   @ t.extra
 
-(* A v6 segment with one postings block: a mutated term region,
+(* A v7 segment with one postings block: a mutated term region,
    postings region or directory tail is re-sealed by recomputing the
-   block CRC, the region lengths, the terms and directory CRCs and the
-   header CRC, so the damage reaches the structural checks behind
-   them. *)
-let v6_reseal rng good mutate =
+   block CRC and length, the region lengths, the terms and directory
+   CRCs and the header CRC, so the damage reaches the structural checks
+   behind them. *)
+let v7_reseal rng good mutate =
   let u64 pos = Int64.to_int (String.get_int64_le good pos) in
   let terms_len = u64 36 and postings_len = u64 44 and dir_len = u64 52 in
-  if u64 20 > 64 then Alcotest.fail "fixture v6: more than one block";
+  if u64 20 > 64 then Alcotest.fail "fixture v7: more than one block";
   let region off len = String.sub good off len in
   let terms = region 72 terms_len in
   let postings = region (72 + terms_len) postings_len in
   let dir = region (72 + terms_len + postings_len) dir_len in
   let terms, postings, entries =
-    let entries = String.sub dir 4 (dir_len - 4) in
+    let entries = String.sub dir 8 (dir_len - 8) in
     match Random.State.int rng 3 with
     | 0 -> (mutate terms, postings, entries)
     | 1 -> (terms, mutate postings, entries)
@@ -463,7 +476,7 @@ let v6_reseal rng good mutate =
     Bytes.set_int32_le b 0 (Int32.of_int n);
     Bytes.to_string b
   in
-  let dir = le32 (Xk_storage.Crc32.string postings) ^ entries in
+  let dir = le32 (Xk_storage.Crc32.string postings) ^ le32 (String.length postings) ^ entries in
   let h = Bytes.of_string (String.sub good 0 72) in
   Bytes.set_int64_le h 36 (Int64.of_int (String.length terms));
   Bytes.set_int64_le h 44 (Int64.of_int (String.length postings));
@@ -539,7 +552,7 @@ let targets rng dir =
     ^ String.concat "" (Array.to_list (Array.map varint a))
     ^ varint 1 ^ str "c.shards.000.seg" ^ varint 1 ^ str "c.shards.001.seg"
   in
-  let seg6 = v6_terms_segment dir in
+  let seg7 = v7_terms_segment dir in
   let label = Xk_encoding.Labeling.label terms_doc in
   let reply =
     Wire.Served
@@ -587,16 +600,16 @@ let targets rng dir =
           ignore (Shard_io.load_result ~retries:0 small_doc shards));
     };
     {
-      name = "v6.seg";
-      good = read_file seg6;
-      reframe = v6_reseal rng (read_file seg6);
+      name = "v7.seg";
+      good = read_file seg7;
+      reframe = v7_reseal rng (read_file seg7);
       extra =
         [ v2_huge_rows; v2_zero_tf; v2_duplicate_term; v2_zero_gap ]
-        @ List.map snd (damaged_term_regions (read_file seg6));
+        @ List.map snd (damaged_term_regions (read_file seg7));
       run =
         (fun data ->
-          write_file seg6 data;
-          (match Index_io.load_result ~retries:0 label seg6 with
+          write_file seg7 data;
+          (match Index_io.load_result ~retries:0 label seg7 with
           | Ok idx -> (
               try
                 for id = 0 to Xk_index.Index.term_count idx - 1 do
@@ -604,7 +617,7 @@ let targets rng dir =
                 done
               with Index_io.Segment_fault _ -> ())
           | Error _ -> ());
-          serve_segment label seg6);
+          serve_segment label seg7);
     };
     rpc_target "query frame" Frame.Query (Wire.encode_query query)
       ~extra:[ query_long_shard; query_negative_ticks ]
@@ -770,7 +783,7 @@ let suite =
         tc "v2 duplicate term" `Quick (rejects_v2 v2_duplicate_term);
         tc "v2 node ids not increasing" `Quick (rejects_v2 v2_zero_gap);
         tc "query varints no encoder writes" `Quick fixed_query_varints;
-        tc "v6 damaged term regions are corruption" `Quick damaged_term_regions_corrupted;
+        tc "v7 damaged term regions are corruption" `Quick damaged_term_regions_corrupted;
         tc "every strict prefix never raises" `Quick prefixes_never_raise;
         QCheck_alcotest.to_alcotest never_raises_prop;
       ] );

@@ -546,7 +546,9 @@ let concurrent_materialization_prop =
 
 (* Index persistence. *)
 
-let tmpfile name = Filename.concat (Filename.get_temp_dir_name ()) name
+(* A fresh file per case, so concurrent runs of the suite never share
+   (or delete) each other's segments. *)
+let tmpfile name = Filename.temp_file (Filename.remove_extension name) (Filename.extension name)
 
 let index_io_roundtrip () =
   let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
@@ -601,7 +603,7 @@ let index_io_rejects_mismatch () =
     Sys.remove path
   end
 
-(* The compressed zero-copy segment [save] writes (v6): layout
+(* The compressed zero-copy segment [save] writes (v7): layout
    introspection, full verification, and bit-identical parity of the
    lazy open against the eager open and a fresh in-memory build. *)
 
@@ -617,15 +619,15 @@ let write_file path data =
   output_string oc data;
   close_out oc
 
-let index_io_v6_roundtrip () =
+let index_io_v7_roundtrip () =
   let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
   let label = Xk_encoding.Labeling.label corpus.doc in
   let idx = Index.build label in
-  let path = tmpfile "xk_index_io_v6.seg" in
+  let path = tmpfile "xk_index_io_v7.seg" in
   Index_io.save idx path;
-  check Alcotest.(option string) "v6 magic" (Some Index_io.magic) (Tutil.magic_of path);
+  check Alcotest.(option string) "v7 magic" (Some Index_io.magic) (Tutil.magic_of path);
   (match Index_io.layout path with
-  | Error e -> Alcotest.failf "v6 layout unreadable: %s" (Index_io.error_message e)
+  | Error e -> Alcotest.failf "v7 layout unreadable: %s" (Index_io.error_message e)
   | Ok lay ->
       check Alcotest.int "layout node count"
         (Xk_encoding.Labeling.node_count label)
@@ -653,7 +655,7 @@ let index_io_v6_roundtrip () =
   (match Index_io.verify path with
   | Ok () -> ()
   | Error e ->
-      Alcotest.failf "full verify rejected a fresh v6 segment: %s"
+      Alcotest.failf "full verify rejected a fresh v7 segment: %s"
         (Index_io.load_error_message e));
   let idx2 = Tutil.load_index (Xk_encoding.Labeling.label corpus.doc) path in
   check Alcotest.int "term count" (Index.term_count idx) (Index.term_count idx2);
@@ -679,11 +681,11 @@ let index_io_v6_roundtrip () =
     corpus.correlated_queries;
   Sys.remove path
 
-let index_io_v6_rejects_mangled_header () =
+let index_io_v7_rejects_mangled_header () =
   let doc = Tutil.random_doc 11 in
   let label = Xk_encoding.Labeling.label doc in
   Index.build label |> fun idx ->
-  let path = tmpfile "xk_index_io_v6_mangle.seg" in
+  let path = tmpfile "xk_index_io_v7_mangle.seg" in
   Index_io.save idx path;
   let good = read_file path in
   let expect_error what =
@@ -720,48 +722,137 @@ let index_io_v6_rejects_mangled_header () =
         (Index_io.load_error_message e));
   Sys.remove path
 
-(* A v6 segment's directory, parsed independently of [Index_io]: the
-   file offset of each block's CRC and, per term, its postings offset,
-   postings length, df and cf - df. *)
+(* A v7 segment's directory and postings, parsed independently of
+   [Index_io]: per block the file offsets of its CRC and of its
+   postings, and their length; per term its postings offset and length,
+   df and cf - df.  A term's offset is found by stepping over the Rice
+   codes of the terms before it, as the format specifies them. *)
 type seg_dir = {
-  sd_crc_at : int -> int;
+  sd_blocks : (int * int * int) array;  (* CRC offset, postings offset, length *)
   sd_terms : (int * int * int * int) array;
 }
 
 let block_terms = 64
 
+(* The Rice parameter the format derives from a df: the largest k with
+   df * 2^k <= node count. *)
+let rice_k ~nodes df =
+  let k = ref 0 in
+  while df > 0 && nodes lsr (!k + 1) >= df do
+    incr k
+  done;
+  !k
+
+(* The byte after term [df] Rice codes starting at byte [off] of
+   [data], and its tf section when [extra] > 0. *)
+let skip_term data ~nodes ~off ~df ~extra =
+  let k = rice_k ~nodes df and bit = ref (8 * off) in
+  let next () =
+    let b = (Char.code data.[!bit / 8] lsr (!bit mod 8)) land 1 in
+    incr bit;
+    b
+  in
+  for _ = 1 to df do
+    while next () = 0 do
+      ()
+    done;
+    bit := !bit + k
+  done;
+  let c = Xk_storage.Varint.cursor_at data ((!bit + 7) / 8) in
+  if extra > 0 then
+    for _ = 1 to 2 * Xk_storage.Varint.read c do
+      ignore (Xk_storage.Varint.read c)
+    done;
+  c.pos
+
 let segment_dir data (lay : Index_io.layout) =
   let n = lay.Index_io.term_count in
   let nblocks = (n + block_terms - 1) / block_terms in
-  let c = Xk_storage.Varint.cursor_at data (lay.Index_io.dir_off + (4 * nblocks)) in
   let off = ref lay.Index_io.postings_off in
-  let read () = Xk_storage.Varint.read c in
-  let sd_terms =
-    Array.init n (fun _ ->
-        let df = read () in
-        let extra = read () in
-        let len = read () in
-        let t = (!off, len, df, extra) in
+  let sd_blocks =
+    Array.init nblocks (fun b ->
+        let at = lay.Index_io.dir_off + (8 * b) in
+        let len = Int32.to_int (String.get_int32_le data (at + 4)) in
+        let t = (at, !off, len) in
         off := !off + len;
         t)
   in
-  { sd_crc_at = (fun b -> lay.Index_io.dir_off + (4 * b)); sd_terms }
+  let c = Xk_storage.Varint.cursor_at data (lay.Index_io.dir_off + (8 * nblocks)) in
+  let off = ref lay.Index_io.postings_off in
+  let sd_terms =
+    Array.init n (fun _ ->
+        let v = Xk_storage.Varint.read c in
+        let df = v lsr 1 in
+        let extra = if v land 1 = 1 then Xk_storage.Varint.read c else 0 in
+        let stop = skip_term data ~nodes:lay.Index_io.node_count ~off:!off ~df ~extra in
+        let t = (!off, stop - !off, df, extra) in
+        off := stop;
+        t)
+  in
+  { sd_blocks; sd_terms }
 
-(* The block whose postings hold file offset [pos], and a block's span. *)
+(* The block whose postings hold file offset [pos]. *)
 let block_of sd pos =
   let id = ref 0 in
+  Array.iteri (fun b (_, off, len) -> if pos >= off && pos < off + len then id := b) sd.sd_blocks;
+  !id
+
+(* [good] with term [id]'s postings replaced by [bytes]: the block
+   lengths, every CRC and the header are recomputed, so the damage
+   reaches the postings decoder behind them. *)
+let with_term_postings good (lay : Index_io.layout) sd id bytes =
+  let postings = Buffer.create lay.Index_io.postings_len in
+  let table = Buffer.create (8 * Array.length sd.sd_blocks) in
   Array.iteri
-    (fun i (off, len, _, _) -> if pos >= off && pos < off + len then id := i)
-    sd.sd_terms;
-  !id / block_terms
+    (fun b _ ->
+      let start = Buffer.length postings in
+      for t = b * block_terms to min (Array.length sd.sd_terms) ((b + 1) * block_terms) - 1 do
+        let off, len, _, _ = sd.sd_terms.(t) in
+        Buffer.add_string postings (if t = id then bytes else String.sub good off len)
+      done;
+      let len = Buffer.length postings - start in
+      Buffer.add_int32_le table
+        (Int32.of_int (Xk_storage.Crc32.string (Buffer.sub postings start len)));
+      Buffer.add_int32_le table (Int32.of_int len))
+    sd.sd_blocks;
+  let entries_at = lay.Index_io.dir_off + Buffer.length table in
+  let dir = Buffer.contents table ^ String.sub good entries_at (lay.Index_io.file_size - entries_at) in
+  let h = Bytes.of_string (String.sub good 0 72) in
+  Bytes.set_int64_le h 44 (Int64.of_int (Buffer.length postings));
+  Bytes.set_int32_le h 64 (Int32.of_int (Xk_storage.Crc32.string dir));
+  Bytes.set_int32_le h 68 (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
+  Bytes.to_string h
+  ^ String.sub good lay.Index_io.terms_off lay.Index_io.terms_len
+  ^ Buffer.contents postings ^ dir
 
-let block_span sd b =
-  let first = b * block_terms in
-  let last = min (Array.length sd.sd_terms) (first + block_terms) - 1 in
-  let off, _, _, _ = sd.sd_terms.(first) and loff, llen, _, _ = sd.sd_terms.(last) in
-  (off, loff + llen - off)
+(* Node ids Rice-coded as the format specifies, least significant bit
+   first: the bytes and the number of bits before the pad. *)
+let rice_bytes ~nodes ids =
+  let k = rice_k ~nodes (Array.length ids) in
+  let bits = ref [] and prev = ref (-1) in
+  Array.iter
+    (fun id ->
+      let gap = id - !prev - 1 in
+      prev := id;
+      for _ = 1 to gap lsr k do
+        bits := 0 :: !bits
+      done;
+      bits := 1 :: !bits;
+      for i = 0 to k - 1 do
+        bits := ((gap lsr i) land 1) :: !bits
+      done)
+    ids;
+  let bits = Array.of_list (List.rev !bits) in
+  let n = Array.length bits in
+  ( String.init ((n + 7) / 8) (fun i ->
+        let b = ref 0 in
+        for j = 0 to 7 do
+          if (8 * i) + j < n then b := !b lor (bits.((8 * i) + j) lsl j)
+        done;
+        Char.chr !b),
+    n )
 
-let v6_parity_prop =
+let v7_parity_prop =
   QCheck.Test.make ~count:15
     ~name:"mmap load is bit-identical to the eager open and a fresh build"
     QCheck.(int_bound 1_000_000)
@@ -770,7 +861,7 @@ let v6_parity_prop =
       let doc = Xk_datagen.Random_tree.generate rng in
       let label = Xk_encoding.Labeling.label doc in
       let fresh = Index.build label in
-      let p6 = tmpfile (Printf.sprintf "xk_v6_parity_%d.seg" seed) in
+      let p6 = tmpfile (Printf.sprintf "xk_v7_parity_%d.seg" seed) in
       Index_io.save fresh p6;
       let ok = ref (Tutil.magic_of p6 = Some Index_io.magic) in
       let load verify_columns =
@@ -817,21 +908,26 @@ let v6_parity_prop =
       Sys.remove p6;
       !ok)
 
-(* Every decoder of a v6 segment is total: for every strict prefix, a
+(* Every decoder of a v7 segment is total: for every strict prefix, a
    bit flip in each region and random garbage behind the magic, the lazy
    open, the eager open and [verify] return [Ok] or a typed error, and a
    lazily opened index faults only with [Segment_fault].  Since every
    byte is under a CRC, every prefix and every flip must be an error at
    [verify].  The same holds for intact bytes under a corruption mark,
-   which damages the map the decoders read. *)
-let v6_never_raises_prop =
+   which damages the map the decoders read.  Damage that only a v7
+   decoder can meet, behind recomputed checksums, must end in a typed
+   [Corrupted]: a unary run past the term's end, a node id at the node
+   count, nonzero pad bits, a block length that disagrees with its terms
+   and a one-byte term entry sharing more than the previous term. *)
+let v7_never_raises_prop =
   QCheck.Test.make ~count:10 ~name:"segment decoders never raise on damaged bytes"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let label = Xk_encoding.Labeling.label (Tutil.random_doc seed) in
-      let path = tmpfile (Printf.sprintf "xk_v6_fuzz_%d.seg" seed) in
-      Index_io.save (Index.build label) path;
+      let path = tmpfile (Printf.sprintf "xk_v7_fuzz_%d.seg" seed) in
+      let fresh = Index.build label in
+      Index_io.save fresh path;
       let good = read_file path in
       let lay =
         match Index_io.layout path with
@@ -865,11 +961,8 @@ let v6_never_raises_prop =
           (fun (off, len, df, extra) ->
             if extra = 0 then None
             else
-              let c = Xk_storage.Varint.cursor_at good off in
-              for _ = 1 to df do
-                ignore (Xk_storage.Varint.read c)
-              done;
-              Some (c.pos, off + len - c.pos))
+              let stop = skip_term good ~nodes:lay.Index_io.node_count ~off ~df ~extra:0 in
+              Some (stop, off + len - stop))
           (Array.to_list sd.sd_terms)
       in
       let resealed =
@@ -879,9 +972,8 @@ let v6_never_raises_prop =
           if region = `Terms then
             set_crc b 60 (crc_of b ~pos:lay.Index_io.terms_off ~len:lay.Index_io.terms_len);
           (if region = `Postings then
-             let blk = block_of sd pos in
-             let pos, len = block_span sd blk in
-             set_crc b (sd.sd_crc_at blk) (crc_of b ~pos ~len));
+             let crc_at, pos, len = sd.sd_blocks.(block_of sd pos) in
+             set_crc b crc_at (crc_of b ~pos ~len));
           if region = `Postings || region = `Dir then
             set_crc b 64 (crc_of b ~pos:lay.Index_io.dir_off ~len:lay.Index_io.dir_len);
           set_crc b 68 (crc_of b ~pos:0 ~len:68)
@@ -907,6 +999,98 @@ let v6_never_raises_prop =
           | l ->
               let off, len = List.nth l (Random.State.int rng (List.length l)) in
               [ (`Postings, off, len) ])
+      in
+      (* Damage behind valid checksums that only the v7 decoders meet,
+         named by the check that must refuse it.  The last term of a
+         block ends where the block does. *)
+      let nodes = lay.Index_io.node_count and n = lay.Index_io.term_count in
+      let sorted = Array.of_list (List.sort compare (List.init n (Index.term fresh))) in
+      let ids_of id = fst (Index.raw_rows fresh (Option.get (Index.term_id fresh sorted.(id)))) in
+      let block_end () =
+        let b = Random.State.int rng (Array.length sd.sd_blocks) in
+        min n ((b + 1) * block_terms) - 1
+      in
+      let term_bytes id =
+        let off, len, _, _ = sd.sd_terms.(id) in
+        String.sub good off len
+      in
+      (* A term's bytes past its Rice codes and their pad: its tf section. *)
+      let tf_tail id =
+        let off, len, df, _ = sd.sd_terms.(id) in
+        let stop = skip_term good ~nodes ~off ~df ~extra:0 in
+        String.sub good stop (off + len - stop)
+      in
+      let postings id bytes = with_term_postings good lay sd id bytes in
+      let padded =
+        List.filter
+          (fun id -> snd (rice_bytes ~nodes (ids_of id)) mod 8 <> 0)
+          (List.init n Fun.id)
+      in
+      let v7_damage =
+        if n = 0 then []
+        else
+          [
+            ( "unary run past the term's end",
+              let id = block_end () in
+              postings id (String.make (String.length (term_bytes id)) '\000') );
+            ( "node id at the node count",
+              let id = Random.State.int rng n in
+              let ids = Array.copy (ids_of id) in
+              ids.(Array.length ids - 1) <- nodes;
+              postings id (fst (rice_bytes ~nodes ids) ^ tf_tail id) );
+            ( "block length past its terms",
+              let id = block_end () in
+              postings id (term_bytes id ^ "\000") );
+          ]
+          @ (match padded with
+            | [] -> []
+            | l ->
+                let id = List.nth l (Random.State.int rng (List.length l)) in
+                let bytes, bits = rice_bytes ~nodes (ids_of id) in
+                let b = Bytes.of_string bytes in
+                Bytes.set b (bits / 8)
+                  (Char.chr (Char.code (Bytes.get b (bits / 8)) lor (1 lsl (bits mod 8))));
+                [ ("nonzero pad bits", postings id (Bytes.to_string b ^ tf_tail id)) ])
+          @
+          (* Entry 1 of the term region claims one byte more of entry 0
+             than entry 0 has, in its one-byte form. *)
+          let t = lay.Index_io.terms_off in
+          let len0 = if n < 2 then 15 else Char.code good.[t] land 15 in
+          if len0 >= 14 then []
+          else
+            let b = Bytes.of_string good in
+            let e1 = t + 1 + len0 in
+            Bytes.set b e1 (Char.chr (((len0 + 1) lsl 4) lor (Char.code good.[e1] land 15)));
+            Bytes.set_int32_le b 60
+              (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string b) ~pos:t ~len:lay.Index_io.terms_len));
+            Bytes.set_int32_le b 68
+              (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string b) ~pos:0 ~len:68));
+            [ ("one-byte entry sharing more than the previous term", Bytes.to_string b) ]
+      in
+      (* Each must be refused as corruption by every decoder: a lazy
+         open either refuses it or faults on the damaged term. *)
+      let corrupted what data =
+        write_file path data;
+        let refused = function
+          | Error { Index_io.error = Index_io.Corrupted _; _ } -> true
+          | Error _ | Ok _ -> false
+        in
+        match
+          ( (match Index_io.load_result ~retries:0 label path with
+            | Ok idx -> (
+                try
+                  for id = 0 to Index.term_count idx - 1 do
+                    ignore (Index.raw_rows idx id)
+                  done;
+                  false
+                with Index_io.Segment_fault _ -> true)
+            | r -> refused (Result.map ignore r)),
+            refused (Result.map ignore (Index_io.load_result ~retries:0 ~verify_columns:true label path)),
+            refused (Index_io.verify ~retries:0 path) )
+        with
+        | true, true, true -> true
+        | _ -> QCheck.Test.fail_reportf "%s: not refused as corruption" what
+        | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
       in
       let garbage =
         List.init 4 (fun _ ->
@@ -944,6 +1128,7 @@ let v6_never_raises_prop =
             Chaos.configure Chaos.no_faults;
             List.for_all (fun d -> decoders d = Some false) (prefixes @ flips)
             && List.for_all (fun d -> decoders d <> None) (resealed @ garbage)
+            && List.for_all (fun (what, d) -> corrupted what d) v7_damage
             && decoders good = Some true
             &&
             (* A copy marked corrupt reads damaged beneath the map. *)
@@ -1023,7 +1208,7 @@ let tf_exceptions_roundtrip_prop =
         (Printf.sprintf "t%d" i, random_nodes rng ~nodes ~df, Array.init df (fun _ -> tf ()))
       in
       let entries = List.init 3 entry in
-      let path = tmpfile (Printf.sprintf "xk_v6_tfs_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v7_tfs_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
           let idx = save_raw label entries path in
           let lazy_idx = load_no_faults label path
@@ -1056,7 +1241,7 @@ let block_fault_prop =
               random_nodes rng ~nodes ~df,
               Array.init df (fun _ -> if Random.State.int rng 4 = 0 then 3 else 1) ))
       in
-      let path = tmpfile (Printf.sprintf "xk_v6_block_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v7_block_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
           let idx = save_raw label entries path in
           let good = read_file path in
@@ -1079,11 +1264,14 @@ let block_fault_prop =
               | exception Index_io.Segment_fault _ -> id / block_terms = damaged)
             (List.init n Fun.id @ List.init n Fun.id)))
 
-(* The front-coded term region is a size gate: on [Dblp_gen.scaled 0.05]
-   (seed 2010) it may not grow past the bytes per term it measured when
-   it was introduced, 4.788 (14,480 bytes for 3,024 terms).  The v5 term
-   bytes plus their length varints took 7.137. *)
-let term_region_bytes_gate () =
+(* The segment's regions are size gates: on [Dblp_gen.scaled 0.05]
+   (seed 2010, 3,024 terms, 13,597 rows) none may grow past what it
+   measured when v7 introduced its encoding: the front-coded term region
+   3.851 bytes per term (11,645 bytes; v6's two varints per entry took
+   4.788), the directory 1.164 bytes per term (3,519 bytes; v6's three
+   varints per term 3.080) and the Rice-coded postings 1.523 bytes per
+   row (20,703 bytes; v6's delta varints 1.722). *)
+let region_bytes_gate () =
   let corpus =
     Xk_datagen.Dblp_gen.generate { (Xk_datagen.Dblp_gen.scaled 0.05) with seed = 2010 }
   in
@@ -1095,11 +1283,15 @@ let term_region_bytes_gate () =
     | Error e -> Alcotest.failf "layout: %s" (Index_io.error_message e)
   in
   Sys.remove path;
-  let per_term =
-    float_of_int lay.Index_io.terms_len /. float_of_int lay.Index_io.term_count
-  in
-  if per_term > 4.79 then
-    Alcotest.failf "term region takes %.3f bytes per term, gate 4.79" per_term
+  List.iter
+    (fun (what, bytes, per, unit, gate) ->
+      let v = float_of_int bytes /. float_of_int per in
+      if v > gate then Alcotest.failf "%s takes %.3f bytes per %s, gate %.3f" what v unit gate)
+    [
+      ("term region", lay.Index_io.terms_len, lay.Index_io.term_count, "term", 3.86);
+      ("directory", lay.Index_io.dir_len, lay.Index_io.term_count, "term", 1.17);
+      ("postings", lay.Index_io.postings_len, lay.Index_io.total_rows, "row", 1.53);
+    ]
 
 (* Every term of an opened segment round-trips through [term_id] and
    [term], in any case, with the fresh build's rows, and a word the
@@ -1115,7 +1307,7 @@ let term_lookup_prop =
     QCheck.(pair bool (int_bound 1_000_000))
     (fun (tree, seed) ->
       let rng = Random.State.make [| seed |] in
-      let path = tmpfile (Printf.sprintf "xk_v6_terms_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v7_terms_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
           let label, fresh =
             if tree then begin
@@ -1179,7 +1371,7 @@ let term_lookup_prop =
                absent))
 
 (* Ingest is pinned bit for bit: a printed corpus parsed, tokenized,
-   indexed and saved as one segment must hash to the digest the v6
+   indexed and saved as one segment must hash to the digest the v7
    writer wrote for the index of the byte-at-a-time parser, buffered
    tokenizer and hashtable tally, and the fresh build's term ids must
    keep first-seen order (the segment itself is in byte order).  A build
@@ -1206,8 +1398,8 @@ let segment_bytes_pinned () =
   in
   let dblp_digest, dblp_terms = pinned_segment ~name:"dblp" dblp.doc in
   let xmark_digest, xmark_terms = pinned_segment ~name:"xmark" xmark.doc in
-  check Alcotest.string "dblp segment digest" "258a6e6821d3d86bd5d5bc062e71ea50" dblp_digest;
-  check Alcotest.string "xmark segment digest" "a737188538018ac6331da0066c6f4aeb" xmark_digest;
+  check Alcotest.string "dblp segment digest" "a5ffdc16e9e8413a98df125198f04ecd" dblp_digest;
+  check Alcotest.string "xmark segment digest" "98e5faaee8419786401a39377067b4f1" xmark_digest;
   check
     Alcotest.(list string)
     "dblp first 50 terms"
@@ -1256,12 +1448,12 @@ let suite =
         tc "save/load roundtrip" `Quick index_io_roundtrip;
         tc "rejects garbage" `Quick index_io_rejects_garbage;
         tc "rejects mismatched document" `Quick index_io_rejects_mismatch;
-        tc "segment layout and roundtrip" `Quick index_io_v6_roundtrip;
-        tc "segment rejects mangled header" `Quick index_io_v6_rejects_mangled_header;
+        tc "segment layout and roundtrip" `Quick index_io_v7_roundtrip;
+        tc "segment rejects mangled header" `Quick index_io_v7_rejects_mangled_header;
         tc "segment bytes pinned" `Quick segment_bytes_pinned;
-        tc "term region bytes per term gate" `Quick term_region_bytes_gate;
-        QCheck_alcotest.to_alcotest v6_parity_prop;
-        QCheck_alcotest.to_alcotest v6_never_raises_prop;
+        tc "term region bytes per term gate" `Quick region_bytes_gate;
+        QCheck_alcotest.to_alcotest v7_parity_prop;
+        QCheck_alcotest.to_alcotest v7_never_raises_prop;
         QCheck_alcotest.to_alcotest tf_exceptions_roundtrip_prop;
         QCheck_alcotest.to_alcotest block_fault_prop;
         QCheck_alcotest.to_alcotest term_lookup_prop;

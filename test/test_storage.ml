@@ -404,9 +404,10 @@ let v5_fixture_bytes =
 
 let v5_segment_retired () = segment_retired ~version:5 v5_fixture_bytes
 
-(* --- v6 segment fixture ---------------------------------------------- *)
+(* --- v6 segment fixture (retired) ------------------------------------ *)
 
-(* Literal bytes of the v6 segment [save] writes for [v5_fixture_xml]:
+(* Literal bytes of the v6 segment the previous release's [save] wrote
+   for [v5_fixture_xml]:
    the 72-byte header (magic, version 6, 9 nodes, 7 terms, 8 rows, then
    the 53/14/25-byte terms, postings and directory lengths and the
    three CRCs); the term region: the seven terms in byte order ("2010", "chen",
@@ -420,13 +421,33 @@ let v5_segment_retired () = segment_retired ~version:5 v5_fixture_bytes
 let v6_fixture_bytes =
   "\x58\x4b\x49\x44\x58\x30\x30\x36\x06\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x35\x00\x00\x00\x00\x00\x00\x00\x0e\x00\x00\x00\x00\x00\x00\x00\x19\x00\x00\x00\x00\x00\x00\x00\x0d\xcd\xf5\x07\xe4\x75\xf8\x8c\x7e\x5b\xd7\xbb\x04\x32\x30\x31\x30\x00\x04\x63\x68\x65\x6e\x00\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x00\x07\x6b\x65\x79\x77\x6f\x72\x64\x00\x06\x73\x65\x61\x72\x63\x68\x00\x03\x74\x6f\x70\x00\x03\x78\x6d\x6c\x00\x00\x00\x00\x01\x05\x08\x03\x05\x01\x00\x00\x03\x03\x08\x01\x00\x01\x6a\x9e\x62\x4d\x01\x00\x01\x01\x00\x01\x01\x00\x01\x02\x01\x05\x01\x00\x01\x01\x00\x01\x01\x02\x04"
 
-(* The committed bytes carry the v6 magic and load to an index that
+let v6_segment_retired () = segment_retired ~version:6 v6_fixture_bytes
+
+(* --- v7 segment fixture ---------------------------------------------- *)
+
+(* Literal bytes of the v7 segment [save] writes for [v5_fixture_xml]:
+   the 72-byte header (magic, version 7, 9 nodes, 7 terms, 8 rows, then
+   the 47/13/17-byte terms, postings and directory lengths and
+   the three CRCs); the term region: the seven terms in byte order
+   ("2010", "chen", "databases", "keyword", "search", "top", "xml"), one
+   front-coding block whose entries share no prefix (one byte 0x0L, the
+   suffix length L, then the suffix), then the one-entry restart table
+   (offset 0); the postings in that order, each term's node ids
+   Rice-coded with k = 3 (one row among 9 nodes) or k = 2 (two rows) and
+   padded to a byte ("keyword" adds the exception list 01 00 00 - one
+   row, position 0, tf 2 - and "xml" 01 00 01 - position 0, tf 3); and
+   the directory: the block's CRC and byte length, then per term
+   [df lsl 1 lor has_tfs] and, for the two flagged terms, cf - df. *)
+let v7_fixture_bytes =
+  "\x58\x4b\x49\x44\x58\x30\x30\x37\x07\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x2f\x00\x00\x00\x00\x00\x00\x00\x0d\x00\x00\x00\x00\x00\x00\x00\x11\x00\x00\x00\x00\x00\x00\x00\x75\xfe\xc7\x9d\x8c\xe6\x54\xe7\x8c\xc7\x63\x0c\x04\x32\x30\x31\x30\x04\x63\x68\x65\x6e\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x07\x6b\x65\x79\x77\x6f\x72\x64\x06\x73\x65\x61\x72\x63\x68\x03\x74\x6f\x70\x03\x78\x6d\x6c\x00\x00\x00\x00\x03\x0b\x02\x17\x01\x00\x00\x07\x07\x02\x01\x00\x01\xd3\xc7\xa0\x3a\x0d\x00\x00\x00\x02\x02\x02\x05\x01\x02\x02\x03\x02"
+
+(* The committed bytes carry the v7 magic and load to an index that
    agrees row for row and score for score with a fresh build. *)
-let v6_fixture_loads () =
+let v7_fixture_loads () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v5_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
-  with_tmp_file v6_fixture_bytes (fun path ->
-      check Alcotest.(option string) "v6 magic" (Some Xk_index.Index_io.magic)
+  with_tmp_file v7_fixture_bytes (fun path ->
+      check Alcotest.(option string) "v7 magic" (Some Xk_index.Index_io.magic)
         (Tutil.magic_of path);
       match Xk_index.Index_io.load_result label path with
       | Error e ->
@@ -463,7 +484,7 @@ let hex s =
 
 (* The writer must keep producing exactly the committed bytes: the
    fixture pins the writer, not just the reader. *)
-let v6_writer_stable () =
+let v7_writer_stable () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v5_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
   let idx = Xk_index.Index.build label in
@@ -473,7 +494,7 @@ let v6_writer_stable () =
     (fun () ->
       Xk_index.Index_io.save idx path;
       let data = In_channel.with_open_bin path In_channel.input_all in
-      check Alcotest.string "bytes identical" (hex v6_fixture_bytes) (hex data))
+      check Alcotest.string "bytes identical" (hex v7_fixture_bytes) (hex data))
 
 (* The introspection calls are total on missing and unreadable paths and
    leave no channel open behind them. *)
@@ -541,8 +562,10 @@ let suite =
     ( "storage.v5-fixture",
       [ tc "committed v5 segment rejected once" `Quick v5_segment_retired ] );
     ( "storage.v6-fixture",
+      [ tc "committed v6 segment rejected once" `Quick v6_segment_retired ] );
+    ( "storage.v7-fixture",
       [
-        tc "committed v6 segment loads" `Quick v6_fixture_loads;
-        tc "v6 writer reproduces fixture bytes" `Quick v6_writer_stable;
+        tc "committed v7 segment loads" `Quick v7_fixture_loads;
+        tc "v7 writer reproduces fixture bytes" `Quick v7_writer_stable;
       ] );
   ]
