@@ -1,4 +1,4 @@
-(* Segment open-latency experiment: the eager open of a v7 segment
+(* Segment open-latency experiment: the eager open of a v8 segment
    ([Index_io.load_result ~verify_columns:true]: verify every block CRC
    and decode every term's postings at open, as the replica-fallback
    drill load of [xkq batch --chaos corrupt@...] does) against the lazy
@@ -203,7 +203,7 @@ let emit_json out ~opens ~required points =
   p "  \"opens_per_warm_mean\": %d,\n" opens;
   p "  \"required_cold_speedup\": %.1f,\n" required;
   p
-    "  \"note\": \"both opens read the same v7 segment with the page cache \
+    "  \"note\": \"both opens read the same v8 segment with the page cache \
      warm (file just written), so the gap measures decode and verification \
      work only - a lower bound on the true cold gap; parity is verified \
      before timing: all three load paths return bit-identical hits\",\n";

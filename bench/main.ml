@@ -658,9 +658,13 @@ let micro cfg =
    160 documents, timed one at a time on the [live_rw] corpus of
    [bench/suite] (DBLP generator at scale 1, 240 conferences of one year,
    seed 2010, printed and parsed back; the first 160 top-level
-   subtrees).  The last row is the whole batch as [live_rw]'s set-up runs
-   it: a fresh store (fsync on, auto-compaction at 32) takes the 160
-   additions in one [Live.mutate], then [Live.compact]. *)
+   subtrees).  The last two rows are the whole batch as [live_rw]'s
+   set-up runs it: a fresh store (fsync on, auto-compaction at 32) takes
+   the 160 additions in one [Live.mutate], then [Live.compact]; and the
+   reopen of that store, which verifies its sealed segment and publishes
+   a snapshot over it.  Every row also reports the minor and major heap
+   words the step allocated (medians; major words include promoted
+   ones). *)
 let ingest cfg =
   if wants cfg "ingest" then begin
     header "Live ingest: one 160-document batch, step by step";
@@ -696,14 +700,17 @@ let ingest cfg =
     (* step name -> samples, steps in the order they first ran *)
     let samples = Hashtbl.create 16 and steps = ref [] in
     let timed name f =
+      let minor0, _, major0 = Gc.counters () in
       let t0 = now () in
       let v = f () in
       let ms = (now () -. t0) *. 1000. in
+      let minor1, _, major1 = Gc.counters () in
+      let sample = (ms, minor1 -. minor0, major1 -. major0) in
       (match Hashtbl.find_opt samples name with
-      | Some l -> Hashtbl.replace samples name (ms :: l)
+      | Some l -> Hashtbl.replace samples name (sample :: l)
       | None ->
           steps := name :: !steps;
-          Hashtbl.replace samples name [ ms ]);
+          Hashtbl.replace samples name [ sample ]);
       v
     in
     for rep = 1 to reps do
@@ -750,7 +757,7 @@ let ingest cfg =
       | Ok () -> ()
       | Error e -> failwith (Xk_index.Index_io.load_error_message e));
       ignore
-        (timed "Snapshot.build" (fun () ->
+        (timed "Snapshot.build (publish)" (fun () ->
              Xk_index.Snapshot.build ~root_tag ~root_attrs ~lsn:160
                [
                  { g_docs = []; g_index = None };
@@ -768,6 +775,10 @@ let ingest cfg =
           ignore (live_ok (Live.mutate t (List.map (fun s -> Live.Add s) subtrees)));
           live_ok (Live.compact t);
           Live.close t);
+      timed "reopen (Live.open_)" (fun () ->
+          match Live.open_ ~fsync:true store with
+          | Ok t -> Live.close t
+          | Error e -> failwith (Live.error_message e));
       rm_rf store
     done;
     rm_rf dir;
@@ -777,11 +788,14 @@ let ingest cfg =
       let at q = a.(int_of_float (q *. float_of_int (Array.length a - 1) +. 0.5)) in
       (at 0.5, at 0.25, at 0.75)
     in
-    Printf.printf "%d repetitions; ms, median [q1, q3]\n" reps;
+    Printf.printf "%d repetitions; ms, median [q1, q3]; minor and major words, medians\n" reps;
     List.iter
       (fun name ->
-        let med, q1, q3 = quartiles (Hashtbl.find samples name) in
-        Printf.printf "%-32s %8.2f [%.2f, %.2f]\n" name med q1 q3)
+        let l = Hashtbl.find samples name in
+        let med, q1, q3 = quartiles (List.map (fun (ms, _, _) -> ms) l) in
+        let minor, _, _ = quartiles (List.map (fun (_, w, _) -> w) l) in
+        let major, _, _ = quartiles (List.map (fun (_, _, w) -> w) l) in
+        Printf.printf "%-32s %8.2f [%.2f, %.2f] %10.0f %10.0f\n" name med q1 q3 minor major)
       (List.rev !steps)
   end
 

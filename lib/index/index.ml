@@ -9,7 +9,7 @@
    else in [t] is immutable after construction (the dictionary is only
    written during build). *)
 
-(* The one term and row source.  A zero-copy segment (Index_io v7)
+(* The one term and row source.  A zero-copy segment (Index_io v8)
    looks a term up in its mapped, front-coded term region and decodes a
    term's rows from mapped postings on first use, instead of building a
    dictionary or materializing the postings at open; [build] hands over

@@ -1,51 +1,60 @@
-(* Index persistence: the v7 ("XKIDX007") compressed zero-copy segment,
+(* Index persistence: the v8 ("XKIDX008") compressed zero-copy segment,
    the one loadable generation.  Four parts back to back, no padding,
    every byte under a CRC-32:
 
      header    fixed 72 bytes: magic, version u32, then u64 node count,
                term count, total rows, terms/postings/directory lengths,
                terms_crc u32, dir_crc u32, header_crc u32 (over itself)
-     terms     the terms in byte order, front-coded in blocks of 16:
-               every entry is one byte [shared lsl 4 lor suffix_len],
+     terms     a symbol table ({!Xk_storage.Symbols}: a varint count of
+               at most 255, then per symbol a length byte of 1-8 and its
+               bytes; empty when coding would not shrink the region),
+               then the terms in byte order, front-coded in blocks of
+               16: every entry is one byte [shared lsl 4 lor code_len],
                a nibble of 15 meaning "15 plus a varint that follows",
-               then the suffix; a block's first entry (its restart)
-               shares nothing.  Then one u32 per block, the offset of
-               its restart entry                          [terms_crc]
-     postings  per term: the node-id gaps (id - previous id - 1, the
-               first id itself) Rice-coded with the term's k, least
-               significant bit first, each as q = gap lsr k zero bits,
-               a one bit, and the gap's k low bits; zero bits to the
-               next byte; then, only when cf <> df, the tf exceptions:
-               a varint count, then per row whose tf is above 1 a varint
-               pair (position gap, tf - 2), the first position absolute
-                                                      [its block's CRC]
-     dir       per block of 64 consecutive term ids a u32 CRC over the
-               block's postings and a u32 byte length of them; then per
-               term one varint [df lsl 1 lor has_tfs], followed by a
-               varint cf - df only when has_tfs is set    [dir_crc]
+               then the suffix's codes (a symbol's index, or 255 and a
+               literal byte; with an empty table, the suffix itself); a
+               block's first entry (its restart) shares nothing.  Then
+               one u32 per block, the region offset of its restart
+               entry                                      [terms_crc]
+     postings  per block of 64 consecutive term ids one bit stream,
+               least significant bit first, zero bits to the next byte
+               only at its end.  Per term: the node-id gaps (id -
+               previous id - 1, the first id itself) Rice-coded with the
+               term's k, each as q = gap lsr k zero bits, a one bit and
+               the gap's k low bits; then, only when cf <> df, the tf
+               exceptions as Elias-gamma codes (v >= 1 as n zero bits, a
+               one bit and the n bits of v below its top bit): the count,
+               then per row whose tf is above 1 its position gap + 1 (the
+               first position absolute) and tf - 1   [its block's CRC]
+     dir       per block a u32 CRC over the block's postings and a u32
+               byte length of them; then per term one varint
+               [df lsl 1 lor has_tfs], followed by a varint cf - df only
+               when has_tfs is set                        [dir_crc]
 
    A term's id is its rank in byte order.  Every shared prefix is the
    longest one, so an entry's first suffix byte is where it passes its
-   predecessor: the open checks strict byte order entry by entry, and a
-   lookup binary-searches the restarts and scans one block.  A term's
-   Rice parameter follows from its df and the node count ([rice_k]), so
-   no byte stores it.  The block lengths tile the postings region
-   exactly, so the block CRCs cover it byte for byte; a term's offset
-   inside its block is found by decoding the terms before it, which the
-   first read of a block does once.  cf = df means every tf is 1 (a tf
-   is at least 1), which is why most terms store no tf section at all,
-   and the rows that are not listed as exceptions have tf 1.
+   predecessor: the open decodes every suffix and checks strict byte
+   order entry by entry, and a lookup binary-searches the restarts and
+   scans one block.  A term's Rice parameter follows from its df and
+   the node count ([rice_k]), so no byte stores it.  The block lengths
+   tile the postings region exactly, so the block CRCs cover it byte for
+   byte; a term's bit offset inside its block is found by decoding the
+   terms before it, which the first read of a block does once.  cf = df
+   means every tf is 1 (a tf is at least 1), which is why most terms
+   store no tf codes at all, and the rows that are not listed as
+   exceptions have tf 1.
 
    Opening a segment maps the file, verifies the header, terms and
-   directory checksums, checks the term region's structure and order in
-   one pass, decodes the directory in one pass (statistics come from the
-   directory, not from counting rows), and hands {!Index.of_provider} the
-   term region and a lazy row decoder: a term's rows are decoded from
-   the mapped postings on first use.  The first decode of any term of a
-   block verifies that block's CRC and decodes the block's terms in the
-   same pass, which yields their offsets; those are published through
-   the block's [Atomic], so later decodes of the block read one term's
-   bytes.  No dictionary and no per-term offset is built at open.
+   directory checksums, checks the symbol table and the term region's
+   structure and order in one pass, decodes the directory in one pass
+   (statistics come from the directory, not from counting rows), and
+   hands {!Index.of_provider} the term region and a lazy row decoder: a
+   term's rows are decoded from the mapped postings on first use.  The
+   first decode of any term of a block verifies that block's CRC and
+   decodes the block's terms in the same pass, which yields their bit
+   offsets; those are published through the block's [Atomic], so later
+   decodes of the block read one term's bytes.  No dictionary and no
+   per-term offset is built at open.
 
    Every read attempt maps the file once ({!Xk_storage.Mmap.map}) and
    reads the magic from the map.  The map is also where storage faults
@@ -53,7 +62,7 @@
    other durable file is read through [read_mapped] and [retrying] too.
 
    Every earlier generation of both index file kinds is retired: the
-   v1-v6 segments and the v1-v2 shard manifests ({!Shard_io}).  One rule
+   v1-v7 segments and the v1-v2 shard manifests ({!Shard_io}).  One rule
    ([retired], [refuse_retired]) refuses a file whose magic names one, on
    the first attempt, with a rebuild hint; every reader of a segment
    recovers by rebuilding it (the live store re-seals it at open,
@@ -70,8 +79,13 @@
    Saving goes through a temp file + rename, so a crashed writer never
    leaves a half-written segment under the live name. *)
 
-let magic = "XKIDX007"
-let version = 7
+(* Int-specialised: [Stdlib.min] is polymorphic, and on the decode and
+   write paths its call to the generic compare costs more than the
+   arithmetic around it. *)
+let min (a : int) b = if a <= b then a else b
+
+let magic = "XKIDX008"
+let version = 8
 
 (* The retired generations of both index file kinds, by magic. *)
 let retired =
@@ -82,6 +96,7 @@ let retired =
     ("XKIDX004", "v4 segment");
     ("XKIDX005", "v5 segment");
     ("XKIDX006", "v6 segment");
+    ("XKIDX007", "v7 segment");
     ("XKSHM001", "v1 manifest");
     ("XKSHM002", "v2 manifest");
   ]
@@ -104,10 +119,10 @@ let load_error_message ?kind { error; attempts } =
   else error_message ?kind error
 
 exception Segment_fault of string
-(* Raised by the lazy v7 row decoder (see the .mli). *)
+(* Raised by the lazy v8 row decoder (see the .mli). *)
 
 (* ------------------------------------------------------------------ *)
-(* v7 writer (compressed segment)                                     *)
+(* v8 writer (compressed segment)                                     *)
 (* ------------------------------------------------------------------ *)
 
 let header_size = 72
@@ -148,57 +163,81 @@ type layout = {
 let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
-(* A bit writer, least significant bit first: [acc] holds the [n] < 8
-   bits not yet flushed to [buf]. *)
-type bit_writer = { buf : Buffer.t; mutable acc : int; mutable n : int }
+(* A bit writer, least significant bit first, into a growing byte
+   array: [len] bytes are written, and [acc] holds the [n] < 8 bits not
+   yet flushed to them. *)
+type bit_writer = {
+  mutable bytes : Bytes.t;
+  mutable len : int;
+  mutable acc : int;
+  mutable n : int;
+}
 
 (* Append the [bits] <= 48 low bits of [v]. *)
 let put w v bits =
   w.acc <- w.acc lor (v lsl w.n);
   w.n <- w.n + bits;
   while w.n >= 8 do
-    Buffer.add_char w.buf (Char.unsafe_chr (w.acc land 0xff));
+    if w.len = Bytes.length w.bytes then begin
+      let grown = Bytes.create (2 * w.len) in
+      Bytes.blit w.bytes 0 grown 0 w.len;
+      w.bytes <- grown
+    end;
+    Bytes.set w.bytes w.len (Char.unsafe_chr (w.acc land 0xff));
+    w.len <- w.len + 1;
     w.acc <- w.acc lsr 8;
     w.n <- w.n - 8
   done
 
-(* The node ids of one term, Rice-coded with parameter [k] and padded
-   with zero bits to a byte.  A k above 48 is written as 24 low bits,
-   then the rest. *)
-let write_rice buf ~k nodes =
-  let w = { buf; acc = 0; n = 0 } in
+(* One code: [q] zero bits, a one bit, then the [bits] low bits of [v],
+   in one [put] when they fit 48 bits; else the zeros 48 at a time, and
+   more than 48 low bits as 24, then the rest. *)
+let put_code w q bits v =
+  if q + 1 + bits <= 48 then
+    put w ((((v land ((1 lsl bits) - 1)) lsl 1) lor 1) lsl q) (q + 1 + bits)
+  else begin
+    let q = ref q in
+    while !q > 0 do
+      let m = min !q 48 in
+      put w 0 m;
+      q := !q - m
+    done;
+    put w 1 1;
+    if bits > 48 then begin
+      put w (v land 0xFFFFFF) 24;
+      put w ((v lsr 24) land ((1 lsl (bits - 24)) - 1)) (bits - 24)
+    end
+    else put w (v land ((1 lsl bits) - 1)) bits
+  end
+
+(* The Elias-gamma code of [v] >= 1: n zero bits, a one bit and the n
+   bits of [v] below its top bit, n = floor (log2 v). *)
+let put_gamma w v =
+  let rec top n = if v lsr (n + 1) = 0 then n else top (n + 1) in
+  let n = top 0 in
+  put_code w n n v
+
+(* The node ids of one term, Rice-coded with parameter [k]. *)
+let put_rice w ~k nodes =
   let prev = ref (-1) in
   Array.iter
     (fun id ->
       let gap = id - !prev - 1 in
       prev := id;
-      let q = ref (gap lsr k) in
-      while !q > 0 do
-        let m = min !q 48 in
-        put w 0 m;
-        q := !q - m
-      done;
-      put w 1 1;
-      if k > 48 then begin
-        put w (gap land 0xFFFFFF) 24;
-        put w ((gap lsr 24) land ((1 lsl (k - 24)) - 1)) (k - 24)
-      end
-      else put w (gap land ((1 lsl k) - 1)) k)
-    nodes;
-  if w.n > 0 then put w 0 (8 - w.n)
+      put_code w (gap lsr k) k gap)
+    nodes
 
-(* The tf section of a term whose cf differs from its df: the count of
-   rows with tf above 1, then (position gap, tf - 2) per such row, the
-   first position absolute. *)
-let write_tf_exceptions buf tfs =
-  Xk_storage.Varint.write buf
-    (Array.fold_left (fun n tf -> if tf > 1 then n + 1 else n) 0 tfs);
+(* The tf codes of a term whose cf differs from its df: the count of
+   rows with tf above 1, then (position gap + 1, tf - 1) per such row,
+   the first position absolute. *)
+let put_tf_exceptions w tfs =
+  put_gamma w (Array.fold_left (fun n tf -> if tf > 1 then n + 1 else n) 0 tfs);
   let prev = ref 0 in
   Array.iteri
     (fun i tf ->
       if tf > 1 then begin
-        Xk_storage.Varint.write buf (i - !prev);
-        Xk_storage.Varint.write buf (tf - 2);
+        put_gamma w (i - !prev + 1);
+        put_gamma w (tf - 1);
         prev := i
       end)
     tfs
@@ -209,30 +248,53 @@ let common_prefix a b =
   let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
   go 0
 
-(* One front-coded entry: the nibble byte, the varint tail of a field
-   that does not fit its nibble, and the suffix. *)
-let add_entry buf ~shared term =
-  let len = String.length term - shared in
-  Buffer.add_char buf (Char.chr ((min shared 15 lsl 4) lor min len 15));
-  if shared >= 15 then Xk_storage.Varint.write buf (shared - 15);
-  if len >= 15 then Xk_storage.Varint.write buf (len - 15);
-  Buffer.add_substring buf term shared len
-
-(* The term region of terms already in strict byte order: the
-   front-coded entries, then the restart table. *)
-let write_terms sorted =
-  let entries = Buffer.create 4096 in
+(* The term region of terms already in strict byte order, their suffixes
+   coded with [syms]: the table, the front-coded entries (the nibble
+   byte, the varint tail of a field that does not fit its nibble, the
+   codes), then the restart table. *)
+let term_region syms sorted suffixes =
+  let buf = Buffer.create 4096 in
+  Xk_storage.Symbols.write_table buf syms;
+  let coder = Xk_storage.Symbols.coder syms in
+  let codes = Buffer.create 64 in
   let table = Buffer.create (4 * restarts (Array.length sorted)) in
   Array.iteri
     (fun k term ->
-      if k mod restart_terms = 0 then begin
-        add_u32 table (Buffer.length entries);
-        add_entry entries ~shared:0 term
-      end
-      else add_entry entries ~shared:(common_prefix sorted.(k - 1) term) term)
+      if k mod restart_terms = 0 then add_u32 table (Buffer.length buf);
+      let shared = String.length term - String.length suffixes.(k) in
+      Buffer.clear codes;
+      Xk_storage.Symbols.encode coder codes suffixes.(k);
+      let len = Buffer.length codes in
+      Buffer.add_char buf (Char.chr ((min shared 15 lsl 4) lor min len 15));
+      if shared >= 15 then Xk_storage.Varint.write buf (shared - 15);
+      if len >= 15 then Xk_storage.Varint.write buf (len - 15);
+      Buffer.add_buffer buf codes)
     sorted;
-  Buffer.add_buffer entries table;
-  Buffer.contents entries
+  Buffer.add_buffer buf table;
+  Buffer.contents buf
+
+(* The region with a table trained on the suffixes, unless that is not
+   shorter than the uncoded region: an empty table (one byte), then per
+   entry its nibble byte, varint tails and suffix, and the restart
+   table. *)
+let write_terms sorted =
+  let suffixes =
+    Array.mapi
+      (fun k term ->
+        let shared = if k mod restart_terms = 0 then 0 else common_prefix sorted.(k - 1) term in
+        String.sub term shared (String.length term - shared))
+      sorted
+  in
+  let coded = term_region (Xk_storage.Symbols.train suffixes) sorted suffixes in
+  let tail v = if v >= 15 then Xk_storage.Varint.size (v - 15) else 0 in
+  let raw = ref (1 + (4 * restarts (Array.length sorted))) in
+  Array.iteri
+    (fun k suffix ->
+      let len = String.length suffix in
+      raw := !raw + 1 + tail (String.length sorted.(k) - len) + tail len + len)
+    suffixes;
+  if String.length coded < !raw then coded
+  else term_region Xk_storage.Symbols.empty sorted suffixes
 
 let save (idx : Index.t) path =
   let node_count = Xk_encoding.Labeling.node_count (Index.label idx) in
@@ -245,7 +307,7 @@ let save (idx : Index.t) path =
     if String.equal sorted.(k - 1) sorted.(k) then
       Xk_util.Err.invalidf "Index_io.save: duplicate term %S" sorted.(k)
   done;
-  let postings = Buffer.create 65536 in
+  let w = { bytes = Bytes.create 65536; len = 0; acc = 0; n = 0 } in
   let table = Buffer.create (8 * blocks term_count) in
   let entries = Buffer.create (2 * term_count) in
   let block_start = ref 0 and total_rows = ref 0 in
@@ -263,16 +325,18 @@ let save (idx : Index.t) path =
             term)
       nodes;
     let cf = Array.fold_left ( + ) 0 tfs in
-    write_rice postings ~k:(rice_k ~node_count df) nodes;
-    if cf <> df then write_tf_exceptions postings tfs;
+    put_rice w ~k:(rice_k ~node_count df) nodes;
+    if cf <> df then put_tf_exceptions w tfs;
     Xk_storage.Varint.write entries ((df lsl 1) lor if cf <> df then 1 else 0);
     if cf <> df then Xk_storage.Varint.write entries (cf - df);
     total_rows := !total_rows + df;
     if (id + 1) mod block_terms = 0 || id = term_count - 1 then begin
-      let len = Buffer.length postings - !block_start in
-      add_u32 table (Xk_storage.Crc32.string (Buffer.sub postings !block_start len));
+      if w.n > 0 then put w 0 (8 - w.n);
+      let len = w.len - !block_start in
+      add_u32 table
+        (Xk_storage.Crc32.sub (Bytes.unsafe_to_string w.bytes) ~pos:!block_start ~len);
       add_u32 table len;
-      block_start := Buffer.length postings
+      block_start := w.len
     end
   done;
   let terms = write_terms sorted
@@ -284,7 +348,7 @@ let save (idx : Index.t) path =
   add_u64 header term_count;
   add_u64 header !total_rows;
   add_u64 header (String.length terms);
-  add_u64 header (Buffer.length postings);
+  add_u64 header w.len;
   add_u64 header (String.length dir);
   add_u32 header (Xk_storage.Crc32.string terms);
   add_u32 header (Xk_storage.Crc32.string dir);
@@ -293,7 +357,7 @@ let save (idx : Index.t) path =
   Xk_storage.Durable.write_atomically path (fun oc ->
       Buffer.output_buffer oc header;
       output_string oc terms;
-      Buffer.output_buffer oc postings;
+      output oc w.bytes 0 w.len;
       output_string oc dir)
 
 (* The outcome classes of one read attempt.  [`Transient], [`Crc] and
@@ -332,7 +396,7 @@ let refuse_retired data =
   | None -> Ok ()
 
 (* ------------------------------------------------------------------ *)
-(* v7 reader                                                          *)
+(* v8 reader                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Every region is read by copying it out of the map, and each checksum
@@ -360,7 +424,7 @@ let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
    a [size]-byte file; returns the geometry and the header bytes, which
    carry the terms and directory checksums. *)
 let parse_header ~size h : layout * string =
-  if size < header_size then bad_trunc "shorter than the v7 header";
+  if size < header_size then bad_trunc "shorter than the v8 header";
   if Xk_storage.Crc32.sub h ~pos:0 ~len:(header_size - 4) <> u32_at h 68 then
     bad_crc "header checksum mismatch";
   (* The header is authentic past this point: every further anomaly is
@@ -413,7 +477,7 @@ let map_header m =
   let size = Xk_storage.Mmap.size m in
   parse_header ~size (Xk_storage.Mmap.sub_string m ~pos:0 ~len:(min size header_size))
 
-(* The checked v7 term region and decoded directory, plus the map the
+(* The checked v8 term region and decoded directory, plus the map the
    postings are read from: the persistent state behind the lazy term and
    row provider. *)
 type segment = {
@@ -421,14 +485,16 @@ type segment = {
   sg_map : Xk_storage.Mmap.t;
   sg_lay : layout;
   sg_terms : string;  (* the checked term region, copied out *)
+  sg_syms : Xk_storage.Symbols.t;  (* its symbol table *)
   sg_table : int;  (* offset of the restart table in [sg_terms] *)
   sg_dfs : int array;
   sg_cfs : int array;
   sg_block_crcs : int array;  (* one per [block_terms] term ids *)
   sg_block_offs : int array;  (* file offset of each block, then the region end *)
-  (* Per block, empty until its CRC has been verified, then the file
-     offset of each of its terms and the block's end.  Two domains may
-     both verify a block; each publishes equal offsets. *)
+  (* Per block, empty until its CRC has been verified, then the bit
+     offset of each of its terms in the block and the offset where its
+     last term ends.  Two domains may both verify a block; each
+     publishes equal offsets. *)
   sg_offsets : int array Atomic.t array;
 }
 
@@ -448,28 +514,35 @@ let field c nibble =
     if v > max_int - 15 then Xk_storage.Varint.malformed "entry field overflows";
     15 + v
 
-(* Check the term region of [n] terms in one pass: the restart table
-   fits and names exactly the offset of each block's first entry, which
-   shares nothing, every entry lies inside the entries, every shared
-   prefix is at most the previous term and every term sorts strictly
-   after it, and the entries end where the table starts.  Returns the
-   table's offset.  The previous term lives in one scratch buffer, grown
-   to the longest term; nothing is allocated per term. *)
+(* [a] against [b] in byte order, from byte [from] of both. *)
+let compare_from (a : Buffer.t) (b : Buffer.t) ~from =
+  let la = Buffer.length a and lb = Buffer.length b in
+  let rec go i =
+    if i = la || i = lb then Int.compare la lb
+    else
+      let d = Char.compare (Buffer.nth a i) (Buffer.nth b i) in
+      if d <> 0 then d else go (i + 1)
+  in
+  go from
+
+(* Check the term region of [n] terms in one pass: the symbol table is
+   well formed, the restart table fits and names exactly the offset of
+   each block's first entry, which shares nothing, every entry lies
+   inside the entries and its codes decode, every shared prefix is at
+   most the previous term and every term sorts strictly after it, and
+   the entries end where the table starts.  Returns the symbol table and
+   the restart table's offset.  The previous term and a restart are
+   decoded into two scratch buffers; nothing is allocated per term. *)
 let check_terms terms n =
   let fail msg = bad_struct ("term region: " ^ msg) in
   let table = String.length terms - (4 * restarts n) in
   if table < 0 then fail "restart table longer than the region";
   let c = Xk_storage.Varint.slice terms ~pos:0 ~stop:table in
-  let prev = ref (Bytes.create 64) and prev_len = ref 0 in
-  let keep ~at ~pos ~len =
-    if at + len > Bytes.length !prev then begin
-      let grown = Bytes.create (2 * (at + len)) in
-      Bytes.blit !prev 0 grown 0 at;
-      prev := grown
-    end;
-    Bytes.blit_string terms pos !prev at len;
-    prev_len := at + len
+  let syms =
+    try Xk_storage.Symbols.read_table c
+    with Xk_storage.Varint.Malformed msg -> fail ("symbol table: " ^ msg)
   in
+  let prev = ref (Buffer.create 64) and cur = ref (Buffer.create 64) in
   (try
      for id = 0 to n - 1 do
        let start = c.pos in
@@ -478,40 +551,43 @@ let check_terms terms n =
        let len = field c (h land 15) in
        let pos = c.pos in
        Xk_storage.Varint.skip c len;
-       if shared > !prev_len then
+       let prev_len = Buffer.length !prev in
+       if shared > prev_len then
          fail (Printf.sprintf "term %d shares more than the previous term" id);
        if id mod restart_terms = 0 then begin
          if u32_at terms (table + (4 * (id / restart_terms))) <> start then
            fail (Printf.sprintf "restart %d disagrees with the entries" (id / restart_terms));
          if shared > 0 then fail (Printf.sprintf "restart %d shares a prefix" (id / restart_terms));
-         (* Strictly after the previous term: greater at the first
-            difference, or longer with it as a prefix. *)
-         if id > 0 then begin
-           let m = min len !prev_len in
-           let rec diff i =
-             if i = m then Int.compare len !prev_len
-             else
-               let d = Char.compare terms.[pos + i] (Bytes.get !prev i) in
-               if d <> 0 then d else diff (i + 1)
-           in
-           if diff 0 <= 0 then fail (Printf.sprintf "term %d out of byte order" id)
-         end
+         Buffer.clear !cur;
+         Xk_storage.Symbols.decode syms terms ~pos ~len !cur;
+         if id > 0 && compare_from !cur !prev ~from:0 <= 0 then
+           fail (Printf.sprintf "term %d out of byte order" id);
+         let t = !prev in
+         prev := !cur;
+         cur := t
        end
-       (* The shared prefix is the longest one, so the first suffix byte
-          is where the term passes the previous one. *)
-       else if len = 0 || (shared < !prev_len && terms.[pos] <= Bytes.get !prev shared)
-       then fail (Printf.sprintf "term %d out of byte order" id);
-       keep ~at:shared ~pos ~len
+       else begin
+         (* The shared prefix is the longest one, so the first suffix
+            byte is where the term passes the previous one. *)
+         let passed = if shared < prev_len then Buffer.nth !prev shared else '\000' in
+         Buffer.truncate !prev shared;
+         Xk_storage.Symbols.decode syms terms ~pos ~len !prev;
+         if
+           Buffer.length !prev = shared
+           || (shared < prev_len && Buffer.nth !prev shared <= passed)
+         then fail (Printf.sprintf "term %d out of byte order" id)
+       end
      done
    with Xk_storage.Varint.Malformed msg -> fail msg);
   if c.pos <> table then fail "entries do not end at the restart table";
-  table
+  (syms, table)
 
 (* Decode the directory in one pass: the block table, then per term its
    df and cf.  The block lengths must tile the postings region, the dfs
-   sum to the row count, and each block's rows and tf sections fit its
-   bits (a row takes one bit at least, a tf section three bytes): any
-   overlap, gap or overhang is structural corruption. *)
+   sum to the row count, and each block's rows and tf codes fit its bits
+   (a row takes one bit at least, a tf section three gamma codes of a
+   bit at least): any overlap, gap or overhang is structural
+   corruption. *)
 let parse_dir path m ((lay, h) : layout * string) : segment =
   let dir = Xk_storage.Mmap.sub_string m ~pos:lay.dir_off ~len:lay.dir_len in
   if Xk_storage.Crc32.string dir <> u32_at h 64 then
@@ -520,7 +596,7 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
   if Xk_storage.Crc32.string terms <> u32_at h 60 then
     bad_crc "terms-region checksum mismatch";
   let n = lay.term_count in
-  let table = check_terms terms n in
+  let syms, table = check_terms terms n in
   let nblocks = blocks n in
   let block_crcs = Array.init nblocks (fun b -> u32_at dir (8 * b)) in
   let block_offs = Array.make (nblocks + 1) lay.postings_off in
@@ -552,7 +628,7 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
        if df = 0 && extra > 0 then fail "tfs without rows";
        if extra > max_int - df then fail "cf overflows";
        if df > lay.node_count then fail "more rows than nodes";
-       let need = if extra > 0 then 24 else 0 in
+       let need = if extra > 0 then 3 else 0 in
        if df > !bits - need then fail "more rows than postings bits";
        bits := !bits - df - need;
        dfs.(id) <- df;
@@ -568,6 +644,7 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
     sg_map = m;
     sg_lay = lay;
     sg_terms = terms;
+    sg_syms = syms;
     sg_table = table;
     sg_dfs = dfs;
     sg_cfs = cfs;
@@ -577,7 +654,7 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
   }
 
 (* The restart entry of front-coding block [r]: a cursor just past its
-   bytes, their offset and their length. *)
+   codes, their offset and their length. *)
 let restart sg r =
   let c =
     Xk_storage.Varint.cursor_at sg.sg_terms (u32_at sg.sg_terms (sg.sg_table + (4 * r)))
@@ -587,30 +664,29 @@ let restart sg r =
   Xk_storage.Varint.skip c len;
   (c, pos, len)
 
+let decode_suffix sg ~pos ~len b = Xk_storage.Symbols.decode sg.sg_syms sg.sg_terms ~pos ~len b
+
 (* The term of id [id]: its block's restart, then the block's entries up
    to [id], each keeping its shared prefix of the one before. *)
 let term_of sg id =
   let r = id / restart_terms in
   let c, pos, len = restart sg r in
-  let b = Buffer.create (2 * len) in
-  Buffer.add_substring b sg.sg_terms pos len;
+  let b = Buffer.create (4 * len) in
+  decode_suffix sg ~pos ~len b;
   for _ = (r * restart_terms) + 1 to id do
     let h = head c in
     let shared = field c (h lsr 4) in
     let len = field c (h land 15) in
     Buffer.truncate b shared;
-    Buffer.add_substring b sg.sg_terms c.pos len;
+    decode_suffix sg ~pos:c.pos ~len b;
     Xk_storage.Varint.skip c len
   done;
   Buffer.contents b
 
-(* Length of the common prefix of [w] from [from] and the [len] bytes of
-   the term region at [pos]. *)
-let common sg w ~from ~pos ~len =
-  let n = min (String.length w - from) len in
-  let rec go i =
-    if i < n && w.[from + i] = sg.sg_terms.[pos + i] then go (i + 1) else i
-  in
+(* Length of the common prefix of [w] from [from] and [b]. *)
+let common w ~from b =
+  let n = min (String.length w - from) (Buffer.length b) in
+  let rec go i = if i < n && w.[from + i] = Buffer.nth b i then go (i + 1) else i in
   go 0
 
 (* The id of word [w], ASCII case folded: binary search for the last
@@ -618,17 +694,22 @@ let common sg w ~from ~pos ~len =
    scan carries [m], the prefix [w] shares with the entry before, which
    sorts before [w]: an entry sharing more of that entry also sorts
    before [w], one sharing less sorts after it, and only one sharing
-   exactly [m] bytes is compared, from byte [m] on. *)
+   exactly [m] bytes is decoded and compared, from byte [m] on.  Terms
+   are decoded into one scratch buffer. *)
 let find_term sg w =
   let w = String.lowercase_ascii w in
   let n = sg.sg_lay.term_count in
+  let b = Buffer.create 64 in
   (* [w] against the restart of block [r]: their common prefix, and
      whether [w] sorts before, at or after it. *)
   let against r =
     let _, pos, len = restart sg r in
-    let k = common sg w ~from:0 ~pos ~len in
+    Buffer.clear b;
+    decode_suffix sg ~pos ~len b;
+    let len = Buffer.length b in
+    let k = common w ~from:0 b in
     let order =
-      if k < len && k < String.length w then Char.compare w.[k] sg.sg_terms.[pos + k]
+      if k < len && k < String.length w then Char.compare w.[k] (Buffer.nth b k)
       else Int.compare (String.length w) len
     in
     (k, order)
@@ -654,37 +735,19 @@ let find_term sg w =
         Xk_storage.Varint.skip c len;
         if shared > m then scan (id + 1) m
         else if shared < m then None
-        else
-          let k = common sg w ~from:m ~pos ~len in
+        else begin
+          Buffer.clear b;
+          decode_suffix sg ~pos ~len b;
+          let len = Buffer.length b in
+          let k = common w ~from:m b in
           if k = len && m + k = String.length w then Some id
-          else if k < len && (m + k = String.length w || w.[m + k] < sg.sg_terms.[pos + k])
-          then None
+          else if k < len && (m + k = String.length w || w.[m + k] < Buffer.nth b k) then None
           else scan (id + 1) (m + k)
+        end
     in
     match against r with
     | _, 0 -> Some (r * restart_terms)
     | m, _ -> scan ((r * restart_terms) + 1) m
-
-(* A bit reader over [s] up to byte [stop], least significant bit
-   first: [next] is the next byte to load, and [acc] holds the [avail]
-   bits loaded but not consumed, and no bit above them. *)
-type bit_reader = {
-  s : string;
-  stop : int;
-  mutable next : int;
-  mutable acc : int;
-  mutable avail : int;
-}
-
-let reader s = { s; stop = String.length s; next = 0; acc = 0; avail = 0 }
-
-(* Top [acc] up to more than 48 bits, or to the last byte. *)
-let refill r =
-  while r.avail <= 48 && r.next < r.stop do
-    r.acc <- r.acc lor (Char.code (String.unsafe_get r.s r.next) lsl r.avail);
-    r.avail <- r.avail + 8;
-    r.next <- r.next + 1
-  done
 
 (* The trailing zero bits of each nonzero byte. *)
 let trailing_zeros =
@@ -692,104 +755,147 @@ let trailing_zeros =
       let rec go i = if b = 0 || (b lsr i) land 1 = 1 then i else go (i + 1) in
       Char.chr (go 0))
 
-(* A Rice quotient: the zero bits before the next one bit, [q] counted
-   so far. *)
-let rec unary r q =
-  if r.acc = 0 then begin
-    let q = q + r.avail in
-    r.avail <- 0;
-    if r.next >= r.stop then Xk_storage.Varint.malformed "unary run past the term's end";
-    refill r;
-    unary r q
-  end
-  else begin
-    let a = ref r.acc and z = ref 0 in
+let term_fault id msg = bad_struct (Printf.sprintf "term %d postings: %s" id msg)
+let no_rows = ([||], [||])
+
+(* Decode term [id]'s rows from the bit stream [s], bytes below [stop],
+   starting at bit [!at] and leaving [!at] at the bit where the term
+   ends.  The stream must hold df Rice-coded node ids, strictly
+   increasing below the node count, then, when cf <> df, gamma codes: a
+   count of at most df, and that many (position gap + 1, tf - 1) pairs
+   with strictly increasing positions below df and df + sum (tf - 1) =
+   cf.  One loop reads every code, Rice or gamma, as a unary quotient q
+   and then k bits (Rice) or q bits (gamma), its reader state in local
+   variables.  Raises [Bad] [`Fatal] on malformed content.  [keep:false]
+   checks everything but allocates no rows, so a block walk allocates
+   nothing per term. *)
+let decode_term ~keep sg id s ~stop at =
+  let df = sg.sg_dfs.(id) and cf = sg.sg_cfs.(id) in
+  let last = sg.sg_lay.node_count - 1 in
+  let k = rice_k ~node_count:sg.sg_lay.node_count df in
+  let nodes = if keep then Array.make df 0 else [||] in
+  let tfs = if keep then Array.make df 1 else [||] in
+  (* [next] is the next byte to load; [acc] holds the [avail] bits
+     loaded but not consumed, and no bit above them. *)
+  let next = ref (!at lsr 3) and acc = ref 0 and avail = ref 0 in
+  if !next < stop then begin
+    acc := Char.code (String.unsafe_get s !next) lsr (!at land 7);
+    avail := 8 - (!at land 7);
+    incr next
+  end;
+  let codes = ref (if cf <> df then df + 1 else df) in
+  let i = ref 0 and prev = ref (-1) and pos = ref 0 and extra = ref (cf - df) in
+  while !i < !codes do
+    (* Top the bits up to more than 48 (or to [stop]) once per code. *)
+    if !avail <= 48 then
+      while !avail <= 48 && !next < stop do
+        acc := !acc lor (Char.code (String.unsafe_get s !next) lsl !avail);
+        avail := !avail + 8;
+        incr next
+      done;
+    (* The unary quotient: the zero bits before the next one bit. *)
+    let q = ref 0 in
+    while !acc = 0 do
+      q := !q + !avail;
+      avail := 0;
+      if !next >= stop then term_fault id "unary run past the block's end";
+      while !avail <= 48 && !next < stop do
+        acc := !acc lor (Char.code (String.unsafe_get s !next) lsl !avail);
+        avail := !avail + 8;
+        incr next
+      done
+    done;
+    let a = ref !acc and z = ref 0 in
     while !a land 0xff = 0 do
       a := !a lsr 8;
       z := !z + 8
     done;
     let z = !z + Char.code (String.unsafe_get trailing_zeros (!a land 0xff)) in
-    r.acc <- r.acc lsr (z + 1);
-    r.avail <- r.avail - z - 1;
-    q + z
-  end
-
-(* The next [k] <= 48 bits. *)
-let take r k =
-  if r.avail < k then refill r;
-  if r.avail < k then Xk_storage.Varint.malformed "Rice code runs past the term's end";
-  let v = r.acc land ((1 lsl k) - 1) in
-  r.acc <- r.acc lsr k;
-  r.avail <- r.avail - k;
-  v
-
-let term_fault id msg = bad_struct (Printf.sprintf "term %d postings: %s" id msg)
-let no_rows = ([||], [||])
-
-(* Decode term [id]'s rows from [r], starting at byte [r.next] and
-   leaving [r.next] where the term ends.  The bytes must hold exactly df
-   Rice-coded node ids, strictly increasing below the node count, then
-   zero pad bits to a byte, then, when cf <> df, a tf exception list: a
-   count of at least 1, and that many (position gap, tf - 2) pairs with
-   strictly increasing positions below df and df + sum (tf - 1) = cf.
-   Raises [Bad] [`Fatal] on malformed content.  [keep:false] checks
-   everything but allocates no rows, so a block walk allocates nothing
-   per term. *)
-let decode_term ~keep sg id r =
-  let df = sg.sg_dfs.(id) and cf = sg.sg_cfs.(id) in
-  let last = sg.sg_lay.node_count - 1 in
-  let k = rice_k ~node_count:sg.sg_lay.node_count df in
-  r.acc <- 0;
-  r.avail <- 0;
-  match
-    let nodes = if keep then Array.make df 0 else [||] in
-    let prev = ref (-1) in
-    for i = 0 to df - 1 do
-      let q = unary r 0 in
-      let room = last - !prev - 1 in
-      if room < 0 || q > room lsr k then term_fault id "node id out of range";
-      let low =
-        if k <= 48 then take r k
-        else
-          let lo = take r 24 in
-          lo lor (take r (k - 24) lsl 24)
-      in
+    acc := !acc lsr (z + 1);
+    avail := !avail - z - 1;
+    let q = !q + z in
+    let rice = !i < df in
+    let width =
+      if rice then begin
+        let room = last - !prev - 1 in
+        if room < 0 || q > room lsr k then term_fault id "node id out of range";
+        k
+      end
+      else if q > 61 then term_fault id "gamma code too long"
+      else q
+    in
+    (* The code's low bits: one step, or 48 at a time for a code wider
+       than 48 bits. *)
+    let low =
+      if width <= 48 then begin
+        if !avail < width then begin
+          while !avail <= 48 && !next < stop do
+            acc := !acc lor (Char.code (String.unsafe_get s !next) lsl !avail);
+            avail := !avail + 8;
+            incr next
+          done;
+          if !avail < width then term_fault id "code runs past the block's end"
+        end;
+        let v = !acc land ((1 lsl width) - 1) in
+        acc := !acc lsr width;
+        avail := !avail - width;
+        v
+      end
+      else begin
+        let low = ref 0 and got = ref 0 in
+        while !got < width do
+          let m = min (width - !got) 48 in
+          if !avail < m then
+            while !avail <= 48 && !next < stop do
+              acc := !acc lor (Char.code (String.unsafe_get s !next) lsl !avail);
+              avail := !avail + 8;
+              incr next
+            done;
+          if !avail < m then term_fault id "code runs past the block's end";
+          low := !low lor ((!acc land ((1 lsl m) - 1)) lsl !got);
+          acc := !acc lsr m;
+          avail := !avail - m;
+          got := !got + m
+        done;
+        !low
+      end
+    in
+    if rice then begin
       let gap = (q lsl k) lor low in
-      if gap > room then term_fault id "node id out of range";
+      if gap > last - !prev - 1 then term_fault id "node id out of range";
       prev := !prev + gap + 1;
-      if keep then nodes.(i) <- !prev
-    done;
-    if r.acc land ((1 lsl (r.avail land 7)) - 1) <> 0 then term_fault id "nonzero pad bits";
-    r.next <- r.next - (r.avail lsr 3);
-    let tfs = if keep then Array.make df 1 else [||] in
-    if cf <> df then begin
-      let c = Xk_storage.Varint.slice r.s ~pos:r.next ~stop:r.stop in
-      let count = Xk_storage.Varint.read c in
-      if count < 1 || count > df then term_fault id "bad tf exception count";
-      let at = ref 0 and extra = ref (cf - df) in
-      for i = 0 to count - 1 do
-        let gap = Xk_storage.Varint.read c in
-        if i > 0 && gap = 0 then term_fault id "tf exceptions not increasing";
-        if gap > df - 1 - !at then term_fault id "tf exception past the rows";
-        at := !at + gap;
-        let tf2 = Xk_storage.Varint.read c in
-        if tf2 >= !extra then term_fault id "tfs exceed cf";
-        extra := !extra - tf2 - 1;
-        if keep then tfs.(!at) <- tf2 + 2
-      done;
-      if !extra <> 0 then term_fault id "tfs do not sum to cf";
-      r.next <- c.pos
+      if keep then nodes.(!i) <- !prev
+    end
+    else begin
+      let v = (1 lsl q) lor low in
+      let j = !i - df in
+      if j = 0 then begin
+        if v > df then term_fault id "bad tf exception count";
+        codes := df + 1 + (2 * v)
+      end
+      else if j land 1 = 1 then begin
+        if j > 1 && v = 1 then term_fault id "tf exceptions not increasing";
+        if v - 1 > df - 1 - !pos then term_fault id "tf exception past the rows";
+        pos := !pos + v - 1
+      end
+      else begin
+        if v > !extra then term_fault id "tfs exceed cf";
+        extra := !extra - v;
+        if keep then tfs.(!pos) <- v + 1
+      end
     end;
-    if keep then (nodes, tfs) else no_rows
-  with
-  | exception Xk_storage.Varint.Malformed msg -> term_fault id msg
-  | rows -> rows
+    incr i
+  done;
+  if !extra <> 0 then term_fault id "tfs do not sum to cf";
+  at := (8 * !next) - !avail;
+  if keep then (nodes, tfs) else no_rows
 
 (* Copy block [b]'s postings out of the map, check them against the
    block's CRC, and walk its terms in the same pass: each must decode,
-   and together they must end at the block's length.  Publishes the
-   term offsets the walk finds, and returns the rows of term [want] (if
-   it is in the block), which the walk keeps. *)
+   and together they must end in the block's last byte, whose bits past
+   them are zero.  Publishes the bit offsets the walk finds, and returns
+   the rows of term [want] (if it is in the block), which the walk
+   keeps. *)
 let verified_block ?(want = -1) sg b =
   let off = sg.sg_block_offs.(b) in
   let len = sg.sg_block_offs.(b + 1) - off in
@@ -798,32 +904,36 @@ let verified_block ?(want = -1) sg b =
     bad_crc (Printf.sprintf "block %d postings checksum mismatch" b);
   let first = b * block_terms in
   let count = min sg.sg_lay.term_count (first + block_terms) - first in
-  let offs = Array.make (count + 1) (off + len) in
-  let r = reader s and rows = ref no_rows in
+  let offs = Array.make (count + 1) 0 in
+  let at = ref 0 and rows = ref no_rows in
   for i = 0 to count - 1 do
-    offs.(i) <- off + r.next;
+    offs.(i) <- !at;
     let id = first + i in
-    let rs = decode_term ~keep:(id = want) sg id r in
+    let rs = decode_term ~keep:(id = want) sg id s ~stop:len at in
     if id = want then rows := rs
   done;
-  if r.next <> len then
+  offs.(count) <- !at;
+  if (!at + 7) / 8 <> len then
     bad_struct (Printf.sprintf "block %d length disagrees with its terms" b);
+  if !at land 7 <> 0 && Char.code s.[len - 1] lsr (!at land 7) <> 0 then
+    bad_struct (Printf.sprintf "block %d has nonzero pad bits" b);
   Atomic.set sg.sg_offsets.(b) offs;
   !rows
 
 (* Decode one term's rows: in the walk that verifies its block, if no
-   decode has yet, else from exactly its own bytes.  Raises [Bad]:
-   [`Crc] on a checksum mismatch, [`Fatal] on malformed content behind a
-   verified checksum. *)
+   decode has yet, else from exactly the bytes its bits lie in.  Raises
+   [Bad]: [`Crc] on a checksum mismatch, [`Fatal] on malformed content
+   behind a verified checksum. *)
 let decode_rows sg id =
   let b = id / block_terms and i = id mod block_terms in
   let offs = Atomic.get sg.sg_offsets.(b) in
   if Array.length offs = 0 then verified_block ~want:id sg b
   else
-    let len = offs.(i + 1) - offs.(i) in
-    let r = reader (Xk_storage.Mmap.sub_string sg.sg_map ~pos:offs.(i) ~len) in
-    let rows = decode_term ~keep:true sg id r in
-    if r.next <> len then term_fault id "trailing bytes";
+    let lo = offs.(i) / 8 and hi = (offs.(i + 1) + 7) / 8 in
+    let s = Xk_storage.Mmap.sub_string sg.sg_map ~pos:(sg.sg_block_offs.(b) + lo) ~len:(hi - lo) in
+    let at = ref (offs.(i) - (8 * lo)) in
+    let rows = decode_term ~keep:true sg id s ~stop:(hi - lo) at in
+    if !at <> offs.(i + 1) - (8 * lo) then term_fault id "trailing bits";
     rows
 
 (* Full verification of a parsed segment: every block's CRC holds and
@@ -833,7 +943,7 @@ let decode_all sg =
     ignore (verified_block sg b)
   done
 
-let open_v7 ?stats ~verify_columns label path m : Index.t =
+let open_segment ?stats ~verify_columns label path m : Index.t =
   let ((lay, _) as header) = map_header m in
   if lay.node_count <> Xk_encoding.Labeling.node_count label then
     bad_struct
@@ -907,7 +1017,7 @@ let read_mapped path =
 let attempt ?stats ~verify_columns label path =
   with_map path (fun m ->
       Result.map
-        (fun () -> open_v7 ?stats ~verify_columns label path m)
+        (fun () -> open_segment ?stats ~verify_columns label path m)
         (check_magic m))
 
 let retryable = function

@@ -1,36 +1,41 @@
-(** Fault-tolerant index persistence: the v7 ("XKIDX007") compressed
+(** Fault-tolerant index persistence: the v8 ("XKIDX008") compressed
     zero-copy segment, the one loadable generation.
 
     A segment is a fixed 72-byte header with its own CRC-32, the term
-    region (the terms in byte order, front-coded in blocks of 16 - every
-    entry one byte [shared lsl 4 lor suffix_len], a nibble of 15
-    extended by a varint, then the suffix; a block's first entry shares
-    nothing - then a table of each block's offset), the postings (per
-    term, the node-id gaps Rice-coded with a parameter k derived from
-    the term's df and the node count, padded to a byte, then only when
-    the term's cf differs from its df a sparse tf section: a varint
-    count and a (position gap, tf - 2) varint pair per row whose tf is
-    above 1) and a directory (per block of 64 consecutive term ids a u32
+    region (a symbol table of at most 255 symbols of 1-8 bytes,
+    {!Xk_storage.Symbols}, trained at save on the region's own suffixes
+    and left empty when it would not shrink the region; then the terms
+    in byte order, front-coded in blocks of 16 - every entry one byte
+    [shared lsl 4 lor code_len], a nibble of 15 extended by a varint,
+    then the suffix's codes, a symbol's index or 255 and a literal byte;
+    a block's first entry shares nothing - then a table of each block's
+    offset), the postings (one bit stream per block of 64 consecutive
+    term ids, padded to a byte only at its end: per term the node-id
+    gaps Rice-coded with a parameter k derived from the term's df and
+    the node count, then only when the term's cf differs from its df
+    Elias-gamma tf codes: the count, and a (position gap + 1, tf - 1)
+    pair per row whose tf is above 1) and a directory (per block a u32
     CRC-32 over that block's postings and a u32 byte length of them,
     then per term one varint [df lsl 1 lor has_tfs], and cf - df only
     when has_tfs is set), back to back with no padding, so every byte
     is under a checksum.  A term's id is its rank in byte order.
     Loading memory-maps the file ({!Xk_storage.Mmap}), verifies the
-    header, terms and directory checksums, checks the term region's
-    structure and strict byte order in one pass, decodes the directory
-    (statistics included - no posting is touched) and hands
-    {!Index.of_provider} the term region, where a lookup binary-searches
-    the block heads and scans one block, and a lazy row decoder.  The
-    first decode of any term of a block verifies that block's checksum
-    and decodes the block's terms in the same pass, which yields their
-    offsets; the block publishes them atomically, and later decodes read
-    one term's bytes.  No dictionary and no per-term offset is built:
-    open cost is one pass over the terms and the directory, and the
-    kernel pages postings in on demand.  Scores are bit-identical to a
-    fresh {!Index.build}: both feed the same (tf, df) integers to the
-    same scorer.
+    header, terms and directory checksums, checks the symbol table and
+    the term region's structure and strict byte order (decoding every
+    suffix) in one pass, decodes the directory (statistics included -
+    no posting is touched) and hands {!Index.of_provider} the term
+    region, where a lookup binary-searches the block heads and scans one
+    block, decoding terms into a scratch buffer, and a lazy row decoder.
+    The first decode of any term of a block verifies that block's
+    checksum and decodes the block's terms in the same pass, which
+    yields their bit offsets; the block publishes them atomically, and
+    later decodes read the bytes one term's bits lie in.  No dictionary
+    and no per-term offset is built: open cost is one pass over the
+    terms and the directory, and the kernel pages postings in on demand.
+    Scores are bit-identical to a fresh {!Index.build}: both feed the
+    same (tf, df) integers to the same scorer.
 
-    Every earlier generation is retired: a v1-v6 segment, like a v1-v2
+    Every earlier generation is retired: a v1-v7 segment, like a v1-v2
     shard manifest ({!Shard_io}), is refused by one rule
     ({!refuse_retired}) as {!Corrupted} with a message asking for a
     rebuild, on the first attempt.
@@ -98,7 +103,7 @@ val refuse_retired : string -> (unit, attempt_error) result
     of such a file are intact, so a re-read cannot change the outcome. *)
 
 val magic : string
-(** The magic of the one loadable segment generation (v7). *)
+(** The magic of the one loadable segment generation (v8). *)
 
 val retrying :
   ?retries:int ->
@@ -113,20 +118,21 @@ val load_error_message : ?kind:string -> load_error -> string
 (** {!error_message}, with the attempt count when there was a retry. *)
 
 exception Segment_fault of string
-(** Raised by the {e lazy} v7 row decoder: the checksum of a term's
-    block fails or the block's terms do not decode to its length (every
-    term of that block faults, every other term still decodes), its
-    postings do not decode (a unary run or varint runs past the term,
-    node ids reach the node count, pad bits are not zero, tf exception
-    positions are not strictly increasing below df, or the tfs do not
-    sum to cf), or the mapping was closed under the reader.  Eager-open failures never use
+(** Raised by the {e lazy} v8 row decoder: the checksum of a term's
+    block fails or the block's terms do not decode to its length or
+    leave nonzero pad bits (every term of that block faults, every other
+    term still decodes), its postings do not decode (a unary run or a
+    code runs past the block, node ids reach the node count, a gamma
+    code is longer than 61 bits, tf exception positions are not strictly
+    increasing below df, or the tfs do not sum to cf), or the mapping
+    was closed under the reader.  Eager-open failures never use
     this — they are returned as {!load_error} values.  Raised at query
     time, it propagates out of list materialization; the replicated
     executor's failover-on-raise treats it like any other replica
     failure. *)
 
 val save : Index.t -> string -> unit
-(** Write a v7 segment durably and atomically: temp file, fsync,
+(** Write a v8 segment durably and atomically: temp file, fsync,
     rename, directory fsync ({!Xk_storage.Durable}).  The terms are
     written in byte order, so an opened segment's term ids are their
     ranks in that order, whatever ids [idx] gave them.  Raises
@@ -185,10 +191,10 @@ type layout = {
   dir_len : int;
   file_size : int;  (** header + the three region lengths *)
 }
-(** Region geometry of a v7 segment: the header, then the terms,
+(** Region geometry of a v8 segment: the header, then the terms,
     postings and directory regions back to back.  Exposed so a fault
     drill can corrupt one specific region. *)
 
 val layout : string -> (layout, error) result
-(** Parse and verify a v7 header, returning its geometry; [Io_failed]
+(** Parse and verify a v8 header, returning its geometry; [Io_failed]
     if the file cannot be read. *)

@@ -10,7 +10,7 @@
    a port varint).  The retired v1 (no replica lists) and v2 (no
    endpoints) manifests are refused with a rebuild hint, by the
    retired-magic rule the segments share ([Index_io.refuse_retired]), and
-   so is a bare v7 segment where the manifest belongs.
+   so is a bare segment where the manifest belongs.
    Node data lives only in the per-shard segments; reloading re-derives
    the sub-documents from the corpus and the stored assignment, so a
    manifest stays valid for exactly the document it was built from
@@ -162,7 +162,7 @@ let attempt_manifest path : (manifest, Index_io.attempt_error) result =
             Error
               (`Fatal
                  (Index_io.Corrupted
-                    "a bare v7 segment, not a shard manifest; rebuild the \
+                    "a bare segment, not a shard manifest; rebuild the \
                      index"))
           else
             match Xk_storage.Framed.check ~magic ~version data with

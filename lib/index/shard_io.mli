@@ -68,7 +68,7 @@ val load_result :
     back across each shard's replicas in manifest order.  Transient IO
     errors and checksum mismatches are retried per file with exponential
     backoff (defaults as in {!Index_io.load_result}); never raises on
-    bad input.  [verify_columns] makes every v7 segment verify and
+    bad input.  [verify_columns] makes every v8 segment verify and
     decode its postings eagerly at open ({!Index_io.load_result}), so a
     damaged replica is rejected — and fallen over — at load time. *)
 

@@ -146,7 +146,7 @@ let user_errors () =
          corrupted manifest, not a corrupted segment. *)
       expect dir ~want:1
         ~says:
-          "xkq: corrupted manifest: a bare v7 segment, not a shard \
+          "xkq: corrupted manifest: a bare segment, not a shard \
            manifest; rebuild the index\n"
         "1: bare segment as --index"
         [

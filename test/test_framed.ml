@@ -1,7 +1,7 @@
 (* The shared frame codec ([Xk_storage.Framed]): its verdicts, the
    fixed inputs that once raised or decoded to a value no encoder
    writes, one never-raise property over every framed decoder (the
-   durable files, the v7 segment and the RPC frames with their [Wire]
+   durable files, the v8 segment and the RPC frames with their [Wire]
    payloads), and fault drills for the durable reads that go through
    the mapped read path ([Index_io.read_mapped]), where [Chaos] injects
    storage faults. *)
@@ -226,7 +226,7 @@ let fixed_query_varints () =
   malformed "12-byte shard" query_long_shard;
   malformed "9-byte negative ticks" query_negative_ticks
 
-(* --- Damaged v7 term regions ------------------------------------------ *)
+(* --- Damaged v8 term regions ------------------------------------------ *)
 
 (* Twenty words sharing prefixes: two front-coding blocks of the term
    region ("kw0", "kw1", "kw10" .. "kw19", "kw2" .. "kw9"). *)
@@ -240,72 +240,27 @@ let terms_doc =
 let terms_doc_words =
   List.sort compare (List.init 20 (Printf.sprintf "kw%d"))
 
-(* A term region written out as the format specifies it: every term as
-   one byte (shared prefix length lsl 4 lor suffix length, a nibble of
-   15 followed by a varint of the rest) and its suffix, the shared
-   prefix the longest one with the term before, or none for a block's
-   first term (its restart, one per 16); then each block's offset.
-   [entry] may rewrite the bytes of one entry, [table] the offsets. *)
-let spec_entry ~shared suffix =
-  let len = String.length suffix in
-  String.make 1 (Char.chr ((min shared 15 lsl 4) lor min len 15))
-  ^ (if shared >= 15 then varint (shared - 15) else "")
-  ^ (if len >= 15 then varint (len - 15) else "")
-  ^ suffix
-
-let term_region ?(entry = fun _ e -> e) ?(table = Fun.id) terms =
-  let b = Buffer.create 256 and offs = ref [] in
-  List.iteri
-    (fun k t ->
-      let shared =
-        if k mod 16 = 0 then begin
-          offs := Buffer.length b :: !offs;
-          0
-        end
-        else
-          let prev = List.nth terms (k - 1) in
-          let shared = ref 0 in
-          while
-            !shared < min (String.length prev) (String.length t)
-            && prev.[!shared] = t.[!shared]
-          do
-            incr shared
-          done;
-          !shared
-      in
-      Buffer.add_string b
-        (entry k (spec_entry ~shared (String.sub t shared (String.length t - shared)))))
-    terms;
-  List.iter (fun off -> Buffer.add_int32_le b (Int32.of_int off)) (table (List.rev !offs));
-  Buffer.contents b
-
-(* [good] with its term region replaced by [terms] (and its term count
-   by [term_count]), every covering checksum recomputed. *)
-let with_term_region ?term_count good terms =
-  let terms_len = Int64.to_int (String.get_int64_le good 36) in
-  let h = Bytes.of_string (String.sub good 0 72) in
-  Option.iter (fun n -> Bytes.set_int64_le h 20 (Int64.of_int n)) term_count;
-  Bytes.set_int64_le h 36 (Int64.of_int (String.length terms));
-  Bytes.set_int32_le h 60 (Int32.of_int (Xk_storage.Crc32.string terms));
-  Bytes.set_int32_le h 68
-    (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
-  Bytes.to_string h ^ terms
-  ^ String.sub good (72 + terms_len) (String.length good - 72 - terms_len)
-
 (* Term regions behind valid checksums that no writer produces, each
-   named by the check it must fail. *)
+   named by the check it must fail: front-coding damage under the
+   writer's own symbol table ([Tutil.term_region] is the format's
+   encoder), and symbol tables no writer produces
+   ([Tutil.damaged_symbol_tables]). *)
 let damaged_term_regions good =
   let w = terms_doc_words in
+  let syms = Tutil.symbols_of (Tutil.term_region_of good) in
+  let term_region = Tutil.term_region ~syms in
+  let entry ~shared suffix = Tutil.spec_entry ~shared (Tutil.spec_codes syms suffix) in
+  let with_term_region = Tutil.with_term_region in
   let swap i j = List.mapi (fun k t -> if k = i then List.nth w j else if k = j then List.nth w i else t) w in
   let dup i = List.mapi (fun k t -> if k = i then List.nth w (i - 1) else t) w in
   [
     ( "one-byte entry sharing more than the previous term",
       with_term_region good
         (term_region w ~entry:(fun k e ->
-             if k = 1 then spec_entry ~shared:(String.length (List.nth w 0) + 1) "x" else e)) );
+             if k = 1 then entry ~shared:(String.length (List.nth w 0) + 1) "x" else e)) );
     ( "restart sharing a prefix",
       with_term_region good
-        (term_region w ~entry:(fun k e -> if k = 16 then spec_entry ~shared:1 "w17" else e)) );
+        (term_region w ~entry:(fun k e -> if k = 16 then entry ~shared:1 "w17" else e)) );
     ("unsorted terms", with_term_region good (term_region (swap 3 4)));
     ("duplicate term", with_term_region good (term_region (dup 5)));
     ("duplicate restart term", with_term_region good (term_region (dup 16)));
@@ -313,12 +268,14 @@ let damaged_term_regions good =
       with_term_region good
         (term_region w ~entry:(fun k e -> if k = 19 then "\x0f" ^ varint 85 ^ "x" else e)) );
     ( "restart table off its entry",
-      with_term_region good (term_region w ~table:(List.map (fun o -> if o > 0 then o + 1 else o))) );
+      with_term_region good
+        (term_region w ~table:(List.mapi (fun i o -> if i > 0 then o + 1 else o))) );
     ("restart table shorter than the term count", with_term_region ~term_count:15 good (term_region w));
     ("restart table longer than the term count", with_term_region ~term_count:17 good (term_region w));
   ]
+  @ List.map (fun (what, region) -> (what, with_term_region good region)) (Tutil.damaged_symbol_tables w)
 
-let v7_terms_segment dir =
+let v8_terms_segment dir =
   let path = Filename.concat dir "terms.seg" in
   Index_io.save (Xk_index.Index.build (Xk_encoding.Labeling.label terms_doc)) path;
   path
@@ -329,11 +286,12 @@ let v7_terms_segment dir =
 let damaged_term_regions_corrupted () =
   with_faults Chaos.no_faults @@ fun () ->
   with_tmpdir (fun dir ->
-      let path = v7_terms_segment dir in
+      let path = v8_terms_segment dir in
       let good = read_file path in
       let label = Xk_encoding.Labeling.label terms_doc in
+      let syms = Tutil.symbols_of (Tutil.term_region_of good) in
       check Alcotest.bool "the spec encoder writes the writer's bytes" true
-        (with_term_region good (term_region terms_doc_words) = good);
+        (Tutil.with_term_region good (Tutil.term_region ~syms terms_doc_words) = good);
       List.iter
         (fun (what, data) ->
           write_file path data;
@@ -451,15 +409,15 @@ let random_inputs rng t =
   @ List.init 8 (fun _ -> t.reframe (mutate rng))
   @ t.extra
 
-(* A v7 segment with one postings block: a mutated term region,
+(* A v8 segment with one postings block: a mutated term region,
    postings region or directory tail is re-sealed by recomputing the
    block CRC and length, the region lengths, the terms and directory
    CRCs and the header CRC, so the damage reaches the structural checks
    behind them. *)
-let v7_reseal rng good mutate =
+let v8_reseal rng good mutate =
   let u64 pos = Int64.to_int (String.get_int64_le good pos) in
   let terms_len = u64 36 and postings_len = u64 44 and dir_len = u64 52 in
-  if u64 20 > 64 then Alcotest.fail "fixture v7: more than one block";
+  if u64 20 > 64 then Alcotest.fail "fixture v8: more than one block";
   let region off len = String.sub good off len in
   let terms = region 72 terms_len in
   let postings = region (72 + terms_len) postings_len in
@@ -552,7 +510,7 @@ let targets rng dir =
     ^ String.concat "" (Array.to_list (Array.map varint a))
     ^ varint 1 ^ str "c.shards.000.seg" ^ varint 1 ^ str "c.shards.001.seg"
   in
-  let seg7 = v7_terms_segment dir in
+  let seg8 = v8_terms_segment dir in
   let label = Xk_encoding.Labeling.label terms_doc in
   let reply =
     Wire.Served
@@ -600,16 +558,16 @@ let targets rng dir =
           ignore (Shard_io.load_result ~retries:0 small_doc shards));
     };
     {
-      name = "v7.seg";
-      good = read_file seg7;
-      reframe = v7_reseal rng (read_file seg7);
+      name = "v8.seg";
+      good = read_file seg8;
+      reframe = v8_reseal rng (read_file seg8);
       extra =
         [ v2_huge_rows; v2_zero_tf; v2_duplicate_term; v2_zero_gap ]
-        @ List.map snd (damaged_term_regions (read_file seg7));
+        @ List.map snd (damaged_term_regions (read_file seg8));
       run =
         (fun data ->
-          write_file seg7 data;
-          (match Index_io.load_result ~retries:0 label seg7 with
+          write_file seg8 data;
+          (match Index_io.load_result ~retries:0 label seg8 with
           | Ok idx -> (
               try
                 for id = 0 to Xk_index.Index.term_count idx - 1 do
@@ -617,7 +575,7 @@ let targets rng dir =
                 done
               with Index_io.Segment_fault _ -> ())
           | Error _ -> ());
-          serve_segment label seg7);
+          serve_segment label seg8);
     };
     rpc_target "query frame" Frame.Query (Wire.encode_query query)
       ~extra:[ query_long_shard; query_negative_ticks ]
@@ -783,7 +741,7 @@ let suite =
         tc "v2 duplicate term" `Quick (rejects_v2 v2_duplicate_term);
         tc "v2 node ids not increasing" `Quick (rejects_v2 v2_zero_gap);
         tc "query varints no encoder writes" `Quick fixed_query_varints;
-        tc "v7 damaged term regions are corruption" `Quick damaged_term_regions_corrupted;
+        tc "v8 damaged term regions are corruption" `Quick damaged_term_regions_corrupted;
         tc "every strict prefix never raises" `Quick prefixes_never_raise;
         QCheck_alcotest.to_alcotest never_raises_prop;
       ] );

@@ -603,7 +603,7 @@ let index_io_rejects_mismatch () =
     Sys.remove path
   end
 
-(* The compressed zero-copy segment [save] writes (v7): layout
+(* The compressed zero-copy segment [save] writes (v8): layout
    introspection, full verification, and bit-identical parity of the
    lazy open against the eager open and a fresh in-memory build. *)
 
@@ -619,15 +619,15 @@ let write_file path data =
   output_string oc data;
   close_out oc
 
-let index_io_v7_roundtrip () =
+let index_io_roundtrip_layout () =
   let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
   let label = Xk_encoding.Labeling.label corpus.doc in
   let idx = Index.build label in
-  let path = tmpfile "xk_index_io_v7.seg" in
+  let path = tmpfile "xk_index_io_v8.seg" in
   Index_io.save idx path;
-  check Alcotest.(option string) "v7 magic" (Some Index_io.magic) (Tutil.magic_of path);
+  check Alcotest.(option string) "v8 magic" (Some Index_io.magic) (Tutil.magic_of path);
   (match Index_io.layout path with
-  | Error e -> Alcotest.failf "v7 layout unreadable: %s" (Index_io.error_message e)
+  | Error e -> Alcotest.failf "v8 layout unreadable: %s" (Index_io.error_message e)
   | Ok lay ->
       check Alcotest.int "layout node count"
         (Xk_encoding.Labeling.node_count label)
@@ -655,7 +655,7 @@ let index_io_v7_roundtrip () =
   (match Index_io.verify path with
   | Ok () -> ()
   | Error e ->
-      Alcotest.failf "full verify rejected a fresh v7 segment: %s"
+      Alcotest.failf "full verify rejected a fresh v8 segment: %s"
         (Index_io.load_error_message e));
   let idx2 = Tutil.load_index (Xk_encoding.Labeling.label corpus.doc) path in
   check Alcotest.int "term count" (Index.term_count idx) (Index.term_count idx2);
@@ -681,11 +681,11 @@ let index_io_v7_roundtrip () =
     corpus.correlated_queries;
   Sys.remove path
 
-let index_io_v7_rejects_mangled_header () =
+let index_io_rejects_mangled_header () =
   let doc = Tutil.random_doc 11 in
   let label = Xk_encoding.Labeling.label doc in
   Index.build label |> fun idx ->
-  let path = tmpfile "xk_index_io_v7_mangle.seg" in
+  let path = tmpfile "xk_index_io_v8_mangle.seg" in
   Index_io.save idx path;
   let good = read_file path in
   let expect_error what =
@@ -722,11 +722,12 @@ let index_io_v7_rejects_mangled_header () =
         (Index_io.load_error_message e));
   Sys.remove path
 
-(* A v7 segment's directory and postings, parsed independently of
+(* A v8 segment's directory and postings, parsed independently of
    [Index_io]: per block the file offsets of its CRC and of its
-   postings, and their length; per term its postings offset and length,
-   df and cf - df.  A term's offset is found by stepping over the Rice
-   codes of the terms before it, as the format specifies them. *)
+   postings, and their length; per term the file bit offset and bit
+   length of its codes, df and cf - df.  A term's offset is found by
+   stepping over the codes of the terms before it in its block's bit
+   stream, as the format specifies them. *)
 type seg_dir = {
   sd_blocks : (int * int * int) array;  (* CRC offset, postings offset, length *)
   sd_terms : (int * int * int * int) array;
@@ -743,27 +744,40 @@ let rice_k ~nodes df =
   done;
   !k
 
-(* The byte after term [df] Rice codes starting at byte [off] of
-   [data], and its tf section when [extra] > 0. *)
-let skip_term data ~nodes ~off ~df ~extra =
-  let k = rice_k ~nodes df and bit = ref (8 * off) in
-  let next () =
-    let b = (Char.code data.[!bit / 8] lsr (!bit mod 8)) land 1 in
-    incr bit;
-    b
+(* Bit [i] of [data], least significant bit first. *)
+let bit data i = (Char.code data.[i / 8] lsr (i mod 8)) land 1
+
+(* The bit after term [df] Rice codes from file bit [at] of [data], and
+   its tf gamma codes when [extra] > 0. *)
+let skip_term data ~nodes ~at ~df ~extra =
+  let k = rice_k ~nodes df and b = ref at in
+  let unary () =
+    let q = ref 0 in
+    while bit data !b = 0 do
+      incr b;
+      incr q
+    done;
+    incr b;
+    !q
+  in
+  let gamma () =
+    let n = unary () in
+    let low = ref 0 in
+    for i = 0 to n - 1 do
+      low := !low lor (bit data (!b + i) lsl i)
+    done;
+    b := !b + n;
+    (1 lsl n) lor !low
   in
   for _ = 1 to df do
-    while next () = 0 do
-      ()
-    done;
-    bit := !bit + k
+    ignore (unary ());
+    b := !b + k
   done;
-  let c = Xk_storage.Varint.cursor_at data ((!bit + 7) / 8) in
   if extra > 0 then
-    for _ = 1 to 2 * Xk_storage.Varint.read c do
-      ignore (Xk_storage.Varint.read c)
+    for _ = 1 to 2 * gamma () do
+      ignore (gamma ())
     done;
-  c.pos
+  !b
 
 let segment_dir data (lay : Index_io.layout) =
   let n = lay.Index_io.term_count in
@@ -778,15 +792,19 @@ let segment_dir data (lay : Index_io.layout) =
         t)
   in
   let c = Xk_storage.Varint.cursor_at data (lay.Index_io.dir_off + (8 * nblocks)) in
-  let off = ref lay.Index_io.postings_off in
+  let at = ref 0 in
   let sd_terms =
-    Array.init n (fun _ ->
+    Array.init n (fun id ->
+        if id mod block_terms = 0 then begin
+          let _, off, _ = sd_blocks.(id / block_terms) in
+          at := 8 * off
+        end;
         let v = Xk_storage.Varint.read c in
         let df = v lsr 1 in
         let extra = if v land 1 = 1 then Xk_storage.Varint.read c else 0 in
-        let stop = skip_term data ~nodes:lay.Index_io.node_count ~off:!off ~df ~extra in
-        let t = (!off, stop - !off, df, extra) in
-        off := stop;
+        let stop = skip_term data ~nodes:lay.Index_io.node_count ~at:!at ~df ~extra in
+        let t = (!at, stop - !at, df, extra) in
+        at := stop;
         t)
   in
   { sd_blocks; sd_terms }
@@ -797,62 +815,77 @@ let block_of sd pos =
   Array.iteri (fun b (_, off, len) -> if pos >= off && pos < off + len then id := b) sd.sd_blocks;
   !id
 
-(* [good] with term [id]'s postings replaced by [bytes]: the block
-   lengths, every CRC and the header are recomputed, so the damage
+(* Bits as strings of '0' and '1': [bits_at data ~at ~len] reads them,
+   [bytes_of] packs them, least significant bit first, zero bits to the
+   byte. *)
+let bits_at data ~at ~len = String.init len (fun i -> if bit data (at + i) = 1 then '1' else '0')
+
+let bytes_of bits =
+  String.init ((String.length bits + 7) / 8) (fun i ->
+      let b = ref 0 in
+      for j = 0 to 7 do
+        if (8 * i) + j < String.length bits && bits.[(8 * i) + j] = '1' then b := !b lor (1 lsl j)
+      done;
+      Char.chr !b)
+
+let term_bits good sd id =
+  let at, len, _, _ = sd.sd_terms.(id) in
+  bits_at good ~at ~len
+
+(* [good] with each term's codes replaced by [codes id] and each block's
+   stream closed by [tail b bits] (default: zero bits to the byte): the
+   block lengths, every CRC and the header are recomputed, so the damage
    reaches the postings decoder behind them. *)
-let with_term_postings good (lay : Index_io.layout) sd id bytes =
+let with_postings ?(tail = fun _ _ -> "") good (lay : Index_io.layout) sd codes =
   let postings = Buffer.create lay.Index_io.postings_len in
   let table = Buffer.create (8 * Array.length sd.sd_blocks) in
   Array.iteri
     (fun b _ ->
-      let start = Buffer.length postings in
+      let bits = Buffer.create 1024 in
       for t = b * block_terms to min (Array.length sd.sd_terms) ((b + 1) * block_terms) - 1 do
-        let off, len, _, _ = sd.sd_terms.(t) in
-        Buffer.add_string postings (if t = id then bytes else String.sub good off len)
+        Buffer.add_string bits (codes t)
       done;
-      let len = Buffer.length postings - start in
-      Buffer.add_int32_le table
-        (Int32.of_int (Xk_storage.Crc32.string (Buffer.sub postings start len)));
-      Buffer.add_int32_le table (Int32.of_int len))
+      let bits = Buffer.contents bits in
+      let bytes = bytes_of (bits ^ tail b bits) in
+      Buffer.add_string postings bytes;
+      Buffer.add_int32_le table (Int32.of_int (Xk_storage.Crc32.string bytes));
+      Buffer.add_int32_le table (Int32.of_int (String.length bytes)))
     sd.sd_blocks;
   let entries_at = lay.Index_io.dir_off + Buffer.length table in
   let dir = Buffer.contents table ^ String.sub good entries_at (lay.Index_io.file_size - entries_at) in
   let h = Bytes.of_string (String.sub good 0 72) in
   Bytes.set_int64_le h 44 (Int64.of_int (Buffer.length postings));
+  Bytes.set_int64_le h 52 (Int64.of_int (String.length dir));
   Bytes.set_int32_le h 64 (Int32.of_int (Xk_storage.Crc32.string dir));
   Bytes.set_int32_le h 68 (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
   Bytes.to_string h
   ^ String.sub good lay.Index_io.terms_off lay.Index_io.terms_len
   ^ Buffer.contents postings ^ dir
 
-(* Node ids Rice-coded as the format specifies, least significant bit
-   first: the bytes and the number of bits before the pad. *)
-let rice_bytes ~nodes ids =
-  let k = rice_k ~nodes (Array.length ids) in
-  let bits = ref [] and prev = ref (-1) in
-  Array.iter
-    (fun id ->
-      let gap = id - !prev - 1 in
-      prev := id;
-      for _ = 1 to gap lsr k do
-        bits := 0 :: !bits
-      done;
-      bits := 1 :: !bits;
-      for i = 0 to k - 1 do
-        bits := ((gap lsr i) land 1) :: !bits
-      done)
-    ids;
-  let bits = Array.of_list (List.rev !bits) in
-  let n = Array.length bits in
-  ( String.init ((n + 7) / 8) (fun i ->
-        let b = ref 0 in
-        for j = 0 to 7 do
-          if (8 * i) + j < n then b := !b lor (bits.((8 * i) + j) lsl j)
-        done;
-        Char.chr !b),
-    n )
+(* One code as the format specifies it: [q] zero bits, a one bit and
+   the [bits] low bits of [v]. *)
+let code_bits q bits v =
+  String.make q '0' ^ "1" ^ String.init bits (fun i -> if (v lsr i) land 1 = 1 then '1' else '0')
 
-let v7_parity_prop =
+(* The Elias-gamma code of [v] >= 1. *)
+let gamma_bits v =
+  let rec top n = if v lsr (n + 1) = 0 then n else top (n + 1) in
+  let n = top 0 in
+  code_bits n n v
+
+(* Node ids Rice-coded as the format specifies. *)
+let rice_bits ~nodes ids =
+  let k = rice_k ~nodes (Array.length ids) and prev = ref (-1) in
+  String.concat ""
+    (Array.to_list
+       (Array.map
+          (fun id ->
+            let gap = id - !prev - 1 in
+            prev := id;
+            code_bits (gap lsr k) k gap)
+          ids))
+
+let parity_prop =
   QCheck.Test.make ~count:15
     ~name:"mmap load is bit-identical to the eager open and a fresh build"
     QCheck.(int_bound 1_000_000)
@@ -861,7 +894,7 @@ let v7_parity_prop =
       let doc = Xk_datagen.Random_tree.generate rng in
       let label = Xk_encoding.Labeling.label doc in
       let fresh = Index.build label in
-      let p6 = tmpfile (Printf.sprintf "xk_v7_parity_%d.seg" seed) in
+      let p6 = tmpfile (Printf.sprintf "xk_v8_parity_%d.seg" seed) in
       Index_io.save fresh p6;
       let ok = ref (Tutil.magic_of p6 = Some Index_io.magic) in
       let load verify_columns =
@@ -908,24 +941,29 @@ let v7_parity_prop =
       Sys.remove p6;
       !ok)
 
-(* Every decoder of a v7 segment is total: for every strict prefix, a
+(* Every decoder of a v8 segment is total: for every strict prefix, a
    bit flip in each region and random garbage behind the magic, the lazy
    open, the eager open and [verify] return [Ok] or a typed error, and a
    lazily opened index faults only with [Segment_fault].  Since every
    byte is under a CRC, every prefix and every flip must be an error at
    [verify].  The same holds for intact bytes under a corruption mark,
-   which damages the map the decoders read.  Damage that only a v7
+   which damages the map the decoders read.  Damage that only a v8
    decoder can meet, behind recomputed checksums, must end in a typed
-   [Corrupted]: a unary run past the term's end, a node id at the node
-   count, nonzero pad bits, a block length that disagrees with its terms
-   and a one-byte term entry sharing more than the previous term. *)
-let v7_never_raises_prop =
+   [Corrupted]: a unary run past the block's end, a node id at the node
+   count, a block length past its terms, nonzero pad bits, a tf gamma
+   code running past its block or longer than 61 bits, a term entry
+   sharing more than the previous term, and symbol tables no
+   writer produces ([Tutil.damaged_symbol_tables]: a symbol of length 0
+   or above 8, more than 255 symbols, a code naming a missing symbol, an
+   escape at a suffix's end, a table whose decoded terms break byte
+   order). *)
+let never_raises_prop =
   QCheck.Test.make ~count:10 ~name:"segment decoders never raise on damaged bytes"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let label = Xk_encoding.Labeling.label (Tutil.random_doc seed) in
-      let path = tmpfile (Printf.sprintf "xk_v7_fuzz_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v8_fuzz_%d.seg" seed) in
       let fresh = Index.build label in
       Index_io.save fresh path;
       let good = read_file path in
@@ -953,17 +991,24 @@ let v7_never_raises_prop =
       in
       (* The same flips with every covering checksum recomputed, so the
          damage gets past the CRCs and reaches the structural checks of
-         the header, term region, directory and postings decoders.  One flip lands in
-         a tf exception list when the segment has one. *)
+         the header, term region, directory and postings decoders.  One
+         flip lands in a term's tf codes when the segment has some. *)
       let sd = segment_dir good lay in
+      let nodes = lay.Index_io.node_count and n = lay.Index_io.term_count in
+      let tf_start id =
+        let at, _, df, _ = sd.sd_terms.(id) in
+        skip_term good ~nodes ~at ~df ~extra:0
+      in
+      let with_tfs =
+        List.filter (fun id -> let _, _, _, e = sd.sd_terms.(id) in e > 0) (List.init n Fun.id)
+      in
       let tf_section =
-        List.filter_map
-          (fun (off, len, df, extra) ->
-            if extra = 0 then None
-            else
-              let stop = skip_term good ~nodes:lay.Index_io.node_count ~off ~df ~extra:0 in
-              Some (stop, off + len - stop))
-          (Array.to_list sd.sd_terms)
+        List.map
+          (fun id ->
+            let at, len, _, _ = sd.sd_terms.(id) in
+            let start = tf_start id in
+            (start / 8, ((at + len + 7) / 8) - (start / 8)))
+          with_tfs
       in
       let resealed =
         let set_crc b at crc = Bytes.set_int32_le b at (Int32.of_int crc) in
@@ -1000,72 +1045,100 @@ let v7_never_raises_prop =
               let off, len = List.nth l (Random.State.int rng (List.length l)) in
               [ (`Postings, off, len) ])
       in
-      (* Damage behind valid checksums that only the v7 decoders meet,
+      (* Damage behind valid checksums that only the v8 decoders meet,
          named by the check that must refuse it.  The last term of a
-         block ends where the block does. *)
-      let nodes = lay.Index_io.node_count and n = lay.Index_io.term_count in
+         block ends where the block's stream does. *)
       let sorted = Array.of_list (List.sort compare (List.init n (Index.term fresh))) in
       let ids_of id = fst (Index.raw_rows fresh (Option.get (Index.term_id fresh sorted.(id)))) in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
       let block_end () =
         let b = Random.State.int rng (Array.length sd.sd_blocks) in
         min n ((b + 1) * block_terms) - 1
       in
-      let term_bytes id =
-        let off, len, _, _ = sd.sd_terms.(id) in
-        String.sub good off len
+      let block_bits b =
+        List.fold_left
+          (fun acc t -> acc + (let _, len, _, _ = sd.sd_terms.(t) in len))
+          0
+          (List.init (min n ((b + 1) * block_terms) - (b * block_terms)) (fun i -> (b * block_terms) + i))
       in
-      (* A term's bytes past its Rice codes and their pad: its tf section. *)
-      let tf_tail id =
-        let off, len, df, _ = sd.sd_terms.(id) in
-        let stop = skip_term good ~nodes ~off ~df ~extra:0 in
-        String.sub good stop (off + len - stop)
+      let term id = term_bits good sd id in
+      let postings ?tail codes = with_postings ?tail good lay sd codes in
+      let replace id bits t = if t = id then bits else term t in
+      (* Term [id]'s Rice codes, then [tf]; the terms after it in its
+         block dropped, so [tf] is where the block's stream ends. *)
+      let tf_at_end id tf =
+        let at, _, _, _ = sd.sd_terms.(id) in
+        let rice = bits_at good ~at ~len:(tf_start id - at) in
+        postings (fun t ->
+            if t = id then rice ^ tf
+            else if t / block_terms = id / block_terms && t > id then ""
+            else term t)
       in
-      let postings id bytes = with_term_postings good lay sd id bytes in
       let padded =
-        List.filter
-          (fun id -> snd (rice_bytes ~nodes (ids_of id)) mod 8 <> 0)
-          (List.init n Fun.id)
+        List.filter (fun b -> block_bits b mod 8 <> 0) (List.init (Array.length sd.sd_blocks) Fun.id)
       in
-      let v7_damage =
+      let v8_damage =
         if n = 0 then []
         else
           [
-            ( "unary run past the term's end",
+            ( "unary run past the block's end",
               let id = block_end () in
-              postings id (String.make (String.length (term_bytes id)) '\000') );
+              postings (replace id (String.make (String.length (term id)) '0')) );
             ( "node id at the node count",
               let id = Random.State.int rng n in
               let ids = Array.copy (ids_of id) in
               ids.(Array.length ids - 1) <- nodes;
-              postings id (fst (rice_bytes ~nodes ids) ^ tf_tail id) );
+              let at, len, _, _ = sd.sd_terms.(id) in
+              let tf = bits_at good ~at:(tf_start id) ~len:(at + len - tf_start id) in
+              postings (replace id (rice_bits ~nodes ids ^ tf)) );
             ( "block length past its terms",
-              let id = block_end () in
-              postings id (term_bytes id ^ "\000") );
+              postings ~tail:(fun b bits ->
+                  if b = 0 then String.make ((8 - (String.length bits mod 8)) mod 8 + 8) '0' else "")
+                term );
           ]
           @ (match padded with
             | [] -> []
             | l ->
-                let id = List.nth l (Random.State.int rng (List.length l)) in
-                let bytes, bits = rice_bytes ~nodes (ids_of id) in
-                let b = Bytes.of_string bytes in
-                Bytes.set b (bits / 8)
-                  (Char.chr (Char.code (Bytes.get b (bits / 8)) lor (1 lsl (bits mod 8))));
-                [ ("nonzero pad bits", postings id (Bytes.to_string b ^ tf_tail id)) ])
+                let pb = pick l in
+                [ ("nonzero pad bits", postings ~tail:(fun b _ -> if b = pb then "1" else "") term) ])
+          @ (match with_tfs with
+            | [] -> []
+            | l ->
+                [
+                  ("tf gamma code running past its block", tf_at_end (pick l) (code_bits 40 0 0));
+                  (* One exception at position 0, its position code
+                     64 bits wide, then the tf code the term's cf asks
+                     for: well formed but for the width. *)
+                  ( "tf gamma code longer than 61 bits",
+                    let id = pick l in
+                    let _, _, _, extra = sd.sd_terms.(id) in
+                    tf_at_end id ("1" ^ code_bits 64 64 1 ^ gamma_bits extra) );
+                ])
+          @ (
+            (* Entry 1 of the term region claims one byte more of entry
+               0 than entry 0 has. *)
+            let syms = Tutil.symbols_of (Tutil.term_region_of good) in
+            let words = Array.to_list sorted in
+            let region ~entry = Tutil.with_term_region good (Tutil.term_region ~syms ~entry words) in
+            if n < 2 then []
+            else
+              [
+                ( "entry sharing more than the previous term",
+                  region ~entry:(fun k e ->
+                      if k = 1 then
+                        Tutil.spec_entry ~shared:(String.length sorted.(0) + 1) (Tutil.spec_codes syms "x")
+                      else e) );
+              ])
           @
-          (* Entry 1 of the term region claims one byte more of entry 0
-             than entry 0 has, in its one-byte form. *)
-          let t = lay.Index_io.terms_off in
-          let len0 = if n < 2 then 15 else Char.code good.[t] land 15 in
-          if len0 >= 14 then []
+          let distinct =
+            List.sort_uniq compare
+              (List.concat_map (fun t -> List.of_seq (String.to_seq t)) (Array.to_list sorted))
+          in
+          if n < 2 || List.length distinct < 2 then []
           else
-            let b = Bytes.of_string good in
-            let e1 = t + 1 + len0 in
-            Bytes.set b e1 (Char.chr (((len0 + 1) lsl 4) lor (Char.code good.[e1] land 15)));
-            Bytes.set_int32_le b 60
-              (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string b) ~pos:t ~len:lay.Index_io.terms_len));
-            Bytes.set_int32_le b 68
-              (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string b) ~pos:0 ~len:68));
-            [ ("one-byte entry sharing more than the previous term", Bytes.to_string b) ]
+            List.map
+              (fun (what, region) -> (what, Tutil.with_term_region good region))
+              (Tutil.damaged_symbol_tables (Array.to_list sorted))
       in
       (* Each must be refused as corruption by every decoder: a lazy
          open either refuses it or faults on the damaged term. *)
@@ -1128,7 +1201,7 @@ let v7_never_raises_prop =
             Chaos.configure Chaos.no_faults;
             List.for_all (fun d -> decoders d = Some false) (prefixes @ flips)
             && List.for_all (fun d -> decoders d <> None) (resealed @ garbage)
-            && List.for_all (fun (what, d) -> corrupted what d) v7_damage
+            && List.for_all (fun (what, d) -> corrupted what d) v8_damage
             && decoders good = Some true
             &&
             (* A copy marked corrupt reads damaged beneath the map. *)
@@ -1208,7 +1281,7 @@ let tf_exceptions_roundtrip_prop =
         (Printf.sprintf "t%d" i, random_nodes rng ~nodes ~df, Array.init df (fun _ -> tf ()))
       in
       let entries = List.init 3 entry in
-      let path = tmpfile (Printf.sprintf "xk_v7_tfs_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v8_tfs_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
           let idx = save_raw label entries path in
           let lazy_idx = load_no_faults label path
@@ -1241,7 +1314,7 @@ let block_fault_prop =
               random_nodes rng ~nodes ~df,
               Array.init df (fun _ -> if Random.State.int rng 4 = 0 then 3 else 1) ))
       in
-      let path = tmpfile (Printf.sprintf "xk_v7_block_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v8_block_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
           let idx = save_raw label entries path in
           let good = read_file path in
@@ -1266,11 +1339,13 @@ let block_fault_prop =
 
 (* The segment's regions are size gates: on [Dblp_gen.scaled 0.05]
    (seed 2010, 3,024 terms, 13,597 rows) none may grow past what it
-   measured when v7 introduced its encoding: the front-coded term region
-   3.851 bytes per term (11,645 bytes; v6's two varints per entry took
-   4.788), the directory 1.164 bytes per term (3,519 bytes; v6's three
-   varints per term 3.080) and the Rice-coded postings 1.523 bytes per
-   row (20,703 bytes; v6's delta varints 1.722). *)
+   measured when v8 introduced its encoding: the front-coded term region
+   with symbol-coded suffixes 2.648 bytes per term (8,007 bytes; v7's
+   raw suffixes took 3.851, v6's two varints per entry 4.788), the
+   directory 1.164 bytes per term (3,519 bytes, as in v7; v6's three
+   varints per term 3.080) and the postings, one bit stream per block
+   with gamma-coded tfs, 1.326 bytes per row (18,028 bytes; v7's
+   byte-padded terms and varint tfs 1.523, v6's delta varints 1.722). *)
 let region_bytes_gate () =
   let corpus =
     Xk_datagen.Dblp_gen.generate { (Xk_datagen.Dblp_gen.scaled 0.05) with seed = 2010 }
@@ -1288,9 +1363,9 @@ let region_bytes_gate () =
       let v = float_of_int bytes /. float_of_int per in
       if v > gate then Alcotest.failf "%s takes %.3f bytes per %s, gate %.3f" what v unit gate)
     [
-      ("term region", lay.Index_io.terms_len, lay.Index_io.term_count, "term", 3.86);
+      ("term region", lay.Index_io.terms_len, lay.Index_io.term_count, "term", 2.65);
       ("directory", lay.Index_io.dir_len, lay.Index_io.term_count, "term", 1.17);
-      ("postings", lay.Index_io.postings_len, lay.Index_io.total_rows, "row", 1.53);
+      ("postings", lay.Index_io.postings_len, lay.Index_io.total_rows, "row", 1.33);
     ]
 
 (* Every term of an opened segment round-trips through [term_id] and
@@ -1307,7 +1382,7 @@ let term_lookup_prop =
     QCheck.(pair bool (int_bound 1_000_000))
     (fun (tree, seed) ->
       let rng = Random.State.make [| seed |] in
-      let path = tmpfile (Printf.sprintf "xk_v7_terms_%d.seg" seed) in
+      let path = tmpfile (Printf.sprintf "xk_v8_terms_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
           let label, fresh =
             if tree then begin
@@ -1370,8 +1445,80 @@ let term_lookup_prop =
                  && Index.term_id loaded (String.uppercase_ascii w) = None)
                absent))
 
+(* The symbol coder round-trips any vocabulary: 1, 16, 17 (one restart
+   more) or 300 to 500 terms of 1 to 40 bytes, half of random bytes and
+   half of repeated syllables (so a table pays), with 0x00, 0x80 and 0xFF
+   among the bytes.  A segment of them decodes every term to itself,
+   numbers them in byte order, finds each by [term_id], and its term
+   region is never longer than the same region uncoded; a table trained
+   on the terms decodes each term's codes to the term; and a segment
+   whose region the format's encoder wrote with a table of symbols of
+   1 to 8 bytes decodes every term to itself too. *)
+let symbol_coder_roundtrip_prop =
+  QCheck.Test.make ~count:40 ~name:"symbol-coded term regions round-trip any vocabulary"
+    QCheck.(pair (int_bound 3) (int_bound 1_000_000))
+    (fun (size, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let n = [| 1; 16; 17; 300 + Random.State.int rng 201 |].(size) in
+      let bytes = "\000\128\255abcdefghijklmnopqrstuvwxyz0123456789-" in
+      let byte () = bytes.[Random.State.int rng (String.length bytes)] in
+      let syllables = Array.init 12 (fun _ -> String.init (1 + Random.State.int rng 3) (fun _ -> byte ())) in
+      let word () =
+        if Random.State.bool rng then String.init (1 + Random.State.int rng 40) (fun _ -> byte ())
+        else
+          let w = String.concat "" (List.init (1 + Random.State.int rng 10) (fun _ ->
+              syllables.(Random.State.int rng (Array.length syllables)))) in
+          String.sub w 0 (min 40 (String.length w))
+      in
+      let words = ref [] in
+      while List.length !words < n do
+        words := List.sort_uniq compare (word () :: !words)
+      done;
+      let words = !words in
+      let path = tmpfile (Printf.sprintf "xk_v8_symbols_%d.seg" seed) in
+      Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+          let label = flat_label 8 in
+          ignore (save_raw label (List.map (fun w -> (w, [| Random.State.int rng 8 |], [| 1 |])) words) path);
+          let loaded = load_no_faults label path in
+          let lay =
+            match Index_io.layout path with
+            | Ok lay -> lay
+            | Error e -> QCheck.Test.fail_reportf "layout: %s" (Index_io.error_message e)
+          in
+          let syms = Xk_storage.Symbols.train (Array.of_list words) in
+          let coder = Xk_storage.Symbols.coder syms in
+          let coded w =
+            let b = Buffer.create 64 in
+            Xk_storage.Symbols.encode coder b w;
+            let codes = Buffer.contents b in
+            Buffer.clear b;
+            Xk_storage.Symbols.decode syms codes ~pos:0 ~len:(String.length codes) b;
+            Buffer.contents b
+          in
+          (* A table no trainer writes: up to 254 pieces of 1 to 8 bytes
+             of the words, written into the segment by the format's
+             encoder. *)
+          let hand =
+            List.init 254 (fun _ ->
+                let w = List.nth words (Random.State.int rng n) in
+                let len = 1 + Random.State.int rng (min 8 (String.length w)) in
+                String.sub w (Random.State.int rng (String.length w - len + 1)) len)
+            |> List.sort_uniq compare |> Array.of_list
+          in
+          let terms_ok idx =
+            Index.term_count idx = n
+            && List.for_all2 (fun id w -> Index.term idx id = w && Index.term_id idx w = Some id)
+                 (List.init n Fun.id) words
+          in
+          let good = read_file path in
+          write_file path (Tutil.with_term_region good (Tutil.term_region ~syms:hand words));
+          terms_ok loaded
+          && terms_ok (load_no_faults label path)
+          && lay.Index_io.terms_len <= String.length (Tutil.term_region words)
+          && List.for_all (fun w -> coded w = w) words))
+
 (* Ingest is pinned bit for bit: a printed corpus parsed, tokenized,
-   indexed and saved as one segment must hash to the digest the v7
+   indexed and saved as one segment must hash to the digest the v8
    writer wrote for the index of the byte-at-a-time parser, buffered
    tokenizer and hashtable tally, and the fresh build's term ids must
    keep first-seen order (the segment itself is in byte order).  A build
@@ -1398,8 +1545,8 @@ let segment_bytes_pinned () =
   in
   let dblp_digest, dblp_terms = pinned_segment ~name:"dblp" dblp.doc in
   let xmark_digest, xmark_terms = pinned_segment ~name:"xmark" xmark.doc in
-  check Alcotest.string "dblp segment digest" "a5ffdc16e9e8413a98df125198f04ecd" dblp_digest;
-  check Alcotest.string "xmark segment digest" "98e5faaee8419786401a39377067b4f1" xmark_digest;
+  check Alcotest.string "dblp segment digest" "d5d197a30086285068ab1c35c1df29be" dblp_digest;
+  check Alcotest.string "xmark segment digest" "b90c4f5fed3d4d80360fc1b089ed80ed" xmark_digest;
   check
     Alcotest.(list string)
     "dblp first 50 terms"
@@ -1448,14 +1595,15 @@ let suite =
         tc "save/load roundtrip" `Quick index_io_roundtrip;
         tc "rejects garbage" `Quick index_io_rejects_garbage;
         tc "rejects mismatched document" `Quick index_io_rejects_mismatch;
-        tc "segment layout and roundtrip" `Quick index_io_v7_roundtrip;
-        tc "segment rejects mangled header" `Quick index_io_v7_rejects_mangled_header;
+        tc "segment layout and roundtrip" `Quick index_io_roundtrip_layout;
+        tc "segment rejects mangled header" `Quick index_io_rejects_mangled_header;
         tc "segment bytes pinned" `Quick segment_bytes_pinned;
         tc "term region bytes per term gate" `Quick region_bytes_gate;
-        QCheck_alcotest.to_alcotest v7_parity_prop;
-        QCheck_alcotest.to_alcotest v7_never_raises_prop;
+        QCheck_alcotest.to_alcotest parity_prop;
+        QCheck_alcotest.to_alcotest never_raises_prop;
         QCheck_alcotest.to_alcotest tf_exceptions_roundtrip_prop;
         QCheck_alcotest.to_alcotest block_fault_prop;
         QCheck_alcotest.to_alcotest term_lookup_prop;
+        QCheck_alcotest.to_alcotest symbol_coder_roundtrip_prop;
       ] );
   ]

@@ -493,10 +493,10 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* Open-path faults of the v7 segment: a torn directory, corrupted mapped postings and
+(* Open-path faults of the v8 segment: a torn directory, corrupted mapped postings and
    an injected map failure each surface as the right typed error, and a
    single damaged copy is invisible behind replica fallback. *)
-let shard_io_v7_faults () =
+let shard_io_segment_faults () =
   let doc = Tutil.random_doc 909 in
   let sharded = Xk_index.Sharding.partition ~shards:2 doc in
   let flip_at path pos =
@@ -526,7 +526,7 @@ let shard_io_v7_faults () =
             Alcotest.failf "replica_files: %s"
               (Xk_index.Shard_io.error_message e)
       in
-      check Alcotest.(option string) "shard segments are v7"
+      check Alcotest.(option string) "shard segments are v8"
         (Some Xk_index.Index_io.magic)
         (Tutil.magic_of files.(0).(0));
       (* Torn directory region: the flip defeats the directory checksum.
@@ -912,7 +912,7 @@ let suite =
       [
         tc "manifest + segments round-trip" `Quick shard_io_roundtrip;
         tc "typed per-shard failures" `Quick shard_io_failures;
-        tc "segment open-path faults" `Quick shard_io_v7_faults;
+        tc "segment open-path faults" `Quick shard_io_segment_faults;
         tc "replica fallback and loss" `Quick shard_io_replicas;
         tc "committed v1/v2 manifest bytes" `Quick shard_io_legacy_fixtures;
       ] );

@@ -423,9 +423,10 @@ let v6_fixture_bytes =
 
 let v6_segment_retired () = segment_retired ~version:6 v6_fixture_bytes
 
-(* --- v7 segment fixture ---------------------------------------------- *)
+(* --- v7 segment fixture (retired) ------------------------------------ *)
 
-(* Literal bytes of the v7 segment [save] writes for [v5_fixture_xml]:
+(* Literal bytes of the v7 segment the previous release's [save] wrote
+   for [v5_fixture_xml]:
    the 72-byte header (magic, version 7, 9 nodes, 7 terms, 8 rows, then
    the 47/13/17-byte terms, postings and directory lengths and
    the three CRCs); the term region: the seven terms in byte order
@@ -441,13 +442,35 @@ let v6_segment_retired () = segment_retired ~version:6 v6_fixture_bytes
 let v7_fixture_bytes =
   "\x58\x4b\x49\x44\x58\x30\x30\x37\x07\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x2f\x00\x00\x00\x00\x00\x00\x00\x0d\x00\x00\x00\x00\x00\x00\x00\x11\x00\x00\x00\x00\x00\x00\x00\x75\xfe\xc7\x9d\x8c\xe6\x54\xe7\x8c\xc7\x63\x0c\x04\x32\x30\x31\x30\x04\x63\x68\x65\x6e\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x07\x6b\x65\x79\x77\x6f\x72\x64\x06\x73\x65\x61\x72\x63\x68\x03\x74\x6f\x70\x03\x78\x6d\x6c\x00\x00\x00\x00\x03\x0b\x02\x17\x01\x00\x00\x07\x07\x02\x01\x00\x01\xd3\xc7\xa0\x3a\x0d\x00\x00\x00\x02\x02\x02\x05\x01\x02\x02\x03\x02"
 
-(* The committed bytes carry the v7 magic and load to an index that
+let v7_segment_retired () = segment_retired ~version:7 v7_fixture_bytes
+
+(* --- v8 segment fixture ---------------------------------------------- *)
+
+(* Literal bytes of the v8 segment [save] writes for [v5_fixture_xml]:
+   the 72-byte header (magic, version 8, 9 nodes, 7 terms, 8 rows, then
+   the 48/6/17-byte terms, postings and directory lengths and the three
+   CRCs); the term region: an empty symbol table (00: coding 38 suffix
+   bytes would not pay for one), the seven terms in byte order ("2010",
+   "chen", "databases", "keyword", "search", "top", "xml"), one
+   front-coding block whose entries share no prefix (one byte 0x0L, the
+   suffix length L, then the suffix), then the one-entry restart table
+   (offset 1, past the table); the postings: one bit stream for the one
+   block, each term's node ids Rice-coded with k = 3 (one row among 9
+   nodes) or k = 2 (two rows), "keyword" adding the gamma codes 1 1 1
+   (one exception, position 0, tf 2) and "xml" 1 1 010 (position 0,
+   tf 3), zero bits to the byte only at the end; and the directory: the
+   block's CRC and byte length, then per term [df lsl 1 lor has_tfs]
+   and, for the two flagged terms, cf - df. *)
+let v8_fixture_bytes =
+  "\x58\x4b\x49\x44\x58\x30\x30\x38\x08\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x30\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00\x00\x00\x00\x00\x11\x00\x00\x00\x00\x00\x00\x00\xf0\x81\x2a\x32\xdb\x78\x47\x3b\x0c\x04\x38\xdd\x00\x04\x32\x30\x31\x30\x04\x63\x68\x65\x6e\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x07\x6b\x65\x79\x77\x6f\x72\x64\x06\x73\x65\x61\x72\x63\x68\x03\x74\x6f\x70\x03\x78\x6d\x6c\x01\x00\x00\x00\xb3\xe2\xf2\x3b\xb1\x00\x63\x1f\x07\x86\x06\x00\x00\x00\x02\x02\x02\x05\x01\x02\x02\x03\x02"
+
+(* The committed bytes carry the v8 magic and load to an index that
    agrees row for row and score for score with a fresh build. *)
-let v7_fixture_loads () =
+let v8_fixture_loads () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v5_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
-  with_tmp_file v7_fixture_bytes (fun path ->
-      check Alcotest.(option string) "v7 magic" (Some Xk_index.Index_io.magic)
+  with_tmp_file v8_fixture_bytes (fun path ->
+      check Alcotest.(option string) "v8 magic" (Some Xk_index.Index_io.magic)
         (Tutil.magic_of path);
       match Xk_index.Index_io.load_result label path with
       | Error e ->
@@ -484,7 +507,7 @@ let hex s =
 
 (* The writer must keep producing exactly the committed bytes: the
    fixture pins the writer, not just the reader. *)
-let v7_writer_stable () =
+let v8_writer_stable () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v5_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
   let idx = Xk_index.Index.build label in
@@ -494,7 +517,7 @@ let v7_writer_stable () =
     (fun () ->
       Xk_index.Index_io.save idx path;
       let data = In_channel.with_open_bin path In_channel.input_all in
-      check Alcotest.string "bytes identical" (hex v7_fixture_bytes) (hex data))
+      check Alcotest.string "bytes identical" (hex v8_fixture_bytes) (hex data))
 
 (* The introspection calls are total on missing and unreadable paths and
    leave no channel open behind them. *)
@@ -564,8 +587,10 @@ let suite =
     ( "storage.v6-fixture",
       [ tc "committed v6 segment rejected once" `Quick v6_segment_retired ] );
     ( "storage.v7-fixture",
+      [ tc "committed v7 segment rejected once" `Quick v7_segment_retired ] );
+    ( "storage.v8-fixture",
       [
-        tc "committed v7 segment loads" `Quick v7_fixture_loads;
-        tc "v7 writer reproduces fixture bytes" `Quick v7_writer_stable;
+        tc "committed v8 segment loads" `Quick v8_fixture_loads;
+        tc "v8 writer reproduces fixture bytes" `Quick v8_writer_stable;
       ] );
   ]

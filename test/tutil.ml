@@ -75,6 +75,152 @@ let load_index label path =
   | Error e ->
       Alcotest.failf "load %s: %s" path (Xk_index.Index_io.load_error_message e)
 
+(* The v8 term region written from the format, independently of
+   [Index_io] and [Symbols]: a symbol table (a varint count, then per
+   symbol a length byte and its bytes), every term as one byte (shared
+   prefix length lsl 4 lor code length, a nibble of 15 followed by a
+   varint of the rest) and the codes of its suffix (at each byte the
+   index of the longest symbol there, else 255 and the byte; with no
+   symbols, the suffix itself), the shared prefix the longest one with
+   the term before, or none for a block's first term (its restart, one
+   per 16); then each block's offset in the region.  [entry] may rewrite
+   the bytes of one entry, [table] the offsets. *)
+let spec_varint n =
+  let b = Buffer.create 10 in
+  Xk_storage.Varint.write b n;
+  Buffer.contents b
+
+let spec_codes syms s =
+  if syms = [||] then s
+  else begin
+    let b = Buffer.create 16 and i = ref 0 in
+    while !i < String.length s do
+      let best = ref (-1) in
+      Array.iteri
+        (fun j sym ->
+          let l = String.length sym in
+          if
+            l > 0
+            && !i + l <= String.length s
+            && String.sub s !i l = sym
+            && (!best < 0 || l > String.length syms.(!best))
+          then best := j)
+        syms;
+      if !best < 0 then begin
+        Buffer.add_char b '\255';
+        Buffer.add_char b s.[!i];
+        incr i
+      end
+      else begin
+        Buffer.add_char b (Char.chr !best);
+        i := !i + String.length syms.(!best)
+      end
+    done;
+    Buffer.contents b
+  end
+
+let spec_entry ~shared codes =
+  let len = String.length codes in
+  String.make 1 (Char.chr ((min shared 15 lsl 4) lor min len 15))
+  ^ (if shared >= 15 then spec_varint (shared - 15) else "")
+  ^ (if len >= 15 then spec_varint (len - 15) else "")
+  ^ codes
+
+let spec_table syms =
+  spec_varint (Array.length syms)
+  ^ String.concat ""
+      (Array.to_list (Array.map (fun s -> String.make 1 (Char.chr (String.length s)) ^ s) syms))
+
+let term_region ?(entry = fun _ e -> e) ?(table = Fun.id) ?(syms = [||]) terms =
+  let b = Buffer.create 256 and offs = ref [] in
+  Buffer.add_string b (spec_table syms);
+  List.iteri
+    (fun k t ->
+      let shared =
+        if k mod 16 = 0 then begin
+          offs := Buffer.length b :: !offs;
+          0
+        end
+        else
+          let prev = List.nth terms (k - 1) in
+          let shared = ref 0 in
+          while
+            !shared < min (String.length prev) (String.length t)
+            && prev.[!shared] = t.[!shared]
+          do
+            incr shared
+          done;
+          !shared
+      in
+      Buffer.add_string b
+        (entry k
+           (spec_entry ~shared (spec_codes syms (String.sub t shared (String.length t - shared))))))
+    terms;
+  List.iter (fun off -> Buffer.add_int32_le b (Int32.of_int off)) (table (List.rev !offs));
+  Buffer.contents b
+
+(* The symbols at the start of a term region. *)
+let symbols_of region =
+  let c = Xk_storage.Varint.cursor region in
+  Array.init (Xk_storage.Varint.read c) (fun _ ->
+      let len = Char.code region.[c.pos] in
+      Xk_storage.Varint.skip c 1;
+      Xk_storage.Varint.take c len)
+
+(* The term region of segment bytes [good]. *)
+let term_region_of good =
+  String.sub good 72 (Int64.to_int (String.get_int64_le good 36))
+
+(* [good] with its term region replaced by [terms] (and its term count
+   by [term_count]), every covering checksum recomputed. *)
+let with_term_region ?term_count good terms =
+  let terms_len = Int64.to_int (String.get_int64_le good 36) in
+  let h = Bytes.of_string (String.sub good 0 72) in
+  Option.iter (fun n -> Bytes.set_int64_le h 20 (Int64.of_int n)) term_count;
+  Bytes.set_int64_le h 36 (Int64.of_int (String.length terms));
+  Bytes.set_int32_le h 60 (Int32.of_int (Xk_storage.Crc32.string terms));
+  Bytes.set_int32_le h 68
+    (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
+  Bytes.to_string h ^ terms
+  ^ String.sub good (72 + terms_len) (String.length good - 72 - terms_len)
+
+(* Term regions of [terms] (in byte order, two or more, with 2 to 254
+   distinct bytes) behind whatever checksums they are given, each with a
+   symbol table no writer produces, named by the check it must fail.
+   The base table is the terms' distinct bytes in order, one symbol
+   each, so a term's codes sort as its bytes do; every region is
+   otherwise well formed, so only the named check can refuse it. *)
+let damaged_symbol_tables terms =
+  let bytes =
+    List.sort_uniq compare (List.concat_map (fun t -> List.of_seq (String.to_seq t)) terms)
+  in
+  let syms = Array.of_list (List.map (String.make 1) bytes) in
+  let n = Array.length syms in
+  (* Entry 1 with its codes rewritten. *)
+  let entry1 f =
+    let t0 = List.nth terms 0 and t1 = List.nth terms 1 in
+    let shared = ref 0 in
+    while !shared < min (String.length t0) (String.length t1) && t0.[!shared] = t1.[!shared] do
+      incr shared
+    done;
+    let suffix = String.sub t1 !shared (String.length t1 - !shared) in
+    term_region ~syms terms ~entry:(fun k e ->
+        if k = 1 then spec_entry ~shared:!shared (f (spec_codes syms suffix)) else e)
+  in
+  let region = term_region ~syms terms in
+  let table = spec_table syms in
+  let entries = String.sub region (String.length table) (String.length region - String.length table) in
+  [
+    ("symbol of length 0", term_region ~syms:(Array.append [| "" |] syms) terms);
+    ("symbol longer than 8 bytes", term_region ~syms:(Array.append syms [| String.make 9 '\255' |]) terms);
+    ( "more than 255 symbols",
+      term_region ~syms:(Array.init 256 (fun b -> String.make 1 (Char.chr b))) terms );
+    ("code naming a missing symbol", entry1 (fun codes -> String.make 1 (Char.chr n) ^ codes));
+    ("escape at a suffix's end", entry1 (fun codes -> codes ^ "\255"));
+    ( "table whose decoded terms break byte order",
+      spec_table (Array.init n (fun j -> syms.(n - 1 - j))) ^ entries );
+  ]
+
 let sort_hits (hits : Xk_baselines.Hit.t list) =
   List.sort Xk_baselines.Hit.compare_node hits
 
