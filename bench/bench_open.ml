@@ -1,4 +1,4 @@
-(* Segment open-latency experiment: the eager open of a v8 segment
+(* Segment open-latency experiment: the eager open of a segment
    ([Index_io.load_result ~verify_columns:true]: verify every block CRC
    and decode every term's postings at open, as the replica-fallback
    drill load of [xkq batch --chaos corrupt@...] does) against the lazy
@@ -203,7 +203,7 @@ let emit_json out ~opens ~required points =
   p "  \"opens_per_warm_mean\": %d,\n" opens;
   p "  \"required_cold_speedup\": %.1f,\n" required;
   p
-    "  \"note\": \"both opens read the same v8 segment with the page cache \
+    "  \"note\": \"both opens read the same v9 segment with the page cache \
      warm (file just written), so the gap measures decode and verification \
      work only - a lower bound on the true cold gap; parity is verified \
      before timing: all three load paths return bit-identical hits\",\n";
@@ -253,10 +253,10 @@ let run scales opens seed required check_only out =
        come out the same on every run, so this floor cannot flake.  Both
        opens copy the term region and decode the directory, and neither
        builds a dictionary or a per-term offset; the eager one also
-       copies and walks every postings block, so it allocates 1.51x
-       (scale 0.2), 1.55x (scale 0.3, 48,166 words against 31,077) and
-       1.83x (scale 1) the lazy open's words on every run.  Below scale
-       0.1 the ratio falls under the floor (1.37x at scale 0.05). *)
+       copies and walks every postings block, so it allocates 1.49x
+       (scale 0.2), 1.51x (scale 0.3, 42,508 words against 28,095) and
+       1.78x (scale 1) the lazy open's words on every run.  Below scale
+       0.1 the ratio falls under the floor (1.36x at scale 0.05). *)
     let word_floor = 1.4 in
     List.iter
       (fun pt ->

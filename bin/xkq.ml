@@ -1091,7 +1091,7 @@ let heal_cmd =
         `S Manpage.s_description;
         `P
           "Re-validates every replica segment recorded in the manifest \
-           through the full v8 verification path and classifies each copy \
+           through the full segment verification path and classifies each copy \
            clean, damaged, or missing.  With $(b,--repair), damaged and \
            missing copies are rewritten from a surviving clean replica \
            (atomic write + post-write verify) or rebuilt from the corpus.";

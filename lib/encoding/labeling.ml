@@ -25,24 +25,33 @@ type t = {
   xml : Xk_xml.Xml_tree.node array;
   levels : int array array; (* levels.(d-1): node indexes of depth d in order *)
   gap : int;
+  term_nodes : int; (* nodes that [term_bearing] admits *)
 }
 
-(* Node count and height in one walk, to size the arrays. *)
+(* The nodes whose character data the index tokenizes: text nodes, and
+   elements for their attribute values. *)
+let term_bearing : Xk_xml.Xml_tree.node -> bool = function
+  | Text _ -> true
+  | Element e -> e.attrs <> []
+
+(* Node count, term-bearing node count and height in one walk, to size
+   the arrays. *)
 let measure (doc : Xk_xml.Xml_tree.document) =
-  let count = ref 0 and height = ref 0 in
+  let count = ref 0 and bearing = ref 0 and height = ref 0 in
   let rec go depth (x : Xk_xml.Xml_tree.node) =
     incr count;
+    if term_bearing x then incr bearing;
     if depth > !height then height := depth;
     match x with
     | Text _ -> ()
     | Element e -> List.iter (go (depth + 1)) e.children
   in
   go 1 (Element doc.root);
-  (!count, !height)
+  (!count, !bearing, !height)
 
 let label ?(gap = 1) (doc : Xk_xml.Xml_tree.document) =
   if gap < 1 then Xk_util.Err.invalid "Labeling.label: gap must be >= 1";
-  let n, height = measure doc in
+  let n, term_nodes, height = measure doc in
   let depths = Array.make n 0 and jnums = Array.make n 0 in
   let sibs = Array.make n 0 and parents = Array.make n (-1) in
   let root = Xk_xml.Xml_tree.Element doc.root in
@@ -76,9 +85,10 @@ let label ?(gap = 1) (doc : Xk_xml.Xml_tree.document) =
     levels.(d).(fill.(d)) <- i;
     fill.(d) <- fill.(d) + 1
   done;
-  { depths; jnums; sibs; parents; xml; levels; gap }
+  { depths; jnums; sibs; parents; xml; levels; gap; term_nodes }
 
 let node_count t = Array.length t.depths
+let term_node_count t = t.term_nodes
 let height t = Array.length t.levels
 let gap t = t.gap
 let depth t i = t.depths.(i)

@@ -14,6 +14,16 @@ val label : ?gap:int -> Xk_xml.Xml_tree.document -> t
     depth. *)
 
 val node_count : t -> int
+
+val term_bearing : Xk_xml.Xml_tree.node -> bool
+(** Whether the index tokenizes a node: a text node (its character
+    data) or an element with attributes (their values).  Only these
+    nodes can hold a term. *)
+
+val term_node_count : t -> int
+(** The number of {!term_bearing} nodes, counted by the same walk as
+    {!node_count}. *)
+
 val height : t -> int
 val gap : t -> int
 

@@ -9,7 +9,7 @@
    else in [t] is immutable after construction (the dictionary is only
    written during build). *)
 
-(* The one term and row source.  A zero-copy segment (Index_io v8)
+(* The one term and row source.  A zero-copy segment (Index_io v9)
    looks a term up in its mapped, front-coded term region and decodes a
    term's rows from mapped postings on first use, instead of building a
    dictionary or materializing the postings at open; [build] hands over
@@ -87,7 +87,9 @@ let make ?(cache_capacity = default_cache_capacity) ?stats label rows =
    into one flat buffer of (term, node, tf) rows in node order.  A
    counting pass by term id then cuts the buffer into per-term arrays, so
    each term's rows stay in node order; ids are interned in first-seen
-   order, straight from the tokens' source spans. *)
+   order, straight from the tokens' source spans.  Only the nodes
+   [Labeling.term_bearing] admits are tokenized: a segment codes a row's
+   node as its rank among them ([Index_io]), so the two must agree. *)
 let build ?cache_capacity ?stats (label : Xk_encoding.Labeling.t) =
   let dict = Xk_text.Dictionary.create () in
   let last_node = ref [||] and tf = ref [||] in
@@ -117,13 +119,16 @@ let build ?cache_capacity ?stats (label : Xk_encoding.Labeling.t) =
   let row_terms = Ibuf.create () and row_nodes = Ibuf.create () and row_tfs = Ibuf.create () in
   let n = Xk_encoding.Labeling.node_count label in
   for i = 0 to n - 1 do
-    (match Xk_encoding.Labeling.xml_node label i with
-    | Xk_xml.Xml_tree.Text s -> Xk_text.Tokenizer.spans s (tally i)
-    | Xk_xml.Xml_tree.Element e ->
-        List.iter
-          (fun (a : Xk_xml.Xml_tree.attribute) ->
-            Xk_text.Tokenizer.spans a.attr_value (tally i))
-          e.attrs);
+    let x = Xk_encoding.Labeling.xml_node label i in
+    if Xk_encoding.Labeling.term_bearing x then begin
+      match x with
+      | Xk_xml.Xml_tree.Text s -> Xk_text.Tokenizer.spans s (tally i)
+      | Xk_xml.Xml_tree.Element e ->
+          List.iter
+            (fun (a : Xk_xml.Xml_tree.attribute) ->
+              Xk_text.Tokenizer.spans a.attr_value (tally i))
+            e.attrs
+    end;
     List.iter
       (fun id ->
         let tf = !tf.(id) in

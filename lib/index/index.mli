@@ -46,7 +46,7 @@ type provider = {
 }
 (** The one term and row source of every index.  {!build} wraps the
     dictionary and arrays it holds, with term ids in first-seen order.  A
-    zero-copy segment ({!Index_io} v8) numbers its terms in byte order,
+    zero-copy segment ({!Index_io} v9) numbers its terms in byte order,
     looks a word up in its mapped front-coded term region and decodes a
     term's rows from mapped postings on first use, so its open builds no
     dictionary and materializes no posting.  Every function must be

@@ -1,10 +1,11 @@
-(* Index persistence: the v8 ("XKIDX008") compressed zero-copy segment,
+(* Index persistence: the v9 ("XKIDX009") compressed zero-copy segment,
    the one loadable generation.  Four parts back to back, no padding,
    every byte under a CRC-32:
 
-     header    fixed 72 bytes: magic, version u32, then u64 node count,
-               term count, total rows, terms/postings/directory lengths,
-               terms_crc u32, dir_crc u32, header_crc u32 (over itself)
+     header    fixed 80 bytes: magic, version u32, then u64 node count,
+               term count, total rows, terms/postings/directory lengths
+               and M, the count of term-bearing nodes; terms_crc u32,
+               dir_crc u32, header_crc u32 (over itself)
      terms     a symbol table ({!Xk_storage.Symbols}: a varint count of
                at most 255, then per symbol a length byte of 1-8 and its
                bytes; empty when coding would not shrink the region),
@@ -18,31 +19,47 @@
                entry                                      [terms_crc]
      postings  per block of 64 consecutive term ids one bit stream,
                least significant bit first, zero bits to the next byte
-               only at its end.  Per term: the node-id gaps (id -
-               previous id - 1, the first id itself) Rice-coded with the
-               term's k, each as q = gap lsr k zero bits, a one bit and
-               the gap's k low bits; then, only when cf <> df, the tf
-               exceptions as Elias-gamma codes (v >= 1 as n zero bits, a
-               one bit and the n bits of v below its top bit): the count,
-               then per row whose tf is above 1 its position gap + 1 (the
+               only at its end.  Per term: the ranks of its nodes among
+               the term-bearing nodes, as gaps (rank - previous rank -
+               1, the first rank itself) Rice-coded with the term's k,
+               each as q = gap lsr k zero bits, a one bit and the gap's
+               k low bits; then, only when cf <> df, the tf exceptions
+               as Elias-gamma codes (v >= 1 as n zero bits, a one bit
+               and the n bits of v below its top bit): the count, then
+               per row whose tf is above 1 its position gap + 1 (the
                first position absolute) and tf - 1   [its block's CRC]
-     dir       per block a u32 CRC over the block's postings and a u32
-               byte length of them; then per term one varint
-               [df lsl 1 lor has_tfs], followed by a varint cf - df only
-               when has_tfs is set                        [dir_crc]
+     dir       per block a u32 CRC over the block's postings and a
+               varint byte length of them; then one bit stream, zero
+               bits to the next byte only at its end: per term the gamma
+               code of its df, then gamma (t + 1) for the t terms whose
+               cf <> df, and per such term in id order the gamma codes
+               of its id gap (id - previous id, the first id + 1) and of
+               cf - df                                     [dir_crc]
+
+   A node is term-bearing when the index tokenizes it
+   ([Labeling.term_bearing]: a text node, or an element with
+   attributes); no other node can hold a term, so a row's node is coded
+   as its rank among the M term-bearing nodes in document order and the
+   gaps range over M, not over the node count.  The open checks the
+   header's M against the document's count in O(1), beside the node
+   count.  Decoding works in rank space (every rank below M), so
+   [verify] needs no document; only a decode that keeps rows maps ranks
+   to node ids, through the select array (the term-bearing nodes in
+   order), built from the labeling by the first such decode and
+   published through an [Atomic].
 
    A term's id is its rank in byte order.  Every shared prefix is the
    longest one, so an entry's first suffix byte is where it passes its
    predecessor: the open decodes every suffix and checks strict byte
    order entry by entry, and a lookup binary-searches the restarts and
-   scans one block.  A term's Rice parameter follows from its df and
-   the node count ([rice_k]), so no byte stores it.  The block lengths
-   tile the postings region exactly, so the block CRCs cover it byte for
-   byte; a term's bit offset inside its block is found by decoding the
-   terms before it, which the first read of a block does once.  cf = df
-   means every tf is 1 (a tf is at least 1), which is why most terms
-   store no tf codes at all, and the rows that are not listed as
-   exceptions have tf 1.
+   scans one block.  A term's Rice parameter follows from its df and M
+   ([rice_k]), so no byte stores it.  The block lengths tile the
+   postings region exactly, so the block CRCs cover it byte for byte; a
+   term's bit offset inside its block is found by decoding the terms
+   before it, which the first read of a block does once.  cf = df means
+   every tf is 1 (a tf is at least 1), which is why most terms store no
+   tf codes at all, and the rows that are not listed as exceptions have
+   tf 1.  Every df is at least 1, so a gamma code holds it.
 
    Opening a segment maps the file, verifies the header, terms and
    directory checksums, checks the symbol table and the term region's
@@ -53,8 +70,8 @@
    first decode of any term of a block verifies that block's CRC and
    decodes the block's terms in the same pass, which yields their bit
    offsets; those are published through the block's [Atomic], so later
-   decodes of the block read one term's bytes.  No dictionary and no
-   per-term offset is built at open.
+   decodes of the block read one term's bytes.  No dictionary, no
+   per-term offset and no select array is built at open.
 
    Every read attempt maps the file once ({!Xk_storage.Mmap.map}) and
    reads the magic from the map.  The map is also where storage faults
@@ -62,7 +79,7 @@
    other durable file is read through [read_mapped] and [retrying] too.
 
    Every earlier generation of both index file kinds is retired: the
-   v1-v7 segments and the v1-v2 shard manifests ({!Shard_io}).  One rule
+   v1-v8 segments and the v1-v2 shard manifests ({!Shard_io}).  One rule
    ([retired], [refuse_retired]) refuses a file whose magic names one, on
    the first attempt, with a rebuild hint; every reader of a segment
    recovers by rebuilding it (the live store re-seals it at open,
@@ -84,8 +101,8 @@
    arithmetic around it. *)
 let min (a : int) b = if a <= b then a else b
 
-let magic = "XKIDX008"
-let version = 8
+let magic = "XKIDX009"
+let version = 9
 
 (* The retired generations of both index file kinds, by magic. *)
 let retired =
@@ -97,6 +114,7 @@ let retired =
     ("XKIDX005", "v5 segment");
     ("XKIDX006", "v6 segment");
     ("XKIDX007", "v7 segment");
+    ("XKIDX008", "v8 segment");
     ("XKSHM001", "v1 manifest");
     ("XKSHM002", "v2 manifest");
   ]
@@ -119,13 +137,13 @@ let load_error_message ?kind { error; attempts } =
   else error_message ?kind error
 
 exception Segment_fault of string
-(* Raised by the lazy v8 row decoder (see the .mli). *)
+(* Raised by the lazy row decoder (see the .mli). *)
 
 (* ------------------------------------------------------------------ *)
-(* v8 writer (compressed segment)                                     *)
+(* Writer                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let header_size = 72
+let header_size = 80
 
 (* Terms per postings block: one CRC and one byte length each. *)
 let block_terms = 64
@@ -137,18 +155,19 @@ let restart_terms = 16
 let restarts n = (n + restart_terms - 1) / restart_terms
 let blocks n = (n + block_terms - 1) / block_terms
 
-(* The Rice parameter of a term with [df] rows among [node_count] nodes:
-   the largest k with df * 2^k <= node_count, so 2^k is at most the
-   mean gap between its node ids plus one.  Integers only, so writer and
-   reader agree on every host. *)
-let rice_k ~node_count df =
-  let rec go k = if node_count lsr (k + 1) >= df then go (k + 1) else k in
+(* The Rice parameter of a term with [df] rows among [nodes] ranks: the
+   largest k with df * 2^k <= nodes, so 2^k is at most the mean gap
+   between its ranks plus one.  Integers only, so writer and reader
+   agree on every host. *)
+let rice_k ~nodes df =
+  let rec go k = if nodes lsr (k + 1) >= df then go (k + 1) else k in
   if df = 0 then 0 else go 0
 
 (* The region geometry follows from the header's three lengths: the
    regions sit back to back behind the header. *)
 type layout = {
   node_count : int;
+  term_nodes : int;
   term_count : int;
   total_rows : int;
   terms_off : int;
@@ -217,13 +236,48 @@ let put_gamma w v =
   let n = top 0 in
   put_code w n n v
 
-(* The node ids of one term, Rice-coded with parameter [k]. *)
-let put_rice w ~k nodes =
+(* The ranks of the nodes among the term-bearing nodes, as a rank
+   directory: per block of 32 nodes, the term-bearing nodes before it and
+   a mask of its own.  Two words per 32 nodes, not one per node: a
+   transient array of a word per node paced the major GC into a larger
+   heap for the rest of the process (on the benchmark's [warm_zipf], 8%
+   more [top_heap_words] and 1.4 MB more peak RSS). *)
+type ranks = { before : int array; masks : int array }
+
+let ranks label =
+  let n = Xk_encoding.Labeling.node_count label in
+  let before = Array.make ((n lsr 5) + 1) 0 and masks = Array.make ((n lsr 5) + 1) 0 in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    let b = i lsr 5 in
+    if i land 31 = 0 then before.(b) <- !m;
+    if Xk_encoding.Labeling.term_bearing (Xk_encoding.Labeling.xml_node label i) then begin
+      masks.(b) <- masks.(b) lor (1 lsl (i land 31));
+      incr m
+    end
+  done;
+  { before; masks }
+
+(* The set bits of a 32-bit value. *)
+let popcount v =
+  let v = v - ((v lsr 1) land 0x55555555) in
+  let v = (v land 0x33333333) + ((v lsr 2) land 0x33333333) in
+  ((((v + (v lsr 4)) land 0x0F0F0F0F) * 0x01010101) lsr 24) land 0xff
+
+(* The rank of node [i], or -1 when it cannot hold a term. *)
+let rank r i =
+  let b = i lsr 5 and bit = 1 lsl (i land 31) in
+  let mask = r.masks.(b) in
+  if mask land bit = 0 then -1 else r.before.(b) + popcount (mask land (bit - 1))
+
+(* The ranks of one term's nodes, Rice-coded with parameter [k]. *)
+let put_rice w ~k ranks nodes =
   let prev = ref (-1) in
   Array.iter
     (fun id ->
-      let gap = id - !prev - 1 in
-      prev := id;
+      let r = rank ranks id in
+      let gap = r - !prev - 1 in
+      prev := r;
       put_code w (gap lsr k) k gap)
     nodes
 
@@ -296,8 +350,14 @@ let write_terms sorted =
   if String.length coded < !raw then coded
   else term_region Xk_storage.Symbols.empty sorted suffixes
 
-let save (idx : Index.t) path =
-  let node_count = Xk_encoding.Labeling.node_count (Index.label idx) in
+(* Close a bit stream at a byte boundary: zero bits to the byte. *)
+let pad w = if w.n > 0 then put w 0 (8 - w.n)
+
+let encode (idx : Index.t) =
+  let label = Index.label idx in
+  let node_count = Xk_encoding.Labeling.node_count label in
+  let term_nodes = Xk_encoding.Labeling.term_node_count label in
+  let ranks = ranks label in
   let term_count = Index.term_count idx in
   let by_id = Array.init term_count (Index.term idx) in
   let order = Array.init term_count Fun.id in
@@ -305,42 +365,60 @@ let save (idx : Index.t) path =
   let sorted = Array.map (Array.get by_id) order in
   for k = 1 to term_count - 1 do
     if String.equal sorted.(k - 1) sorted.(k) then
-      Xk_util.Err.invalidf "Index_io.save: duplicate term %S" sorted.(k)
+      Xk_util.Err.invalidf "Index_io.encode: duplicate term %S" sorted.(k)
   done;
-  let w = { bytes = Bytes.create 65536; len = 0; acc = 0; n = 0 } in
-  let table = Buffer.create (8 * blocks term_count) in
-  let entries = Buffer.create (2 * term_count) in
+  let writer size = { bytes = Bytes.create size; len = 0; acc = 0; n = 0 } in
+  (* The postings, and the directory's bit stream. *)
+  let w = writer 65536 and dw = writer (max 16 (term_count / 2)) in
+  let table = Buffer.create (6 * blocks term_count) in
+  let tf_terms = Ibuf.create () in
   let block_start = ref 0 and total_rows = ref 0 in
   for id = 0 to term_count - 1 do
     let term = sorted.(id) in
     let nodes, tfs = Index.raw_rows idx order.(id) in
     let df = Array.length nodes in
+    if df = 0 then Xk_util.Err.invalidf "Index_io.encode: term %S has no rows" term;
     if Array.exists (fun tf -> tf < 1) tfs then
-      Xk_util.Err.invalidf "Index_io.save: term %S has a tf below 1" term;
+      Xk_util.Err.invalidf "Index_io.encode: term %S has a tf below 1" term;
     Array.iteri
       (fun i n ->
         if n >= node_count || (i > 0 && n <= nodes.(i - 1)) || n < 0 then
           Xk_util.Err.invalidf
-            "Index_io.save: term %S has node ids not increasing below the node count"
-            term)
+            "Index_io.encode: term %S has node ids not increasing below the node count"
+            term;
+        if rank ranks n < 0 then
+          Xk_util.Err.invalidf "Index_io.encode: term %S has a row at node %d, which holds no terms"
+            term n)
       nodes;
     let cf = Array.fold_left ( + ) 0 tfs in
-    put_rice w ~k:(rice_k ~node_count df) nodes;
-    if cf <> df then put_tf_exceptions w tfs;
-    Xk_storage.Varint.write entries ((df lsl 1) lor if cf <> df then 1 else 0);
-    if cf <> df then Xk_storage.Varint.write entries (cf - df);
+    put_rice w ~k:(rice_k ~nodes:term_nodes df) ranks nodes;
+    if cf <> df then begin
+      put_tf_exceptions w tfs;
+      Ibuf.push tf_terms id;
+      Ibuf.push tf_terms (cf - df)
+    end;
+    put_gamma dw df;
     total_rows := !total_rows + df;
     if (id + 1) mod block_terms = 0 || id = term_count - 1 then begin
-      if w.n > 0 then put w 0 (8 - w.n);
+      pad w;
       let len = w.len - !block_start in
       add_u32 table
         (Xk_storage.Crc32.sub (Bytes.unsafe_to_string w.bytes) ~pos:!block_start ~len);
-      add_u32 table len;
+      Xk_storage.Varint.write table len;
       block_start := w.len
     end
   done;
-  let terms = write_terms sorted
-  and dir = Buffer.contents table ^ Buffer.contents entries in
+  put_gamma dw ((Ibuf.length tf_terms / 2) + 1);
+  let prev = ref (-1) in
+  for j = 0 to (Ibuf.length tf_terms / 2) - 1 do
+    let id = Ibuf.get tf_terms (2 * j) in
+    put_gamma dw (id - !prev);
+    put_gamma dw (Ibuf.get tf_terms ((2 * j) + 1));
+    prev := id
+  done;
+  pad dw;
+  Buffer.add_subbytes table dw.bytes 0 dw.len;
+  let terms = write_terms sorted and dir = Buffer.contents table in
   let header = Buffer.create header_size in
   Buffer.add_string header magic;
   add_u32 header version;
@@ -350,15 +428,20 @@ let save (idx : Index.t) path =
   add_u64 header (String.length terms);
   add_u64 header w.len;
   add_u64 header (String.length dir);
+  add_u64 header term_nodes;
   add_u32 header (Xk_storage.Crc32.string terms);
   add_u32 header (Xk_storage.Crc32.string dir);
   add_u32 header (Xk_storage.Crc32.string (Buffer.contents header));
   assert (Buffer.length header = header_size);
-  Xk_storage.Durable.write_atomically path (fun oc ->
-      Buffer.output_buffer oc header;
-      output_string oc terms;
-      output oc w.bytes 0 w.len;
-      output_string oc dir)
+  let tl = String.length terms in
+  let seg = Bytes.create (header_size + tl + w.len + String.length dir) in
+  Buffer.blit header 0 seg 0 header_size;
+  Bytes.blit_string terms 0 seg header_size tl;
+  Bytes.blit w.bytes 0 seg (header_size + tl) w.len;
+  Bytes.blit_string dir 0 seg (header_size + tl + w.len) (String.length dir);
+  Bytes.unsafe_to_string seg
+
+let save idx path = Xk_storage.Durable.write_string_atomically path (encode idx)
 
 (* The outcome classes of one read attempt.  [`Transient], [`Crc] and
    [`Suspect] are the retryable classes: [`Suspect] carries a
@@ -396,7 +479,7 @@ let refuse_retired data =
   | None -> Ok ()
 
 (* ------------------------------------------------------------------ *)
-(* v8 reader                                                          *)
+(* Reader                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Every region is read by copying it out of the map, and each checksum
@@ -424,8 +507,8 @@ let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
    a [size]-byte file; returns the geometry and the header bytes, which
    carry the terms and directory checksums. *)
 let parse_header ~size h : layout * string =
-  if size < header_size then bad_trunc "shorter than the v8 header";
-  if Xk_storage.Crc32.sub h ~pos:0 ~len:(header_size - 4) <> u32_at h 68 then
+  if size < header_size then bad_trunc "shorter than the segment header";
+  if Xk_storage.Crc32.sub h ~pos:0 ~len:(header_size - 4) <> u32_at h 76 then
     bad_crc "header checksum mismatch";
   (* The header is authentic past this point: every further anomaly is
      structural, not a torn read. *)
@@ -446,6 +529,7 @@ let parse_header ~size h : layout * string =
   let lay =
     {
       node_count = u64 12;
+      term_nodes = u64 60;
       term_count = u64 20;
       total_rows = u64 28;
       terms_off = header_size;
@@ -463,12 +547,12 @@ let parse_header ~size h : layout * string =
     bad_struct
       (Printf.sprintf "%d trailing bytes after the directory"
          (size - lay.file_size));
-  (* A directory entry takes a byte at least and each block 8 bytes of
+  (* A term's df code takes a bit at least and each block 5 bytes of
      CRC and length, which bounds the per-term and per-block arrays the
      open allocates by the file.  A Rice-coded row takes one bit at
      least, which bounds the rows by the postings' bits. *)
-  if lay.term_count > dir_len || lay.term_count + (8 * blocks lay.term_count) > dir_len
-  then bad_struct "term count exceeds what the directory can hold";
+  if lay.term_count > 8 * dir_len || 5 * blocks lay.term_count > dir_len then
+    bad_struct "term count exceeds what the directory can hold";
   if lay.total_rows / 8 > postings_len then
     bad_struct "row count exceeds what the postings can hold";
   (lay, h)
@@ -477,7 +561,7 @@ let map_header m =
   let size = Xk_storage.Mmap.size m in
   parse_header ~size (Xk_storage.Mmap.sub_string m ~pos:0 ~len:(min size header_size))
 
-(* The checked v8 term region and decoded directory, plus the map the
+(* The checked term region and decoded directory, plus the map the
    postings are read from: the persistent state behind the lazy term and
    row provider. *)
 type segment = {
@@ -488,7 +572,7 @@ type segment = {
   sg_syms : Xk_storage.Symbols.t;  (* its symbol table *)
   sg_table : int;  (* offset of the restart table in [sg_terms] *)
   sg_dfs : int array;
-  sg_cfs : int array;
+  sg_extras : int array;  (* cf - df *)
   sg_block_crcs : int array;  (* one per [block_terms] term ids *)
   sg_block_offs : int array;  (* file offset of each block, then the region end *)
   (* Per block, empty until its CRC has been verified, then the bit
@@ -514,16 +598,17 @@ let field c nibble =
     if v > max_int - 15 then Xk_storage.Varint.malformed "entry field overflows";
     15 + v
 
-(* [a] against [b] in byte order, from byte [from] of both. *)
-let compare_from (a : Buffer.t) (b : Buffer.t) ~from =
-  let la = Buffer.length a and lb = Buffer.length b in
+(* The first [a.len] bytes of [a] against those of [b] in byte
+   order. *)
+let compare_scratch (a : Xk_storage.Symbols.scratch) (b : Xk_storage.Symbols.scratch) =
+  let n = min a.len b.len in
   let rec go i =
-    if i = la || i = lb then Int.compare la lb
+    if i = n then Int.compare a.len b.len
     else
-      let d = Char.compare (Buffer.nth a i) (Buffer.nth b i) in
+      let d = Char.compare (Bytes.unsafe_get a.bytes i) (Bytes.unsafe_get b.bytes i) in
       if d <> 0 then d else go (i + 1)
   in
-  go from
+  go 0
 
 (* Check the term region of [n] terms in one pass: the symbol table is
    well formed, the restart table fits and names exactly the offset of
@@ -532,7 +617,8 @@ let compare_from (a : Buffer.t) (b : Buffer.t) ~from =
    most the previous term and every term sorts strictly after it, and
    the entries end where the table starts.  Returns the symbol table and
    the restart table's offset.  The previous term and a restart are
-   decoded into two scratch buffers; nothing is allocated per term. *)
+   decoded into two scratch buffers and compared in place; nothing is
+   allocated per term. *)
 let check_terms terms n =
   let fail msg = bad_struct ("term region: " ^ msg) in
   let table = String.length terms - (4 * restarts n) in
@@ -542,7 +628,7 @@ let check_terms terms n =
     try Xk_storage.Symbols.read_table c
     with Xk_storage.Varint.Malformed msg -> fail ("symbol table: " ^ msg)
   in
-  let prev = ref (Buffer.create 64) and cur = ref (Buffer.create 64) in
+  let prev = ref (Xk_storage.Symbols.scratch ()) and cur = ref (Xk_storage.Symbols.scratch ()) in
   (try
      for id = 0 to n - 1 do
        let start = c.pos in
@@ -551,30 +637,29 @@ let check_terms terms n =
        let len = field c (h land 15) in
        let pos = c.pos in
        Xk_storage.Varint.skip c len;
-       let prev_len = Buffer.length !prev in
+       let p = !prev in
+       let prev_len = p.len in
        if shared > prev_len then
          fail (Printf.sprintf "term %d shares more than the previous term" id);
        if id mod restart_terms = 0 then begin
          if u32_at terms (table + (4 * (id / restart_terms))) <> start then
            fail (Printf.sprintf "restart %d disagrees with the entries" (id / restart_terms));
          if shared > 0 then fail (Printf.sprintf "restart %d shares a prefix" (id / restart_terms));
-         Buffer.clear !cur;
-         Xk_storage.Symbols.decode syms terms ~pos ~len !cur;
-         if id > 0 && compare_from !cur !prev ~from:0 <= 0 then
+         let q = !cur in
+         q.len <- 0;
+         Xk_storage.Symbols.decode syms terms ~pos ~len q;
+         if id > 0 && compare_scratch q p <= 0 then
            fail (Printf.sprintf "term %d out of byte order" id);
-         let t = !prev in
-         prev := !cur;
-         cur := t
+         prev := q;
+         cur := p
        end
        else begin
          (* The shared prefix is the longest one, so the first suffix
             byte is where the term passes the previous one. *)
-         let passed = if shared < prev_len then Buffer.nth !prev shared else '\000' in
-         Buffer.truncate !prev shared;
-         Xk_storage.Symbols.decode syms terms ~pos ~len !prev;
-         if
-           Buffer.length !prev = shared
-           || (shared < prev_len && Buffer.nth !prev shared <= passed)
+         let passed = if shared < prev_len then Bytes.unsafe_get p.bytes shared else '\000' in
+         p.len <- shared;
+         Xk_storage.Symbols.decode syms terms ~pos ~len p;
+         if p.len = shared || (shared < prev_len && Bytes.unsafe_get p.bytes shared <= passed)
          then fail (Printf.sprintf "term %d out of byte order" id)
        end
      done
@@ -582,61 +667,132 @@ let check_terms terms n =
   if c.pos <> table then fail "entries do not end at the restart table";
   (syms, table)
 
-(* Decode the directory in one pass: the block table, then per term its
-   df and cf.  The block lengths must tile the postings region, the dfs
-   sum to the row count, and each block's rows and tf codes fit its bits
-   (a row takes one bit at least, a tf section three gamma codes of a
-   bit at least): any overlap, gap or overhang is structural
-   corruption. *)
+(* The trailing zero bits of each nonzero byte. *)
+let trailing_zeros =
+  String.init 256 (fun b ->
+      let rec go i = if b = 0 || (b lsr i) land 1 = 1 then i else go (i + 1) in
+      Char.chr (go 0))
+
+(* A bit reader over [s] below byte [stop], least significant bit
+   first, for the directory's codes: [acc] holds the [avail] bits loaded
+   but not consumed, and no bit above them. *)
+type bit_reader = {
+  s : string;
+  stop : int;
+  mutable next : int;
+  mutable acc : int;
+  mutable avail : int;
+}
+
+(* Load bytes until more than 48 bits are held or the stream ends. *)
+let fill r =
+  while r.avail <= 48 && r.next < r.stop do
+    r.acc <- r.acc lor (Char.code (String.unsafe_get r.s r.next) lsl r.avail);
+    r.avail <- r.avail + 8;
+    r.next <- r.next + 1
+  done
+
+(* The next [n] <= 48 bits. *)
+let take r n fail =
+  if r.avail < n then fill r;
+  if r.avail < n then fail "code runs past the directory";
+  let v = r.acc land ((1 lsl n) - 1) in
+  r.acc <- r.acc lsr n;
+  r.avail <- r.avail - n;
+  v
+
+(* One Elias-gamma code.  At most 61 zero bits lead it, so its value
+   lies in 1 .. 2^62 - 1: a longer run is refused before it could wrap
+   to zero or below. *)
+let gamma r fail =
+  fill r;
+  let q = ref 0 in
+  while r.acc = 0 do
+    if r.next >= r.stop then fail "code runs past the directory";
+    q := !q + r.avail;
+    r.avail <- 0;
+    fill r
+  done;
+  let a = ref r.acc and z = ref 0 in
+  while !a land 0xff = 0 do
+    a := !a lsr 8;
+    z := !z + 8
+  done;
+  let z = !z + Char.code (String.unsafe_get trailing_zeros (!a land 0xff)) in
+  let q = !q + z in
+  if q > 61 then fail "gamma code too long";
+  r.acc <- r.acc lsr (z + 1);
+  r.avail <- r.avail - z - 1;
+  let low =
+    if q <= 48 then take r q fail
+    else
+      let lo = take r 24 fail in
+      lo lor (take r (q - 24) fail lsl 24)
+  in
+  (1 lsl q) lor low
+
+(* Decode the directory in one pass: the block table, then the df of
+   every term and the cf - df of the terms the tf list names.  The block
+   lengths must tile the postings region, the dfs sum to the row count
+   and each block's rows fit its bits (a row takes one bit at least),
+   the tf list's ids increase below the term count, and the stream end
+   in the directory's last byte with zero pad bits: any overlap, gap or
+   overhang is structural corruption. *)
 let parse_dir path m ((lay, h) : layout * string) : segment =
   let dir = Xk_storage.Mmap.sub_string m ~pos:lay.dir_off ~len:lay.dir_len in
-  if Xk_storage.Crc32.string dir <> u32_at h 64 then
+  if Xk_storage.Crc32.string dir <> u32_at h 72 then
     bad_crc "directory checksum mismatch";
   let terms = Xk_storage.Mmap.sub_string m ~pos:lay.terms_off ~len:lay.terms_len in
-  if Xk_storage.Crc32.string terms <> u32_at h 60 then
+  if Xk_storage.Crc32.string terms <> u32_at h 68 then
     bad_crc "terms-region checksum mismatch";
   let n = lay.term_count in
   let syms, table = check_terms terms n in
   let nblocks = blocks n in
-  let block_crcs = Array.init nblocks (fun b -> u32_at dir (8 * b)) in
+  let block_crcs = Array.make nblocks 0 in
   let block_offs = Array.make (nblocks + 1) lay.postings_off in
-  for b = 0 to nblocks - 1 do
-    let len = u32_at dir ((8 * b) + 4) in
-    if len > lay.dir_off - block_offs.(b) then
-      bad_struct (Printf.sprintf "block %d overhangs the postings region" b);
-    block_offs.(b + 1) <- block_offs.(b) + len
-  done;
+  let c = Xk_storage.Varint.cursor dir in
+  (try
+     for b = 0 to nblocks - 1 do
+       let at = c.pos in
+       Xk_storage.Varint.skip c 4;
+       block_crcs.(b) <- u32_at dir at;
+       let len = Xk_storage.Varint.read c in
+       if len > lay.dir_off - block_offs.(b) then
+         bad_struct (Printf.sprintf "block %d overhangs the postings region" b);
+       block_offs.(b + 1) <- block_offs.(b) + len
+     done
+   with Xk_storage.Varint.Malformed msg -> bad_struct ("block table: " ^ msg));
   if block_offs.(nblocks) <> lay.dir_off then
     bad_struct "blocks do not cover the postings region";
-  let dfs = Array.make n 0 and cfs = Array.make n 0 in
-  let c = Xk_storage.Varint.cursor_at dir (8 * nblocks) and entry = ref 0 in
-  let fail msg =
-    bad_struct (Printf.sprintf "directory entry %d: %s" !entry msg)
-  in
+  let dfs = Array.make n 0 and extras = Array.make n 0 in
+  let r = { s = dir; stop = lay.dir_len; next = c.pos; acc = 0; avail = 0 } in
+  let entry = ref 0 in
+  let fail msg = bad_struct (Printf.sprintf "directory entry %d: %s" !entry msg) in
   let rows = ref 0 and bits = ref 0 in
-  (try
-     for id = 0 to n - 1 do
-       entry := id;
-       if id mod block_terms = 0 then begin
-         let b = id / block_terms in
-         bits := 8 * (block_offs.(b + 1) - block_offs.(b))
-       end;
-       let v = Xk_storage.Varint.read c in
-       let df = v lsr 1 in
-       let extra = if v land 1 = 1 then Xk_storage.Varint.read c else 0 in
-       if v land 1 = 1 && extra = 0 then fail "tfs flagged but cf = df";
-       if df = 0 && extra > 0 then fail "tfs without rows";
-       if extra > max_int - df then fail "cf overflows";
-       if df > lay.node_count then fail "more rows than nodes";
-       let need = if extra > 0 then 3 else 0 in
-       if df > !bits - need then fail "more rows than postings bits";
-       bits := !bits - df - need;
-       dfs.(id) <- df;
-       cfs.(id) <- df + extra;
-       rows := !rows + df
-     done
-   with Xk_storage.Varint.Malformed msg -> fail msg);
-  if c.pos <> lay.dir_len then bad_struct "trailing bytes in the directory";
+  for id = 0 to n - 1 do
+    entry := id;
+    if id mod block_terms = 0 then begin
+      let b = id / block_terms in
+      bits := 8 * (block_offs.(b + 1) - block_offs.(b))
+    end;
+    let df = gamma r fail in
+    if df > !bits then fail "more rows than postings bits";
+    bits := !bits - df;
+    dfs.(id) <- df;
+    rows := !rows + df
+  done;
+  let fail msg = bad_struct ("directory tf list: " ^ msg) in
+  let prev = ref (-1) in
+  let t = gamma r fail - 1 in
+  for _ = 1 to t do
+    let gap = gamma r fail in
+    if gap > n - 1 - !prev then fail "term id past the term count";
+    prev := !prev + gap;
+    extras.(!prev) <- gamma r fail
+  done;
+  if (8 * r.next) - r.avail + 7 < 8 * lay.dir_len then
+    bad_struct "trailing bytes in the directory";
+  if r.acc <> 0 then bad_struct "directory has nonzero pad bits";
   if !rows <> lay.total_rows then
     bad_struct "directory does not cover the posting rows";
   {
@@ -647,7 +803,7 @@ let parse_dir path m ((lay, h) : layout * string) : segment =
     sg_syms = syms;
     sg_table = table;
     sg_dfs = dfs;
-    sg_cfs = cfs;
+    sg_extras = extras;
     sg_block_crcs = block_crcs;
     sg_block_offs = block_offs;
     sg_offsets = Array.init nblocks (fun _ -> Atomic.make [||]);
@@ -671,22 +827,25 @@ let decode_suffix sg ~pos ~len b = Xk_storage.Symbols.decode sg.sg_syms sg.sg_te
 let term_of sg id =
   let r = id / restart_terms in
   let c, pos, len = restart sg r in
-  let b = Buffer.create (4 * len) in
+  let b = Xk_storage.Symbols.scratch () in
   decode_suffix sg ~pos ~len b;
   for _ = (r * restart_terms) + 1 to id do
     let h = head c in
     let shared = field c (h lsr 4) in
     let len = field c (h land 15) in
-    Buffer.truncate b shared;
+    b.len <- shared;
     decode_suffix sg ~pos:c.pos ~len b;
     Xk_storage.Varint.skip c len
   done;
-  Buffer.contents b
+  Bytes.sub_string b.bytes 0 b.len
 
 (* Length of the common prefix of [w] from [from] and [b]. *)
-let common w ~from b =
-  let n = min (String.length w - from) (Buffer.length b) in
-  let rec go i = if i < n && w.[from + i] = Buffer.nth b i then go (i + 1) else i in
+let common w ~from (b : Xk_storage.Symbols.scratch) =
+  let n = min (String.length w - from) b.len in
+  let rec go i =
+    if i < n && String.unsafe_get w (from + i) = Bytes.unsafe_get b.bytes i then go (i + 1)
+    else i
+  in
   go 0
 
 (* The id of word [w], ASCII case folded: binary search for the last
@@ -699,17 +858,17 @@ let common w ~from b =
 let find_term sg w =
   let w = String.lowercase_ascii w in
   let n = sg.sg_lay.term_count in
-  let b = Buffer.create 64 in
+  let b = Xk_storage.Symbols.scratch () in
   (* [w] against the restart of block [r]: their common prefix, and
      whether [w] sorts before, at or after it. *)
   let against r =
     let _, pos, len = restart sg r in
-    Buffer.clear b;
+    b.len <- 0;
     decode_suffix sg ~pos ~len b;
-    let len = Buffer.length b in
+    let len = b.len in
     let k = common w ~from:0 b in
     let order =
-      if k < len && k < String.length w then Char.compare w.[k] (Buffer.nth b k)
+      if k < len && k < String.length w then Char.compare w.[k] (Bytes.get b.bytes k)
       else Int.compare (String.length w) len
     in
     (k, order)
@@ -736,12 +895,12 @@ let find_term sg w =
         if shared > m then scan (id + 1) m
         else if shared < m then None
         else begin
-          Buffer.clear b;
+          b.len <- 0;
           decode_suffix sg ~pos ~len b;
-          let len = Buffer.length b in
+          let len = b.len in
           let k = common w ~from:m b in
           if k = len && m + k = String.length w then Some id
-          else if k < len && (m + k = String.length w || w.[m + k] < Buffer.nth b k) then None
+          else if k < len && (m + k = String.length w || w.[m + k] < Bytes.get b.bytes k) then None
           else scan (id + 1) (m + k)
         end
     in
@@ -749,20 +908,15 @@ let find_term sg w =
     | _, 0 -> Some (r * restart_terms)
     | m, _ -> scan ((r * restart_terms) + 1) m
 
-(* The trailing zero bits of each nonzero byte. *)
-let trailing_zeros =
-  String.init 256 (fun b ->
-      let rec go i = if b = 0 || (b lsr i) land 1 = 1 then i else go (i + 1) in
-      Char.chr (go 0))
-
 let term_fault id msg = bad_struct (Printf.sprintf "term %d postings: %s" id msg)
 let no_rows = ([||], [||])
 
 (* Decode term [id]'s rows from the bit stream [s], bytes below [stop],
    starting at bit [!at] and leaving [!at] at the bit where the term
-   ends.  The stream must hold df Rice-coded node ids, strictly
-   increasing below the node count, then, when cf <> df, gamma codes: a
-   count of at most df, and that many (position gap + 1, tf - 1) pairs
+   ends; the rows' nodes are returned as their ranks.  The stream must
+   hold df Rice-coded ranks, strictly increasing below M, then, when
+   cf <> df, gamma codes: a count of at most df, and that many
+   (position gap + 1, tf - 1) pairs
    with strictly increasing positions below df and df + sum (tf - 1) =
    cf.  One loop reads every code, Rice or gamma, as a unary quotient q
    and then k bits (Rice) or q bits (gamma), its reader state in local
@@ -770,9 +924,9 @@ let no_rows = ([||], [||])
    checks everything but allocates no rows, so a block walk allocates
    nothing per term. *)
 let decode_term ~keep sg id s ~stop at =
-  let df = sg.sg_dfs.(id) and cf = sg.sg_cfs.(id) in
-  let last = sg.sg_lay.node_count - 1 in
-  let k = rice_k ~node_count:sg.sg_lay.node_count df in
+  let df = sg.sg_dfs.(id) and extra = sg.sg_extras.(id) in
+  let last = sg.sg_lay.term_nodes - 1 in
+  let k = rice_k ~nodes:sg.sg_lay.term_nodes df in
   let nodes = if keep then Array.make df 0 else [||] in
   let tfs = if keep then Array.make df 1 else [||] in
   (* [next] is the next byte to load; [acc] holds the [avail] bits
@@ -783,8 +937,8 @@ let decode_term ~keep sg id s ~stop at =
     avail := 8 - (!at land 7);
     incr next
   end;
-  let codes = ref (if cf <> df then df + 1 else df) in
-  let i = ref 0 and prev = ref (-1) and pos = ref 0 and extra = ref (cf - df) in
+  let codes = ref (if extra > 0 then df + 1 else df) in
+  let i = ref 0 and prev = ref (-1) and pos = ref 0 and extra = ref extra in
   while !i < !codes do
     (* Top the bits up to more than 48 (or to [stop]) once per code. *)
     if !avail <= 48 then
@@ -818,7 +972,7 @@ let decode_term ~keep sg id s ~stop at =
     let width =
       if rice then begin
         let room = last - !prev - 1 in
-        if room < 0 || q > room lsr k then term_fault id "node id out of range";
+        if room < 0 || q > room lsr k then term_fault id "rank out of range";
         k
       end
       else if q > 61 then term_fault id "gamma code too long"
@@ -862,7 +1016,7 @@ let decode_term ~keep sg id s ~stop at =
     in
     if rice then begin
       let gap = (q lsl k) lor low in
-      if gap > last - !prev - 1 then term_fault id "node id out of range";
+      if gap > last - !prev - 1 then term_fault id "rank out of range";
       prev := !prev + gap + 1;
       if keep then nodes.(!i) <- !prev
     end
@@ -920,21 +1074,49 @@ let verified_block ?(want = -1) sg b =
   Atomic.set sg.sg_offsets.(b) offs;
   !rows
 
+(* The node id of each rank: the term-bearing nodes of [label] in
+   document order.  Built by the first decode that keeps rows and
+   published through [cell], so the open allocates none of it; two
+   domains may both build it, and each publishes an equal array. *)
+let select label cell =
+  let sel = Atomic.get cell in
+  if Array.length sel > 0 then sel
+  else begin
+    let sel = Array.make (Xk_encoding.Labeling.term_node_count label) 0 and r = ref 0 in
+    for i = 0 to Xk_encoding.Labeling.node_count label - 1 do
+      if Xk_encoding.Labeling.term_bearing (Xk_encoding.Labeling.xml_node label i) then begin
+        sel.(!r) <- i;
+        incr r
+      end
+    done;
+    Atomic.set cell sel;
+    sel
+  end
+
 (* Decode one term's rows: in the walk that verifies its block, if no
-   decode has yet, else from exactly the bytes its bits lie in.  Raises
-   [Bad]: [`Crc] on a checksum mismatch, [`Fatal] on malformed content
-   behind a verified checksum. *)
-let decode_rows sg id =
+   decode has yet, else from exactly the bytes its bits lie in; then
+   map its ranks to node ids through [sel].  Raises [Bad]: [`Crc] on a
+   checksum mismatch, [`Fatal] on malformed content behind a verified
+   checksum. *)
+let decode_rows sg ~sel id =
   let b = id / block_terms and i = id mod block_terms in
   let offs = Atomic.get sg.sg_offsets.(b) in
-  if Array.length offs = 0 then verified_block ~want:id sg b
-  else
-    let lo = offs.(i) / 8 and hi = (offs.(i + 1) + 7) / 8 in
-    let s = Xk_storage.Mmap.sub_string sg.sg_map ~pos:(sg.sg_block_offs.(b) + lo) ~len:(hi - lo) in
-    let at = ref (offs.(i) - (8 * lo)) in
-    let rows = decode_term ~keep:true sg id s ~stop:(hi - lo) at in
-    if !at <> offs.(i + 1) - (8 * lo) then term_fault id "trailing bits";
-    rows
+  let ((nodes, _) as rows) =
+    if Array.length offs = 0 then verified_block ~want:id sg b
+    else begin
+      let lo = offs.(i) / 8 and hi = (offs.(i + 1) + 7) / 8 in
+      let s = Xk_storage.Mmap.sub_string sg.sg_map ~pos:(sg.sg_block_offs.(b) + lo) ~len:(hi - lo) in
+      let at = ref (offs.(i) - (8 * lo)) in
+      let rows = decode_term ~keep:true sg id s ~stop:(hi - lo) at in
+      if !at <> offs.(i + 1) - (8 * lo) then term_fault id "trailing bits";
+      rows
+    end
+  in
+  let sel = sel () in
+  for j = 0 to Array.length nodes - 1 do
+    nodes.(j) <- sel.(nodes.(j))
+  done;
+  rows
 
 (* Full verification of a parsed segment: every block's CRC holds and
    every term decodes from the checked copy. *)
@@ -950,7 +1132,14 @@ let open_segment ?stats ~verify_columns label path m : Index.t =
       (Printf.sprintf "index built over %d nodes, document has %d"
          lay.node_count
          (Xk_encoding.Labeling.node_count label));
+  if lay.term_nodes <> Xk_encoding.Labeling.term_node_count label then
+    bad_struct
+      (Printf.sprintf "index built over %d term-bearing nodes, document has %d"
+         lay.term_nodes
+         (Xk_encoding.Labeling.term_node_count label));
   let sg = parse_dir path m header in
+  let cell = Atomic.make [||] in
+  let sel () = select label cell in
   if verify_columns then decode_all sg;
   let fault msg = raise (Segment_fault (Printf.sprintf "%s: %s" path msg)) in
   let provider : Index.provider =
@@ -961,7 +1150,7 @@ let open_segment ?stats ~verify_columns label path m : Index.t =
       pv_row_count = (fun id -> sg.sg_dfs.(id));
       pv_rows =
         (fun id ->
-          try decode_rows sg id with
+          try decode_rows sg ~sel id with
           | Bad e -> fault (error_message (classify e))
           | Xk_storage.Mmap.Fault e -> fault (Xk_storage.Mmap.error_message e));
     }

@@ -1,7 +1,8 @@
-(** Fault-tolerant index persistence: the v8 ("XKIDX008") compressed
+(** Fault-tolerant index persistence: the v9 ("XKIDX009") compressed
     zero-copy segment, the one loadable generation.
 
-    A segment is a fixed 72-byte header with its own CRC-32, the term
+    A segment is a fixed 80-byte header with its own CRC-32 (it records
+    the node count and M, the count of term-bearing nodes), the term
     region (a symbol table of at most 255 symbols of 1-8 bytes,
     {!Xk_storage.Symbols}, trained at save on the region's own suffixes
     and left empty when it would not shrink the region; then the terms
@@ -10,32 +11,40 @@
     then the suffix's codes, a symbol's index or 255 and a literal byte;
     a block's first entry shares nothing - then a table of each block's
     offset), the postings (one bit stream per block of 64 consecutive
-    term ids, padded to a byte only at its end: per term the node-id
-    gaps Rice-coded with a parameter k derived from the term's df and
-    the node count, then only when the term's cf differs from its df
-    Elias-gamma tf codes: the count, and a (position gap + 1, tf - 1)
-    pair per row whose tf is above 1) and a directory (per block a u32
-    CRC-32 over that block's postings and a u32 byte length of them,
-    then per term one varint [df lsl 1 lor has_tfs], and cf - df only
-    when has_tfs is set), back to back with no padding, so every byte
-    is under a checksum.  A term's id is its rank in byte order.
+    term ids, padded to a byte only at its end: per term the gaps
+    between its nodes' ranks among the term-bearing nodes, Rice-coded
+    with a parameter k derived from the term's df and M, then only when
+    the term's cf differs from its df Elias-gamma tf codes: the count,
+    and a (position gap + 1, tf - 1) pair per row whose tf is above 1)
+    and a directory (per block a u32 CRC-32 over that block's postings
+    and a varint byte length of them, then one bit stream: the gamma
+    code of every term's df, then of the count + 1 of the terms whose cf
+    differs from their df, and per such term of its id gap and of
+    cf - df), back to back with no padding, so every byte is under a
+    checksum.  A term's id is its rank in byte order.  A node is
+    term-bearing when {!Xk_encoding.Labeling.term_bearing} admits it
+    (a text node, or an element with attributes): only those nodes can
+    hold a term, so a row's node is coded as its rank among them.
     Loading memory-maps the file ({!Xk_storage.Mmap}), verifies the
-    header, terms and directory checksums, checks the symbol table and
-    the term region's structure and strict byte order (decoding every
-    suffix) in one pass, decodes the directory (statistics included -
-    no posting is touched) and hands {!Index.of_provider} the term
-    region, where a lookup binary-searches the block heads and scans one
-    block, decoding terms into a scratch buffer, and a lazy row decoder.
-    The first decode of any term of a block verifies that block's
-    checksum and decodes the block's terms in the same pass, which
-    yields their bit offsets; the block publishes them atomically, and
-    later decodes read the bytes one term's bits lie in.  No dictionary
-    and no per-term offset is built: open cost is one pass over the
+    header, terms and directory checksums, checks the node count and M
+    against the document, checks the symbol table and the term region's
+    structure and strict byte order (decoding every suffix) in one pass,
+    decodes the directory (statistics included - no posting is touched)
+    and hands {!Index.of_provider} the term region, where a lookup
+    binary-searches the block heads and scans one block, decoding terms
+    into a scratch buffer, and a lazy row decoder.  The first decode of
+    any term of a block verifies that block's checksum and decodes the
+    block's terms in the same pass, which yields their bit offsets; the
+    block publishes them atomically, and later decodes read the bytes
+    one term's bits lie in.  Decoding works in rank space; a decode that
+    keeps rows maps ranks to node ids through an array of M node ids
+    built by the first such decode.  No dictionary, no per-term offset
+    and no rank map is built at open: open cost is one pass over the
     terms and the directory, and the kernel pages postings in on demand.
     Scores are bit-identical to a fresh {!Index.build}: both feed the
     same (tf, df) integers to the same scorer.
 
-    Every earlier generation is retired: a v1-v7 segment, like a v1-v2
+    Every earlier generation is retired: a v1-v8 segment, like a v1-v2
     shard manifest ({!Shard_io}), is refused by one rule
     ({!refuse_retired}) as {!Corrupted} with a message asking for a
     rebuild, on the first attempt.
@@ -103,7 +112,7 @@ val refuse_retired : string -> (unit, attempt_error) result
     of such a file are intact, so a re-read cannot change the outcome. *)
 
 val magic : string
-(** The magic of the one loadable segment generation (v8). *)
+(** The magic of the one loadable segment generation (v9). *)
 
 val retrying :
   ?retries:int ->
@@ -118,11 +127,11 @@ val load_error_message : ?kind:string -> load_error -> string
 (** {!error_message}, with the attempt count when there was a retry. *)
 
 exception Segment_fault of string
-(** Raised by the {e lazy} v8 row decoder: the checksum of a term's
+(** Raised by the {e lazy} row decoder: the checksum of a term's
     block fails or the block's terms do not decode to its length or
     leave nonzero pad bits (every term of that block faults, every other
     term still decodes), its postings do not decode (a unary run or a
-    code runs past the block, node ids reach the node count, a gamma
+    code runs past the block, ranks reach M, a gamma
     code is longer than 61 bits, tf exception positions are not strictly
     increasing below df, or the tfs do not sum to cf), or the mapping
     was closed under the reader.  Eager-open failures never use
@@ -131,14 +140,17 @@ exception Segment_fault of string
     executor's failover-on-raise treats it like any other replica
     failure. *)
 
+val encode : Index.t -> string
+(** The bytes of the segment of an index.  The terms are written in
+    byte order, so an opened segment's term ids are their ranks in that
+    order, whatever ids [idx] gave them.  Raises [Invalid_argument] if a
+    term has no rows, a term frequency is below 1, a term occurs twice,
+    a term's node ids are not strictly increasing below the node count,
+    or a row sits at a node that cannot hold terms. *)
+
 val save : Index.t -> string -> unit
-(** Write a v8 segment durably and atomically: temp file, fsync,
-    rename, directory fsync ({!Xk_storage.Durable}).  The terms are
-    written in byte order, so an opened segment's term ids are their
-    ranks in that order, whatever ids [idx] gave them.  Raises
-    [Invalid_argument] if a term frequency is below 1, a term occurs
-    twice, or a term's node ids are not strictly increasing below the
-    node count. *)
+(** Write {!encode}'s bytes durably and atomically: temp file, fsync,
+    rename, directory fsync ({!Xk_storage.Durable}). *)
 
 val load_result :
   ?stats:Index.stats_override ->
@@ -181,6 +193,7 @@ val file_size : string -> int
 
 type layout = {
   node_count : int;
+  term_nodes : int;  (** M, the term-bearing nodes *)
   term_count : int;
   total_rows : int;
   terms_off : int;
@@ -191,10 +204,10 @@ type layout = {
   dir_len : int;
   file_size : int;  (** header + the three region lengths *)
 }
-(** Region geometry of a v8 segment: the header, then the terms,
+(** Region geometry of a segment: the header, then the terms,
     postings and directory regions back to back.  Exposed so a fault
     drill can corrupt one specific region. *)
 
 val layout : string -> (layout, error) result
-(** Parse and verify a v8 header, returning its geometry; [Io_failed]
+(** Parse and verify a segment header, returning its geometry; [Io_failed]
     if the file cannot be read. *)

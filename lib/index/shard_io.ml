@@ -16,8 +16,9 @@
    manifest stays valid for exactly the document it was built from
    (per-shard node-count checks enforce that).
 
-   Replicas are written and verified independently (framing + CRC check
-   after each copy), and the loader falls back across them in manifest
+   A shard's replicas are byte-identical copies of one encoding, each
+   written and verified independently (framing + CRC check after each
+   copy), and the loader falls back across them in manifest
    order: a shard is lost only when every replica fails, and the typed
    error then carries each replica's failure and attempt count. *)
 
@@ -85,13 +86,15 @@ let save ?(replicas = 1) ?endpoints t path =
   done;
   Xk_storage.Durable.write_string_atomically path
     (Xk_storage.Framed.file ~magic ~version (Buffer.contents payload));
-  (* Each replica is written and verified independently: a write that
-     slips through [Index_io.save]'s atomic rename but lands damaged
-     must surface now, not at failover time. *)
+  (* A shard's segment is encoded once and the same bytes written to
+     every replica; each copy is verified independently: a write that
+     slips through the atomic rename but lands damaged must surface
+     now, not at failover time. *)
   for s = 0 to shards - 1 do
+    let bytes = Index_io.encode (Sharding.index t s) in
     for r = 0 to replicas - 1 do
       let file = replica_path path ~shard:s ~replica:r in
-      Index_io.save (Sharding.index t s) file;
+      Xk_storage.Durable.write_string_atomically file bytes;
       match Index_io.verify file with
       | Ok () -> ()
       | Error e ->

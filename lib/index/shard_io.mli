@@ -49,8 +49,10 @@ val save :
   string ->
   unit
 (** Write the manifest at [path] and [replicas] (default 1) segment
-    copies per shard beside it, each atomically (temp file + rename)
-    and each verified ({!Index_io.verify}) after the write.
+    copies per shard beside it: each shard is encoded once
+    ({!Index_io.encode}) and its bytes written to every copy, each
+    atomically (temp file + rename) and each verified
+    ({!Index_io.verify}) after the write.
     [endpoints], when given, records a serving (host, port) per replica
     — shape [shards x replicas] — so a gather tier can dial the fleet
     straight from the manifest.  Raises [Invalid_argument] on
@@ -68,7 +70,7 @@ val load_result :
     back across each shard's replicas in manifest order.  Transient IO
     errors and checksum mismatches are retried per file with exponential
     backoff (defaults as in {!Index_io.load_result}); never raises on
-    bad input.  [verify_columns] makes every v8 segment verify and
+    bad input.  [verify_columns] makes every segment verify and
     decode its postings eagerly at open ({!Index_io.load_result}), so a
     damaged replica is rejected — and fallen over — at load time. *)
 

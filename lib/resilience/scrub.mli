@@ -9,7 +9,7 @@
     report is then marked incomplete), and after every [slice] files the
     scrubber sleeps [throttle_ms] so a background pass never starves the
     serving IO path.  The verifier itself is injected — callers in the
-    index layer pass [Index_io.verify], which re-validates the full v8
+    index layer pass [Index_io.verify], which re-validates the full
     segment (header, terms, directory, every block's postings CRC and
     every term's structure) through the same decoders queries use. *)
 

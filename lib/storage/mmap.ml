@@ -67,7 +67,7 @@ let flip t pos =
     (Char.chr (Char.code (Bigarray.Array1.get t.ba pos) lxor 0x42))
 
 (* A torn map flips the first byte behind an 8-byte magic: inside the
-   v8 header checksum and the version field of every other framed
+   segment header checksum and the version field of every other framed
    format, so every open notices and re-maps. *)
 let torn_byte = 8
 

@@ -1,4 +1,4 @@
-(** Read-only memory-mapped files: the substrate of the zero-copy v8
+(** Read-only memory-mapped files: the substrate of the zero-copy
     index segments.
 
     {!map} wraps [Unix.map_file] into a handle whose accessors are

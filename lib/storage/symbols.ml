@@ -250,24 +250,49 @@ let read_table (c : Varint.cursor) =
         Varint.malformed "symbol %d has length %d, not 1-%d" j len max_len;
       Varint.take c len)
 
-let decode syms s ~pos ~len buf =
+type scratch = { mutable bytes : Bytes.t; mutable len : int }
+
+let scratch () = { bytes = Bytes.create 64; len = 0 }
+
+(* Room for [need] bytes, keeping the [len] already decoded. *)
+let reserve b need =
+  if need > Bytes.length b.bytes then begin
+    let grown = Bytes.create (max need (2 * Bytes.length b.bytes)) in
+    Bytes.blit b.bytes 0 grown 0 b.len;
+    b.bytes <- grown
+  end
+
+(* Each code stands for at most [max_len] bytes, so one reservation
+   covers the suffix and the loop writes without a check per code. *)
+let decode syms s ~pos ~len b =
   let n = Array.length syms in
   if pos < 0 || len < 0 || pos > String.length s - len then
     Varint.malformed "suffix past the region";
-  if n = 0 then Buffer.add_substring buf s pos len
-  else
+  if n = 0 then begin
+    reserve b (b.len + len);
+    Bytes.blit_string s pos b.bytes b.len len;
+    b.len <- b.len + len
+  end
+  else begin
+    reserve b (b.len + (max_len * len));
     let stop = pos + len in
-    let i = ref pos in
+    let i = ref pos and at = ref b.len in
     while !i < stop do
       let code = Char.code (String.unsafe_get s !i) in
       if code < n then begin
-        Buffer.add_string buf syms.(code);
+        let sym = syms.(code) in
+        let l = String.length sym in
+        Bytes.unsafe_blit_string sym 0 b.bytes !at l;
+        at := !at + l;
         incr i
       end
       else if code = escape then begin
         if !i + 1 >= stop then Varint.malformed "escape at the end of a suffix";
-        Buffer.add_char buf (String.unsafe_get s (!i + 1));
+        Bytes.unsafe_set b.bytes !at (String.unsafe_get s (!i + 1));
+        incr at;
         i := !i + 2
       end
       else Varint.malformed "code %d names no symbol of %d" code n
-    done
+    done;
+    b.len <- !at
+  end

@@ -34,7 +34,14 @@ val encode : coder -> Buffer.t -> string -> unit
 (** Append the codes of a string: at each byte the longest symbol that
     matches, else an escape and the byte. *)
 
-val decode : t -> string -> pos:int -> len:int -> Buffer.t -> unit
-(** Append the bytes that the [len] codes at [pos] stand for.  Raises
-    {!Varint.Malformed} on a code naming no symbol, an escape as the
-    last code, or a range outside the string. *)
+type scratch = { mutable bytes : Bytes.t; mutable len : int }
+(** A growable byte buffer whose first [len] bytes are the decoded
+    string: unlike a [Buffer.t], it is read and truncated in place. *)
+
+val scratch : unit -> scratch
+
+val decode : t -> string -> pos:int -> len:int -> scratch -> unit
+(** Append the bytes that the [len] codes at [pos] stand for, growing
+    the buffer as needed.  Raises {!Varint.Malformed} on a code naming
+    no symbol, an escape as the last code, or a range outside the
+    string. *)

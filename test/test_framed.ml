@@ -1,7 +1,7 @@
 (* The shared frame codec ([Xk_storage.Framed]): its verdicts, the
    fixed inputs that once raised or decoded to a value no encoder
    writes, one never-raise property over every framed decoder (the
-   durable files, the v8 segment and the RPC frames with their [Wire]
+   durable files, the segment and the RPC frames with their [Wire]
    payloads), and fault drills for the durable reads that go through
    the mapped read path ([Index_io.read_mapped]), where [Chaos] injects
    storage faults. *)
@@ -226,7 +226,7 @@ let fixed_query_varints () =
   malformed "12-byte shard" query_long_shard;
   malformed "9-byte negative ticks" query_negative_ticks
 
-(* --- Damaged v8 term regions ------------------------------------------ *)
+(* --- Damaged term regions --------------------------------------------- *)
 
 (* Twenty words sharing prefixes: two front-coding blocks of the term
    region ("kw0", "kw1", "kw10" .. "kw19", "kw2" .. "kw9"). *)
@@ -275,7 +275,7 @@ let damaged_term_regions good =
   ]
   @ List.map (fun (what, region) -> (what, with_term_region good region)) (Tutil.damaged_symbol_tables w)
 
-let v8_terms_segment dir =
+let terms_segment dir =
   let path = Filename.concat dir "terms.seg" in
   Index_io.save (Xk_index.Index.build (Xk_encoding.Labeling.label terms_doc)) path;
   path
@@ -286,7 +286,7 @@ let v8_terms_segment dir =
 let damaged_term_regions_corrupted () =
   with_faults Chaos.no_faults @@ fun () ->
   with_tmpdir (fun dir ->
-      let path = v8_terms_segment dir in
+      let path = terms_segment dir in
       let good = read_file path in
       let label = Xk_encoding.Labeling.label terms_doc in
       let syms = Tutil.symbols_of (Tutil.term_region_of good) in
@@ -409,21 +409,23 @@ let random_inputs rng t =
   @ List.init 8 (fun _ -> t.reframe (mutate rng))
   @ t.extra
 
-(* A v8 segment with one postings block: a mutated term region,
+(* A segment with one postings block: a mutated term region,
    postings region or directory tail is re-sealed by recomputing the
    block CRC and length, the region lengths, the terms and directory
    CRCs and the header CRC, so the damage reaches the structural checks
    behind them. *)
-let v8_reseal rng good mutate =
+let reseal rng good mutate =
   let u64 pos = Int64.to_int (String.get_int64_le good pos) in
   let terms_len = u64 36 and postings_len = u64 44 and dir_len = u64 52 in
-  if u64 20 > 64 then Alcotest.fail "fixture v8: more than one block";
+  if u64 20 > 64 then Alcotest.fail "fixture segment: more than one block";
   let region off len = String.sub good off len in
-  let terms = region 72 terms_len in
-  let postings = region (72 + terms_len) postings_len in
-  let dir = region (72 + terms_len + postings_len) dir_len in
+  let terms = region 80 terms_len in
+  let postings = region (80 + terms_len) postings_len in
+  let dir = region (80 + terms_len + postings_len) dir_len in
   let terms, postings, entries =
-    let entries = String.sub dir 8 (dir_len - 8) in
+    let c = Xk_storage.Varint.cursor_at dir 4 in
+    ignore (Xk_storage.Varint.read c);
+    let entries = String.sub dir c.pos (dir_len - c.pos) in
     match Random.State.int rng 3 with
     | 0 -> (mutate terms, postings, entries)
     | 1 -> (terms, mutate postings, entries)
@@ -434,15 +436,20 @@ let v8_reseal rng good mutate =
     Bytes.set_int32_le b 0 (Int32.of_int n);
     Bytes.to_string b
   in
-  let dir = le32 (Xk_storage.Crc32.string postings) ^ le32 (String.length postings) ^ entries in
-  let h = Bytes.of_string (String.sub good 0 72) in
+  let dir =
+    let b = Buffer.create (String.length entries + 8) in
+    Buffer.add_string b (le32 (Xk_storage.Crc32.string postings));
+    Xk_storage.Varint.write b (String.length postings);
+    Buffer.contents b ^ entries
+  in
+  let h = Bytes.of_string (String.sub good 0 80) in
   Bytes.set_int64_le h 36 (Int64.of_int (String.length terms));
   Bytes.set_int64_le h 44 (Int64.of_int (String.length postings));
   Bytes.set_int64_le h 52 (Int64.of_int (String.length dir));
-  Bytes.set_int32_le h 60 (Int32.of_int (Xk_storage.Crc32.string terms));
-  Bytes.set_int32_le h 64 (Int32.of_int (Xk_storage.Crc32.string dir));
-  Bytes.set_int32_le h 68
-    (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
+  Bytes.set_int32_le h 68 (Int32.of_int (Xk_storage.Crc32.string terms));
+  Bytes.set_int32_le h 72 (Int32.of_int (Xk_storage.Crc32.string dir));
+  Bytes.set_int32_le h 76
+    (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:76));
   Bytes.to_string h ^ terms ^ postings ^ dir
 
 (* A segment that loads must also verify, and answer a query on each of
@@ -510,7 +517,7 @@ let targets rng dir =
     ^ String.concat "" (Array.to_list (Array.map varint a))
     ^ varint 1 ^ str "c.shards.000.seg" ^ varint 1 ^ str "c.shards.001.seg"
   in
-  let seg8 = v8_terms_segment dir in
+  let seg = terms_segment dir in
   let label = Xk_encoding.Labeling.label terms_doc in
   let reply =
     Wire.Served
@@ -558,16 +565,16 @@ let targets rng dir =
           ignore (Shard_io.load_result ~retries:0 small_doc shards));
     };
     {
-      name = "v8.seg";
-      good = read_file seg8;
-      reframe = v8_reseal rng (read_file seg8);
+      name = "segment";
+      good = read_file seg;
+      reframe = reseal rng (read_file seg);
       extra =
         [ v2_huge_rows; v2_zero_tf; v2_duplicate_term; v2_zero_gap ]
-        @ List.map snd (damaged_term_regions (read_file seg8));
+        @ List.map snd (damaged_term_regions (read_file seg));
       run =
         (fun data ->
-          write_file seg8 data;
-          (match Index_io.load_result ~retries:0 label seg8 with
+          write_file seg data;
+          (match Index_io.load_result ~retries:0 label seg with
           | Ok idx -> (
               try
                 for id = 0 to Xk_index.Index.term_count idx - 1 do
@@ -575,7 +582,7 @@ let targets rng dir =
                 done
               with Index_io.Segment_fault _ -> ())
           | Error _ -> ());
-          serve_segment label seg8);
+          serve_segment label seg);
     };
     rpc_target "query frame" Frame.Query (Wire.encode_query query)
       ~extra:[ query_long_shard; query_negative_ticks ]

@@ -603,7 +603,7 @@ let index_io_rejects_mismatch () =
     Sys.remove path
   end
 
-(* The compressed zero-copy segment [save] writes (v8): layout
+(* The compressed zero-copy segment [save] writes: layout
    introspection, full verification, and bit-identical parity of the
    lazy open against the eager open and a fresh in-memory build. *)
 
@@ -623,15 +623,18 @@ let index_io_roundtrip_layout () =
   let corpus = Xk_datagen.Dblp_gen.generate (Xk_datagen.Dblp_gen.scaled 0.05) in
   let label = Xk_encoding.Labeling.label corpus.doc in
   let idx = Index.build label in
-  let path = tmpfile "xk_index_io_v8.seg" in
+  let path = tmpfile "xk_index_io_layout.seg" in
   Index_io.save idx path;
-  check Alcotest.(option string) "v8 magic" (Some Index_io.magic) (Tutil.magic_of path);
+  check Alcotest.(option string) "segment magic" (Some Index_io.magic) (Tutil.magic_of path);
   (match Index_io.layout path with
-  | Error e -> Alcotest.failf "v8 layout unreadable: %s" (Index_io.error_message e)
+  | Error e -> Alcotest.failf "layout unreadable: %s" (Index_io.error_message e)
   | Ok lay ->
       check Alcotest.int "layout node count"
         (Xk_encoding.Labeling.node_count label)
         lay.Index_io.node_count;
+      check Alcotest.int "layout term-bearing node count"
+        (Xk_encoding.Labeling.term_node_count label)
+        lay.Index_io.term_nodes;
       check Alcotest.int "layout term count" (Index.term_count idx)
         lay.Index_io.term_count;
       let rows = ref 0 in
@@ -640,7 +643,7 @@ let index_io_roundtrip_layout () =
       done;
       check Alcotest.int "layout row count" !rows lay.Index_io.total_rows;
       (* The regions sit back to back behind the header: no padding. *)
-      check Alcotest.int "terms follow the header" 72 lay.Index_io.terms_off;
+      check Alcotest.int "terms follow the header" 80 lay.Index_io.terms_off;
       check Alcotest.int "postings follow the terms"
         (lay.Index_io.terms_off + lay.Index_io.terms_len)
         lay.Index_io.postings_off;
@@ -655,7 +658,7 @@ let index_io_roundtrip_layout () =
   (match Index_io.verify path with
   | Ok () -> ()
   | Error e ->
-      Alcotest.failf "full verify rejected a fresh v8 segment: %s"
+      Alcotest.failf "full verify rejected a fresh segment: %s"
         (Index_io.load_error_message e));
   let idx2 = Tutil.load_index (Xk_encoding.Labeling.label corpus.doc) path in
   check Alcotest.int "term count" (Index.term_count idx) (Index.term_count idx2);
@@ -685,7 +688,7 @@ let index_io_rejects_mangled_header () =
   let doc = Tutil.random_doc 11 in
   let label = Xk_encoding.Labeling.label doc in
   Index.build label |> fun idx ->
-  let path = tmpfile "xk_index_io_v8_mangle.seg" in
+  let path = tmpfile "xk_index_io_mangle.seg" in
   Index_io.save idx path;
   let good = read_file path in
   let expect_error what =
@@ -710,8 +713,9 @@ let index_io_rejects_mangled_header () =
       8 (* version *);
       12 (* node count *);
       36 (* terms length *);
-      64 (* directory crc *);
-      68 (* header crc *);
+      60 (* term-bearing node count *);
+      72 (* directory crc *);
+      76 (* header crc *);
     ];
   (* Restored bytes load again — the mangles above were the only issue. *)
   write_file path good;
@@ -722,21 +726,23 @@ let index_io_rejects_mangled_header () =
         (Index_io.load_error_message e));
   Sys.remove path
 
-(* A v8 segment's directory and postings, parsed independently of
+(* A segment's directory and postings, parsed independently of
    [Index_io]: per block the file offsets of its CRC and of its
-   postings, and their length; per term the file bit offset and bit
-   length of its codes, df and cf - df.  A term's offset is found by
-   stepping over the codes of the terms before it in its block's bit
-   stream, as the format specifies them. *)
+   postings, and their length; the file offset of the directory's bit
+   stream; per term the file bit offset and bit length of its codes, df
+   and cf - df.  A term's offset is found by stepping over the codes of
+   the terms before it in its block's bit stream, as the format
+   specifies them. *)
 type seg_dir = {
   sd_blocks : (int * int * int) array;  (* CRC offset, postings offset, length *)
+  sd_stream : int;
   sd_terms : (int * int * int * int) array;
 }
 
 let block_terms = 64
 
 (* The Rice parameter the format derives from a df: the largest k with
-   df * 2^k <= node count. *)
+   df * 2^k <= M, the term-bearing node count. *)
 let rice_k ~nodes df =
   let k = ref 0 in
   while df > 0 && nodes lsr (!k + 1) >= df do
@@ -747,35 +753,35 @@ let rice_k ~nodes df =
 (* Bit [i] of [data], least significant bit first. *)
 let bit data i = (Char.code data.[i / 8] lsr (i mod 8)) land 1
 
+(* The Elias-gamma code at file bit [!b] of [data], leaving [!b] past
+   it. *)
+let gamma_at data b =
+  let n = ref 0 in
+  while bit data !b = 0 do
+    incr b;
+    incr n
+  done;
+  incr b;
+  let low = ref 0 in
+  for i = 0 to !n - 1 do
+    low := !low lor (bit data (!b + i) lsl i)
+  done;
+  b := !b + !n;
+  (1 lsl !n) lor !low
+
 (* The bit after term [df] Rice codes from file bit [at] of [data], and
    its tf gamma codes when [extra] > 0. *)
 let skip_term data ~nodes ~at ~df ~extra =
   let k = rice_k ~nodes df and b = ref at in
-  let unary () =
-    let q = ref 0 in
-    while bit data !b = 0 do
-      incr b;
-      incr q
-    done;
-    incr b;
-    !q
-  in
-  let gamma () =
-    let n = unary () in
-    let low = ref 0 in
-    for i = 0 to n - 1 do
-      low := !low lor (bit data (!b + i) lsl i)
-    done;
-    b := !b + n;
-    (1 lsl n) lor !low
-  in
   for _ = 1 to df do
-    ignore (unary ());
-    b := !b + k
+    while bit data !b = 0 do
+      incr b
+    done;
+    b := !b + 1 + k
   done;
   if extra > 0 then
-    for _ = 1 to 2 * gamma () do
-      ignore (gamma ())
+    for _ = 1 to 2 * gamma_at data b do
+      ignore (gamma_at data b)
     done;
   !b
 
@@ -783,15 +789,23 @@ let segment_dir data (lay : Index_io.layout) =
   let n = lay.Index_io.term_count in
   let nblocks = (n + block_terms - 1) / block_terms in
   let off = ref lay.Index_io.postings_off in
+  let c = Xk_storage.Varint.cursor_at data lay.Index_io.dir_off in
   let sd_blocks =
-    Array.init nblocks (fun b ->
-        let at = lay.Index_io.dir_off + (8 * b) in
-        let len = Int32.to_int (String.get_int32_le data (at + 4)) in
+    Array.init nblocks (fun _ ->
+        let at = c.pos in
+        Xk_storage.Varint.skip c 4;
+        let len = Xk_storage.Varint.read c in
         let t = (at, !off, len) in
         off := !off + len;
         t)
   in
-  let c = Xk_storage.Varint.cursor_at data (lay.Index_io.dir_off + (8 * nblocks)) in
+  let b = ref (8 * c.pos) in
+  let dfs = Array.init n (fun _ -> gamma_at data b) in
+  let extras = Array.make n 0 and prev = ref (-1) in
+  for _ = 2 to gamma_at data b do
+    prev := !prev + gamma_at data b;
+    extras.(!prev) <- gamma_at data b
+  done;
   let at = ref 0 in
   let sd_terms =
     Array.init n (fun id ->
@@ -799,15 +813,21 @@ let segment_dir data (lay : Index_io.layout) =
           let _, off, _ = sd_blocks.(id / block_terms) in
           at := 8 * off
         end;
-        let v = Xk_storage.Varint.read c in
-        let df = v lsr 1 in
-        let extra = if v land 1 = 1 then Xk_storage.Varint.read c else 0 in
-        let stop = skip_term data ~nodes:lay.Index_io.node_count ~at:!at ~df ~extra in
+        let df = dfs.(id) and extra = extras.(id) in
+        let stop = skip_term data ~nodes:lay.Index_io.term_nodes ~at:!at ~df ~extra in
         let t = (!at, stop - !at, df, extra) in
         at := stop;
         t)
   in
-  { sd_blocks; sd_terms }
+  { sd_blocks; sd_stream = c.pos; sd_terms }
+
+(* [good] with the header's M replaced by [m], its checksum
+   recomputed. *)
+let with_term_nodes good m =
+  let h = Bytes.of_string (String.sub good 0 80) in
+  Bytes.set_int64_le h 60 (Int64.of_int m);
+  Bytes.set_int32_le h 76 (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:76));
+  Bytes.to_string h ^ String.sub good 80 (String.length good - 80)
 
 (* The block whose postings hold file offset [pos]. *)
 let block_of sd pos =
@@ -832,11 +852,52 @@ let term_bits good sd id =
   let at, len, _, _ = sd.sd_terms.(id) in
   bits_at good ~at ~len
 
-(* [good] with each term's codes replaced by [codes id] and each block's
-   stream closed by [tail b bits] (default: zero bits to the byte): the
-   block lengths, every CRC and the header are recomputed, so the damage
-   reaches the postings decoder behind them. *)
-let with_postings ?(tail = fun _ _ -> "") good (lay : Index_io.layout) sd codes =
+(* One code as the format specifies it: [q] zero bits, a one bit and
+   the [bits] low bits of [v]. *)
+let code_bits q bits v =
+  String.make q '0' ^ "1" ^ String.init bits (fun i -> if (v lsr i) land 1 = 1 then '1' else '0')
+
+(* The Elias-gamma code of [v] >= 1. *)
+let gamma_bits v =
+  let rec top n = if v lsr (n + 1) = 0 then n else top (n + 1) in
+  let n = top 0 in
+  code_bits n n v
+
+(* The directory's bit stream as the format specifies it, from each
+   term's df and cf - df. *)
+let dir_stream_bits sd =
+  let tfs = List.filter (fun (_, (_, _, _, e)) -> e > 0) (List.mapi (fun id t -> (id, t)) (Array.to_list sd.sd_terms)) in
+  let prev = ref (-1) in
+  String.concat "" (Array.to_list (Array.map (fun (_, _, df, _) -> gamma_bits df) sd.sd_terms))
+  ^ gamma_bits (List.length tfs + 1)
+  ^ String.concat ""
+      (List.map
+         (fun (id, (_, _, _, e)) ->
+           let gap = id - !prev in
+           prev := id;
+           gamma_bits gap ^ gamma_bits e)
+         tfs)
+
+(* [good] with its postings region replaced by [postings] and its
+   directory by [dir], every covering checksum and length recomputed. *)
+let with_regions good (lay : Index_io.layout) ~postings ~dir =
+  let h = Bytes.of_string (String.sub good 0 80) in
+  Bytes.set_int64_le h 44 (Int64.of_int (String.length postings));
+  Bytes.set_int64_le h 52 (Int64.of_int (String.length dir));
+  Bytes.set_int32_le h 72 (Int32.of_int (Xk_storage.Crc32.string dir));
+  Bytes.set_int32_le h 76 (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:76));
+  Bytes.to_string h
+  ^ String.sub good lay.Index_io.terms_off lay.Index_io.terms_len
+  ^ postings ^ dir
+
+(* [good] with each term's codes replaced by [codes id], each block's
+   stream closed by [tail b bits] (default: zero bits to the byte), each
+   block's length by [len b bytes] (default: its bytes) and the
+   directory's bit stream by [stream] (default: the one [good] holds):
+   the block table, every CRC and the header are recomputed, so the
+   damage reaches the decoders behind them. *)
+let with_postings ?(tail = fun _ _ -> "") ?(len = fun _ bytes -> String.length bytes) ?stream good
+    (lay : Index_io.layout) sd codes =
   let postings = Buffer.create lay.Index_io.postings_len in
   let table = Buffer.create (8 * Array.length sd.sd_blocks) in
   Array.iteri
@@ -849,41 +910,36 @@ let with_postings ?(tail = fun _ _ -> "") good (lay : Index_io.layout) sd codes 
       let bytes = bytes_of (bits ^ tail b bits) in
       Buffer.add_string postings bytes;
       Buffer.add_int32_le table (Int32.of_int (Xk_storage.Crc32.string bytes));
-      Buffer.add_int32_le table (Int32.of_int (String.length bytes)))
+      Xk_storage.Varint.write table (len b bytes))
     sd.sd_blocks;
-  let entries_at = lay.Index_io.dir_off + Buffer.length table in
-  let dir = Buffer.contents table ^ String.sub good entries_at (lay.Index_io.file_size - entries_at) in
-  let h = Bytes.of_string (String.sub good 0 72) in
-  Bytes.set_int64_le h 44 (Int64.of_int (Buffer.length postings));
-  Bytes.set_int64_le h 52 (Int64.of_int (String.length dir));
-  Bytes.set_int32_le h 64 (Int32.of_int (Xk_storage.Crc32.string dir));
-  Bytes.set_int32_le h 68 (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
-  Bytes.to_string h
-  ^ String.sub good lay.Index_io.terms_off lay.Index_io.terms_len
-  ^ Buffer.contents postings ^ dir
+  let stream =
+    match stream with
+    | Some bits -> bytes_of bits
+    | None -> String.sub good sd.sd_stream (lay.Index_io.file_size - sd.sd_stream)
+  in
+  with_regions good lay ~postings:(Buffer.contents postings) ~dir:(Buffer.contents table ^ stream)
 
-(* One code as the format specifies it: [q] zero bits, a one bit and
-   the [bits] low bits of [v]. *)
-let code_bits q bits v =
-  String.make q '0' ^ "1" ^ String.init bits (fun i -> if (v lsr i) land 1 = 1 then '1' else '0')
+(* The rank of each node of [label] among its term-bearing nodes. *)
+let ranks_of label =
+  let m = ref 0 in
+  Array.init (Xk_encoding.Labeling.node_count label) (fun i ->
+      if Xk_encoding.Labeling.term_bearing (Xk_encoding.Labeling.xml_node label i) then begin
+        incr m;
+        !m - 1
+      end
+      else -1)
 
-(* The Elias-gamma code of [v] >= 1. *)
-let gamma_bits v =
-  let rec top n = if v lsr (n + 1) = 0 then n else top (n + 1) in
-  let n = top 0 in
-  code_bits n n v
-
-(* Node ids Rice-coded as the format specifies. *)
-let rice_bits ~nodes ids =
-  let k = rice_k ~nodes (Array.length ids) and prev = ref (-1) in
+(* Ranks Rice-coded as the format specifies among [nodes] ranks. *)
+let rice_bits ~nodes ranks =
+  let k = rice_k ~nodes (Array.length ranks) and prev = ref (-1) in
   String.concat ""
     (Array.to_list
        (Array.map
-          (fun id ->
-            let gap = id - !prev - 1 in
-            prev := id;
+          (fun r ->
+            let gap = r - !prev - 1 in
+            prev := r;
             code_bits (gap lsr k) k gap)
-          ids))
+          ranks))
 
 let parity_prop =
   QCheck.Test.make ~count:15
@@ -941,29 +997,36 @@ let parity_prop =
       Sys.remove p6;
       !ok)
 
-(* Every decoder of a v8 segment is total: for every strict prefix, a
-   bit flip in each region and random garbage behind the magic, the lazy
+(* Every decoder of a segment is total: for every strict prefix, a bit
+   flip in each region and random garbage behind the magic, the lazy
    open, the eager open and [verify] return [Ok] or a typed error, and a
    lazily opened index faults only with [Segment_fault].  Since every
    byte is under a CRC, every prefix and every flip must be an error at
    [verify].  The same holds for intact bytes under a corruption mark,
-   which damages the map the decoders read.  Damage that only a v8
-   decoder can meet, behind recomputed checksums, must end in a typed
-   [Corrupted]: a unary run past the block's end, a node id at the node
-   count, a block length past its terms, nonzero pad bits, a tf gamma
-   code running past its block or longer than 61 bits, a term entry
-   sharing more than the previous term, and symbol tables no
-   writer produces ([Tutil.damaged_symbol_tables]: a symbol of length 0
-   or above 8, more than 255 symbols, a code naming a missing symbol, an
-   escape at a suffix's end, a table whose decoded terms break byte
-   order). *)
+   which damages the map the decoders read.  Damage that only the
+   format's decoders can meet, behind recomputed checksums, must end in
+   a typed [Corrupted]: a unary run past the block's end, a rank at M,
+   a block length past its terms, nonzero pad bits, a tf gamma code
+   running past its block or longer than 61 bits, a block-length varint
+   overhanging the postings, a df code running past the directory, a df
+   of 0 or a tf-list gap of 0 (no gamma code holds 0: the 63 zero bits
+   a wrapping reader would read as 0 are refused as too long), a tf-list
+   gap past the term count, a term entry sharing more than the previous
+   term, and symbol tables no writer produces
+   ([Tutil.damaged_symbol_tables]: a symbol of length 0 or above 8, more
+   than 255 symbols, a code naming a missing symbol, an escape at a
+   suffix's end, a table whose decoded terms break byte order).  A
+   header M that differs from the document's count is refused by both
+   opens, which check it against the labeling.  The corpora carry
+   attribute-bearing elements and stopword-only texts
+   ([Tutil.decorated_doc]). *)
 let never_raises_prop =
   QCheck.Test.make ~count:10 ~name:"segment decoders never raise on damaged bytes"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let label = Xk_encoding.Labeling.label (Tutil.random_doc seed) in
-      let path = tmpfile (Printf.sprintf "xk_v8_fuzz_%d.seg" seed) in
+      let label = Xk_encoding.Labeling.label (Tutil.decorated_doc seed) in
+      let path = tmpfile (Printf.sprintf "xk_fuzz_%d.seg" seed) in
       let fresh = Index.build label in
       Index_io.save fresh path;
       let good = read_file path in
@@ -994,7 +1057,7 @@ let never_raises_prop =
          the header, term region, directory and postings decoders.  One
          flip lands in a term's tf codes when the segment has some. *)
       let sd = segment_dir good lay in
-      let nodes = lay.Index_io.node_count and n = lay.Index_io.term_count in
+      let nodes = lay.Index_io.term_nodes and n = lay.Index_io.term_count in
       let tf_start id =
         let at, _, df, _ = sd.sd_terms.(id) in
         skip_term good ~nodes ~at ~df ~extra:0
@@ -1015,13 +1078,13 @@ let never_raises_prop =
         let crc_of b ~pos ~len = Xk_storage.Crc32.sub (Bytes.to_string b) ~pos ~len in
         let reseal ~region b pos =
           if region = `Terms then
-            set_crc b 60 (crc_of b ~pos:lay.Index_io.terms_off ~len:lay.Index_io.terms_len);
+            set_crc b 68 (crc_of b ~pos:lay.Index_io.terms_off ~len:lay.Index_io.terms_len);
           (if region = `Postings then
              let crc_at, pos, len = sd.sd_blocks.(block_of sd pos) in
              set_crc b crc_at (crc_of b ~pos ~len));
           if region = `Postings || region = `Dir then
-            set_crc b 64 (crc_of b ~pos:lay.Index_io.dir_off ~len:lay.Index_io.dir_len);
-          set_crc b 68 (crc_of b ~pos:0 ~len:68)
+            set_crc b 72 (crc_of b ~pos:lay.Index_io.dir_off ~len:lay.Index_io.dir_len);
+          set_crc b 76 (crc_of b ~pos:0 ~len:76)
         in
         List.filter_map
           (fun (region, off, len) ->
@@ -1033,7 +1096,7 @@ let never_raises_prop =
               reseal ~region b pos;
               Some (Bytes.to_string b))
           ([
-             (`Header, 8, 52);
+             (`Header, 8, 60);
              (`Terms, lay.Index_io.terms_off, lay.Index_io.terms_len);
              (`Postings, lay.Index_io.postings_off, lay.Index_io.postings_len);
              (`Dir, lay.Index_io.dir_off, lay.Index_io.dir_len);
@@ -1045,9 +1108,9 @@ let never_raises_prop =
               let off, len = List.nth l (Random.State.int rng (List.length l)) in
               [ (`Postings, off, len) ])
       in
-      (* Damage behind valid checksums that only the v8 decoders meet,
-         named by the check that must refuse it.  The last term of a
-         block ends where the block's stream does. *)
+      (* Damage behind valid checksums that only the format's decoders
+         meet, named by the check that must refuse it.  The last term of
+         a block ends where the block's stream does. *)
       let sorted = Array.of_list (List.sort compare (List.init n (Index.term fresh))) in
       let ids_of id = fst (Index.raw_rows fresh (Option.get (Index.term_id fresh sorted.(id)))) in
       let pick l = List.nth l (Random.State.int rng (List.length l)) in
@@ -1062,7 +1125,12 @@ let never_raises_prop =
           (List.init (min n ((b + 1) * block_terms) - (b * block_terms)) (fun i -> (b * block_terms) + i))
       in
       let term id = term_bits good sd id in
-      let postings ?tail codes = with_postings ?tail good lay sd codes in
+      let postings ?tail ?len ?stream codes = with_postings ?tail ?len ?stream good lay sd codes in
+      let dfs = Array.map (fun (_, _, df, _) -> df) sd.sd_terms in
+      let df_bits = String.concat "" (Array.to_list (Array.map gamma_bits dfs)) in
+      (* The 63 zero bits, one bit and 63 zero bits a reader wrapping
+         [1 lsl 63] would read as 0. *)
+      let zero_code = code_bits 63 63 0 in
       let replace id bits t = if t = id then bits else term t in
       (* Term [id]'s Rice codes, then [tf]; the terms after it in its
          block dropped, so [tf] is where the block's stream ends. *)
@@ -1077,20 +1145,50 @@ let never_raises_prop =
       let padded =
         List.filter (fun b -> block_bits b mod 8 <> 0) (List.init (Array.length sd.sd_blocks) Fun.id)
       in
-      let v8_damage =
+      let damage =
         if n = 0 then []
         else
           [
             ( "unary run past the block's end",
               let id = block_end () in
               postings (replace id (String.make (String.length (term id)) '0')) );
-            ( "node id at the node count",
+            ( "rank at M",
               let id = Random.State.int rng n in
-              let ids = Array.copy (ids_of id) in
-              ids.(Array.length ids - 1) <- nodes;
+              let ranks = Array.map (Array.get (ranks_of label)) (ids_of id) in
+              ranks.(Array.length ranks - 1) <- nodes;
               let at, len, _, _ = sd.sd_terms.(id) in
               let tf = bits_at good ~at:(tf_start id) ~len:(at + len - tf_start id) in
-              postings (replace id (rice_bits ~nodes ids ^ tf)) );
+              postings (replace id (rice_bits ~nodes ranks ^ tf)) );
+            ( "block-length varint overhanging the postings",
+              postings ~len:(fun b bytes -> if b = 0 then max_int else String.length bytes) term );
+            ( "df code running past the directory",
+              let last = String.length (gamma_bits dfs.(n - 1)) in
+              postings
+                ~stream:(String.sub df_bits 0 (String.length df_bits - last) ^ String.make 9 '0')
+                term );
+            ( "tf-list gap of 0",
+              postings ~stream:(df_bits ^ gamma_bits 2 ^ zero_code ^ gamma_bits 1) term );
+            ( "tf-list gap past the term count",
+              postings ~stream:(df_bits ^ gamma_bits 2 ^ gamma_bits (n + 1) ^ gamma_bits 1) term );
+            (* A term without rows, its codes gone and the row count
+               lowered to match, so only the df code can refuse it. *)
+            ( "df = 0",
+              let no_tfs = List.filter (fun id -> not (List.mem id with_tfs)) (List.init n Fun.id) in
+              let id = if no_tfs = [] then 0 else pick no_tfs in
+              let seg =
+                postings
+                  ~stream:
+                    (String.concat ""
+                       (Array.to_list (Array.mapi (fun i df -> if i = id then zero_code else gamma_bits df) dfs))
+                    ^ String.sub (dir_stream_bits sd) (String.length df_bits)
+                        (String.length (dir_stream_bits sd) - String.length df_bits))
+                  (fun t -> if t = id then "" else term t)
+              in
+              let h = Bytes.of_string (String.sub seg 0 80) in
+              Bytes.set_int64_le h 28 (Int64.of_int (lay.Index_io.total_rows - dfs.(id)));
+              Bytes.set_int32_le h 76
+                (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:76));
+              Bytes.to_string h ^ String.sub seg 80 (String.length seg - 80) );
             ( "block length past its terms",
               postings ~tail:(fun b bits ->
                   if b = 0 then String.make ((8 - (String.length bits mod 8)) mod 8 + 8) '0' else "")
@@ -1165,6 +1263,17 @@ let never_raises_prop =
         | _ -> QCheck.Test.fail_reportf "%s: not refused as corruption" what
         | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
       in
+      (* Refused as corruption by both opens, which know the document. *)
+      let opens_refuse what data =
+        write_file path data;
+        let refused verify_columns =
+          match Index_io.load_result ~retries:0 ~verify_columns label path with
+          | Error { Index_io.error = Index_io.Corrupted _; _ } -> true
+          | Error _ | Ok _ -> false
+        in
+        refused false && refused true
+        || QCheck.Test.fail_reportf "%s: not refused as corruption" what
+      in
       let garbage =
         List.init 4 (fun _ ->
             String.sub good 0 8
@@ -1201,7 +1310,8 @@ let never_raises_prop =
             Chaos.configure Chaos.no_faults;
             List.for_all (fun d -> decoders d = Some false) (prefixes @ flips)
             && List.for_all (fun d -> decoders d <> None) (resealed @ garbage)
-            && List.for_all (fun (what, d) -> corrupted what d) v8_damage
+            && List.for_all (fun (what, d) -> corrupted what d) damage
+            && opens_refuse "header M off by one" (with_term_nodes good (nodes + 1))
             && decoders good = Some true
             &&
             (* A copy marked corrupt reads damaged beneath the map. *)
@@ -1213,13 +1323,15 @@ let never_raises_prop =
 
 (* Segments over hand-made postings: [Index.of_provider] accepts any
    rows, so the properties below reach tf shapes and term counts the
-   generators rarely produce.  The flat document supplies the node ids. *)
+   generators rarely produce.  The flat document supplies the node ids:
+   a root with an attribute over text nodes, so every node can hold a
+   term. *)
 let flat_label nodes =
   Xk_encoding.Labeling.label
     {
       Xk_xml.Xml_tree.root =
-        Xk_xml.Xml_tree.element "r"
-          (List.init (nodes - 1) (fun _ -> Xk_xml.Xml_tree.elem "a" []));
+        Xk_xml.Xml_tree.element ~attrs:[ Xk_xml.Xml_tree.attr "id" "r" ] "r"
+          (List.init (nodes - 1) (fun _ -> Xk_xml.Xml_tree.text "t"));
     }
 
 let random_nodes rng ~nodes ~df =
@@ -1337,15 +1449,109 @@ let block_fault_prop =
               | exception Index_io.Segment_fault _ -> id / block_terms = damaged)
             (List.init n Fun.id @ List.init n Fun.id)))
 
+(* A block table whose lengths wrap past [max_int] back onto the
+   postings length: four blocks over a flat document, each length 2^61
+   more than the block's bytes.  Four of them sum to the region's length
+   modulo 2^63 and eight times each is the block's bits modulo 2^63, so
+   the lengths tile the region and every df fits its block's bits in
+   wrapped arithmetic.  Every decoder must refuse them as corruption
+   before any offset leaves the region. *)
+let wrapping_block_lengths () =
+  let rng = Random.State.make [| 9 |] in
+  let label = flat_label 100 in
+  let entries =
+    List.init ((3 * block_terms) + 1) (fun i ->
+        (Printf.sprintf "t%04d" i, random_nodes rng ~nodes:100 ~df:2, [| 1; 1 |]))
+  in
+  let path = tmpfile "xk_wrap.seg" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      ignore (save_raw label entries path);
+      let good = read_file path in
+      let lay =
+        match Index_io.layout path with
+        | Ok lay -> lay
+        | Error e -> Alcotest.failf "layout: %s" (Index_io.error_message e)
+      in
+      let sd = segment_dir good lay in
+      let len _ bytes = (1 lsl 61) + String.length bytes in
+      write_file path (with_postings ~len good lay sd (term_bits good sd));
+      let corrupted what = function
+        | Error { Index_io.error = Index_io.Corrupted _; _ } -> ()
+        | Error e -> Alcotest.failf "%s: %s" what (Index_io.load_error_message e)
+        | Ok _ -> Alcotest.failf "%s accepted wrapping block lengths" what
+      in
+      corrupted "lazy open" (Result.map ignore (Index_io.load_result ~retries:0 label path));
+      corrupted "eager open"
+        (Result.map ignore (Index_io.load_result ~retries:0 ~verify_columns:true label path));
+      corrupted "verify" (Index_io.verify ~retries:0 path))
+
+(* Rows survive the rank coding on corpora with every kind of node the
+   index meets ([Tutil.decorated_doc]: attribute-bearing elements,
+   stopword-only texts), at 1 to 3 shards: every shard's opened segment
+   returns the fresh build's rows for every term.  A row at a node that
+   cannot hold terms has no rank, and [encode] refuses it. *)
+let rank_roundtrip_prop =
+  QCheck.Test.make ~count:20 ~name:"rank-coded rows round-trip at 1-3 shards"
+    QCheck.(pair (int_range 1 3) (int_bound 1_000_000))
+    (fun (shards, seed) ->
+      let doc = Tutil.decorated_doc seed in
+      let sharded = Sharding.partition ~shards doc in
+      let path = tmpfile (Printf.sprintf "xk_ranks_%d.shards" seed) in
+      let files = path :: List.init shards (fun s -> Shard_io.segment_path path ~shard:s) in
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun f -> if Sys.file_exists f then Sys.remove f) files)
+        (fun () ->
+          Shard_io.save sharded path;
+          let loaded =
+            match Shard_io.load_result doc path with
+            | Ok l -> l
+            | Error e -> QCheck.Test.fail_reportf "load: %s" (Shard_io.error_message e)
+          in
+          let same s =
+            let fresh = Sharding.index sharded s and opened = Sharding.index loaded s in
+            Index.term_count fresh = Index.term_count opened
+            && List.for_all
+                 (fun id ->
+                   match Index.term_id opened (Index.term fresh id) with
+                   | Some o -> Index.raw_rows opened o = Index.raw_rows fresh id
+                   | None -> false)
+                 (List.init (Index.term_count fresh) Fun.id)
+          in
+          let label = Xk_encoding.Labeling.label doc in
+          let refused bare =
+            let idx =
+              Index.of_provider label
+                {
+                  pv_terms = 1;
+                  pv_term = (fun _ -> "t");
+                  pv_find = (fun w -> if w = "t" then Some 0 else None);
+                  pv_row_count = (fun _ -> 1);
+                  pv_rows = (fun _ -> ([| bare |], [| 1 |]));
+                }
+            in
+            match Index_io.encode idx with
+            | _ -> false
+            | exception Invalid_argument _ -> true
+          in
+          List.for_all same (List.init shards Fun.id)
+          && List.for_all refused
+               (List.filter
+                  (fun i ->
+                    not (Xk_encoding.Labeling.term_bearing (Xk_encoding.Labeling.xml_node label i)))
+                  (List.init (Xk_encoding.Labeling.node_count label) Fun.id))))
+
 (* The segment's regions are size gates: on [Dblp_gen.scaled 0.05]
    (seed 2010, 3,024 terms, 13,597 rows) none may grow past what it
-   measured when v8 introduced its encoding: the front-coded term region
-   with symbol-coded suffixes 2.648 bytes per term (8,007 bytes; v7's
-   raw suffixes took 3.851, v6's two varints per entry 4.788), the
-   directory 1.164 bytes per term (3,519 bytes, as in v7; v6's three
-   varints per term 3.080) and the postings, one bit stream per block
-   with gamma-coded tfs, 1.326 bytes per row (18,028 bytes; v7's
-   byte-padded terms and varint tfs 1.523, v6's delta varints 1.722). *)
+   measured when its encoding last changed: the front-coded term region
+   with symbol-coded suffixes 2.648 bytes per term (8,007 bytes, since
+   v8; v7's raw suffixes took 3.851, v6's two varints per entry 4.788),
+   the directory, gamma-coded dfs and tf list in one bit stream with a
+   varint block length, 0.436 bytes per term (1,319 bytes, v9; v8's
+   varint per term 1.164, v6's three varints per term 3.080) and the
+   postings, node ranks among the term-bearing nodes in one bit stream
+   per block with gamma-coded tfs, 1.156 bytes per row (15,713 bytes,
+   v9; v8's node ids 1.326, v7's byte-padded terms and varint tfs
+   1.523, v6's delta varints 1.722). *)
 let region_bytes_gate () =
   let corpus =
     Xk_datagen.Dblp_gen.generate { (Xk_datagen.Dblp_gen.scaled 0.05) with seed = 2010 }
@@ -1364,8 +1570,8 @@ let region_bytes_gate () =
       if v > gate then Alcotest.failf "%s takes %.3f bytes per %s, gate %.3f" what v unit gate)
     [
       ("term region", lay.Index_io.terms_len, lay.Index_io.term_count, "term", 2.65);
-      ("directory", lay.Index_io.dir_len, lay.Index_io.term_count, "term", 1.17);
-      ("postings", lay.Index_io.postings_len, lay.Index_io.total_rows, "row", 1.33);
+      ("directory", lay.Index_io.dir_len, lay.Index_io.term_count, "term", 0.44);
+      ("postings", lay.Index_io.postings_len, lay.Index_io.total_rows, "row", 1.16);
     ]
 
 (* Every term of an opened segment round-trips through [term_id] and
@@ -1491,9 +1697,9 @@ let symbol_coder_roundtrip_prop =
             let b = Buffer.create 64 in
             Xk_storage.Symbols.encode coder b w;
             let codes = Buffer.contents b in
-            Buffer.clear b;
-            Xk_storage.Symbols.decode syms codes ~pos:0 ~len:(String.length codes) b;
-            Buffer.contents b
+            let d = Xk_storage.Symbols.scratch () in
+            Xk_storage.Symbols.decode syms codes ~pos:0 ~len:(String.length codes) d;
+            Bytes.sub_string d.bytes 0 d.len
           in
           (* A table no trainer writes: up to 254 pieces of 1 to 8 bytes
              of the words, written into the segment by the format's
@@ -1545,8 +1751,8 @@ let segment_bytes_pinned () =
   in
   let dblp_digest, dblp_terms = pinned_segment ~name:"dblp" dblp.doc in
   let xmark_digest, xmark_terms = pinned_segment ~name:"xmark" xmark.doc in
-  check Alcotest.string "dblp segment digest" "d5d197a30086285068ab1c35c1df29be" dblp_digest;
-  check Alcotest.string "xmark segment digest" "b90c4f5fed3d4d80360fc1b089ed80ed" xmark_digest;
+  check Alcotest.string "dblp segment digest" "b08df6fd3b213263e77d47f4fe0f3d1a" dblp_digest;
+  check Alcotest.string "xmark segment digest" "980dd3ec4c7bd7d0bd7e117c373dcde8" xmark_digest;
   check
     Alcotest.(list string)
     "dblp first 50 terms"
@@ -1599,11 +1805,13 @@ let suite =
         tc "segment rejects mangled header" `Quick index_io_rejects_mangled_header;
         tc "segment bytes pinned" `Quick segment_bytes_pinned;
         tc "term region bytes per term gate" `Quick region_bytes_gate;
+        tc "wrapping block lengths are corruption" `Quick wrapping_block_lengths;
         QCheck_alcotest.to_alcotest parity_prop;
         QCheck_alcotest.to_alcotest never_raises_prop;
         QCheck_alcotest.to_alcotest tf_exceptions_roundtrip_prop;
         QCheck_alcotest.to_alcotest block_fault_prop;
         QCheck_alcotest.to_alcotest term_lookup_prop;
         QCheck_alcotest.to_alcotest symbol_coder_roundtrip_prop;
+        QCheck_alcotest.to_alcotest rank_roundtrip_prop;
       ] );
   ]

@@ -447,11 +447,11 @@ let live_compact () =
       ok_exn "compact" (Live.compact t);
       check Alcotest.int "delta drained" 0 (Live.pending_ops t);
       check (Alcotest.list Alcotest.int) "one sealed gen" [ 1 ] (Live.sealed_gens t);
-      (* Sealed generations are written in the zero-copy v8 format, so a
+      (* Sealed generations are written in the zero-copy v9 format, so a
          reopen goes through the mmap path. *)
       check
         Alcotest.(option string)
-        "sealed segment is v8" (Some Index_io.magic)
+        "sealed segment is v9" (Some Index_io.magic)
         (Tutil.magic_of (Filename.concat dir "seg-0001.idx"));
       check Alcotest.bool "content unchanged" true
         (Xk_xml.Xml_tree.equal before (Snapshot.document (Live.snapshot t)));
@@ -480,7 +480,7 @@ let live_compact () =
       Live.close t)
 
 (* A sealed [.idx] that fails verification is re-sealed once, at open,
-   from its [.docs]: the file is a valid v8 segment again and every
+   from its [.docs]: the file is a valid v9 segment again and every
    later snapshot loads it instead of rebuilding it. *)
 let live_reseal_damaged_index () =
   List.iter
@@ -501,7 +501,7 @@ let live_reseal_damaged_index () =
           check Alcotest.bool "damaged segment fails verify" true
             (Result.is_error (Index_io.verify ~backoff_ms:0. idx));
           let t = ok_exn "reopen" (Live.open_ ~fsync:false dir) in
-          check Alcotest.(option string) "resealed as v8" (Some Index_io.magic)
+          check Alcotest.(option string) "resealed as v9" (Some Index_io.magic)
             (Tutil.magic_of idx);
           check Alcotest.bool "resealed segment verifies" true
             (Result.is_ok (Index_io.verify idx));
@@ -517,12 +517,13 @@ let live_reseal_damaged_index () =
         let mid = Bytes.length b / 2 in
         Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x5a));
         Bytes.to_string b);
-      (* segments of the retired v2, v4, v5, v6 and v7 formats *)
+      (* segments of the retired v2, v4, v5, v6, v7 and v8 formats *)
       (fun data -> "XKIDX002" ^ String.sub data 8 (String.length data - 8));
       (fun data -> "XKIDX004" ^ String.sub data 8 (String.length data - 8));
       (fun data -> "XKIDX005" ^ String.sub data 8 (String.length data - 8));
       (fun data -> "XKIDX006" ^ String.sub data 8 (String.length data - 8));
       (fun data -> "XKIDX007" ^ String.sub data 8 (String.length data - 8));
+      (fun data -> "XKIDX008" ^ String.sub data 8 (String.length data - 8));
     ]
 
 let live_auto_compact () =
@@ -983,14 +984,14 @@ let pinned_store_history dir =
 
 (* Measured on the store code that printed every subtree for the WAL
    and again for each [.docs] file; the [.idx] digests are those of the
-   v8 segment. *)
+   v9 segment. *)
 let pinned_mid =
   [
     ("live.manifest", "7197f2fe0b013a43bd35bf19b2914890");
     ("seg-0001.docs", "8d12f6f73db440974acc1da8e05486b0");
-    ("seg-0001.idx", "2c45d7873c5ff8d00b36506c219874fd");
+    ("seg-0001.idx", "83ef61e1c10cc6f14ca532fc00cab867");
     ("seg-0002.docs", "127af2783a4d956a54298c7bbf298b4d");
-    ("seg-0002.idx", "41ce391199c1f277479e27bb018f003b");
+    ("seg-0002.idx", "d22e8d3986f8caa1fb0363512c84138d");
     ("wal.log", "3608eaca66fc8f14e489d73803b79f37");
   ]
 
@@ -998,9 +999,9 @@ let pinned_final =
   [
     ("live.manifest", "a46f4b26561f6d515174134b59fb1cf6");
     ("seg-0002.docs", "127af2783a4d956a54298c7bbf298b4d");
-    ("seg-0002.idx", "41ce391199c1f277479e27bb018f003b");
+    ("seg-0002.idx", "d22e8d3986f8caa1fb0363512c84138d");
     ("seg-0003.docs", "b7fa40361d196809c4c475ba41cd4b64");
-    ("seg-0003.idx", "1c28b186d152be791006612c6e16d946");
+    ("seg-0003.idx", "aac378cee59a6759fc705a391e3a639a");
     ("wal.log", "9e3be06bdecc632f2b1a3c94644f0e83");
   ]
 

@@ -680,6 +680,20 @@ let shard_io_replicas () =
                 (Sys.file_exists f))
             row)
         files;
+      (* A shard is encoded once: its copies are byte-identical, and
+         each verifies on its own. *)
+      let path3 = Filename.concat dir "three.shards" in
+      Xk_index.Shard_io.save ~replicas:3 sharded path3;
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      for s = 0 to 2 do
+        let copy r = Xk_index.Shard_io.replica_path path3 ~shard:s ~replica:r in
+        List.iter
+          (fun r ->
+            check Alcotest.bool "replica bytes identical" true (read (copy r) = read (copy 0));
+            check Alcotest.bool "replica verifies" true
+              (Result.is_ok (Xk_index.Index_io.verify (copy r))))
+          [ 0; 1; 2 ]
+      done;
       (* Losing one copy is invisible: corrupt the primary of shard 1
          and the loader serves from replica 1. *)
       flip_last_byte files.(1).(0);

@@ -444,9 +444,10 @@ let v7_fixture_bytes =
 
 let v7_segment_retired () = segment_retired ~version:7 v7_fixture_bytes
 
-(* --- v8 segment fixture ---------------------------------------------- *)
+(* --- v8 segment fixture (retired) ------------------------------------ *)
 
-(* Literal bytes of the v8 segment [save] writes for [v5_fixture_xml]:
+(* Literal bytes of the v8 segment the previous release's [save] wrote
+   for [v5_fixture_xml]:
    the 72-byte header (magic, version 8, 9 nodes, 7 terms, 8 rows, then
    the 48/6/17-byte terms, postings and directory lengths and the three
    CRCs); the term region: an empty symbol table (00: coding 38 suffix
@@ -464,13 +465,34 @@ let v7_segment_retired () = segment_retired ~version:7 v7_fixture_bytes
 let v8_fixture_bytes =
   "\x58\x4b\x49\x44\x58\x30\x30\x38\x08\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x30\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00\x00\x00\x00\x00\x11\x00\x00\x00\x00\x00\x00\x00\xf0\x81\x2a\x32\xdb\x78\x47\x3b\x0c\x04\x38\xdd\x00\x04\x32\x30\x31\x30\x04\x63\x68\x65\x6e\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x07\x6b\x65\x79\x77\x6f\x72\x64\x06\x73\x65\x61\x72\x63\x68\x03\x74\x6f\x70\x03\x78\x6d\x6c\x01\x00\x00\x00\xb3\xe2\xf2\x3b\xb1\x00\x63\x1f\x07\x86\x06\x00\x00\x00\x02\x02\x02\x05\x01\x02\x02\x03\x02"
 
-(* The committed bytes carry the v8 magic and load to an index that
+let v8_segment_retired () = segment_retired ~version:8 v8_fixture_bytes
+
+(* --- v9 segment fixture ---------------------------------------------- *)
+
+(* Literal bytes of the v9 segment [save] writes for [v5_fixture_xml]:
+   the 80-byte header (magic, version 9, 9 nodes, 7 terms, 8 rows, the
+   48/4/8-byte terms, postings and directory lengths, M = 4 term-bearing
+   nodes - the book with a year attribute and the three texts - and the
+   three CRCs); the term region as in v8 (an empty symbol table, the
+   seven terms in byte order, one front-coding block, a one-entry
+   restart table); the postings: one bit stream for the one block, each
+   term's ranks among the 4 term-bearing nodes Rice-coded with k = 2
+   (one row) or k = 1 (two rows), "keyword" adding the gamma codes 1 1 1
+   (one exception, position 0, tf 2) and "xml" 1 1 010 (position 0,
+   tf 3), 32 bits and no pad; and the directory: the block's CRC and
+   varint byte length 4, then one bit stream: the dfs as gamma codes
+   (1 1 1 010 1 1 1), gamma 3 for the two tf-bearing terms, then
+   "keyword" (id gap 4, cf - df 1) and "xml" (id gap 3, cf - df 2). *)
+let v9_fixture_bytes =
+  "\x58\x4b\x49\x44\x58\x30\x30\x39\x09\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x30\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\xf0\x81\x2a\x32\xfa\x0a\x4f\x12\x43\xd5\x95\x56\x00\x04\x32\x30\x31\x30\x04\x63\x68\x65\x6e\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x07\x6b\x65\x79\x77\x6f\x72\x64\x06\x73\x65\x61\x72\x63\x68\x03\x74\x6f\x70\x03\x78\x6d\x6c\x01\x00\x00\x00\xe9\xff\xdb\x17\x50\x7c\xb4\xd5\x04\xd7\x4d\x5a"
+
+(* The committed bytes carry the v9 magic and load to an index that
    agrees row for row and score for score with a fresh build. *)
-let v8_fixture_loads () =
+let v9_fixture_loads () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v5_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
-  with_tmp_file v8_fixture_bytes (fun path ->
-      check Alcotest.(option string) "v8 magic" (Some Xk_index.Index_io.magic)
+  with_tmp_file v9_fixture_bytes (fun path ->
+      check Alcotest.(option string) "v9 magic" (Some Xk_index.Index_io.magic)
         (Tutil.magic_of path);
       match Xk_index.Index_io.load_result label path with
       | Error e ->
@@ -507,7 +529,7 @@ let hex s =
 
 (* The writer must keep producing exactly the committed bytes: the
    fixture pins the writer, not just the reader. *)
-let v8_writer_stable () =
+let v9_writer_stable () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v5_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
   let idx = Xk_index.Index.build label in
@@ -517,7 +539,7 @@ let v8_writer_stable () =
     (fun () ->
       Xk_index.Index_io.save idx path;
       let data = In_channel.with_open_bin path In_channel.input_all in
-      check Alcotest.string "bytes identical" (hex v8_fixture_bytes) (hex data))
+      check Alcotest.string "bytes identical" (hex v9_fixture_bytes) (hex data))
 
 (* The introspection calls are total on missing and unreadable paths and
    leave no channel open behind them. *)
@@ -589,8 +611,10 @@ let suite =
     ( "storage.v7-fixture",
       [ tc "committed v7 segment rejected once" `Quick v7_segment_retired ] );
     ( "storage.v8-fixture",
+      [ tc "committed v8 segment rejected once" `Quick v8_segment_retired ] );
+    ( "storage.v9-fixture",
       [
-        tc "committed v8 segment loads" `Quick v8_fixture_loads;
-        tc "v8 writer reproduces fixture bytes" `Quick v8_writer_stable;
+        tc "committed v9 segment loads" `Quick v9_fixture_loads;
+        tc "v9 writer reproduces fixture bytes" `Quick v9_writer_stable;
       ] );
   ]

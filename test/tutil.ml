@@ -5,6 +5,32 @@ let random_doc ?config seed =
   let rng = Xk_datagen.Rng.create seed in
   Xk_datagen.Random_tree.generate ?config rng
 
+(* [random_doc seed] with nodes of every kind the index meets: about a
+   third of the elements carry an attribute whose value is a keyword, a
+   numbered word or stopwords only, and about a fifth of the text nodes
+   hold stopwords only (term-bearing, yet no row names them). *)
+let decorated_doc seed =
+  let rng = Random.State.make [| seed; 1 |] in
+  let open Xk_xml.Xml_tree in
+  let value () =
+    match Random.State.int rng 3 with
+    | 0 -> Xk_datagen.Random_tree.keyword (Random.State.int rng 4)
+    | 1 -> Printf.sprintf "w%d kw0" (Random.State.int rng 50)
+    | _ -> "the of"
+  in
+  let rec node = function
+    | Text _ when Random.State.int rng 5 = 0 -> Text "of the and"
+    | Text _ as t -> t
+    | Element e -> Element (element e)
+  and element e =
+    {
+      e with
+      attrs = (if Random.State.int rng 3 = 0 then [ attr "a" (value ()) ] else e.attrs);
+      children = List.map node e.children;
+    }
+  in
+  { root = element (random_doc seed).root }
+
 let random_engine ?config seed = Xk_core.Engine.create (random_doc ?config seed)
 
 (* A query of [k] distinct keywords from the random-tree alphabet. *)
@@ -75,7 +101,7 @@ let load_index label path =
   | Error e ->
       Alcotest.failf "load %s: %s" path (Xk_index.Index_io.load_error_message e)
 
-(* The v8 term region written from the format, independently of
+(* The term region written from the format, independently of
    [Index_io] and [Symbols]: a symbol table (a varint count, then per
    symbol a length byte and its bytes), every term as one byte (shared
    prefix length lsl 4 lor code length, a nibble of 15 followed by a
@@ -169,20 +195,20 @@ let symbols_of region =
 
 (* The term region of segment bytes [good]. *)
 let term_region_of good =
-  String.sub good 72 (Int64.to_int (String.get_int64_le good 36))
+  String.sub good 80 (Int64.to_int (String.get_int64_le good 36))
 
 (* [good] with its term region replaced by [terms] (and its term count
    by [term_count]), every covering checksum recomputed. *)
 let with_term_region ?term_count good terms =
   let terms_len = Int64.to_int (String.get_int64_le good 36) in
-  let h = Bytes.of_string (String.sub good 0 72) in
+  let h = Bytes.of_string (String.sub good 0 80) in
   Option.iter (fun n -> Bytes.set_int64_le h 20 (Int64.of_int n)) term_count;
   Bytes.set_int64_le h 36 (Int64.of_int (String.length terms));
-  Bytes.set_int32_le h 60 (Int32.of_int (Xk_storage.Crc32.string terms));
-  Bytes.set_int32_le h 68
-    (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:68));
+  Bytes.set_int32_le h 68 (Int32.of_int (Xk_storage.Crc32.string terms));
+  Bytes.set_int32_le h 76
+    (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:76));
   Bytes.to_string h ^ terms
-  ^ String.sub good (72 + terms_len) (String.length good - 72 - terms_len)
+  ^ String.sub good (80 + terms_len) (String.length good - 80 - terms_len)
 
 (* Term regions of [terms] (in byte order, two or more, with 2 to 254
    distinct bytes) behind whatever checksums they are given, each with a
