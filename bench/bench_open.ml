@@ -19,7 +19,11 @@
 
    and records them in BENCH_open.json.  Every point is parity-gated
    first: the three engines (fresh build, eager open, lazy open) must
-   return bit-identical hits for the probe queries.
+   return bit-identical hits for the probe queries.  A fresh build reads
+   its own encoded bytes through the same segment reader as a mapped
+   file, so the gate compares the in-memory and mapped opens of one
+   reader, and the eager open's up-front decode against the lazy one's
+   first-use decode.
 
      dune exec bench/bench_open.exe                     # defaults
      dune exec bench/bench_open.exe -- --scales 0.2,1.0 --opens 10
@@ -76,8 +80,10 @@ let same_hits a b =
          x.node = y.node && x.score = y.score)
        a b
 
-(* Bit-identical results across all three load paths, for every probe
-   query, in both complete and top-K modes. *)
+(* Bit-identical results across all three load paths (one segment
+   reader, over the build's own bytes and over the mapped file, eager
+   and lazy), for every probe query, in both complete and top-K
+   modes. *)
 let verify_parity ~fresh ~eager ~lazy_ queries =
   let engines =
     [
@@ -166,9 +172,9 @@ let sweep_point ~opens ~seed scale =
         | Ok lay -> lay
         | Error e -> failwith (Xk_index.Index_io.error_message e)
       in
-      let terms_bytes = lay.Xk_index.Index_io.terms_len
-      and postings_bytes = lay.Xk_index.Index_io.postings_len
-      and dir_bytes = lay.Xk_index.Index_io.dir_len in
+      let terms_bytes = lay.Xk_index.Segment.terms_len
+      and postings_bytes = lay.Xk_index.Segment.postings_len
+      and dir_bytes = lay.Xk_index.Segment.dir_len in
       Printf.printf
         "  segment: %5.1f MB (terms %d, postings %d, directory %d bytes)\n\
         \  eager: cold %8.2f ms (%.0f words), warm %8.2f ms, first query %6.2f ms\n\

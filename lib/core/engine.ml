@@ -34,18 +34,10 @@ let resolve t words =
   let ids = List.filter_map (Xk_index.Index.term_id t.index) words in
   if List.length ids <> List.length words then None
   else
-    (* Order the query's lists by the terms themselves, not by their
-       numeric ids: ids reflect dictionary insertion order and so differ
-       between index instances over the same corpus (e.g. shards).  A
-       term-ordered plan keeps float summation order - and therefore
-       scores, bit for bit - identical across sharded and unsharded
-       execution. *)
-    let by_term a b =
-      String.compare
-        (Xk_index.Index.term t.index a)
-        (Xk_index.Index.term t.index b)
-    in
-    Some (List.sort_uniq by_term ids)
+    (* Ids are ranks in byte order in every index, so id order is term
+       order: the same plan, and the same float summation order, on every
+       shard and on the unsharded index. *)
+    Some (List.sort_uniq Int.compare ids)
 
 let node_of_join_hit t (h : Join_query.hit) =
   match Xk_encoding.Labeling.find (label t) ~depth:h.level ~jnum:h.value with

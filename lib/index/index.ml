@@ -4,36 +4,14 @@
    materialized per term on demand and cached, which mirrors the paper's
    hot-cache experimental setting.
 
+   Terms and rows are read from one source, a v9 segment ([Segment]):
+   [build] encodes one and opens its own bytes, [Index_io] maps a file.
+   A term's rows are decoded on first use; the shape caches make
+   repeated query access cheap.
+
    The three shape caches are sharded, bounded LRU caches (Shard_cache),
    so one index can be shared by concurrent query domains: everything
-   else in [t] is immutable after construction (the dictionary is only
-   written during build). *)
-
-(* The one term and row source.  A zero-copy segment (Index_io v9)
-   looks a term up in its mapped, front-coded term region and decodes a
-   term's rows from mapped postings on first use, instead of building a
-   dictionary or materializing the postings at open; [build] hands over
-   the dictionary and arrays it holds (callers never mutate rows).  Every
-   function must be safe to call from any domain; [pv_rows] may raise the
-   segment's typed fault exception, and the per-shape caches above it
-   make repeated query access cheap. *)
-type provider = {
-  pv_terms : int;
-  pv_term : int -> string;
-  pv_find : string -> int option;
-  pv_row_count : int -> int;
-  pv_rows : int -> int array * int array;
-}
-
-let of_arrays dict nodes tfs =
-  {
-    pv_terms = Array.length nodes;
-    pv_term = Xk_text.Dictionary.term dict;
-    pv_find =
-      (fun w -> Xk_text.Dictionary.find_folded dict w ~pos:0 ~len:(String.length w));
-    pv_row_count = (fun id -> Array.length nodes.(id));
-    pv_rows = (fun id -> (nodes.(id), tfs.(id)));
-  }
+   else in [t] is immutable after construction. *)
 
 let default_cache_capacity = 8192
 
@@ -47,7 +25,11 @@ type stats_override = { so_total_nodes : int; so_df : string -> int }
 
 type t = {
   label : Xk_encoding.Labeling.t;
-  rows : provider;
+  seg : Segment.t;
+  (* The byte-order id of each term in the order a fresh [build] first
+     met it, which breaks [terms_by_df]'s ties; empty for an opened
+     segment, which allocates none of it. *)
+  first_seen : int array;
   scorer : Xk_score.Scorer.t;
   df_override : (string -> int) option;
   jcache : Jlist.t Shard_cache.t;
@@ -69,11 +51,12 @@ let scorer_for ?stats label =
   in
   Xk_score.Scorer.make ~total_nodes
 
-let make ?(cache_capacity = default_cache_capacity) ?stats label rows =
+let make ?(cache_capacity = default_cache_capacity) ?stats ?(first_seen = [||]) label seg =
   let jcache, pcache, scache = make_caches cache_capacity in
   {
     label;
-    rows;
+    seg;
+    first_seen;
     scorer = scorer_for ?stats label;
     df_override = Option.map (fun s -> s.so_df) stats;
     jcache;
@@ -84,12 +67,14 @@ let make ?(cache_capacity = default_cache_capacity) ?stats label rows =
 (* One pass over the nodes.  A node's term frequencies are tallied in two
    arrays indexed by term id, [last_node] (the node that last saw the
    term) and [tf], and the node's distinct ids drive the posting pushes
-   into one flat buffer of (term, node, tf) rows in node order.  A
-   counting pass by term id then cuts the buffer into per-term arrays, so
-   each term's rows stay in node order; ids are interned in first-seen
-   order, straight from the tokens' source spans.  Only the nodes
-   [Labeling.term_bearing] admits are tokenized: a segment codes a row's
-   node as its rank among them ([Index_io]), so the two must agree. *)
+   into one flat buffer of (term, node, tf) rows in node order; ids are
+   interned in first-seen order, straight from the tokens' source spans.
+   Only the nodes [Labeling.term_bearing] admits are tokenized: a
+   segment codes a row's node as its rank among them, so the two must
+   agree.  The terms are then sorted into byte order, a counting pass
+   by byte-order id cuts the buffer into one flat array of nodes and one
+   of tfs (each term's rows stay in node order), and the segment is
+   encoded once and opened through the checks a file gets. *)
 let build ?cache_capacity ?stats (label : Xk_encoding.Labeling.t) =
   let dict = Xk_text.Dictionary.create () in
   let last_node = ref [||] and tf = ref [||] in
@@ -140,37 +125,47 @@ let build ?cache_capacity ?stats (label : Xk_encoding.Labeling.t) =
     seen := []
   done;
   let terms = Xk_text.Dictionary.size dict in
-  let nodes =
-    Array.init terms (fun id -> Array.make (Xk_text.Dictionary.df dict id) 0)
-  in
-  let tfs = Array.map (fun a -> Array.make (Array.length a) 0) nodes in
-  let fill = Array.make terms 0 in
-  for r = 0 to Ibuf.length row_terms - 1 do
-    let id = Ibuf.get row_terms r in
+  let by_seen = Array.init terms (Xk_text.Dictionary.term dict) in
+  let order = Array.init terms Fun.id in
+  Array.stable_sort (fun a b -> String.compare by_seen.(a) by_seen.(b)) order;
+  let first_seen = Array.make terms 0 in
+  Array.iteri (fun id s -> first_seen.(s) <- id) order;
+  let starts = Array.make (terms + 1) 0 in
+  for id = 0 to terms - 1 do
+    starts.(id + 1) <- starts.(id) + Xk_text.Dictionary.df dict order.(id)
+  done;
+  let rows = Ibuf.length row_terms in
+  let nodes = Array.make rows 0 and tfs = Array.make rows 0 in
+  let fill = Array.sub starts 0 terms in
+  for r = 0 to rows - 1 do
+    let id = first_seen.(Ibuf.get row_terms r) in
     let k = fill.(id) in
-    nodes.(id).(k) <- Ibuf.get row_nodes r;
-    tfs.(id).(k) <- Ibuf.get row_tfs r;
+    nodes.(k) <- Ibuf.get row_nodes r;
+    tfs.(k) <- Ibuf.get row_tfs r;
     fill.(id) <- k + 1
   done;
-  make ?cache_capacity ?stats label (of_arrays dict nodes tfs)
+  let bytes =
+    Segment.encode label ~terms:(Array.map (Array.get by_seen) order) ~starts ~nodes ~tfs
+  in
+  make ?cache_capacity ?stats ~first_seen label
+    (Segment.open_ label (Xk_storage.Mmap.of_string bytes))
 
-(* Wrap a lazy term and rows source (a mapped segment), which builds no
-   dictionary and decodes no posting up front. *)
-let of_provider ?stats label (pv : provider) = make ?stats label pv
+let of_segment ?stats label seg = make ?stats label seg
 
 let label t = t.label
 let damping _ = Xk_score.Damping.default
-let term_count t = t.rows.pv_terms
+let term_count t = Segment.term_count t.seg
+let bytes t = Segment.bytes t.seg
 
-(* One term's (nodes, tfs) rows.  A mapped segment decodes fresh arrays
-   each call — per-query cost is amortized by the shape caches, and
-   whole-dictionary sweeps pay streaming decode. *)
-let raw_rows t id = t.rows.pv_rows id
+(* One term's (nodes, tfs) rows, decoded fresh each call: per-query cost
+   is amortized by the shape caches, and whole-dictionary sweeps pay
+   streaming decode. *)
+let raw_rows t id = Segment.rows t.seg t.label id
 
-let term_id t w = t.rows.pv_find w
-let term t id = t.rows.pv_term id
-
-let df t id = t.rows.pv_row_count id
+let term_id t w = Segment.find_term t.seg w
+let term t id = Segment.term_of t.seg id
+let df t id = Segment.df t.seg id
+let first_seen t i = if Array.length t.first_seen = 0 then i else t.first_seen.(i)
 
 (* Local scores of a term's rows.  [df] is the term's corpus-wide
    document frequency: the row count here, unless the index is one shard
@@ -232,8 +227,10 @@ let term_ids_exn t words =
 
 let local_scores t id = scores_of_raw t id (raw_rows t id)
 
-(* Terms sorted by descending document frequency, for workload selection. *)
+(* Terms sorted by descending document frequency, for workload selection.
+   The unstable sort starts from [first_seen] order, so a fresh build
+   draws the same ties it drew when its ids were first-seen ids. *)
 let terms_by_df t =
-  let ids = Array.init (term_count t) (fun i -> i) in
+  let ids = Array.init (term_count t) (first_seen t) in
   Array.sort (fun a b -> Int.compare (df t b) (df t a)) ids;
   ids

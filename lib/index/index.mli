@@ -2,6 +2,11 @@
     algorithm-specific list shapes (Dewey postings, JDewey column lists,
     score-ordered lists) materialized per term on demand and cached.
 
+    Every index reads its terms and rows from one v9 segment
+    ({!Segment}): {!build} encodes one and opens its own bytes,
+    {!Index_io} maps one from a file.  Term ids are ranks in byte order,
+    and a term's rows are decoded on first use.
+
     The shape caches are sharded, bounded LRU caches ({!Shard_cache}), so
     a built index is safe to share across domains: {!jlist}, {!posting},
     {!score_list} and {!warm} may be called concurrently, and each term's
@@ -28,32 +33,18 @@ val build :
   Xk_encoding.Labeling.t ->
   t
 (** One pass over the labeled tree; text nodes contribute their character
-    data, elements their attribute values.  [cache_capacity] (default
+    data, elements their attribute values.  The segment is encoded once
+    and opened through the checks a file gets.  [cache_capacity] (default
     8192) bounds each of the three shape caches; the least recently used
     term is evicted when a cache is full.  [stats] overrides the ranking
     statistics derived from this tree alone (sharded indices). *)
 
-type provider = {
-  pv_terms : int;  (** number of terms; ids are [0 .. pv_terms - 1] *)
-  pv_term : int -> string;  (** the term of an id *)
-  pv_find : string -> int option;
-      (** the id of a word, ASCII case folded; [None] when absent *)
-  pv_row_count : int -> int;  (** posting-list length of a term, O(1) *)
-  pv_rows : int -> int array * int array;
-      (** decode a term's (nodes, tfs) rows.  Must be callable from any
-          domain (pure decoding of immutable bytes); may raise the
-          segment's typed fault exception on lazily-detected corruption. *)
-}
-(** The one term and row source of every index.  {!build} wraps the
-    dictionary and arrays it holds, with term ids in first-seen order.  A
-    zero-copy segment ({!Index_io} v9) numbers its terms in byte order,
-    looks a word up in its mapped front-coded term region and decodes a
-    term's rows from mapped postings on first use, so its open builds no
-    dictionary and materializes no posting.  Every function must be
-    callable from any domain. *)
+val of_segment : ?stats:stats_override -> Xk_encoding.Labeling.t -> Segment.t -> t
+(** Serve an opened segment ({!Index_io}) over the document it was
+    encoded from. *)
 
-val of_provider : ?stats:stats_override -> Xk_encoding.Labeling.t -> provider -> t
-(** Wrap a lazy term and rows source. *)
+val bytes : t -> string
+(** The bytes of the index's segment: what {!Index_io.save} writes. *)
 
 val label : t -> Xk_encoding.Labeling.t
 val damping : t -> Xk_score.Damping.t
@@ -82,16 +73,21 @@ val cache_stats : t -> Shard_cache.stats
     caches (so [capacity] is three times the per-shape bound). *)
 
 val raw_rows : t -> int -> int array * int array
-(** Uncached (nodes, tfs) rows of a term, for whole-dictionary sweeps.
-    Do not mutate them: an in-memory index hands out the arrays it
-    holds. *)
+(** Uncached (nodes, tfs) rows of a term, decoded afresh on every call,
+    for whole-dictionary sweeps.  Raises {!Segment.Segment_fault} when
+    the term's postings are damaged. *)
 
 val local_scores : t -> int -> float array
 
 val term_ids_exn : t -> string list -> int list
 (** Ids for query words; raises [Invalid_argument] on unknown keywords. *)
 
+val first_seen : t -> int -> int
+(** [first_seen t i] is the id of the [i]-th term a fresh {!build} met
+    in document order; [i] itself for an opened segment, which keeps no
+    such order.  It only breaks {!terms_by_df}'s ties. *)
+
 val terms_by_df : t -> int array
-(** All term ids, most frequent first; ties keep id order, so they
-    follow first sight in a fresh {!build} and byte order in an opened
-    segment. *)
+(** All term ids, most frequent first.  The unstable sort starts from
+    {!first_seen} order, so a fresh {!build} breaks ties as it did when
+    its ids were first-seen ids, and an opened segment by byte order. *)

@@ -1,48 +1,13 @@
-(** Fault-tolerant index persistence: the v9 ("XKIDX009") compressed
-    zero-copy segment, the one loadable generation.
+(** Fault-tolerant index persistence: the v9 ("XKIDX009") segment
+    ({!Segment}, which documents the format) on disk, the one loadable
+    generation.
 
-    A segment is a fixed 80-byte header with its own CRC-32 (it records
-    the node count and M, the count of term-bearing nodes), the term
-    region (a symbol table of at most 255 symbols of 1-8 bytes,
-    {!Xk_storage.Symbols}, trained at save on the region's own suffixes
-    and left empty when it would not shrink the region; then the terms
-    in byte order, front-coded in blocks of 16 - every entry one byte
-    [shared lsl 4 lor code_len], a nibble of 15 extended by a varint,
-    then the suffix's codes, a symbol's index or 255 and a literal byte;
-    a block's first entry shares nothing - then a table of each block's
-    offset), the postings (one bit stream per block of 64 consecutive
-    term ids, padded to a byte only at its end: per term the gaps
-    between its nodes' ranks among the term-bearing nodes, Rice-coded
-    with a parameter k derived from the term's df and M, then only when
-    the term's cf differs from its df Elias-gamma tf codes: the count,
-    and a (position gap + 1, tf - 1) pair per row whose tf is above 1)
-    and a directory (per block a u32 CRC-32 over that block's postings
-    and a varint byte length of them, then one bit stream: the gamma
-    code of every term's df, then of the count + 1 of the terms whose cf
-    differs from their df, and per such term of its id gap and of
-    cf - df), back to back with no padding, so every byte is under a
-    checksum.  A term's id is its rank in byte order.  A node is
-    term-bearing when {!Xk_encoding.Labeling.term_bearing} admits it
-    (a text node, or an element with attributes): only those nodes can
-    hold a term, so a row's node is coded as its rank among them.
-    Loading memory-maps the file ({!Xk_storage.Mmap}), verifies the
-    header, terms and directory checksums, checks the node count and M
-    against the document, checks the symbol table and the term region's
-    structure and strict byte order (decoding every suffix) in one pass,
-    decodes the directory (statistics included - no posting is touched)
-    and hands {!Index.of_provider} the term region, where a lookup
-    binary-searches the block heads and scans one block, decoding terms
-    into a scratch buffer, and a lazy row decoder.  The first decode of
-    any term of a block verifies that block's checksum and decodes the
-    block's terms in the same pass, which yields their bit offsets; the
-    block publishes them atomically, and later decodes read the bytes
-    one term's bits lie in.  Decoding works in rank space; a decode that
-    keeps rows maps ranks to node ids through an array of M node ids
-    built by the first such decode.  No dictionary, no per-term offset
-    and no rank map is built at open: open cost is one pass over the
-    terms and the directory, and the kernel pages postings in on demand.
-    Scores are bit-identical to a fresh {!Index.build}: both feed the
-    same (tf, df) integers to the same scorer.
+    Loading memory-maps the file ({!Xk_storage.Mmap}), reads the magic
+    from the map and opens the segment over it ({!Segment.open_}): the
+    header, terms and directory are verified and decoded, and every
+    term's postings are decoded from the map on first use.  Scores are
+    bit-identical to a fresh {!Index.build}, which reads its own bytes
+    through the same reader.
 
     Every earlier generation is retired: a v1-v8 segment, like a v1-v2
     shard manifest ({!Shard_io}), is refused by one rule
@@ -65,7 +30,7 @@
     anomalies behind a verified checksum, a retired magic, and map
     failures are fatal and skip the retries. *)
 
-type error =
+type error = Segment.error =
   | Truncated of string  (** file shorter than the declared layout *)
   | Corrupted of string
       (** bad magic/version, persistent checksum mismatch, malformed
@@ -85,8 +50,7 @@ val error_message : ?kind:string -> error -> string
 (** The error, naming the file by [kind] (default ["segment"]):
     ["corrupted manifest: ..."] for a shard manifest. *)
 
-type attempt_error =
-  [ `Transient of string | `Crc of string | `Suspect of error | `Fatal of error ]
+type attempt_error = Segment.attempt_error
 (** The outcome classes of one read attempt, before the retry policy:
     every class but [`Fatal] is retried. *)
 
@@ -127,30 +91,13 @@ val load_error_message : ?kind:string -> load_error -> string
 (** {!error_message}, with the attempt count when there was a retry. *)
 
 exception Segment_fault of string
-(** Raised by the {e lazy} row decoder: the checksum of a term's
-    block fails or the block's terms do not decode to its length or
-    leave nonzero pad bits (every term of that block faults, every other
-    term still decodes), its postings do not decode (a unary run or a
-    code runs past the block, ranks reach M, a gamma
-    code is longer than 61 bits, tf exception positions are not strictly
-    increasing below df, or the tfs do not sum to cf), or the mapping
-    was closed under the reader.  Eager-open failures never use
-    this — they are returned as {!load_error} values.  Raised at query
-    time, it propagates out of list materialization; the replicated
-    executor's failover-on-raise treats it like any other replica
-    failure. *)
-
-val encode : Index.t -> string
-(** The bytes of the segment of an index.  The terms are written in
-    byte order, so an opened segment's term ids are their ranks in that
-    order, whatever ids [idx] gave them.  Raises [Invalid_argument] if a
-    term has no rows, a term frequency is below 1, a term occurs twice,
-    a term's node ids are not strictly increasing below the node count,
-    or a row sits at a node that cannot hold terms. *)
+(** {!Segment.Segment_fault}, raised by a lazily opened index's row
+    decoder ({!Segment.rows}); eager-open failures are returned as
+    {!load_error} values. *)
 
 val save : Index.t -> string -> unit
-(** Write {!encode}'s bytes durably and atomically: temp file, fsync,
-    rename, directory fsync ({!Xk_storage.Durable}). *)
+(** Write the bytes of the index's segment durably and atomically:
+    temp file, fsync, rename, directory fsync ({!Xk_storage.Durable}). *)
 
 val load_result :
   ?stats:Index.stats_override ->
@@ -163,7 +110,7 @@ val load_result :
 (** Load a segment, retrying transient IO errors and checksum mismatches
     up to [retries] (default 4) times with exponential backoff starting
     at [backoff_ms] (default 1.0).  Never raises on bad input.  [stats]
-    overrides the ranking statistics as in {!Index.of_provider} (sharded
+    overrides the ranking statistics as in {!Index.of_segment} (sharded
     segments, see {!Shard_io}).  [verify_columns] (default false) makes
     the open verify and decode every term's postings eagerly instead of
     lazily —
@@ -191,23 +138,7 @@ val file_size : string -> int
 (** Size of the file in bytes; raises [Sys_error] if it cannot be
     stat'ed. *)
 
-type layout = {
-  node_count : int;
-  term_nodes : int;  (** M, the term-bearing nodes *)
-  term_count : int;
-  total_rows : int;
-  terms_off : int;
-  terms_len : int;
-  postings_off : int;
-  postings_len : int;
-  dir_off : int;
-  dir_len : int;
-  file_size : int;  (** header + the three region lengths *)
-}
-(** Region geometry of a segment: the header, then the terms,
-    postings and directory regions back to back.  Exposed so a fault
-    drill can corrupt one specific region. *)
-
-val layout : string -> (layout, error) result
-(** Parse and verify a segment header, returning its geometry; [Io_failed]
-    if the file cannot be read. *)
+val layout : string -> (Segment.layout, error) result
+(** Parse and verify a segment header, returning its region geometry,
+    so a fault drill can corrupt one specific region; [Io_failed] if
+    the file cannot be read. *)

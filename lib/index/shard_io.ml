@@ -86,12 +86,12 @@ let save ?(replicas = 1) ?endpoints t path =
   done;
   Xk_storage.Durable.write_string_atomically path
     (Xk_storage.Framed.file ~magic ~version (Buffer.contents payload));
-  (* A shard's segment is encoded once and the same bytes written to
-     every replica; each copy is verified independently: a write that
-     slips through the atomic rename but lands damaged must surface
-     now, not at failover time. *)
+  (* A shard's index holds its segment's bytes, and the same bytes are
+     written to every replica; each copy is verified independently: a
+     write that slips through the atomic rename but lands damaged must
+     surface now, not at failover time. *)
   for s = 0 to shards - 1 do
-    let bytes = Index_io.encode (Sharding.index t s) in
+    let bytes = Index.bytes (Sharding.index t s) in
     for r = 0 to replicas - 1 do
       let file = replica_path path ~shard:s ~replica:r in
       Xk_storage.Durable.write_string_atomically file bytes;

@@ -49,8 +49,8 @@ val save :
   string ->
   unit
 (** Write the manifest at [path] and [replicas] (default 1) segment
-    copies per shard beside it: each shard is encoded once
-    ({!Index_io.encode}) and its bytes written to every copy, each
+    copies per shard beside it: the bytes each shard's index holds
+    ({!Index.bytes}) are written to every copy, each
     atomically (temp file + rename) and each verified
     ({!Index_io.verify}) after the write.
     [endpoints], when given, records a serving (host, port) per replica

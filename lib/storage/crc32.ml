@@ -28,22 +28,3 @@ let update crc s ~pos ~len =
 
 let sub s ~pos ~len = update 0 s ~pos ~len
 let string s = sub s ~pos:0 ~len:(String.length s)
-
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* Same loop over a mapped byte array: verifying a column checksum reads
-   the mapped pages directly instead of copying them into a string. *)
-let update_big crc (b : bigstring) ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim b then
-    Xk_util.Err.invalid "Crc32.update_big";
-  let c = ref (crc lxor 0xFFFFFFFF) in
-  for i = pos to pos + len - 1 do
-    c :=
-      Array.unsafe_get table
-        ((!c lxor Char.code (Bigarray.Array1.unsafe_get b i)) land 0xff)
-      lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
-let big_sub b ~pos ~len = update_big 0 b ~pos ~len

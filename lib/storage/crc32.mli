@@ -9,14 +9,3 @@ val string : string -> int
 
 val update : int -> string -> pos:int -> len:int -> int
 (** Incremental form: feed more bytes into a running checksum. *)
-
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The byte-array shape of a memory-mapped file ({!Mmap}). *)
-
-val update_big : int -> bigstring -> pos:int -> len:int -> int
-(** {!update} over a mapped byte array, so checksum verification of a
-    segment column never copies the mapped pages into OCaml strings. *)
-
-val big_sub : bigstring -> pos:int -> len:int -> int
-(** [big_sub b ~pos ~len = update_big 0 b ~pos ~len]. *)

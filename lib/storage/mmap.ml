@@ -1,11 +1,14 @@
 (* Read-only mmap with typed failures and an explicit close.
 
-   The handle owns the Bigarray produced by Unix.map_file; every
+   The handle owns the Bigarray produced by Unix.map_file; its one
    accessor checks the closed flag and the byte range first, so a reader
    holding a retired segment gets a typed Fault, never a read of memory
    the segment no longer vouches for.  The closed flag is an Atomic:
    close may race with readers on other domains, and the worst outcome
    of that race is one last well-bounded read of still-mapped pages.
+
+   [of_string] gives the same handle over a private copy of bytes
+   already in memory, so a fresh index is read exactly as a file is.
 
    [map] is also where storage faults fire: it consults
    [Xk_resilience.Chaos.on_map] once per call.  A torn or damaged map
@@ -23,7 +26,7 @@ exception Fault of error
 
 type t = {
   m_path : string;
-  ba : Crc32.bigstring;
+  ba : (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
   m_size : int;
   closed : bool Atomic.t;
 }
@@ -86,38 +89,23 @@ let map path =
           flip t (t.m_size / 2);
           Ok t)
 
+let of_string s =
+  let n = String.length s in
+  let ba = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set ba i (String.unsafe_get s i)
+  done;
+  { m_path = "(in memory)"; ba; m_size = n; closed = Atomic.make false }
+
 let size t = t.m_size
 let path t = t.m_path
 let close t = Atomic.set t.closed true
 let is_closed t = Atomic.get t.closed
 
-let check t ~what ~pos ~len =
+let sub_string t ~pos ~len =
   if Atomic.get t.closed then raise (Fault (Closed t.m_path));
   if pos < 0 || len < 0 || pos + len > t.m_size then
-    raise (Fault (Bounds { what; pos; len; size = t.m_size }))
-
-let u8 t pos =
-  check t ~what:"u8" ~pos ~len:1;
-  Char.code (Bigarray.Array1.get t.ba pos)
-
-let u32 t pos =
-  check t ~what:"u32" ~pos ~len:4;
-  let b i = Char.code (Bigarray.Array1.get t.ba (pos + i)) in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-
-let u64 t pos =
-  check t ~what:"u64" ~pos ~len:8;
-  let b i = Char.code (Bigarray.Array1.get t.ba (pos + i)) in
-  (* The host int is 63-bit: a value with the top two bytes' high bits
-     set cannot be represented, and cannot be a valid file offset
-     either, so it is reported as a bounds fault. *)
-  if b 7 land 0xC0 <> 0 then
-    raise (Fault (Bounds { what = "u64"; pos; len = 8; size = t.m_size }));
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) lor (b 4 lsl 32)
-  lor (b 5 lsl 40) lor (b 6 lsl 48) lor (b 7 lsl 56)
-
-let sub_string t ~pos ~len =
-  check t ~what:"sub_string" ~pos ~len;
+    raise (Fault (Bounds { what = "sub_string"; pos; len; size = t.m_size }));
   (* Bulk copy with the range checked once: segment opens copy whole
      regions (the directory can be megabytes) through this. *)
   let b = Bytes.create len in
@@ -125,11 +113,3 @@ let sub_string t ~pos ~len =
     Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get t.ba (pos + i))
   done;
   Bytes.unsafe_to_string b
-
-let crc32 t ~pos ~len =
-  check t ~what:"crc32" ~pos ~len;
-  Crc32.big_sub t.ba ~pos ~len
-
-let crc32_update crc t ~pos ~len =
-  check t ~what:"crc32" ~pos ~len;
-  Crc32.update_big crc t.ba ~pos ~len

@@ -1,10 +1,10 @@
-(** Read-only memory-mapped files: the substrate of the zero-copy
-    index segments.
+(** Read-only memory-mapped files: the one reader of every index
+    segment, mapped ({!map}) or just encoded ({!of_string}).
 
-    {!map} wraps [Unix.map_file] into a handle whose accessors are
-    bounds-checked and lifetime-checked: after {!close} every access
-    raises {!Fault} [Closed] instead of touching unmapped memory
-    semantics.  The mapping itself is released by the GC when the last
+    {!map} wraps [Unix.map_file] into a handle whose one accessor,
+    {!sub_string}, is bounds-checked and lifetime-checked: after
+    {!close} every access raises {!Fault} [Closed] instead of touching
+    unmapped memory.  The mapping itself is released by the GC when the last
     reference to the handle dies (the stdlib exposes no explicit
     munmap); {!close} exists so an owner — a segment handle being
     retired — can {e invalidate} the map eagerly and turn any straggling
@@ -26,11 +26,11 @@ type error =
       (** an injected transient IO failure: a retry may succeed *)
   | Bounds of { what : string; pos : int; len : int; size : int }
       (** an access of [len] bytes at [pos] falls outside the [size]-byte
-          map, or a stored 64-bit offset does not fit the host int *)
+          map *)
   | Closed of string  (** access after {!close}; carries the path *)
 
 exception Fault of error
-(** Raised by the accessors below on a bounds violation or a closed
+(** Raised by {!sub_string} on a bounds violation or a closed
     handle.  {!map} itself never raises: mapping failures are returned
     as values. *)
 
@@ -47,6 +47,12 @@ val map : string -> (t, error) result
     corrupt its middle byte, both in this handle's private pages only —
     the file and other maps of it stay clean. *)
 
+val of_string : string -> t
+(** A handle over a copy of the bytes, outside the OCaml heap, with the
+    accessors' bounds and closed checks of a mapped file and no fault
+    hook: a freshly encoded segment is read exactly as a mapped one.
+    Its {!path} is ["(in memory)"]. *)
+
 val size : t -> int
 val path : t -> string
 
@@ -57,21 +63,7 @@ val close : t -> unit
 
 val is_closed : t -> bool
 
-(** {1 Accessors} — little-endian, bounds-checked, raise {!Fault}. *)
-
-val u8 : t -> int -> int
-val u32 : t -> int -> int
-
-val u64 : t -> int -> int
-(** Raises {!Fault} [(Bounds _)] when the stored value exceeds the host's
-    int range (it then cannot be a valid offset into any mappable file). *)
-
 val sub_string : t -> pos:int -> len:int -> string
-(** Copy a window out of the map (term bytes, small slices). *)
-
-val crc32 : t -> pos:int -> len:int -> int
-(** CRC-32 of a window, computed directly over the mapped pages. *)
-
-val crc32_update : int -> t -> pos:int -> len:int -> int
-(** Incremental form, for checksums spanning discontiguous windows (a
-    term's nodes slice followed by its tfs slice). *)
+(** A copy of a window of the map, bounds- and lifetime-checked: raises
+    {!Fault}.  Every read of a mapped file goes through it, so a decoder
+    never holds a view of the map. *)

@@ -631,29 +631,29 @@ let index_io_roundtrip_layout () =
   | Ok lay ->
       check Alcotest.int "layout node count"
         (Xk_encoding.Labeling.node_count label)
-        lay.Index_io.node_count;
+        lay.Segment.node_count;
       check Alcotest.int "layout term-bearing node count"
         (Xk_encoding.Labeling.term_node_count label)
-        lay.Index_io.term_nodes;
+        lay.Segment.term_nodes;
       check Alcotest.int "layout term count" (Index.term_count idx)
-        lay.Index_io.term_count;
+        lay.Segment.term_count;
       let rows = ref 0 in
       for id = 0 to Index.term_count idx - 1 do
         rows := !rows + Index.df idx id
       done;
-      check Alcotest.int "layout row count" !rows lay.Index_io.total_rows;
+      check Alcotest.int "layout row count" !rows lay.Segment.total_rows;
       (* The regions sit back to back behind the header: no padding. *)
-      check Alcotest.int "terms follow the header" 80 lay.Index_io.terms_off;
+      check Alcotest.int "terms follow the header" 80 lay.Segment.terms_off;
       check Alcotest.int "postings follow the terms"
-        (lay.Index_io.terms_off + lay.Index_io.terms_len)
-        lay.Index_io.postings_off;
+        (lay.Segment.terms_off + lay.Segment.terms_len)
+        lay.Segment.postings_off;
       check Alcotest.int "directory follows the postings"
-        (lay.Index_io.postings_off + lay.Index_io.postings_len)
-        lay.Index_io.dir_off;
+        (lay.Segment.postings_off + lay.Segment.postings_len)
+        lay.Segment.dir_off;
       check Alcotest.int "file ends with the directory"
-        (lay.Index_io.dir_off + lay.Index_io.dir_len)
-        lay.Index_io.file_size;
-      check Alcotest.int "exact file size" lay.Index_io.file_size
+        (lay.Segment.dir_off + lay.Segment.dir_len)
+        lay.Segment.file_size;
+      check Alcotest.int "exact file size" lay.Segment.file_size
         (Index_io.file_size path));
   (match Index_io.verify path with
   | Ok () -> ()
@@ -785,11 +785,11 @@ let skip_term data ~nodes ~at ~df ~extra =
     done;
   !b
 
-let segment_dir data (lay : Index_io.layout) =
-  let n = lay.Index_io.term_count in
+let segment_dir data (lay : Segment.layout) =
+  let n = lay.Segment.term_count in
   let nblocks = (n + block_terms - 1) / block_terms in
-  let off = ref lay.Index_io.postings_off in
-  let c = Xk_storage.Varint.cursor_at data lay.Index_io.dir_off in
+  let off = ref lay.Segment.postings_off in
+  let c = Xk_storage.Varint.cursor_at data lay.Segment.dir_off in
   let sd_blocks =
     Array.init nblocks (fun _ ->
         let at = c.pos in
@@ -814,7 +814,7 @@ let segment_dir data (lay : Index_io.layout) =
           at := 8 * off
         end;
         let df = dfs.(id) and extra = extras.(id) in
-        let stop = skip_term data ~nodes:lay.Index_io.term_nodes ~at:!at ~df ~extra in
+        let stop = skip_term data ~nodes:lay.Segment.term_nodes ~at:!at ~df ~extra in
         let t = (!at, stop - !at, df, extra) in
         at := stop;
         t)
@@ -880,14 +880,14 @@ let dir_stream_bits sd =
 
 (* [good] with its postings region replaced by [postings] and its
    directory by [dir], every covering checksum and length recomputed. *)
-let with_regions good (lay : Index_io.layout) ~postings ~dir =
+let with_regions good (lay : Segment.layout) ~postings ~dir =
   let h = Bytes.of_string (String.sub good 0 80) in
   Bytes.set_int64_le h 44 (Int64.of_int (String.length postings));
   Bytes.set_int64_le h 52 (Int64.of_int (String.length dir));
   Bytes.set_int32_le h 72 (Int32.of_int (Xk_storage.Crc32.string dir));
   Bytes.set_int32_le h 76 (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:76));
   Bytes.to_string h
-  ^ String.sub good lay.Index_io.terms_off lay.Index_io.terms_len
+  ^ String.sub good lay.Segment.terms_off lay.Segment.terms_len
   ^ postings ^ dir
 
 (* [good] with each term's codes replaced by [codes id], each block's
@@ -897,8 +897,8 @@ let with_regions good (lay : Index_io.layout) ~postings ~dir =
    the block table, every CRC and the header are recomputed, so the
    damage reaches the decoders behind them. *)
 let with_postings ?(tail = fun _ _ -> "") ?(len = fun _ bytes -> String.length bytes) ?stream good
-    (lay : Index_io.layout) sd codes =
-  let postings = Buffer.create lay.Index_io.postings_len in
+    (lay : Segment.layout) sd codes =
+  let postings = Buffer.create lay.Segment.postings_len in
   let table = Buffer.create (8 * Array.length sd.sd_blocks) in
   Array.iteri
     (fun b _ ->
@@ -915,7 +915,7 @@ let with_postings ?(tail = fun _ _ -> "") ?(len = fun _ bytes -> String.length b
   let stream =
     match stream with
     | Some bits -> bytes_of bits
-    | None -> String.sub good sd.sd_stream (lay.Index_io.file_size - sd.sd_stream)
+    | None -> String.sub good sd.sd_stream (lay.Segment.file_size - sd.sd_stream)
   in
   with_regions good lay ~postings:(Buffer.contents postings) ~dir:(Buffer.contents table ^ stream)
 
@@ -940,6 +940,34 @@ let rice_bits ~nodes ranks =
             prev := r;
             code_bits (gap lsr k) k gap)
           ranks))
+
+(* [Index.build] agrees with [Tutil.tally], which tokenizes the
+   term-bearing nodes without the index: the same terms, numbered in
+   byte order, each found by [term_id] in any case and named by [term],
+   with the tally's rows, and [first_seen] names the terms in the order
+   the token stream first meets them.  On [Tutil.random_doc] and
+   [Tutil.decorated_doc] trees (attribute-bearing elements,
+   stopword-only texts). *)
+let build_matches_tally_prop =
+  QCheck.Test.make ~count:30 ~name:"fresh build agrees with an independent tally"
+    QCheck.(pair bool (int_bound 1_000_000))
+    (fun (decorated, seed) ->
+      let doc = if decorated then Tutil.decorated_doc seed else Tutil.random_doc seed in
+      let label = Xk_encoding.Labeling.label doc in
+      let idx = Index.build label in
+      let model, seen = Tutil.tally label in
+      Index.term_count idx = Array.length model
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun id (w, nodes, tfs) ->
+                Index.term idx id = w
+                && Index.term_id idx w = Some id
+                && Index.term_id idx (String.uppercase_ascii w) = Some id
+                && Index.df idx id = Array.length nodes
+                && Index.raw_rows idx id = (nodes, tfs))
+              model)
+      && Array.for_all Fun.id
+           (Array.mapi (fun i w -> Index.term idx (Index.first_seen idx i) = w) seen))
 
 let parity_prop =
   QCheck.Test.make ~count:15
@@ -1046,10 +1074,10 @@ let never_raises_prop =
         List.filter_map
           (fun (off, len) -> if len > 0 then Some (flip_in ~off ~len) else None)
           [
-            (0, lay.Index_io.terms_off);
-            (lay.Index_io.terms_off, lay.Index_io.terms_len);
-            (lay.Index_io.postings_off, lay.Index_io.postings_len);
-            (lay.Index_io.dir_off, lay.Index_io.dir_len);
+            (0, lay.Segment.terms_off);
+            (lay.Segment.terms_off, lay.Segment.terms_len);
+            (lay.Segment.postings_off, lay.Segment.postings_len);
+            (lay.Segment.dir_off, lay.Segment.dir_len);
           ]
       in
       (* The same flips with every covering checksum recomputed, so the
@@ -1057,7 +1085,7 @@ let never_raises_prop =
          the header, term region, directory and postings decoders.  One
          flip lands in a term's tf codes when the segment has some. *)
       let sd = segment_dir good lay in
-      let nodes = lay.Index_io.term_nodes and n = lay.Index_io.term_count in
+      let nodes = lay.Segment.term_nodes and n = lay.Segment.term_count in
       let tf_start id =
         let at, _, df, _ = sd.sd_terms.(id) in
         skip_term good ~nodes ~at ~df ~extra:0
@@ -1078,12 +1106,12 @@ let never_raises_prop =
         let crc_of b ~pos ~len = Xk_storage.Crc32.sub (Bytes.to_string b) ~pos ~len in
         let reseal ~region b pos =
           if region = `Terms then
-            set_crc b 68 (crc_of b ~pos:lay.Index_io.terms_off ~len:lay.Index_io.terms_len);
+            set_crc b 68 (crc_of b ~pos:lay.Segment.terms_off ~len:lay.Segment.terms_len);
           (if region = `Postings then
              let crc_at, pos, len = sd.sd_blocks.(block_of sd pos) in
              set_crc b crc_at (crc_of b ~pos ~len));
           if region = `Postings || region = `Dir then
-            set_crc b 72 (crc_of b ~pos:lay.Index_io.dir_off ~len:lay.Index_io.dir_len);
+            set_crc b 72 (crc_of b ~pos:lay.Segment.dir_off ~len:lay.Segment.dir_len);
           set_crc b 76 (crc_of b ~pos:0 ~len:76)
         in
         List.filter_map
@@ -1097,9 +1125,9 @@ let never_raises_prop =
               Some (Bytes.to_string b))
           ([
              (`Header, 8, 60);
-             (`Terms, lay.Index_io.terms_off, lay.Index_io.terms_len);
-             (`Postings, lay.Index_io.postings_off, lay.Index_io.postings_len);
-             (`Dir, lay.Index_io.dir_off, lay.Index_io.dir_len);
+             (`Terms, lay.Segment.terms_off, lay.Segment.terms_len);
+             (`Postings, lay.Segment.postings_off, lay.Segment.postings_len);
+             (`Dir, lay.Segment.dir_off, lay.Segment.dir_len);
            ]
           @
           match tf_section with
@@ -1185,7 +1213,7 @@ let never_raises_prop =
                   (fun t -> if t = id then "" else term t)
               in
               let h = Bytes.of_string (String.sub seg 0 80) in
-              Bytes.set_int64_le h 28 (Int64.of_int (lay.Index_io.total_rows - dfs.(id)));
+              Bytes.set_int64_le h 28 (Int64.of_int (lay.Segment.total_rows - dfs.(id)));
               Bytes.set_int32_le h 76
                 (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:76));
               Bytes.to_string h ^ String.sub seg 80 (String.length seg - 80) );
@@ -1321,8 +1349,8 @@ let never_raises_prop =
       Sys.remove path;
       ok)
 
-(* Segments over hand-made postings: [Index.of_provider] accepts any
-   rows, so the properties below reach tf shapes and term counts the
+(* Segments over hand-made postings: [Segment.encode] takes any rows,
+   so the properties below reach tf shapes and term counts the
    generators rarely produce.  The flat document supplies the node ids:
    a root with an attribute over text nodes, so every node can hold a
    term. *)
@@ -1346,21 +1374,21 @@ let random_nodes rng ~nodes ~df =
   Array.sort compare picked;
   picked
 
-let save_raw label entries path =
+(* The segment of (term, nodes, tfs) entries in byte order, through
+   the encoder. *)
+let encode_raw label entries =
   let terms = Array.of_list (List.map (fun (term, _, _) -> term) entries) in
-  let rows = Array.of_list (List.map (fun (_, nodes, tfs) -> (nodes, tfs)) entries) in
-  let idx =
-    Index.of_provider label
-      {
-        pv_terms = Array.length rows;
-        pv_term = Array.get terms;
-        pv_find = (fun w -> Array.find_index (String.equal w) terms);
-        pv_row_count = (fun id -> Array.length (fst rows.(id)));
-        pv_rows = (fun id -> rows.(id));
-      }
-  in
-  Index_io.save idx path;
-  idx
+  let starts = Array.make (Array.length terms + 1) 0 in
+  List.iteri (fun id (_, nodes, _) -> starts.(id + 1) <- starts.(id) + Array.length nodes) entries;
+  Xk_index.Segment.encode label ~terms ~starts
+    ~nodes:(Array.concat (List.map (fun (_, nodes, _) -> nodes) entries))
+    ~tfs:(Array.concat (List.map (fun (_, _, tfs) -> tfs) entries))
+
+(* Writes [encode_raw]'s bytes and returns the entries' rows by term
+   id. *)
+let save_raw label entries path =
+  write_file path (encode_raw label entries);
+  Array.of_list (List.map (fun (_, nodes, tfs) -> (nodes, tfs)) entries)
 
 let load_no_faults ?verify_columns label path =
   let module Chaos = Xk_resilience.Chaos in
@@ -1395,14 +1423,13 @@ let tf_exceptions_roundtrip_prop =
       let entries = List.init 3 entry in
       let path = tmpfile (Printf.sprintf "xk_v8_tfs_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-          let idx = save_raw label entries path in
+          let rows = save_raw label entries path in
           let lazy_idx = load_no_faults label path
           and eager = load_no_faults ~verify_columns:true label path in
           Result.is_ok (Index_io.verify path)
           && List.for_all
                (fun id ->
-                 Index.raw_rows lazy_idx id = Index.raw_rows idx id
-                 && Index.raw_rows eager id = Index.raw_rows idx id)
+                 Index.raw_rows lazy_idx id = rows.(id) && Index.raw_rows eager id = rows.(id))
                [ 0; 1; 2 ]))
 
 (* A flipped postings byte in block [b] makes every term of [b] raise
@@ -1428,14 +1455,14 @@ let block_fault_prop =
       in
       let path = tmpfile (Printf.sprintf "xk_v8_block_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-          let idx = save_raw label entries path in
+          let rows = save_raw label entries path in
           let good = read_file path in
           let lay =
             match Index_io.layout path with
             | Ok lay -> lay
             | Error e -> QCheck.Test.fail_reportf "layout: %s" (Index_io.error_message e)
           in
-          let pos = lay.Index_io.postings_off + Random.State.int rng lay.Index_io.postings_len in
+          let pos = lay.Segment.postings_off + Random.State.int rng lay.Segment.postings_len in
           let b = Bytes.of_string good in
           Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 + Random.State.int rng 255)));
           write_file path (Bytes.to_string b);
@@ -1445,7 +1472,7 @@ let block_fault_prop =
           List.for_all
             (fun id ->
               match Index.raw_rows loaded id with
-              | rows -> id / block_terms <> damaged && rows = Index.raw_rows idx id
+              | r -> id / block_terms <> damaged && r = rows.(id)
               | exception Index_io.Segment_fault _ -> id / block_terms = damaged)
             (List.init n Fun.id @ List.init n Fun.id)))
 
@@ -1488,8 +1515,9 @@ let wrapping_block_lengths () =
 (* Rows survive the rank coding on corpora with every kind of node the
    index meets ([Tutil.decorated_doc]: attribute-bearing elements,
    stopword-only texts), at 1 to 3 shards: every shard's opened segment
-   returns the fresh build's rows for every term.  A row at a node that
-   cannot hold terms has no rank, and [encode] refuses it. *)
+   holds [Tutil.tally]'s rows for every term, in byte order.  A row at
+   a node that cannot hold terms has no rank, and [Segment.encode]
+   refuses it. *)
 let rank_roundtrip_prop =
   QCheck.Test.make ~count:20 ~name:"rank-coded rows round-trip at 1-3 shards"
     QCheck.(pair (int_range 1 3) (int_bound 1_000_000))
@@ -1508,28 +1536,18 @@ let rank_roundtrip_prop =
             | Error e -> QCheck.Test.fail_reportf "load: %s" (Shard_io.error_message e)
           in
           let same s =
-            let fresh = Sharding.index sharded s and opened = Sharding.index loaded s in
-            Index.term_count fresh = Index.term_count opened
-            && List.for_all
-                 (fun id ->
-                   match Index.term_id opened (Index.term fresh id) with
-                   | Some o -> Index.raw_rows opened o = Index.raw_rows fresh id
-                   | None -> false)
-                 (List.init (Index.term_count fresh) Fun.id)
+            let opened = Sharding.index loaded s in
+            let model, _ = Tutil.tally (Index.label opened) in
+            Index.term_count opened = Array.length model
+            && Array.for_all Fun.id
+                 (Array.mapi
+                    (fun id (w, nodes, tfs) ->
+                      Index.term opened id = w && Index.raw_rows opened id = (nodes, tfs))
+                    model)
           in
           let label = Xk_encoding.Labeling.label doc in
           let refused bare =
-            let idx =
-              Index.of_provider label
-                {
-                  pv_terms = 1;
-                  pv_term = (fun _ -> "t");
-                  pv_find = (fun w -> if w = "t" then Some 0 else None);
-                  pv_row_count = (fun _ -> 1);
-                  pv_rows = (fun _ -> ([| bare |], [| 1 |]));
-                }
-            in
-            match Index_io.encode idx with
+            match encode_raw label [ ("t", [| bare |], [| 1 |]) ] with
             | _ -> false
             | exception Invalid_argument _ -> true
           in
@@ -1569,19 +1587,19 @@ let region_bytes_gate () =
       let v = float_of_int bytes /. float_of_int per in
       if v > gate then Alcotest.failf "%s takes %.3f bytes per %s, gate %.3f" what v unit gate)
     [
-      ("term region", lay.Index_io.terms_len, lay.Index_io.term_count, "term", 2.65);
-      ("directory", lay.Index_io.dir_len, lay.Index_io.term_count, "term", 0.44);
-      ("postings", lay.Index_io.postings_len, lay.Index_io.total_rows, "row", 1.16);
+      ("term region", lay.Segment.terms_len, lay.Segment.term_count, "term", 2.65);
+      ("directory", lay.Segment.dir_len, lay.Segment.term_count, "term", 0.44);
+      ("postings", lay.Segment.postings_len, lay.Segment.total_rows, "row", 1.16);
     ]
 
 (* Every term of an opened segment round-trips through [term_id] and
-   [term], in any case, with the fresh build's rows, and a word the
-   fresh build lacks is absent from the segment too: one before the
-   first term, one after the last, one between each pair of neighbours,
-   each term's prefixes, and their upper-case forms.  The fresh build's
-   dictionary is the model.  Half the cases index a random tree over up
-   to 60 keywords ("kw0" .. "kw59", so blocks share prefixes), half a
-   random vocabulary of up to 200 words with a one-row posting each. *)
+   [term], in any case, with its rows, and a word the model lacks is
+   absent from the segment too: one before the first term, one after the
+   last, one between each pair of neighbours, each term's prefixes, and
+   their upper-case forms.  Half the cases index a random tree over up
+   to 60 keywords ("kw0" .. "kw59", so blocks share prefixes), with
+   [Tutil.tally] as the model, half a random vocabulary of up to 200
+   words with a one-row posting each, encoded directly. *)
 let term_lookup_prop =
   QCheck.Test.make ~count:30
     ~name:"v6 terms round-trip through term_id and term, absent words stay absent"
@@ -1590,7 +1608,7 @@ let term_lookup_prop =
       let rng = Random.State.make [| seed |] in
       let path = tmpfile (Printf.sprintf "xk_v8_terms_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-          let label, fresh =
+          let label, model =
             if tree then begin
               let config =
                 { Xk_datagen.Random_tree.default with keywords = 1 + Random.State.int rng 60 }
@@ -1599,9 +1617,8 @@ let term_lookup_prop =
                 Xk_encoding.Labeling.label
                   (Xk_datagen.Random_tree.generate ~config (Xk_datagen.Rng.create seed))
               in
-              let fresh = Index.build label in
-              Index_io.save fresh path;
-              (label, fresh)
+              Index_io.save (Index.build label) path;
+              (label, Array.map (fun (w, nodes, tfs) -> (w, (nodes, tfs))) (fst (Tutil.tally label)))
             end
             else begin
               let word () =
@@ -1615,33 +1632,32 @@ let term_lookup_prop =
               let entries =
                 List.map (fun w -> (w, [| Random.State.int rng 8 |], [| 1 |])) words
               in
-              (label, save_raw label entries path)
+              (label, Array.of_list (List.combine words (Array.to_list (save_raw label entries path))))
             end
           in
           let loaded = load_no_faults label path in
-          let n = Index.term_count fresh in
-          let terms = List.sort compare (List.init n (Index.term fresh)) in
+          let n = Array.length model in
+          let terms = List.map fst (Array.to_list model) in
           let present =
-            List.for_all
-              (fun w ->
-                let id = Index.term_id fresh w in
+            Array.for_all
+              (fun (w, ((nodes, _) as rows)) ->
                 List.for_all
                   (fun w' ->
                     match Index.term_id loaded w' with
                     | Some lid ->
                         Index.term loaded lid = w
-                        && Index.df loaded lid = Index.df fresh (Option.get id)
-                        && Index.raw_rows loaded lid = Index.raw_rows fresh (Option.get id)
+                        && Index.df loaded lid = Array.length nodes
+                        && Index.raw_rows loaded lid = rows
                     | None -> false)
                   [ w; String.uppercase_ascii w ])
-              terms
+              model
           in
           let absent =
             ("" :: "\000" :: "\255\255"
             :: List.concat_map
                  (fun w -> List.init (String.length w) (String.sub w 0) @ [ w ^ "\000"; w ^ "a\000" ])
                  terms)
-            |> List.filter (fun w -> Index.term_id fresh w = None)
+            |> List.filter (fun w -> not (List.mem w terms))
           in
           Index.term_count loaded = n
           && present
@@ -1720,16 +1736,16 @@ let symbol_coder_roundtrip_prop =
           write_file path (Tutil.with_term_region good (Tutil.term_region ~syms:hand words));
           terms_ok loaded
           && terms_ok (load_no_faults label path)
-          && lay.Index_io.terms_len <= String.length (Tutil.term_region words)
+          && lay.Segment.terms_len <= String.length (Tutil.term_region words)
           && List.for_all (fun w -> coded w = w) words))
 
 (* Ingest is pinned bit for bit: a printed corpus parsed, tokenized,
    indexed and saved as one segment must hash to the digest the v8
    writer wrote for the index of the byte-at-a-time parser, buffered
-   tokenizer and hashtable tally, and the fresh build's term ids must
-   keep first-seen order (the segment itself is in byte order).  A build
-   that changes a term's postings, or reorders its term ids, fails
-   here. *)
+   tokenizer and hashtable tally, and the fresh build's first-seen
+   order ([Index.first_seen], which breaks [terms_by_df]'s ties) must
+   not move.  A build that changes a term's postings, or reorders its
+   first-seen terms, fails here. *)
 let pinned_segment ~name doc =
   let xml = Xk_xml.Xml_print.to_string doc in
   let sharded = Sharding.partition ~shards:1 (Xk_xml.Xml_parser.parse_string_exn xml) in
@@ -1740,7 +1756,8 @@ let pinned_segment ~name doc =
     (fun () ->
       Shard_io.save sharded path;
       let idx = Sharding.index sharded 0 in
-      (Digest.to_hex (Digest.file seg), List.init (Index.term_count idx) (Index.term idx)))
+      ( Digest.to_hex (Digest.file seg),
+        List.init (Index.term_count idx) (fun i -> Index.term idx (Index.first_seen idx i)) ))
 
 let segment_bytes_pinned () =
   let dblp =
@@ -1782,6 +1799,7 @@ let suite =
         tc "score list groups" `Quick score_list_groups;
         tc "score list ceilings" `Quick score_list_max_damped;
         QCheck_alcotest.to_alcotest score_list_reference_prop;
+        QCheck_alcotest.to_alcotest build_matches_tally_prop;
         tc "sparse index probe" `Quick sparse_index_probe;
         tc "jlist encoded size" `Quick jlist_encoded_size;
         tc "index sizes report" `Slow sizes_report;

@@ -531,7 +531,7 @@ let shard_io_segment_faults () =
         (Tutil.magic_of files.(0).(0));
       (* Torn directory region: the flip defeats the directory checksum.
          One damaged copy falls back to the replica... *)
-      flip_at files.(0).(0) (layout_of files.(0).(0)).Xk_index.Index_io.dir_off;
+      flip_at files.(0).(0) (layout_of files.(0).(0)).Xk_index.Segment.dir_off;
       (match
          Xk_index.Shard_io.load_result ~retries:1 ~backoff_ms:0.1 doc path
        with
@@ -542,7 +542,7 @@ let shard_io_segment_faults () =
       (* ...and with both copies torn the shard is typed corruption. *)
       (let lay1 = layout_of files.(0).(1) in
        flip_at files.(0).(1)
-         (lay1.Xk_index.Index_io.dir_off + lay1.Xk_index.Index_io.dir_len - 1));
+         (lay1.Xk_index.Segment.dir_off + lay1.Xk_index.Segment.dir_len - 1));
       (match
          Xk_index.Shard_io.load_result ~retries:1 ~backoff_ms:0.1 doc path
        with
@@ -565,8 +565,8 @@ let shard_io_segment_faults () =
       resave ();
       let lay0 = layout_of files.(0).(0) in
       check Alcotest.bool "shard carries rows" true
-        (lay0.Xk_index.Index_io.total_rows > 0);
-      flip_at files.(0).(0) lay0.Xk_index.Index_io.postings_off;
+        (lay0.Xk_index.Segment.total_rows > 0);
+      flip_at files.(0).(0) lay0.Xk_index.Segment.postings_off;
       (match
          Xk_index.Shard_io.load_result ~verify_columns:true ~retries:1
            ~backoff_ms:0.1 doc path
@@ -577,8 +577,8 @@ let shard_io_segment_faults () =
             (Xk_index.Shard_io.error_message e));
       (let lay1 = layout_of files.(0).(1) in
        flip_at files.(0).(1)
-         (lay1.Xk_index.Index_io.postings_off
-        + lay1.Xk_index.Index_io.postings_len - 1));
+         (lay1.Xk_index.Segment.postings_off
+        + lay1.Xk_index.Segment.postings_len - 1));
       (match
          Xk_index.Shard_io.load_result ~verify_columns:true ~retries:1
            ~backoff_ms:0.1 doc path
@@ -601,7 +601,7 @@ let shard_io_segment_faults () =
       let solo = Filename.concat dir "solo.seg" in
       let label = Xk_encoding.Labeling.label doc in
       Xk_index.Index_io.save (Xk_index.Index.build label) solo;
-      flip_at solo (layout_of solo).Xk_index.Index_io.postings_off;
+      flip_at solo (layout_of solo).Xk_index.Segment.postings_off;
       (* Pinned fault-free: environment faults would spend both of the
          two attempts on this fresh file before the open is reached. *)
       Xk_resilience.Chaos.configure Xk_resilience.Chaos.no_faults;
@@ -875,6 +875,10 @@ let cache_aggregate () =
 
 (* --- Admission control ------------------------------------------------ *)
 
+(* One request is admitted and its shard jobs are held (its [budget_for]
+   waits for a release) while a burst of 19 more is submitted, so the
+   burst meets a full queue whatever the scheduling: every one of them
+   is rejected, and the held request is served once released. *)
 let admission () =
   let doc = Tutil.random_doc 21 in
   let sharded = Xk_index.Sharding.partition ~shards:2 doc in
@@ -882,10 +886,28 @@ let admission () =
   Fun.protect ~finally:(fun () -> Shard_exec.shutdown sx) (fun () ->
       let rng = Xk_datagen.Rng.create 4 in
       let words = Tutil.random_query rng ~k:2 ~alphabet:26 in
-      let reqs =
-        List.init 20 (fun _ -> Xk_core.Engine.complete_request words)
+      let entered = Atomic.make false and released = Atomic.make false in
+      let held () =
+        Atomic.set entered true;
+        while not (Atomic.get released) do
+          Unix.sleepf 0.001
+        done;
+        Xk_resilience.Budget.unlimited
       in
-      let outcomes = Shard_exec.exec_batch sx reqs in
+      let first =
+        Domain.spawn (fun () ->
+            Shard_exec.exec ~budget_for:(fun _ -> held ()) sx
+              (Xk_core.Engine.complete_request words))
+      in
+      while not (Atomic.get entered) do
+        Unix.sleepf 0.001
+      done;
+      let reqs =
+        List.init 19 (fun _ -> Xk_core.Engine.complete_request words)
+      in
+      let burst = Shard_exec.exec_batch sx reqs in
+      Atomic.set released true;
+      let outcomes = Domain.join first :: burst in
       let rejected =
         List.length
           (List.filter (fun o -> o = Query_service.Rejected) outcomes)
@@ -899,6 +921,7 @@ let admission () =
       if rejected = 0 then
         Alcotest.fail "max_queue=1 never rejected a 20-request burst";
       if okd = 0 then Alcotest.fail "admission starved every request";
+      check Alcotest.int "every request behind the held one rejected" 19 rejected;
       let stats = Shard_exec.stats sx in
       check Alcotest.int "rejections counted" rejected stats.Shard_exec.rejected;
       (* The service recovered: a fresh request is admitted. *)

@@ -232,42 +232,32 @@ let mmap_accessors () =
       let m = map_ok path in
       check Alcotest.int "size" (String.length data) (Mmap.size m);
       check Alcotest.string "path" path (Mmap.path m);
-      check Alcotest.int "u8" 1 (Mmap.u8 m 0);
-      check Alcotest.int "u8 at" 8 (Mmap.u8 m 7);
-      check Alcotest.int "u32" 0x04030201 (Mmap.u32 m 0);
-      check Alcotest.int "u32 shifted" 0x05040302 (Mmap.u32 m 1);
-      check Alcotest.int "u64" 0x0807060504030201 (Mmap.u64 m 0);
       check Alcotest.string "sub_string" "hello" (Mmap.sub_string m ~pos:8 ~len:5);
-      check Alcotest.int "crc over window"
-        (Crc32.sub data ~pos:8 ~len:5)
-        (Mmap.crc32 m ~pos:8 ~len:5);
-      check Alcotest.int "incremental crc" (Crc32.string data)
-        (Mmap.crc32_update (Mmap.crc32 m ~pos:0 ~len:4) m ~pos:4
-           ~len:(String.length data - 4)))
+      check Alcotest.string "whole map" data (Mmap.sub_string m ~pos:0 ~len:(Mmap.size m)));
+  (* A copy of bytes in memory reads like a map of them. *)
+  let m = Mmap.of_string data in
+  check Alcotest.int "in-memory size" (String.length data) (Mmap.size m);
+  check Alcotest.string "in-memory sub_string" "\x03\x04" (Mmap.sub_string m ~pos:2 ~len:2)
 
 let mmap_bounds_and_close () =
-  with_map (String.init 16 Char.chr) (fun m ->
-      (match Mmap.u32 m 14 with
-      | _ -> Alcotest.fail "out-of-bounds u32 not rejected"
-      | exception Mmap.Fault (Mmap.Bounds _) -> ());
-      (match Mmap.sub_string m ~pos:(-1) ~len:2 with
-      | _ -> Alcotest.fail "negative pos not rejected"
-      | exception Mmap.Fault (Mmap.Bounds _) -> ());
-      check Alcotest.bool "open before close" false (Mmap.is_closed m);
-      Mmap.close m;
-      Mmap.close m (* idempotent *);
-      check Alcotest.bool "closed" true (Mmap.is_closed m);
-      match Mmap.u8 m 0 with
-      | _ -> Alcotest.fail "closed handle still readable"
-      | exception Mmap.Fault (Mmap.Closed _) -> ())
-
-let mmap_u64_overflow () =
-  (* A stored 64-bit value whose top bits exceed the host's 63-bit int
-     cannot be a valid offset and must fault, not wrap. *)
-  with_map "\x00\x00\x00\x00\x00\x00\x00\xff" (fun m ->
-      match Mmap.u64 m 0 with
-      | v -> Alcotest.failf "overflowing u64 decoded to %d" v
-      | exception Mmap.Fault (Mmap.Bounds _) -> ())
+  let faults m =
+    (match Mmap.sub_string m ~pos:14 ~len:4 with
+    | _ -> Alcotest.fail "out-of-bounds window not rejected"
+    | exception Mmap.Fault (Mmap.Bounds _) -> ());
+    (match Mmap.sub_string m ~pos:(-1) ~len:2 with
+    | _ -> Alcotest.fail "negative pos not rejected"
+    | exception Mmap.Fault (Mmap.Bounds _) -> ());
+    check Alcotest.bool "open before close" false (Mmap.is_closed m);
+    Mmap.close m;
+    Mmap.close m (* idempotent *);
+    check Alcotest.bool "closed" true (Mmap.is_closed m);
+    match Mmap.sub_string m ~pos:0 ~len:1 with
+    | _ -> Alcotest.fail "closed handle still readable"
+    | exception Mmap.Fault (Mmap.Closed _) -> ()
+  in
+  let data = String.init 16 Char.chr in
+  with_map data faults;
+  faults (Mmap.of_string data)
 
 (* The fault seam: every injected storage fault lands in one map's
    private pages, never in the file or in any other map. *)
@@ -487,7 +477,9 @@ let v9_fixture_bytes =
   "\x58\x4b\x49\x44\x58\x30\x30\x39\x09\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x30\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\xf0\x81\x2a\x32\xfa\x0a\x4f\x12\x43\xd5\x95\x56\x00\x04\x32\x30\x31\x30\x04\x63\x68\x65\x6e\x09\x64\x61\x74\x61\x62\x61\x73\x65\x73\x07\x6b\x65\x79\x77\x6f\x72\x64\x06\x73\x65\x61\x72\x63\x68\x03\x74\x6f\x70\x03\x78\x6d\x6c\x01\x00\x00\x00\xe9\xff\xdb\x17\x50\x7c\xb4\xd5\x04\xd7\x4d\x5a"
 
 (* The committed bytes carry the v9 magic and load to an index that
-   agrees row for row and score for score with a fresh build. *)
+   agrees row for row with [Tutil.tally], which tokenizes the document
+   without the index, and score for score with the scorer fed each
+   row's (tf, df). *)
 let v9_fixture_loads () =
   let doc = Xk_xml.Xml_parser.parse_string_exn v5_fixture_xml in
   let label = Xk_encoding.Labeling.label doc in
@@ -499,25 +491,27 @@ let v9_fixture_loads () =
           Alcotest.failf "fixture load: %s"
             (Xk_index.Index_io.load_error_message e)
       | Ok idx ->
-          let fresh = Xk_index.Index.build label in
-          check Alcotest.int "term count"
-            (Xk_index.Index.term_count fresh)
+          let model, _ = Tutil.tally label in
+          let scorer =
+            Xk_score.Scorer.make ~total_nodes:(Xk_encoding.Labeling.node_count label)
+          in
+          check Alcotest.int "term count" (Array.length model)
             (Xk_index.Index.term_count idx);
-          for id = 0 to Xk_index.Index.term_count fresh - 1 do
-            let w = Xk_index.Index.term fresh id in
-            match Xk_index.Index.term_id idx w with
-            | None -> Alcotest.failf "term %S missing from fixture" w
-            | Some fid ->
-                let n1, t1 = Xk_index.Index.raw_rows fresh id in
-                let n2, t2 = Xk_index.Index.raw_rows idx fid in
-                check Alcotest.(array int) ("nodes of " ^ w) n1 n2;
-                check Alcotest.(array int) ("tfs of " ^ w) t1 t2;
-                let s1 = Xk_index.Index.local_scores fresh id in
-                let s2 = Xk_index.Index.local_scores idx fid in
-                check Alcotest.bool
-                  ("scores of " ^ w ^ " bit-identical")
-                  true (s1 = s2)
-          done;
+          Array.iter
+            (fun (w, nodes, tfs) ->
+              match Xk_index.Index.term_id idx w with
+              | None -> Alcotest.failf "term %S missing from fixture" w
+              | Some fid ->
+                  let n2, t2 = Xk_index.Index.raw_rows idx fid in
+                  check Alcotest.(array int) ("nodes of " ^ w) nodes n2;
+                  check Alcotest.(array int) ("tfs of " ^ w) tfs t2;
+                  let df = Array.length nodes in
+                  let s1 = Array.map (fun tf -> Xk_score.Scorer.local_score scorer ~tf ~df) tfs in
+                  let s2 = Xk_index.Index.local_scores idx fid in
+                  check Alcotest.bool
+                    ("scores of " ^ w ^ " bit-identical")
+                    true (s1 = s2))
+            model;
           check Alcotest.(list string) "ids in byte order"
             [ "2010"; "chen"; "databases"; "keyword"; "search"; "top"; "xml" ]
             (List.init (Xk_index.Index.term_count idx) (Xk_index.Index.term idx)))
@@ -592,7 +586,6 @@ let suite =
       [
         tc "accessors" `Quick mmap_accessors;
         tc "bounds and close faults" `Quick mmap_bounds_and_close;
-        tc "u64 overflow rejected" `Quick mmap_u64_overflow;
         tc "map failures are values" `Quick mmap_failures;
         tc "fault seam" `Quick mmap_fault_seam;
       ] );

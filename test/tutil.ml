@@ -76,6 +76,48 @@ let tokens s =
       acc := String.lowercase_ascii (String.sub s pos len) :: !acc);
   List.rev !acc
 
+(* The postings an index of [label] must hold, tallied without
+   [Xk_index]: every node [Labeling.term_bearing] admits contributes its
+   text's or its attribute values' [tokens], and each term collects
+   (node, tf) per node that holds it, in node order.  Returns the terms
+   in byte order with their nodes and tfs, and the terms in the order the
+   token stream first meets them. *)
+let tally label =
+  let rows = Hashtbl.create 256 and seen = ref [] in
+  for i = 0 to Xk_encoding.Labeling.node_count label - 1 do
+    match Xk_encoding.Labeling.xml_node label i with
+    | x when not (Xk_encoding.Labeling.term_bearing x) -> ()
+    | x ->
+        let texts =
+          match x with
+          | Xk_xml.Xml_tree.Text s -> [ s ]
+          | Xk_xml.Xml_tree.Element e ->
+              List.map (fun (a : Xk_xml.Xml_tree.attribute) -> a.attr_value) e.attrs
+        in
+        let words = List.concat_map tokens texts in
+        List.iter
+          (fun w ->
+            if not (Hashtbl.mem rows w) then begin
+              Hashtbl.add rows w [];
+              seen := w :: !seen
+            end)
+          words;
+        List.iter
+          (fun w ->
+            let tf = List.length (List.filter (String.equal w) words) in
+            Hashtbl.replace rows w ((i, tf) :: Hashtbl.find rows w))
+          (List.sort_uniq String.compare words)
+  done;
+  let by_term =
+    Hashtbl.fold
+      (fun w r acc ->
+        let r = Array.of_list (List.rev r) in
+        (w, Array.map fst r, Array.map snd r) :: acc)
+      rows []
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+  in
+  (Array.of_list by_term, Array.of_list (List.rev !seen))
+
 (* The stopwords the tokenizer leaves out, written out as its
    specification. *)
 let stopwords =
