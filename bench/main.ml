@@ -6,6 +6,7 @@
      dune exec bench/main.exe -- --quick      # reduced query counts
      dune exec bench/main.exe -- --only fig9 --scale 2.0
      dune exec bench/main.exe -- --only ingest   # live ingest steps
+     dune exec bench/main.exe -- --only alloc --scale 0.2   # heap words/request
 
    Absolute times differ from the paper's 2007-era testbed; the shapes
    (who wins, by what factor, where the crossovers fall) are the point.
@@ -520,6 +521,93 @@ let disk cfg ds =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Heap traffic per request, by route                                  *)
+
+(* The Section V query mix of the benchmark suite's request log (one
+   keyword near the highest df and the rest near 10 .. 10,000, k = 2..5;
+   k = 2, 3 keywords near one df of 100 .. 3,000), the same number from
+   every range, 210 in all.  Each route runs the whole mix once to warm
+   the lists and its scratch, then [cfg.runs] more times under
+   [Gc.quick_stat]: the words a request allocates on the minor heap, the
+   words it promotes, and the words it allocates directly on the major
+   heap, with its mean wall time.  The major-heap top is the process's,
+   so each route's reading includes the routes above it. *)
+let alloc cfg ds =
+  if wants cfg "alloc" then begin
+    let module W = Xk_workload.Workload in
+    let module E = Xk_core.Engine in
+    let idx = E.index ds.eng in
+    let rng = Xk_datagen.Rng.create cfg.seed in
+    let high = W.max_df idx in
+    let ranges =
+      List.concat_map
+        (fun k ->
+          List.filter_map
+            (fun low ->
+              if low * 4 < high then
+                Some (fun n -> W.random_queries rng idx ~k ~high ~low ~n)
+              else None)
+            [ 10; 100; 1000; 10_000 ])
+        [ 2; 3; 4; 5 ]
+      @ List.concat_map
+          (fun k ->
+            List.filter_map
+              (fun freq ->
+                if freq * 2 < high then
+                  Some (fun n -> W.equal_freq_queries rng idx ~k ~freq ~n)
+                else None)
+              [ 100; 300; 1000; 3000 ])
+          [ 2; 3 ]
+    in
+    let total = 210 in
+    let per = (total + List.length ranges - 1) / List.length ranges in
+    let queries =
+      List.filteri (fun i _ -> i < total) (List.concat_map (fun draw -> draw per) ranges)
+    in
+    let n = List.length queries in
+    header
+      (Printf.sprintf "Heap words per request by route (%d Section V queries, K = 10)" n);
+    row
+      [
+        scell 22 "route"; scell 12 "minor"; scell 12 "promoted"; scell 12 "major";
+        scell 10 "ms"; scell 14 "heap top MB";
+      ];
+    let routes =
+      [
+        ("topk-join ELCA", fun q -> E.query_topk ~algorithm:E.Topk_join ds.eng q ~k:10);
+        ( "topk-join SLCA",
+          fun q -> E.query_topk ~semantics:E.Slca ~algorithm:E.Topk_join ds.eng q ~k:10 );
+        ("hybrid", fun q -> E.query_topk ~algorithm:E.Hybrid ds.eng q ~k:10);
+        ("complete+sort", fun q -> E.query_topk ~algorithm:E.Complete_then_sort ds.eng q ~k:10);
+        ("RDIL", fun q -> E.query_topk ~algorithm:E.Rdil_baseline ds.eng q ~k:10);
+        ("complete (join)", fun q -> E.query ds.eng q);
+      ]
+    in
+    List.iter
+      (fun (name, run) ->
+        List.iter (fun q -> ignore (run q)) queries;
+        let s0 = Gc.quick_stat () in
+        let t0 = now () in
+        for _ = 1 to cfg.runs do
+          List.iter (fun q -> ignore (run q)) queries
+        done;
+        let t1 = now () in
+        let s1 = Gc.quick_stat () in
+        let per = float_of_int (cfg.runs * n) in
+        let words f = (f s1 -. f s0) /. per in
+        row
+          [
+            scell 22 name;
+            fcell 12 (words (fun s -> s.Gc.minor_words));
+            fcell 12 (words (fun s -> s.Gc.promoted_words));
+            fcell 12 (words (fun s -> s.Gc.major_words -. s.Gc.promoted_words));
+            fcell 10 ((t1 -. t0) *. 1000. /. per);
+            fcell 14 (mb (s1.Gc.top_heap_words * (Sys.word_size / 8)));
+          ])
+      routes
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Micro benchmarks (Bechamel)                                         *)
 
 let micro cfg =
@@ -807,7 +895,8 @@ let run cfg =
     cfg.scale cfg.queries cfg.runs cfg.seed;
   let need_corpora =
     cfg.only = []
-    || List.exists (wants cfg) [ "table1"; "motivation"; "fig9"; "fig10"; "ablations"; "disk" ]
+    || List.exists (wants cfg)
+         [ "table1"; "motivation"; "fig9"; "fig10"; "ablations"; "disk"; "alloc" ]
   in
   if need_corpora then begin
     let dblp = load_dblp cfg in
@@ -822,7 +911,8 @@ let run cfg =
     ablation_joinplan cfg dblp;
     semantics_check cfg dblp;
     ablation_gap cfg;
-    disk cfg dblp
+    disk cfg dblp;
+    alloc cfg dblp
   end;
   micro cfg;
   ingest cfg;
@@ -857,8 +947,8 @@ let only =
     value & opt_all string []
     & info [ "only" ]
         ~doc:
-          "Run a subset: table1, motivation, fig9, fig10, ablations, disk, micro, \
-           ingest (repeatable).")
+          "Run a subset: table1, motivation, fig9, fig10, ablations, disk, alloc, \
+           micro, ingest (repeatable).")
 
 let term =
   let make scale queries runs seed quick only =

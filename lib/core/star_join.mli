@@ -35,43 +35,53 @@ val topk :
 
 (** {2 The join, one set of lists at a time} *)
 
-type 'a run
-(** K, the results generated but not yet confirmed against the threshold,
-    and the results emitted so far - shared by every {!join} of one
-    top-K query. *)
-
-val run : ?stats:stats -> k:int -> unit -> 'a run
-
-val complete : 'a run -> bool
-(** K results have been emitted. *)
-
 val dead : int
-(** The key {!join}'s [pull] reports for a dead row: the pull counts as a
+(** The key a join's [pull] reports for a dead row: the pull counts as a
     sorted access but joins nothing. *)
 
-val join :
-  'a run ->
-  threshold:threshold ->
-  budget:Xk_resilience.Budget.t ->
-  below:float ->
-  accept:(int -> bool) ->
-  ceilings:float array ->
-  next:float array ->
-  pull:(int -> int) ->
-  make:(int -> float -> 'a) ->
-  unit
-(** Star-join [Array.length ceilings] lists into the run until K results
-    are out, every list is exhausted or the budget trips.  [next.(i)] is
-    the score of list [i]'s next entry ([neg_infinity] once it is
-    exhausted); [pull i] advances list [i], updates [next.(i)] and
-    returns the entry's key or {!dead}.  [ceilings.(i)] bounds every
-    score of list [i] (the [Classic] threshold).  A key every list has
-    matched becomes [make key total] if [accept key] holds, and is
-    emitted once its total reaches both the unseen-results threshold and
-    [below], the bound on results the query's later joins can still
-    produce. *)
+(** The join's interface: [Topk_keyword.topk_over] is written against it,
+    and the tests hold this module to a reference implementation through
+    it. *)
+module type S = sig
+  type 'a run
+  (** K, the results generated but not yet confirmed against the
+      threshold, the results emitted so far and the hash bucket - shared
+      by every {!join} of one top-K query. *)
 
-val finish : budget:Xk_resilience.Budget.t -> 'a run -> 'a list
-(** After the last {!join}: emits the remaining generated results (unless
-    the budget tripped - those were never confirmed) and returns the
-    results, best first. *)
+  val run : ?stats:stats -> k:int -> unit -> 'a run
+
+  val complete : 'a run -> bool
+  (** K results have been emitted. *)
+
+  val join :
+    'a run ->
+    threshold:threshold ->
+    budget:Xk_resilience.Budget.t ->
+    below:float ->
+    accept:(int -> bool) ->
+    ceilings:float array ->
+    next:float array ->
+    pull:(int -> int) ->
+    make:(int -> float -> 'a) ->
+    unit
+  (** Star-join [Array.length ceilings] lists into the run until K
+      results are out, every list is exhausted or the budget trips.
+      [next.(i)] is the score of list [i]'s next entry ([neg_infinity]
+      once it is exhausted); [pull i] advances list [i], updates
+      [next.(i)] and returns the entry's key or {!dead}.  [ceilings.(i)]
+      bounds every score of list [i] (the [Classic] threshold).  A key
+      every list has matched becomes [make key total] if [accept key]
+      holds, and is emitted once its total reaches both the
+      unseen-results threshold and [below], the bound on results the
+      query's later joins can still produce. *)
+
+  val finish : budget:Xk_resilience.Budget.t -> 'a run -> 'a list
+  (** After the last {!join}: emits the remaining generated results
+      (unless the budget tripped - those were never confirmed) and
+      returns the results, best first.  Called once per run. *)
+end
+
+include S
+(** The bucket is flat arrays kept per domain: a run takes its domain's
+    bucket and {!finish} returns it, and a run that finds it taken
+    allocates its own. *)

@@ -46,10 +46,10 @@ type cursor = {
   mutable pos : int;
 }
 
-let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
-    ?(budget = Xk_resilience.Budget.unlimited)
+(* Written against [Star_join.S], so the tests can run this column loop
+   over a reference join; [topk] runs it over [Star_join]. *)
+let topk_over (module J : Star_join.S) ~stats ~threshold ~semantics ~budget
     (slists : Xk_index.Score_list.t array) damping ~k:want : hit list =
-  let stats = match stats with Some s -> s | None -> new_stats () in
   let k = Array.length slists in
   if k = 0 then Xk_util.Err.invalid "Topk_keyword.topk: no lists";
   let jls = Array.map Xk_index.Score_list.jlist slists in
@@ -84,7 +84,7 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
         (Array.fold_left (fun m jl -> max m (Xk_index.Jlist.max_len jl)) 0 jls + 1)
         (Xk_score.Damping.apply damping)
     in
-    let run = Star_join.run ~k:want () in
+    let run = J.run ~k:want () in
     let finished = ref false in
     let level = ref lmin in
     (* Anytime execution: the budget is polled at column entry and on
@@ -209,7 +209,7 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
         if ok then stats.generated <- stats.generated + 1;
         ok
       in
-      Star_join.join run ~threshold ~budget
+      J.join run ~threshold ~budget
         ~below:
           (if l > 1 then Float.min up_prefix.(l - 1) dyn_below
            else neg_infinity)
@@ -220,7 +220,7 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
         ~next:cscore
         ~pull
         ~make:(fun value score -> { level = l; value; score });
-      if Star_join.complete run then begin
+      if J.complete run then begin
         stats.early_exit_level <- l;
         finished := true
       end
@@ -238,5 +238,11 @@ let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
       end
     done;
     (* All columns processed: no unseen results remain. *)
-    Star_join.finish ~budget run
+    J.finish ~budget run
   end
+
+let topk ?stats ?(threshold = Tight) ?(semantics = Elca)
+    ?(budget = Xk_resilience.Budget.unlimited) slists damping ~k =
+  let stats = match stats with Some s -> s | None -> new_stats () in
+  topk_over (module Star_join) ~stats ~threshold ~semantics ~budget slists
+    damping ~k

@@ -39,3 +39,16 @@ val topk :
     prefix of the full top-K under the same scores (never raises
     [Budget.Expired]).  Use [Budget.exhausted] to detect the partial
     case. *)
+
+val topk_over :
+  (module Star_join.S) ->
+  stats:stats ->
+  threshold:threshold ->
+  semantics:semantics ->
+  budget:Xk_resilience.Budget.t ->
+  Xk_index.Score_list.t array ->
+  Xk_score.Damping.t ->
+  k:int ->
+  hit list
+(** {!topk} over another star join: the tests run it over a reference
+    join. *)

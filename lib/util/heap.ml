@@ -43,6 +43,7 @@ let push h key v =
    operators ask them after every sorted access, and a float returned
    across a module boundary is boxed whenever the call is not inlined. *)
 let top_at_least h bound = h.len > 0 && h.keys.(0) >= bound
+let top_at_least_cell h a i = h.len > 0 && h.keys.(0) >= a.(i)
 
 let pop_value h =
   if h.len = 0 then Err.invalid "Heap.pop_value: empty heap";

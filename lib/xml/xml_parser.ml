@@ -310,50 +310,49 @@ and parse_content st tag =
       if st.keep_ws || not (gathered_blank st) then out := Xml_tree.Text (take st) :: !out
       else clear st
   in
+  (* Dispatched on the first byte, then the second: text runs and child
+     elements never test the multi-byte markers. *)
   let rec go () =
     if eof st then fail st "unterminated element <%s>" tag
-    else if looking_at st "</" then begin
-      flush_text ();
-      st.pos <- st.pos + 2;
-      let start = skip_name st in
-      let stop = st.pos in
-      skip_ws st;
-      expect st ">";
-      if not (stop - start = String.length tag && occurs_at st.src start tag) then
-        fail st "mismatched end tag </%s>, expected </%s>"
-          (String.sub st.src start (stop - start))
-          tag
-    end
-    else if looking_at st "<![CDATA[" then begin
-      parse_cdata st;
-      go ()
-    end
-    else if looking_at st "<!--" then begin
-      skip_comment st;
-      go ()
-    end
-    else if looking_at st "<?" then begin
-      skip_pi st;
-      go ()
-    end
-    else if peek st = '<' then begin
-      if not (is_name_start (peek2 st)) then fail st "malformed markup";
-      flush_text ();
-      let e = parse_element st in
-      out := Xml_tree.Element e :: !out;
-      go ()
-    end
-    else if peek st = '&' then begin
-      advance st;
-      parse_reference st;
-      go ()
-    end
-    else begin
-      let stop = run_end st.src st.pos '<' '&' '&' in
-      add_run st st.pos stop;
-      st.pos <- stop;
-      go ()
-    end
+    else
+      match peek st with
+      | '<' -> (
+          match peek2 st with
+          | '/' ->
+              flush_text ();
+              st.pos <- st.pos + 2;
+              let start = skip_name st in
+              let stop = st.pos in
+              skip_ws st;
+              expect st ">";
+              if not (stop - start = String.length tag && occurs_at st.src start tag) then
+                fail st "mismatched end tag </%s>, expected </%s>"
+                  (String.sub st.src start (stop - start))
+                  tag
+          | '!' when looking_at st "<![CDATA[" ->
+              parse_cdata st;
+              go ()
+          | '!' when looking_at st "<!--" ->
+              skip_comment st;
+              go ()
+          | '?' ->
+              skip_pi st;
+              go ()
+          | c ->
+              if not (is_name_start c) then fail st "malformed markup";
+              flush_text ();
+              let e = parse_element st in
+              out := Xml_tree.Element e :: !out;
+              go ())
+      | '&' ->
+          advance st;
+          parse_reference st;
+          go ()
+      | _ ->
+          let stop = run_end st.src st.pos '<' '&' '&' in
+          add_run st st.pos stop;
+          st.pos <- stop;
+          go ()
   in
   go ();
   List.rev !out

@@ -458,6 +458,146 @@ let star_join_early_termination () =
   | _ -> Alcotest.fail "expected one result");
   check Alcotest.bool "early termination" true (stats.pulled < 100)
 
+(* The flat bucket against the reference join it replaced
+   ([Star_join_ref]): equal results in equal order, equal sorted
+   accesses, emissions and bucket peak. *)
+
+module _ : Star_join.S = Star_join_ref
+
+(* Sorted access to (keys, scores) lists: the [next] scores and [pull]. *)
+let cursors lists =
+  let score i p =
+    let _, scores = lists.(i) in
+    if p < Array.length scores then scores.(p) else neg_infinity
+  in
+  let pos = Array.make (Array.length lists) 0 in
+  let next = Array.init (Array.length lists) (fun i -> score i 0) in
+  let pull i =
+    let p = pos.(i) in
+    pos.(i) <- p + 1;
+    next.(i) <- score i (p + 1);
+    (fst lists.(i)).(p)
+  in
+  (next, pull)
+
+let pair key total = (key, total)
+let bits out = List.map (fun (key, total) -> (key, Int64.bits_of_float total)) out
+
+(* One run of [J] over [columns], each a set of lists joined with its
+   [below] bound, as Topk_keyword drives it. *)
+let drive (module J : Star_join.S) ~threshold ~budget ~want ~accept columns =
+  let stats = Star_join.new_stats () in
+  let r = J.run ~stats ~k:want () in
+  List.iter
+    (fun (lists, below) ->
+      if not (J.complete r) then begin
+        let next, pull = cursors lists in
+        J.join r ~threshold ~budget ~below ~accept ~ceilings:(Array.copy next)
+          ~next ~pull ~make:pair
+      end)
+    columns;
+  (bits (J.finish ~budget r), stats)
+
+(* Lists of up to [4 * keys] rows drawn from [keys] keys, so keys repeat
+   within and across lists, with about one dead row in eight and scores
+   on a coarse grid, so totals tie. *)
+let random_lists ?(keys = 16) rng ~k ~dead_rows =
+  Array.init k (fun _ ->
+      let n = Xk_datagen.Rng.int rng (4 * keys) in
+      let keys =
+        Array.init n (fun _ ->
+            if dead_rows && Xk_datagen.Rng.int rng 8 = 0 then Star_join.dead
+            else Xk_datagen.Rng.int rng keys)
+      in
+      let scores =
+        Array.init n (fun _ -> float_of_int (1 + Xk_datagen.Rng.int rng 8) /. 8.)
+      in
+      Array.sort (fun a b -> Float.compare b a) scores;
+      (keys, scores))
+
+let same_run (o1, (s1 : Star_join.stats)) (o2, (s2 : Star_join.stats)) =
+  o1 = o2 && s1.pulled = s2.pulled && s1.emitted = s2.emitted
+  && s1.bucket_peak = s2.bucket_peak
+
+let star_join_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"flat bucket = reference join"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 5))
+    (fun (seed, k) ->
+      let rng = Xk_datagen.Rng.create seed in
+      let want = 1 + Xk_datagen.Rng.int rng 6 in
+      (* One case in four is wide enough to grow the bucket. *)
+      let keys = if Xk_datagen.Rng.int rng 4 = 0 then 200 else 16 in
+      let columns =
+        List.init
+          (1 + Xk_datagen.Rng.int rng 3)
+          (fun c ->
+            let below =
+              if c = 0 || Xk_datagen.Rng.bool rng then neg_infinity
+              else float_of_int (Xk_datagen.Rng.int rng (8 * k)) /. 8.
+            in
+            (random_lists ~keys rng ~k ~dead_rows:true, below))
+      in
+      let reject = Xk_datagen.Rng.int rng 4 in
+      let accept key = reject = 0 || key mod 4 <> reject in
+      let ticks = if Xk_datagen.Rng.bool rng then Some (Xk_datagen.Rng.int rng 60) else None in
+      List.for_all
+        (fun threshold ->
+          let run impl =
+            let budget = Xk_resilience.Budget.create ?ticks () in
+            drive impl ~threshold ~budget ~want ~accept columns
+          in
+          let flat = run (module Star_join) in
+          same_run flat (run (module Star_join_ref))
+          &&
+          (* [topk] over relations, repeated keys kept. *)
+          let lists = random_lists ~keys rng ~k ~dead_rows:false in
+          let rels =
+            Array.map (fun (keys, scores) -> Star_join.relation ~keys ~scores) lists
+          in
+          let topk f =
+            let stats = Star_join.new_stats () in
+            let out = f ~stats rels in
+            ( List.map
+                (fun (r : Star_join.result) -> (r.key, Int64.bits_of_float r.total))
+                out,
+              stats )
+          in
+          same_run
+            (topk (fun ~stats rels -> Star_join.topk ~stats ~threshold rels ~k:want))
+            (topk (fun ~stats rels -> Star_join_ref.topk ~stats ~threshold rels ~k:want)))
+        [ Star_join.Tight; Star_join.Classic ])
+
+(* A join that runs another inside its [accept]: the inner run finds the
+   domain's bucket taken and joins in its own, so neither disturbs the
+   other, and both agree with the reference.  The inner bucket starts
+   small each time and grows to hundreds of keys. *)
+let star_join_taken_bucket () =
+  let rng = Xk_datagen.Rng.create 77 in
+  let columns =
+    List.init 3 (fun _ -> (random_lists rng ~k:3 ~dead_rows:true, neg_infinity))
+  in
+  let rels =
+    Array.map
+      (fun (keys, scores) -> Star_join.relation ~keys ~scores)
+      (random_lists ~keys:400 rng ~k:2 ~dead_rows:false)
+  in
+  let inner = Star_join_ref.topk rels ~k:5 in
+  check Alcotest.bool "the inner join has results" true (inner <> []);
+  let nested = ref 0 in
+  let accept _ =
+    if Star_join.topk rels ~k:5 = inner then incr nested
+    else Alcotest.fail "the inner join differs from the reference";
+    true
+  in
+  let budget = Xk_resilience.Budget.unlimited in
+  let outer impl accept =
+    drive impl ~threshold:Star_join.Tight ~budget ~want:50 ~accept columns
+  in
+  let expected = outer (module Star_join_ref) (fun _ -> true) in
+  check Alcotest.bool "the outer join agrees with the reference" true
+    (same_run expected (outer (module Star_join) accept));
+  check Alcotest.bool "inner joins ran" true (!nested > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Join-based top-K vs complete evaluation                             *)
 
@@ -553,6 +693,69 @@ let hybrid_matches_topk =
       Tutil.check_topk "hybrid" ~k:5 full actual;
       true)
 
+(* The column loop over the flat bucket and over the reference join,
+   each run's star-join counters captured through [Counted]. *)
+module Counted (J : Star_join.S) = struct
+  include J
+
+  let last = Star_join.new_stats ()
+
+  let run ?stats:_ ~k () =
+    last.pulled <- 0;
+    last.emitted <- 0;
+    last.bucket_peak <- 0;
+    J.run ~stats:last ~k ()
+end
+
+module Flat_join = Counted (Star_join)
+module Ref_join = Counted (Star_join_ref)
+
+let topk_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"top-K over the flat bucket = over the reference join"
+    QCheck.(quad (int_bound 1_000_000) (int_range 1 4) bool bool)
+    (fun (seed, k, decorated, slca) ->
+      let doc = if decorated then Tutil.decorated_doc seed else Tutil.random_doc seed in
+      let eng = Engine.create doc in
+      let idx = Engine.index eng in
+      let rng = Xk_datagen.Rng.create (seed + 31) in
+      let q = Tutil.random_query rng ~k ~alphabet:4 in
+      let want = List.nth [ 1; 3; 10 ] (Xk_datagen.Rng.int rng 3) in
+      let threshold =
+        if Xk_datagen.Rng.bool rng then Topk_keyword.Tight else Topk_keyword.Classic
+      in
+      let semantics = if slca then Topk_keyword.Slca else Topk_keyword.Elca in
+      let ticks =
+        if Xk_datagen.Rng.bool rng then Some (Xk_datagen.Rng.int rng 300) else None
+      in
+      match List.filter_map (Xk_index.Index.term_id idx) q with
+      | ids when List.length ids < List.length q -> true
+      | ids ->
+          let slists =
+            Array.of_list
+              (List.map (Xk_index.Index.score_list idx) (List.sort_uniq Int.compare ids))
+          in
+          let damping = Xk_index.Index.damping idx in
+          let run join =
+            let stats = Topk_keyword.new_stats () in
+            let budget = Xk_resilience.Budget.create ?ticks () in
+            let hits =
+              Topk_keyword.topk_over join ~stats ~threshold ~semantics ~budget slists damping
+                ~k:want
+              |> List.map (fun (h : Topk_keyword.hit) ->
+                     (h.level, h.value, Int64.bits_of_float h.score))
+            in
+            (hits, stats)
+          in
+          let flat, fstats = run (module Flat_join) in
+          let reference, rstats = run (module Ref_join) in
+          let default, _ = run (module Star_join) in
+          let star = Flat_join.last in
+          flat = reference && default = flat && fstats = rstats
+          && star.pulled = Ref_join.last.pulled
+          && star.emitted = Ref_join.last.emitted
+          && star.bucket_peak = Ref_join.last.bucket_peak)
+
 (* Counters, not clocks: a fixed Section V query mix (one keyword near the
    highest df, the rest near [low]) through the top-K join on a fixed DBLP
    corpus.  The sorted-access count and the answers are pinned exactly,
@@ -586,6 +789,33 @@ let topk_pull_count_pinned () =
   check Alcotest.int "answers" 172 (List.length answers);
   check Alcotest.string "answers digest" "d54c7960cf7588b3f6e0ce5176995921"
     (Digest.to_hex (Digest.string (String.concat ";" answers)))
+
+(* Heap traffic of one top-K request, gated in words: a skewed top-10
+   request (one keyword near the highest df, one near df 10) on one
+   domain, measured on its second run, when the lists are cached and the
+   domain's star-join bucket is grown.  It read 3,456 minor words with
+   the flat bucket and 40,958 with the Hashtbl bucket it replaced; the
+   bound is twice the former. *)
+let topk_minor_words_gated () =
+  let corpus =
+    Xk_datagen.Dblp_gen.generate
+      { (Xk_datagen.Dblp_gen.scaled 0.05) with seed = 2010 }
+  in
+  let eng = Engine.create corpus.doc in
+  let idx = Engine.index eng in
+  let rng = Xk_datagen.Rng.create 2010 in
+  let high = Xk_workload.Workload.max_df idx in
+  let q =
+    List.hd (Xk_workload.Workload.random_queries rng idx ~k:2 ~high ~low:10 ~n:1)
+  in
+  let request () = Engine.query_topk ~algorithm:Engine.Topk_join eng q ~k:10 in
+  let first = request () in
+  let before = Gc.minor_words () in
+  let second = request () in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "same answers" true (first = second);
+  if words > 6_912. then
+    Alcotest.failf "second top-10 request allocated %.0f minor words (bound 6,912)" words
 
 let topk_stats_early_exit () =
   (* Correlated keywords at a deep level: the top-K join must not visit
@@ -645,6 +875,8 @@ let suite =
           (star_join_prop Star_join.Tight "star join tight = naive");
         QCheck_alcotest.to_alcotest
           (star_join_prop Star_join.Classic "star join classic = naive");
+        QCheck_alcotest.to_alcotest star_join_matches_reference;
+        tc "a nested join takes its own bucket" `Quick star_join_taken_bucket;
       ] );
     ( "core.topk",
       [
@@ -662,5 +894,7 @@ let suite =
           tight_stale_group_term;
         tc "pull count and answers pinned (DBLP 0.05)" `Quick
           topk_pull_count_pinned;
+        QCheck_alcotest.to_alcotest topk_matches_reference;
+        tc "minor words per request gated (DBLP 0.05)" `Quick topk_minor_words_gated;
       ] );
   ]

@@ -118,6 +118,9 @@ let heap_basics () =
   check Alcotest.int "size" 5 (Xk_util.Heap.size h);
   check Alcotest.bool "top at least 5" true (Xk_util.Heap.top_at_least h 5.0);
   check Alcotest.bool "top below 5.5" false (Xk_util.Heap.top_at_least h 5.5);
+  let cell = [| 0.; 5.0; 5.5 |] in
+  check Alcotest.bool "top at least cell 1" true (Xk_util.Heap.top_at_least_cell h cell 1);
+  check Alcotest.bool "top below cell 2" false (Xk_util.Heap.top_at_least_cell h cell 2);
   check Alcotest.string "pop" "e" (Xk_util.Heap.pop_value h);
   Xk_util.Heap.push h 5.0 "e";
   let order = List.map snd (Xk_util.Heap.drain h) in

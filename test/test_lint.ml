@@ -551,14 +551,14 @@ let mmap_sinks () =
   check_rules ~file:"lib/index/fixture.ml" "cache closure over the map"
     [ "mmap-lifetime" ]
     "let rows t id =\n\
-    \  Shard_cache.find_or_add t.cache id (fun () -> Mmap.u32 t.map ~pos:id)\n";
+    \  Shard_cache.find_or_add t.cache id (fun () -> Mmap.sub_string t.map ~pos:id ~len:4)\n";
   check_rules ~file:"lib/index/fixture.ml" "ref cell capture"
     [ "mmap-lifetime" ]
     "let set t = t.slot := Xk_storage.Mmap.view t.map ~pos:0\n";
   (* a copying accessor at value depth is the decode-to-plain pattern *)
   check_rules ~file:"lib/index/fixture.ml" "copying accessor decodes" []
     "let stash t id =\n\
-    \  Hashtbl.replace t.cache id (Xk_storage.Mmap.u32 t.map ~pos:0)\n";
+    \  Hashtbl.replace t.cache id (Xk_storage.Mmap.sub_string t.map ~pos:0 ~len:4)\n";
   check_rules ~file:"lib/index/fixture.ml" "decode into plain values first" []
     "let cache_rows t id rows =\n\
     \  let nodes = decode_nodes rows in\n\
@@ -608,7 +608,7 @@ let mmap_returns () =
   check_rules_all "decoded return is fine" []
     [
       ( "lib/storage/reader.ml",
-        "let width t pos = Xk_storage.Mmap.u32 t.map ~pos\n" );
+        "let width t pos = Xk_storage.Mmap.sub_string t.map ~pos ~len:4\n" );
       ( "lib/index/cache.ml",
         "let remember t id =\n\
         \  Hashtbl.replace t.tbl id (Xk_storage.Reader.width t.r 0)\n" );

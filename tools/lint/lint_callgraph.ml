@@ -142,11 +142,7 @@ let mentions_mmap_path path =
    application of one of these at value depth is "decode into plain
    OCaml values", the documented safe pattern.  The same application
    inside a stored closure still captures the handle and taints. *)
-let mmap_accessors =
-  [
-    "u8"; "u32"; "u64"; "sub_string"; "crc32"; "crc32_update"; "size";
-    "path"; "is_closed"; "error_message";
-  ]
+let mmap_accessors = [ "sub_string"; "size"; "path"; "is_closed"; "error_message" ]
 
 let is_mmap_accessor path =
   match List.rev (String.split_on_char '.' path) with
