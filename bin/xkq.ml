@@ -47,7 +47,7 @@ let run body =
   | Served -> 0
   | Failed -> 1
   | Incomplete -> 2
-  | exception (Fail msg | Sys_error msg) ->
+  | exception (Fail msg | Sys_error msg | Xk_index.Segment.Segment_fault msg) ->
       prerr_endline ("xkq: " ^ msg);
       1
   | exception Xk_resilience.Chaos.Crashed step ->
@@ -153,13 +153,12 @@ let parse_corpus path =
 (* The one loader of every command: reload the shard manifest written by
    `xkq index`, or partition in memory (`~shards:1` indexes the whole
    corpus as one shard). *)
-let load_sharded ?index_file ?verify_columns ~shards path =
+let load_sharded ?index_file ~shards path =
   let t0 = Unix.gettimeofday () in
   let doc = parse_corpus path in
   let sharded =
     match index_file with
-    | Some p ->
-        of_shard_io (Xk_index.Shard_io.load_result ?verify_columns doc p)
+    | Some p -> of_shard_io (Xk_index.Shard_io.load_result doc p)
     | None -> Xk_index.Sharding.partition ~shards doc
   in
   Printf.eprintf "%s %s as %d shard(s) in %.2fs\n%!"
@@ -745,13 +744,7 @@ let batch path queries_file semantics algo top topk_algo domains repeat gen
   Option.iter (install_chaos ?index_file) chaos;
   if Option.value hedge_ms ~default:0. < 0. then fail "--hedge-ms is negative";
   let endpoints = if remote then Some (remote_endpoints index_file) else None in
-  (* In-process replicas share the one copy per shard the loader picks.
-     A corrupt@ drill therefore verifies every column at load, where the
-     loader can still fall back to a clean copy: a lazy open would meet
-     the damage at the first query of the damaged term, with no clean
-     copy loaded to fail over to. *)
-  let verify_columns = Xk_resilience.Chaos.corrupt_targets () <> [] in
-  let sharded = load_sharded ?index_file ~verify_columns ~shards path in
+  let sharded = load_sharded ?index_file ~shards path in
   (* The reference engine answers workload generation (corpus-wide term
      statistics) and --check.  One shard already indexes the whole
      corpus; several are checked against a fresh one-shard build. *)

@@ -5,9 +5,9 @@
    hot-cache experimental setting.
 
    Terms and rows are read from one source, a v9 segment ([Segment]):
-   [build] encodes one and opens its own bytes, [Index_io] maps a file.
-   A term's rows are decoded on first use; the shape caches make
-   repeated query access cheap.
+   [build] encodes one and opens its own bytes, [Index_io] maps a file,
+   and [Shard_io] every copy of one.  A term's rows are decoded on first
+   use; the shape caches make repeated query access cheap.
 
    The three shape caches are sharded, bounded LRU caches (Shard_cache),
    so one index can be shared by concurrent query domains: everything
@@ -25,7 +25,9 @@ type stats_override = { so_total_nodes : int; so_df : string -> int }
 
 type t = {
   label : Xk_encoding.Labeling.t;
-  seg : Segment.t;
+  (* Copies of one encoding; rows are read from [segs.(live)]. *)
+  segs : Segment.t array;
+  live : int Atomic.t;
   (* The byte-order id of each term in the order a fresh [build] first
      met it, which breaks [terms_by_df]'s ties; empty for an opened
      segment, which allocates none of it. *)
@@ -51,11 +53,12 @@ let scorer_for ?stats label =
   in
   Xk_score.Scorer.make ~total_nodes
 
-let make ?(cache_capacity = default_cache_capacity) ?stats ?(first_seen = [||]) label seg =
+let make ?(cache_capacity = default_cache_capacity) ?stats ?(first_seen = [||]) label segs =
   let jcache, pcache, scache = make_caches cache_capacity in
   {
     label;
-    seg;
+    segs;
+    live = Atomic.make 0;
     first_seen;
     scorer = scorer_for ?stats label;
     df_override = Option.map (fun s -> s.so_df) stats;
@@ -148,23 +151,43 @@ let build ?cache_capacity ?stats (label : Xk_encoding.Labeling.t) =
     Segment.encode label ~terms:(Array.map (Array.get by_seen) order) ~starts ~nodes ~tfs
   in
   make ?cache_capacity ?stats ~first_seen label
-    (Segment.open_ label (Xk_storage.Mmap.of_string bytes))
+    [| Segment.open_ label (Xk_storage.Mmap.of_string bytes) |]
 
-let of_segment ?stats label seg = make ?stats label seg
+let of_segments ?stats label = function
+  | [] -> Xk_util.Err.invalid "Index.of_segments: no segment"
+  | seg :: rest ->
+      make ?stats label
+        (Array.of_list (seg :: List.filter (Segment.same_encoding seg) rest))
 
 let label t = t.label
 let damping _ = Xk_score.Damping.default
-let term_count t = Segment.term_count t.seg
-let bytes t = Segment.bytes t.seg
+let term_count t = Segment.term_count t.segs.(0)
+let bytes t = Segment.bytes t.segs.(Atomic.get t.live)
 
 (* One term's (nodes, tfs) rows, decoded fresh each call: per-query cost
    is amortized by the shape caches, and whole-dictionary sweeps pay
-   streaming decode. *)
-let raw_rows t id = Segment.rows t.seg t.label id
+   streaming decode.  Each turn reads the rows or moves [live] past a
+   faulting copy (or sees another domain move it), so the last turn
+   reads the last copy, whose fault propagates. *)
+let raw_rows t id =
+  let last = Array.length t.segs - 1 in
+  let read = ref false and rows = ref ([||], [||]) in
+  for _ = 0 to last do
+    if not !read then begin
+      let c = Atomic.get t.live in
+      match Segment.rows t.segs.(c) t.label id with
+      | r ->
+          rows := r;
+          read := true
+      | exception Segment.Segment_fault _ when c < last ->
+          ignore (Atomic.compare_and_set t.live c (c + 1))
+    end
+  done;
+  !rows
 
-let term_id t w = Segment.find_term t.seg w
-let term t id = Segment.term_of t.seg id
-let df t id = Segment.df t.seg id
+let term_id t w = Segment.find_term t.segs.(0) w
+let term t id = Segment.term_of t.segs.(0) id
+let df t id = Segment.df t.segs.(0) id
 let first_seen t i = if Array.length t.first_seen = 0 then i else t.first_seen.(i)
 
 (* Local scores of a term's rows.  [df] is the term's corpus-wide

@@ -4,8 +4,9 @@
 
     Every index reads its terms and rows from one v9 segment
     ({!Segment}): {!build} encodes one and opens its own bytes,
-    {!Index_io} maps one from a file.  Term ids are ranks in byte order,
-    and a term's rows are decoded on first use.
+    {!Index_io} maps one from a file, {!Shard_io} every copy of one.
+    Term ids are ranks in byte order, and a term's rows are decoded on
+    first use.
 
     The shape caches are sharded, bounded LRU caches ({!Shard_cache}), so
     a built index is safe to share across domains: {!jlist}, {!posting},
@@ -39,12 +40,14 @@ val build :
     term is evicted when a cache is full.  [stats] overrides the ranking
     statistics derived from this tree alone (sharded indices). *)
 
-val of_segment : ?stats:stats_override -> Xk_encoding.Labeling.t -> Segment.t -> t
-(** Serve an opened segment ({!Index_io}) over the document it was
-    encoded from. *)
+val of_segments : ?stats:stats_override -> Xk_encoding.Labeling.t -> Segment.t list -> t
+(** Serve opened copies of one segment over the document they were
+    encoded from, leaving out each copy that is not the first one's
+    encoding ({!Segment.same_encoding}).  Raises [Invalid_argument] on
+    an empty list. *)
 
 val bytes : t -> string
-(** The bytes of the index's segment: what {!Index_io.save} writes. *)
+(** The bytes of the copy rows are read from ({!Index_io.save}). *)
 
 val label : t -> Xk_encoding.Labeling.t
 val damping : t -> Xk_score.Damping.t
@@ -74,8 +77,9 @@ val cache_stats : t -> Shard_cache.stats
 
 val raw_rows : t -> int -> int array * int array
 (** Uncached (nodes, tfs) rows of a term, decoded afresh on every call,
-    for whole-dictionary sweeps.  Raises {!Segment.Segment_fault} when
-    the term's postings are damaged. *)
+    for whole-dictionary sweeps.  A copy that raises
+    {!Segment.Segment_fault} is not read again: the read moves to the
+    next copy, and the fault propagates only from the last one. *)
 
 val local_scores : t -> int -> float array
 

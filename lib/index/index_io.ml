@@ -115,11 +115,8 @@ let read_mapped path =
       Xk_storage.Mmap.close m;
       Ok data)
 
-let attempt ?stats ~verify_columns label path =
-  with_map path (fun m ->
-      Result.map
-        (fun () -> Index.of_segment ?stats label (Segment.open_ ~verify_columns label m))
-        (check_magic m))
+let open_segment label path =
+  with_map path (fun m -> Result.map (fun () -> Segment.open_ label m) (check_magic m))
 
 let retryable = function
   | `Transient _ | `Crc _ | `Suspect _ -> true
@@ -132,10 +129,9 @@ let retrying ?(retries = 4) ?(backoff_ms = 1.0) attempt =
   | Ok v, _ -> Ok v
   | Error e, attempts -> Error { error = Segment.classify e; attempts }
 
-let load_result ?stats ?retries ?backoff_ms
-    ?(verify_columns = false) label path =
-  retrying ?retries ?backoff_ms (fun () ->
-      attempt ?stats ~verify_columns label path)
+let load_result ?stats ?retries ?backoff_ms label path =
+  retrying ?retries ?backoff_ms (fun () -> open_segment label path)
+  |> Result.map (fun seg -> Index.of_segments ?stats label [ seg ])
 
 (* Verification without building an index, and a {e full} one — every
    region checksum, every block CRC and the structure of every term's

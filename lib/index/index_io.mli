@@ -91,9 +91,9 @@ val load_error_message : ?kind:string -> load_error -> string
 (** {!error_message}, with the attempt count when there was a retry. *)
 
 exception Segment_fault of string
-(** {!Segment.Segment_fault}, raised by a lazily opened index's row
-    decoder ({!Segment.rows}); eager-open failures are returned as
-    {!load_error} values. *)
+(** {!Segment.Segment_fault}, raised by an index's row decoder
+    ({!Segment.rows}) when the postings it reads are damaged; open
+    failures are returned as {!load_error} values. *)
 
 val save : Index.t -> string -> unit
 (** Write the bytes of the index's segment durably and atomically:
@@ -103,19 +103,18 @@ val load_result :
   ?stats:Index.stats_override ->
   ?retries:int ->
   ?backoff_ms:float ->
-  ?verify_columns:bool ->
   Xk_encoding.Labeling.t ->
   string ->
   (Index.t, load_error) result
 (** Load a segment, retrying transient IO errors and checksum mismatches
     up to [retries] (default 4) times with exponential backoff starting
     at [backoff_ms] (default 1.0).  Never raises on bad input.  [stats]
-    overrides the ranking statistics as in {!Index.of_segment} (sharded
-    segments, see {!Shard_io}).  [verify_columns] (default false) makes
-    the open verify and decode every term's postings eagerly instead of
-    lazily —
-    the paranoid mode for replica-fallback paths that must reject a
-    damaged segment at open time rather than at first query. *)
+    overrides the ranking statistics as in {!Index.of_segments} (sharded
+    segments, see {!Shard_io}).  The open checks no posting; {!verify}
+    checks every one. *)
+
+val open_segment : Xk_encoding.Labeling.t -> string -> (Segment.t, attempt_error) result
+(** One attempt of {!load_result}'s open, over a fresh map of the file. *)
 
 val verify : ?retries:int -> ?backoff_ms:float -> string -> (unit, load_error) result
 (** Check a segment without building an index, and {e fully} —

@@ -1063,7 +1063,7 @@ let decode_all sg =
 
 let header m = fst (map_header m)
 
-let open_ ?(verify_columns = false) label m =
+let open_ label m =
   let ((lay, _) as header) = map_header m in
   if lay.node_count <> Xk_encoding.Labeling.node_count label then
     bad_struct
@@ -1075,11 +1075,15 @@ let open_ ?(verify_columns = false) label m =
       (Printf.sprintf "index built over %d term-bearing nodes, document has %d"
          lay.term_nodes
          (Xk_encoding.Labeling.term_node_count label));
-  let sg = parse_dir m header in
-  if verify_columns then decode_all sg;
-  sg
+  parse_dir m header
 
 let verify m = decode_all (parse_dir m (map_header m))
+
+(* Equal checked terms and directory, so equal block lengths and CRCs. *)
+let same_encoding a b =
+  (a.sg_lay, a.sg_terms, a.sg_block_crcs, a.sg_block_offs, a.sg_dfs, a.sg_extras)
+  = (b.sg_lay, b.sg_terms, b.sg_block_crcs, b.sg_block_offs, b.sg_dfs, b.sg_extras)
+
 let term_count sg = sg.sg_lay.term_count
 let df sg id = sg.sg_dfs.(id)
 

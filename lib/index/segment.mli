@@ -56,9 +56,9 @@ exception Segment_fault of string
     block, ranks reach M, a gamma code is longer than 61 bits, tf
     exception positions are not strictly increasing below df, or the
     tfs do not sum to cf), or the map was closed under the reader.
-    Raised at query time, it propagates out of list materialization;
-    the replicated executor's failover-on-raise treats it like any other
-    replica failure. *)
+    {!Index.raw_rows} then reads the next copy of the segment; from the
+    last copy it propagates out of list materialization, and the
+    executor treats it like any other replica failure. *)
 
 type layout = {
   node_count : int;
@@ -99,16 +99,19 @@ type t
 val header : Xk_storage.Mmap.t -> layout
 (** Parse and authenticate the header alone; raises {!Bad}. *)
 
-val open_ : ?verify_columns:bool -> Xk_encoding.Labeling.t -> Xk_storage.Mmap.t -> t
+val open_ : Xk_encoding.Labeling.t -> Xk_storage.Mmap.t -> t
 (** Open a segment over the document it was encoded from; raises {!Bad}.
-    [verify_columns] (default false) verifies and decodes every term's
-    postings now instead of at first use. *)
+    No posting is checked until {!rows} first reads its block. *)
 
 val verify : Xk_storage.Mmap.t -> unit
 (** Check a segment fully, with no document: header, terms and
     directory checksums, the exact size, the term region's structure and
     order, every block checksum and every term's postings structure.
     Raises {!Bad}. *)
+
+val same_encoding : t -> t -> bool
+(** Two copies of one encoding: the same header, terms and directory,
+    so a block that passes its CRC in either decodes the same rows. *)
 
 val term_count : t -> int
 val df : t -> int -> int

@@ -18,9 +18,9 @@
 
    A shard's replicas are byte-identical copies of one encoding, each
    written and verified independently (framing + CRC check after each
-   copy), and the loader falls back across them in manifest
-   order: a shard is lost only when every replica fails, and the typed
-   error then carries each replica's failure and attempt count. *)
+   copy), and the shard's index keeps every copy that opens
+   ([Index.raw_rows]): a shard is lost only when no replica opens, and
+   the typed error then carries each replica's failure and attempts. *)
 
 let magic = "XKSHM003"
 let version = 3
@@ -182,8 +182,7 @@ let load_manifest ?retries ?backoff_ms path =
   |> Result.map_error (fun ({ error; attempts } : Index_io.load_error) ->
          Manifest { error; attempts })
 
-let load_result ?retries ?backoff_ms ?verify_columns
-    (doc : Xk_xml.Xml_tree.document) path =
+let load_result ?retries ?backoff_ms (doc : Xk_xml.Xml_tree.document) path =
   match load_manifest ?retries ?backoff_ms path with
   | Error _ as e -> e
   | Ok m ->
@@ -204,22 +203,22 @@ let load_result ?retries ?backoff_ms ?verify_columns
         let dir = Filename.dirname path in
         let exception Lost of error in
         let make ~shard label ~stats =
-          (* Replica fallback: try each copy in manifest order, succeed
-             on the first clean load, and report every failure when the
-             whole shard is lost. *)
-          let rec try_replicas failures = function
-            | [] ->
-                raise (Lost (Shard { shard; failures = List.rev failures }))
-            | file :: rest -> (
+          (* Every copy is opened, in manifest order. *)
+          let opened, failures =
+            Array.fold_left
+              (fun (opened, failures) file ->
                 let full = Filename.concat dir file in
                 match
-                  Index_io.load_result ~stats
-                    ?retries ?backoff_ms ?verify_columns label full
+                  Index_io.retrying ?retries ?backoff_ms (fun () ->
+                      Index_io.open_segment label full)
                 with
-                | Ok idx -> idx
-                | Error e -> try_replicas ((full, e) :: failures) rest)
+                | Ok seg -> (seg :: opened, failures)
+                | Error e -> (opened, (full, e) :: failures))
+              ([], []) m.m_files.(shard)
           in
-          try_replicas [] (Array.to_list m.m_files.(shard))
+          match List.rev opened with
+          | [] -> raise (Lost (Shard { shard; failures = List.rev failures }))
+          | segs -> Index.of_segments ~stats label segs
         in
         match
           Sharding.build_with ~shards:m.m_shards ~assignment:m.m_assignment

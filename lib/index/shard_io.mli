@@ -10,9 +10,9 @@
     builds in memory.
 
     Replicas are the storage failure domain: each copy is written and
-    verified independently at save time, and the loader falls back
-    across copies in manifest order on [Corrupted] / [Truncated] /
-    [Io_failed], so a shard is lost only when {e every} replica fails.
+    verified independently at save time, and the loader keeps every
+    copy that opens ({!load_result}), so a shard is lost only when
+    {e every} replica fails with [Corrupted] / [Truncated] / [Io_failed].
     Failures are typed per layer: a bad manifest is {!Manifest}, a lost
     shard is {!Shard} and carries every replica's failure with its
     attempt count.  Both layers run the same retry/fault-injection
@@ -62,17 +62,15 @@ val save :
 val load_result :
   ?retries:int ->
   ?backoff_ms:float ->
-  ?verify_columns:bool ->
   Xk_xml.Xml_tree.document ->
   string ->
   (Sharding.t, error) result
-(** Load a sharded index of [doc] from the manifest at [path], falling
-    back across each shard's replicas in manifest order.  Transient IO
-    errors and checksum mismatches are retried per file with exponential
-    backoff (defaults as in {!Index_io.load_result}); never raises on
-    bad input.  [verify_columns] makes every segment verify and
-    decode its postings eagerly at open ({!Index_io.load_result}), so a
-    damaged replica is rejected — and fallen over — at load time. *)
+(** Load a sharded index of [doc] from the manifest at [path].  Each
+    shard's index keeps every replica that opens ({!Index.of_segments}),
+    so a read that meets damage the open does not check moves to the
+    next copy ({!Index.raw_rows}).  Transient IO errors and checksum
+    mismatches are retried per file with exponential backoff (defaults
+    as in {!Index_io.load_result}); never raises on bad input. *)
 
 val replica_files : string -> (string array array, error) result
 (** The full replica paths recorded in the manifest at [path], indexed

@@ -114,7 +114,22 @@ let exit_table () =
       expect dir ~want:0 "recovered store checks clean"
         [ "mutate"; store; "--check"; "xml" ];
       expect dir ~want:124 "124: --domains 0"
-        [ "batch"; corpus; "--gen"; "5"; "--domains"; "0" ])
+        [ "batch"; corpus; "--gen"; "5"; "--domains"; "0" ];
+      (* Postings damage in one copy is served around from the other;
+         in every copy, the --check run's read fault is an error. *)
+      let idx = Filename.concat dir "one.idx" in
+      let copy replica = Xk_index.Shard_io.replica_path idx ~shard:0 ~replica in
+      expect dir ~want:0 "index two copies"
+        [ "index"; corpus; "--out"; idx; "--replicas"; "2" ];
+      Tutil.flip_postings (copy 0);
+      expect dir ~want:0 "0: search around a damaged copy"
+        [ "search"; corpus; "xml"; "--index"; idx; "--top"; "5" ];
+      let check_batch =
+        [ "batch"; corpus; "--gen"; "30"; "--top"; "10"; "--index"; idx; "--check" ]
+      in
+      expect dir ~want:0 "0: batch --check around a damaged copy" check_batch;
+      Tutil.flip_postings (copy 1);
+      expect dir ~want:1 ~says:"checksum mismatch" "1: every copy damaged" check_batch)
 
 (* More user errors that once escaped as uncaught exceptions. *)
 let user_errors () =

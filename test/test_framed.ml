@@ -452,23 +452,34 @@ let reseal rng good mutate =
     (Int32.of_int (Xk_storage.Crc32.sub (Bytes.to_string h) ~pos:0 ~len:76));
   Bytes.to_string h ^ terms ^ postings ^ dir
 
-(* A segment that loads must also verify, and answer a query on each of
-   its terms: a value the decoders let through must be one the engine
-   can serve. *)
+(* A segment that opens is served by [verify]'s verdict: one that
+   verifies answers a query on each of its terms (a value the decoders
+   let through must be one the engine can serve), and one that does not
+   raises [Segment_fault] at the first read of its damage. *)
 let serve_segment label path =
-  match Index_io.load_result ~retries:0 ~verify_columns:true label path with
+  match Index_io.load_result ~retries:0 label path with
   | Error _ -> ()
-  | Ok idx ->
-      (match Index_io.verify ~retries:0 path with
-      | Ok () -> ()
-      | Error e ->
-          failwith ("loads but fails verify: " ^ Index_io.load_error_message e));
-      let e = Engine.of_index idx in
-      for id = 0 to Xk_index.Index.term_count idx - 1 do
-        let words = [ Xk_index.Index.term idx id ] in
-        ignore (Engine.query e words);
-        ignore (Engine.query_topk e words ~k:3)
-      done
+  | Ok idx -> (
+      let terms = Xk_index.Index.term_count idx in
+      match Index_io.verify ~retries:0 path with
+      | Ok () ->
+          let e = Engine.of_index idx in
+          for id = 0 to terms - 1 do
+            let words = [ Xk_index.Index.term idx id ] in
+            ignore (Engine.query e words);
+            ignore (Engine.query_topk e words ~k:3)
+          done
+      | Error e -> (
+          match
+            for id = 0 to terms - 1 do
+              ignore (Xk_index.Index.raw_rows idx id)
+            done
+          with
+          | () ->
+              failwith
+                ("opens and decodes but fails verify: "
+                ^ Index_io.load_error_message e)
+          | exception Index_io.Segment_fault _ -> ()))
 
 (* An RPC frame around a [Wire] payload: the frame decoder, then the
    payload decoder on what it accepts. *)
@@ -574,14 +585,6 @@ let targets rng dir =
       run =
         (fun data ->
           write_file seg data;
-          (match Index_io.load_result ~retries:0 label seg with
-          | Ok idx -> (
-              try
-                for id = 0 to Xk_index.Index.term_count idx - 1 do
-                  ignore (Xk_index.Index.raw_rows idx id)
-                done
-              with Index_io.Segment_fault _ -> ())
-          | Error _ -> ());
           serve_segment label seg);
     };
     rpc_target "query frame" Frame.Query (Wire.encode_query query)

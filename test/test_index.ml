@@ -605,7 +605,8 @@ let index_io_rejects_mismatch () =
 
 (* The compressed zero-copy segment [save] writes: layout
    introspection, full verification, and bit-identical parity of the
-   lazy open against the eager open and a fresh in-memory build. *)
+   lazy open against an independent tally and a fresh in-memory
+   build. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -971,7 +972,7 @@ let build_matches_tally_prop =
 
 let parity_prop =
   QCheck.Test.make ~count:15
-    ~name:"mmap load is bit-identical to the eager open and a fresh build"
+    ~name:"mmap load is bit-identical to the tally and a fresh build"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Xk_datagen.Rng.create seed in
@@ -981,54 +982,49 @@ let parity_prop =
       let p6 = tmpfile (Printf.sprintf "xk_v8_parity_%d.seg" seed) in
       Index_io.save fresh p6;
       let ok = ref (Tutil.magic_of p6 = Some Index_io.magic) in
-      let load verify_columns =
-        Index_io.load_result ~verify_columns (Xk_encoding.Labeling.label doc) p6
-      in
-      (match (load false, load true) with
-      | Ok lazy_idx, Ok eager ->
+      (* The rows the document holds, counted without the index. *)
+      let model, _ = Tutil.tally label in
+      (match Index_io.load_result (Xk_encoding.Labeling.label doc) p6 with
+      | Ok lazy_idx ->
           let n = Index.term_count fresh in
-          if Index.term_count lazy_idx <> n || Index.term_count eager <> n then
-            ok := false;
+          if Index.term_count lazy_idx <> n || Array.length model <> n then ok := false;
           if !ok then
-            for id = 0 to n - 1 do
-              let term = Index.term fresh id in
-              match (Index.term_id lazy_idx term, Index.term_id eager term) with
-              | Some il, Some ie ->
-                  if
-                    Index.raw_rows lazy_idx il <> Index.raw_rows fresh id
-                    || Index.raw_rows eager ie <> Index.raw_rows fresh id
-                  then ok := false;
-                  (* Exact float equality: the same (tf, df) integers must
-                     feed the same scorer on every path. *)
-                  if
-                    Index.local_scores lazy_idx il <> Index.local_scores fresh id
-                    || Index.local_scores eager ie <> Index.local_scores fresh id
-                  then ok := false
-              | _ -> ok := false
-            done;
+            Array.iteri
+              (fun id (term, nodes, tfs) ->
+                match (Index.term_id lazy_idx term, Index.term_id fresh term) with
+                | Some il, Some f ->
+                    if
+                      Index.raw_rows lazy_idx il <> (nodes, tfs)
+                      || Index.raw_rows fresh f <> (nodes, tfs)
+                      || il <> id
+                    then ok := false;
+                    (* Exact float equality: the same (tf, df) integers must
+                       feed the same scorer on every path. *)
+                    if Index.local_scores lazy_idx il <> Index.local_scores fresh f then
+                      ok := false
+                | _ -> ok := false)
+              model;
           if !ok then begin
             let ef = Xk_core.Engine.of_index fresh
-            and el = Xk_core.Engine.of_index lazy_idx
-            and ee = Xk_core.Engine.of_index eager in
+            and el = Xk_core.Engine.of_index lazy_idx in
             for _ = 1 to 3 do
               let words = Tutil.random_query rng ~k:2 ~alphabet:6 in
               let hf = Tutil.sort_hits (Xk_core.Engine.query ef words)
-              and hl = Tutil.sort_hits (Xk_core.Engine.query el words)
-              and he = Tutil.sort_hits (Xk_core.Engine.query ee words) in
-              if hl <> hf || he <> hf then ok := false;
+              and hl = Tutil.sort_hits (Xk_core.Engine.query el words) in
+              if hl <> hf then ok := false;
               let tf = Xk_core.Engine.query_topk ef words ~k:3
               and tl = Xk_core.Engine.query_topk el words ~k:3 in
               if tl <> tf then ok := false
             done
           end
-      | _ -> ok := false);
+      | Error _ -> ok := false);
       Sys.remove p6;
       !ok)
 
 (* Every decoder of a segment is total: for every strict prefix, a bit
-   flip in each region and random garbage behind the magic, the lazy
-   open, the eager open and [verify] return [Ok] or a typed error, and a
-   lazily opened index faults only with [Segment_fault].  Since every
+   flip in each region and random garbage behind the magic, the open
+   and [verify] return [Ok] or a typed error, and an opened index
+   faults only with [Segment_fault].  Since every
    byte is under a CRC, every prefix and every flip must be an error at
    [verify].  The same holds for intact bytes under a corruption mark,
    which damages the map the decoders read.  Damage that only the
@@ -1044,8 +1040,8 @@ let parity_prop =
    ([Tutil.damaged_symbol_tables]: a symbol of length 0 or above 8, more
    than 255 symbols, a code naming a missing symbol, an escape at a
    suffix's end, a table whose decoded terms break byte order).  A
-   header M that differs from the document's count is refused by both
-   opens, which check it against the labeling.  The corpora carry
+   header M that differs from the document's count is refused by the
+   open, which checks it against the labeling.  The corpora carry
    attribute-bearing elements and stopword-only texts
    ([Tutil.decorated_doc]). *)
 let never_raises_prop =
@@ -1266,8 +1262,8 @@ let never_raises_prop =
               (fun (what, region) -> (what, Tutil.with_term_region good region))
               (Tutil.damaged_symbol_tables (Array.to_list sorted))
       in
-      (* Each must be refused as corruption by every decoder: a lazy
-         open either refuses it or faults on the damaged term. *)
+      (* Each must be refused as corruption by every decoder: the open
+         either refuses it or faults on the damaged term. *)
       let corrupted what data =
         write_file path data;
         let refused = function
@@ -1284,22 +1280,18 @@ let never_raises_prop =
                   false
                 with Index_io.Segment_fault _ -> true)
             | r -> refused (Result.map ignore r)),
-            refused (Result.map ignore (Index_io.load_result ~retries:0 ~verify_columns:true label path)),
             refused (Index_io.verify ~retries:0 path) )
         with
-        | true, true, true -> true
+        | true, true -> true
         | _ -> QCheck.Test.fail_reportf "%s: not refused as corruption" what
         | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
       in
-      (* Refused as corruption by both opens, which know the document. *)
+      (* Refused as corruption by the open, which knows the document. *)
       let opens_refuse what data =
         write_file path data;
-        let refused verify_columns =
-          match Index_io.load_result ~retries:0 ~verify_columns label path with
-          | Error { Index_io.error = Index_io.Corrupted _; _ } -> true
-          | Error _ | Ok _ -> false
-        in
-        refused false && refused true
+        (match Index_io.load_result ~retries:0 label path with
+        | Error { Index_io.error = Index_io.Corrupted _; _ } -> true
+        | Error _ | Ok _ -> false)
         || QCheck.Test.fail_reportf "%s: not refused as corruption" what
       in
       let garbage =
@@ -1323,7 +1315,6 @@ let never_raises_prop =
                 done
               with Index_io.Segment_fault _ -> ())
           | Error _ -> ());
-          ignore (Index_io.load_result ~retries:0 ~verify_columns:true label path);
           Index_io.verify ~retries:0 path
         with
         | v -> Some (Result.is_ok v)
@@ -1390,11 +1381,11 @@ let save_raw label entries path =
   write_file path (encode_raw label entries);
   Array.of_list (List.map (fun (_, nodes, tfs) -> (nodes, tfs)) entries)
 
-let load_no_faults ?verify_columns label path =
+let load_no_faults label path =
   let module Chaos = Xk_resilience.Chaos in
   Chaos.configure Chaos.no_faults;
   Fun.protect ~finally:Chaos.reset (fun () ->
-      match Index_io.load_result ~retries:0 ?verify_columns label path with
+      match Index_io.load_result ~retries:0 label path with
       | Ok idx -> idx
       | Error e -> QCheck.Test.fail_reportf "load: %s" (Index_io.load_error_message e))
 
@@ -1424,13 +1415,9 @@ let tf_exceptions_roundtrip_prop =
       let path = tmpfile (Printf.sprintf "xk_v8_tfs_%d.seg" seed) in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
           let rows = save_raw label entries path in
-          let lazy_idx = load_no_faults label path
-          and eager = load_no_faults ~verify_columns:true label path in
+          let loaded = load_no_faults label path in
           Result.is_ok (Index_io.verify path)
-          && List.for_all
-               (fun id ->
-                 Index.raw_rows lazy_idx id = rows.(id) && Index.raw_rows eager id = rows.(id))
-               [ 0; 1; 2 ]))
+          && List.for_all (fun id -> Index.raw_rows loaded id = rows.(id)) [ 0; 1; 2 ]))
 
 (* A flipped postings byte in block [b] makes every term of [b] raise
    [Segment_fault] on every decode, and every other term still decodes
@@ -1507,9 +1494,7 @@ let wrapping_block_lengths () =
         | Error e -> Alcotest.failf "%s: %s" what (Index_io.load_error_message e)
         | Ok _ -> Alcotest.failf "%s accepted wrapping block lengths" what
       in
-      corrupted "lazy open" (Result.map ignore (Index_io.load_result ~retries:0 label path));
-      corrupted "eager open"
-        (Result.map ignore (Index_io.load_result ~retries:0 ~verify_columns:true label path));
+      corrupted "open" (Result.map ignore (Index_io.load_result ~retries:0 label path));
       corrupted "verify" (Index_io.verify ~retries:0 path))
 
 (* Rows survive the rank coding on corpora with every kind of node the

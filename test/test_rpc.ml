@@ -307,13 +307,13 @@ type fleet = {
 
 (* One server per (shard, replica) on an ephemeral localhost port, each
    run in its own domain — real TCP, in-process only for test hosting. *)
-let launch_fleet sharded ~replicas =
+let launch_fleet ?(load = Fun.id) sharded ~replicas =
   let shards = Xk_index.Sharding.count sharded in
   let listeners =
     Array.init shards (fun shard ->
         Array.init replicas (fun replica ->
             let srv =
-              Xk_exec.Shard_server.create ~sharding:sharded ~shard ~replica
+              Xk_exec.Shard_server.create ~sharding:(load sharded) ~shard ~replica
             in
             match Xk_exec.Shard_server.serve ~port:0 srv with
             | Error msg -> Alcotest.failf "fleet bring-up: %s" msg
@@ -388,6 +388,64 @@ let remote_parity () =
                     (Xk_exec.Query_service.outcome_label o))
             reference
             (List.map (Xk_exec.Shard_exec.exec sx) reqs)))
+
+(* Two real shard servers over a two-copy manifest whose replica 0 has
+   every 40th postings byte flipped, damage the open does not check.
+   Each server loads the manifest itself, as [xkq serve-shard] does, so
+   each reads rows from replica 1 where replica 0 faults: remote serving
+   answers bit-identically to a clean in-process run, with no
+   failover. *)
+let remote_damaged_primary () =
+  let keywords = 6 in
+  let doc =
+    Tutil.random_doc ~config:{ Xk_datagen.Random_tree.default with max_children = 6; keywords } 2045
+  in
+  let sharded = Xk_index.Sharding.partition ~shards:1 doc in
+  let reqs =
+    let rng = Xk_datagen.Rng.create 19 in
+    List.concat_map
+      (fun _ ->
+        let w = Tutil.random_query rng ~k:2 ~alphabet:keywords in
+        Xk_core.Engine.[ complete_request ~semantics:Elca w; topk_request ~semantics:Elca ~k:4 w ])
+      (List.init 6 Fun.id)
+  in
+  let reference =
+    with_exec (Xk_exec.Shard_exec.create ~domains:2 sharded) (fun sx ->
+        List.map (Xk_exec.Shard_exec.exec sx) reqs)
+  in
+  let path = Filename.temp_file "xk_rpc" ".shards" in
+  let files = [ path; Xk_index.Shard_io.replica_path path ~shard:0 ~replica:0;
+                Xk_index.Shard_io.replica_path path ~shard:0 ~replica:1 ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) files)
+    (fun () ->
+      Xk_index.Shard_io.save ~replicas:2 sharded path;
+      Tutil.flip_postings (List.nth files 1);
+      let load _ =
+        match Xk_index.Shard_io.load_result doc path with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "load: %s" (Xk_index.Shard_io.error_message e)
+      in
+      let fleet = launch_fleet ~load sharded ~replicas:2 in
+      Fun.protect
+        ~finally:(fun () -> stop_fleet fleet)
+        (fun () ->
+          with_exec
+            (Xk_exec.Shard_exec.create ~domains:2 ~endpoints:fleet.endpoints (load ()))
+            (fun sx ->
+              List.iter2
+                (fun r o ->
+                  match (r, o) with
+                  | Xk_exec.Query_service.Ok a, Xk_exec.Query_service.Ok b
+                    when hits_identical a b ->
+                      ()
+                  | _, o ->
+                      Alcotest.failf "remote outcome %s diverged from a clean run"
+                        (Xk_exec.Query_service.outcome_label o))
+                reference
+                (List.map (Xk_exec.Shard_exec.exec sx) reqs);
+              check Alcotest.int "no failover" 0
+                (Xk_exec.Shard_exec.stats sx).Xk_exec.Shard_exec.failovers)))
 
 (* Stopping one server of every shard is invisible (failover), stopping
    every replica of one shard degrades with exactly the reachable
@@ -779,6 +837,7 @@ let suite =
     ( "rpc.remote",
       [
         tc "parity with in-process serving" `Quick remote_parity;
+        tc "damaged primary copy served around" `Quick remote_damaged_primary;
         tc "kill drills: failover, then degraded" `Quick remote_kill_drills;
         tc "drop schedule refuses connections" `Quick drop_schedule;
         tc "tick budget propagates over the wire" `Quick remote_budget_degrades;

@@ -405,6 +405,11 @@ let flip_last_byte path =
   output_bytes oc b;
   close_out oc
 
+let load_ok doc path =
+  match Xk_index.Shard_io.load_result doc path with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "load %s: %s" path (Xk_index.Shard_io.error_message e)
+
 let shard_io_roundtrip () =
   let seed = 2024 in
   let doc = Tutil.random_doc seed in
@@ -493,9 +498,10 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* Open-path faults of the v8 segment: a torn directory, corrupted mapped postings and
-   an injected map failure each surface as the right typed error, and a
-   single damaged copy is invisible behind replica fallback. *)
+(* Faults of the v9 segment: a torn directory and an injected map
+   failure each surface as the right typed error at the open, corrupted
+   mapped postings as [Segment_fault] at a read, and a single damaged
+   copy is invisible behind the other copy. *)
 let shard_io_segment_faults () =
   let doc = Tutil.random_doc 909 in
   let sharded = Xk_index.Sharding.partition ~shards:2 doc in
@@ -558,66 +564,40 @@ let shard_io_segment_faults () =
           Alcotest.failf "torn directories: wrong error %s"
             (Xk_index.Shard_io.error_message e)
       | Ok _ -> Alcotest.fail "shard with two torn directories loaded");
-      (* Corrupted mapped postings: the lazy open defers the per-term
-         checks, so paranoid callers pass [verify_columns] and the damage
-         is caught at open time - behind fallback first, then as typed
-         corruption once the replica is damaged too. *)
+      (* Corrupted mapped postings: the open checks no posting, so both
+         copies open, and a read that meets the damage moves to the
+         other copy; once both are damaged, the read's [Segment_fault]
+         reaches the caller.  [verify] refuses each damaged copy. *)
       resave ();
+      let rows_of sharded =
+        let idx = Xk_index.Sharding.index sharded 0 in
+        List.init (Xk_index.Index.term_count idx) (Xk_index.Index.raw_rows idx)
+      in
+      let clean = rows_of (load_ok doc path) in
+      let refused file =
+        match Xk_index.Index_io.verify ~retries:1 ~backoff_ms:0.1 file with
+        | Error { error = Corrupted _; _ } -> ()
+        | Error e ->
+            Alcotest.failf "verify %s: wrong error %s" file
+              (Xk_index.Index_io.load_error_message e)
+        | Ok () -> Alcotest.failf "verify accepted damaged postings in %s" file
+      in
       let lay0 = layout_of files.(0).(0) in
       check Alcotest.bool "shard carries rows" true
         (lay0.Xk_index.Segment.total_rows > 0);
       flip_at files.(0).(0) lay0.Xk_index.Segment.postings_off;
-      (match
-         Xk_index.Shard_io.load_result ~verify_columns:true ~retries:1
-           ~backoff_ms:0.1 doc path
-       with
-      | Ok _ -> ()
-      | Error e ->
-          Alcotest.failf "corrupt postings should fall back: %s"
-            (Xk_index.Shard_io.error_message e));
+      refused files.(0).(0);
+      let around = load_ok doc path in
+      check Alcotest.bool "rows read around one damaged copy" true (rows_of around = clean);
+      check Alcotest.bool "bytes of the copy rows are read from" true
+        (Xk_index.Index.bytes (Xk_index.Sharding.index around 0)
+        = In_channel.with_open_bin files.(0).(1) In_channel.input_all);
       (let lay1 = layout_of files.(0).(1) in
-       flip_at files.(0).(1)
-         (lay1.Xk_index.Segment.postings_off
-        + lay1.Xk_index.Segment.postings_len - 1));
-      (match
-         Xk_index.Shard_io.load_result ~verify_columns:true ~retries:1
-           ~backoff_ms:0.1 doc path
-       with
-      | Error
-          (Xk_index.Shard_io.Shard
-            {
-              shard = 0;
-              failures =
-                [ (_, { error = Corrupted _; _ }); (_, { error = Corrupted _; _ }) ];
-            }) ->
-          ()
-      | Error e ->
-          Alcotest.failf "corrupt postings: wrong error %s"
-            (Xk_index.Shard_io.error_message e)
-      | Ok _ -> Alcotest.fail "eager verify accepted corrupt postings");
-      (* The same damage without [verify_columns] opens fine and trips
-         its block's checksum on first decode as a [Segment_fault] -
-         the query-time form the executor's failover handles. *)
-      let solo = Filename.concat dir "solo.seg" in
-      let label = Xk_encoding.Labeling.label doc in
-      Xk_index.Index_io.save (Xk_index.Index.build label) solo;
-      flip_at solo (layout_of solo).Xk_index.Segment.postings_off;
-      (* Pinned fault-free: environment faults would spend both of the
-         two attempts on this fresh file before the open is reached. *)
-      Xk_resilience.Chaos.configure Xk_resilience.Chaos.no_faults;
-      Fun.protect ~finally:Xk_resilience.Chaos.reset (fun () ->
-          match Xk_index.Index_io.load_result ~retries:1 label solo with
-          | Error e ->
-              Alcotest.failf "lazy open should defer postings checks: %s"
-                (Xk_index.Index_io.load_error_message e)
-          | Ok lazy_idx -> (
-              match
-                for id = 0 to Xk_index.Index.term_count lazy_idx - 1 do
-                  ignore (Xk_index.Index.raw_rows lazy_idx id)
-                done
-              with
-              | () -> Alcotest.fail "corrupt postings decoded without a fault"
-              | exception Xk_index.Index_io.Segment_fault _ -> ()));
+       flip_at files.(0).(1) lay1.Xk_index.Segment.postings_off);
+      refused files.(0).(1);
+      (match rows_of (load_ok doc path) with
+      | _ -> Alcotest.fail "postings damaged in both copies decoded"
+      | exception Xk_index.Index_io.Segment_fault _ -> ());
       (* Injected map failure: the primary cannot be mapped at all; the
          loader classifies it as an IO failure without burning retries
          and serves from the replica. *)
@@ -648,8 +628,8 @@ let shard_io_segment_faults () =
           | Ok _ -> Alcotest.fail "unmappable shard loaded"))
 
 (* Replicated segments: save writes N verified copies per shard, the
-   loader falls back across them, and a shard is lost only when every
-   copy fails. *)
+   loader keeps every copy that opens, and a shard is lost only when
+   every copy fails. *)
 let shard_io_replicas () =
   let doc = Tutil.random_doc 404 in
   let sharded = Xk_index.Sharding.partition ~shards:3 doc in
@@ -795,6 +775,94 @@ let fixture_doc =
           Xk_xml.Xml_tree.elem "c" [ Xk_xml.Xml_tree.text "kw0 kw2" ];
         ];
   }
+
+(* Damage only a block CRC sees, in every shard's replica 0 of a
+   two-copy manifest, is served around: the lazy load keeps both
+   copies, every read that meets the damage moves to replica 1, and
+   in-process replicated serving answers every request bit-identically
+   to the same serving over a clean in-memory partition, at 1-3 shards
+   and 1-2 in-process replicas, with no failover. *)
+let shard_io_damaged_primary () =
+  let keywords = 6 in
+  let doc =
+    Tutil.random_doc ~config:{ Xk_datagen.Random_tree.default with max_children = 6; keywords } 606
+  in
+  let reqs =
+    let rng = Xk_datagen.Rng.create 61 in
+    List.concat
+      (List.init 6 (fun _ ->
+           let w = Tutil.random_query rng ~k:2 ~alphabet:keywords in
+           Xk_core.Engine.
+             [
+               complete_request ~semantics:Elca w;
+               topk_request ~semantics:Elca ~k:4 w;
+               topk_request ~semantics:Slca ~k:3 w;
+             ]))
+  in
+  let serve ~replicas sharded =
+    let sx = Shard_exec.create ~domains:2 ~replicas sharded in
+    Fun.protect
+      ~finally:(fun () -> Shard_exec.shutdown sx)
+      (fun () -> (List.map (Shard_exec.exec sx) reqs, (Shard_exec.stats sx).Shard_exec.failovers))
+  in
+  with_tmpdir (fun dir ->
+      List.iter
+        (fun shards ->
+          let path = Filename.concat dir (Printf.sprintf "c%d.shards" shards) in
+          let clean = Xk_index.Sharding.partition ~shards doc in
+          Xk_index.Shard_io.save ~replicas:2 clean path;
+          (match Xk_index.Shard_io.replica_files path with
+          | Ok files -> Array.iter (fun reps -> Tutil.flip_postings reps.(0)) files
+          | Error e -> Alcotest.failf "replica_files: %s" (Xk_index.Shard_io.error_message e));
+          List.iter
+            (fun replicas ->
+              let msg = Printf.sprintf "%d shard(s), %d replica(s)" shards replicas in
+              let want, _ = serve ~replicas clean in
+              let got, failovers = serve ~replicas (load_ok doc path) in
+              List.iter2
+                (fun want got ->
+                  match (want, got) with
+                  | Query_service.Ok a, Query_service.Ok b when hits_identical a b -> ()
+                  | _, o -> Alcotest.failf "%s: request answered %s" msg (pp_outcome o))
+                want got;
+              check Alcotest.int (msg ^ ": no failover") 0 failovers)
+            [ 1; 2 ])
+        [ 1; 2; 3 ])
+
+(* A valid segment of other rows over the same document, written as
+   replica 1, opens but is never read from: its terms and directory
+   differ from replica 0's, so the index leaves it out, and a damaged
+   replica 0 then faults instead of answering with replica 1's rows. *)
+let shard_io_foreign_copy () =
+  let doc = Tutil.random_doc 707 in
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "c.shards" in
+      Xk_index.Shard_io.save ~replicas:2 (Xk_index.Sharding.partition ~shards:1 doc) path;
+      let files =
+        match Xk_index.Shard_io.replica_files path with
+        | Ok files -> files.(0)
+        | Error e -> Alcotest.failf "replica_files: %s" (Xk_index.Shard_io.error_message e)
+      in
+      let label = Xk_index.Index.label (Xk_index.Sharding.index (load_ok doc path) 0) in
+      let bearing =
+        List.find
+          (fun i -> Xk_encoding.Labeling.term_bearing (Xk_encoding.Labeling.xml_node label i))
+          (List.init (Xk_encoding.Labeling.node_count label) Fun.id)
+      in
+      let oc = open_out_bin files.(1) in
+      output_string oc
+        (Xk_index.Segment.encode label ~terms:[| "kw0" |] ~starts:[| 0; 1 |]
+           ~nodes:[| bearing |] ~tfs:[| 1 |]);
+      close_out oc;
+      let idx = Xk_index.Sharding.index (load_ok doc path) 0 in
+      check Alcotest.int "terms read from replica 0"
+        (Xk_index.Index.term_count (Xk_index.Index.build label))
+        (Xk_index.Index.term_count idx);
+      Tutil.flip_postings files.(0);
+      let idx = Xk_index.Sharding.index (load_ok doc path) 0 in
+      match Xk_index.Index.raw_rows idx 0 with
+      | _ -> Alcotest.fail "damaged replica 0 answered"
+      | exception Xk_index.Index_io.Segment_fault _ -> ())
 
 (* Each retired manifest is refused on the first attempt with the
    rebuild hint, though the segments it names are intact. *)
@@ -951,6 +1019,8 @@ let suite =
         tc "typed per-shard failures" `Quick shard_io_failures;
         tc "segment open-path faults" `Quick shard_io_segment_faults;
         tc "replica fallback and loss" `Quick shard_io_replicas;
+        tc "damaged primary served around" `Quick shard_io_damaged_primary;
+        tc "a foreign copy is never read" `Quick shard_io_foreign_copy;
         tc "committed v1/v2 manifest bytes" `Quick shard_io_legacy_fixtures;
       ] );
   ]

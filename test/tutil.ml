@@ -143,6 +143,21 @@ let load_index label path =
   | Error e ->
       Alcotest.failf "load %s: %s" path (Xk_index.Index_io.load_error_message e)
 
+(* Every 40th byte of a segment file's postings region flipped: damage
+   the open does not check, met by the first read of each block. *)
+let flip_postings seg =
+  let lay =
+    match Xk_index.Index_io.layout seg with
+    | Ok lay -> lay
+    | Error e -> Alcotest.failf "layout %s: %s" seg (Xk_index.Index_io.error_message e)
+  in
+  let b = Bytes.of_string (In_channel.with_open_bin seg In_channel.input_all) in
+  for i = 0 to (lay.Xk_index.Segment.postings_len - 1) / 40 do
+    let pos = lay.Xk_index.Segment.postings_off + (40 * i) in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xA5))
+  done;
+  Out_channel.with_open_bin seg (fun oc -> Out_channel.output_bytes oc b)
+
 (* The term region written from the format, independently of
    [Index_io] and [Symbols]: a symbol table (a varint count, then per
    symbol a length byte and its bytes), every term as one byte (shared
